@@ -10,17 +10,15 @@
 //!   the markdown tables;
 //! - `--check` — exit non-zero unless (a) fused throughput holds up
 //!   against unfused at the acceptance DoP (the fusion-must-not-regress
-//!   gate), (b) combining holds up against uncombined at DoP 1 (the
-//!   combining-never-loses gate), and (c) the default batch size holds
-//!   up against record-at-a-time at DoP 1 (the batched-dispatch-must-
-//!   not-lose gate);
+//!   gate) and (b) combining holds up against uncombined at DoP 1 (the
+//!   combining-never-loses gate);
 //! - `--docs N` / `--dops A,B,C` — override corpus size / DoP sweep for
 //!   targeted probes of a single cell;
 //! - `--per-op` — print wall seconds per pipeline operator instead of
 //!   running the sweep (where does fused time go?).
 use websift_bench::experiments::throughput_exps::{
-    batch_grid_at, combining_at, per_op_breakdown, throughput_at, BatchGridReport,
-    CombiningReport, ThroughputReport, ACCEPTANCE_DOP, THROUGHPUT_DOPS,
+    combining_at, per_op_breakdown, throughput_at, CombiningReport, ThroughputReport,
+    THROUGHPUT_DOPS,
 };
 use websift_bench::experiments::throughput_exps::throughput_json;
 
@@ -62,19 +60,9 @@ fn main() {
 
     let report: ThroughputReport = throughput_at(docs, &dops);
     let combining: CombiningReport = combining_at(docs, &dops);
-    // The batch grid only needs the gate cell (DoP 1) plus the
-    // acceptance DoP when the sweep measures it.
-    let batch_dops: Vec<usize> = {
-        let mut v = vec![1usize];
-        if dops.contains(&ACCEPTANCE_DOP) {
-            v.push(ACCEPTANCE_DOP);
-        }
-        v
-    };
-    let batches: BatchGridReport = batch_grid_at(docs, &batch_dops);
 
     if json {
-        println!("{}", throughput_json(&report, &combining, &batches));
+        println!("{}", throughput_json(&report, &combining));
     } else {
         println!("{}", report.result.render());
         println!();
@@ -85,8 +73,6 @@ fn main() {
             combining.shuffle_bytes_uncombined,
             combining.shuffle_bytes_combined
         );
-        println!();
-        println!("{}", batches.result.render());
     }
 
     if check {
@@ -108,25 +94,14 @@ fn main() {
             );
             std::process::exit(1);
         }
-        // Batched dispatch must not lose to record-at-a-time even with
-        // no parallelism: per-batch overhead amortizes, it never adds.
-        if batches.batched_vs_record_at_dop1 < CHECK_TOLERANCE {
-            eprintln!(
-                "exp_throughput --check FAILED: default batch is \
-                 {:.2}x record-at-a-time at DoP 1 (< {CHECK_TOLERANCE})",
-                batches.batched_vs_record_at_dop1
-            );
-            std::process::exit(1);
-        }
         eprintln!(
             "exp_throughput check ok: fused {:.2}x unfused, {:.2}x pre-fusion baseline; \
              combining {:.2}x uncombined at the acceptance DoP ({dop1:.2}x at DoP 1), \
-             shuffle shrink {:.1}x; default batch {:.2}x record-at-a-time at DoP 1",
+             shuffle shrink {:.1}x",
             report.fused_vs_unfused,
             report.fused_vs_baseline,
             combining.combined_vs_uncombined,
-            combining.shuffle_reduction(),
-            batches.batched_vs_record_at_dop1
+            combining.shuffle_reduction()
         );
     }
 }

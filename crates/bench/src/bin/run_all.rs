@@ -40,8 +40,6 @@ fn main() {
     eprintln!("[1/22] wall-clock throughput (fused vs unfused vs pre-fusion; combined vs uncombined)");
     let throughput = throughput_exps::throughput(480);
     let combining = throughput_exps::combining(480);
-    let batches =
-        throughput_exps::batch_grid_at(480, &[1, throughput_exps::ACCEPTANCE_DOP]);
 
     let lexicon = Lexicon::generate(LexiconScale::default_scale());
     eprintln!("[2/22] Table 1");
@@ -172,21 +170,17 @@ fn main() {
         Err(e) => eprintln!("could not write BENCH_SHUFFLE.json: {e}"),
     }
 
-    let throughput_json =
-        throughput_exps::throughput_json(&throughput, &combining, &batches);
+    let throughput_json = throughput_exps::throughput_json(&throughput, &combining);
     out(throughput.result.clone());
     out(combining.result.clone());
-    out(batches.result.clone());
     match std::fs::write("BENCH_THROUGHPUT.json", throughput_json + "\n") {
         Ok(()) => eprintln!(
             "wrote BENCH_THROUGHPUT.json (fused {:.2}x pre-fusion baseline, combining \
-             {:.2}x uncombined, shuffle shrink {:.1}x at DoP {}, default batch {:.2}x \
-             record-at-a-time at DoP 1)",
+             {:.2}x uncombined, shuffle shrink {:.1}x at DoP {})",
             throughput.fused_vs_baseline,
             combining.combined_vs_uncombined,
             combining.shuffle_reduction(),
-            throughput_exps::ACCEPTANCE_DOP,
-            batches.batched_vs_record_at_dop1
+            throughput_exps::ACCEPTANCE_DOP
         ),
         Err(e) => eprintln!("could not write BENCH_THROUGHPUT.json: {e}"),
     }

@@ -338,127 +338,6 @@ pub fn throughput_at(docs: usize, dops: &[usize]) -> ThroughputReport {
     ThroughputReport { result, points, docs, fused_vs_unfused, fused_vs_baseline }
 }
 
-/// The batch-size grid the batched-execution sweep measures, in records
-/// per physical batch. 256 is the executor's default
-/// (`websift_flow::DEFAULT_BATCH_SIZE`); 1 is record-at-a-time.
-pub const BATCH_GRID: [usize; 4] = [1, 64, 256, 1024];
-
-/// One measured (batch_size, DoP) cell of the batched-execution sweep.
-/// Batch size is physical only — every cell computes byte-identical
-/// output — so the cells differ exclusively in dispatch amortization and
-/// working-set size.
-#[derive(Debug, Clone)]
-pub struct BatchPoint {
-    pub batch_size: usize,
-    pub dop: usize,
-    pub records: usize,
-    pub wall_secs: f64,
-    pub records_per_sec: f64,
-}
-
-/// Outcome of the batch-size sweep over the fused linguistic pipeline.
-#[derive(Debug)]
-pub struct BatchGridReport {
-    pub result: ExperimentResult,
-    pub points: Vec<BatchPoint>,
-    pub docs: usize,
-    /// Default-batch speedup over record-at-a-time (batch 1) at DoP 1 —
-    /// the "batched dispatch must not lose" gate, with no parallelism to
-    /// hide per-batch overhead. Median of per-round paired wall ratios.
-    pub batched_vs_record_at_dop1: f64,
-}
-
-/// One timed fused run at an explicit batch size; returns wall seconds.
-fn time_batched_run(plan: &LogicalPlan, records: &[Record], dop: usize, batch: usize) -> f64 {
-    let config = ExecutionConfig { batch_size: Some(batch), ..ExecutionConfig::local(dop) };
-    let exec = Executor::new(config);
-    let mut inputs = HashMap::new();
-    inputs.insert("docs".to_string(), records.to_vec());
-    // lint:allow(wall_clock): the throughput harness measures real execution wall time
-    let t = Instant::now();
-    let out = exec.run(plan, inputs).expect("batched throughput flow");
-    let secs = t.elapsed().as_secs_f64();
-    std::hint::black_box(out.sinks.values().map(Vec::len).sum::<usize>());
-    secs
-}
-
-/// Runs the batch-size grid at the given DoPs (typically {1, 8}: the
-/// no-parallelism cell that decides the check gate plus the acceptance
-/// DoP). Rounds interleave the whole grid so ambient drift hits every
-/// batch size equally.
-pub fn batch_grid_at(docs: usize, dops: &[usize]) -> BatchGridReport {
-    let plan = websift_pipeline::linguistic_flow("docs");
-    let records = throughput_corpus(docs);
-    let default_at = BATCH_GRID
-        .iter()
-        .position(|&b| b == websift_flow::DEFAULT_BATCH_SIZE)
-        .expect("grid includes the default batch size");
-
-    let mut result = ExperimentResult::new(
-        "Batch grid",
-        "Wall-clock records/sec by physical batch size, fused linguistic pipeline",
-        &["DoP", "b=1 rec/s", "b=64 rec/s", "b=256 rec/s", "b=1024 rec/s", "b256/b1"],
-    );
-
-    // Warm-up pass before anything is measured.
-    time_batched_run(&plan, &records, dops.first().copied().unwrap_or(1), BATCH_GRID[0]);
-
-    let mut points = Vec::new();
-    let mut dop1_rounds: Vec<[f64; BATCH_GRID.len()]> = Vec::new();
-    for &dop in dops {
-        let mut best = [f64::MAX; BATCH_GRID.len()];
-        let reps = REPS + if dop == 1 { EXTRA_ACCEPT_ROUNDS } else { 0 };
-        for _ in 0..reps {
-            let mut round = [0.0f64; BATCH_GRID.len()];
-            for (i, &batch) in BATCH_GRID.iter().enumerate() {
-                round[i] = time_batched_run(&plan, &records, dop, batch);
-                best[i] = best[i].min(round[i]);
-            }
-            if dop == 1 {
-                dop1_rounds.push(round);
-            }
-        }
-        let mut rps = [0.0f64; BATCH_GRID.len()];
-        for (i, &batch) in BATCH_GRID.iter().enumerate() {
-            rps[i] = if best[i] > 0.0 { records.len() as f64 / best[i] } else { 0.0 };
-            points.push(BatchPoint {
-                batch_size: batch,
-                dop,
-                records: records.len(),
-                wall_secs: best[i],
-                records_per_sec: rps[i],
-            });
-        }
-        result.row(&[
-            dop.to_string(),
-            format!("{:.0}", rps[0]),
-            format!("{:.0}", rps[1]),
-            format!("{:.0}", rps[2]),
-            format!("{:.0}", rps[3]),
-            format!("{:.2}x", if rps[0] > 0.0 { rps[default_at] / rps[0] } else { 0.0 }),
-        ]);
-    }
-
-    // Paired within-round ratio (batch-1 wall / default-batch wall) so
-    // ambient load cancels, median over the widened DoP-1 rounds.
-    let mut ratios: Vec<f64> = dop1_rounds
-        .iter()
-        .filter(|r| r[default_at] > 0.0)
-        .map(|r| r[0] / r[default_at])
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    let batched_vs_record_at_dop1 =
-        if ratios.is_empty() { 0.0 } else { ratios[ratios.len() / 2] };
-    result.note(format!(
-        "{docs} source records; batch size is physical only (output bytes identical \
-         across the grid); at DoP 1 the default batch ({}) is \
-         {batched_vs_record_at_dop1:.2}x record-at-a-time",
-        websift_flow::DEFAULT_BATCH_SIZE
-    ));
-
-    BatchGridReport { result, points, docs, batched_vs_record_at_dop1 }
-}
-
 /// One measured (mode, DoP) cell of the partial-aggregation sweep.
 #[derive(Debug, Clone)]
 pub struct CombiningPoint {
@@ -680,11 +559,7 @@ pub fn per_op_breakdown(docs: usize) -> Vec<(String, f64, usize)> {
 /// measured DoP grid are stamped in so a reader can tell whether a sweep
 /// measured parallel scaling or (on a single-core box) only overhead
 /// elimination.
-pub fn throughput_json(
-    report: &ThroughputReport,
-    combining: &CombiningReport,
-    batches: &BatchGridReport,
-) -> String {
+pub fn throughput_json(report: &ThroughputReport, combining: &CombiningReport) -> String {
     let points = array(report.points.iter().map(|p| {
         ObjectWriter::new()
             .str("mode", p.mode)
@@ -704,15 +579,6 @@ pub fn throughput_json(
             .u64("shuffle_bytes", p.shuffle_bytes)
             .finish()
     }));
-    let batch_points = array(batches.points.iter().map(|p| {
-        ObjectWriter::new()
-            .u64("batch_size", p.batch_size as u64)
-            .u64("dop", p.dop as u64)
-            .u64("records", p.records as u64)
-            .f64("wall_secs", p.wall_secs)
-            .f64("records_per_sec", p.records_per_sec)
-            .finish()
-    }));
     let mut dops: Vec<u64> = report.points.iter().map(|p| p.dop as u64).collect();
     dops.sort_unstable();
     dops.dedup();
@@ -729,12 +595,8 @@ pub fn throughput_json(
         .u64("shuffle_bytes_uncombined", combining.shuffle_bytes_uncombined)
         .u64("shuffle_bytes_combined", combining.shuffle_bytes_combined)
         .f64("shuffle_reduction", combining.shuffle_reduction())
-        .raw("batch_sizes", &array(BATCH_GRID.iter().map(|b| b.to_string())))
-        .u64("default_batch_size", websift_flow::DEFAULT_BATCH_SIZE as u64)
-        .f64("batched_vs_record_dop1", batches.batched_vs_record_at_dop1)
         .raw("points", &points)
         .raw("combining_points", &combining_points)
-        .raw("batch_points", &batch_points)
         .finish()
 }
 
@@ -786,10 +648,7 @@ mod tests {
         let combining = combining_at(6, &[1, 4]);
         assert_eq!(combining.points.len(), 2 * 2);
         assert!(combining.points.iter().all(|p| p.records_per_sec > 0.0));
-        let batches = batch_grid_at(6, &[1]);
-        assert_eq!(batches.points.len(), BATCH_GRID.len());
-        assert!(batches.points.iter().all(|p| p.records_per_sec > 0.0));
-        let json = throughput_json(&report, &combining, &batches);
+        let json = throughput_json(&report, &combining);
         assert!(json.contains("\"fused_vs_baseline\""));
         assert!(json.contains("\"host_logical_cores\""));
         assert!(json.contains("\"dops\":[1,4]"));
@@ -797,10 +656,6 @@ mod tests {
         assert!(json.contains("\"combined_vs_uncombined\""));
         assert!(json.contains("\"shuffle_reduction\""));
         assert!(json.contains("\"mode\":\"combined\""));
-        assert!(json.contains("\"batch_sizes\":[1,64,256,1024]"));
-        assert!(json.contains("\"default_batch_size\":256"));
-        assert!(json.contains("\"batched_vs_record_dop1\""));
-        assert!(json.contains("\"batch_size\":1024"));
     }
 
     #[test]

@@ -30,21 +30,18 @@
 //! reproduces an uninterrupted run bit-for-bit (wall-clock fields aside).
 
 use crate::analyze::{analyze_plan, AnalyzeOptions};
-use crate::batch::{BatchArena, RecordBatch};
 use crate::cluster::{admit_sharded, ClusterSpec, SchedulingError};
 use crate::logical::{parse_store_sink, LogicalPlan, NodeOp, STORE_SINK_PREFIX};
 use websift_analyze::{Diagnostic, Severity};
-use crate::operator::{AggState, Aggregate, Kind, OpFunc, Operator};
+use crate::operator::{AggState, Kind, OpFunc, Operator};
 use crate::optimizer::{fused_stage, FusedStage, StageDecision};
 use crate::record::Record;
 use crate::resilience::{FlowCheckpoint, FlowResilience};
-use crate::shuffle::{
-    run_reduce_sharded, run_stage_sharded, ChunkOut, OpSpec, ShardConfig, ShardPool,
-    ShardRunError, SpecOp, StageTask,
-};
+use crate::runner::{host_parallelism, LocalRunner, StageRunner};
+use crate::shuffle::{ChunkOut, ChunkStats, ShardConfig, ShardPool, ShardRunError, StageKernel};
 use serde::Serialize;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use websift_observe::{Labels, Observer, RegistrySnapshot};
 use websift_resilience::{CodecError, FaultKind, Reader, Snapshot, Writer};
@@ -106,42 +103,15 @@ pub struct ExecutionConfig {
     /// combining on or off. Reduces with a `Custom` aggregate always run
     /// uncombined (the analyzer flags them as WS010).
     pub combining: bool,
-    /// Cap on real worker threads per partitioned pass (the effective
-    /// count is `min(dop_eff, chunks, max_workers)`). Physical only:
-    /// worker count must never leak into simulated numbers (see
-    /// `worker_count_never_affects_deterministic_outputs`).
-    pub max_workers: usize,
-    /// Physical batch size for fused stages: each simulated partition's
-    /// records run through the stage chain in fixed-size
-    /// [`RecordBatch`](crate::batch::RecordBatch)es, with one
-    /// stage-closure dispatch per batch and per-batch scratch reclaimed
-    /// from a worker-local [`BatchArena`](crate::batch::BatchArena)
-    /// between batches. `None` picks
-    /// [`DEFAULT_BATCH_SIZE`](crate::batch::DEFAULT_BATCH_SIZE).
-    /// Physical only: batches never span simulated partition boundaries
-    /// and results merge in batch order, so every deterministic surface
-    /// is bit-identical across batch sizes (see the `batching`
-    /// differential suite).
-    pub batch_size: Option<usize>,
     /// Sharded physical execution: run fused stages on N worker shards
     /// (threads or real OS processes) over the frame protocol in
-    /// [`crate::shuffle`] instead of the in-process thread pool.
-    /// Physical only: chunk boundaries, per-record costs, and merge
-    /// order are identical, so every deterministic surface is
-    /// bit-identical across shard counts and worker kinds (see the
-    /// `shuffle` differential suite). Stages containing operators
-    /// without serializable specs silently fall back in-process.
+    /// [`crate::shuffle`] instead of local threads. Physical only: chunk
+    /// boundaries, per-record costs, and merge order are identical, so
+    /// every deterministic surface is bit-identical across shard counts
+    /// and worker kinds (see the `shuffle` differential suite). A stage
+    /// containing an operator without a serializable spec stays on the
+    /// local runner, counted in [`PhysicalStats::stages_pinned_local`].
     pub sharding: Option<ShardConfig>,
-}
-
-/// Default physical worker cap: the machine's available parallelism.
-/// This is deliberately the only place real hardware parallelism enters
-/// the executor, and it only ever throttles wall-clock execution.
-fn default_max_workers() -> usize {
-    // lint:allow(nondet_parallelism): physical worker cap only — never feeds simulated numbers
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(8)
 }
 
 impl ExecutionConfig {
@@ -157,8 +127,6 @@ impl ExecutionConfig {
             analyze: true,
             fusion: true,
             combining: true,
-            max_workers: default_max_workers(),
-            batch_size: None,
             sharding: None,
         }
     }
@@ -376,6 +344,9 @@ pub struct PhysicalStats {
     pub shard_wire_bytes: u64,
     /// Worker shards respawned after a loss (`respawn_lost`).
     pub shard_respawns: u64,
+    /// Stages that ran on the local runner although sharding was
+    /// configured, because a constituent carries no serializable spec.
+    pub stages_pinned_local: u64,
     /// Sorted disk runs written by over-memory Reduce group tables.
     pub spill_runs: u64,
     /// Bytes written to spill run files.
@@ -678,23 +649,20 @@ impl Executor {
     ) -> Result<ResilientRun, ExecutionError> {
         // lint:allow(wall_clock): wall_ms is runtime-only diagnostics, never checkpointed
         let started = Instant::now();
-        let mut checkpoints = Vec::new();
-        let mut physical = PhysicalStats::default();
-        let mut stages_run: Vec<StageDecision> = Vec::new();
-        // The worker-shard pool, created lazily on the first sharded
-        // stage and kept for the whole run (workers persist across
-        // stages; kill counting is cumulative per channel).
-        let mut pool: Option<ShardPool> = None;
+        let mut run = RunCtx {
+            plan,
+            res,
+            obs,
+            checkpoints: Vec::new(),
+            physical: PhysicalStats::default(),
+            stages: Vec::new(),
+            pool: None,
+        };
 
         while state.next_node < plan.len() {
-            if let Some(stop) = res.stop_after_nodes {
-                if state.next_node >= stop {
-                    state.metrics.wall_ms += started.elapsed().as_secs_f64() * 1000.0;
-                    return Ok(ResilientRun {
-                        output: None,
-                        checkpoints,
-                    });
-                }
+            if res.stop_after_nodes.is_some_and(|stop| state.next_node >= stop) {
+                state.metrics.wall_ms += started.elapsed().as_secs_f64() * 1000.0;
+                return Ok(ResilientRun { output: None, checkpoints: run.checkpoints });
             }
             let node = &plan.nodes()[state.next_node];
 
@@ -723,136 +691,25 @@ impl Executor {
                 }
             };
 
-            // logical-clock start of this plan node's span
-            let node_t0 = state.metrics.simulated_secs;
             match &node.op {
-                NodeOp::Source(name) => {
-                    // Injected store-read faults retry the read; each
-                    // attempt's decision is pure in (source, attempt).
-                    if let Some(fault_plan) = &res.faults {
-                        let mut attempt: u32 = 0;
-                        while fault_plan.injects_at(FaultKind::StoreRead, name, attempt as u64) {
-                            state.metrics.store_read_retries += 1;
-                            state.metrics.simulated_secs += STORE_READ_RETRY_SECS;
-                            attempt += 1;
-                            if attempt > res.partition_retries {
-                                return Err(ExecutionError::StoreReadFailed {
-                                    source: name.clone(),
-                                });
-                            }
-                        }
-                    }
-                    let data = inputs
-                        .remove(name)
-                        .ok_or_else(|| ExecutionError::MissingSource(name.clone()))?;
-                    let labels = Labels::new(&[("source", name)]);
-                    obs.registry()
-                        .counter("flow.source_records", &labels)
-                        .add(data.len() as u64);
-                    obs.tracer().span(
-                        "flow.source",
-                        node_t0,
-                        state.metrics.simulated_secs - node_t0,
-                        labels,
-                    );
-                    state.outputs[node.id] = Some(data);
-                }
-                NodeOp::Sink(name) => {
-                    let bytes: u64 = input.iter().map(Record::approx_bytes).sum();
-                    let scaled = (bytes as f64 * self.config.byte_scale) as u64;
-                    state.metrics.network_bytes += scaled * SINK_REPLICATION;
-                    state.metrics.simulated_secs +=
-                        self.config.cluster.network_secs(scaled * SINK_REPLICATION);
-                    let labels = Labels::new(&[("sink", name)]);
-                    obs.registry()
-                        .counter("flow.sink_records", &labels)
-                        .add(input.len() as u64);
-                    obs.registry()
-                        .counter("flow.sink_bytes", &labels)
-                        .add(scaled * SINK_REPLICATION);
-                    obs.profiler().record(
-                        &["flow", &format!("sink:{name}")],
-                        state.metrics.simulated_secs - node_t0,
-                        scaled * SINK_REPLICATION,
-                    );
-                    obs.tracer().span(
-                        "flow.sink",
-                        node_t0,
-                        state.metrics.simulated_secs - node_t0,
-                        labels,
-                    );
-                    state.sinks.entry(name.clone()).or_default().extend(input);
-                    state.outputs[node.id] = Some(Vec::new());
-                }
+                NodeOp::Source(name) => self.run_source(&run, &mut state, &mut inputs, node.id, name)?,
+                NodeOp::Sink(name) => self.run_sink(&run, &mut state, node.id, name, input),
                 NodeOp::Op(op) => {
-                    // Collapse the maximal fusable stage starting here
-                    // into one physical pass — possibly extending through
-                    // a trailing combinable Reduce (partial aggregation).
-                    // Stop-after boundaries act as fusion barriers;
-                    // checkpoint boundaries no longer cut stages: frames
-                    // landing inside a stage are synthesized by the
-                    // replay, byte-identical to unfused execution. With
-                    // fusion off the stage has length 1 and this is plain
-                    // node-at-a-time execution through the same code path
-                    // (a lone combinable Reduce still pre-aggregates per
-                    // chunk when combining is on).
-                    let stop = res.stop_after_nodes;
-                    let stage = if self.config.fusion && op.is_pipelineable() {
-                        fused_stage(
-                            plan,
-                            node.id,
-                            |id| stop.is_some_and(|s| id >= s),
-                            self.config.combining,
-                        )
-                    } else if self.config.combining && op.combinable_reduce() {
-                        FusedStage { len: 1, combined_reduce: true }
-                    } else {
-                        FusedStage { len: 1, combined_reduce: false }
-                    };
-                    stages_run.push(StageDecision {
+                    let stage = self.stage_from(&run, node.id, op);
+                    run.stages.push(StageDecision {
                         first: node.id,
                         len: stage.len,
                         combined_reduce: stage.combined_reduce,
                     });
-                    self.run_chain(
-                        plan,
-                        node.id,
-                        &stage,
-                        input,
-                        &mut state,
-                        res,
-                        obs,
-                        &mut checkpoints,
-                        &mut physical,
-                        &mut pool,
-                    )?;
+                    self.run_stage(&mut run, &mut state, node.id, &stage, input)?;
                     state.next_node += stage.len - 1;
                 }
             }
 
             state.next_node += 1;
-            if let Some(every) = res.checkpoint_every_nodes {
-                if every > 0 && state.next_node.is_multiple_of(every) && state.next_node < plan.len() {
-                    let lost = res.faults.as_ref().is_some_and(|fault_plan| {
-                        fault_plan.injects_at(
-                            FaultKind::StoreWrite,
-                            "flow-checkpoint",
-                            state.next_node as u64,
-                        )
-                    });
-                    if lost {
-                        state.metrics.store_write_failures += 1;
-                    } else {
-                        state.metrics.checkpoints_taken += 1;
-                        mirror_flow_gauges(obs, &state.metrics);
-                        let mut w = Writer::new();
-                        state.encode(&mut w);
-                        // the frame carries the registry so resumed runs
-                        // continue their counters bit-identically
-                        obs.registry().snapshot().encode(&mut w);
-                        checkpoints.push(FlowCheckpoint::seal(state.next_node, &w.into_bytes()));
-                    }
-                }
+            let at = state.next_node;
+            if run.checkpoint_due(at) && at < plan.len() {
+                seal_checkpoint(&mut run, &mut state, at, |_| {});
             }
         }
 
@@ -874,31 +731,121 @@ impl Executor {
 
         state.metrics.wall_ms += started.elapsed().as_secs_f64() * 1000.0;
         mirror_flow_gauges(obs, &state.metrics);
+        if let Some(pool) = &run.pool {
+            pool.report(&mut run.physical);
+        }
         Ok(ResilientRun {
             output: Some(FlowOutput {
                 sinks: state.sinks,
                 metrics: state.metrics,
-                physical,
-                stages: stages_run,
+                physical: run.physical,
+                stages: run.stages,
             }),
-            checkpoints,
+            checkpoints: run.checkpoints,
         })
+    }
+
+    /// Binds a source node to its input dataset. Injected store-read
+    /// faults retry the read; each attempt's decision is pure in
+    /// (source, attempt).
+    fn run_source(
+        &self,
+        run: &RunCtx<'_>,
+        state: &mut ExecState,
+        inputs: &mut HashMap<String, Vec<Record>>,
+        node_id: usize,
+        name: &str,
+    ) -> Result<(), ExecutionError> {
+        let node_t0 = state.metrics.simulated_secs;
+        if let Some(fault_plan) = &run.res.faults {
+            let mut attempt: u32 = 0;
+            while fault_plan.injects_at(FaultKind::StoreRead, name, attempt as u64) {
+                state.metrics.store_read_retries += 1;
+                state.metrics.simulated_secs += STORE_READ_RETRY_SECS;
+                attempt += 1;
+                if attempt > run.res.partition_retries {
+                    return Err(ExecutionError::StoreReadFailed { source: name.to_string() });
+                }
+            }
+        }
+        let data = inputs
+            .remove(name)
+            .ok_or_else(|| ExecutionError::MissingSource(name.to_string()))?;
+        let labels = Labels::new(&[("source", name)]);
+        run.obs.registry().counter("flow.source_records", &labels).add(data.len() as u64);
+        run.obs.tracer().span(
+            "flow.source",
+            node_t0,
+            state.metrics.simulated_secs - node_t0,
+            labels,
+        );
+        state.outputs[node_id] = Some(data);
+        Ok(())
+    }
+
+    /// Delivers `input` to a sink, charging the replicated write.
+    fn run_sink(
+        &self,
+        run: &RunCtx<'_>,
+        state: &mut ExecState,
+        node_id: usize,
+        name: &str,
+        input: Vec<Record>,
+    ) {
+        let node_t0 = state.metrics.simulated_secs;
+        let bytes: u64 = input.iter().map(Record::approx_bytes).sum();
+        let written = (bytes as f64 * self.config.byte_scale) as u64 * SINK_REPLICATION;
+        state.metrics.network_bytes += written;
+        state.metrics.simulated_secs += self.config.cluster.network_secs(written);
+        let labels = Labels::new(&[("sink", name)]);
+        let reg = run.obs.registry();
+        reg.counter("flow.sink_records", &labels).add(input.len() as u64);
+        reg.counter("flow.sink_bytes", &labels).add(written);
+        let secs = state.metrics.simulated_secs - node_t0;
+        run.obs.profiler().record(&["flow", &format!("sink:{name}")], secs, written);
+        run.obs.tracer().span("flow.sink", node_t0, secs, labels);
+        state.sinks.entry(name.to_string()).or_default().extend(input);
+        state.outputs[node_id] = Some(Vec::new());
+    }
+
+    /// Collapses the maximal fusable stage starting at operator node
+    /// `first` into one physical pass — possibly extending through a
+    /// trailing combinable Reduce (partial aggregation). Stop-after
+    /// boundaries act as fusion barriers; checkpoint boundaries do not
+    /// cut stages: frames landing inside a stage are synthesized by the
+    /// replay, byte-identical to unfused execution. With fusion off the
+    /// stage has length 1 and this is plain node-at-a-time execution
+    /// through the same code path (a lone combinable Reduce still
+    /// pre-aggregates per chunk when combining is on).
+    fn stage_from(&self, run: &RunCtx<'_>, first: usize, op: &Operator) -> FusedStage {
+        let stop = run.res.stop_after_nodes;
+        if self.config.fusion && op.is_pipelineable() {
+            fused_stage(
+                run.plan,
+                first,
+                |id| stop.is_some_and(|s| id >= s),
+                self.config.combining,
+            )
+        } else {
+            FusedStage { len: 1, combined_reduce: self.config.combining && op.combinable_reduce() }
+        }
     }
 
     /// Executes the fused stage of operator nodes `first .. first +
     /// stage.len` as one physical pass, then replays the cost model per
-    /// constituent in node-id order.
+    /// constituent in node-id order: schedule → execute (→ merge) →
+    /// replay → publish.
     ///
     /// The physical dataflow and the simulated accounting are
     /// deliberately decoupled. Records move **by value** stage to stage
-    /// inside a single thread scope (no per-record clones), while each
+    /// inside a [`StageRunner`] (no per-record clones), while each
     /// stage tallies per-record simulated costs (in record order) and
     /// incremental byte counts. When the stage ends in a combinable
-    /// Reduce, each worker folds its chunk into per-key partial-aggregate
-    /// states and ships only the sorted-key partial maps across the
-    /// shuffle; the merge reproduces the serial grouping exactly (per-key
-    /// record order is chunk-concatenation order, which is input order).
-    /// The replay then walks the constituents in order and reproduces
+    /// Reduce, each chunk is folded into per-key partial-aggregate
+    /// states and only the sorted-key partial maps cross the shuffle;
+    /// the merge reproduces the serial grouping exactly (per-key record
+    /// order is chunk-concatenation order, which is input order). The
+    /// replay then walks the constituents in order and reproduces
     /// exactly what unfused node-at-a-time execution would have charged
     /// and observed: node losses, injected partition retries, startup,
     /// per-partition work (re-partitioned with each constituent's own
@@ -907,122 +854,22 @@ impl Executor {
     /// registry counters, profiler scopes, tracer spans — and checkpoint
     /// frames whose boundaries land inside the stage, synthesized
     /// byte-identically from tapped intermediate streams. Stage shape
-    /// therefore never changes a deterministic number.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    /// The in-process physical pass for one fused stage: chunks run on
-    /// a local thread pool, each through the same
-    /// [`crate::shuffle::StageKernel`] worker shards run, and results
-    /// come back in chunk order. `Err((stage, chunk))` reports a genuine
-    /// UDF panic.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage_local(
+    /// and runner therefore never change a deterministic number.
+    fn run_stage(
         &self,
-        stage_ops: &[&Operator],
-        combiner: &Option<(crate::operator::KeyFn, Aggregate)>,
-        do_fold: bool,
-        reduce_cost: crate::operator::CostModel,
-        tapped_stages: &[usize],
-        chain_len: usize,
-        chunks: Vec<Vec<Record>>,
-        batch_size: usize,
-        dop_eff: usize,
-    ) -> Result<Vec<ChunkOut>, (usize, usize)> {
-        let n_chunks = chunks.len();
-        let pending: Vec<Vec<RecordBatch>> = chunks
-            .into_iter()
-            .map(|c| RecordBatch::split(c, batch_size))
-            .collect();
-        let kernel = crate::shuffle::StageKernel {
-            ops: stage_ops,
-            fold: combiner
-                .as_ref()
-                .filter(|_| do_fold)
-                .map(|(key, agg)| (key, agg, reduce_cost)),
-            tapped: tapped_stages,
-            work_scale: self.config.work_scale,
-            chain_len,
-        };
-        let slots: Vec<parking_lot::Mutex<Option<Vec<RecordBatch>>>> =
-            pending.into_iter().map(|c| parking_lot::Mutex::new(Some(c))).collect();
-        let results: Vec<parking_lot::Mutex<Option<ChunkOut>>> =
-            (0..n_chunks).map(|_| parking_lot::Mutex::new(None)).collect();
-        let queue: parking_lot::Mutex<Vec<usize>> =
-            parking_lot::Mutex::new((0..n_chunks).rev().collect());
-        // (stage, chunk) of a genuine UDF panic — injected panics are
-        // accounted analytically in the replay and never fire here
-        let fatal: parking_lot::Mutex<Option<(usize, usize)>> = parking_lot::Mutex::new(None);
-        let worker_count = dop_eff.min(n_chunks).min(self.config.max_workers).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..worker_count {
-                scope.spawn(|| {
-                    // Worker-persistent arena: per-batch scratch is
-                    // reclaimed (capacity kept) between batches, and
-                    // the combiner's wire encode reuses its byte
-                    // buffer across chunks.
-                    let mut arena = BatchArena::new();
-                    loop {
-                        if fatal.lock().is_some() {
-                            break;
-                        }
-                        let Some(i) = queue.lock().pop() else { break };
-                        let batches =
-                            slots[i].lock().take().expect("each chunk is taken once");
-                        let stage_at = std::cell::Cell::new(0usize);
-                        let arena = &mut arena;
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            kernel.run_chunk(batches, arena, &stage_at)
-                        }));
-                        match outcome {
-                            Ok(r) => *results[i].lock() = Some(r),
-                            Err(_) => *fatal.lock() = Some((stage_at.get(), i)),
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(hit) = fatal.into_inner() {
-            // A genuine (non-injected) UDF panic is a deterministic
-            // programming bug: every retry would fail identically, so
-            // the exhausted budget is reported directly. The flow aborts
-            // and nothing from this chain is committed.
-            return Err(hit);
-        }
-        Ok(results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every chunk completed"))
-            .collect())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_chain(
-        &self,
-        plan: &LogicalPlan,
+        run: &mut RunCtx<'_>,
+        state: &mut ExecState,
         first: usize,
         stage: &FusedStage,
         input: Vec<Record>,
-        state: &mut ExecState,
-        res: &FlowResilience,
-        obs: &Observer,
-        checkpoints: &mut Vec<FlowCheckpoint>,
-        physical: &mut PhysicalStats,
-        pool: &mut Option<ShardPool>,
     ) -> Result<(), ExecutionError> {
-        let len = stage.len;
+        let (plan, len) = (run.plan, stage.len);
         let ops: Vec<&Operator> = (first..first + len)
             .map(|id| match &plan.nodes()[id].op {
                 NodeOp::Op(op) => op,
                 _ => unreachable!("chain nodes are operator nodes"),
             })
             .collect();
-        // The combinable Reduce closing this stage, if combining applies.
-        let combiner: Option<(crate::operator::KeyFn, Aggregate)> = if stage.combined_reduce {
-            match ops[len - 1].func() {
-                OpFunc::Reduce { key, aggregate } => Some((key.clone(), aggregate.clone())),
-                _ => unreachable!("combined stage ends in a reduce"),
-            }
-        } else {
-            None
-        };
         // Interior boundaries the physical pass must tap (cloning the
         // record stream crossing them, in unfused record order):
         //
@@ -1033,50 +880,52 @@ impl Executor {
         //   chain (fan-out), whose tap becomes the node's live output so
         //   those consumers read exactly what unfused execution would
         //   have handed them.
-        let every = res.checkpoint_every_nodes.filter(|&e| e > 0);
-        let teed = |s: usize| s + 1 < len && plan.children(first + s).len() > 1;
-        let tapped_stages: Vec<usize> = (0..len)
-            .filter(|&s| {
-                s + 1 < len
-                    && (every.is_some_and(|e| (first + s + 1).is_multiple_of(e)) || teed(s))
-            })
+        let tapped: Vec<usize> = (0..len.saturating_sub(1))
+            .filter(|&s| run.checkpoint_due(first + s + 1) || plan.children(first + s).len() > 1)
             .collect();
-
-        // Maps a sharded-runtime failure onto the executor's error
-        // vocabulary. A worker-reported panic is the same deterministic
-        // bug the in-process path reports; a lost shard carries every
-        // checkpoint taken so far so the caller can resume.
-        let shard_err = |e: ShardRunError, checkpoints: &[FlowCheckpoint]| match e {
-            ShardRunError::Panicked { stage, chunk } => ExecutionError::OperatorPanicked {
-                operator: ops[stage.min(len - 1)].name.clone(),
-                partition: chunk,
-                attempts: res.partition_retries + 1,
-            },
-            ShardRunError::Lost { shard } => ExecutionError::ShardLost {
-                shard,
-                operator: ops[0].name.clone(),
-                checkpoints: checkpoints.to_vec(),
-            },
-            ShardRunError::Protocol { shard, detail } => {
-                ExecutionError::ShardProtocol { shard, detail }
-            }
+        let st = StageCtx {
+            first,
+            ops,
+            combined: stage.combined_reduce,
+            tapped,
+            scheds: self.schedule(run.res, &state.node_alive, first, len),
         };
+        let mut seen = self.execute(run, &st, input)?;
+        self.replay(run, state, &st, &seen)?;
 
-        // Phase 1 — schedule: node losses and effective DoP per
-        // constituent are pure functions of the fault plan and node ids,
-        // so they are decided up front (on a scratch liveness vector; the
-        // replay applies them to real state in order). If a constituent
-        // loses every node, later stages never run physically either.
-        struct StageSched {
-            losses: Vec<usize>,
-            all_nodes_dead: bool,
-            dop_eff: usize,
+        // Interior chain edges were consumed inside the pass: after an
+        // unfused run each interior node's single consumer (node id + 1)
+        // would have taken or cloned its output. Nodes whose only
+        // consumer was the chain end with `None` and zero consumers;
+        // tee'd nodes keep their remaining out-of-chain consumers and
+        // publish the tapped stream as their live output — exactly the
+        // state unfused execution leaves behind.
+        for id in first..first + len - 1 {
+            let extra = plan.children(id).len().saturating_sub(1);
+            state.consumers_left[id] = extra;
+            if extra > 0 {
+                state.outputs[id] = Some(seen.taps.remove(&(id - first)).unwrap_or_default());
+            }
         }
-        let mut alive = state.node_alive.clone();
+        state.outputs[first + len - 1] = Some(seen.output);
+        Ok(())
+    }
+
+    /// Phase 1 — schedule: node losses and effective DoP per constituent
+    /// are pure functions of the fault plan and node ids, so they are
+    /// decided up front (on a scratch liveness vector; the replay applies
+    /// them to real state in order). The schedule ends at a constituent
+    /// that loses every node: later ones never run physically either.
+    fn schedule(
+        &self,
+        res: &FlowResilience,
+        node_alive: &[bool],
+        first: usize,
+        len: usize,
+    ) -> Vec<StageSched> {
+        let mut alive = node_alive.to_vec();
         let mut scheds: Vec<StageSched> = Vec::with_capacity(len);
-        let mut physical_stages = len;
-        for s in 0..len {
-            let node_id = first + s;
+        for node_id in first..first + len {
             let mut losses = Vec::new();
             if let Some(fault_plan) = &res.faults {
                 for (j, a) in alive.iter_mut().enumerate() {
@@ -1092,288 +941,134 @@ impl Executor {
                     }
                 }
             }
-            let all_nodes_dead = !alive.iter().any(|&a| a);
             let n_alive = alive.iter().filter(|&&a| a).count();
-            let total = alive.len().max(1);
-            let dop_eff = (self.config.dop * n_alive / total).max(1);
-            scheds.push(StageSched { losses, all_nodes_dead, dop_eff });
-            if all_nodes_dead {
-                physical_stages = s;
+            let dop_eff = (self.config.dop * n_alive / alive.len().max(1)).max(1);
+            scheds.push(StageSched { losses, all_nodes_dead: n_alive == 0, dop_eff });
+            if n_alive == 0 {
                 break;
             }
         }
+        scheds
+    }
 
-        // Per-stage observations from the physical pass, merged across
-        // chunks in chunk order (pipeline stages preserve record order,
-        // so concatenated per-chunk tallies reproduce the record order an
-        // unfused run would have seen). Shared with the sharded runtime:
-        // worker shards ship these back through the frame codec.
-        use crate::shuffle::ChunkStats as StageStats;
-        let mut stats: Vec<StageStats> = (0..physical_stages).map(|_| StageStats::default()).collect();
-        let mut output: Vec<Record> = Vec::new();
-        let mut final_bytes_out: u64 = 0;
-        let mut reduce_work: f64 = 0.0;
-        // Records crossing each tapped interior boundary, in unfused
-        // record order (chunk-concatenation order).
-        let mut stage_taps: HashMap<usize, Vec<Record>> = HashMap::new();
+    /// The one place a stage's physical placement is decided, from what
+    /// the executor can observe: the sharded runner takes a stage when
+    /// sharding is configured and every operator it would ship carries a
+    /// serializable spec; everything else runs on local threads. A
+    /// spec-less operator under sharding pins its stage locally —
+    /// counted, never silent. Chunk boundaries and merge order are the
+    /// same either way, so the choice is invisible to every
+    /// deterministic surface.
+    fn pick_runner<'r>(
+        &self,
+        pool: &'r mut Option<ShardPool>,
+        local: &'r mut LocalRunner,
+        shipped: &[&Operator],
+        physical: &mut PhysicalStats,
+    ) -> &'r mut dyn StageRunner {
+        let Some(cfg) = &self.config.sharding else { return local };
+        if shipped.iter().all(|op| op.spec().is_some()) {
+            pool.get_or_insert_with(|| ShardPool::new(cfg.clone()))
+        } else {
+            physical.stages_pinned_local += 1;
+            local
+        }
+    }
 
-        let is_reduce = combiner.is_none() && len == 1 && ops[0].kind == Kind::Reduce;
-        if is_reduce && physical_stages == 1 {
-            // Uncombined hash shuffle: every record physically crosses
-            // the boundary through the snapshot codec (encode at the
-            // mapper side, decode at the reducer side) — the cost a real
-            // cluster pays to ship the full stream. decode∘encode is the
-            // identity on records, so deterministic surfaces are
-            // untouched; only wall clock and `PhysicalStats` see it.
-            // Groups then aggregate in key order.
-            let OpFunc::Reduce { key, aggregate } = ops[0].func() else {
-                unreachable!("reduce operator carries a reduce func")
-            };
+    /// Phase 2 — execute: partition the owned input into contiguous
+    /// chunks (the boundaries the unfused first constituent would use)
+    /// and hand them to the stage's runner — as one fused pass, records
+    /// moved by value throughout, or, for a lone uncombined Reduce, as
+    /// the shuffle that groups them.
+    fn execute(
+        &self,
+        run: &mut RunCtx<'_>,
+        st: &StageCtx<'_>,
+        input: Vec<Record>,
+    ) -> Result<StageObs, ExecutionError> {
+        let (len, physical_stages) = (st.ops.len(), st.physical_stages());
+        let mut seen = StageObs {
+            stats: (0..physical_stages).map(|_| ChunkStats::default()).collect(),
+            ..StageObs::default()
+        };
+        if physical_stages == 0 {
+            return Ok(seen);
+        }
+        let dop_eff = st.scheds[0].dop_eff;
+        let chunk_size = input.len().div_ceil(dop_eff).max(1);
+        let mut chunks: Vec<Vec<Record>> = Vec::with_capacity(input.len() / chunk_size + 1);
+        let mut rest = input;
+        while rest.len() > chunk_size {
+            let tail = rest.split_off(chunk_size);
+            chunks.push(rest);
+            rest = tail;
+        }
+        if !rest.is_empty() {
+            chunks.push(rest);
+        }
+        let mut local = LocalRunner::new(dop_eff.min(host_parallelism()));
+        let runner = self.pick_runner(
+            &mut run.pool,
+            &mut local,
+            &st.ops[..physical_stages],
+            &mut run.physical,
+        );
+
+        if let (OpFunc::Reduce { aggregate, .. }, false) = (st.ops[0].func(), st.combined) {
+            // Uncombined hash shuffle: the runner groups the full
+            // stream, then groups aggregate in key order.
+            let reduce = st.ops[0];
             // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
             let started = Instant::now();
-            let st = &mut stats[0];
-            let n = input.len();
-            st.records_in = n as u64;
-            // The shard pool performs this shuffle for real when
-            // sharding is on and the Reduce carries a serializable key
-            // spec: contiguous per-shard input slices stream to worker
-            // group tables (spilling over-memory groups to sorted disk
-            // runs) and come back as key-sorted, arrival-ordered groups.
-            // Concatenating shard outputs in shard order rebuilds the
-            // exact grouping of the serial path below, so the shared
-            // cost/apply tail is bit-identical either way.
-            let shard_key = match (&self.config.sharding, ops[0].spec()) {
-                (Some(_), Some(spec)) => match &spec.op {
-                    SpecOp::Reduce { key: k, .. } => Some(k.clone()),
-                    _ => None,
-                },
-                _ => None,
-            };
-            let grouped: Vec<(String, Vec<Record>)> = if let Some(kspec) = shard_key {
-                for r in &input {
-                    st.bytes_in += r.approx_bytes();
-                }
-                let cfg = self.config.sharding.clone().expect("sharded branch");
-                let pool = pool.get_or_insert_with(|| ShardPool::new(cfg));
-                let n_shards = pool.shards();
-                let slice_len = n.div_ceil(n_shards).max(1);
-                let chunk_size = n.div_ceil(scheds[0].dop_eff).max(1);
-                let mut slices: Vec<Vec<Vec<Record>>> = Vec::with_capacity(n_shards);
-                let mut rest = input;
-                while !rest.is_empty() {
-                    let tail = if rest.len() > slice_len {
-                        rest.split_off(slice_len)
-                    } else {
-                        Vec::new()
-                    };
-                    let mut subs: Vec<Vec<Record>> = Vec::new();
-                    let mut cur = rest;
-                    while cur.len() > chunk_size {
-                        let t = cur.split_off(chunk_size);
-                        subs.push(cur);
-                        cur = t;
-                    }
-                    if !cur.is_empty() {
-                        subs.push(cur);
-                    }
-                    slices.push(subs);
-                    rest = tail;
-                }
-                while slices.len() < n_shards {
-                    slices.push(Vec::new());
-                }
-                let shard_outs = run_reduce_sharded(pool, &kspec, slices)
-                    .map_err(|e| shard_err(e, checkpoints))?;
-                let mut merged: BTreeMap<String, Vec<Record>> = BTreeMap::new();
-                for so in shard_outs {
-                    physical.spill_runs += so.spill_runs;
-                    physical.spill_bytes += so.spill_bytes;
-                    for (k, rs) in so.groups {
-                        merged.entry(k).or_default().extend(rs);
-                    }
-                }
-                physical.shards_used = pool.shards() as u64;
-                physical.shard_frames = pool.frames_total();
-                physical.shard_wire_bytes = pool.wire_bytes_total();
-                physical.shard_respawns = pool.respawns;
-                merged.into_iter().collect()
-            } else {
-                let mut shuf = Writer::new();
-                for r in input {
-                    st.bytes_in += r.approx_bytes();
-                    r.encode(&mut shuf);
-                }
-                let wire = shuf.into_bytes();
-                physical.shuffle_bytes += wire.len() as u64;
-                let mut rd = Reader::new(&wire);
-                let mut groups: HashMap<String, Vec<Record>> = HashMap::new();
-                for _ in 0..n {
-                    let r = Record::decode(&mut rd).expect("shuffled records round-trip");
-                    groups.entry(key(&r)).or_default().push(r);
-                }
-                let mut grouped: Vec<(String, Vec<Record>)> = groups.into_iter().collect();
-                grouped.sort_by(|a, b| a.0.cmp(&b.0));
-                grouped
-            };
+            for r in chunks.iter().flatten() {
+                seen.stats[0].records_in += 1;
+                seen.stats[0].bytes_in += r.approx_bytes();
+            }
+            let grouped = runner
+                .group(reduce, chunks, &mut run.physical)
+                .map_err(|e| st.error(e, run))?;
             let mut work_secs = 0.0f64;
             for (k, rs) in grouped {
                 for r in &rs {
                     work_secs += self.config.work_scale
-                        * ops[0].cost.record_cost_secs(r.text().map(str::len).unwrap_or(64));
+                        * reduce.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64));
                 }
-                output.extend(aggregate.apply_group(&k, rs));
+                seen.output.extend(aggregate.apply_group(&k, rs));
             }
-            reduce_work = work_secs / scheds[0].dop_eff as f64;
-            final_bytes_out = output.iter().map(Record::approx_bytes).sum();
-            st.wall_ms = started.elapsed().as_secs_f64() * 1000.0;
-        } else if physical_stages > 0 {
-            // Phase 2 — the fused pass: partition the owned input into
-            // contiguous chunks (same boundaries the unfused first stage
-            // would use), split each chunk into fixed-size record
-            // batches, and push every batch through every stage inside
-            // one thread scope, records moved by value throughout.
-            // Batching is physical only: batches never span chunk
-            // boundaries and each chunk's batches run in order, so the
-            // per-stage record streams (and everything derived from
-            // them) are identical for every batch size.
-            let chunk_size = input.len().div_ceil(scheds[0].dop_eff).max(1);
-            let batch_size = self
-                .config
-                .batch_size
-                .unwrap_or(crate::batch::DEFAULT_BATCH_SIZE)
-                .max(1);
-            let mut chunks: Vec<Vec<Record>> =
-                Vec::with_capacity(input.len() / chunk_size + 1);
-            let mut rest = input;
-            while rest.len() > chunk_size {
-                let tail = rest.split_off(chunk_size);
-                chunks.push(rest);
-                rest = tail;
-            }
-            if !rest.is_empty() {
-                chunks.push(rest);
-            }
-            // Pipeline constituents run per chunk; a combined Reduce is
-            // folded after them (only when every constituent survives the
-            // schedule — a dead constituent means the replay errors out
-            // before the reduce would have run).
-            let chain_op_count = if combiner.is_some() { len - 1 } else { len };
-            let stage_ops = &ops[..physical_stages.min(chain_op_count)];
-            let do_fold = combiner.is_some() && physical_stages == len;
-            let reduce_cost = ops[len - 1].cost;
-
-            // Sharded placement: when every constituent (and the folded
-            // Reduce, if any) carries a serializable spec, the chunks run
-            // on worker shards over the frame protocol instead of local
-            // threads. Chunk boundaries and merge order are identical, so
-            // this choice is invisible to every deterministic surface.
-            let sharded_task = match &self.config.sharding {
-                Some(_) => {
-                    let fold_spec: Option<OpSpec> =
-                        if do_fold { ops[len - 1].spec().cloned() } else { None };
-                    let chain_specs: Option<Vec<OpSpec>> =
-                        stage_ops.iter().map(|op| op.spec().cloned()).collect();
-                    match chain_specs {
-                        Some(specs) if !do_fold || fold_spec.is_some() => {
-                            Some(StageTask::Pipeline {
-                                ops: specs,
-                                fold: fold_spec,
-                                tapped: tapped_stages.clone(),
-                                work_scale: self.config.work_scale,
-                                batch_size,
-                                chain_len: len,
-                            })
-                        }
-                        _ => None,
-                    }
-                }
-                None => None,
-            };
-
-            let chunk_outs: Vec<ChunkOut> = if let Some(task) = sharded_task {
-                let cfg = self.config.sharding.clone().expect("sharded task implies config");
-                let pool = pool.get_or_insert_with(|| ShardPool::new(cfg));
-                let outs = run_stage_sharded(pool, &task, chunks)
-                    .map_err(|e| shard_err(e, checkpoints))?;
-                physical.shards_used = pool.shards() as u64;
-                physical.shard_frames = pool.frames_total();
-                physical.shard_wire_bytes = pool.wire_bytes_total();
-                physical.shard_respawns = pool.respawns;
-                outs
-            } else {
-                self.run_stage_local(
-                    stage_ops,
-                    &combiner,
-                    do_fold,
-                    reduce_cost,
-                    &tapped_stages,
-                    len,
-                    chunks,
-                    batch_size,
-                    scheds[0].dop_eff,
-                )
-                .map_err(|(stage, chunk)| ExecutionError::OperatorPanicked {
-                    operator: ops[stage].name.clone(),
-                    partition: chunk,
-                    attempts: res.partition_retries + 1,
-                })?
-            };
-
-            // Merge chunk results in chunk order: pipeline stages
-            // preserve record order, so concatenation reproduces the
-            // record order an unfused run would have seen — including the
-            // per-key cost lists the reduce-work replay depends on.
-            let mut merged: BTreeMap<String, (AggState, Vec<f64>)> = BTreeMap::new();
-            for r in chunk_outs {
-                for (s, t) in r.stages.into_iter().enumerate() {
-                    stats[s].records_in += t.records_in;
-                    stats[s].bytes_in += t.bytes_in;
-                    stats[s].wall_ms += t.wall_ms;
-                    stats[s].costs.extend(t.costs);
-                }
-                if let Some((entries, shuffled)) = r.partial {
-                    physical.shuffle_bytes += shuffled;
-                    for (k, st, costs) in entries {
-                        match merged.entry(k) {
-                            std::collections::btree_map::Entry::Occupied(mut e) => {
-                                let agg = &combiner.as_ref().expect("partials imply combiner").1;
-                                agg.merge(&mut e.get_mut().0, st);
-                                e.get_mut().1.extend(costs);
-                            }
-                            std::collections::btree_map::Entry::Vacant(v) => {
-                                v.insert((st, costs));
-                            }
-                        }
-                    }
-                }
-                for (&s, tap) in tapped_stages.iter().zip(r.taps) {
-                    stage_taps.entry(s).or_default().extend(tap);
-                }
-                final_bytes_out += r.bytes_out;
-                output.extend(r.out);
-            }
-            if do_fold {
-                // Final merge: finish every key in sorted order, and
-                // replay the serial reduce's per-record cost accumulation
-                // — one left-to-right f64 sum over (sorted key, record
-                // arrival) order, bit-identical to the uncombined path.
-                let agg = &combiner.as_ref().expect("fold implies a combiner").1;
-                let mut work_secs = 0.0f64;
-                for (k, (st, costs)) in merged {
-                    for c in costs {
-                        work_secs += c;
-                    }
-                    output.extend(agg.finish(&k, st));
-                }
-                reduce_work = work_secs / scheds[len - 1].dop_eff as f64;
-                final_bytes_out = output.iter().map(Record::approx_bytes).sum();
-            }
+            seen.reduce_work = work_secs / dop_eff as f64;
+            seen.final_bytes_out = seen.output.iter().map(Record::approx_bytes).sum();
+            seen.stats[0].wall_ms = started.elapsed().as_secs_f64() * 1000.0;
+            return Ok(seen);
         }
+        // Pipeline constituents run per chunk; a combined Reduce is
+        // folded after them (only when every constituent survives the
+        // schedule — a dead constituent means the replay errors out
+        // before the reduce would have run).
+        let chain = if st.combined { len - 1 } else { len };
+        let fold = (st.combined && physical_stages == len).then(|| st.ops[len - 1]);
+        let kernel = StageKernel {
+            ops: &st.ops[..physical_stages.min(chain)],
+            fold,
+            tapped: &st.tapped,
+            work_scale: self.config.work_scale,
+        };
+        let chunk_outs = runner.run_chunks(&kernel, chunks).map_err(|e| st.error(e, run))?;
+        merge(st, fold, chunk_outs, &mut run.physical, &mut seen);
+        Ok(seen)
+    }
 
-        // Phase 3 — replay: charge and observe every constituent in node
-        // order, exactly as the unfused drive loop would have.
-        for (s, sched) in scheds.iter().enumerate() {
-            let op = ops[s];
+    /// Phase 3 — replay: charge and observe every constituent in node
+    /// order, exactly as unfused node-at-a-time execution would have.
+    fn replay(
+        &self,
+        run: &mut RunCtx<'_>,
+        state: &mut ExecState,
+        st: &StageCtx<'_>,
+        seen: &StageObs,
+    ) -> Result<(), ExecutionError> {
+        let obs = run.obs;
+        for (s, sched) in st.scheds.iter().enumerate() {
+            let op = st.ops[s];
             let node_t0 = state.metrics.simulated_secs;
             // Simulated node losses: dead nodes drop out of the placement
             // and their share of work is rescheduled onto the survivors
@@ -1391,44 +1086,20 @@ impl Executor {
                     node: node_id,
                 }));
             }
-            let records_in = stats[s].records_in;
-            let records_out = match stats.get(s + 1) {
-                Some(next) => next.records_in,
-                None => output.len() as u64,
-            };
-            let bytes_in = stats[s].bytes_in;
-            let bytes_out = match stats.get(s + 1) {
-                Some(next) => next.bytes_in,
-                None => final_bytes_out,
+            let stats = &seen.stats[s];
+            let (records_out, bytes_out) = match seen.stats.get(s + 1) {
+                Some(next) => (next.records_in, next.bytes_in),
+                None => (seen.output.len() as u64, seen.final_bytes_out),
             };
             // Injected worker panics, replayed per partition of *this*
-            // constituent's own chunking (cardinality × dop_eff), with
-            // the retry-queue semantics of physical re-execution: each
-            // injected panic burns one attempt until the budget is gone.
-            let n = records_in as usize;
+            // constituent's own chunking (cardinality × dop_eff).
+            let n = stats.records_in as usize;
             let stage_chunk_size = n.div_ceil(sched.dop_eff).max(1);
-            let stage_chunks = if n == 0 { 0 } else { n.div_ceil(stage_chunk_size) };
-            let mut retries: u64 = 0;
-            if op.kind != Kind::Reduce {
-                if let Some(fault_plan) = &res.faults {
-                    for p in 0..stage_chunks {
-                        let key = format!("{}#p{p}", op.name);
-                        let mut attempt: u32 = 0;
-                        while fault_plan.injects_at(FaultKind::WorkerPanic, &key, attempt as u64) {
-                            if attempt < res.partition_retries {
-                                retries += 1;
-                                attempt += 1;
-                            } else {
-                                return Err(ExecutionError::OperatorPanicked {
-                                    operator: op.name.clone(),
-                                    partition: p,
-                                    attempts: attempt + 1,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
+            let retries = if op.kind == Kind::Reduce {
+                0
+            } else {
+                injected_retries(run.res, op, n.div_ceil(stage_chunk_size))?
+            };
             state.metrics.partition_retries += retries;
             state.metrics.simulated_secs += retries as f64 * PARTITION_RETRY_SECS;
             // startup is charged once per distinct operator name (workers
@@ -1450,10 +1121,10 @@ impl Executor {
             // per-partition work: max over this constituent's partitions
             // of the left-to-right sum of per-record costs
             let work = if op.kind == Kind::Reduce {
-                reduce_work
+                seen.reduce_work
             } else {
                 let mut max_secs = 0.0f64;
-                for chunk in stats[s].costs.chunks(stage_chunk_size) {
+                for chunk in stats.costs.chunks(stage_chunk_size) {
                     let mut secs = 0.0f64;
                     for c in chunk {
                         secs += *c;
@@ -1464,10 +1135,10 @@ impl Executor {
             };
             state.metrics.simulated_secs += work;
             obs.profiler()
-                .record(&["flow", &format!("op:{}", op.name), "work"], work, bytes_in);
+                .record(&["flow", &format!("op:{}", op.name), "work"], work, stats.bytes_in);
             // shuffle accounting for reduce
             if op.kind == Kind::Reduce {
-                let scaled = (bytes_in as f64 * self.config.byte_scale) as u64;
+                let scaled = (stats.bytes_in as f64 * self.config.byte_scale) as u64;
                 state.metrics.network_bytes += scaled;
                 state.metrics.peak_intermediate_bytes =
                     state.metrics.peak_intermediate_bytes.max(scaled);
@@ -1480,12 +1151,12 @@ impl Executor {
             // write the raw numbers through registry handles, then derive
             // the public OpMetrics view back *from* the registry — the
             // struct stays, the registry is the source of truth
-            let node_id = (first + s).to_string();
+            let node_id = (st.first + s).to_string();
             let labels = Labels::new(&[("node", &node_id), ("op", &op.name)]);
             let reg = obs.registry();
-            reg.counter("flow.records_in", &labels).add(records_in);
+            reg.counter("flow.records_in", &labels).add(stats.records_in);
             reg.counter("flow.records_out", &labels).add(records_out);
-            reg.counter("flow.bytes_in", &labels).add(bytes_in);
+            reg.counter("flow.bytes_in", &labels).add(stats.bytes_in);
             reg.counter("flow.bytes_out", &labels).add(bytes_out);
             reg.histogram("flow.op_secs", &Labels::new(&[("op", &op.name)]))
                 .record(work);
@@ -1495,7 +1166,7 @@ impl Executor {
                 records_out: reg.counter("flow.records_out", &labels).value(),
                 bytes_in: reg.counter("flow.bytes_in", &labels).value(),
                 bytes_out: reg.counter("flow.bytes_out", &labels).value(),
-                wall_ms: stats[s].wall_ms,
+                wall_ms: stats.wall_ms,
                 simulated_secs: work,
             };
             obs.tracer().span(
@@ -1506,67 +1177,248 @@ impl Executor {
             );
             state.metrics.per_op.push(view);
 
-            // Synthesize the checkpoint frame an unfused run would have
-            // written at the node boundary `first + s + 1` when the
-            // cadence hits strictly inside this stage. The ExecState is
-            // momentarily shaped exactly as at that boundary — interior
-            // parents consumed (tee'd ones keep their remaining
-            // consumers and live tapped stream), node `b - 1`'s output
-            // live (the tapped stream), `next_node` at the boundary — so
-            // the frame bytes match the unfused run's bit for bit, and a
-            // resume from it re-enters the plan mid-stage.
-            if s + 1 < len && every.is_some_and(|e| (first + s + 1).is_multiple_of(e)) {
-                let b = first + s + 1;
-                let lost = res.faults.as_ref().is_some_and(|fault_plan| {
-                    fault_plan.injects_at(FaultKind::StoreWrite, "flow-checkpoint", b as u64)
-                });
-                if lost {
-                    state.metrics.store_write_failures += 1;
-                } else {
-                    state.metrics.checkpoints_taken += 1;
-                    mirror_flow_gauges(obs, &state.metrics);
-                    for id in first..b - 1 {
-                        let extra = plan.children(id).len().saturating_sub(1);
-                        state.consumers_left[id] = extra;
-                        if extra > 0 {
-                            state.outputs[id] = Some(
-                                stage_taps.get(&(id - first)).cloned().unwrap_or_default(),
-                            );
-                        }
+            let boundary = st.first + s + 1;
+            if s + 1 < st.ops.len() && run.checkpoint_due(boundary) {
+                synthesize_checkpoint(run, state, st, seen, boundary);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What one run carries beside the checkpointable [`ExecState`]: the
+/// borrowed plan and options, and everything physical or runtime-only.
+struct RunCtx<'a> {
+    plan: &'a LogicalPlan,
+    res: &'a FlowResilience,
+    obs: &'a Observer,
+    checkpoints: Vec<FlowCheckpoint>,
+    physical: PhysicalStats,
+    stages: Vec<StageDecision>,
+    /// The worker-shard pool, created by the first stage the sharded
+    /// runner takes and kept for the whole run (workers persist across
+    /// stages; kill counting is cumulative per channel).
+    pool: Option<ShardPool>,
+}
+
+impl RunCtx<'_> {
+    /// Does the checkpoint cadence hit node boundary `at`?
+    fn checkpoint_due(&self, at: usize) -> bool {
+        self.res.checkpoint_every_nodes.is_some_and(|e| e > 0 && at.is_multiple_of(e))
+    }
+}
+
+/// The schedule decided for one constituent of a stage.
+struct StageSched {
+    losses: Vec<usize>,
+    all_nodes_dead: bool,
+    dop_eff: usize,
+}
+
+/// One fused stage in flight: its constituents, taps, and schedule.
+struct StageCtx<'a> {
+    first: usize,
+    ops: Vec<&'a Operator>,
+    /// The stage ends in a combinable Reduce, folded per chunk.
+    combined: bool,
+    /// Interior boundaries the physical pass taps, as in-chain indices.
+    tapped: Vec<usize>,
+    scheds: Vec<StageSched>,
+}
+
+impl StageCtx<'_> {
+    /// Constituents that run physically: all of them, unless one loses
+    /// every node — it and everything after it only reach the replay.
+    fn physical_stages(&self) -> usize {
+        self.scheds.iter().position(|s| s.all_nodes_dead).unwrap_or(self.ops.len())
+    }
+
+    /// Maps a runner failure onto the executor's error vocabulary. A
+    /// reported panic is a deterministic UDF bug whichever runner hit
+    /// it; a lost shard carries every checkpoint taken so far so the
+    /// caller can resume.
+    fn error(&self, e: ShardRunError, run: &RunCtx<'_>) -> ExecutionError {
+        match e {
+            ShardRunError::Panicked { stage, chunk } => ExecutionError::OperatorPanicked {
+                operator: self.ops[stage.min(self.ops.len() - 1)].name.clone(),
+                partition: chunk,
+                attempts: run.res.partition_retries + 1,
+            },
+            ShardRunError::Lost { shard } => ExecutionError::ShardLost {
+                shard,
+                operator: self.ops[0].name.clone(),
+                checkpoints: run.checkpoints.clone(),
+            },
+            ShardRunError::Protocol { shard, detail } => {
+                ExecutionError::ShardProtocol { shard, detail }
+            }
+        }
+    }
+}
+
+/// Per-stage observations from the physical pass, merged across chunks
+/// in chunk order (pipeline stages preserve record order, so
+/// concatenated per-chunk tallies reproduce the record order an unfused
+/// run would have seen).
+#[derive(Default)]
+struct StageObs {
+    /// One entry per constituent that ran physically.
+    stats: Vec<ChunkStats>,
+    output: Vec<Record>,
+    final_bytes_out: u64,
+    reduce_work: f64,
+    /// Records crossing each tapped interior boundary, in unfused record
+    /// order (chunk-concatenation order), by in-chain index.
+    taps: HashMap<usize, Vec<Record>>,
+}
+
+/// Merges chunk results in chunk order: pipeline stages preserve record
+/// order, so concatenation reproduces the record order an unfused run
+/// would have seen — including the per-key cost lists the reduce-work
+/// replay depends on.
+fn merge(
+    st: &StageCtx<'_>,
+    fold: Option<&Operator>,
+    chunk_outs: Vec<ChunkOut>,
+    physical: &mut PhysicalStats,
+    seen: &mut StageObs,
+) {
+    let agg = fold.map(|reduce| match reduce.func() {
+        OpFunc::Reduce { aggregate, .. } => aggregate,
+        _ => unreachable!("combined stage ends in a reduce"),
+    });
+    let mut merged: BTreeMap<String, (AggState, Vec<f64>)> = BTreeMap::new();
+    for r in chunk_outs {
+        for (total, t) in seen.stats.iter_mut().zip(r.stages) {
+            total.records_in += t.records_in;
+            total.bytes_in += t.bytes_in;
+            total.wall_ms += t.wall_ms;
+            total.costs.extend(t.costs);
+        }
+        if let (Some((entries, shuffled)), Some(agg)) = (r.partial, agg) {
+            physical.shuffle_bytes += shuffled;
+            for (k, state, costs) in entries {
+                match merged.entry(k) {
+                    Entry::Occupied(mut e) => {
+                        agg.merge(&mut e.get_mut().0, state);
+                        e.get_mut().1.extend(costs);
                     }
-                    let saved_next = state.next_node;
-                    state.next_node = b;
-                    state.outputs[b - 1] = Some(stage_taps.get(&s).cloned().unwrap_or_default());
-                    let mut w = Writer::new();
-                    state.encode(&mut w);
-                    obs.registry().snapshot().encode(&mut w);
-                    checkpoints.push(FlowCheckpoint::seal(b, &w.into_bytes()));
-                    for id in first..b {
-                        state.outputs[id] = None;
+                    Entry::Vacant(v) => {
+                        v.insert((state, costs));
                     }
-                    state.next_node = saved_next;
                 }
             }
         }
+        for (&s, tap) in st.tapped.iter().zip(r.taps) {
+            seen.taps.entry(s).or_default().extend(tap);
+        }
+        seen.final_bytes_out += r.bytes_out;
+        seen.output.extend(r.out);
+    }
+    if let Some(agg) = agg {
+        // Final merge: finish every key in sorted order, and replay the
+        // serial reduce's per-record cost accumulation — one
+        // left-to-right f64 sum over (sorted key, record arrival) order,
+        // bit-identical to the uncombined path.
+        let mut work_secs = 0.0f64;
+        for (k, (state, costs)) in merged {
+            for c in costs {
+                work_secs += c;
+            }
+            seen.output.extend(agg.finish(&k, state));
+        }
+        seen.reduce_work = work_secs / st.scheds[st.ops.len() - 1].dop_eff as f64;
+        seen.final_bytes_out = seen.output.iter().map(Record::approx_bytes).sum();
+    }
+}
 
-        // Interior chain edges were consumed inside the pass: after an
-        // unfused run each interior node's single consumer (node id + 1)
-        // would have taken or cloned its output. Nodes whose only
-        // consumer was the chain end with `None` and zero consumers;
-        // tee'd nodes keep their remaining out-of-chain consumers and
-        // publish the tapped stream as their live output — exactly the
-        // state unfused execution leaves behind.
-        for id in first..first + len - 1 {
+/// Counts the injected worker panics over `partitions` partitions of
+/// `op`, with the retry-queue semantics of physical re-execution: each
+/// injected panic burns one attempt until the budget is gone.
+fn injected_retries(
+    res: &FlowResilience,
+    op: &Operator,
+    partitions: usize,
+) -> Result<u64, ExecutionError> {
+    let Some(fault_plan) = &res.faults else { return Ok(0) };
+    let mut retries: u64 = 0;
+    for p in 0..partitions {
+        let key = format!("{}#p{p}", op.name);
+        let mut attempt: u32 = 0;
+        while fault_plan.injects_at(FaultKind::WorkerPanic, &key, attempt as u64) {
+            if attempt >= res.partition_retries {
+                return Err(ExecutionError::OperatorPanicked {
+                    operator: op.name.clone(),
+                    partition: p,
+                    attempts: attempt + 1,
+                });
+            }
+            retries += 1;
+            attempt += 1;
+        }
+    }
+    Ok(retries)
+}
+
+/// Seals the checkpoint frame due at node boundary `at` — unless an
+/// injected store-write fault loses it. `shape` runs just before the
+/// state is encoded (the drive loop's state already is the boundary's;
+/// a stage interior has to be shaped into it). The frame carries the
+/// registry so resumed runs continue their counters bit-identically.
+fn seal_checkpoint(
+    run: &mut RunCtx<'_>,
+    state: &mut ExecState,
+    at: usize,
+    shape: impl FnOnce(&mut ExecState),
+) {
+    let lost = run.res.faults.as_ref().is_some_and(|fault_plan| {
+        fault_plan.injects_at(FaultKind::StoreWrite, "flow-checkpoint", at as u64)
+    });
+    if lost {
+        state.metrics.store_write_failures += 1;
+        return;
+    }
+    state.metrics.checkpoints_taken += 1;
+    mirror_flow_gauges(run.obs, &state.metrics);
+    shape(state);
+    let mut w = Writer::new();
+    state.encode(&mut w);
+    run.obs.registry().snapshot().encode(&mut w);
+    run.checkpoints.push(FlowCheckpoint::seal(at, &w.into_bytes()));
+}
+
+/// Synthesizes the checkpoint frame an unfused run would have written at
+/// node boundary `b`, strictly inside the stage. The ExecState is
+/// momentarily shaped exactly as at that boundary — interior parents
+/// consumed (tee'd ones keep their remaining consumers and live tapped
+/// stream), node `b - 1`'s output live (the tapped stream), `next_node`
+/// at the boundary — so the frame bytes match the unfused run's bit for
+/// bit, and a resume from it re-enters the plan mid-stage.
+fn synthesize_checkpoint(
+    run: &mut RunCtx<'_>,
+    state: &mut ExecState,
+    st: &StageCtx<'_>,
+    seen: &StageObs,
+    b: usize,
+) {
+    let (plan, first) = (run.plan, st.first);
+    let tap = |id: usize| seen.taps.get(&(id - first)).cloned().unwrap_or_default();
+    let saved_next = state.next_node;
+    seal_checkpoint(run, state, b, |state| {
+        for id in first..b - 1 {
             let extra = plan.children(id).len().saturating_sub(1);
             state.consumers_left[id] = extra;
             if extra > 0 {
-                state.outputs[id] =
-                    Some(stage_taps.remove(&(id - first)).unwrap_or_default());
+                state.outputs[id] = Some(tap(id));
             }
         }
-        state.outputs[first + len - 1] = Some(output);
-        Ok(())
+        state.next_node = b;
+        state.outputs[b - 1] = Some(tap(b - 1));
+    });
+    for id in first..b {
+        state.outputs[id] = None;
     }
+    state.next_node = saved_next;
 }
 
 /// Mirrors the flow-level totals into registry gauges (deterministic
@@ -2265,26 +2117,6 @@ mod tests {
         let mut wu = Writer::new();
         out_u.metrics.encode(&mut wu);
         assert_eq!(wf.into_bytes(), wu.into_bytes(), "metrics codec bytes must match");
-    }
-
-    #[test]
-    fn worker_count_never_affects_deterministic_outputs() {
-        let plan = chain_heavy_plan();
-        let res = FlowResilience::injected(0xBEEF, 0.15, 3);
-        let serial = ExecutionConfig { max_workers: 1, ..ExecutionConfig::local(8) };
-        let wide = ExecutionConfig { max_workers: 32, ..ExecutionConfig::local(8) };
-
-        let (out_s, jsonl_s, reg_s) = observed_run(&plan, docs(41), serial, &res);
-        let (out_w, jsonl_w, reg_w) = observed_run(&plan, docs(41), wide, &res);
-
-        assert_eq!(out_s.sinks, out_w.sinks);
-        assert_eq!(jsonl_s, jsonl_w, "tracer JSONL must not see worker count");
-        assert_eq!(reg_s, reg_w, "registry must not see worker count");
-        assert_eq!(out_s.deterministic_digest(), out_w.deterministic_digest());
-        assert_eq!(
-            out_s.metrics.simulated_secs.to_bits(),
-            out_w.metrics.simulated_secs.to_bits()
-        );
     }
 
     #[test]

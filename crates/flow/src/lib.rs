@@ -9,8 +9,6 @@
 //!
 //! - [`record`] — the JSON-like record model whose annotation growth
 //!   drives the network war story;
-//! - [`batch`] — fixed-size record batches and the per-worker bump arena
-//!   behind the fused executor's batched physical path;
 //! - [`operator`] — UDF operators with semantic (reads/writes) and
 //!   resource (memory/startup/cost) annotations;
 //! - [`packages`] — the BASE / IE / WA / DC operator packages and the
@@ -29,6 +27,9 @@
 //!   static fusion/combining "explain" report;
 //! - [`resilience`] — fault-injection options, operator-granular
 //!   checkpoints, and the machinery behind [`Executor::resume_from`];
+//! - [`runner`] — the [`StageRunner`] seam between the executor's stage
+//!   scheduling and where chunk work physically runs: [`LocalRunner`]'s
+//!   thread scope, or the shard pool below;
 //! - [`transport`] / [`shuffle`] — the sharded physical runtime: worker
 //!   shards (threads or real OS processes) exchanging length-prefixed
 //!   record/partial-aggregate frames over pipes and unix sockets, with
@@ -36,7 +37,6 @@
 //!   deterministic surface stays byte-identical to in-process runs.
 
 pub mod analyze;
-pub mod batch;
 pub mod cluster;
 pub mod dfs;
 pub mod executor;
@@ -48,11 +48,11 @@ pub mod optimizer;
 pub mod packages;
 pub mod record;
 pub mod resilience;
+pub mod runner;
 pub mod shuffle;
 pub mod transport;
 
 pub use analyze::{analyze_plan, analyze_script, AnalyzeOptions};
-pub use batch::{ArenaStr, BatchArena, RecordBatch, DEFAULT_BATCH_SIZE};
 pub use cluster::{admit, admit_sharded, ClusterSpec, NodeSpec, Placement, SchedulingError};
 pub use dfs::{Dfs, DfsConfig, DfsError, DfsStats};
 pub use executor::{
@@ -69,6 +69,7 @@ pub use fieldflow::{canonical_stages, explain_plan, field_flow, EdgeState, Field
 pub use optimizer::{fused_stage, optimize, plan_stages, FusedStage, Rewrite, StageDecision};
 pub use packages::{IeConfig, IeResources, OperatorRegistry};
 pub use record::{span_annotation, FieldMap, Record, Value};
+pub use runner::{LocalRunner, StageRunner};
 pub use shuffle::{
     AggSpec, KeySpec, KillSpec, OpSpec, ShardConfig, SpecOp, StageKernel, WorkerKind,
 };

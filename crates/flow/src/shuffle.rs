@@ -6,27 +6,29 @@
 //!
 //! # The byte-identity contract
 //!
-//! Sharding is *physical only*, like fusion, combining, and batching
-//! before it: every deterministic surface (sink bytes, metrics codec
+//! Sharding is *physical only*, like fusion and combining before it:
+//! every deterministic surface (sink bytes, metrics codec
 //! bytes, simulated seconds, digests, tracer JSONL, registry snapshots,
 //! checkpoint frames, store snapshots) is bit-identical to in-process
 //! execution. The trick is the same one the executor already plays —
 //! the physical dataflow and the simulated accounting are decoupled:
 //!
-//! - chunk boundaries are computed by the parent exactly as the
-//!   in-process pass computes them, and results merge in chunk order;
-//! - every worker runs the *same* per-chunk [`StageKernel`] the
-//!   in-process thread pool runs, so per-record f64 costs, partial
-//!   aggregate states, and tapped streams are computed by shared code;
+//! - chunk boundaries are computed by the executor before a runner is
+//!   even picked, and results merge in chunk order;
+//! - every worker runs the *same* per-chunk [`StageKernel`] the local
+//!   runner's threads run, so per-record f64 costs, partial aggregate
+//!   states, and tapped streams are computed by shared code;
 //! - costs and aggregate states cross the process boundary through the
 //!   deterministic [`Snapshot`] codec (f64s travel as IEEE-754 bits);
-//! - the analytic replay in `run_chain` charges the simulated cost
-//!   model from the merged observations, exactly as before.
+//! - the executor's analytic replay charges the simulated cost model
+//!   from the merged observations, whichever runner produced them.
 //!
 //! Operators reach worker processes as [`OpSpec`]s — a closed algebra
 //! of operator recipes — because closures cannot cross `fork`/`exec`.
-//! Stages containing spec-less operators silently fall back to the
-//! in-process pass; nothing observable changes either way.
+//! [`ShardPool`] is one of the two [`StageRunner`]s; the executor hands
+//! it only stages whose every operator carries a spec and pins the rest
+//! on the local runner (counted in `PhysicalStats::stages_pinned_local`);
+//! nothing deterministic changes either way.
 //!
 //! # Worker loss
 //!
@@ -39,16 +41,17 @@
 //! respawns a fresh worker and re-runs the chunks that never reported
 //! results.
 
-use crate::batch::{BatchArena, RecordBatch};
+use crate::executor::PhysicalStats;
 use crate::operator::{AggState, Aggregate, CostModel, KeyFn, OpFunc, Operator, Package};
 use crate::record::{Record, Value};
+use crate::runner::StageRunner;
 use crate::transport::{
     FrameChannel, TransportError, K_ACK, K_BYE, K_DATA, K_DONE, K_EOF_DATA, K_ERR, K_GROUPS,
     K_RESULT, K_STAGE,
 };
 use std::cell::Cell;
 // lint:allow(hash_iteration): index maps only; every iteration order below comes from side vectors or sorts
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -622,124 +625,109 @@ impl Snapshot for ChunkOut {
     }
 }
 
-/// The per-chunk fused-stage pass, extracted from the executor's worker
-/// closure so the in-process thread pool and worker shards run *the
-/// same code* — byte-identity across placements by construction, not by
-/// parallel maintenance of two loops.
+/// The per-chunk fused-stage pass both [`StageRunner`]s run — local
+/// threads and worker shards execute *the same code*, so byte-identity
+/// across placements holds by construction, not by parallel maintenance
+/// of two loops.
 pub struct StageKernel<'a> {
-    /// Chain constituents executed per batch.
+    /// Chain constituents, each run over the whole chunk in turn.
     pub ops: &'a [&'a Operator],
-    /// Trailing combinable Reduce folded after the chain (key,
-    /// aggregate, its cost model), when the whole stage survived the
-    /// schedule.
-    pub fold: Option<(&'a KeyFn, &'a Aggregate, CostModel)>,
+    /// Trailing combinable Reduce folded after the chain, when the whole
+    /// stage survived the schedule. Reports as stage `ops.len()`.
+    pub fold: Option<&'a Operator>,
     /// Interior boundaries to tap, as in-chain stage indices.
     pub tapped: &'a [usize],
     pub work_scale: f64,
-    /// Total constituent count of the stage (fold stage attribution).
-    pub chain_len: usize,
 }
 
 impl StageKernel<'_> {
     /// Runs one chunk through the whole stage. `stage_at` tracks the
     /// stage index currently executing so a panic can be attributed.
-    pub fn run_chunk(
-        &self,
-        batches: Vec<RecordBatch>,
-        arena: &mut BatchArena,
-        stage_at: &Cell<usize>,
-    ) -> ChunkOut {
+    pub fn run_chunk(&self, records: Vec<Record>, stage_at: &Cell<usize>) -> ChunkOut {
         let mut stages: Vec<ChunkStats> =
             (0..self.ops.len()).map(|_| ChunkStats::default()).collect();
         let mut taps: Vec<Vec<Record>> = vec![Vec::new(); self.tapped.len()];
-        let mut done: Vec<Record> = Vec::new();
-        // lint:hot_loop(begin): fused-stage worker batch loop
-        for batch in batches {
-            let mut cur = batch.records;
-            for (s, op) in self.ops.iter().enumerate() {
-                stage_at.set(s);
-                // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
-                let t0 = Instant::now();
-                let tally = &mut stages[s];
-                let mut next = Vec::with_capacity(cur.len());
-                let charge = |tally: &mut ChunkStats, r: &Record| {
-                    tally.bytes_in += r.approx_bytes();
-                    tally.costs.push(
-                        self.work_scale
-                            * op.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64)),
-                    );
-                };
-                // One dispatch per batch per stage: the closure-variant
-                // match is hoisted out of the record loop.
-                match op.func() {
-                    OpFunc::Map(f) => {
-                        for r in cur {
-                            charge(tally, &r);
-                            next.push(f(r));
-                        }
-                    }
-                    OpFunc::FlatMap(f) => {
-                        for r in cur {
-                            charge(tally, &r);
-                            next.extend(f(r));
-                        }
-                    }
-                    OpFunc::Filter(f) => {
-                        for r in cur {
-                            charge(tally, &r);
-                            if f(&r) {
-                                next.push(r);
-                            }
-                        }
-                    }
-                    OpFunc::Reduce { .. } => {
-                        unreachable!("reduce is never part of a chain")
+        let mut cur = records;
+        // lint:hot_loop(begin): fused-stage worker chunk loop
+        for (s, op) in self.ops.iter().enumerate() {
+            stage_at.set(s);
+            // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
+            let t0 = Instant::now();
+            let tally = &mut stages[s];
+            let mut next = Vec::with_capacity(cur.len());
+            let charge = |tally: &mut ChunkStats, r: &Record| {
+                tally.bytes_in += r.approx_bytes();
+                tally.costs.push(
+                    self.work_scale
+                        * op.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64)),
+                );
+            };
+            // One dispatch per chunk per stage: the closure-variant match
+            // is hoisted out of the record loop.
+            match op.func() {
+                OpFunc::Map(f) => {
+                    for r in cur {
+                        charge(tally, &r);
+                        next.push(f(r));
                     }
                 }
-                tally.wall_ms += t0.elapsed().as_secs_f64() * 1000.0;
-                cur = next;
-                if let Some(t) = self.tapped.iter().position(|&ts| ts == s) {
-                    taps[t].extend(cur.iter().cloned());
+                OpFunc::FlatMap(f) => {
+                    for r in cur {
+                        charge(tally, &r);
+                        next.extend(f(r));
+                    }
+                }
+                OpFunc::Filter(f) => {
+                    for r in cur {
+                        charge(tally, &r);
+                        if f(&r) {
+                            next.push(r);
+                        }
+                    }
+                }
+                OpFunc::Reduce { .. } => {
+                    unreachable!("reduce is never part of a chain")
                 }
             }
-            done.extend(cur);
-            arena.reset();
+            tally.records_in = tally.costs.len() as u64;
+            tally.wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
+            cur = next;
+            if let Some(t) = self.tapped.iter().position(|&ts| ts == s) {
+                taps[t] = cur.clone();
+            }
         }
         // lint:hot_loop(end)
-        for tally in &mut stages {
-            tally.records_in = tally.costs.len() as u64;
-        }
-        let mut cur = done;
-        let partial = if let Some((key, agg, reduce_cost)) = &self.fold {
-            stage_at.set(self.chain_len - 1);
+        let partial = self.fold.map(|reduce| {
+            let OpFunc::Reduce { key, aggregate: agg } = reduce.func() else {
+                unreachable!("the folded operator is a reduce")
+            };
+            stage_at.set(self.ops.len());
             // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
             let t0 = Instant::now();
             let mut tally = ChunkStats::default();
             // lint:allow(hash_iteration): drained into a sorted vec below
             let mut map: HashMap<String, (AggState, Vec<f64>)> = HashMap::new();
-            for r in cur {
+            for r in std::mem::take(&mut cur) {
                 tally.records_in += 1;
                 tally.bytes_in += r.approx_bytes();
                 let cost = self.work_scale
-                    * reduce_cost.record_cost_secs(r.text().map(str::len).unwrap_or(64));
+                    * reduce.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64));
                 let e = map.entry(key(&r)).or_insert_with(|| (agg.seed(), Vec::new()));
                 agg.fold(&mut e.0, &r);
                 e.1.push(cost);
             }
-            cur = Vec::new();
             // The combiner's shuffle: only the sorted-key partial map
             // crosses the boundary through the codec, not the record
-            // stream. The encode borrows the arena's recycled buffer.
+            // stream.
             let mut sorted: Vec<(String, (AggState, Vec<f64>))> = map.into_iter().collect();
             sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut w = Writer::from_vec(arena.take_scratch());
+            let mut w = Writer::new();
             w.usize(sorted.len());
             for (k, (st, _)) in &sorted {
                 w.str(k);
                 st.encode(&mut w);
             }
             let wire = w.into_bytes();
-            let shuffled = wire.len() as u64;
             let mut rd = Reader::new(&wire);
             let _n = rd.usize().expect("partial map round-trips");
             let entries: Vec<(String, AggState, Vec<f64>)> = sorted
@@ -750,13 +738,10 @@ impl StageKernel<'_> {
                     (k, st, costs)
                 })
                 .collect();
-            arena.put_scratch(wire);
             tally.wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
             stages.push(tally);
-            Some((entries, shuffled))
-        } else {
-            None
-        };
+            (entries, wire.len() as u64)
+        });
         let bytes_out = cur.iter().map(Record::approx_bytes).sum();
         ChunkOut { stages, out: cur, bytes_out, partial, taps }
     }
@@ -772,14 +757,7 @@ impl StageKernel<'_> {
 pub enum StageTask {
     /// A fused Map/FlatMap/Filter chain, optionally folding a trailing
     /// combinable Reduce; one `K_RESULT` per `K_DATA` chunk.
-    Pipeline {
-        ops: Vec<OpSpec>,
-        fold: Option<OpSpec>,
-        tapped: Vec<usize>,
-        work_scale: f64,
-        batch_size: usize,
-        chain_len: usize,
-    },
+    Pipeline { ops: Vec<OpSpec>, fold: Option<OpSpec>, tapped: Vec<usize>, work_scale: f64 },
     /// The uncombined-Reduce shuffle target: group arriving records by
     /// key (arrival order preserved per key, spilling over-memory
     /// tables to sorted disk runs), then stream sorted groups back
@@ -790,14 +768,12 @@ pub enum StageTask {
 impl Snapshot for StageTask {
     fn encode(&self, w: &mut Writer) {
         match self {
-            StageTask::Pipeline { ops, fold, tapped, work_scale, batch_size, chain_len } => {
+            StageTask::Pipeline { ops, fold, tapped, work_scale } => {
                 w.u8(0);
                 ops.encode(w);
                 fold.encode(w);
                 tapped.encode(w);
                 w.f64(*work_scale);
-                w.usize(*batch_size);
-                w.usize(*chain_len);
             }
             StageTask::GroupBy { key, spill_threshold } => {
                 w.u8(1);
@@ -814,8 +790,6 @@ impl Snapshot for StageTask {
                 fold: Snapshot::decode(r)?,
                 tapped: Snapshot::decode(r)?,
                 work_scale: r.f64()?,
-                batch_size: r.usize()?,
-                chain_len: r.usize()?,
             }),
             1 => Ok(StageTask::GroupBy { key: KeySpec::decode(r)?, spill_threshold: r.usize()? }),
             tag => Err(CodecError::BadTag { what: "stage task", tag }),
@@ -1034,15 +1008,7 @@ impl Cursor {
 
 #[allow(clippy::large_enum_variant)] // one WorkerMode per serve loop; size is irrelevant
 enum WorkerMode {
-    Pipeline {
-        ops: Vec<Operator>,
-        fold_op: Option<Operator>,
-        tapped: Vec<usize>,
-        work_scale: f64,
-        batch_size: usize,
-        chain_len: usize,
-        arena: BatchArena,
-    },
+    Pipeline { ops: Vec<Operator>, fold_op: Option<Operator>, tapped: Vec<usize>, work_scale: f64 },
     GroupBy(GroupTable),
 }
 
@@ -1065,7 +1031,7 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                 let mut r = Reader::new(&payload);
                 let task = StageTask::decode(&mut r).map_err(TransportError::Codec)?;
                 mode = Some(match task {
-                    StageTask::Pipeline { ops, fold, tapped, work_scale, batch_size, chain_len } => {
+                    StageTask::Pipeline { ops, fold, tapped, work_scale } => {
                         let built: Vec<Operator> = ops.iter().map(OpSpec::build).collect();
                         let fold_op = fold.as_ref().map(OpSpec::build);
                         if let Some(f) = &fold_op {
@@ -1076,15 +1042,7 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                                 });
                             }
                         }
-                        WorkerMode::Pipeline {
-                            ops: built,
-                            fold_op,
-                            tapped,
-                            work_scale,
-                            batch_size: batch_size.max(1),
-                            chain_len,
-                            arena: BatchArena::new(),
-                        }
+                        WorkerMode::Pipeline { ops: built, fold_op, tapped, work_scale }
                     }
                     StageTask::GroupBy { key, spill_threshold } => {
                         WorkerMode::GroupBy(GroupTable::new(key.key_fn(), spill_threshold))
@@ -1095,31 +1053,17 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                 let (chunk_idx, records) =
                     decode_chunk_payload(&payload).map_err(TransportError::Codec)?;
                 match &mut mode {
-                    Some(WorkerMode::Pipeline {
-                        ops,
-                        fold_op,
-                        tapped,
-                        work_scale,
-                        batch_size,
-                        chain_len,
-                        arena,
-                    }) => {
+                    Some(WorkerMode::Pipeline { ops, fold_op, tapped, work_scale }) => {
                         let refs: Vec<&Operator> = ops.iter().collect();
-                        let fold = fold_op.as_ref().and_then(|f| match f.func() {
-                            OpFunc::Reduce { key, aggregate } => Some((key, aggregate, f.cost)),
-                            _ => None,
-                        });
                         let kernel = StageKernel {
                             ops: &refs,
-                            fold,
+                            fold: fold_op.as_ref(),
                             tapped,
                             work_scale: *work_scale,
-                            chain_len: *chain_len,
                         };
-                        let batches = RecordBatch::split(records, *batch_size);
                         let stage_at = Cell::new(0usize);
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            kernel.run_chunk(batches, arena, &stage_at)
+                            kernel.run_chunk(records, &stage_at)
                         }));
                         match outcome {
                             Ok(out) => {
@@ -1139,8 +1083,6 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                                 w.usize(chunk_idx);
                                 w.str(&msg);
                                 chan.send(K_ERR, &w.into_bytes())?;
-                                // a panic may have poisoned the arena
-                                *arena = BatchArena::new();
                             }
                         }
                     }
@@ -1201,6 +1143,12 @@ struct ShardHandle {
 impl ShardHandle {
     fn frames_total(&self) -> u64 {
         self.chan.frames_sent + self.chan.frames_received
+    }
+
+    /// Sends one frame and flushes it: every parent frame is a turn.
+    fn send_now(&mut self, kind: u8, payload: &[u8]) -> Result<(), TransportError> {
+        self.chan.send(kind, payload)?;
+        self.chan.flush()
     }
 
     /// Simulates (or performs) abrupt worker loss: the channel dies
@@ -1398,15 +1346,36 @@ impl Drop for ShardPool {
     }
 }
 
-/// What one shard's conversation produced this stage.
-struct ShardThreadOut {
-    shard: usize,
+/// One shard's assignment for a stage: `(chunk index, records)` items.
+type Work = Vec<(usize, Vec<Record>)>;
+
+/// The reply frames a stage's conversation accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Replies {
+    /// Pipeline stage: one `K_RESULT` per `K_DATA`.
+    Results,
+    /// Group-by stage: one `K_ACK` per `K_DATA`, then — after
+    /// `K_EOF_DATA` — `K_GROUPS` frames closed by `K_DONE`.
+    Groups,
+}
+
+/// What every shard conversation of one stage run shares.
+struct Conversation<'a> {
+    task_bytes: &'a [u8],
+    replies: Replies,
+    window: usize,
+    kill_fired: &'a AtomicBool,
+}
+
+/// What one shard's conversation committed this stage.
+#[derive(Default)]
+struct ShardOut {
+    /// Pipeline replies: `(chunk index, result)`.
     results: Vec<(usize, ChunkOut)>,
-    err: Option<ShardRunError>,
-    /// The handle, unless the shard died.
-    handle: Option<ShardHandle>,
-    /// Work items that never produced a result (for respawn re-runs).
-    undone: Vec<(usize, Vec<Record>)>,
+    /// Group-by replies: key-sorted groups, records in arrival order.
+    groups: Vec<(String, Vec<Record>)>,
+    spill_runs: u64,
+    spill_bytes: u64,
 }
 
 fn lost_or_protocol(shard: usize, e: TransportError) -> ShardRunError {
@@ -1416,482 +1385,301 @@ fn lost_or_protocol(shard: usize, e: TransportError) -> ShardRunError {
     }
 }
 
-/// Drives one shard through a pipeline stage: STAGE, then DATA frames
-/// under the credit window, collecting RESULT frames.
-fn drive_pipeline_shard(
+/// The one parent-side conversation loop: STAGE, then DATA frames under
+/// the credit window, each answered by the reply kind `conv.replies`
+/// names; a group-by stage then sends EOF_DATA and collects the sorted
+/// group stream up to DONE. Every payload is untrusted: a short or
+/// corrupt one is a `Protocol` error, never a default value.
+fn converse(
+    conv: &Conversation<'_>,
     shard: usize,
-    mut handle: ShardHandle,
-    task_bytes: &[u8],
-    work: Vec<(usize, Vec<Record>)>,
-    window: usize,
+    handle: &mut ShardHandle,
+    work: &[(usize, Vec<Record>)],
     kill_after: Option<u64>,
-    kill_fired: &AtomicBool,
-) -> ShardThreadOut {
-    let mut results: Vec<(usize, ChunkOut)> = Vec::new();
-    let outcome: Result<(), ShardRunError> = (|| {
-        handle
-            .chan
-            .send(K_STAGE, task_bytes)
-            .and_then(|()| handle.chan.flush())
-            .map_err(|e| lost_or_protocol(shard, e))?;
-        let kill_due = |chan: &ShardChannel| {
-            kill_after.is_some_and(|n| chan.frames_sent + chan.frames_received >= n)
-        };
-        let mut win = crate::transport::CreditWindow::new(window);
-        let mut cursor = 0usize;
-        loop {
-            while win.has_credit() && cursor < work.len() {
-                let (idx, records) = &work[cursor];
-                let payload = encode_chunk_payload(*idx, records);
-                handle
-                    .chan
-                    .send(K_DATA, &payload)
-                    .and_then(|()| handle.chan.flush())
-                    .map_err(|e| lost_or_protocol(shard, e))?;
-                win.on_sent();
-                cursor += 1;
-                if kill_due(&handle.chan) {
-                    kill_fired.store(true, Ordering::Relaxed);
-                    handle.force_kill();
-                    return Err(ShardRunError::Lost { shard });
-                }
+    out: &mut ShardOut,
+) -> Result<(), ShardRunError> {
+    let lost = |e| lost_or_protocol(shard, e);
+    let protocol = |detail: String| ShardRunError::Protocol { shard, detail };
+    // The injected-loss hook: the channel dies once it has carried
+    // `kill_after` frames.
+    let kill_check = |handle: &mut ShardHandle| {
+        if kill_after.is_some_and(|n| handle.frames_total() >= n) {
+            conv.kill_fired.store(true, Ordering::Relaxed);
+            handle.force_kill();
+            return Err(ShardRunError::Lost { shard });
+        }
+        Ok(())
+    };
+    handle.send_now(K_STAGE, conv.task_bytes).map_err(lost)?;
+    let mut win = crate::transport::CreditWindow::new(conv.window);
+    let mut cursor = 0usize;
+    loop {
+        while win.has_credit() && cursor < work.len() {
+            let (idx, records) = &work[cursor];
+            handle.send_now(K_DATA, &encode_chunk_payload(*idx, records)).map_err(lost)?;
+            win.on_sent();
+            cursor += 1;
+            kill_check(handle)?;
+        }
+        if win.in_flight() == 0 {
+            break;
+        }
+        match (handle.chan.recv_required("a reply").map_err(lost)?, conv.replies) {
+            ((K_RESULT, payload), Replies::Results) => {
+                let mut r = Reader::new(&payload);
+                let idx = r.usize().and_then(|idx| ChunkOut::decode(&mut r).map(|c| (idx, c)));
+                out.results.push(idx.map_err(|e| protocol(format!("bad RESULT payload: {e}")))?);
             }
-            if win.in_flight() == 0 && cursor >= work.len() {
+            ((K_ACK, _), Replies::Groups) => {}
+            ((K_ERR, payload), _) => {
+                let mut r = Reader::new(&payload);
+                return Err(match (r.usize(), r.usize()) {
+                    (Ok(stage), Ok(chunk)) => ShardRunError::Panicked { stage, chunk },
+                    _ => protocol("truncated ERR payload".to_string()),
+                });
+            }
+            ((kind, _), _) => {
+                return Err(protocol(format!(
+                    "unexpected frame kind {kind:#04x} awaiting {:?}",
+                    conv.replies
+                )))
+            }
+        }
+        win.on_answered();
+        kill_check(handle)?;
+    }
+    if conv.replies == Replies::Results {
+        return Ok(());
+    }
+    handle.send_now(K_EOF_DATA, &[]).map_err(lost)?;
+    loop {
+        match handle.chan.recv_required("GROUPS or DONE").map_err(lost)? {
+            (K_GROUPS, payload) => {
+                let groups: Vec<(String, Vec<Record>)> = Snapshot::decode(&mut Reader::new(&payload))
+                    .map_err(|e| protocol(format!("bad GROUPS payload: {e}")))?;
+                out.groups.extend(groups);
+                kill_check(handle)?;
+            }
+            (K_DONE, payload) => {
+                let mut r = Reader::new(&payload);
+                (out.spill_runs, out.spill_bytes) = r
+                    .u64()
+                    .and_then(|runs| r.u64().map(|bytes| (runs, bytes)))
+                    .map_err(|e| protocol(format!("bad DONE payload: {e}")))?;
                 return Ok(());
             }
-            match handle.chan.recv() {
-                Ok(Some((K_RESULT, payload))) => {
-                    let mut r = Reader::new(&payload);
-                    let parsed = r
-                        .usize()
-                        .and_then(|idx| ChunkOut::decode(&mut r).map(|out| (idx, out)));
-                    match parsed {
-                        Ok(pair) => results.push(pair),
-                        Err(e) => {
-                            return Err(ShardRunError::Protocol {
-                                shard,
-                                detail: format!("bad RESULT payload: {e}"),
-                            })
-                        }
-                    }
-                    win.on_answered();
-                    if kill_due(&handle.chan) {
-                        kill_fired.store(true, Ordering::Relaxed);
-                        handle.force_kill();
-                        return Err(ShardRunError::Lost { shard });
-                    }
-                }
-                Ok(Some((K_ERR, payload))) => {
-                    let mut r = Reader::new(&payload);
-                    let stage = r.usize().unwrap_or(0);
-                    let chunk = r.usize().unwrap_or(0);
-                    return Err(ShardRunError::Panicked { stage, chunk });
-                }
-                Ok(Some((kind, _))) => {
-                    return Err(ShardRunError::Protocol {
-                        shard,
-                        detail: format!("unexpected frame kind {kind:#04x} awaiting RESULT"),
-                    })
-                }
-                Ok(None) => return Err(ShardRunError::Lost { shard }),
-                Err(e) => return Err(lost_or_protocol(shard, e)),
+            (kind, _) => {
+                return Err(protocol(format!("unexpected frame kind {kind:#04x} awaiting GROUPS")))
             }
         }
-    })();
-    let err = outcome.err();
-    // lint:allow(hash_iteration): membership test only; `undone` keeps `work`'s order
-    let done: std::collections::HashSet<usize> =
-        results.iter().map(|(idx, _)| *idx).collect();
-    let undone = work.into_iter().filter(|(idx, _)| !done.contains(idx)).collect();
-    ShardThreadOut { shard, results, err, handle: Some(handle), undone }
+    }
 }
 
-/// A shard's assignment for one stage run: `(shard index, live handle,
-/// [(chunk index, records)], kill-after-frames test hook)`.
-type ShardWork = (usize, ShardHandle, Vec<(usize, Vec<Record>)>, Option<u64>);
-
-/// What a reduce feeder thread hands back: `(shard index, output when
-/// clean, error, handle when still joinable, the slice for re-runs)`.
-type ReduceThreadOut = (
-    usize,
-    Option<ReduceShardOut>,
-    Option<ShardRunError>,
-    Option<ShardHandle>,
-    Vec<(usize, Vec<Record>)>,
-);
-
-/// Runs one pipeline stage across the pool: chunks are dealt
-/// round-robin over the shards, each shard driven by its own feeder
-/// thread under the per-edge credit window, and results are merged
-/// back in chunk order — the exact merge order of the in-process pass.
-pub fn run_stage_sharded(
-    pool: &mut ShardPool,
-    task: &StageTask,
-    chunks: Vec<Vec<Record>>,
-) -> Result<Vec<ChunkOut>, ShardRunError> {
-    let n_chunks = chunks.len();
-    if n_chunks == 0 {
-        return Ok(Vec::new());
+/// Drives one shard through one stage and settles the outcome: what the
+/// shard committed, the error that ended the conversation (if any), and
+/// the work items a respawned worker must re-run.
+fn drive_shard(
+    conv: &Conversation<'_>,
+    shard: usize,
+    handle: &mut ShardHandle,
+    work: Work,
+    kill_after: Option<u64>,
+) -> (ShardOut, Option<ShardRunError>, Work) {
+    let mut out = ShardOut::default();
+    let err = converse(conv, shard, handle, &work, kill_after, &mut out).err();
+    if err.is_none() {
+        return (out, None, Vec::new());
     }
-    let n_shards = pool.shards();
-    let mut assigned: Vec<Vec<(usize, Vec<Record>)>> = (0..n_shards).map(|_| Vec::new()).collect();
-    for (i, c) in chunks.into_iter().enumerate() {
-        assigned[i % n_shards].push((i, c));
-    }
-    let mut task_w = Writer::new();
-    task.encode(&mut task_w);
-    let task_bytes = task_w.into_bytes();
-    let window = pool.cfg.window;
+    // Groups only commit at DONE, so a failed group-by conversation
+    // re-runs its whole slice; a pipeline one keeps the results it got.
+    out.groups.clear();
+    // lint:allow(hash_iteration): membership test only; `undone` keeps `work`'s order
+    let done: std::collections::HashSet<usize> = out.results.iter().map(|(idx, _)| *idx).collect();
+    let undone = work.into_iter().filter(|(idx, _)| !done.contains(idx)).collect();
+    (out, err, undone)
+}
 
-    let mut shard_work: Vec<ShardWork> = Vec::new();
-    for (shard, work) in assigned.into_iter().enumerate() {
-        if work.is_empty() {
-            continue;
+impl ShardPool {
+    /// Runs one stage's conversations across the pool: `assigned[s]` is
+    /// shard `s`'s work, each busy shard driven by its own feeder thread
+    /// under the per-edge credit window. Errored handles are buried;
+    /// with `respawn_lost` a lost shard is replaced and re-runs whatever
+    /// never reported back. Returns one [`ShardOut`] per shard.
+    fn run_stage(
+        &mut self,
+        task: &StageTask,
+        assigned: Vec<Work>,
+    ) -> Result<Vec<ShardOut>, ShardRunError> {
+        let mut task_w = Writer::new();
+        task.encode(&mut task_w);
+        let task_bytes = task_w.into_bytes();
+        let kill_fired = Arc::clone(&self.kill_fired);
+        let conv = Conversation {
+            task_bytes: &task_bytes,
+            replies: match task {
+                StageTask::Pipeline { .. } => Replies::Results,
+                StageTask::GroupBy { .. } => Replies::Groups,
+            },
+            window: self.cfg.window,
+            kill_fired: &kill_fired,
+        };
+        let mut per_shard: Vec<ShardOut> = assigned.iter().map(|_| ShardOut::default()).collect();
+        let mut feeds = Vec::new();
+        for (shard, work) in assigned.into_iter().enumerate() {
+            if !work.is_empty() {
+                feeds.push((shard, self.take_or_spawn(shard)?, work, self.kill_threshold(shard)));
+            }
         }
-        let handle = pool.take_or_spawn(shard)?;
-        let kill_after = pool.kill_threshold(shard);
-        shard_work.push((shard, handle, work, kill_after));
-    }
-
-    let kill_fired = Arc::clone(&pool.kill_fired);
-    let outs: Vec<ShardThreadOut> = std::thread::scope(|scope| {
-        let task_bytes = &task_bytes;
-        let kill_fired = &kill_fired;
-        let joins: Vec<_> = shard_work
-            .into_iter()
-            .map(|(shard, handle, work, kill_after)| {
-                scope.spawn(move || {
-                    drive_pipeline_shard(
-                        shard, handle, task_bytes, work, window, kill_after, kill_fired,
-                    )
+        let joined: Vec<_> = std::thread::scope(|scope| {
+            let conv = &conv;
+            let feeders: Vec<_> = feeds
+                .into_iter()
+                .map(|(shard, mut handle, work, kill_after)| {
+                    let feeder = scope.spawn(move || {
+                        let (out, err, undone) =
+                            drive_shard(conv, shard, &mut handle, work, kill_after);
+                        (out, err, undone, handle)
+                    });
+                    (shard, feeder)
                 })
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().unwrap_or(ShardThreadOut {
-                shard: 0,
-                results: Vec::new(),
-                err: Some(ShardRunError::Protocol {
-                    shard: 0,
-                    detail: "shard feeder thread panicked".to_string(),
-                }),
-                handle: None,
-                undone: Vec::new(),
-            }))
-            .collect()
-    });
+                .collect();
+            feeders.into_iter().map(|(shard, f)| (shard, f.join())).collect()
+        });
 
-    let mut slots: Vec<Option<ChunkOut>> = (0..n_chunks).map(|_| None).collect();
-    let mut first_err: Option<ShardRunError> = None;
-    for out in outs {
-        for (idx, chunk_out) in out.results {
-            slots[idx] = Some(chunk_out);
-        }
-        // A handle that hit any error is dead or desynchronized: bury it
-        // (keeping its frame counters) rather than ever reusing it.
-        match (&out.err, out.handle) {
-            (None, Some(h)) => pool.handles[out.shard] = Some(h),
-            (_, Some(h)) => pool.bury(h),
-            (_, None) => {}
-        }
-        if let Some(err) = out.err {
+        let mut first_err: Option<ShardRunError> = None;
+        for (shard, outcome) in joined {
+            let Ok((mut out, mut err, undone, mut handle)) = outcome else {
+                first_err.get_or_insert(ShardRunError::Protocol {
+                    shard,
+                    detail: "shard feeder thread panicked".to_string(),
+                });
+                continue;
+            };
+            if self.cfg.respawn_lost && matches!(err, Some(ShardRunError::Lost { .. })) {
+                self.respawns += 1;
+                let fresh = self.take_or_spawn(shard)?;
+                self.bury(std::mem::replace(&mut handle, fresh));
+                let (redo, redo_err, _) = drive_shard(&conv, shard, &mut handle, undone, None);
+                out.results.extend(redo.results);
+                out.groups = redo.groups;
+                (out.spill_runs, out.spill_bytes) = (redo.spill_runs, redo.spill_bytes);
+                err = redo_err;
+            }
             match err {
-                ShardRunError::Lost { shard } if pool.cfg.respawn_lost => {
-                    // Respawn and re-run whatever never reported back.
-                    pool.respawns += 1;
-                    let fresh = pool.take_or_spawn(shard)?;
-                    let redo = drive_pipeline_shard(
-                        shard,
-                        fresh,
-                        &task_bytes,
-                        out.undone,
-                        window,
-                        None,
-                        &pool.kill_fired,
-                    );
-                    for (idx, chunk_out) in redo.results {
-                        slots[idx] = Some(chunk_out);
-                    }
-                    match (&redo.err, redo.handle) {
-                        (None, Some(h)) => pool.handles[shard] = Some(h),
-                        (_, Some(h)) => pool.bury(h),
-                        (_, None) => {}
-                    }
-                    if let Some(e) = redo.err {
+                None => self.handles[shard] = Some(handle),
+                // A handle that hit any error is dead or desynchronized:
+                // bury it (keeping its frame counters), never reuse it.
+                Some(e) => {
+                    self.bury(handle);
+                    // a panic outranks a loss: it is deterministic and
+                    // the local runner would have surfaced it too
+                    if matches!(e, ShardRunError::Panicked { .. }) {
+                        first_err = Some(e);
+                    } else {
                         first_err.get_or_insert(e);
                     }
                 }
-                // a panic outranks a loss: it is deterministic and the
-                // in-process path would have surfaced it too
-                ShardRunError::Panicked { .. } => {
-                    first_err = Some(err);
-                }
-                other => {
-                    first_err.get_or_insert(other);
-                }
+            }
+            per_shard[shard] = out;
+        }
+        first_err.map_or(Ok(per_shard), Err)
+    }
+
+    /// Folds the pool's channel counters into `physical` — read once,
+    /// when the run ends.
+    pub fn report(&self, physical: &mut PhysicalStats) {
+        physical.shards_used = self.shards() as u64;
+        physical.shard_frames = self.frames_total();
+        physical.shard_wire_bytes = self.wire_bytes_total();
+        physical.shard_respawns = self.respawns;
+    }
+}
+
+fn unshippable(op: &Operator) -> ShardRunError {
+    ShardRunError::Protocol {
+        shard: 0,
+        detail: format!("operator '{}' carries no spec a worker shard could rebuild", op.name),
+    }
+}
+
+/// The sharded runner: chunks and groups cross the frame protocol to
+/// worker shards built from the operators' own [`OpSpec`]s.
+impl StageRunner for ShardPool {
+    /// Chunks are dealt round-robin over the shards and merged back in
+    /// chunk order — the exact merge order of the local runner.
+    fn run_chunks(
+        &mut self,
+        stage: &StageKernel<'_>,
+        chunks: Vec<Vec<Record>>,
+    ) -> Result<Vec<ChunkOut>, ShardRunError> {
+        let spec_of = |op: &Operator| op.spec().cloned().ok_or_else(|| unshippable(op));
+        let task = StageTask::Pipeline {
+            ops: stage.ops.iter().map(|op| spec_of(op)).collect::<Result<_, _>>()?,
+            fold: stage.fold.map(spec_of).transpose()?,
+            tapped: stage.tapped.to_vec(),
+            work_scale: stage.work_scale,
+        };
+        let n_shards = self.shards();
+        let mut slots: Vec<Option<ChunkOut>> = chunks.iter().map(|_| None).collect();
+        let mut assigned: Vec<Work> = (0..n_shards).map(|_| Vec::new()).collect();
+        for (i, c) in chunks.into_iter().enumerate() {
+            assigned[i % n_shards].push((i, c));
+        }
+        for (shard, out) in self.run_stage(&task, assigned)?.into_iter().enumerate() {
+            for (idx, chunk_out) in out.results {
+                // the index came off the wire: never trust it as a slot
+                let slot = slots.get_mut(idx).ok_or_else(|| ShardRunError::Protocol {
+                    shard,
+                    detail: format!("result for unknown chunk {idx}"),
+                })?;
+                *slot = Some(chunk_out);
             }
         }
-    }
-    if let Some(err) = first_err {
-        return Err(err);
-    }
-    let mut out = Vec::with_capacity(n_chunks);
-    for (idx, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(c) => out.push(c),
-            None => {
-                return Err(ShardRunError::Protocol {
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(idx, slot)| {
+                slot.ok_or_else(|| ShardRunError::Protocol {
                     shard: idx % n_shards,
                     detail: format!("chunk {idx} never produced a result"),
                 })
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// One shard's reduce contribution: key-sorted groups (records in
-/// arrival order within each key) plus spill statistics.
-#[derive(Debug, Default)]
-pub struct ReduceShardOut {
-    pub groups: Vec<(String, Vec<Record>)>,
-    pub spill_runs: u64,
-    pub spill_bytes: u64,
-}
-
-fn drive_reduce_shard(
-    shard: usize,
-    mut handle: ShardHandle,
-    task_bytes: &[u8],
-    work: Vec<(usize, Vec<Record>)>,
-    window: usize,
-    kill_after: Option<u64>,
-    kill_fired: &AtomicBool,
-) -> (Option<ReduceShardOut>, Option<ShardRunError>, ShardHandle) {
-    let mut reduce_out = ReduceShardOut::default();
-    let outcome: Result<(), ShardRunError> = (|| {
-        handle
-            .chan
-            .send(K_STAGE, task_bytes)
-            .and_then(|()| handle.chan.flush())
-            .map_err(|e| lost_or_protocol(shard, e))?;
-        let kill_due = |chan: &ShardChannel| {
-            kill_after.is_some_and(|n| chan.frames_sent + chan.frames_received >= n)
-        };
-        let mut win = crate::transport::CreditWindow::new(window);
-        let mut cursor = 0usize;
-        // Feed every sub-chunk under the credit window (ACK per DATA).
-        while cursor < work.len() || win.in_flight() > 0 {
-            while win.has_credit() && cursor < work.len() {
-                let (idx, records) = &work[cursor];
-                let payload = encode_chunk_payload(*idx, records);
-                handle
-                    .chan
-                    .send(K_DATA, &payload)
-                    .and_then(|()| handle.chan.flush())
-                    .map_err(|e| lost_or_protocol(shard, e))?;
-                win.on_sent();
-                cursor += 1;
-                if kill_due(&handle.chan) {
-                    kill_fired.store(true, Ordering::Relaxed);
-                    handle.force_kill();
-                    return Err(ShardRunError::Lost { shard });
-                }
-            }
-            if win.in_flight() == 0 {
-                continue;
-            }
-            match handle.chan.recv() {
-                Ok(Some((K_ACK, _))) => {
-                    win.on_answered();
-                    if kill_due(&handle.chan) {
-                        kill_fired.store(true, Ordering::Relaxed);
-                        handle.force_kill();
-                        return Err(ShardRunError::Lost { shard });
-                    }
-                }
-                Ok(Some((kind, _))) => {
-                    return Err(ShardRunError::Protocol {
-                        shard,
-                        detail: format!("unexpected frame kind {kind:#04x} awaiting ACK"),
-                    })
-                }
-                Ok(None) => return Err(ShardRunError::Lost { shard }),
-                Err(e) => return Err(lost_or_protocol(shard, e)),
-            }
-        }
-        handle
-            .chan
-            .send(K_EOF_DATA, &[])
-            .and_then(|()| handle.chan.flush())
-            .map_err(|e| lost_or_protocol(shard, e))?;
-        // Collect the sorted group stream.
-        loop {
-            match handle.chan.recv() {
-                Ok(Some((K_GROUPS, payload))) => {
-                    let mut r = Reader::new(&payload);
-                    let batch: Vec<(String, Vec<Record>)> =
-                        Snapshot::decode(&mut r).map_err(|e| ShardRunError::Protocol {
-                            shard,
-                            detail: format!("bad GROUPS payload: {e}"),
-                        })?;
-                    reduce_out.groups.extend(batch);
-                    if kill_due(&handle.chan) {
-                        kill_fired.store(true, Ordering::Relaxed);
-                        handle.force_kill();
-                        return Err(ShardRunError::Lost { shard });
-                    }
-                }
-                Ok(Some((K_DONE, payload))) => {
-                    let mut r = Reader::new(&payload);
-                    reduce_out.spill_runs = r.u64().unwrap_or(0);
-                    reduce_out.spill_bytes = r.u64().unwrap_or(0);
-                    return Ok(());
-                }
-                Ok(Some((kind, _))) => {
-                    return Err(ShardRunError::Protocol {
-                        shard,
-                        detail: format!("unexpected frame kind {kind:#04x} awaiting GROUPS"),
-                    })
-                }
-                Ok(None) => return Err(ShardRunError::Lost { shard }),
-                Err(e) => return Err(lost_or_protocol(shard, e)),
-            }
-        }
-    })();
-    let err = outcome.err();
-    (if err.is_none() { Some(reduce_out) } else { None }, err, handle)
-}
-
-/// Runs an uncombined Reduce's shuffle across the pool. `slices[s]` is
-/// shard `s`'s *contiguous* run of sub-chunks — contiguity is what lets
-/// the parent rebuild global arrival order per key by concatenating
-/// shard outputs in shard order. Returns one [`ReduceShardOut`] per
-/// shard, in shard order.
-pub fn run_reduce_sharded(
-    pool: &mut ShardPool,
-    key: &KeySpec,
-    slices: Vec<Vec<Vec<Record>>>,
-) -> Result<Vec<ReduceShardOut>, ShardRunError> {
-    let n_shards = pool.shards();
-    let task = StageTask::GroupBy {
-        key: key.clone(),
-        spill_threshold: pool.cfg.spill_threshold_bytes,
-    };
-    let mut task_w = Writer::new();
-    task.encode(&mut task_w);
-    let task_bytes = task_w.into_bytes();
-    let window = pool.cfg.window;
-
-    let mut shard_work: Vec<ShardWork> = Vec::new();
-    let mut active: Vec<usize> = Vec::new();
-    for (shard, slice) in slices.into_iter().enumerate().take(n_shards) {
-        if slice.is_empty() {
-            continue;
-        }
-        let work: Vec<(usize, Vec<Record>)> = slice.into_iter().enumerate().collect();
-        let handle = pool.take_or_spawn(shard)?;
-        let kill_after = pool.kill_threshold(shard);
-        shard_work.push((shard, handle, work, kill_after));
-        active.push(shard);
-    }
-
-    let kill_fired = Arc::clone(&pool.kill_fired);
-    let outs: Vec<ReduceThreadOut> = std::thread::scope(|scope| {
-        let task_bytes = &task_bytes;
-        let kill_fired = &kill_fired;
-        let joins: Vec<_> = shard_work
-            .into_iter()
-            .map(|(shard, handle, work, kill_after)| {
-                scope.spawn(move || {
-                    let redo = work.clone();
-                    let (out, err, handle) = drive_reduce_shard(
-                        shard, handle, task_bytes, work, window, kill_after, kill_fired,
-                    );
-                    (shard, out, err, Some(handle), redo)
-                })
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| {
-                j.join().unwrap_or((
-                    0,
-                    None,
-                    Some(ShardRunError::Protocol {
-                        shard: 0,
-                        detail: "shard feeder thread panicked".to_string(),
-                    }),
-                    None,
-                    Vec::new(),
-                ))
             })
             .collect()
-    });
+    }
 
-    let mut per_shard: Vec<Option<ReduceShardOut>> = (0..n_shards).map(|_| None).collect();
-    let mut first_err: Option<ShardRunError> = None;
-    for (shard, out, err, handle, redo_work) in outs {
-        // Bury errored handles (keeping counters); restore healthy ones.
-        match (&err, handle) {
-            (None, Some(h)) => pool.handles[shard] = Some(h),
-            (_, Some(h)) => pool.bury(h),
-            (_, None) => {}
+    /// Each shard groups a *contiguous* run of chunks (spilling
+    /// over-memory tables to sorted disk runs) — contiguity is what lets
+    /// the parent rebuild global arrival order per key by concatenating
+    /// shard outputs in shard order.
+    fn group(
+        &mut self,
+        reduce: &Operator,
+        chunks: Vec<Vec<Record>>,
+        physical: &mut PhysicalStats,
+    ) -> Result<Vec<(String, Vec<Record>)>, ShardRunError> {
+        let Some(OpSpec { op: SpecOp::Reduce { key, .. }, .. }) = reduce.spec() else {
+            return Err(unshippable(reduce));
+        };
+        let task = StageTask::GroupBy {
+            key: key.clone(),
+            spill_threshold: self.cfg.spill_threshold_bytes,
+        };
+        let n_shards = self.shards();
+        let per_shard = chunks.len().div_ceil(n_shards).max(1);
+        let mut assigned: Vec<Work> = (0..n_shards).map(|_| Vec::new()).collect();
+        for (i, c) in chunks.into_iter().enumerate() {
+            assigned[i / per_shard].push((i, c));
         }
-        if let Some(o) = out {
-            per_shard[shard] = Some(o);
-        }
-        if let Some(err) = err {
-            match err {
-                ShardRunError::Lost { .. } if pool.cfg.respawn_lost => {
-                    // Groups only commit at DONE, so a lost reduce shard
-                    // simply re-runs its whole slice on a fresh worker.
-                    pool.respawns += 1;
-                    let fresh = pool.take_or_spawn(shard)?;
-                    let (out, err, handle) = drive_reduce_shard(
-                        shard,
-                        fresh,
-                        &task_bytes,
-                        redo_work,
-                        window,
-                        None,
-                        &pool.kill_fired,
-                    );
-                    match (&err, handle) {
-                        (None, h) => pool.handles[shard] = Some(h),
-                        (_, h) => pool.bury(h),
-                    }
-                    if let Some(o) = out {
-                        per_shard[shard] = Some(o);
-                    }
-                    if let Some(e) = err {
-                        first_err.get_or_insert(e);
-                    }
-                }
-                other => {
-                    first_err.get_or_insert(other);
-                }
+        let mut merged: BTreeMap<String, Vec<Record>> = BTreeMap::new();
+        for out in self.run_stage(&task, assigned)? {
+            physical.spill_runs += out.spill_runs;
+            physical.spill_bytes += out.spill_bytes;
+            for (k, rs) in out.groups {
+                merged.entry(k).or_default().extend(rs);
             }
         }
+        Ok(merged.into_iter().collect())
     }
-    if let Some(err) = first_err {
-        return Err(err);
-    }
-    let mut result = Vec::with_capacity(n_shards);
-    for (shard, slot) in per_shard.into_iter().enumerate() {
-        match slot {
-            Some(o) => result.push(o),
-            None if active.contains(&shard) => {
-                return Err(ShardRunError::Protocol {
-                    shard,
-                    detail: "reduce shard never reported DONE".to_string(),
-                })
-            }
-            None => result.push(ReduceShardOut::default()),
-        }
-    }
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -1982,42 +1770,23 @@ mod tests {
         assert!(stamp.spec().is_some());
     }
 
+    fn parity_spec() -> OpSpec {
+        OpSpec::new(
+            "parity",
+            Package::Base,
+            SpecOp::FilterIntMod { field: "id".into(), modulus: 2, keep: 0 },
+        )
+    }
+
     #[test]
     fn worker_serves_a_pipeline_stage_identically_to_a_direct_kernel_run() {
-        let specs = vec![
-            stamp_spec(),
-            OpSpec::new(
-                "parity",
-                Package::Base,
-                SpecOp::FilterIntMod { field: "id".into(), modulus: 2, keep: 0 },
-            ),
-        ];
-        let ops: Vec<Operator> = specs.iter().map(OpSpec::build).collect();
+        let ops = [stamp_spec().build(), parity_spec().build()];
         let refs: Vec<&Operator> = ops.iter().collect();
-        let kernel = StageKernel {
-            ops: &refs,
-            fold: None,
-            tapped: &[],
-            work_scale: 1.0,
-            chain_len: 2,
-        };
-        let mut arena = BatchArena::new();
-        let direct = kernel.run_chunk(
-            RecordBatch::split(docs(10), 4),
-            &mut arena,
-            &Cell::new(0),
-        );
+        let kernel = StageKernel { ops: &refs, fold: None, tapped: &[], work_scale: 1.0 };
+        let direct = kernel.run_chunk(docs(10), &Cell::new(0));
 
         let mut pool = ShardPool::new(ShardConfig::in_process(1));
-        let task = StageTask::Pipeline {
-            ops: specs,
-            fold: None,
-            tapped: vec![],
-            work_scale: 1.0,
-            batch_size: 4,
-            chain_len: 2,
-        };
-        let outs = run_stage_sharded(&mut pool, &task, vec![docs(10)]).unwrap();
+        let outs = pool.run_chunks(&kernel, vec![docs(10)]).unwrap();
         assert_eq!(outs.len(), 1);
         let sharded = &outs[0];
         assert_eq!(sharded.out, direct.out);
@@ -2036,20 +1805,17 @@ mod tests {
 
     #[test]
     fn group_by_worker_spills_and_streams_sorted_arrival_ordered_groups() {
-        let key = KeySpec::IntMod { field: "id".into(), modulus: 3, prefix: "g".into() };
         // Tiny threshold: every fold spills, the merge walks disk runs.
         let mut pool = ShardPool::new(ShardConfig::in_process(1).with_spill_threshold(64));
-        let input = docs(30);
-        let slices = vec![input.chunks(7).map(<[Record]>::to_vec).collect()];
-        let outs = run_reduce_sharded(&mut pool, &key, slices).unwrap();
-        assert_eq!(outs.len(), 1);
-        let out = &outs[0];
-        assert!(out.spill_runs > 0, "tiny threshold must force spills");
-        assert!(out.spill_bytes > 0);
-        let keys: Vec<&str> = out.groups.iter().map(|(k, _)| k.as_str()).collect();
+        let chunks = docs(30).chunks(7).map(<[Record]>::to_vec).collect();
+        let mut physical = PhysicalStats::default();
+        let groups = pool.group(&reduce_spec().build(), chunks, &mut physical).unwrap();
+        assert!(physical.spill_runs > 0, "tiny threshold must force spills");
+        assert!(physical.spill_bytes > 0);
+        let keys: Vec<&str> = groups.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["g0", "g1", "g2"]);
         // Arrival order within each key: ids ascending (input order).
-        for (k, rs) in &out.groups {
+        for (k, rs) in &groups {
             let ids: Vec<i64> = rs.iter().filter_map(|r| r.get("id").and_then(Value::as_int)).collect();
             let mut sorted = ids.clone();
             sorted.sort_unstable();
@@ -2062,16 +1828,10 @@ mod tests {
     fn killed_shard_surfaces_as_lost() {
         let cfg = ShardConfig::in_process(2).with_kill(KillSpec { shard: 1, after_frames: 2 });
         let mut pool = ShardPool::new(cfg);
-        let task = StageTask::Pipeline {
-            ops: vec![stamp_spec()],
-            fold: None,
-            tapped: vec![],
-            work_scale: 1.0,
-            batch_size: 8,
-            chain_len: 1,
-        };
+        let stamp = stamp_spec().build();
+        let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[], work_scale: 1.0 };
         let chunks: Vec<Vec<Record>> = (0..6).map(|_| docs(4)).collect();
-        match run_stage_sharded(&mut pool, &task, chunks) {
+        match pool.run_chunks(&kernel, chunks) {
             Err(ShardRunError::Lost { shard }) => assert_eq!(shard, 1),
             other => panic!("expected Lost, got {other:?}"),
         }
@@ -2083,21 +1843,96 @@ mod tests {
             .with_kill(KillSpec { shard: 0, after_frames: 3 })
             .with_respawn(true);
         let mut pool = ShardPool::new(cfg);
-        let task = StageTask::Pipeline {
-            ops: vec![stamp_spec()],
-            fold: None,
-            tapped: vec![],
-            work_scale: 1.0,
-            batch_size: 8,
-            chain_len: 1,
-        };
+        let stamp = stamp_spec().build();
+        let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[], work_scale: 1.0 };
         let chunks: Vec<Vec<Record>> = (0..6).map(|i| docs(3 + i)).collect();
-        let outs = run_stage_sharded(&mut pool, &task, chunks).unwrap();
+        let outs = pool.run_chunks(&kernel, chunks).unwrap();
         assert_eq!(outs.len(), 6);
         assert_eq!(pool.respawns, 1);
         for (i, out) in outs.iter().enumerate() {
             assert_eq!(out.out.len(), 3 + i);
             assert!(out.out.iter().all(|r| r.contains("stamp")));
+        }
+    }
+
+    /// A shard whose worker is a hand-written reply stream: whatever the
+    /// parent sends is discarded.
+    fn scripted_shard(replies: &[(u8, Vec<u8>)]) -> ShardHandle {
+        let mut wire = Vec::new();
+        for (kind, payload) in replies {
+            write_frame(&mut wire, *kind, payload).unwrap();
+        }
+        let (kill, _peer) = UnixStream::pair().unwrap();
+        ShardHandle {
+            chan: FrameChannel::new(Box::new(std::io::Cursor::new(wire)), Box::new(std::io::sink())),
+            peer: Peer::Thread { join: None, kill },
+        }
+    }
+
+    fn drive_scripted(
+        replies: Replies,
+        script: &[(u8, Vec<u8>)],
+    ) -> (ShardOut, Option<ShardRunError>, Work) {
+        let kill_fired = AtomicBool::new(false);
+        let conv = Conversation { task_bytes: &[], replies, window: 4, kill_fired: &kill_fired };
+        drive_shard(&conv, 3, &mut scripted_shard(script), vec![(0, docs(2))], None)
+    }
+
+    #[test]
+    fn short_err_and_done_payloads_are_protocol_errors_not_defaults() {
+        let payload = |fill: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            fill(&mut w);
+            w.into_bytes()
+        };
+        // K_ERR carrying a stage but no chunk: not "panic in chunk 0"
+        let short = payload(&|w| w.usize(5));
+        let (_, err, undone) = drive_scripted(Replies::Results, &[(K_ERR, short)]);
+        assert!(
+            matches!(&err, Some(ShardRunError::Protocol { shard: 3, detail }) if detail.contains("ERR")),
+            "got {err:?}"
+        );
+        assert_eq!(undone.len(), 1, "the unanswered chunk is handed back");
+        // a well-formed K_ERR still reports the panic's stage and chunk
+        let full = payload(&|w| {
+            w.usize(5);
+            w.usize(7);
+            w.str("boom");
+        });
+        let (_, err, _) = drive_scripted(Replies::Results, &[(K_ERR, full)]);
+        assert_eq!(err, Some(ShardRunError::Panicked { stage: 5, chunk: 7 }));
+
+        // K_DONE carrying spill runs but no spill bytes: not "0 bytes"
+        let short = payload(&|w| w.u64(2));
+        let (out, err, _) =
+            drive_scripted(Replies::Groups, &[(K_ACK, Vec::new()), (K_DONE, short)]);
+        assert!(
+            matches!(&err, Some(ShardRunError::Protocol { shard: 3, detail }) if detail.contains("DONE")),
+            "got {err:?}"
+        );
+        assert_eq!((out.spill_runs, out.spill_bytes), (0, 0));
+        let full = payload(&|w| {
+            w.u64(2);
+            w.u64(640);
+        });
+        let (out, err, _) =
+            drive_scripted(Replies::Groups, &[(K_ACK, Vec::new()), (K_DONE, full)]);
+        assert_eq!(err, None);
+        assert_eq!((out.spill_runs, out.spill_bytes), (2, 640));
+    }
+
+    #[test]
+    fn a_result_for_an_unknown_chunk_is_a_protocol_error() {
+        let mut reply = Writer::new();
+        reply.usize(99);
+        ChunkOut::default().encode(&mut reply);
+        let mut pool = ShardPool::new(ShardConfig::in_process(1));
+        pool.handles[0] = Some(scripted_shard(&[(K_RESULT, reply.into_bytes())]));
+        let stamp = stamp_spec().build();
+        let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[], work_scale: 1.0 };
+        match pool.run_chunks(&kernel, vec![docs(2)]) {
+            Err(ShardRunError::Protocol { detail, .. }) => assert!(detail.contains("99")),
+            other => panic!("expected a protocol error, got {:?}", other.map(|o| o.len())),
         }
     }
 

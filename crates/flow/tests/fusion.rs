@@ -7,141 +7,21 @@
 //!    bytes, `FlowMetrics` codec bytes, bit-exact `simulated_secs`,
 //!    tracer JSONL, registry snapshot, and the WS00x analyzer verdict
 //!    (including plans the analyzer rejects);
-//! 2. killing a fused run at a random node boundary and resuming from
+//! 2. the same identity holds on fan-out plans, where the fused chain
+//!    tees an interior node's stream to a side consumer;
+//! 3. killing a fused run at a random node boundary and resuming from
 //!    its last checkpoint reproduces the uninterrupted run bit for bit —
 //!    fused or not.
 
-use proptest::prelude::*;
-use std::collections::HashMap;
-use websift_analyze::diagnostics_to_json;
-use websift_flow::{
-    ExecutionConfig, ExecutionError, Executor, FlowOutput, FlowResilience, LogicalPlan, Operator,
-    Package, Record, Value,
-};
-use websift_observe::Observer;
-use websift_resilience::{Snapshot, Writer};
+mod common;
 
-/// A small vocabulary of total (never-panicking) operators: stamping
-/// maps, a duplicating flat-map, a parity filter, a grouping reduce
-/// (fusion barrier), a byte-growing map, an operator reading the
-/// `stamp` field — which trips a WS001 rejection whenever it lands
-/// upstream of the map that produces it, so rejected plans are part of
-/// the property too — and a combinable Count reduce (index 6) that the
-/// combining executor extends fused stages through.
-fn pool_op(idx: usize) -> Operator {
-    match idx {
-        0 => Operator::map("stamp", Package::Base, |mut r| {
-            let id = r.get("id").and_then(Value::as_int).unwrap_or(0);
-            r.set("stamp", id * 3 + 1);
-            r
-        })
-        .with_reads(&["id"])
-        .with_writes(&["stamp"]),
-        1 => Operator::flat_map("dup", Package::Base, |r| {
-            let mut copy = r.clone();
-            copy.set("half", 1i64);
-            vec![r, copy]
-        }),
-        2 => Operator::filter("parity", Package::Base, |r| {
-            r.get("id").and_then(Value::as_int).unwrap_or(0) % 2 == 0
-        })
-        .with_reads(&["id"]),
-        3 => Operator::reduce(
-            "group",
-            Package::Base,
-            |r| format!("g{}", r.get("id").and_then(Value::as_int).unwrap_or(0) % 3),
-            |key, group| {
-                let mut out = Record::new();
-                out.set("id", group.len() as i64);
-                out.set("text", format!("{key}:{}", group.len()));
-                vec![out]
-            },
-        ),
-        4 => Operator::map("grow", Package::Base, |mut r| {
-            let t = format!("{}{}", r.text().unwrap_or(""), " lorem ipsum dolor");
-            r.set("text", t);
-            r
-        })
-        .with_reads(&["text"])
-        .with_writes(&["text"]),
-        5 => Operator::map("needs-stamp", Package::Base, |r| r)
-            .with_reads(&["stamp"])
-            .with_writes(&["x"]),
-        _ => Operator::reduce_agg(
-            "tally",
-            Package::Base,
-            |r| format!("g{}", r.get("id").and_then(Value::as_int).unwrap_or(0) % 3),
-            websift_flow::Aggregate::Count { into: "id".into() },
-        ),
-    }
-}
+use common::{assert_surfaces_equal, docs, inputs_for, pool_op, run_surface};
+use proptest::prelude::*;
+use websift_flow::{ExecutionConfig, Executor, FlowResilience, LogicalPlan};
+use websift_observe::Observer;
 
 fn chain_plan(indices: &[usize]) -> LogicalPlan {
-    let mut plan = LogicalPlan::new();
-    let mut prev = plan.source("in");
-    for &i in indices {
-        prev = plan.add(prev, pool_op(i)).expect("chain plan");
-    }
-    plan.sink(prev, "out").expect("chain plan");
-    plan
-}
-
-fn docs(n: usize) -> Vec<Record> {
-    (0..n)
-        .map(|i| {
-            let mut r = Record::new();
-            r.set("id", i as i64);
-            r.set("text", format!("document {i} with a little body text"));
-            r
-        })
-        .collect()
-}
-
-/// Everything deterministic a run exposes, flattened to comparable
-/// bytes/strings. `Err` runs collapse to the error display plus the
-/// WS00x verdict JSON when the analyzer rejected the plan.
-struct RunSurface {
-    sink_bytes: Option<Vec<u8>>,
-    metrics_bytes: Option<Vec<u8>>,
-    simulated_bits: Option<u64>,
-    digest: Option<u64>,
-    jsonl: String,
-    registry: websift_observe::RegistrySnapshot,
-    error: Option<String>,
-}
-
-fn run_surface(plan: &LogicalPlan, input: Vec<Record>, config: ExecutionConfig, res: &FlowResilience) -> RunSurface {
-    let obs = Observer::new();
-    let mut inputs = HashMap::new();
-    inputs.insert("in".to_string(), input);
-    let result = Executor::new(config).run_observed(plan, inputs, res, &obs);
-    let (output, error): (Option<FlowOutput>, Option<String>) = match result {
-        Ok(run) => (run.output, None),
-        Err(ExecutionError::PlanRejected { diagnostics }) => {
-            (None, Some(format!("WS00x: {}", diagnostics_to_json(&diagnostics))))
-        }
-        Err(e) => (None, Some(format!("{e}"))),
-    };
-    let mut surface = RunSurface {
-        sink_bytes: None,
-        metrics_bytes: None,
-        simulated_bits: None,
-        digest: None,
-        jsonl: obs.tracer().to_jsonl(),
-        registry: obs.registry().snapshot(),
-        error,
-    };
-    if let Some(out) = output {
-        let mut w = Writer::new();
-        out.sinks.encode(&mut w);
-        surface.sink_bytes = Some(w.into_bytes());
-        let mut w = Writer::new();
-        out.metrics.encode(&mut w);
-        surface.metrics_bytes = Some(w.into_bytes());
-        surface.simulated_bits = Some(out.metrics.simulated_secs.to_bits());
-        surface.digest = Some(out.deterministic_digest());
-    }
-    surface
+    common::chain_plan(pool_op, indices)
 }
 
 proptest! {
@@ -165,13 +45,7 @@ proptest! {
         let f = run_surface(&plan, docs(n_docs), fused, &res);
         let u = run_surface(&plan, docs(n_docs), unfused, &res);
 
-        prop_assert_eq!(f.error, u.error, "failure surface diverged for {:?}", indices);
-        prop_assert_eq!(f.sink_bytes, u.sink_bytes, "sink bytes diverged for {:?}", indices);
-        prop_assert_eq!(f.metrics_bytes, u.metrics_bytes, "metrics bytes diverged for {:?}", indices);
-        prop_assert_eq!(f.simulated_bits, u.simulated_bits, "simulated clock diverged for {:?}", indices);
-        prop_assert_eq!(f.digest, u.digest, "digest diverged for {:?}", indices);
-        prop_assert_eq!(f.jsonl, u.jsonl, "tracer JSONL diverged for {:?}", indices);
-        prop_assert_eq!(f.registry, u.registry, "registry diverged for {:?}", indices);
+        assert_surfaces_equal(&f, &u, &format!("indices={indices:?} seed={seed} dop={dop}"));
     }
 
     #[test]
@@ -199,28 +73,22 @@ proptest! {
         let killed_res = FlowResilience { stop_after_nodes: Some(stop), ..full_res.clone() };
 
         let exec = Executor::new(ExecutionConfig::local(dop));
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(n_docs));
-        let killed = exec.run_resilient(&plan, inputs, &killed_res).unwrap();
+        let killed = exec.run_resilient(&plan, inputs_for(docs(n_docs)), &killed_res).unwrap();
         prop_assert!(killed.output.is_none(), "stop_after_nodes must interrupt");
         // With checkpoint_every_nodes = 1 a kill strictly inside the plan
         // always has at least one checkpoint behind it.
         let ckpt = killed.checkpoints.last().expect("checkpoint before the kill point");
 
         let resumed_obs = Observer::new();
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(n_docs));
         let resumed = exec
-            .resume_observed(&plan, ckpt, inputs, &full_res, &resumed_obs)
+            .resume_observed(&plan, ckpt, inputs_for(docs(n_docs)), &full_res, &resumed_obs)
             .unwrap()
             .output
             .unwrap();
 
         let full_obs = Observer::new();
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(n_docs));
         let full = exec
-            .run_observed(&plan, inputs, &full_res, &full_obs)
+            .run_observed(&plan, inputs_for(docs(n_docs)), &full_res, &full_obs)
             .unwrap()
             .output
             .unwrap();
@@ -255,9 +123,7 @@ proptest! {
             ExecutionConfig { combining: false, ..ExecutionConfig::local(dop) },
         ] {
             let other = Executor::new(config);
-            let mut inputs = HashMap::new();
-            inputs.insert("in".to_string(), docs(n_docs));
-            let plain = other.run_resilient(&plan, inputs, &full_res).unwrap().output.unwrap();
+            let plain = other.run_resilient(&plan, inputs_for(docs(n_docs)), &full_res).unwrap().output.unwrap();
             prop_assert_eq!(
                 resumed.deterministic_digest(),
                 plain.deterministic_digest(),
@@ -265,6 +131,31 @@ proptest! {
                 indices,
                 stop
             );
+        }
+    }
+}
+
+/// Fan-out plans: the fused chain tees an interior node to a side sink.
+/// Every branch point must agree with the unfused engine on both sinks,
+/// checkpoint frames included.
+#[test]
+fn fan_out_tee_matches_unfused() {
+    for branch_at in 1..=4usize {
+        let plan = common::fan_out_plan(pool_op, branch_at);
+        for dop in [1usize, 4, 8] {
+            for seed in [0u64, 909] {
+                let res = FlowResilience::injected(seed, 0.2, 2);
+                let unfused = run_surface(
+                    &plan,
+                    docs(24),
+                    ExecutionConfig { fusion: false, ..ExecutionConfig::local(dop) },
+                    &res,
+                );
+                assert!(unfused.error.is_none(), "fan-out plan must run: {:?}", unfused.error);
+                let fused = run_surface(&plan, docs(24), ExecutionConfig::local(dop), &res);
+                let ctx = format!("branch_at {branch_at} dop {dop} seed {seed}");
+                assert_surfaces_equal(&fused, &unfused, &ctx);
+            }
         }
     }
 }

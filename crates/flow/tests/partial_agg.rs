@@ -17,44 +17,25 @@
 //!
 //! The mirror image of `tests/fusion.rs`, one config axis over.
 
+mod common;
+
+use common::{assert_surfaces_equal, docs, group_key, inputs_for, run_surface};
 use proptest::prelude::*;
-use std::collections::HashMap;
-use websift_analyze::diagnostics_to_json;
 use websift_flow::{
-    Aggregate, ExecutionConfig, ExecutionError, Executor, FlowOutput, FlowResilience, LogicalPlan,
-    Operator, Package, Record, Value,
+    Aggregate, ExecutionConfig, Executor, FlowResilience, LogicalPlan, Operator, Package, Record,
+    Value,
 };
 use websift_observe::Observer;
-use websift_resilience::{Snapshot, Writer};
 
-/// Pipelineable (Map/FlatMap/Filter) vocabulary — total operators that
-/// never panic, mirroring `tests/fusion.rs`, plus a Float-scoring map so
-/// Min/Max/TopK see NaN and negative-zero payloads.
+/// Pipelineable (Map/FlatMap/Filter) vocabulary — the total operators of
+/// `tests/common`, plus a Float-scoring map so Min/Max/TopK see NaN and
+/// negative-zero payloads.
 fn pipe_op(idx: usize) -> Operator {
     match idx {
-        0 => Operator::map("stamp", Package::Base, |mut r| {
-            let id = r.get("id").and_then(Value::as_int).unwrap_or(0);
-            r.set("stamp", id * 3 + 1);
-            r
-        })
-        .with_reads(&["id"])
-        .with_writes(&["stamp"]),
-        1 => Operator::flat_map("dup", Package::Base, |r| {
-            let mut copy = r.clone();
-            copy.set("half", 1i64);
-            vec![r, copy]
-        }),
-        2 => Operator::filter("parity", Package::Base, |r| {
-            r.get("id").and_then(Value::as_int).unwrap_or(0) % 2 == 0
-        })
-        .with_reads(&["id"]),
-        3 => Operator::map("grow", Package::Base, |mut r| {
-            let t = format!("{}{}", r.text().unwrap_or(""), " lorem ipsum dolor");
-            r.set("text", t);
-            r
-        })
-        .with_reads(&["text"])
-        .with_writes(&["text"]),
+        0 => common::stamp(),
+        1 => common::dup(),
+        2 => common::parity(),
+        3 => common::grow(),
         4 => Operator::map("score", Package::Base, |mut r| {
             let id = r.get("id").and_then(Value::as_int).unwrap_or(0);
             let score = match id % 7 {
@@ -67,15 +48,8 @@ fn pipe_op(idx: usize) -> Operator {
         })
         .with_reads(&["id"])
         .with_writes(&["score"]),
-        _ => Operator::map("needs-stamp", Package::Base, |r| r)
-            .with_reads(&["stamp"])
-            .with_writes(&["x"]),
+        _ => common::needs_stamp(),
     }
-}
-
-/// The key every reduce under test groups by.
-fn group_key(r: &Record) -> String {
-    format!("g{}", r.get("id").and_then(Value::as_int).unwrap_or(0) % 3)
 }
 
 /// Every typed aggregate plus the `Custom` escape hatch (which the
@@ -121,12 +95,7 @@ fn agg_op(idx: usize) -> Operator {
             group_key,
             Aggregate::TopK { field: "score".into(), k: 2, into: "top".into() },
         ),
-        6 => Operator::reduce("group", Package::Base, group_key, |key, group| {
-            let mut out = Record::new();
-            out.set("id", group.len() as i64);
-            out.set("text", format!("{key}:{}", group.len()));
-            vec![out]
-        }),
+        6 => common::group_reduce(),
         // Count+sum pair under an explicit merge contract: state is
         // `Value::Array([count, sum])`, merged pairwise.
         _ => Operator::reduce_custom_combinable(
@@ -183,93 +152,6 @@ fn reduce_plan(pipe: &[usize], agg_idx: usize, tail: &[usize]) -> LogicalPlan {
     plan
 }
 
-fn docs(n: usize) -> Vec<Record> {
-    (0..n)
-        .map(|i| {
-            let mut r = Record::new();
-            r.set("id", i as i64);
-            r.set("text", format!("document {i} with a little body text"));
-            r
-        })
-        .collect()
-}
-
-/// Everything deterministic a run exposes, flattened to comparable
-/// bytes/strings — `tests/fusion.rs`'s surface plus the checkpoint frame
-/// bytes (partial aggregation must not perturb what gets persisted).
-struct RunSurface {
-    sink_bytes: Option<Vec<u8>>,
-    metrics_bytes: Option<Vec<u8>>,
-    simulated_bits: Option<u64>,
-    digest: Option<u64>,
-    jsonl: String,
-    registry: websift_observe::RegistrySnapshot,
-    checkpoints: Vec<(usize, Vec<u8>)>,
-    error: Option<String>,
-}
-
-fn run_surface(
-    plan: &LogicalPlan,
-    input: Vec<Record>,
-    config: ExecutionConfig,
-    res: &FlowResilience,
-) -> RunSurface {
-    let obs = Observer::new();
-    let mut inputs = HashMap::new();
-    inputs.insert("in".to_string(), input);
-    let result = Executor::new(config).run_observed(plan, inputs, res, &obs);
-    let (output, checkpoints, error): (Option<FlowOutput>, _, Option<String>) = match result {
-        Ok(run) => (
-            run.output,
-            run.checkpoints
-                .iter()
-                .map(|c| (c.next_node, c.as_bytes().to_vec()))
-                .collect(),
-            None,
-        ),
-        Err(ExecutionError::PlanRejected { diagnostics }) => {
-            (None, Vec::new(), Some(format!("WS00x: {}", diagnostics_to_json(&diagnostics))))
-        }
-        Err(e) => (None, Vec::new(), Some(format!("{e}"))),
-    };
-    let mut surface = RunSurface {
-        sink_bytes: None,
-        metrics_bytes: None,
-        simulated_bits: None,
-        digest: None,
-        jsonl: obs.tracer().to_jsonl(),
-        registry: obs.registry().snapshot(),
-        checkpoints,
-        error,
-    };
-    if let Some(out) = output {
-        let mut w = Writer::new();
-        out.sinks.encode(&mut w);
-        surface.sink_bytes = Some(w.into_bytes());
-        let mut w = Writer::new();
-        out.metrics.encode(&mut w);
-        surface.metrics_bytes = Some(w.into_bytes());
-        surface.simulated_bits = Some(out.metrics.simulated_secs.to_bits());
-        surface.digest = Some(out.deterministic_digest());
-    }
-    surface
-}
-
-/// Asserts two surfaces are byte-identical; `ctx` labels failures.
-macro_rules! assert_surfaces_equal {
-    ($a:expr, $b:expr, $ctx:expr) => {{
-        let (a, b, ctx) = ($a, $b, $ctx);
-        prop_assert_eq!(a.error, b.error, "failure surface diverged: {}", ctx);
-        prop_assert_eq!(a.sink_bytes, b.sink_bytes, "sink bytes diverged: {}", ctx);
-        prop_assert_eq!(a.metrics_bytes, b.metrics_bytes, "metrics bytes diverged: {}", ctx);
-        prop_assert_eq!(a.simulated_bits, b.simulated_bits, "simulated clock diverged: {}", ctx);
-        prop_assert_eq!(a.digest, b.digest, "digest diverged: {}", ctx);
-        prop_assert_eq!(a.jsonl, b.jsonl, "tracer JSONL diverged: {}", ctx);
-        prop_assert_eq!(a.registry, b.registry, "registry diverged: {}", ctx);
-        prop_assert_eq!(a.checkpoints, b.checkpoints, "checkpoint frames diverged: {}", ctx);
-    }};
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -297,7 +179,7 @@ proptest! {
         let uncombined = ExecutionConfig { combining: false, ..ExecutionConfig::local(dop) };
         let c = run_surface(&plan, docs(n_docs), combined, &res);
         let u = run_surface(&plan, docs(n_docs), uncombined, &res);
-        assert_surfaces_equal!(c, u, format!("fused, {ctx}"));
+        assert_surfaces_equal(&c, &u, &format!("fused, {ctx}"));
 
         // With fusion off a lone combinable Reduce still takes the
         // combined path; that too must be unobservable.
@@ -310,7 +192,7 @@ proptest! {
         };
         let cn = run_surface(&plan, docs(n_docs), combined_nofuse, &res);
         let un = run_surface(&plan, docs(n_docs), uncombined_nofuse, &res);
-        assert_surfaces_equal!(cn, un, format!("unfused, {ctx}"));
+        assert_surfaces_equal(&cn, &un, &format!("unfused, {ctx}"));
     }
 }
 
@@ -330,12 +212,7 @@ fn fault_seed_sweep_holds_identity_at_every_dop() {
                 ExecutionConfig { combining: false, ..ExecutionConfig::local(dop) };
             let c = run_surface(&plan, docs(24), combined, &res);
             let u = run_surface(&plan, docs(24), uncombined, &res);
-            assert_eq!(c.error, u.error, "seed {seed} dop {dop}");
-            assert_eq!(c.sink_bytes, u.sink_bytes, "seed {seed} dop {dop}");
-            assert_eq!(c.metrics_bytes, u.metrics_bytes, "seed {seed} dop {dop}");
-            assert_eq!(c.simulated_bits, u.simulated_bits, "seed {seed} dop {dop}");
-            assert_eq!(c.jsonl, u.jsonl, "seed {seed} dop {dop}");
-            assert_eq!(c.checkpoints, u.checkpoints, "seed {seed} dop {dop}");
+            assert_surfaces_equal(&c, &u, &format!("seed {seed} dop {dop}"));
         }
     }
 }
@@ -361,15 +238,13 @@ fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
             // node range (before the reduce completes).
             let killed_res =
                 FlowResilience { stop_after_nodes: Some(stop), ..full_res.clone() };
-            let mut inputs = HashMap::new();
-            inputs.insert("in".to_string(), docs(18));
+            let inputs = inputs_for(docs(18));
             let killed = exec.run_resilient(&plan, inputs, &killed_res).unwrap();
             assert!(killed.output.is_none(), "stop_after_nodes must interrupt");
             let ckpt = killed.checkpoints.last().expect("checkpoint before the kill");
 
             let resumed_obs = Observer::new();
-            let mut inputs = HashMap::new();
-            inputs.insert("in".to_string(), docs(18));
+            let inputs = inputs_for(docs(18));
             let resumed = exec
                 .resume_observed(&plan, ckpt, inputs, &full_res, &resumed_obs)
                 .unwrap()
@@ -377,8 +252,7 @@ fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
                 .unwrap();
 
             let full_obs = Observer::new();
-            let mut inputs = HashMap::new();
-            inputs.insert("in".to_string(), docs(18));
+            let inputs = inputs_for(docs(18));
             let full = exec
                 .run_observed(&plan, inputs, &full_res, &full_obs)
                 .unwrap()
@@ -407,8 +281,7 @@ fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
                 ExecutionConfig { combining: false, ..ExecutionConfig::local(dop) },
                 ExecutionConfig { fusion: false, combining: false, ..ExecutionConfig::local(dop) },
             ] {
-                let mut inputs = HashMap::new();
-                inputs.insert("in".to_string(), docs(18));
+                let inputs = inputs_for(docs(18));
                 let plain = Executor::new(config)
                     .run_resilient(&plan, inputs, &full_res)
                     .unwrap()
@@ -432,8 +305,7 @@ fn combining_shrinks_shuffle_bytes_without_touching_surfaces() {
     let plan = reduce_plan(&[0, 1], 0, &[]);
     let res = FlowResilience::default();
     let run = |combining: bool| {
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(30));
+        let inputs = inputs_for(docs(30));
         Executor::new(ExecutionConfig { combining, ..ExecutionConfig::local(4) })
             .run_resilient(&plan, inputs, &res)
             .unwrap()
@@ -472,20 +344,14 @@ fn custom_combinable_reduce_combines_and_resumes_bit_exactly() {
                 ExecutionConfig { combining: false, ..ExecutionConfig::local(dop) },
                 &res,
             );
-            assert_eq!(c.error, u.error, "seed {seed} dop {dop}");
-            assert_eq!(c.sink_bytes, u.sink_bytes, "seed {seed} dop {dop}");
-            assert_eq!(c.metrics_bytes, u.metrics_bytes, "seed {seed} dop {dop}");
-            assert_eq!(c.simulated_bits, u.simulated_bits, "seed {seed} dop {dop}");
-            assert_eq!(c.jsonl, u.jsonl, "seed {seed} dop {dop}");
-            assert_eq!(c.checkpoints, u.checkpoints, "seed {seed} dop {dop}");
+            assert_surfaces_equal(&c, &u, &format!("seed {seed} dop {dop}"));
         }
     }
 
     // Fewer bytes cross the shuffle with partial aggregation on.
     let res = FlowResilience::default();
     let run = |combining: bool| {
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(30));
+        let inputs = inputs_for(docs(30));
         Executor::new(ExecutionConfig { combining, ..ExecutionConfig::local(4) })
             .run_resilient(&plan, inputs, &res)
             .unwrap()
@@ -507,19 +373,16 @@ fn custom_combinable_reduce_combines_and_resumes_bit_exactly() {
     let exec = Executor::new(ExecutionConfig::local(4));
     for stop in [2usize, 3] {
         let killed_res = FlowResilience { stop_after_nodes: Some(stop), ..full_res.clone() };
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(18));
+        let inputs = inputs_for(docs(18));
         let killed = exec.run_resilient(&plan, inputs, &killed_res).unwrap();
         assert!(killed.output.is_none(), "stop_after_nodes must interrupt");
         let ckpt = killed.checkpoints.last().expect("checkpoint before the kill");
 
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(18));
+        let inputs = inputs_for(docs(18));
         let resumed =
             exec.resume_from(&plan, ckpt, inputs, &full_res).unwrap().output.unwrap();
 
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(18));
+        let inputs = inputs_for(docs(18));
         let full =
             exec.run_resilient(&plan, inputs, &full_res).unwrap().output.unwrap();
 

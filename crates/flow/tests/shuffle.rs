@@ -20,18 +20,17 @@
 //! 5. records routed to a store sink (`Executor::run_into`) land
 //!    identically, so serve-side snapshots cannot observe sharding.
 //!
-//! The fourth axis of the `tests/fusion.rs` / `tests/partial_agg.rs` /
-//! `tests/batch.rs` equivalence family.
+//! The third axis of the `tests/fusion.rs` / `tests/partial_agg.rs`
+//! equivalence family.
 
+mod common;
+
+use common::{assert_surfaces_equal, docs, inputs_for, run_surface};
 use proptest::prelude::*;
-use std::collections::HashMap;
-use websift_analyze::diagnostics_to_json;
 use websift_flow::{
-    AggSpec, ExecutionConfig, ExecutionError, Executor, FlowOutput, FlowResilience, KeySpec,
-    KillSpec, LogicalPlan, OpSpec, Operator, Package, Record, ShardConfig, SpecOp, StoreSink,
-    Value,
+    AggSpec, ExecutionConfig, ExecutionError, Executor, FlowResilience, KeySpec, KillSpec,
+    LogicalPlan, OpSpec, Operator, Package, Record, ShardConfig, SpecOp, StoreSink,
 };
-use websift_observe::Observer;
 use websift_resilience::{Snapshot, Writer};
 
 /// The path of the real worker-process binary, resolved by Cargo for
@@ -40,14 +39,14 @@ fn worker_bin() -> &'static str {
     env!("CARGO_BIN_EXE_shard_worker")
 }
 
-/// The `tests/batch.rs` operator vocabulary rebuilt from [`OpSpec`]s, so
+/// The `tests/common` operator vocabulary rebuilt from [`OpSpec`]s, so
 /// every operator (closure and annotations alike) can be shipped to a
 /// worker shard byte-identically: stamping maps, a duplicating
 /// flat-map, a parity filter, a byte-growing map, the WS001-tripping
 /// `needs-stamp` op (so rejected plans stay part of the property), and a
 /// combinable Count reduce. Index 3 is the one deliberate exception — a
 /// `Custom`-closure reduce with no spec, which pins its stage to the
-/// in-process path and so proves the silent fallback is also identical.
+/// local runner and so proves the counted fallback is also identical.
 fn pool_op(idx: usize) -> Operator {
     match idx {
         0 => OpSpec::new(
@@ -68,17 +67,7 @@ fn pool_op(idx: usize) -> Operator {
             SpecOp::FilterIntMod { field: "id".into(), modulus: 2, keep: 0 },
         )
         .build(),
-        3 => Operator::reduce(
-            "group",
-            Package::Base,
-            |r| format!("g{}", r.get("id").and_then(Value::as_int).unwrap_or(0) % 3),
-            |key, group| {
-                let mut out = Record::new();
-                out.set("id", group.len() as i64);
-                out.set("text", format!("{key}:{}", group.len()));
-                vec![out]
-            },
-        ),
+        3 => common::group_reduce(),
         4 => OpSpec::new(
             "grow",
             Package::Base,
@@ -104,136 +93,7 @@ fn pool_op(idx: usize) -> Operator {
 }
 
 fn chain_plan(indices: &[usize]) -> LogicalPlan {
-    let mut plan = LogicalPlan::new();
-    let mut prev = plan.source("in");
-    for &i in indices {
-        prev = plan.add(prev, pool_op(i)).expect("chain plan");
-    }
-    plan.sink(prev, "out").expect("chain plan");
-    plan
-}
-
-/// stamp -> dup -> parity -> grow -> sink "out", with a side branch
-/// hanging off the node at `branch_at` (1-based into the chain) feeding
-/// a second sink — the fan-out shape whose interior taps the worker
-/// shards must ship back alongside the main stream.
-fn fan_out_plan(branch_at: usize) -> LogicalPlan {
-    let mut plan = LogicalPlan::new();
-    let mut chain = vec![plan.source("in")];
-    for idx in [0usize, 1, 2, 4] {
-        let prev = *chain.last().expect("non-empty");
-        chain.push(plan.add(prev, pool_op(idx)).expect("fan-out plan"));
-    }
-    plan.sink(*chain.last().expect("non-empty"), "out").expect("fan-out plan");
-    let side = plan.add(chain[branch_at], pool_op(4)).expect("fan-out plan");
-    plan.sink(side, "side").expect("fan-out plan");
-    plan
-}
-
-fn docs(n: usize) -> Vec<Record> {
-    (0..n)
-        .map(|i| {
-            let mut r = Record::new();
-            r.set("id", i as i64);
-            r.set("text", format!("document {i} with a little body text"));
-            r
-        })
-        .collect()
-}
-
-fn inputs_for(input: Vec<Record>) -> HashMap<String, Vec<Record>> {
-    HashMap::from([("in".to_string(), input)])
-}
-
-/// Everything deterministic a run exposes, flattened to comparable
-/// bytes/strings — the `tests/batch.rs` surface. Physical facts
-/// (`PhysicalStats`, wire counters) are deliberately absent: they are
-/// *allowed* to differ across shard counts.
-struct RunSurface {
-    sink_bytes: Option<Vec<u8>>,
-    metrics_bytes: Option<Vec<u8>>,
-    simulated_bits: Option<u64>,
-    digest: Option<u64>,
-    jsonl: String,
-    registry: websift_observe::RegistrySnapshot,
-    checkpoints: Vec<(usize, Vec<u8>)>,
-    error: Option<String>,
-}
-
-fn run_surface(
-    plan: &LogicalPlan,
-    input: Vec<Record>,
-    config: ExecutionConfig,
-    res: &FlowResilience,
-) -> RunSurface {
-    let obs = Observer::new();
-    let result = Executor::new(config).run_observed(plan, inputs_for(input), res, &obs);
-    let (output, checkpoints, error): (Option<FlowOutput>, _, Option<String>) = match result {
-        Ok(run) => (
-            run.output,
-            run.checkpoints
-                .iter()
-                .map(|c| (c.next_node, c.as_bytes().to_vec()))
-                .collect(),
-            None,
-        ),
-        Err(ExecutionError::PlanRejected { diagnostics }) => {
-            (None, Vec::new(), Some(format!("WS00x: {}", diagnostics_to_json(&diagnostics))))
-        }
-        Err(e) => (None, Vec::new(), Some(format!("{e}"))),
-    };
-    let mut surface = RunSurface {
-        sink_bytes: None,
-        metrics_bytes: None,
-        simulated_bits: None,
-        digest: None,
-        jsonl: obs.tracer().to_jsonl(),
-        registry: obs.registry().snapshot(),
-        checkpoints,
-        error,
-    };
-    if let Some(out) = output {
-        let mut w = Writer::new();
-        out.sinks.encode(&mut w);
-        surface.sink_bytes = Some(w.into_bytes());
-        let mut w = Writer::new();
-        out.metrics.encode(&mut w);
-        surface.metrics_bytes = Some(w.into_bytes());
-        surface.simulated_bits = Some(out.metrics.simulated_secs.to_bits());
-        surface.digest = Some(out.deterministic_digest());
-    }
-    surface
-}
-
-/// Asserts two surfaces are byte-identical inside a proptest; `ctx`
-/// labels failures.
-macro_rules! prop_assert_surfaces_equal {
-    ($a:expr, $b:expr, $ctx:expr) => {{
-        let (a, b, ctx) = ($a, $b, $ctx);
-        prop_assert_eq!(a.error, b.error, "failure surface diverged: {}", ctx);
-        prop_assert_eq!(a.sink_bytes, b.sink_bytes, "sink bytes diverged: {}", ctx);
-        prop_assert_eq!(a.metrics_bytes, b.metrics_bytes, "metrics bytes diverged: {}", ctx);
-        prop_assert_eq!(a.simulated_bits, b.simulated_bits, "simulated clock diverged: {}", ctx);
-        prop_assert_eq!(a.digest, b.digest, "digest diverged: {}", ctx);
-        prop_assert_eq!(a.jsonl, b.jsonl, "tracer JSONL diverged: {}", ctx);
-        prop_assert_eq!(a.registry, b.registry, "registry diverged: {}", ctx);
-        prop_assert_eq!(a.checkpoints, b.checkpoints, "checkpoint frames diverged: {}", ctx);
-    }};
-}
-
-/// The pinned-test sibling of [`prop_assert_surfaces_equal`].
-macro_rules! assert_surfaces_equal {
-    ($a:expr, $b:expr, $ctx:expr) => {{
-        let (a, b, ctx) = ($a, $b, $ctx);
-        assert_eq!(a.error, b.error, "failure surface diverged: {ctx}");
-        assert_eq!(a.sink_bytes, b.sink_bytes, "sink bytes diverged: {ctx}");
-        assert_eq!(a.metrics_bytes, b.metrics_bytes, "metrics bytes diverged: {ctx}");
-        assert_eq!(a.simulated_bits, b.simulated_bits, "simulated clock diverged: {ctx}");
-        assert_eq!(a.digest, b.digest, "digest diverged: {ctx}");
-        assert_eq!(a.jsonl, b.jsonl, "tracer JSONL diverged: {ctx}");
-        assert_eq!(a.registry, b.registry, "registry diverged: {ctx}");
-        assert_eq!(a.checkpoints, b.checkpoints, "checkpoint frames diverged: {ctx}");
-    }};
+    common::chain_plan(pool_op, indices)
 }
 
 proptest! {
@@ -273,9 +133,37 @@ proptest! {
                 "indices={indices:?} seed={seed} dop={dop} fusion={fusion} \
                  combining={combining} shards={shards}"
             );
-            prop_assert_surfaces_equal!(&sharded, &baseline, ctx);
+            assert_surfaces_equal(&sharded, &baseline, &ctx);
         }
     }
+}
+
+/// The counted fallback: a spec-less operator (the `Custom`-closure
+/// reduce) pins its own stage on the local runner — visible in physical
+/// stats, invisible on every deterministic surface — while the spec'd
+/// stages around it still ship to the shards.
+#[test]
+fn spec_less_stage_pins_local_and_is_counted() {
+    let plan = chain_plan(&[0, 3, 4]);
+    let res = FlowResilience::injected(5, 0.2, 2);
+    let config = |sharding: Option<ShardConfig>| ExecutionConfig {
+        sharding,
+        ..ExecutionConfig::local(4)
+    };
+    let baseline = run_surface(&plan, docs(24), config(None), &res);
+    let sharded = run_surface(&plan, docs(24), config(Some(ShardConfig::in_process(2))), &res);
+    assert_surfaces_equal(&sharded, &baseline, "pinned stage");
+
+    let physical = |sharding: Option<ShardConfig>| {
+        Executor::new(config(sharding))
+            .run(&plan, inputs_for(docs(24)))
+            .expect("run succeeds")
+            .physical
+    };
+    let sharded = physical(Some(ShardConfig::in_process(2)));
+    assert_eq!(sharded.stages_pinned_local, 1, "only the spec-less reduce is pinned");
+    assert_eq!(sharded.shards_used, 2, "the spec'd stages around it still shipped");
+    assert_eq!(physical(None).stages_pinned_local, 0, "nothing pins when nothing is sharded");
 }
 
 /// The fixed acceptance sweep with *real OS worker processes*: the
@@ -307,7 +195,7 @@ fn real_worker_processes_match_in_process_execution() {
                         "seed {seed} dop {dop} fusion {fusion} combining {combining} \
                          shards {shards} (process)"
                     );
-                    assert_surfaces_equal!(&sharded, &baseline, ctx);
+                    assert_surfaces_equal(&sharded, &baseline, &ctx);
                 }
             }
         }
@@ -422,7 +310,7 @@ fn respawned_worker_completes_the_run_identically() {
         .with_kill(KillSpec { shard: 1, after_frames: 3 })
         .with_respawn(true);
     let sharded = run_surface(&plan, docs(24), config(Some(cfg)), &res);
-    assert_surfaces_equal!(&sharded, &baseline, "respawned run");
+    assert_surfaces_equal(&sharded, &baseline, "respawned run");
 
     let cfg = ShardConfig::in_process(2)
         .with_kill(KillSpec { shard: 1, after_frames: 3 })
@@ -453,7 +341,7 @@ fn over_memory_reduce_spills_to_disk_and_stays_byte_identical() {
         config(Some(ShardConfig::in_process(2).with_spill_threshold(64))),
         &res,
     );
-    assert_surfaces_equal!(&sharded, &baseline, "spilling reduce");
+    assert_surfaces_equal(&sharded, &baseline, "spilling reduce");
 
     let out = Executor::new(config(Some(ShardConfig::in_process(2).with_spill_threshold(64))))
         .run(&plan, inputs_for(docs(80)))
@@ -468,7 +356,7 @@ fn over_memory_reduce_spills_to_disk_and_stays_byte_identical() {
 #[test]
 fn fan_out_tee_is_shard_invariant() {
     for branch_at in 1..=4usize {
-        let plan = fan_out_plan(branch_at);
+        let plan = common::fan_out_plan(pool_op, branch_at);
         for seed in [0u64, 909] {
             let res = FlowResilience::injected(seed, 0.2, 2);
             let baseline =
@@ -485,7 +373,7 @@ fn fan_out_tee_is_shard_invariant() {
                     &res,
                 );
                 let ctx = format!("branch_at {branch_at} seed {seed} shards {shards}");
-                assert_surfaces_equal!(&sharded, &baseline, ctx);
+                assert_surfaces_equal(&sharded, &baseline, &ctx);
             }
         }
     }
