@@ -99,11 +99,12 @@ echo "exp_live smoke: incremental == recompute == resumed digests, delta pass wi
 PROPTEST_CASES=64 cargo test -q -p websift-flow --test shuffle
 echo "shuffle: sharded == in-process equivalence holds ok"
 
-# Sharded scale-out smoke: every shard count (worker threads and real
-# worker processes) must reproduce the unsharded run's deterministic
-# digest (--check exits non-zero on any divergence).
+# Sharded scale-out smoke on the real flows: every shard count (worker
+# threads and real worker processes) must reproduce the unsharded run's
+# deterministic digest with no stage left on the local runner (--check
+# exits non-zero on any divergence or pinned stage).
 cargo run -q --release -p websift-bench --bin exp_shuffle -- --quick --check > /dev/null
-echo "exp_shuffle smoke: digests identical across shard counts ok"
+echo "exp_shuffle smoke: digests identical across shard counts, every stage shipped ok"
 
 # The wall-clock benchmark's own gate: offline build, clippy, unit tests,
 # and a 1/20-size smoke run of every workload with its oracles.

@@ -175,10 +175,10 @@ pub const DETERMINISTIC_OUTPUT_MODULES: &[&str] = &[
 ];
 
 /// Modules that parse untrusted input (scripts, crawled pages, shuffle
-/// frames off the wire): matched by file name, panics on input are
-/// forbidden.
+/// frames and operator wire forms off the wire): matched by file name,
+/// panics on input are forbidden.
 pub const UNTRUSTED_INPUT_FILES: &[&str] =
-    &["parser.rs", "meteor.rs", "html.rs", "query.rs", "transport.rs", "frame.rs"];
+    &["parser.rs", "meteor.rs", "html.rs", "query.rs", "transport.rs", "frame.rs", "wire.rs"];
 
 /// Modules that encode/decode durable frames (checkpoints, snapshots,
 /// watermarks, retained aggregate state). Lossy `as` casts here are

@@ -1,7 +1,8 @@
-//! Scale-out of the sharded physical runtime: records/sec on a
-//! spec-built pipeline at shard counts {1, 2, 4, 8}, in-process thread
-//! workers vs real `shard_worker` OS processes, digest-gated against the
-//! unsharded engine.
+//! Scale-out of the sharded physical runtime: documents/sec on
+//! `linguistic_flow` and `token_frequency_flow` at shard counts
+//! {1, 2, 4, 8}, in-process thread workers vs real `shard_worker` OS
+//! processes, with wire bytes per document and worker start-up alone,
+//! gated against the unsharded engine.
 //!
 //! Flags:
 //! - `--quick` — smaller corpus and a {1, 2} shard sweep (CI smoke);
@@ -9,10 +10,13 @@
 //!   markdown table;
 //! - `--check` — exit non-zero unless every cell's deterministic digest
 //!   equals the unsharded baseline's (the sharding-is-physical-only
-//!   gate);
+//!   gate) and no stage stayed on the local runner (the
+//!   pipeline-ships-whole gate);
 //! - `--docs N` / `--shards A,B,C` — override corpus size / shard sweep
 //!   for targeted probes of a single cell.
-use websift_bench::experiments::shuffle_exps::{shuffle_at, shuffle_json, SHUFFLE_SHARDS};
+use websift_bench::experiments::shuffle_exps::{
+    shuffle_at, shuffle_json, SHUFFLE_DOCS, SHUFFLE_SHARDS,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -26,7 +30,7 @@ fn main() {
     };
     let docs: usize = value_of("--docs")
         .map(|v| v.parse().expect("--docs takes an integer"))
-        .unwrap_or(if quick { 120 } else { 600 });
+        .unwrap_or(if quick { 120 } else { SHUFFLE_DOCS });
     let shards: Vec<usize> = match value_of("--shards") {
         Some(v) => v
             .split(',')
@@ -48,16 +52,22 @@ fn main() {
         if !report.digests_identical {
             eprintln!(
                 "exp_shuffle --check FAILED: a sharded run's deterministic digest diverged \
-                 from the unsharded baseline ({:016x})",
-                report.baseline_digest
+                 from its flow's unsharded baseline"
+            );
+            std::process::exit(1);
+        }
+        if report.stages_pinned_local > 0 {
+            eprintln!(
+                "exp_shuffle --check FAILED: {} stage(s) stayed on the local runner — an \
+                 operator of the measured flows lost its wire form",
+                report.stages_pinned_local
             );
             std::process::exit(1);
         }
         eprintln!(
-            "exp_shuffle check ok: digests identical across shard counts {:?} \
-             (baseline {:016x}); process workers {}",
+            "exp_shuffle check ok: digests identical across shard counts {:?}, no stage \
+             pinned local; process workers {}",
             report.shards,
-            report.baseline_digest,
             if report.worker_bin.is_some() { "measured" } else { "skipped (binary not found)" }
         );
     }

@@ -156,7 +156,8 @@ fn main() {
     }
 
     eprintln!("[22/22] sharded shuffle scale-out (worker threads and processes, digest-gated)");
-    let shuffle = shuffle_exps::shuffle_at(600, &shuffle_exps::SHUFFLE_SHARDS);
+    let shuffle =
+        shuffle_exps::shuffle_at(shuffle_exps::SHUFFLE_DOCS, &shuffle_exps::SHUFFLE_SHARDS);
     out(shuffle.result.clone());
     match std::fs::write("BENCH_SHUFFLE.json", shuffle_exps::shuffle_json(&shuffle) + "\n") {
         Ok(()) => eprintln!(

@@ -13,8 +13,8 @@ use std::collections::HashMap;
 use websift_corpus::Document;
 use websift_flow::packages::{base, dc, ie, wa};
 use websift_flow::{
-    CostModel, ExecutionConfig, ExecutionError, Executor, FlowOutput, IeResources, LogicalPlan,
-    Operator, Package, PlanError, Record, StoreSink, Value,
+    ExecutionConfig, ExecutionError, Executor, FlowOutput, IeResources, LogicalPlan, PlanError,
+    Record, StoreSink,
 };
 use websift_ner::EntityType;
 
@@ -79,40 +79,6 @@ fn try_full_analysis_plan(resources: &IeResources) -> Result<LogicalPlan, PlanEr
     Ok(plan)
 }
 
-/// FlatMap exploding a tokenized document into one record per token,
-/// carrying the lower-cased token text in `token`. Feeds the frequency
-/// reduce of [`token_frequency_flow`].
-fn explode_tokens() -> Operator {
-    Operator::flat_map("core.explode_tokens", Package::Base, |r| {
-        let Some(text) = r.text() else { return Vec::new() };
-        let Some(Value::Array(tokens)) = r.get("tokens") else { return Vec::new() };
-        let mut out = Vec::with_capacity(tokens.len());
-        for tok in tokens {
-            let Some(span) = tok.as_object() else { continue };
-            let (Some(start), Some(end)) = (
-                span.get("start").and_then(Value::as_int),
-                span.get("end").and_then(Value::as_int),
-            ) else {
-                continue;
-            };
-            let (start, end) = (start as usize, end as usize);
-            if end > text.len() || start >= end {
-                continue;
-            }
-            let mut rec = Record::new();
-            rec.set("token", text[start..end].to_lowercase());
-            out.push(rec);
-        }
-        out
-    })
-    .with_reads(&["text", "tokens"])
-    .with_writes(&["token"])
-    .with_cost(CostModel {
-        us_per_char: 0.01,
-        ..CostModel::default()
-    })
-}
-
 /// A Reduce-terminated corpus-frequency flow: shared preprocessing, a
 /// FlatMap exploding each document into one record per token, and the
 /// combinable `base.count_by` Reduce over the token strings.
@@ -128,7 +94,7 @@ pub fn token_frequency_flow(source: &str) -> LogicalPlan {
 fn try_token_frequency_flow(source: &str) -> Result<LogicalPlan, PlanError> {
     let mut plan = LogicalPlan::new();
     let pre = preprocessing(&mut plan, source)?;
-    let toks = plan.add(pre, explode_tokens())?;
+    let toks = plan.add(pre, ie::explode_tokens())?;
     let counts = plan.add(toks, base::count_by("token"))?;
     plan.sink(counts, "token_frequencies")?;
     Ok(plan)
@@ -242,7 +208,7 @@ fn try_live_extraction_flow(
     plan.store_sink(dedup, store, "entities")?;
 
     // Token-frequency branch with a retained terminal reduce.
-    let toks = plan.add(pre, explode_tokens())?;
+    let toks = plan.add(pre, ie::explode_tokens())?;
     let counts = plan.add(toks, base::count_by("token"))?;
     plan.sink(counts, "token_frequencies")?;
     Ok(plan)
@@ -338,6 +304,24 @@ mod tests {
             "full flow has {n} elementary operators"
         );
         plan.validate().unwrap();
+    }
+
+    #[test]
+    fn every_operator_of_every_paper_flow_can_ship_to_a_worker_shard() {
+        let plans = [
+            ("full", full_analysis_plan(resources())),
+            ("linguistic", linguistic_flow("docs")),
+            ("token_frequency", token_frequency_flow("docs")),
+            ("entity", entity_flow_for(resources(), EntityType::Drug, MethodSelection::Both)),
+            ("disease_ml", entity_flow_for(resources(), EntityType::Disease, MethodSelection::MlOnly)),
+            ("entity_store", entity_store_flow(resources(), EntityType::Gene, "kb")),
+            ("live", live_extraction_flow(resources(), EntityType::Gene, "kb")),
+        ];
+        for (flow, plan) in &plans {
+            for op in plan.operators() {
+                assert!(op.wire().is_some(), "{flow}: '{}' has no wire form", op.name);
+            }
+        }
     }
 
     #[test]

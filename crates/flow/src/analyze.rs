@@ -25,6 +25,7 @@
 //! | WS013 | error    | field-type conflict: an operator reads a field under a declared type its producer wrote differently |
 //! | WS014 | error    | fused-stage admission: even the *peak fused stage's* footprint × co-located workers exceeds node RAM |
 //! | WS015 | warning  | redundant operator: an identically-annotated idempotent operator repeats on one path with nothing between touching its fields |
+//! | WS017 | info     | sharded run: a closure-built operator has no wire form, so the stage it is fused into stays on the local runner |
 //!
 //! (*WS002 is a warning without an admission context: a plan may run
 //! locally where the simulated class loader never materializes.
@@ -55,7 +56,7 @@
 use crate::cluster::ClusterSpec;
 use crate::logical::{parse_store_sink, LogicalPlan, NodeId, NodeOp, STORE_SINK_PREFIX};
 use crate::meteor::{self, MeteorError, ScriptInfo};
-use crate::optimizer::REMOVED_IDENTITY;
+use crate::optimizer::{plan_stages, REMOVED_IDENTITY};
 use crate::packages::OperatorRegistry;
 use std::collections::{BTreeMap, BTreeSet};
 use websift_analyze::{sort_diagnostics, Diagnostic};
@@ -177,6 +178,7 @@ pub fn analyze_plan(plan: &LogicalPlan, opts: &AnalyzeOptions) -> Vec<Diagnostic
     check_type_conflicts(plan, opts, &contributing, &mut diags);
     check_fused_admission(plan, opts, &mut diags);
     check_redundant_ops(plan, &contributing, &mut diags);
+    check_shippability(plan, opts, &mut diags);
 
     // A node already reported unreachable gets no further codes: every
     // other finding on it describes code that will never run.
@@ -473,6 +475,43 @@ fn workers_per_node(dop: usize, shards: Option<usize>, cluster: &ClusterSpec) ->
     match shards {
         Some(s) => s.max(1).div_ceil(cluster.nodes.len()).max(1),
         None => dop.div_ceil(cluster.nodes.len()).max(1),
+    }
+}
+
+/// WS017: under sharding, an operator without a wire form — built from
+/// an ad-hoc closure rather than a `packages::*` constructor — cannot be
+/// rebuilt inside a worker shard, so the executor keeps the whole fused
+/// stage it belongs to on the local runner (counted at run time in
+/// `PhysicalStats::stages_pinned_local`). Correct, and usually not what
+/// a sharded run was configured for. Stages are the default
+/// fusion/combining schedule's, named by their operators.
+fn check_shippability(plan: &LogicalPlan, opts: &AnalyzeOptions, out: &mut Vec<Diagnostic>) {
+    if opts.shards.is_none() {
+        return;
+    }
+    let op_at = |id: NodeId| match &plan.nodes()[id].op {
+        NodeOp::Op(op) => Some(op),
+        _ => None,
+    };
+    for stage in plan_stages(plan, true, true) {
+        let members = stage.first..stage.first + stage.len;
+        let names: Vec<&str> = members.clone().filter_map(op_at).map(|op| op.name.as_str()).collect();
+        for id in members {
+            let Some(op) = op_at(id).filter(|op| op.wire().is_none()) else { continue };
+            out.push(
+                Diagnostic::info(
+                    "WS017",
+                    format!(
+                        "operator '{}' is closure-built and has no wire form, so under sharding \
+                         its stage [{}] runs on the local runner instead of the worker shards; \
+                         build it from a packages:: constructor to ship it",
+                        op.name,
+                        names.join(" -> ")
+                    ),
+                )
+                .with_node(id),
+            );
+        }
     }
 }
 

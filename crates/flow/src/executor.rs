@@ -109,7 +109,7 @@ pub struct ExecutionConfig {
     /// boundaries, per-record costs, and merge order are identical, so
     /// every deterministic surface is bit-identical across shard counts
     /// and worker kinds (see the `shuffle` differential suite). A stage
-    /// containing an operator without a serializable spec stays on the
+    /// containing a closure-built operator (no wire form) stays on the
     /// local runner, counted in [`PhysicalStats::stages_pinned_local`].
     pub sharding: Option<ShardConfig>,
 }
@@ -234,6 +234,9 @@ impl Snapshot for FlowMetrics {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecutionError {
     Scheduling(SchedulingError),
+    /// The plan is structurally invalid ([`LogicalPlan::validate`]);
+    /// nothing was scheduled.
+    InvalidPlan(String),
     /// The static analyzer found error-severity diagnostics; the plan was
     /// rejected before any operator ran.
     PlanRejected { diagnostics: Vec<Diagnostic> },
@@ -279,6 +282,7 @@ impl std::fmt::Display for ExecutionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecutionError::Scheduling(e) => write!(f, "scheduling failed: {e}"),
+            ExecutionError::InvalidPlan(why) => write!(f, "invalid plan: {why}"),
             ExecutionError::PlanRejected { diagnostics } => {
                 write!(f, "plan rejected by static analysis:")?;
                 for d in diagnostics {
@@ -345,7 +349,7 @@ pub struct PhysicalStats {
     /// Worker shards respawned after a loss (`respawn_lost`).
     pub shard_respawns: u64,
     /// Stages that ran on the local runner although sharding was
-    /// configured, because a constituent carries no serializable spec.
+    /// configured, because a constituent has no wire form (WS017).
     pub stages_pinned_local: u64,
     /// Sorted disk runs written by over-memory Reduce group tables.
     pub spill_runs: u64,
@@ -567,12 +571,7 @@ impl Executor {
         res: &FlowResilience,
         obs: &Observer,
     ) -> Result<ResilientRun, ExecutionError> {
-        plan.validate().map_err(|e| {
-            ExecutionError::Scheduling(SchedulingError::LibraryConflict {
-                library: format!("invalid plan: {e}"),
-                versions: vec![],
-            })
-        })?;
+        plan.validate().map_err(|e| ExecutionError::InvalidPlan(e.to_string()))?;
         let shards = self.config.sharding.as_ref().map(|s| s.shards);
         if self.config.analyze {
             let mut opts = AnalyzeOptions::default();
@@ -953,10 +952,10 @@ impl Executor {
 
     /// The one place a stage's physical placement is decided, from what
     /// the executor can observe: the sharded runner takes a stage when
-    /// sharding is configured and every operator it would ship carries a
-    /// serializable spec; everything else runs on local threads. A
-    /// spec-less operator under sharding pins its stage locally —
-    /// counted, never silent. Chunk boundaries and merge order are the
+    /// sharding is configured and every operator it would ship has a
+    /// wire form; everything else runs on local threads. A closure-built
+    /// operator under sharding pins its stage locally — counted, never
+    /// silent. Chunk boundaries and merge order are the
     /// same either way, so the choice is invisible to every
     /// deterministic surface.
     fn pick_runner<'r>(
@@ -967,7 +966,7 @@ impl Executor {
         physical: &mut PhysicalStats,
     ) -> &'r mut dyn StageRunner {
         let Some(cfg) = &self.config.sharding else { return local };
-        if shipped.iter().all(|op| op.spec().is_some()) {
+        if shipped.iter().all(|op| op.wire().is_some()) {
             pool.get_or_insert_with(|| ShardPool::new(cfg.clone()))
         } else {
             physical.stages_pinned_local += 1;
@@ -1621,6 +1620,17 @@ mod tests {
             .run(&plan, HashMap::new())
             .unwrap_err();
         assert_eq!(err, ExecutionError::MissingSource("in".to_string()));
+    }
+
+    #[test]
+    fn an_invalid_plan_is_reported_as_such_not_as_a_library_conflict() {
+        let mut plan = LogicalPlan::new();
+        plan.source("in"); // no sink
+        let err = Executor::new(ExecutionConfig::local(2))
+            .run(&plan, HashMap::new())
+            .unwrap_err();
+        assert_eq!(err, ExecutionError::InvalidPlan("plan has no sink".to_string()));
+        assert_eq!(err.to_string(), "invalid plan: plan has no sink");
     }
 
     #[test]

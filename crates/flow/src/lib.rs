@@ -11,14 +11,14 @@
 //!   drives the network war story;
 //! - [`operator`] — UDF operators with semantic (reads/writes) and
 //!   resource (memory/startup/cost) annotations;
-//! - [`packages`] — the BASE / IE / WA / DC operator packages and the
-//!   trained [`packages::IeResources`];
+//! - [`packages`] — the BASE / IE / WA / DC operator packages, the
+//!   trained [`packages::IeResources`], and the wire table that rebuilds
+//!   any packaged operator inside a worker shard;
 //! - [`logical`] / [`optimizer`] — plan DAGs and SOFA-style rewriting;
 //! - [`cluster`] — the simulated 28-node cluster: memory admission,
 //!   library-conflict detection, network capacity model;
 //! - [`executor`] — real multi-threaded execution with a simulated
 //!   paper-scale clock (the engine behind Figs. 4 and 5);
-//! - [`dfs`] — an HDFS-like replicated block store;
 //! - [`meteor`] — the declarative script front end;
 //! - [`analyze`] — static plan verification (use-before-def, library
 //!   conflicts, dead writes, admission pre-flight) run before execution;
@@ -38,7 +38,6 @@
 
 pub mod analyze;
 pub mod cluster;
-pub mod dfs;
 pub mod executor;
 pub mod fieldflow;
 pub mod logical;
@@ -54,7 +53,6 @@ pub mod transport;
 
 pub use analyze::{analyze_plan, analyze_script, AnalyzeOptions};
 pub use cluster::{admit, admit_sharded, ClusterSpec, NodeSpec, Placement, SchedulingError};
-pub use dfs::{Dfs, DfsConfig, DfsError, DfsStats};
 pub use executor::{
     ExecutionConfig, ExecutionError, Executor, FlowMetrics, FlowOutput, OpMetrics, PhysicalStats,
     ResilientRun, StoreSink,
@@ -64,13 +62,12 @@ pub use logical::{parse_store_sink, LogicalPlan, NodeId, NodeOp, PlanError, STOR
 pub use meteor::{compile, compile_traced, MeteorError, ScriptInfo};
 pub use operator::{
     value_cmp, AggState, Aggregate, CostModel, CustomCombine, Kind, OpFunc, Operator, Package,
+    WireForm,
 };
 pub use fieldflow::{canonical_stages, explain_plan, field_flow, EdgeState, FieldFlow};
 pub use optimizer::{fused_stage, optimize, plan_stages, FusedStage, Rewrite, StageDecision};
 pub use packages::{IeConfig, IeResources, OperatorRegistry};
 pub use record::{span_annotation, FieldMap, Record, Value};
 pub use runner::{LocalRunner, StageRunner};
-pub use shuffle::{
-    AggSpec, KeySpec, KillSpec, OpSpec, ShardConfig, SpecOp, StageKernel, WorkerKind,
-};
+pub use shuffle::{KillSpec, ShardConfig, StageKernel, WorkerKind};
 pub use transport::{CreditWindow, FrameChannel, TransportError};

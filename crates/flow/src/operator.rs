@@ -488,6 +488,17 @@ pub enum OpFunc {
     },
 }
 
+/// What crosses a process boundary in place of an operator's closure:
+/// the name of the `packages::*` constructor that built it and that
+/// constructor's encoded arguments. A worker shard rebuilds the operator
+/// by calling the same constructor (see [`crate::packages::wire`]), so
+/// parent and worker run one definition of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireForm {
+    pub factory: &'static str,
+    pub params: Vec<u8>,
+}
+
 /// An operator instance.
 #[derive(Clone)]
 pub struct Operator {
@@ -514,12 +525,7 @@ pub struct Operator {
     pub cost: CostModel,
     /// External library dependency `(name, major version)`.
     pub library: Option<(String, u32)>,
-    /// The serializable recipe this operator was built from, when it
-    /// came from the [`crate::shuffle::OpSpec`] algebra. Stages whose
-    /// operators all carry specs can run on worker shards in separate
-    /// processes; closure-built operators (`spec == None`) pin their
-    /// stage to the in-process path.
-    pub spec: Option<crate::shuffle::OpSpec>,
+    wire: Option<WireForm>,
     func: OpFunc,
 }
 
@@ -553,7 +559,7 @@ impl Operator {
             selectivity: None,
             cost: CostModel::default(),
             library: None,
-            spec: None,
+            wire: None,
             func: OpFunc::Map(Arc::new(f)),
         }
     }
@@ -695,15 +701,26 @@ impl Operator {
         self
     }
 
-    /// Attaches the serializable recipe this operator was built from
-    /// (set by [`crate::shuffle::OpSpec::build`]).
-    pub fn with_spec(mut self, spec: crate::shuffle::OpSpec) -> Operator {
-        self.spec = Some(spec);
+    /// Stamps the wire form: called by the `packages::*` constructor
+    /// that built the closure, naming itself and encoding its own
+    /// arguments, so [`crate::packages::wire`] can call it again in a
+    /// worker process.
+    pub(crate) fn shipped_as(
+        mut self,
+        factory: &'static str,
+        params: impl FnOnce(&mut Writer),
+    ) -> Operator {
+        let mut w = Writer::new();
+        params(&mut w);
+        self.wire = Some(WireForm { factory, params: w.into_bytes() });
         self
     }
 
-    pub fn spec(&self) -> Option<&crate::shuffle::OpSpec> {
-        self.spec.as_ref()
+    /// The wire form, when a `packages::*` constructor built this
+    /// operator. Closure-built operators have none and pin their stage
+    /// to the local runner under sharding.
+    pub fn wire(&self) -> Option<&WireForm> {
+        self.wire.as_ref()
     }
 
     pub fn func(&self) -> &OpFunc {

@@ -3,6 +3,7 @@
 use crate::operator::{Aggregate, CostModel, Operator, Package};
 use crate::packages::OperatorRegistry;
 use crate::record::Record;
+use websift_resilience::Snapshot;
 
 /// Maximum text length admitted by `base.filter_length` (the Fig.-2 flow
 /// "first filter[s] to exclude extremely long documents", and §5 notes the
@@ -20,6 +21,7 @@ pub fn filter_length(max_chars: usize) -> Operator {
         us_per_char: 0.001,
         ..CostModel::default()
     })
+    .shipped_as("base.filter_length", |w| w.usize(max_chars))
 }
 
 /// `base.filter_min_length` — drops records with very little text.
@@ -32,12 +34,13 @@ pub fn filter_min_length(min_chars: usize) -> Operator {
         us_per_char: 0.001,
         ..CostModel::default()
     })
+    .shipped_as("base.filter_min_length", |w| w.usize(min_chars))
 }
 
 /// `base.project` — keeps only the listed fields.
 pub fn project(fields: Vec<String>) -> Operator {
+    let keep = fields.clone();
     Operator::map("base.project", Package::Base, move |mut r| {
-        let keep: Vec<String> = fields.clone();
         let keys: Vec<std::sync::Arc<str>> = r.0.keys().cloned().collect();
         for k in keys {
             if !keep.iter().any(|f| f.as_str() == &*k) {
@@ -46,6 +49,13 @@ pub fn project(fields: Vec<String>) -> Operator {
         }
         r
     })
+    .shipped_as("base.project", |w| fields.encode(w))
+}
+
+/// `base.identity` — passes every record through (a script placeholder
+/// the optimizer splices out).
+pub fn identity() -> Operator {
+    Operator::map("identity", Package::Base, |r| r).shipped_as("base.identity", |_| {})
 }
 
 /// `base.count_by` — reduce counting records per value of `field`. Uses
@@ -64,17 +74,15 @@ pub fn count_by(field: &str) -> Operator {
         },
         Aggregate::Count { into: "count".to_string() },
     );
-    op.reads = vec![field];
-    op
+    op.reads = vec![field.clone()];
+    op.shipped_as("base.count_by", |w| w.str(&field))
 }
 
 /// Registers the BASE operators under their default parameters.
 pub fn register(reg: &mut OperatorRegistry) {
     reg.register("base.filter_length", || filter_length(DEFAULT_MAX_TEXT_CHARS));
     reg.register("base.filter_min_length", || filter_min_length(100));
-    reg.register("base.identity", || {
-        Operator::map("identity", Package::Base, |r| r)
-    });
+    reg.register("base.identity", identity);
     reg.register("base.count_by_corpus", || count_by("corpus"));
 }
 

@@ -80,6 +80,7 @@ pub fn annotate_sentences() -> Operator {
         us_per_char: 0.05,
         ..CostModel::default()
     })
+    .shipped_as("ie.annotate_sentences", |_| {})
 }
 
 /// `ie.annotate_tokens` (OpenNLP-1.5-class tool).
@@ -101,13 +102,17 @@ pub fn annotate_tokens() -> Operator {
         us_per_char: 0.08,
         ..CostModel::default()
     })
+    .shipped_as("ie.annotate_tokens", |_| {})
 }
 
 /// `ie.annotate_pos` — the MedPost-analogue HMM tagger, applied per
 /// sentence. Over-long sentences fail cleanly and are counted in
-/// `pos_errors` (the original tool crashed; the flow must not).
+/// `pos_errors` (the original tool crashed; the flow must not). Ships to
+/// worker shards when `tagger` is the built-in model (at any token
+/// budget); a custom-trained tagger keeps the stage local.
 pub fn annotate_pos(tagger: Arc<PosTagger>) -> Operator {
-    Operator::map("ie.annotate_pos", Package::Ie, move |mut r| {
+    let builtin_budget = tagger.is_pretrained().then(|| tagger.max_tokens());
+    let op = Operator::map("ie.annotate_pos", Package::Ie, move |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
         let mut errors = 0i64;
         let mut annotations: Vec<Value> = Vec::new();
@@ -140,7 +145,11 @@ pub fn annotate_pos(tagger: Arc<PosTagger>) -> Operator {
         memory_bytes: 512 << 20,
         us_per_char: 2.0,
         quadratic_ref: None,
-    })
+    });
+    match builtin_budget {
+        Some(max_tokens) => op.shipped_as("ie.annotate_pos", |w| w.usize(max_tokens)),
+        None => op,
+    }
 }
 
 fn regex_annotator(
@@ -181,6 +190,7 @@ fn regex_annotator(
         us_per_char: 0.3,
         ..CostModel::default()
     })
+    .shipped_as(name, |_| {})
 }
 
 /// `ie.annotate_negation` — finds *not*, *nor*, *neither* (the paper's
@@ -230,7 +240,7 @@ pub fn annotate_entities_dict(resources: &IeResources, entity: EntityType) -> Op
     let tagger = resources.dict[&entity].clone();
     let cost = tagger.cost_model();
     let name = format!("ie.annotate_entities_dict_{}", entity.name());
-    Operator::map(&name, Package::Ie, move |mut r| {
+    let op = Operator::map(&name, Package::Ie, move |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
         let mentions = tagger.tag(&text);
         push_mentions(&mut r, mentions);
@@ -243,7 +253,8 @@ pub fn annotate_entities_dict(resources: &IeResources, entity: EntityType) -> Op
         memory_bytes: cost.memory_bytes,
         us_per_char: cost.us_per_char,
         quadratic_ref: None,
-    })
+    });
+    ship_with_resources(op, "ie.annotate_entities_dict", resources, entity)
 }
 
 /// ML (CRF) entity annotator for one type. The disease tagger "brings its
@@ -274,7 +285,7 @@ pub fn annotate_entities_ml(resources: &IeResources, entity: EntityType) -> Oper
         us_per_char: cost.us_per_char,
         quadratic_ref: if context { Some(500.0) } else { None },
     });
-    match entity {
+    let op = match entity {
         EntityType::Disease => op
             .with_reads(&["text"])
             .with_writes(&["entities"])
@@ -283,7 +294,58 @@ pub fn annotate_entities_ml(resources: &IeResources, entity: EntityType) -> Oper
             .with_reads(&["text", "sentences"])
             .with_writes(&["entities"])
             .with_library("opennlp", 15),
-    }
+    };
+    ship_with_resources(op, "ie.annotate_entities_ml", resources, entity)
+}
+
+/// Wire form of a resource-bound annotator: the resources' recipe, then
+/// the entity class as its position in [`EntityType::all`] (which is its
+/// discriminant).
+fn ship_with_resources(
+    op: Operator,
+    factory: &'static str,
+    resources: &IeResources,
+    entity: EntityType,
+) -> Operator {
+    op.shipped_as(factory, |w| {
+        resources.recipe().encode(w);
+        w.u8(entity as u8);
+    })
+}
+
+/// FlatMap exploding a tokenized document into one record per token,
+/// carrying the lower-cased token text in `token` — the feed of a
+/// `base.count_by("token")` frequency reduce.
+pub fn explode_tokens() -> Operator {
+    Operator::flat_map("core.explode_tokens", Package::Base, |r| {
+        let Some(text) = r.text() else { return Vec::new() };
+        let Some(Value::Array(tokens)) = r.get("tokens") else { return Vec::new() };
+        let mut out = Vec::with_capacity(tokens.len());
+        for tok in tokens {
+            let Some(span) = tok.as_object() else { continue };
+            let (Some(start), Some(end)) = (
+                span.get("start").and_then(Value::as_int),
+                span.get("end").and_then(Value::as_int),
+            ) else {
+                continue;
+            };
+            let (start, end) = (start as usize, end as usize);
+            if end > text.len() || start >= end {
+                continue;
+            }
+            let mut rec = Record::new();
+            rec.set("token", text[start..end].to_lowercase());
+            out.push(rec);
+        }
+        out
+    })
+    .with_reads(&["text", "tokens"])
+    .with_writes(&["token"])
+    .with_cost(CostModel {
+        us_per_char: 0.01,
+        ..CostModel::default()
+    })
+    .shipped_as("ie.explode_tokens", |_| {})
 }
 
 /// Registers IE operators over shared resources.

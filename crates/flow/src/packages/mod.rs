@@ -5,15 +5,20 @@
 //! web analytics (WA), and data cleansing (DC). This module provides the
 //! same organization: each package registers named operator factories into
 //! an [`OperatorRegistry`], which the Meteor front end and the pipeline
-//! builders resolve operators from.
+//! builders resolve operators from. Every constructor also stamps its
+//! operator with a wire form, which [`wire`] turns back into the same
+//! constructor call inside a worker shard.
 
 pub mod base;
 pub mod dc;
 pub mod ie;
 pub mod resources;
+#[doc(hidden)]
+pub mod testkit;
 pub mod wa;
+pub mod wire;
 
-pub use resources::{IeConfig, IeResources};
+pub use resources::{IeConfig, IeResources, Recipe};
 
 use crate::operator::Operator;
 use std::collections::BTreeMap;

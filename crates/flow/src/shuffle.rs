@@ -23,12 +23,15 @@
 //! - the executor's analytic replay charges the simulated cost model
 //!   from the merged observations, whichever runner produced them.
 //!
-//! Operators reach worker processes as [`OpSpec`]s — a closed algebra
-//! of operator recipes — because closures cannot cross `fork`/`exec`.
+//! Closures cannot cross `fork`/`exec`, so operators reach worker
+//! processes as their wire forms — the `packages::*` constructor that
+//! built each one plus its encoded arguments — and the worker rebuilds
+//! them by calling that constructor again ([`crate::packages::wire`]).
 //! [`ShardPool`] is one of the two [`StageRunner`]s; the executor hands
-//! it only stages whose every operator carries a spec and pins the rest
-//! on the local runner (counted in `PhysicalStats::stages_pinned_local`);
-//! nothing deterministic changes either way.
+//! it only stages whose every operator has a wire form and pins the rest
+//! on the local runner (counted in `PhysicalStats::stages_pinned_local`,
+//! flagged ahead of time as WS017); nothing deterministic changes either
+//! way.
 //!
 //! # Worker loss
 //!
@@ -42,12 +45,13 @@
 //! results.
 
 use crate::executor::PhysicalStats;
-use crate::operator::{AggState, Aggregate, CostModel, KeyFn, OpFunc, Operator, Package};
-use crate::record::{Record, Value};
+use crate::operator::{AggState, KeyFn, OpFunc, Operator};
+use crate::packages::wire::{decode_operator, encode_operator, WireError};
+use crate::record::Record;
 use crate::runner::StageRunner;
 use crate::transport::{
-    FrameChannel, TransportError, K_ACK, K_BYE, K_DATA, K_DONE, K_EOF_DATA, K_ERR, K_GROUPS,
-    K_RESULT, K_STAGE,
+    CreditWindow, FrameChannel, TransportError, K_ACK, K_BYE, K_DATA, K_DONE, K_EOF_DATA, K_ERR,
+    K_GROUPS, K_RESULT, K_STAGE,
 };
 use std::cell::Cell;
 // lint:allow(hash_iteration): index maps only; every iteration order below comes from side vectors or sorts
@@ -64,391 +68,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use websift_resilience::frame::{read_frame, write_frame};
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
-
-// ---------------------------------------------------------------------------
-// Spec algebra: operators that can cross a process boundary
-// ---------------------------------------------------------------------------
-
-/// A grouping key recipe for spec-built Reduces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KeySpec {
-    /// The string form of `field`'s value (`Str` as-is, `Int` printed,
-    /// anything else the empty key).
-    Field(String),
-    /// `"{prefix}{value(field) mod modulus}"` over the Euclidean
-    /// remainder, the workhorse of the differential test vocabulary.
-    IntMod { field: String, modulus: i64, prefix: String },
-}
-
-impl KeySpec {
-    /// The field this key reads (for operator annotations).
-    pub fn field(&self) -> &str {
-        match self {
-            KeySpec::Field(f) => f,
-            KeySpec::IntMod { field, .. } => field,
-        }
-    }
-
-    /// Materializes the key closure. Workers and parents built from the
-    /// same spec get the same function, which is what keeps sharded
-    /// grouping identical to in-process grouping.
-    pub fn key_fn(&self) -> KeyFn {
-        match self.clone() {
-            KeySpec::Field(field) => Arc::new(move |r: &Record| match r.get(&field) {
-                Some(v) => v
-                    .as_str()
-                    .map(str::to_string)
-                    .or_else(|| v.as_int().map(|i| i.to_string()))
-                    .unwrap_or_default(),
-                None => String::new(),
-            }),
-            KeySpec::IntMod { field, modulus, prefix } => {
-                let m = modulus.max(1);
-                Arc::new(move |r: &Record| {
-                    let v = r.get(&field).and_then(Value::as_int).unwrap_or(0);
-                    format!("{prefix}{}", v.rem_euclid(m))
-                })
-            }
-        }
-    }
-}
-
-impl Snapshot for KeySpec {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            KeySpec::Field(f) => {
-                w.u8(0);
-                w.str(f);
-            }
-            KeySpec::IntMod { field, modulus, prefix } => {
-                w.u8(1);
-                w.str(field);
-                w.i64(*modulus);
-                w.str(prefix);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<KeySpec, CodecError> {
-        match r.u8()? {
-            0 => Ok(KeySpec::Field(r.str()?)),
-            1 => Ok(KeySpec::IntMod { field: r.str()?, modulus: r.i64()?, prefix: r.str()? }),
-            tag => Err(CodecError::BadTag { what: "key spec", tag }),
-        }
-    }
-}
-
-/// A combinable aggregate recipe, mirroring the built-in
-/// [`Aggregate`] variants (`Custom` closures cannot cross processes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AggSpec {
-    Count { into: String },
-    Sum { field: String, into: String },
-    Min { field: String, into: String },
-    Max { field: String, into: String },
-    Concat { field: String, sep: String, into: String },
-    TopK { field: String, k: usize, into: String },
-}
-
-impl AggSpec {
-    pub fn to_aggregate(&self) -> Aggregate {
-        match self.clone() {
-            AggSpec::Count { into } => Aggregate::Count { into },
-            AggSpec::Sum { field, into } => Aggregate::Sum { field, into },
-            AggSpec::Min { field, into } => Aggregate::Min { field, into },
-            AggSpec::Max { field, into } => Aggregate::Max { field, into },
-            AggSpec::Concat { field, sep, into } => Aggregate::Concat { field, sep, into },
-            AggSpec::TopK { field, k, into } => Aggregate::TopK { field, k, into },
-        }
-    }
-
-    fn field_read(&self) -> Option<&str> {
-        match self {
-            AggSpec::Count { .. } => None,
-            AggSpec::Sum { field, .. }
-            | AggSpec::Min { field, .. }
-            | AggSpec::Max { field, .. }
-            | AggSpec::Concat { field, .. }
-            | AggSpec::TopK { field, .. } => Some(field),
-        }
-    }
-
-    fn output_field(&self) -> &str {
-        match self {
-            AggSpec::Count { into }
-            | AggSpec::Sum { into, .. }
-            | AggSpec::Min { into, .. }
-            | AggSpec::Max { into, .. }
-            | AggSpec::Concat { into, .. }
-            | AggSpec::TopK { into, .. } => into,
-        }
-    }
-}
-
-impl Snapshot for AggSpec {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AggSpec::Count { into } => {
-                w.u8(0);
-                w.str(into);
-            }
-            AggSpec::Sum { field, into } => {
-                w.u8(1);
-                w.str(field);
-                w.str(into);
-            }
-            AggSpec::Min { field, into } => {
-                w.u8(2);
-                w.str(field);
-                w.str(into);
-            }
-            AggSpec::Max { field, into } => {
-                w.u8(3);
-                w.str(field);
-                w.str(into);
-            }
-            AggSpec::Concat { field, sep, into } => {
-                w.u8(4);
-                w.str(field);
-                w.str(sep);
-                w.str(into);
-            }
-            AggSpec::TopK { field, k, into } => {
-                w.u8(5);
-                w.str(field);
-                w.usize(*k);
-                w.str(into);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<AggSpec, CodecError> {
-        match r.u8()? {
-            0 => Ok(AggSpec::Count { into: r.str()? }),
-            1 => Ok(AggSpec::Sum { field: r.str()?, into: r.str()? }),
-            2 => Ok(AggSpec::Min { field: r.str()?, into: r.str()? }),
-            3 => Ok(AggSpec::Max { field: r.str()?, into: r.str()? }),
-            4 => Ok(AggSpec::Concat { field: r.str()?, sep: r.str()?, into: r.str()? }),
-            5 => Ok(AggSpec::TopK { field: r.str()?, k: r.usize()?, into: r.str()? }),
-            tag => Err(CodecError::BadTag { what: "aggregate spec", tag }),
-        }
-    }
-}
-
-/// The operator recipe algebra. Small by design: just enough shapes to
-/// exercise Map/FlatMap/Filter/Reduce chains with data-dependent costs,
-/// field reads/writes, and fan-out in the differential suites, while
-/// staying serializable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecOp {
-    /// `record[field] = record[from] * mul + add` (wrapping arithmetic,
-    /// missing/non-int `from` reads as 0).
-    MapStamp { field: String, from: String, mul: i64, add: i64 },
-    /// Uppercases the `text` field.
-    MapUpper,
-    /// Appends `suffix` to the `text` field (grows per-record cost).
-    MapGrow { suffix: String },
-    /// Emits `copies` clones, stamping the copy index under `tag`.
-    FlatMapDup { copies: usize, tag: String },
-    /// Keeps records where `record[field] mod modulus == keep`.
-    FilterIntMod { field: String, modulus: i64, keep: i64 },
-    /// A combinable Reduce.
-    Reduce { key: KeySpec, agg: AggSpec },
-}
-
-impl Snapshot for SpecOp {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SpecOp::MapStamp { field, from, mul, add } => {
-                w.u8(0);
-                w.str(field);
-                w.str(from);
-                w.i64(*mul);
-                w.i64(*add);
-            }
-            SpecOp::MapUpper => w.u8(1),
-            SpecOp::MapGrow { suffix } => {
-                w.u8(2);
-                w.str(suffix);
-            }
-            SpecOp::FlatMapDup { copies, tag } => {
-                w.u8(3);
-                w.usize(*copies);
-                w.str(tag);
-            }
-            SpecOp::FilterIntMod { field, modulus, keep } => {
-                w.u8(4);
-                w.str(field);
-                w.i64(*modulus);
-                w.i64(*keep);
-            }
-            SpecOp::Reduce { key, agg } => {
-                w.u8(5);
-                key.encode(w);
-                agg.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<SpecOp, CodecError> {
-        match r.u8()? {
-            0 => Ok(SpecOp::MapStamp {
-                field: r.str()?,
-                from: r.str()?,
-                mul: r.i64()?,
-                add: r.i64()?,
-            }),
-            1 => Ok(SpecOp::MapUpper),
-            2 => Ok(SpecOp::MapGrow { suffix: r.str()? }),
-            3 => Ok(SpecOp::FlatMapDup { copies: r.usize()?, tag: r.str()? }),
-            4 => Ok(SpecOp::FilterIntMod {
-                field: r.str()?,
-                modulus: r.i64()?,
-                keep: r.i64()?,
-            }),
-            5 => Ok(SpecOp::Reduce {
-                key: KeySpec::decode(r)?,
-                agg: AggSpec::decode(r)?,
-            }),
-            tag => Err(CodecError::BadTag { what: "spec op", tag }),
-        }
-    }
-}
-
-fn package_tag(p: Package) -> u8 {
-    match p {
-        Package::Base => 0,
-        Package::Ie => 1,
-        Package::Wa => 2,
-        Package::Dc => 3,
-    }
-}
-
-fn package_from_tag(tag: u8) -> Result<Package, CodecError> {
-    match tag {
-        0 => Ok(Package::Base),
-        1 => Ok(Package::Ie),
-        2 => Ok(Package::Wa),
-        3 => Ok(Package::Dc),
-        tag => Err(CodecError::BadTag { what: "operator package", tag }),
-    }
-}
-
-/// A serializable operator: everything a worker shard needs to rebuild
-/// the [`Operator`] — recipe, name, package, cost model. `build()` also
-/// attaches the analyzer annotations (reads/writes) each recipe
-/// implies, so spec-built plans exercise the static analyzer the same
-/// way hand-built ones do.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpSpec {
-    pub name: String,
-    pub package: Package,
-    pub op: SpecOp,
-    pub cost: CostModel,
-}
-
-impl OpSpec {
-    pub fn new(name: &str, package: Package, op: SpecOp) -> OpSpec {
-        OpSpec { name: name.to_string(), package, op, cost: CostModel::default() }
-    }
-
-    pub fn with_cost(mut self, cost: CostModel) -> OpSpec {
-        self.cost = cost;
-        self
-    }
-
-    /// Rebuilds the operator this spec describes. Parent and worker call
-    /// this on byte-identical specs, so both sides run the same
-    /// closures over the same cost model.
-    pub fn build(&self) -> Operator {
-        let op = match self.op.clone() {
-            SpecOp::MapStamp { field, from, mul, add } => {
-                let (reads, writes) = (from.clone(), field.clone());
-                Operator::map(&self.name, self.package, move |mut r| {
-                    let v = r.get(&from).and_then(Value::as_int).unwrap_or(0);
-                    r.set(&field, v.wrapping_mul(mul).wrapping_add(add));
-                    r
-                })
-                .with_reads(&[&reads])
-                .with_writes(&[&writes])
-            }
-            SpecOp::MapUpper => Operator::map(&self.name, self.package, |mut r| {
-                let t = r.text().map(str::to_uppercase).unwrap_or_default();
-                r.set("text", t);
-                r
-            })
-            .with_reads(&["text"])
-            .with_writes(&["text"]),
-            SpecOp::MapGrow { suffix } => Operator::map(&self.name, self.package, move |mut r| {
-                let t = format!("{}{}", r.text().unwrap_or(""), suffix);
-                r.set("text", t);
-                r
-            })
-            .with_reads(&["text"])
-            .with_writes(&["text"]),
-            SpecOp::FlatMapDup { copies, tag } => {
-                let writes = tag.clone();
-                Operator::flat_map(&self.name, self.package, move |r| {
-                    (0..copies)
-                        .map(|c| {
-                            let mut dup = r.clone();
-                            dup.set(&tag, c as i64);
-                            dup
-                        })
-                        .collect()
-                })
-                .with_writes(&[&writes])
-            }
-            SpecOp::FilterIntMod { field, modulus, keep } => {
-                let reads = field.clone();
-                let m = modulus.max(1);
-                Operator::filter(&self.name, self.package, move |r| {
-                    r.get(&field).and_then(Value::as_int).unwrap_or(0).rem_euclid(m) == keep
-                })
-                .with_reads(&[&reads])
-            }
-            SpecOp::Reduce { key, agg } => {
-                let key_fn = key.key_fn();
-                let mut reads: Vec<&str> = vec![key.field()];
-                if let Some(f) = agg.field_read() {
-                    if f != key.field() {
-                        reads.push(f);
-                    }
-                }
-                Operator::reduce_agg(&self.name, self.package, move |r| key_fn(r), agg.to_aggregate())
-                    .with_reads(&reads)
-                    .with_writes(&[agg.output_field()])
-            }
-        };
-        op.with_cost(self.cost).with_spec(self.clone())
-    }
-}
-
-impl Snapshot for OpSpec {
-    fn encode(&self, w: &mut Writer) {
-        w.str(&self.name);
-        w.u8(package_tag(self.package));
-        self.op.encode(w);
-        w.f64(self.cost.startup_secs);
-        w.u64(self.cost.memory_bytes);
-        w.f64(self.cost.us_per_char);
-        self.cost.quadratic_ref.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<OpSpec, CodecError> {
-        Ok(OpSpec {
-            name: r.str()?,
-            package: package_from_tag(r.u8()?)?,
-            op: SpecOp::decode(r)?,
-            cost: CostModel {
-                startup_secs: r.f64()?,
-                memory_bytes: r.u64()?,
-                us_per_char: r.f64()?,
-                quadratic_ref: Snapshot::decode(r)?,
-            },
-        })
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Shard configuration
@@ -484,9 +103,6 @@ pub struct ShardConfig {
     /// numbers.
     pub shards: usize,
     pub worker: WorkerKind,
-    /// Per-edge credit window: at most this many unanswered data frames
-    /// outstanding toward one shard.
-    pub window: usize,
     /// Reduce workers spill their group table to sorted disk runs when
     /// its approximate footprint exceeds this.
     pub spill_threshold_bytes: usize,
@@ -502,7 +118,6 @@ impl ShardConfig {
         ShardConfig {
             shards: shards.max(1),
             worker: WorkerKind::InProcess,
-            window: 4,
             spill_threshold_bytes: 8 << 20,
             respawn_lost: false,
             kill: None,
@@ -511,11 +126,6 @@ impl ShardConfig {
 
     pub fn process(shards: usize, cmd: impl Into<PathBuf>) -> ShardConfig {
         ShardConfig { worker: WorkerKind::Process { cmd: cmd.into() }, ..ShardConfig::in_process(shards) }
-    }
-
-    pub fn with_window(mut self, window: usize) -> ShardConfig {
-        self.window = window.max(1);
-        self
     }
 
     pub fn with_spill_threshold(mut self, bytes: usize) -> ShardConfig {
@@ -751,49 +361,102 @@ impl StageKernel<'_> {
 // Wire tasks
 // ---------------------------------------------------------------------------
 
-/// The stage setup shipped to a worker in a `K_STAGE` frame.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(clippy::large_enum_variant)] // one StageTask per run; size is irrelevant
+/// The stage setup shipped to a worker in a `K_STAGE` frame. Operators
+/// travel as their wire forms; decoding a task rebuilds them through
+/// [`decode_operator`], so both sides of the frame hold real operators.
+#[derive(Debug, Clone)]
 pub enum StageTask {
     /// A fused Map/FlatMap/Filter chain, optionally folding a trailing
     /// combinable Reduce; one `K_RESULT` per `K_DATA` chunk.
-    Pipeline { ops: Vec<OpSpec>, fold: Option<OpSpec>, tapped: Vec<usize>, work_scale: f64 },
+    Pipeline { ops: Vec<Operator>, fold: Option<Operator>, tapped: Vec<usize>, work_scale: f64 },
     /// The uncombined-Reduce shuffle target: group arriving records by
-    /// key (arrival order preserved per key, spilling over-memory
-    /// tables to sorted disk runs), then stream sorted groups back
-    /// after `K_EOF_DATA`.
-    GroupBy { key: KeySpec, spill_threshold: usize },
+    /// `reduce`'s key (arrival order preserved per key, spilling
+    /// over-memory tables to sorted disk runs), then stream sorted
+    /// groups back after `K_EOF_DATA`.
+    GroupBy { reduce: Operator, spill_threshold: usize },
 }
 
-impl Snapshot for StageTask {
-    fn encode(&self, w: &mut Writer) {
+impl StageTask {
+    /// The `K_STAGE` payload, or the first operator that cannot ship.
+    pub fn encode(&self) -> Result<Vec<u8>, ShardRunError> {
+        let mut w = Writer::new();
+        let put = |op: &Operator, w: &mut Writer| match encode_operator(op, w) {
+            true => Ok(()),
+            false => Err(unshippable(op)),
+        };
         match self {
             StageTask::Pipeline { ops, fold, tapped, work_scale } => {
                 w.u8(0);
-                ops.encode(w);
-                fold.encode(w);
-                tapped.encode(w);
+                w.usize(ops.len());
+                for op in ops {
+                    put(op, &mut w)?;
+                }
+                w.bool(fold.is_some());
+                if let Some(fold) = fold {
+                    put(fold, &mut w)?;
+                }
+                tapped.encode(&mut w);
                 w.f64(*work_scale);
             }
-            StageTask::GroupBy { key, spill_threshold } => {
+            StageTask::GroupBy { reduce, spill_threshold } => {
                 w.u8(1);
-                key.encode(w);
+                put(reduce, &mut w)?;
                 w.usize(*spill_threshold);
             }
         }
+        Ok(w.into_bytes())
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<StageTask, CodecError> {
-        match r.u8()? {
-            0 => Ok(StageTask::Pipeline {
-                ops: Snapshot::decode(r)?,
-                fold: Snapshot::decode(r)?,
-                tapped: Snapshot::decode(r)?,
-                work_scale: r.f64()?,
-            }),
-            1 => Ok(StageTask::GroupBy { key: KeySpec::decode(r)?, spill_threshold: r.usize()? }),
-            tag => Err(CodecError::BadTag { what: "stage task", tag }),
+    /// Rebuilds a task from untrusted bytes. Beyond the codec, each
+    /// operator must fit the role the task gives it — the kernel's
+    /// `unreachable!` arms are not for a peer to reach.
+    pub fn decode(payload: &[u8]) -> Result<StageTask, WireError> {
+        let mut r = Reader::new(payload);
+        let in_role = |op: Operator, role: &'static str, fits: bool| {
+            if fits {
+                Ok(op)
+            } else {
+                Err(WireError::Misplaced { operator: op.name, role })
+            }
+        };
+        let task = match r.u8()? {
+            0 => {
+                let n = r.usize()?;
+                let mut ops = Vec::with_capacity(n.min(r.remaining()));
+                for _ in 0..n {
+                    let op = decode_operator(&mut r)?;
+                    let fits = op.is_pipelineable();
+                    ops.push(in_role(op, "a chain constituent", fits)?);
+                }
+                let fold = if r.bool()? {
+                    let op = decode_operator(&mut r)?;
+                    let fits = op.combinable_reduce();
+                    Some(in_role(op, "a combinable fold", fits)?)
+                } else {
+                    None
+                };
+                StageTask::Pipeline {
+                    ops,
+                    fold,
+                    tapped: Snapshot::decode(&mut r)?,
+                    work_scale: r.f64()?,
+                }
+            }
+            1 => {
+                let op = decode_operator(&mut r)?;
+                let fits = matches!(op.func(), OpFunc::Reduce { .. });
+                StageTask::GroupBy {
+                    reduce: in_role(op, "a grouping reduce", fits)?,
+                    spill_threshold: r.usize()?,
+                }
+            }
+            tag => return Err(CodecError::BadTag { what: "stage task", tag }.into()),
+        };
+        if !r.is_empty() {
+            let value = u64::try_from(r.remaining()).unwrap_or(u64::MAX);
+            return Err(CodecError::Oversize { what: "trailing stage task bytes", value }.into());
         }
+        Ok(task)
     }
 }
 
@@ -811,7 +474,7 @@ fn decode_chunk_payload(payload: &[u8]) -> Result<(usize, Vec<Record>), CodecErr
     let mut r = Reader::new(payload);
     let chunk_idx = r.usize()?;
     let n = r.usize()?;
-    let mut records = Vec::with_capacity(n.min(1 << 20));
+    let mut records = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         records.push(Record::decode(&mut r)?);
     }
@@ -921,9 +584,8 @@ impl GroupTable {
         mem.sort_by(|a, b| a.0.cmp(&b.0));
         // Merge cursors: spill runs in spill order (earliest arrivals
         // first), the in-memory remainder last (latest arrivals).
-        let runs = std::mem::take(&mut self.runs);
-        let mut cursors: Vec<Cursor> = Vec::with_capacity(runs.len() + 1);
-        for path in &runs {
+        let mut cursors: Vec<Cursor> = Vec::with_capacity(self.runs.len() + 1);
+        for path in &self.runs {
             let file = File::open(path)?;
             cursors.push(Cursor { head: None, rest: CursorRest::Run(BufReader::new(file)) });
         }
@@ -963,14 +625,27 @@ impl GroupTable {
             chan.send(K_GROUPS, &w.into_bytes())?;
         }
         let mut w = Writer::new();
-        w.u64(runs.len() as u64);
+        w.u64(self.runs.len() as u64);
         w.u64(self.spill_bytes);
         chan.send(K_DONE, &w.into_bytes())?;
-        for path in runs {
-            let _ = std::fs::remove_file(path);
-        }
+        self.remove_runs();
         self.spill_bytes = 0;
         Ok(())
+    }
+
+    fn remove_runs(&mut self) {
+        for path in self.runs.drain(..) {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// Spill runs are scratch files: whatever ends a table — a finished
+/// emit, a merge that failed half-way, a new STAGE replacing a half-fed
+/// table, a shard torn down mid-stage — takes them with it.
+impl Drop for GroupTable {
+    fn drop(&mut self) {
+        self.remove_runs();
     }
 }
 
@@ -992,7 +667,7 @@ impl Cursor {
                     let mut r = Reader::new(&payload);
                     let key = r.str().map_err(TransportError::Codec)?;
                     let n = r.usize().map_err(TransportError::Codec)?;
-                    let mut rs = Vec::with_capacity(n.min(1 << 20));
+                    let mut rs = Vec::with_capacity(n.min(r.remaining()));
                     for _ in 0..n {
                         rs.push(Record::decode(&mut r).map_err(TransportError::Codec)?);
                     }
@@ -1010,14 +685,23 @@ impl Cursor {
 enum WorkerMode {
     Pipeline { ops: Vec<Operator>, fold_op: Option<Operator>, tapped: Vec<usize>, work_scale: f64 },
     GroupBy(GroupTable),
+    /// The last STAGE frame could not be honoured; every DATA frame is
+    /// answered with the reason until a good STAGE arrives.
+    Rejected(String),
 }
+
+/// `K_ERR` payload tags: a UDF panic `(stage, chunk, message)`, or the
+/// reason a STAGE frame was rejected.
+const ERR_PANICKED: u8 = 0;
+const ERR_REJECTED: u8 = 1;
 
 /// The worker shard's serve loop: speaks the frame protocol over any
 /// byte channel until `K_BYE` or a clean end-of-stream. Run by the
 /// `shard_worker` binary over stdio, and by in-process shard threads
-/// over a unix socket pair. A UDF panic inside a chunk is caught and
-/// reported as a `K_ERR` frame; channel/codec trouble ends the loop
-/// with a typed error.
+/// over a unix socket pair. A UDF panic inside a chunk, and a STAGE
+/// frame this worker cannot rebuild (unknown factory, corrupt
+/// parameters), are reported as `K_ERR` frames and the loop lives on;
+/// channel trouble and corrupt DATA end it with a typed error.
 pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), TransportError> {
     let mut chan = FrameChannel::new(reader, writer);
     let mut mode: Option<WorkerMode> = None;
@@ -1028,25 +712,17 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
         match kind {
             K_BYE => return Ok(()),
             K_STAGE => {
-                let mut r = Reader::new(&payload);
-                let task = StageTask::decode(&mut r).map_err(TransportError::Codec)?;
-                mode = Some(match task {
-                    StageTask::Pipeline { ops, fold, tapped, work_scale } => {
-                        let built: Vec<Operator> = ops.iter().map(OpSpec::build).collect();
-                        let fold_op = fold.as_ref().map(OpSpec::build);
-                        if let Some(f) = &fold_op {
-                            if !matches!(f.func(), OpFunc::Reduce { .. }) {
-                                return Err(TransportError::Protocol {
-                                    expected: "a reduce fold spec",
-                                    got: K_STAGE,
-                                });
-                            }
-                        }
-                        WorkerMode::Pipeline { ops: built, fold_op, tapped, work_scale }
+                mode = Some(match StageTask::decode(&payload) {
+                    Ok(StageTask::Pipeline { ops, fold, tapped, work_scale }) => {
+                        WorkerMode::Pipeline { ops, fold_op: fold, tapped, work_scale }
                     }
-                    StageTask::GroupBy { key, spill_threshold } => {
-                        WorkerMode::GroupBy(GroupTable::new(key.key_fn(), spill_threshold))
+                    Ok(StageTask::GroupBy { reduce, spill_threshold }) => {
+                        let OpFunc::Reduce { key, .. } = reduce.func() else {
+                            unreachable!("StageTask::decode admits only reduces here")
+                        };
+                        WorkerMode::GroupBy(GroupTable::new(key.clone(), spill_threshold))
                     }
+                    Err(why) => WorkerMode::Rejected(why.to_string()),
                 });
             }
             K_DATA => {
@@ -1079,6 +755,7 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                                     .or_else(|| panic.downcast_ref::<String>().cloned())
                                     .unwrap_or_else(|| "worker UDF panicked".to_string());
                                 let mut w = Writer::new();
+                                w.u8(ERR_PANICKED);
                                 w.usize(stage_at.get());
                                 w.usize(chunk_idx);
                                 w.str(&msg);
@@ -1091,6 +768,12 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                         let mut w = Writer::new();
                         w.usize(chunk_idx);
                         chan.send(K_ACK, &w.into_bytes())?;
+                    }
+                    Some(WorkerMode::Rejected(why)) => {
+                        let mut w = Writer::new();
+                        w.u8(ERR_REJECTED);
+                        w.str(why);
+                        chan.send(K_ERR, &w.into_bytes())?;
                     }
                     None => {
                         return Err(TransportError::Protocol {
@@ -1108,7 +791,7 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                     }
                     // pipeline stages need no end-of-input marker; the
                     // next STAGE frame resets the mode
-                    Some(WorkerMode::Pipeline { .. }) | None => {}
+                    Some(WorkerMode::Pipeline { .. } | WorkerMode::Rejected(_)) | None => {}
                 }
                 chan.flush()?;
             }
@@ -1279,10 +962,6 @@ impl ShardPool {
         }
     }
 
-    pub fn config(&self) -> &ShardConfig {
-        &self.cfg
-    }
-
     pub fn shards(&self) -> usize {
         self.handles.len()
     }
@@ -1363,7 +1042,6 @@ enum Replies {
 struct Conversation<'a> {
     task_bytes: &'a [u8],
     replies: Replies,
-    window: usize,
     kill_fired: &'a AtomicBool,
 }
 
@@ -1411,13 +1089,19 @@ fn converse(
         Ok(())
     };
     handle.send_now(K_STAGE, conv.task_bytes).map_err(lost)?;
-    let mut win = crate::transport::CreditWindow::new(conv.window);
+    let mut win = CreditWindow::new();
     let mut cursor = 0usize;
+    // the next chunk's payload, encoded but still waiting for credit
+    let mut next: Option<Vec<u8>> = None;
     loop {
-        while win.has_credit() && cursor < work.len() {
-            let (idx, records) = &work[cursor];
-            handle.send_now(K_DATA, &encode_chunk_payload(*idx, records)).map_err(lost)?;
-            win.on_sent();
+        while let Some((idx, records)) = work.get(cursor) {
+            let payload = next.take().unwrap_or_else(|| encode_chunk_payload(*idx, records));
+            if !win.has_credit(payload.len()) {
+                next = Some(payload);
+                break;
+            }
+            handle.send_now(K_DATA, &payload).map_err(lost)?;
+            win.on_sent(payload.len());
             cursor += 1;
             kill_check(handle)?;
         }
@@ -1433,9 +1117,16 @@ fn converse(
             ((K_ACK, _), Replies::Groups) => {}
             ((K_ERR, payload), _) => {
                 let mut r = Reader::new(&payload);
-                return Err(match (r.usize(), r.usize()) {
-                    (Ok(stage), Ok(chunk)) => ShardRunError::Panicked { stage, chunk },
-                    _ => protocol("truncated ERR payload".to_string()),
+                return Err(match r.u8() {
+                    Ok(ERR_PANICKED) => match (r.usize(), r.usize()) {
+                        (Ok(stage), Ok(chunk)) => ShardRunError::Panicked { stage, chunk },
+                        _ => protocol("truncated ERR payload".to_string()),
+                    },
+                    Ok(ERR_REJECTED) => match r.str() {
+                        Ok(why) => protocol(format!("worker rejected the stage: {why}")),
+                        Err(_) => protocol("truncated ERR payload".to_string()),
+                    },
+                    _ => protocol("unreadable ERR payload".to_string()),
                 });
             }
             ((kind, _), _) => {
@@ -1510,9 +1201,7 @@ impl ShardPool {
         task: &StageTask,
         assigned: Vec<Work>,
     ) -> Result<Vec<ShardOut>, ShardRunError> {
-        let mut task_w = Writer::new();
-        task.encode(&mut task_w);
-        let task_bytes = task_w.into_bytes();
+        let task_bytes = task.encode()?;
         let kill_fired = Arc::clone(&self.kill_fired);
         let conv = Conversation {
             task_bytes: &task_bytes,
@@ -1520,7 +1209,6 @@ impl ShardPool {
                 StageTask::Pipeline { .. } => Replies::Results,
                 StageTask::GroupBy { .. } => Replies::Groups,
             },
-            window: self.cfg.window,
             kill_fired: &kill_fired,
         };
         let mut per_shard: Vec<ShardOut> = assigned.iter().map(|_| ShardOut::default()).collect();
@@ -1598,12 +1286,12 @@ impl ShardPool {
 fn unshippable(op: &Operator) -> ShardRunError {
     ShardRunError::Protocol {
         shard: 0,
-        detail: format!("operator '{}' carries no spec a worker shard could rebuild", op.name),
+        detail: format!("operator '{}' has no wire form a worker shard could rebuild", op.name),
     }
 }
 
 /// The sharded runner: chunks and groups cross the frame protocol to
-/// worker shards built from the operators' own [`OpSpec`]s.
+/// worker shards that rebuild the operators from their wire forms.
 impl StageRunner for ShardPool {
     /// Chunks are dealt round-robin over the shards and merged back in
     /// chunk order — the exact merge order of the local runner.
@@ -1612,10 +1300,9 @@ impl StageRunner for ShardPool {
         stage: &StageKernel<'_>,
         chunks: Vec<Vec<Record>>,
     ) -> Result<Vec<ChunkOut>, ShardRunError> {
-        let spec_of = |op: &Operator| op.spec().cloned().ok_or_else(|| unshippable(op));
         let task = StageTask::Pipeline {
-            ops: stage.ops.iter().map(|op| spec_of(op)).collect::<Result<_, _>>()?,
-            fold: stage.fold.map(spec_of).transpose()?,
+            ops: stage.ops.iter().map(|&op| op.clone()).collect(),
+            fold: stage.fold.cloned(),
             tapped: stage.tapped.to_vec(),
             work_scale: stage.work_scale,
         };
@@ -1657,11 +1344,8 @@ impl StageRunner for ShardPool {
         chunks: Vec<Vec<Record>>,
         physical: &mut PhysicalStats,
     ) -> Result<Vec<(String, Vec<Record>)>, ShardRunError> {
-        let Some(OpSpec { op: SpecOp::Reduce { key, .. }, .. }) = reduce.spec() else {
-            return Err(unshippable(reduce));
-        };
         let task = StageTask::GroupBy {
-            key: key.clone(),
+            reduce: reduce.clone(),
             spill_threshold: self.cfg.spill_threshold_bytes,
         };
         let n_shards = self.shards();
@@ -1685,7 +1369,8 @@ impl StageRunner for ShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap as Map;
+    use crate::packages::{base, ie, testkit};
+    use crate::record::Value;
 
     fn docs(n: usize) -> Vec<Record> {
         (0..n)
@@ -1698,89 +1383,9 @@ mod tests {
             .collect()
     }
 
-    fn stamp_spec() -> OpSpec {
-        OpSpec::new(
-            "stamp",
-            Package::Base,
-            SpecOp::MapStamp { field: "stamp".into(), from: "id".into(), mul: 3, add: 1 },
-        )
-    }
-
-    fn reduce_spec() -> OpSpec {
-        OpSpec::new(
-            "tally",
-            Package::Base,
-            SpecOp::Reduce {
-                key: KeySpec::IntMod { field: "id".into(), modulus: 3, prefix: "g".into() },
-                agg: AggSpec::Count { into: "n".into() },
-            },
-        )
-    }
-
-    #[test]
-    fn specs_roundtrip_through_the_codec() {
-        let specs = vec![
-            stamp_spec(),
-            OpSpec::new("upper", Package::Ie, SpecOp::MapUpper),
-            OpSpec::new("grow", Package::Wa, SpecOp::MapGrow { suffix: " lorem".into() }),
-            OpSpec::new("dup", Package::Dc, SpecOp::FlatMapDup { copies: 2, tag: "half".into() }),
-            OpSpec::new(
-                "parity",
-                Package::Base,
-                SpecOp::FilterIntMod { field: "id".into(), modulus: 2, keep: 0 },
-            ),
-            reduce_spec().with_cost(CostModel {
-                startup_secs: 2.5,
-                memory_bytes: 1 << 20,
-                us_per_char: 0.25,
-                quadratic_ref: Some(900.0),
-            }),
-        ];
-        for spec in specs {
-            let mut w = Writer::new();
-            spec.encode(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            let back = OpSpec::decode(&mut r).unwrap();
-            assert_eq!(back, spec);
-            assert!(r.is_empty());
-        }
-    }
-
-    #[test]
-    fn bad_spec_tags_are_typed_errors() {
-        let mut w = Writer::new();
-        w.str("x");
-        w.u8(200); // bogus package tag
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(OpSpec::decode(&mut r), Err(CodecError::BadTag { .. })));
-    }
-
-    #[test]
-    fn built_operators_execute_their_recipes() {
-        let stamp = stamp_spec().build();
-        let OpFunc::Map(f) = stamp.func() else { panic!("stamp is a map") };
-        let mut r = Record::new();
-        r.set("id", 7i64);
-        let out = f(r);
-        assert_eq!(out.get("stamp").and_then(Value::as_int), Some(22));
-        assert_eq!(stamp.reads, vec!["id".to_string()]);
-        assert_eq!(stamp.writes, vec!["stamp".to_string()]);
-        assert!(stamp.spec().is_some());
-    }
-
-    fn parity_spec() -> OpSpec {
-        OpSpec::new(
-            "parity",
-            Package::Base,
-            SpecOp::FilterIntMod { field: "id".into(), modulus: 2, keep: 0 },
-        )
-    }
-
     #[test]
     fn worker_serves_a_pipeline_stage_identically_to_a_direct_kernel_run() {
-        let ops = [stamp_spec().build(), parity_spec().build()];
+        let ops = [testkit::stamp(), testkit::parity()];
         let refs: Vec<&Operator> = ops.iter().collect();
         let kernel = StageKernel { ops: &refs, fold: None, tapped: &[], work_scale: 1.0 };
         let direct = kernel.run_chunk(docs(10), &Cell::new(0));
@@ -1809,7 +1414,7 @@ mod tests {
         let mut pool = ShardPool::new(ShardConfig::in_process(1).with_spill_threshold(64));
         let chunks = docs(30).chunks(7).map(<[Record]>::to_vec).collect();
         let mut physical = PhysicalStats::default();
-        let groups = pool.group(&reduce_spec().build(), chunks, &mut physical).unwrap();
+        let groups = pool.group(&testkit::tally(), chunks, &mut physical).unwrap();
         assert!(physical.spill_runs > 0, "tiny threshold must force spills");
         assert!(physical.spill_bytes > 0);
         let keys: Vec<&str> = groups.iter().map(|(k, _)| k.as_str()).collect();
@@ -1828,7 +1433,7 @@ mod tests {
     fn killed_shard_surfaces_as_lost() {
         let cfg = ShardConfig::in_process(2).with_kill(KillSpec { shard: 1, after_frames: 2 });
         let mut pool = ShardPool::new(cfg);
-        let stamp = stamp_spec().build();
+        let stamp = testkit::stamp();
         let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[], work_scale: 1.0 };
         let chunks: Vec<Vec<Record>> = (0..6).map(|_| docs(4)).collect();
         match pool.run_chunks(&kernel, chunks) {
@@ -1843,7 +1448,7 @@ mod tests {
             .with_kill(KillSpec { shard: 0, after_frames: 3 })
             .with_respawn(true);
         let mut pool = ShardPool::new(cfg);
-        let stamp = stamp_spec().build();
+        let stamp = testkit::stamp();
         let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[], work_scale: 1.0 };
         let chunks: Vec<Vec<Record>> = (0..6).map(|i| docs(3 + i)).collect();
         let outs = pool.run_chunks(&kernel, chunks).unwrap();
@@ -1874,7 +1479,7 @@ mod tests {
         script: &[(u8, Vec<u8>)],
     ) -> (ShardOut, Option<ShardRunError>, Work) {
         let kill_fired = AtomicBool::new(false);
-        let conv = Conversation { task_bytes: &[], replies, window: 4, kill_fired: &kill_fired };
+        let conv = Conversation { task_bytes: &[], replies, kill_fired: &kill_fired };
         drive_shard(&conv, 3, &mut scripted_shard(script), vec![(0, docs(2))], None)
     }
 
@@ -1886,7 +1491,10 @@ mod tests {
             w.into_bytes()
         };
         // K_ERR carrying a stage but no chunk: not "panic in chunk 0"
-        let short = payload(&|w| w.usize(5));
+        let short = payload(&|w| {
+            w.u8(ERR_PANICKED);
+            w.usize(5);
+        });
         let (_, err, undone) = drive_scripted(Replies::Results, &[(K_ERR, short)]);
         assert!(
             matches!(&err, Some(ShardRunError::Protocol { shard: 3, detail }) if detail.contains("ERR")),
@@ -1895,6 +1503,7 @@ mod tests {
         assert_eq!(undone.len(), 1, "the unanswered chunk is handed back");
         // a well-formed K_ERR still reports the panic's stage and chunk
         let full = payload(&|w| {
+            w.u8(ERR_PANICKED);
             w.usize(5);
             w.usize(7);
             w.str("boom");
@@ -1928,7 +1537,7 @@ mod tests {
         ChunkOut::default().encode(&mut reply);
         let mut pool = ShardPool::new(ShardConfig::in_process(1));
         pool.handles[0] = Some(scripted_shard(&[(K_RESULT, reply.into_bytes())]));
-        let stamp = stamp_spec().build();
+        let stamp = testkit::stamp();
         let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[], work_scale: 1.0 };
         match pool.run_chunks(&kernel, vec![docs(2)]) {
             Err(ShardRunError::Protocol { detail, .. }) => assert!(detail.contains("99")),
@@ -1974,23 +1583,164 @@ mod tests {
     }
 
     #[test]
-    fn key_specs_group_consistently_with_their_built_closures() {
-        let spec = KeySpec::IntMod { field: "id".into(), modulus: 4, prefix: "p".into() };
-        let f = spec.key_fn();
-        let mut seen: Map<String, usize> = Map::new();
-        for r in docs(12) {
-            *seen.entry(f(&r)).or_default() += 1;
+    fn a_dropped_group_table_takes_its_spill_runs_with_it() {
+        let OpFunc::Reduce { key, .. } = testkit::tally().func().clone() else {
+            panic!("tally is a reduce")
+        };
+        let mut table = GroupTable::new(key, 64);
+        table.fold(docs(30)).unwrap();
+        table.fold(docs(30)).unwrap();
+        let runs = table.runs.clone();
+        assert!(runs.len() >= 2, "folding past the threshold spills");
+        assert!(runs.iter().all(|p| p.is_file()));
+        drop(table); // never emitted: a failed merge, a new STAGE, a killed shard
+        assert!(runs.iter().all(|p| !p.exists()), "spill runs outlived their table");
+    }
+
+    // -- hostile bytes into the stage-task decoder --------------------------
+
+    fn pipeline_task() -> StageTask {
+        StageTask::Pipeline {
+            ops: vec![ie::annotate_tokens(), base::filter_length(4096), testkit::stamp()],
+            fold: Some(base::count_by("stamp")),
+            tapped: vec![1],
+            work_scale: 2.0,
         }
-        let mut keys: Vec<(String, usize)> = seen.into_iter().collect();
-        keys.sort();
-        assert_eq!(
-            keys,
-            vec![
-                ("p0".to_string(), 3),
-                ("p1".to_string(), 3),
-                ("p2".to_string(), 3),
-                ("p3".to_string(), 3)
-            ]
-        );
+    }
+
+    fn group_by_task() -> StageTask {
+        StageTask::GroupBy { reduce: testkit::tally(), spill_threshold: 1 << 20 }
+    }
+
+    /// One worker conversation over in-memory bytes: STAGE(`task`), one
+    /// DATA chunk, EOF_DATA, BYE. Returns what the worker answered.
+    fn serve(task: &[u8]) -> Result<Vec<(u8, Vec<u8>)>, TransportError> {
+        let mut input = Vec::new();
+        write_frame(&mut input, K_STAGE, task).unwrap();
+        write_frame(&mut input, K_DATA, &encode_chunk_payload(0, &docs(5))).unwrap();
+        write_frame(&mut input, K_EOF_DATA, &[]).unwrap();
+        write_frame(&mut input, K_BYE, &[]).unwrap();
+        let mut output = Vec::new();
+        worker_serve(&input[..], &mut output)?;
+        let mut replies = Vec::new();
+        let mut rd = &output[..];
+        while let Some(frame) = read_frame(&mut rd).unwrap() {
+            replies.push(frame);
+        }
+        Ok(replies)
+    }
+
+    fn rejection(replies: &[(u8, Vec<u8>)]) -> Option<String> {
+        let (kind, payload) = replies.first()?;
+        let mut r = Reader::new(payload);
+        (*kind == K_ERR && r.u8().ok()? == ERR_REJECTED).then(|| r.str().ok()).flatten()
+    }
+
+    #[test]
+    fn intact_tasks_are_served_and_roundtrip() {
+        for task in [pipeline_task(), group_by_task()] {
+            let bytes = task.encode().unwrap();
+            let again = StageTask::decode(&bytes).unwrap().encode().unwrap();
+            assert_eq!(again, bytes, "decode . encode is the identity on wire bytes");
+            let replies = serve(&bytes).unwrap();
+            assert!(rejection(&replies).is_none(), "{replies:?}");
+            assert!(matches!(replies[0].0, K_RESULT | K_ACK));
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_task_is_rejected_with_a_typed_reply() {
+        for task in [pipeline_task(), group_by_task()] {
+            let bytes = task.encode().unwrap();
+            for cut in 0..bytes.len() {
+                let replies = serve(&bytes[..cut]).expect("a bad STAGE never ends the loop");
+                let why = rejection(&replies);
+                assert!(why.is_some(), "cut at {cut}/{} was not rejected: {replies:?}", bytes.len());
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_served_or_rejected_never_a_panic() {
+        for task in [pipeline_task(), group_by_task()] {
+            let bytes = task.encode().unwrap();
+            for at in 0..bytes.len() {
+                let mut forged = bytes.clone();
+                forged[at] ^= 1 << (at % 8);
+                let replies = serve(&forged).expect("a bad STAGE never ends the loop");
+                assert!(!replies.is_empty(), "flip at {at}: the DATA frame went unanswered");
+                for (kind, _) in &replies {
+                    assert!(
+                        matches!(*kind, K_ERR | K_RESULT | K_ACK | K_GROUPS | K_DONE),
+                        "flip at {at}: unexpected reply kind {kind:#04x}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A group-by task naming `factory` with `params` — the forgery a
+    /// hostile or version-skewed parent sends.
+    fn forged_group_by(factory: &str, params: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u8(1);
+        w.str(factory);
+        w.bytes(params);
+        w.f64(0.0);
+        w.u64(0);
+        w.f64(0.0);
+        w.bool(false);
+        w.usize(1 << 20);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn unknown_factories_and_absurd_recipes_surface_as_protocol_errors_naming_the_factory() {
+        let mut absurd = Writer::new();
+        for size in [usize::MAX, usize::MAX, usize::MAX] {
+            absurd.usize(size); // a lexicon no machine could hold
+        }
+        absurd.f64(0.7);
+        absurd.usize(usize::MAX); // training sentences
+        absurd.bool(false);
+        absurd.usize(usize::MAX); // epochs
+        absurd.bool(true);
+        absurd.u64(1);
+        absurd.u8(0);
+        let mut degenerate = Writer::new();
+        for size in [0usize, 0, 0] {
+            degenerate.usize(size); // in bounds, but nothing to sample a sentence from
+        }
+        degenerate.f64(0.7);
+        degenerate.usize(10);
+        degenerate.bool(false);
+        degenerate.usize(1);
+        degenerate.bool(true);
+        degenerate.u64(1);
+        degenerate.u8(0);
+        let cases = [
+            ("no.such_operator", Vec::new(), "no.such_operator"),
+            ("ie.annotate_entities_dict", absurd.into_bytes(), "ie.annotate_entities_dict"),
+            ("ie.annotate_entities_ml", degenerate.into_bytes(), "ie.annotate_entities_ml"),
+            ("base.count_by", vec![0xff; 8], "base.count_by"),
+            ("testkit.stamp", Vec::new(), "stamp"), // a map where a reduce must be
+        ];
+        for (factory, params, named) in cases {
+            let forged = forged_group_by(factory, &params);
+            let why = rejection(&serve(&forged).unwrap()).expect("rejected");
+            assert!(why.contains(named), "{why}");
+
+            // and through the parent's conversation loop, against a live worker
+            let kill_fired = AtomicBool::new(false);
+            let conv =
+                Conversation { task_bytes: &forged, replies: Replies::Groups, kill_fired: &kill_fired };
+            let mut handle = spawn_worker(&WorkerKind::InProcess).unwrap();
+            let (_, err, undone) = drive_shard(&conv, 2, &mut handle, vec![(0, docs(2))], None);
+            assert!(
+                matches!(&err, Some(ShardRunError::Protocol { shard: 2, detail }) if detail.contains(named)),
+                "got {err:?}"
+            );
+            assert_eq!(undone.len(), 1);
+        }
     }
 }

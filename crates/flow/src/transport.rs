@@ -12,6 +12,7 @@
 //! may be garbage. Every decode path here returns a typed
 //! [`TransportError`]; nothing panics on wire bytes.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -32,7 +33,8 @@ pub const K_RESULT: u8 = 0x05;
 pub const K_GROUPS: u8 = 0x06;
 /// End of the worker's group stream, carrying spill statistics.
 pub const K_DONE: u8 = 0x07;
-/// Worker-side failure (panic or bad stage spec), with context.
+/// Worker-side failure (a UDF panic, or a STAGE frame the worker could
+/// not rebuild), with context.
 pub const K_ERR: u8 = 0x08;
 /// Orderly shutdown request (parent → worker).
 pub const K_BYE: u8 = 0x09;
@@ -142,41 +144,61 @@ impl<R: Read, W: Write> FrameChannel<R, W> {
     }
 }
 
-/// Bounded per-edge backpressure: the parent may have at most `window`
-/// unanswered data frames outstanding toward one shard. The shard
-/// answers each `K_DATA` with a `K_RESULT` (pipeline mode) or `K_ACK`
-/// (group-by mode); the parent blocks on those answers before sending
-/// more, so a slow worker throttles its feeder instead of buffering an
-/// unbounded queue in the pipe.
-#[derive(Debug, Clone, Copy)]
+/// The credit window every shard edge runs under: at most this many
+/// unanswered data frames outstanding toward one shard.
+pub const CREDIT_WINDOW: usize = 4;
+
+/// Unanswered payload bytes the parent may leave in a shard's pipe —
+/// below the smallest buffer a channel has (a Linux pipe holds 64 KiB),
+/// so writing them never waits on the worker.
+pub const CREDIT_BYTES: usize = 32 << 10;
+
+/// Bounded per-edge backpressure: the parent may have at most
+/// [`CREDIT_WINDOW`] unanswered data frames, of at most [`CREDIT_BYTES`]
+/// together,
+/// outstanding toward one shard. The shard answers each `K_DATA` with a
+/// `K_RESULT` (pipeline mode) or `K_ACK` (group-by mode), in order; the
+/// parent blocks on those answers before sending more, so a slow worker
+/// throttles its feeder instead of buffering an unbounded queue in the
+/// pipe.
+///
+/// The byte bound is what keeps the single-threaded conversation free of
+/// deadlock: a worker with unanswered work may be blocked *writing* a
+/// reply the parent is not yet reading, so whatever the parent writes
+/// meanwhile must fit the channel's buffer. A frame bigger than the
+/// budget is sent only with nothing in flight, when the worker can only
+/// be reading.
+#[derive(Debug, Clone, Default)]
 pub struct CreditWindow {
-    window: usize,
-    in_flight: usize,
+    /// Payload sizes of the unanswered frames, oldest first.
+    in_flight: VecDeque<usize>,
 }
 
 impl CreditWindow {
-    pub fn new(window: usize) -> CreditWindow {
-        CreditWindow { window: window.max(1), in_flight: 0 }
+    pub fn new() -> CreditWindow {
+        CreditWindow::default()
     }
 
-    /// May another data frame be sent without waiting for an answer?
-    pub fn has_credit(&self) -> bool {
-        self.in_flight < self.window
+    /// May a data frame of `bytes` be sent without waiting for an answer?
+    pub fn has_credit(&self, bytes: usize) -> bool {
+        self.in_flight.is_empty()
+            || (self.in_flight.len() < CREDIT_WINDOW
+                && self.in_flight.iter().sum::<usize>().saturating_add(bytes) <= CREDIT_BYTES)
     }
 
-    /// Records one data frame sent.
-    pub fn on_sent(&mut self) {
-        self.in_flight += 1;
+    /// Records one data frame of `bytes` sent.
+    pub fn on_sent(&mut self, bytes: usize) {
+        self.in_flight.push_back(bytes);
     }
 
-    /// Records one answer received, releasing one credit.
+    /// Records one answer received, releasing the oldest frame's credit.
     pub fn on_answered(&mut self) {
-        self.in_flight = self.in_flight.saturating_sub(1);
+        self.in_flight.pop_front();
     }
 
     /// Data frames currently unanswered.
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.in_flight.len()
     }
 }
 
@@ -225,22 +247,35 @@ mod tests {
 
     #[test]
     fn credit_window_bounds_in_flight_data() {
-        let mut win = CreditWindow::new(2);
-        assert!(win.has_credit());
-        win.on_sent();
-        win.on_sent();
-        assert!(!win.has_credit());
-        assert_eq!(win.in_flight(), 2);
+        let mut win = CreditWindow::new();
+        for _ in 0..CREDIT_WINDOW {
+            assert!(win.has_credit(10));
+            win.on_sent(10);
+        }
+        assert!(!win.has_credit(10));
+        assert_eq!(win.in_flight(), CREDIT_WINDOW);
         win.on_answered();
-        assert!(win.has_credit());
-        win.on_answered();
-        win.on_answered(); // extra answers never underflow
+        assert!(win.has_credit(10));
+        for _ in 0..=CREDIT_WINDOW {
+            win.on_answered(); // extra answers never underflow
+        }
         assert_eq!(win.in_flight(), 0);
     }
 
     #[test]
-    fn zero_window_is_clamped_to_one() {
-        let win = CreditWindow::new(0);
-        assert!(win.has_credit());
+    fn credit_window_never_leaves_more_than_a_pipe_buffer_unanswered() {
+        let mut win = CreditWindow::new();
+        // an over-budget frame may go out, but only into an idle edge
+        assert!(win.has_credit(10 * CREDIT_BYTES));
+        win.on_sent(10 * CREDIT_BYTES);
+        assert!(!win.has_credit(1), "nothing may queue behind an over-budget frame");
+        win.on_answered();
+        // small frames pipeline until their sum reaches the budget
+        win.on_sent(CREDIT_BYTES / 2);
+        assert!(win.has_credit(CREDIT_BYTES / 2));
+        win.on_sent(CREDIT_BYTES / 2);
+        assert!(!win.has_credit(1));
+        win.on_answered();
+        assert!(win.has_credit(CREDIT_BYTES / 2), "answers release the oldest frame's bytes");
     }
 }

@@ -118,13 +118,12 @@ fn sharded_memory_plan() -> LogicalPlan {
     let fat = plan
         .add(
             src,
-            Operator::map("ie.fat_model", Package::Ie, |r| r)
-                .with_reads(&["text"])
-                .with_writes(&["fat"])
-                .with_cost(CostModel {
-                    memory_bytes: 10u64 << 30,
-                    ..CostModel::default()
-                }),
+            // a packaged (hence shippable) operator, so the sharded
+            // verdict below is about memory alone, not WS017
+            ie::annotate_tokens().with_cost(CostModel {
+                memory_bytes: 10u64 << 30,
+                ..CostModel::default()
+            }),
         )
         .expect("static plan");
     plan.sink(fat, "out").expect("static plan");
@@ -153,6 +152,37 @@ fn golden_sharded_over_memory() {
     );
     let err = websift_flow::admit_sharded(&plan, 2, &cluster, Some(8)).unwrap_err();
     assert!(err.to_string().contains("10.0 GB"), "{err}");
+}
+
+/// The other silent pitfall of a sharded run: an operator written as an
+/// ad-hoc closure has no wire form, so the whole fused stage it sits in
+/// stays on the local runner. Correct, counted at run time, and — with
+/// WS017 — said out loud before the run.
+#[test]
+fn golden_ws017_closure_operator_pins_its_stage() {
+    let mut plan = LogicalPlan::new();
+    let src = plan.source("crawl");
+    let sentences = plan.add(src, ie::annotate_sentences()).expect("static plan");
+    let adhoc = plan
+        .add(
+            sentences,
+            Operator::map("adhoc.score", Package::Base, |r| r)
+                .with_reads(&["sentences"])
+                .with_writes(&["score"]),
+        )
+        .expect("static plan");
+    let tokens = plan.add(adhoc, ie::annotate_tokens()).expect("static plan");
+    plan.sink(tokens, "out").expect("static plan");
+
+    assert!(
+        analyze_plan(&plan, &AnalyzeOptions::default()).iter().all(|d| d.code != "WS017"),
+        "an unsharded run ships nothing, so nothing is flagged"
+    );
+    let diags = analyze_plan(&plan, &AnalyzeOptions::default().with_shards(2));
+    assert_eq!(
+        diagnostics_to_json(&diags),
+        include_str!("golden/ws017_closure_pins_stage.json").trim_end(),
+    );
 }
 
 /// The silent-pitfall golden: a per-corpus tally written as a `Custom`

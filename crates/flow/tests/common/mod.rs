@@ -7,62 +7,19 @@
 use std::collections::HashMap;
 use websift_analyze::diagnostics_to_json;
 use websift_flow::{
-    Aggregate, ExecutionConfig, ExecutionError, Executor, FlowResilience, LogicalPlan, Operator,
-    Package, Record, Value,
+    ExecutionConfig, ExecutionError, Executor, FlowResilience, LogicalPlan, Operator, Package,
+    Record,
 };
 use websift_observe::{Observer, RegistrySnapshot};
 use websift_resilience::{Snapshot, Writer};
 
-fn int(r: &Record, field: &str) -> i64 {
-    r.get(field).and_then(Value::as_int).unwrap_or(0)
-}
-
-/// The key every reduce under test groups by.
-pub fn group_key(r: &Record) -> String {
-    format!("g{}", int(r, "id") % 3)
-}
-
-pub fn stamp() -> Operator {
-    Operator::map("stamp", Package::Base, |mut r| {
-        let id = int(&r, "id");
-        r.set("stamp", id * 3 + 1);
-        r
-    })
-    .with_reads(&["id"])
-    .with_writes(&["stamp"])
-}
-
-pub fn dup() -> Operator {
-    Operator::flat_map("dup", Package::Base, |r| {
-        let mut copy = r.clone();
-        copy.set("half", 1i64);
-        vec![r, copy]
-    })
-}
-
-pub fn parity() -> Operator {
-    Operator::filter("parity", Package::Base, |r| int(r, "id") % 2 == 0).with_reads(&["id"])
-}
-
-pub fn grow() -> Operator {
-    Operator::map("grow", Package::Base, |mut r| {
-        let t = format!("{}{}", r.text().unwrap_or(""), " lorem ipsum dolor");
-        r.set("text", t);
-        r
-    })
-    .with_reads(&["text"])
-    .with_writes(&["text"])
-}
-
-/// Reads the `stamp` field — which trips a WS001 rejection whenever it
-/// lands upstream of the map that produces it, so rejected plans are
-/// part of every property too.
-pub fn needs_stamp() -> Operator {
-    Operator::map("needs-stamp", Package::Base, |r| r).with_reads(&["stamp"]).with_writes(&["x"])
-}
+pub use websift_flow::packages::testkit::{
+    dup, group_key, grow, needs_stamp, parity, stamp, tally,
+};
 
 /// A `Custom`-closure grouping reduce: a fusion barrier the optimizer
-/// must refuse to combine, with no spec a worker shard could rebuild.
+/// must refuse to combine, and — being closure-built — the one operator
+/// here with no wire form, so under sharding it pins its stage local.
 pub fn group_reduce() -> Operator {
     Operator::reduce("group", Package::Base, group_key, |key, group| {
         let mut out = Record::new();
@@ -72,10 +29,12 @@ pub fn group_reduce() -> Operator {
     })
 }
 
-/// The closure-built vocabulary of total (never-panicking) operators:
-/// stamping map, duplicating flat-map, parity filter, custom grouping
-/// reduce, byte-growing map, the WS001-tripping `needs-stamp`, and
-/// (index 6) a combinable Count reduce fused stages extend through.
+/// The vocabulary of total (never-panicking) operators — the library's
+/// `testkit` set, shippable to worker shards, plus the closure-built
+/// `group_reduce` at index 3: stamping map, duplicating flat-map, parity
+/// filter, custom grouping reduce, byte-growing map, the WS001-tripping
+/// `needs-stamp`, and (index 6) a combinable Count reduce fused stages
+/// extend through.
 pub fn pool_op(idx: usize) -> Operator {
     match idx {
         0 => stamp(),
@@ -84,12 +43,7 @@ pub fn pool_op(idx: usize) -> Operator {
         3 => group_reduce(),
         4 => grow(),
         5 => needs_stamp(),
-        _ => Operator::reduce_agg(
-            "tally",
-            Package::Base,
-            group_key,
-            Aggregate::Count { into: "id".into() },
-        ),
+        _ => tally(),
     }
 }
 

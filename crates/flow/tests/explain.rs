@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use websift_analyze::lattice::FieldType;
+use websift_flow::packages::testkit;
 use websift_flow::{
     analyze_plan, explain_plan, optimize, plan_stages, AnalyzeOptions, ClusterSpec, CostModel,
     ExecutionConfig, Executor, LogicalPlan, Operator, Package, Record, StageDecision, Value,
@@ -28,36 +29,12 @@ use websift_flow::{
 /// combines, always a stage of its own).
 fn pool_op(idx: usize) -> Operator {
     match idx {
-        0 => Operator::map("stamp", Package::Base, |mut r| {
-            let id = r.get("id").and_then(Value::as_int).unwrap_or(0);
-            r.set("stamp", id * 3 + 1);
-            r
-        })
-        .with_reads(&["id"])
-        .with_writes(&["stamp"]),
-        1 => Operator::flat_map("dup", Package::Base, |r| {
-            let mut copy = r.clone();
-            copy.set("half", 1i64);
-            vec![r, copy]
-        }),
-        2 => Operator::filter("parity", Package::Base, |r| {
-            r.get("id").and_then(Value::as_int).unwrap_or(0) % 2 == 0
-        })
-        .with_reads(&["id"]),
+        0 => testkit::stamp(),
+        1 => testkit::dup(),
+        2 => testkit::parity(),
         3 => Operator::map("identity", Package::Base, |r| r),
-        4 => Operator::map("grow", Package::Base, |mut r| {
-            let t = format!("{} lorem", r.text().unwrap_or(""));
-            r.set("text", t);
-            r
-        })
-        .with_reads(&["text"])
-        .with_writes(&["text"]),
-        5 => Operator::reduce_agg(
-            "tally",
-            Package::Base,
-            |r: &Record| format!("g{}", r.get("id").and_then(Value::as_int).unwrap_or(0) % 3),
-            websift_flow::Aggregate::Count { into: "n".into() },
-        ),
+        4 => testkit::grow(),
+        5 => testkit::tally(),
         _ => Operator::reduce(
             "pick",
             Package::Base,

@@ -18,78 +18,34 @@
 //! 4. an over-memory Reduce spills its group table to sorted disk runs
 //!    and still matches the in-memory grouping byte for byte;
 //! 5. records routed to a store sink (`Executor::run_into`) land
-//!    identically, so serve-side snapshots cannot observe sharding.
+//!    identically, so serve-side snapshots cannot observe sharding;
+//! 6. the *real* pipeline ships whole: preprocessing into dictionary +
+//!    CRF entity annotation, and into the token-frequency reduce, built
+//!    from `packages::*`, run on worker processes that rebuild every
+//!    operator — and retrain the taggers from their recipe — with no
+//!    stage pinned local and every surface identical.
 //!
 //! The third axis of the `tests/fusion.rs` / `tests/partial_agg.rs`
 //! equivalence family.
 
 mod common;
 
-use common::{assert_surfaces_equal, docs, inputs_for, run_surface};
+use common::{assert_surfaces_equal, docs, inputs_for, pool_op, run_surface};
 use proptest::prelude::*;
+use std::sync::Arc;
+use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
+use websift_flow::packages::{base, dc, ie, wa};
 use websift_flow::{
-    AggSpec, ExecutionConfig, ExecutionError, Executor, FlowResilience, KeySpec, KillSpec,
-    LogicalPlan, OpSpec, Operator, Package, Record, ShardConfig, SpecOp, StoreSink,
+    ExecutionConfig, ExecutionError, Executor, FlowResilience, IeResources, KillSpec, LogicalPlan,
+    Record, ShardConfig, StoreSink,
 };
+use websift_ner::EntityType;
 use websift_resilience::{Snapshot, Writer};
 
 /// The path of the real worker-process binary, resolved by Cargo for
 /// this crate's own `shard_worker` bin target.
 fn worker_bin() -> &'static str {
     env!("CARGO_BIN_EXE_shard_worker")
-}
-
-/// The `tests/common` operator vocabulary rebuilt from [`OpSpec`]s, so
-/// every operator (closure and annotations alike) can be shipped to a
-/// worker shard byte-identically: stamping maps, a duplicating
-/// flat-map, a parity filter, a byte-growing map, the WS001-tripping
-/// `needs-stamp` op (so rejected plans stay part of the property), and a
-/// combinable Count reduce. Index 3 is the one deliberate exception — a
-/// `Custom`-closure reduce with no spec, which pins its stage to the
-/// local runner and so proves the counted fallback is also identical.
-fn pool_op(idx: usize) -> Operator {
-    match idx {
-        0 => OpSpec::new(
-            "stamp",
-            Package::Base,
-            SpecOp::MapStamp { field: "stamp".into(), from: "id".into(), mul: 3, add: 1 },
-        )
-        .build(),
-        1 => OpSpec::new(
-            "dup",
-            Package::Base,
-            SpecOp::FlatMapDup { copies: 2, tag: "half".into() },
-        )
-        .build(),
-        2 => OpSpec::new(
-            "parity",
-            Package::Base,
-            SpecOp::FilterIntMod { field: "id".into(), modulus: 2, keep: 0 },
-        )
-        .build(),
-        3 => common::group_reduce(),
-        4 => OpSpec::new(
-            "grow",
-            Package::Base,
-            SpecOp::MapGrow { suffix: " lorem ipsum dolor".into() },
-        )
-        .build(),
-        5 => OpSpec::new(
-            "needs-stamp",
-            Package::Base,
-            SpecOp::MapStamp { field: "x".into(), from: "stamp".into(), mul: 1, add: 0 },
-        )
-        .build(),
-        _ => OpSpec::new(
-            "tally",
-            Package::Base,
-            SpecOp::Reduce {
-                key: KeySpec::IntMod { field: "id".into(), modulus: 3, prefix: "g".into() },
-                agg: AggSpec::Count { into: "id".into() },
-            },
-        )
-        .build(),
-    }
 }
 
 fn chain_plan(indices: &[usize]) -> LogicalPlan {
@@ -138,10 +94,11 @@ proptest! {
     }
 }
 
-/// The counted fallback: a spec-less operator (the `Custom`-closure
-/// reduce) pins its own stage on the local runner — visible in physical
-/// stats, invisible on every deterministic surface — while the spec'd
-/// stages around it still ship to the shards.
+/// The counted fallback: an operator without a wire form (the
+/// closure-built `Custom` reduce, index 3) pins its own stage on the
+/// local runner — visible in physical stats, invisible on every
+/// deterministic surface — while the shippable stages around it still
+/// go to the shards.
 #[test]
 fn spec_less_stage_pins_local_and_is_counted() {
     let plan = chain_plan(&[0, 3, 4]);
@@ -161,8 +118,8 @@ fn spec_less_stage_pins_local_and_is_counted() {
             .physical
     };
     let sharded = physical(Some(ShardConfig::in_process(2)));
-    assert_eq!(sharded.stages_pinned_local, 1, "only the spec-less reduce is pinned");
-    assert_eq!(sharded.shards_used, 2, "the spec'd stages around it still shipped");
+    assert_eq!(sharded.stages_pinned_local, 1, "only the closure-built reduce is pinned");
+    assert_eq!(sharded.shards_used, 2, "the stages around it still shipped");
     assert_eq!(physical(None).stages_pinned_local, 0, "nothing pins when nothing is sharded");
 }
 
@@ -213,6 +170,36 @@ fn real_worker_processes_match_in_process_execution() {
     assert_eq!(out.physical.shards_used, 2, "two real worker processes");
     assert!(out.physical.shard_frames > 0, "frames crossed the pipes");
     assert!(out.physical.shard_wire_bytes > 0, "payload bytes crossed the pipes");
+}
+
+/// Chunks several times a pipe's buffer, eight of them queued toward one
+/// worker process: the worker blocks writing a large result while the
+/// parent still has data frames to send. A credit window counted in
+/// frames alone lets both sides block on full pipes forever; the byte
+/// bound on unanswered data is what keeps this conversation moving.
+#[test]
+fn chunks_larger_than_a_pipe_buffer_do_not_deadlock_the_conversation() {
+    let plan = chain_plan(&[0, 4]);
+    let big_docs = || -> Vec<Record> {
+        (0..16i64)
+            .map(|i| {
+                let mut r = Record::new();
+                r.set("id", i).set("text", "web text ".repeat(5_000));
+                r
+            })
+            .collect()
+    };
+    let res = FlowResilience::default();
+    let config = |sharding: Option<ShardConfig>| ExecutionConfig {
+        sharding,
+        ..ExecutionConfig::local(8)
+    };
+    let baseline = run_surface(&plan, big_docs(), config(None), &res);
+    for sharding in [ShardConfig::process(1, worker_bin()), ShardConfig::in_process(1)] {
+        let ctx = format!("{:?}", sharding.worker);
+        let sharded = run_surface(&plan, big_docs(), config(Some(sharding)), &res);
+        assert_surfaces_equal(&sharded, &baseline, &ctx);
+    }
 }
 
 /// Kill a worker shard mid-run: the run fails as `ShardLost` carrying
@@ -428,5 +415,94 @@ fn store_snapshots_cannot_observe_sharding() {
         let (rows, digest) = run(Some(ShardConfig::in_process(shards)));
         assert_eq!(rows, base_rows, "store rows diverged at {shards} shards");
         assert_eq!(digest, base_digest, "digest diverged at {shards} shards");
+    }
+}
+
+/// The preprocessing prefix every extraction flow starts with (the
+/// shape of `websift_pipeline::flows`, which this crate cannot depend
+/// on), over the source "in".
+fn preprocessing(plan: &mut LogicalPlan) -> usize {
+    let mut cur = plan.source("in");
+    for op in [
+        base::filter_length(base::DEFAULT_MAX_TEXT_CHARS),
+        wa::detect_markup(),
+        wa::repair_markup_op(),
+        wa::extract_net_text(),
+        dc::drop_untranscodable(),
+        dc::filter_empty_text(),
+        dc::normalize_whitespace(),
+        ie::annotate_sentences(),
+        ie::annotate_tokens(),
+    ] {
+        cur = plan.add(cur, op).expect("static plan");
+    }
+    cur
+}
+
+fn medline_records(n: usize) -> Vec<Record> {
+    let lexicon = Arc::new(Lexicon::generate(LexiconScale::tiny()));
+    Generator::with_lexicon(CorpusKind::Medline, 11, lexicon)
+        .documents(n)
+        .iter()
+        .map(|d| {
+            let mut r = Record::new();
+            r.set("id", d.id as i64).set("corpus", "medline").set("text", d.body.as_str());
+            r
+        })
+        .collect()
+}
+
+/// The real pipeline on real processes. Also the cross-process
+/// reproducibility test of `IeResources::standard`: each worker process
+/// retrains the dictionary and CRF taggers from the shipped recipe, and
+/// a tagger that differed from the parent's by one weight would show up
+/// in the sink bytes.
+#[test]
+fn the_ie_pipeline_ships_whole_to_worker_processes_and_threads() {
+    let resources = IeResources::quick_for_tests(LexiconScale::tiny());
+
+    let mut entities = LogicalPlan::new();
+    let mut cur = preprocessing(&mut entities);
+    for op in [
+        ie::annotate_entities_dict(&resources, EntityType::Gene),
+        ie::annotate_entities_ml(&resources, EntityType::Gene),
+        dc::dedup_entities(),
+    ] {
+        cur = entities.add(cur, op).expect("static plan");
+    }
+    entities.sink(cur, "entities").expect("static plan");
+
+    let mut tokens = LogicalPlan::new();
+    let pre = preprocessing(&mut tokens);
+    let exploded = tokens.add(pre, ie::explode_tokens()).expect("static plan");
+    let counts = tokens.add(exploded, base::count_by("token")).expect("static plan");
+    tokens.sink(counts, "token_frequencies").expect("static plan");
+
+    let res = FlowResilience::injected(7, 0.1, 2);
+    for (name, plan) in [("entities", &entities), ("tokens", &tokens)] {
+        for combining in [true, false] {
+            let config = |sharding: Option<ShardConfig>| ExecutionConfig {
+                combining,
+                sharding,
+                ..ExecutionConfig::local(4)
+            };
+            let baseline = run_surface(plan, medline_records(24), config(None), &res);
+            assert!(baseline.error.is_none(), "{name} must run: {:?}", baseline.error);
+            assert!(baseline.sink_bytes.as_ref().is_some_and(|b| b.len() > 1000));
+            for sharding in [ShardConfig::process(2, worker_bin()), ShardConfig::in_process(2)] {
+                let ctx = format!("{name} combining={combining} {:?}", sharding.worker);
+                let sharded =
+                    run_surface(plan, medline_records(24), config(Some(sharding.clone())), &res);
+                assert_surfaces_equal(&sharded, &baseline, &ctx);
+
+                let physical = Executor::new(config(Some(sharding)))
+                    .run(plan, inputs_for(medline_records(24)))
+                    .expect("sharded run succeeds")
+                    .physical;
+                assert_eq!(physical.stages_pinned_local, 0, "{ctx}: a stage stayed local");
+                assert_eq!(physical.shards_used, 2, "{ctx}");
+                assert!(physical.shard_wire_bytes > 0, "{ctx}");
+            }
+        }
     }
 }

@@ -113,6 +113,9 @@ pub struct PosTagger {
     prior: [f64; TAG_COUNT],
     /// Token budget per sentence (the crash threshold).
     max_tokens: usize,
+    /// Set on [`PosTagger::pretrained`] and its clones: the model is the
+    /// built-in one, which any process can rebuild without the weights.
+    pretrained: bool,
 }
 
 impl PosTagger {
@@ -210,6 +213,7 @@ impl PosTagger {
             suffix,
             prior,
             max_tokens: 500,
+            pretrained: false,
         }
     }
 
@@ -228,7 +232,15 @@ impl PosTagger {
     /// of MedPost's model trained on Medline sentences. Built once.
     pub fn pretrained() -> &'static PosTagger {
         static TAGGER: OnceLock<PosTagger> = OnceLock::new();
-        TAGGER.get_or_init(|| PosTagger::train(&builtin_training_corpus()))
+        TAGGER.get_or_init(|| PosTagger {
+            pretrained: true,
+            ..PosTagger::train(&builtin_training_corpus())
+        })
+    }
+
+    /// Is this the built-in model (at whatever token budget)?
+    pub fn is_pretrained(&self) -> bool {
+        self.pretrained
     }
 
     /// Log emission scores for `word` over all tags.
