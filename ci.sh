@@ -70,6 +70,13 @@ echo "partial_agg: combining equivalence holds ok"
 PROPTEST_CASES=64 cargo test -q -p websift-flow --test fusion
 echo "fusion: fused == unfused equivalence holds ok"
 
+# Language-identification equivalence: the packed n-gram kernel must rank
+# the same grams, measure the same four distances and reach the same
+# verdict as the String-keyed implementation it replaced, on hostile and
+# random texts. Cases pinned as above.
+PROPTEST_CASES=64 cargo test -q -p websift-text --lib differential
+echo "langid: packed kernel == string reference holds ok"
+
 # Fusion + combining throughput smoke: the fused executor must not
 # regress wall-clock records/sec against its own unfused mode, and
 # combining must never lose to uncombined — including at DoP 1, where no

@@ -174,11 +174,20 @@ pub const DETERMINISTIC_OUTPUT_MODULES: &[&str] = &[
     "crates/resilience/src/frame.rs",
 ];
 
-/// Modules that parse untrusted input (scripts, crawled pages, shuffle
-/// frames and operator wire forms off the wire): matched by file name,
-/// panics on input are forbidden.
-pub const UNTRUSTED_INPUT_FILES: &[&str] =
-    &["parser.rs", "meteor.rs", "html.rs", "query.rs", "transport.rs", "frame.rs", "wire.rs"];
+/// Modules that parse untrusted input (scripts, crawled pages and their
+/// net text, shuffle frames and operator wire forms off the wire): matched
+/// by file name, panics on input are forbidden.
+pub const UNTRUSTED_INPUT_FILES: &[&str] = &[
+    "parser.rs",
+    "meteor.rs",
+    "html.rs",
+    "query.rs",
+    "transport.rs",
+    "frame.rs",
+    "wire.rs",
+    "ngram.rs",
+    "langid.rs",
+];
 
 /// Modules that encode/decode durable frames (checkpoints, snapshots,
 /// watermarks, retained aggregate state). Lossy `as` casts here are

@@ -641,7 +641,8 @@ impl<'w> FocusedCrawler<'w> {
 
                 // Parse links: LinkDB stores the observed structure even of
                 // pages we later reject.
-                let body_text = String::from_utf8_lossy(&resp.body).into_owned();
+                // borrows the body when it is valid UTF-8 (nearly always)
+                let body_text = String::from_utf8_lossy(&resp.body);
                 let links = extract_links(&body_text, &url);
                 self.linkdb.add_links(&url, &links);
 

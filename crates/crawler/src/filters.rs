@@ -137,7 +137,8 @@ impl FilterChain {
     /// Stage 2 (after boilerplate extraction): net-text length and
     /// language. Only call for pages that passed [`FilterChain::check_mime`].
     pub fn check_text(&mut self, net_text: &str) -> Result<(), RejectReason> {
-        if net_text.chars().count() < self.config.min_chars {
+        // stops counting at the bound instead of walking the whole text
+        if net_text.chars().take(self.config.min_chars).count() < self.config.min_chars {
             self.stats.length_rejected += 1;
             return Err(RejectReason::TooShort);
         }
@@ -203,6 +204,22 @@ mod tests {
         let huge = vec![b'a'; 5_000_000];
         assert_eq!(c.check("/y.html", &huge, ENGLISH), Err(RejectReason::TooLong));
         assert_eq!(c.stats().length_rejected, 2);
+    }
+
+    #[test]
+    fn length_bound_counts_chars_not_bytes() {
+        let mut c = FilterChain::new(FilterConfig {
+            min_chars: 5,
+            max_bytes: 1000,
+        });
+        assert_eq!(c.check_text("éééé"), Err(RejectReason::TooShort)); // 8 bytes
+        assert_eq!(c.check_text("ééééé"), Err(RejectReason::NonEnglish));
+        let mut c = FilterChain::new(FilterConfig {
+            min_chars: 0,
+            max_bytes: 1000,
+        });
+        assert_eq!(c.check_text(""), Err(RejectReason::NonEnglish));
+        assert_eq!(c.stats().length_rejected, 0);
     }
 
     #[test]
