@@ -25,14 +25,13 @@ use std::time::Instant;
 
 use crate::report::ExperimentResult;
 use websift_corpus::{CorpusKind, Document, LexiconScale};
-use websift_crawler::{
-    train_focus_classifier, CrawlConfig, CrawledPage, ResilienceOptions,
-};
+use websift_crawler::{train_focus_classifier, CrawlConfig, ResilienceOptions};
 use websift_flow::IeResources;
 use websift_ner::EntityType;
 use websift_observe::json::{array, ObjectWriter};
 use websift_observe::Observer;
 use websift_live::{LiveOptions, LiveSession, Watermark};
+use websift_pipeline::documents_from_pages;
 use websift_pipeline::flows::{live_extraction_flow, run_over_documents_into};
 use websift_serve::ExtractionStore;
 use websift_web::{PageId, SimulatedWeb, Url, WebGraph, WebGraphConfig};
@@ -134,24 +133,6 @@ fn crawl_config(max_pages: usize) -> CrawlConfig {
     CrawlConfig { max_pages, threads: 4, ..CrawlConfig::default() }
 }
 
-/// The same document construction the live session applies per round,
-/// over the cumulative crawl — the batch oracle's input.
-fn docs_from_pages(pages: &[CrawledPage]) -> Vec<Document> {
-    pages
-        .iter()
-        .enumerate()
-        .map(|(i, p)| Document {
-            id: i as u64,
-            kind: CorpusKind::RelevantWeb,
-            url: Some(p.url.to_string()),
-            title: String::new(),
-            body: p.net_text.clone(),
-            html: None,
-            gold: Default::default(),
-        })
-        .collect()
-}
-
 /// Everything one uninterrupted session run yields that the report
 /// needs: per-round samples, watermark frames (for the resume check),
 /// and the final deterministic surfaces.
@@ -231,7 +212,8 @@ fn run_session(
         prev_incremental = incremental_total;
         watermarks.push(round.watermark);
     }
-    let cumulative = docs_from_pages(&session.crawl().report().relevant);
+    let relevant = &session.crawl().report().relevant;
+    let cumulative = documents_from_pages(relevant, CorpusKind::RelevantWeb, 0);
     SessionRun {
         final_digest: session.store().content_digest(),
         postings: session.store().posting_count(),

@@ -9,15 +9,18 @@
 //! checkpoint to confirm the recovery invariant — same seed, same
 //! final statistics, bit for bit.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::report::ExperimentResult;
 use websift_crawler::{
-    train_focus_classifier, CrawlConfig, CrawlReport, FocusedCrawler, ResilienceOptions,
+    train_focus_classifier, CrawlConfig, CrawlReport, CrawlSession, FocusedCrawler,
+    ResilienceOptions,
 };
 use websift_flow::{
     ExecutionConfig, Executor, FlowResilience, LogicalPlan, Operator, Package, Record,
 };
+use websift_observe::Observer;
 use websift_web::{PageId, SimulatedWeb, Url, WebGraph, WebGraphConfig};
 
 /// The fault rates exercised by every recovery experiment.
@@ -98,28 +101,23 @@ pub fn crawl_recovery() -> Vec<ExperimentResult> {
         let opts = ResilienceOptions::injected(FAULT_SEED, rate, CHECKPOINT_EVERY_ROUNDS);
         let (report, _) = fresh_crawler(&web).crawl_resilient(seeds.clone(), &opts);
 
-        // Kill the same configuration mid-crawl, resume from the last
-        // checkpoint, and compare complete final state digests.
-        let killed_opts = ResilienceOptions {
-            stop_after_rounds: Some(6),
-            ..opts.clone()
-        };
-        let mut victim = fresh_crawler(&web);
-        let (_, ckpts) = victim.crawl_resilient(seeds.clone(), &killed_opts);
-        let resumed_ok = match ckpts.last() {
-            Some(ckpt) => {
-                match FocusedCrawler::resume_from(&web, ckpt, crawl_config(), &opts, None) {
-                    Ok((resumed, resumed_report, _)) => {
-                        let mut probe = fresh_crawler(&web);
-                        let (probe_report, _) = probe.crawl_resilient(seeds.clone(), &opts);
-                        probe.state_digest(&probe_report)
-                            == resumed.state_digest(&resumed_report)
-                    }
-                    Err(_) => false,
-                }
-            }
-            None => false,
-        };
+        // Kill the same configuration mid-crawl (step six rounds, drop
+        // the session), resume from the last cadence checkpoint, and
+        // compare complete final state digests.
+        let mut victim = CrawlSession::start(fresh_crawler(&web), seeds.clone(), &opts);
+        while victim.round() < 6 && victim.step_round() {}
+        let last = victim.take_cadence_checkpoints().pop();
+        drop(victim);
+        let resumed = last.and_then(|ckpt| {
+            let observer = Arc::new(Observer::new());
+            CrawlSession::resume(&web, &ckpt, crawl_config(), &opts, None, observer).ok()
+        });
+        let resumed_ok = resumed.is_some_and(|mut resumed| {
+            while resumed.step_round() {}
+            let mut probe = fresh_crawler(&web);
+            let (probe_report, _) = probe.crawl_resilient(seeds.clone(), &opts);
+            probe.state_digest(&probe_report) == resumed.state_digest()
+        });
 
         let gp = goodput(&report);
         baseline_goodput.get_or_insert(gp);

@@ -4,7 +4,7 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 use websift_corpus::{CorpusKind, Document, Generator, Lexicon};
-use websift_crawler::CrawlReport;
+use websift_crawler::{CrawlReport, CrawledPage};
 use websift_flow::{Record, Value};
 
 /// Document counts per corpus.
@@ -90,30 +90,39 @@ impl Corpora {
     /// Replaces the two web corpora with the output of an actual focused
     /// crawl (the end-to-end path: crawl → corpora → analysis).
     pub fn adopt_crawl(&mut self, report: &CrawlReport) {
-        let convert = |pages: &[websift_crawler::CrawledPage], kind: CorpusKind| -> Vec<Document> {
-            pages
-                .iter()
-                .enumerate()
-                .map(|(i, p)| Document {
-                    id: i as u64,
-                    kind,
-                    url: Some(p.url.to_string()),
-                    title: String::new(),
-                    body: p.net_text.clone(),
-                    html: None,
-                    gold: Default::default(),
-                })
-                .collect()
-        };
-        self.by_kind.insert(
-            CorpusKind::RelevantWeb,
-            convert(&report.relevant, CorpusKind::RelevantWeb),
-        );
-        self.by_kind.insert(
-            CorpusKind::IrrelevantWeb,
-            convert(&report.irrelevant, CorpusKind::IrrelevantWeb),
-        );
+        for (kind, pages) in [
+            (CorpusKind::RelevantWeb, &report.relevant),
+            (CorpusKind::IrrelevantWeb, &report.irrelevant),
+        ] {
+            self.by_kind.insert(kind, documents_from_pages(pages, kind, 0));
+        }
     }
+}
+
+/// Converts crawled pages into `kind` documents numbered `first_id..` in
+/// acceptance order, the page's net text as body. The one page →
+/// document mapping: a live session converts each round's delta with
+/// `first_id` = pages already delivered, and a batch run the cumulative
+/// crawl from 0, and incremental ≡ batch only while both get the same
+/// ids.
+pub fn documents_from_pages(
+    pages: &[CrawledPage],
+    kind: CorpusKind,
+    first_id: u64,
+) -> Vec<Document> {
+    pages
+        .iter()
+        .zip(first_id..)
+        .map(|(p, id)| Document {
+            id,
+            kind,
+            url: Some(p.url.to_string()),
+            title: String::new(),
+            body: p.net_text.clone(),
+            html: None,
+            gold: Default::default(),
+        })
+        .collect()
 }
 
 /// Converts documents into flow records. Web documents carry their raw

@@ -15,7 +15,7 @@ pub mod experiment;
 pub mod flows;
 
 pub use analysis::{aggregate, compare, CorpusLinguistics, DocMeasurements, Measure};
-pub use corpora::{documents_to_records, Corpora, CorpusScale};
+pub use corpora::{documents_from_pages, documents_to_records, Corpora, CorpusScale};
 pub use entities::{
     aggregate_entities, entities_of, name_divergence, overlap_partition, CorpusEntities,
     ExtractedEntity, OverlapPartition,

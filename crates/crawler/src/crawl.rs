@@ -11,6 +11,21 @@
 //! that our crawl frontier eventually emptied") — or when the configured
 //! corpus size is reached.
 //!
+//! # One loop
+//!
+//! Everything the loop mutates besides the crawler itself travels in one
+//! `LoopState`, and one function, `FocusedCrawler::round`, advances it by
+//! exactly one fetched round ("segment"), in named phases: `next_batch`
+//! (frontier work plus retries come due, minus what the circuit breaker
+//! holds back), the fetch, per outcome `settle` (retry / backoff /
+//! breaker accounting) and `analyse_page` (MIME → links → boilerplate →
+//! text filters → dedup → classify → expand), `observe_round`, and
+//! `cadence_checkpoint` at the segment boundary.
+//! [`FocusedCrawler::crawl_resilient`] is "inject, `while round {}`,
+//! finish" and [`CrawlSession::step_round`] calls the same `round` once,
+//! which is what makes a stepped crawl bit-identical to an uninterrupted
+//! one.
+//!
 //! # Resilience
 //!
 //! The loop is built to survive the failures that dominated the paper's
@@ -18,12 +33,13 @@
 //! network errors, crashed fetcher workers) are rescheduled with
 //! decorrelated-jitter backoff under per-host retry budgets; hosts that
 //! fail persistently are quarantined by a circuit breaker; and at round
-//! ("segment") boundaries the complete crawler state — CrawlDB, LinkDB,
-//! classifier counts, dedup hashes, report accumulators, and the retry
-//! machinery itself — can be checkpointed. A crawl killed mid-flight and
-//! resumed via [`FocusedCrawler::resume_from`] reproduces *bit-identical*
-//! final statistics to an uninterrupted run under the same fault plan:
-//! every fault/backoff decision is a pure function of the seed, and every
+//! boundaries the complete crawler state — CrawlDB, LinkDB, classifier
+//! counts, dedup hashes, report accumulators, and the retry machinery
+//! itself — can be checkpointed. A crawl killed mid-flight (a caller that
+//! stops calling [`CrawlSession::step_round`]) and rebuilt from its last
+//! frame by [`CrawlSession::resume`] reproduces *bit-identical* final
+//! statistics to an uninterrupted run under the same fault plan: every
+//! fault/backoff decision is a pure function of the seed, and every
 //! accumulator (including `f64` time) round-trips through the checkpoint
 //! by bit pattern.
 
@@ -31,7 +47,7 @@ use crate::boilerplate::BoilerplateDetector;
 use crate::classifier::NaiveBayes;
 use crate::crawldb::{CrawlDb, CrawlDbConfig, FrontierEntry, UrlStatus};
 use crate::feedback::IeFeedback;
-use crate::fetcher::{FaultContext, Fetcher};
+use crate::fetcher::{FaultContext, FetchOutcome, Fetcher};
 use crate::filters::{FilterChain, FilterConfig, FilterStats};
 use crate::linkdb::LinkDb;
 use crate::parser::extract_links;
@@ -44,7 +60,7 @@ use websift_resilience::codec;
 use websift_resilience::{
     BreakerState, CircuitBreaker, CodecError, FaultKind, Reader, RetryBudget, Snapshot, Writer,
 };
-use websift_web::{SimulatedWeb, Url};
+use websift_web::{FetchResponse, SimulatedWeb, Url};
 
 /// Per-page classification/filtering cost in simulated seconds — this is
 /// what pushed the paper's crawler down to 3-4 docs/s.
@@ -59,13 +75,26 @@ const FILTER_COST_SECS: f64 = 0.02;
 const PARSE_COST_SECS: f64 = 0.03;
 const DEDUP_COST_SECS: f64 = 0.02;
 
-/// Per-round phase attribution accumulators (simulated seconds).
+/// What one round adds up for [`FocusedCrawler::observe_round`]: when it
+/// started and fetched on the simulated clock, the Fig. 1 phase
+/// attribution (simulated seconds), and its page counts.
 #[derive(Debug, Default)]
-struct RoundPhases {
+struct RoundTally {
+    started_secs: f64,
+    fetch_secs: f64,
+    /// Simulated time the fetch returned — "now" for every retry, backoff
+    /// and breaker decision of the round.
+    fetched_ms: u64,
     parse: f64,
     filter: f64,
     classify: f64,
     dedup: f64,
+    analyzed: u64,
+    failed: u64,
+    duplicates: u64,
+    relevant: u64,
+    irrelevant: u64,
+    bytes: u64,
 }
 
 /// Crawl configuration.
@@ -275,6 +304,28 @@ impl Snapshot for RetryState {
     }
 }
 
+/// Everything the crawl loop mutates besides the crawler itself: a round
+/// reads and writes all four, a checkpoint frame is the crawler plus the
+/// first three.
+struct LoopState {
+    report: CrawlReport,
+    filters: FilterChain,
+    rt: RetryState,
+    /// Cadence checkpoints taken so far.
+    checkpoints: Vec<CrawlCheckpoint>,
+}
+
+impl LoopState {
+    fn new(config: &CrawlConfig, options: &ResilienceOptions) -> LoopState {
+        LoopState {
+            report: CrawlReport::default(),
+            filters: FilterChain::new(config.filters),
+            rt: RetryState::new(options),
+            checkpoints: Vec::new(),
+        }
+    }
+}
+
 /// The focused crawler.
 pub struct FocusedCrawler<'w> {
     web: &'w SimulatedWeb,
@@ -341,109 +392,11 @@ impl<'w> FocusedCrawler<'w> {
         seeds: Vec<Url>,
         options: &ResilienceOptions,
     ) -> (CrawlReport, Vec<CrawlCheckpoint>) {
-        let mut report = CrawlReport::default();
-        let mut filters = FilterChain::new(self.config.filters);
+        let mut st = LoopState::new(&self.config, options);
         self.crawldb.inject(seeds);
-        let mut rt = RetryState::new(options);
-        let mut checkpoints = Vec::new();
-        self.run_rounds(&mut report, &mut filters, &mut rt, options, &mut checkpoints);
-        self.finish(&mut report, &filters, &rt);
-        (report, checkpoints)
-    }
-
-    /// Reconstructs a crawler from `checkpoint` and runs it to
-    /// completion, returning the crawler (for CrawlDB/LinkDB
-    /// inspection), the final report, and any further checkpoints taken.
-    ///
-    /// `config` and `options` must match the original crawl's for the
-    /// resumed run to reproduce it (they are deliberately not stored in
-    /// the checkpoint: fault plans and thresholds are inputs, not
-    /// state). `feedback` likewise must be reconstructed by the caller
-    /// when the original crawl used IE feedback — the classifier counts
-    /// it trained are in the checkpoint, but taggers are not
-    /// serializable.
-    pub fn resume_from(
-        web: &'w SimulatedWeb,
-        checkpoint: &CrawlCheckpoint,
-        config: CrawlConfig,
-        options: &ResilienceOptions,
-        feedback: Option<IeFeedback>,
-    ) -> Result<(FocusedCrawler<'w>, CrawlReport, Vec<CrawlCheckpoint>), CodecError> {
-        Self::resume_observed(
-            web,
-            checkpoint,
-            config,
-            options,
-            feedback,
-            Arc::new(Observer::new()),
-        )
-    }
-
-    /// [`FocusedCrawler::resume_from`] reporting through the caller's
-    /// [`Observer`]. The checkpoint's registry snapshot is restored into
-    /// `observer` before the crawl continues, so counters, gauges, and
-    /// histograms pick up exactly where the killed run left them.
-    pub fn resume_observed(
-        web: &'w SimulatedWeb,
-        checkpoint: &CrawlCheckpoint,
-        config: CrawlConfig,
-        options: &ResilienceOptions,
-        feedback: Option<IeFeedback>,
-        observer: Arc<Observer>,
-    ) -> Result<(FocusedCrawler<'w>, CrawlReport, Vec<CrawlCheckpoint>), CodecError> {
-        let (mut crawler, mut filters, mut report, mut rt) =
-            Self::restore_parts(web, checkpoint, config, feedback, observer)?;
-        let mut checkpoints = Vec::new();
-        crawler.run_rounds(&mut report, &mut filters, &mut rt, options, &mut checkpoints);
-        crawler.finish(&mut report, &filters, &rt);
-        Ok((crawler, report, checkpoints))
-    }
-
-    /// Decodes `checkpoint` back into a crawler plus the loop state it
-    /// was sealed with, restoring the frame's registry snapshot into
-    /// `observer` — the shared decode behind
-    /// [`FocusedCrawler::resume_observed`] (which immediately reruns the
-    /// loop) and [`CrawlSession::resume`] (which hands the state back to
-    /// a stepping session without running).
-    fn restore_parts(
-        web: &'w SimulatedWeb,
-        checkpoint: &CrawlCheckpoint,
-        config: CrawlConfig,
-        feedback: Option<IeFeedback>,
-        observer: Arc<Observer>,
-    ) -> Result<(FocusedCrawler<'w>, FilterChain, CrawlReport, RetryState), CodecError> {
-        let payload = checkpoint.payload()?;
-        let mut r = Reader::new(payload);
-        let crawldb = CrawlDb::decode_snapshot(&mut r)?;
-        let linkdb = LinkDb::decode_snapshot(&mut r)?;
-        let word_counts = Snapshot::decode(&mut r)?;
-        let class_tokens = <[u64; 2]>::decode(&mut r)?;
-        let class_docs = <[u64; 2]>::decode(&mut r)?;
-        let threshold = r.f64()?;
-        let seen_content = Snapshot::decode(&mut r)?;
-        let filter_stats = FilterStats::decode(&mut r)?;
-        let report = CrawlReport::decode(&mut r)?;
-        let rt = RetryState::decode(&mut r)?;
-        let registry = RegistrySnapshot::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::Truncated { what: "trailing checkpoint bytes" });
-        }
-        observer.registry().restore(&registry);
-
-        let crawler = FocusedCrawler {
-            web,
-            classifier: NaiveBayes::from_parts(word_counts, class_tokens, class_docs, threshold),
-            boilerplate: BoilerplateDetector::default(),
-            config,
-            crawldb,
-            linkdb,
-            seen_content,
-            feedback,
-            observer,
-        };
-        let mut filters = FilterChain::new(config.filters);
-        filters.restore_stats(filter_stats);
-        Ok((crawler, filters, report, rt))
+        while self.round(&mut st, options) {}
+        self.finish(&mut st);
+        (st.report, st.checkpoints)
     }
 
     /// Digest of the complete crawler + report state, for asserting the
@@ -451,11 +404,13 @@ impl<'w> FocusedCrawler<'w> {
     /// comparison.
     pub fn state_digest(&self, report: &CrawlReport) -> u64 {
         let mut w = Writer::new();
-        self.encode_state(&mut w, report);
+        self.encode_crawler(&mut w);
+        report.encode(&mut w);
         codec::digest(&w.into_bytes())
     }
 
-    fn encode_state(&self, w: &mut Writer, report: &CrawlReport) {
+    /// The crawler's own state: the prefix `state_digest` and every frame share.
+    fn encode_crawler(&self, w: &mut Writer) {
         self.crawldb.encode_snapshot(w);
         self.linkdb.encode_snapshot(w);
         let (word_counts, class_tokens, class_docs, threshold) = self.classifier.snapshot_parts();
@@ -464,338 +419,351 @@ impl<'w> FocusedCrawler<'w> {
         class_docs.encode(w);
         w.f64(threshold);
         self.seen_content.encode(w);
-        report.encode(w);
     }
 
-    fn take_checkpoint(
-        &self,
-        report: &CrawlReport,
-        filters: &FilterChain,
-        rt: &RetryState,
-    ) -> CrawlCheckpoint {
+    fn take_checkpoint(&self, st: &LoopState) -> CrawlCheckpoint {
         let mut w = Writer::new();
-        self.crawldb.encode_snapshot(&mut w);
-        self.linkdb.encode_snapshot(&mut w);
-        let (word_counts, class_tokens, class_docs, threshold) = self.classifier.snapshot_parts();
-        word_counts.encode(&mut w);
-        class_tokens.encode(&mut w);
-        class_docs.encode(&mut w);
-        w.f64(threshold);
-        self.seen_content.encode(&mut w);
-        filters.stats().encode(&mut w);
-        report.encode(&mut w);
-        rt.encode(&mut w);
+        self.encode_crawler(&mut w);
+        st.filters.stats().encode(&mut w);
+        st.report.encode(&mut w);
+        st.rt.encode(&mut w);
         // registry state rides in the frame so resumed crawls continue
         // their metrics bit-identically
         self.observer.registry().snapshot().encode(&mut w);
-        CrawlCheckpoint::seal(rt.round, &w.into_bytes())
+        CrawlCheckpoint::seal(st.rt.round, &w.into_bytes())
     }
 
-    fn finish(&self, report: &mut CrawlReport, filters: &FilterChain, rt: &RetryState) {
-        report.filter_stats = filters.stats();
-        report.trap_rejected = self.crawldb.trap_rejected();
-        report.resilience.breaker_trips = rt.breaker.total_trips();
+    /// Fills the report's derived fields, once, when the crawl is over.
+    fn finish(&self, st: &mut LoopState) {
+        st.report.filter_stats = st.filters.stats();
+        st.report.trap_rejected = self.crawldb.trap_rejected();
+        st.report.resilience.breaker_trips = st.rt.breaker.total_trips();
     }
 
-    /// The crawl loop proper. Returns `true` if stopped early by
-    /// `options.stop_after_rounds` (a simulated kill).
-    fn run_rounds(
+    /// Has the configured corpus size been reached?
+    fn corpus_full(&self, report: &CrawlReport) -> bool {
+        report.relevant.len() + report.irrelevant.len() >= self.config.max_pages
+    }
+
+    /// The only function that moves the crawl forward: runs exactly one
+    /// fetched round and says whether the crawl goes on (`false` once
+    /// `max_pages` is reached or the frontier is exhausted).
+    fn round(&mut self, st: &mut LoopState, options: &ResilienceOptions) -> bool {
+        let Some(batch) = self.next_batch(st, options) else {
+            return false;
+        };
+        let mut tally =
+            RoundTally { started_secs: st.report.simulated_secs, ..RoundTally::default() };
+
+        // the fetcher is stateless, so building it per round costs nothing
+        let faults = FaultContext::new(options.faults.as_ref(), st.rt.round, &st.rt.attempts);
+        let (outcomes, fetch_stats) =
+            Fetcher::new(self.web, self.config.threads).fetch_batch(batch, faults);
+        tally.fetch_secs = fetch_stats.simulated_ms as f64 / 1000.0;
+        st.report.simulated_secs += tally.fetch_secs;
+        st.report.resilience.injected_transient += fetch_stats.injected_transient;
+        st.report.resilience.worker_panics += fetch_stats.worker_panics;
+        tally.fetched_ms = (st.report.simulated_secs * 1000.0) as u64;
+
+        for outcome in outcomes {
+            if let Some((entry, resp)) = self.settle(st, options, &mut tally, outcome) {
+                self.analyse_page(st, &mut tally, &entry, resp);
+            }
+        }
+        self.observe_round(st, &tally);
+
+        st.rt.round += 1;
+        self.cadence_checkpoint(st, options);
+        !self.corpus_full(&st.report)
+    }
+
+    /// Assembles the next batch to fetch: frontier work plus any retries
+    /// whose backoff/quarantine has expired, minus entries the circuit
+    /// breaker holds back. Idles the simulated clock forward while only
+    /// future retries remain; `None` means the crawl is over — corpus
+    /// full or frontier exhausted.
+    fn next_batch(
         &mut self,
-        report: &mut CrawlReport,
-        filters: &mut FilterChain,
-        rt: &mut RetryState,
+        st: &mut LoopState,
         options: &ResilienceOptions,
-        checkpoints: &mut Vec<CrawlCheckpoint>,
-    ) -> bool {
-        let fetcher = Fetcher::new(self.web, self.config.threads);
-
-        loop {
-            if report.relevant.len() + report.irrelevant.len() >= self.config.max_pages {
-                return false;
-            }
-            if let Some(stop) = options.stop_after_rounds {
-                if rt.round >= stop {
-                    return true;
-                }
-            }
-            let mut now_ms = (report.simulated_secs * 1000.0) as u64;
-
-            // Assemble the round's batch: frontier work plus any retries
-            // whose backoff/quarantine has expired.
+    ) -> Option<Vec<FrontierEntry>> {
+        while !self.corpus_full(&st.report) {
+            let now_ms = (st.report.simulated_secs * 1000.0) as u64;
             let mut batch = self
                 .crawldb
                 .next_fetch_list(self.config.fetch_list_per_host, self.config.fetch_list_total);
-            let mut due: Vec<FrontierEntry> = Vec::new();
-            rt.retry_queue.retain(|(ready_ms, entry)| {
+            st.rt.retry_queue.retain(|(ready_ms, entry)| {
                 if *ready_ms <= now_ms {
-                    due.push(entry.clone());
+                    batch.push(entry.clone());
                     false
                 } else {
                     true
                 }
             });
-            if batch.is_empty() && due.is_empty() {
-                match rt.retry_queue.iter().map(|(ready, _)| *ready).min() {
-                    None => {
-                        report.frontier_exhausted = true;
-                        return false;
-                    }
-                    Some(min_ready) => {
-                        // Nothing fetchable yet: idle forward to the next
-                        // retry becoming due.
-                        report.resilience.recovery_wait_ms += min_ready - now_ms;
-                        report.simulated_secs += (min_ready - now_ms) as f64 / 1000.0;
-                        continue;
-                    }
-                }
+            if batch.is_empty() {
+                let Some(min_ready) = st.rt.retry_queue.iter().map(|(ready, _)| *ready).min()
+                else {
+                    st.report.frontier_exhausted = true;
+                    return None;
+                };
+                // Nothing fetchable yet: idle forward to the next retry
+                // becoming due.
+                st.report.resilience.recovery_wait_ms += min_ready - now_ms;
+                st.report.simulated_secs += (min_ready - now_ms) as f64 / 1000.0;
+                continue;
             }
-            batch.extend(due);
 
             // Circuit-breaker gate: quarantined hosts' entries wait out
             // the cooldown instead of being fetched.
             let mut admitted = Vec::with_capacity(batch.len());
             for entry in batch {
                 let host = entry.url.host();
-                if rt.breaker.allow(host, now_ms) {
+                if st.rt.breaker.allow(host, now_ms) {
                     admitted.push(entry);
                 } else {
-                    let ready_ms = match rt.breaker.state(host) {
+                    let ready_ms = match st.rt.breaker.state(host) {
                         BreakerState::Open { until_ms } => until_ms,
                         _ => now_ms + options.breaker_cooldown_ms,
                     };
-                    report.resilience.breaker_deferred += 1;
-                    rt.retry_queue.push((ready_ms, entry));
+                    st.report.resilience.breaker_deferred += 1;
+                    st.rt.retry_queue.push((ready_ms, entry));
                 }
             }
-            if admitted.is_empty() {
-                continue;
+            if !admitted.is_empty() {
+                return Some(admitted);
             }
+        }
+        None
+    }
 
-            let round_t0 = report.simulated_secs;
-            let mut phases = RoundPhases::default();
-            let mut round_analyzed: u64 = 0;
-            let mut round_failed: u64 = 0;
-            let mut round_duplicates: u64 = 0;
-            let mut round_relevant: u64 = 0;
-            let mut round_irrelevant: u64 = 0;
-            let mut round_bytes: u64 = 0;
-
-            let (outcomes, fetch_stats) = match &options.faults {
-                Some(plan) => fetcher
-                    .fetch_batch_with(admitted, FaultContext::new(plan, rt.round, &rt.attempts)),
-                None => fetcher.fetch_batch(admitted),
-            };
-            let fetch_secs = fetch_stats.simulated_ms as f64 / 1000.0;
-            report.simulated_secs += fetch_secs;
-            report.resilience.injected_transient += fetch_stats.injected_transient;
-            report.resilience.worker_panics += fetch_stats.worker_panics;
-            now_ms = (report.simulated_secs * 1000.0) as u64;
-
-            for outcome in outcomes {
-                let url = outcome.entry.url.clone();
-                let resp = match outcome.result {
-                    Ok(r) => {
-                        rt.breaker.record_success(url.host());
-                        rt.attempts.remove(&url);
-                        r
-                    }
-                    Err(failure) if failure.is_retryable() => {
-                        let host = url.host().to_string();
-                        rt.breaker.record_failure(&host, now_ms);
-                        let attempt = rt.attempts.entry(url.clone()).or_insert(0);
-                        *attempt += 1;
-                        if *attempt <= options.backoff.max_retries && rt.budget.try_spend(&host) {
-                            let delay = options.backoff.delay_ms(&url.to_string(), *attempt);
-                            rt.retry_queue.push((now_ms + delay, outcome.entry));
-                            report.resilience.retries_scheduled += 1;
-                        } else {
-                            report.resilience.retries_exhausted += 1;
-                            report.failed += 1;
-                            round_failed += 1;
-                            self.crawldb.mark(&url, UrlStatus::Failed);
-                        }
-                        continue;
-                    }
-                    Err(_) => {
-                        report.failed += 1;
-                        round_failed += 1;
-                        self.crawldb.mark(&url, UrlStatus::Failed);
-                        continue;
-                    }
-                };
-                report.simulated_secs += ANALYSIS_COST_SECS;
-                round_analyzed += 1;
-                round_bytes += resp.body.len() as u64;
-                // attribution budget for this page: phases a page never
-                // reaches are charged to the phase that stopped it
-                let mut remaining = ANALYSIS_COST_SECS;
-
-                // MIME-type / raw-size filtering first (Fig. 1 order).
-                if filters.check_mime(url.path(), &resp.body).is_err() {
-                    phases.filter += remaining;
-                    self.crawldb.mark(&url, UrlStatus::Rejected);
-                    continue;
-                }
-                phases.filter += FILTER_COST_SECS;
-                remaining -= FILTER_COST_SECS;
-
-                // Parse links: LinkDB stores the observed structure even of
-                // pages we later reject.
-                // borrows the body when it is valid UTF-8 (nearly always)
-                let body_text = String::from_utf8_lossy(&resp.body);
-                let links = extract_links(&body_text, &url);
-                self.linkdb.add_links(&url, &links);
-
-                // Boilerplate removal (errors count as parse failures).
-                let net_text = match self.boilerplate.extract(&body_text) {
-                    Ok(t) => t,
-                    Err(_) => {
-                        phases.parse += remaining;
-                        report.failed += 1;
-                        round_failed += 1;
-                        self.crawldb.mark(&url, UrlStatus::Rejected);
-                        continue;
-                    }
-                };
-
-                // Net-text length and language filters.
-                if filters.check_text(&net_text).is_err() {
-                    phases.parse += PARSE_COST_SECS;
-                    phases.filter += remaining - PARSE_COST_SECS;
-                    self.crawldb.mark(&url, UrlStatus::Rejected);
-                    continue;
-                }
-                phases.parse += PARSE_COST_SECS;
-                remaining -= PARSE_COST_SECS;
-
-                // Content deduplication (trap starvation + mirror removal).
-                let mut hash: u64 = 0xcbf29ce484222325;
-                for b in net_text.as_bytes() {
-                    hash ^= *b as u64;
-                    hash = hash.wrapping_mul(0x100000001b3);
-                }
-                if !self.seen_content.insert(hash) {
-                    phases.dedup += remaining;
-                    report.duplicates += 1;
-                    round_duplicates += 1;
-                    self.crawldb.mark(&url, UrlStatus::Rejected);
-                    continue;
-                }
-                phases.dedup += DEDUP_COST_SECS;
-                remaining -= DEDUP_COST_SECS;
-                // whatever is left of the page's budget is classification
-                phases.classify += remaining;
-
-                // Relevance classification, optionally adjusted by the IE
-                // feedback loop (entity density is strong biomedical
-                // evidence the bag-of-words model may miss).
-                let prediction = self.classifier.predict(&net_text);
-                let (relevant, log_odds) = match &self.feedback {
-                    None => (prediction.relevant, prediction.log_odds),
-                    Some(fb) => {
-                        let adjusted = prediction.log_odds + fb.boost(&net_text);
-                        let verdict = adjusted > self.classifier.threshold();
-                        if let Some(margin) = fb.self_training_margin {
-                            if (adjusted - self.classifier.threshold()).abs() > margin {
-                                self.classifier.update(&net_text, verdict);
-                            }
-                        }
-                        (verdict, adjusted)
-                    }
-                };
-                let page = CrawledPage {
-                    gold_relevant: self.web.gold_relevant(&url),
-                    url: url.clone(),
-                    raw_bytes: resp.body.len(),
-                    classified_relevant: relevant,
-                    log_odds,
-                    net_text,
-                };
-
-                let expand = if page.classified_relevant {
-                    Some(0)
-                } else if outcome.entry.irrelevant_steps < self.config.follow_irrelevant_steps {
-                    Some(outcome.entry.irrelevant_steps + 1)
-                } else {
-                    None
-                };
-                if let Some(steps) = expand {
-                    self.crawldb.add(links.into_iter().map(|l| FrontierEntry {
-                        url: l,
-                        irrelevant_steps: steps,
-                    }));
-                }
-
-                self.crawldb.mark(&url, UrlStatus::Fetched);
-                if page.classified_relevant {
-                    round_relevant += 1;
-                    report.bytes_relevant += page.raw_bytes as u64;
-                    report.relevant.push(page);
-                } else {
-                    round_irrelevant += 1;
-                    report.bytes_irrelevant += page.raw_bytes as u64;
-                    report.irrelevant.push(page);
-                }
+    /// Settles one fetch outcome against the retry machinery. A page that
+    /// arrived clears its host's breaker streak and its own attempt
+    /// count and is handed back for analysis; a retryable failure is
+    /// rescheduled under backoff while attempts and host budget last;
+    /// anything else fails the URL for good.
+    fn settle(
+        &mut self,
+        st: &mut LoopState,
+        options: &ResilienceOptions,
+        tally: &mut RoundTally,
+        outcome: FetchOutcome,
+    ) -> Option<(FrontierEntry, FetchResponse)> {
+        let FetchOutcome { entry, result } = outcome;
+        let rt = &mut st.rt;
+        let failure = match result {
+            Ok(resp) => {
+                rt.breaker.record_success(entry.url.host());
+                rt.attempts.remove(&entry.url);
+                return Some((entry, resp));
             }
-
-            // Observability: one span per round phase laid end-to-end on
-            // the simulated clock (fetch, then the Fig. 1 analysis phases
-            // in order), per-round counters/gauges, and profiler scopes.
-            // All recorded here on the single-threaded round loop, so
-            // same-seed crawls observe byte-identically.
-            {
-                let obs = &self.observer;
-                let round_id = rt.round.to_string();
-                let round_label = Labels::new(&[("round", &round_id)]);
-                let mut t = round_t0;
-                for (name, dur) in [
-                    ("crawl.fetch", fetch_secs),
-                    ("crawl.parse", phases.parse),
-                    ("crawl.filter", phases.filter),
-                    ("crawl.classify", phases.classify),
-                    ("crawl.dedup", phases.dedup),
-                ] {
-                    obs.tracer().span(name, t, dur, round_label.clone());
-                    t += dur;
-                }
-                obs.profiler().record(&["crawl", "round", "fetch"], fetch_secs, round_bytes);
-                obs.profiler().record(&["crawl", "round", "parse"], phases.parse, 0);
-                obs.profiler().record(&["crawl", "round", "filter"], phases.filter, 0);
-                obs.profiler().record(&["crawl", "round", "classify"], phases.classify, 0);
-                obs.profiler().record(&["crawl", "round", "dedup"], phases.dedup, 0);
-
-                let reg = obs.registry();
-                let at = Labels::empty();
-                reg.counter("crawl.rounds", &at).inc();
-                reg.counter("crawl.pages_analyzed", &at).add(round_analyzed);
-                reg.counter("crawl.pages_failed", &at).add(round_failed);
-                reg.counter("crawl.duplicates", &at).add(round_duplicates);
-                reg.counter("crawl.relevant", &at).add(round_relevant);
-                reg.counter("crawl.irrelevant", &at).add(round_irrelevant);
-                reg.counter("crawl.bytes_fetched", &at).add(round_bytes);
-                reg.gauge("crawl.frontier_size", &at).set(self.crawldb.frontier_size() as f64);
-                reg.gauge("crawl.harvest_rate", &at).set(report.harvest_rate());
-                reg.gauge("crawl.simulated_secs", &at).set(report.simulated_secs);
-                reg.histogram("crawl.round_fetch_secs", &at).record(fetch_secs);
+            Err(failure) => failure,
+        };
+        if failure.is_retryable() {
+            let host = entry.url.host();
+            rt.breaker.record_failure(host, tally.fetched_ms);
+            let attempt = rt.attempts.entry(entry.url.clone()).or_insert(0);
+            *attempt += 1;
+            if *attempt <= options.backoff.max_retries && rt.budget.try_spend(host) {
+                let delay = options.backoff.delay_ms(&entry.url.to_string(), *attempt);
+                rt.retry_queue.push((tally.fetched_ms + delay, entry));
+                st.report.resilience.retries_scheduled += 1;
+                return None;
             }
+            st.report.resilience.retries_exhausted += 1;
+        }
+        st.report.failed += 1;
+        tally.failed += 1;
+        self.crawldb.mark(&entry.url, UrlStatus::Failed);
+        None
+    }
 
-            // Segment boundary: advance the round counter and checkpoint
-            // if the cadence says so (an injected store-write fault loses
-            // the snapshot but not the crawl).
-            rt.round += 1;
-            if let Some(every) = options.checkpoint_every_rounds {
-                if every > 0 && rt.round.is_multiple_of(every) {
-                    let lost = options.faults.as_ref().is_some_and(|plan| {
-                        plan.injects_at(FaultKind::StoreWrite, "crawl-checkpoint", rt.round)
-                    });
-                    if lost {
-                        report.resilience.store_write_failures += 1;
-                    } else {
-                        report.resilience.checkpoints_taken += 1;
-                        checkpoints.push(self.take_checkpoint(report, filters, rt));
-                    }
-                }
+    /// Runs one fetched page through the Fig. 1 analysis chain: the
+    /// content phases of [`FocusedCrawler::extract_content`], then
+    /// classify → expand → accept.
+    fn analyse_page(
+        &mut self,
+        st: &mut LoopState,
+        tally: &mut RoundTally,
+        entry: &FrontierEntry,
+        resp: FetchResponse,
+    ) {
+        let url = &entry.url;
+        st.report.simulated_secs += ANALYSIS_COST_SECS;
+        tally.analyzed += 1;
+        tally.bytes += resp.body.len() as u64;
+        let Some((links, net_text)) = self.extract_content(st, tally, url, &resp.body) else {
+            self.crawldb.mark(url, UrlStatus::Rejected);
+            return;
+        };
+
+        let (relevant, log_odds) = self.classify(&net_text);
+        let expand = if relevant {
+            Some(0)
+        } else if entry.irrelevant_steps < self.config.follow_irrelevant_steps {
+            Some(entry.irrelevant_steps + 1)
+        } else {
+            None
+        };
+        if let Some(steps) = expand {
+            self.crawldb.add(links.into_iter().map(|l| FrontierEntry {
+                url: l,
+                irrelevant_steps: steps,
+            }));
+        }
+        self.crawldb.mark(url, UrlStatus::Fetched);
+
+        let page = CrawledPage {
+            gold_relevant: self.web.gold_relevant(url),
+            url: url.clone(),
+            raw_bytes: resp.body.len(),
+            classified_relevant: relevant,
+            log_odds,
+            net_text,
+        };
+        if relevant {
+            tally.relevant += 1;
+            st.report.bytes_relevant += page.raw_bytes as u64;
+            st.report.relevant.push(page);
+        } else {
+            tally.irrelevant += 1;
+            st.report.bytes_irrelevant += page.raw_bytes as u64;
+            st.report.irrelevant.push(page);
+        }
+    }
+
+    /// MIME → links → boilerplate → text filters → dedup: a page's
+    /// outlinks and net text, or `None` if a phase rejected it. Charges
+    /// the page's [`ANALYSIS_COST_SECS`] to `tally`'s phases as it goes —
+    /// added in place, not returned and summed, because `f64` addition
+    /// order is part of the byte-identical trace.
+    fn extract_content(
+        &mut self,
+        st: &mut LoopState,
+        tally: &mut RoundTally,
+        url: &Url,
+        body: &[u8],
+    ) -> Option<(Vec<Url>, String)> {
+        // attribution budget for this page: phases a page never reaches
+        // are charged to the phase that stopped it
+        let mut remaining = ANALYSIS_COST_SECS;
+
+        // MIME-type / raw-size filtering first (Fig. 1 order).
+        if st.filters.check_mime(url.path(), body).is_err() {
+            tally.filter += remaining;
+            return None;
+        }
+        tally.filter += FILTER_COST_SECS;
+        remaining -= FILTER_COST_SECS;
+
+        // Parse links: LinkDB stores the observed structure even of
+        // pages we later reject.
+        // borrows the body when it is valid UTF-8 (nearly always)
+        let body_text = String::from_utf8_lossy(body);
+        let links = extract_links(&body_text, url);
+        self.linkdb.add_links(url, &links);
+
+        // Boilerplate removal (errors count as parse failures).
+        let Ok(net_text) = self.boilerplate.extract(&body_text) else {
+            tally.parse += remaining;
+            st.report.failed += 1;
+            tally.failed += 1;
+            return None;
+        };
+        tally.parse += PARSE_COST_SECS;
+        remaining -= PARSE_COST_SECS;
+
+        // Net-text length and language filters.
+        if st.filters.check_text(&net_text).is_err() {
+            tally.filter += remaining;
+            return None;
+        }
+
+        // Content deduplication (trap starvation + mirror removal).
+        if !self.seen_content.insert(codec::digest(net_text.as_bytes())) {
+            tally.dedup += remaining;
+            st.report.duplicates += 1;
+            tally.duplicates += 1;
+            return None;
+        }
+        tally.dedup += DEDUP_COST_SECS;
+        remaining -= DEDUP_COST_SECS;
+        // whatever is left of the page's budget is classification
+        tally.classify += remaining;
+        Some((links, net_text))
+    }
+
+    /// Relevance verdict and log-odds for a page's net text, optionally
+    /// adjusted by the IE feedback loop (entity density is strong
+    /// biomedical evidence the bag-of-words model may miss).
+    fn classify(&mut self, net_text: &str) -> (bool, f64) {
+        let prediction = self.classifier.predict(net_text);
+        let Some(fb) = &self.feedback else {
+            return (prediction.relevant, prediction.log_odds);
+        };
+        let adjusted = prediction.log_odds + fb.boost(net_text);
+        let verdict = adjusted > self.classifier.threshold();
+        if let Some(margin) = fb.self_training_margin {
+            if (adjusted - self.classifier.threshold()).abs() > margin {
+                self.classifier.update(net_text, verdict);
             }
+        }
+        (verdict, adjusted)
+    }
+
+    /// Observability: one span per round phase laid end-to-end on the
+    /// simulated clock (fetch, then the Fig. 1 analysis phases in order),
+    /// per-round counters/gauges, and profiler scopes. All recorded here
+    /// on the single-threaded round loop, so same-seed crawls observe
+    /// byte-identically.
+    fn observe_round(&self, st: &LoopState, tally: &RoundTally) {
+        let obs = &self.observer;
+        let round_id = st.rt.round.to_string();
+        let round_label = Labels::new(&[("round", &round_id)]);
+        let mut t = tally.started_secs;
+        for (phase, dur, bytes) in [
+            ("fetch", tally.fetch_secs, tally.bytes),
+            ("parse", tally.parse, 0),
+            ("filter", tally.filter, 0),
+            ("classify", tally.classify, 0),
+            ("dedup", tally.dedup, 0),
+        ] {
+            obs.tracer().span(&format!("crawl.{phase}"), t, dur, round_label.clone());
+            obs.profiler().record(&["crawl", "round", phase], dur, bytes);
+            t += dur;
+        }
+
+        let reg = obs.registry();
+        let at = Labels::empty();
+        reg.counter("crawl.rounds", &at).inc();
+        reg.counter("crawl.pages_analyzed", &at).add(tally.analyzed);
+        reg.counter("crawl.pages_failed", &at).add(tally.failed);
+        reg.counter("crawl.duplicates", &at).add(tally.duplicates);
+        reg.counter("crawl.relevant", &at).add(tally.relevant);
+        reg.counter("crawl.irrelevant", &at).add(tally.irrelevant);
+        reg.counter("crawl.bytes_fetched", &at).add(tally.bytes);
+        reg.gauge("crawl.frontier_size", &at).set(self.crawldb.frontier_size() as f64);
+        reg.gauge("crawl.harvest_rate", &at).set(st.report.harvest_rate());
+        reg.gauge("crawl.simulated_secs", &at).set(st.report.simulated_secs);
+        reg.histogram("crawl.round_fetch_secs", &at).record(tally.fetch_secs);
+    }
+
+    /// Checkpoints at the segment boundary if the cadence says so (an
+    /// injected store-write fault loses the snapshot but not the crawl).
+    fn cadence_checkpoint(&self, st: &mut LoopState, options: &ResilienceOptions) {
+        let due = options
+            .checkpoint_every_rounds
+            .is_some_and(|every| every > 0 && st.rt.round.is_multiple_of(every));
+        if !due {
+            return;
+        }
+        let lost = options.faults.as_ref().is_some_and(|plan| {
+            plan.injects_at(FaultKind::StoreWrite, "crawl-checkpoint", st.rt.round)
+        });
+        if lost {
+            st.report.resilience.store_write_failures += 1;
+        } else {
+            st.report.resilience.checkpoints_taken += 1;
+            st.checkpoints.push(self.take_checkpoint(st));
         }
     }
 }
@@ -805,27 +773,22 @@ impl<'w> FocusedCrawler<'w> {
 /// at a time so a long-running live session can interleave crawling with
 /// downstream incremental processing.
 ///
-/// Stepping is bit-identical to an uninterrupted run: the fetcher the
-/// loop builds per call is stateless, every retry/backoff/breaker
-/// decision lives in the checkpointed [`RetryState`], and the loop-top
-/// stop check only ever *returns* — it never changes what a round does.
-/// So N calls to [`CrawlSession::step_round`] leave the crawler, report,
-/// and observer in exactly the state one `crawl_resilient` call reaches
-/// after N rounds.
+/// Stepping is bit-identical to an uninterrupted run because it *is* the
+/// uninterrupted run's loop body: [`CrawlSession::step_round`] and
+/// `crawl_resilient` call the same `FocusedCrawler::round` over the same
+/// state, and every retry/backoff/breaker decision lives in that
+/// (checkpointed) state. So N calls to `step_round` leave the crawler,
+/// report, and observer in exactly the state one `crawl_resilient` call
+/// reaches after N rounds.
 ///
 /// Between steps the session exposes the *delta* of newly accepted pages
 /// ([`CrawlSession::take_new_pages`]) and can seal the standard crawl
 /// checkpoint frame ([`CrawlSession::checkpoint`]); [`CrawlSession::resume`]
-/// rebuilds a session from such a frame without rerunning the loop.
+/// rebuilds a session from such a frame — the one way back from a frame.
 pub struct CrawlSession<'w> {
     crawler: FocusedCrawler<'w>,
-    report: CrawlReport,
-    filters: FilterChain,
-    rt: RetryState,
+    state: LoopState,
     options: ResilienceOptions,
-    /// Cadence checkpoints taken inside the loop (per
-    /// `options.checkpoint_every_rounds`), drainable by the caller.
-    checkpoints: Vec<CrawlCheckpoint>,
     done: bool,
     drained_relevant: usize,
     drained_irrelevant: usize,
@@ -833,23 +796,19 @@ pub struct CrawlSession<'w> {
 
 impl<'w> CrawlSession<'w> {
     /// Starts a stepping session: seeds are injected, nothing is fetched
-    /// yet. `options.stop_after_rounds` is ignored — the caller controls
-    /// the kill point by simply not calling [`CrawlSession::step_round`].
+    /// yet. The caller controls the kill point by simply not calling
+    /// [`CrawlSession::step_round`].
     pub fn start(
         mut crawler: FocusedCrawler<'w>,
         seeds: Vec<Url>,
         options: &ResilienceOptions,
     ) -> CrawlSession<'w> {
-        let filters = FilterChain::new(crawler.config.filters);
+        let state = LoopState::new(&crawler.config, options);
         crawler.crawldb.inject(seeds);
-        let rt = RetryState::new(options);
         CrawlSession {
             crawler,
-            report: CrawlReport::default(),
-            filters,
-            rt,
+            state,
             options: options.clone(),
-            checkpoints: Vec::new(),
             done: false,
             drained_relevant: 0,
             drained_irrelevant: 0,
@@ -860,6 +819,18 @@ impl<'w> CrawlSession<'w> {
     /// any rounds. The frame's registry snapshot is restored into
     /// `observer`, and pages already in the checkpointed report count as
     /// drained — the downstream consumer saw them before the kill.
+    ///
+    /// `config` and `options` must match the original crawl's for the
+    /// resumed run to reproduce it (they are deliberately not stored in
+    /// the checkpoint: fault plans and thresholds are inputs, not
+    /// state). `feedback` likewise must be reconstructed by the caller
+    /// when the original crawl used IE feedback — the classifier counts
+    /// it trained are in the checkpoint, but taggers are not
+    /// serializable.
+    ///
+    /// The frame is untrusted: a bad checksum, a failed decode, trailing
+    /// bytes, or a `checkpoint.round` other than the round sealed inside
+    /// all come back as a [`CodecError`].
     pub fn resume(
         web: &'w SimulatedWeb,
         checkpoint: &CrawlCheckpoint,
@@ -868,17 +839,54 @@ impl<'w> CrawlSession<'w> {
         feedback: Option<IeFeedback>,
         observer: Arc<Observer>,
     ) -> Result<CrawlSession<'w>, CodecError> {
-        let (crawler, filters, report, rt) =
-            FocusedCrawler::restore_parts(web, checkpoint, config, feedback, observer)?;
+        let mut r = Reader::new(checkpoint.payload()?);
+        let crawldb = CrawlDb::decode_snapshot(&mut r)?;
+        let linkdb = LinkDb::decode_snapshot(&mut r)?;
+        let word_counts = Snapshot::decode(&mut r)?;
+        let class_tokens = <[u64; 2]>::decode(&mut r)?;
+        let class_docs = <[u64; 2]>::decode(&mut r)?;
+        let threshold = r.f64()?;
+        let seen_content = Snapshot::decode(&mut r)?;
+        let mut filters = FilterChain::new(config.filters);
+        filters.restore_stats(FilterStats::decode(&mut r)?);
+        let report = CrawlReport::decode(&mut r)?;
+        let rt = RetryState::decode(&mut r)?;
+        let registry = RegistrySnapshot::decode(&mut r)?;
+        if !r.is_empty() {
+            return Err(CodecError::Truncated { what: "trailing checkpoint bytes" });
+        }
+        // `checkpoint.round` came from the caller (a watermark stores it
+        // beside the frame), not from under the checksum
+        if rt.round != checkpoint.round {
+            return Err(CodecError::Mismatch {
+                what: "crawl checkpoint round",
+                claimed: checkpoint.round,
+                sealed: rt.round,
+            });
+        }
+        observer.registry().restore(&registry);
+
         Ok(CrawlSession {
             drained_relevant: report.relevant.len(),
             drained_irrelevant: report.irrelevant.len(),
-            crawler,
-            report,
-            filters,
-            rt,
+            crawler: FocusedCrawler {
+                web,
+                classifier: NaiveBayes::from_parts(
+                    word_counts,
+                    class_tokens,
+                    class_docs,
+                    threshold,
+                ),
+                boilerplate: BoilerplateDetector::default(),
+                config,
+                crawldb,
+                linkdb,
+                seen_content,
+                feedback,
+                observer,
+            },
+            state: LoopState { report, filters, rt, checkpoints: Vec::new() },
             options: options.clone(),
-            checkpoints: Vec::new(),
             done: false,
         })
     }
@@ -891,24 +899,14 @@ impl<'w> CrawlSession<'w> {
         if self.done {
             return false;
         }
-        let step = ResilienceOptions {
-            stop_after_rounds: Some(self.rt.round + 1),
-            ..self.options.clone()
-        };
-        let more = self.crawler.run_rounds(
-            &mut self.report,
-            &mut self.filters,
-            &mut self.rt,
-            &step,
-            &mut self.checkpoints,
-        );
+        let more = self.crawler.round(&mut self.state, &self.options);
         if !more {
             self.done = true;
             // Derived report fields are filled exactly once, at the end —
             // the same point `crawl_resilient` fills them — so mid-session
             // state (and any checkpoint sealed from it) stays bit-identical
             // to an uninterrupted run at the same round boundary.
-            self.crawler.finish(&mut self.report, &self.filters, &self.rt);
+            self.crawler.finish(&mut self.state);
         }
         more
     }
@@ -917,11 +915,11 @@ impl<'w> CrawlSession<'w> {
     /// `(relevant, irrelevant)` tail slices of the report, in acceptance
     /// order. The cursor advances, so each page is returned exactly once.
     pub fn take_new_pages(&mut self) -> (&[CrawledPage], &[CrawledPage]) {
-        let rel_from = self.drained_relevant;
-        let irr_from = self.drained_irrelevant;
-        self.drained_relevant = self.report.relevant.len();
-        self.drained_irrelevant = self.report.irrelevant.len();
-        (&self.report.relevant[rel_from..], &self.report.irrelevant[irr_from..])
+        let report = &self.state.report;
+        let from = (self.drained_relevant, self.drained_irrelevant);
+        self.drained_relevant = report.relevant.len();
+        self.drained_irrelevant = report.irrelevant.len();
+        (&report.relevant[from.0..], &report.irrelevant[from.1..])
     }
 
     /// Count of relevant pages already handed out via
@@ -932,15 +930,15 @@ impl<'w> CrawlSession<'w> {
     }
 
     /// Seals the complete crawler + loop state into the standard crawl
-    /// checkpoint frame — byte-compatible with the cadence checkpoints
-    /// `crawl_resilient` takes, so either kind can resume a session.
+    /// checkpoint frame — the very bytes a cadence checkpoint at this
+    /// round would be, so either kind can resume a session.
     pub fn checkpoint(&self) -> CrawlCheckpoint {
-        self.crawler.take_checkpoint(&self.report, &self.filters, &self.rt)
+        self.crawler.take_checkpoint(&self.state)
     }
 
     /// Rounds completed so far.
     pub fn round(&self) -> u64 {
-        self.rt.round
+        self.state.rt.round
     }
 
     /// Has the crawl ended (frontier exhausted or `max_pages` reached)?
@@ -949,7 +947,7 @@ impl<'w> CrawlSession<'w> {
     }
 
     pub fn report(&self) -> &CrawlReport {
-        &self.report
+        &self.state.report
     }
 
     pub fn crawler(&self) -> &FocusedCrawler<'w> {
@@ -960,12 +958,12 @@ impl<'w> CrawlSession<'w> {
     /// [`FocusedCrawler::state_digest`]) — the "crawler frontier digest"
     /// a live watermark records.
     pub fn state_digest(&self) -> u64 {
-        self.crawler.state_digest(&self.report)
+        self.crawler.state_digest(&self.state.report)
     }
 
     /// Drains any cadence checkpoints the loop took during stepping.
     pub fn take_cadence_checkpoints(&mut self) -> Vec<CrawlCheckpoint> {
-        std::mem::take(&mut self.checkpoints)
+        std::mem::take(&mut self.state.checkpoints)
     }
 }
 
@@ -1175,6 +1173,35 @@ mod tests {
         }
     }
 
+    /// A crawl killed after `rounds` rounds: step that many, drop the
+    /// session, keep its last cadence frame — all that durable storage
+    /// would hold.
+    fn last_frame_of_killed_crawl(
+        web: &SimulatedWeb,
+        nb: NaiveBayes,
+        seeds: Vec<Url>,
+        opts: &ResilienceOptions,
+        rounds: u64,
+    ) -> CrawlCheckpoint {
+        let mut victim =
+            CrawlSession::start(FocusedCrawler::new(web, nb, resilient_config()), seeds, opts);
+        while victim.round() < rounds && victim.step_round() {}
+        victim.take_cadence_checkpoints().pop().expect("killed run took no checkpoint")
+    }
+
+    /// The one way back from a frame, run to the end of the crawl.
+    fn resumed_to_end<'w>(
+        web: &'w SimulatedWeb,
+        frame: &CrawlCheckpoint,
+        opts: &ResilienceOptions,
+        observer: Arc<Observer>,
+    ) -> CrawlSession<'w> {
+        let mut session =
+            CrawlSession::resume(web, frame, resilient_config(), opts, None, observer).unwrap();
+        while session.step_round() {}
+        session
+    }
+
     #[test]
     fn checkpointing_does_not_perturb_the_crawl() {
         let (web, nb) = setup();
@@ -1277,24 +1304,9 @@ mod tests {
             .with_observer(Arc::clone(&base_obs));
         let (_base_report, _) = baseline.crawl_resilient(seeds.clone(), &opts);
 
-        let killed_opts = ResilienceOptions {
-            stop_after_rounds: Some(3),
-            ..opts.clone()
-        };
-        let mut killed = FocusedCrawler::new(&web, nb, resilient_config());
-        let (_, mut ckpts) = killed.crawl_resilient(seeds, &killed_opts);
-        let last = ckpts.pop().expect("no checkpoint taken");
-
+        let last = last_frame_of_killed_crawl(&web, nb, seeds, &opts, 3);
         let resumed_obs = Arc::new(Observer::new());
-        let (_, _, _) = FocusedCrawler::resume_observed(
-            &web,
-            &last,
-            resilient_config(),
-            &opts,
-            None,
-            Arc::clone(&resumed_obs),
-        )
-        .unwrap();
+        resumed_to_end(&web, &last, &opts, Arc::clone(&resumed_obs));
 
         use websift_resilience::checkpoint::encode_to_vec;
         assert_eq!(
@@ -1316,23 +1328,17 @@ mod tests {
         assert!(!base_ckpts.is_empty());
 
         // Kill after 3 rounds, losing the work since the round-2 checkpoint.
-        let killed_opts = ResilienceOptions {
-            stop_after_rounds: Some(3),
-            ..opts.clone()
-        };
-        let mut killed = FocusedCrawler::new(&web, nb, resilient_config());
-        let (_partial, mut ckpts) = killed.crawl_resilient(seeds, &killed_opts);
-        let last = ckpts.pop().expect("killed run took no checkpoint");
+        let last = last_frame_of_killed_crawl(&web, nb, seeds, &opts, 3);
         assert!(last.round < 3 + 1, "checkpoint past the kill point");
 
         // Resume from durable bytes (exercising the corruption checks).
         let restored = CrawlCheckpoint::from_bytes(last.round, last.as_bytes().to_vec()).unwrap();
-        let (resumed, resumed_report, _) =
-            FocusedCrawler::resume_from(&web, &restored, resilient_config(), &opts, None).unwrap();
+        let resumed = resumed_to_end(&web, &restored, &opts, Arc::new(Observer::new()));
+        let resumed_report = resumed.report();
 
         assert_eq!(
             baseline.state_digest(&base_report),
-            resumed.state_digest(&resumed_report),
+            resumed.state_digest(),
             "resumed crawl state diverged from uninterrupted baseline"
         );
         assert_eq!(base_report.relevant.len(), resumed_report.relevant.len());
@@ -1365,6 +1371,11 @@ mod tests {
         while session.step_round() {
             let (rel, irr) = session.take_new_pages();
             pages += rel.len() + irr.len();
+            // one encoder: a frame sealed on demand at a cadence round is
+            // the cadence frame `crawl_resilient` took there
+            if let Some(cadence) = base_ckpts.iter().find(|c| c.round == session.round()) {
+                assert_eq!(cadence.as_bytes(), session.checkpoint().as_bytes());
+            }
         }
         let (rel, irr) = session.take_new_pages();
         pages += rel.len() + irr.len();
@@ -1437,5 +1448,165 @@ mod tests {
             straight.report().simulated_secs.to_bits(),
             resumed.report().simulated_secs.to_bits()
         );
+    }
+
+    fn hostile_config() -> CrawlConfig {
+        CrawlConfig { fetch_list_total: 2, ..resilient_config() }
+    }
+
+    /// A real frame to attack: round 3 of a heavily faulted crawl, so
+    /// attempts, retry queue, budget and breaker are all populated. Kept
+    /// small — a toy classifier, the smallest seed pages, two fetches a
+    /// round — because the sweeps below re-seal and re-decode it once per
+    /// byte.
+    fn hostile_target(web: &SimulatedWeb) -> (CrawlSession<'_>, ResilienceOptions) {
+        let nb = NaiveBayes::train([
+            ("gene disease drug therapy", true),
+            ("football travel deals", false),
+        ]);
+        let mut seeds = biomedical_seeds(web, 60);
+        seeds.sort_by_key(|u| web.fetch(u).map_or(usize::MAX, |r| r.body.len()));
+        seeds.truncate(6);
+        let opts = ResilienceOptions::injected(0xBAD5EED, 0.3, 1);
+        let mut session =
+            CrawlSession::start(FocusedCrawler::new(web, nb, hostile_config()), seeds, &opts);
+        while session.round() < 3 && session.step_round() {}
+        assert_eq!(session.round(), 3);
+        assert!(!session.state.rt.retry_queue.is_empty(), "no retry pending in the target frame");
+        assert!(!session.report().irrelevant.is_empty(), "no page in the target frame");
+        (session, opts)
+    }
+
+    fn resume_untrusted<'w>(
+        web: &'w SimulatedWeb,
+        frame: &CrawlCheckpoint,
+        opts: &ResilienceOptions,
+    ) -> Result<CrawlSession<'w>, CodecError> {
+        CrawlSession::resume(web, frame, hostile_config(), opts, None, Arc::new(Observer::new()))
+    }
+
+    #[test]
+    fn resume_rejects_a_round_the_frame_was_not_sealed_at() {
+        let (web, _) = setup();
+        let (session, opts) = hostile_target(&web);
+        let frame = session.checkpoint();
+        assert!(resume_untrusted(&web, &frame, &opts).is_ok());
+
+        // the bytes verify, the caller's round does not: a watermark
+        // whose `crawl_round` was edited must not resume as round 99
+        let lying = CrawlCheckpoint::from_bytes(99, frame.as_bytes().to_vec()).unwrap();
+        assert_eq!(
+            resume_untrusted(&web, &lying, &opts).err(),
+            Some(CodecError::Mismatch { what: "crawl checkpoint round", claimed: 99, sealed: 3 })
+        );
+    }
+
+    #[test]
+    fn truncated_payloads_resealed_never_resume() {
+        let (web, _) = setup();
+        let (session, opts) = hostile_target(&web);
+        let frame = session.checkpoint();
+        let payload = frame.payload().unwrap();
+        // a valid checksum over a short payload gets past the frame check,
+        // so the decoder itself has to notice, at every offset
+        for cut in 0..payload.len() {
+            let resealed = CrawlCheckpoint::seal(3, &payload[..cut]);
+            assert!(
+                resume_untrusted(&web, &resealed, &opts).is_err(),
+                "payload cut at {cut}/{} resumed",
+                payload.len()
+            );
+        }
+        let mut padded = payload.to_vec();
+        padded.push(0);
+        assert_eq!(
+            resume_untrusted(&web, &CrawlCheckpoint::seal(3, &padded), &opts).err(),
+            Some(CodecError::Truncated { what: "trailing checkpoint bytes" })
+        );
+    }
+
+    #[test]
+    fn absurd_collection_lengths_are_errors_not_allocations() {
+        let (web, _) = setup();
+        let (session, opts) = hostile_target(&web);
+        let payload = session.checkpoint().payload().unwrap().to_vec();
+        let (c, st) = (&session.crawler, &session.state);
+        let len_of = |encode: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            encode(&mut w);
+            w.len()
+        };
+
+        // where each `Vec`/map/set header sits, and the count it holds
+        let linkdb_at = len_of(&|w| c.crawldb.encode_snapshot(w));
+        let crawler_len = len_of(&|w| c.encode_crawler(w));
+        let report_at = crawler_len + len_of(&|w| st.filters.stats().encode(w));
+        let attempts_at = report_at + len_of(&|w| st.report.encode(w)) + 8;
+        let headers = [
+            ("crawldb status map", 16, c.crawldb.known()),
+            ("linkdb urls", linkdb_at, c.linkdb.len()),
+            (
+                "dedup hashes",
+                crawler_len - len_of(&|w| c.seen_content.encode(w)),
+                c.seen_content.len(),
+            ),
+            ("relevant pages", report_at, st.report.relevant.len()),
+            (
+                "irrelevant pages",
+                report_at + len_of(&|w| st.report.relevant.encode(w)),
+                st.report.irrelevant.len(),
+            ),
+            ("retry attempts", attempts_at, st.rt.attempts.len()),
+            (
+                "retry queue",
+                attempts_at + len_of(&|w| st.rt.attempts.encode(w)),
+                st.rt.retry_queue.len(),
+            ),
+        ];
+        for (what, at, count) in headers {
+            let field = |bytes: &[u8]| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            assert_eq!(field(&payload), count as u64, "{what} header is not at {at}");
+            for absurd in [u64::MAX, 1 << 62, 1 << 40, payload.len() as u64, count as u64 + 1] {
+                let mut spliced = payload.clone();
+                spliced[at..at + 8].copy_from_slice(&absurd.to_le_bytes());
+                // returning at all shows nothing was sized by `absurd`:
+                // 2^40 elements of anything would abort the test process
+                assert!(
+                    resume_untrusted(&web, &CrawlCheckpoint::seal(3, &spliced), &opts).is_err(),
+                    "{what} count {absurd} resumed"
+                );
+            }
+            // a count that is too small misaligns everything after it:
+            // an error, or (never seen) a session that must still step
+            let mut spliced = payload.clone();
+            spliced[at..at + 8].copy_from_slice(&(count as u64).saturating_sub(1).to_le_bytes());
+            let resealed = CrawlCheckpoint::seal(3, &spliced);
+            if let Ok(mut session) = resume_untrusted(&web, &resealed, &opts) {
+                session.step_round();
+            }
+        }
+    }
+
+    #[test]
+    fn any_flipped_bit_fails_the_frame_check() {
+        let (web, _) = setup();
+        let (session, _) = hostile_target(&web);
+        let frame = session.checkpoint();
+        for at in 0..frame.size_bytes() {
+            let mut bytes = frame.as_bytes().to_vec();
+            bytes[at] ^= 1 << (at % 8);
+            let err = CrawlCheckpoint::from_bytes(3, bytes).expect_err("flipped frame verified");
+            let expected = match at {
+                0..=3 => matches!(err, CodecError::BadMagic { .. }),
+                4..=5 => matches!(err, CodecError::BadVersion { .. }),
+                // the payload length: too long runs off the frame, too
+                // short checksums the wrong bytes
+                6..=13 => {
+                    matches!(err, CodecError::Truncated { .. } | CodecError::BadChecksum { .. })
+                }
+                _ => matches!(err, CodecError::BadChecksum { .. }),
+            };
+            assert!(expected, "bit flip at {at}: {err}");
+        }
     }
 }

@@ -105,8 +105,8 @@ pub struct FaultContext<'p> {
 }
 
 impl<'p> FaultContext<'p> {
-    pub fn new(plan: &'p FaultPlan, epoch: u64, attempts: &'p HashMap<Url, u32>) -> Self {
-        FaultContext { plan: Some(plan), epoch, attempts: Some(attempts) }
+    pub fn new(plan: Option<&'p FaultPlan>, epoch: u64, attempts: &'p HashMap<Url, u32>) -> Self {
+        FaultContext { plan, epoch, attempts: Some(attempts) }
     }
 
     fn attempt_of(&self, url: &Url) -> u32 {
@@ -127,13 +127,10 @@ impl<'w> Fetcher<'w> {
     }
 
     /// Fetches a batch, respecting robots.txt (disallow rules skip the URL;
-    /// crawl-delay serializes the host's simulated timeline).
-    pub fn fetch_batch(&self, batch: Vec<FrontierEntry>) -> (Vec<FetchOutcome>, FetchStats) {
-        self.fetch_batch_with(batch, FaultContext::default())
-    }
-
-    /// [`Fetcher::fetch_batch`] with fault injection.
-    pub fn fetch_batch_with(
+    /// crawl-delay serializes the host's simulated timeline). `faults`
+    /// injects failures per its plan; [`FaultContext::default`] has no
+    /// plan and injects nothing.
+    pub fn fetch_batch(
         &self,
         batch: Vec<FrontierEntry>,
         faults: FaultContext<'_>,
@@ -366,7 +363,7 @@ mod tests {
         let fetcher = Fetcher::new(&web, 4);
         let batch = entries(&web, 40);
         let n = batch.len();
-        let (outcomes, stats) = fetcher.fetch_batch(batch);
+        let (outcomes, stats) = fetcher.fetch_batch(batch, FaultContext::default());
         assert_eq!(outcomes.len() as u64 + stats.robots_skipped, n as u64);
         assert_eq!(stats.fetched + stats.failed, outcomes.len() as u64);
         assert!(stats.bytes > 0);
@@ -378,8 +375,8 @@ mod tests {
         let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
         let batch1 = entries(&web, 30);
         let batch2 = entries(&web, 30);
-        let (o1, _) = Fetcher::new(&web, 1).fetch_batch(batch1);
-        let (o8, _) = Fetcher::new(&web, 8).fetch_batch(batch2);
+        let (o1, _) = Fetcher::new(&web, 1).fetch_batch(batch1, FaultContext::default());
+        let (o8, _) = Fetcher::new(&web, 8).fetch_batch(batch2, FaultContext::default());
         let urls1: Vec<String> = o1.iter().map(|o| o.entry.url.to_string()).collect();
         let urls8: Vec<String> = o8.iter().map(|o| o.entry.url.to_string()).collect();
         assert_eq!(urls1, urls8);
@@ -401,7 +398,7 @@ mod tests {
             url: Url::new(&host, "/private/secret.html"),
             irrelevant_steps: 0,
         }];
-        let (outcomes, stats) = fetcher.fetch_batch(batch);
+        let (outcomes, stats) = fetcher.fetch_batch(batch, FaultContext::default());
         assert!(outcomes.is_empty());
         assert_eq!(stats.robots_skipped, 1);
     }
@@ -409,8 +406,8 @@ mod tests {
     #[test]
     fn more_threads_do_not_increase_makespan() {
         let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
-        let (_, s1) = Fetcher::new(&web, 1).fetch_batch(entries(&web, 60));
-        let (_, s8) = Fetcher::new(&web, 8).fetch_batch(entries(&web, 60));
+        let (_, s1) = Fetcher::new(&web, 1).fetch_batch(entries(&web, 60), FaultContext::default());
+        let (_, s8) = Fetcher::new(&web, 8).fetch_batch(entries(&web, 60), FaultContext::default());
         assert!(s8.simulated_ms <= s1.simulated_ms);
     }
 
@@ -419,11 +416,11 @@ mod tests {
         let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
         let fetcher = Fetcher::new(&web, 4);
         let batch = entries(&web, 40);
-        let n_outcomes = fetcher.fetch_batch(batch.clone()).0.len();
+        let n_outcomes = fetcher.fetch_batch(batch.clone(), FaultContext::default()).0.len();
         let plan = FaultPlan::new(11).with_rate(FaultKind::FetchTransient, 1.0);
         let attempts = HashMap::new();
         let (outcomes, stats) =
-            fetcher.fetch_batch_with(batch, FaultContext::new(&plan, 0, &attempts));
+            fetcher.fetch_batch(batch, FaultContext::new(Some(&plan), 0, &attempts));
         assert_eq!(outcomes.len(), n_outcomes);
         assert_eq!(stats.injected_transient as usize, n_outcomes);
         assert!(outcomes
@@ -442,7 +439,7 @@ mod tests {
         // every host batch panics; the call must still return, with every
         // non-robots-skipped entry accounted for as a typed failure
         let (outcomes, stats) =
-            fetcher.fetch_batch_with(batch.clone(), FaultContext::new(&plan, 0, &attempts));
+            fetcher.fetch_batch(batch.clone(), FaultContext::new(Some(&plan), 0, &attempts));
         assert!(stats.worker_panics > 0);
         assert_eq!(outcomes.len(), batch.len());
         assert!(outcomes
@@ -458,7 +455,7 @@ mod tests {
         let run = |threads| {
             let fetcher = Fetcher::new(&web, threads);
             let (outcomes, _) = fetcher
-                .fetch_batch_with(entries(&web, 50), FaultContext::new(&plan, 3, &attempts));
+                .fetch_batch(entries(&web, 50), FaultContext::new(Some(&plan), 3, &attempts));
             outcomes
                 .into_iter()
                 .map(|o| (o.entry.url.to_string(), o.result.is_ok()))

@@ -18,13 +18,13 @@
 //! - [`classifier`] — the incremental Naive-Bayes focus classifier;
 //! - [`seeds`] — simulated search engines and Table-1 keyword-driven seed
 //!   generation;
-//! - [`crawl`] — the orchestrated focused-crawl loop with harvest-rate and
-//!   throughput reporting;
+//! - [`crawl`] — the focused-crawl loop (one `round`, run whole or stepped
+//!   by `CrawlSession`) with harvest-rate and throughput reporting;
 //! - [`feedback`] — the §5 "consolidated process" extension: IE results
 //!   steering the classifier during the crawl;
 //! - [`recovery`] — resilience options, retry/breaker/checkpoint counters,
 //!   and the sealed crawl-checkpoint container behind
-//!   [`crawl::FocusedCrawler::resume_from`].
+//!   [`crawl::CrawlSession::resume`].
 
 pub mod boilerplate;
 pub mod classifier;

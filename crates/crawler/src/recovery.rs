@@ -4,7 +4,10 @@
 //! The mechanics (fault decisions, backoff math, breaker state, the byte
 //! codec) live in `websift-resilience`; this module defines how the
 //! focused crawler exposes them — what can be tuned per crawl, what is
-//! reported afterwards, and the envelope around checkpoint bytes.
+//! reported afterwards, and the envelope around checkpoint bytes. There
+//! is no "kill" option: a simulated kill is a caller that stops calling
+//! [`crate::CrawlSession::step_round`], and the one way back from a
+//! frame is [`crate::CrawlSession::resume`].
 
 use serde::Serialize;
 use websift_resilience::codec;
@@ -35,8 +38,6 @@ pub struct ResilienceOptions {
     pub breaker_cooldown_ms: u64,
     /// Take a checkpoint every N rounds; `None` disables checkpointing.
     pub checkpoint_every_rounds: Option<u64>,
-    /// Stop (simulating a kill) once this many rounds have run.
-    pub stop_after_rounds: Option<u64>,
 }
 
 impl Default for ResilienceOptions {
@@ -48,7 +49,6 @@ impl Default for ResilienceOptions {
             breaker_threshold: 3,
             breaker_cooldown_ms: 60_000,
             checkpoint_every_rounds: None,
-            stop_after_rounds: None,
         }
     }
 }
@@ -124,7 +124,8 @@ impl Snapshot for ResilienceStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrawlCheckpoint {
     frame: Vec<u8>,
-    /// Round index at which this checkpoint was taken.
+    /// Round index at which this checkpoint was taken — after
+    /// [`CrawlCheckpoint::from_bytes`], the caller's claim of it.
     pub round: u64,
 }
 
@@ -149,7 +150,9 @@ impl CrawlCheckpoint {
     }
 
     /// Rehydrates a checkpoint from stored bytes, verifying tag,
-    /// version, and checksum.
+    /// version, and checksum. `round` is whatever the caller stored
+    /// beside the frame; checking it takes a full decode, so that waits
+    /// for [`crate::CrawlSession::resume`].
     pub fn from_bytes(round: u64, bytes: Vec<u8>) -> Result<CrawlCheckpoint, CodecError> {
         let ckpt = CrawlCheckpoint { frame: bytes, round };
         ckpt.payload()?;
@@ -189,6 +192,5 @@ mod tests {
         let opts = ResilienceOptions::default();
         assert!(opts.faults.is_none());
         assert!(opts.checkpoint_every_rounds.is_none());
-        assert!(opts.stop_after_rounds.is_none());
     }
 }

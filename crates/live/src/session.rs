@@ -16,14 +16,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use websift_corpus::{CorpusKind, Document};
+use websift_corpus::CorpusKind;
 use websift_crawler::{CrawlConfig, CrawlSession, NaiveBayes, ResilienceOptions};
 use websift_analyze::Diagnostic;
 use websift_flow::{
     analyze_plan, AnalyzeOptions, ExecutionConfig, Executor, LogicalPlan, Record,
 };
 use websift_observe::{Labels, Observer};
-use websift_pipeline::documents_to_records;
+use websift_pipeline::{documents_from_pages, documents_to_records};
 use websift_resilience::CodecError;
 use websift_serve::{ExtractionStore, StoreSnapshot};
 use websift_web::{SimulatedWeb, Url};
@@ -133,7 +133,9 @@ impl<'w> LiveSession<'w> {
     }
 
     /// Rebuilds a session from a sealed [`Watermark`], verifying the
-    /// crawler-frontier and store digests recorded in the frame. The
+    /// crawler-frontier and store digests recorded in the frame (and,
+    /// inside [`CrawlSession::resume`], that `crawl_round` is the round
+    /// the crawl frame was sealed at). The
     /// resumed session continues from round `watermark.rounds() + 1` and
     /// replays byte-identically to a session that was never killed.
     pub fn resume_from(
@@ -193,22 +195,8 @@ impl<'w> LiveSession<'w> {
         // their *global* position in the crawl — the same ids
         // `Corpora::adopt_crawl` assigns over the cumulative report, so a
         // batch recompute sees an identical record stream.
-        let docs: Vec<Document> = {
-            let (relevant, _irrelevant) = self.crawl.take_new_pages();
-            relevant
-                .iter()
-                .enumerate()
-                .map(|(i, p)| Document {
-                    id: (offset_before + i) as u64,
-                    kind: CorpusKind::RelevantWeb,
-                    url: Some(p.url.to_string()),
-                    title: String::new(),
-                    body: p.net_text.clone(),
-                    html: None,
-                    gold: Default::default(),
-                })
-                .collect()
-        };
+        let (relevant, _irrelevant) = self.crawl.take_new_pages();
+        let docs = documents_from_pages(relevant, CorpusKind::RelevantWeb, offset_before as u64);
         if docs.is_empty() && self.crawl.is_done() {
             return Ok(None);
         }

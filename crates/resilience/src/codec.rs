@@ -33,6 +33,9 @@ pub enum CodecError {
     /// A decoded value does not fit the platform type it targets
     /// (e.g. a 64-bit length on a 32-bit host).
     Oversize { what: &'static str, value: u64 },
+    /// A value the caller kept beside the frame disagrees with the one
+    /// sealed inside it.
+    Mismatch { what: &'static str, claimed: u64, sealed: u64 },
 }
 
 impl fmt::Display for CodecError {
@@ -59,6 +62,9 @@ impl fmt::Display for CodecError {
             }
             CodecError::Oversize { what, value } => {
                 write!(f, "checkpoint {what} value {value} does not fit this platform")
+            }
+            CodecError::Mismatch { what, claimed, sealed } => {
+                write!(f, "{what} mismatch: caller claims {claimed}, frame holds {sealed}")
             }
         }
     }

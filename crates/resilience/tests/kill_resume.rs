@@ -6,8 +6,10 @@
 //! cycle: the crates under test depend on this crate's lib).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use websift_crawler::{
-    train_focus_classifier, CrawlCheckpoint, CrawlConfig, FocusedCrawler, ResilienceOptions,
+    train_focus_classifier, CrawlCheckpoint, CrawlConfig, CrawlSession, FocusedCrawler,
+    ResilienceOptions,
 };
 use websift_flow::{
     ExecutionConfig, Executor, FlowCheckpoint, FlowResilience, LogicalPlan, Operator, Record,
@@ -49,27 +51,40 @@ fn crawl_killed_and_resumed_is_bit_identical_to_uninterrupted() {
     let (base_report, base_ckpts) = baseline.crawl_resilient(seeds.clone(), &opts);
     assert!(!base_ckpts.is_empty(), "baseline took no checkpoints");
 
-    // Kill after three rounds; work since the round-2 checkpoint is lost.
-    let killed_opts = ResilienceOptions {
-        stop_after_rounds: Some(3),
-        ..opts.clone()
-    };
-    let mut victim = FocusedCrawler::new(&web, classifier(), crawl_config());
-    let (_partial, mut ckpts) = victim.crawl_resilient(seeds, &killed_opts);
-    let last = ckpts.pop().expect("killed crawl took no checkpoint");
+    // Kill after three rounds — step three, drop the session — so work
+    // since the round-2 cadence checkpoint is lost.
+    let mut victim = CrawlSession::start(
+        FocusedCrawler::new(&web, classifier(), crawl_config()),
+        seeds,
+        &opts,
+    );
+    while victim.round() < 3 && victim.step_round() {}
+    let last = victim
+        .take_cadence_checkpoints()
+        .pop()
+        .expect("killed crawl took no checkpoint");
+    drop(victim);
 
     // Round-trip the checkpoint through bytes (the durable path).
     let restored = CrawlCheckpoint::from_bytes(last.round, last.as_bytes().to_vec())
         .expect("sealed checkpoint failed verification");
-    let (resumed, resumed_report, _) =
-        FocusedCrawler::resume_from(&web, &restored, crawl_config(), &opts, None)
-            .expect("resume failed");
+    let mut resumed = CrawlSession::resume(
+        &web,
+        &restored,
+        crawl_config(),
+        &opts,
+        None,
+        Arc::new(websift_observe::Observer::new()),
+    )
+    .expect("resume failed");
+    while resumed.step_round() {}
+    let resumed_report = resumed.report();
 
     // Bit-identical final CrawlDB statistics: full state digest plus the
     // report's floating-point accumulators compared by bit pattern.
     assert_eq!(
         baseline.state_digest(&base_report),
-        resumed.state_digest(&resumed_report),
+        resumed.state_digest(),
         "resumed crawl state diverged from the uninterrupted baseline"
     );
     assert_eq!(base_report.relevant.len(), resumed_report.relevant.len());

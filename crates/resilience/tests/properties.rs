@@ -9,9 +9,10 @@
 //!    as the uninterrupted baseline.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use websift_crawler::{
-    train_focus_classifier, CrawlConfig, CrawlDb, CrawlDbConfig, FocusedCrawler, FrontierEntry,
-    ResilienceOptions,
+    train_focus_classifier, CrawlConfig, CrawlDb, CrawlDbConfig, CrawlSession, FocusedCrawler,
+    FrontierEntry, ResilienceOptions,
 };
 use websift_resilience::{BackoffPolicy, Reader, Writer};
 use websift_web::{PageId, SimulatedWeb, Url, WebGraph, WebGraphConfig};
@@ -136,32 +137,36 @@ proptest! {
             FocusedCrawler::new(&web, train_focus_classifier(60, 1.5, 99), config());
         let (base_report, _) = baseline.crawl_resilient(seeds.clone(), &opts);
 
-        let killed_opts = ResilienceOptions {
-            stop_after_rounds: Some(stop_after),
-            ..opts.clone()
-        };
-        let mut victim =
-            FocusedCrawler::new(&web, train_focus_classifier(60, 1.5, 99), config());
-        let (_, ckpts) = victim.crawl_resilient(seeds, &killed_opts);
+        // killed after `stop_after` rounds: step, drop, keep the last frame
+        let mut victim = CrawlSession::start(
+            FocusedCrawler::new(&web, train_focus_classifier(60, 1.5, 99), config()),
+            seeds,
+            &opts,
+        );
+        while victim.round() < stop_after && victim.step_round() {}
+        let ckpts = victim.take_cadence_checkpoints();
+        drop(victim);
         let last = ckpts.last().expect("no checkpoint taken before the kill");
 
-        let (resumed, resumed_report, _) = FocusedCrawler::resume_from(
+        let mut resumed = CrawlSession::resume(
             &web,
             last,
             config(),
             &opts,
             None,
+            Arc::new(websift_observe::Observer::new()),
         )
         .expect("resume failed");
+        while resumed.step_round() {}
 
         prop_assert_eq!(
             base_report.harvest_rate().to_bits(),
-            resumed_report.harvest_rate().to_bits(),
+            resumed.report().harvest_rate().to_bits(),
             "harvest rate diverged after resume"
         );
         prop_assert_eq!(
             baseline.state_digest(&base_report),
-            resumed.state_digest(&resumed_report)
+            resumed.state_digest()
         );
     }
 }

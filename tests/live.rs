@@ -19,7 +19,10 @@ use websift::flow::{IeResources, LogicalPlan, Operator, Package, Record};
 use websift::live::{IncrementalFlow, LiveError, LiveOptions, LiveSession, Watermark};
 use websift::ner::EntityType;
 use websift::observe::Observer;
-use websift::pipeline::{documents_to_records, live_extraction_flow, run_over_documents_into};
+use websift::pipeline::{
+    documents_from_pages, documents_to_records, live_extraction_flow, run_over_documents_into,
+};
+use websift::resilience::CodecError;
 use websift::serve::{parse_query, ExtractionStore, QueryEngine};
 use websift::web::{PageId, SimulatedWeb, Url, WebGraph, WebGraphConfig};
 
@@ -66,24 +69,6 @@ fn start_session<'w>(
     .expect("live session starts")
 }
 
-/// The same document construction the live session applies to its
-/// per-round deltas, over the cumulative crawl — the batch oracle input.
-fn docs_from_pages(pages: &[websift::crawler::CrawledPage]) -> Vec<Document> {
-    pages
-        .iter()
-        .enumerate()
-        .map(|(i, p)| Document {
-            id: i as u64,
-            kind: CorpusKind::RelevantWeb,
-            url: Some(p.url.to_string()),
-            title: String::new(),
-            body: p.net_text.clone(),
-            html: None,
-            gold: Default::default(),
-        })
-        .collect()
-}
-
 /// Batch full-recompute oracle for the store: a fresh store fed the
 /// cumulative corpus through the *original* plan (Reduce and all), round
 /// slices replayed with their round stamps.
@@ -115,7 +100,8 @@ fn incremental_session_matches_batch_recompute_on_every_round() {
 
         // (a) incremental store vs (b) batch full recompute over the
         // cumulative corpus, at every round boundary
-        let cumulative = docs_from_pages(&session.crawl().report().relevant);
+        let relevant = &session.crawl().report().relevant;
+        let cumulative = documents_from_pages(relevant, CorpusKind::RelevantWeb, 0);
         assert_eq!(cumulative.len(), total_docs);
         let oracle = batch_store(&plan, &cumulative, &rounds, 2);
         assert_eq!(
@@ -130,7 +116,8 @@ fn incremental_session_matches_batch_recompute_on_every_round() {
     assert!(session.store().posting_count() > 0, "live session ingested nothing");
 
     // the retained reduce equals a batch Reduce over the cumulative corpus
-    let cumulative = docs_from_pages(&session.crawl().report().relevant);
+    let relevant = &session.crawl().report().relevant;
+    let cumulative = documents_from_pages(relevant, CorpusKind::RelevantWeb, 0);
     let batch = websift::pipeline::run_over_documents(&plan, &cumulative, 2)
         .expect("batch oracle flow");
     assert_eq!(
@@ -258,6 +245,36 @@ fn fault_injected_sessions_replay_identically_across_seeds() {
     for seed in [0x11u64, 0x77] {
         let options = ResilienceOptions::injected(seed, 0.05, 2);
         assert_resume_replays_identically(&options, 1);
+    }
+}
+
+#[test]
+fn watermark_with_an_edited_crawl_round_does_not_resume() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let options = ResilienceOptions::default();
+    let mut session = start_session(&web, &plan, &options, 2);
+    let sealed = session.advance().expect("round advances").expect("round exists").watermark;
+
+    // a well-formed watermark (its own checksum holds) whose `crawl_round`
+    // is not the round its crawl frame was sealed at
+    let mut parts = sealed.parts();
+    let sealed_round = parts.crawl_round;
+    parts.crawl_round = 99;
+    let resumed = LiveSession::resume_from(
+        &web,
+        crawl_config(),
+        &options,
+        &plan,
+        LiveOptions::default(),
+        Arc::new(Observer::new()),
+        &Watermark::seal(&parts),
+    );
+    match resumed.err() {
+        Some(LiveError::Codec(CodecError::Mismatch { claimed, sealed, .. })) => {
+            assert_eq!((claimed, sealed), (99, sealed_round));
+        }
+        other => panic!("edited crawl_round resumed or failed untyped: {other:?}"),
     }
 }
 
