@@ -2,9 +2,10 @@
 # Tier-1 gate (the root workspace's default members are the facade plus
 # every crate, so the plain build/test lines cover shard_worker and every
 # crate suite at default proptest cases) plus the workspace lint wall,
-# the pinned-case differential suites, and the smoke checks. Criterion
-# benches stay behind the bench crate's [[bench]] targets and are not
-# built here.
+# the pinned-case differential suites, and the smoke checks. The bench
+# crate has no [[bench]] targets: everything in it is an experiment
+# binary, and the ones with a gate are run below. Wall-clock numbers of
+# the system come from benchmark/ (last line).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -84,6 +85,13 @@ echo "langid: packed kernel == string reference holds ok"
 # on either gate).
 cargo run -q --release -p websift-bench --bin exp_throughput -- --quick --check
 echo "exp_throughput smoke: fused and combined throughput hold up ok"
+
+# Design-ablation smoke: each ablation's arms must compute the same thing
+# where they are meant to be equivalent — Aho-Corasick == naive scan,
+# filter-first == annotate-first == optimizer-rewritten sink, regexlite
+# prefilter on == off (the binary panics on disagreement).
+cargo run -q --release -p websift-bench --bin exp_ablations -- --quick > /dev/null
+echo "exp_ablations smoke: ablation arms agree where they must ok"
 
 # Serving-layer smoke: query responses must be byte-identical across
 # shard counts and across snapshot/resume (--check exits non-zero on any

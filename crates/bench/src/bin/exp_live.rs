@@ -3,7 +3,7 @@
 //!
 //! Flags:
 //! - `--quick` — smaller crawl and a {1, 2} DoP grid (CI smoke);
-//! - `--json`  — emit the `BENCH_LIVE.json` payload instead of the
+//! - `--json`  — emit the machine-readable payload instead of the
 //!   markdown table;
 //! - `--check` — exit non-zero unless (a) the incremental session, (b) a
 //!   batch full recompute, and (c) a killed-and-resumed session agree on

@@ -4,7 +4,7 @@
 //!
 //! Flags:
 //! - `--quick` — smaller store and a {1, 64} client sweep (CI smoke);
-//! - `--json`  — emit the `BENCH_SERVE.json` payload instead of the
+//! - `--json`  — emit the machine-readable payload instead of the
 //!   markdown table;
 //! - `--check` — exit non-zero unless same-seed responses are
 //!   byte-identical across shard counts and across snapshot/resume

@@ -1,8 +1,7 @@
-//! Wall-clock throughput of the fused executor: records/sec on the
-//! Fig-4/5 linguistic pipeline, fused vs unfused vs a pre-fusion
-//! baseline emulation, at DoP {1, 4, 8, 16} — plus the
-//! partial-aggregation sweep (combined vs uncombined) over the
-//! Reduce-terminated token-frequency pipeline.
+//! The two live A/B wall-clock ratios of the flow executor: records/sec
+//! on the Fig-4/5 linguistic pipeline, fused vs unfused, and on the
+//! Reduce-terminated token-frequency pipeline, combined vs uncombined,
+//! at DoP {1, 4, 8, 16}.
 //!
 //! Flags:
 //! - `--quick` — smaller corpus and a {1, 8} DoP sweep (CI smoke);
@@ -13,14 +12,10 @@
 //!   gate) and (b) combining holds up against uncombined at DoP 1 (the
 //!   combining-never-loses gate);
 //! - `--docs N` / `--dops A,B,C` — override corpus size / DoP sweep for
-//!   targeted probes of a single cell;
-//! - `--per-op` — print wall seconds per pipeline operator instead of
-//!   running the sweep (where does fused time go?).
+//!   targeted probes of a single cell.
 use websift_bench::experiments::throughput_exps::{
-    combining_at, per_op_breakdown, throughput_at, CombiningReport, ThroughputReport,
-    THROUGHPUT_DOPS,
+    combining, fusion, throughput_json, THROUGHPUT_DOPS,
 };
-use websift_bench::experiments::throughput_exps::throughput_json;
 
 /// Tolerance on the fused/unfused ratio in `--check`: wall-clock medians
 /// on shared CI hardware jitter a few percent; a real fusion regression
@@ -49,44 +44,30 @@ fn main() {
         None => THROUGHPUT_DOPS.to_vec(),
     };
 
-    if has("--per-op") {
-        let breakdown = per_op_breakdown(docs);
-        let total: f64 = breakdown.iter().map(|(_, s, _)| s).sum();
-        for (name, secs, records) in &breakdown {
-            println!("{name:32} {secs:8.3}s  {:5.1}%  -> {records} records", 100.0 * secs / total);
-        }
-        return;
-    }
-
-    let report: ThroughputReport = throughput_at(docs, &dops);
-    let combining: CombiningReport = combining_at(docs, &dops);
+    let fused = fusion(docs, &dops);
+    let combined = combining(docs, &dops);
 
     if json {
-        println!("{}", throughput_json(&report, &combining));
+        println!("{}", throughput_json(&fused, &combined));
     } else {
-        println!("{}", report.result.render());
+        println!("{}", fused.result.render());
         println!();
-        println!("{}", combining.result.render());
-        println!(
-            "shuffle-bytes reduction: {:.1}x ({} -> {} bytes)",
-            combining.shuffle_reduction(),
-            combining.shuffle_bytes_uncombined,
-            combining.shuffle_bytes_combined
-        );
+        println!("{}", combined.result.render());
     }
 
     if check {
-        if report.fused_vs_unfused < CHECK_TOLERANCE {
+        let fused_ratio = fused.accept_ratio();
+        if fused_ratio < CHECK_TOLERANCE {
             eprintln!(
-                "exp_throughput --check FAILED: fused is {:.2}x unfused (< {CHECK_TOLERANCE})",
-                report.fused_vs_unfused
+                "exp_throughput --check FAILED: fused is {fused_ratio:.2}x unfused \
+                 (< {CHECK_TOLERANCE})"
             );
             std::process::exit(1);
         }
         // Combining must never lose to uncombined, even with no
         // parallelism to hide the fold: at DoP 1 the partial maps still
         // shrink the shuffle roundtrip.
-        let dop1 = combining.ratio_at(1).unwrap_or(combining.combined_vs_uncombined);
+        let dop1 = combined.ratio_at(1).unwrap_or(combined.accept_ratio());
         if dop1 < CHECK_TOLERANCE {
             eprintln!(
                 "exp_throughput --check FAILED: combining is {dop1:.2}x uncombined at DoP 1 \
@@ -95,13 +76,10 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "exp_throughput check ok: fused {:.2}x unfused, {:.2}x pre-fusion baseline; \
-             combining {:.2}x uncombined at the acceptance DoP ({dop1:.2}x at DoP 1), \
-             shuffle shrink {:.1}x",
-            report.fused_vs_unfused,
-            report.fused_vs_baseline,
-            combining.combined_vs_uncombined,
-            combining.shuffle_reduction()
+            "exp_throughput check ok: fused {fused_ratio:.2}x unfused; combining {:.2}x \
+             uncombined at the acceptance DoP ({dop1:.2}x at DoP 1), shuffle shrink {:.1}x",
+            combined.accept_ratio(),
+            combined.shuffle_reduction()
         );
     }
 }

@@ -413,7 +413,7 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
     }
 }
 
-/// Machine-readable report for `BENCH_LIVE.json`. Host parallelism and
+/// Machine-readable report (`exp_live --json`). Host parallelism and
 /// the round/DoP grid are stamped in so wall-clock freshness can be
 /// compared across machines; costs are simulated seconds and must not
 /// vary across machines at all.

@@ -19,7 +19,8 @@
 //! | [`content_exps::table4`] | Table 4 (+ TLA filtering) |
 //! | [`content_exps::fig8`] | Fig. 8 (annotation overlap, JSD) |
 //! | [`profile_exps::cost_decomposition`] | Fig. 8 cost split (startup vs per-record, live from the profiler) |
-//! | [`throughput_exps::throughput`] | wall-clock records/sec of the fused vs unfused vs pre-fusion executor |
+//! | [`throughput_exps::fusion`] / [`throughput_exps::combining`] | wall-clock records/sec of the executor, fused vs unfused and combined vs uncombined |
+//! | [`ablation_exps::ablations`] | the design ablations DESIGN.md calls out, arms held to agreement |
 //! | [`shuffle_exps::shuffle_at`] | scale-out records/sec across worker-shard counts (threads and real processes), digest-gated |
 //! | [`serve_exps::serve`] | serving-layer QPS + latency under admission-controlled concurrent clients |
 //! | [`live_exps::live`] | incremental delta pass vs batch full recompute, per crawl round and DoP |
@@ -27,6 +28,7 @@
 //! | [`recovery_exps::flow_recovery`] | flow partition/node-loss recovery + kill-and-resume check |
 //! | [`analyze_exps::known_bad`] | §4.2 failure modes caught pre-flight by the static analyzer |
 
+pub mod ablation_exps;
 pub mod analyze_exps;
 pub mod content_exps;
 pub mod crawl_exps;

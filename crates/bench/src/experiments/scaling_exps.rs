@@ -40,8 +40,9 @@ fn sentences_of_lengths(lengths: &[usize]) -> Vec<(usize, String)> {
         .collect()
 }
 
-fn time_us(mut f: impl FnMut()) -> f64 {
-    // warm up once, then time enough repetitions for ~10ms.
+/// Wall microseconds per call of `f`: one warm-up call, then enough
+/// repetitions for ~10 ms (at least 3, at most 200).
+pub(crate) fn time_us(mut f: impl FnMut()) -> f64 {
     f();
     // lint:allow(wall_clock): Fig-3 microbenchmarks time real tool invocations
     let start = Instant::now();

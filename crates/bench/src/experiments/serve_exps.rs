@@ -395,7 +395,7 @@ pub fn serve_at(
     }
 }
 
-/// Machine-readable report for `BENCH_SERVE.json`. Host parallelism and
+/// Machine-readable report (`exp_serve --json`). Host parallelism and
 /// the sweep's shard/client grid are stamped in so wall-clock numbers
 /// can be compared across machines.
 pub fn serve_json(report: &ServeReport) -> String {

@@ -285,18 +285,20 @@ pub fn shuffle_json(report: &ShuffleReport) -> String {
             .u64("stages_pinned_local", p.stages_pinned_local)
             .finish()
     }));
-    ObjectWriter::new()
-        .str("experiment", "shuffle")
-        .str("pipeline", "linguistic_flow + token_frequency_flow over Medline abstracts")
-        .u64("docs", report.docs as u64)
-        .u64("dop", DOP as u64)
-        .u64("host_logical_cores", crate::report::host_logical_cores())
-        .raw("shards", &array(report.shards.iter().map(|s| s.to_string())))
-        .raw("process_workers_measured", if report.worker_bin.is_some() { "true" } else { "false" })
-        .raw("digests_identical", if report.digests_identical { "true" } else { "false" })
-        .u64("stages_pinned_local", report.stages_pinned_local)
-        .raw("points", &points)
-        .finish()
+    crate::report::stamp(
+        ObjectWriter::new()
+            .str("experiment", "shuffle")
+            .str("pipeline", "linguistic_flow + token_frequency_flow over Medline abstracts")
+            .u64("docs", report.docs as u64)
+            .u64("dop", DOP as u64),
+        &format!("{} generated Medline abstracts through both flows", report.docs),
+    )
+    .raw("shards", &array(report.shards.iter().map(|s| s.to_string())))
+    .raw("process_workers_measured", if report.worker_bin.is_some() { "true" } else { "false" })
+    .raw("digests_identical", if report.digests_identical { "true" } else { "false" })
+    .u64("stages_pinned_local", report.stages_pinned_local)
+    .raw("points", &points)
+    .finish()
 }
 
 #[cfg(test)]
@@ -319,6 +321,7 @@ mod tests {
         let json = shuffle_json(&report);
         assert!(json.contains("\"experiment\":\"shuffle\""));
         assert!(json.contains("\"host_logical_cores\""));
+        assert!(json.contains("\"git_rev\""));
         assert!(json.contains("\"shards\":[1,2]"));
         assert!(json.contains("\"digests_identical\":true"));
         assert!(json.contains("\"stages_pinned_local\":0"));

@@ -1,6 +1,6 @@
 //! Shared helpers for the websift benchmark and experiment harness.
 //! The real content lives in `src/bin/*` (experiment binaries, one per
-//! paper table/figure) and `benches/*` (Criterion benches).
+//! paper table/figure).
 
 pub mod experiments;
 pub mod report;

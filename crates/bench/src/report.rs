@@ -74,13 +74,32 @@ pub fn results_to_json(results: &[ExperimentResult]) -> String {
 }
 
 /// The host's logical core count, stamped into the wall-clock bench JSON
-/// payloads (`BENCH_THROUGHPUT.json`, `BENCH_SERVE.json`) so measured
-/// QPS/throughput numbers carry the hardware they were taken on. The
-/// value is bench metadata only — it never sizes a thread pool here and
-/// never reaches simulated seconds or any deterministic surface.
+/// payloads so measured QPS/throughput numbers carry the hardware they
+/// were taken on. The value is bench metadata only — it never sizes a
+/// thread pool here and never reaches simulated seconds or any
+/// deterministic surface.
 pub fn host_logical_cores() -> u64 {
     // lint:allow(nondet_parallelism): stamped into bench metadata JSON only; never feeds simulated output or digests
     std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(0)
+}
+
+/// `git rev-parse --short HEAD` of the working directory, `"unknown"`
+/// when git or the repository is not there.
+fn git_rev() -> String {
+    match std::process::Command::new("git").args(["rev-parse", "--short", "HEAD"]).output() {
+        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout).trim().to_string(),
+        _ => "unknown".to_string(),
+    }
+}
+
+/// The provenance every JSON payload bound for a committed file
+/// (`BENCH_RESULTS.json`, `BENCH_THROUGHPUT.json`, `BENCH_SHUFFLE.json`)
+/// carries: which commit measured it, on how many cores, at what size.
+pub fn stamp<'a>(payload: &'a mut ObjectWriter, workload: &str) -> &'a mut ObjectWriter {
+    payload
+        .str("git_rev", &git_rev())
+        .u64("host_logical_cores", host_logical_cores())
+        .str("workload", workload)
 }
 
 /// True when the process was invoked with `--json` — the experiment
@@ -153,6 +172,14 @@ mod tests {
     fn rejects_wrong_arity() {
         let mut r = ExperimentResult::new("T", "t", &["a"]);
         r.row(&["1".into(), "2".into()]);
+    }
+
+    #[test]
+    fn stamp_carries_rev_cores_and_workload() {
+        let json = stamp(ObjectWriter::new().str("experiment", "demo"), "7 docs").finish();
+        assert!(json.starts_with("{\"experiment\":\"demo\",\"git_rev\":\""), "{json}");
+        assert!(json.contains("\"host_logical_cores\":"));
+        assert!(json.ends_with("\"workload\":\"7 docs\"}"), "{json}");
     }
 
     #[test]

@@ -36,6 +36,15 @@ pub fn decode_from_slice<T: Snapshot>(bytes: &[u8]) -> Result<T, CodecError> {
     Ok(value)
 }
 
+/// Capacity to reserve for a collection whose encoded length field claims
+/// `claimed` elements of `T`: never more *bytes* than the reader still
+/// holds, so a forged count inside a validly sealed frame cannot turn a
+/// short payload into a `claimed × size_of::<T>()` allocation. The decode
+/// loop still runs `claimed` times and ends in `Truncated` on a lie.
+fn presize<T>(claimed: usize, r: &Reader<'_>) -> usize {
+    claimed.min(r.remaining() / std::mem::size_of::<T>().max(1))
+}
+
 macro_rules! snapshot_primitive {
     ($($ty:ty => $write:ident / $read:ident),+ $(,)?) => {
         $(
@@ -82,7 +91,7 @@ impl<T: Snapshot> Snapshot for Vec<T> {
 
     fn decode(r: &mut Reader<'_>) -> Result<Vec<T>, CodecError> {
         let len = r.usize()?;
-        let mut out = Vec::with_capacity(len.min(r.remaining()));
+        let mut out = Vec::with_capacity(presize::<T>(len, r));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
@@ -171,7 +180,7 @@ where
     fn decode(r: &mut Reader<'_>) -> Result<HashMap<K, V>, CodecError> {
         let len = r.usize()?;
         // lint:allow(hash_iteration): decode only inserts; nothing iterates here
-        let mut out = HashMap::with_capacity(len.min(r.remaining()));
+        let mut out = HashMap::with_capacity(presize::<(K, V)>(len, r));
         for _ in 0..len {
             let k = K::decode(r)?;
             let v = V::decode(r)?;
@@ -199,7 +208,7 @@ where
     fn decode(r: &mut Reader<'_>) -> Result<HashSet<T>, CodecError> {
         let len = r.usize()?;
         // lint:allow(hash_iteration): decode only inserts; nothing iterates here
-        let mut out = HashSet::with_capacity(len.min(r.remaining()));
+        let mut out = HashSet::with_capacity(presize::<T>(len, r));
         for _ in 0..len {
             out.insert(T::decode(r)?);
         }
@@ -252,6 +261,38 @@ mod tests {
             b.insert(format!("key{i}"), i);
         }
         assert_eq!(encode_to_vec(&a), encode_to_vec(&b));
+    }
+
+    #[test]
+    fn presize_never_reserves_more_bytes_than_remain() {
+        let payload = [0u8; 100];
+        let r = Reader::new(&payload);
+        type Wide = (String, [u64; 4]);
+        assert!(std::mem::size_of::<Wide>() >= 32);
+        for claimed in [0usize, 1, 3, 100, 101, u32::MAX as usize, usize::MAX] {
+            let narrow = presize::<u8>(claimed, &r);
+            let wide = presize::<Wide>(claimed, &r);
+            assert_eq!(narrow, claimed.min(100));
+            assert!(wide <= claimed);
+            assert!(wide * std::mem::size_of::<Wide>() <= r.remaining());
+        }
+        assert_eq!(presize::<Wide>(usize::MAX, &r), 100 / std::mem::size_of::<Wide>());
+        assert_eq!(presize::<()>(7, &r), 7, "zero-sized elements reserve no bytes");
+    }
+
+    #[test]
+    fn forged_count_over_short_payload_is_truncated() {
+        let mut w = Writer::new();
+        w.usize(u32::MAX as usize);
+        w.u64(1);
+        w.u64(2);
+        let bytes = w.into_bytes();
+        let truncated = |e| matches!(e, Err(CodecError::Truncated { .. }));
+        assert!(truncated(decode_from_slice::<Vec<u64>>(&bytes).map(drop)));
+        assert!(truncated(decode_from_slice::<Vec<(String, [u64; 4])>>(&bytes).map(drop)));
+        assert!(truncated(decode_from_slice::<HashMap<u64, String>>(&bytes).map(drop)));
+        assert!(truncated(decode_from_slice::<HashSet<u64>>(&bytes).map(drop)));
+        assert!(truncated(decode_from_slice::<VecDeque<u64>>(&bytes).map(drop)));
     }
 
     #[test]
