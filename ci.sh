@@ -71,12 +71,15 @@ echo "partial_agg: combining equivalence holds ok"
 PROPTEST_CASES=64 cargo test -q -p websift-flow --test fusion
 echo "fusion: fused == unfused equivalence holds ok"
 
-# Language-identification equivalence: the packed n-gram kernel must rank
+# Text-kernel equivalence, each against the implementation it replaced
+# (kept as a #[cfg(test)] reference): the packed n-gram kernel must rank
 # the same grams, measure the same four distances and reach the same
-# verdict as the String-keyed implementation it replaced, on hostile and
-# random texts. Cases pinned as above.
+# language verdict as the String-keyed one; the max-only Viterbi kernel
+# must return the same tags, errors and path-score bits as the
+# back-pointer one, alone and inside the Fig. 2 flow. Hostile and random
+# inputs; cases pinned as above.
 PROPTEST_CASES=64 cargo test -q -p websift-text --lib differential
-echo "langid: packed kernel == string reference holds ok"
+echo "langid + pos kernels == references holds ok"
 
 # Fusion + combining throughput smoke: the fused executor must not
 # regress wall-clock records/sec against its own unfused mode, and

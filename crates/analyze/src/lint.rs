@@ -175,9 +175,9 @@ pub const DETERMINISTIC_OUTPUT_MODULES: &[&str] = &[
 ];
 
 /// Modules that parse untrusted input (scripts, crawled pages and their
-/// net text, shuffle frames and operator wire forms off the wire, the
-/// crawl loop with its checkpoint decoder): matched by file name, panics
-/// on input are forbidden.
+/// net text and its tokens, shuffle frames and operator wire forms off
+/// the wire, the crawl loop with its checkpoint decoder): matched by file
+/// name, panics on input are forbidden.
 pub const UNTRUSTED_INPUT_FILES: &[&str] = &[
     "parser.rs",
     "meteor.rs",
@@ -188,6 +188,7 @@ pub const UNTRUSTED_INPUT_FILES: &[&str] = &[
     "wire.rs",
     "ngram.rs",
     "langid.rs",
+    "pos.rs",
     "crawl.rs",
     "recovery.rs",
 ];

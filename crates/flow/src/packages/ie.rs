@@ -17,7 +17,7 @@ use websift_analyze::lattice::FieldType;
 use websift_ner::{EntityType, Mention};
 use websift_text::regexlite::Regex;
 use websift_text::tokenize::tokenize;
-use websift_text::{PosTagger, SentenceSplitter};
+use websift_text::{PosTag, PosTagger, SentenceSplitter};
 
 /// Reads the `sentences` annotation back into spans; falls back to the
 /// whole text as one sentence when absent.
@@ -35,6 +35,15 @@ pub fn sentence_spans(r: &Record) -> Vec<(usize, usize)> {
             _ => Vec::new(),
         },
     }
+}
+
+/// The text a `sentences` span covers, its end clamped to the text's, or
+/// `""` for a span that covers none — inverted, starting past the end, or
+/// cutting a multi-byte character (a negative offset arrives here as a
+/// huge `usize`). Records are input: a hostile annotation yields an empty
+/// sentence, never a panic.
+pub fn sentence_text(text: &str, (start, end): (usize, usize)) -> &str {
+    text.get(start..end.min(text.len())).unwrap_or("")
 }
 
 fn push_mentions(r: &mut Record, mentions: impl IntoIterator<Item = Mention>) {
@@ -112,19 +121,22 @@ pub fn annotate_tokens() -> Operator {
 /// budget); a custom-trained tagger keeps the stage local.
 pub fn annotate_pos(tagger: Arc<PosTagger>) -> Operator {
     let builtin_budget = tagger.is_pretrained().then(|| tagger.max_tokens());
+    // One shared string per tag: a tag value is a refcount bump, not a
+    // formatted `String` copied into a fresh `Arc<str>`.
+    let names = PosTag::all().map(|t| Arc::<str>::from(t.name()));
     let op = Operator::map("ie.annotate_pos", Package::Ie, move |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
         let mut errors = 0i64;
         let mut annotations: Vec<Value> = Vec::new();
-        for (si, (start, end)) in sentence_spans(&r).into_iter().enumerate() {
-            let sent = &text[start.min(text.len())..end.min(text.len())];
+        for (si, span) in sentence_spans(&r).into_iter().enumerate() {
+            let sent = sentence_text(&text, span);
             let tokens = tokenize(sent);
             let strs: Vec<&str> = tokens.iter().map(|t| t.text(sent)).collect();
             match tagger.tag(&strs) {
                 Ok(tags) => {
                     let tag_values: Vec<Value> = tags
                         .into_iter()
-                        .map(|t| Value::from(format!("{t:?}")))
+                        .map(|t| Value::from(names[t.index()].clone()))
                         .collect();
                     let mut obj = crate::record::FieldMap::with_capacity(2);
                     obj.insert(crate::record::intern("sentence"), Value::Int(si as i64));
@@ -170,8 +182,8 @@ fn regex_annotator(
     Operator::map(name, Package::Ie, move |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
         let mut annotations: Vec<Value> = Vec::new();
-        for (si, (start, end)) in sentence_spans(&r).into_iter().enumerate() {
-            let sent = &text[start.min(text.len())..end.min(text.len())];
+        for (si, span) in sentence_spans(&r).into_iter().enumerate() {
+            let (sent, start) = (sentence_text(&text, span), span.0);
             for m in regex.find_iter(sent) {
                 let mut extra: Vec<(&str, Value)> =
                     vec![("sentence", Value::Int(si as i64))];
@@ -268,8 +280,8 @@ pub fn annotate_entities_ml(resources: &IeResources, entity: EntityType) -> Oper
     let op = Operator::map(&name, Package::Ie, move |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
         let mut all = Vec::new();
-        for (start, end) in sentence_spans(&r) {
-            let sent = &text[start.min(text.len())..end.min(text.len())];
+        for span in sentence_spans(&r) {
+            let (sent, start) = (sentence_text(&text, span), span.0);
             for mut m in tagger.tag(sent) {
                 m.start += start;
                 m.end += start;
@@ -405,6 +417,77 @@ mod tests {
         let r = doc("no sentence annotation");
         assert_eq!(sentence_spans(&r), vec![(0, 22)]);
         assert!(sentence_spans(&doc("")).is_empty());
+    }
+
+    /// A record whose `sentences` annotation a hostile or buggy producer
+    /// wrote: offsets are whatever integers it liked.
+    fn with_spans(text: &str, spans: &[(i64, i64)]) -> Record {
+        let mut r = doc(text);
+        let spans = spans.iter().map(|&(s, e)| span_annotation(s as usize, e as usize, &[]));
+        r.set("sentences", Value::Array(spans.collect()));
+        r
+    }
+
+    /// "naïve" puts a two-byte char at 28..30; the gene is a lexicon term
+    /// the tiny CRF has seen, so the ML annotator has something to find.
+    fn hostile_text() -> String {
+        let lexicon = websift_corpus::Lexicon::generate(LexiconScale::tiny());
+        format!("It does not bind (so far) naïve cells. Expression of {} increased.", lexicon.genes()[1])
+    }
+    /// inverted, negative start, negative both, start past the end, both
+    /// ends inside `ï`, end inside `ï`
+    const HOSTILE: [(i64, i64); 6] = [(30, 10), (-5, 12), (-9, -2), (500, 900), (29, 29), (0, 29)];
+
+    #[test]
+    fn sentence_text_clamps_the_end_and_rejects_the_rest() {
+        let text = "It does not bind (so far) naïve cells. Expression rose.";
+        assert_eq!(sentence_text(text, (40, 56)), "Expression rose.");
+        assert_eq!(sentence_text(text, (40, 10_000)), "Expression rose.");
+        assert_eq!(sentence_text(text, (56, 56)), "");
+        for (s, e) in HOSTILE {
+            assert_eq!(sentence_text(text, (s as usize, e as usize)), "", "span {s}..{e}");
+        }
+        assert_eq!(sentence_text("", (0, 0)), "");
+    }
+
+    #[test]
+    fn hostile_sentence_spans_flow_through_every_sentence_reader() {
+        let readers = [
+            annotate_pos(resources().pos.clone()),
+            annotate_negation(),
+            annotate_pronouns(),
+            annotate_parentheses(),
+            annotate_entities_ml(resources(), EntityType::Gene),
+        ];
+        let text = hostile_text();
+        let split = with_sentences(&text);
+        let valid = [(0, 39), (40, text.len() as i64)];
+        assert_eq!(sentence_spans(&split), valid.map(|(s, e)| (s as usize, e as usize)));
+        let mut mixed = valid.to_vec();
+        mixed.extend(HOSTILE);
+        for op in readers {
+            // an annotator that finds nothing may leave its field unset
+            let found = |r: &Record| -> Vec<Value> {
+                r.get(&op.writes[0]).and_then(Value::as_array).map(<[Value]>::to_vec).unwrap_or_default()
+            };
+            let clean = found(&op.apply(vec![split.clone()])[0]);
+            assert!(!clean.is_empty(), "{} finds nothing in the clean text", op.name);
+            // the splitter's annotation and the same spans written by hand
+            // are the same input
+            assert_eq!(found(&op.apply(vec![with_spans(&text, &valid)])[0]), clean, "{}", op.name);
+
+            // hostile spans alone: the record flows through, nothing is found
+            let out = op.apply(vec![with_spans(&text, &HOSTILE)]);
+            assert_eq!(out.len(), 1, "{}", op.name);
+            assert_eq!(found(&out[0]), [], "{}", op.name);
+            if op.name == "ie.annotate_pos" {
+                assert_eq!(out[0].get("pos_errors").unwrap().as_int(), Some(6));
+            }
+
+            // after the valid ones, they change nothing about those
+            let out = op.apply(vec![with_spans(&text, &mixed)]);
+            assert_eq!(found(&out[0]), clean, "{}", op.name);
+        }
     }
 
     #[test]
