@@ -81,6 +81,15 @@ echo "fusion: fused == unfused equivalence holds ok"
 PROPTEST_CASES=64 cargo test -q -p websift-text --lib differential
 echo "langid + pos kernels == references holds ok"
 
+# Packed span arrays: `Value::Spans` must be indistinguishable from the
+# plain array of `{end, start}` objects it spells — codec bytes, size
+# model, `==`, `value_cmp` — and the paper's flows must produce the same
+# sinks, metrics, checkpoint frames and digests as with `#[cfg(test)]`
+# annotators writing plain arrays: fused or not, resumed from a frame,
+# and across worker shards. Cases pinned as above.
+PROPTEST_CASES=64 cargo test -q -p websift-flow --lib differential
+echo "packed spans == plain arrays holds ok"
+
 # Fusion + combining throughput smoke: the fused executor must not
 # regress wall-clock records/sec against its own unfused mode, and
 # combining must never lose to uncombined — including at DoP 1, where no

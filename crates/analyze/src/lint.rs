@@ -176,8 +176,9 @@ pub const DETERMINISTIC_OUTPUT_MODULES: &[&str] = &[
 
 /// Modules that parse untrusted input (scripts, crawled pages and their
 /// net text and its tokens, shuffle frames and operator wire forms off
-/// the wire, the crawl loop with its checkpoint decoder): matched by file
-/// name, panics on input are forbidden.
+/// the wire, the crawl loop with its checkpoint decoder, the IE operators
+/// reading annotations off records): matched by file name, panics on
+/// input are forbidden.
 pub const UNTRUSTED_INPUT_FILES: &[&str] = &[
     "parser.rs",
     "meteor.rs",
@@ -191,6 +192,7 @@ pub const UNTRUSTED_INPUT_FILES: &[&str] = &[
     "pos.rs",
     "crawl.rs",
     "recovery.rs",
+    "ie.rs",
 ];
 
 /// Modules that encode/decode durable frames (checkpoints, snapshots,

@@ -22,27 +22,20 @@ pub struct DocMeasurements {
 }
 
 fn array_len(r: &Record, field: &str) -> usize {
-    r.get(field).and_then(Value::as_array).map(<[Value]>::len).unwrap_or(0)
+    r.get(field).and_then(Value::array_len).unwrap_or(0)
 }
 
 /// Extracts measurements from one annotated record.
 pub fn measure(r: &Record) -> DocMeasurements {
     let chars = r.text().map(|t| t.chars().count()).unwrap_or(0);
-    let sentences = r.get("sentences").and_then(Value::as_array);
-    let (n_sentences, mean_len) = match sentences {
-        Some(arr) if !arr.is_empty() => {
-            let lens: Vec<f64> = arr
-                .iter()
-                .filter_map(|v| {
-                    let o = v.as_object()?;
-                    Some((o.get("end")?.as_int()? - o.get("start")?.as_int()?) as f64)
-                })
-                .collect();
-            let mean = lens.iter().sum::<f64>() / lens.len() as f64;
-            (lens.len(), mean)
-        }
-        _ => (0, 0.0),
-    };
+    let lens: Vec<f64> = r
+        .get("sentences")
+        .and_then(Value::spans)
+        .into_iter()
+        .flatten()
+        .map(|s| s.end as f64 - s.start as f64)
+        .collect();
+    let mean_len = if lens.is_empty() { 0.0 } else { lens.iter().sum::<f64>() / lens.len() as f64 };
     let mut by_class: HashMap<String, usize> = HashMap::new();
     if let Some(arr) = r.get("pronouns").and_then(Value::as_array) {
         for p in arr {
@@ -54,7 +47,7 @@ pub fn measure(r: &Record) -> DocMeasurements {
     }
     DocMeasurements {
         chars,
-        sentences: n_sentences,
+        sentences: lens.len(),
         mean_sentence_chars: mean_len,
         negations: array_len(r, "negation"),
         pronouns: array_len(r, "pronouns"),

@@ -72,11 +72,7 @@ pub fn aggregate_entities(records: &[Record]) -> CorpusEntities {
     };
     let mut distinct_sets: HashMap<String, HashSet<String>> = HashMap::new();
     for r in records {
-        out.sentences += r
-            .get("sentences")
-            .and_then(Value::as_array)
-            .map(<[Value]>::len)
-            .unwrap_or(0);
+        out.sentences += r.get("sentences").and_then(Value::array_len).unwrap_or(0);
         let entities = entities_of(r);
         let mut per_doc: HashMap<EntityType, usize> = HashMap::new();
         for e in entities {

@@ -259,12 +259,8 @@ pub fn linguistic_report(docs: &[Document]) -> LinguisticReport {
     let plan = linguistic_flow("docs");
     let out = run_over_documents(&plan, docs, 2).expect("linguistic flow runs locally");
     let records: &[Record] = &out.sinks["linguistic"];
-    let count_field = |r: &Record, f: &str| {
-        r.get(f)
-            .and_then(websift_flow::Value::as_array)
-            .map(<[websift_flow::Value]>::len)
-            .unwrap_or(0)
-    };
+    let count_field =
+        |r: &Record, f: &str| r.get(f).and_then(websift_flow::Value::array_len).unwrap_or(0);
     let mut report = LinguisticReport {
         documents: docs.len(),
         ..Default::default()

@@ -49,6 +49,8 @@ pub mod record;
 pub mod resilience;
 pub mod runner;
 pub mod shuffle;
+#[cfg(test)]
+mod spans_differential;
 pub mod transport;
 
 pub use analyze::{analyze_plan, analyze_script, AnalyzeOptions};
@@ -67,7 +69,7 @@ pub use operator::{
 pub use fieldflow::{canonical_stages, explain_plan, field_flow, EdgeState, FieldFlow};
 pub use optimizer::{fused_stage, optimize, plan_stages, FusedStage, Rewrite, StageDecision};
 pub use packages::{IeConfig, IeResources, OperatorRegistry};
-pub use record::{span_annotation, FieldMap, Record, Value};
+pub use record::{span_annotation, FieldMap, Record, Span, Value};
 pub use runner::{LocalRunner, StageRunner};
 pub use shuffle::{KillSpec, ShardConfig, StageKernel, WorkerKind};
 pub use transport::{CreditWindow, FrameChannel, TransportError};

@@ -15,7 +15,7 @@
 //! - an optional **library dependency** `(name, major version)` — the
 //!   ingredient of the paper's OpenNLP 1.4-vs-1.5 class-loader war story.
 
-use crate::record::{Record, Value};
+use crate::record::{Record, Span, Value};
 use serde::Serialize;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -130,7 +130,9 @@ pub type CombineFinish = Arc<dyn Fn(&str, Value) -> Vec<Record> + Send + Sync>;
 /// < Str < Array < Object); floats use IEEE `total_cmp` so NaN has a
 /// stable place. Crucially, `Equal` implies the two values are
 /// structurally identical, which is what makes tie-breaks in partial
-/// aggregation interchangeable with the serial path.
+/// aggregation interchangeable with the serial path. A packed
+/// [`Value::Spans`] is the array of `{end, start}` objects it spells and
+/// orders exactly as that array would.
 pub fn value_cmp(a: &Value, b: &Value) -> Ordering {
     fn rank(v: &Value) -> u8 {
         match v {
@@ -139,9 +141,18 @@ pub fn value_cmp(a: &Value, b: &Value) -> Ordering {
             Value::Int(_) => 2,
             Value::Float(_) => 3,
             Value::Str(_) => 4,
-            Value::Array(_) => 5,
+            Value::Array(_) | Value::Spans(_) => 5,
             Value::Object(_) => 6,
         }
+    }
+    fn spans_vs_plain(x: &[Span], y: &[Value]) -> Ordering {
+        for (xs, yv) in x.iter().zip(y) {
+            match value_cmp(&Value::from(*xs), yv) {
+                Ordering::Equal => {}
+                other => return other,
+            }
+        }
+        x.len().cmp(&y.len())
     }
     match (a, b) {
         (Value::Null, Value::Null) => Ordering::Equal,
@@ -158,6 +169,12 @@ pub fn value_cmp(a: &Value, b: &Value) -> Ordering {
             }
             x.len().cmp(&y.len())
         }
+        // objects compare key by key in sorted order: `end` before `start`
+        (Value::Spans(x), Value::Spans(y)) => {
+            x.iter().map(|s| (s.end, s.start)).cmp(y.iter().map(|s| (s.end, s.start)))
+        }
+        (Value::Spans(x), Value::Array(y)) => spans_vs_plain(x, y),
+        (Value::Array(x), Value::Spans(y)) => spans_vs_plain(y, x).reverse(),
         (Value::Object(x), Value::Object(y)) => {
             for ((xk, xv), (yk, yv)) in x.iter().zip(y.iter()) {
                 match xk.cmp(yk).then_with(|| value_cmp(xv, yv)) {

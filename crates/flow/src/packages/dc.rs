@@ -64,10 +64,15 @@ pub fn normalize_whitespace() -> Operator {
 /// schemes"). Dictionary-sourced annotations win over ML on exact ties.
 pub fn dedup_entities() -> Operator {
     Operator::map("dc.dedup_entities", Package::Dc, |mut r| {
-        let Some(Value::Array(entities)) = r.remove("entities") else {
-            return r;
+        let mut sorted = match r.remove("entities").map(Value::into_array) {
+            Some(Ok(entities)) => entities,
+            // not an array: nothing to merge, and not this operator's to drop
+            Some(Err(other)) => {
+                r.set("entities", other);
+                return r;
+            }
+            None => return r,
         };
-        let mut sorted = entities;
         sorted.sort_by_key(|v| {
             let o = v.as_object();
             let start = o.and_then(|o| o.get("start")).and_then(Value::as_int).unwrap_or(0);
@@ -189,5 +194,15 @@ mod tests {
     fn dedup_without_entities_is_noop() {
         let out = dedup_entities().apply(vec![Record::new()]);
         assert!(!out[0].contains("entities"));
+    }
+
+    #[test]
+    fn dedup_leaves_a_non_array_entities_field_alone() {
+        for scalar in [Value::from("none found"), Value::Int(0), Value::Null] {
+            let mut r = Record::new();
+            r.set("id", 3i64).set("entities", scalar);
+            let out = dedup_entities().apply(vec![r.clone()]);
+            assert_eq!(out, [r]);
+        }
     }
 }

@@ -9,27 +9,20 @@
 //! OpenNLP version split behind the paper's class-loader war story.
 
 use crate::operator::{CostModel, Operator, Package};
+use crate::packages::resources::static_regex;
 use crate::packages::{IeResources, OperatorRegistry};
-use crate::record::{span_annotation, Record, Value};
+use crate::record::{span_annotation, Record, Span, Value};
 use std::sync::Arc;
-use std::sync::OnceLock;
 use websift_analyze::lattice::FieldType;
 use websift_ner::{EntityType, Mention};
-use websift_text::regexlite::Regex;
 use websift_text::tokenize::tokenize;
 use websift_text::{PosTag, PosTagger, SentenceSplitter};
 
 /// Reads the `sentences` annotation back into spans; falls back to the
 /// whole text as one sentence when absent.
 pub fn sentence_spans(r: &Record) -> Vec<(usize, usize)> {
-    match r.get("sentences").and_then(Value::as_array) {
-        Some(arr) => arr
-            .iter()
-            .filter_map(|v| {
-                let o = v.as_object()?;
-                Some((o.get("start")?.as_int()? as usize, o.get("end")?.as_int()? as usize))
-            })
-            .collect(),
+    match r.get("sentences").and_then(Value::spans) {
+        Some(spans) => spans.map(|s| (s.start as usize, s.end as usize)).collect(),
         None => match r.text() {
             Some(t) if !t.is_empty() => vec![(0, t.len())],
             _ => Vec::new(),
@@ -73,12 +66,9 @@ fn push_mentions(r: &mut Record, mentions: impl IntoIterator<Item = Mention>) {
 pub fn annotate_sentences() -> Operator {
     Operator::map("ie.annotate_sentences", Package::Ie, |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
-        let spans: Vec<Value> = SentenceSplitter::new()
-            .split(&text)
-            .into_iter()
-            .map(|s| span_annotation(s.start, s.end, &[]))
-            .collect();
-        r.set("sentences", Value::Array(spans));
+        let sentences = SentenceSplitter::new().split(&text);
+        let spans = sentences.into_iter().map(|s| Span { start: s.start as i64, end: s.end as i64 });
+        r.set("sentences", Value::Spans(spans.collect()));
         r
     })
     .with_reads(&["text"])
@@ -96,11 +86,9 @@ pub fn annotate_sentences() -> Operator {
 pub fn annotate_tokens() -> Operator {
     Operator::map("ie.annotate_tokens", Package::Ie, |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
-        let toks: Vec<Value> = tokenize(&text)
-            .into_iter()
-            .map(|t| span_annotation(t.start, t.end, &[]))
-            .collect();
-        r.set("tokens", Value::Array(toks));
+        let tokens = tokenize(&text);
+        let spans = tokens.into_iter().map(|t| Span { start: t.start as i64, end: t.end as i64 });
+        r.set("tokens", Value::Spans(spans.collect()));
         r
     })
     .with_reads(&["text"])
@@ -170,14 +158,7 @@ fn regex_annotator(
     pattern: &'static str,
     class_of: fn(&str) -> Option<String>,
 ) -> Operator {
-    static CACHE: OnceLock<parking_lot::Mutex<std::collections::HashMap<&'static str, Arc<Regex>>>> =
-        OnceLock::new();
-    let cache = CACHE.get_or_init(Default::default);
-    let regex = cache
-        .lock()
-        .entry(pattern)
-        .or_insert_with(|| Arc::new(Regex::case_insensitive(pattern).expect("valid pattern")))
-        .clone();
+    let regex = static_regex(pattern);
 
     Operator::map(name, Package::Ie, move |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
@@ -331,22 +312,16 @@ fn ship_with_resources(
 pub fn explode_tokens() -> Operator {
     Operator::flat_map("core.explode_tokens", Package::Base, |r| {
         let Some(text) = r.text() else { return Vec::new() };
-        let Some(Value::Array(tokens)) = r.get("tokens") else { return Vec::new() };
-        let mut out = Vec::with_capacity(tokens.len());
-        for tok in tokens {
-            let Some(span) = tok.as_object() else { continue };
-            let (Some(start), Some(end)) = (
-                span.get("start").and_then(Value::as_int),
-                span.get("end").and_then(Value::as_int),
-            ) else {
-                continue;
-            };
-            let (start, end) = (start as usize, end as usize);
-            if end > text.len() || start >= end {
+        let Some(tokens) = r.get("tokens").and_then(Value::spans) else { return Vec::new() };
+        let mut out = Vec::with_capacity(tokens.size_hint().1.unwrap_or(0));
+        for span in tokens {
+            // a negative offset is a huge `usize`: out of range like any other
+            let Some(token) = text.get(span.start as usize..span.end as usize) else { continue };
+            if token.is_empty() {
                 continue;
             }
             let mut rec = Record::new();
-            rec.set("token", text[start..end].to_lowercase());
+            rec.set("token", token.to_lowercase());
             out.push(rec);
         }
         out
@@ -386,6 +361,7 @@ pub fn register(reg: &mut OperatorRegistry, resources: Arc<IeResources>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
     use websift_corpus::LexiconScale;
 
     fn resources() -> &'static IeResources {
@@ -419,12 +395,22 @@ mod tests {
         assert!(sentence_spans(&doc("")).is_empty());
     }
 
-    /// A record whose `sentences` annotation a hostile or buggy producer
+    /// Both spellings of a span array.
+    #[derive(Debug, Clone, Copy)]
+    enum Spelling {
+        Packed,
+        Plain,
+    }
+
+    /// A record whose `field` annotation a hostile or buggy producer
     /// wrote: offsets are whatever integers it liked.
-    fn with_spans(text: &str, spans: &[(i64, i64)]) -> Record {
+    fn with_spans(text: &str, field: &str, spans: &[(i64, i64)], spelling: Spelling) -> Record {
         let mut r = doc(text);
-        let spans = spans.iter().map(|&(s, e)| span_annotation(s as usize, e as usize, &[]));
-        r.set("sentences", Value::Array(spans.collect()));
+        let spans = spans.iter().map(|&(start, end)| Span { start, end });
+        r.set(field, match spelling {
+            Spelling::Packed => Value::Spans(spans.collect()),
+            Spelling::Plain => Value::Array(spans.map(Value::from).collect()),
+        });
         r
     }
 
@@ -461,6 +447,7 @@ mod tests {
         ];
         let text = hostile_text();
         let split = with_sentences(&text);
+        assert!(matches!(split.get("sentences"), Some(Value::Spans(_))), "the splitter packs");
         let valid = [(0, 39), (40, text.len() as i64)];
         assert_eq!(sentence_spans(&split), valid.map(|(s, e)| (s as usize, e as usize)));
         let mut mixed = valid.to_vec();
@@ -472,28 +459,61 @@ mod tests {
             };
             let clean = found(&op.apply(vec![split.clone()])[0]);
             assert!(!clean.is_empty(), "{} finds nothing in the clean text", op.name);
-            // the splitter's annotation and the same spans written by hand
-            // are the same input
-            assert_eq!(found(&op.apply(vec![with_spans(&text, &valid)])[0]), clean, "{}", op.name);
+            // the splitter's annotation and the same spans written by hand,
+            // as plain objects, are the same input
+            let by_hand = with_spans(&text, "sentences", &valid, Spelling::Plain);
+            assert_eq!(found(&op.apply(vec![by_hand])[0]), clean, "{}", op.name);
 
-            // hostile spans alone: the record flows through, nothing is found
-            let out = op.apply(vec![with_spans(&text, &HOSTILE)]);
-            assert_eq!(out.len(), 1, "{}", op.name);
-            assert_eq!(found(&out[0]), [], "{}", op.name);
-            if op.name == "ie.annotate_pos" {
-                assert_eq!(out[0].get("pos_errors").unwrap().as_int(), Some(6));
+            for spelling in [Spelling::Plain, Spelling::Packed] {
+                // hostile spans alone: the record flows through, nothing is found
+                let out = op.apply(vec![with_spans(&text, "sentences", &HOSTILE, spelling)]);
+                assert_eq!(out.len(), 1, "{} {spelling:?}", op.name);
+                assert_eq!(found(&out[0]), [], "{} {spelling:?}", op.name);
+                if op.name == "ie.annotate_pos" {
+                    assert_eq!(out[0].get("pos_errors").unwrap().as_int(), Some(6));
+                }
+
+                // after the valid ones, they change nothing about those
+                let out = op.apply(vec![with_spans(&text, "sentences", &mixed, spelling)]);
+                assert_eq!(found(&out[0]), clean, "{} {spelling:?}", op.name);
             }
-
-            // after the valid ones, they change nothing about those
-            let out = op.apply(vec![with_spans(&text, &mixed)]);
-            assert_eq!(found(&out[0]), clean, "{}", op.name);
         }
     }
 
     #[test]
     fn token_annotation() {
         let out = annotate_tokens().apply(vec![doc("two tokens")]);
-        assert_eq!(out[0].get("tokens").unwrap().as_array().unwrap().len(), 2);
+        let tokens = out[0].get("tokens").unwrap();
+        assert!(matches!(tokens, Value::Spans(_)), "the tokenizer packs");
+        assert_eq!(tokens.array_len(), Some(2));
+    }
+
+    #[test]
+    fn hostile_token_spans_flow_through_explode_tokens() {
+        let text = hostile_text();
+        let tokenized = annotate_tokens().apply(vec![doc(&text)]).remove(0);
+        let clean = explode_tokens().apply(vec![tokenized.clone()]);
+        assert!(clean.len() > 10, "{} tokens", clean.len());
+        let valid: Vec<(i64, i64)> =
+            tokenized.get("tokens").and_then(Value::spans).unwrap().map(|s| (s.start, s.end)).collect();
+        let mut mixed = valid.clone();
+        mixed.extend(HOSTILE);
+        mixed.extend(&valid[..3]);
+        let mut after_mixed = clean.clone();
+        after_mixed.extend_from_slice(&clean[..3]);
+        for spelling in [Spelling::Plain, Spelling::Packed] {
+            let explode = |spans: &[(i64, i64)]| {
+                explode_tokens().apply(vec![with_spans(&text, "tokens", spans, spelling)])
+            };
+            assert_eq!(explode(&valid), clean, "{spelling:?}");
+            // inverted, negative, out of range, empty or cutting `ï`: skipped
+            assert_eq!(explode(&HOSTILE), [], "{spelling:?}");
+            assert_eq!(explode(&mixed), after_mixed, "{spelling:?}");
+        }
+        // a plain element that is no span at all is skipped like a hostile one
+        let mut r = doc(&text);
+        r.set("tokens", Value::Array(vec![Value::Int(3), Value::from(Span { start: 0, end: 2 })]));
+        assert_eq!(explode_tokens().apply(vec![r]), clean[..1]);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! through the analysis pipeline" — the property behind the paper's
 //! network-overload war story. [`Value::approx_bytes`] is the size model
 //! the simulated cluster uses to account for that growth.
+//!
+//! Token and sentence boundaries — 85 % of all annotation objects — are
+//! kept stand-off and packed ([`Value::Spans`]): one shared slice of
+//! offsets that means, encodes, sizes and compares exactly as the array
+//! of `{end, start}` objects it replaces. Annotations that carry more
+//! than their two offsets (negation, pronouns, parentheses, entities,
+//! POS) are still one [`FieldMap`] each.
 
 use serde::Serialize;
 use std::sync::Arc;
@@ -13,13 +20,14 @@ use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 
 /// The sorted field map backing [`Value::Object`] and [`Record`].
 ///
-/// Annotation operators build millions of tiny `{start, end}` objects per
-/// run. A sorted `Vec<(key, value)>` keeps each one to a single
-/// right-sized allocation (~100 bytes for a two-field object, where a
-/// B-tree leaf node is over 500) and makes drops a linear walk instead of
-/// a tree teardown. Iteration order is sorted by key — exactly BTreeMap's
-/// — so codec bytes, JSON output, digests, and the `approx_bytes` size
-/// model are unchanged by the representation swap.
+/// The regex and entity annotators build one small `{start, end, ...}`
+/// object per match (token and sentence boundaries no longer do: see
+/// [`Value::Spans`]). A sorted `Vec<(key, value)>` keeps each one to a
+/// single right-sized allocation (~100 bytes for a two-field object, where
+/// a B-tree leaf node is over 500) and makes drops a linear walk instead
+/// of a tree teardown. Iteration order is sorted by key — exactly
+/// BTreeMap's — so codec bytes, JSON output, digests, and the
+/// `approx_bytes` size model are unchanged by the representation swap.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FieldMap(Vec<(Arc<str>, Value)>);
 
@@ -89,6 +97,17 @@ impl FieldMap {
     pub fn iter(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
         self.0.iter().map(|(k, v)| (k, v))
     }
+
+    /// The span this map spells when it is exactly `{end: Int, start: Int}`
+    /// — the only object a [`Value::Spans`] element is equal to.
+    fn as_exact_span(&self) -> Option<Span> {
+        match self.0.as_slice() {
+            [(e, Value::Int(end)), (s, Value::Int(start))] if &**e == "end" && &**s == "start" => {
+                Some(Span { start: *start, end: *end })
+            }
+            _ => None,
+        }
+    }
 }
 
 impl IntoIterator for FieldMap {
@@ -134,15 +153,42 @@ impl std::ops::Index<&str> for FieldMap {
     }
 }
 
+/// One stand-off annotation boundary: byte offsets into the record's
+/// `text`. Offsets are whatever integers the producer wrote — records are
+/// input, and readers check them against the text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct Span {
+    pub start: i64,
+    pub end: i64,
+}
+
+impl From<Span> for Value {
+    /// The plain spelling of one span: the object `{end, start}`.
+    fn from(s: Span) -> Value {
+        let mut obj = FieldMap::with_capacity(2);
+        obj.insert(intern("end"), Value::Int(s.end));
+        obj.insert(intern("start"), Value::Int(s.start));
+        Value::Object(obj)
+    }
+}
 
 /// A JSON-like value. Strings are `Arc<str>` so the residual clones on
 /// fan-out and Reduce grouping are pointer bumps, not text copies — the
 /// codec bytes and [`Value::approx_bytes`] model are unaffected. Object
 /// (and [`Record`]) keys are `Arc<str>` too, built through [`intern`]:
-/// the annotation-heavy operators create millions of tiny `{start, end}`
-/// maps, and pooling the recurring key names turns every key into a
-/// refcount bump instead of a heap string.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// the annotators that still build one small map per match share the
+/// recurring key names, so every key is a refcount bump instead of a heap
+/// string.
+///
+/// [`Value::Spans`] is a second spelling of one logical value, "an array
+/// whose every element is the object `{end, start}`": 16 bytes a span
+/// where the plain spelling takes a 32-byte `Value` and a 96-byte map,
+/// and a clone or drop is one refcount. The two spellings encode to the
+/// same bytes, have the same [`Value::approx_bytes`], and compare equal
+/// under `==` and [`crate::operator::value_cmp`]; [`Value::decode`] always
+/// yields the plain one. Read either through [`Value::spans`] and
+/// [`Value::array_len`] — [`Value::as_array`] is `None` on a packed value.
+#[derive(Debug, Clone, Serialize)]
 #[serde(untagged)]
 pub enum Value {
     Null,
@@ -151,7 +197,30 @@ pub enum Value {
     Float(f64),
     Str(Arc<str>),
     Array(Vec<Value>),
+    Spans(Arc<[Span]>),
     Object(FieldMap),
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Array(a), Value::Array(b)) => a == b,
+            (Value::Spans(a), Value::Spans(b)) => a == b,
+            (Value::Object(a), Value::Object(b)) => a == b,
+            (Value::Spans(s), Value::Array(a)) | (Value::Array(a), Value::Spans(s)) => {
+                s.len() == a.len()
+                    && s.iter().zip(a).all(|(s, v)| {
+                        v.as_object().and_then(FieldMap::as_exact_span) == Some(*s)
+                    })
+            }
+            _ => false,
+        }
+    }
 }
 
 impl Value {
@@ -191,6 +260,41 @@ impl Value {
         }
     }
 
+    /// Element count of an array in either spelling.
+    pub fn array_len(&self) -> Option<usize> {
+        match self {
+            Value::Array(a) => Some(a.len()),
+            Value::Spans(s) => Some(s.len()),
+            _ => None,
+        }
+    }
+
+    /// The elements of an array, a packed one unpacked into the plain
+    /// spelling; the value itself when it is not an array.
+    pub fn into_array(self) -> Result<Vec<Value>, Value> {
+        match self {
+            Value::Array(a) => Ok(a),
+            Value::Spans(s) => Ok(s.iter().map(|&s| Value::from(s)).collect()),
+            other => Err(other),
+        }
+    }
+
+    /// The `start`/`end` offsets of an array's elements, in either
+    /// spelling; `None` when the value is not an array. A plain element
+    /// that is not an object with `Int` `start` and `end` is skipped.
+    pub fn spans(&self) -> Option<impl Iterator<Item = Span> + '_> {
+        let (packed, plain): (&[Span], &[Value]) = match self {
+            Value::Spans(s) => (s, &[]),
+            Value::Array(a) => (&[], a),
+            _ => return None,
+        };
+        let read = |v: &Value| {
+            let o = v.as_object()?;
+            Some(Span { start: o.get("start")?.as_int()?, end: o.get("end")?.as_int()? })
+        };
+        Some(packed.iter().copied().chain(plain.iter().filter_map(read)))
+    }
+
     /// Approximate serialized size in bytes — the unit of the simulated
     /// cluster's network and storage accounting.
     pub fn approx_bytes(&self) -> u64 {
@@ -200,6 +304,8 @@ impl Value {
             Value::Int(_) | Value::Float(_) => 8,
             Value::Str(s) => s.len() as u64 + 2,
             Value::Array(a) => 2 + a.iter().map(Value::approx_bytes).sum::<u64>(),
+            // each element is `{end, start}`: 2 + (3+3+8) + (5+3+8)
+            Value::Spans(s) => 2 + 32 * s.len() as u64,
             Value::Object(o) => {
                 2 + o
                     .iter()
@@ -233,6 +339,21 @@ impl Snapshot for Value {
             Value::Array(a) => {
                 w.u8(5);
                 a.encode(w);
+            }
+            Value::Spans(s) => {
+                // byte for byte the plain array of `{end, start}` objects
+                w.u8(5);
+                w.usize(s.len());
+                for span in s.iter() {
+                    w.u8(6);
+                    w.usize(2);
+                    w.str("end");
+                    w.u8(2);
+                    w.i64(span.end);
+                    w.str("start");
+                    w.u8(2);
+                    w.i64(span.start);
+                }
             }
             Value::Object(o) => {
                 w.u8(6);
@@ -380,11 +501,18 @@ impl Record {
             .sum::<u64>()
     }
 
-    /// Pushes a value onto an array field, creating it if missing.
+    /// Pushes a value onto an array field, creating it if missing (a
+    /// field that is not an array is replaced). A packed array is unpacked
+    /// once, here, and is a plain one afterwards.
     pub fn push_to(&mut self, key: &str, value: Value) {
         match self.0.get_mut(key) {
-            Some(Value::Array(a)) => a.push(value),
-            _ => {
+            Some(slot) => {
+                let mut plain =
+                    std::mem::replace(slot, Value::Null).into_array().unwrap_or_default();
+                plain.push(value);
+                *slot = Value::Array(plain);
+            }
+            None => {
                 self.0.insert(intern(key), Value::Array(vec![value]));
             }
         }
@@ -564,5 +692,157 @@ mod tests {
             [(intern("k"), Value::Int(1))].into_iter().collect(),
         );
         assert!(obj.approx_bytes() > 8);
+    }
+
+    fn encoded(v: &impl Snapshot) -> Vec<u8> {
+        let mut w = Writer::new();
+        v.encode(&mut w);
+        w.into_bytes()
+    }
+
+    fn plain(spans: &[Span]) -> Value {
+        Value::Array(spans.iter().map(|&s| Value::from(s)).collect())
+    }
+
+    fn packed(spans: &[Span]) -> Value {
+        Value::Spans(spans.into())
+    }
+
+    #[test]
+    fn push_to_unpacks_a_packed_field_instead_of_replacing_it() {
+        let spans = [Span { start: 0, end: 5 }, Span { start: 6, end: 11 }];
+        let mut record = Record::from_pairs([("sentences", packed(&spans))]);
+        let mut unpacked = Record::from_pairs([("sentences", plain(&spans))]);
+        for pushed in [Value::from(Span { start: 12, end: 20 }), Value::from("not a span")] {
+            record.push_to("sentences", pushed.clone());
+            unpacked.push_to("sentences", pushed);
+            assert!(matches!(record.get("sentences"), Some(Value::Array(_))));
+            assert_eq!(record, unpacked);
+            assert_eq!(encoded(&record), encoded(&unpacked));
+            assert_eq!(record.approx_bytes(), unpacked.approx_bytes());
+        }
+        assert_eq!(record.get("sentences").unwrap().array_len(), Some(4));
+    }
+
+    /// The packed spelling against the plain one it stands for: every
+    /// surface a value is written, sized, compared or read through.
+    mod differential {
+        use super::*;
+        use crate::operator::value_cmp;
+        use proptest::prelude::*;
+        use std::cmp::Ordering;
+
+        const OFFSETS: [i64; 10] = [i64::MIN, -7, -1, 0, 1, 2, 40, 41, 1 << 40, i64::MAX];
+
+        fn in_record(v: &Value) -> Record {
+            Record::from_pairs([("id", 7i64.into()), ("tokens", v.clone()), ("text", "some text".into())])
+        }
+
+        /// `near` differs from the value both spellings stand for, and both
+        /// spellings say so the same way.
+        fn assert_distinct(packed: &Value, plain: &Value, near: &Value) {
+            assert_ne!(packed, near);
+            assert_ne!(near, packed);
+            let order = value_cmp(packed, near);
+            assert_ne!(order, Ordering::Equal, "{near:?}");
+            assert_eq!(order, value_cmp(plain, near), "{near:?}");
+            assert_eq!(value_cmp(near, packed), order.reverse(), "{near:?}");
+        }
+
+        proptest! {
+            #[test]
+            fn packed_spans_are_the_plain_array_they_spell(
+                picks in prop::collection::vec(0usize..OFFSETS.len(), 0..24),
+                at in 0usize..64,
+            ) {
+                let spans: Vec<Span> = picks
+                    .chunks_exact(2)
+                    .map(|p| Span { start: OFFSETS[p[0]], end: OFFSETS[p[1]] })
+                    .collect();
+                let packed = packed(&spans);
+                let plain = plain(&spans);
+
+                prop_assert_eq!(encoded(&packed), encoded(&plain));
+                prop_assert_eq!(packed.approx_bytes(), plain.approx_bytes());
+                prop_assert_eq!(encoded(&in_record(&packed)), encoded(&in_record(&plain)));
+                prop_assert_eq!(in_record(&packed).approx_bytes(), in_record(&plain).approx_bytes());
+                prop_assert_eq!(&packed, &plain);
+                prop_assert_eq!(&plain, &packed);
+                prop_assert_eq!(in_record(&packed), in_record(&plain));
+                prop_assert_eq!(value_cmp(&packed, &plain), Ordering::Equal);
+                prop_assert_eq!(value_cmp(&plain, &packed), Ordering::Equal);
+
+                // a frame holds the plain spelling, equal to the packed one
+                let bytes = encoded(&packed);
+                let decoded = Value::decode(&mut Reader::new(&bytes)).unwrap();
+                prop_assert!(matches!(decoded, Value::Array(_)));
+                prop_assert_eq!(&decoded, &packed);
+                prop_assert_eq!(&packed, &decoded);
+                prop_assert_eq!(encoded(&decoded), bytes);
+
+                for v in [&packed, &plain] {
+                    prop_assert_eq!(v.spans().unwrap().collect::<Vec<_>>(), spans.clone());
+                    prop_assert_eq!(v.array_len(), Some(spans.len()));
+                    prop_assert_eq!(v.clone().into_array().unwrap(), plain.clone().into_array().unwrap());
+                }
+                prop_assert!(packed.as_array().is_none());
+
+                // one element more
+                let mut longer = spans.clone();
+                longer.push(Span { start: 3, end: 4 });
+                assert_distinct(&packed, &plain, &self::plain(&longer));
+                assert_distinct(&packed, &plain, &self::packed(&longer));
+                let Some(i) = at.checked_rem(spans.len()) else { return };
+                let Span { start, end } = spans[i];
+                // one element fewer
+                assert_distinct(&packed, &plain, &self::plain(&spans[1..]));
+                assert_distinct(&packed, &plain, &self::packed(&spans[1..]));
+                // one offset off by one, in either spelling
+                let mut moved = spans.clone();
+                moved[i].start = start.wrapping_add(1);
+                assert_distinct(&packed, &plain, &self::plain(&moved));
+                assert_distinct(&packed, &plain, &self::packed(&moved));
+                moved[i] = Span { start, end: end.wrapping_sub(1) };
+                assert_distinct(&packed, &plain, &self::plain(&moved));
+                assert_distinct(&packed, &plain, &self::packed(&moved));
+                // one element that is not exactly `{end: Int, start: Int}`
+                let with = |element: Value| {
+                    let mut elements = plain.clone().into_array().unwrap();
+                    elements[i] = element;
+                    Value::Array(elements)
+                };
+                let start_only: FieldMap = [(intern("start"), Value::Int(start))].into_iter().collect();
+                for element in [
+                    span_annotation(0, 0, &[("end", end.into()), ("start", start.into()), ("sentence", 0i64.into())]),
+                    span_annotation(0, 0, &[("end", end.into()), ("start", Value::Float(start as f64))]),
+                    span_annotation(0, 0, &[("end", Value::Null), ("start", start.into())]),
+                    Value::Object(start_only),
+                    Value::Int(start),
+                    Value::Array(vec![end.into(), start.into()]),
+                ] {
+                    assert_distinct(&packed, &plain, &with(element));
+                }
+            }
+        }
+
+        #[test]
+        fn a_packed_array_ranks_as_an_array() {
+            let packed = packed(&[Span { start: 1, end: 2 }]);
+            let empty = self::packed(&[]);
+            assert_eq!(empty, Value::Array(Vec::new()));
+            assert_eq!(encoded(&empty), encoded(&Value::Array(Vec::new())));
+            for (other, order) in [
+                (Value::Null, Ordering::Greater),
+                (Value::from("zzz"), Ordering::Greater),
+                (Value::Array(Vec::new()), Ordering::Greater),
+                (Value::Array(vec![Value::Int(9)]), Ordering::Greater),
+                (Value::from(Span { start: 1, end: 2 }), Ordering::Less),
+            ] {
+                assert_ne!(packed, other);
+                assert_eq!(value_cmp(&packed, &other), order, "{other:?}");
+                assert_eq!(value_cmp(&other, &packed), order.reverse(), "{other:?}");
+                assert_eq!(value_cmp(&plain(&[Span { start: 1, end: 2 }]), &other), order, "{other:?}");
+            }
+        }
     }
 }
