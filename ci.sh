@@ -121,10 +121,17 @@ echo "exp_live smoke: incremental == recompute == resumed digests, delta pass wi
 # Sharded-execution equivalence: N worker shards (threads or real OS
 # processes exchanging length-prefixed frames) must be byte-identical to
 # the in-process engine on every deterministic surface, including
-# kill-and-resume at mismatched shard counts and spill-to-disk reduces.
-# Cases pinned as above.
+# kill-and-resume at mismatched shard counts. Cases pinned as above.
 PROPTEST_CASES=64 cargo test -q -p websift-flow --test shuffle
 echo "shuffle: sharded == in-process equivalence holds ok"
+
+# The flow runtime keeps everything in memory or on a channel: it writes
+# no file, so it has no temp-dir, full-disk or left-over-file failures.
+if grep -rnE 'temp_dir|File::create|File::open' crates/flow/src; then
+  echo "crates/flow/src must not touch the filesystem" >&2
+  exit 1
+fi
+echo "flow writes no file ok"
 
 # Sharded scale-out smoke on the real flows: every shard count (worker
 # threads and real worker processes) must reproduce the unsharded run's

@@ -21,17 +21,14 @@
 //! | WS009 | warning  | unknown field: read field nothing in the plan produces |
 //! | WS010 | info     | custom aggregate: a `Custom` Reduce silently disables partial aggregation |
 //! | WS011 | error    | store sink: malformed `store:` name, or a store the run cannot reach |
-//! | WS012 | warning† | live mode: a `Custom` Reduce cannot fold incrementally — each round recomputes it from the cumulative stream |
+//! | WS012 | error    | live mode: a Reduce the live session rejects — a `Custom` aggregate cannot fold incrementally, and a Reduce that does not feed a sink directly cannot be retained |
 //! | WS013 | error    | field-type conflict: an operator reads a field under a declared type its producer wrote differently |
 //! | WS014 | error    | fused-stage admission: even the *peak fused stage's* footprint × co-located workers exceeds node RAM |
 //! | WS015 | warning  | redundant operator: an identically-annotated idempotent operator repeats on one path with nothing between touching its fields |
 //! | WS017 | info     | sharded run: a closure-built operator has no wire form, so the stage it is fused into stays on the local runner |
 //!
 //! (*WS002 is a warning without an admission context: a plan may run
-//! locally where the simulated class loader never materializes.
-//! †WS012 escalates to an error for a reduce that does not feed a sink
-//! directly: the live session's incremental compiler rejects such plans
-//! outright.)
+//! locally where the simulated class loader never materializes.)
 //!
 //! WS013–WS015 ride on the field-flow interpretation in
 //! [`crate::fieldflow`]. WS014 refines WS007: WS007 mirrors
@@ -135,7 +132,7 @@ impl AnalyzeOptions {
     }
 
     /// Marks the plan as destined for incremental (live) execution,
-    /// enabling the WS012 per-round-recompute check.
+    /// enabling the WS012 live-reduce check.
     pub fn with_live_mode(mut self) -> AnalyzeOptions {
         self.live = true;
         self
@@ -587,20 +584,15 @@ fn check_store_sinks(plan: &LogicalPlan, opts: &AnalyzeOptions, out: &mut Vec<Di
     }
 }
 
-/// WS012: in live (incremental) mode a `Custom` reduce has no retainable
-/// per-key state — an opaque closure cannot be folded round-by-round —
-/// so the session must either reject the plan or recompute the reduce
-/// over the *cumulative* stream every round, forfeiting the entire
-/// incremental saving for that branch. Warning, not error: the live
-/// session accepts it behind an explicit opt-in.
-///
-/// Tightened: a reduce (typed or custom) that does not feed exactly one
-/// sink directly gets an *error*-severity WS012 instead — the incremental
-/// compiler rejects such plans unconditionally (`ReduceNotTerminal`), so
-/// a warning would understate it. The terminality test mirrors that
-/// compiler's rule verbatim: one child, and it is a sink. Only reduces
-/// that contribute to some sink are considered; a reduce on a dead branch
-/// is WS006's finding, not this check's.
+/// WS012: the two reduces the live session's incremental compiler
+/// rejects, both errors. A `Custom` reduce has no retainable per-key
+/// state — an opaque closure cannot be folded round-by-round
+/// (`NonCombinableReduce`) — and a reduce (typed or custom) that does not
+/// feed exactly one sink directly cannot be split out of the delta plan
+/// (`ReduceNotTerminal`). The terminality test mirrors that compiler's
+/// rule verbatim: one child, and it is a sink. Only reduces that
+/// contribute to some sink are considered; a reduce on a dead branch is
+/// WS006's finding, not this check's.
 fn check_live_recompute(
     plan: &LogicalPlan,
     opts: &AnalyzeOptions,
@@ -633,14 +625,14 @@ fn check_live_recompute(
             );
         } else if !op.combinable_reduce() {
             out.push(
-                Diagnostic::warning(
+                Diagnostic::error(
                     "WS012",
                     format!(
                         "reduce '{}' uses a custom aggregate closure, which cannot fold \
-                         incrementally: each live round must recompute it over the cumulative \
-                         record stream instead of the round's delta; use a typed Aggregate \
-                         (Count/Sum/Min/Max/Concat/TopK), or an explicit merge contract via \
-                         reduce_custom_combinable, to retain per-key state across rounds",
+                         incrementally, so the live session will reject this plan; use a typed \
+                         Aggregate (Count/Sum/Min/Max/Concat/TopK), or an explicit merge \
+                         contract via reduce_custom_combinable, to retain per-key state across \
+                         rounds",
                         op.name
                     ),
                 )
@@ -1062,13 +1054,12 @@ write $pages 'out';";
         let diags = analyze_plan(&plan, &AnalyzeOptions::default());
         assert_eq!(codes(&diags), vec!["WS010"]);
 
-        // live mode: WS012 joins as a warning on the same node
+        // live mode: WS012 joins as an error on the same node
         let diags = analyze_plan(&plan, &AnalyzeOptions::default().with_live_mode());
         assert_eq!(codes(&diags), vec!["WS010", "WS012"]);
-        assert_eq!(diags[1].severity, Severity::Warning);
+        assert_eq!(diags[1].severity, Severity::Error);
         assert_eq!(diags[1].node, Some(1));
-        assert!(!has_errors(&diags));
-        assert!(diags[1].message.contains("cumulative"), "{}", diags[1].message);
+        assert!(diags[1].message.contains("reject"), "{}", diags[1].message);
 
         // a typed aggregate stays clean even in live mode
         let mut plan = LogicalPlan::new();

@@ -37,7 +37,7 @@ use crate::operator::{AggState, Kind, OpFunc, Operator};
 use crate::optimizer::{fused_stage, FusedStage, StageDecision};
 use crate::record::Record;
 use crate::resilience::{FlowCheckpoint, FlowResilience};
-use crate::runner::{host_parallelism, LocalRunner, StageRunner};
+use crate::runner::{group_by_key, host_parallelism, LocalRunner, StageRunner};
 use crate::shuffle::{ChunkOut, ChunkStats, ShardConfig, ShardPool, ShardRunError, StageKernel};
 use serde::Serialize;
 use std::collections::btree_map::Entry;
@@ -348,13 +348,12 @@ pub struct PhysicalStats {
     pub shard_wire_bytes: u64,
     /// Worker shards respawned after a loss (`respawn_lost`).
     pub shard_respawns: u64,
-    /// Stages that ran on the local runner although sharding was
-    /// configured, because a constituent has no wire form (WS017).
+    /// Stages kept off the worker shards although sharding was
+    /// configured, because a constituent has no wire form — exactly what
+    /// WS017 announces. An uncombined Reduce is grouped in the parent
+    /// whatever its wire form and is not a pin: it counts here only when
+    /// WS017 flags it, a closure-built reduce.
     pub stages_pinned_local: u64,
-    /// Sorted disk runs written by over-memory Reduce group tables.
-    pub spill_runs: u64,
-    /// Bytes written to spill run files.
-    pub spill_bytes: u64,
 }
 
 /// A destination for `store:`-prefixed sinks: anything that can accept a
@@ -974,11 +973,12 @@ impl Executor {
         }
     }
 
-    /// Phase 2 — execute: partition the owned input into contiguous
-    /// chunks (the boundaries the unfused first constituent would use)
-    /// and hand them to the stage's runner — as one fused pass, records
-    /// moved by value throughout, or, for a lone uncombined Reduce, as
-    /// the shuffle that groups them.
+    /// Phase 2 — execute. A lone uncombined Reduce is grouped right
+    /// here, before a runner is picked: the parent holds its whole input
+    /// and every group it produces. Anything else is partitioned into
+    /// contiguous chunks (the boundaries the unfused first constituent
+    /// would use) and handed to the stage's runner as one fused pass,
+    /// records moved by value throughout.
     fn execute(
         &self,
         run: &mut RunCtx<'_>,
@@ -994,6 +994,30 @@ impl Executor {
             return Ok(seen);
         }
         let dop_eff = st.scheds[0].dop_eff;
+        if let (OpFunc::Reduce { aggregate, .. }, false) = (st.ops[0].func(), st.combined) {
+            // Uncombined hash shuffle: group the full stream, then
+            // aggregate the groups in key order.
+            let reduce = st.ops[0];
+            if self.config.sharding.is_some() && reduce.wire().is_none() {
+                run.physical.stages_pinned_local += 1;
+            }
+            // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
+            let started = Instant::now();
+            seen.stats[0].records_in = input.len() as u64;
+            seen.stats[0].bytes_in = input.iter().map(Record::approx_bytes).sum();
+            let mut work_secs = 0.0f64;
+            for (k, rs) in group_by_key(reduce, input, &mut run.physical) {
+                for r in &rs {
+                    work_secs += self.config.work_scale
+                        * reduce.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64));
+                }
+                seen.output.extend(aggregate.apply_group(&k, rs));
+            }
+            seen.reduce_work = work_secs / dop_eff as f64;
+            seen.final_bytes_out = seen.output.iter().map(Record::approx_bytes).sum();
+            seen.stats[0].wall_ms = started.elapsed().as_secs_f64() * 1000.0;
+            return Ok(seen);
+        }
         let chunk_size = input.len().div_ceil(dop_eff).max(1);
         let mut chunks: Vec<Vec<Record>> = Vec::with_capacity(input.len() / chunk_size + 1);
         let mut rest = input;
@@ -1012,33 +1036,6 @@ impl Executor {
             &st.ops[..physical_stages],
             &mut run.physical,
         );
-
-        if let (OpFunc::Reduce { aggregate, .. }, false) = (st.ops[0].func(), st.combined) {
-            // Uncombined hash shuffle: the runner groups the full
-            // stream, then groups aggregate in key order.
-            let reduce = st.ops[0];
-            // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
-            let started = Instant::now();
-            for r in chunks.iter().flatten() {
-                seen.stats[0].records_in += 1;
-                seen.stats[0].bytes_in += r.approx_bytes();
-            }
-            let grouped = runner
-                .group(reduce, chunks, &mut run.physical)
-                .map_err(|e| st.error(e, run))?;
-            let mut work_secs = 0.0f64;
-            for (k, rs) in grouped {
-                for r in &rs {
-                    work_secs += self.config.work_scale
-                        * reduce.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64));
-                }
-                seen.output.extend(aggregate.apply_group(&k, rs));
-            }
-            seen.reduce_work = work_secs / dop_eff as f64;
-            seen.final_bytes_out = seen.output.iter().map(Record::approx_bytes).sum();
-            seen.stats[0].wall_ms = started.elapsed().as_secs_f64() * 1000.0;
-            return Ok(seen);
-        }
         // Pipeline constituents run per chunk; a combined Reduce is
         // folded after them (only when every constituent survives the
         // schedule — a dead constituent means the replay errors out

@@ -29,12 +29,13 @@
 //!   checkpoints, and the machinery behind [`Executor::resume_from`];
 //! - [`runner`] — the [`StageRunner`] seam between the executor's stage
 //!   scheduling and where chunk work physically runs: [`LocalRunner`]'s
-//!   thread scope, or the shard pool below;
+//!   thread scope, or the shard pool below; an uncombined Reduce is
+//!   grouped in the parent and needs neither;
 //! - [`transport`] / [`shuffle`] — the sharded physical runtime: worker
 //!   shards (threads or real OS processes) exchanging length-prefixed
 //!   record/partial-aggregate frames over pipes and unix sockets, with
-//!   credit-window backpressure and spill-to-disk grouping, while every
-//!   deterministic surface stays byte-identical to in-process runs.
+//!   credit-window backpressure, while every deterministic surface stays
+//!   byte-identical to in-process runs.
 
 pub mod analyze;
 pub mod cluster;

@@ -2,13 +2,13 @@
 //! placement of chunk work.
 //!
 //! The executor cuts a stage's input into chunks; a [`StageRunner`] runs
-//! the stage over them (or groups a Reduce's input) and hands back
-//! per-chunk observations in chunk order; the executor's replay then
-//! charges the simulated cost model. There are two runners —
-//! [`LocalRunner`] (a thread scope in this process) and
-//! [`ShardPool`](crate::shuffle::ShardPool) (worker shards over the frame
-//! protocol) — and both run the same [`StageKernel`], so the choice is
-//! invisible to every deterministic surface.
+//! the stage over them and hands back per-chunk observations in chunk
+//! order; the executor's replay then charges the simulated cost model.
+//! There are two runners — [`LocalRunner`] (a thread scope in this
+//! process) and [`ShardPool`](crate::shuffle::ShardPool) (worker shards
+//! over the frame protocol) — and both run the same [`StageKernel`], so
+//! the choice is invisible to every deterministic surface. An uncombined
+//! Reduce needs no runner: [`group_by_key`] groups it in the parent.
 
 use crate::executor::PhysicalStats;
 use crate::operator::{OpFunc, Operator};
@@ -30,17 +30,45 @@ pub trait StageRunner {
         stage: &StageKernel<'_>,
         chunks: Vec<Vec<Record>>,
     ) -> Result<Vec<ChunkOut>, ShardRunError>;
+}
 
-    /// The uncombined Reduce shuffle: groups the concatenated `chunks`
-    /// by `reduce`'s key. Groups come back key-sorted, records in
-    /// arrival order within each key. What the shuffle physically cost
-    /// (bytes through the codec, spill runs) is added to `physical`.
-    fn group(
-        &mut self,
-        reduce: &Operator,
-        chunks: Vec<Vec<Record>>,
-        physical: &mut PhysicalStats,
-    ) -> Result<Vec<(String, Vec<Record>)>, ShardRunError>;
+/// The uncombined Reduce shuffle: groups `records` by `reduce`'s key, in
+/// the parent — the executor holds the whole stream before the shuffle
+/// and every group after it, so no placement could keep it off this
+/// process's heap. Groups come back key-sorted, records in arrival order
+/// within each key.
+///
+/// Every record physically crosses the boundary through the snapshot
+/// codec (encode at the mapper side, decode at the reducer side) — the
+/// cost a real cluster pays to ship the full stream, added to
+/// `physical.shuffle_bytes`. decode∘encode is the identity on records, so
+/// deterministic surfaces are untouched; only wall clock and
+/// `shuffle_bytes` see it.
+pub fn group_by_key(
+    reduce: &Operator,
+    records: Vec<Record>,
+    physical: &mut PhysicalStats,
+) -> Vec<(String, Vec<Record>)> {
+    let OpFunc::Reduce { key, .. } = reduce.func() else {
+        unreachable!("only reduce operators are grouped")
+    };
+    let mut shuf = Writer::new();
+    let n = records.len();
+    for r in records {
+        r.encode(&mut shuf);
+    }
+    let wire = shuf.into_bytes();
+    physical.shuffle_bytes += wire.len() as u64;
+    let mut rd = Reader::new(&wire);
+    let mut groups: HashMap<String, Vec<Record>> = HashMap::new();
+    for _ in 0..n {
+        let r = Record::decode(&mut rd).expect("shuffled records round-trip");
+        groups.entry(key(&r)).or_default().push(r);
+    }
+    // sorted, so hash iteration order never leaves this function
+    let mut grouped: Vec<(String, Vec<Record>)> = groups.into_iter().collect();
+    grouped.sort_by(|a, b| a.0.cmp(&b.0));
+    grouped
 }
 
 /// The machine's available parallelism. This is deliberately the only
@@ -110,40 +138,6 @@ impl StageRunner for LocalRunner {
             .map(|slot| slot.into_inner().expect("every chunk completed"))
             .collect())
     }
-
-    /// Every record physically crosses the boundary through the snapshot
-    /// codec (encode at the mapper side, decode at the reducer side) —
-    /// the cost a real cluster pays to ship the full stream.
-    /// decode∘encode is the identity on records, so deterministic
-    /// surfaces are untouched; only wall clock and `shuffle_bytes` see it.
-    fn group(
-        &mut self,
-        reduce: &Operator,
-        chunks: Vec<Vec<Record>>,
-        physical: &mut PhysicalStats,
-    ) -> Result<Vec<(String, Vec<Record>)>, ShardRunError> {
-        let OpFunc::Reduce { key, .. } = reduce.func() else {
-            unreachable!("only reduce operators are grouped")
-        };
-        let mut shuf = Writer::new();
-        let mut n = 0usize;
-        for r in chunks.into_iter().flatten() {
-            r.encode(&mut shuf);
-            n += 1;
-        }
-        let wire = shuf.into_bytes();
-        physical.shuffle_bytes += wire.len() as u64;
-        let mut rd = Reader::new(&wire);
-        let mut groups: HashMap<String, Vec<Record>> = HashMap::new();
-        for _ in 0..n {
-            let r = Record::decode(&mut rd).expect("shuffled records round-trip");
-            groups.entry(key(&r)).or_default().push(r);
-        }
-        // sorted, so hash iteration order never leaves this function
-        let mut grouped: Vec<(String, Vec<Record>)> = groups.into_iter().collect();
-        grouped.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(grouped)
-    }
 }
 
 #[cfg(test)]
@@ -190,11 +184,18 @@ mod tests {
         assert_eq!(serial.len(), 7);
         assert_eq!(encoded(&serial), encoded(&wide), "chunk results must not see worker count");
 
+    }
+
+    #[test]
+    fn groups_come_back_key_sorted_in_arrival_order() {
         let mut physical = PhysicalStats::default();
-        let a = LocalRunner::new(1).group(&tally, chunks(), &mut physical).unwrap();
-        let b = LocalRunner::new(32).group(&tally, chunks(), &mut physical).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(), ["g0", "g1", "g2"]);
+        let groups = group_by_key(&testkit::tally(), docs(41), &mut physical);
+        assert_eq!(groups.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(), ["g0", "g1", "g2"]);
+        for (k, rs) in &groups {
+            let ids: Vec<i64> = rs.iter().filter_map(|r| r.get("id")?.as_int()).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "group {k} lost arrival order");
+        }
+        assert!(physical.shuffle_bytes > 0, "the stream crossed the codec");
     }
 
     #[test]

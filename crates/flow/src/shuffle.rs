@@ -2,7 +2,10 @@
 //! or isolated in-process runtimes behind the same frame protocol —
 //! exchanging length-prefixed record and partial-aggregate frames over
 //! real channels (pipes / unix socket pairs), with bounded per-edge
-//! backpressure and spill-to-disk for over-memory Reduce groups.
+//! backpressure. Workers run fused pipeline stages and their combinable
+//! fold; an uncombined Reduce never comes here — the executor groups it
+//! in the parent, where its records already are
+//! ([`crate::runner::group_by_key`]) — and this module writes no file.
 //!
 //! # The byte-identity contract
 //!
@@ -45,28 +48,26 @@
 //! results.
 
 use crate::executor::PhysicalStats;
-use crate::operator::{AggState, KeyFn, OpFunc, Operator};
+use crate::operator::{AggState, OpFunc, Operator};
 use crate::packages::wire::{decode_operator, encode_operator, WireError};
 use crate::record::Record;
 use crate::runner::StageRunner;
 use crate::transport::{
-    CreditWindow, FrameChannel, TransportError, K_ACK, K_BYE, K_DATA, K_DONE, K_EOF_DATA, K_ERR,
-    K_GROUPS, K_RESULT, K_STAGE,
+    CreditWindow, FrameChannel, TransportError, K_BYE, K_DATA, K_ERR, K_RESULT, K_STAGE,
 };
 use std::cell::Cell;
-// lint:allow(hash_iteration): index maps only; every iteration order below comes from side vectors or sorts
-use std::collections::{BTreeMap, HashMap};
-use std::fs::File;
+// lint:allow(hash_iteration): the fold's key map only, drained into a sorted vec
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 // lint:allow(wall_clock): see the StageKernel wall_ms notes — runtime-only diagnostics
 use std::time::Instant;
-use websift_resilience::frame::{read_frame, write_frame};
+use websift_resilience::codec::presize;
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 
 // ---------------------------------------------------------------------------
@@ -103,9 +104,6 @@ pub struct ShardConfig {
     /// numbers.
     pub shards: usize,
     pub worker: WorkerKind,
-    /// Reduce workers spill their group table to sorted disk runs when
-    /// its approximate footprint exceeds this.
-    pub spill_threshold_bytes: usize,
     /// Respawn a lost worker and re-run its unfinished chunks instead of
     /// failing the run with `ShardLost`.
     pub respawn_lost: bool,
@@ -118,7 +116,6 @@ impl ShardConfig {
         ShardConfig {
             shards: shards.max(1),
             worker: WorkerKind::InProcess,
-            spill_threshold_bytes: 8 << 20,
             respawn_lost: false,
             kill: None,
         }
@@ -126,11 +123,6 @@ impl ShardConfig {
 
     pub fn process(shards: usize, cmd: impl Into<PathBuf>) -> ShardConfig {
         ShardConfig { worker: WorkerKind::Process { cmd: cmd.into() }, ..ShardConfig::in_process(shards) }
-    }
-
-    pub fn with_spill_threshold(mut self, bytes: usize) -> ShardConfig {
-        self.spill_threshold_bytes = bytes.max(1);
-        self
     }
 
     pub fn with_respawn(mut self, respawn: bool) -> ShardConfig {
@@ -361,19 +353,17 @@ impl StageKernel<'_> {
 // Wire tasks
 // ---------------------------------------------------------------------------
 
-/// The stage setup shipped to a worker in a `K_STAGE` frame. Operators
-/// travel as their wire forms; decoding a task rebuilds them through
-/// [`decode_operator`], so both sides of the frame hold real operators.
+/// The stage setup shipped to a worker in a `K_STAGE` frame: a fused
+/// Map/FlatMap/Filter chain, optionally folding a trailing combinable
+/// Reduce; one `K_RESULT` per `K_DATA` chunk. Operators travel as their
+/// wire forms; decoding a task rebuilds them through [`decode_operator`],
+/// so both sides of the frame hold real operators.
 #[derive(Debug, Clone)]
-pub enum StageTask {
-    /// A fused Map/FlatMap/Filter chain, optionally folding a trailing
-    /// combinable Reduce; one `K_RESULT` per `K_DATA` chunk.
-    Pipeline { ops: Vec<Operator>, fold: Option<Operator>, tapped: Vec<usize>, work_scale: f64 },
-    /// The uncombined-Reduce shuffle target: group arriving records by
-    /// `reduce`'s key (arrival order preserved per key, spilling
-    /// over-memory tables to sorted disk runs), then stream sorted
-    /// groups back after `K_EOF_DATA`.
-    GroupBy { reduce: Operator, spill_threshold: usize },
+pub struct StageTask {
+    pub ops: Vec<Operator>,
+    pub fold: Option<Operator>,
+    pub tapped: Vec<usize>,
+    pub work_scale: f64,
 }
 
 impl StageTask {
@@ -384,26 +374,16 @@ impl StageTask {
             true => Ok(()),
             false => Err(unshippable(op)),
         };
-        match self {
-            StageTask::Pipeline { ops, fold, tapped, work_scale } => {
-                w.u8(0);
-                w.usize(ops.len());
-                for op in ops {
-                    put(op, &mut w)?;
-                }
-                w.bool(fold.is_some());
-                if let Some(fold) = fold {
-                    put(fold, &mut w)?;
-                }
-                tapped.encode(&mut w);
-                w.f64(*work_scale);
-            }
-            StageTask::GroupBy { reduce, spill_threshold } => {
-                w.u8(1);
-                put(reduce, &mut w)?;
-                w.usize(*spill_threshold);
-            }
+        w.usize(self.ops.len());
+        for op in &self.ops {
+            put(op, &mut w)?;
         }
+        w.bool(self.fold.is_some());
+        if let Some(fold) = &self.fold {
+            put(fold, &mut w)?;
+        }
+        self.tapped.encode(&mut w);
+        w.f64(self.work_scale);
         Ok(w.into_bytes())
     }
 
@@ -419,39 +399,22 @@ impl StageTask {
                 Err(WireError::Misplaced { operator: op.name, role })
             }
         };
-        let task = match r.u8()? {
-            0 => {
-                let n = r.usize()?;
-                let mut ops = Vec::with_capacity(n.min(r.remaining()));
-                for _ in 0..n {
-                    let op = decode_operator(&mut r)?;
-                    let fits = op.is_pipelineable();
-                    ops.push(in_role(op, "a chain constituent", fits)?);
-                }
-                let fold = if r.bool()? {
-                    let op = decode_operator(&mut r)?;
-                    let fits = op.combinable_reduce();
-                    Some(in_role(op, "a combinable fold", fits)?)
-                } else {
-                    None
-                };
-                StageTask::Pipeline {
-                    ops,
-                    fold,
-                    tapped: Snapshot::decode(&mut r)?,
-                    work_scale: r.f64()?,
-                }
-            }
-            1 => {
-                let op = decode_operator(&mut r)?;
-                let fits = matches!(op.func(), OpFunc::Reduce { .. });
-                StageTask::GroupBy {
-                    reduce: in_role(op, "a grouping reduce", fits)?,
-                    spill_threshold: r.usize()?,
-                }
-            }
-            tag => return Err(CodecError::BadTag { what: "stage task", tag }.into()),
+        let n = r.usize()?;
+        let mut ops = Vec::with_capacity(presize::<Operator>(n, &r));
+        for _ in 0..n {
+            let op = decode_operator(&mut r)?;
+            let fits = op.is_pipelineable();
+            ops.push(in_role(op, "a chain constituent", fits)?);
+        }
+        let fold = if r.bool()? {
+            let op = decode_operator(&mut r)?;
+            let fits = op.combinable_reduce();
+            Some(in_role(op, "a combinable fold", fits)?)
+        } else {
+            None
         };
+        let task =
+            StageTask { ops, fold, tapped: Snapshot::decode(&mut r)?, work_scale: r.f64()? };
         if !r.is_empty() {
             let value = u64::try_from(r.remaining()).unwrap_or(u64::MAX);
             return Err(CodecError::Oversize { what: "trailing stage task bytes", value }.into());
@@ -474,7 +437,7 @@ fn decode_chunk_payload(payload: &[u8]) -> Result<(usize, Vec<Record>), CodecErr
     let mut r = Reader::new(payload);
     let chunk_idx = r.usize()?;
     let n = r.usize()?;
-    let mut records = Vec::with_capacity(n.min(r.remaining()));
+    let mut records = Vec::with_capacity(presize::<Record>(n, &r));
     for _ in 0..n {
         records.push(Record::decode(&mut r)?);
     }
@@ -484,211 +447,6 @@ fn decode_chunk_payload(payload: &[u8]) -> Result<(usize, Vec<Record>), CodecErr
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
-
-/// Monotone id for spill-run temp files (no wall clock — deterministic
-/// surfaces must not depend on time, and file names never leave the
-/// worker anyway).
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A worker-side group table with spill-to-disk: groups preserve
-/// arrival order (insertion-ordered via `order`; `index` is only a
-/// lookup), and when the approximate in-memory footprint exceeds the
-/// threshold the table drains to a sorted-run file on disk.
-struct GroupTable {
-    key: KeyFn,
-    spill_threshold: usize,
-    // lint:allow(hash_iteration): lookup only; iteration order comes from `order`
-    index: HashMap<String, usize>,
-    order: Vec<(String, Vec<Record>)>,
-    mem_bytes: usize,
-    runs: Vec<PathBuf>,
-    spill_bytes: u64,
-}
-
-impl GroupTable {
-    fn new(key: KeyFn, spill_threshold: usize) -> GroupTable {
-        GroupTable {
-            key,
-            spill_threshold: spill_threshold.max(1),
-            // lint:allow(hash_iteration): lookup index only; emission walks `order` (arrival order)
-            index: HashMap::new(),
-            order: Vec::new(),
-            mem_bytes: 0,
-            runs: Vec::new(),
-            spill_bytes: 0,
-        }
-    }
-
-    fn fold(&mut self, records: Vec<Record>) -> Result<(), TransportError> {
-        for r in records {
-            let k = (self.key)(&r);
-            self.mem_bytes += r.approx_bytes() as usize + k.len();
-            match self.index.get(&k) {
-                Some(&slot) => self.order[slot].1.push(r),
-                None => {
-                    self.index.insert(k.clone(), self.order.len());
-                    self.order.push((k, vec![r]));
-                }
-            }
-        }
-        if self.mem_bytes > self.spill_threshold {
-            self.spill()?;
-        }
-        Ok(())
-    }
-
-    /// Drains the in-memory table to one sorted-run file. Within a run
-    /// each key appears once with its records in arrival order; across
-    /// runs, earlier runs hold earlier arrivals — the merge preserves
-    /// global arrival order per key.
-    fn spill(&mut self) -> Result<(), TransportError> {
-        let mut drained = std::mem::take(&mut self.order);
-        self.index.clear();
-        self.mem_bytes = 0;
-        if drained.is_empty() {
-            return Ok(());
-        }
-        drained.sort_by(|a, b| a.0.cmp(&b.0));
-        let path = std::env::temp_dir().join(format!(
-            "websift-spill-{}-{}.run",
-            std::process::id(),
-            SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let file = File::create(&path)?;
-        let mut out = BufWriter::new(file);
-        for (k, rs) in &drained {
-            let mut w = Writer::new();
-            w.str(k);
-            w.usize(rs.len());
-            for r in rs {
-                r.encode(&mut w);
-            }
-            let bytes = w.into_bytes();
-            self.spill_bytes += bytes.len() as u64;
-            write_frame(&mut out, 0, &bytes)?;
-        }
-        out.flush()?;
-        self.runs.push(path);
-        Ok(())
-    }
-
-    /// Streams the merged, key-sorted groups back as batched `K_GROUPS`
-    /// frames followed by `K_DONE`, then resets the table.
-    fn emit_groups<R: Read, W: Write>(
-        &mut self,
-        chan: &mut FrameChannel<R, W>,
-    ) -> Result<(), TransportError> {
-        let mut mem = std::mem::take(&mut self.order);
-        self.index.clear();
-        self.mem_bytes = 0;
-        mem.sort_by(|a, b| a.0.cmp(&b.0));
-        // Merge cursors: spill runs in spill order (earliest arrivals
-        // first), the in-memory remainder last (latest arrivals).
-        let mut cursors: Vec<Cursor> = Vec::with_capacity(self.runs.len() + 1);
-        for path in &self.runs {
-            let file = File::open(path)?;
-            cursors.push(Cursor { head: None, rest: CursorRest::Run(BufReader::new(file)) });
-        }
-        cursors.push(Cursor { head: None, rest: CursorRest::Mem(mem.into_iter()) });
-        for c in &mut cursors {
-            c.advance()?;
-        }
-        let flush_bytes = self.spill_threshold;
-        let mut batch: Vec<(String, Vec<Record>)> = Vec::new();
-        let mut batch_bytes = 0usize;
-        while let Some(min_key) =
-            cursors.iter().filter_map(|c| c.head.as_ref().map(|(k, _)| k.clone())).min()
-        {
-            let mut records: Vec<Record> = Vec::new();
-            for c in &mut cursors {
-                if c.head.as_ref().is_some_and(|(k, _)| *k == min_key) {
-                    if let Some((_, rs)) = c.head.take() {
-                        records.extend(rs);
-                    }
-                    c.advance()?;
-                }
-            }
-            batch_bytes +=
-                min_key.len() + records.iter().map(|r| r.approx_bytes() as usize).sum::<usize>();
-            batch.push((min_key, records));
-            if batch_bytes >= flush_bytes {
-                let mut w = Writer::new();
-                batch.encode(&mut w);
-                chan.send(K_GROUPS, &w.into_bytes())?;
-                batch = Vec::new();
-                batch_bytes = 0;
-            }
-        }
-        if !batch.is_empty() {
-            let mut w = Writer::new();
-            batch.encode(&mut w);
-            chan.send(K_GROUPS, &w.into_bytes())?;
-        }
-        let mut w = Writer::new();
-        w.u64(self.runs.len() as u64);
-        w.u64(self.spill_bytes);
-        chan.send(K_DONE, &w.into_bytes())?;
-        self.remove_runs();
-        self.spill_bytes = 0;
-        Ok(())
-    }
-
-    fn remove_runs(&mut self) {
-        for path in self.runs.drain(..) {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// Spill runs are scratch files: whatever ends a table — a finished
-/// emit, a merge that failed half-way, a new STAGE replacing a half-fed
-/// table, a shard torn down mid-stage — takes them with it.
-impl Drop for GroupTable {
-    fn drop(&mut self) {
-        self.remove_runs();
-    }
-}
-
-struct Cursor {
-    head: Option<(String, Vec<Record>)>,
-    rest: CursorRest,
-}
-
-enum CursorRest {
-    Run(BufReader<File>),
-    Mem(std::vec::IntoIter<(String, Vec<Record>)>),
-}
-
-impl Cursor {
-    fn advance(&mut self) -> Result<(), TransportError> {
-        self.head = match &mut self.rest {
-            CursorRest::Run(file) => match read_frame(file)? {
-                Some((_, payload)) => {
-                    let mut r = Reader::new(&payload);
-                    let key = r.str().map_err(TransportError::Codec)?;
-                    let n = r.usize().map_err(TransportError::Codec)?;
-                    let mut rs = Vec::with_capacity(n.min(r.remaining()));
-                    for _ in 0..n {
-                        rs.push(Record::decode(&mut r).map_err(TransportError::Codec)?);
-                    }
-                    Some((key, rs))
-                }
-                None => None,
-            },
-            CursorRest::Mem(it) => it.next(),
-        };
-        Ok(())
-    }
-}
-
-#[allow(clippy::large_enum_variant)] // one WorkerMode per serve loop; size is irrelevant
-enum WorkerMode {
-    Pipeline { ops: Vec<Operator>, fold_op: Option<Operator>, tapped: Vec<usize>, work_scale: f64 },
-    GroupBy(GroupTable),
-    /// The last STAGE frame could not be honoured; every DATA frame is
-    /// answered with the reason until a good STAGE arrives.
-    Rejected(String),
-}
 
 /// `K_ERR` payload tags: a UDF panic `(stage, chunk, message)`, or the
 /// reason a STAGE frame was rejected.
@@ -704,7 +462,10 @@ const ERR_REJECTED: u8 = 1;
 /// channel trouble and corrupt DATA end it with a typed error.
 pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), TransportError> {
     let mut chan = FrameChannel::new(reader, writer);
-    let mut mode: Option<WorkerMode> = None;
+    // The last STAGE frame: the task, or why it could not be honoured —
+    // then every DATA frame is answered with that reason until a good
+    // STAGE arrives.
+    let mut stage: Option<Result<StageTask, String>> = None;
     loop {
         let Some((kind, payload)) = chan.recv()? else {
             return Ok(());
@@ -712,30 +473,19 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
         match kind {
             K_BYE => return Ok(()),
             K_STAGE => {
-                mode = Some(match StageTask::decode(&payload) {
-                    Ok(StageTask::Pipeline { ops, fold, tapped, work_scale }) => {
-                        WorkerMode::Pipeline { ops, fold_op: fold, tapped, work_scale }
-                    }
-                    Ok(StageTask::GroupBy { reduce, spill_threshold }) => {
-                        let OpFunc::Reduce { key, .. } = reduce.func() else {
-                            unreachable!("StageTask::decode admits only reduces here")
-                        };
-                        WorkerMode::GroupBy(GroupTable::new(key.clone(), spill_threshold))
-                    }
-                    Err(why) => WorkerMode::Rejected(why.to_string()),
-                });
+                stage = Some(StageTask::decode(&payload).map_err(|why| why.to_string()));
             }
             K_DATA => {
                 let (chunk_idx, records) =
                     decode_chunk_payload(&payload).map_err(TransportError::Codec)?;
-                match &mut mode {
-                    Some(WorkerMode::Pipeline { ops, fold_op, tapped, work_scale }) => {
-                        let refs: Vec<&Operator> = ops.iter().collect();
+                match &stage {
+                    Some(Ok(task)) => {
+                        let refs: Vec<&Operator> = task.ops.iter().collect();
                         let kernel = StageKernel {
                             ops: &refs,
-                            fold: fold_op.as_ref(),
-                            tapped,
-                            work_scale: *work_scale,
+                            fold: task.fold.as_ref(),
+                            tapped: &task.tapped,
+                            work_scale: task.work_scale,
                         };
                         let stage_at = Cell::new(0usize);
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -763,13 +513,7 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                             }
                         }
                     }
-                    Some(WorkerMode::GroupBy(table)) => {
-                        table.fold(records)?;
-                        let mut w = Writer::new();
-                        w.usize(chunk_idx);
-                        chan.send(K_ACK, &w.into_bytes())?;
-                    }
-                    Some(WorkerMode::Rejected(why)) => {
+                    Some(Err(why)) => {
                         let mut w = Writer::new();
                         w.u8(ERR_REJECTED);
                         w.str(why);
@@ -784,22 +528,8 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                 }
                 chan.flush()?;
             }
-            K_EOF_DATA => {
-                match &mut mode {
-                    Some(WorkerMode::GroupBy(table)) => {
-                        table.emit_groups(&mut chan)?;
-                    }
-                    // pipeline stages need no end-of-input marker; the
-                    // next STAGE frame resets the mode
-                    Some(WorkerMode::Pipeline { .. } | WorkerMode::Rejected(_)) | None => {}
-                }
-                chan.flush()?;
-            }
             other => {
-                return Err(TransportError::Protocol {
-                    expected: "STAGE, DATA, EOF_DATA, or BYE",
-                    got: other,
-                })
+                return Err(TransportError::Protocol { expected: "STAGE, DATA, or BYE", got: other })
             }
         }
     }
@@ -1028,33 +758,15 @@ impl Drop for ShardPool {
 /// One shard's assignment for a stage: `(chunk index, records)` items.
 type Work = Vec<(usize, Vec<Record>)>;
 
-/// The reply frames a stage's conversation accepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Replies {
-    /// Pipeline stage: one `K_RESULT` per `K_DATA`.
-    Results,
-    /// Group-by stage: one `K_ACK` per `K_DATA`, then — after
-    /// `K_EOF_DATA` — `K_GROUPS` frames closed by `K_DONE`.
-    Groups,
-}
-
 /// What every shard conversation of one stage run shares.
 struct Conversation<'a> {
     task_bytes: &'a [u8],
-    replies: Replies,
     kill_fired: &'a AtomicBool,
 }
 
-/// What one shard's conversation committed this stage.
-#[derive(Default)]
-struct ShardOut {
-    /// Pipeline replies: `(chunk index, result)`.
-    results: Vec<(usize, ChunkOut)>,
-    /// Group-by replies: key-sorted groups, records in arrival order.
-    groups: Vec<(String, Vec<Record>)>,
-    spill_runs: u64,
-    spill_bytes: u64,
-}
+/// What one shard's conversation committed this stage: `(chunk index,
+/// result)` per answered chunk.
+type Results = Vec<(usize, ChunkOut)>;
 
 fn lost_or_protocol(shard: usize, e: TransportError) -> ShardRunError {
     match e {
@@ -1064,17 +776,16 @@ fn lost_or_protocol(shard: usize, e: TransportError) -> ShardRunError {
 }
 
 /// The one parent-side conversation loop: STAGE, then DATA frames under
-/// the credit window, each answered by the reply kind `conv.replies`
-/// names; a group-by stage then sends EOF_DATA and collects the sorted
-/// group stream up to DONE. Every payload is untrusted: a short or
-/// corrupt one is a `Protocol` error, never a default value.
+/// the credit window, each answered by RESULT or ERR. Every payload is
+/// untrusted: a short or corrupt one is a `Protocol` error, never a
+/// default value.
 fn converse(
     conv: &Conversation<'_>,
     shard: usize,
     handle: &mut ShardHandle,
     work: &[(usize, Vec<Record>)],
     kill_after: Option<u64>,
-    out: &mut ShardOut,
+    out: &mut Results,
 ) -> Result<(), ShardRunError> {
     let lost = |e| lost_or_protocol(shard, e);
     let protocol = |detail: String| ShardRunError::Protocol { shard, detail };
@@ -1106,16 +817,15 @@ fn converse(
             kill_check(handle)?;
         }
         if win.in_flight() == 0 {
-            break;
+            return Ok(());
         }
-        match (handle.chan.recv_required("a reply").map_err(lost)?, conv.replies) {
-            ((K_RESULT, payload), Replies::Results) => {
+        match handle.chan.recv_required("a reply").map_err(lost)? {
+            (K_RESULT, payload) => {
                 let mut r = Reader::new(&payload);
                 let idx = r.usize().and_then(|idx| ChunkOut::decode(&mut r).map(|c| (idx, c)));
-                out.results.push(idx.map_err(|e| protocol(format!("bad RESULT payload: {e}")))?);
+                out.push(idx.map_err(|e| protocol(format!("bad RESULT payload: {e}")))?);
             }
-            ((K_ACK, _), Replies::Groups) => {}
-            ((K_ERR, payload), _) => {
+            (K_ERR, payload) => {
                 let mut r = Reader::new(&payload);
                 return Err(match r.u8() {
                     Ok(ERR_PANICKED) => match (r.usize(), r.usize()) {
@@ -1129,40 +839,12 @@ fn converse(
                     _ => protocol("unreadable ERR payload".to_string()),
                 });
             }
-            ((kind, _), _) => {
-                return Err(protocol(format!(
-                    "unexpected frame kind {kind:#04x} awaiting {:?}",
-                    conv.replies
-                )))
+            (kind, _) => {
+                return Err(protocol(format!("unexpected frame kind {kind:#04x} awaiting RESULT")))
             }
         }
         win.on_answered();
         kill_check(handle)?;
-    }
-    if conv.replies == Replies::Results {
-        return Ok(());
-    }
-    handle.send_now(K_EOF_DATA, &[]).map_err(lost)?;
-    loop {
-        match handle.chan.recv_required("GROUPS or DONE").map_err(lost)? {
-            (K_GROUPS, payload) => {
-                let groups: Vec<(String, Vec<Record>)> = Snapshot::decode(&mut Reader::new(&payload))
-                    .map_err(|e| protocol(format!("bad GROUPS payload: {e}")))?;
-                out.groups.extend(groups);
-                kill_check(handle)?;
-            }
-            (K_DONE, payload) => {
-                let mut r = Reader::new(&payload);
-                (out.spill_runs, out.spill_bytes) = r
-                    .u64()
-                    .and_then(|runs| r.u64().map(|bytes| (runs, bytes)))
-                    .map_err(|e| protocol(format!("bad DONE payload: {e}")))?;
-                return Ok(());
-            }
-            (kind, _) => {
-                return Err(protocol(format!("unexpected frame kind {kind:#04x} awaiting GROUPS")))
-            }
-        }
     }
 }
 
@@ -1175,17 +857,14 @@ fn drive_shard(
     handle: &mut ShardHandle,
     work: Work,
     kill_after: Option<u64>,
-) -> (ShardOut, Option<ShardRunError>, Work) {
-    let mut out = ShardOut::default();
+) -> (Results, Option<ShardRunError>, Work) {
+    let mut out = Results::new();
     let err = converse(conv, shard, handle, &work, kill_after, &mut out).err();
     if err.is_none() {
         return (out, None, Vec::new());
     }
-    // Groups only commit at DONE, so a failed group-by conversation
-    // re-runs its whole slice; a pipeline one keeps the results it got.
-    out.groups.clear();
     // lint:allow(hash_iteration): membership test only; `undone` keeps `work`'s order
-    let done: std::collections::HashSet<usize> = out.results.iter().map(|(idx, _)| *idx).collect();
+    let done: std::collections::HashSet<usize> = out.iter().map(|(idx, _)| *idx).collect();
     let undone = work.into_iter().filter(|(idx, _)| !done.contains(idx)).collect();
     (out, err, undone)
 }
@@ -1195,23 +874,16 @@ impl ShardPool {
     /// shard `s`'s work, each busy shard driven by its own feeder thread
     /// under the per-edge credit window. Errored handles are buried;
     /// with `respawn_lost` a lost shard is replaced and re-runs whatever
-    /// never reported back. Returns one [`ShardOut`] per shard.
+    /// never reported back. Returns one [`Results`] per shard.
     fn run_stage(
         &mut self,
         task: &StageTask,
         assigned: Vec<Work>,
-    ) -> Result<Vec<ShardOut>, ShardRunError> {
+    ) -> Result<Vec<Results>, ShardRunError> {
         let task_bytes = task.encode()?;
         let kill_fired = Arc::clone(&self.kill_fired);
-        let conv = Conversation {
-            task_bytes: &task_bytes,
-            replies: match task {
-                StageTask::Pipeline { .. } => Replies::Results,
-                StageTask::GroupBy { .. } => Replies::Groups,
-            },
-            kill_fired: &kill_fired,
-        };
-        let mut per_shard: Vec<ShardOut> = assigned.iter().map(|_| ShardOut::default()).collect();
+        let conv = Conversation { task_bytes: &task_bytes, kill_fired: &kill_fired };
+        let mut per_shard: Vec<Results> = assigned.iter().map(|_| Results::new()).collect();
         let mut feeds = Vec::new();
         for (shard, work) in assigned.into_iter().enumerate() {
             if !work.is_empty() {
@@ -1248,9 +920,7 @@ impl ShardPool {
                 let fresh = self.take_or_spawn(shard)?;
                 self.bury(std::mem::replace(&mut handle, fresh));
                 let (redo, redo_err, _) = drive_shard(&conv, shard, &mut handle, undone, None);
-                out.results.extend(redo.results);
-                out.groups = redo.groups;
-                (out.spill_runs, out.spill_bytes) = (redo.spill_runs, redo.spill_bytes);
+                out.extend(redo);
                 err = redo_err;
             }
             match err {
@@ -1290,8 +960,8 @@ fn unshippable(op: &Operator) -> ShardRunError {
     }
 }
 
-/// The sharded runner: chunks and groups cross the frame protocol to
-/// worker shards that rebuild the operators from their wire forms.
+/// The sharded runner: chunks cross the frame protocol to worker shards
+/// that rebuild the operators from their wire forms.
 impl StageRunner for ShardPool {
     /// Chunks are dealt round-robin over the shards and merged back in
     /// chunk order — the exact merge order of the local runner.
@@ -1300,7 +970,7 @@ impl StageRunner for ShardPool {
         stage: &StageKernel<'_>,
         chunks: Vec<Vec<Record>>,
     ) -> Result<Vec<ChunkOut>, ShardRunError> {
-        let task = StageTask::Pipeline {
+        let task = StageTask {
             ops: stage.ops.iter().map(|&op| op.clone()).collect(),
             fold: stage.fold.cloned(),
             tapped: stage.tapped.to_vec(),
@@ -1313,7 +983,7 @@ impl StageRunner for ShardPool {
             assigned[i % n_shards].push((i, c));
         }
         for (shard, out) in self.run_stage(&task, assigned)?.into_iter().enumerate() {
-            for (idx, chunk_out) in out.results {
+            for (idx, chunk_out) in out {
                 // the index came off the wire: never trust it as a slot
                 let slot = slots.get_mut(idx).ok_or_else(|| ShardRunError::Protocol {
                     shard,
@@ -1333,44 +1003,13 @@ impl StageRunner for ShardPool {
             })
             .collect()
     }
-
-    /// Each shard groups a *contiguous* run of chunks (spilling
-    /// over-memory tables to sorted disk runs) — contiguity is what lets
-    /// the parent rebuild global arrival order per key by concatenating
-    /// shard outputs in shard order.
-    fn group(
-        &mut self,
-        reduce: &Operator,
-        chunks: Vec<Vec<Record>>,
-        physical: &mut PhysicalStats,
-    ) -> Result<Vec<(String, Vec<Record>)>, ShardRunError> {
-        let task = StageTask::GroupBy {
-            reduce: reduce.clone(),
-            spill_threshold: self.cfg.spill_threshold_bytes,
-        };
-        let n_shards = self.shards();
-        let per_shard = chunks.len().div_ceil(n_shards).max(1);
-        let mut assigned: Vec<Work> = (0..n_shards).map(|_| Vec::new()).collect();
-        for (i, c) in chunks.into_iter().enumerate() {
-            assigned[i / per_shard].push((i, c));
-        }
-        let mut merged: BTreeMap<String, Vec<Record>> = BTreeMap::new();
-        for out in self.run_stage(&task, assigned)? {
-            physical.spill_runs += out.spill_runs;
-            physical.spill_bytes += out.spill_bytes;
-            for (k, rs) in out.groups {
-                merged.entry(k).or_default().extend(rs);
-            }
-        }
-        Ok(merged.into_iter().collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packages::{base, ie, testkit};
-    use crate::record::Value;
+    use websift_resilience::frame::{read_frame, write_frame};
 
     fn docs(n: usize) -> Vec<Record> {
         (0..n)
@@ -1406,27 +1045,6 @@ mod tests {
             );
         }
         assert!(pool.frames_total() > 0);
-    }
-
-    #[test]
-    fn group_by_worker_spills_and_streams_sorted_arrival_ordered_groups() {
-        // Tiny threshold: every fold spills, the merge walks disk runs.
-        let mut pool = ShardPool::new(ShardConfig::in_process(1).with_spill_threshold(64));
-        let chunks = docs(30).chunks(7).map(<[Record]>::to_vec).collect();
-        let mut physical = PhysicalStats::default();
-        let groups = pool.group(&testkit::tally(), chunks, &mut physical).unwrap();
-        assert!(physical.spill_runs > 0, "tiny threshold must force spills");
-        assert!(physical.spill_bytes > 0);
-        let keys: Vec<&str> = groups.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, vec!["g0", "g1", "g2"]);
-        // Arrival order within each key: ids ascending (input order).
-        for (k, rs) in &groups {
-            let ids: Vec<i64> = rs.iter().filter_map(|r| r.get("id").and_then(Value::as_int)).collect();
-            let mut sorted = ids.clone();
-            sorted.sort_unstable();
-            assert_eq!(ids, sorted, "group {k} lost arrival order");
-            assert_eq!(ids.len(), 10);
-        }
     }
 
     #[test]
@@ -1474,17 +1092,14 @@ mod tests {
         }
     }
 
-    fn drive_scripted(
-        replies: Replies,
-        script: &[(u8, Vec<u8>)],
-    ) -> (ShardOut, Option<ShardRunError>, Work) {
+    fn drive_scripted(script: &[(u8, Vec<u8>)]) -> (Results, Option<ShardRunError>, Work) {
         let kill_fired = AtomicBool::new(false);
-        let conv = Conversation { task_bytes: &[], replies, kill_fired: &kill_fired };
+        let conv = Conversation { task_bytes: &[], kill_fired: &kill_fired };
         drive_shard(&conv, 3, &mut scripted_shard(script), vec![(0, docs(2))], None)
     }
 
     #[test]
-    fn short_err_and_done_payloads_are_protocol_errors_not_defaults() {
+    fn short_err_payloads_are_protocol_errors_not_defaults() {
         let payload = |fill: &dyn Fn(&mut Writer)| {
             let mut w = Writer::new();
             fill(&mut w);
@@ -1495,7 +1110,7 @@ mod tests {
             w.u8(ERR_PANICKED);
             w.usize(5);
         });
-        let (_, err, undone) = drive_scripted(Replies::Results, &[(K_ERR, short)]);
+        let (_, err, undone) = drive_scripted(&[(K_ERR, short)]);
         assert!(
             matches!(&err, Some(ShardRunError::Protocol { shard: 3, detail }) if detail.contains("ERR")),
             "got {err:?}"
@@ -1508,26 +1123,8 @@ mod tests {
             w.usize(7);
             w.str("boom");
         });
-        let (_, err, _) = drive_scripted(Replies::Results, &[(K_ERR, full)]);
+        let (_, err, _) = drive_scripted(&[(K_ERR, full)]);
         assert_eq!(err, Some(ShardRunError::Panicked { stage: 5, chunk: 7 }));
-
-        // K_DONE carrying spill runs but no spill bytes: not "0 bytes"
-        let short = payload(&|w| w.u64(2));
-        let (out, err, _) =
-            drive_scripted(Replies::Groups, &[(K_ACK, Vec::new()), (K_DONE, short)]);
-        assert!(
-            matches!(&err, Some(ShardRunError::Protocol { shard: 3, detail }) if detail.contains("DONE")),
-            "got {err:?}"
-        );
-        assert_eq!((out.spill_runs, out.spill_bytes), (0, 0));
-        let full = payload(&|w| {
-            w.u64(2);
-            w.u64(640);
-        });
-        let (out, err, _) =
-            drive_scripted(Replies::Groups, &[(K_ACK, Vec::new()), (K_DONE, full)]);
-        assert_eq!(err, None);
-        assert_eq!((out.spill_runs, out.spill_bytes), (2, 640));
     }
 
     #[test]
@@ -1582,25 +1179,10 @@ mod tests {
         assert_eq!(entries[1].2, vec![1.0]);
     }
 
-    #[test]
-    fn a_dropped_group_table_takes_its_spill_runs_with_it() {
-        let OpFunc::Reduce { key, .. } = testkit::tally().func().clone() else {
-            panic!("tally is a reduce")
-        };
-        let mut table = GroupTable::new(key, 64);
-        table.fold(docs(30)).unwrap();
-        table.fold(docs(30)).unwrap();
-        let runs = table.runs.clone();
-        assert!(runs.len() >= 2, "folding past the threshold spills");
-        assert!(runs.iter().all(|p| p.is_file()));
-        drop(table); // never emitted: a failed merge, a new STAGE, a killed shard
-        assert!(runs.iter().all(|p| !p.exists()), "spill runs outlived their table");
-    }
-
     // -- hostile bytes into the stage-task decoder --------------------------
 
     fn pipeline_task() -> StageTask {
-        StageTask::Pipeline {
+        StageTask {
             ops: vec![ie::annotate_tokens(), base::filter_length(4096), testkit::stamp()],
             fold: Some(base::count_by("stamp")),
             tapped: vec![1],
@@ -1608,17 +1190,12 @@ mod tests {
         }
     }
 
-    fn group_by_task() -> StageTask {
-        StageTask::GroupBy { reduce: testkit::tally(), spill_threshold: 1 << 20 }
-    }
-
     /// One worker conversation over in-memory bytes: STAGE(`task`), one
-    /// DATA chunk, EOF_DATA, BYE. Returns what the worker answered.
+    /// DATA chunk, BYE. Returns what the worker answered.
     fn serve(task: &[u8]) -> Result<Vec<(u8, Vec<u8>)>, TransportError> {
         let mut input = Vec::new();
         write_frame(&mut input, K_STAGE, task).unwrap();
         write_frame(&mut input, K_DATA, &encode_chunk_payload(0, &docs(5))).unwrap();
-        write_frame(&mut input, K_EOF_DATA, &[]).unwrap();
         write_frame(&mut input, K_BYE, &[]).unwrap();
         let mut output = Vec::new();
         worker_serve(&input[..], &mut output)?;
@@ -1638,59 +1215,82 @@ mod tests {
 
     #[test]
     fn intact_tasks_are_served_and_roundtrip() {
-        for task in [pipeline_task(), group_by_task()] {
-            let bytes = task.encode().unwrap();
-            let again = StageTask::decode(&bytes).unwrap().encode().unwrap();
-            assert_eq!(again, bytes, "decode . encode is the identity on wire bytes");
-            let replies = serve(&bytes).unwrap();
-            assert!(rejection(&replies).is_none(), "{replies:?}");
-            assert!(matches!(replies[0].0, K_RESULT | K_ACK));
-        }
+        let bytes = pipeline_task().encode().unwrap();
+        let again = StageTask::decode(&bytes).unwrap().encode().unwrap();
+        assert_eq!(again, bytes, "decode . encode is the identity on wire bytes");
+        let replies = serve(&bytes).unwrap();
+        assert!(rejection(&replies).is_none(), "{replies:?}");
+        assert_eq!(replies[0].0, K_RESULT);
     }
 
     #[test]
     fn every_truncation_of_a_task_is_rejected_with_a_typed_reply() {
-        for task in [pipeline_task(), group_by_task()] {
-            let bytes = task.encode().unwrap();
-            for cut in 0..bytes.len() {
-                let replies = serve(&bytes[..cut]).expect("a bad STAGE never ends the loop");
-                let why = rejection(&replies);
-                assert!(why.is_some(), "cut at {cut}/{} was not rejected: {replies:?}", bytes.len());
-            }
+        let bytes = pipeline_task().encode().unwrap();
+        for cut in 0..bytes.len() {
+            let replies = serve(&bytes[..cut]).expect("a bad STAGE never ends the loop");
+            let why = rejection(&replies);
+            assert!(why.is_some(), "cut at {cut}/{} was not rejected: {replies:?}", bytes.len());
         }
     }
 
     #[test]
     fn every_single_bit_flip_is_served_or_rejected_never_a_panic() {
-        for task in [pipeline_task(), group_by_task()] {
-            let bytes = task.encode().unwrap();
-            for at in 0..bytes.len() {
-                let mut forged = bytes.clone();
-                forged[at] ^= 1 << (at % 8);
-                let replies = serve(&forged).expect("a bad STAGE never ends the loop");
-                assert!(!replies.is_empty(), "flip at {at}: the DATA frame went unanswered");
-                for (kind, _) in &replies {
-                    assert!(
-                        matches!(*kind, K_ERR | K_RESULT | K_ACK | K_GROUPS | K_DONE),
-                        "flip at {at}: unexpected reply kind {kind:#04x}"
-                    );
-                }
-            }
+        let bytes = pipeline_task().encode().unwrap();
+        for at in 0..bytes.len() {
+            let mut forged = bytes.clone();
+            forged[at] ^= 1 << (at % 8);
+            let replies = serve(&forged).expect("a bad STAGE never ends the loop");
+            assert_eq!(replies.len(), 1, "flip at {at}: one DATA frame, one answer");
+            let kind = replies[0].0;
+            assert!(
+                matches!(kind, K_ERR | K_RESULT),
+                "flip at {at}: unexpected reply kind {kind:#04x}"
+            );
         }
     }
 
-    /// A group-by task naming `factory` with `params` — the forgery a
-    /// hostile or version-skewed parent sends.
-    fn forged_group_by(factory: &str, params: &[u8]) -> Vec<u8> {
+    #[test]
+    fn forged_element_counts_end_in_typed_errors() {
+        let claim = |prefix: &[usize]| {
+            let mut w = Writer::new();
+            prefix.iter().for_each(|&n| w.usize(n));
+            w.into_bytes()
+        };
+        // a task claiming usize::MAX chain constituents is rejected, having
+        // reserved nothing (`presize` bounds it by the bytes that remain)
+        let task = claim(&[usize::MAX]);
+        assert_eq!(
+            StageTask::decode(&task).unwrap_err(),
+            WireError::Codec(CodecError::Truncated { what: "u64" })
+        );
+        assert!(rejection(&serve(&task).unwrap()).is_some());
+
+        // chunk 0 claiming usize::MAX records: corrupt DATA ends the loop
+        let chunk = claim(&[0, usize::MAX]);
+        assert!(matches!(decode_chunk_payload(&chunk), Err(CodecError::Truncated { .. })));
+        let mut input = Vec::new();
+        write_frame(&mut input, K_STAGE, &pipeline_task().encode().unwrap()).unwrap();
+        write_frame(&mut input, K_DATA, &chunk).unwrap();
+        assert!(matches!(
+            worker_serve(&input[..], std::io::sink()),
+            Err(TransportError::Codec(CodecError::Truncated { .. }))
+        ));
+    }
+
+    /// A task whose one chain constituent names `factory` with `params` —
+    /// the forgery a hostile or version-skewed parent sends.
+    fn forged_task(factory: &str, params: &[u8]) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u8(1);
+        w.usize(1);
         w.str(factory);
         w.bytes(params);
         w.f64(0.0);
         w.u64(0);
         w.f64(0.0);
         w.bool(false);
-        w.usize(1 << 20);
+        w.bool(false); // no fold
+        w.usize(0); // no taps
+        w.f64(1.0);
         w.into_bytes()
     }
 
@@ -1723,17 +1323,16 @@ mod tests {
             ("ie.annotate_entities_dict", absurd.into_bytes(), "ie.annotate_entities_dict"),
             ("ie.annotate_entities_ml", degenerate.into_bytes(), "ie.annotate_entities_ml"),
             ("base.count_by", vec![0xff; 8], "base.count_by"),
-            ("testkit.stamp", Vec::new(), "stamp"), // a map where a reduce must be
+            ("testkit.tally", Vec::new(), "tally"), // a reduce where a chain constituent must be
         ];
         for (factory, params, named) in cases {
-            let forged = forged_group_by(factory, &params);
+            let forged = forged_task(factory, &params);
             let why = rejection(&serve(&forged).unwrap()).expect("rejected");
             assert!(why.contains(named), "{why}");
 
             // and through the parent's conversation loop, against a live worker
             let kill_fired = AtomicBool::new(false);
-            let conv =
-                Conversation { task_bytes: &forged, replies: Replies::Groups, kill_fired: &kill_fired };
+            let conv = Conversation { task_bytes: &forged, kill_fired: &kill_fired };
             let mut handle = spawn_worker(&WorkerKind::InProcess).unwrap();
             let (_, err, undone) = drive_shard(&conv, 2, &mut handle, vec![(0, docs(2))], None);
             assert!(

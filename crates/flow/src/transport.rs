@@ -23,21 +23,13 @@ use websift_resilience::CodecError;
 pub const K_STAGE: u8 = 0x01;
 /// A chunk of input records (parent → worker).
 pub const K_DATA: u8 = 0x02;
-/// End of input for the current stage (parent → worker).
-pub const K_EOF_DATA: u8 = 0x03;
-/// Receipt of one `K_DATA` frame (worker → parent, group-by mode).
-pub const K_ACK: u8 = 0x04;
-/// One chunk's full result (worker → parent, pipeline mode).
-pub const K_RESULT: u8 = 0x05;
-/// A batch of grouped records (worker → parent, group-by mode).
-pub const K_GROUPS: u8 = 0x06;
-/// End of the worker's group stream, carrying spill statistics.
-pub const K_DONE: u8 = 0x07;
+/// One chunk's full result (worker → parent).
+pub const K_RESULT: u8 = 0x03;
 /// Worker-side failure (a UDF panic, or a STAGE frame the worker could
 /// not rebuild), with context.
-pub const K_ERR: u8 = 0x08;
+pub const K_ERR: u8 = 0x04;
 /// Orderly shutdown request (parent → worker).
-pub const K_BYE: u8 = 0x09;
+pub const K_BYE: u8 = 0x05;
 
 /// Errors on a shard channel.
 #[derive(Debug)]
@@ -157,10 +149,9 @@ pub const CREDIT_BYTES: usize = 32 << 10;
 /// [`CREDIT_WINDOW`] unanswered data frames, of at most [`CREDIT_BYTES`]
 /// together,
 /// outstanding toward one shard. The shard answers each `K_DATA` with a
-/// `K_RESULT` (pipeline mode) or `K_ACK` (group-by mode), in order; the
-/// parent blocks on those answers before sending more, so a slow worker
-/// throttles its feeder instead of buffering an unbounded queue in the
-/// pipe.
+/// `K_RESULT` (or `K_ERR`), in order; the parent blocks on those answers
+/// before sending more, so a slow worker throttles its feeder instead of
+/// buffering an unbounded queue in the pipe.
 ///
 /// The byte bound is what keeps the single-threaded conversation free of
 /// deadlock: a worker with unanswered work may be blocked *writing* a
@@ -212,14 +203,14 @@ mod tests {
         {
             let mut ch = FrameChannel::new(std::io::empty(), &mut wire);
             ch.send(K_DATA, b"records").unwrap();
-            ch.send(K_EOF_DATA, b"").unwrap();
+            ch.send(K_BYE, b"").unwrap();
             ch.flush().unwrap();
             assert_eq!(ch.frames_sent, 2);
             assert_eq!(ch.payload_bytes, 7);
         }
         let mut ch = FrameChannel::new(&wire[..], std::io::sink());
         assert_eq!(ch.recv().unwrap(), Some((K_DATA, b"records".to_vec())));
-        assert_eq!(ch.recv().unwrap(), Some((K_EOF_DATA, Vec::new())));
+        assert_eq!(ch.recv().unwrap(), Some((K_BYE, Vec::new())));
         assert_eq!(ch.recv().unwrap(), None);
         assert_eq!(ch.frames_received, 2);
     }

@@ -232,11 +232,10 @@ fn golden_custom_aggregate_in_live_mode_adds_ws012() {
         diagnostics_to_json(&diags),
         include_str!("golden/custom_aggregate_live.json").trim_end(),
     );
-    // live mode escalates, but only to warning: a live session can still
-    // opt into the per-round recompute
+    // live mode escalates to an error: the live session rejects the plan
     assert_eq!(
         diags.iter().map(|d| d.severity).collect::<Vec<_>>(),
-        vec![Severity::Info, Severity::Warning],
+        vec![Severity::Info, Severity::Error],
     );
 }
 

@@ -15,8 +15,9 @@
 //!    checkpoints taken so far, and resuming from them — even at a
 //!    *different* shard count than the killed run, or unsharded —
 //!    reproduces the uninterrupted flow bit for bit;
-//! 4. an over-memory Reduce spills its group table to sorted disk runs
-//!    and still matches the in-memory grouping byte for byte;
+//! 4. an uncombined Reduce is grouped in the parent whatever the
+//!    sharding: the stages around it still ship, it pins nothing, and a
+//!    plan that is only that Reduce spawns no worker at all;
 //! 5. records routed to a store sink (`Executor::run_into`) land
 //!    identically, so serve-side snapshots cannot observe sharding;
 //! 6. the *real* pipeline ships whole: preprocessing into dictionary +
@@ -131,8 +132,8 @@ fn spec_less_stage_pins_local_and_is_counted() {
 #[test]
 fn real_worker_processes_match_in_process_execution() {
     // stamp -> dup -> parity -> tally -> grow: a fused pipeline into a
-    // combinable reduce, so combining=false also exercises the sharded
-    // uncombined shuffle.
+    // combinable reduce, so combining=false also puts a parent-side
+    // grouping between two shipped stages.
     let plan = chain_plan(&[0, 1, 2, 6, 4]);
     for seed in [7u64, 4242] {
         for (fusion, combining) in [(true, true), (true, false), (false, false)] {
@@ -210,7 +211,9 @@ fn chunks_larger_than_a_pipe_buffer_do_not_deadlock_the_conversation() {
 fn killed_shard_resumes_bit_exactly_at_mismatched_shard_counts() {
     // stamp -> parity -> tally -> grow, unfused so every node is its own
     // constituent and checkpoints land between them; combining off so the
-    // tally runs the sharded uncombined shuffle.
+    // tally is grouped in the parent, between shipped stages. Each of the
+    // three shipped stages moves 5 frames over shard 0's channel, so the
+    // kills below land inside the first, the second and the last of them.
     let plan = chain_plan(&[0, 2, 6, 4]);
     let full_res = FlowResilience { checkpoint_every_nodes: Some(1), ..FlowResilience::default() };
     let config = |sharding: Option<ShardConfig>| ExecutionConfig {
@@ -227,7 +230,7 @@ fn killed_shard_resumes_bit_exactly_at_mismatched_shard_counts() {
         .expect("uninterrupted run completes");
 
     let mut resumes = 0usize;
-    for after_frames in [6u64, 12, 18] {
+    for after_frames in [3u64, 8, 13] {
         let kill = KillSpec { shard: 0, after_frames };
         let cfg = ShardConfig::in_process(2).with_kill(kill);
         let result =
@@ -308,33 +311,42 @@ fn respawned_worker_completes_the_run_identically() {
     assert!(out.physical.shard_respawns >= 1, "the lost worker was respawned");
 }
 
-/// An uncombined Reduce whose group table exceeds the (tiny) memory
-/// threshold spills to sorted disk runs mid-shuffle; the merged groups
-/// still reproduce the in-memory grouping byte for byte, and the spill
-/// is visible in physical stats.
+/// An uncombined Reduce is grouped where its records already are — in the
+/// parent — so sharding cannot be observed through it: every surface
+/// equals the unsharded baseline, the shippable stage before it still goes
+/// to the shards and nothing is pinned; a plan that is only source ->
+/// uncombined reduce -> sink never spawns a worker.
 #[test]
-fn over_memory_reduce_spills_to_disk_and_stays_byte_identical() {
-    let plan = chain_plan(&[0, 6]);
+fn uncombined_reduce_groups_in_the_parent_and_stays_byte_identical() {
     let res = FlowResilience::default();
     let config = |sharding: Option<ShardConfig>| ExecutionConfig {
         combining: false,
         sharding,
         ..ExecutionConfig::local(4)
     };
-    let baseline = run_surface(&plan, docs(80), config(None), &res);
-    let sharded = run_surface(
-        &plan,
-        docs(80),
-        config(Some(ShardConfig::in_process(2).with_spill_threshold(64))),
-        &res,
-    );
-    assert_surfaces_equal(&sharded, &baseline, "spilling reduce");
+    let physical = |plan: &LogicalPlan| {
+        Executor::new(config(Some(ShardConfig::in_process(2))))
+            .run(plan, inputs_for(docs(80)))
+            .expect("sharded run succeeds")
+            .physical
+    };
+    // stamp -> tally, then the tally alone
+    for indices in [&[0usize, 6][..], &[6]] {
+        let plan = chain_plan(indices);
+        let baseline = run_surface(&plan, docs(80), config(None), &res);
+        let sharded =
+            run_surface(&plan, docs(80), config(Some(ShardConfig::in_process(2))), &res);
+        assert_surfaces_equal(&sharded, &baseline, &format!("uncombined reduce {indices:?}"));
+    }
 
-    let out = Executor::new(config(Some(ShardConfig::in_process(2).with_spill_threshold(64))))
-        .run(&plan, inputs_for(docs(80)))
-        .expect("spilling run succeeds");
-    assert!(out.physical.spill_runs > 0, "the group table spilled at least once");
-    assert!(out.physical.spill_bytes > 0, "spilled bytes are accounted");
+    let after_a_map = physical(&chain_plan(&[0, 6]));
+    assert_eq!(after_a_map.stages_pinned_local, 0, "grouping in the parent is not a pin");
+    assert_eq!(after_a_map.shards_used, 2, "the map before the reduce still shipped");
+    assert!(after_a_map.shuffle_bytes > 0, "the full stream crossed the codec");
+
+    let alone = physical(&chain_plan(&[6]));
+    assert_eq!(alone.stages_pinned_local, 0);
+    assert_eq!((alone.shards_used, alone.shard_frames), (0, 0), "a lone reduce spawns no worker");
 }
 
 /// Fan-out plans: the fused chain tees an interior node to a side sink,

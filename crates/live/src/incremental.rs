@@ -14,11 +14,9 @@
 //! aggregation invisible, applied across rounds instead of chunks.
 //!
 //! `Aggregate::Custom` reduces are opaque closures: nothing can be
-//! retained, so live mode either rejects them with a typed
-//! [`LiveError::NonCombinableReduce`] or — under an explicit
-//! `allow_recompute` opt-in — keeps the cumulative pre-reduce records
-//! and reruns the closure every round (the slow path the WS012
-//! diagnostic warns about).
+//! retained, so live mode rejects them with a typed
+//! [`LiveError::NonCombinableReduce`] (the WS012 diagnostic says so
+//! before the session starts).
 
 use std::collections::BTreeMap;
 
@@ -29,21 +27,12 @@ use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 
 use crate::LiveError;
 
-/// Retained state for one split-out terminal Reduce.
-enum Retained {
-    /// Combinable: per-key aggregate partials, folded in place.
-    Combinable(BTreeMap<String, AggState>),
-    /// Custom closure under `allow_recompute`: the cumulative pre-reduce
-    /// record stream, re-reduced from scratch on demand.
-    Recompute(Vec<Record>),
-}
-
 /// One split-out Reduce: the sink it fed, the operator (key + aggregate),
-/// and the state retained across rounds.
+/// and the per-key aggregate partials retained across rounds.
 struct RetainedReduce {
     sink: String,
     op: Operator,
-    retained: Retained,
+    retained: BTreeMap<String, AggState>,
 }
 
 /// A logical plan compiled for delta execution: terminal Reduces are
@@ -58,9 +47,8 @@ impl IncrementalFlow {
     /// Compiles `plan` for delta execution. Every Reduce must directly
     /// feed a sink (aggregates are final results, not intermediates, in
     /// live mode); non-combinable (`Aggregate::Custom`) reduces are a
-    /// typed error unless `allow_recompute` opts into the cumulative
-    /// re-reduce slow path.
-    pub fn compile(plan: &LogicalPlan, allow_recompute: bool) -> Result<IncrementalFlow, LiveError> {
+    /// typed error.
+    pub fn compile(plan: &LogicalPlan) -> Result<IncrementalFlow, LiveError> {
         plan.validate().map_err(LiveError::PlanInvalid)?;
         let source = plan
             .sources()
@@ -87,14 +75,9 @@ impl IncrementalFlow {
                     if !terminal {
                         return Err(LiveError::ReduceNotTerminal { name: op.name.clone() });
                     }
-                    if !op.combinable_reduce() && !allow_recompute {
+                    if !op.combinable_reduce() {
                         return Err(LiveError::NonCombinableReduce { name: op.name.clone() });
                     }
-                    let retained = if op.combinable_reduce() {
-                        Retained::Combinable(BTreeMap::new())
-                    } else {
-                        Retained::Recompute(Vec::new())
-                    };
                     pending.insert(
                         node.id,
                         reduces.len(),
@@ -102,7 +85,7 @@ impl IncrementalFlow {
                     reduces.push(RetainedReduce {
                         sink: String::new(), // filled when the sink child is reached
                         op: op.clone(),
-                        retained,
+                        retained: BTreeMap::new(),
                     });
                     // the reduce contributes no delta-plan node: its sink
                     // child reads the pre-reduce stream
@@ -162,16 +145,12 @@ impl IncrementalFlow {
                 what: format!("no retained reduce feeds sink '{sink}'"),
             })?;
         let n = records.len();
-        match (&mut reduce.retained, reduce.op.func()) {
-            (Retained::Combinable(state), OpFunc::Reduce { key, aggregate }) => {
-                for record in &records {
-                    let k = key(record);
-                    let slot = state.entry(k).or_insert_with(|| aggregate.seed());
-                    aggregate.fold(slot, record);
-                }
-            }
-            (Retained::Recompute(all), _) => all.extend(records),
-            _ => unreachable!("retained operator is always a Reduce"),
+        let OpFunc::Reduce { key, aggregate } = reduce.op.func() else {
+            unreachable!("retained operator is always a Reduce")
+        };
+        for record in &records {
+            let slot = reduce.retained.entry(key(record)).or_insert_with(|| aggregate.seed());
+            aggregate.fold(slot, record);
         }
         Ok(n)
     }
@@ -187,27 +166,19 @@ impl IncrementalFlow {
             .ok_or_else(|| LiveError::StateMismatch {
                 what: format!("no retained reduce feeds sink '{sink}'"),
             })?;
-        match (&reduce.retained, reduce.op.func()) {
-            (Retained::Combinable(state), OpFunc::Reduce { aggregate, .. }) => Ok(state
-                .iter()
-                .flat_map(|(key, st)| aggregate.finish(key, st.clone()))
-                .collect()),
-            // the slow path: rerun the opaque closure over everything
-            (Retained::Recompute(all), _) => Ok(reduce.op.apply(all.clone())),
-            _ => unreachable!("retained operator is always a Reduce"),
-        }
+        let OpFunc::Reduce { aggregate, .. } = reduce.op.func() else {
+            unreachable!("retained operator is always a Reduce")
+        };
+        Ok(reduce
+            .retained
+            .iter()
+            .flat_map(|(key, st)| aggregate.finish(key, st.clone()))
+            .collect())
     }
 
-    /// Total number of retained aggregate keys (cumulative records on the
-    /// recompute path).
+    /// Total number of retained aggregate keys.
     pub fn retained_keys(&self) -> usize {
-        self.reduces
-            .iter()
-            .map(|r| match &r.retained {
-                Retained::Combinable(state) => state.len(),
-                Retained::Recompute(all) => all.len(),
-            })
-            .sum()
+        self.reduces.iter().map(|r| r.retained.len()).sum()
     }
 
     /// Deterministic codec bytes of all retained state, keys in sorted
@@ -218,19 +189,13 @@ impl IncrementalFlow {
         for reduce in &self.reduces {
             w.str(&reduce.sink);
             w.str(&reduce.op.name);
-            match &reduce.retained {
-                Retained::Combinable(state) => {
-                    w.u8(0);
-                    w.usize(state.len());
-                    for (key, st) in state {
-                        w.str(key);
-                        st.encode(&mut w);
-                    }
-                }
-                Retained::Recompute(all) => {
-                    w.u8(1);
-                    all.encode(&mut w);
-                }
+            // the tag of the one retained form (per-key partials): it
+            // stays so watermark bytes and digests do not move
+            w.u8(0);
+            w.usize(reduce.retained.len());
+            for (key, st) in &reduce.retained {
+                w.str(key);
+                st.encode(&mut w);
             }
         }
         w.into_bytes()
@@ -258,19 +223,16 @@ impl IncrementalFlow {
                     ),
                 });
             }
-            reduce.retained = match r.u8()? {
-                0 => {
-                    let keys = r.usize()?;
-                    let mut state = BTreeMap::new();
-                    for _ in 0..keys {
-                        let key = r.str()?;
-                        state.insert(key, AggState::decode(&mut r)?);
-                    }
-                    Retained::Combinable(state)
-                }
-                1 => Retained::Recompute(Vec::<Record>::decode(&mut r)?),
-                tag => return Err(LiveError::Codec(CodecError::BadTag { what: "Retained", tag })),
-            };
+            let tag = r.u8()?;
+            if tag != 0 {
+                return Err(LiveError::Codec(CodecError::BadTag { what: "Retained", tag }));
+            }
+            let keys = r.usize()?;
+            reduce.retained.clear();
+            for _ in 0..keys {
+                let key = r.str()?;
+                reduce.retained.insert(key, AggState::decode(&mut r)?);
+            }
         }
         if !r.is_empty() {
             return Err(LiveError::Codec(CodecError::Truncated {

@@ -41,9 +41,8 @@ use websift_flow::ExecutionError;
 /// Failures of live compilation, execution, or replay.
 #[derive(Debug)]
 pub enum LiveError {
-    /// The plan has a non-combinable (`Aggregate::Custom`) reduce and
-    /// [`LiveOptions::allow_recompute`] was not set: live mode cannot
-    /// retain opaque closure state across rounds.
+    /// The plan has a non-combinable (`Aggregate::Custom`) reduce: live
+    /// mode cannot retain opaque closure state across rounds.
     NonCombinableReduce { name: String },
     /// A reduce feeds another operator. Live mode retains reduce state
     /// *instead of* executing the reduce per round, so reduces must be
@@ -70,8 +69,7 @@ impl std::fmt::Display for LiveError {
             LiveError::NonCombinableReduce { name } => write!(
                 f,
                 "reduce '{name}' uses a custom aggregate, which cannot be folded \
-                 incrementally; set LiveOptions::allow_recompute to accept a full \
-                 recompute per live round"
+                 incrementally; use a typed Aggregate or reduce_custom_combinable"
             ),
             LiveError::ReduceNotTerminal { name } => write!(
                 f,

@@ -37,10 +37,6 @@ use crate::LiveError;
 pub struct LiveOptions {
     /// Degree of parallelism for the per-round delta passes.
     pub dop: usize,
-    /// Opt into the cumulative-recompute slow path for
-    /// `Aggregate::Custom` reduces instead of rejecting them
-    /// (see [`LiveError::NonCombinableReduce`]).
-    pub allow_recompute: bool,
     /// When set, each round's delta pass runs on worker shards instead of
     /// in-process threads. Sharding never changes what a round produces —
     /// store postings, watermarks, and metrics stay byte-identical — so
@@ -50,7 +46,7 @@ pub struct LiveOptions {
 
 impl Default for LiveOptions {
     fn default() -> LiveOptions {
-        LiveOptions { dop: 2, allow_recompute: false, sharding: None }
+        LiveOptions { dop: 2, sharding: None }
     }
 }
 
@@ -116,7 +112,7 @@ impl<'w> LiveSession<'w> {
         options: LiveOptions,
         observer: Arc<Observer>,
     ) -> Result<LiveSession<'w>, LiveError> {
-        let flow = IncrementalFlow::compile(plan, options.allow_recompute)?;
+        let flow = IncrementalFlow::compile(plan)?;
         check_store_routing(plan, &store)?;
         let crawler = websift_crawler::FocusedCrawler::new(web, classifier, crawl_config)
             .with_observer(observer.clone());
@@ -163,7 +159,7 @@ impl<'w> LiveSession<'w> {
                 what: "crawler frontier digest does not match the watermark".into(),
             });
         }
-        let mut flow = IncrementalFlow::compile(plan, options.allow_recompute)?;
+        let mut flow = IncrementalFlow::compile(plan)?;
         flow.restore_state(&parts.agg_state)?;
         let store = StoreSnapshot::from_bytes(&parts.store_frame)?.restore()?;
         if store.content_digest() != parts.store_digest {
@@ -388,7 +384,7 @@ mod tests {
         good.store_sink(tagged, "serve", "entities").unwrap();
         let diags = LiveSession::preflight(&good, &store);
         assert!(!websift_analyze::has_errors(&diags), "{diags:?}");
-        assert!(IncrementalFlow::compile(&good, false).is_ok());
+        assert!(IncrementalFlow::compile(&good).is_ok());
 
         let mut bad = LogicalPlan::new();
         let src = bad.source("docs");
@@ -412,7 +408,7 @@ mod tests {
             "{diags:?}"
         );
         assert!(matches!(
-            IncrementalFlow::compile(&bad, false),
+            IncrementalFlow::compile(&bad),
             Err(LiveError::ReduceNotTerminal { .. })
         ));
     }

@@ -17,6 +17,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use websift_resilience::codec::presize;
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 
 /// Number of buckets in a log-scaled histogram: bucket 0 collects
@@ -401,7 +402,7 @@ impl Snapshot for RegistrySnapshot {
 
     fn decode(r: &mut Reader<'_>) -> Result<RegistrySnapshot, CodecError> {
         let len = r.usize()?;
-        let mut entries = Vec::with_capacity(len.min(r.remaining()));
+        let mut entries = Vec::with_capacity(presize::<(String, Labels, MetricValue)>(len, r));
         for _ in 0..len {
             let name = r.str()?;
             let labels = Labels::decode(r)?;
@@ -604,6 +605,18 @@ mod tests {
         let bytes = encode_to_vec(&snap);
         let back: RegistrySnapshot = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn forged_entry_count_is_truncated() {
+        let reg = MetricsRegistry::default();
+        reg.counter("c", &Labels::empty()).add(7);
+        let mut bytes = encode_to_vec(&reg.snapshot());
+        bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_from_slice::<RegistrySnapshot>(&bytes),
+            Err(CodecError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 
-use crate::codec::{CodecError, Reader, Writer};
+use crate::codec::{presize, CodecError, Reader, Writer};
 
 /// State that participates in checkpoints.
 pub trait Snapshot: Sized {
@@ -34,15 +34,6 @@ pub fn decode_from_slice<T: Snapshot>(bytes: &[u8]) -> Result<T, CodecError> {
         return Err(CodecError::Truncated { what: "trailing bytes after value" });
     }
     Ok(value)
-}
-
-/// Capacity to reserve for a collection whose encoded length field claims
-/// `claimed` elements of `T`: never more *bytes* than the reader still
-/// holds, so a forged count inside a validly sealed frame cannot turn a
-/// short payload into a `claimed × size_of::<T>()` allocation. The decode
-/// loop still runs `claimed` times and ends in `Truncated` on a lie.
-fn presize<T>(claimed: usize, r: &Reader<'_>) -> usize {
-    claimed.min(r.remaining() / std::mem::size_of::<T>().max(1))
 }
 
 macro_rules! snapshot_primitive {

@@ -220,6 +220,15 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Capacity to reserve for a collection whose encoded length field claims
+/// `claimed` elements of `T`: never more *bytes* than the reader still
+/// holds, so a forged count inside a validly sealed frame cannot turn a
+/// short payload into a `claimed × size_of::<T>()` allocation. The decode
+/// loop still runs `claimed` times and ends in `Truncated` on a lie.
+pub fn presize<T>(claimed: usize, r: &Reader<'_>) -> usize {
+    claimed.min(r.remaining() / std::mem::size_of::<T>().max(1))
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {

@@ -335,34 +335,11 @@ fn custom_reduces_are_rejected_unless_opted_in() {
     let r = plan.add(src, tally()).expect("static plan");
     plan.sink(r, "tallies").expect("static plan");
 
-    // rejected by default with a typed error
-    match IncrementalFlow::compile(&plan, false).map(|_| ()) {
+    // rejected with a typed error: an opaque closure has no state to retain
+    match IncrementalFlow::compile(&plan).map(|_| ()) {
         Err(LiveError::NonCombinableReduce { name }) => assert_eq!(name, "tally"),
         other => panic!("expected NonCombinableReduce, got {other:?}"),
     }
-
-    // opted in: the cumulative-recompute path still equals the batch
-    // reduce over the concatenated stream
-    let mut flow = IncrementalFlow::compile(&plan, true).expect("opt-in compiles");
-    let mk = |corpus: &str, n: usize| -> Vec<Record> {
-        (0..n)
-            .map(|i| {
-                let mut rec = Record::new();
-                rec.set("corpus", corpus).set("id", i as i64);
-                rec
-            })
-            .collect()
-    };
-    let (batch_1, batch_2) = (mk("web", 3), mk("medline", 2));
-    flow.absorb("tallies", batch_1.clone()).expect("absorbs");
-    flow.absorb("tallies", batch_2.clone()).expect("absorbs");
-    let mut all = batch_1;
-    all.extend(batch_2);
-    assert_eq!(
-        flow.finished("tallies").expect("finished"),
-        tally().apply(all),
-        "recompute path diverged from the batch reduce"
-    );
 
     // a reduce feeding another operator (not a sink) is structurally
     // unusable in live mode
@@ -373,7 +350,7 @@ fn custom_reduces_are_rejected_unless_opted_in() {
         .add(r, Operator::map("after", Package::Base, |rec| rec))
         .expect("static plan");
     plan.sink(downstream, "out").expect("static plan");
-    match IncrementalFlow::compile(&plan, true).map(|_| ()) {
+    match IncrementalFlow::compile(&plan).map(|_| ()) {
         Err(LiveError::ReduceNotTerminal { name }) => assert_eq!(name, "tally"),
         other => panic!("expected ReduceNotTerminal, got {other:?}"),
     }
@@ -383,7 +360,7 @@ fn custom_reduces_are_rejected_unless_opted_in() {
 fn incremental_flow_handles_combinable_reduces_exactly() {
     // the delta plan drops the reduce but keeps everything else
     let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
-    let flow = IncrementalFlow::compile(&plan, false).expect("compiles");
+    let flow = IncrementalFlow::compile(&plan).expect("compiles");
     assert_eq!(flow.retained_sinks(), vec!["token_frequencies"]);
     assert_eq!(flow.source(), "docs");
     assert_eq!(
@@ -405,10 +382,10 @@ fn incremental_flow_handles_combinable_reduces_exactly() {
     let records = documents_to_records(&docs);
     let (left, right) = records.split_at(records.len() / 2);
 
-    let mut split = IncrementalFlow::compile(&plan, false).expect("compiles");
+    let mut split = IncrementalFlow::compile(&plan).expect("compiles");
     split.absorb("token_frequencies", left.to_vec()).expect("absorbs");
     split.absorb("token_frequencies", right.to_vec()).expect("absorbs");
-    let mut whole = IncrementalFlow::compile(&plan, false).expect("compiles");
+    let mut whole = IncrementalFlow::compile(&plan).expect("compiles");
     whole.absorb("token_frequencies", records.clone()).expect("absorbs");
     assert_eq!(split.state_bytes(), whole.state_bytes());
     assert_eq!(
@@ -417,7 +394,7 @@ fn incremental_flow_handles_combinable_reduces_exactly() {
     );
 
     // state round-trips through the watermark codec path
-    let mut restored = IncrementalFlow::compile(&plan, false).expect("compiles");
+    let mut restored = IncrementalFlow::compile(&plan).expect("compiles");
     restored.restore_state(&whole.state_bytes()).expect("restores");
     assert_eq!(restored.state_bytes(), whole.state_bytes());
 }
