@@ -86,9 +86,12 @@ echo "langid + pos kernels == references holds ok"
 # model, `==`, `value_cmp` — and the paper's flows must produce the same
 # sinks, metrics, checkpoint frames and digests as with `#[cfg(test)]`
 # annotators writing plain arrays: fused or not, resumed from a frame,
-# and across worker shards. Cases pinned as above.
+# and across worker shards. The same run holds the linguistic
+# annotators' word-list and parenthesis scanners to a brute-force search
+# by the definition of their patterns, hostile sentence spans included.
+# Cases pinned as above.
 PROPTEST_CASES=64 cargo test -q -p websift-flow --lib differential
-echo "packed spans == plain arrays holds ok"
+echo "packed spans == plain arrays, scanners == their patterns holds ok"
 
 # Fusion + combining throughput smoke: the fused executor must not
 # regress wall-clock records/sec against its own unfused mode, and
@@ -100,8 +103,8 @@ echo "exp_throughput smoke: fused and combined throughput hold up ok"
 
 # Design-ablation smoke: each ablation's arms must compute the same thing
 # where they are meant to be equivalent — Aho-Corasick == naive scan,
-# filter-first == annotate-first == optimizer-rewritten sink, regexlite
-# prefilter on == off (the binary panics on disagreement).
+# filter-first == annotate-first == optimizer-rewritten sink (the binary
+# panics on disagreement).
 cargo run -q --release -p websift-bench --bin exp_ablations -- --quick > /dev/null
 echo "exp_ablations smoke: ablation arms agree where they must ok"
 

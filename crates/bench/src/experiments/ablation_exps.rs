@@ -4,14 +4,12 @@
 //! 1. Aho-Corasick automaton vs naive per-term scanning for dictionary
 //!    NER — on corpus text, and on the hit-dense / hit-sparse haystacks
 //!    that bracket the automaton's start-byte prefilter (sparse text
-//!    never leaves the root state, so the scan is one SWAR table sweep);
+//!    never leaves the root state, so the scan is one byte-table sweep);
 //! 2. filter ordering (annotate-then-filter vs filter-then-annotate) and
 //!    the optimizer rewriting the former into the latter;
 //! 3. CRF context features on/off (a quality-for-speed trade: the arms
 //!    may legitimately disagree);
-//! 4. the tokenizer byte scan on corpus text vs plain ASCII words;
-//! 5. regexlite's prefiltered search vs the same pattern with the
-//!    prefilter off, hit-dense and hit-sparse.
+//! 4. the tokenizer byte scan on corpus text vs plain ASCII words.
 //!
 //! [`ablations`] panics when arms that must agree do not.
 
@@ -30,7 +28,6 @@ use websift_ner::crf::{CrfConfig, CrfTagger};
 use websift_ner::{AhoCorasick, EntityType};
 use websift_resilience::checkpoint::encode_to_vec;
 use websift_resilience::codec::digest;
-use websift_text::Regex;
 
 /// One arm of an ablation: name, µs per run, what the arm computed.
 type Arm = (&'static str, f64, String);
@@ -74,7 +71,7 @@ fn dense_haystack(terms: &[&str], words: usize) -> String {
 }
 
 /// Plain lowercase filler that never contains a needle (hit-sparse): the
-/// regime the SWAR skipping exists for.
+/// regime the start-byte skipping exists for.
 fn sparse_haystack(words: usize) -> String {
     haystack(words, |i| ["lorem", "ipsum", "dolor", "sit"][i % 4])
 }
@@ -184,22 +181,6 @@ fn crf_features(lexicon: &Arc<Lexicon>, sentences: usize) -> Vec<Arm> {
     ]
 }
 
-/// Ablation 5: one gene-symbol pattern with regexlite's start-byte
-/// prefilter on, and off — an alternative that can open with a non-ASCII
-/// char disables it, and never matches these ASCII haystacks.
-fn regex_prefilter(text: &str) -> Vec<Arm> {
-    const SYMBOL: &str = r"\b[A-Z][A-Z0-9]+-?[0-9]+\b";
-    let on = Regex::new(SYMBOL).expect("ablation pattern");
-    let off = Regex::new(&format!("({SYMBOL}|é)")).expect("ablation pattern");
-    let outcome = |ms: Vec<websift_text::regexlite::Match>| {
-        spans_outcome(ms.iter().map(|m| (m.start, m.end)).collect())
-    };
-    vec![
-        arm("prefilter_on", || on.find_iter(text), outcome),
-        arm("prefilter_off", || off.find_iter(text), outcome),
-    ]
-}
-
 /// Appends one ablation's rows.
 ///
 /// # Panics
@@ -239,7 +220,6 @@ pub fn ablations(quick: bool) -> ExperimentResult {
     let lower = text.to_lowercase();
     let sparse = sparse_haystack(words);
     let dict_dense = dense_haystack(&dict_terms, words);
-    let symbol_dense = dense_haystack(&["BRCA1", "GAD-67", "TP53"], words);
 
     let mut result = ExperimentResult::new(
         "Ablations",
@@ -258,10 +238,6 @@ pub fn ablations(quick: bool) -> ExperimentResult {
         arm("plain_ascii_words", || websift_text::tokenize(&sparse), tokens),
     ];
     push_ablation(&mut result, "tokenizer byte scan", false, tokenizer);
-    for (regime, hay) in [("hit-dense", &symbol_dense), ("hit-sparse", &sparse)] {
-        let name = format!("regexlite prefilter, {regime}");
-        push_ablation(&mut result, &name, true, regex_prefilter(hay));
-    }
     result.note(
         "every ablation except the CRF feature trade and the tokenizer regimes requires its \
          arms to compute the same thing (equal match spans / equal `out` sink) and the run \
@@ -279,17 +255,13 @@ mod tests {
         // `ablations` itself panics on a disagreement; what is left to
         // check is that the regimes are what they claim.
         let result = ablations(true);
-        assert_eq!(result.rows.len(), 17);
+        assert_eq!(result.rows.len(), 13);
         let computed = |ablation: &str| {
             let row = result.rows.iter().find(|r| r[0] == ablation);
             row.unwrap_or_else(|| panic!("no row for {ablation}"))[4].as_str()
         };
-        for family in ["dictionary matching", "regexlite prefilter"] {
-            assert!(!computed(&format!("{family}, hit-dense")).starts_with("0 matches"));
-            assert!(computed(&format!("{family}, hit-sparse")).starts_with("0 matches"));
-        }
-        // 600 words, a gene symbol every fourth
-        assert!(computed("regexlite prefilter, hit-dense").starts_with("150 matches"));
+        assert!(!computed("dictionary matching, hit-dense").starts_with("0 matches"));
+        assert!(computed("dictionary matching, hit-sparse").starts_with("0 matches"));
         // the filter keeps a strict, non-empty subset of the 120 documents
         let kept = computed("filter order");
         assert!(!kept.starts_with("0 records") && !kept.starts_with("120 records"), "{kept}");

@@ -5,8 +5,8 @@
 //! each operator is data-parallel across `DoP` partitions. Two clocks are
 //! kept:
 //!
-//! - **wall time** — real elapsed time of this process (what Criterion
-//!   benches measure);
+//! - **wall time** — real elapsed time of this process (per operator in
+//!   [`OpMetrics::wall_ms`]; end to end, what `benchmark/` measures);
 //! - **simulated time** — paper-scale time from the operators' cost models
 //!   plus the cluster's network model: per-worker startup (the 20-minute
 //!   dictionary load that floors the entity flow's runtime in Fig. 5),

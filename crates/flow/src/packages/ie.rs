@@ -2,14 +2,13 @@
 //!
 //! These are the wrapped "best-of-breed" tools of the paper's Fig.-2 flow:
 //! sentence/token boundary annotation, part-of-speech tagging (MedPost
-//! analogue), regular-expression linguistic annotators (negation,
-//! pronouns, parentheses), and the six entity annotators (dictionary + ML
-//! for genes, drugs, diseases). Each carries the cost model and library
+//! analogue), the linguistic annotators (negation, pronouns, parentheses:
+//! three constant patterns, scanned directly), and the six entity
+//! annotators (dictionary + ML for genes, drugs, diseases). Each carries the cost model and library
 //! annotations that drive the simulated-cluster experiments, including the
 //! OpenNLP version split behind the paper's class-loader war story.
 
 use crate::operator::{CostModel, Operator, Package};
-use crate::packages::resources::static_regex;
 use crate::packages::{IeResources, OperatorRegistry};
 use crate::record::{span_annotation, Record, Span, Value};
 use std::sync::Arc;
@@ -152,26 +151,29 @@ pub fn annotate_pos(tagger: Arc<PosTagger>) -> Operator {
     }
 }
 
-fn regex_annotator(
-    name: &'static str,
-    writes: &'static str,
-    pattern: &'static str,
-    class_of: fn(&str) -> Option<String>,
-) -> Operator {
-    let regex = static_regex(pattern);
+/// One match of a linguistic annotator in a sentence: its byte span and,
+/// for a pronoun, its class.
+type Hit = (usize, usize, Option<&'static str>);
 
+/// Every match in one sentence, in order.
+type Scan = fn(&str) -> Vec<Hit>;
+
+/// The paper finds negation, pronouns and parentheses "using different sets
+/// of regular expressions"; its three patterns are constants, scanned here
+/// without a regex engine by `scan`, one sentence at a time.
+fn linguistic_annotator(name: &'static str, writes: &'static str, scan: Scan) -> Operator {
     Operator::map(name, Package::Ie, move |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
         let mut annotations: Vec<Value> = Vec::new();
         for (si, span) in sentence_spans(&r).into_iter().enumerate() {
             let (sent, start) = (sentence_text(&text, span), span.0);
-            for m in regex.find_iter(sent) {
-                let mut extra: Vec<(&str, Value)> =
-                    vec![("sentence", Value::Int(si as i64))];
-                if let Some(class) = class_of(m.text(sent)) {
-                    extra.push(("class", Value::from(class)));
-                }
-                annotations.push(span_annotation(start + m.start, start + m.end, &extra));
+            for (s, e, class) in scan(sent) {
+                let sentence = ("sentence", Value::Int(si as i64));
+                let (start, end) = (start + s, start + e);
+                annotations.push(match class {
+                    Some(class) => span_annotation(start, end, &[sentence, ("class", class.into())]),
+                    None => span_annotation(start, end, &[sentence]),
+                });
             }
         }
         r.set(writes, Value::Array(annotations));
@@ -186,46 +188,145 @@ fn regex_annotator(
     .shipped_as(name, |_| {})
 }
 
+/// The words of a `\b(w1|…|wn)\b` pattern, grouped by what a match of
+/// one of them reports (a pronoun's class).
+struct Words {
+    groups: &'static [(Option<&'static str>, &'static [&'static str])],
+    /// The bytes a match can start at: each word's first letter in either
+    /// case, and every UTF-8 lead byte (`İ` and the Kelvin sign fold onto
+    /// letters).
+    starts: [bool; 256],
+}
+
+impl Words {
+    const fn new(groups: &'static [(Option<&'static str>, &'static [&'static str])]) -> Words {
+        let mut starts = [false; 256];
+        let mut lead = 0xC0;
+        while lead < 256 {
+            starts[lead] = true;
+            lead += 1;
+        }
+        let mut g = 0;
+        while g < groups.len() {
+            let mut w = 0;
+            while w < groups[g].1.len() {
+                let first = groups[g].1[w].as_bytes()[0];
+                starts[first as usize] = true;
+                starts[first.to_ascii_uppercase() as usize] = true;
+                w += 1;
+            }
+            g += 1;
+        }
+        Words { groups, starts }
+    }
+}
+
+static NEGATIONS: Words = Words::new(&[(None, &["not", "nor", "neither"])]);
+
+static PRONOUNS: Words = Words::new(&[
+    (Some("personal"), &["it", "they", "we", "he", "she", "i", "you"]),
+    (Some("possessive"), &["its", "their", "his", "her", "our"]),
+    (Some("demonstrative"), &["this", "these", "that", "those"]),
+    (Some("relative"), &["which", "who", "whom"]),
+    (Some("object"), &["them", "him", "us", "me"]),
+    (Some("reflexive"), &["itself", "themselves"]),
+]);
+
+/// `\b(w1|…|wn)\b`, case-insensitive, leftmost-longest. Every listed word
+/// is lowercase ASCII letters, and every char that [`chars_eq`] folds onto
+/// such a letter is itself a word char (the only non-ASCII ones are `İ`
+/// U+0130 → `i` and the Kelvin sign → `k`). So a match is exactly a
+/// maximal run of word chars that pairs char for char with a listed word
+/// — at most one, since no char folds onto two letters.
+fn find_words(sent: &str, words: &Words) -> Vec<Hit> {
+    let bytes = sent.as_bytes();
+    let mut hits = Vec::new();
+    let mut at = 0;
+    loop {
+        while at < bytes.len() && !words.starts[bytes[at] as usize] {
+            at += 1;
+        }
+        if at == bytes.len() {
+            return hits;
+        }
+        // `at` is a char boundary: starts are ASCII or lead bytes
+        let start = at;
+        let after = sent[start..].char_indices().find(|&(_, c)| !is_word(c));
+        let end = after.map_or(sent.len(), |(i, _)| start + i);
+        if end == start {
+            at += 1; // a non-word char: step onto its continuation bytes
+            continue;
+        }
+        at = end;
+        if sent[..start].chars().next_back().is_some_and(is_word) {
+            continue; // inside a run
+        }
+        let run = &sent[start..end];
+        let ascii = run.is_ascii();
+        let folds_onto = |word: &str| {
+            if ascii {
+                // two ASCII chars fold onto each other exactly when their ASCII case does
+                run.eq_ignore_ascii_case(word)
+            } else {
+                run.chars().count() == word.len()
+                    && run.chars().zip(word.chars()).all(|(c, w)| chars_eq(w, c))
+            }
+        };
+        let group = words.groups.iter().find(|(_, list)| list.iter().any(|w| folds_onto(w)));
+        if let Some(&(tag, _)) = group {
+            hits.push((start, end, tag));
+        }
+    }
+}
+
+/// `\([^()]*\)`: `[^()]` is a class, so it takes `\n` too, and no char
+/// folds onto a paren. A match is a `(` whose next paren is `)`.
+fn find_parentheses(sent: &str) -> Vec<Hit> {
+    let mut hits = Vec::new();
+    let mut open = None;
+    for (i, b) in sent.bytes().enumerate() {
+        match b {
+            b'(' => open = Some(i),
+            b')' => hits.extend(open.take().map(|start| (start, i + 1, None))),
+            _ => {}
+        }
+    }
+    hits
+}
+
+/// A `\w`/`\b` word char.
+fn is_word(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Case-insensitive char equality, as the regex engine these annotators
+/// replaced defined it: one simple case mapping, either way round.
+fn chars_eq(a: char, b: char) -> bool {
+    a == b || flip_case(a) == b || a == flip_case(b)
+}
+
+fn flip_case(c: char) -> char {
+    if c.is_uppercase() {
+        c.to_lowercase().next().unwrap_or(c)
+    } else {
+        c.to_uppercase().next().unwrap_or(c)
+    }
+}
+
 /// `ie.annotate_negation` — finds *not*, *nor*, *neither* (the paper's
 /// "rather simple method for determining negations").
 pub fn annotate_negation() -> Operator {
-    regex_annotator(
-        "ie.annotate_negation",
-        "negation",
-        r"\b(not|nor|neither)\b",
-        |_| None,
-    )
+    linguistic_annotator("ie.annotate_negation", "negation", |s| find_words(s, &NEGATIONS))
 }
 
 /// `ie.annotate_pronouns` — six pronoun classes.
 pub fn annotate_pronouns() -> Operator {
-    regex_annotator(
-        "ie.annotate_pronouns",
-        "pronouns",
-        r"\b(it|they|we|he|she|i|you|its|their|his|her|our|this|these|that|those|which|who|whom|them|him|us|me|itself|themselves)\b",
-        |m| {
-            let lower = m.to_lowercase();
-            let class = match lower.as_str() {
-                "it" | "they" | "we" | "he" | "she" | "i" | "you" => "personal",
-                "its" | "their" | "his" | "her" | "our" => "possessive",
-                "this" | "these" | "that" | "those" => "demonstrative",
-                "which" | "who" | "whom" => "relative",
-                "them" | "him" | "us" | "me" => "object",
-                _ => "reflexive",
-            };
-            Some(class.to_string())
-        },
-    )
+    linguistic_annotator("ie.annotate_pronouns", "pronouns", |s| find_words(s, &PRONOUNS))
 }
 
 /// `ie.annotate_parentheses` — parenthesized text spans.
 pub fn annotate_parentheses() -> Operator {
-    regex_annotator(
-        "ie.annotate_parentheses",
-        "parens",
-        r"\([^()]*\)",
-        |_| None,
-    )
+    linguistic_annotator("ie.annotate_parentheses", "parens", find_parentheses)
 }
 
 /// Dictionary entity annotator for one type.
@@ -552,6 +653,181 @@ mod tests {
         assert!(classes.contains(&"personal"));
         assert!(classes.contains(&"possessive"));
         assert!(classes.contains(&"relative"));
+    }
+
+    #[test]
+    fn a_folded_pronoun_has_the_class_of_the_word_it_matched() {
+        // `İ` (U+0130) folds onto `i`, but lower-cases to `i` + U+0307
+        let r = with_sentences("İt saw thİs, hİm and İ. Them.");
+        let out = annotate_pronouns().apply(vec![r]);
+        let ps = out[0].get("pronouns").unwrap().as_array().unwrap();
+        let classes: Vec<&str> =
+            ps.iter().filter_map(|p| p.as_object()?.get("class")?.as_str()).collect();
+        assert_eq!(classes, ["personal", "demonstrative", "object", "personal", "object"]);
+    }
+
+    /// The three scanners against the definition of their patterns: a
+    /// brute-force leftmost-longest, non-overlapping search over every pair
+    /// of char boundaries, with `\b`, `[^()]` and case folding spelled as the
+    /// regex engine the annotators used to run defined them.
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        // The engine's `flip_case`, `chars_eq` and `is_word`, verbatim.
+        fn flip_case(c: char) -> char {
+            if c.is_uppercase() {
+                c.to_lowercase().next().unwrap_or(c)
+            } else {
+                c.to_uppercase().next().unwrap_or(c)
+            }
+        }
+
+        fn chars_eq(a: char, b: char, ci: bool) -> bool {
+            a == b || (ci && (flip_case(a) == b || a == flip_case(b)))
+        }
+
+        fn is_word(c: char) -> bool {
+            c.is_alphanumeric() || c == '_'
+        }
+
+        /// `[^()]` under folding: a negated class of two one-char ranges
+        /// matches `c` unless `c` or its flipped case is in a range.
+        fn in_not_paren_class(c: char) -> bool {
+            let hit = |c: char| c == '(' || c == ')';
+            !(hit(c) || hit(flip_case(c)))
+        }
+
+        /// `\b` at byte `at` of `s`: a word char on exactly one side.
+        fn word_boundary(s: &str, at: usize) -> bool {
+            let prev = s[..at].chars().next_back().is_some_and(is_word);
+            let next = s[at..].chars().next().is_some_and(is_word);
+            prev != next
+        }
+
+        /// At each char boundary from the end of the last match on, the
+        /// longest `start..end` that `matches` (neither pattern matches
+        /// empty), tagged with what `matches` returned for it.
+        fn brute_force(
+            s: &str,
+            matches: impl Fn(usize, usize) -> Option<Option<&'static str>>,
+        ) -> Vec<Hit> {
+            let bounds: Vec<usize> = s.char_indices().map(|(i, _)| i).chain([s.len()]).collect();
+            let mut out = Vec::new();
+            let mut from = 0;
+            for &start in bounds.iter().filter(|&&b| b < s.len()) {
+                if start < from {
+                    continue;
+                }
+                let mut ends = bounds.iter().rev().take_while(|&&end| end > start);
+                if let Some(hit) = ends.find_map(|&end| Some((start, end, matches(start, end)?))) {
+                    from = hit.1;
+                    out.push(hit);
+                }
+            }
+            out
+        }
+
+        /// `\b(w1|…|wn)\b`, case-insensitive; a match reports its word's tag.
+        fn words_oracle(s: &str, words: &Words) -> Vec<Hit> {
+            brute_force(s, |start, end| {
+                let m = &s[start..end];
+                let pairs = |w: &&str| {
+                    m.chars().count() == w.chars().count()
+                        && m.chars().zip(w.chars()).all(|(c, p)| chars_eq(p, c, true))
+                };
+                let bounded = word_boundary(s, start) && word_boundary(s, end);
+                let group = words.groups.iter().find(|(_, list)| bounded && list.iter().any(pairs));
+                group.map(|&(tag, _)| tag)
+            })
+        }
+
+        /// `\([^()]*\)`, case-insensitive.
+        fn parentheses_oracle(s: &str) -> Vec<Hit> {
+            brute_force(s, |start, end| {
+                let m: Vec<char> = s[start..end].chars().collect();
+                let [first, inner @ .., last] = m.as_slice() else { return None };
+                let hit = chars_eq('(', *first, true)
+                    && inner.iter().all(|&c| in_not_paren_class(c))
+                    && chars_eq(')', *last, true);
+                hit.then_some(None)
+            })
+        }
+
+        /// Listed words in several cases; the chars that fold onto a
+        /// listed word's letters (`İ`, the Kelvin sign) and those that only
+        /// look as if they might (`ı`, `ſ`, `ß`, ligatures, a combining
+        /// dot after `i`); word chars that glue onto a word (`_`, digits,
+        /// CJK, accented letters); parens and the `\n` that `[^()]` takes.
+        const PIECES: &[&str] = &[
+            "it", "It", "IT", "İt", "thİs", "hİm", "İ", "i\u{307}", "ı", "I", "i", "not", "NOT",
+            "Nor", "neİther", "neither", "nothing", "themselves", "ThemSelves", "whom", "Us",
+            "me", "her", "its", "ß", "ſ", "\u{212A}", "\u{FB01}", "\u{FB00}", "st", "_", "7",
+            "42", "中文", "é", "ü", "(", ")", "(", ")", "\n", " ", " ", " ", ".", ",", "-", "s",
+            "h",
+        ];
+
+        proptest! {
+            #[test]
+            fn differential_scanners_match_their_patterns_by_brute_force(
+                picks in prop::collection::vec(0usize..PIECES.len(), 0..24),
+                offsets in prop::collection::vec(-4i64..120, 0..12),
+            ) {
+                let text: String = picks.iter().map(|&i| PIECES[i]).collect();
+                prop_assert_eq!(find_words(&text, &NEGATIONS), words_oracle(&text, &NEGATIONS));
+                prop_assert_eq!(find_words(&text, &PRONOUNS), words_oracle(&text, &PRONOUNS));
+                prop_assert_eq!(find_parentheses(&text), parentheses_oracle(&text));
+
+                // Through the operators: the whole text as one sentence,
+                // then hostile spans — inverted, negative, past the end,
+                // cutting a char — that read as empty sentences.
+                let mut sentences = vec![(0, text.len() as i64)];
+                sentences.extend(offsets.chunks_exact(2).map(|p| (p[0], p[1])));
+                let annotators: [(Operator, Scan); 3] = [
+                    (annotate_negation(), |s| words_oracle(s, &NEGATIONS)),
+                    (annotate_pronouns(), |s| words_oracle(s, &PRONOUNS)),
+                    (annotate_parentheses(), parentheses_oracle),
+                ];
+                for (op, oracle) in annotators {
+                    let mut want = Vec::new();
+                    for (si, &(start, end)) in sentences.iter().enumerate() {
+                        let start = start as usize;
+                        for (s, e, class) in oracle(sentence_text(&text, (start, end as usize))) {
+                            let mut extra = vec![("sentence", Value::Int(si as i64))];
+                            extra.extend(class.map(|c| ("class", Value::from(c))));
+                            want.push(span_annotation(start + s, start + e, &extra));
+                        }
+                    }
+                    for spelling in [Spelling::Packed, Spelling::Plain] {
+                        let r = with_spans(&text, "sentences", &sentences, spelling);
+                        let out = op.apply(vec![r]);
+                        prop_assert_eq!(out[0].get(&op.writes[0]), Some(&Value::Array(want.clone())));
+                    }
+                }
+            }
+        }
+
+        /// The premise of `find_words`, over all of Unicode.
+        #[test]
+        fn every_char_that_folds_onto_a_letter_is_a_word_char() {
+            let folding: Vec<char> = (0..=char::MAX as u32)
+                .filter_map(char::from_u32)
+                .filter(|&c| !c.is_ascii() && ('a'..='z').any(|w| chars_eq(w, c, true)))
+                .collect();
+            assert_eq!(folding, ['\u{130}', '\u{212A}']);
+            assert!(folding.into_iter().all(is_word));
+        }
+
+        #[test]
+        fn differential_oracle_sees_what_it_must() {
+            let hits = |s: &str| words_oracle(s, &PRONOUNS);
+            assert_eq!(hits("İt"), [(0, 3, Some("personal"))]);
+            assert_eq!(hits("\u{212A}"), []);
+            assert_eq!(hits("it_ 7it it7 its"), [(12, 15, Some("possessive"))]);
+            assert_eq!(hits("i\u{307}"), [(0, 1, Some("personal"))], "a combining mark is no word char");
+            assert_eq!(words_oracle("Not,NOR neither", &NEGATIONS).len(), 3);
+            assert_eq!(parentheses_oracle("((a\n)) ()"), [(1, 5, None), (7, 9, None)]);
+        }
     }
 
     #[test]

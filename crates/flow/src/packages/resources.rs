@@ -18,25 +18,8 @@ use websift_resilience::{CodecError, Reader, Writer};
 use websift_ner::crf::{CrfConfig, CrfTagger, TrainExample};
 use websift_ner::dictionary::{Dictionary, DictionaryTagger};
 use websift_ner::EntityType;
-use websift_text::regexlite::Regex;
 use websift_text::tokenize::tokenize;
 use websift_text::PosTagger;
-
-/// The compiled form of one of the IE package's pattern constants
-/// (case-insensitive), compiled once per process and shared by every
-/// operator instance built from it.
-pub(crate) fn static_regex(pattern: &'static str) -> Arc<Regex> {
-    static CACHE: std::sync::OnceLock<parking_lot::Mutex<HashMap<&'static str, Arc<Regex>>>> =
-        std::sync::OnceLock::new();
-    CACHE
-        .get_or_init(Default::default)
-        .lock()
-        .entry(pattern)
-        .or_insert_with(|| {
-            Arc::new(Regex::case_insensitive(pattern).expect("pattern constants are valid"))
-        })
-        .clone()
-}
 
 /// Configuration for building the standard resources.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -195,7 +195,7 @@ impl AhoCorasick {
                 // Skips only whole ASCII chars: every byte ≥ 0x80 is in
                 // the table, so a multi-byte char's lead byte stops the
                 // scan and `i` stays on a char boundary.
-                i = websift_text::swar::find_in_table(bytes, i, &self.start_table);
+                i = find_in_table(bytes, i, &self.start_table);
                 if i >= n {
                     break;
                 }
@@ -232,6 +232,17 @@ impl AhoCorasick {
             state = self.nodes[state as usize].fail;
         }
     }
+}
+
+/// Index of the first byte at or after `from` whose `table` entry is true,
+/// or `haystack.len()` when there is none.
+fn find_in_table(haystack: &[u8], from: usize, table: &[bool; 256]) -> usize {
+    let n = haystack.len();
+    let mut i = from;
+    while i < n && !table[haystack[i] as usize] {
+        i += 1;
+    }
+    i
 }
 
 #[inline]
@@ -396,6 +407,31 @@ mod tests {
         assert_eq!(&"the \u{212A}elvin scale"[ms[0].start..ms[0].end], "\u{212A}elvin");
         // Case-sensitive: no fold, no match.
         assert!(AhoCorasick::new(["kelvin"], false).find_all("\u{212A}elvin").is_empty());
+    }
+
+    #[test]
+    fn find_in_table_agrees_with_naive_scan() {
+        // Deterministic LCG; covers 0x00/0x80 bytes, empty tables and
+        // `from` at the end.
+        let mut state = 0x243f_6a88_85a3_08d3u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as usize) % bound
+        };
+        let palette: &[u8] = &[0x00, b'a', b'n', b'N', b'(', 0x7f, 0x80, 0xc3, 0xff];
+        for _ in 0..500 {
+            let len = next(40);
+            let hay: Vec<u8> = (0..len).map(|_| palette[next(palette.len())]).collect();
+            let needles: Vec<u8> = (0..next(4)).map(|_| palette[next(palette.len())]).collect();
+            let from = next(len + 2).min(len);
+            let mut table = [false; 256];
+            for &b in &needles {
+                table[b as usize] = true;
+            }
+            let naive = (from..len).find(|&i| needles.contains(&hay[i])).unwrap_or(len);
+            let found = find_in_table(&hay, from, &table);
+            assert_eq!(found, naive, "hay={hay:?} from={from} needles={needles:?}");
+        }
     }
 
     #[test]

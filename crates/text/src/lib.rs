@@ -2,12 +2,13 @@
 //!
 //! The paper's analysis pipeline (its Fig. 2) runs every document through
 //! sentence detection, tokenization, linguistic annotation (negation,
-//! pronouns, parentheses via regular expressions), and part-of-speech
-//! tagging with an order-3 Hidden Markov Model (the MedPost tagger).
-//! Upstream, the focused crawler filters non-English pages with a character
-//! n-gram language identifier.
+//! pronouns, parentheses), and part-of-speech tagging with an order-3
+//! Hidden Markov Model (the MedPost tagger). Upstream, the focused crawler
+//! filters non-English pages with a character n-gram language identifier.
 //!
-//! This crate implements all of those components from scratch:
+//! This crate implements those components from scratch (the linguistic
+//! annotators are three constant patterns, scanned directly by
+//! `websift_flow::packages::ie`):
 //!
 //! - [`tokenize`] — offset-preserving word/number/punctuation tokenizer;
 //! - [`sentence`] — rule-based sentence boundary detection with an
@@ -15,23 +16,16 @@
 //!   describes (pathologically long "sentences" on boilerplate leftovers);
 //! - [`ngram`] / [`langid`] — character n-gram profiles and a
 //!   Cavnar-Trenkle style language identifier;
-//! - [`regexlite`] — a small Thompson-NFA regular expression engine used by
-//!   the linguistic annotators and the dictionary variant expansion;
 //! - [`pos`] — a trainable order-3 (trigram) HMM part-of-speech tagger with
-//!   Viterbi decoding and a suffix-based unknown-word model;
-//! - [`swar`] — `u64`-word byte-skipping primitives backing the regexlite
-//!   and Aho-Corasick scan prefilters.
+//!   Viterbi decoding and a suffix-based unknown-word model.
 
 pub mod langid;
 pub mod ngram;
 pub mod pos;
-pub mod regexlite;
 pub mod sentence;
-pub mod swar;
 pub mod tokenize;
 
 pub use langid::{Lang, LanguageId};
 pub use pos::{PosTag, PosTagger};
-pub use regexlite::Regex;
 pub use sentence::{Sentence, SentenceSplitter};
 pub use tokenize::{tokenize, Token, TokenKind};

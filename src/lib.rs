@@ -13,7 +13,7 @@
 //! - [`crawler`] — the Nutch-style focused crawler with its filter chain,
 //!   boilerplate detector, Naive-Bayes focus classifier and seed generator;
 //! - [`text`] — NLP substrate: tokenization, sentence splitting, language
-//!   identification, regex engine, HMM part-of-speech tagger;
+//!   identification, HMM part-of-speech tagger;
 //! - [`ner`] — dictionary- and CRF-based named-entity taggers for genes,
 //!   drugs, and diseases;
 //! - [`flow`] — the Stratosphere-style parallel data-flow engine with its

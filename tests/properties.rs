@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use websift::crawler::parser::{repair_markup, strip_markup, HtmlToken};
 use websift::ner::AhoCorasick;
 use websift::stats::{jensen_shannon, mann_whitney_u, Histogram, Summary};
-use websift::text::{tokenize, Regex, SentenceSplitter};
+use websift::text::{tokenize, SentenceSplitter};
 use websift::web::Url;
 
 proptest! {
@@ -39,20 +39,6 @@ proptest! {
         let covered: usize = sents.iter().map(|s| s.text(&text).chars().filter(|c| c.is_alphanumeric()).count()).sum();
         let total: usize = text.chars().filter(|c| c.is_alphanumeric()).count();
         prop_assert_eq!(covered, total, "sentence spans must not drop text");
-    }
-
-    /// The regex engine agrees with plain substring search on literals.
-    #[test]
-    fn regex_literal_matches_substring_search(
-        needle in "[a-z]{1,6}",
-        haystack in "[a-z ]{0,80}",
-    ) {
-        let re = Regex::new(&needle).unwrap();
-        prop_assert_eq!(re.is_match(&haystack), haystack.contains(&needle));
-        if let Some(m) = re.find(&haystack) {
-            prop_assert_eq!(m.start, haystack.find(&needle).unwrap());
-            prop_assert_eq!(m.text(&haystack), needle);
-        }
     }
 
     /// Aho-Corasick finds exactly the matches naive scanning finds.
