@@ -4,8 +4,8 @@
 # crate suite at default proptest cases) plus the workspace lint wall,
 # the pinned-case differential suites, and the smoke checks. The bench
 # crate has no [[bench]] targets: everything in it is an experiment
-# binary, and the ones with a gate are run below. Wall-clock numbers of
-# the system come from benchmark/ (last line).
+# binary, and each of them is run below. Wall-clock numbers of the
+# system come from benchmark/ (last line).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -127,6 +127,30 @@ echo "exp_live smoke: incremental == recompute == resumed digests, delta pass wi
 # kill-and-resume at mismatched shard counts. Cases pinned as above.
 PROPTEST_CASES=64 cargo test -q -p websift-flow --test shuffle
 echo "shuffle: sharded == in-process equivalence holds ok"
+
+# The workspace has no serialization library: JSON goes through
+# websift-observe's writer and every frame through the resilience codec.
+# (benchmark/ is its own workspace and is left as it is.)
+if grep -rn serde --include='*.rs' --include=Cargo.toml --include=Cargo.lock \
+    --exclude-dir=benchmark --exclude-dir=target --exclude-dir=.git .; then
+  echo "serde must not reappear outside benchmark/" >&2
+  exit 1
+fi
+echo "no serde ok"
+
+# The paper's tables come from run_all; --only runs one step of it and
+# must print the same bytes twice, and an unknown step id is an error.
+warstory_a="$(cargo run -q --release -p websift-bench --bin run_all -- --only warstory 2>/dev/null)"
+warstory_b="$(cargo run -q --release -p websift-bench --bin run_all -- --only warstory 2>/dev/null)"
+if [ -z "$warstory_a" ] || [ "$warstory_a" != "$warstory_b" ]; then
+  echo "run_all --only warstory is empty or not byte-stable across runs" >&2
+  exit 1
+fi
+if cargo run -q --release -p websift-bench --bin run_all -- --only nosuch 2>/dev/null; then
+  echo "run_all --only nosuch must exit non-zero" >&2
+  exit 1
+fi
+echo "run_all --only: byte-stable, unknown ids rejected ok"
 
 # The flow runtime keeps everything in memory or on a channel: it writes
 # no file, so it has no temp-dir, full-disk or left-over-file failures.

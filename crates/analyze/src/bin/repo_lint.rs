@@ -9,7 +9,7 @@
 //! binary was built from).
 
 use std::path::PathBuf;
-use websift_analyze::lint::{allowlist_is_justified, lint_workspace};
+use websift_analyze::lint::{check_lists, lint_workspace};
 
 fn main() {
     let root = std::env::args().nth(1).map(PathBuf::from).unwrap_or_else(|| {
@@ -18,7 +18,7 @@ fn main() {
     });
     let root = root.canonicalize().unwrap_or(root);
 
-    if let Err(msg) = allowlist_is_justified() {
+    if let Err(msg) = check_lists(&root) {
         eprintln!("repo_lint: {msg}");
         std::process::exit(1);
     }

@@ -7,7 +7,9 @@
 //!
 //! - **`wall_clock`** — no `Instant::now` / `SystemTime` anywhere except
 //!   the files on [`WALL_CLOCK_ALLOWLIST`] (real-time measurement points),
-//!   and even there every occurrence carries an inline justification;
+//!   and even there every occurrence carries an inline justification.
+//!   Outside the allowlist an aliased `Instant` import is a finding too:
+//!   `X::now()` would otherwise read the clock unseen;
 //! - **`hash_iteration`** — in the modules that feed checkpoint, JSONL,
 //!   or snapshot bytes ([`DETERMINISTIC_OUTPUT_MODULES`]), every
 //!   `HashMap`/`HashSet` mention must justify (inline) why iteration
@@ -74,6 +76,9 @@ pub const RULE_LOSSY_CAST: &str = "lossy_cast";
 pub const RULE_HOT_LOOP_ALLOC: &str = "hot_loop_alloc";
 
 const WALL_CLOCK_PATTERNS: &[&str] = &[concat!("Instant", "::now"), concat!("System", "Time")];
+/// `use std::time::Instant as X;` — after it, `X::now()` matches no
+/// pattern above. (A `SystemTime` alias already matches by name.)
+const WALL_CLOCK_ALIAS: &str = concat!("Instant", " as ");
 const HASH_PATTERNS: &[&str] = &[concat!("Hash", "Map"), concat!("Hash", "Set")];
 const UNWRAP_PATTERNS: &[&str] = &[concat!(".unwrap", "()"), concat!(".expect", "(")];
 const PARALLELISM_PATTERNS: &[&str] =
@@ -111,8 +116,9 @@ const HOT_END: &str = concat!("lint:hot_loop", "(end)");
 /// Files allowed to contain wall-clock calls, each with the justification
 /// for why real time is acceptable there. Every occurrence inside these
 /// files still needs its own inline `lint:allow(wall_clock)` comment; a
-/// new entry here without a justification string fails the lint's own
-/// self-check ([`allowlist_is_justified`]).
+/// new entry here without a justification string, or one whose file is
+/// gone or no longer mentions a clock type, fails the lint's own
+/// self-check ([`check_lists`]).
 pub const WALL_CLOCK_ALLOWLIST: &[(&str, &str)] = &[
     (
         "crates/flow/src/executor.rs",
@@ -123,24 +129,8 @@ pub const WALL_CLOCK_ALLOWLIST: &[(&str, &str)] = &[
         "Fig-3 microbenchmarks time real tool invocations",
     ),
     (
-        "crates/bench/src/experiments/recovery_exps.rs",
-        "recovery experiments report real re-execution wall time",
-    ),
-    (
         "crates/bench/src/experiments/throughput_exps.rs",
         "the throughput harness exists to measure real wall-clock records/sec",
-    ),
-    (
-        "crates/bench/src/experiments/serve_exps.rs",
-        "the serving harness measures real query latency and wall-clock QPS",
-    ),
-    (
-        "crates/bench/src/experiments/live_exps.rs",
-        "the live harness reports real per-round crawl-to-queryable wall freshness",
-    ),
-    (
-        "crates/bench/src/experiments/analyze_exps.rs",
-        "reports the real wall cost of the static analysis itself, non-JSON mode only",
     ),
     (
         "crates/flow/src/shuffle.rs",
@@ -321,7 +311,8 @@ pub fn lint_file(rel: &str, content: &str) -> Vec<LintFinding> {
         }
         // wall_clock applies to every file, test code included: a test
         // that reads the clock is a flaky test waiting to happen.
-        if WALL_CLOCK_PATTERNS.iter().any(|p| line.contains(p)) {
+        let reads_clock = WALL_CLOCK_PATTERNS.iter().any(|p| line.contains(p));
+        if reads_clock || (!wall_clock_listed && line.contains(WALL_CLOCK_ALIAS)) {
             if wall_clock_listed {
                 check(
                     &mut findings,
@@ -449,13 +440,43 @@ pub fn lint_workspace(root: &Path) -> Vec<LintFinding> {
     findings
 }
 
-/// Self-check: every wall-clock allowlist entry must carry a non-empty
-/// justification (satisfies "fail on any new allowlist entry without a
-/// justification comment").
-pub fn allowlist_is_justified() -> Result<(), String> {
-    for (path, why) in WALL_CLOCK_ALLOWLIST {
+/// Self-check of the path lists above against the workspace at `root`:
+/// every [`WALL_CLOCK_ALLOWLIST`] entry carries a justification and names
+/// a file that still mentions a clock type, and every
+/// [`DETERMINISTIC_OUTPUT_MODULES`] / [`CODEC_MODULES`] entry exists. A
+/// stale entry silently exempts or scopes nothing.
+pub fn check_lists(root: &Path) -> Result<(), String> {
+    check_lists_against(
+        root,
+        WALL_CLOCK_ALLOWLIST,
+        &[
+            ("DETERMINISTIC_OUTPUT_MODULES", DETERMINISTIC_OUTPUT_MODULES),
+            ("CODEC_MODULES", CODEC_MODULES),
+        ],
+    )
+}
+
+fn check_lists_against(
+    root: &Path,
+    wall_clock: &[(&str, &str)],
+    modules: &[(&str, &[&str])],
+) -> Result<(), String> {
+    for (path, why) in wall_clock {
         if why.trim().is_empty() {
             return Err(format!("WALL_CLOCK_ALLOWLIST entry '{path}' has no justification"));
+        }
+        let Ok(content) = std::fs::read_to_string(root.join(path)) else {
+            return Err(format!("WALL_CLOCK_ALLOWLIST entry '{path}' does not exist"));
+        };
+        if !content.contains("Instant") && !content.contains(concat!("System", "Time")) {
+            return Err(format!(
+                "WALL_CLOCK_ALLOWLIST entry '{path}' never mentions a clock type; drop it"
+            ));
+        }
+    }
+    for (list, paths) in modules {
+        if let Some(path) = paths.iter().find(|p| !root.join(p).is_file()) {
+            return Err(format!("{list} entry '{path}' does not exist"));
         }
     }
     Ok(())
@@ -478,6 +499,18 @@ mod tests {
         assert_eq!(findings[0].rule, RULE_WALL_CLOCK);
         assert_eq!(findings[0].line, 1);
         assert!(findings[0].message.contains("outside the allowlist"));
+    }
+
+    #[test]
+    fn aliased_clock_import_is_flagged_outside_the_allowlist() {
+        let aliased =
+            format!("use std::time::{}{}Wall;\nlet t = Wall::now();\n", "Instant", " as ");
+        let findings = lint_file("crates/foo/src/lib.rs", &aliased);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].rule, RULE_WALL_CLOCK);
+        assert_eq!(findings[0].line, 1);
+        // an allowlisted file may alias: its reads are what the list is for
+        assert!(lint_file("benchmark/src/clock.rs", &aliased).is_empty());
     }
 
     #[test]
@@ -531,9 +564,33 @@ mod tests {
         assert!(lint_file("crates/corpus/src/html.rs", &content).is_empty());
     }
 
+    fn workspace_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
     #[test]
     fn allowlist_entries_are_justified() {
-        allowlist_is_justified().unwrap();
+        check_lists(&workspace_root()).unwrap();
+    }
+
+    #[test]
+    fn stale_list_entries_are_rejected() {
+        let root = workspace_root();
+        let clock = "crates/flow/src/executor.rs";
+        let gone = "crates/flow/src/gone.rs";
+        let modules: &[&str] = &[clock];
+        assert!(check_lists_against(&root, &[(clock, "why")], &[("M", modules)]).is_ok());
+
+        let err = check_lists_against(&root, &[(gone, "why")], &[]).unwrap_err();
+        assert!(err.contains("does not exist"), "{err}");
+        let err = check_lists_against(&root, &[("crates/analyze/src/lib.rs", "why")], &[])
+            .unwrap_err();
+        assert!(err.contains("never mentions a clock type"), "{err}");
+        let err = check_lists_against(&root, &[(clock, " ")], &[]).unwrap_err();
+        assert!(err.contains("no justification"), "{err}");
+        let missing: &[&str] = &[clock, gone];
+        let err = check_lists_against(&root, &[], &[("CODEC_MODULES", missing)]).unwrap_err();
+        assert_eq!(err, format!("CODEC_MODULES entry '{gone}' does not exist"));
     }
 
     #[test]

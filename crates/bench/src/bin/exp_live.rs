@@ -3,20 +3,18 @@
 //!
 //! Flags:
 //! - `--quick` — smaller crawl and a {1, 2} DoP grid (CI smoke);
-//! - `--json`  — emit the machine-readable payload instead of the
-//!   markdown table;
+//! - `--json`  — the result as JSON instead of the markdown table;
 //! - `--check` — exit non-zero unless (a) the incremental session, (b) a
 //!   batch full recompute, and (c) a killed-and-resumed session agree on
 //!   every store digest, deterministic surfaces are DoP-invariant, and
 //!   the delta pass beats the recompute per new document from round 2 on;
 //! - `--pages N` — override the crawl page budget for targeted probes.
-use websift_bench::experiments::live_exps::{live_at, live_json, LiveReport, LIVE_DOPS};
+use websift_bench::experiments::live_exps::{live_at, LiveReport, LIVE_DOPS};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let quick = has("--quick");
-    let json = has("--json");
     let check = has("--check");
 
     let value_of = |flag: &str| {
@@ -29,11 +27,7 @@ fn main() {
 
     let report: LiveReport = live_at(pages, &dops);
 
-    if json {
-        println!("{}", live_json(&report));
-    } else {
-        println!("{}", report.result.render());
-    }
+    websift_bench::report::emit(std::slice::from_ref(&report.result));
 
     if check {
         if !report.digests_agree {

@@ -1,25 +1,21 @@
-//! Serving-layer load bench: QPS and p50/p99 latency of the
-//! admission-controlled query engine at 1/8/64/512 simulated clients,
-//! per shard count.
+//! Serving-layer digest gate: response digests of the admission-controlled
+//! query engine at 1/8/64/512 concurrent clients, per shard count. Query
+//! QPS and latency are `benchmark/`'s `query_serving` workload.
 //!
 //! Flags:
 //! - `--quick` — smaller store and a {1, 64} client sweep (CI smoke);
-//! - `--json`  — emit the machine-readable payload instead of the
-//!   markdown table;
+//! - `--json`  — the result as JSON instead of the markdown table;
 //! - `--check` — exit non-zero unless same-seed responses are
 //!   byte-identical across shard counts and across snapshot/resume
 //!   (digest equality; the serving determinism gate);
 //! - `--docs N` / `--queries N` — override store size / queries per
 //!   client for targeted probes.
-use websift_bench::experiments::serve_exps::{
-    serve_at, serve_json, ServeReport, SERVE_CLIENTS, SERVE_SHARDS,
-};
+use websift_bench::experiments::serve_exps::{serve_at, ServeReport, SERVE_CLIENTS, SERVE_SHARDS};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let quick = has("--quick");
-    let json = has("--json");
     let check = has("--check");
 
     let value_of = |flag: &str| {
@@ -36,11 +32,7 @@ fn main() {
 
     let report: ServeReport = serve_at(docs, queries, 42, &SERVE_SHARDS, &clients);
 
-    if json {
-        println!("{}", serve_json(&report));
-    } else {
-        println!("{}", report.result.render());
-    }
+    websift_bench::report::emit(std::slice::from_ref(&report.result));
 
     if check {
         if !report.digests_agree {

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use crate::report::{self, ExperimentResult};
+use crate::report::ExperimentResult;
 use websift_analyze::Diagnostic;
 use websift_flow::packages::{base, dc, ie};
 use websift_flow::{
@@ -233,22 +233,5 @@ pub fn explain() -> ExperimentResult {
         "record envelopes are absolute (seeded with 10000 source records of 2048 bytes); \
          the explain JSON artifact is byte-deterministic and diffed by ci.sh",
     );
-    // The one number that is *meant* to be wall time: what the analysis
-    // itself costs. Non-JSON mode only, so `--json` stays byte-stable.
-    if !report::json_mode() {
-        let plan = extraction_plan();
-        // lint:allow(wall_clock): reports the real wall cost of the static analysis itself; non-JSON mode only, never reaches --json bytes or digests
-        let t0 = std::time::Instant::now();
-        const REPS: u32 = 100;
-        for _ in 0..REPS {
-            let _ = analyze_plan(&plan, &explain_opts());
-            let _ = explain_plan(&plan, &explain_opts(), true, true);
-        }
-        let per_pass = t0.elapsed().as_secs_f64() * 1e6 / f64::from(REPS);
-        result.note(format!(
-            "analysis wall cost: {per_pass:.0} us per analyze+explain pass \
-             (mean of {REPS}; the paper's failures each burned cluster-hours)"
-        ));
-    }
     result
 }

@@ -8,9 +8,9 @@
 //! the harness replays the same round slices through the *original*
 //! plan on a fresh store — the batch full-recompute oracle — and
 //! records both costs in simulated seconds (the deterministic clock, so
-//! the cost ratio is machine-independent). Wall time per round is also
-//! measured — crawl-to-queryable wall freshness — which is why this
-//! file is on the lint's wall-clock allowlist. `--check` requires:
+//! the cost ratio is machine-independent). Wall time per round is
+//! `benchmark/`'s `live_rounds` workload, not this harness's. `--check`
+//! requires:
 //!
 //! - store `content_digest` after round k identical for (a) the
 //!   incremental session, (b) the batch recompute over the cumulative
@@ -21,14 +21,12 @@
 //!   recompute's from round 2 onward.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::report::ExperimentResult;
 use websift_corpus::{CorpusKind, Document, LexiconScale};
 use websift_crawler::{train_focus_classifier, CrawlConfig, ResilienceOptions};
 use websift_flow::IeResources;
 use websift_ner::EntityType;
-use websift_observe::json::{array, ObjectWriter};
 use websift_observe::Observer;
 use websift_live::{LiveOptions, LiveSession, Watermark};
 use websift_pipeline::documents_from_pages;
@@ -47,7 +45,7 @@ const STORE: &str = "live";
 /// runs (they are shard-invariant anyway, but keep one variable fewer).
 const SHARDS: usize = 4;
 
-/// One measured (DoP, round) cell.
+/// One (DoP, round) cell.
 #[derive(Debug, Clone)]
 pub struct LivePoint {
     pub dop: usize,
@@ -63,12 +61,8 @@ pub struct LivePoint {
     pub recompute_secs: f64,
     /// Simulated crawl-to-queryable latency of this round.
     pub freshness_secs: f64,
-    /// Real wall seconds the round took (crawl + delta + seal).
-    pub wall_secs: f64,
     /// Incremental store digest after this round.
     pub store_digest: u64,
-    /// Batch-oracle store digest after the same rounds.
-    pub recompute_digest: u64,
 }
 
 impl LivePoint {
@@ -89,17 +83,11 @@ impl LivePoint {
 pub struct LiveReport {
     pub result: ExperimentResult,
     pub points: Vec<LivePoint>,
-    pub max_pages: usize,
-    pub dops: Vec<usize>,
     /// Rounds the crawl ran (identical at every DoP — the crawl does
     /// not depend on flow parallelism).
     pub rounds: u32,
     pub total_documents: u64,
     pub store_postings: u64,
-    /// Final incremental store content digest.
-    pub content_digest: u64,
-    /// Per-key `AggState` entries retained at the end of the session.
-    pub retained_keys: u64,
     /// Round the kill-and-resume check severed the session at.
     pub resume_round: u32,
     /// (a) == (b): incremental digest equals the batch recompute's at
@@ -154,7 +142,6 @@ struct RoundSample {
     cumulative_documents: u64,
     incremental_secs: f64,
     freshness_secs: f64,
-    wall_secs: f64,
     store_digest: u64,
 }
 
@@ -190,13 +177,7 @@ fn run_session(
     let mut watermarks = Vec::new();
     let mut total_docs = 0u64;
     let mut prev_incremental = 0.0f64;
-    loop {
-        // lint:allow(wall_clock): per-round wall latency is the crawl-to-queryable freshness this harness reports
-        let t = Instant::now();
-        let Some(round) = session.advance().expect("live bench round advances") else {
-            break;
-        };
-        let wall_secs = t.elapsed().as_secs_f64();
+    while let Some(round) = session.advance().expect("live bench round advances") {
         total_docs += round.new_documents as u64;
         let incremental_total = session.metrics().incremental_cost_secs;
         samples.push(RoundSample {
@@ -206,7 +187,6 @@ fn run_session(
             cumulative_documents: total_docs,
             incremental_secs: incremental_total - prev_incremental,
             freshness_secs: round.freshness_secs,
-            wall_secs,
             store_digest: round.watermark.parts().store_digest,
         });
         prev_incremental = incremental_total;
@@ -332,9 +312,7 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
                 incremental_secs: sample.incremental_secs,
                 recompute_secs,
                 freshness_secs: sample.freshness_secs,
-                wall_secs: sample.wall_secs,
                 store_digest: sample.store_digest,
-                recompute_digest,
             };
             let (incr_per, recomp_per) = point.cost_per_doc().unwrap_or((0.0, 0.0));
             result.row(&[
@@ -398,64 +376,15 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
     LiveReport {
         result,
         points,
-        max_pages,
-        dops: dops.to_vec(),
         rounds: base.samples.len() as u32,
         total_documents: base.cumulative.len() as u64,
         store_postings: base.postings,
-        content_digest: base.final_digest,
-        retained_keys: base.retained_keys,
         resume_round: kill_after as u32,
         digests_agree,
         resume_agrees: resume_ok,
         dop_invariant,
         incremental_wins,
     }
-}
-
-/// Machine-readable report (`exp_live --json`). Host parallelism and
-/// the round/DoP grid are stamped in so wall-clock freshness can be
-/// compared across machines; costs are simulated seconds and must not
-/// vary across machines at all.
-pub fn live_json(report: &LiveReport) -> String {
-    let points = array(report.points.iter().map(|p| {
-        let (incr_per, recomp_per) = p.cost_per_doc().unwrap_or((0.0, 0.0));
-        ObjectWriter::new()
-            .u64("dop", p.dop as u64)
-            .u64("round", u64::from(p.round))
-            .u64("new_documents", p.new_documents)
-            .u64("delta_records", p.delta_records)
-            .u64("cumulative_documents", p.cumulative_documents)
-            .f64("incremental_secs", p.incremental_secs)
-            .f64("recompute_secs", p.recompute_secs)
-            .f64("incremental_secs_per_doc", incr_per)
-            .f64("recompute_secs_per_doc", recomp_per)
-            .f64("freshness_secs", p.freshness_secs)
-            .f64("wall_secs", p.wall_secs)
-            .u64("store_digest", p.store_digest)
-            .u64("recompute_digest", p.recompute_digest)
-            .finish()
-    }));
-    let rounds = array((1..=report.rounds).map(|r| u64::from(r).to_string()));
-    let dops = array(report.dops.iter().map(|d| d.to_string()));
-    ObjectWriter::new()
-        .str("experiment", "live")
-        .u64("max_pages", report.max_pages as u64)
-        .u64("host_logical_cores", crate::report::host_logical_cores())
-        .u64("rounds", u64::from(report.rounds))
-        .u64("total_documents", report.total_documents)
-        .u64("store_postings", report.store_postings)
-        .u64("content_digest", report.content_digest)
-        .u64("retained_keys", report.retained_keys)
-        .u64("resume_round", u64::from(report.resume_round))
-        .raw("digests_agree", if report.digests_agree { "true" } else { "false" })
-        .raw("resume_agrees", if report.resume_agrees { "true" } else { "false" })
-        .raw("dop_invariant", if report.dop_invariant { "true" } else { "false" })
-        .raw("incremental_wins", if report.incremental_wins { "true" } else { "false" })
-        .raw("round_grid", &rounds)
-        .raw("dop_grid", &dops)
-        .raw("points", &points)
-        .finish()
 }
 
 #[cfg(test)]
@@ -472,13 +401,8 @@ mod tests {
         assert!(report.dop_invariant, "deterministic surfaces vary with DoP");
         assert!(report.incremental_wins, "delta pass lost to a full recompute");
         assert!(report.store_postings > 0);
-        let json = live_json(&report);
-        assert!(json.contains("\"experiment\":\"live\""));
-        assert!(json.contains("\"digests_agree\":true"));
-        assert!(json.contains("\"resume_agrees\":true"));
-        assert!(json.contains("\"dop_invariant\":true"));
-        assert!(json.contains("\"incremental_wins\":true"));
-        assert!(json.contains("\"host_logical_cores\""));
+        // no wall-clock column: a second run renders the same bytes
+        assert_eq!(report.result.render(), live_at(60, &[1, 2]).result.render());
     }
 
     #[test]

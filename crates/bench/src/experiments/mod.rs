@@ -22,9 +22,9 @@
 //! | [`throughput_exps::fusion`] / [`throughput_exps::combining`] | wall-clock records/sec of the executor, fused vs unfused and combined vs uncombined |
 //! | [`ablation_exps::ablations`] | the design ablations DESIGN.md calls out, arms held to agreement |
 //! | [`shuffle_exps::shuffle_at`] | scale-out records/sec across worker-shard counts (threads and real processes), digest-gated |
-//! | [`serve_exps::serve`] | serving-layer QPS + latency under admission-controlled concurrent clients |
+//! | [`serve_exps::serve`] | serving-layer response digests under admission-controlled concurrent clients, across shard counts and snapshot/resume |
 //! | [`live_exps::live`] | incremental delta pass vs batch full recompute, per crawl round and DoP |
-//! | [`recovery_exps::crawl_recovery`] | crawl goodput + checkpoint overhead under injected faults |
+//! | [`recovery_exps::crawl_recovery`] | crawl goodput under injected faults + checkpoint count and bytes |
 //! | [`recovery_exps::flow_recovery`] | flow partition/node-loss recovery + kill-and-resume check |
 //! | [`analyze_exps::known_bad`] | §4.2 failure modes caught pre-flight by the static analyzer |
 

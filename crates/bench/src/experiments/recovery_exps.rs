@@ -10,7 +10,6 @@
 //! final statistics, bit for bit.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::report::ExperimentResult;
 use websift_crawler::{
@@ -146,66 +145,35 @@ pub fn crawl_recovery() -> Vec<ExperimentResult> {
     vec![table, checkpoint_overhead(&web, &seeds)]
 }
 
-/// Wall-clock cost of checkpointing itself: a fault-free resilient run
-/// (checkpoint every 4 rounds) against the plain `crawl()` path.
+/// What checkpointing itself costs: a fault-free resilient run
+/// (checkpoint every 4 rounds) against the plain `crawl()` path. Its wall
+/// cost is `benchmark/`'s `resilience.crawl_checkpoint_ms`.
 fn checkpoint_overhead(web: &SimulatedWeb, seeds: &[Url]) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "Recovery (overhead)",
         "Checkpointing overhead at fault rate 0",
-        &["variant", "wall ms", "checkpoints", "last ckpt bytes", "sim hours"],
+        &["variant", "checkpoints", "last ckpt bytes", "sim hours"],
     );
 
-    // Interleaved best-of-5: the minimum wall time of each variant is
-    // far more stable than any single short run.
+    let plain = fresh_crawler(web).crawl(seeds.to_vec());
     let opts = ResilienceOptions::injected(FAULT_SEED, 0.0, CHECKPOINT_EVERY_ROUNDS);
-    let mut plain_ms = f64::MAX;
-    let mut plain_sim = 0.0;
-    let mut ckpt_ms = f64::MAX;
-    let mut ckpt_sim = 0.0;
-    let mut n_ckpts = 0usize;
-    let mut last_bytes = 0usize;
-    for _ in 0..5 {
-        let mut crawler = fresh_crawler(web);
-        // lint:allow(wall_clock): recovery experiments report real re-execution wall time
-        let t = Instant::now();
-        let report = crawler.crawl(seeds.to_vec());
-        plain_ms = plain_ms.min(t.elapsed().as_secs_f64() * 1000.0);
-        plain_sim = report.simulated_secs / 3600.0;
-
-        let mut crawler = fresh_crawler(web);
-        // lint:allow(wall_clock): recovery experiments report real re-execution wall time
-        let t = Instant::now();
-        let (report, ckpts) = crawler.crawl_resilient(seeds.to_vec(), &opts);
-        ckpt_ms = ckpt_ms.min(t.elapsed().as_secs_f64() * 1000.0);
-        ckpt_sim = report.simulated_secs / 3600.0;
-        n_ckpts = ckpts.len();
-        last_bytes = ckpts.last().map(|c| c.size_bytes()).unwrap_or(0);
-    }
-
+    let (resilient, ckpts) = fresh_crawler(web).crawl_resilient(seeds.to_vec(), &opts);
     result.row(&[
         "plain crawl()".to_string(),
-        format!("{plain_ms:.0}"),
         "0".to_string(),
         "-".to_string(),
-        format!("{plain_sim:.2}"),
+        format!("{:.2}", plain.simulated_secs / 3600.0),
     ]);
     result.row(&[
         format!("checkpoint every {CHECKPOINT_EVERY_ROUNDS} rounds"),
-        format!("{ckpt_ms:.0}"),
-        n_ckpts.to_string(),
-        last_bytes.to_string(),
-        format!("{ckpt_sim:.2}"),
+        ckpts.len().to_string(),
+        ckpts.last().map(|c| c.size_bytes()).unwrap_or(0).to_string(),
+        format!("{:.2}", resilient.simulated_secs / 3600.0),
     ]);
-    let overhead = if plain_ms > 0.0 {
-        (ckpt_ms - plain_ms) / plain_ms * 100.0
-    } else {
-        0.0
-    };
-    result.note(format!(
-        "wall-clock checkpointing overhead {overhead:+.1} % (target < 5 %); \
-         simulated crawl time is identical by construction — snapshots cost \
-         no simulated seconds, only the encode"
-    ));
+    result.note(
+        "simulated crawl time is identical by construction — snapshots cost no simulated \
+         seconds, only the encode",
+    );
     result
 }
 

@@ -1,14 +1,14 @@
-//! Serving-layer load harness: QPS and latency quantiles of the
-//! admission-controlled query engine under simulated concurrent clients.
+//! Serving-layer determinism harness: the admission-controlled query
+//! engine under concurrent clients, gated on response digests.
 //!
 //! A real extraction pipeline (`entity_store_flow`, one run per entity
 //! type and crawl round) fills an [`ExtractionStore`] through
 //! `Executor::run_into`; then 1/8/64/512 client threads replay
 //! deterministic query streams against it, each query passing through
-//! [`AdmissionController::admit_blocking`] before execution. Wall QPS and
-//! per-query latency are real measured time — which is why this file is
-//! on the lint's wall-clock allowlist — while everything byte-addressable
-//! stays deterministic:
+//! [`AdmissionController::admit_blocking`] before execution. Query QPS and
+//! latency are measured by `benchmark/`'s `query_serving` workload; what
+//! this harness checks is that every byte-addressable result stays
+//! deterministic:
 //!
 //! - every client's query stream is a pure function of `(seed, client
 //!   index, query index)` via a splitmix64 mixer (no RNG state, no time);
@@ -22,14 +22,12 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::report::ExperimentResult;
 use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift_flow::cluster::ClusterSpec;
 use websift_flow::IeResources;
 use websift_ner::EntityType;
-use websift_observe::json::{array, ObjectWriter};
 use websift_observe::Observer;
 use websift_pipeline::flows::{entity_store_flow, run_over_documents_into};
 use websift_serve::{
@@ -60,17 +58,13 @@ const INGEST_DOP: usize = 4;
 /// Seed for the digest fold; per-client accumulators derive from it.
 const DIGEST_SEED: u64 = 0x5EED_BA5E_D16E_5715;
 
-/// One measured (shard count, client count) cell.
+/// One (shard count, client count) cell.
 #[derive(Debug, Clone)]
 pub struct ServePoint {
     pub shards: usize,
     pub clients: usize,
     /// Total queries executed in the cell.
     pub queries: u64,
-    pub wall_secs: f64,
-    pub qps: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
     /// Order-independent-by-construction fold of every response digest.
     pub digest: u64,
 }
@@ -81,15 +75,10 @@ pub struct ServePoint {
 pub struct ServeReport {
     pub result: ExperimentResult,
     pub points: Vec<ServePoint>,
-    pub docs: usize,
-    pub queries_per_client: usize,
     /// Most queries the admission controller ever runs at once.
     pub admission_capacity: usize,
     pub store_keys: usize,
     pub store_postings: u64,
-    /// Shard-count-invariant store content digest.
-    pub content_digest: u64,
-    pub snapshot_bytes: usize,
     /// Response digests equal across shard counts at every client count.
     pub digests_agree: bool,
     /// Serial replay on a snapshot-restored store reproduced the
@@ -190,7 +179,7 @@ fn client_query(v: &Vocab, seed: u64, client: usize, i: usize) -> String {
     }
 }
 
-/// One client's whole stream, serially: latencies out, digest out. The
+/// One client's whole stream, serially, folded into one digest. The
 /// threaded cell runs this per thread; the snapshot check runs it
 /// serially — both must produce the same digest.
 fn run_client(
@@ -200,26 +189,22 @@ fn run_client(
     seed: u64,
     client: usize,
     queries: usize,
-) -> (Vec<f64>, u64) {
-    let mut latencies = Vec::with_capacity(queries);
+) -> u64 {
     let mut digest = splitmix64(DIGEST_SEED ^ client as u64);
     for i in 0..queries {
         let text = client_query(v, seed, client, i);
         let query = parse_query(&text).expect("bench-generated queries are well-formed");
         let permit = ctl.map(|c| c.admit_blocking());
-        // lint:allow(wall_clock): per-query latency is the measurement this harness exists for
-        let t = Instant::now();
         let response = engine.execute(&query, (client * queries + i) as f64);
-        latencies.push(t.elapsed().as_secs_f64());
         drop(permit);
         digest = fold_digest(digest, response.digest());
     }
-    (latencies, digest)
+    digest
 }
 
 /// Runs one (store, client count) cell with real threads, every query
-/// gated by the admission controller. Returns wall seconds, all
-/// latencies, and the interleaving-independent run digest.
+/// gated by the admission controller. Returns the
+/// interleaving-independent run digest.
 fn run_cell(
     engine: &QueryEngine<'_>,
     ctl: &AdmissionController,
@@ -227,10 +212,8 @@ fn run_cell(
     seed: u64,
     clients: usize,
     queries_per_client: usize,
-) -> (f64, Vec<f64>, u64) {
-    // lint:allow(wall_clock): cell wall time is the QPS denominator
-    let t0 = Instant::now();
-    let per_client: Vec<(Vec<f64>, u64)> = std::thread::scope(|scope| {
+) -> u64 {
+    let per_client: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|client| {
                 scope.spawn(move || {
@@ -240,14 +223,7 @@ fn run_cell(
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
     });
-    let wall = t0.elapsed().as_secs_f64();
-    let mut latencies = Vec::with_capacity(clients * queries_per_client);
-    let mut digest = DIGEST_SEED;
-    for (lats, client_digest) in per_client {
-        latencies.extend(lats);
-        digest = fold_digest(digest, client_digest);
-    }
-    (wall, latencies, digest)
+    per_client.into_iter().fold(DIGEST_SEED, fold_digest)
 }
 
 /// The serial (no threads, no admission) digest of the same workload —
@@ -261,18 +237,9 @@ fn replay_digest(
 ) -> u64 {
     let mut digest = DIGEST_SEED;
     for client in 0..clients {
-        let (_, d) = run_client(engine, None, v, seed, client, queries_per_client);
-        digest = fold_digest(digest, d);
+        digest = fold_digest(digest, run_client(engine, None, v, seed, client, queries_per_client));
     }
     digest
-}
-
-fn quantile_ms(sorted_secs: &[f64], q: f64) -> f64 {
-    if sorted_secs.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_secs.len() - 1) as f64 * q).round() as usize;
-    sorted_secs[idx] * 1e3
 }
 
 /// Runs the standard sweep: [`SERVE_SHARDS`] x [`SERVE_CLIENTS`].
@@ -303,43 +270,24 @@ pub fn serve_at(
 
     let mut result = ExperimentResult::new(
         "Serving",
-        "Query QPS and latency vs concurrent clients, per shard count",
-        &["shards", "clients", "queries", "wall s", "QPS", "p50 ms", "p99 ms", "digest"],
+        "Query response digests vs concurrent clients, per shard count",
+        &["shards", "clients", "queries", "digest"],
     );
 
     let mut points: Vec<ServePoint> = Vec::new();
     for &shards in shard_counts {
         let store = reshard(&base, shards);
         let engine = QueryEngine::new(&store, &obs);
-        // Warm-up, untimed: first-touch of lazily faulted pages.
-        run_client(&engine, None, &v, seed, 0, queries_per_client.min(4));
         for &clients in client_counts {
-            let (wall, mut lats, digest) =
-                run_cell(&engine, &ctl, &v, seed, clients, queries_per_client);
-            lats.sort_by(f64::total_cmp);
+            let digest = run_cell(&engine, &ctl, &v, seed, clients, queries_per_client);
             let queries = (clients * queries_per_client) as u64;
-            let qps = if wall > 0.0 { queries as f64 / wall } else { 0.0 };
-            let point = ServePoint {
-                shards,
-                clients,
-                queries,
-                wall_secs: wall,
-                qps,
-                p50_ms: quantile_ms(&lats, 0.50),
-                p99_ms: quantile_ms(&lats, 0.99),
-                digest,
-            };
             result.row(&[
                 shards.to_string(),
                 clients.to_string(),
                 queries.to_string(),
-                format!("{:.3}", point.wall_secs),
-                format!("{:.0}", point.qps),
-                format!("{:.3}", point.p50_ms),
-                format!("{:.3}", point.p99_ms),
-                format!("{:016x}", point.digest),
+                format!("{digest:016x}"),
             ]);
-            points.push(point);
+            points.push(ServePoint { shards, clients, queries, digest });
         }
     }
 
@@ -383,56 +331,12 @@ pub fn serve_at(
     ServeReport {
         result,
         points,
-        docs,
-        queries_per_client,
         admission_capacity,
         store_keys: base.key_count(),
         store_postings: base.posting_count(),
-        content_digest: base.content_digest(),
-        snapshot_bytes: snapshot.size_bytes(),
         digests_agree,
         snapshot_agrees,
     }
-}
-
-/// Machine-readable report (`exp_serve --json`). Host parallelism and
-/// the sweep's shard/client grid are stamped in so wall-clock numbers
-/// can be compared across machines.
-pub fn serve_json(report: &ServeReport) -> String {
-    let points = array(report.points.iter().map(|p| {
-        ObjectWriter::new()
-            .u64("shards", p.shards as u64)
-            .u64("clients", p.clients as u64)
-            .u64("queries", p.queries)
-            .f64("wall_secs", p.wall_secs)
-            .f64("qps", p.qps)
-            .f64("p50_ms", p.p50_ms)
-            .f64("p99_ms", p.p99_ms)
-            .u64("digest", p.digest)
-            .finish()
-    }));
-    let mut shard_counts: Vec<u64> = report.points.iter().map(|p| p.shards as u64).collect();
-    shard_counts.dedup();
-    let mut client_counts: Vec<u64> =
-        report.points.iter().map(|p| p.clients as u64).collect();
-    client_counts.sort_unstable();
-    client_counts.dedup();
-    ObjectWriter::new()
-        .str("experiment", "serve")
-        .u64("docs", report.docs as u64)
-        .u64("queries_per_client", report.queries_per_client as u64)
-        .u64("host_logical_cores", crate::report::host_logical_cores())
-        .u64("admission_capacity", report.admission_capacity as u64)
-        .u64("store_keys", report.store_keys as u64)
-        .u64("store_postings", report.store_postings)
-        .u64("content_digest", report.content_digest)
-        .u64("snapshot_bytes", report.snapshot_bytes as u64)
-        .raw("digests_agree", if report.digests_agree { "true" } else { "false" })
-        .raw("snapshot_agrees", if report.snapshot_agrees { "true" } else { "false" })
-        .raw("shard_counts", &array(shard_counts.iter().map(|s| s.to_string())))
-        .raw("client_counts", &array(client_counts.iter().map(|c| c.to_string())))
-        .raw("points", &points)
-        .finish()
 }
 
 #[cfg(test)]
@@ -444,15 +348,11 @@ mod tests {
         let report = serve_at(10, 3, 7, &[2, 8], &[1, 4]);
         assert_eq!(report.points.len(), 2 * 2);
         assert!(report.points.iter().all(|p| p.queries == 3 * p.clients as u64));
-        assert!(report.points.iter().all(|p| p.qps > 0.0));
         assert!(report.digests_agree, "shard counts produced different responses");
         assert!(report.snapshot_agrees, "snapshot/replay changed responses");
         assert!(report.store_postings > 0);
-        let json = serve_json(&report);
-        assert!(json.contains("\"experiment\":\"serve\""));
-        assert!(json.contains("\"digests_agree\":true"));
-        assert!(json.contains("\"snapshot_agrees\":true"));
-        assert!(json.contains("\"host_logical_cores\""));
+        // no wall-clock column: a same-seed run renders the same bytes
+        assert_eq!(report.result.render(), serve_at(10, 3, 7, &[2, 8], &[1, 4]).result.render());
     }
 
     #[test]

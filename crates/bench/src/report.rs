@@ -1,12 +1,11 @@
 //! Result-table rendering shared by the experiment binaries.
 
-use serde::Serialize;
 use websift_observe::json::{array, str_array, ObjectWriter};
 
 /// One experiment's outcome: an identifier matching the paper (e.g.
 /// "Table 4"), plus measured rows and free-form notes comparing against the
 /// paper's reported values.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentResult {
     pub id: String,
     pub title: String,
@@ -48,8 +47,7 @@ impl ExperimentResult {
     }
 
     /// Renders the result as a JSON object (`{id, title, headers, rows,
-    /// notes}`). The vendored `serde` is an inert stub, so this goes
-    /// through `websift-observe`'s deterministic writer.
+    /// notes}`) through `websift-observe`'s deterministic writer.
     pub fn to_json(&self) -> String {
         ObjectWriter::new()
             .str("id", &self.id)

@@ -1,14 +1,13 @@
 //! Linguistic analysis: per-document measurements from flow output and
 //! cross-corpus statistics (the §4.3.1 comparisons).
 
-use serde::Serialize;
 use std::collections::HashMap;
 use websift_flow::{Record, Value};
 use websift_stats::{mann_whitney_u, MannWhitneyResult, Summary};
 
 /// Per-document linguistic measurements extracted from an annotated
 /// record.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DocMeasurements {
     /// Net-text length in characters.
     pub chars: usize,
@@ -58,7 +57,7 @@ pub fn measure(r: &Record) -> DocMeasurements {
 }
 
 /// Aggregated linguistic statistics of one corpus (one Fig.-6 panel row).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusLinguistics {
     pub documents: usize,
     pub doc_length: Option<Summary>,
@@ -68,15 +67,10 @@ pub struct CorpusLinguistics {
     pub pronouns_per_1000_sentences: f64,
     pub parens_per_1000_sentences: f64,
     /// Raw per-document samples for significance testing.
-    #[serde(skip)]
     pub doc_length_samples: Vec<f64>,
-    #[serde(skip)]
     pub sentence_length_samples: Vec<f64>,
-    #[serde(skip)]
     pub negation_rate_samples: Vec<f64>,
-    #[serde(skip)]
     pub pronoun_rate_samples: Vec<f64>,
-    #[serde(skip)]
     pub paren_rate_samples: Vec<f64>,
 }
 
@@ -131,7 +125,7 @@ pub fn aggregate(records: &[Record]) -> CorpusLinguistics {
 }
 
 /// The measures §4.3.1 compares between corpora.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Measure {
     DocumentLength,
     SentenceLength,

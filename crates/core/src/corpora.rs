@@ -1,6 +1,5 @@
 //! Assembling the four study corpora and converting them to flow records.
 
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 use websift_corpus::{CorpusKind, Document, Generator, Lexicon};
@@ -8,7 +7,7 @@ use websift_crawler::{CrawlReport, CrawledPage};
 use websift_flow::{Record, Value};
 
 /// Document counts per corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorpusScale {
     pub relevant: usize,
     pub irrelevant: usize,

@@ -2,14 +2,13 @@
 //! per-document incidence (Fig. 7), TLA filtering, annotation overlap
 //! (Fig. 8), and Jensen-Shannon divergences (§4.3.2).
 
-use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use websift_flow::{Record, Value};
 use websift_ner::{is_tla, EntityType, Method};
 use websift_stats::jensen_shannon;
 
 /// One extracted annotation pulled back out of a flow record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractedEntity {
     pub name: String,
     pub entity: EntityType,
@@ -41,7 +40,7 @@ pub fn entities_of(r: &Record) -> Vec<ExtractedEntity> {
 }
 
 /// Entity statistics of one corpus.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CorpusEntities {
     pub documents: usize,
     pub sentences: usize,
@@ -51,12 +50,9 @@ pub struct CorpusEntities {
     pub mentions: HashMap<String, u64>,
     /// name -> frequency, per entity type (dictionary method, the Fig.-8
     /// basis), used for overlap/JSD
-    #[serde(skip)]
     pub dict_name_counts: HashMap<EntityType, HashMap<String, u64>>,
-    #[serde(skip)]
     pub ml_name_counts: HashMap<EntityType, HashMap<String, u64>>,
     /// mentions per document samples, per entity type (both methods)
-    #[serde(skip)]
     pub per_doc_samples: HashMap<EntityType, Vec<f64>>,
 }
 
@@ -131,7 +127,7 @@ impl CorpusEntities {
 /// The 15-region overlap partition of four name sets (Fig. 8). Region
 /// membership is a 4-bit mask over corpora in the order given; index 0
 /// (empty mask) is unused.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OverlapPartition {
     pub corpus_names: Vec<String>,
     /// `regions[mask]` = number of distinct names in exactly that corpus

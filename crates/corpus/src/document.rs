@@ -1,10 +1,9 @@
 //! Document model shared across the workspace.
 
-use serde::Serialize;
 use websift_ner::EntityType;
 
 /// The four corpora of the study (Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CorpusKind {
     /// Crawled pages classified as biomedical ("relevant crawl").
     RelevantWeb,
@@ -55,7 +54,7 @@ impl CorpusKind {
 
 /// Ground truth embedded by the generator, used by the evaluation harness
 /// (never visible to the extraction pipeline itself).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DocumentGold {
     /// Entity surface forms inserted into the text (normalized form).
     pub entities: Vec<(EntityType, String)>,
@@ -70,7 +69,7 @@ pub struct DocumentGold {
 }
 
 /// One document of a corpus.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Document {
     pub id: u64,
     pub kind: CorpusKind,

@@ -10,10 +10,9 @@
 //! rates so the crawler-side components face the same hostility.
 
 use rand::Rng;
-use serde::Serialize;
 
 /// Defect severity injected into a page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarkupQuality {
     /// Standards-conformant (the rare ~5%).
     Clean,

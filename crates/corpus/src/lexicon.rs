@@ -9,10 +9,8 @@
 //! so every component of the system (corpus generator, dictionaries, seed
 //! queries, gold annotations) agrees on what the "true" vocabulary is.
 
-use serde::Serialize;
-
 /// Sizes for the generated lexicons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LexiconScale {
     pub genes: usize,
     pub drugs: usize,
@@ -174,7 +172,7 @@ impl Lexicon {
 }
 
 /// The four seed keyword categories of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SearchCategory {
     General,
     Disease,

@@ -16,10 +16,9 @@
 //!   exceeds the tolerance are rejected as [`Untranscodable`].
 
 use crate::parser::{repair_markup, HtmlToken, Untranscodable, BLOCK_TAGS};
-use serde::Serialize;
 
 /// One segmented block with its shallow features.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Block {
     pub text: String,
     pub words: usize,

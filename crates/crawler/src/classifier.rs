@@ -7,7 +7,6 @@
 //! threshold on the log-odds (the paper's classifier "is geared towards
 //! high precision"), and incremental `update` support.
 
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Class labels: `true` = relevant (biomedical), `false` = irrelevant.
@@ -28,7 +27,7 @@ pub struct NaiveBayes {
 pub type ModelParts<'a> = (&'a HashMap<String, [u64; 2]>, [u64; 2], [u64; 2], f64);
 
 /// A scored prediction.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Prediction {
     pub relevant: bool,
     /// log P(relevant | doc) - log P(irrelevant | doc) (unnormalized).

@@ -52,7 +52,6 @@ use crate::filters::{FilterChain, FilterConfig, FilterStats};
 use crate::linkdb::LinkDb;
 use crate::parser::extract_links;
 use crate::recovery::{CrawlCheckpoint, ResilienceOptions, ResilienceStats};
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 use websift_observe::{Labels, Observer, RegistrySnapshot};
@@ -132,7 +131,7 @@ impl Default for CrawlConfig {
 }
 
 /// A page accepted into one of the two crawl corpora.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CrawledPage {
     pub url: Url,
     /// Extracted net text (post boilerplate removal).
@@ -170,7 +169,7 @@ impl Snapshot for CrawledPage {
 }
 
 /// Full crawl report.
-#[derive(Debug, Default, Serialize)]
+#[derive(Debug, Default)]
 pub struct CrawlReport {
     pub relevant: Vec<CrawledPage>,
     pub irrelevant: Vec<CrawledPage>,

@@ -6,13 +6,12 @@
 //! and the parser feeds newly discovered outlinks back. It also carries the
 //! spider-trap guards: per-host page caps and a URL path-depth limit.
 
-use serde::Serialize;
 use std::collections::{HashMap, HashSet, VecDeque};
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 use websift_web::Url;
 
 /// Lifecycle state of a known URL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UrlStatus {
     /// Discovered, waiting in the frontier.
     Unfetched,

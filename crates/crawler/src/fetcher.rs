@@ -24,7 +24,6 @@
 
 use crate::crawldb::FrontierEntry;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use websift_resilience::{FaultKind, FaultPlan};
@@ -78,7 +77,7 @@ pub struct FetchOutcome {
 }
 
 /// Batch statistics in simulated time.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FetchStats {
     pub fetched: u64,
     pub failed: u64,

@@ -6,12 +6,11 @@
 //! applies the same three filters in a configurable order and keeps the
 //! per-filter counters those percentages are computed from.
 
-use serde::Serialize;
 use websift_text::LanguageId;
 use websift_web::mime::{sniff_mime, MimeType};
 
 /// Why a document was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     Mime(MimeType),
     TooShort,
@@ -39,7 +38,7 @@ impl Default for FilterConfig {
 }
 
 /// Per-filter rejection counters.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FilterStats {
     pub seen: u64,
     pub mime_rejected: u64,

@@ -9,7 +9,6 @@
 //! [`crate::CrawlSession::step_round`], and the one way back from a
 //! frame is [`crate::CrawlSession::resume`].
 
-use serde::Serialize;
 use websift_resilience::codec;
 use websift_resilience::{BackoffPolicy, CodecError, FaultPlan, Reader, Snapshot, Writer};
 
@@ -67,7 +66,7 @@ impl ResilienceOptions {
 
 /// Resilience counters accumulated during a crawl (part of
 /// [`crate::CrawlReport`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResilienceStats {
     /// Retryable failures that were scheduled for a backoff retry.
     pub retries_scheduled: u64,

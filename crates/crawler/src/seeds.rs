@@ -12,7 +12,6 @@
 //! - specialty engines (arxiv/nature analogues) "return results only for
 //!   content hosted there".
 
-use serde::Serialize;
 use std::collections::{BTreeSet, HashMap};
 use websift_corpus::lexicon::GENERAL_MEDICAL_TERMS;
 use websift_web::{PageId, SimulatedWeb, Url};
@@ -157,7 +156,7 @@ pub fn default_engines(web: &SimulatedWeb) -> Vec<SearchEngine> {
 }
 
 /// Outcome of a seed-generation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SeedList {
     pub urls: Vec<Url>,
     pub queries_issued: usize,

@@ -17,18 +17,17 @@
 //!   scale) overwhelming a 1 Gb switch, causing "time-out induced crashes".
 
 use crate::logical::LogicalPlan;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// One compute node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeSpec {
     pub ram_bytes: u64,
     pub cores: usize,
 }
 
 /// The cluster.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     pub nodes: Vec<NodeSpec>,
     /// Aggregate switch bandwidth in gigabits per second.
@@ -100,7 +99,7 @@ impl ClusterSpec {
 }
 
 /// Admission failures.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SchedulingError {
     /// DoP 0 requests no workers at all — nothing to place. Typed (not a
     /// panic) because the serving layer derives DoP from live query
@@ -169,7 +168,7 @@ impl std::fmt::Display for SchedulingError {
 impl std::error::Error for SchedulingError {}
 
 /// A successful placement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Placement {
     pub dop: usize,
     pub workers_per_node: usize,

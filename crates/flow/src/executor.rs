@@ -39,7 +39,6 @@ use crate::record::Record;
 use crate::resilience::{FlowCheckpoint, FlowResilience};
 use crate::runner::{group_by_key, host_parallelism, LocalRunner, StageRunner};
 use crate::shuffle::{ChunkOut, ChunkStats, ShardConfig, ShardPool, ShardRunError, StageKernel};
-use serde::Serialize;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
@@ -138,7 +137,7 @@ impl ExecutionConfig {
 /// registry (counters labelled by plan node and operator name); this
 /// struct is the *view* the executor derives from those registry handles
 /// so existing callers, checkpoints, and tests keep their shape.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OpMetrics {
     pub name: String,
     pub records_in: u64,
@@ -177,7 +176,7 @@ impl Snapshot for OpMetrics {
 }
 
 /// Flow-level metrics.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowMetrics {
     /// Real elapsed milliseconds — runtime-only; excluded from the
     /// `Snapshot` codec and determinism comparisons, decodes as `0.0`.

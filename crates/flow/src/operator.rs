@@ -16,14 +16,13 @@
 //!   ingredient of the paper's OpenNLP 1.4-vs-1.5 class-loader war story.
 
 use crate::record::{Record, Span, Value};
-use serde::Serialize;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use websift_analyze::lattice::FieldType;
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 
 /// Operator package, per the paper's taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Package {
     /// Relational/general-purpose operators.
     Base,
@@ -36,7 +35,7 @@ pub enum Package {
 }
 
 /// Execution kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// 1:1 record transform.
     Map,
@@ -51,7 +50,7 @@ pub enum Kind {
 /// Resource/cost annotations at paper scale, consumed by the simulated
 /// cluster (admission control, Figs. 4/5) — not by the real executor,
 /// which measures wall time directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// One-time per-worker startup in simulated seconds (dictionary loads).
     pub startup_secs: f64,

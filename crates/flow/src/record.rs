@@ -14,7 +14,6 @@
 //! than their two offsets (negation, pronouns, parentheses, entities,
 //! POS) are still one [`FieldMap`] each.
 
-use serde::Serialize;
 use std::sync::Arc;
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 
@@ -156,7 +155,7 @@ impl std::ops::Index<&str> for FieldMap {
 /// One stand-off annotation boundary: byte offsets into the record's
 /// `text`. Offsets are whatever integers the producer wrote — records are
 /// input, and readers check them against the text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     pub start: i64,
     pub end: i64,
@@ -188,8 +187,7 @@ impl From<Span> for Value {
 /// under `==` and [`crate::operator::value_cmp`]; [`Value::decode`] always
 /// yields the plain one. Read either through [`Value::spans`] and
 /// [`Value::array_len`] — [`Value::as_array`] is `None` on a packed value.
-#[derive(Debug, Clone, Serialize)]
-#[serde(untagged)]
+#[derive(Debug, Clone)]
 pub enum Value {
     Null,
     Bool(bool),
@@ -439,7 +437,7 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
 }
 
 /// A record: a top-level JSON object.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record(pub FieldMap);
 
 impl Default for Record {

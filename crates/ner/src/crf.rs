@@ -26,11 +26,10 @@
 
 use crate::entity::{EntityType, Mention, Method};
 use crate::dictionary::TaggerCostModel;
-use serde::Serialize;
 use websift_text::tokenize::{tokenize, Token};
 
 /// BIO labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Label {
     Outside = 0,

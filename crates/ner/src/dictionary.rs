@@ -21,7 +21,6 @@
 
 use crate::ahocorasick::AhoCorasick;
 use crate::entity::{EntityType, Mention, Method};
-use serde::Serialize;
 
 /// A named dictionary: an entity type plus its term list.
 #[derive(Debug, Clone)]
@@ -103,7 +102,7 @@ pub fn expand_variants(term: &str) -> Vec<String> {
 
 /// Cost model of a paper-scale instance of this tagger, consumed by the
 /// simulated cluster scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaggerCostModel {
     /// Startup (dictionary load + automaton construction) in simulated
     /// seconds at paper scale.

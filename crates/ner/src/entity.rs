@@ -1,10 +1,9 @@
 //! Shared entity model: types, extraction methods, and mention spans.
 
-use serde::Serialize;
 use std::fmt;
 
 /// The three biomedical entity classes the study extracts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntityType {
     Gene,
     Drug,
@@ -32,7 +31,7 @@ impl fmt::Display for EntityType {
 }
 
 /// Which extraction family produced an annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Automaton-based fuzzy dictionary matching.
     Dictionary,
@@ -57,7 +56,7 @@ impl Method {
 /// surface form, entity type, and producing method — the unit the paper's
 /// result set stores "together with information on document ID, sentence
 /// ID, and start/end positions".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mention {
     pub start: usize,
     pub end: usize,

@@ -1,8 +1,8 @@
 //! A tiny hand-rolled JSON writer.
 //!
-//! The vendored `serde` is an offline stub (marker traits only), so the
-//! JSONL trace export and the bench harness's `BENCH_RESULTS.json` write
-//! JSON through these helpers instead. Output is deterministic: strings
+//! The workspace has no serialization library: the JSONL trace export
+//! and the bench harness's `BENCH_RESULTS.json` write JSON through these
+//! helpers. Output is deterministic: strings
 //! escape the same way everywhere, and floats format via Rust's
 //! shortest-roundtrip `Display`, which is a pure function of the bit
 //! pattern.

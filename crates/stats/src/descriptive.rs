@@ -1,14 +1,12 @@
 //! Descriptive statistics over `f64` samples.
 
-use serde::Serialize;
-
 /// A five-number-plus summary of a sample: count, mean, standard deviation,
 /// min, quartiles, and max.
 ///
 /// The paper reports document-length, sentence-length, and incidence
 /// distributions per corpus (Fig. 6); `Summary` is the unit in which those
 /// distributions are compared.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     pub count: usize,
     pub mean: f64,

@@ -5,10 +5,8 @@
 //! ("precision of 98% at a recall of 83% in 10-fold cross validation") and
 //! the boilerplate detector.
 
-use serde::Serialize;
-
 /// Binary confusion matrix.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     pub true_positives: u64,
     pub false_positives: u64,
@@ -17,7 +15,7 @@ pub struct ConfusionMatrix {
 }
 
 /// Precision/recall/F1 triple.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PrScores {
     pub precision: f64,
     pub recall: f64,

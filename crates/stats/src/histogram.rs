@@ -3,14 +3,12 @@
 //! The figure-6/7 style plots of the paper are distribution plots; our
 //! experiment harness renders them as text histograms and bucketized series.
 
-use serde::Serialize;
-
 /// A fixed-bucket-width histogram over `f64` observations.
 ///
 /// Observations below `min` clamp into the first bucket, observations at or
 /// above `max` clamp into the last; this mirrors the "long tail collapsed
 /// into the final bin" presentation common in corpus statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     min: f64,
     max: f64,

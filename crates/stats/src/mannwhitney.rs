@@ -6,10 +6,8 @@
 //! the normal approximation (including tie correction), which is the
 //! appropriate regime for the large samples involved.
 
-use serde::Serialize;
-
 /// Outcome of a two-sided Mann-Whitney U test.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MannWhitneyResult {
     /// The U statistic of the first sample.
     pub u: f64,

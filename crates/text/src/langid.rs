@@ -7,11 +7,10 @@
 //! compared with the out-of-place measure.
 
 use crate::ngram::NgramProfile;
-use serde::Serialize;
 use std::sync::OnceLock;
 
 /// Languages the identifier can distinguish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lang {
     English,
     German,

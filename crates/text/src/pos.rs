@@ -37,13 +37,12 @@
 //! score slab plus the token's emission row, which the rescan needs) —
 //! 1 680 B/token, 840 KB at the default budget of 500 tokens.
 
-use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
 /// Simplified MedPost-style tag set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum PosTag {
     Noun = 0,

@@ -12,10 +12,8 @@
 //! unpunctuated blobs as single "sentences" (optionally capped with
 //! [`SentenceSplitter::with_max_len`], the mitigation the paper discusses).
 
-use serde::Serialize;
-
 /// A sentence: a byte span into the source document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sentence {
     pub start: usize,
     pub end: usize,

@@ -8,10 +8,8 @@
 //! annotators can report `start/end` positions exactly as the paper's
 //! pipeline does.
 
-use serde::Serialize;
-
 /// Coarse token class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
     /// Letters, possibly mixed with digits or internal hyphens (`BRCA1`,
     /// `GAD-67`, `anti-inflammatory`).
@@ -23,7 +21,7 @@ pub enum TokenKind {
 }
 
 /// A token: byte span into the source text plus its kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     pub start: usize,
     pub end: usize,

@@ -23,15 +23,14 @@
 use crate::url::Url;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use websift_stats::sampling::{log_normal, Zipf};
 
 /// Identifier of a statically generated page (index into the graph).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageId(pub u32);
 
 /// What kind of payload a page serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageFlavor {
     /// Regular content page (relevant or irrelevant per its host).
     Content,
@@ -46,7 +45,7 @@ pub enum PageFlavor {
 }
 
 /// Per-host metadata.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HostInfo {
     pub name: String,
     /// Host carries biomedical content.
@@ -64,7 +63,7 @@ pub struct HostInfo {
 }
 
 /// Per-page metadata.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PageInfo {
     pub host: u32,
     pub flavor: PageFlavor,

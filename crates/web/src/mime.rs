@@ -10,10 +10,8 @@
 //! extension table plus magic-byte sniffing — including its documented
 //! blind spots (e.g. binary payloads served under a `.html` path).
 
-use serde::Serialize;
-
 /// The MIME classes the crawler distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MimeType {
     Html,
     PlainText,

@@ -1,11 +1,10 @@
 //! A minimal URL type sufficient for crawling the simulated web.
 
-use serde::Serialize;
 use std::fmt;
 
 /// An absolute `http` URL: host plus path (no scheme variations, query
 /// strings folded into the path).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Url {
     host: String,
     path: String,
