@@ -67,7 +67,8 @@ echo "partial_agg: combining equivalence holds ok"
 
 # Fusion equivalence: a fused run must be byte-identical to an unfused
 # one on every deterministic surface — random chains, fan-out tee plans,
-# and kill/resume across fused stages. Cases pinned as above.
+# and resumes from the frame a kill at a random boundary leaves (inside
+# fused stages too). Cases pinned as above.
 PROPTEST_CASES=64 cargo test -q -p websift-flow --test fusion
 echo "fusion: fused == unfused equivalence holds ok"
 

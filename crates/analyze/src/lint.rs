@@ -167,8 +167,9 @@ pub const DETERMINISTIC_OUTPUT_MODULES: &[&str] = &[
 /// Modules that parse untrusted input (scripts, crawled pages and their
 /// net text and its tokens, shuffle frames and operator wire forms off
 /// the wire, the crawl loop with its checkpoint decoder, the IE operators
-/// reading annotations off records): matched by file name, panics on
-/// input are forbidden.
+/// reading annotations off records, store snapshots and live watermarks
+/// read back from storage): matched by file name, panics on input are
+/// forbidden.
 pub const UNTRUSTED_INPUT_FILES: &[&str] = &[
     "parser.rs",
     "meteor.rs",
@@ -183,6 +184,8 @@ pub const UNTRUSTED_INPUT_FILES: &[&str] = &[
     "crawl.rs",
     "recovery.rs",
     "ie.rs",
+    "snapshot.rs",
+    "watermark.rs",
 ];
 
 /// Modules that encode/decode durable frames (checkpoints, snapshots,

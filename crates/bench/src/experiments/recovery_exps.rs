@@ -251,53 +251,33 @@ pub fn flow_recovery() -> ExperimentResult {
 
     for rate in FAULT_RATES {
         let res = FlowResilience::injected(FAULT_SEED, rate, 1);
-        let run = exec.run_resilient(&plan, inputs(), &res);
-        let (cells, resumable) = match &run {
-            Ok(r) => match &r.output {
-                Some(out) => {
-                    let m = &out.metrics;
-                    (
-                        vec![
-                            out.sinks.values().map(Vec::len).sum::<usize>().to_string(),
-                            m.partition_retries.to_string(),
-                            m.store_read_retries.to_string(),
-                            format!("{:?}", m.nodes_lost),
-                            format!("{:.1}", m.simulated_secs),
-                        ],
-                        true,
-                    )
-                }
-                None => (vec!["interrupted".to_string(); 5], false),
-            },
+        let (cells, resume_cell) = match exec.run_resilient(&plan, inputs(), &res) {
+            Ok(out) => {
+                let m = &out.metrics;
+                // a run killed before plan node 2 leaves the frames sealed
+                // up to there; resuming from the last must reproduce `out`
+                let resumed = out
+                    .checkpoints
+                    .iter()
+                    .rfind(|c| c.next_node <= 2)
+                    .and_then(|ckpt| exec.resume_from(&plan, ckpt, inputs(), &res).ok())
+                    .is_some_and(|r| r.deterministic_digest() == out.deterministic_digest());
+                (
+                    vec![
+                        out.sinks.values().map(Vec::len).sum::<usize>().to_string(),
+                        m.partition_retries.to_string(),
+                        m.store_read_retries.to_string(),
+                        format!("{:?}", m.nodes_lost),
+                        format!("{:.1}", m.simulated_secs),
+                    ],
+                    if resumed { "yes" } else { "NO" },
+                )
+            }
             Err(e) => {
                 let mut cells = vec![format!("failed: {e}")];
                 cells.resize(5, "-".to_string());
-                (cells, false)
+                (cells, "-")
             }
-        };
-
-        let resume_cell = if resumable {
-            let killed = FlowResilience {
-                stop_after_nodes: Some(2),
-                ..res.clone()
-            };
-            let ok = exec
-                .run_resilient(&plan, inputs(), &killed)
-                .ok()
-                .and_then(|r| r.checkpoints.last().cloned())
-                .and_then(|ckpt| exec.resume_from(&plan, &ckpt, inputs(), &res).ok())
-                .and_then(|r| r.output)
-                .map(|resumed| {
-                    run.as_ref()
-                        .ok()
-                        .and_then(|r| r.output.as_ref())
-                        .map(|base| base.deterministic_digest() == resumed.deterministic_digest())
-                        .unwrap_or(false)
-                })
-                .unwrap_or(false);
-            if ok { "yes" } else { "NO" }
-        } else {
-            "-"
         };
 
         let mut row = vec![format!("{:.0} %", rate * 100.0)];

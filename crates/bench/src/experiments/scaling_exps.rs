@@ -451,8 +451,6 @@ pub fn runtime_shares(ctx: &ExperimentContext) -> ExperimentResult {
     let obs = Observer::new();
     let out = Executor::new(ExecutionConfig::local(1))
         .run_observed(&plan, inputs, &FlowResilience::default(), &obs)
-        .unwrap()
-        .output
         .unwrap();
 
     let wall_total: f64 = out.metrics.per_op.iter().map(|m| m.wall_ms).sum();

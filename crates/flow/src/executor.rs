@@ -25,16 +25,28 @@
 //! [`SchedulingError::NodeFailed`] only when nobody survives), source
 //! reads retry through injected store faults, and completed plan nodes
 //! can be checkpointed so [`Executor::resume_from`] continues a killed
-//! flow instead of restarting it. All failure decisions are pure
-//! functions of the fault-plan seed, so a killed-and-resumed flow
+//! flow instead of restarting it. A run returns every frame it sealed in
+//! [`FlowOutput::checkpoints`]; a run killed at node boundary `k` would
+//! have left exactly the prefix with `next_node <= k`, so "kill, then
+//! resume" is "resume from one of those frames". All failure decisions
+//! are pure functions of the fault-plan seed, so a resumed flow
 //! reproduces an uninterrupted run bit-for-bit (wall-clock fields aside).
+//!
+//! # Stages
+//!
+//! Each operator node starts a physical stage planned by
+//! [`fused_stage`] — the same function the static
+//! [`crate::optimizer::plan_stages`] prediction calls, so `explain`
+//! cannot drift from what runs. Nothing at run time cuts a stage:
+//! checkpoint frames whose boundaries land inside one are synthesized by
+//! the replay, byte-identical to unfused execution.
 
 use crate::analyze::{analyze_plan, AnalyzeOptions};
 use crate::cluster::{admit_sharded, ClusterSpec, SchedulingError};
 use crate::logical::{parse_store_sink, LogicalPlan, NodeOp, STORE_SINK_PREFIX};
 use websift_analyze::{Diagnostic, Severity};
 use crate::operator::{AggState, Kind, OpFunc, Operator};
-use crate::optimizer::{fused_stage, FusedStage, StageDecision};
+use crate::optimizer::{fused_stage, StageDecision};
 use crate::record::Record;
 use crate::resilience::{FlowCheckpoint, FlowResilience};
 use crate::runner::{group_by_key, host_parallelism, LocalRunner, StageRunner};
@@ -385,6 +397,11 @@ pub struct FlowOutput {
     /// records the stages it executed itself. Physical-only, like
     /// [`PhysicalStats`]: excluded from [`Self::deterministic_digest`].
     pub stages: Vec<StageDecision>,
+    /// Every checkpoint the run sealed, in boundary order (empty unless
+    /// [`FlowResilience::checkpoint_every_nodes`] is set). A run killed at
+    /// node boundary `k` would have left exactly the frames with
+    /// `next_node <= k`.
+    pub checkpoints: Vec<FlowCheckpoint>,
 }
 
 impl FlowOutput {
@@ -410,15 +427,6 @@ impl FlowOutput {
         }
         websift_resilience::codec::digest(&w.into_bytes())
     }
-}
-
-/// The outcome of a resilient run: the output when the flow completed,
-/// plus every checkpoint taken along the way. `output` is `None` only
-/// when the run was interrupted by `stop_after_nodes`.
-#[derive(Debug)]
-pub struct ResilientRun {
-    pub output: Option<FlowOutput>,
-    pub checkpoints: Vec<FlowCheckpoint>,
 }
 
 /// Mid-plan executor state — everything a checkpoint must capture.
@@ -494,8 +502,7 @@ impl Executor {
         plan: &LogicalPlan,
         inputs: HashMap<String, Vec<Record>>,
     ) -> Result<FlowOutput, ExecutionError> {
-        let run = self.run_resilient(plan, inputs, &FlowResilience::default())?;
-        Ok(run.output.expect("default resilience never interrupts"))
+        self.run_resilient(plan, inputs, &FlowResilience::default())
     }
 
     /// Runs `plan` and drains every `store:`-prefixed sink into `store`,
@@ -553,7 +560,7 @@ impl Executor {
         plan: &LogicalPlan,
         inputs: HashMap<String, Vec<Record>>,
         res: &FlowResilience,
-    ) -> Result<ResilientRun, ExecutionError> {
+    ) -> Result<FlowOutput, ExecutionError> {
         self.run_observed(plan, inputs, res, &Observer::new())
     }
 
@@ -568,7 +575,7 @@ impl Executor {
         inputs: HashMap<String, Vec<Record>>,
         res: &FlowResilience,
         obs: &Observer,
-    ) -> Result<ResilientRun, ExecutionError> {
+    ) -> Result<FlowOutput, ExecutionError> {
         plan.validate().map_err(|e| ExecutionError::InvalidPlan(e.to_string()))?;
         let shards = self.config.sharding.as_ref().map(|s| s.shards);
         if self.config.analyze {
@@ -606,7 +613,7 @@ impl Executor {
         checkpoint: &FlowCheckpoint,
         inputs: HashMap<String, Vec<Record>>,
         res: &FlowResilience,
-    ) -> Result<ResilientRun, ExecutionError> {
+    ) -> Result<FlowOutput, ExecutionError> {
         self.resume_observed(plan, checkpoint, inputs, res, &Observer::new())
     }
 
@@ -621,7 +628,7 @@ impl Executor {
         inputs: HashMap<String, Vec<Record>>,
         res: &FlowResilience,
         obs: &Observer,
-    ) -> Result<ResilientRun, ExecutionError> {
+    ) -> Result<FlowOutput, ExecutionError> {
         let payload = checkpoint.payload().map_err(ExecutionError::BadCheckpoint)?;
         let mut r = Reader::new(payload);
         let state = ExecState::decode(&mut r).map_err(ExecutionError::BadCheckpoint)?;
@@ -643,7 +650,7 @@ impl Executor {
         mut state: ExecState,
         res: &FlowResilience,
         obs: &Observer,
-    ) -> Result<ResilientRun, ExecutionError> {
+    ) -> Result<FlowOutput, ExecutionError> {
         // lint:allow(wall_clock): wall_ms is runtime-only diagnostics, never checkpointed
         let started = Instant::now();
         let mut run = RunCtx {
@@ -657,10 +664,6 @@ impl Executor {
         };
 
         while state.next_node < plan.len() {
-            if res.stop_after_nodes.is_some_and(|stop| state.next_node >= stop) {
-                state.metrics.wall_ms += started.elapsed().as_secs_f64() * 1000.0;
-                return Ok(ResilientRun { output: None, checkpoints: run.checkpoints });
-            }
             let node = &plan.nodes()[state.next_node];
 
             // Unreachable nodes (orphaned by the optimizer) with no
@@ -691,14 +694,11 @@ impl Executor {
             match &node.op {
                 NodeOp::Source(name) => self.run_source(&run, &mut state, &mut inputs, node.id, name)?,
                 NodeOp::Sink(name) => self.run_sink(&run, &mut state, node.id, name, input),
-                NodeOp::Op(op) => {
-                    let stage = self.stage_from(&run, node.id, op);
-                    run.stages.push(StageDecision {
-                        first: node.id,
-                        len: stage.len,
-                        combined_reduce: stage.combined_reduce,
-                    });
-                    self.run_stage(&mut run, &mut state, node.id, &stage, input)?;
+                NodeOp::Op(_) => {
+                    let stage =
+                        fused_stage(plan, node.id, self.config.fusion, self.config.combining);
+                    run.stages.push(stage);
+                    self.run_stage(&mut run, &mut state, &stage, input)?;
                     state.next_node += stage.len - 1;
                 }
             }
@@ -731,13 +731,11 @@ impl Executor {
         if let Some(pool) = &run.pool {
             pool.report(&mut run.physical);
         }
-        Ok(ResilientRun {
-            output: Some(FlowOutput {
-                sinks: state.sinks,
-                metrics: state.metrics,
-                physical: run.physical,
-                stages: run.stages,
-            }),
+        Ok(FlowOutput {
+            sinks: state.sinks,
+            metrics: state.metrics,
+            physical: run.physical,
+            stages: run.stages,
             checkpoints: run.checkpoints,
         })
     }
@@ -805,33 +803,12 @@ impl Executor {
         state.outputs[node_id] = Some(Vec::new());
     }
 
-    /// Collapses the maximal fusable stage starting at operator node
-    /// `first` into one physical pass — possibly extending through a
-    /// trailing combinable Reduce (partial aggregation). Stop-after
-    /// boundaries act as fusion barriers; checkpoint boundaries do not
-    /// cut stages: frames landing inside a stage are synthesized by the
-    /// replay, byte-identical to unfused execution. With fusion off the
-    /// stage has length 1 and this is plain node-at-a-time execution
-    /// through the same code path (a lone combinable Reduce still
-    /// pre-aggregates per chunk when combining is on).
-    fn stage_from(&self, run: &RunCtx<'_>, first: usize, op: &Operator) -> FusedStage {
-        let stop = run.res.stop_after_nodes;
-        if self.config.fusion && op.is_pipelineable() {
-            fused_stage(
-                run.plan,
-                first,
-                |id| stop.is_some_and(|s| id >= s),
-                self.config.combining,
-            )
-        } else {
-            FusedStage { len: 1, combined_reduce: self.config.combining && op.combinable_reduce() }
-        }
-    }
-
-    /// Executes the fused stage of operator nodes `first .. first +
-    /// stage.len` as one physical pass, then replays the cost model per
-    /// constituent in node-id order: schedule → execute (→ merge) →
-    /// replay → publish.
+    /// Executes the `stage.len` operator nodes from `stage.first` as one
+    /// physical pass, then replays the cost model per constituent in
+    /// node-id order: schedule → execute (→ merge) → replay → publish.
+    /// With fusion off, or at a node that does not fuse, the stage has
+    /// length 1 and this is plain node-at-a-time execution through the
+    /// same code path.
     ///
     /// The physical dataflow and the simulated accounting are
     /// deliberately decoupled. Records move **by value** stage to stage
@@ -856,11 +833,10 @@ impl Executor {
         &self,
         run: &mut RunCtx<'_>,
         state: &mut ExecState,
-        first: usize,
-        stage: &FusedStage,
+        stage: &StageDecision,
         input: Vec<Record>,
     ) -> Result<(), ExecutionError> {
-        let (plan, len) = (run.plan, stage.len);
+        let (plan, first, len) = (run.plan, stage.first, stage.len);
         let ops: Vec<&Operator> = (first..first + len)
             .map(|id| match &plan.nodes()[id].op {
                 NodeOp::Op(op) => op,
@@ -1811,7 +1787,7 @@ mod tests {
         input: Vec<Record>,
         dop: usize,
         res: &FlowResilience,
-    ) -> Result<ResilientRun, ExecutionError> {
+    ) -> Result<FlowOutput, ExecutionError> {
         let mut inputs = HashMap::new();
         inputs.insert("in".to_string(), input);
         Executor::new(ExecutionConfig::local(dop)).run_resilient(plan, inputs, res)
@@ -1826,16 +1802,12 @@ mod tests {
             partition_retries: 8,
             ..FlowResilience::default()
         };
-        let run = run_resilient(&simple_plan(), docs(40), 4, &res).unwrap();
-        let out = run.output.unwrap();
+        let out = run_resilient(&simple_plan(), docs(40), 4, &res).unwrap();
         assert_eq!(out.sinks["out"].len(), 20, "results survive worker panics");
         assert!(out.metrics.partition_retries > 0, "no retries recorded");
 
         // the same flow without faults produces identical sink contents
-        let clean = run_resilient(&simple_plan(), docs(40), 4, &FlowResilience::default())
-            .unwrap()
-            .output
-            .unwrap();
+        let clean = run_resilient(&simple_plan(), docs(40), 4, &FlowResilience::default()).unwrap();
         assert_eq!(clean.sinks["out"], out.sinks["out"]);
     }
 
@@ -1866,12 +1838,9 @@ mod tests {
             ),
             ..FlowResilience::default()
         };
-        let faulty = run_resilient(&simple_plan(), docs(40), 8, &res).unwrap().output.unwrap();
+        let faulty = run_resilient(&simple_plan(), docs(40), 8, &res).unwrap();
         assert!(!faulty.metrics.nodes_lost.is_empty(), "no nodes lost at 50%");
-        let clean = run_resilient(&simple_plan(), docs(40), 8, &FlowResilience::default())
-            .unwrap()
-            .output
-            .unwrap();
+        let clean = run_resilient(&simple_plan(), docs(40), 8, &FlowResilience::default()).unwrap();
         assert_eq!(clean.sinks["out"], faulty.sinks["out"], "results unchanged");
         assert!(
             faulty.metrics.simulated_secs > clean.metrics.simulated_secs,
@@ -1906,8 +1875,7 @@ mod tests {
             partition_retries: 10,
             ..FlowResilience::default()
         };
-        let run = run_resilient(&simple_plan(), docs(10), 2, &res).unwrap();
-        let out = run.output.unwrap();
+        let out = run_resilient(&simple_plan(), docs(10), 2, &res).unwrap();
         assert_eq!(out.sinks["out"].len(), 5);
     }
 
@@ -1916,27 +1884,24 @@ mod tests {
         let plan = simple_plan();
         let res = FlowResilience::injected(0xFEED, 0.3, 1);
 
-        let baseline = run_resilient(&plan, docs(50), 4, &res).unwrap();
-        let base_out = baseline.output.expect("baseline must complete");
+        let base_out = run_resilient(&plan, docs(50), 4, &res).unwrap();
 
-        // kill before plan node 2 (after source + first operator)
-        let killed_res = FlowResilience {
-            stop_after_nodes: Some(2),
-            ..res.clone()
-        };
-        let killed = run_resilient(&plan, docs(50), 4, &killed_res).unwrap();
-        assert!(killed.output.is_none(), "killed run must not complete");
-        let ckpt = killed.checkpoints.last().expect("no checkpoint before kill");
+        // killed before plan node 2 (after source + first operator): its
+        // last frame is the last one sealed at or before that boundary
+        let ckpt = base_out
+            .checkpoints
+            .iter()
+            .rfind(|c| c.next_node <= 2)
+            .expect("no checkpoint before kill");
 
         // resume from durable bytes and run to completion
-        let restored =
-            FlowCheckpoint::from_bytes(ckpt.next_node, ckpt.as_bytes().to_vec()).unwrap();
+        let restored = FlowCheckpoint::from_bytes(ckpt.as_bytes().to_vec()).unwrap();
+        assert_eq!(restored.next_node, ckpt.next_node, "the boundary is read from the frame");
         let mut inputs = HashMap::new();
         inputs.insert("in".to_string(), docs(50));
-        let resumed = Executor::new(ExecutionConfig::local(4))
+        let resumed_out = Executor::new(ExecutionConfig::local(4))
             .resume_from(&plan, &restored, inputs, &res)
             .unwrap();
-        let resumed_out = resumed.output.expect("resumed run must complete");
 
         assert_eq!(base_out.sinks, resumed_out.sinks);
         assert_eq!(
@@ -1957,8 +1922,6 @@ mod tests {
         inputs.insert("in".to_string(), docs(12));
         let out = Executor::new(ExecutionConfig::local(4))
             .run_observed(&simple_plan(), inputs, &FlowResilience::default(), &obs)
-            .unwrap()
-            .output
             .unwrap();
 
         // one span per executed plan node: source, two ops, sink
@@ -1997,38 +1960,26 @@ mod tests {
         let plan = simple_plan();
         let res = FlowResilience {
             checkpoint_every_nodes: Some(1),
-            stop_after_nodes: Some(2),
             ..FlowResilience::default()
         };
-        let obs = Observer::new();
+        let full_obs = Observer::new();
         let mut inputs = HashMap::new();
         inputs.insert("in".to_string(), docs(20));
-        let killed = Executor::new(ExecutionConfig::local(2))
-            .run_observed(&plan, inputs, &res, &obs)
+        let full = Executor::new(ExecutionConfig::local(2))
+            .run_observed(&plan, inputs, &res, &full_obs)
             .unwrap();
-        let ckpt = killed.checkpoints.last().unwrap();
+        // a run killed before node 2 would have left frames up to there
+        let ckpt = full.checkpoints.iter().rfind(|c| c.next_node <= 2).unwrap();
 
-        let continue_res = FlowResilience {
-            checkpoint_every_nodes: Some(1),
-            ..FlowResilience::default()
-        };
         let resumed_obs = Observer::new();
         let mut inputs = HashMap::new();
         inputs.insert("in".to_string(), docs(20));
         Executor::new(ExecutionConfig::local(2))
-            .resume_observed(&plan, ckpt, inputs, &continue_res, &resumed_obs)
-            .unwrap()
-            .output
+            .resume_observed(&plan, ckpt, inputs, &res, &resumed_obs)
             .unwrap();
 
-        // a full observed run and the killed+resumed pair agree on every
+        // the full observed run and the resumed one agree on every
         // counter and histogram (gauges included)
-        let full_obs = Observer::new();
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(20));
-        Executor::new(ExecutionConfig::local(2))
-            .run_observed(&plan, inputs, &continue_res, &full_obs)
-            .unwrap();
         assert_eq!(resumed_obs.registry().snapshot(), full_obs.registry().snapshot());
     }
 
@@ -2045,8 +1996,6 @@ mod tests {
         inputs.insert("in".to_string(), input);
         let out = Executor::new(config)
             .run_observed(plan, inputs, res, &obs)
-            .unwrap()
-            .output
             .unwrap();
         (out, obs.tracer().to_jsonl(), obs.registry().snapshot())
     }
@@ -2187,14 +2136,13 @@ mod tests {
         let plan = simple_plan();
         let res = FlowResilience {
             checkpoint_every_nodes: Some(1),
-            stop_after_nodes: Some(2),
             ..FlowResilience::default()
         };
-        let killed = run_resilient(&plan, docs(10), 2, &res).unwrap();
-        let ckpt = killed.checkpoints.last().unwrap();
+        let out = run_resilient(&plan, docs(10), 2, &res).unwrap();
+        let ckpt = out.checkpoints.iter().rfind(|c| c.next_node <= 2).unwrap();
         let mut bytes = ckpt.as_bytes().to_vec();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x80;
-        assert!(FlowCheckpoint::from_bytes(ckpt.next_node, bytes).is_err());
+        assert!(FlowCheckpoint::from_bytes(bytes).is_err());
     }
 }

@@ -14,7 +14,9 @@
 //! - [`packages`] — the BASE / IE / WA / DC operator packages, the
 //!   trained [`packages::IeResources`], and the wire table that rebuilds
 //!   any packaged operator inside a worker shard;
-//! - [`logical`] / [`optimizer`] — plan DAGs and SOFA-style rewriting;
+//! - [`logical`] / [`optimizer`] — plan DAGs, SOFA-style rewriting, and
+//!   [`fused_stage`], the one stage decision the executor and the static
+//!   explain prediction share;
 //! - [`cluster`] — the simulated 28-node cluster: memory admission,
 //!   library-conflict detection, network capacity model;
 //! - [`executor`] — real multi-threaded execution with a simulated
@@ -25,8 +27,10 @@
 //! - [`fieldflow`] — forward abstract interpretation over the plan:
 //!   per-edge schema inference, selectivity-based cost envelopes, and the
 //!   static fusion/combining "explain" report;
-//! - [`resilience`] — fault-injection options, operator-granular
-//!   checkpoints, and the machinery behind [`Executor::resume_from`];
+//! - [`resilience`] — fault-injection options and operator-granular
+//!   checkpoints: every run returns its frames in [`FlowOutput::checkpoints`],
+//!   a killed run is a prefix of them, and [`Executor::resume_from`]
+//!   continues from any one;
 //! - [`runner`] — the [`StageRunner`] seam between the executor's stage
 //!   scheduling and where chunk work physically runs: [`LocalRunner`]'s
 //!   thread scope, or the shard pool below; an uncombined Reduce is
@@ -58,7 +62,7 @@ pub use analyze::{analyze_plan, analyze_script, AnalyzeOptions};
 pub use cluster::{admit, admit_sharded, ClusterSpec, NodeSpec, Placement, SchedulingError};
 pub use executor::{
     ExecutionConfig, ExecutionError, Executor, FlowMetrics, FlowOutput, OpMetrics, PhysicalStats,
-    ResilientRun, StoreSink,
+    StoreSink,
 };
 pub use resilience::{FlowCheckpoint, FlowResilience};
 pub use logical::{parse_store_sink, LogicalPlan, NodeId, NodeOp, PlanError, STORE_SINK_PREFIX};
@@ -68,7 +72,7 @@ pub use operator::{
     WireForm,
 };
 pub use fieldflow::{canonical_stages, explain_plan, field_flow, EdgeState, FieldFlow};
-pub use optimizer::{fused_stage, optimize, plan_stages, FusedStage, Rewrite, StageDecision};
+pub use optimizer::{fused_stage, optimize, plan_stages, Rewrite, StageDecision};
 pub use packages::{IeConfig, IeResources, OperatorRegistry};
 pub use record::{span_annotation, FieldMap, Record, Span, Value};
 pub use runner::{LocalRunner, StageRunner};

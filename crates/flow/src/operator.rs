@@ -221,7 +221,7 @@ pub enum Aggregate {
 
 /// Partial-aggregate state for one key, accumulated per fused worker and
 /// merged at the stage boundary. Byte-deterministic via [`Snapshot`] so
-/// checkpoint barriers can cut through a fused Reduce stage.
+/// checkpoint frames can land inside a fused Reduce stage.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AggState {
     Count(i64),

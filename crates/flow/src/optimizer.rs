@@ -27,28 +27,24 @@ use crate::operator::Kind;
 /// - node `j + 1` is an operator node whose input is exactly `j`,
 /// - both operators are pipelineable (Map/FlatMap/Filter — no shuffle),
 /// - `j + 1` has at least one consumer (the executor skips orphaned
-///   operators entirely, so fusing into one would change what runs),
-/// - the executor reports no `barrier` at `j + 1` (checkpoint or
-///   stop-after boundaries must stay observable between stages).
+///   operators entirely, so fusing into one would change what runs).
 ///
-/// Fan-out at `j` no longer blocks fusion: when `j` has consumers besides
-/// `j + 1`, the executor *tees* the fused pass — it taps the record
-/// stream crossing the `j`/`j + 1` boundary (in unfused record order) and
-/// publishes the tap as node `j`'s live output for the remaining
-/// consumers, which always carry ids beyond the chain. Edges kept by
-/// orphaned [`REMOVED_IDENTITY`] nodes tee harmlessly: the orphan never
-/// takes its input, exactly as in unfused execution.
+/// Nothing else cuts a chain. Checkpoint boundaries inside it are
+/// synthesized by the executor's replay, byte-identical to unfused
+/// execution, and fan-out at `j` does not block fusion either: when `j`
+/// has consumers besides `j + 1`, the executor *tees* the fused pass — it
+/// taps the record stream crossing the `j`/`j + 1` boundary (in unfused
+/// record order) and publishes the tap as node `j`'s live output for the
+/// remaining consumers, which always carry ids beyond the chain. Edges
+/// kept by orphaned [`REMOVED_IDENTITY`] nodes tee harmlessly: the orphan
+/// never takes its input, exactly as in unfused execution.
 ///
 /// Non-contiguous ids never fuse: the executor replays per-constituent
 /// charges in node-id order, and fusing across an id gap would reorder
 /// them. Fusion is physical only — the executor still charges and
 /// observes every constituent separately, so chain shape never changes a
 /// simulated number.
-pub fn fusable_chain_len(
-    plan: &LogicalPlan,
-    start: NodeId,
-    barrier: impl Fn(NodeId) -> bool,
-) -> usize {
+pub fn fusable_chain_len(plan: &LogicalPlan, start: NodeId) -> usize {
     let nodes = plan.nodes();
     let fusable = |id: NodeId| match &nodes[id].op {
         NodeOp::Op(op) => op.is_pipelineable(),
@@ -62,69 +58,16 @@ pub fn fusable_chain_len(
         && nodes[last + 1].input == Some(last)
         && fusable(last + 1)
         && !plan.children(last + 1).is_empty()
-        && !barrier(last + 1)
     {
         last += 1;
     }
     last - start + 1
 }
 
-/// A physical stage as planned by fusion: `len` consecutive plan nodes
+/// One physical stage: `len` consecutive plan nodes from `first`
 /// executed in one pass. When `combined_reduce` is set, the last node is
 /// a combinable Reduce run via partial aggregation (per-worker fold +
 /// final merge) instead of a serial hash shuffle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusedStage {
-    pub len: usize,
-    pub combined_reduce: bool,
-}
-
-/// Plans the fused stage starting at `start`: the maximal fusable chain,
-/// extended *through* a trailing Reduce when `combining` is on and the
-/// Reduce's aggregate is provably combinable (typed, not `Custom`).
-///
-/// The extension applies the same structural rules as
-/// [`fusable_chain_len`] to the Reduce node — contiguous id, itself
-/// consumed, no `barrier`; fan-out at the chain tail tees — because
-/// the executor's replay walks constituents in node-id order and the
-/// Reduce must be this stage's sole terminal. A combinable Reduce that
-/// *heads* a stage is also planned as combined (chunked fold + merge):
-/// partial aggregation does not require upstream fusion, only an exact
-/// merge. `Custom` aggregates never combine; the analyzer surfaces that
-/// silent fallback as the info-level WS010 diagnostic.
-pub fn fused_stage(
-    plan: &LogicalPlan,
-    start: NodeId,
-    barrier: impl Fn(NodeId) -> bool,
-    combining: bool,
-) -> FusedStage {
-    let nodes = plan.nodes();
-    let combinable = |id: NodeId| match &nodes[id].op {
-        NodeOp::Op(op) => op.combinable_reduce(),
-        _ => false,
-    };
-    if combining && combinable(start) {
-        return FusedStage { len: 1, combined_reduce: true };
-    }
-    let len = fusable_chain_len(plan, start, &barrier);
-    let last = start + len - 1;
-    let pipelineable_start = matches!(&nodes[start].op, NodeOp::Op(op) if op.is_pipelineable());
-    if combining
-        && pipelineable_start
-        && last + 1 < nodes.len()
-        && nodes[last + 1].input == Some(last)
-        && combinable(last + 1)
-        && !plan.children(last + 1).is_empty()
-        && !barrier(last + 1)
-    {
-        return FusedStage { len: len + 1, combined_reduce: true };
-    }
-    FusedStage { len, combined_reduce: false }
-}
-
-/// One stage decision a fresh executor run makes: the stage starts at
-/// node `first` and spans `len` consecutive nodes;
-/// [`FusedStage::combined_reduce`] semantics for the terminal Reduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageDecision {
     pub first: NodeId,
@@ -132,50 +75,77 @@ pub struct StageDecision {
     pub combined_reduce: bool,
 }
 
-/// Statically predicts every stage decision a *fresh, unbarriered* run of
-/// the executor makes on this plan at the given `fusion`/`combining`
-/// configuration — the same walk `Executor::drive` performs, decision for
-/// decision. The differential proptest in `tests/explain.rs` pins this
-/// against [`crate::executor::FlowOutput::stages`], the decisions the
-/// executor actually recorded.
+/// The stage decision for operator node `start` — the one function both
+/// the executor and the static [`plan_stages`] prediction call.
+///
+/// With `fusion` on, the stage is the maximal fusable chain, extended
+/// *through* a trailing Reduce when `combining` is on and the Reduce's
+/// aggregate is provably combinable (typed, not `Custom`). The extension
+/// applies the same structural rules as [`fusable_chain_len`] to the
+/// Reduce node — contiguous id, itself consumed; fan-out at the chain
+/// tail tees — because the executor's replay walks constituents in
+/// node-id order and the Reduce must be this stage's sole terminal.
+///
+/// A combinable Reduce that *heads* a stage — and every node when
+/// `fusion` is off — is a stage of its own, planned as combined (chunked
+/// fold + merge) whenever `combining` is on: partial aggregation does not
+/// require upstream fusion, only an exact merge. `Custom` aggregates
+/// never combine; the analyzer surfaces that silent fallback as the
+/// info-level WS010 diagnostic.
+pub fn fused_stage(
+    plan: &LogicalPlan,
+    start: NodeId,
+    fusion: bool,
+    combining: bool,
+) -> StageDecision {
+    let nodes = plan.nodes();
+    let combinable = |id: NodeId| match &nodes[id].op {
+        NodeOp::Op(op) => op.combinable_reduce(),
+        _ => false,
+    };
+    let stage = |len, combined_reduce| StageDecision { first: start, len, combined_reduce };
+    let pipelineable = matches!(&nodes[start].op, NodeOp::Op(op) if op.is_pipelineable());
+    if !fusion || !pipelineable {
+        return stage(1, combining && combinable(start));
+    }
+    let len = fusable_chain_len(plan, start);
+    let last = start + len - 1;
+    if combining
+        && last + 1 < nodes.len()
+        && nodes[last + 1].input == Some(last)
+        && combinable(last + 1)
+        && !plan.children(last + 1).is_empty()
+    {
+        return stage(len + 1, true);
+    }
+    stage(len, false)
+}
+
+/// Statically predicts every stage decision a fresh run of the executor
+/// makes on this plan at the given `fusion`/`combining` configuration —
+/// the same walk `Executor::drive` performs, calling the same
+/// [`fused_stage`]. The differential proptest in `tests/explain.rs` pins
+/// this against [`crate::executor::FlowOutput::stages`], the decisions
+/// the executor actually recorded.
 ///
 /// The executor skips an operator node when, at visit time, no consumer is
 /// left to take its output. On a fresh run consumers are decremented only
 /// by *later* nodes (children always carry larger ids), none of which have
 /// run when the node is visited — so that test reduces exactly to "the
-/// node has no children at all", which is what this walk checks. Barriers
-/// (checkpoint cadence, `stop_after`) never arise here because both only
-/// fire on resumed or truncated runs.
+/// node has no children at all", which is what this walk checks.
 pub fn plan_stages(plan: &LogicalPlan, fusion: bool, combining: bool) -> Vec<StageDecision> {
     let mut stages = Vec::new();
     let mut next = 0;
     while next < plan.len() {
-        let node = &plan.nodes()[next];
-        let op = match &node.op {
-            NodeOp::Op(op) => op,
-            _ => {
-                next += 1;
-                continue;
-            }
-        };
-        if plan.children(next).is_empty() {
-            // orphaned operator (e.g. a spliced-out identity): never runs
+        // sources, sinks and orphaned operators (e.g. a spliced-out
+        // identity) start no stage
+        if !matches!(plan.nodes()[next].op, NodeOp::Op(_)) || plan.children(next).is_empty() {
             next += 1;
             continue;
         }
-        let stage = if fusion && op.is_pipelineable() {
-            fused_stage(plan, next, |_| false, combining)
-        } else if combining && op.combinable_reduce() {
-            FusedStage { len: 1, combined_reduce: true }
-        } else {
-            FusedStage { len: 1, combined_reduce: false }
-        };
-        stages.push(StageDecision {
-            first: next,
-            len: stage.len,
-            combined_reduce: stage.combined_reduce,
-        });
+        let stage = fused_stage(plan, next, fusion, combining);
         next += stage.len;
+        stages.push(stage);
     }
     stages
 }
@@ -424,10 +394,10 @@ mod tests {
             .unwrap();
         let d = plan.add(red, Operator::map("m3", Package::Base, |r| r)).unwrap();
         plan.sink(d, "out").unwrap();
-        assert_eq!(fusable_chain_len(&plan, a, |_| false), 3, "map-filter-map fuses");
-        assert_eq!(fusable_chain_len(&plan, red, |_| false), 1, "reduce never fuses");
-        assert_eq!(fusable_chain_len(&plan, d, |_| false), 1, "sink stops the chain");
-        assert_eq!(fusable_chain_len(&plan, src, |_| false), 1, "source is not a chain");
+        assert_eq!(fusable_chain_len(&plan, a), 3, "map-filter-map fuses");
+        assert_eq!(fusable_chain_len(&plan, red), 1, "reduce never fuses");
+        assert_eq!(fusable_chain_len(&plan, d), 1, "sink stops the chain");
+        assert_eq!(fusable_chain_len(&plan, src), 1, "source is not a chain");
     }
 
     #[test]
@@ -454,42 +424,41 @@ mod tests {
             (plan, a, red)
         };
 
+        let stage = |first, len, combined_reduce| StageDecision { first, len, combined_reduce };
         let (plan, a, red) = build(true);
         assert_eq!(
-            fused_stage(&plan, a, |_| false, true),
-            FusedStage { len: 3, combined_reduce: true },
+            fused_stage(&plan, a, true, true),
+            stage(a, 3, true),
             "chain extends through the combinable reduce"
         );
         assert_eq!(
-            fused_stage(&plan, a, |_| false, false),
-            FusedStage { len: 2, combined_reduce: false },
+            fused_stage(&plan, a, true, false),
+            stage(a, 2, false),
             "combining off keeps the PR-4 chain"
         );
         assert_eq!(
-            fused_stage(&plan, red, |_| false, true),
-            FusedStage { len: 1, combined_reduce: true },
+            fused_stage(&plan, red, true, true),
+            stage(red, 1, true),
             "a lone combinable reduce still pre-aggregates"
         );
+        assert_eq!(fused_stage(&plan, a, false, true), stage(a, 1, false), "fusion off");
         assert_eq!(
-            fused_stage(&plan, a, |id| id == red, true),
-            FusedStage { len: 2, combined_reduce: false },
-            "a barrier at the reduce blocks the extension"
+            fused_stage(&plan, red, false, true),
+            stage(red, 1, true),
+            "fusion off still pre-aggregates"
         );
 
         let (plan, a, red) = build(false);
         assert_eq!(
-            fused_stage(&plan, a, |_| false, true),
-            FusedStage { len: 2, combined_reduce: false },
+            fused_stage(&plan, a, true, true),
+            stage(a, 2, false),
             "custom aggregates never combine"
         );
-        assert_eq!(
-            fused_stage(&plan, red, |_| false, true),
-            FusedStage { len: 1, combined_reduce: false }
-        );
+        assert_eq!(fused_stage(&plan, red, true, true), stage(red, 1, false));
     }
 
     #[test]
-    fn fan_out_tees_and_barriers_block_fusion() {
+    fn fan_out_tees_instead_of_cutting_the_chain() {
         let mut plan = LogicalPlan::new();
         let src = plan.source("in");
         let a = plan.add(src, Operator::map("a", Package::Base, |r| r)).unwrap();
@@ -500,11 +469,9 @@ mod tests {
         plan.sink(side, "y").unwrap();
         // b has two consumers; the chain fuses through it anyway — the
         // executor tees b's stream to `side` at the interior boundary
-        assert_eq!(fusable_chain_len(&plan, a, |_| false), 3);
+        assert_eq!(fusable_chain_len(&plan, a), 3);
         // `side` is not contiguous with the chain, so it stands alone
-        assert_eq!(fusable_chain_len(&plan, side, |_| false), 1);
-        // a checkpoint boundary between a and b still stops the chain at a
-        assert_eq!(fusable_chain_len(&plan, a, |id| id == b), 1);
+        assert_eq!(fusable_chain_len(&plan, side), 1);
     }
 
     #[test]
@@ -520,8 +487,8 @@ mod tests {
         // zero consumers: it never runs, so nothing may fuse into it (the
         // filter now hangs off `a` on a non-contiguous edge and the
         // orphan's kept input edge merely tees)
-        assert_eq!(fusable_chain_len(&plan, a, |_| false), 1);
-        assert_eq!(fusable_chain_len(&plan, i, |_| false), 1);
+        assert_eq!(fusable_chain_len(&plan, a), 1);
+        assert_eq!(fusable_chain_len(&plan, i), 1);
     }
 
     #[test]

@@ -8,9 +8,15 @@
 //! (b) retry lost partitions and reschedule around dead nodes, and
 //! (c) checkpoint completed plan nodes so a rerun resumes instead of
 //! restarting.
+//!
+//! There is no "kill" option. Every run returns the frames it sealed
+//! ([`crate::FlowOutput::checkpoints`]), and a run killed at node boundary
+//! `k` would have left exactly the prefix of them with `next_node <= k` —
+//! what [`crate::ExecutionError::ShardLost`] hands back when a worker
+//! shard dies. [`crate::Executor::resume_from`] continues from any frame.
 
 use websift_resilience::codec;
-use websift_resilience::{CodecError, FaultPlan};
+use websift_resilience::{CodecError, FaultPlan, Reader};
 
 /// Frame tag + version for flow checkpoints.
 const CHECKPOINT_TAG: [u8; 4] = *b"WSFK";
@@ -32,8 +38,6 @@ pub struct FlowResilience {
     /// Take a checkpoint after every N completed plan nodes; `None`
     /// disables checkpointing.
     pub checkpoint_every_nodes: Option<usize>,
-    /// Stop (simulating a kill) before executing this plan-node index.
-    pub stop_after_nodes: Option<usize>,
 }
 
 impl Default for FlowResilience {
@@ -42,7 +46,6 @@ impl Default for FlowResilience {
             faults: None,
             partition_retries: 3,
             checkpoint_every_nodes: None,
-            stop_after_nodes: None,
         }
     }
 }
@@ -65,7 +68,8 @@ impl FlowResilience {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowCheckpoint {
     frame: Vec<u8>,
-    /// Index of the next plan node to execute on resume.
+    /// Index of the next plan node to execute on resume: the boundary
+    /// the frame was sealed at.
     pub next_node: usize,
 }
 
@@ -87,11 +91,13 @@ impl FlowCheckpoint {
     }
 
     /// Rehydrates a checkpoint from stored bytes, verifying tag,
-    /// version, and checksum.
-    pub fn from_bytes(next_node: usize, bytes: Vec<u8>) -> Result<FlowCheckpoint, CodecError> {
-        let ckpt = FlowCheckpoint { frame: bytes, next_node };
-        ckpt.payload()?;
-        Ok(ckpt)
+    /// version, and checksum. `next_node` is read from the payload —
+    /// its first field is the boundary the executor state was sealed at,
+    /// the one a resume continues from.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<FlowCheckpoint, CodecError> {
+        let payload = codec::open(CHECKPOINT_TAG, CHECKPOINT_VERSION, &bytes)?;
+        let next_node = Reader::new(payload).usize()?;
+        Ok(FlowCheckpoint { frame: bytes, next_node })
     }
 
     /// Content digest, for cheap state comparison.
@@ -108,14 +114,34 @@ impl FlowCheckpoint {
 mod tests {
     use super::*;
 
+    /// A payload that starts with the sealed boundary, as the executor's
+    /// state encoding does.
+    fn state_at(next_node: usize) -> Vec<u8> {
+        let mut payload = (next_node as u64).to_le_bytes().to_vec();
+        payload.extend_from_slice(b"executor state");
+        payload
+    }
+
     #[test]
     fn corrupted_flow_checkpoint_is_rejected() {
-        let ckpt = FlowCheckpoint::seal(5, b"executor state");
+        let ckpt = FlowCheckpoint::seal(5, &state_at(5));
         assert_eq!(ckpt.next_node, 5);
         assert!(ckpt.payload().is_ok());
         let mut bytes = ckpt.as_bytes().to_vec();
         bytes[10] ^= 0x01;
-        assert!(FlowCheckpoint::from_bytes(5, bytes).is_err());
+        assert!(FlowCheckpoint::from_bytes(bytes).is_err());
+    }
+
+    #[test]
+    fn next_node_is_the_sealed_boundary_not_a_caller_claim() {
+        for at in [0usize, 3, 99] {
+            let stored = FlowCheckpoint::seal(at, &state_at(at)).as_bytes().to_vec();
+            let restored = FlowCheckpoint::from_bytes(stored).unwrap();
+            assert_eq!(restored.next_node, at);
+        }
+        // too short to hold the boundary
+        let short = FlowCheckpoint::seal(0, &[1, 2, 3, 4, 5, 6, 7]).as_bytes().to_vec();
+        assert!(matches!(FlowCheckpoint::from_bytes(short), Err(CodecError::Truncated { .. })));
     }
 
     #[test]
@@ -123,6 +149,5 @@ mod tests {
         let r = FlowResilience::default();
         assert!(r.faults.is_none());
         assert!(r.checkpoint_every_nodes.is_none());
-        assert!(r.stop_after_nodes.is_none());
     }
 }

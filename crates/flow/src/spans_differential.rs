@@ -13,8 +13,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift_flow::{
-    ExecutionConfig, Executor, FlowResilience, IeResources, LogicalPlan, NodeOp,
-    Operator, Record, ResilientRun, ShardConfig, Span, Value,
+    ExecutionConfig, Executor, FlowOutput, FlowResilience, IeResources, LogicalPlan, NodeOp,
+    Operator, Record, ShardConfig, Span, Value,
 };
 use websift_ner::EntityType;
 use websift_resilience::{Snapshot, Writer};
@@ -98,13 +98,12 @@ fn encoded(v: &impl Snapshot) -> Vec<u8> {
 }
 
 /// Sink bytes, metric bytes (every `OpMetrics` row) and the digest of a
-/// run that completed.
-fn surface(run: &ResilientRun) -> (Vec<u8>, Vec<u8>, u64) {
-    let out = run.output.as_ref().expect("the run completed");
+/// run.
+fn surface(out: &FlowOutput) -> (Vec<u8>, Vec<u8>, u64) {
     (encoded(&out.sinks), encoded(&out.metrics), out.deterministic_digest())
 }
 
-fn frames(run: &ResilientRun) -> Vec<(usize, Vec<u8>)> {
+fn frames(run: &FlowOutput) -> Vec<(usize, Vec<u8>)> {
     run.checkpoints.iter().map(|c| (c.next_node, c.as_bytes().to_vec())).collect()
 }
 
@@ -114,8 +113,8 @@ const CADENCE: usize = 2;
 
 /// Some record of some sink still carries a non-empty `tokens` array in
 /// this spelling.
-fn carries_tokens(run: &ResilientRun, packed: bool) -> bool {
-    run.output.iter().flat_map(|out| out.sinks.values().flatten()).any(|r| match r.get("tokens") {
+fn carries_tokens(run: &FlowOutput, packed: bool) -> bool {
+    run.sinks.values().flatten().any(|r| match r.get("tokens") {
         Some(Value::Spans(t)) => packed && !t.is_empty(),
         Some(Value::Array(t)) => !packed && !t.is_empty(),
         _ => false,
@@ -155,14 +154,13 @@ fn assert_packed_matches_plain(name: &str, plan: &LogicalPlan) {
     // Killed after the tokenizer, resumed from the last frame before the
     // kill: everything downstream reads decoded — plain — span arrays.
     let exec = Executor::new(ExecutionConfig::local(3));
-    let kill = FlowResilience { stop_after_nodes: Some(tokens_at + 2), ..res.clone() };
-    let killed = exec.run_resilient(plan, inputs(plan), &kill).unwrap();
-    assert!(killed.output.is_none(), "{name}: the kill interrupts");
+    let full = exec.run_resilient(plan, inputs(plan), &res).unwrap();
+    let killed = full.checkpoints.iter().filter(|c| c.next_node <= tokens_at + 2).count();
     let want_frames = frames(&want);
-    let (before, after) = want_frames.split_at(killed.checkpoints.len());
-    let frame = killed.checkpoints.last().unwrap();
+    let (before, after) = want_frames.split_at(killed);
+    let frame = &full.checkpoints[killed - 1];
     assert!(frame.next_node > tokens_at, "{name}: frame at {}", frame.next_node);
-    assert_eq!(frames(&killed), before, "{name}");
+    assert_eq!(&frames(&full)[..killed], before, "{name}");
     let resumed = exec.resume_from(plan, frame, inputs(plan), &res).unwrap();
     assert_eq!(surface(&resumed), surface(&want), "{name} resumed");
     assert_eq!(frames(&resumed), after, "{name} resumed");
@@ -170,7 +168,7 @@ fn assert_packed_matches_plain(name: &str, plan: &LogicalPlan) {
     // Two worker shards: records cross the codec at every stage boundary.
     let sharded = ExecutionConfig { sharding: Some(ShardConfig::in_process(2)), ..ExecutionConfig::local(3) };
     let got = run(plan, sharded);
-    let physical = got.output.as_ref().unwrap().physical;
+    let physical = got.physical;
     assert!(physical.shards_used == 2 && physical.stages_pinned_local == 0, "{name}");
     assert_eq!(surface(&got), surface(&want), "{name} sharded");
     assert_eq!(frames(&got), frames(&want), "{name} sharded");

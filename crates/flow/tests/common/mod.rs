@@ -114,11 +114,11 @@ pub fn run_surface(
     let obs = Observer::new();
     let result = Executor::new(config).run_observed(plan, inputs_for(input), res, &obs);
     let (output, checkpoints, error) = match result {
-        Ok(run) => (
-            run.output,
-            run.checkpoints.iter().map(|c| (c.next_node, c.as_bytes().to_vec())).collect(),
-            None,
-        ),
+        Ok(out) => {
+            let frames = out.checkpoints.iter().map(|c| (c.next_node, c.as_bytes().to_vec()));
+            let checkpoints = frames.collect();
+            (Some(out), checkpoints, None)
+        }
         Err(ExecutionError::PlanRejected { diagnostics }) => {
             (None, Vec::new(), Some(format!("WS00x: {}", diagnostics_to_json(&diagnostics))))
         }

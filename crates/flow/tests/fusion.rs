@@ -9,9 +9,10 @@
 //!    (including plans the analyzer rejects);
 //! 2. the same identity holds on fan-out plans, where the fused chain
 //!    tees an interior node's stream to a side consumer;
-//! 3. killing a fused run at a random node boundary and resuming from
-//!    its last checkpoint reproduces the uninterrupted run bit for bit —
-//!    fused or not.
+//! 3. killing a fused run at a random node boundary — resuming from the
+//!    last frame its uninterrupted run sealed at or before that boundary,
+//!    which is what a killed run leaves behind — reproduces the
+//!    uninterrupted run bit for bit, fused or not.
 
 mod common;
 
@@ -67,30 +68,26 @@ proptest! {
             checkpoint_every_nodes: Some(1),
             ..FlowResilience::default()
         };
-        // Stop somewhere strictly inside the plan, after at least one
+        // Kill somewhere strictly inside the plan, after at least one
         // checkpointable node.
         let stop = 1 + stop_frac % (plan.len() - 1);
-        let killed_res = FlowResilience { stop_after_nodes: Some(stop), ..full_res.clone() };
 
         let exec = Executor::new(ExecutionConfig::local(dop));
-        let killed = exec.run_resilient(&plan, inputs_for(docs(n_docs)), &killed_res).unwrap();
-        prop_assert!(killed.output.is_none(), "stop_after_nodes must interrupt");
+        let full_obs = Observer::new();
+        let full = exec
+            .run_observed(&plan, inputs_for(docs(n_docs)), &full_res, &full_obs)
+            .unwrap();
         // With checkpoint_every_nodes = 1 a kill strictly inside the plan
         // always has at least one checkpoint behind it.
-        let ckpt = killed.checkpoints.last().expect("checkpoint before the kill point");
+        let ckpt = full
+            .checkpoints
+            .iter()
+            .rfind(|c| c.next_node <= stop)
+            .expect("checkpoint before the kill point");
 
         let resumed_obs = Observer::new();
         let resumed = exec
             .resume_observed(&plan, ckpt, inputs_for(docs(n_docs)), &full_res, &resumed_obs)
-            .unwrap()
-            .output
-            .unwrap();
-
-        let full_obs = Observer::new();
-        let full = exec
-            .run_observed(&plan, inputs_for(docs(n_docs)), &full_res, &full_obs)
-            .unwrap()
-            .output
             .unwrap();
 
         prop_assert_eq!(resumed.sinks, full.sinks, "sinks diverged for {:?} stop={}", indices, stop);
@@ -123,7 +120,7 @@ proptest! {
             ExecutionConfig { combining: false, ..ExecutionConfig::local(dop) },
         ] {
             let other = Executor::new(config);
-            let plain = other.run_resilient(&plan, inputs_for(docs(n_docs)), &full_res).unwrap().output.unwrap();
+            let plain = other.run_resilient(&plan, inputs_for(docs(n_docs)), &full_res).unwrap();
             prop_assert_eq!(
                 resumed.deterministic_digest(),
                 plain.deterministic_digest(),

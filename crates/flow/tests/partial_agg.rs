@@ -219,8 +219,9 @@ fn fault_seed_sweep_holds_identity_at_every_dop() {
 
 /// Kill-and-resume with the kill boundary strictly inside what the
 /// combining executor runs as one fused Reduce stage: the synthesized
-/// checkpoint behind the kill must resume to the exact uninterrupted
-/// flow, and combining on/off/unfused must all agree on the result.
+/// checkpoint a run killed there leaves behind must resume to the exact
+/// uninterrupted flow, and combining on/off/unfused must all agree on the
+/// result.
 #[test]
 fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
     // Nodes: source(0) stamp(1) parity(2) count-reduce(3) grow(4) sink(5).
@@ -233,30 +234,18 @@ fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
 
     for dop in [1usize, 4, 8] {
         let exec = Executor::new(ExecutionConfig::local(dop));
+        let full_obs = Observer::new();
+        let full = exec.run_observed(&plan, inputs_for(docs(18)), &full_res, &full_obs).unwrap();
         for stop in [2usize, 3] {
             // Both kill points land strictly inside the fused stage's
             // node range (before the reduce completes).
-            let killed_res =
-                FlowResilience { stop_after_nodes: Some(stop), ..full_res.clone() };
-            let inputs = inputs_for(docs(18));
-            let killed = exec.run_resilient(&plan, inputs, &killed_res).unwrap();
-            assert!(killed.output.is_none(), "stop_after_nodes must interrupt");
-            let ckpt = killed.checkpoints.last().expect("checkpoint before the kill");
+            let ckpt = &full.checkpoints[stop - 1];
+            assert_eq!(ckpt.next_node, stop, "the frame a kill at {stop} leaves");
 
             let resumed_obs = Observer::new();
             let inputs = inputs_for(docs(18));
             let resumed = exec
                 .resume_observed(&plan, ckpt, inputs, &full_res, &resumed_obs)
-                .unwrap()
-                .output
-                .unwrap();
-
-            let full_obs = Observer::new();
-            let inputs = inputs_for(docs(18));
-            let full = exec
-                .run_observed(&plan, inputs, &full_res, &full_obs)
-                .unwrap()
-                .output
                 .unwrap();
 
             assert_eq!(resumed.sinks, full.sinks, "dop {dop} stop {stop}");
@@ -282,11 +271,7 @@ fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
                 ExecutionConfig { fusion: false, combining: false, ..ExecutionConfig::local(dop) },
             ] {
                 let inputs = inputs_for(docs(18));
-                let plain = Executor::new(config)
-                    .run_resilient(&plan, inputs, &full_res)
-                    .unwrap()
-                    .output
-                    .unwrap();
+                let plain = Executor::new(config).run_resilient(&plan, inputs, &full_res).unwrap();
                 assert_eq!(
                     resumed.deterministic_digest(),
                     plain.deterministic_digest(),
@@ -308,8 +293,6 @@ fn combining_shrinks_shuffle_bytes_without_touching_surfaces() {
         let inputs = inputs_for(docs(30));
         Executor::new(ExecutionConfig { combining, ..ExecutionConfig::local(4) })
             .run_resilient(&plan, inputs, &res)
-            .unwrap()
-            .output
             .unwrap()
     };
     let c = run(true);
@@ -355,8 +338,6 @@ fn custom_combinable_reduce_combines_and_resumes_bit_exactly() {
         Executor::new(ExecutionConfig { combining, ..ExecutionConfig::local(4) })
             .run_resilient(&plan, inputs, &res)
             .unwrap()
-            .output
-            .unwrap()
     };
     let (c, u) = (run(true), run(false));
     assert_eq!(c.sinks, u.sinks);
@@ -371,20 +352,13 @@ fn custom_combinable_reduce_combines_and_resumes_bit_exactly() {
     let full_res =
         FlowResilience { checkpoint_every_nodes: Some(1), ..FlowResilience::default() };
     let exec = Executor::new(ExecutionConfig::local(4));
+    let full = exec.run_resilient(&plan, inputs_for(docs(18)), &full_res).unwrap();
     for stop in [2usize, 3] {
-        let killed_res = FlowResilience { stop_after_nodes: Some(stop), ..full_res.clone() };
-        let inputs = inputs_for(docs(18));
-        let killed = exec.run_resilient(&plan, inputs, &killed_res).unwrap();
-        assert!(killed.output.is_none(), "stop_after_nodes must interrupt");
-        let ckpt = killed.checkpoints.last().expect("checkpoint before the kill");
+        let ckpt = &full.checkpoints[stop - 1];
+        assert_eq!(ckpt.next_node, stop, "the frame a kill at {stop} leaves");
 
         let inputs = inputs_for(docs(18));
-        let resumed =
-            exec.resume_from(&plan, ckpt, inputs, &full_res).unwrap().output.unwrap();
-
-        let inputs = inputs_for(docs(18));
-        let full =
-            exec.run_resilient(&plan, inputs, &full_res).unwrap().output.unwrap();
+        let resumed = exec.resume_from(&plan, ckpt, inputs, &full_res).unwrap();
 
         assert_eq!(resumed.sinks, full.sinks, "stop {stop}");
         assert_eq!(

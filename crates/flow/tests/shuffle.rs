@@ -225,9 +225,7 @@ fn killed_shard_resumes_bit_exactly_at_mismatched_shard_counts() {
 
     let full = Executor::new(config(Some(ShardConfig::in_process(2))))
         .run_resilient(&plan, inputs_for(docs(24)), &full_res)
-        .expect("uninterrupted run succeeds")
-        .output
-        .expect("uninterrupted run completes");
+        .expect("uninterrupted run succeeds");
 
     let mut resumes = 0usize;
     for after_frames in [3u64, 8, 13] {
@@ -254,9 +252,7 @@ fn killed_shard_resumes_bit_exactly_at_mismatched_shard_counts() {
                     };
                     let resumed = Executor::new(config(resume_sharding))
                         .resume_from(&plan, ckpt, inputs_for(docs(24)), &full_res)
-                        .expect("resume succeeds")
-                        .output
-                        .expect("resume completes");
+                        .expect("resume succeeds");
                     let ctx = format!("after_frames {after_frames}, resume {label}");
                     assert_eq!(resumed.sinks, full.sinks, "{ctx}");
                     assert_eq!(
@@ -272,9 +268,8 @@ fn killed_shard_resumes_bit_exactly_at_mismatched_shard_counts() {
                 }
                 resumes += 1;
             }
-            Ok(run) => {
+            Ok(out) => {
                 // the kill threshold was past the run's total traffic
-                let out = run.output.expect("uninterrupted run completes");
                 assert_eq!(out.deterministic_digest(), full.deterministic_digest());
             }
             Err(e) => panic!("unexpected failure: {e}"),

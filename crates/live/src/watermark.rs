@@ -154,8 +154,10 @@ impl Watermark {
     /// Decodes the frame contents.
     pub fn parts(&self) -> WatermarkParts {
         let payload = codec::open(WATERMARK_TAG, WATERMARK_VERSION, &self.frame)
+            // lint:allow(untrusted_unwrap): from_bytes opened this frame to accept it
             .expect("verified at construction");
         let mut r = Reader::new(payload);
+        // lint:allow(untrusted_unwrap): from_bytes decoded these parts in full to accept them
         WatermarkParts::decode(&mut r).expect("verified at construction")
     }
 
@@ -247,6 +249,39 @@ mod tests {
         let sealed = Watermark::seal(&sample_parts());
         let bytes = sealed.as_bytes();
         assert!(Watermark::from_bytes(bytes[..bytes.len() - 1].to_vec()).is_err());
+    }
+
+    fn sample_payload() -> Vec<u8> {
+        let mut w = Writer::new();
+        sample_parts().encode(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn truncated_payloads_resealed_are_rejected() {
+        let payload = sample_payload();
+        for cut in 0..payload.len() {
+            let frame = codec::seal(WATERMARK_TAG, WATERMARK_VERSION, &payload[..cut]);
+            assert!(
+                Watermark::from_bytes(frame).is_err(),
+                "payload cut at {cut}/{} accepted",
+                payload.len()
+            );
+        }
+    }
+
+    #[test]
+    fn flipped_payload_bits_resealed_never_panic() {
+        let payload = sample_payload();
+        for at in 0..payload.len() {
+            let mut flipped = payload.clone();
+            flipped[at] ^= 1 << (at % 8);
+            let frame = codec::seal(WATERMARK_TAG, WATERMARK_VERSION, &flipped);
+            // an error or a watermark whose parts decode — never a panic
+            if let Ok(watermark) = Watermark::from_bytes(frame) {
+                watermark.parts();
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use websift_resilience::{
     codec, CodecError, Reader, Snapshot, Writer,
 };
 
-use crate::store::{ExtractionStore, Method, Posting, PostingKey};
+use crate::store::{ExtractionStore, Method, Posting, PostingKey, MAX_SHARDS};
 
 /// Frame tag for store snapshots.
 pub const STORE_SNAPSHOT_TAG: [u8; 4] = *b"WSST";
@@ -96,6 +96,9 @@ fn decode_store(r: &mut Reader<'_>) -> Result<ExtractionStore, CodecError> {
     let shards = r.usize()?;
     if shards == 0 {
         return Err(CodecError::BadTag { what: "shard count", tag: 0 });
+    }
+    if shards > MAX_SHARDS {
+        return Err(CodecError::Oversize { what: "shard count", value: shards as u64 });
     }
     let round = r.u32()?;
     let ingested = r.u64()?;
@@ -230,6 +233,64 @@ mod tests {
             StoreSnapshot::from_bytes(&bytes[..10]),
             Err(CodecError::Truncated { .. })
         ));
+    }
+
+    fn payload_of(snap: &StoreSnapshot) -> Vec<u8> {
+        codec::open(STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION, snap.as_bytes()).unwrap().to_vec()
+    }
+
+    /// What a validly sealed frame around `payload` restores to.
+    fn restore_resealed(payload: &[u8]) -> Result<ExtractionStore, CodecError> {
+        let frame = codec::seal(STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION, payload);
+        StoreSnapshot::from_bytes(&frame)?.restore()
+    }
+
+    #[test]
+    fn forged_shard_counts_are_errors_not_allocations() {
+        let store = sample_store(4);
+        let payload = payload_of(&StoreSnapshot::capture(&store));
+        let mut w = Writer::new();
+        w.str(store.name());
+        let at = w.len();
+        assert_eq!(payload[at..at + 8], 4u64.to_le_bytes(), "shard count is not at {at}");
+        for forged in [257, 1 << 40, u64::MAX] {
+            let mut spliced = payload.clone();
+            spliced[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+            // returning at all shows nothing was sized by `forged`
+            assert_eq!(
+                restore_resealed(&spliced).err(),
+                Some(CodecError::Oversize { what: "shard count", value: forged })
+            );
+        }
+        // every store that encodes also decodes: 256 shards is the most
+        let widest = sample_store(256);
+        assert_eq!(StoreSnapshot::capture(&widest).restore().unwrap(), widest);
+        assert!(std::panic::catch_unwind(|| ExtractionStore::new("serve", 257)).is_err());
+    }
+
+    #[test]
+    fn truncated_payloads_resealed_never_restore() {
+        let payload = payload_of(&StoreSnapshot::capture(&sample_store(4)));
+        for cut in 0..payload.len() {
+            assert!(
+                restore_resealed(&payload[..cut]).is_err(),
+                "payload cut at {cut}/{} restored",
+                payload.len()
+            );
+        }
+    }
+
+    #[test]
+    fn flipped_payload_bits_resealed_never_panic() {
+        let payload = payload_of(&StoreSnapshot::capture(&sample_store(4)));
+        for at in 0..payload.len() {
+            let mut flipped = payload.clone();
+            flipped[at] ^= 1 << (at % 8);
+            // an error or a store — which must snapshot again — never a panic
+            if let Ok(store) = restore_resealed(&flipped) {
+                StoreSnapshot::capture(&store);
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,10 @@ pub struct Posting {
     pub method: Method,
 }
 
+/// Most shards a store can use: [`shard_for`] partitions on the entity's
+/// first byte, so a shard beyond the 256th could never hold a key.
+pub(crate) const MAX_SHARDS: usize = 256;
+
 /// Shard index for `entity` in a store of `shards` shards: a static
 /// range partition on the entity's first byte. A pure function of
 /// `(entity, shards)`, so the same key always lands in the same shard
@@ -113,9 +117,13 @@ pub struct ExtractionStore {
 }
 
 impl ExtractionStore {
-    /// A store named `name` with `shards` key-range shards (>= 1).
+    /// A store named `name` with `shards` key-range shards, 1 to 256
+    /// (beyond 256, [`shard_for`] leaves shards that never hold a key).
     pub fn new(name: &str, shards: usize) -> ExtractionStore {
-        assert!(shards >= 1, "a store needs at least one shard");
+        assert!(
+            (1..=MAX_SHARDS).contains(&shards),
+            "a store has 1..={MAX_SHARDS} shards, not {shards}"
+        );
         ExtractionStore {
             name: name.to_string(),
             shards: vec![Shard::default(); shards],
