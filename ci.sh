@@ -82,6 +82,15 @@ echo "fusion: fused == unfused equivalence holds ok"
 PROPTEST_CASES=64 cargo test -q -p websift-text --lib differential
 echo "langid + pos kernels == references holds ok"
 
+# Dictionary kernel: the flat-table Aho-Corasick automaton must report,
+# element for element, what a brute-force search reports — every folded
+# pattern compared at every char boundary, both case modes, NUL/DEL,
+# non-ASCII patterns and chars that fold to ASCII — and DictionaryTagger
+# over the generated lexicon and corpora must tag what the same rules
+# keep of the brute-force matches. Cases pinned as above.
+PROPTEST_CASES=64 cargo test -q -p websift-ner --lib differential
+echo "dictionary automaton == brute-force search holds ok"
+
 # Packed span arrays: `Value::Spans` must be indistinguishable from the
 # plain array of `{end, start}` objects it spells — codec bytes, size
 # model, `==`, `value_cmp` — and the paper's flows must produce the same

@@ -138,11 +138,18 @@ pub fn extract_links(html: &str, base: &Url) -> Vec<Url> {
 }
 
 /// Pulls an attribute value out of a raw attribute string, handling quoted
-/// and unquoted forms.
+/// and unquoted forms. The key matches ASCII-case-insensitively, in
+/// `attrs`' own bytes: lower-casing the whole string would move offsets
+/// wherever a char's lower case has another UTF-8 length (`İ`, 2 → 3).
 pub fn attr_value(attrs: &str, key: &str) -> Option<String> {
-    let lower = attrs.to_lowercase();
-    let kpos = lower.find(&format!("{key}="))?;
-    let rest = &attrs[kpos + key.len() + 1..];
+    let needle = format!("{key}=");
+    let kpos = attrs
+        .as_bytes()
+        .windows(needle.len())
+        .position(|w| w.eq_ignore_ascii_case(needle.as_bytes()))?;
+    // `needle` is UTF-8 ending in '=' and folding touches ASCII bytes only,
+    // so the match starts and ends on char boundaries.
+    let rest = &attrs[kpos + needle.len()..];
     if let Some(stripped) = rest.strip_prefix('"') {
         stripped.find('"').map(|e| stripped[..e].to_string())
     } else if let Some(stripped) = rest.strip_prefix('\'') {
@@ -341,5 +348,34 @@ mod tests {
         assert_eq!(attr_value(r#"href="x" id=y"#, "id"), Some("y".to_string()));
         assert_eq!(attr_value("", "href"), None);
         assert_eq!(attr_value("href=", "href"), Some(String::new()));
+        assert_eq!(attr_value("HREF='Q'", "href"), Some("Q".to_string()));
+    }
+
+    #[test]
+    fn attr_value_offsets_survive_lowercase_length_changes() {
+        // 'İ' lower-cases to 3 bytes from 2: offsets into a lower-cased
+        // copy used to slice past the value, or inside a char
+        assert_eq!(attr_value("\u{130} href=\u{e9}\u{e9}", "href"), Some("\u{e9}\u{e9}".to_string()));
+        assert_eq!(attr_value("\u{130}\u{130} href=abc", "href"), Some("abc".to_string()));
+        let base = Url::parse("http://example.org/a/").unwrap();
+        let links = extract_links("<a title=\u{130} href=\u{e9}\u{e9}>x</a>", &base);
+        assert_eq!(links, vec![base.join("\u{e9}\u{e9}").unwrap()]);
+    }
+
+    #[test]
+    fn attr_value_sweeps_non_ascii_before_the_key() {
+        // lower case longer (İ, Ⱥ), shorter (ẞ, Kelvin sign, Ω ohm), equal
+        // (é, 中) or absent (emoji), at every position before the key
+        let before = "title=x data-y='z' ";
+        for c in ['\u{130}', '\u{23a}', '\u{1e9e}', '\u{212a}', '\u{2126}', '\u{e9}', '中', '🦀'] {
+            for at in before.char_indices().map(|(i, _)| i).chain([before.len()]) {
+                for (value, expected) in [("\"v 1\"", "v 1"), ("'v'", "v"), ("v>", "v")] {
+                    let attrs = format!("{}{c}{c}{}href={value} id=w", &before[..at], &before[at..]);
+                    assert_eq!(attr_value(&attrs, "href").as_deref(), Some(expected), "{attrs:?}");
+                    assert_eq!(attr_value(&attrs, "id").as_deref(), Some("w"), "{attrs:?}");
+                    assert_eq!(attr_value(&attrs, "rel"), None, "{attrs:?}");
+                }
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! would need; the simulated cluster scheduler in `websift-flow` consumes
 //! those figures.
 
-use crate::ahocorasick::AhoCorasick;
+use crate::ahocorasick::{AcMatch, AhoCorasick};
 use crate::entity::{EntityType, Mention, Method};
 
 /// A named dictionary: an entity type plus its term list.
@@ -176,6 +176,11 @@ impl DictionaryTagger {
     /// mentions. Overlapping shorter matches inside a longer accepted match
     /// are suppressed (leftmost-longest per position).
     pub fn tag(&self, text: &str) -> Vec<Mention> {
+        self.select(text, self.automaton.find_all(text))
+    }
+
+    /// The mentions `tag` keeps of the automaton's `matches` over `text`.
+    fn select(&self, text: &str, matches: Vec<AcMatch>) -> Vec<Mention> {
         let bytes = text.as_bytes();
         let is_word = |i: usize| -> bool {
             if i >= bytes.len() {
@@ -189,9 +194,7 @@ impl DictionaryTagger {
                 true
             }
         };
-        let mut raw: Vec<(usize, usize)> = self
-            .automaton
-            .find_all(text)
+        let mut raw: Vec<(usize, usize)> = matches
             .into_iter()
             .filter(|m| {
                 let before_ok = m.start == 0 || !is_word(prev_char_start(text, m.start));
@@ -327,5 +330,48 @@ mod tests {
         let ms = t.tag("BRCA1");
         assert_eq!(ms.len(), 1);
         assert_eq!((ms[0].start, ms[0].end), (0, 5));
+    }
+
+    /// `tag` against the same boundary and leftmost-longest rules applied
+    /// to the brute-force matches of the tagger's expanded patterns.
+    mod differential {
+        use super::*;
+        use crate::ahocorasick::brute_force_find_all;
+        use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
+
+        #[test]
+        fn standard_lexicon_over_generated_corpora() {
+            let lexicon = Lexicon::generate(LexiconScale::default_scale());
+            let docs: Vec<_> = [
+                (CorpusKind::Medline, 8),
+                (CorpusKind::Pmc, 2),
+                (CorpusKind::RelevantWeb, 2),
+                (CorpusKind::IrrelevantWeb, 2),
+            ]
+            .into_iter()
+            .flat_map(|(kind, n)| Generator::new(kind, 7).documents(n))
+            .collect();
+            // web documents as raw HTML: markup, entities and boilerplate
+            let texts: Vec<&str> = docs.iter().map(|d| d.raw_text()).collect();
+            let mut mentions = 0;
+            for (entity, terms) in [
+                (EntityType::Gene, lexicon.genes()),
+                (EntityType::Drug, lexicon.drugs()),
+                (EntityType::Disease, lexicon.diseases()),
+            ] {
+                let dictionary = Dictionary::new(entity, terms);
+                let tagger = DictionaryTagger::new(&dictionary);
+                let patterns: Vec<String> =
+                    dictionary.terms().iter().flat_map(|t| expand_variants(t)).collect();
+                for text in &texts {
+                    let tagged = tagger.tag(text);
+                    let reference = tagger.select(text, brute_force_find_all(&patterns, true, text));
+                    let head: String = text.chars().take(60).collect();
+                    assert_eq!(tagged, reference, "{entity:?} over {head:?}");
+                    mentions += tagged.len();
+                }
+            }
+            assert!(mentions > 100, "the corpora must exercise the dictionaries: {mentions}");
+        }
     }
 }
