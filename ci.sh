@@ -54,6 +54,14 @@ echo "exp_analyze smoke: deterministic diagnostics ok"
 PROPTEST_CASES=64 cargo test -q -p websift-flow --test explain
 echo "explain differential: predicted stages == executed stages ok"
 
+# Analyzer goldens and verdict invariance: the committed diagnostics
+# JSON byte for byte, and optimizer rewrites never change an error
+# verdict. WS002/WS007/WS008 are the scheduler's own admission
+# violations (cluster::admission_violations), so this also pins the
+# admission decision the analyzer shares with the scheduler.
+PROPTEST_CASES=64 cargo test -q -p websift-flow --test analyze
+echo "analyze: goldens byte-equal, error verdicts invariant under optimize ok"
+
 # Explain artifact smoke: render the fusion/combining explain twice
 # in-process and fail on byte drift or predicted-vs-executed mismatch.
 cargo run -q --release -p websift-bench --bin exp_analyze -- --quick --check > /dev/null

@@ -30,15 +30,19 @@
 //! (*WS002 is a warning without an admission context: a plan may run
 //! locally where the simulated class loader never materializes.)
 //!
-//! WS013–WS015 ride on the field-flow interpretation in
-//! [`crate::fieldflow`]. WS014 refines WS007: WS007 mirrors
+//! WS002, WS007 and WS008 are the scheduler's own verdicts: the analyzer
+//! asks [`crate::cluster::admission_violations`] and maps each violation
+//! to its code. WS013–WS015 ride on the field-flow interpretation in
+//! [`crate::fieldflow`]. WS014 refines WS007: WS007 is
 //! [`crate::cluster::admit`]'s conservative whole-plan sum, while WS014
-//! segments the plan into canonical fused stages and checks the heaviest
-//! stage alone — a plan it flags cannot be scheduled even one stage at a
-//! time, so fusion/combining cannot save it. It deliberately sums only
-//! static operator footprints (`cost.memory_bytes`): stage membership is
-//! invariant under the optimizer's within-stage reorderings, so the
-//! verdict is too, whereas byte-envelope terms would not commute.
+//! checks the heaviest of the stages the executor runs
+//! ([`crate::optimizer::plan_stages`]) alone — a plan it flags cannot be
+//! scheduled even one stage at a time, so fusion/combining cannot save
+//! it. It deliberately sums only static operator footprints
+//! (`cost.memory_bytes`): the optimizer only swaps a Filter with a Map or
+//! Filter inside one pipelineable chain, which leaves stage membership —
+//! and so the verdict — unchanged, whereas byte-envelope terms would not
+//! commute.
 //!
 //! A node the unreachable check (WS006) flags is reported *only* as
 //! WS006: downstream codes on the same node (a use-before-def inside a
@@ -50,10 +54,10 @@
 //! proptest in `tests/analyze.rs` holds analyzer *error* verdicts constant
 //! across optimization.
 
-use crate::cluster::ClusterSpec;
+use crate::cluster::{self, ClusterSpec, SchedulingError};
 use crate::logical::{parse_store_sink, LogicalPlan, NodeId, NodeOp, STORE_SINK_PREFIX};
 use crate::meteor::{self, MeteorError, ScriptInfo};
-use crate::optimizer::{plan_stages, REMOVED_IDENTITY};
+use crate::optimizer::plan_stages;
 use crate::packages::OperatorRegistry;
 use std::collections::{BTreeMap, BTreeSet};
 use websift_analyze::{sort_diagnostics, Diagnostic};
@@ -164,11 +168,10 @@ pub fn analyze_plan(plan: &LogicalPlan, opts: &AnalyzeOptions) -> Vec<Diagnostic
     let contributing = contributing_nodes(plan);
 
     check_field_availability(plan, opts, &mut diags);
-    check_library_conflicts(plan, opts, &mut diags);
+    report_admission_violations(plan, opts, &mut diags);
     check_dead_writes(plan, &mut diags);
     check_duplicate_sinks(plan, &mut diags);
     check_unreachable(plan, &contributing, &mut diags);
-    check_admission(plan, opts, &mut diags);
     check_combinability(plan, &mut diags);
     check_store_sinks(plan, opts, &mut diags);
     check_live_recompute(plan, opts, &contributing, &mut diags);
@@ -304,51 +307,12 @@ fn check_field_availability(plan: &LogicalPlan, opts: &AnalyzeOptions, out: &mut
     }
 }
 
-/// WS002: two operators demanding different major versions of the same
-/// library (the OpenNLP war story). Error when an admission context is
-/// present (the simulated class loader will refuse the flow); warning
-/// otherwise.
-fn check_library_conflicts(plan: &LogicalPlan, opts: &AnalyzeOptions, out: &mut Vec<Diagnostic>) {
-    let mut libs: BTreeMap<&str, BTreeSet<u32>> = BTreeMap::new();
-    let mut users: BTreeMap<(&str, u32), &str> = BTreeMap::new();
-    for node in plan.nodes() {
-        if let NodeOp::Op(op) = &node.op {
-            if let Some((name, version)) = &op.library {
-                libs.entry(name.as_str()).or_default().insert(*version);
-                users.entry((name.as_str(), *version)).or_insert(op.name.as_str());
-            }
-        }
-    }
-    for (lib, versions) in libs {
-        if versions.len() < 2 {
-            continue;
-        }
-        let listed: Vec<String> = versions
-            .iter()
-            .map(|v| format!("{v} ('{}')", users[&(lib, *v)]))
-            .collect();
-        let message = format!(
-            "conflicting major versions of library '{lib}' in one flow: {}; \
-             a single class loader cannot host both — split the flow or align versions",
-            listed.join(" vs ")
-        );
-        out.push(if opts.admission.is_some() {
-            Diagnostic::error("WS002", message)
-        } else {
-            Diagnostic::warning("WS002", message)
-        });
-    }
-}
-
 /// WS003: a written field that no path reads before it is overwritten or
 /// the branch ends without reaching any consumer. Sinks count as readers
 /// of everything (they serialize whole records).
 fn check_dead_writes(plan: &LogicalPlan, out: &mut Vec<Diagnostic>) {
     for node in plan.nodes() {
         let NodeOp::Op(op) = &node.op else { continue };
-        if op.name == REMOVED_IDENTITY {
-            continue;
-        }
         for field in &op.writes {
             if !write_is_live(plan, node.id, field) {
                 out.push(
@@ -408,8 +372,7 @@ fn check_duplicate_sinks(plan: &LogicalPlan, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// WS006: nodes that contribute to no sink. Identity nodes orphaned by
-/// the optimizer are expected and skipped.
+/// WS006: nodes that contribute to no sink.
 fn check_unreachable(
     plan: &LogicalPlan,
     contributing: &BTreeSet<NodeId>,
@@ -420,7 +383,6 @@ fn check_unreachable(
             continue;
         }
         let label = match &node.op {
-            NodeOp::Op(op) if op.name == REMOVED_IDENTITY => continue,
             NodeOp::Op(op) => format!("operator '{}'", op.name),
             NodeOp::Source(name) => format!("source '{name}'"),
             NodeOp::Sink(name) => format!("sink '{name}'"),
@@ -432,46 +394,73 @@ fn check_unreachable(
     }
 }
 
-/// WS007 / WS008: the admission pre-flight, mirroring
-/// [`crate::cluster::admit`]'s arithmetic exactly so a plan flagged here
-/// is precisely a plan the scheduler would reject.
-fn check_admission(plan: &LogicalPlan, opts: &AnalyzeOptions, out: &mut Vec<Diagnostic>) {
-    let Some((cluster, dop)) = &opts.admission else { return };
-    let dop = *dop;
-
-    let cores = cluster.total_cores();
-    if dop > cores {
-        out.push(Diagnostic::error(
-            "WS008",
-            format!("requested DoP {dop} exceeds the cluster's {cores} total cores"),
-        ));
-    }
-
-    let memory_per_worker: u64 = plan.operators().map(|op| op.cost.memory_bytes).sum();
-    let workers_per_node = workers_per_node(dop, opts.shards, cluster);
-    let node_ram = cluster.nodes.iter().map(|n| n.ram_bytes).min().unwrap_or(0);
-    if memory_per_worker.saturating_mul(workers_per_node as u64) > node_ram {
-        let gb = |b: u64| b as f64 / (1u64 << 30) as f64;
-        let unit = if opts.shards.is_some() { "shards" } else { "workers" };
-        out.push(Diagnostic::error(
-            "WS007",
-            format!(
-                "flow needs {:.1} GB per worker x {workers_per_node} {unit}/node but nodes \
-                 have {:.1} GB; reduce operator footprints, lower DoP, or split the flow",
-                gb(memory_per_worker),
-                gb(node_ram)
-            ),
-        ));
+/// WS002 / WS007 / WS008: the admission pre-flight. Each diagnostic is one
+/// of [`cluster::admission_violations`], the reasons
+/// [`cluster::admit_sharded`] has to refuse the plan. Without an
+/// admission context only the library conflicts are checked, and WS002
+/// is a warning: a plan may run locally where the simulated class loader
+/// never materializes.
+fn report_admission_violations(
+    plan: &LogicalPlan,
+    opts: &AnalyzeOptions,
+    out: &mut Vec<Diagnostic>,
+) {
+    let violations = match &opts.admission {
+        Some((cluster, dop)) => cluster::admission_violations(plan, *dop, cluster, opts.shards),
+        None => cluster::library_conflicts(plan),
+    };
+    for violation in violations {
+        match violation {
+            SchedulingError::LibraryConflict { library, versions, operators } => {
+                let listed: Vec<String> = versions
+                    .iter()
+                    .zip(&operators)
+                    .map(|(v, op)| format!("{v} ('{op}')"))
+                    .collect();
+                let message = format!(
+                    "conflicting major versions of library '{library}' in one flow: {}; \
+                     a single class loader cannot host both — split the flow or align versions",
+                    listed.join(" vs ")
+                );
+                out.push(if opts.admission.is_some() {
+                    Diagnostic::error("WS002", message)
+                } else {
+                    Diagnostic::warning("WS002", message)
+                });
+            }
+            SchedulingError::DopExceedsCores { dop, cores } => out.push(Diagnostic::error(
+                "WS008",
+                format!("requested DoP {dop} exceeds the cluster's {cores} total cores"),
+            )),
+            SchedulingError::InsufficientMemory { memory_per_worker, node_ram, workers_per_node } => {
+                out.push(Diagnostic::error(
+                    "WS007",
+                    format!(
+                        "flow needs {:.1} GB per worker x {workers_per_node} {}/node but nodes \
+                         have {:.1} GB; reduce operator footprints, lower DoP, or split the flow",
+                        gb(memory_per_worker),
+                        placement_unit(opts),
+                        gb(node_ram)
+                    ),
+                ))
+            }
+            // a zero-memory plan is the scheduler's to refuse; DoP 0 and
+            // node failures never come out of the pre-flight
+            _ => {}
+        }
     }
 }
 
-/// Mirrors [`crate::cluster::admit_sharded`]'s placement arithmetic: with
-/// shards, each node hosts `ceil(shards / nodes)` full worker processes;
-/// without, DoP threads spread across nodes.
-fn workers_per_node(dop: usize, shards: Option<usize>, cluster: &ClusterSpec) -> usize {
-    match shards {
-        Some(s) => s.max(1).div_ceil(cluster.nodes.len()).max(1),
-        None => dop.div_ceil(cluster.nodes.len()).max(1),
+fn gb(bytes: u64) -> f64 {
+    bytes as f64 / (1u64 << 30) as f64
+}
+
+/// What one node co-hosts: shard processes, or worker threads.
+fn placement_unit(opts: &AnalyzeOptions) -> &'static str {
+    if opts.shards.is_some() {
+        "shards"
+    } else {
+        "workers"
     }
 }
 
@@ -691,10 +680,10 @@ fn check_type_conflicts(
     }
 }
 
-/// WS014: the fusion-aware admission refinement. Segments the plan into
-/// canonical fused stages ([`crate::fieldflow::canonical_stages`]) and
-/// checks the *heaviest single stage* against the same
-/// per-node arithmetic as WS007 / [`crate::cluster::admit`]. A plan
+/// WS014: the fusion-aware admission refinement. Takes the stages the
+/// executor runs at its default fusion/combining configuration
+/// ([`plan_stages`]) and checks the *heaviest single stage* against the
+/// scheduler's per-node memory envelope ([`cluster::fit_memory`]). A plan
 /// flagged here cannot be scheduled even stage-at-a-time: fusion and
 /// combining, the executor's two footprint-shrinking tools, have already
 /// been assumed. (WS007 alone means the conservative whole-plan bound
@@ -702,33 +691,30 @@ fn check_type_conflicts(
 /// fits.)
 fn check_fused_admission(plan: &LogicalPlan, opts: &AnalyzeOptions, out: &mut Vec<Diagnostic>) {
     let Some((cluster, dop)) = &opts.admission else { return };
-    let stage_mem = |members: &[NodeId]| -> u64 {
-        members
-            .iter()
-            .filter_map(|&id| match &plan.nodes()[id].op {
-                NodeOp::Op(op) => Some(op.cost.memory_bytes),
-                _ => None,
-            })
-            .sum()
-    };
-    let peak = crate::fieldflow::canonical_stages(plan)
+    let peak = plan_stages(plan, true, true)
         .iter()
-        .map(|s| stage_mem(&s.members))
+        .map(|s| {
+            (s.first..s.first + s.len)
+                .filter_map(|id| match &plan.nodes()[id].op {
+                    NodeOp::Op(op) => Some(op.cost.memory_bytes),
+                    _ => None,
+                })
+                .sum::<u64>()
+        })
         .max()
         .unwrap_or(0);
-    let workers_per_node = workers_per_node(*dop, opts.shards, cluster);
-    let node_ram = cluster.nodes.iter().map(|n| n.ram_bytes).min().unwrap_or(0);
-    if peak.saturating_mul(workers_per_node as u64) > node_ram {
-        let gb = |b: u64| b as f64 / (1u64 << 30) as f64;
-        let unit = if opts.shards.is_some() { "shards" } else { "workers" };
+    if let Err(SchedulingError::InsufficientMemory { node_ram, workers_per_node, .. }) =
+        cluster::fit_memory(peak, *dop, opts.shards, cluster)
+    {
         out.push(Diagnostic::error(
             "WS014",
             format!(
                 "even with operator fusion and combining, the heaviest fused stage needs \
-                 {:.1} GB per worker x {workers_per_node} {unit}/node but nodes have {:.1} GB; \
+                 {:.1} GB per worker x {workers_per_node} {}/node but nodes have {:.1} GB; \
                  no stage-level schedule fits — reduce operator footprints, lower DoP, or \
                  split the flow",
                 gb(peak),
+                placement_unit(opts),
                 gb(node_ram)
             ),
         ));

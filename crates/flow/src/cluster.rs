@@ -17,7 +17,7 @@
 //!   scale) overwhelming a 1 Gb switch, causing "time-out induced crashes".
 
 use crate::logical::LogicalPlan;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One compute node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +121,11 @@ pub enum SchedulingError {
     /// Two operators need different major versions of one library.
     LibraryConflict {
         library: String,
+        /// Every version asked for, ascending.
         versions: Vec<u32>,
+        /// The first operator (in node order) asking for each version,
+        /// index for index with `versions`.
+        operators: Vec<String>,
     },
     /// Requested DoP exceeds the cluster's total cores.
     DopExceedsCores { dop: usize, cores: usize },
@@ -152,7 +156,7 @@ impl std::fmt::Display for SchedulingError {
                 *memory_per_worker as f64 / (1u64 << 30) as f64,
                 *node_ram as f64 / (1u64 << 30) as f64
             ),
-            SchedulingError::LibraryConflict { library, versions } => {
+            SchedulingError::LibraryConflict { library, versions, .. } => {
                 write!(f, "conflicting versions of {library}: {versions:?}")
             }
             SchedulingError::DopExceedsCores { dop, cores } => {
@@ -192,6 +196,9 @@ pub fn admit(plan: &LogicalPlan, dop: usize, cluster: &ClusterSpec) -> Result<Pl
 /// shard processes needs that many full per-worker footprints resident
 /// at once. `None` reproduces the one-process thread model, where DoP
 /// threads share a single footprint per node slot.
+///
+/// Rejects DoP 0 first, then returns the first of
+/// [`admission_violations`].
 pub fn admit_sharded(
     plan: &LogicalPlan,
     dop: usize,
@@ -201,40 +208,74 @@ pub fn admit_sharded(
     if dop == 0 {
         return Err(SchedulingError::ZeroDop);
     }
-
-    // Library conflicts.
-    let mut libs: HashMap<&str, Vec<u32>> = HashMap::new();
-    for op in plan.operators() {
-        if let Some((name, version)) = &op.library {
-            let versions = libs.entry(name.as_str()).or_default();
-            if !versions.contains(version) {
-                versions.push(*version);
-            }
-        }
+    if let Some(first) = admission_violations(plan, dop, cluster, shards).into_iter().next() {
+        return Err(first);
     }
-    for (lib, mut versions) in libs {
-        if versions.len() > 1 {
-            versions.sort_unstable();
-            return Err(SchedulingError::LibraryConflict {
-                library: lib.to_string(),
-                versions,
-            });
-        }
-    }
+    let memory_per_worker = plan_memory(plan);
+    Ok(Placement {
+        dop,
+        workers_per_node: fit_memory(memory_per_worker, dop, shards, cluster)?,
+        memory_per_worker,
+    })
+}
 
+/// Every reason [`admit_sharded`] has to refuse `plan` at `dop`, in a
+/// fixed order: library conflicts by library name, then DoP over cores,
+/// then a zero-memory plan, then insufficient memory. Empty when the plan
+/// fits. The static analyzer reports all of them; the scheduler refuses
+/// with the first.
+pub fn admission_violations(
+    plan: &LogicalPlan,
+    dop: usize,
+    cluster: &ClusterSpec,
+    shards: Option<usize>,
+) -> Vec<SchedulingError> {
+    let mut violations = library_conflicts(plan);
     let cores = cluster.total_cores();
     if dop > cores {
-        return Err(SchedulingError::DopExceedsCores { dop, cores });
+        violations.push(SchedulingError::DopExceedsCores { dop, cores });
     }
-
-    let memory_per_worker: u64 = plan.operators().map(|op| op.cost.memory_bytes).sum();
+    let memory_per_worker = plan_memory(plan);
     if memory_per_worker == 0 {
-        return Err(SchedulingError::ZeroMemoryPlan { operators: plan.operator_count() });
+        violations.push(SchedulingError::ZeroMemoryPlan { operators: plan.operator_count() });
+    } else if let Err(e) = fit_memory(memory_per_worker, dop, shards, cluster) {
+        violations.push(e);
     }
-    let workers_per_node = match shards {
-        Some(s) => s.max(1).div_ceil(cluster.nodes.len()).max(1),
-        None => dop.div_ceil(cluster.nodes.len()).max(1),
-    };
+    violations
+}
+
+/// Every library the plan's operators need at two or more major
+/// versions, as [`SchedulingError::LibraryConflict`]s sorted by library
+/// name. Needs no cluster: a conflict exists wherever the flow runs.
+pub fn library_conflicts(plan: &LogicalPlan) -> Vec<SchedulingError> {
+    // library -> version -> first operator asking for it
+    let mut libs: BTreeMap<&str, BTreeMap<u32, &str>> = BTreeMap::new();
+    for op in plan.operators() {
+        if let Some((name, version)) = &op.library {
+            libs.entry(name.as_str()).or_default().entry(*version).or_insert(op.name.as_str());
+        }
+    }
+    libs.into_iter()
+        .filter(|(_, versions)| versions.len() > 1)
+        .map(|(library, versions)| SchedulingError::LibraryConflict {
+            library: library.to_string(),
+            versions: versions.keys().copied().collect(),
+            operators: versions.values().map(|op| op.to_string()).collect(),
+        })
+        .collect()
+}
+
+/// The per-node memory envelope: `memory_per_worker` times the workers one
+/// node co-hosts — `ceil(shards / nodes)` shard processes, or
+/// `ceil(dop / nodes)` threads without shards — against the smallest
+/// node's RAM. Returns that worker count when it fits.
+pub fn fit_memory(
+    memory_per_worker: u64,
+    dop: usize,
+    shards: Option<usize>,
+    cluster: &ClusterSpec,
+) -> Result<usize, SchedulingError> {
+    let workers_per_node = shards.map_or(dop, |s| s.max(1)).div_ceil(cluster.nodes.len()).max(1);
     let node_ram = cluster.nodes.iter().map(|n| n.ram_bytes).min().unwrap_or(0);
     if memory_per_worker.saturating_mul(workers_per_node as u64) > node_ram {
         return Err(SchedulingError::InsufficientMemory {
@@ -243,11 +284,12 @@ pub fn admit_sharded(
             workers_per_node,
         });
     }
-    Ok(Placement {
-        dop,
-        workers_per_node,
-        memory_per_worker,
-    })
+    Ok(workers_per_node)
+}
+
+/// Per-worker memory of the whole plan: the sum of operator footprints.
+fn plan_memory(plan: &LogicalPlan) -> u64 {
+    plan.operators().map(|op| op.cost.memory_bytes).sum()
 }
 
 #[cfg(test)]
@@ -361,8 +403,44 @@ mod tests {
             SchedulingError::LibraryConflict {
                 library: "opennlp".to_string(),
                 versions: vec![14, 15],
+                operators: vec!["disease-ml".to_string(), "tokenize".to_string()],
             }
         );
+    }
+
+    #[test]
+    fn violations_come_in_a_fixed_order() {
+        let mut plan = LogicalPlan::new();
+        let mut prev = plan.source("in");
+        let libs = [("b1", "beta", 1), ("a1", "alpha", 1), ("b2", "beta", 2), ("a2", "alpha", 2)];
+        for (name, lib, version) in libs {
+            let op = Operator::map(name, Package::Ie, |r| r)
+                .with_library(lib, version)
+                .with_cost(CostModel { memory_bytes: 10 << 30, ..CostModel::default() });
+            prev = plan.add(prev, op).unwrap();
+        }
+        plan.sink(prev, "out").unwrap();
+        let cluster = ClusterSpec::paper_cluster();
+        let conflict = |library: &str, first: &str, second: &str| SchedulingError::LibraryConflict {
+            library: library.to_string(),
+            versions: vec![1, 2],
+            operators: vec![first.to_string(), second.to_string()],
+        };
+        let all = admission_violations(&plan, 200, &cluster, None);
+        assert_eq!(
+            all,
+            vec![
+                conflict("alpha", "a1", "a2"),
+                conflict("beta", "b1", "b2"),
+                SchedulingError::DopExceedsCores { dop: 200, cores: 168 },
+                SchedulingError::InsufficientMemory {
+                    memory_per_worker: 40 << 30,
+                    node_ram: 24 << 30,
+                    workers_per_node: 8,
+                },
+            ]
+        );
+        assert_eq!(admit(&plan, 200, &cluster).unwrap_err(), all[0]);
     }
 
     #[test]

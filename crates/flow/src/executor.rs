@@ -666,8 +666,8 @@ impl Executor {
         while state.next_node < plan.len() {
             let node = &plan.nodes()[state.next_node];
 
-            // Unreachable nodes (orphaned by the optimizer) with no
-            // consumers and no sink role are skipped.
+            // An operator with no consumer left (a dead branch: the plan
+            // accepts operators nothing reads) is skipped.
             let is_sink = matches!(node.op, NodeOp::Sink(_));
             if !is_sink && state.consumers_left[node.id] == 0 {
                 state.next_node += 1;

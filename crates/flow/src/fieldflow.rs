@@ -16,23 +16,18 @@
 //!   metrics (the profiler's startup/per-record split already isolates the
 //!   data-dependent part these ratios model).
 //!
-//! On top of the same sweep sit two stage views:
-//!
-//! - [`canonical_stages`] — identity-transparent, fusion- and
-//!   combining-aware segmentation used by the WS014 peak-memory
-//!   pre-flight. It deliberately ignores the optimizer's orphaned
-//!   `removed-identity` markers so verdicts stay invariant under
-//!   optimization (the invariance the WS001–WS009 suite pins).
-//! - [`crate::optimizer::plan_stages`] — the exact stage decisions a
-//!   fresh executor run makes, mirrored decision-for-decision; the
-//!   [`explain_plan`] report prints these, and the differential proptest
-//!   in `tests/explain.rs` pins them against the executor's actual
-//!   decisions.
+//! The one stage view is the executor's own:
+//! [`crate::optimizer::plan_stages`] returns the stage decisions a fresh
+//! executor run makes, by calling the function the executor calls. The
+//! [`explain_plan`] report prints them with this sweep's envelopes, the
+//! WS014 peak-memory pre-flight sums footprints over them, and the
+//! differential proptest in `tests/explain.rs` pins them against the
+//! executor's actual decisions.
 
 use crate::analyze::AnalyzeOptions;
 use crate::logical::{LogicalPlan, NodeId, NodeOp};
 use crate::operator::{Kind, OpFunc, Operator};
-use crate::optimizer::{plan_stages, REMOVED_IDENTITY};
+use crate::optimizer::plan_stages;
 use std::collections::BTreeMap;
 use websift_analyze::lattice::{
     CostEnvelope, FieldFact, FieldSchema, FieldType, Interval, Presence,
@@ -84,31 +79,6 @@ impl FieldFlow {
     /// State on `id`'s input edge (its parent's output), if it has one.
     pub fn input(&self, plan: &LogicalPlan, id: NodeId) -> Option<&EdgeState> {
         plan.nodes()[id].input.map(|p| &self.after[p])
-    }
-}
-
-/// Is this node the optimizer's notion of a no-op: a `Map` writing
-/// nothing, named `identity` (pre-removal) or `removed-identity` (the
-/// orphaned marker left after removal)? The canonical stage segmentation
-/// looks *through* these so WS014 verdicts cannot change when the
-/// optimizer splices one out.
-fn is_transparent(op: &Operator) -> bool {
-    op.kind == Kind::Map
-        && op.writes.is_empty()
-        && (op.name == "identity" || op.name == REMOVED_IDENTITY)
-}
-
-/// First non-transparent ancestor of `id` (skipping identity chains).
-fn effective_parent(plan: &LogicalPlan, id: NodeId) -> Option<NodeId> {
-    let mut cur = plan.nodes()[id].input?;
-    loop {
-        match &plan.nodes()[cur].op {
-            NodeOp::Op(op) if is_transparent(op) => match plan.nodes()[cur].input {
-                Some(p) => cur = p,
-                None => return None,
-            },
-            _ => return Some(cur),
-        }
     }
 }
 
@@ -258,83 +228,6 @@ pub fn field_flow(plan: &LogicalPlan, opts: &AnalyzeOptions) -> FieldFlow {
     FieldFlow { after }
 }
 
-/// One canonical stage: member operator node ids in execution order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CanonicalStage {
-    pub members: Vec<NodeId>,
-    /// True when the stage's terminal member is a combinable Reduce.
-    pub combined_reduce: bool,
-}
-
-/// The identity-transparent, fusion- and combining-aware stage
-/// segmentation WS014 estimates peak memory over.
-///
-/// This is *not* byte-for-byte the executor's staging ([`plan_stages`] is
-/// that): the executor refuses to fuse across the orphaned
-/// `removed-identity` markers identity elimination leaves behind, while
-/// this view looks straight through identity chains — before *and* after
-/// removal — so the memory verdict cannot flip when the optimizer runs.
-/// Both views agree on every plan with no identity operators.
-pub fn canonical_stages(plan: &LogicalPlan) -> Vec<CanonicalStage> {
-    // How many non-transparent consumers (operators or sinks) each node
-    // effectively has, looking through identity chains.
-    let mut eff_consumers = vec![0usize; plan.len()];
-    for node in plan.nodes() {
-        let counts = match &node.op {
-            NodeOp::Op(op) => !is_transparent(op),
-            NodeOp::Sink(_) => true,
-            NodeOp::Source(_) => false,
-        };
-        if counts {
-            if let Some(p) = effective_parent(plan, node.id) {
-                eff_consumers[p] += 1;
-            }
-        }
-    }
-
-    let mut stages: Vec<CanonicalStage> = Vec::new();
-    let mut closed: Vec<bool> = Vec::new();
-    let mut stage_of: BTreeMap<NodeId, usize> = BTreeMap::new();
-    for node in plan.nodes() {
-        let NodeOp::Op(op) = &node.op else { continue };
-        if is_transparent(op) {
-            continue;
-        }
-        let joins = effective_parent(plan, node.id).and_then(|p| {
-            let parent_op = match &plan.nodes()[p].op {
-                NodeOp::Op(parent_op) => parent_op,
-                _ => return None,
-            };
-            if parent_op.is_pipelineable()
-                && eff_consumers[p] == 1
-                && (op.is_pipelineable() || op.combinable_reduce())
-            {
-                stage_of.get(&p).copied().filter(|&s| !closed[s])
-            } else {
-                None
-            }
-        });
-        let idx = match joins {
-            Some(idx) => {
-                stages[idx].members.push(node.id);
-                idx
-            }
-            None => {
-                stages.push(CanonicalStage { members: vec![node.id], combined_reduce: false });
-                closed.push(false);
-                stages.len() - 1
-            }
-        };
-        if !op.is_pipelineable() {
-            // a Reduce terminates its stage either way
-            closed[idx] = true;
-            stages[idx].combined_reduce = op.combinable_reduce();
-        }
-        stage_of.insert(node.id, idx);
-    }
-    stages
-}
-
 fn interval_json(i: Interval) -> String {
     let mut one = String::new();
     websift_observe::json::write_f64(&mut one, i.lo);
@@ -429,7 +322,6 @@ pub fn explain_plan(
 mod tests {
     use super::*;
     use crate::operator::{Aggregate, Operator, Package};
-    use crate::optimizer::optimize;
     use crate::record::Record;
 
     fn map(name: &str, reads: &[&str], writes: &[&str]) -> Operator {
@@ -546,56 +438,6 @@ mod tests {
         let out = flow.after(sink).envelope;
         assert_eq!(out.records, Interval::point(250.0));
         assert_eq!(out.bytes, Interval::point(250_000.0));
-    }
-
-    #[test]
-    fn canonical_stages_look_through_identity_removal() {
-        let build = || {
-            let mut plan = LogicalPlan::new();
-            let src = plan.source("docs");
-            let a = plan.add(src, map("a", &["text"], &["x"])).unwrap();
-            let i = plan.add(a, Operator::map("identity", Package::Base, |r| r)).unwrap();
-            let b = plan.add(i, map("b", &["x"], &["y"])).unwrap();
-            plan.sink(b, "out").unwrap();
-            plan
-        };
-        let before = canonical_stages(&build());
-        let mut plan = build();
-        optimize(&mut plan);
-        let after = canonical_stages(&plan);
-        // one stage, members {a, b}, both before and after identity removal
-        assert_eq!(before.len(), 1);
-        assert_eq!(before, after, "segmentation invariant under identity elimination");
-        assert_eq!(before[0].members.len(), 2);
-    }
-
-    #[test]
-    fn canonical_stages_split_at_fan_out_and_close_at_reduce() {
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("docs");
-        let a = plan.add(src, map("a", &["text"], &["x"])).unwrap();
-        let l = plan.add(a, map("left", &["x"], &[])).unwrap();
-        let r = plan.add(a, map("right", &["x"], &[])).unwrap();
-        let red = plan
-            .add(
-                l,
-                Operator::reduce_agg(
-                    "tally",
-                    Package::Base,
-                    |_: &Record| String::new(),
-                    Aggregate::Count { into: "n".into() },
-                ),
-            )
-            .unwrap();
-        plan.sink(red, "counts").unwrap();
-        plan.sink(r, "raw").unwrap();
-        let stages = canonical_stages(&plan);
-        // a alone (fan-out), then left+reduce (combining-aware), then right
-        assert_eq!(stages.len(), 3, "{stages:?}");
-        assert_eq!(stages[0].members, vec![a]);
-        assert_eq!(stages[1].members, vec![l, red]);
-        assert!(stages[1].combined_reduce);
-        assert_eq!(stages[2].members, vec![r]);
     }
 
     #[test]

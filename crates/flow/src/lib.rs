@@ -71,7 +71,7 @@ pub use operator::{
     value_cmp, AggState, Aggregate, CostModel, CustomCombine, Kind, OpFunc, Operator, Package,
     WireForm,
 };
-pub use fieldflow::{canonical_stages, explain_plan, field_flow, EdgeState, FieldFlow};
+pub use fieldflow::{explain_plan, field_flow, EdgeState, FieldFlow};
 pub use optimizer::{fused_stage, optimize, plan_stages, Rewrite, StageDecision};
 pub use packages::{IeConfig, IeResources, OperatorRegistry};
 pub use record::{span_annotation, FieldMap, Record, Span, Value};

@@ -11,10 +11,14 @@
 //!    hop over expensive annotators.
 //! 2. **Cheap-filter-first** — adjacent filters are ordered by ascending
 //!    per-character cost.
-//! 3. **Identity elimination** — operators that declare no writes and are
-//!    named `identity` are dropped.
 //!
-//! Every rewrite is recorded so ablation benches can report what fired.
+//! Both rules swap the operators of two adjacent nodes and leave the
+//! plan's topology alone. No product flow calls [`optimize`]: it is an
+//! ablation exhibit (the `optimizer_rewritten` arm of `exp_ablations`).
+//! Every rewrite is recorded so that exhibit can report what fired.
+//!
+//! The stage decisions the executor makes ([`fused_stage`],
+//! [`plan_stages`]) live here as well.
 
 use crate::logical::{LogicalPlan, NodeId, NodeOp};
 use crate::operator::Kind;
@@ -26,8 +30,9 @@ use crate::operator::Kind;
 ///
 /// - node `j + 1` is an operator node whose input is exactly `j`,
 /// - both operators are pipelineable (Map/FlatMap/Filter — no shuffle),
-/// - `j + 1` has at least one consumer (the executor skips orphaned
-///   operators entirely, so fusing into one would change what runs).
+/// - `j + 1` has at least one consumer (the executor skips an operator
+///   on a dead branch entirely, so fusing into one would change what
+///   runs).
 ///
 /// Nothing else cuts a chain. Checkpoint boundaries inside it are
 /// synthesized by the executor's replay, byte-identical to unfused
@@ -35,9 +40,9 @@ use crate::operator::Kind;
 /// has consumers besides `j + 1`, the executor *tees* the fused pass — it
 /// taps the record stream crossing the `j`/`j + 1` boundary (in unfused
 /// record order) and publishes the tap as node `j`'s live output for the
-/// remaining consumers, which always carry ids beyond the chain. Edges
-/// kept by orphaned [`REMOVED_IDENTITY`] nodes tee harmlessly: the orphan
-/// never takes its input, exactly as in unfused execution.
+/// remaining consumers, which always carry ids beyond the chain. An edge
+/// into a consumer-less operator tees harmlessly: that operator never
+/// takes its input, exactly as in unfused execution.
 ///
 /// Non-contiguous ids never fuse: the executor replays per-constituent
 /// charges in node-id order, and fusing across an id gap would reorder
@@ -137,8 +142,7 @@ pub fn plan_stages(plan: &LogicalPlan, fusion: bool, combining: bool) -> Vec<Sta
     let mut stages = Vec::new();
     let mut next = 0;
     while next < plan.len() {
-        // sources, sinks and orphaned operators (e.g. a spliced-out
-        // identity) start no stage
+        // sources, sinks and operators with no consumer start no stage
         if !matches!(plan.nodes()[next].op, NodeOp::Op(_)) || plan.children(next).is_empty() {
             next += 1;
             continue;
@@ -150,17 +154,11 @@ pub fn plan_stages(plan: &LogicalPlan, fusion: bool, combining: bool) -> Vec<Sta
     stages
 }
 
-/// Name given to identity nodes spliced out by rule 3. They stay in the
-/// node vector (orphaned) so node ids remain stable; the executor and the
-/// static analyzer both skip nodes with this name.
-pub const REMOVED_IDENTITY: &str = "removed-identity";
-
 /// A record of one applied rewrite.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rewrite {
     FilterPulledForward { filter: String, past: String },
     FiltersReordered { first: String, second: String },
-    IdentityRemoved { name: String },
 }
 
 /// Optimizer entry point: rewrites the plan in place, returning the applied
@@ -171,7 +169,6 @@ pub fn optimize(plan: &mut LogicalPlan) -> Vec<Rewrite> {
         let mut changed = false;
         changed |= pull_filters_forward(plan, &mut rewrites);
         changed |= reorder_adjacent_filters(plan, &mut rewrites);
-        changed |= remove_identities(plan, &mut rewrites);
         if !changed {
             break;
         }
@@ -257,47 +254,10 @@ fn reorder_adjacent_filters(plan: &mut LogicalPlan, rewrites: &mut Vec<Rewrite>)
     changed
 }
 
-/// Rule 3: drop no-op identity operators by splicing them out.
-fn remove_identities(plan: &mut LogicalPlan, rewrites: &mut Vec<Rewrite>) -> bool {
-    let mut to_remove: Option<(NodeId, NodeId)> = None; // (node, its parent)
-    for id in 0..plan.len() {
-        let Some(op) = op_of(plan, id) else { continue };
-        if op.kind == Kind::Map && op.name == "identity" && op.writes.is_empty() {
-            if let Some(parent) = plan.nodes()[id].input {
-                to_remove = Some((id, parent));
-                break;
-            }
-        }
-    }
-    let Some((id, parent)) = to_remove else {
-        return false;
-    };
-    let name = match &plan.nodes()[id].op {
-        NodeOp::Op(op) => op.name.clone(),
-        _ => unreachable!(),
-    };
-    // Rewire children of `id` to `parent`, then neutralize the node by
-    // turning it into a pass-through that nothing consumes.
-    let children = plan.children(id);
-    for c in children {
-        plan.nodes_mut()[c].input = Some(parent);
-    }
-    // Orphan the identity node; execution skips unreachable nodes.
-    plan.nodes_mut()[id].input = Some(parent);
-    plan.nodes_mut()[id].op = NodeOp::Op(crate::operator::Operator::map(
-        REMOVED_IDENTITY,
-        crate::operator::Package::Base,
-        |r| r,
-    ));
-    rewrites.push(Rewrite::IdentityRemoved { name });
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operator::{CostModel, Operator, Package};
-    use crate::record::Record;
 
     fn expensive_map() -> Operator {
         Operator::map("annotate", Package::Ie, |mut r| {
@@ -476,40 +436,19 @@ mod tests {
 
     #[test]
     fn orphaned_consumer_blocks_fusion_into_it() {
+        // a -> dead (no consumer), a -> keep -> sink
         let mut plan = LogicalPlan::new();
         let src = plan.source("in");
         let a = plan.add(src, Operator::map("a", Package::Base, |r| r)).unwrap();
-        let i = plan.add(a, Operator::map("identity", Package::Base, |r| r)).unwrap();
-        let f = plan.add(i, cheap_filter("keep", "text")).unwrap();
+        let dead = plan.add(a, Operator::map("dead", Package::Base, |r| r)).unwrap();
+        let f = plan.add(a, cheap_filter("keep", "text")).unwrap();
         plan.sink(f, "out").unwrap();
-        optimize(&mut plan);
-        // the spliced-out identity is `a`'s contiguous successor but has
-        // zero consumers: it never runs, so nothing may fuse into it (the
-        // filter now hangs off `a` on a non-contiguous edge and the
-        // orphan's kept input edge merely tees)
-        assert_eq!(fusable_chain_len(&plan, a), 1);
-        assert_eq!(fusable_chain_len(&plan, i), 1);
-    }
-
-    #[test]
-    fn identity_removed_and_plan_still_executes() {
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("in");
-        let i = plan.add(src, Operator::map("identity", Package::Base, |r| r)).unwrap();
-        let f = plan.add(i, cheap_filter("keep-all", "text")).unwrap();
-        plan.sink(f, "out").unwrap();
-        let rewrites = optimize(&mut plan);
-        assert!(rewrites
-            .iter()
-            .any(|r| matches!(r, Rewrite::IdentityRemoved { .. })));
-        // the filter now hangs off the source
-        let filter_node = plan
-            .nodes()
-            .iter()
-            .find(|n| matches!(&n.op, crate::logical::NodeOp::Op(op) if op.name == "keep-all"))
-            .unwrap();
-        assert_eq!(filter_node.input, Some(src));
         plan.validate().unwrap();
-        let _ = Record::new(); // silence unused import in some cfgs
+        // the dead end is `a`'s contiguous successor but has zero
+        // consumers: it never runs, so nothing may fuse into it (the
+        // filter hangs off `a` on a non-contiguous edge, and the dead
+        // end's input edge merely tees)
+        assert_eq!(fusable_chain_len(&plan, a), 1);
+        assert_eq!(fusable_chain_len(&plan, dead), 1);
     }
 }

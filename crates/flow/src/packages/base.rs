@@ -52,8 +52,7 @@ pub fn project(fields: Vec<String>) -> Operator {
     .shipped_as("base.project", |w| fields.encode(w))
 }
 
-/// `base.identity` — passes every record through (a script placeholder
-/// the optimizer splices out).
+/// `base.identity` — passes every record through (a script placeholder).
 pub fn identity() -> Operator {
     Operator::map("identity", Package::Base, |r| r).shipped_as("base.identity", |_| {})
 }

@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use websift_analyze::{diagnostics_to_json, Severity};
 use websift_flow::packages::ie;
 use websift_flow::{
-    analyze_plan, analyze_script, optimize, AnalyzeOptions, ClusterSpec, CostModel, LogicalPlan,
-    Operator, OperatorRegistry, Package, Record,
+    analyze_plan, analyze_script, optimize, plan_stages, Aggregate, AnalyzeOptions, ClusterSpec,
+    CostModel, LogicalPlan, Operator, OperatorRegistry, Package, Record, SchedulingError,
 };
 
 fn ie_registry() -> OperatorRegistry {
@@ -317,6 +317,80 @@ fn golden_ws014_fused_stage_over_memory() {
     assert!(diags.iter().any(|d| d.code == "WS014"));
 }
 
+/// WS014 sums over the stages the executor runs, and the executor tees
+/// through fan-out: `a` fuses with `left`, its contiguous consumer, even
+/// though `right` reads `a` too. 13 + 13 GB in one stage exceed a 24 GB
+/// node, although `a` alone and `left + tally` each fit.
+#[test]
+fn ws014_follows_the_executor_through_fan_out() {
+    let fat = |name: &str| {
+        Operator::map(name, Package::Ie, |r| r)
+            .with_reads(&["text"])
+            .with_cost(CostModel { memory_bytes: 13 << 30, ..CostModel::default() })
+    };
+    let mut plan = LogicalPlan::new();
+    let src = plan.source("docs");
+    let a = plan.add(src, fat("a")).unwrap();
+    let left = plan.add(a, fat("left")).unwrap();
+    let right = plan
+        .add(a, Operator::map("right", Package::Ie, |r| r).with_reads(&["text"]))
+        .unwrap();
+    let tally = plan
+        .add(
+            left,
+            Operator::reduce_agg(
+                "tally",
+                Package::Base,
+                |_: &Record| String::new(),
+                Aggregate::Count { into: "n".into() },
+            ),
+        )
+        .unwrap();
+    plan.sink(tally, "counts").unwrap();
+    plan.sink(right, "raw").unwrap();
+
+    let stages: Vec<(usize, usize)> =
+        plan_stages(&plan, true, true).iter().map(|s| (s.first, s.len)).collect();
+    assert_eq!(stages, vec![(a, 2), (right, 1), (tally, 1)], "a + left fuse through the fan-out");
+
+    let opts = AnalyzeOptions::default().with_admission(ClusterSpec::paper_cluster(), 28);
+    let ws014: Vec<String> = analyze_plan(&plan, &opts)
+        .into_iter()
+        .filter(|d| d.code == "WS014")
+        .map(|d| d.message)
+        .collect();
+    assert_eq!(ws014.len(), 1, "{ws014:?}");
+    assert!(ws014[0].contains("26.0 GB per worker"), "{}", ws014[0]);
+}
+
+/// The scheduler and the analyzer name the same library, and the same one
+/// on every call: admission reports conflicts in library-name order.
+#[test]
+fn admission_reports_library_conflicts_in_name_order() {
+    let mut plan = LogicalPlan::new();
+    let mut prev = plan.source("docs");
+    for lib in ["gamma", "alpha", "beta"] {
+        for version in [1, 2] {
+            let op = Operator::map(&format!("{lib}-v{version}"), Package::Ie, |r| r)
+                .with_library(lib, version);
+            prev = plan.add(prev, op).unwrap();
+        }
+    }
+    plan.sink(prev, "out").unwrap();
+
+    let cluster = ClusterSpec::paper_cluster();
+    let opts = AnalyzeOptions::default().with_admission(cluster.clone(), 28);
+    let ws002 = analyze_plan(&plan, &opts).into_iter().find(|d| d.code == "WS002").unwrap();
+    for _ in 0..64 {
+        let err = websift_flow::admit(&plan, 28, &cluster).unwrap_err();
+        let SchedulingError::LibraryConflict { library, .. } = err else {
+            panic!("expected a library conflict, got {err:?}");
+        };
+        assert_eq!(library, "alpha");
+        assert!(ws002.message.contains(&format!("library '{library}'")), "{}", ws002.message);
+    }
+}
+
 /// WS015: the same language filter applied twice with only a sentence
 /// annotator (which touches none of the filter's fields) between.
 fn redundant_filter_plan() -> LogicalPlan {
@@ -385,9 +459,10 @@ fn golden_clean_plan_is_silent() {
 // Verdict invariance under optimization
 // ---------------------------------------------------------------------
 
-/// A pool of operators exercising every optimizer rule: cheap/expensive
+/// A pool of operators exercising both optimizer rules: cheap/expensive
 /// filters (reorder), disjoint and dependent filter/map pairs (pull
-/// forward), identities (elimination), conflicting libraries, overwrites.
+/// forward), plus a write-nothing identity, conflicting libraries and
+/// overwrites.
 fn pool_op(idx: usize) -> Operator {
     let filter = |name: &str, reads: &[&str], us: f64| {
         Operator::filter(name, Package::Base, |_| true)

@@ -4,9 +4,9 @@
 //! 1. the static stage prediction (`optimizer::plan_stages`, the table
 //!    the explain report prints) is **identical** to the decisions the
 //!    executor actually makes (`FlowOutput::stages`) — across random
-//!    plans (chains, fan-out branches, identity nodes, typed and custom
-//!    reduces), DoP ∈ {1, 4, 8}, all four fusion×combining settings, and
-//!    both before and after logical optimization;
+//!    plans (chains, fan-out branches, operators with no consumer, typed
+//!    and custom reduces), DoP ∈ {1, 4, 8}, all four fusion×combining
+//!    settings, and both before and after logical optimization;
 //! 2. WS013/WS014/WS015 verdicts — the field-flow diagnostics — are
 //!    invariant under optimizer rewrites, warnings included (the
 //!    WS001–WS009 suite in `tests/analyze.rs` pins errors only);
@@ -23,10 +23,10 @@ use websift_flow::{
 };
 
 /// Runnable operators covering every stage-decision shape: pipelineable
-/// maps/filters/flat-maps (fuse), an identity (optimizer removes it,
-/// leaving an orphan the executor must skip), a combinable Count reduce
-/// (combining extends stages through it), and a custom reduce (never
-/// combines, always a stage of its own).
+/// maps/filters/flat-maps and an identity (fuse), a combinable Count
+/// reduce (combining extends stages through it), and a custom reduce
+/// (never combines, always a stage of its own). Any of them can also be
+/// the dead end [`build_plan`] hangs off the main chain.
 fn pool_op(idx: usize) -> Operator {
     match idx {
         0 => testkit::stamp(),
@@ -48,16 +48,30 @@ fn pool_op(idx: usize) -> Operator {
 }
 
 /// A main chain plus an optional side branch hanging off one of its
-/// nodes — fan-out blocks fusion at the branch point, which is exactly
-/// the disagreement surface worth fuzzing.
-fn build_plan(main: &[usize], branch: &[usize], branch_at: usize) -> LogicalPlan {
+/// nodes — the fused pass tees at the branch point, which is exactly the
+/// disagreement surface worth fuzzing — and an optional dead end: pool
+/// operator `op` with no consumer, hung off main node `at` and given the
+/// id the chain's next node would have had. The executor skips it, so
+/// nothing may fuse into it.
+fn build_plan(
+    main: &[usize],
+    branch: &[usize],
+    branch_at: usize,
+    dead_end: Option<(usize, usize)>,
+) -> LogicalPlan {
     let mut plan = LogicalPlan::new();
     let src = plan.source("docs");
     let mut prev = src;
     let mut main_nodes = vec![src];
-    for &i in main {
-        prev = plan.add(prev, pool_op(i)).expect("chain");
-        main_nodes.push(prev);
+    let dead_end = dead_end.map(|(at, op)| (at % (main.len() + 1), op));
+    for k in 0..=main.len() {
+        if let Some((_, op)) = dead_end.filter(|&(at, _)| at == k) {
+            plan.add(prev, pool_op(op)).expect("dead end");
+        }
+        if let Some(&i) = main.get(k) {
+            prev = plan.add(prev, pool_op(i)).expect("chain");
+            main_nodes.push(prev);
+        }
     }
     plan.sink(prev, "out").expect("sink");
     if !branch.is_empty() {
@@ -104,12 +118,16 @@ proptest! {
         main in prop::collection::vec(0usize..7, 1..6),
         branch in prop::collection::vec(0usize..7, 0..4),
         branch_at in 0usize..8,
+        dead_at in 0usize..16,
+        dead_op in 0usize..7,
         dop_idx in 0usize..3,
         mode in 0usize..4,
     ) {
         let dop = [1usize, 4, 8][dop_idx];
         let (fusion, combining) = (mode & 1 != 0, mode & 2 != 0);
-        let mut plan = build_plan(&main, &branch, branch_at);
+        // half the cases carry a dead end
+        let dead_end = (dead_at < 8).then_some((dead_at, dead_op));
+        let mut plan = build_plan(&main, &branch, branch_at, dead_end);
         for optimized in [false, true] {
             if optimized {
                 optimize(&mut plan);
@@ -119,9 +137,9 @@ proptest! {
             prop_assert_eq!(
                 &predicted,
                 &executed,
-                "stage decisions diverged (main {:?}, branch {:?}@{}, dop {}, fusion {}, \
-                 combining {}, optimized {})",
-                main, branch, branch_at, dop, fusion, combining, optimized
+                "stage decisions diverged (main {:?}, branch {:?}@{}, dead end {:?}, dop {}, \
+                 fusion {}, combining {}, optimized {})",
+                main, branch, branch_at, dead_end, dop, fusion, combining, optimized
             );
         }
     }
@@ -129,8 +147,8 @@ proptest! {
 
 /// Analysis-only pool for the WS013–WS015 invariance property: typed
 /// writer/reader pairs (WS013), heavyweight annotators (WS014), movable
-/// filters and duplicated operators (WS015), plus the identity the
-/// optimizer eliminates.
+/// filters and duplicated operators (WS015), plus a write-nothing
+/// identity.
 fn verdict_op(idx: usize) -> Operator {
     let filter = |name: &str, reads: &[&str], us: f64| {
         Operator::filter(name, Package::Base, |_| true)
@@ -202,7 +220,7 @@ proptest! {
 
 #[test]
 fn explain_report_is_byte_stable_and_matches_execution() {
-    let mut plan = build_plan(&[0, 2, 5], &[4], 1);
+    let mut plan = build_plan(&[0, 2, 5], &[4], 1, None);
     let opts = AnalyzeOptions::default().with_source_estimate(1000, 2048);
     let one = explain_plan(&plan, &opts, true, true);
     let two = explain_plan(&plan, &opts, true, true);
