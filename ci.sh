@@ -178,6 +178,16 @@ if grep -rnE 'temp_dir|File::create|File::open' crates/flow/src; then
 fi
 echo "flow writes no file ok"
 
+# The simulated cluster model stays in the parent: the stage kernel, the
+# shard runner and the frame transport see raw per-record costs, never a
+# knob of the paper-scale model.
+if grep -nE 'work_scale|byte_scale|chunk_rounds|ClusterSpec' \
+  crates/flow/src/{shuffle,runner,transport}.rs; then
+  echo "the simulated model must not reach the physical layer" >&2
+  exit 1
+fi
+echo "physical layer sees no simulated-model knob ok"
+
 # Sharded scale-out smoke on the real flows: every shard count (worker
 # threads and real worker processes) must reproduce the unsharded run's
 # deterministic digest with no stage left on the local runner (--check

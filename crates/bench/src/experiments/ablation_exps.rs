@@ -23,6 +23,7 @@ use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift_flow::packages::resources::labeled_to_example;
 use websift_flow::{
     optimize, CostModel, ExecutionConfig, Executor, LogicalPlan, Operator, Package, Record,
+    RunOptions,
 };
 use websift_ner::crf::{CrfConfig, CrfTagger};
 use websift_ner::{AhoCorasick, EntityType};
@@ -146,8 +147,9 @@ fn filter_order(docs: usize) -> Vec<Arm> {
 
     let run = |plan: &LogicalPlan| {
         let inputs = HashMap::from([("docs".to_string(), input.clone())]);
-        let mut out =
-            Executor::new(ExecutionConfig::local(4)).run(plan, inputs).expect("ablation flow");
+        let mut out = Executor::new(ExecutionConfig::local(4))
+            .run(plan, inputs, RunOptions::default())
+            .expect("ablation flow");
         out.sinks.remove("out").expect("out sink")
     };
     let outcome = |sink: Vec<Record>| {

@@ -19,7 +19,7 @@ use websift_flow::packages::{base, dc, ie};
 use websift_flow::{
     analyze_plan, analyze_script, explain_plan, field_flow, plan_stages, AnalyzeOptions,
     ClusterSpec, CostModel, ExecutionConfig, Executor, LogicalPlan, NodeOp, Operator,
-    OperatorRegistry, Package, Record,
+    OperatorRegistry, Package, Record, RunOptions,
 };
 
 /// §4.2 failure 1 as a Meteor script: negation spans requested before
@@ -175,7 +175,7 @@ pub fn explain_matches_execution() -> bool {
         .collect();
     let inputs = HashMap::from([("crawl".to_string(), records)]);
     Executor::new(ExecutionConfig::local(4))
-        .run(&plan, inputs)
+        .run(&plan, inputs, RunOptions::default())
         .map(|out| out.stages == predicted)
         .unwrap_or(false)
 }

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
 use websift_corpus::{CorpusKind, Generator};
-use websift_flow::{ExecutionConfig, Executor, FlowResilience};
+use websift_flow::{ExecutionConfig, Executor, RunOptions};
 use websift_observe::{MetricValue, Observer};
 use websift_pipeline::{documents_to_records, full_analysis_plan, ExperimentContext};
 
@@ -43,7 +43,7 @@ pub fn cost_decomposition(ctx: &ExperimentContext, docs: usize) -> ProfileRun {
 
     let obs = Observer::new();
     Executor::new(ExecutionConfig::local(4))
-        .run_observed(&plan, inputs, &FlowResilience::default(), &obs)
+        .run(&plan, inputs, RunOptions { observer: Some(&obs), ..RunOptions::default() })
         .expect("profile flow must run");
 
     // Harvest the split from the profiler scope tree, not the cost models.

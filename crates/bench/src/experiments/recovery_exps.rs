@@ -17,7 +17,7 @@ use websift_crawler::{
     ResilienceOptions,
 };
 use websift_flow::{
-    ExecutionConfig, Executor, FlowResilience, LogicalPlan, Operator, Package, Record,
+    ExecutionConfig, Executor, FlowResilience, LogicalPlan, Operator, Package, Record, RunOptions,
 };
 use websift_observe::Observer;
 use websift_web::{PageId, SimulatedWeb, Url, WebGraph, WebGraphConfig};
@@ -251,7 +251,8 @@ pub fn flow_recovery() -> ExperimentResult {
 
     for rate in FAULT_RATES {
         let res = FlowResilience::injected(FAULT_SEED, rate, 1);
-        let (cells, resume_cell) = match exec.run_resilient(&plan, inputs(), &res) {
+        let opts = |resume| RunOptions { resilience: res.clone(), resume, ..RunOptions::default() };
+        let (cells, resume_cell) = match exec.run(&plan, inputs(), opts(None)) {
             Ok(out) => {
                 let m = &out.metrics;
                 // a run killed before plan node 2 leaves the frames sealed
@@ -260,7 +261,7 @@ pub fn flow_recovery() -> ExperimentResult {
                     .checkpoints
                     .iter()
                     .rfind(|c| c.next_node <= 2)
-                    .and_then(|ckpt| exec.resume_from(&plan, ckpt, inputs(), &res).ok())
+                    .and_then(|ckpt| exec.run(&plan, inputs(), opts(Some(ckpt))).ok())
                     .is_some_and(|r| r.deterministic_digest() == out.deterministic_digest());
                 (
                     vec![

@@ -7,7 +7,7 @@ use std::time::Instant;
 use websift_corpus::{CorpusKind, Generator};
 use websift_flow::cluster::{admit, ClusterSpec, SchedulingError};
 use websift_flow::{
-    ExecutionConfig, ExecutionError, Executor, FlowResilience, IeResources, LogicalPlan,
+    ExecutionConfig, ExecutionError, Executor, IeResources, LogicalPlan, RunOptions,
 };
 use websift_observe::Observer;
 use websift_ner::crf::{CrfConfig, CrfTagger};
@@ -173,7 +173,7 @@ fn run_simulated(
     let mut inputs = HashMap::new();
     inputs.insert("docs".to_string(), records);
     Executor::new(config)
-        .run(plan, inputs)
+        .run(plan, inputs, RunOptions::default())
         .map(|o| o.metrics.simulated_secs)
 }
 
@@ -320,7 +320,7 @@ pub fn warstory(ctx: &ExperimentContext) -> ExperimentResult {
         analyze: false,
         ..ExecutionConfig::local(28)
     };
-    match Executor::new(blind).run(&full, HashMap::new()) {
+    match Executor::new(blind).run(&full, HashMap::new(), RunOptions::default()) {
         Err(ExecutionError::Scheduling(e)) => result.row(&[
             "full Fig-2 flow, analyzer bypassed, DoP 28".into(),
             format!("RUNTIME REJECTED: {e}"),
@@ -390,7 +390,7 @@ pub fn warstory(ctx: &ExperimentContext) -> ExperimentResult {
     };
     let mut inputs = HashMap::new();
     inputs.insert("docs".to_string(), records.clone());
-    match Executor::new(overloaded).run(&ling, inputs) {
+    match Executor::new(overloaded).run(&ling, inputs, RunOptions::default()) {
         Err(ExecutionError::NetworkOverload { intermediate_bytes, capacity_bytes }) => {
             result.row(&[
                 "paper-scale intermediates over 1 Gb switch".into(),
@@ -423,7 +423,7 @@ pub fn warstory(ctx: &ExperimentContext) -> ExperimentResult {
     inputs.insert("docs".to_string(), records);
     result.row(&[
         "same, split into 50 GB chunks".into(),
-        match Executor::new(chunked).run(&ling, inputs) {
+        match Executor::new(chunked).run(&ling, inputs, RunOptions::default()) {
             Ok(out) => format!("OK ({:.0} simulated s)", out.metrics.simulated_secs),
             Err(e) => format!("failed: {e}"),
         },
@@ -450,7 +450,7 @@ pub fn runtime_shares(ctx: &ExperimentContext) -> ExperimentResult {
     inputs.insert("docs".to_string(), records);
     let obs = Observer::new();
     let out = Executor::new(ExecutionConfig::local(1))
-        .run_observed(&plan, inputs, &FlowResilience::default(), &obs)
+        .run(&plan, inputs, RunOptions { observer: Some(&obs), ..RunOptions::default() })
         .unwrap();
 
     let wall_total: f64 = out.metrics.per_op.iter().map(|m| m.wall_ms).sum();

@@ -3,10 +3,10 @@
 //!
 //! A real extraction pipeline (`entity_store_flow`, one run per entity
 //! type and crawl round) fills an [`ExtractionStore`] through
-//! `Executor::run_into`; then 1/8/64/512 client threads replay
-//! deterministic query streams against it, each query passing through
-//! [`AdmissionController::admit_blocking`] before execution. Query QPS and
-//! latency are measured by `benchmark/`'s `query_serving` workload; what
+//! `Executor::run`'s `RunOptions::store`; then 1/8/64/512 client threads
+//! replay deterministic query streams against it, each query passing
+//! through [`AdmissionController::admit_blocking`] before execution.
+//! Query QPS and latency are measured by `benchmark/`'s `query_serving` workload; what
 //! this harness checks is that every byte-addressable result stays
 //! deterministic:
 //!
@@ -101,7 +101,7 @@ fn fold_digest(acc: u64, x: u64) -> u64 {
 
 /// Builds the store the way production would: the entity extraction
 /// pipeline runs once per entity type and crawl round, draining its
-/// `store:` sink into the store via `run_into`.
+/// `store:` sink into the store (`RunOptions::store`).
 pub fn build_store(docs: usize, seed: u64, shards: usize) -> ExtractionStore {
     let lexicon = Arc::new(Lexicon::generate(LexiconScale::tiny()));
     let resources = IeResources::quick_for_tests(LexiconScale::tiny());

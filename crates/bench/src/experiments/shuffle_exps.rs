@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use crate::report::ExperimentResult;
 use websift_corpus::{CorpusKind, Generator};
-use websift_flow::{ExecutionConfig, Executor, LogicalPlan, Record, ShardConfig};
+use websift_flow::{ExecutionConfig, Executor, LogicalPlan, Record, RunOptions, ShardConfig};
 use websift_observe::json::{array, ObjectWriter};
 use websift_pipeline::{documents_to_records, linguistic_flow, token_frequency_flow};
 
@@ -113,7 +113,7 @@ fn time_run(plan: &LogicalPlan, records: &[Record], sharding: Option<ShardConfig
     let inputs = HashMap::from([("docs".to_string(), records.to_vec())]);
     // lint:allow(wall_clock): the shuffle harness measures real scale-out wall time
     let t = Instant::now();
-    let out = exec.run(plan, inputs).expect("shuffle flow");
+    let out = exec.run(plan, inputs, RunOptions::default()).expect("shuffle flow");
     let secs = t.elapsed().as_secs_f64();
     std::hint::black_box(out.sinks.values().map(Vec::len).sum::<usize>());
     Timed {

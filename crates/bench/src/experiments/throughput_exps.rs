@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use crate::report::{stamp, ExperimentResult};
 use websift_corpus::{CorpusKind, Generator};
-use websift_flow::{ExecutionConfig, Executor, FlowOutput, LogicalPlan, Record};
+use websift_flow::{ExecutionConfig, Executor, FlowOutput, LogicalPlan, Record, RunOptions};
 use websift_observe::json::{array, ObjectWriter};
 use websift_pipeline::documents_to_records;
 
@@ -131,7 +131,7 @@ fn time_run(plan: &LogicalPlan, records: &[Record], config: ExecutionConfig) -> 
     inputs.insert("docs".to_string(), records.to_vec());
     // lint:allow(wall_clock): the throughput harness measures real execution wall time
     let t = Instant::now();
-    let out = exec.run(plan, inputs).expect("throughput flow");
+    let out = exec.run(plan, inputs, RunOptions::default()).expect("throughput flow");
     (t.elapsed().as_secs_f64(), out)
 }
 

@@ -14,7 +14,7 @@ use websift_corpus::Document;
 use websift_flow::packages::{base, dc, ie, wa};
 use websift_flow::{
     ExecutionConfig, ExecutionError, Executor, FlowOutput, IeResources, LogicalPlan, PlanError,
-    Record, StoreSink,
+    Record, RunOptions, StoreSink,
 };
 use websift_ner::EntityType;
 
@@ -159,8 +159,8 @@ fn try_entity_flow_for(
 
 /// The entity flow wired to a serving store: same extraction pipeline as
 /// [`entity_flow_for`] with both methods, but the deduplicated mentions
-/// sink to `store:<store>/entities` for `Executor::run_into` to drain
-/// into an extraction store instead of an in-memory dataset.
+/// sink to `store:<store>/entities`, which a run given that store
+/// ([`RunOptions::store`]) drains into it instead of an in-memory dataset.
 pub fn entity_store_flow(resources: &IeResources, entity: EntityType, store: &str) -> LogicalPlan {
     try_entity_store_flow(resources, entity, store).expect(STATIC_PLAN)
 }
@@ -221,11 +221,9 @@ pub fn run_over_documents(
     docs: &[Document],
     dop: usize,
 ) -> Result<FlowOutput, ExecutionError> {
-    let records = crate::corpora::documents_to_records(docs);
     let source = plan.sources().first().map(|s| s.to_string()).unwrap_or_default();
-    let mut inputs = HashMap::new();
-    inputs.insert(source, records);
-    Executor::new(ExecutionConfig::local(dop)).run(plan, inputs)
+    let inputs = HashMap::from([(source, crate::corpora::documents_to_records(docs))]);
+    Executor::new(ExecutionConfig::local(dop)).run(plan, inputs, RunOptions::default())
 }
 
 /// [`run_over_documents`] with the plan's `store:` sinks drained into
@@ -236,11 +234,10 @@ pub fn run_over_documents_into(
     dop: usize,
     store: &mut dyn StoreSink,
 ) -> Result<FlowOutput, ExecutionError> {
-    let records = crate::corpora::documents_to_records(docs);
     let source = plan.sources().first().map(|s| s.to_string()).unwrap_or_default();
-    let mut inputs = HashMap::new();
-    inputs.insert(source, records);
-    Executor::new(ExecutionConfig::local(dop)).run_into(plan, inputs, store)
+    let inputs = HashMap::from([(source, crate::corpora::documents_to_records(docs))]);
+    let opts = RunOptions { store: Some(store), ..RunOptions::default() };
+    Executor::new(ExecutionConfig::local(dop)).run(plan, inputs, opts)
 }
 
 /// Aggregate outcome of the linguistic flow over a document set — the
@@ -386,8 +383,9 @@ mod tests {
         combined_cfg.combining = true;
         let mut plain_cfg = ExecutionConfig::local(3);
         plain_cfg.combining = false;
-        let combined = Executor::new(combined_cfg).run(&plan, inputs.clone()).unwrap();
-        let plain = Executor::new(plain_cfg).run(&plan, inputs).unwrap();
+        let combined =
+            Executor::new(combined_cfg).run(&plan, inputs.clone(), RunOptions::default()).unwrap();
+        let plain = Executor::new(plain_cfg).run(&plan, inputs, RunOptions::default()).unwrap();
 
         let freqs = &combined.sinks["token_frequencies"];
         assert!(!freqs.is_empty(), "no token frequencies produced");

@@ -13,7 +13,11 @@
 //!   per-partition work `max_p Σ cost(record)`, and shuffle/store traffic.
 //!
 //! The simulated clock is what reproduces the shapes of Figs. 4 and 5
-//! without the authors' 28-node cluster.
+//! without the authors' 28-node cluster. Its knobs (`cluster`,
+//! `admission`, `byte_scale`, `work_scale`, `chunk_rounds`) are read only
+//! by admission, the drive loop and the replay: the stage kernel and the
+//! shard frames carry raw per-record costs. [`Executor::run`] is the one
+//! way to start a flow, fresh or resumed.
 //!
 //! # Resilience
 //!
@@ -24,12 +28,12 @@
 //! nodes (reporting the failed node id via
 //! [`SchedulingError::NodeFailed`] only when nobody survives), source
 //! reads retry through injected store faults, and completed plan nodes
-//! can be checkpointed so [`Executor::resume_from`] continues a killed
-//! flow instead of restarting it. A run returns every frame it sealed in
-//! [`FlowOutput::checkpoints`]; a run killed at node boundary `k` would
-//! have left exactly the prefix with `next_node <= k`, so "kill, then
-//! resume" is "resume from one of those frames". All failure decisions
-//! are pure functions of the fault-plan seed, so a resumed flow
+//! can be checkpointed so a run with [`RunOptions::resume`] continues a
+//! killed flow instead of restarting it. A run returns every frame it
+//! sealed in [`FlowOutput::checkpoints`]; a run killed at node boundary
+//! `k` would have left exactly the prefix with `next_node <= k`, so
+//! "kill, then resume" is "resume from one of those frames". All failure
+//! decisions are pure functions of the fault-plan seed, so a resumed flow
 //! reproduces an uninterrupted run bit-for-bit (wall-clock fields aside).
 //!
 //! # Stages
@@ -269,16 +273,16 @@ pub enum ExecutionError {
     /// A checkpoint could not be decoded (corruption, version mismatch,
     /// or a plan that does not match the one it was taken from).
     BadCheckpoint(CodecError),
-    /// A `store:` sink named a store the run was not given (or the name
-    /// failed to parse as `store:<store>/<dataset>`). Extraction output
-    /// must never silently fall on the floor, so [`Executor::run_into`]
-    /// rejects the whole run instead of keeping the records in-memory.
+    /// A `store:` sink named a store other than [`RunOptions::store`] (or
+    /// the name failed to parse as `store:<store>/<dataset>`). Extraction
+    /// output must never silently fall on the floor, so the whole run is
+    /// rejected before any operator runs or the store sees an append.
     UnknownStore { sink: String, store: String },
     /// A worker shard died mid-run (crash or injected kill) with
     /// `respawn_lost` off. Carries every resilience checkpoint taken
-    /// before the loss so the caller can [`Executor::resume_from`] the
-    /// latest frame — at any shard count — and reproduce the
-    /// uninterrupted run bit for bit.
+    /// before the loss so the caller can [`RunOptions::resume`] from the
+    /// latest frame — at any shard count, admitted again under it — and
+    /// reproduce the uninterrupted run bit for bit.
     ShardLost {
         shard: usize,
         operator: String,
@@ -372,9 +376,9 @@ pub struct PhysicalStats {
 /// serving layer's extraction store; kept as a trait here so
 /// `websift-flow` stays ignorant of its layout.
 ///
-/// [`Executor::run_into`] drains matching sinks in sorted name order, so
-/// an implementation that ingests deterministically sees a deterministic
-/// call sequence.
+/// A run drains matching sinks into its [`RunOptions::store`] in sorted
+/// name order, and only once it has succeeded, so an implementation that
+/// ingests deterministically sees a deterministic call sequence.
 pub trait StoreSink {
     /// The store name this sink answers to (the `<store>` part of a
     /// `store:<store>/<dataset>` sink name).
@@ -478,6 +482,24 @@ impl Snapshot for ExecState {
     }
 }
 
+/// Everything about one [`Executor::run`] besides the plan and inputs.
+/// The default is a fresh, fault-free run with a run-local observer.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    pub resilience: FlowResilience,
+    /// Receives per-node spans, per-operator counters and histograms, and
+    /// startup-vs-work cost, all on the simulated clock; `None` observes
+    /// into a run-local [`Observer`].
+    pub observer: Option<&'a Observer>,
+    /// Continue from this frame. Plan, inputs and resilience must match
+    /// the original run's; inputs are read only for sources the frame had
+    /// not read yet. Its registry snapshot is restored into the observer.
+    pub resume: Option<&'a FlowCheckpoint>,
+    /// Drain every `store:` sink into this store once the run succeeds,
+    /// removing it from [`FlowOutput::sinks`].
+    pub store: Option<&'a mut dyn StoreSink>,
+}
+
 /// The executor.
 pub struct Executor {
     config: ExecutionConfig,
@@ -492,91 +514,47 @@ impl Executor {
         Executor { config }
     }
 
-    pub fn config(&self) -> &ExecutionConfig {
-        &self.config
-    }
-
-    /// Runs `plan` against named source datasets.
+    /// Runs `plan` against named source datasets. Every run, fresh or
+    /// resumed, takes one path: validate the plan, check every store sink
+    /// against `opts.store`, analyze and admit, restore a resumed frame,
+    /// drive, drain the store sinks. A run that fails appends nothing.
     pub fn run(
         &self,
         plan: &LogicalPlan,
         inputs: HashMap<String, Vec<Record>>,
+        opts: RunOptions<'_>,
     ) -> Result<FlowOutput, ExecutionError> {
-        self.run_resilient(plan, inputs, &FlowResilience::default())
-    }
-
-    /// Runs `plan` and drains every `store:`-prefixed sink into `store`,
-    /// so extraction output lands in a persistent store instead of dying
-    /// with the returned [`FlowOutput`]. Plain sinks stay in
-    /// [`FlowOutput::sinks`]; drained store sinks are removed from it.
-    ///
-    /// Fails with [`ExecutionError::UnknownStore`] if any store sink is
-    /// malformed or names a store other than `store.store_name()` —
-    /// records routed to a store must actually reach one.
-    pub fn run_into(
-        &self,
-        plan: &LogicalPlan,
-        inputs: HashMap<String, Vec<Record>>,
-        store: &mut dyn StoreSink,
-    ) -> Result<FlowOutput, ExecutionError> {
-        let mut out = self.run(plan, inputs)?;
-        let mut store_sinks: Vec<String> = out
-            .sinks
-            .keys()
-            .filter(|name| name.starts_with(STORE_SINK_PREFIX))
-            .cloned()
-            .collect();
-        // sorted so the store sees datasets in a plan-independent,
-        // deterministic order
-        store_sinks.sort();
-        for name in store_sinks {
-            let (target, dataset) = match parse_store_sink(&name) {
-                Some(parts) => parts,
-                None => {
-                    let rest = name[STORE_SINK_PREFIX.len()..].to_string();
-                    return Err(ExecutionError::UnknownStore { sink: name, store: rest });
-                }
-            };
-            if target != store.store_name() {
-                return Err(ExecutionError::UnknownStore {
-                    sink: name.clone(),
-                    store: target.to_string(),
-                });
+        let RunOptions { resilience, observer, resume, store } = opts;
+        plan.validate().map_err(|e| ExecutionError::InvalidPlan(e.to_string()))?;
+        let drains = match &store {
+            Some(store) => store_drains(plan, store.store_name())?,
+            None => Vec::new(),
+        };
+        self.admit(plan)?;
+        let local;
+        let obs = match observer {
+            Some(obs) => obs,
+            None => {
+                local = Observer::new();
+                &local
             }
-            let dataset = dataset.to_string();
-            let records = out.sinks.remove(&name).unwrap_or_default();
-            store.append(&dataset, records);
+        };
+        let state = match resume {
+            Some(checkpoint) => restore(plan, checkpoint, obs)?,
+            None => ExecState::fresh(plan, self.config.cluster.nodes.len()),
+        };
+        let mut out = self.drive(plan, inputs, state, &resilience, obs)?;
+        if let Some(store) = store {
+            for (sink, dataset) in drains {
+                store.append(&dataset, out.sinks.remove(&sink).unwrap_or_default());
+            }
         }
         Ok(out)
     }
 
-    /// Runs `plan` with fault injection, partition retry, node-loss
-    /// rescheduling, and operator-granular checkpointing per `res`. With
-    /// default options this is exactly [`Executor::run`]. Observations go
-    /// to a run-local [`Observer`]; use [`Executor::run_observed`] to
-    /// keep them.
-    pub fn run_resilient(
-        &self,
-        plan: &LogicalPlan,
-        inputs: HashMap<String, Vec<Record>>,
-        res: &FlowResilience,
-    ) -> Result<FlowOutput, ExecutionError> {
-        self.run_observed(plan, inputs, res, &Observer::new())
-    }
-
-    /// [`Executor::run_resilient`] reporting through the caller's
-    /// [`Observer`]: per-plan-node spans on its tracer, per-operator
-    /// counters/histograms in its registry, startup-vs-work cost in its
-    /// profiler. All timestamps come from the simulated clock, so
-    /// same-seed runs observe byte-identically.
-    pub fn run_observed(
-        &self,
-        plan: &LogicalPlan,
-        inputs: HashMap<String, Vec<Record>>,
-        res: &FlowResilience,
-        obs: &Observer,
-    ) -> Result<FlowOutput, ExecutionError> {
-        plan.validate().map_err(|e| ExecutionError::InvalidPlan(e.to_string()))?;
+    /// The static analyzer, then the scheduler's admission check — each
+    /// when configured.
+    fn admit(&self, plan: &LogicalPlan) -> Result<(), ExecutionError> {
         let shards = self.config.sharding.as_ref().map(|s| s.shards);
         if self.config.analyze {
             let mut opts = AnalyzeOptions::default();
@@ -598,51 +576,10 @@ impl Executor {
             admit_sharded(plan, self.config.dop, &self.config.cluster, shards)
                 .map_err(ExecutionError::Scheduling)?;
         }
-        let state = ExecState::fresh(plan, self.config.cluster.nodes.len());
-        self.drive(plan, inputs, state, res, obs)
+        Ok(())
     }
 
-    /// Reconstructs mid-plan state from `checkpoint` and runs the flow to
-    /// completion. `plan`, `inputs`, and `res` must match the original
-    /// run's (the checkpoint stores executor state, not the plan or the
-    /// fault schedule); `inputs` is only consulted for sources the
-    /// checkpointed run had not yet read.
-    pub fn resume_from(
-        &self,
-        plan: &LogicalPlan,
-        checkpoint: &FlowCheckpoint,
-        inputs: HashMap<String, Vec<Record>>,
-        res: &FlowResilience,
-    ) -> Result<FlowOutput, ExecutionError> {
-        self.resume_observed(plan, checkpoint, inputs, res, &Observer::new())
-    }
-
-    /// [`Executor::resume_from`] reporting through the caller's
-    /// [`Observer`]. The checkpoint's registry snapshot is restored into
-    /// `obs` before execution continues, so counters and histograms pick
-    /// up exactly where the killed run left them.
-    pub fn resume_observed(
-        &self,
-        plan: &LogicalPlan,
-        checkpoint: &FlowCheckpoint,
-        inputs: HashMap<String, Vec<Record>>,
-        res: &FlowResilience,
-        obs: &Observer,
-    ) -> Result<FlowOutput, ExecutionError> {
-        let payload = checkpoint.payload().map_err(ExecutionError::BadCheckpoint)?;
-        let mut r = Reader::new(payload);
-        let state = ExecState::decode(&mut r).map_err(ExecutionError::BadCheckpoint)?;
-        let registry = RegistrySnapshot::decode(&mut r).map_err(ExecutionError::BadCheckpoint)?;
-        if !r.is_empty() || state.outputs.len() != plan.len() {
-            return Err(ExecutionError::BadCheckpoint(CodecError::Truncated {
-                what: "checkpoint does not match plan",
-            }));
-        }
-        obs.registry().restore(&registry);
-        self.drive(plan, inputs, state, res, obs)
-    }
-
-    /// Shared run loop behind `run_observed` and `resume_observed`.
+    /// The run loop behind every [`Executor::run`], fresh or resumed.
     fn drive(
         &self,
         plan: &LogicalPlan,
@@ -1021,10 +958,9 @@ impl Executor {
             ops: &st.ops[..physical_stages.min(chain)],
             fold,
             tapped: &st.tapped,
-            work_scale: self.config.work_scale,
         };
         let chunk_outs = runner.run_chunks(&kernel, chunks).map_err(|e| st.error(e, run))?;
-        merge(st, fold, chunk_outs, &mut run.physical, &mut seen);
+        merge(st, fold, chunk_outs, self.config.work_scale, &mut run.physical, &mut seen);
         Ok(seen)
     }
 
@@ -1090,7 +1026,7 @@ impl Executor {
                 );
             }
             // per-partition work: max over this constituent's partitions
-            // of the left-to-right sum of per-record costs
+            // of the left-to-right sum of scaled per-record costs
             let work = if op.kind == Kind::Reduce {
                 seen.reduce_work
             } else {
@@ -1098,7 +1034,7 @@ impl Executor {
                 for chunk in stats.costs.chunks(stage_chunk_size) {
                     let mut secs = 0.0f64;
                     for c in chunk {
-                        secs += *c;
+                        secs += self.config.work_scale * *c;
                     }
                     max_secs = max_secs.max(secs);
                 }
@@ -1246,11 +1182,13 @@ struct StageObs {
 /// Merges chunk results in chunk order: pipeline stages preserve record
 /// order, so concatenation reproduces the record order an unfused run
 /// would have seen — including the per-key cost lists the reduce-work
-/// replay depends on.
+/// replay depends on. Chunk costs are raw; each is multiplied by
+/// `work_scale` right before it is added, as the replay does.
 fn merge(
     st: &StageCtx<'_>,
     fold: Option<&Operator>,
     chunk_outs: Vec<ChunkOut>,
+    work_scale: f64,
     physical: &mut PhysicalStats,
     seen: &mut StageObs,
 ) {
@@ -1294,13 +1232,57 @@ fn merge(
         let mut work_secs = 0.0f64;
         for (k, (state, costs)) in merged {
             for c in costs {
-                work_secs += c;
+                work_secs += work_scale * c;
             }
             seen.output.extend(agg.finish(&k, state));
         }
         seen.reduce_work = work_secs / st.scheds[st.ops.len() - 1].dop_eff as f64;
         seen.final_bytes_out = seen.output.iter().map(Record::approx_bytes).sum();
     }
+}
+
+/// Pairs every `store:` sink of `plan` with its dataset, in sorted sink
+/// order so the store sees a deterministic call sequence — or fails with
+/// the first one, in that order, that is malformed or names a store
+/// other than `store`.
+fn store_drains(plan: &LogicalPlan, store: &str) -> Result<Vec<(String, String)>, ExecutionError> {
+    let mut sinks: Vec<&str> =
+        plan.sinks().into_iter().filter(|name| name.starts_with(STORE_SINK_PREFIX)).collect();
+    sinks.sort_unstable();
+    sinks
+        .into_iter()
+        .map(|sink| match parse_store_sink(sink) {
+            Some((target, dataset)) if target == store => {
+                Ok((sink.to_string(), dataset.to_string()))
+            }
+            parsed => Err(ExecutionError::UnknownStore {
+                sink: sink.to_string(),
+                store: parsed
+                    .map_or(&sink[STORE_SINK_PREFIX.len()..], |(target, _)| target)
+                    .to_string(),
+            }),
+        })
+        .collect()
+}
+
+/// Decodes the executor state a checkpoint frame captured, and restores
+/// its registry snapshot into `obs`.
+fn restore(
+    plan: &LogicalPlan,
+    checkpoint: &FlowCheckpoint,
+    obs: &Observer,
+) -> Result<ExecState, ExecutionError> {
+    let payload = checkpoint.payload().map_err(ExecutionError::BadCheckpoint)?;
+    let mut r = Reader::new(payload);
+    let state = ExecState::decode(&mut r).map_err(ExecutionError::BadCheckpoint)?;
+    let registry = RegistrySnapshot::decode(&mut r).map_err(ExecutionError::BadCheckpoint)?;
+    if !r.is_empty() || state.outputs.len() != plan.len() {
+        return Err(ExecutionError::BadCheckpoint(CodecError::Truncated {
+            what: "checkpoint does not match plan",
+        }));
+    }
+    obs.registry().restore(&registry);
+    Ok(state)
 }
 
 /// Counts the injected worker panics over `partitions` partitions of
@@ -1448,10 +1430,28 @@ mod tests {
         plan
     }
 
+    /// Runs `plan` with `input` bound to its source "in".
+    fn exec(
+        plan: &LogicalPlan,
+        input: Vec<Record>,
+        config: ExecutionConfig,
+        opts: RunOptions<'_>,
+    ) -> Result<FlowOutput, ExecutionError> {
+        Executor::new(config).run(plan, HashMap::from([("in".to_string(), input)]), opts)
+    }
+
     fn run(plan: &LogicalPlan, input: Vec<Record>, dop: usize) -> FlowOutput {
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), input);
-        Executor::new(ExecutionConfig::local(dop)).run(plan, inputs).unwrap()
+        exec(plan, input, ExecutionConfig::local(dop), RunOptions::default()).unwrap()
+    }
+
+    fn run_under(
+        plan: &LogicalPlan,
+        input: Vec<Record>,
+        dop: usize,
+        res: &FlowResilience,
+    ) -> Result<FlowOutput, ExecutionError> {
+        let opts = RunOptions { resilience: res.clone(), ..RunOptions::default() };
+        exec(plan, input, ExecutionConfig::local(dop), opts)
     }
 
     #[test]
@@ -1462,7 +1462,7 @@ mod tests {
         assert!(records[0].text().unwrap().contains("DOCUMENT"));
     }
 
-    /// Records a `run_into` call sequence for the store-routing tests.
+    /// Records the append sequence of a store-draining run.
     struct RecordingStore {
         name: String,
         appended: Vec<(String, usize)>,
@@ -1487,11 +1487,8 @@ mod tests {
         plan.sink(src, "plain").unwrap();
 
         let mut store = RecordingStore { name: "serve".into(), appended: vec![] };
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(6));
-        let out = Executor::new(ExecutionConfig::local(2))
-            .run_into(&plan, inputs, &mut store)
-            .unwrap();
+        let opts = RunOptions { store: Some(&mut store), ..RunOptions::default() };
+        let out = exec(&plan, docs(6), ExecutionConfig::local(2), opts).unwrap();
 
         // store sinks drained (in sorted name order), plain sink kept
         assert_eq!(store.appended, vec![("aux".to_string(), 6), ("entities".to_string(), 6)]);
@@ -1501,25 +1498,25 @@ mod tests {
 
     #[test]
     fn run_into_rejects_sinks_for_other_stores() {
+        // the reachable store's sink sorts first: a run that drained
+        // sinks before checking them all would already have appended it
         let mut plan = LogicalPlan::new();
         let src = plan.source("in");
         plan.store_sink(src, "archive", "entities").unwrap();
+        plan.store_sink(src, "serve", "entities").unwrap();
 
-        let mut store = RecordingStore { name: "serve".into(), appended: vec![] };
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(2));
-        let err = Executor::new(ExecutionConfig::local(1))
-            .run_into(&plan, inputs, &mut store)
-            .unwrap_err();
+        let mut store = RecordingStore { name: "archive".into(), appended: vec![] };
+        let opts = RunOptions { store: Some(&mut store), ..RunOptions::default() };
+        let err = exec(&plan, docs(2), ExecutionConfig::local(1), opts).unwrap_err();
         assert_eq!(
             err,
             ExecutionError::UnknownStore {
-                sink: "store:archive/entities".into(),
-                store: "archive".into(),
+                sink: "store:serve/entities".into(),
+                store: "serve".into(),
             }
         );
-        assert!(store.appended.is_empty());
-        assert!(err.to_string().contains("store 'archive'"));
+        assert!(store.appended.is_empty(), "a failed run appended {:?}", store.appended);
+        assert!(err.to_string().contains("store 'serve'"));
     }
 
     #[test]
@@ -1589,7 +1586,7 @@ mod tests {
     fn missing_source_errors() {
         let plan = simple_plan();
         let err = Executor::new(ExecutionConfig::local(2))
-            .run(&plan, HashMap::new())
+            .run(&plan, HashMap::new(), RunOptions::default())
             .unwrap_err();
         assert_eq!(err, ExecutionError::MissingSource("in".to_string()));
     }
@@ -1599,36 +1596,39 @@ mod tests {
         let mut plan = LogicalPlan::new();
         plan.source("in"); // no sink
         let err = Executor::new(ExecutionConfig::local(2))
-            .run(&plan, HashMap::new())
+            .run(&plan, HashMap::new(), RunOptions::default())
             .unwrap_err();
         assert_eq!(err, ExecutionError::InvalidPlan("plan has no sink".to_string()));
         assert_eq!(err.to_string(), "invalid plan: plan has no sink");
     }
 
-    #[test]
-    fn admission_failure_propagates() {
+    /// A 100 GB operator no paper-cluster node can host, then a thin map.
+    fn fat_plan() -> LogicalPlan {
         let mut plan = LogicalPlan::new();
         let src = plan.source("in");
-        let fat = plan
-            .add(
-                src,
-                Operator::map("fat", Package::Ie, |r| r).with_cost(CostModel {
-                    memory_bytes: 100 << 30,
-                    ..CostModel::default()
-                }),
-            )
-            .unwrap();
-        plan.sink(fat, "out").unwrap();
-        // analyze: false reaches the runtime scheduler's own rejection
-        let config = ExecutionConfig {
+        let fat = Operator::map("fat", Package::Ie, |r| r)
+            .with_cost(CostModel { memory_bytes: 100 << 30, ..CostModel::default() });
+        let fat = plan.add(src, fat).unwrap();
+        let thin = plan.add(fat, Operator::map("thin", Package::Base, |r| r)).unwrap();
+        plan.sink(thin, "out").unwrap();
+        plan
+    }
+
+    /// Admission on the paper cluster, with or without the analyzer.
+    fn paper_admission(analyze: bool) -> ExecutionConfig {
+        ExecutionConfig {
             admission: true,
-            analyze: false,
+            analyze,
             cluster: ClusterSpec::paper_cluster(),
             ..ExecutionConfig::local(4)
-        };
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(1));
-        let err = Executor::new(config).run(&plan, inputs).unwrap_err();
+        }
+    }
+
+    #[test]
+    fn admission_failure_propagates() {
+        // analyze: false reaches the runtime scheduler's own rejection
+        let err = exec(&fat_plan(), docs(1), paper_admission(false), RunOptions::default())
+            .unwrap_err();
         assert!(matches!(
             err,
             ExecutionError::Scheduling(SchedulingError::InsufficientMemory { .. })
@@ -1640,26 +1640,10 @@ mod tests {
         // same plan as admission_failure_propagates, but with the default
         // analyze: true the static analyzer catches it before the
         // scheduler — and before any operator runs
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("in");
-        let fat = plan
-            .add(
-                src,
-                Operator::map("fat", Package::Ie, |r| r).with_cost(CostModel {
-                    memory_bytes: 100 << 30,
-                    ..CostModel::default()
-                }),
-            )
-            .unwrap();
-        plan.sink(fat, "out").unwrap();
-        let config = ExecutionConfig {
-            admission: true,
-            cluster: ClusterSpec::paper_cluster(),
-            ..ExecutionConfig::local(4)
-        };
+        let executor = Executor::new(paper_admission(true));
         // empty inputs: rejection must happen before the missing source
         // could even be noticed
-        let err = Executor::new(config).run(&plan, HashMap::new()).unwrap_err();
+        let err = executor.run(&fat_plan(), HashMap::new(), RunOptions::default()).unwrap_err();
         match err {
             ExecutionError::PlanRejected { diagnostics } => {
                 // WS007 (whole-plan sum) and WS014 (even the peak fused
@@ -1668,6 +1652,34 @@ mod tests {
                 assert_eq!(codes, vec!["WS007", "WS014"]);
             }
             other => panic!("expected PlanRejected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_resumed_run_is_admitted_like_a_fresh_one() {
+        // the local cluster runs the plan and checkpoints every node; a
+        // resume from its last frame faces the paper cluster's admission
+        let plan = fat_plan();
+        let res = FlowResilience { checkpoint_every_nodes: Some(1), ..FlowResilience::default() };
+        let local = run_under(&plan, docs(4), 4, &res).unwrap();
+        let last = local.checkpoints.last().expect("a frame per node");
+        for analyze in [false, true] {
+            let fresh = exec(&plan, docs(4), paper_admission(analyze), RunOptions::default());
+            let opts =
+                RunOptions { resilience: res.clone(), resume: Some(last), ..RunOptions::default() };
+            let resumed = exec(&plan, docs(4), paper_admission(analyze), opts).unwrap_err();
+            assert_eq!(resumed, fresh.unwrap_err(), "analyze: {analyze}");
+            match resumed {
+                ExecutionError::Scheduling(SchedulingError::InsufficientMemory { .. }) => {
+                    assert!(!analyze)
+                }
+                ExecutionError::PlanRejected { diagnostics } => {
+                    let codes: Vec<&str> = diagnostics.iter().map(|d| d.code.as_str()).collect();
+                    assert_eq!(codes, vec!["WS007", "WS014"]);
+                    assert!(analyze);
+                }
+                other => panic!("analyze: {analyze}: unexpected {other:?}"),
+            }
         }
     }
 
@@ -1692,9 +1704,8 @@ mod tests {
             )
             .unwrap();
         plan.sink(sents, "out").unwrap();
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(3));
-        let err = Executor::new(ExecutionConfig::local(2)).run(&plan, inputs).unwrap_err();
+        let err =
+            exec(&plan, docs(3), ExecutionConfig::local(2), RunOptions::default()).unwrap_err();
         match err {
             ExecutionError::PlanRejected { diagnostics } => {
                 assert_eq!(diagnostics[0].code, "WS001");
@@ -1719,15 +1730,7 @@ mod tests {
             )
             .unwrap();
         plan.sink(heavy, "out").unwrap();
-        let run_at = |dop: usize| {
-            let mut inputs = HashMap::new();
-            inputs.insert("in".to_string(), docs(64));
-            Executor::new(ExecutionConfig::local(dop))
-                .run(&plan, inputs)
-                .unwrap()
-                .metrics
-                .simulated_secs
-        };
+        let run_at = |dop: usize| run(&plan, docs(64), dop).metrics.simulated_secs;
         let t1 = run_at(1);
         let t8 = run_at(8);
         assert!(t8 < t1, "parallelism helps: {t1} vs {t8}");
@@ -1754,9 +1757,7 @@ mod tests {
             cluster: cluster.clone(),
             ..ExecutionConfig::local(4)
         };
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(100));
-        let err = Executor::new(config).run(&plan, inputs).unwrap_err();
+        let err = exec(&plan, docs(100), config, RunOptions::default()).unwrap_err();
         assert!(matches!(err, ExecutionError::NetworkOverload { .. }));
 
         // chunking into enough rounds gets it through
@@ -1765,9 +1766,7 @@ mod tests {
             chunk_rounds: Some(10),
             ..ExecutionConfig::local(4)
         };
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(100));
-        assert!(Executor::new(config).run(&plan, inputs).is_ok());
+        assert!(exec(&plan, docs(100), config, RunOptions::default()).is_ok());
     }
 
     #[test]
@@ -1782,17 +1781,6 @@ mod tests {
         assert!(out.metrics.wall_ms >= 0.0);
     }
 
-    fn run_resilient(
-        plan: &LogicalPlan,
-        input: Vec<Record>,
-        dop: usize,
-        res: &FlowResilience,
-    ) -> Result<FlowOutput, ExecutionError> {
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), input);
-        Executor::new(ExecutionConfig::local(dop)).run_resilient(plan, inputs, res)
-    }
-
     #[test]
     fn panicked_partitions_are_retried() {
         let res = FlowResilience {
@@ -1802,12 +1790,12 @@ mod tests {
             partition_retries: 8,
             ..FlowResilience::default()
         };
-        let out = run_resilient(&simple_plan(), docs(40), 4, &res).unwrap();
+        let out = run_under(&simple_plan(), docs(40), 4, &res).unwrap();
         assert_eq!(out.sinks["out"].len(), 20, "results survive worker panics");
         assert!(out.metrics.partition_retries > 0, "no retries recorded");
 
         // the same flow without faults produces identical sink contents
-        let clean = run_resilient(&simple_plan(), docs(40), 4, &FlowResilience::default()).unwrap();
+        let clean = run_under(&simple_plan(), docs(40), 4, &FlowResilience::default()).unwrap();
         assert_eq!(clean.sinks["out"], out.sinks["out"]);
     }
 
@@ -1820,7 +1808,7 @@ mod tests {
             partition_retries: 2,
             ..FlowResilience::default()
         };
-        let err = run_resilient(&simple_plan(), docs(10), 2, &res).unwrap_err();
+        let err = run_under(&simple_plan(), docs(10), 2, &res).unwrap_err();
         match err {
             ExecutionError::OperatorPanicked { operator, attempts, .. } => {
                 assert_eq!(operator, "upper");
@@ -1838,9 +1826,9 @@ mod tests {
             ),
             ..FlowResilience::default()
         };
-        let faulty = run_resilient(&simple_plan(), docs(40), 8, &res).unwrap();
+        let faulty = run_under(&simple_plan(), docs(40), 8, &res).unwrap();
         assert!(!faulty.metrics.nodes_lost.is_empty(), "no nodes lost at 50%");
-        let clean = run_resilient(&simple_plan(), docs(40), 8, &FlowResilience::default()).unwrap();
+        let clean = run_under(&simple_plan(), docs(40), 8, &FlowResilience::default()).unwrap();
         assert_eq!(clean.sinks["out"], faulty.sinks["out"], "results unchanged");
         assert!(
             faulty.metrics.simulated_secs > clean.metrics.simulated_secs,
@@ -1856,7 +1844,7 @@ mod tests {
             ),
             ..FlowResilience::default()
         };
-        let err = run_resilient(&simple_plan(), docs(10), 4, &res).unwrap_err();
+        let err = run_under(&simple_plan(), docs(10), 4, &res).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1875,7 +1863,7 @@ mod tests {
             partition_retries: 10,
             ..FlowResilience::default()
         };
-        let out = run_resilient(&simple_plan(), docs(10), 2, &res).unwrap();
+        let out = run_under(&simple_plan(), docs(10), 2, &res).unwrap();
         assert_eq!(out.sinks["out"].len(), 5);
     }
 
@@ -1884,7 +1872,7 @@ mod tests {
         let plan = simple_plan();
         let res = FlowResilience::injected(0xFEED, 0.3, 1);
 
-        let base_out = run_resilient(&plan, docs(50), 4, &res).unwrap();
+        let base_out = run_under(&plan, docs(50), 4, &res).unwrap();
 
         // killed before plan node 2 (after source + first operator): its
         // last frame is the last one sealed at or before that boundary
@@ -1897,11 +1885,8 @@ mod tests {
         // resume from durable bytes and run to completion
         let restored = FlowCheckpoint::from_bytes(ckpt.as_bytes().to_vec()).unwrap();
         assert_eq!(restored.next_node, ckpt.next_node, "the boundary is read from the frame");
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(50));
-        let resumed_out = Executor::new(ExecutionConfig::local(4))
-            .resume_from(&plan, &restored, inputs, &res)
-            .unwrap();
+        let opts = RunOptions { resilience: res, resume: Some(&restored), ..RunOptions::default() };
+        let resumed_out = exec(&plan, docs(50), ExecutionConfig::local(4), opts).unwrap();
 
         assert_eq!(base_out.sinks, resumed_out.sinks);
         assert_eq!(
@@ -1918,11 +1903,8 @@ mod tests {
     #[test]
     fn observed_run_emits_node_spans_and_registry_views() {
         let obs = Observer::new();
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(12));
-        let out = Executor::new(ExecutionConfig::local(4))
-            .run_observed(&simple_plan(), inputs, &FlowResilience::default(), &obs)
-            .unwrap();
+        let opts = RunOptions { observer: Some(&obs), ..RunOptions::default() };
+        let out = exec(&simple_plan(), docs(12), ExecutionConfig::local(4), opts).unwrap();
 
         // one span per executed plan node: source, two ops, sink
         let events = obs.tracer().events();
@@ -1963,20 +1945,16 @@ mod tests {
             ..FlowResilience::default()
         };
         let full_obs = Observer::new();
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(20));
-        let full = Executor::new(ExecutionConfig::local(2))
-            .run_observed(&plan, inputs, &res, &full_obs)
-            .unwrap();
+        let observer = Some(&full_obs);
+        let opts = RunOptions { resilience: res.clone(), observer, ..RunOptions::default() };
+        let full = exec(&plan, docs(20), ExecutionConfig::local(2), opts).unwrap();
         // a run killed before node 2 would have left frames up to there
         let ckpt = full.checkpoints.iter().rfind(|c| c.next_node <= 2).unwrap();
 
         let resumed_obs = Observer::new();
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), docs(20));
-        Executor::new(ExecutionConfig::local(2))
-            .resume_observed(&plan, ckpt, inputs, &res, &resumed_obs)
-            .unwrap();
+        let (observer, resume) = (Some(&resumed_obs), Some(ckpt));
+        let opts = RunOptions { resilience: res, observer, resume, ..RunOptions::default() };
+        exec(&plan, docs(20), ExecutionConfig::local(2), opts).unwrap();
 
         // the full observed run and the resumed one agree on every
         // counter and histogram (gauges included)
@@ -1992,11 +1970,9 @@ mod tests {
         res: &FlowResilience,
     ) -> (FlowOutput, String, websift_observe::RegistrySnapshot) {
         let obs = Observer::new();
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), input);
-        let out = Executor::new(config)
-            .run_observed(plan, inputs, res, &obs)
-            .unwrap();
+        let observer = Some(&obs);
+        let opts = RunOptions { resilience: res.clone(), observer, ..RunOptions::default() };
+        let out = exec(plan, input, config, opts).unwrap();
         (out, obs.tracer().to_jsonl(), obs.registry().snapshot())
     }
 
@@ -2082,10 +2058,8 @@ mod tests {
             ..FlowResilience::default()
         };
         let run_with = |fusion: bool| {
-            let mut inputs = HashMap::new();
-            inputs.insert("in".to_string(), docs(20));
-            Executor::new(ExecutionConfig { fusion, ..ExecutionConfig::local(4) })
-                .run_resilient(&plan, inputs, &res)
+            let opts = RunOptions { resilience: res.clone(), ..RunOptions::default() };
+            exec(&plan, docs(20), ExecutionConfig { fusion, ..ExecutionConfig::local(4) }, opts)
                 .unwrap()
         };
         let fused = run_with(true);
@@ -2138,7 +2112,7 @@ mod tests {
             checkpoint_every_nodes: Some(1),
             ..FlowResilience::default()
         };
-        let out = run_resilient(&plan, docs(10), 2, &res).unwrap();
+        let out = run_under(&plan, docs(10), 2, &res).unwrap();
         let ckpt = out.checkpoints.iter().rfind(|c| c.next_node <= 2).unwrap();
         let mut bytes = ckpt.as_bytes().to_vec();
         let mid = bytes.len() / 2;

@@ -29,8 +29,8 @@
 //!   static fusion/combining "explain" report;
 //! - [`resilience`] — fault-injection options and operator-granular
 //!   checkpoints: every run returns its frames in [`FlowOutput::checkpoints`],
-//!   a killed run is a prefix of them, and [`Executor::resume_from`]
-//!   continues from any one;
+//!   a killed run is a prefix of them, and [`Executor::run`] with
+//!   [`RunOptions::resume`] continues from any one;
 //! - [`runner`] — the [`StageRunner`] seam between the executor's stage
 //!   scheduling and where chunk work physically runs: [`LocalRunner`]'s
 //!   thread scope, or the shard pool below; an uncombined Reduce is
@@ -62,7 +62,7 @@ pub use analyze::{analyze_plan, analyze_script, AnalyzeOptions};
 pub use cluster::{admit, admit_sharded, ClusterSpec, NodeSpec, Placement, SchedulingError};
 pub use executor::{
     ExecutionConfig, ExecutionError, Executor, FlowMetrics, FlowOutput, OpMetrics, PhysicalStats,
-    StoreSink,
+    RunOptions, StoreSink,
 };
 pub use resilience::{FlowCheckpoint, FlowResilience};
 pub use logical::{parse_store_sink, LogicalPlan, NodeId, NodeOp, PlanError, STORE_SINK_PREFIX};

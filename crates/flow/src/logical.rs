@@ -18,8 +18,8 @@ pub type NodeId = usize;
 /// Store routing rides on sink *names* rather than a new [`NodeOp`]
 /// variant so every existing plan pass (fusion, analysis, checkpointing,
 /// the executor's drive loop) keeps working unchanged — only
-/// [`crate::executor::Executor::run_into`] and the WS011 diagnostic give
-/// the prefix meaning.
+/// a run given a [`crate::RunOptions::store`] and the WS011 diagnostic
+/// give the prefix meaning.
 pub const STORE_SINK_PREFIX: &str = "store:";
 
 /// Splits a store-sink name into `(store, dataset)`. Returns `None` when
@@ -116,8 +116,8 @@ impl LogicalPlan {
     /// Adds a sink that routes `input`'s records into dataset `dataset`
     /// of the persistent store `store` (via the `store:` name
     /// convention). The plan still executes everywhere a plain sink
-    /// would; [`crate::executor::Executor::run_into`] drains the records
-    /// into the store afterwards.
+    /// would; a run given a [`crate::RunOptions::store`] drains the
+    /// records into the store afterwards.
     pub fn store_sink(
         &mut self,
         input: NodeId,

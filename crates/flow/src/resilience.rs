@@ -13,7 +13,7 @@
 //! ([`crate::FlowOutput::checkpoints`]), and a run killed at node boundary
 //! `k` would have left exactly the prefix of them with `next_node <= k` —
 //! what [`crate::ExecutionError::ShardLost`] hands back when a worker
-//! shard dies. [`crate::Executor::resume_from`] continues from any frame.
+//! shard dies. A run given any one as [`crate::RunOptions::resume`] continues.
 
 use websift_resilience::codec;
 use websift_resilience::{CodecError, FaultPlan, Reader};

@@ -175,8 +175,7 @@ mod tests {
         let ops = [testkit::stamp(), testkit::dup(), testkit::parity()];
         let tally = testkit::tally();
         let refs: Vec<&Operator> = ops.iter().collect();
-        let stage =
-            StageKernel { ops: &refs, fold: Some(&tally), tapped: &[1], work_scale: 2.0 };
+        let stage = StageKernel { ops: &refs, fold: Some(&tally), tapped: &[1] };
         let chunks = || docs(41).chunks(6).map(<[Record]>::to_vec).collect::<Vec<_>>();
 
         let serial = LocalRunner::new(1).run_chunks(&stage, chunks()).unwrap();
@@ -211,7 +210,7 @@ mod tests {
             }),
         ];
         let refs: Vec<&Operator> = ops.iter().collect();
-        let stage = StageKernel { ops: &refs, fold: None, tapped: &[], work_scale: 1.0 };
+        let stage = StageKernel { ops: &refs, fold: None, tapped: &[] };
         let chunks = docs(12).chunks(4).map(<[Record]>::to_vec).collect();
         let err = LocalRunner::new(2).run_chunks(&stage, chunks).unwrap_err();
         assert_eq!(err, ShardRunError::Panicked { stage: 1, chunk: 2 });

@@ -146,7 +146,8 @@ impl ShardConfig {
 /// chunks arriving from worker processes report `0.0`.
 #[derive(Debug, Default, Clone)]
 pub struct ChunkStats {
-    /// Per-record simulated costs, in record order.
+    /// Per-record simulated costs, in record order, as the cost model
+    /// gives them: the parent applies the simulated model's scale.
     pub costs: Vec<f64>,
     pub records_in: u64,
     pub bytes_in: u64,
@@ -239,7 +240,6 @@ pub struct StageKernel<'a> {
     pub fold: Option<&'a Operator>,
     /// Interior boundaries to tap, as in-chain stage indices.
     pub tapped: &'a [usize],
-    pub work_scale: f64,
 }
 
 impl StageKernel<'_> {
@@ -259,10 +259,7 @@ impl StageKernel<'_> {
             let mut next = Vec::with_capacity(cur.len());
             let charge = |tally: &mut ChunkStats, r: &Record| {
                 tally.bytes_in += r.approx_bytes();
-                tally.costs.push(
-                    self.work_scale
-                        * op.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64)),
-                );
+                tally.costs.push(op.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64)));
             };
             // One dispatch per chunk per stage: the closure-variant match
             // is hoisted out of the record loop.
@@ -312,8 +309,7 @@ impl StageKernel<'_> {
             for r in std::mem::take(&mut cur) {
                 tally.records_in += 1;
                 tally.bytes_in += r.approx_bytes();
-                let cost = self.work_scale
-                    * reduce.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64));
+                let cost = reduce.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64));
                 let e = map.entry(key(&r)).or_insert_with(|| (agg.seed(), Vec::new()));
                 agg.fold(&mut e.0, &r);
                 e.1.push(cost);
@@ -363,7 +359,6 @@ pub struct StageTask {
     pub ops: Vec<Operator>,
     pub fold: Option<Operator>,
     pub tapped: Vec<usize>,
-    pub work_scale: f64,
 }
 
 impl StageTask {
@@ -383,7 +378,6 @@ impl StageTask {
             put(fold, &mut w)?;
         }
         self.tapped.encode(&mut w);
-        w.f64(self.work_scale);
         Ok(w.into_bytes())
     }
 
@@ -413,8 +407,7 @@ impl StageTask {
         } else {
             None
         };
-        let task =
-            StageTask { ops, fold, tapped: Snapshot::decode(&mut r)?, work_scale: r.f64()? };
+        let task = StageTask { ops, fold, tapped: Snapshot::decode(&mut r)? };
         if !r.is_empty() {
             let value = u64::try_from(r.remaining()).unwrap_or(u64::MAX);
             return Err(CodecError::Oversize { what: "trailing stage task bytes", value }.into());
@@ -485,7 +478,6 @@ pub fn worker_serve(reader: impl Read, writer: impl Write) -> Result<(), Transpo
                             ops: &refs,
                             fold: task.fold.as_ref(),
                             tapped: &task.tapped,
-                            work_scale: task.work_scale,
                         };
                         let stage_at = Cell::new(0usize);
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -974,7 +966,6 @@ impl StageRunner for ShardPool {
             ops: stage.ops.iter().map(|&op| op.clone()).collect(),
             fold: stage.fold.cloned(),
             tapped: stage.tapped.to_vec(),
-            work_scale: stage.work_scale,
         };
         let n_shards = self.shards();
         let mut slots: Vec<Option<ChunkOut>> = chunks.iter().map(|_| None).collect();
@@ -1026,7 +1017,7 @@ mod tests {
     fn worker_serves_a_pipeline_stage_identically_to_a_direct_kernel_run() {
         let ops = [testkit::stamp(), testkit::parity()];
         let refs: Vec<&Operator> = ops.iter().collect();
-        let kernel = StageKernel { ops: &refs, fold: None, tapped: &[], work_scale: 1.0 };
+        let kernel = StageKernel { ops: &refs, fold: None, tapped: &[] };
         let direct = kernel.run_chunk(docs(10), &Cell::new(0));
 
         let mut pool = ShardPool::new(ShardConfig::in_process(1));
@@ -1052,7 +1043,7 @@ mod tests {
         let cfg = ShardConfig::in_process(2).with_kill(KillSpec { shard: 1, after_frames: 2 });
         let mut pool = ShardPool::new(cfg);
         let stamp = testkit::stamp();
-        let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[], work_scale: 1.0 };
+        let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[] };
         let chunks: Vec<Vec<Record>> = (0..6).map(|_| docs(4)).collect();
         match pool.run_chunks(&kernel, chunks) {
             Err(ShardRunError::Lost { shard }) => assert_eq!(shard, 1),
@@ -1067,7 +1058,7 @@ mod tests {
             .with_respawn(true);
         let mut pool = ShardPool::new(cfg);
         let stamp = testkit::stamp();
-        let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[], work_scale: 1.0 };
+        let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[] };
         let chunks: Vec<Vec<Record>> = (0..6).map(|i| docs(3 + i)).collect();
         let outs = pool.run_chunks(&kernel, chunks).unwrap();
         assert_eq!(outs.len(), 6);
@@ -1135,7 +1126,7 @@ mod tests {
         let mut pool = ShardPool::new(ShardConfig::in_process(1));
         pool.handles[0] = Some(scripted_shard(&[(K_RESULT, reply.into_bytes())]));
         let stamp = testkit::stamp();
-        let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[], work_scale: 1.0 };
+        let kernel = StageKernel { ops: &[&stamp], fold: None, tapped: &[] };
         match pool.run_chunks(&kernel, vec![docs(2)]) {
             Err(ShardRunError::Protocol { detail, .. }) => assert!(detail.contains("99")),
             other => panic!("expected a protocol error, got {:?}", other.map(|o| o.len())),
@@ -1186,7 +1177,6 @@ mod tests {
             ops: vec![ie::annotate_tokens(), base::filter_length(4096), testkit::stamp()],
             fold: Some(base::count_by("stamp")),
             tapped: vec![1],
-            work_scale: 2.0,
         }
     }
 

@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift_flow::{
     ExecutionConfig, Executor, FlowOutput, FlowResilience, IeResources, LogicalPlan, NodeOp,
-    Operator, Record, ShardConfig, Span, Value,
+    Operator, Record, RunOptions, ShardConfig, Span, Value,
 };
 use websift_ner::EntityType;
 use websift_resilience::{Snapshot, Writer};
@@ -129,8 +129,9 @@ fn assert_packed_matches_plain(name: &str, plan: &LogicalPlan) {
         .position(|n| matches!(&n.op, NodeOp::Op(op) if op.name == "ie.annotate_tokens"))
         .expect("every paper flow tokenizes");
     let res = FlowResilience { checkpoint_every_nodes: Some(CADENCE), ..FlowResilience::default() };
+    let opts = |resume| RunOptions { resilience: res.clone(), resume, ..RunOptions::default() };
     let run = |plan: &LogicalPlan, config: ExecutionConfig| {
-        Executor::new(config).run_resilient(plan, inputs(plan), &res).unwrap()
+        Executor::new(config).run(plan, inputs(plan), opts(None)).unwrap()
     };
 
     // Simulated seconds depend on the DoP; nothing else here does.
@@ -154,14 +155,14 @@ fn assert_packed_matches_plain(name: &str, plan: &LogicalPlan) {
     // Killed after the tokenizer, resumed from the last frame before the
     // kill: everything downstream reads decoded — plain — span arrays.
     let exec = Executor::new(ExecutionConfig::local(3));
-    let full = exec.run_resilient(plan, inputs(plan), &res).unwrap();
+    let full = exec.run(plan, inputs(plan), opts(None)).unwrap();
     let killed = full.checkpoints.iter().filter(|c| c.next_node <= tokens_at + 2).count();
     let want_frames = frames(&want);
     let (before, after) = want_frames.split_at(killed);
     let frame = &full.checkpoints[killed - 1];
     assert!(frame.next_node > tokens_at, "{name}: frame at {}", frame.next_node);
     assert_eq!(&frames(&full)[..killed], before, "{name}");
-    let resumed = exec.resume_from(plan, frame, inputs(plan), &res).unwrap();
+    let resumed = exec.run(plan, inputs(plan), opts(Some(frame))).unwrap();
     assert_eq!(surface(&resumed), surface(&want), "{name} resumed");
     assert_eq!(frames(&resumed), after, "{name} resumed");
 
@@ -179,7 +180,9 @@ fn differential_full_analysis_plan() {
     let plan = websift_pipeline::full_analysis_plan(resources());
     assert_packed_matches_plain("full_analysis_plan", &plan);
     // not vacuous: its three sinks keep every annotation
-    let out = Executor::new(ExecutionConfig::local(2)).run(&plan, inputs(&plan)).unwrap();
+    let out = Executor::new(ExecutionConfig::local(2))
+        .run(&plan, inputs(&plan), RunOptions::default())
+        .unwrap();
     for sink in ["linguistic", "entities", "entities_deduped"] {
         for r in &out.sinks[sink] {
             assert!(matches!(r.get("sentences"), Some(Value::Spans(s)) if !s.is_empty()), "{sink}");

@@ -7,8 +7,8 @@
 use std::collections::HashMap;
 use websift_analyze::diagnostics_to_json;
 use websift_flow::{
-    ExecutionConfig, ExecutionError, Executor, FlowResilience, LogicalPlan, Operator, Package,
-    Record,
+    ExecutionConfig, ExecutionError, Executor, FlowCheckpoint, FlowResilience, LogicalPlan,
+    Operator, Package, Record, RunOptions,
 };
 use websift_observe::{Observer, RegistrySnapshot};
 use websift_resilience::{Snapshot, Writer};
@@ -105,6 +105,16 @@ pub struct RunSurface {
     pub checkpoints: Vec<(usize, Vec<u8>)>,
 }
 
+/// A run under `res`, reporting to `observer` and resuming from `resume`
+/// when they are given.
+pub fn options<'a>(
+    res: &FlowResilience,
+    observer: Option<&'a Observer>,
+    resume: Option<&'a FlowCheckpoint>,
+) -> RunOptions<'a> {
+    RunOptions { resilience: res.clone(), observer, resume, store: None }
+}
+
 pub fn run_surface(
     plan: &LogicalPlan,
     input: Vec<Record>,
@@ -112,7 +122,7 @@ pub fn run_surface(
     res: &FlowResilience,
 ) -> RunSurface {
     let obs = Observer::new();
-    let result = Executor::new(config).run_observed(plan, inputs_for(input), res, &obs);
+    let result = Executor::new(config).run(plan, inputs_for(input), options(res, Some(&obs), None));
     let (output, checkpoints, error) = match result {
         Ok(out) => {
             let frames = out.checkpoints.iter().map(|c| (c.next_node, c.as_bytes().to_vec()));

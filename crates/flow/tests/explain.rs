@@ -19,7 +19,8 @@ use websift_analyze::lattice::FieldType;
 use websift_flow::packages::testkit;
 use websift_flow::{
     analyze_plan, explain_plan, optimize, plan_stages, AnalyzeOptions, ClusterSpec, CostModel,
-    ExecutionConfig, Executor, LogicalPlan, Operator, Package, Record, StageDecision, Value,
+    ExecutionConfig, Executor, LogicalPlan, Operator, Package, Record, RunOptions, StageDecision,
+    Value,
 };
 
 /// Runnable operators covering every stage-decision shape: pipelineable
@@ -105,7 +106,7 @@ fn executed_stages(plan: &LogicalPlan, dop: usize, fusion: bool, combining: bool
     let mut inputs = HashMap::new();
     inputs.insert("docs".to_string(), docs(7));
     Executor::new(config)
-        .run(plan, inputs)
+        .run(plan, inputs, RunOptions::default())
         .expect("pool operators are total")
         .stages
 }

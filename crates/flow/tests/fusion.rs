@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{assert_surfaces_equal, docs, inputs_for, pool_op, run_surface};
+use common::{assert_surfaces_equal, docs, inputs_for, options, pool_op, run_surface};
 use proptest::prelude::*;
 use websift_flow::{ExecutionConfig, Executor, FlowResilience, LogicalPlan};
 use websift_observe::Observer;
@@ -74,9 +74,8 @@ proptest! {
 
         let exec = Executor::new(ExecutionConfig::local(dop));
         let full_obs = Observer::new();
-        let full = exec
-            .run_observed(&plan, inputs_for(docs(n_docs)), &full_res, &full_obs)
-            .unwrap();
+        let opts = options(&full_res, Some(&full_obs), None);
+        let full = exec.run(&plan, inputs_for(docs(n_docs)), opts).unwrap();
         // With checkpoint_every_nodes = 1 a kill strictly inside the plan
         // always has at least one checkpoint behind it.
         let ckpt = full
@@ -86,9 +85,8 @@ proptest! {
             .expect("checkpoint before the kill point");
 
         let resumed_obs = Observer::new();
-        let resumed = exec
-            .resume_observed(&plan, ckpt, inputs_for(docs(n_docs)), &full_res, &resumed_obs)
-            .unwrap();
+        let opts = options(&full_res, Some(&resumed_obs), Some(ckpt));
+        let resumed = exec.run(&plan, inputs_for(docs(n_docs)), opts).unwrap();
 
         prop_assert_eq!(resumed.sinks, full.sinks, "sinks diverged for {:?} stop={}", indices, stop);
         prop_assert_eq!(
@@ -120,7 +118,8 @@ proptest! {
             ExecutionConfig { combining: false, ..ExecutionConfig::local(dop) },
         ] {
             let other = Executor::new(config);
-            let plain = other.run_resilient(&plan, inputs_for(docs(n_docs)), &full_res).unwrap();
+            let opts = options(&full_res, None, None);
+            let plain = other.run(&plan, inputs_for(docs(n_docs)), opts).unwrap();
             prop_assert_eq!(
                 resumed.deterministic_digest(),
                 plain.deterministic_digest(),

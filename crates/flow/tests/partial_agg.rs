@@ -19,11 +19,11 @@
 
 mod common;
 
-use common::{assert_surfaces_equal, docs, group_key, inputs_for, run_surface};
+use common::{assert_surfaces_equal, docs, group_key, inputs_for, options, run_surface};
 use proptest::prelude::*;
 use websift_flow::{
     Aggregate, ExecutionConfig, Executor, FlowResilience, LogicalPlan, Operator, Package, Record,
-    Value,
+    RunOptions, Value,
 };
 use websift_observe::Observer;
 
@@ -235,7 +235,8 @@ fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
     for dop in [1usize, 4, 8] {
         let exec = Executor::new(ExecutionConfig::local(dop));
         let full_obs = Observer::new();
-        let full = exec.run_observed(&plan, inputs_for(docs(18)), &full_res, &full_obs).unwrap();
+        let opts = options(&full_res, Some(&full_obs), None);
+        let full = exec.run(&plan, inputs_for(docs(18)), opts).unwrap();
         for stop in [2usize, 3] {
             // Both kill points land strictly inside the fused stage's
             // node range (before the reduce completes).
@@ -244,9 +245,8 @@ fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
 
             let resumed_obs = Observer::new();
             let inputs = inputs_for(docs(18));
-            let resumed = exec
-                .resume_observed(&plan, ckpt, inputs, &full_res, &resumed_obs)
-                .unwrap();
+            let opts = options(&full_res, Some(&resumed_obs), Some(ckpt));
+            let resumed = exec.run(&plan, inputs, opts).unwrap();
 
             assert_eq!(resumed.sinks, full.sinks, "dop {dop} stop {stop}");
             assert_eq!(
@@ -271,7 +271,8 @@ fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
                 ExecutionConfig { fusion: false, combining: false, ..ExecutionConfig::local(dop) },
             ] {
                 let inputs = inputs_for(docs(18));
-                let plain = Executor::new(config).run_resilient(&plan, inputs, &full_res).unwrap();
+                let opts = options(&full_res, None, None);
+                let plain = Executor::new(config).run(&plan, inputs, opts).unwrap();
                 assert_eq!(
                     resumed.deterministic_digest(),
                     plain.deterministic_digest(),
@@ -288,11 +289,10 @@ fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
 #[test]
 fn combining_shrinks_shuffle_bytes_without_touching_surfaces() {
     let plan = reduce_plan(&[0, 1], 0, &[]);
-    let res = FlowResilience::default();
     let run = |combining: bool| {
         let inputs = inputs_for(docs(30));
         Executor::new(ExecutionConfig { combining, ..ExecutionConfig::local(4) })
-            .run_resilient(&plan, inputs, &res)
+            .run(&plan, inputs, RunOptions::default())
             .unwrap()
     };
     let c = run(true);
@@ -332,11 +332,10 @@ fn custom_combinable_reduce_combines_and_resumes_bit_exactly() {
     }
 
     // Fewer bytes cross the shuffle with partial aggregation on.
-    let res = FlowResilience::default();
     let run = |combining: bool| {
         let inputs = inputs_for(docs(30));
         Executor::new(ExecutionConfig { combining, ..ExecutionConfig::local(4) })
-            .run_resilient(&plan, inputs, &res)
+            .run(&plan, inputs, RunOptions::default())
             .unwrap()
     };
     let (c, u) = (run(true), run(false));
@@ -352,13 +351,13 @@ fn custom_combinable_reduce_combines_and_resumes_bit_exactly() {
     let full_res =
         FlowResilience { checkpoint_every_nodes: Some(1), ..FlowResilience::default() };
     let exec = Executor::new(ExecutionConfig::local(4));
-    let full = exec.run_resilient(&plan, inputs_for(docs(18)), &full_res).unwrap();
+    let full = exec.run(&plan, inputs_for(docs(18)), options(&full_res, None, None)).unwrap();
     for stop in [2usize, 3] {
         let ckpt = &full.checkpoints[stop - 1];
         assert_eq!(ckpt.next_node, stop, "the frame a kill at {stop} leaves");
 
         let inputs = inputs_for(docs(18));
-        let resumed = exec.resume_from(&plan, ckpt, inputs, &full_res).unwrap();
+        let resumed = exec.run(&plan, inputs, options(&full_res, None, Some(ckpt))).unwrap();
 
         assert_eq!(resumed.sinks, full.sinks, "stop {stop}");
         assert_eq!(

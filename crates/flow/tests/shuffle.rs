@@ -18,7 +18,7 @@
 //! 4. an uncombined Reduce is grouped in the parent whatever the
 //!    sharding: the stages around it still ship, it pins nothing, and a
 //!    plan that is only that Reduce spawns no worker at all;
-//! 5. records routed to a store sink (`Executor::run_into`) land
+//! 5. records routed to a store sink (`RunOptions::store`) land
 //!    identically, so serve-side snapshots cannot observe sharding;
 //! 6. the *real* pipeline ships whole: preprocessing into dictionary +
 //!    CRF entity annotation, and into the token-frequency reduce, built
@@ -31,14 +31,14 @@
 
 mod common;
 
-use common::{assert_surfaces_equal, docs, inputs_for, pool_op, run_surface};
+use common::{assert_surfaces_equal, docs, inputs_for, options, pool_op, run_surface};
 use proptest::prelude::*;
 use std::sync::Arc;
 use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift_flow::packages::{base, dc, ie, wa};
 use websift_flow::{
     ExecutionConfig, ExecutionError, Executor, FlowResilience, IeResources, KillSpec, LogicalPlan,
-    Record, ShardConfig, StoreSink,
+    Record, RunOptions, ShardConfig, StoreSink,
 };
 use websift_ner::EntityType;
 use websift_resilience::{Snapshot, Writer};
@@ -114,7 +114,7 @@ fn spec_less_stage_pins_local_and_is_counted() {
 
     let physical = |sharding: Option<ShardConfig>| {
         Executor::new(config(sharding))
-            .run(&plan, inputs_for(docs(24)))
+            .run(&plan, inputs_for(docs(24)), RunOptions::default())
             .expect("run succeeds")
             .physical
     };
@@ -166,7 +166,7 @@ fn real_worker_processes_match_in_process_execution() {
         ..ExecutionConfig::local(4)
     };
     let out = Executor::new(cfg)
-        .run(&chain_plan(&[0, 2, 4]), inputs_for(docs(24)))
+        .run(&chain_plan(&[0, 2, 4]), inputs_for(docs(24)), RunOptions::default())
         .expect("sharded run succeeds");
     assert_eq!(out.physical.shards_used, 2, "two real worker processes");
     assert!(out.physical.shard_frames > 0, "frames crossed the pipes");
@@ -224,15 +224,15 @@ fn killed_shard_resumes_bit_exactly_at_mismatched_shard_counts() {
     };
 
     let full = Executor::new(config(Some(ShardConfig::in_process(2))))
-        .run_resilient(&plan, inputs_for(docs(24)), &full_res)
+        .run(&plan, inputs_for(docs(24)), options(&full_res, None, None))
         .expect("uninterrupted run succeeds");
 
     let mut resumes = 0usize;
     for after_frames in [3u64, 8, 13] {
         let kill = KillSpec { shard: 0, after_frames };
         let cfg = ShardConfig::in_process(2).with_kill(kill);
-        let result =
-            Executor::new(config(Some(cfg))).run_resilient(&plan, inputs_for(docs(24)), &full_res);
+        let opts = options(&full_res, None, None);
+        let result = Executor::new(config(Some(cfg))).run(&plan, inputs_for(docs(24)), opts);
         match result {
             Err(ExecutionError::ShardLost { shard, checkpoints, .. }) => {
                 assert_eq!(shard, 0, "the killed shard is the lost one");
@@ -251,7 +251,7 @@ fn killed_shard_resumes_bit_exactly_at_mismatched_shard_counts() {
                         None => "unsharded".to_string(),
                     };
                     let resumed = Executor::new(config(resume_sharding))
-                        .resume_from(&plan, ckpt, inputs_for(docs(24)), &full_res)
+                        .run(&plan, inputs_for(docs(24)), options(&full_res, None, Some(ckpt)))
                         .expect("resume succeeds");
                     let ctx = format!("after_frames {after_frames}, resume {label}");
                     assert_eq!(resumed.sinks, full.sinks, "{ctx}");
@@ -301,7 +301,7 @@ fn respawned_worker_completes_the_run_identically() {
         .with_kill(KillSpec { shard: 1, after_frames: 3 })
         .with_respawn(true);
     let out = Executor::new(config(Some(cfg)))
-        .run(&plan, inputs_for(docs(24)))
+        .run(&plan, inputs_for(docs(24)), RunOptions::default())
         .expect("respawned run succeeds");
     assert!(out.physical.shard_respawns >= 1, "the lost worker was respawned");
 }
@@ -321,7 +321,7 @@ fn uncombined_reduce_groups_in_the_parent_and_stays_byte_identical() {
     };
     let physical = |plan: &LogicalPlan| {
         Executor::new(config(Some(ShardConfig::in_process(2))))
-            .run(plan, inputs_for(docs(80)))
+            .run(plan, inputs_for(docs(80)), RunOptions::default())
             .expect("sharded run succeeds")
             .physical
     };
@@ -393,7 +393,7 @@ impl StoreSink for RecordingStore {
 }
 
 /// The eighth surface: records routed into a store via
-/// [`Executor::run_into`] arrive in the same order with the same bytes
+/// [`RunOptions::store`] arrive in the same order with the same bytes
 /// whatever the shard count, so serve-side snapshots built from a
 /// sharded run are byte-identical to in-process ones.
 #[test]
@@ -407,12 +407,10 @@ fn store_snapshots_cannot_observe_sharding() {
 
     let run = |sharding: Option<ShardConfig>| {
         let mut store = RecordingStore { rows: Vec::new() };
-        let out = Executor::new(ExecutionConfig {
-            sharding,
-            ..ExecutionConfig::local(4)
-        })
-        .run_into(&plan, inputs_for(docs(30)), &mut store)
-        .expect("store run succeeds");
+        let opts = RunOptions { store: Some(&mut store), ..RunOptions::default() };
+        let out = Executor::new(ExecutionConfig { sharding, ..ExecutionConfig::local(4) })
+            .run(&plan, inputs_for(docs(30)), opts)
+            .expect("store run succeeds");
         (store.rows, out.deterministic_digest())
     };
 
@@ -463,7 +461,10 @@ fn medline_records(n: usize) -> Vec<Record> {
 /// reproducibility test of `IeResources::standard`: each worker process
 /// retrains the dictionary and CRF taggers from the shipped recipe, and
 /// a tagger that differed from the parent's by one weight would show up
-/// in the sink bytes.
+/// in the sink bytes. Every arm runs at unit scale and at a non-unit
+/// `work_scale`/`byte_scale`: the kernel and the STAGE frame carry raw
+/// per-record costs and the parent scales them, so fusion, combining and
+/// shards must not see the simulated model either.
 #[test]
 fn the_ie_pipeline_ships_whole_to_worker_processes_and_threads() {
     let resources = IeResources::quick_for_tests(LexiconScale::tiny());
@@ -487,23 +488,37 @@ fn the_ie_pipeline_ships_whole_to_worker_processes_and_threads() {
 
     let res = FlowResilience::injected(7, 0.1, 2);
     for (name, plan) in [("entities", &entities), ("tokens", &tokens)] {
-        for combining in [true, false] {
-            let config = |sharding: Option<ShardConfig>| ExecutionConfig {
+        let mut clocks = Vec::new();
+        for (work_scale, byte_scale) in [(1.0, 1.0), (3.7, 0.185)] {
+            let config = |fusion, combining, sharding| ExecutionConfig {
+                work_scale,
+                byte_scale,
+                fusion,
                 combining,
                 sharding,
                 ..ExecutionConfig::local(4)
             };
-            let baseline = run_surface(plan, medline_records(24), config(None), &res);
+            let baseline = run_surface(plan, medline_records(24), config(false, false, None), &res);
             assert!(baseline.error.is_none(), "{name} must run: {:?}", baseline.error);
             assert!(baseline.sink_bytes.as_ref().is_some_and(|b| b.len() > 1000));
-            for sharding in [ShardConfig::process(2, worker_bin()), ShardConfig::in_process(2)] {
-                let ctx = format!("{name} combining={combining} {:?}", sharding.worker);
-                let sharded =
-                    run_surface(plan, medline_records(24), config(Some(sharding.clone())), &res);
-                assert_surfaces_equal(&sharded, &baseline, &ctx);
+            clocks.push(baseline.simulated_bits);
+            let procs = ShardConfig::process(2, worker_bin());
+            let threads = ShardConfig::in_process(2);
+            for (combining, sharding) in [
+                (false, None), (false, Some(procs.clone())), (false, Some(threads.clone())),
+                (true, None), (true, Some(procs)), (true, Some(threads)),
+            ] {
+                let shards = sharding.as_ref().map(|s| s.worker.clone());
+                let ctx = format!("{name} x{work_scale} combining={combining} {shards:?}");
+                let config = config(true, combining, sharding);
+                let got = run_surface(plan, medline_records(24), config.clone(), &res);
+                assert_surfaces_equal(&got, &baseline, &ctx);
+                if shards.is_none() {
+                    continue;
+                }
 
-                let physical = Executor::new(config(Some(sharding)))
-                    .run(plan, inputs_for(medline_records(24)))
+                let physical = Executor::new(config)
+                    .run(plan, inputs_for(medline_records(24)), RunOptions::default())
                     .expect("sharded run succeeds")
                     .physical;
                 assert_eq!(physical.stages_pinned_local, 0, "{ctx}: a stage stayed local");
@@ -511,5 +526,6 @@ fn the_ie_pipeline_ships_whole_to_worker_processes_and_threads() {
                 assert!(physical.shard_wire_bytes > 0, "{ctx}");
             }
         }
+        assert_ne!(clocks[0], clocks[1], "{name}: the scale reaches the simulated clock");
     }
 }

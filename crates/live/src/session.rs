@@ -20,7 +20,7 @@ use websift_corpus::CorpusKind;
 use websift_crawler::{CrawlConfig, CrawlSession, NaiveBayes, ResilienceOptions};
 use websift_analyze::Diagnostic;
 use websift_flow::{
-    analyze_plan, AnalyzeOptions, ExecutionConfig, Executor, LogicalPlan, Record,
+    analyze_plan, AnalyzeOptions, ExecutionConfig, Executor, LogicalPlan, Record, RunOptions,
 };
 use websift_observe::{Labels, Observer};
 use websift_pipeline::{documents_from_pages, documents_to_records};
@@ -209,7 +209,8 @@ impl<'w> LiveSession<'w> {
         let mut exec_config = ExecutionConfig::local(self.options.dop);
         exec_config.sharding = self.options.sharding.clone();
         let executor = Executor::new(exec_config);
-        let mut out = executor.run_into(self.flow.delta_plan(), inputs, &mut self.store)?;
+        let opts = RunOptions { store: Some(&mut self.store), ..RunOptions::default() };
+        let mut out = executor.run(self.flow.delta_plan(), inputs, opts)?;
 
         // Fold retained-reduce streams out of the sink map.
         let retained: Vec<String> =

@@ -13,6 +13,7 @@ use websift_crawler::{
 };
 use websift_flow::{
     ExecutionConfig, Executor, FlowCheckpoint, FlowResilience, LogicalPlan, Operator, Record,
+    RunOptions,
 };
 use websift_web::{PageId, SimulatedWeb, Url, WebGraph, WebGraphConfig};
 
@@ -146,7 +147,8 @@ fn flow_killed_and_resumed_is_bit_identical_to_uninterrupted() {
         m
     };
 
-    let baseline = exec.run_resilient(&plan, inputs(), &res).expect("baseline flow failed");
+    let opts = |resume| RunOptions { resilience: res.clone(), resume, ..RunOptions::default() };
+    let baseline = exec.run(&plan, inputs(), opts(None)).expect("baseline flow failed");
 
     // a run killed before node 2 leaves the frames sealed up to there
     let ckpt = baseline
@@ -156,7 +158,7 @@ fn flow_killed_and_resumed_is_bit_identical_to_uninterrupted() {
         .expect("no checkpoint before kill");
     let restored = FlowCheckpoint::from_bytes(ckpt.as_bytes().to_vec()).unwrap();
 
-    let resumed = exec.resume_from(&plan, &restored, inputs(), &res).expect("resume failed");
+    let resumed = exec.run(&plan, inputs(), opts(Some(&restored))).expect("resume failed");
 
     assert_eq!(baseline.sinks, resumed.sinks);
     assert_eq!(

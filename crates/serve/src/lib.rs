@@ -10,8 +10,8 @@
 //!   keyed by `(entity, type, corpus, crawl round)` with per-posting
 //!   source provenance (page id + byte span), sharded by entity key
 //!   range. It implements [`websift_flow::StoreSink`], so a pipeline
-//!   writes into it directly via `Executor::run_into` and a
-//!   `store:<name>/entities` plan sink.
+//!   writes into it directly via a `store:<name>/entities` plan sink
+//!   and `Executor::run` given the store as its `RunOptions::store`.
 //! - [`snapshot`] — byte-deterministic store snapshots in the same
 //!   sealed-frame style as the flow checkpoints: a store killed
 //!   mid-ingest and resumed from a snapshot is byte-identical to an

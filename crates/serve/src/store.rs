@@ -98,10 +98,10 @@ pub struct Shard {
 
 /// The persistent extraction store.
 ///
-/// Ingest happens through [`StoreSink::append`] (fed by
-/// `Executor::run_into`) or [`ExtractionStore::insert`]; postings within
-/// one list keep ingest order, so the store's content is a pure function
-/// of the ingested record sequence.
+/// Ingest happens through [`StoreSink::append`] (fed by a flow run given
+/// the store as `RunOptions::store`) or [`ExtractionStore::insert`];
+/// postings within one list keep ingest order, so the store's content is
+/// a pure function of the ingested record sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionStore {
     name: String,

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use websift::corpus::{CorpusKind, Generator};
-use websift::flow::{compile, optimize, ExecutionConfig, Executor, Value};
+use websift::flow::{compile, optimize, ExecutionConfig, Executor, RunOptions, Value};
 use websift::pipeline::{documents_to_records, ExperimentContext};
 
 const SCRIPT: &str = "
@@ -41,7 +41,7 @@ fn main() {
     let mut inputs = HashMap::new();
     inputs.insert("crawl".to_string(), documents_to_records(&docs));
     let out = Executor::new(ExecutionConfig::local(4))
-        .run(&plan, inputs)
+        .run(&plan, inputs, RunOptions::default())
         .expect("flow executes");
 
     let records = &out.sinks["annotated"];

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use websift::corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift::crawler::{train_focus_classifier, CrawlConfig, FocusedCrawler};
-use websift::flow::{compile, ExecutionConfig, Executor};
+use websift::flow::{compile, ExecutionConfig, Executor, RunOptions};
 use websift::ner::{EntityType, Method};
 use websift::pipeline::{
     aggregate, aggregate_entities, documents_to_records, full_analysis_plan, run_over_documents,
@@ -110,9 +110,10 @@ fn meteor_script_runs_against_the_standard_registry() {
     ";
     let plan = compile(script, &ctx.registry).unwrap();
     let docs = Generator::with_lexicon(CorpusKind::RelevantWeb, 4, ctx.lexicon.clone()).documents(4);
-    let mut inputs = HashMap::new();
-    inputs.insert("in".to_string(), documents_to_records(&docs));
-    let out = Executor::new(ExecutionConfig::local(2)).run(&plan, inputs).unwrap();
+    let inputs = HashMap::from([("in".to_string(), documents_to_records(&docs))]);
+    let out = Executor::new(ExecutionConfig::local(2))
+        .run(&plan, inputs, RunOptions::default())
+        .unwrap();
     assert!(!out.sinks["out"].is_empty());
 }
 

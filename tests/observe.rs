@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use websift::crawler::{train_focus_classifier, CrawlConfig, FocusedCrawler};
-use websift::flow::{Executor, ExecutionConfig, FlowResilience};
+use websift::flow::{Executor, ExecutionConfig, RunOptions};
 use websift::observe::{HistogramState, MetricValue, Observer};
 use websift::pipeline::{documents_to_records, full_analysis_plan, ExperimentContext};
 use websift::resilience::checkpoint::encode_to_vec;
@@ -58,7 +58,7 @@ fn observed_flow(ctx: &ExperimentContext) -> Observer {
     inputs.insert("docs".to_string(), documents_to_records(&docs));
     let obs = Observer::new();
     Executor::new(ExecutionConfig::local(2))
-        .run_observed(&plan, inputs, &FlowResilience::default(), &obs)
+        .run(&plan, inputs, RunOptions { observer: Some(&obs), ..RunOptions::default() })
         .expect("flow runs");
     obs
 }
