@@ -188,6 +188,17 @@ if grep -nE 'work_scale|byte_scale|chunk_rounds|ClusterSpec' \
 fi
 echo "physical layer sees no simulated-model knob ok"
 
+# Flow metrics live in one place: the observer's registry is the only
+# mutable copy of every flow total and per-operator row, FlowMetrics is a
+# view built when a run ends, and node losses are one executor list — no
+# metric codec, no gauge mirror, no second liveness vector.
+if grep -nE 'impl Snapshot for (FlowMetrics|OpMetrics)|fn mirror_flow_gauges|node_alive' \
+  crates/flow/src/executor.rs; then
+  echo "flow metrics must live in one place" >&2
+  exit 1
+fi
+echo "flow metrics live in one place ok"
+
 # Sharded scale-out smoke on the real flows: every shard count (worker
 # threads and real worker processes) must reproduce the unsharded run's
 # deterministic digest with no stage left on the local runner (--check

@@ -58,7 +58,7 @@ use crate::shuffle::{ChunkOut, ChunkStats, ShardConfig, ShardPool, ShardRunError
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
-use websift_observe::{Labels, Observer, RegistrySnapshot};
+use websift_observe::{Counter, Gauge, Labels, MetricValue, Observer, RegistrySnapshot};
 use websift_resilience::{CodecError, FaultKind, Reader, Snapshot, Writer};
 
 #[cfg(test)]
@@ -147,12 +147,11 @@ impl ExecutionConfig {
     }
 }
 
-/// Per-operator metrics.
-///
-/// During a run these numbers live in the [`Observer`]'s metrics
-/// registry (counters labelled by plan node and operator name); this
-/// struct is the *view* the executor derives from those registry handles
-/// so existing callers, checkpoints, and tests keep their shape.
+/// One operator node's row of [`FlowMetrics::per_op`], read out of the
+/// observer's registry when the run ends: the counters
+/// `flow.{records,bytes}_{in,out}{node,op}` and the gauge
+/// `flow.op_work_secs{node,op}`. On a resumed run, the rows of nodes
+/// before the frame come from the registry the frame restored.
 #[derive(Debug, Clone)]
 pub struct OpMetrics {
     pub name: String,
@@ -160,42 +159,25 @@ pub struct OpMetrics {
     pub records_out: u64,
     pub bytes_in: u64,
     pub bytes_out: u64,
-    /// Real elapsed milliseconds — runtime-only diagnostics. Excluded
-    /// from the `Snapshot` codec (wall time inside checksummed frames
-    /// would break byte-identical resume across machines) and from
-    /// [`FlowOutput::deterministic_digest`]; decodes as `0.0`.
+    /// Real elapsed milliseconds of this run's pass over the node —
+    /// runtime-only diagnostics that never enter the registry, a
+    /// checkpoint frame or [`FlowOutput::deterministic_digest`]; 0 for a
+    /// node a resumed run did not execute itself.
     pub wall_ms: f64,
+    /// Simulated per-partition work seconds, startup excluded.
     pub simulated_secs: f64,
 }
 
-impl Snapshot for OpMetrics {
-    fn encode(&self, w: &mut Writer) {
-        w.str(&self.name);
-        w.u64(self.records_in);
-        w.u64(self.records_out);
-        w.u64(self.bytes_in);
-        w.u64(self.bytes_out);
-        w.f64(self.simulated_secs);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<OpMetrics, CodecError> {
-        Ok(OpMetrics {
-            name: r.str()?,
-            records_in: r.u64()?,
-            records_out: r.u64()?,
-            bytes_in: r.u64()?,
-            bytes_out: r.u64()?,
-            wall_ms: 0.0,
-            simulated_secs: r.f64()?,
-        })
-    }
-}
-
-/// Flow-level metrics.
+/// Flow-level metrics: a view built once, when a run ends. During the
+/// run the observer's registry holds the only copy of every total — the
+/// gauges `flow.<field>`, whose f64s hold the u64 totals exactly below
+/// 2^53 — and of every [`OpMetrics`] row; a checkpoint frame carries
+/// them in its registry snapshot. `nodes_lost` is executor state (the
+/// scheduler reads it), moved here when the run ends.
 #[derive(Debug, Clone, Default)]
 pub struct FlowMetrics {
-    /// Real elapsed milliseconds — runtime-only; excluded from the
-    /// `Snapshot` codec and determinism comparisons, decodes as `0.0`.
+    /// Real elapsed milliseconds of this run — runtime-only, like
+    /// [`OpMetrics::wall_ms`].
     pub wall_ms: f64,
     /// Critical-path simulated seconds (operators + network).
     pub simulated_secs: f64,
@@ -203,46 +185,19 @@ pub struct FlowMetrics {
     pub network_bytes: u64,
     /// Peak intermediate data volume (largest single edge).
     pub peak_intermediate_bytes: u64,
+    /// One row per executed operator node, in node-id order.
     pub per_op: Vec<OpMetrics>,
     /// Panicked partitions that were re-launched.
     pub partition_retries: u64,
     /// Source reads retried through injected store faults.
     pub store_read_retries: u64,
-    /// Simulated nodes lost mid-flow (work rescheduled onto survivors).
+    /// Simulated nodes lost mid-flow (work rescheduled onto survivors),
+    /// in loss order.
     pub nodes_lost: Vec<usize>,
     /// Checkpoints successfully taken.
     pub checkpoints_taken: u64,
     /// Checkpoint writes lost to injected store-write faults.
     pub store_write_failures: u64,
-}
-
-impl Snapshot for FlowMetrics {
-    fn encode(&self, w: &mut Writer) {
-        w.f64(self.simulated_secs);
-        w.u64(self.network_bytes);
-        w.u64(self.peak_intermediate_bytes);
-        self.per_op.encode(w);
-        w.u64(self.partition_retries);
-        w.u64(self.store_read_retries);
-        self.nodes_lost.encode(w);
-        w.u64(self.checkpoints_taken);
-        w.u64(self.store_write_failures);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<FlowMetrics, CodecError> {
-        Ok(FlowMetrics {
-            wall_ms: 0.0,
-            simulated_secs: r.f64()?,
-            network_bytes: r.u64()?,
-            peak_intermediate_bytes: r.u64()?,
-            per_op: Snapshot::decode(r)?,
-            partition_retries: r.u64()?,
-            store_read_retries: r.u64()?,
-            nodes_lost: Snapshot::decode(r)?,
-            checkpoints_taken: r.u64()?,
-            store_write_failures: r.u64()?,
-        })
-    }
 }
 
 /// Execution failures.
@@ -433,27 +388,28 @@ impl FlowOutput {
     }
 }
 
-/// Mid-plan executor state — everything a checkpoint must capture.
+/// Mid-plan executor state — everything a checkpoint must capture besides
+/// the registry, which the frame carries as a snapshot after it.
 struct ExecState {
     next_node: usize,
     outputs: Vec<Option<Vec<Record>>>,
     consumers_left: Vec<usize>,
     sinks: HashMap<String, Vec<Record>>,
-    metrics: FlowMetrics,
     startup_charged: HashSet<String>,
-    node_alive: Vec<bool>,
+    /// Simulated cluster nodes lost so far, in loss order; every other
+    /// node of `ExecutionConfig::cluster` is alive.
+    nodes_lost: Vec<usize>,
 }
 
 impl ExecState {
-    fn fresh(plan: &LogicalPlan, cluster_nodes: usize) -> ExecState {
+    fn fresh(plan: &LogicalPlan) -> ExecState {
         ExecState {
             next_node: 0,
             outputs: vec![None; plan.len()],
             consumers_left: (0..plan.len()).map(|id| plan.children(id).len()).collect(),
             sinks: HashMap::new(),
-            metrics: FlowMetrics::default(),
             startup_charged: HashSet::new(),
-            node_alive: vec![true; cluster_nodes],
+            nodes_lost: Vec::new(),
         }
     }
 }
@@ -464,9 +420,8 @@ impl Snapshot for ExecState {
         self.outputs.encode(w);
         self.consumers_left.encode(w);
         self.sinks.encode(w);
-        self.metrics.encode(w);
         self.startup_charged.encode(w);
-        self.node_alive.encode(w);
+        self.nodes_lost.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<ExecState, CodecError> {
@@ -475,9 +430,8 @@ impl Snapshot for ExecState {
             outputs: Snapshot::decode(r)?,
             consumers_left: Snapshot::decode(r)?,
             sinks: Snapshot::decode(r)?,
-            metrics: Snapshot::decode(r)?,
             startup_charged: Snapshot::decode(r)?,
-            node_alive: Snapshot::decode(r)?,
+            nodes_lost: Snapshot::decode(r)?,
         })
     }
 }
@@ -487,9 +441,13 @@ impl Snapshot for ExecState {
 #[derive(Default)]
 pub struct RunOptions<'a> {
     pub resilience: FlowResilience,
-    /// Receives per-node spans, per-operator counters and histograms, and
-    /// startup-vs-work cost, all on the simulated clock; `None` observes
-    /// into a run-local [`Observer`].
+    /// Receives per-node spans, the flow totals as gauges, per-operator
+    /// counters, gauges and histograms, and startup-vs-work cost, all on
+    /// the simulated clock; `None` observes into a run-local [`Observer`].
+    /// An observer holds one run and its resumes: a fresh run zeroes the
+    /// totals, but per-operator counters keep adding up across runs that
+    /// share an observer, and so do the [`FlowMetrics::per_op`] rows
+    /// read out of them.
     pub observer: Option<&'a Observer>,
     /// Continue from this frame. Plan, inputs and resilience must match
     /// the original run's; inputs are read only for sources the frame had
@@ -540,10 +498,17 @@ impl Executor {
             }
         };
         let state = match resume {
-            Some(checkpoint) => restore(plan, checkpoint, obs)?,
-            None => ExecState::fresh(plan, self.config.cluster.nodes.len()),
+            Some(checkpoint) => restore(plan, checkpoint, self.config.cluster.nodes.len(), obs)?,
+            None => {
+                // the clock and the totals start at zero, whatever the
+                // observer saw before; a resume continues from the frame's
+                for name in TOTALS {
+                    obs.registry().gauge(name, &Labels::empty()).set(0.0);
+                }
+                ExecState::fresh(plan)
+            }
         };
-        let mut out = self.drive(plan, inputs, state, &resilience, obs)?;
+        let mut out = self.drive(RunCtx::new(plan, &resilience, obs), inputs, state)?;
         if let Some(store) = store {
             for (sink, dataset) in drains {
                 store.append(&dataset, out.sinks.remove(&sink).unwrap_or_default());
@@ -582,24 +547,13 @@ impl Executor {
     /// The run loop behind every [`Executor::run`], fresh or resumed.
     fn drive(
         &self,
-        plan: &LogicalPlan,
+        mut run: RunCtx<'_>,
         mut inputs: HashMap<String, Vec<Record>>,
         mut state: ExecState,
-        res: &FlowResilience,
-        obs: &Observer,
     ) -> Result<FlowOutput, ExecutionError> {
         // lint:allow(wall_clock): wall_ms is runtime-only diagnostics, never checkpointed
         let started = Instant::now();
-        let mut run = RunCtx {
-            plan,
-            res,
-            obs,
-            checkpoints: Vec::new(),
-            physical: PhysicalStats::default(),
-            stages: Vec::new(),
-            pool: None,
-        };
-
+        let plan = run.plan;
         while state.next_node < plan.len() {
             let node = &plan.nodes()[state.next_node];
 
@@ -613,18 +567,15 @@ impl Executor {
             let input: Vec<Record> = match node.input {
                 None => Vec::new(),
                 Some(parent) => {
-                    let take = {
-                        state.consumers_left[parent] -= 1;
-                        state.consumers_left[parent] == 0
+                    // only a forged frame can leave a parent without a
+                    // consumer count or a live output here
+                    let left = state.consumers_left[parent].checked_sub(1).ok_or_else(mismatch)?;
+                    state.consumers_left[parent] = left;
+                    let output = match left {
+                        0 => state.outputs[parent].take(),
+                        _ => state.outputs[parent].clone(),
                     };
-                    let parent_out = state.outputs[parent]
-                        .as_ref()
-                        .expect("parent executed before child");
-                    if take {
-                        state.outputs[parent].take().unwrap()
-                    } else {
-                        parent_out.clone()
-                    }
+                    output.ok_or_else(mismatch)?
                 }
             };
 
@@ -648,9 +599,10 @@ impl Executor {
         }
 
         // Network overload check on the peak edge volume.
+        let peak = run.total(Total::PeakIntermediateBytes) as u64;
         let per_round = match self.config.chunk_rounds {
-            Some(rounds) if rounds > 0 => state.metrics.peak_intermediate_bytes / rounds as u64,
-            _ => state.metrics.peak_intermediate_bytes,
+            Some(rounds) if rounds > 0 => peak / rounds as u64,
+            _ => peak,
         };
         if self.config.cluster.overloaded_by(per_round) {
             return Err(ExecutionError::NetworkOverload {
@@ -660,17 +612,17 @@ impl Executor {
         }
         // chunked execution pays a per-round latency overhead
         if let Some(rounds) = self.config.chunk_rounds {
-            state.metrics.simulated_secs += rounds as f64 * 2.0;
+            run.charge(rounds as f64 * 2.0);
         }
 
-        state.metrics.wall_ms += started.elapsed().as_secs_f64() * 1000.0;
-        mirror_flow_gauges(obs, &state.metrics);
+        let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
+        let metrics = run.metrics_view(state.nodes_lost, wall_ms);
         if let Some(pool) = &run.pool {
             pool.report(&mut run.physical);
         }
         Ok(FlowOutput {
             sinks: state.sinks,
-            metrics: state.metrics,
+            metrics,
             physical: run.physical,
             stages: run.stages,
             checkpoints: run.checkpoints,
@@ -688,12 +640,12 @@ impl Executor {
         node_id: usize,
         name: &str,
     ) -> Result<(), ExecutionError> {
-        let node_t0 = state.metrics.simulated_secs;
+        let node_t0 = run.now();
         if let Some(fault_plan) = &run.res.faults {
             let mut attempt: u32 = 0;
             while fault_plan.injects_at(FaultKind::StoreRead, name, attempt as u64) {
-                state.metrics.store_read_retries += 1;
-                state.metrics.simulated_secs += STORE_READ_RETRY_SECS;
+                run.add(Total::StoreReadRetries, 1.0);
+                run.charge(STORE_READ_RETRY_SECS);
                 attempt += 1;
                 if attempt > run.res.partition_retries {
                     return Err(ExecutionError::StoreReadFailed { source: name.to_string() });
@@ -705,12 +657,7 @@ impl Executor {
             .ok_or_else(|| ExecutionError::MissingSource(name.to_string()))?;
         let labels = Labels::new(&[("source", name)]);
         run.obs.registry().counter("flow.source_records", &labels).add(data.len() as u64);
-        run.obs.tracer().span(
-            "flow.source",
-            node_t0,
-            state.metrics.simulated_secs - node_t0,
-            labels,
-        );
+        run.obs.tracer().span("flow.source", node_t0, run.now() - node_t0, labels);
         state.outputs[node_id] = Some(data);
         Ok(())
     }
@@ -724,16 +671,16 @@ impl Executor {
         name: &str,
         input: Vec<Record>,
     ) {
-        let node_t0 = state.metrics.simulated_secs;
+        let node_t0 = run.now();
         let bytes: u64 = input.iter().map(Record::approx_bytes).sum();
         let written = (bytes as f64 * self.config.byte_scale) as u64 * SINK_REPLICATION;
-        state.metrics.network_bytes += written;
-        state.metrics.simulated_secs += self.config.cluster.network_secs(written);
+        run.add(Total::NetworkBytes, written as f64);
+        run.charge(self.config.cluster.network_secs(written));
         let labels = Labels::new(&[("sink", name)]);
         let reg = run.obs.registry();
         reg.counter("flow.sink_records", &labels).add(input.len() as u64);
         reg.counter("flow.sink_bytes", &labels).add(written);
-        let secs = state.metrics.simulated_secs - node_t0;
+        let secs = run.now() - node_t0;
         run.obs.profiler().record(&["flow", &format!("sink:{name}")], secs, written);
         run.obs.tracer().span("flow.sink", node_t0, secs, labels);
         state.sinks.entry(name.to_string()).or_default().extend(input);
@@ -798,7 +745,7 @@ impl Executor {
             ops,
             combined: stage.combined_reduce,
             tapped,
-            scheds: self.schedule(run.res, &state.node_alive, first, len),
+            scheds: self.schedule(run.res, &state.nodes_lost, first, len),
         };
         let mut seen = self.execute(run, &st, input)?;
         self.replay(run, state, &st, &seen)?;
@@ -823,17 +770,21 @@ impl Executor {
 
     /// Phase 1 — schedule: node losses and effective DoP per constituent
     /// are pure functions of the fault plan and node ids, so they are
-    /// decided up front (on a scratch liveness vector; the replay applies
-    /// them to real state in order). The schedule ends at a constituent
-    /// that loses every node: later ones never run physically either.
+    /// decided up front (on a scratch liveness vector built from the
+    /// losses so far; the replay records them in order). The schedule
+    /// ends at a constituent that loses every node: later ones never run
+    /// physically either.
     fn schedule(
         &self,
         res: &FlowResilience,
-        node_alive: &[bool],
+        nodes_lost: &[usize],
         first: usize,
         len: usize,
     ) -> Vec<StageSched> {
-        let mut alive = node_alive.to_vec();
+        let mut alive = vec![true; self.config.cluster.nodes.len()];
+        for &j in nodes_lost {
+            alive[j] = false;
+        }
         let mut scheds: Vec<StageSched> = Vec::with_capacity(len);
         for node_id in first..first + len {
             let mut losses = Vec::new();
@@ -976,19 +927,18 @@ impl Executor {
         let obs = run.obs;
         for (s, sched) in st.scheds.iter().enumerate() {
             let op = st.ops[s];
-            let node_t0 = state.metrics.simulated_secs;
+            let node_t0 = run.now();
             // Simulated node losses: dead nodes drop out of the placement
             // and their share of work is rescheduled onto the survivors
             // (slower, but correct). The replacement placement re-runs
             // the operator's startup on the survivors.
             for &j in &sched.losses {
-                state.node_alive[j] = false;
-                state.metrics.nodes_lost.push(j);
-                state.metrics.simulated_secs += NODE_LOSS_RESCHEDULE_SECS;
-                state.metrics.simulated_secs += op.cost.startup_secs;
+                state.nodes_lost.push(j);
+                run.charge(NODE_LOSS_RESCHEDULE_SECS);
+                run.charge(op.cost.startup_secs);
             }
             if sched.all_nodes_dead {
-                let node_id = state.metrics.nodes_lost.last().copied().unwrap_or(0);
+                let node_id = state.nodes_lost.last().copied().unwrap_or(0);
                 return Err(ExecutionError::Scheduling(SchedulingError::NodeFailed {
                     node: node_id,
                 }));
@@ -1007,8 +957,8 @@ impl Executor {
             } else {
                 injected_retries(run.res, op, n.div_ceil(stage_chunk_size))?
             };
-            state.metrics.partition_retries += retries;
-            state.metrics.simulated_secs += retries as f64 * PARTITION_RETRY_SECS;
+            run.add(Total::PartitionRetries, retries as f64);
+            run.charge(retries as f64 * PARTITION_RETRY_SECS);
             // startup is charged once per distinct operator name (workers
             // start it in parallel; it floors the clock), plus the cost
             // of shipping the operator's resident data (dictionaries,
@@ -1018,7 +968,7 @@ impl Executor {
                 let ship_bytes = op.cost.memory_bytes.saturating_mul(self.config.dop as u64);
                 let startup_secs =
                     op.cost.startup_secs + self.config.cluster.network_secs(ship_bytes);
-                state.metrics.simulated_secs += startup_secs;
+                run.charge(startup_secs);
                 obs.profiler().record(
                     &["flow", &format!("op:{}", op.name), "startup"],
                     startup_secs,
@@ -1040,49 +990,33 @@ impl Executor {
                 }
                 max_secs
             };
-            state.metrics.simulated_secs += work;
+            run.charge(work);
             obs.profiler()
                 .record(&["flow", &format!("op:{}", op.name), "work"], work, stats.bytes_in);
             // shuffle accounting for reduce
             if op.kind == Kind::Reduce {
                 let scaled = (stats.bytes_in as f64 * self.config.byte_scale) as u64;
-                state.metrics.network_bytes += scaled;
-                state.metrics.peak_intermediate_bytes =
-                    state.metrics.peak_intermediate_bytes.max(scaled);
-                state.metrics.simulated_secs += self.config.cluster.network_secs(scaled);
+                run.add(Total::NetworkBytes, scaled as f64);
+                run.raise_peak(scaled);
+                run.charge(self.config.cluster.network_secs(scaled));
             }
-            let scaled_out = (bytes_out as f64 * self.config.byte_scale) as u64;
-            state.metrics.peak_intermediate_bytes =
-                state.metrics.peak_intermediate_bytes.max(scaled_out);
+            run.raise_peak((bytes_out as f64 * self.config.byte_scale) as u64);
 
-            // write the raw numbers through registry handles, then derive
-            // the public OpMetrics view back *from* the registry — the
-            // struct stays, the registry is the source of truth
-            let node_id = (st.first + s).to_string();
-            let labels = Labels::new(&[("node", &node_id), ("op", &op.name)]);
-            let reg = obs.registry();
-            reg.counter("flow.records_in", &labels).add(stats.records_in);
-            reg.counter("flow.records_out", &labels).add(records_out);
-            reg.counter("flow.bytes_in", &labels).add(stats.bytes_in);
-            reg.counter("flow.bytes_out", &labels).add(bytes_out);
-            reg.histogram("flow.op_secs", &Labels::new(&[("op", &op.name)]))
+            // the registry is the only copy of the row; FlowMetrics reads
+            // it through these handles when the run ends
+            let node_id = st.first + s;
+            let labels = row_labels(node_id, op);
+            let row = Row::of(obs, &labels);
+            row.records_in.add(stats.records_in);
+            row.records_out.add(records_out);
+            row.bytes_in.add(stats.bytes_in);
+            row.bytes_out.add(bytes_out);
+            row.work_secs.set(work);
+            obs.registry()
+                .histogram("flow.op_secs", &Labels::new(&[("op", &op.name)]))
                 .record(work);
-            let view = OpMetrics {
-                name: op.name.clone(),
-                records_in: reg.counter("flow.records_in", &labels).value(),
-                records_out: reg.counter("flow.records_out", &labels).value(),
-                bytes_in: reg.counter("flow.bytes_in", &labels).value(),
-                bytes_out: reg.counter("flow.bytes_out", &labels).value(),
-                wall_ms: stats.wall_ms,
-                simulated_secs: work,
-            };
-            obs.tracer().span(
-                "flow.op",
-                node_t0,
-                state.metrics.simulated_secs - node_t0,
-                labels,
-            );
-            state.metrics.per_op.push(view);
+            run.rows[node_id] = Some((row, stats.wall_ms));
+            obs.tracer().span("flow.op", node_t0, run.now() - node_t0, labels);
 
             let boundary = st.first + s + 1;
             if s + 1 < st.ops.len() && run.checkpoint_due(boundary) {
@@ -1094,11 +1028,17 @@ impl Executor {
 }
 
 /// What one run carries beside the checkpointable [`ExecState`]: the
-/// borrowed plan and options, and everything physical or runtime-only.
+/// borrowed plan and options, registry handles to the flow totals and
+/// this run's per-operator rows, and everything physical or runtime-only.
 struct RunCtx<'a> {
     plan: &'a LogicalPlan,
     res: &'a FlowResilience,
     obs: &'a Observer,
+    /// The handles of the gauges in [`TOTALS`], indexed by [`Total`].
+    totals: [Gauge; 7],
+    /// Per plan node replayed by this run: its row's registry handles
+    /// and the wall milliseconds of its pass.
+    rows: Vec<Option<(Row, f64)>>,
     checkpoints: Vec<FlowCheckpoint>,
     physical: PhysicalStats,
     stages: Vec<StageDecision>,
@@ -1108,12 +1048,148 @@ struct RunCtx<'a> {
     pool: Option<ShardPool>,
 }
 
-impl RunCtx<'_> {
+impl<'a> RunCtx<'a> {
+    fn new(plan: &'a LogicalPlan, res: &'a FlowResilience, obs: &'a Observer) -> RunCtx<'a> {
+        RunCtx {
+            plan,
+            res,
+            obs,
+            totals: TOTALS.map(|name| obs.registry().gauge(name, &Labels::empty())),
+            rows: (0..plan.len()).map(|_| None).collect(),
+            checkpoints: Vec::new(),
+            physical: PhysicalStats::default(),
+            stages: Vec::new(),
+            pool: None,
+        }
+    }
+
     /// Does the checkpoint cadence hit node boundary `at`?
     fn checkpoint_due(&self, at: usize) -> bool {
         self.res.checkpoint_every_nodes.is_some_and(|e| e > 0 && at.is_multiple_of(e))
     }
+
+    fn total(&self, total: Total) -> f64 {
+        self.totals[total as usize].value()
+    }
+
+    /// Adds `v` to `total` — the f64 addition the total always took.
+    fn add(&self, total: Total, v: f64) {
+        self.totals[total as usize].set(self.total(total) + v);
+    }
+
+    /// Raises the peak intermediate volume to `bytes` if that is larger.
+    fn raise_peak(&self, bytes: u64) {
+        let peak = Total::PeakIntermediateBytes;
+        self.totals[peak as usize].set(self.total(peak).max(bytes as f64));
+    }
+
+    /// The simulated clock.
+    fn now(&self) -> f64 {
+        self.total(Total::SimulatedSecs)
+    }
+
+    /// Advances the simulated clock by `secs`.
+    fn charge(&self, secs: f64) {
+        self.add(Total::SimulatedSecs, secs);
+    }
+
+    /// The [`FlowMetrics`] view of the ended run, read through registry
+    /// handles: the totals, and one row per operator node with a
+    /// consumer, in id order. Exactly those nodes wrote a row — in this
+    /// run, or before the frame it resumed — because the drive loop
+    /// skips an operator without one and no fused stage extends into
+    /// it; a row from before the frame has no wall time here.
+    fn metrics_view(&mut self, nodes_lost: Vec<usize>, wall_ms: f64) -> FlowMetrics {
+        let plan = self.plan;
+        let mut per_op = Vec::new();
+        for node in plan.nodes() {
+            let NodeOp::Op(op) = &node.op else { continue };
+            if plan.children(node.id).is_empty() {
+                continue;
+            }
+            let (row, wall_ms) = self.rows[node.id]
+                .take()
+                .unwrap_or_else(|| (Row::of(self.obs, &row_labels(node.id, op)), 0.0));
+            per_op.push(OpMetrics {
+                name: op.name.clone(),
+                records_in: row.records_in.value(),
+                records_out: row.records_out.value(),
+                bytes_in: row.bytes_in.value(),
+                bytes_out: row.bytes_out.value(),
+                wall_ms,
+                simulated_secs: row.work_secs.value(),
+            });
+        }
+        let count = |total| self.total(total) as u64;
+        FlowMetrics {
+            wall_ms,
+            simulated_secs: self.total(Total::SimulatedSecs),
+            network_bytes: count(Total::NetworkBytes),
+            peak_intermediate_bytes: count(Total::PeakIntermediateBytes),
+            per_op,
+            partition_retries: count(Total::PartitionRetries),
+            store_read_retries: count(Total::StoreReadRetries),
+            nodes_lost,
+            checkpoints_taken: count(Total::CheckpointsTaken),
+            store_write_failures: count(Total::StoreWriteFailures),
+        }
+    }
 }
+
+/// Registry handles to one operator node's row of [`FlowMetrics::per_op`]:
+/// the series `flow.{records,bytes}_{in,out}` and `flow.op_work_secs`,
+/// labelled by [`row_labels`].
+struct Row {
+    records_in: Counter,
+    records_out: Counter,
+    bytes_in: Counter,
+    bytes_out: Counter,
+    work_secs: Gauge,
+}
+
+impl Row {
+    fn of(obs: &Observer, labels: &Labels) -> Row {
+        let counter = |name| obs.registry().counter(name, labels);
+        Row {
+            records_in: counter("flow.records_in"),
+            records_out: counter("flow.records_out"),
+            bytes_in: counter("flow.bytes_in"),
+            bytes_out: counter("flow.bytes_out"),
+            work_secs: obs.registry().gauge("flow.op_work_secs", labels),
+        }
+    }
+}
+
+/// The labels of plan node `id`'s row: node id and operator name.
+fn row_labels(id: usize, op: &Operator) -> Labels {
+    Labels::new(&[("node", &id.to_string()), ("op", &op.name)])
+}
+
+/// A flow total of [`FlowMetrics`]. The registry gauge `TOTALS[t as
+/// usize]` holds the only mutable copy of total `t`; every update is the
+/// f64 operation the total always took, so the simulated clock keeps its
+/// bits, and an f64 holds each u64 total exactly below 2^53.
+#[derive(Clone, Copy)]
+enum Total {
+    SimulatedSecs,
+    NetworkBytes,
+    PeakIntermediateBytes,
+    PartitionRetries,
+    StoreReadRetries,
+    CheckpointsTaken,
+    StoreWriteFailures,
+}
+
+/// The names of the total gauges, in [`Total`] order.
+const TOTALS: [&str; 7] = [
+    "flow.simulated_secs",
+    "flow.network_bytes",
+    "flow.peak_intermediate_bytes",
+    "flow.partition_retries",
+    "flow.store_read_retries",
+    "flow.checkpoints_taken",
+    "flow.store_write_failures",
+];
 
 /// The schedule decided for one constituent of a stage.
 struct StageSched {
@@ -1266,23 +1342,50 @@ fn store_drains(plan: &LogicalPlan, store: &str) -> Result<Vec<(String, String)>
 }
 
 /// Decodes the executor state a checkpoint frame captured, and restores
-/// its registry snapshot into `obs`.
+/// its registry snapshot into `obs`. The bytes are untrusted: a frame
+/// whose state does not fit `plan` and a cluster of `cluster_nodes`, or
+/// whose registry holds an executor metric under another kind, is
+/// rejected before it can reach the drive loop.
 fn restore(
     plan: &LogicalPlan,
     checkpoint: &FlowCheckpoint,
+    cluster_nodes: usize,
     obs: &Observer,
 ) -> Result<ExecState, ExecutionError> {
     let payload = checkpoint.payload().map_err(ExecutionError::BadCheckpoint)?;
     let mut r = Reader::new(payload);
     let state = ExecState::decode(&mut r).map_err(ExecutionError::BadCheckpoint)?;
     let registry = RegistrySnapshot::decode(&mut r).map_err(ExecutionError::BadCheckpoint)?;
-    if !r.is_empty() || state.outputs.len() != plan.len() {
-        return Err(ExecutionError::BadCheckpoint(CodecError::Truncated {
-            what: "checkpoint does not match plan",
-        }));
+    let mut lost = vec![false; cluster_nodes];
+    let mut first_loss = |j: usize| j < cluster_nodes && !std::mem::replace(&mut lost[j], true);
+    let fits = r.is_empty()
+        && state.outputs.len() == plan.len()
+        && state.consumers_left.len() == plan.len()
+        && state.next_node <= plan.len()
+        && state.nodes_lost.iter().all(|&j| first_loss(j))
+        && registry.entries.iter().all(|(name, _, value)| has_executor_kind(name, value));
+    if !fits {
+        return Err(mismatch());
     }
     obs.registry().restore(&registry);
     Ok(state)
+}
+
+/// The error for a frame whose state does not fit the plan it resumes.
+fn mismatch() -> ExecutionError {
+    ExecutionError::BadCheckpoint(CodecError::Truncated { what: "checkpoint does not match plan" })
+}
+
+/// Is `value` of the kind the executor writes under `name`? A restored
+/// series of another kind would panic the first handle lookup.
+fn has_executor_kind(name: &str, value: &MetricValue) -> bool {
+    let flow = name.starts_with("flow.");
+    let gauge = name == "flow.op_work_secs" || TOTALS.contains(&name);
+    match value {
+        MetricValue::Counter(_) => !gauge && name != "flow.op_secs",
+        MetricValue::Gauge(_) => gauge || !flow,
+        MetricValue::Histogram(_) => name == "flow.op_secs" || !flow,
+    }
 }
 
 /// Counts the injected worker panics over `partitions` partitions of
@@ -1317,7 +1420,8 @@ fn injected_retries(
 /// injected store-write fault loses it. `shape` runs just before the
 /// state is encoded (the drive loop's state already is the boundary's;
 /// a stage interior has to be shaped into it). The frame carries the
-/// registry so resumed runs continue their counters bit-identically.
+/// registry — every flow metric, once — so resumed runs continue their
+/// totals and counters bit-identically.
 fn seal_checkpoint(
     run: &mut RunCtx<'_>,
     state: &mut ExecState,
@@ -1328,11 +1432,10 @@ fn seal_checkpoint(
         fault_plan.injects_at(FaultKind::StoreWrite, "flow-checkpoint", at as u64)
     });
     if lost {
-        state.metrics.store_write_failures += 1;
+        run.add(Total::StoreWriteFailures, 1.0);
         return;
     }
-    state.metrics.checkpoints_taken += 1;
-    mirror_flow_gauges(run.obs, &state.metrics);
+    run.add(Total::CheckpointsTaken, 1.0);
     shape(state);
     let mut w = Writer::new();
     state.encode(&mut w);
@@ -1374,26 +1477,13 @@ fn synthesize_checkpoint(
     state.next_node = saved_next;
 }
 
-/// Mirrors the flow-level totals into registry gauges (deterministic
-/// fields only — never `wall_ms`), so observers see flow state without
-/// holding a `FlowMetrics`.
-fn mirror_flow_gauges(obs: &Observer, m: &FlowMetrics) {
-    let reg = obs.registry();
-    let at = Labels::empty();
-    reg.gauge("flow.simulated_secs", &at).set(m.simulated_secs);
-    reg.gauge("flow.network_bytes", &at).set(m.network_bytes as f64);
-    reg.gauge("flow.peak_intermediate_bytes", &at)
-        .set(m.peak_intermediate_bytes as f64);
-    reg.gauge("flow.partition_retries", &at).set(m.partition_retries as f64);
-    reg.gauge("flow.store_read_retries", &at).set(m.store_read_retries as f64);
-    reg.gauge("flow.checkpoints_taken", &at).set(m.checkpoints_taken as f64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operator::{CostModel, Operator, Package};
+    use crate::packages::testkit::metric_fields;
     use crate::record::Value;
+    use std::time::Duration;
 
     fn docs(n: usize) -> Vec<Record> {
         (0..n)
@@ -1870,9 +1960,14 @@ mod tests {
     #[test]
     fn kill_and_resume_reproduces_uninterrupted_flow() {
         let plan = simple_plan();
-        let res = FlowResilience::injected(0xFEED, 0.3, 1);
+        // a seed that loses a checkpoint write, cluster nodes and a
+        // partition; the frame resumed from already holds some of them
+        let res = FlowResilience::injected(0x6, 0.3, 1);
 
         let base_out = run_under(&plan, docs(50), 4, &res).unwrap();
+        let m = &base_out.metrics;
+        assert!(m.store_write_failures > 0 && m.partition_retries > 0, "{m:?}");
+        assert!(!m.nodes_lost.is_empty(), "{m:?}");
 
         // killed before plan node 2 (after source + first operator): its
         // last frame is the last one sealed at or before that boundary
@@ -1894,10 +1989,82 @@ mod tests {
             resumed_out.deterministic_digest(),
             "resumed flow diverged from uninterrupted baseline"
         );
-        assert_eq!(
-            base_out.metrics.simulated_secs.to_bits(),
-            resumed_out.metrics.simulated_secs.to_bits()
-        );
+        // every metric survives the resume, the ones the digest leaves out too
+        assert_eq!(metric_fields(&base_out.metrics), metric_fields(&resumed_out.metrics));
+    }
+
+    #[test]
+    fn a_fresh_run_on_a_used_observer_starts_from_zero() {
+        let obs = Observer::new();
+        let res = FlowResilience { checkpoint_every_nodes: Some(1), ..FlowResilience::default() };
+        let run_once = || {
+            let (resilience, observer) = (res.clone(), Some(&obs));
+            let opts = RunOptions { resilience, observer, ..RunOptions::default() };
+            exec(&simple_plan(), docs(12), ExecutionConfig::local(4), opts).unwrap().metrics
+        };
+        let (first, second) = (run_once(), run_once());
+        let totals = |m: &FlowMetrics| {
+            let counts = [
+                m.network_bytes,
+                m.peak_intermediate_bytes,
+                m.partition_retries,
+                m.store_read_retries,
+                m.checkpoints_taken,
+                m.store_write_failures,
+            ];
+            (m.simulated_secs.to_bits(), counts, m.nodes_lost.clone())
+        };
+        assert!(first.simulated_secs > 0.0 && first.checkpoints_taken == 3);
+        assert_eq!(totals(&second), totals(&first));
+        let events = obs.tracer().events();
+        let op_starts: Vec<f64> =
+            events.iter().filter(|e| e.name == "flow.op").map(|e| e.t_secs).collect();
+        assert_eq!(op_starts.len(), 4, "two operator spans per run");
+        assert_eq!(op_starts[2], 0.0, "the second run's clock starts at zero");
+    }
+
+    #[test]
+    fn forged_frames_are_rejected_before_they_reach_the_drive_loop() {
+        // simple_plan: 0 source, 1 upper, 2 even, 3 sink; a local
+        // cluster has 4 nodes
+        let plan = simple_plan();
+        let seal = |edit: &dyn Fn(&mut ExecState), entries| {
+            let mut state = ExecState::fresh(&plan);
+            edit(&mut state);
+            let mut w = Writer::new();
+            state.encode(&mut w);
+            RegistrySnapshot { entries }.encode(&mut w);
+            FlowCheckpoint::seal(state.next_node, &w.into_bytes())
+        };
+        let forge = |edit: &dyn Fn(&mut ExecState)| seal(edit, Vec::new());
+        let as_counter = |name: &str, v| {
+            let labels = Labels::new(&[("node", "1"), ("op", "upper")]);
+            seal(&|_| {}, vec![(name.to_string(), labels, MetricValue::Counter(v))])
+        };
+        let cases = [
+            ("consumers_left emptied", forge(&|s| s.consumers_left.clear())),
+            ("a parent with no live output", forge(&|s| s.next_node = 2)),
+            (
+                "a parent with no consumer left",
+                forge(&|s| {
+                    (s.next_node, s.consumers_left[1], s.outputs[1]) = (2, 0, Some(docs(2)));
+                }),
+            ),
+            ("next_node past the plan", forge(&|s| s.next_node = 5)),
+            ("a lost node outside the cluster", forge(&|s| s.nodes_lost = vec![4])),
+            ("a node lost twice", forge(&|s| s.nodes_lost = vec![1, 1])),
+            ("a per-operator gauge as a counter", as_counter("flow.op_work_secs", 1)),
+            ("a total as a counter", as_counter("flow.simulated_secs", 1)),
+        ];
+        let resume = |frame| {
+            let opts = RunOptions { resume: Some(frame), ..RunOptions::default() };
+            exec(&plan, docs(4), ExecutionConfig::local(2), opts)
+        };
+        for (what, frame) in &cases {
+            assert_eq!(resume(frame).unwrap_err(), mismatch(), "{what}");
+        }
+        // a counter restored at its ceiling wraps, in debug builds too
+        assert!(resume(&as_counter("flow.records_in", u64::MAX)).is_ok());
     }
 
     #[test]
@@ -1926,11 +2093,14 @@ mod tests {
             assert_eq!(by_op, m.records_in);
         }
 
-        // flow totals mirror into gauges
+        // the flow totals and per-operator work are registry gauges
         assert_eq!(
             obs.registry().gauge("flow.simulated_secs", &Labels::empty()).value(),
             out.metrics.simulated_secs
         );
+        let upper = Labels::new(&[("node", "1"), ("op", "upper")]);
+        let work = obs.registry().gauge("flow.op_work_secs", &upper).value();
+        assert_eq!(work.to_bits(), out.metrics.per_op[0].simulated_secs.to_bits());
 
         // startup/work decomposition lands in the profiler
         let folded = obs.profiler().folded();
@@ -2039,15 +2209,10 @@ mod tests {
         assert_eq!(reg_f, reg_u, "registry must not see fusion");
         assert_eq!(out_f.deterministic_digest(), out_u.deterministic_digest());
         assert_eq!(
-            out_f.metrics.simulated_secs.to_bits(),
-            out_u.metrics.simulated_secs.to_bits(),
-            "simulated clock must be bit-identical"
+            metric_fields(&out_f.metrics),
+            metric_fields(&out_u.metrics),
+            "every deterministic metric, the simulated clock's bits included, must match"
         );
-        let mut wf = Writer::new();
-        out_f.metrics.encode(&mut wf);
-        let mut wu = Writer::new();
-        out_u.metrics.encode(&mut wu);
-        assert_eq!(wf.into_bytes(), wu.into_bytes(), "metrics codec bytes must match");
     }
 
     #[test]
@@ -2073,36 +2238,27 @@ mod tests {
     }
 
     #[test]
-    fn wall_ms_is_excluded_from_snapshot_codecs() {
-        let metrics = FlowMetrics {
-            wall_ms: 123.456,
-            simulated_secs: 9.0,
-            per_op: vec![OpMetrics {
-                name: "op".into(),
-                records_in: 1,
-                records_out: 1,
-                bytes_in: 10,
-                bytes_out: 10,
-                wall_ms: 77.7,
-                simulated_secs: 2.0,
-            }],
-            ..FlowMetrics::default()
+    fn wall_time_never_reaches_a_frame() {
+        // the same plan twice, but one run's operator takes real time
+        let plan_with = |pause: Duration| {
+            let mut plan = LogicalPlan::new();
+            let src = plan.source("in");
+            let slow = Operator::map("slow", Package::Base, move |r| {
+                std::thread::sleep(pause);
+                r
+            });
+            let slow = plan.add(src, slow).unwrap();
+            let tail = plan.add(slow, Operator::map("tail", Package::Base, |r| r)).unwrap();
+            plan.sink(tail, "out").unwrap();
+            plan
         };
-        let mut w = Writer::new();
-        metrics.encode(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut with_other_wall = metrics.clone();
-        with_other_wall.wall_ms = 999.0;
-        with_other_wall.per_op[0].wall_ms = 0.001;
-        let mut w = Writer::new();
-        with_other_wall.encode(&mut w);
-        assert_eq!(bytes, w.into_bytes(), "wall time must not reach checkpoint bytes");
-
-        let decoded = FlowMetrics::decode(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(decoded.wall_ms, 0.0);
-        assert_eq!(decoded.per_op[0].wall_ms, 0.0);
-        assert_eq!(decoded.simulated_secs, 9.0);
+        let res = FlowResilience { checkpoint_every_nodes: Some(1), ..FlowResilience::default() };
+        let fast = run_under(&plan_with(Duration::ZERO), docs(8), 1, &res).unwrap();
+        let slow = run_under(&plan_with(Duration::from_millis(3)), docs(8), 1, &res).unwrap();
+        assert!(slow.metrics.per_op[0].wall_ms > fast.metrics.per_op[0].wall_ms + 10.0);
+        assert!(slow.metrics.wall_ms > fast.metrics.wall_ms);
+        assert_eq!(slow.checkpoints.len(), 3);
+        assert_eq!(slow.checkpoints, fast.checkpoints, "wall time must not reach frame bytes");
     }
 
     #[test]

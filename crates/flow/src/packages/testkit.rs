@@ -3,8 +3,10 @@
 //! once. They live in the library, not under `tests/`, because the
 //! `shard_worker` binary must be able to rebuild them from their wire
 //! forms like any other operator. Parameters are fixed: no suite varies
-//! them.
+//! them. Beside them, [`metric_fields`]: the metrics surface every
+//! differential compares two runs on.
 
+use crate::executor::FlowMetrics;
 use crate::operator::{Aggregate, Operator, Package};
 use crate::record::{Record, Value};
 
@@ -68,4 +70,18 @@ pub fn needs_stamp() -> Operator {
 pub fn tally() -> Operator {
     Operator::reduce_agg("tally", Package::Base, group_key, Aggregate::Count { into: "id".into() })
         .shipped_as("testkit.tally", |_| {})
+}
+
+/// Every deterministic [`FlowMetrics`] field, as text: the `Debug` form
+/// with the runtime-only `wall_ms` fields zeroed. `Debug` writes an f64
+/// in the shortest form that reads back to the same value, so equal text
+/// means equal bits for every non-NaN float — the simulated clock's and
+/// each row's.
+pub fn metric_fields(m: &FlowMetrics) -> String {
+    let mut m = m.clone();
+    m.wall_ms = 0.0;
+    for op in &mut m.per_op {
+        op.wall_ms = 0.0;
+    }
+    format!("{m:?}")
 }

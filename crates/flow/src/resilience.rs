@@ -18,9 +18,11 @@
 use websift_resilience::codec;
 use websift_resilience::{CodecError, FaultPlan, Reader};
 
-/// Frame tag + version for flow checkpoints.
+/// Frame tag + version for flow checkpoints. Version 2: every flow
+/// metric lives in the registry snapshot only, and node losses are one
+/// list.
 const CHECKPOINT_TAG: [u8; 4] = *b"WSFK";
-const CHECKPOINT_VERSION: u16 = 1;
+const CHECKPOINT_VERSION: u16 = 2;
 
 /// Per-run resilience configuration for [`crate::Executor`].
 ///
@@ -63,8 +65,10 @@ impl FlowResilience {
 }
 
 /// A sealed flow checkpoint: the executor's complete mid-plan state
-/// (completed node outputs, sink contents, metrics, surviving nodes)
-/// framed with a magic tag, version, and checksum.
+/// (live node outputs and consumer counts, sink contents, charged
+/// startups, lost cluster nodes) followed by the observer's registry
+/// snapshot — the one copy of every flow metric — framed with a magic
+/// tag, version, and checksum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowCheckpoint {
     frame: Vec<u8>,

@@ -16,6 +16,7 @@ use websift_flow::{
     ExecutionConfig, Executor, FlowOutput, FlowResilience, IeResources, LogicalPlan, NodeOp,
     Operator, Record, RunOptions, ShardConfig, Span, Value,
 };
+use websift_flow::packages::testkit::metric_fields;
 use websift_ner::EntityType;
 use websift_resilience::{Snapshot, Writer};
 use websift_text::tokenize::tokenize;
@@ -97,10 +98,10 @@ fn encoded(v: &impl Snapshot) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Sink bytes, metric bytes (every `OpMetrics` row) and the digest of a
-/// run.
-fn surface(out: &FlowOutput) -> (Vec<u8>, Vec<u8>, u64) {
-    (encoded(&out.sinks), encoded(&out.metrics), out.deterministic_digest())
+/// Sink bytes, every deterministic metric (each `OpMetrics` row
+/// included) and the digest of a run.
+fn surface(out: &FlowOutput) -> (Vec<u8>, String, u64) {
+    (encoded(&out.sinks), metric_fields(&out.metrics), out.deterministic_digest())
 }
 
 fn frames(run: &FlowOutput) -> Vec<(usize, Vec<u8>)> {

@@ -14,7 +14,7 @@ use websift_observe::{Observer, RegistrySnapshot};
 use websift_resilience::{Snapshot, Writer};
 
 pub use websift_flow::packages::testkit::{
-    dup, group_key, grow, needs_stamp, parity, stamp, tally,
+    dup, group_key, grow, metric_fields, needs_stamp, parity, stamp, tally,
 };
 
 /// A `Custom`-closure grouping reduce: a fusion barrier the optimizer
@@ -97,7 +97,8 @@ pub fn inputs_for(input: Vec<Record>) -> HashMap<String, Vec<Record>> {
 pub struct RunSurface {
     pub error: Option<String>,
     pub sink_bytes: Option<Vec<u8>>,
-    pub metrics_bytes: Option<Vec<u8>>,
+    /// Every deterministic `FlowMetrics` field ([`metric_fields`]).
+    pub metrics: Option<String>,
     pub simulated_bits: Option<u64>,
     pub digest: Option<u64>,
     pub jsonl: String,
@@ -142,7 +143,7 @@ pub fn run_surface(
     RunSurface {
         error,
         sink_bytes: output.as_ref().map(|out| encoded(&|w| out.sinks.encode(w))),
-        metrics_bytes: output.as_ref().map(|out| encoded(&|w| out.metrics.encode(w))),
+        metrics: output.as_ref().map(|out| metric_fields(&out.metrics)),
         simulated_bits: output.as_ref().map(|out| out.metrics.simulated_secs.to_bits()),
         digest: output.as_ref().map(|out| out.deterministic_digest()),
         jsonl: obs.tracer().to_jsonl(),
@@ -156,7 +157,7 @@ pub fn run_surface(
 pub fn assert_surfaces_equal(a: &RunSurface, b: &RunSurface, ctx: &str) {
     assert_eq!(a.error, b.error, "failure surface diverged: {ctx}");
     assert_eq!(a.sink_bytes, b.sink_bytes, "sink bytes diverged: {ctx}");
-    assert_eq!(a.metrics_bytes, b.metrics_bytes, "metrics bytes diverged: {ctx}");
+    assert_eq!(a.metrics, b.metrics, "metrics diverged: {ctx}");
     assert_eq!(a.simulated_bits, b.simulated_bits, "simulated clock diverged: {ctx}");
     assert_eq!(a.digest, b.digest, "digest diverged: {ctx}");
     assert_eq!(a.jsonl, b.jsonl, "tracer JSONL diverged: {ctx}");

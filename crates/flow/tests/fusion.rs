@@ -4,7 +4,7 @@
 //! 1. across randomly generated chain plans, fault seeds, DoPs, and
 //!    checkpoint cadences, a fused run is indistinguishable from an
 //!    unfused run on every deterministic surface — sink `Snapshot`
-//!    bytes, `FlowMetrics` codec bytes, bit-exact `simulated_secs`,
+//!    bytes, every deterministic `FlowMetrics` field, bit-exact `simulated_secs`,
 //!    tracer JSONL, registry snapshot, and the WS00x analyzer verdict
 //!    (including plans the analyzer rejects);
 //! 2. the same identity holds on fan-out plans, where the fused chain
@@ -16,7 +16,9 @@
 
 mod common;
 
-use common::{assert_surfaces_equal, docs, inputs_for, options, pool_op, run_surface};
+use common::{
+    assert_surfaces_equal, docs, inputs_for, metric_fields, options, pool_op, run_surface,
+};
 use proptest::prelude::*;
 use websift_flow::{ExecutionConfig, Executor, FlowResilience, LogicalPlan};
 use websift_observe::Observer;
@@ -97,9 +99,9 @@ proptest! {
             stop
         );
         prop_assert_eq!(
-            resumed.metrics.simulated_secs.to_bits(),
-            full.metrics.simulated_secs.to_bits(),
-            "simulated clock diverged for {:?} stop={}",
+            metric_fields(&resumed.metrics),
+            metric_fields(&full.metrics),
+            "metrics diverged for {:?} stop={}",
             indices,
             stop
         );

@@ -5,7 +5,7 @@
 //!    DoPs, checkpoint cadences, and every `Aggregate` variant (plus the
 //!    `Custom` escape hatch), a combining run is indistinguishable from
 //!    an uncombined run on every deterministic surface — sink `Snapshot`
-//!    bytes, `FlowMetrics` codec bytes, bit-exact `simulated_secs`,
+//!    bytes, every deterministic `FlowMetrics` field, bit-exact `simulated_secs`,
 //!    tracer JSONL, registry snapshot, checkpoint frame bytes, and the
 //!    WS00x analyzer verdict;
 //! 2. a fixed fault-seed sweep holds the same equality at DoP {1, 4, 8}
@@ -19,7 +19,9 @@
 
 mod common;
 
-use common::{assert_surfaces_equal, docs, group_key, inputs_for, options, run_surface};
+use common::{
+    assert_surfaces_equal, docs, group_key, inputs_for, metric_fields, options, run_surface,
+};
 use proptest::prelude::*;
 use websift_flow::{
     Aggregate, ExecutionConfig, Executor, FlowResilience, LogicalPlan, Operator, Package, Record,
@@ -254,11 +256,8 @@ fn kill_inside_fused_reduce_stage_resumes_bit_exactly() {
                 full.deterministic_digest(),
                 "dop {dop} stop {stop}"
             );
-            assert_eq!(
-                resumed.metrics.simulated_secs.to_bits(),
-                full.metrics.simulated_secs.to_bits(),
-                "dop {dop} stop {stop}"
-            );
+            let metrics = metric_fields(&resumed.metrics);
+            assert_eq!(metrics, metric_fields(&full.metrics), "dop {dop} stop {stop}");
             assert_eq!(
                 resumed_obs.registry().snapshot(),
                 full_obs.registry().snapshot(),
@@ -365,10 +364,6 @@ fn custom_combinable_reduce_combines_and_resumes_bit_exactly() {
             full.deterministic_digest(),
             "stop {stop}"
         );
-        assert_eq!(
-            resumed.metrics.simulated_secs.to_bits(),
-            full.metrics.simulated_secs.to_bits(),
-            "stop {stop}"
-        );
+        assert_eq!(metric_fields(&resumed.metrics), metric_fields(&full.metrics), "stop {stop}");
     }
 }

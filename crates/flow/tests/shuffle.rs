@@ -5,7 +5,7 @@
 //!    plans, fault seeds, DoPs, fusion and combining toggles, and shard
 //!    counts, a run on N worker shards is indistinguishable from the
 //!    in-process run on every deterministic surface — sink `Snapshot`
-//!    bytes, `FlowMetrics` codec bytes, bit-exact `simulated_secs`,
+//!    bytes, every deterministic `FlowMetrics` field, bit-exact `simulated_secs`,
 //!    the deterministic digest, tracer JSONL, registry snapshot,
 //!    checkpoint frame bytes, and the WS00x analyzer verdict;
 //! 2. the identity holds when the shards are real OS processes (the
@@ -31,7 +31,9 @@
 
 mod common;
 
-use common::{assert_surfaces_equal, docs, inputs_for, options, pool_op, run_surface};
+use common::{
+    assert_surfaces_equal, docs, inputs_for, metric_fields, options, pool_op, run_surface,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
@@ -260,11 +262,8 @@ fn killed_shard_resumes_bit_exactly_at_mismatched_shard_counts() {
                         full.deterministic_digest(),
                         "{ctx}"
                     );
-                    assert_eq!(
-                        resumed.metrics.simulated_secs.to_bits(),
-                        full.metrics.simulated_secs.to_bits(),
-                        "{ctx}"
-                    );
+                    let metrics = metric_fields(&resumed.metrics);
+                    assert_eq!(metrics, metric_fields(&full.metrics), "{ctx}");
                 }
                 resumes += 1;
             }

@@ -85,9 +85,10 @@ impl Snapshot for Labels {
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds `n`, returning the new total.
+    /// Adds `n`, returning the new total. Wraps at `u64::MAX`, as the
+    /// stored value does: a counter restored from a frame may sit anywhere.
     pub fn add(&self, n: u64) -> u64 {
-        self.0.fetch_add(n, Ordering::Relaxed) + n
+        self.0.fetch_add(n, Ordering::Relaxed).wrapping_add(n)
     }
 
     /// Adds one, returning the new total.
