@@ -199,6 +199,17 @@ if grep -nE 'impl Snapshot for (FlowMetrics|OpMetrics)|fn mirror_flow_gauges|nod
 fi
 echo "flow metrics live in one place ok"
 
+# Every Reduce is typed: `Operator::reduce_agg` with one of the six
+# mergeable `Aggregate`s is the only way to build one, so no opaque
+# closure reduce, opt-in merge contract or "is it combinable?" question
+# may come back.
+if grep -rnE 'Aggregate::Custom|CustomCombin|reduce_custom_combinable|Operator::reduce\(|NonCombinableReduce|combinable_reduce' \
+  crates/*/src crates/*/tests tests; then
+  echo "every Reduce must be a typed Aggregate" >&2
+  exit 1
+fi
+echo "every Reduce is typed ok"
+
 # Sharded scale-out smoke on the real flows: every shard count (worker
 # threads and real worker processes) must reproduce the unsharded run's
 # deterministic digest with no stage left on the local runner (--check

@@ -29,8 +29,8 @@ use websift_observe::json::{array, ObjectWriter};
 /// How bad a finding is. `Error` diagnostics reject a plan; `Warning`
 /// diagnostics are advisory (dead writes, unreachable nodes, unused
 /// variables); `Info` diagnostics surface silent behaviour the author
-/// may not have intended (a `Custom` aggregate disabling partial
-/// aggregation). Declaration order gives `Info < Warning < Error`.
+/// may not have intended (a closure-built operator keeping its stage off
+/// the worker shards). Declaration order gives `Info < Warning < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     Info,
@@ -191,10 +191,10 @@ mod tests {
         assert!(Severity::Warning > Severity::Info);
         assert!(has_errors(&[Diagnostic::error("WS002", "x")]));
         assert!(!has_errors(&[Diagnostic::warning("WS003", "x")]));
-        assert!(!has_errors(&[Diagnostic::info("WS010", "x")]));
+        assert!(!has_errors(&[Diagnostic::info("WS017", "x")]));
         let d = Diagnostic::warning("WS005", "unused").with_line(4);
         assert_eq!(d.to_string(), "warning [WS005] line 4: unused");
-        let d = Diagnostic::info("WS010", "custom aggregate").with_node(2);
-        assert_eq!(d.to_string(), "info [WS010] node 2: custom aggregate");
+        let d = Diagnostic::info("WS017", "pinned stage").with_node(2);
+        assert_eq!(d.to_string(), "info [WS017] node 2: pinned stage");
     }
 }

@@ -369,10 +369,10 @@ mod tests {
     fn token_frequency_flow_counts_tokens_identically_combined_or_not() {
         let plan = token_frequency_flow("docs");
         plan.validate().unwrap();
-        // the terminal reduce is combinable, so no WS010 and the executor
-        // may pre-aggregate inside the fused stage
-        let diags = websift_flow::analyze_plan(&plan, &websift_flow::AnalyzeOptions::default());
-        assert!(diags.iter().all(|d| d.code != "WS010"), "{diags:?}");
+        // with combining on, the executor pre-aggregates the terminal
+        // reduce inside its fused stage
+        let stages = websift_flow::plan_stages(&plan, true, true);
+        assert!(stages.iter().any(|s| s.combined_reduce), "{stages:?}");
 
         let input = docs(CorpusKind::RelevantWeb, 6);
         let records = crate::corpora::documents_to_records(&input);

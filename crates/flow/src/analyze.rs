@@ -19,9 +19,8 @@
 //! | WS007 | error    | memory admission: per-worker footprint × co-located workers exceeds node RAM |
 //! | WS008 | error    | requested DoP exceeds cluster cores |
 //! | WS009 | warning  | unknown field: read field nothing in the plan produces |
-//! | WS010 | info     | custom aggregate: a `Custom` Reduce silently disables partial aggregation |
 //! | WS011 | error    | store sink: malformed `store:` name, or a store the run cannot reach |
-//! | WS012 | error    | live mode: a Reduce the live session rejects — a `Custom` aggregate cannot fold incrementally, and a Reduce that does not feed a sink directly cannot be retained |
+//! | WS012 | error    | live mode: a Reduce that does not feed a sink directly, so the live session cannot retain its state |
 //! | WS013 | error    | field-type conflict: an operator reads a field under a declared type its producer wrote differently |
 //! | WS014 | error    | fused-stage admission: even the *peak fused stage's* footprint × co-located workers exceeds node RAM |
 //! | WS015 | warning  | redundant operator: an identically-annotated idempotent operator repeats on one path with nothing between touching its fields |
@@ -81,7 +80,7 @@ pub struct AnalyzeOptions {
     /// parse, since most callers execute plans without any store bound.
     pub known_stores: Option<BTreeSet<String>>,
     /// When set, the plan is destined for incremental (live) execution:
-    /// WS012 fires for reduces that cannot fold round-by-round.
+    /// WS012 fires for reduces that do not feed a sink directly.
     pub live: bool,
     /// `(records, avg_bytes_per_record)` expected from each source. Seeds
     /// the field-flow cost envelopes with absolute numbers; without it
@@ -172,7 +171,6 @@ pub fn analyze_plan(plan: &LogicalPlan, opts: &AnalyzeOptions) -> Vec<Diagnostic
     check_dead_writes(plan, &mut diags);
     check_duplicate_sinks(plan, &mut diags);
     check_unreachable(plan, &contributing, &mut diags);
-    check_combinability(plan, &mut diags);
     check_store_sinks(plan, opts, &mut diags);
     check_live_recompute(plan, opts, &contributing, &mut diags);
     check_type_conflicts(plan, opts, &contributing, &mut diags);
@@ -501,35 +499,6 @@ fn check_shippability(plan: &LogicalPlan, opts: &AnalyzeOptions, out: &mut Vec<D
     }
 }
 
-/// WS010: a `Reduce` whose aggregate is a `Custom` closure. The executor
-/// cannot pre-aggregate inside fused stages for these — opaque closures
-/// have no combine step — so the full group ships to the final reduce.
-/// Silent, correct, and often unintended when a typed
-/// [`crate::operator::Aggregate`] would express the same computation, or
-/// when the closure is associative and could declare an explicit merge
-/// contract via [`crate::operator::Operator::reduce_custom_combinable`].
-fn check_combinability(plan: &LogicalPlan, out: &mut Vec<Diagnostic>) {
-    for node in plan.nodes() {
-        let NodeOp::Op(op) = &node.op else { continue };
-        if op.kind == crate::operator::Kind::Reduce && !op.combinable_reduce() {
-            out.push(
-                Diagnostic::info(
-                    "WS010",
-                    format!(
-                        "reduce '{}' uses a custom aggregate closure, which disables partial \
-                         aggregation (every group ships uncombined); use a typed Aggregate \
-                         (Count/Sum/Min/Max/Concat/TopK), or opt in with an explicit \
-                         seed/fold/merge contract via reduce_custom_combinable, to enable \
-                         combining",
-                        op.name
-                    ),
-                )
-                .with_node(node.id),
-            );
-        }
-    }
-}
-
 /// WS011: every `store:` sink must parse as `store:<store>/<dataset>`,
 /// and — when the caller declares which stores the run can reach — must
 /// name one of them. Records routed to a store the executor cannot
@@ -573,15 +542,12 @@ fn check_store_sinks(plan: &LogicalPlan, opts: &AnalyzeOptions, out: &mut Vec<Di
     }
 }
 
-/// WS012: the two reduces the live session's incremental compiler
-/// rejects, both errors. A `Custom` reduce has no retainable per-key
-/// state — an opaque closure cannot be folded round-by-round
-/// (`NonCombinableReduce`) — and a reduce (typed or custom) that does not
-/// feed exactly one sink directly cannot be split out of the delta plan
-/// (`ReduceNotTerminal`). The terminality test mirrors that compiler's
-/// rule verbatim: one child, and it is a sink. Only reduces that
-/// contribute to some sink are considered; a reduce on a dead branch is
-/// WS006's finding, not this check's.
+/// WS012: a reduce the live session's incremental compiler rejects
+/// (`ReduceNotTerminal`): the session retains a reduce's per-key state in
+/// place of running it, so nothing but a sink may read it. Both ask
+/// [`LogicalPlan::feeds_only_a_sink`]. Only reduces that contribute to
+/// some sink are considered; a reduce on a dead branch is WS006's
+/// finding, not this check's.
 fn check_live_recompute(
     plan: &LogicalPlan,
     opts: &AnalyzeOptions,
@@ -593,41 +559,24 @@ fn check_live_recompute(
     }
     for node in plan.nodes() {
         let NodeOp::Op(op) = &node.op else { continue };
-        if op.kind != crate::operator::Kind::Reduce || !contributing.contains(&node.id) {
+        if op.kind != crate::operator::Kind::Reduce
+            || !contributing.contains(&node.id)
+            || plan.feeds_only_a_sink(node.id)
+        {
             continue;
         }
-        let children = plan.children(node.id);
-        let terminal =
-            children.len() == 1 && matches!(plan.nodes()[children[0]].op, NodeOp::Sink(_));
-        if !terminal {
-            out.push(
-                Diagnostic::error(
-                    "WS012",
-                    format!(
-                        "reduce '{}' feeds further operators instead of a sink; the live \
-                         session folds reduces as terminal per-round state and will reject \
-                         this plan — move post-aggregation work out of the live flow",
-                        op.name
-                    ),
-                )
-                .with_node(node.id),
-            );
-        } else if !op.combinable_reduce() {
-            out.push(
-                Diagnostic::error(
-                    "WS012",
-                    format!(
-                        "reduce '{}' uses a custom aggregate closure, which cannot fold \
-                         incrementally, so the live session will reject this plan; use a typed \
-                         Aggregate (Count/Sum/Min/Max/Concat/TopK), or an explicit merge \
-                         contract via reduce_custom_combinable, to retain per-key state across \
-                         rounds",
-                        op.name
-                    ),
-                )
-                .with_node(node.id),
-            );
-        }
+        out.push(
+            Diagnostic::error(
+                "WS012",
+                format!(
+                    "reduce '{}' feeds further operators instead of a sink; the live \
+                     session folds reduces as terminal per-round state and will reject \
+                     this plan — move post-aggregation work out of the live flow",
+                    op.name
+                ),
+            )
+            .with_node(node.id),
+        );
     }
 }
 
@@ -983,103 +932,21 @@ write $pages 'out';";
     }
 
     #[test]
-    fn custom_aggregate_reduce_is_flagged_ws010() {
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("docs");
-        let r = plan
-            .add(
-                src,
-                Operator::reduce("tally", Package::Base, |r| format!("{:?}", r.get("corpus")), |k, rs| {
-                    let mut out = Record::new();
-                    out.set("key", k).set("count", rs.len());
-                    vec![out]
-                }),
-            )
-            .unwrap();
-        plan.sink(r, "out").unwrap();
-        let diags = analyze_plan(&plan, &AnalyzeOptions::default());
-        assert_eq!(codes(&diags), vec!["WS010"]);
-        assert_eq!(diags[0].severity, Severity::Info);
-        assert_eq!(diags[0].node, Some(1));
-        assert!(!has_errors(&diags));
-        assert!(diags[0].message.contains("custom aggregate"), "{}", diags[0].message);
-
-        // the same reduction through a typed aggregate is clean
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("docs");
-        let r = plan
-            .add(
-                src,
-                Operator::reduce_agg(
-                    "tally",
-                    Package::Base,
-                    |r: &Record| format!("{:?}", r.get("corpus")),
-                    Aggregate::Count { into: "count".into() },
-                ),
-            )
-            .unwrap();
-        plan.sink(r, "out").unwrap();
-        assert!(analyze_plan(&plan, &AnalyzeOptions::default()).is_empty());
-    }
-
-    #[test]
-    fn live_mode_escalates_custom_aggregates_to_ws012() {
-        let custom_reduce = || {
-            Operator::reduce("tally", Package::Base, |r| format!("{:?}", r.get("corpus")), |k, rs| {
-                let mut out = Record::new();
-                out.set("key", k).set("count", rs.len());
-                vec![out]
-            })
+    fn live_mode_rejects_non_terminal_reduces() {
+        let tally = || {
+            let key = |r: &Record| format!("{:?}", r.get("corpus"));
+            Operator::reduce_agg("tally", Package::Base, key, Aggregate::Count { into: "n".into() })
         };
+        // a reduce feeding its sink directly is clean even in live mode
         let mut plan = LogicalPlan::new();
         let src = plan.source("docs");
-        let r = plan.add(src, custom_reduce()).unwrap();
-        plan.sink(r, "out").unwrap();
-
-        // default mode: only the WS010 info
-        let diags = analyze_plan(&plan, &AnalyzeOptions::default());
-        assert_eq!(codes(&diags), vec!["WS010"]);
-
-        // live mode: WS012 joins as an error on the same node
-        let diags = analyze_plan(&plan, &AnalyzeOptions::default().with_live_mode());
-        assert_eq!(codes(&diags), vec!["WS010", "WS012"]);
-        assert_eq!(diags[1].severity, Severity::Error);
-        assert_eq!(diags[1].node, Some(1));
-        assert!(diags[1].message.contains("reject"), "{}", diags[1].message);
-
-        // a typed aggregate stays clean even in live mode
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("docs");
-        let r = plan
-            .add(
-                src,
-                Operator::reduce_agg(
-                    "tally",
-                    Package::Base,
-                    |r: &Record| format!("{:?}", r.get("corpus")),
-                    Aggregate::Count { into: "count".into() },
-                ),
-            )
-            .unwrap();
+        let r = plan.add(src, tally()).unwrap();
         plan.sink(r, "out").unwrap();
         assert!(analyze_plan(&plan, &AnalyzeOptions::default().with_live_mode()).is_empty());
-    }
 
-    #[test]
-    fn live_mode_rejects_non_terminal_reduces() {
         let mut plan = LogicalPlan::new();
         let src = plan.source("docs");
-        let r = plan
-            .add(
-                src,
-                Operator::reduce_agg(
-                    "tally",
-                    Package::Base,
-                    |r: &Record| format!("{:?}", r.get("corpus")),
-                    Aggregate::Count { into: "count".into() },
-                ),
-            )
-            .unwrap();
+        let r = plan.add(src, tally()).unwrap();
         let post = plan.add(r, op("post", &[], &[])).unwrap();
         plan.sink(post, "out").unwrap();
 
@@ -1155,7 +1022,7 @@ write $pages 'out';";
 
     #[test]
     fn fused_stage_refinement_passes_what_ws007_rejects() {
-        // two 20 GB maps split across a custom reduce: the whole-plan sum
+        // two 20 GB maps split across a reduce: the whole-plan sum
         // (40 GB) fails the conservative WS007 bound, but no single fused
         // stage exceeds 20 GB, so the stage-level WS014 refinement knows a
         // stage-at-a-time schedule still fits — no WS014
@@ -1168,14 +1035,15 @@ write $pages 'out';";
         let mut plan = LogicalPlan::new();
         let src = plan.source("docs");
         let a = plan.add(src, fat("fat-a")).unwrap();
+        let count = Aggregate::Count { into: "n".into() };
         let red = plan
-            .add(a, Operator::reduce("split", Package::Base, |_| String::new(), |_, rs| rs))
+            .add(a, Operator::reduce_agg("split", Package::Base, |_| String::new(), count))
             .unwrap();
         let b = plan.add(red, fat("fat-b")).unwrap();
         plan.sink(b, "out").unwrap();
         let opts = AnalyzeOptions::default().with_admission(ClusterSpec::paper_cluster(), 28);
         let diags = analyze_plan(&plan, &opts);
-        assert_eq!(codes(&diags), vec!["WS010", "WS007"]);
+        assert_eq!(codes(&diags), vec!["WS007"]);
         assert!(!codes(&diags).contains(&"WS014"));
     }
 

@@ -108,15 +108,16 @@ pub struct ExecutionConfig {
     /// simulated numbers, metrics, traces, and checkpoint bytes are
     /// identical with fusion on or off.
     pub fusion: bool,
-    /// Pre-aggregate combinable Reduces inside fused stages: each worker
+    /// Pre-aggregate every Reduce inside its fused stage: each worker
     /// folds its chunk into per-key partial-aggregate states, ships the
     /// (much smaller) sorted-key partial maps across the shuffle
     /// boundary, and a final merge reproduces the serial grouping
     /// exactly. Combining is physical only — the analytic replay still
     /// charges the unfused Reduce cost model, so simulated numbers,
     /// metrics, traces, and checkpoint bytes are identical with
-    /// combining on or off. Reduces with a `Custom` aggregate always run
-    /// uncombined (the analyzer flags them as WS010).
+    /// combining on or off. Off, every Reduce groups its whole input in
+    /// the parent: the reference path the differential suites compare
+    /// against.
     pub combining: bool,
     /// Sharded physical execution: run fused stages on N worker shards
     /// (threads or real OS processes) over the frame protocol in
@@ -698,7 +699,7 @@ impl Executor {
     /// deliberately decoupled. Records move **by value** stage to stage
     /// inside a [`StageRunner`] (no per-record clones), while each
     /// stage tallies per-record simulated costs (in record order) and
-    /// incremental byte counts. When the stage ends in a combinable
+    /// incremental byte counts. When the stage ends in a combined
     /// Reduce, each chunk is folded into per-key partial-aggregate
     /// states and only the sorted-key partial maps cross the shuffle;
     /// the merge reproduces the serial grouping exactly (per-key record
@@ -1202,7 +1203,7 @@ struct StageSched {
 struct StageCtx<'a> {
     first: usize,
     ops: Vec<&'a Operator>,
-    /// The stage ends in a combinable Reduce, folded per chunk.
+    /// The stage ends in a Reduce folded per chunk.
     combined: bool,
     /// Interior boundaries the physical pass taps, as in-chain indices.
     tapped: Vec<usize>,
@@ -1320,8 +1321,10 @@ fn merge(
 /// Pairs every `store:` sink of `plan` with its dataset, in sorted sink
 /// order so the store sees a deterministic call sequence — or fails with
 /// the first one, in that order, that is malformed or names a store
-/// other than `store`.
-fn store_drains(plan: &LogicalPlan, store: &str) -> Result<Vec<(String, String)>, ExecutionError> {
+/// other than `store`. A run given a store checks this before its first
+/// node; a caller that runs the plan later (a live session) checks it
+/// up front with the same function.
+pub fn store_drains(plan: &LogicalPlan, store: &str) -> Result<Vec<(String, String)>, ExecutionError> {
     let mut sinks: Vec<&str> =
         plan.sinks().into_iter().filter(|name| name.starts_with(STORE_SINK_PREFIX)).collect();
     sinks.sort_unstable();
@@ -1480,7 +1483,7 @@ fn synthesize_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{CostModel, Operator, Package};
+    use crate::operator::{Aggregate, CostModel, Operator, Package};
     use crate::packages::testkit::metric_fields;
     use crate::record::Value;
     use std::time::Duration;
@@ -1651,15 +1654,11 @@ mod tests {
         let red = plan
             .add(
                 src,
-                Operator::reduce(
+                Operator::reduce_agg(
                     "count",
                     Package::Base,
                     |r| (r.get("id").unwrap().as_int().unwrap() % 3).to_string(),
-                    |k, rs| {
-                        let mut r = Record::new();
-                        r.set("key", k).set("n", rs.len());
-                        vec![r]
-                    },
+                    Aggregate::Count { into: "n".into() },
                 ),
             )
             .unwrap();

@@ -6,9 +6,9 @@
 //! fixpoint) and infers, for every node's *output edge*:
 //!
 //! - the **record schema** — which fields are definitely present, possibly
-//!   present (a `maybe_writes` annotation, or surviving a custom reduce),
-//!   or absent, each with the value type its last producer declared
-//!   ([`websift_analyze::lattice`] holds the domains);
+//!   present (a `maybe_writes` annotation), or absent, each with the
+//!   value type its last producer declared ([`websift_analyze::lattice`]
+//!   holds the domains);
 //! - a **cost envelope** — closed `[lo, hi]` intervals over record count
 //!   and byte volume, propagated through per-operator selectivity models:
 //!   per-kind defaults, an explicit [`crate::operator::Operator::with_selectivity`]
@@ -115,39 +115,14 @@ fn declared_write_type(op: &Operator, field: &str) -> FieldType {
 /// Schema transfer function for one operator.
 fn apply_op_schema(op: &Operator, input: &FieldSchema) -> FieldSchema {
     if let OpFunc::Reduce { aggregate, .. } = op.func() {
-        return match aggregate.output_field() {
-            // A typed aggregate builds fresh records: `key` plus the
-            // aggregate value. Everything inherited is gone.
-            Some((field, ty)) => {
-                let mut out = BTreeMap::new();
-                out.insert(
-                    "key".to_string(),
-                    FieldFact::definite(FieldType::Str, Some(&op.name)),
-                );
-                out.insert(field.to_string(), FieldFact::definite(ty, Some(&op.name)));
-                out
-            }
-            // A custom closure may pass fields through, drop them, or
-            // invent new ones: demote everything to possibly-present and
-            // trust only the declared writes.
-            None => {
-                let mut out: FieldSchema = input
-                    .iter()
-                    .map(|(f, fact)| {
-                        let mut fact = fact.clone();
-                        fact.presence = fact.presence.join(Presence::Absent);
-                        (f.clone(), fact)
-                    })
-                    .collect();
-                for f in &op.writes {
-                    out.insert(
-                        f.clone(),
-                        FieldFact::definite(declared_write_type(op, f), Some(&op.name)),
-                    );
-                }
-                out
-            }
-        };
+        // A Reduce builds fresh records: `key` plus the aggregate value.
+        // Everything inherited is gone.
+        let (field, ty) = aggregate.output_field();
+        let fact = |ty| FieldFact::definite(ty, Some(&op.name));
+        return BTreeMap::from([
+            ("key".to_string(), fact(FieldType::Str)),
+            (field.to_string(), fact(ty)),
+        ]);
     }
     let mut out = input.clone();
     for f in &op.writes {
@@ -380,23 +355,6 @@ mod tests {
         assert_eq!(schema["key"].ty, FieldType::Str);
         assert_eq!(schema["count"].ty, FieldType::Int);
         assert!(!schema.contains_key("text"), "inherited fields are dropped");
-    }
-
-    #[test]
-    fn custom_reduce_demotes_inherited_fields() {
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("docs");
-        let r = plan
-            .add(
-                src,
-                Operator::reduce("pick", Package::Base, |_| String::new(), |_, rs| rs),
-            )
-            .unwrap();
-        let sink = plan.sink(r, "out").unwrap();
-        let flow = field_flow(&plan, &AnalyzeOptions::default());
-        let schema = &flow.after(sink).schema;
-        assert_eq!(schema["text"].presence, Presence::Possible);
-        assert_eq!(schema["text"].ty, FieldType::Str, "type survives the demotion");
     }
 
     #[test]

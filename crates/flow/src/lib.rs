@@ -61,15 +61,14 @@ pub mod transport;
 pub use analyze::{analyze_plan, analyze_script, AnalyzeOptions};
 pub use cluster::{admit, admit_sharded, ClusterSpec, NodeSpec, Placement, SchedulingError};
 pub use executor::{
-    ExecutionConfig, ExecutionError, Executor, FlowMetrics, FlowOutput, OpMetrics, PhysicalStats,
-    RunOptions, StoreSink,
+    store_drains, ExecutionConfig, ExecutionError, Executor, FlowMetrics, FlowOutput, OpMetrics,
+    PhysicalStats, RunOptions, StoreSink,
 };
 pub use resilience::{FlowCheckpoint, FlowResilience};
 pub use logical::{parse_store_sink, LogicalPlan, NodeId, NodeOp, PlanError, STORE_SINK_PREFIX};
 pub use meteor::{compile, compile_traced, MeteorError, ScriptInfo};
 pub use operator::{
-    value_cmp, AggState, Aggregate, CostModel, CustomCombine, Kind, OpFunc, Operator, Package,
-    WireForm,
+    value_cmp, AggState, Aggregate, CostModel, Kind, OpFunc, Operator, Package, WireForm,
 };
 pub use fieldflow::{explain_plan, field_flow, EdgeState, FieldFlow};
 pub use optimizer::{fused_stage, optimize, plan_stages, Rewrite, StageDecision};

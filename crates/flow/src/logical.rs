@@ -185,15 +185,6 @@ impl LogicalPlan {
             .collect()
     }
 
-    /// `(store, dataset)` pairs for every well-formed store sink, in
-    /// node order.
-    pub fn store_sinks(&self) -> Vec<(&str, &str)> {
-        self.sinks()
-            .into_iter()
-            .filter_map(parse_store_sink)
-            .collect()
-    }
-
     /// Source names.
     pub fn sources(&self) -> Vec<&str> {
         self.nodes
@@ -212,6 +203,15 @@ impl LogicalPlan {
             .filter(|n| n.input == Some(id))
             .map(|n| n.id)
             .collect()
+    }
+
+    /// Is a sink the one and only consumer of node `id`? The live rule
+    /// for a Reduce: a live session retains its per-key state in place of
+    /// running it, which only works when nothing but a sink reads it. The
+    /// incremental compiler and the WS012 pre-flight both ask this.
+    pub fn feeds_only_a_sink(&self, id: NodeId) -> bool {
+        let children = self.children(id);
+        children.len() == 1 && matches!(self.nodes[children[0]].op, NodeOp::Sink(_))
     }
 
     /// Validates structural invariants: every non-source has a parent with
@@ -305,7 +305,7 @@ mod tests {
         plan.store_sink(src, "serve", "entities").unwrap();
         plan.sink(src, "plain").unwrap();
         assert_eq!(plan.sinks(), vec!["store:serve/entities", "plain"]);
-        assert_eq!(plan.store_sinks(), vec![("serve", "entities")]);
+        assert_eq!(parse_store_sink(plan.sinks()[0]), Some(("serve", "entities")));
         plan.validate().unwrap();
     }
 

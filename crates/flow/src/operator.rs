@@ -85,44 +85,8 @@ impl CostModel {
     }
 }
 
-/// A reduce operator's aggregation function: key plus that key's records.
-pub type AggregateFn = Arc<dyn Fn(&str, Vec<Record>) -> Vec<Record> + Send + Sync>;
-
 /// A reduce operator's grouping-key function.
 pub type KeyFn = Arc<dyn Fn(&Record) -> String + Send + Sync>;
-
-/// The explicit merge contract that opts a user-defined aggregate back
-/// into partial aggregation ([`Aggregate::CustomCombinable`]). The
-/// per-key state is a [`Value`] so it rides the snapshot codec through
-/// combiner shuffles and checkpoint frames unchanged.
-///
-/// **Contract** (the caller's obligation — the executor cannot check
-/// closures): for all record splits,
-/// `merge(fold(seed(), xs), fold(seed(), ys)) == fold(seed(), xs ++ ys)`
-/// value-for-value, where `fold(st, rs)` folds each record in order.
-/// Under that law the combined plan (per-worker folds merged in input
-/// order at the stage boundary) finishes from exactly the state the
-/// serial fold would have reached, so outputs are bit-identical with
-/// combining on or off — the property `tests/partial_agg.rs` pins for
-/// the built-ins and for a custom contract.
-#[derive(Clone)]
-pub struct CustomCombine {
-    /// Fresh per-key state.
-    pub seed: Arc<dyn Fn() -> Value + Send + Sync>,
-    /// Folds one record into the state.
-    pub fold: CombineFold,
-    /// Merges a later partial state into an earlier one.
-    pub merge: CombineMerge,
-    /// Emits the final records for one key.
-    pub finish: CombineFinish,
-}
-
-/// Fold closure of a [`CustomCombine`]: state + one record → state.
-pub type CombineFold = Arc<dyn Fn(Value, &Record) -> Value + Send + Sync>;
-/// Merge closure of a [`CustomCombine`]: earlier partial + later → merged.
-pub type CombineMerge = Arc<dyn Fn(Value, Value) -> Value + Send + Sync>;
-/// Finish closure of a [`CustomCombine`]: key + final state → records.
-pub type CombineFinish = Arc<dyn Fn(&str, Value) -> Vec<Record> + Send + Sync>;
 
 /// A total order over [`Value`]s, used by `Min`/`Max`/`TopK` aggregates.
 /// Values of different types order by type tag (Null < Bool < Int < Float
@@ -187,12 +151,11 @@ pub fn value_cmp(a: &Value, b: &Value) -> Ordering {
     }
 }
 
-/// A typed reduce aggregation. The built-in variants are associative and
-/// have an exact merge, so the executor may pre-aggregate partial results
-/// inside fused workers and merge at the stage boundary without changing
-/// any output byte. `Custom` is the escape hatch for arbitrary group
-/// functions; it opts the reduce out of combining (the optimizer flags
-/// this as WS010).
+/// A typed reduce aggregation — the only kind of Reduce there is. Every
+/// variant is associative and has an exact merge, so the executor may
+/// pre-aggregate partial results inside fused workers and merge at the
+/// stage boundary without changing any output byte, and a live session
+/// may retain and fold per-key state across rounds.
 #[derive(Clone)]
 pub enum Aggregate {
     /// Group size, emitted as `Int` under `into`.
@@ -210,13 +173,6 @@ pub enum Aggregate {
     /// The `k` largest values of `field` under [`value_cmp`], descending,
     /// emitted as an `Array` under `into`.
     TopK { field: String, k: usize, into: String },
-    /// Arbitrary group function — not combinable.
-    Custom(AggregateFn),
-    /// User-defined aggregate with an explicit seed/fold/merge/finish
-    /// contract ([`CustomCombine`]) — combinable, on the caller's word
-    /// that merge is exact. Build via
-    /// [`Operator::reduce_custom_combinable`].
-    CustomCombinable(CustomCombine),
 }
 
 /// Partial-aggregate state for one key, accumulated per fused worker and
@@ -229,8 +185,6 @@ pub enum AggState {
     MinMax(Option<Value>),
     Concat(Option<String>),
     TopK(Vec<Value>),
-    /// State of a [`Aggregate::CustomCombinable`] contract.
-    Custom(Value),
 }
 
 impl Snapshot for AggState {
@@ -262,10 +216,6 @@ impl Snapshot for AggState {
                 w.u8(4);
                 vs.encode(w);
             }
-            AggState::Custom(v) => {
-                w.u8(5);
-                v.encode(w);
-            }
         }
     }
 
@@ -276,20 +226,13 @@ impl Snapshot for AggState {
             2 => AggState::MinMax(if r.bool()? { Some(Value::decode(r)?) } else { None }),
             3 => AggState::Concat(if r.bool()? { Some(r.str()?) } else { None }),
             4 => AggState::TopK(Snapshot::decode(r)?),
-            5 => AggState::Custom(Value::decode(r)?),
             tag => return Err(CodecError::BadTag { what: "AggState", tag }),
         })
     }
 }
 
 impl Aggregate {
-    /// Can partial results from independent workers be merged exactly?
-    pub fn is_combinable(&self) -> bool {
-        !matches!(self, Aggregate::Custom(_))
-    }
-
-    /// Fresh per-key state. Panics on `Custom` (callers must check
-    /// [`Aggregate::is_combinable`] first).
+    /// Fresh per-key state.
     pub fn seed(&self) -> AggState {
         match self {
             Aggregate::Count { .. } => AggState::Count(0),
@@ -297,9 +240,16 @@ impl Aggregate {
             Aggregate::Min { .. } | Aggregate::Max { .. } => AggState::MinMax(None),
             Aggregate::Concat { .. } => AggState::Concat(None),
             Aggregate::TopK { .. } => AggState::TopK(Vec::new()),
-            Aggregate::CustomCombinable(cc) => AggState::Custom((cc.seed)()),
-            Aggregate::Custom(_) => unreachable!("custom aggregates are not combinable"),
         }
+    }
+
+    /// Is `state` a partial this aggregate can fold, merge and finish —
+    /// the variant its own [`Aggregate::seed`] has? A state that crossed
+    /// a process or frame boundary is checked here before it reaches
+    /// those three, whose mismatch arms are unreachable for admitted
+    /// states.
+    pub fn admits(&self, state: &AggState) -> bool {
+        std::mem::discriminant(&self.seed()) == std::mem::discriminant(state)
     }
 
     /// Folds one record into a partial state.
@@ -348,10 +298,6 @@ impl Aggregate {
                     vs.truncate(*k);
                 }
             }
-            (Aggregate::CustomCombinable(cc), AggState::Custom(v)) => {
-                let cur = std::mem::replace(v, Value::Null);
-                *v = (cc.fold)(cur, r);
-            }
             _ => unreachable!("aggregate/state variant mismatch"),
         }
     }
@@ -393,14 +339,6 @@ impl Aggregate {
                     _ => {}
                 }
             }
-            (AggState::Custom(l), AggState::Custom(r)) => {
-                let cc = match self {
-                    Aggregate::CustomCombinable(cc) => cc,
-                    _ => unreachable!("custom state implies a custom-combinable aggregate"),
-                };
-                let cur = std::mem::replace(l, Value::Null);
-                *l = (cc.merge)(cur, r);
-            }
             (AggState::TopK(l), AggState::TopK(r)) => {
                 let k = match self {
                     Aggregate::TopK { k, .. } => *k,
@@ -427,12 +365,6 @@ impl Aggregate {
 
     /// Emits the final record for one key.
     pub fn finish(&self, key: &str, state: AggState) -> Vec<Record> {
-        if let AggState::Custom(v) = state {
-            let Aggregate::CustomCombinable(cc) = self else {
-                unreachable!("custom state implies a custom-combinable aggregate")
-            };
-            return (cc.finish)(key, v);
-        }
         let (into, value) = match (self, state) {
             (Aggregate::Count { into }, AggState::Count(n)) => (into, Value::Int(n)),
             (Aggregate::Sum { into, .. }, AggState::Sum(n)) => (into, Value::Int(n)),
@@ -450,45 +382,31 @@ impl Aggregate {
         vec![out]
     }
 
-    /// The output field a typed aggregate writes and the type it carries,
-    /// for the field-flow schema inference. `None` for `Custom` closures
-    /// (opaque output shape).
-    pub fn output_field(&self) -> Option<(&str, FieldType)> {
+    /// The output field the aggregate writes and the type it carries,
+    /// for the field-flow schema inference.
+    pub fn output_field(&self) -> (&str, FieldType) {
         match self {
-            Aggregate::Count { into } | Aggregate::Sum { into, .. } => {
-                Some((into, FieldType::Int))
-            }
+            Aggregate::Count { into } | Aggregate::Sum { into, .. } => (into, FieldType::Int),
             // Min/Max carry whatever type the source field had — and Null
             // for empty groups — so the output type stays Unknown.
             Aggregate::Min { into, .. } | Aggregate::Max { into, .. } => {
-                Some((into, FieldType::Unknown))
+                (into, FieldType::Unknown)
             }
             // Concat emits Null when no record carried the field.
-            Aggregate::Concat { into, .. } => Some((into, FieldType::Unknown)),
-            Aggregate::TopK { into, .. } => Some((into, FieldType::Array)),
-            // Custom closures (combinable or not) have opaque output shape.
-            Aggregate::Custom(_) | Aggregate::CustomCombinable(_) => None,
+            Aggregate::Concat { into, .. } => (into, FieldType::Unknown),
+            Aggregate::TopK { into, .. } => (into, FieldType::Array),
         }
     }
 
-    /// Applies the aggregate to one complete group — the serial (and
-    /// `Custom`) path. For built-ins this is seed → fold each record in
-    /// order → finish, so it agrees with any fold/merge split by
-    /// construction.
+    /// Applies the aggregate to one complete group — the serial path:
+    /// seed → fold each record in order → finish, so it agrees with any
+    /// fold/merge split by construction.
     pub fn apply_group(&self, key: &str, records: Vec<Record>) -> Vec<Record> {
-        match self {
-            Aggregate::Custom(f) => f(key, records),
-            // CustomCombinable takes the same seed → fold-in-order →
-            // finish path as the built-ins, so the serial result is the
-            // contract's own fold — the baseline combining must match.
-            _ => {
-                let mut state = self.seed();
-                for r in &records {
-                    self.fold(&mut state, r);
-                }
-                self.finish(key, state)
-            }
+        let mut state = self.seed();
+        for r in &records {
+            self.fold(&mut state, r);
         }
+        self.finish(key, state)
     }
 }
 
@@ -604,48 +522,8 @@ impl Operator {
         }
     }
 
-    /// A reduce with an arbitrary group function. The closure is opaque to
-    /// the optimizer, so this reduce never combines ([`Aggregate::Custom`]);
-    /// prefer [`Operator::reduce_agg`] when a typed aggregate fits.
-    pub fn reduce(
-        name: &str,
-        package: Package,
-        key: impl Fn(&Record) -> String + Send + Sync + 'static,
-        aggregate: impl Fn(&str, Vec<Record>) -> Vec<Record> + Send + Sync + 'static,
-    ) -> Operator {
-        Operator::reduce_agg(name, package, key, Aggregate::Custom(Arc::new(aggregate)))
-    }
-
-    /// A reduce with a user-defined aggregate that carries an explicit
-    /// seed/fold/merge/finish contract ([`CustomCombine`]) — eligible for
-    /// partial aggregation inside fused stages, unlike
-    /// [`Operator::reduce`]'s opaque group closure. The caller warrants
-    /// the merge law documented on [`CustomCombine`]; the differential
-    /// suite in `tests/partial_agg.rs` shows how to pin it.
-    pub fn reduce_custom_combinable(
-        name: &str,
-        package: Package,
-        key: impl Fn(&Record) -> String + Send + Sync + 'static,
-        seed: impl Fn() -> Value + Send + Sync + 'static,
-        fold: impl Fn(Value, &Record) -> Value + Send + Sync + 'static,
-        merge: impl Fn(Value, Value) -> Value + Send + Sync + 'static,
-        finish: impl Fn(&str, Value) -> Vec<Record> + Send + Sync + 'static,
-    ) -> Operator {
-        Operator::reduce_agg(
-            name,
-            package,
-            key,
-            Aggregate::CustomCombinable(CustomCombine {
-                seed: Arc::new(seed),
-                fold: Arc::new(fold),
-                merge: Arc::new(merge),
-                finish: Arc::new(finish),
-            }),
-        )
-    }
-
-    /// A reduce with a typed, combinable aggregate — eligible for partial
-    /// aggregation inside fused stages.
+    /// A reduce: records grouped by `key`, each group folded by a typed
+    /// aggregate — eligible for partial aggregation inside fused stages.
     pub fn reduce_agg(
         name: &str,
         package: Package,
@@ -748,12 +626,6 @@ impl Operator {
         self.kind != Kind::Reduce
     }
 
-    /// Is this a reduce whose aggregate supports exact partial
-    /// aggregation?
-    pub fn combinable_reduce(&self) -> bool {
-        matches!(&self.func, OpFunc::Reduce { aggregate, .. } if aggregate.is_combinable())
-    }
-
     /// Applies the operator to a batch sequentially (the executor handles
     /// parallelism; this is also the unit-test entry point).
     pub fn apply(&self, input: Vec<Record>) -> Vec<Record> {
@@ -816,15 +688,11 @@ mod tests {
 
     #[test]
     fn reduce_groups_by_key() {
-        let op = Operator::reduce(
+        let op = Operator::reduce_agg(
             "count-by-parity",
             Package::Base,
             |r| (r.get("id").unwrap().as_int().unwrap() % 2).to_string(),
-            |k, rs| {
-                let mut out = Record::new();
-                out.set("key", k).set("count", rs.len());
-                vec![out]
-            },
+            Aggregate::Count { into: "count".into() },
         );
         let out = op.apply(vec![rec(1), rec(2), rec(3), rec(4), rec(5)]);
         assert_eq!(out.len(), 2);
@@ -883,19 +751,15 @@ mod tests {
 
     #[test]
     fn aggregate_output_fields_typed() {
-        assert_eq!(
-            Aggregate::Count { into: "n".into() }.output_field(),
-            Some(("n", FieldType::Int))
-        );
+        assert_eq!(Aggregate::Count { into: "n".into() }.output_field(), ("n", FieldType::Int));
         assert_eq!(
             Aggregate::TopK { field: "x".into(), k: 3, into: "top".into() }.output_field(),
-            Some(("top", FieldType::Array))
+            ("top", FieldType::Array)
         );
         assert_eq!(
             Aggregate::Min { field: "x".into(), into: "min".into() }.output_field(),
-            Some(("min", FieldType::Unknown))
+            ("min", FieldType::Unknown)
         );
-        assert_eq!(Aggregate::Custom(Arc::new(|_: &str, rs| rs)).output_field(), None);
     }
 
     #[test]
@@ -976,12 +840,6 @@ mod tests {
             AggState::Concat(None),
             AggState::Concat(Some("a|b".into())),
             AggState::TopK(vec![Value::Int(3), Value::Int(1)]),
-            AggState::Custom(Value::Null),
-            AggState::Custom(Value::Array(vec![
-                Value::Int(7),
-                Value::Float(f64::NAN),
-                Value::from("partial"),
-            ])),
         ];
         for s in states {
             let mut w = Writer::new();
@@ -1034,97 +892,36 @@ mod tests {
             key,
             Aggregate::Count { into: "count".into() },
         );
-        let custom = Operator::reduce("count", Package::Base, key, |k, rs| {
-            let mut out = Record::new();
-            out.set("key", k).set("count", rs.len());
-            vec![out]
-        });
-        let input: Vec<Record> = (0..9i64).map(rec).collect();
-        assert_eq!(typed.apply(input.clone()), custom.apply(input));
-        assert!(typed.combinable_reduce());
-        assert!(!custom.combinable_reduce());
-    }
-
-    /// A count+sum pair aggregate carried as `Value::Array([count, sum])`
-    /// — the explicit seed/fold/merge/finish contract under test.
-    fn count_sum_combine() -> CustomCombine {
-        let unpack = |v: Value| match v {
-            Value::Array(parts) => {
-                let mut it = parts.into_iter();
-                let n = it.next().and_then(|v| v.as_int()).unwrap_or(0);
-                let sum = it.next().and_then(|v| v.as_int()).unwrap_or(0);
-                (n, sum)
+        // the same reduction spelled out by hand: group, then count
+        let custom = |input: &[Record]| {
+            let mut groups = std::collections::BTreeMap::<String, i64>::new();
+            for r in input {
+                *groups.entry(key(r)).or_default() += 1;
             }
-            _ => (0, 0),
-        };
-        CustomCombine {
-            seed: Arc::new(|| Value::Array(vec![Value::Int(0), Value::Int(0)])),
-            fold: Arc::new(move |acc, r: &Record| {
-                let (n, sum) = unpack(acc);
-                let x = r.get("x").and_then(Value::as_int).unwrap_or(0);
-                Value::Array(vec![Value::Int(n + 1), Value::Int(sum + x)])
-            }),
-            merge: Arc::new(move |l, r| {
-                let (ln, lsum) = unpack(l);
-                let (rn, rsum) = unpack(r);
-                Value::Array(vec![Value::Int(ln + rn), Value::Int(lsum + rsum)])
-            }),
-            finish: Arc::new(move |key: &str, v| {
-                let (n, sum) = unpack(v);
+            let row = |(k, n): (String, i64)| {
                 let mut out = Record::new();
-                out.set("key", key).set("n", n).set("sum", sum);
-                vec![out]
-            }),
-        }
+                out.set("key", k).set("count", n);
+                out
+            };
+            groups.into_iter().map(row).collect::<Vec<_>>()
+        };
+        let input: Vec<Record> = (0..9i64).map(rec).collect();
+        assert_eq!(typed.apply(input.clone()), custom(&input));
     }
 
     #[test]
-    fn custom_combinable_fold_merge_agrees_with_serial_at_every_split() {
-        let agg = Aggregate::CustomCombinable(count_sum_combine());
-        let records = agg_records();
-        let serial = records_bytes(&agg.apply_group("k", records.clone()));
-        for split in 0..=records.len() {
-            let (a, b) = records.split_at(split);
-            let mut left = agg.seed();
-            for r in a {
-                agg.fold(&mut left, r);
-            }
-            let mut right = agg.seed();
-            for r in b {
-                agg.fold(&mut right, r);
-            }
-            agg.merge(&mut left, right);
-            assert_eq!(
-                records_bytes(&agg.finish("k", left)),
-                serial,
-                "split {split} diverged from serial"
-            );
+    fn admits_exactly_the_state_its_own_seed_has() {
+        let states = [
+            AggState::Count(1),
+            AggState::Sum(1),
+            AggState::MinMax(None),
+            AggState::Concat(None),
+            AggState::TopK(Vec::new()),
+        ];
+        for agg in agg_pool() {
+            assert!(agg.admits(&agg.seed()));
+            let admitted = states.iter().filter(|s| agg.admits(s)).count();
+            assert_eq!(admitted, 1, "one state variant per aggregate");
         }
-    }
-
-    #[test]
-    fn reduce_custom_combinable_is_combinable_and_matches_opaque_reduce() {
-        let key = |r: &Record| (r.get("id").unwrap().as_int().unwrap() % 2).to_string();
-        let cc = count_sum_combine();
-        let combinable = Operator::reduce_agg(
-            "pair",
-            Package::Base,
-            key,
-            Aggregate::CustomCombinable(cc),
-        );
-        let opaque = Operator::reduce("pair", Package::Base, key, |k, rs: Vec<Record>| {
-            let sum: i64 =
-                rs.iter().map(|r| r.get("x").and_then(Value::as_int).unwrap_or(0)).sum();
-            let mut out = Record::new();
-            out.set("key", k).set("n", rs.len() as i64).set("sum", sum);
-            vec![out]
-        });
-        let mut input: Vec<Record> = (0..9i64).map(rec).collect();
-        for (i, r) in input.iter_mut().enumerate() {
-            r.set("x", (i as i64) * 3 - 4);
-        }
-        assert_eq!(combinable.apply(input.clone()), opaque.apply(input));
-        assert!(combinable.combinable_reduce(), "explicit merge contract opts into combining");
-        assert!(!opaque.combinable_reduce());
     }
 }

@@ -71,8 +71,8 @@ pub fn fusable_chain_len(plan: &LogicalPlan, start: NodeId) -> usize {
 
 /// One physical stage: `len` consecutive plan nodes from `first`
 /// executed in one pass. When `combined_reduce` is set, the last node is
-/// a combinable Reduce run via partial aggregation (per-worker fold +
-/// final merge) instead of a serial hash shuffle.
+/// a Reduce run via partial aggregation (per-worker fold + final merge)
+/// instead of a serial hash shuffle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageDecision {
     pub first: NodeId,
@@ -84,19 +84,17 @@ pub struct StageDecision {
 /// the executor and the static [`plan_stages`] prediction call.
 ///
 /// With `fusion` on, the stage is the maximal fusable chain, extended
-/// *through* a trailing Reduce when `combining` is on and the Reduce's
-/// aggregate is provably combinable (typed, not `Custom`). The extension
-/// applies the same structural rules as [`fusable_chain_len`] to the
-/// Reduce node — contiguous id, itself consumed; fan-out at the chain
-/// tail tees — because the executor's replay walks constituents in
-/// node-id order and the Reduce must be this stage's sole terminal.
+/// *through* a trailing Reduce when `combining` is on (every typed
+/// aggregate merges exactly). The extension applies the same structural
+/// rules as [`fusable_chain_len`] to the Reduce node — contiguous id,
+/// itself consumed; fan-out at the chain tail tees — because the
+/// executor's replay walks constituents in node-id order and the Reduce
+/// must be this stage's sole terminal.
 ///
-/// A combinable Reduce that *heads* a stage — and every node when
-/// `fusion` is off — is a stage of its own, planned as combined (chunked
-/// fold + merge) whenever `combining` is on: partial aggregation does not
-/// require upstream fusion, only an exact merge. `Custom` aggregates
-/// never combine; the analyzer surfaces that silent fallback as the
-/// info-level WS010 diagnostic.
+/// A Reduce that *heads* a stage — and every node when `fusion` is off —
+/// is a stage of its own, planned as combined (chunked fold + merge)
+/// whenever `combining` is on: partial aggregation does not require
+/// upstream fusion, only an exact merge.
 pub fn fused_stage(
     plan: &LogicalPlan,
     start: NodeId,
@@ -104,21 +102,18 @@ pub fn fused_stage(
     combining: bool,
 ) -> StageDecision {
     let nodes = plan.nodes();
-    let combinable = |id: NodeId| match &nodes[id].op {
-        NodeOp::Op(op) => op.combinable_reduce(),
-        _ => false,
-    };
+    let reduce = |id: NodeId| matches!(&nodes[id].op, NodeOp::Op(op) if op.kind == Kind::Reduce);
     let stage = |len, combined_reduce| StageDecision { first: start, len, combined_reduce };
     let pipelineable = matches!(&nodes[start].op, NodeOp::Op(op) if op.is_pipelineable());
     if !fusion || !pipelineable {
-        return stage(1, combining && combinable(start));
+        return stage(1, combining && reduce(start));
     }
     let len = fusable_chain_len(plan, start);
     let last = start + len - 1;
     if combining
         && last + 1 < nodes.len()
         && nodes[last + 1].input == Some(last)
-        && combinable(last + 1)
+        && reduce(last + 1)
         && !plan.children(last + 1).is_empty()
     {
         return stage(len + 1, true);
@@ -349,9 +344,9 @@ mod tests {
         let a = plan.add(src, expensive_map()).unwrap();
         let b = plan.add(a, cheap_filter("f", "text")).unwrap();
         let c = plan.add(b, Operator::map("m2", Package::Base, |r| r)).unwrap();
-        let red = plan
-            .add(c, Operator::reduce("r", Package::Base, |_| String::new(), |_, rs| rs))
-            .unwrap();
+        let count = crate::operator::Aggregate::Count { into: "n".into() };
+        let red =
+            plan.add(c, Operator::reduce_agg("r", Package::Base, |_| String::new(), count)).unwrap();
         let d = plan.add(red, Operator::map("m3", Package::Base, |r| r)).unwrap();
         plan.sink(d, "out").unwrap();
         assert_eq!(fusable_chain_len(&plan, a), 3, "map-filter-map fuses");
@@ -361,26 +356,19 @@ mod tests {
     }
 
     #[test]
-    fn fused_stage_extends_through_combinable_reduce_only() {
+    fn fused_stage_extends_through_a_consumed_reduce_when_combining() {
         use crate::operator::Aggregate;
-        // src -> map -> filter -> reduce -> sink
-        let build = |combinable: bool| {
+        // src -> map -> filter -> reduce -> sink, and the same reduce
+        // left without a consumer
+        let build = |consumed: bool| {
             let mut plan = LogicalPlan::new();
             let src = plan.source("in");
             let a = plan.add(src, expensive_map()).unwrap();
             let b = plan.add(a, cheap_filter("f", "text")).unwrap();
-            let red = if combinable {
-                Operator::reduce_agg(
-                    "r",
-                    Package::Base,
-                    |_| String::new(),
-                    Aggregate::Count { into: "n".into() },
-                )
-            } else {
-                Operator::reduce("r", Package::Base, |_| String::new(), |_, rs| rs)
-            };
+            let count = Aggregate::Count { into: "n".into() };
+            let red = Operator::reduce_agg("r", Package::Base, |_| String::new(), count);
             let red = plan.add(b, red).unwrap();
-            plan.sink(red, "out").unwrap();
+            plan.sink(if consumed { red } else { b }, "out").unwrap();
             (plan, a, red)
         };
 
@@ -389,18 +377,19 @@ mod tests {
         assert_eq!(
             fused_stage(&plan, a, true, true),
             stage(a, 3, true),
-            "chain extends through the combinable reduce"
+            "chain extends through the reduce"
         );
         assert_eq!(
             fused_stage(&plan, a, true, false),
             stage(a, 2, false),
-            "combining off keeps the PR-4 chain"
+            "combining off stops the chain before the reduce"
         );
         assert_eq!(
             fused_stage(&plan, red, true, true),
             stage(red, 1, true),
-            "a lone combinable reduce still pre-aggregates"
+            "a lone reduce still pre-aggregates"
         );
+        assert_eq!(fused_stage(&plan, red, true, false), stage(red, 1, false));
         assert_eq!(fused_stage(&plan, a, false, true), stage(a, 1, false), "fusion off");
         assert_eq!(
             fused_stage(&plan, red, false, true),
@@ -408,13 +397,12 @@ mod tests {
             "fusion off still pre-aggregates"
         );
 
-        let (plan, a, red) = build(false);
+        let (plan, a, _) = build(false);
         assert_eq!(
             fused_stage(&plan, a, true, true),
             stage(a, 2, false),
-            "custom aggregates never combine"
+            "nothing fuses into a reduce no one consumes"
         );
-        assert_eq!(fused_stage(&plan, red, true, true), stage(red, 1, false));
     }
 
     #[test]

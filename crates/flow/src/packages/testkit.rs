@@ -66,7 +66,7 @@ pub fn needs_stamp() -> Operator {
         .shipped_as("testkit.needs_stamp", |_| {})
 }
 
-/// A combinable Count reduce fused stages extend through.
+/// A Count reduce fused stages extend through.
 pub fn tally() -> Operator {
     Operator::reduce_agg("tally", Package::Base, group_key, Aggregate::Count { into: "id".into() })
         .shipped_as("testkit.tally", |_| {})

@@ -2,9 +2,9 @@
 //! or isolated in-process runtimes behind the same frame protocol —
 //! exchanging length-prefixed record and partial-aggregate frames over
 //! real channels (pipes / unix socket pairs), with bounded per-edge
-//! backpressure. Workers run fused pipeline stages and their combinable
-//! fold; an uncombined Reduce never comes here — the executor groups it
-//! in the parent, where its records already are
+//! backpressure. Workers run fused pipeline stages and their Reduce
+//! fold; an uncombined Reduce (`combining: false`) never comes here —
+//! the executor groups it in the parent, where its records already are
 //! ([`crate::runner::group_by_key`]) — and this module writes no file.
 //!
 //! # The byte-identity contract
@@ -48,7 +48,7 @@
 //! results.
 
 use crate::executor::PhysicalStats;
-use crate::operator::{AggState, OpFunc, Operator};
+use crate::operator::{AggState, Kind, OpFunc, Operator};
 use crate::packages::wire::{decode_operator, encode_operator, WireError};
 use crate::record::Record;
 use crate::runner::StageRunner;
@@ -235,14 +235,46 @@ impl Snapshot for ChunkOut {
 pub struct StageKernel<'a> {
     /// Chain constituents, each run over the whole chunk in turn.
     pub ops: &'a [&'a Operator],
-    /// Trailing combinable Reduce folded after the chain, when the whole
-    /// stage survived the schedule. Reports as stage `ops.len()`.
+    /// Trailing Reduce folded after the chain, when the whole stage
+    /// survived the schedule. Reports as stage `ops.len()`.
     pub fold: Option<&'a Operator>,
     /// Interior boundaries to tap, as in-chain stage indices.
     pub tapped: &'a [usize],
 }
 
 impl StageKernel<'_> {
+    /// Checks a chunk result that came off the wire against this stage:
+    /// one tally per constituent and one for the fold, one tap per tapped
+    /// boundary, and a partial map exactly when the stage folds, holding
+    /// only states the fold's aggregate
+    /// [admits](crate::operator::Aggregate::admits). A result that passes
+    /// can neither lose records in the parent's merge nor panic it.
+    fn check_result(&self, out: &ChunkOut) -> Result<(), String> {
+        let tallies = self.ops.len() + usize::from(self.fold.is_some());
+        if out.stages.len() != tallies {
+            return Err(format!("{} stage tallies for a stage of {tallies}", out.stages.len()));
+        }
+        if out.taps.len() != self.tapped.len() {
+            let (taps, tapped) = (out.taps.len(), self.tapped.len());
+            return Err(format!("{taps} taps for {tapped} tapped boundaries"));
+        }
+        let aggregate = self.fold.map(|reduce| match reduce.func() {
+            OpFunc::Reduce { aggregate, .. } => aggregate,
+            _ => unreachable!("the folded operator is a reduce"),
+        });
+        match (aggregate, &out.partial) {
+            (None, None) => Ok(()),
+            (None, Some(_)) => Err("a partial map from a stage that does not fold".to_string()),
+            (Some(_), None) => Err("no partial map from a stage that folds".to_string()),
+            (Some(agg), Some((entries, _))) => match entries.iter().find(|e| !agg.admits(&e.1)) {
+                Some((key, state, _)) => {
+                    Err(format!("partial state {state:?} for key '{key}' does not fit the fold"))
+                }
+                None => Ok(()),
+            },
+        }
+    }
+
     /// Runs one chunk through the whole stage. `stage_at` tracks the
     /// stage index currently executing so a panic can be attributed.
     pub fn run_chunk(&self, records: Vec<Record>, stage_at: &Cell<usize>) -> ChunkOut {
@@ -350,10 +382,10 @@ impl StageKernel<'_> {
 // ---------------------------------------------------------------------------
 
 /// The stage setup shipped to a worker in a `K_STAGE` frame: a fused
-/// Map/FlatMap/Filter chain, optionally folding a trailing combinable
-/// Reduce; one `K_RESULT` per `K_DATA` chunk. Operators travel as their
-/// wire forms; decoding a task rebuilds them through [`decode_operator`],
-/// so both sides of the frame hold real operators.
+/// Map/FlatMap/Filter chain, optionally folding a trailing Reduce; one
+/// `K_RESULT` per `K_DATA` chunk. Operators travel as their wire forms;
+/// decoding a task rebuilds them through [`decode_operator`], so both
+/// sides of the frame hold real operators.
 #[derive(Debug, Clone)]
 pub struct StageTask {
     pub ops: Vec<Operator>,
@@ -402,8 +434,8 @@ impl StageTask {
         }
         let fold = if r.bool()? {
             let op = decode_operator(&mut r)?;
-            let fits = op.combinable_reduce();
-            Some(in_role(op, "a combinable fold", fits)?)
+            let fits = op.kind == Kind::Reduce;
+            Some(in_role(op, "a fold", fits)?)
         } else {
             None
         };
@@ -976,10 +1008,13 @@ impl StageRunner for ShardPool {
         for (shard, out) in self.run_stage(&task, assigned)?.into_iter().enumerate() {
             for (idx, chunk_out) in out {
                 // the index came off the wire: never trust it as a slot
-                let slot = slots.get_mut(idx).ok_or_else(|| ShardRunError::Protocol {
-                    shard,
-                    detail: format!("result for unknown chunk {idx}"),
-                })?;
+                let protocol = |detail| ShardRunError::Protocol { shard, detail };
+                let slot = slots
+                    .get_mut(idx)
+                    .ok_or_else(|| protocol(format!("result for unknown chunk {idx}")))?;
+                stage
+                    .check_result(&chunk_out)
+                    .map_err(|why| protocol(format!("bad RESULT for chunk {idx}: {why}")))?;
                 *slot = Some(chunk_out);
             }
         }
@@ -1131,6 +1166,40 @@ mod tests {
             Err(ShardRunError::Protocol { detail, .. }) => assert!(detail.contains("99")),
             other => panic!("expected a protocol error, got {:?}", other.map(|o| o.len())),
         }
+    }
+
+    /// A RESULT is checked against the stage it answers — its tallies,
+    /// taps, partial map and every partial state — before the parent's
+    /// merge could drop records from it or panic on it.
+    #[test]
+    fn a_result_that_does_not_fit_its_stage_is_a_protocol_error() {
+        let (stamp, tally) = (testkit::stamp(), testkit::tally());
+        let kernel = StageKernel { ops: &[&stamp], fold: Some(&tally), tapped: &[] };
+        let mut honest = Writer::new();
+        kernel.run_chunk(docs(6), &Cell::new(0)).encode(&mut honest);
+        let honest = honest.into_bytes();
+        let answer = |edit: &dyn Fn(&mut ChunkOut)| {
+            let mut out = ChunkOut::decode(&mut Reader::new(&honest)).unwrap();
+            edit(&mut out);
+            let mut reply = Writer::new();
+            reply.usize(0);
+            out.encode(&mut reply);
+            let mut pool = ShardPool::new(ShardConfig::in_process(1));
+            pool.handles[0] = Some(scripted_shard(&[(K_RESULT, reply.into_bytes())]));
+            pool.run_chunks(&kernel, vec![docs(6)]).map(|outs| outs.len())
+        };
+        assert_eq!(answer(&|_| {}), Ok(1), "the honest result is taken");
+
+        let rejected = |named: &str, forge: &dyn Fn(&mut ChunkOut)| match answer(forge) {
+            Err(ShardRunError::Protocol { shard: 0, detail }) => {
+                assert!(detail.contains(named), "{named}: {detail}");
+            }
+            other => panic!("{named}: expected a protocol error, got {other:?}"),
+        };
+        rejected("Sum(7)", &|out| out.partial.as_mut().unwrap().0[0].1 = AggState::Sum(7));
+        rejected("1 stage tallies", &|out| drop(out.stages.pop()));
+        rejected("no partial map", &|out| out.partial = None);
+        rejected("1 taps", &|out| out.taps.push(Vec::new()));
     }
 
     #[test]

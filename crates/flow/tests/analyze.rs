@@ -1,9 +1,9 @@
 //! Static-analyzer integration tests (satellite 3):
 //!
 //! 1. golden-file tests — the three §4.2 failure modes (use-before-def,
-//!    OpenNLP version conflict, over-memory admission) plus the silent
-//!    combining-disabled pitfall (WS010) produce exactly the committed
-//!    diagnostics JSON, byte for byte;
+//!    OpenNLP version conflict, over-memory admission) and the field-flow
+//!    and sharding findings produce exactly the committed diagnostics
+//!    JSON, byte for byte;
 //! 2. a property test — logical optimization never changes the analyzer's
 //!    *error* verdict: the set of (code, message) error pairs is identical
 //!    before and after `optimize`, across randomly generated chain plans.
@@ -182,60 +182,6 @@ fn golden_ws017_closure_operator_pins_its_stage() {
     assert_eq!(
         diagnostics_to_json(&diags),
         include_str!("golden/ws017_closure_pins_stage.json").trim_end(),
-    );
-}
-
-/// The silent-pitfall golden: a per-corpus tally written as a `Custom`
-/// closure. The plan is correct and runs, but the executor cannot
-/// pre-aggregate it inside fused stages — the optimizer must say so
-/// (WS010, info severity) instead of silently shipping every group
-/// uncombined.
-fn custom_aggregate_plan() -> LogicalPlan {
-    let mut plan = LogicalPlan::new();
-    let src = plan.source("crawl");
-    let sents = plan.add(src, ie::annotate_sentences()).expect("static plan");
-    let tally = plan
-        .add(
-            sents,
-            Operator::reduce(
-                "ie.tally_by_corpus",
-                Package::Ie,
-                |r| format!("{:?}", r.get("corpus")),
-                |key, group| {
-                    let mut out = Record::new();
-                    out.set("key", key).set("count", group.len());
-                    vec![out]
-                },
-            ),
-        )
-        .expect("static plan");
-    plan.sink(tally, "tallies").expect("static plan");
-    plan
-}
-
-#[test]
-fn golden_custom_aggregate_disables_combining() {
-    let diags = analyze_plan(&custom_aggregate_plan(), &AnalyzeOptions::default());
-    assert_eq!(
-        diagnostics_to_json(&diags),
-        include_str!("golden/custom_aggregate.json").trim_end(),
-    );
-    // info, not error: the plan still runs, just without combining
-    assert!(diags.iter().all(|d| d.severity == Severity::Info));
-}
-
-#[test]
-fn golden_custom_aggregate_in_live_mode_adds_ws012() {
-    let diags =
-        analyze_plan(&custom_aggregate_plan(), &AnalyzeOptions::default().with_live_mode());
-    assert_eq!(
-        diagnostics_to_json(&diags),
-        include_str!("golden/custom_aggregate_live.json").trim_end(),
-    );
-    // live mode escalates to an error: the live session rejects the plan
-    assert_eq!(
-        diags.iter().map(|d| d.severity).collect::<Vec<_>>(),
-        vec![Severity::Info, Severity::Error],
     );
 }
 

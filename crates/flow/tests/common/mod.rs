@@ -7,8 +7,8 @@
 use std::collections::HashMap;
 use websift_analyze::diagnostics_to_json;
 use websift_flow::{
-    ExecutionConfig, ExecutionError, Executor, FlowCheckpoint, FlowResilience, LogicalPlan,
-    Operator, Package, Record, RunOptions,
+    Aggregate, ExecutionConfig, ExecutionError, Executor, FlowCheckpoint, FlowResilience,
+    LogicalPlan, Operator, Package, Record, RunOptions,
 };
 use websift_observe::{Observer, RegistrySnapshot};
 use websift_resilience::{Snapshot, Writer};
@@ -17,24 +17,21 @@ pub use websift_flow::packages::testkit::{
     dup, group_key, grow, metric_fields, needs_stamp, parity, stamp, tally,
 };
 
-/// A `Custom`-closure grouping reduce: a fusion barrier the optimizer
-/// must refuse to combine, and — being closure-built — the one operator
-/// here with no wire form, so under sharding it pins its stage local.
+/// A grouping reduce that joins each group's texts in record order —
+/// order-sensitive, so any slip in chunk-order merging shows — built from
+/// a closure key rather than a `packages::*` constructor: the one
+/// operator here with no wire form, so under sharding it pins its stage
+/// local.
 pub fn group_reduce() -> Operator {
-    Operator::reduce("group", Package::Base, group_key, |key, group| {
-        let mut out = Record::new();
-        out.set("id", group.len() as i64);
-        out.set("text", format!("{key}:{}", group.len()));
-        vec![out]
-    })
+    let concat = Aggregate::Concat { field: "text".into(), sep: "|".into(), into: "text".into() };
+    Operator::reduce_agg("group", Package::Base, group_key, concat)
 }
 
 /// The vocabulary of total (never-panicking) operators — the library's
 /// `testkit` set, shippable to worker shards, plus the closure-built
 /// `group_reduce` at index 3: stamping map, duplicating flat-map, parity
-/// filter, custom grouping reduce, byte-growing map, the WS001-tripping
-/// `needs-stamp`, and (index 6) a combinable Count reduce fused stages
-/// extend through.
+/// filter, closure-keyed grouping reduce, byte-growing map, the
+/// WS001-tripping `needs-stamp`, and (index 6) the packaged Count reduce.
 pub fn pool_op(idx: usize) -> Operator {
     match idx {
         0 => stamp(),

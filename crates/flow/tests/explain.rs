@@ -4,9 +4,11 @@
 //! 1. the static stage prediction (`optimizer::plan_stages`, the table
 //!    the explain report prints) is **identical** to the decisions the
 //!    executor actually makes (`FlowOutput::stages`) — across random
-//!    plans (chains, fan-out branches, operators with no consumer, typed
-//!    and custom reduces), DoP ∈ {1, 4, 8}, all four fusion×combining
-//!    settings, and both before and after logical optimization;
+//!    plans (chains, fan-out branches, operators with no consumer,
+//!    packaged and closure-built reduces), DoP ∈ {1, 4, 8}, all four
+//!    fusion×combining settings, and both before and after logical
+//!    optimization — and with combining on every stage holding a Reduce
+//!    combines it, with combining off none does;
 //! 2. WS013/WS014/WS015 verdicts — the field-flow diagnostics — are
 //!    invariant under optimizer rewrites, warnings included (the
 //!    WS001–WS009 suite in `tests/analyze.rs` pins errors only);
@@ -18,16 +20,16 @@ use std::collections::HashMap;
 use websift_analyze::lattice::FieldType;
 use websift_flow::packages::testkit;
 use websift_flow::{
-    analyze_plan, explain_plan, optimize, plan_stages, AnalyzeOptions, ClusterSpec, CostModel,
-    ExecutionConfig, Executor, LogicalPlan, Operator, Package, Record, RunOptions, StageDecision,
-    Value,
+    analyze_plan, explain_plan, optimize, plan_stages, Aggregate, AnalyzeOptions, ClusterSpec,
+    CostModel, ExecutionConfig, Executor, Kind, LogicalPlan, NodeOp, Operator, Package, Record,
+    RunOptions, StageDecision, Value,
 };
 
 /// Runnable operators covering every stage-decision shape: pipelineable
-/// maps/filters/flat-maps and an identity (fuse), a combinable Count
-/// reduce (combining extends stages through it), and a custom reduce
-/// (never combines, always a stage of its own). Any of them can also be
-/// the dead end [`build_plan`] hangs off the main chain.
+/// maps/filters/flat-maps and an identity (fuse), and two reduces that
+/// combining extends stages through — the packaged Count and a
+/// closure-built Min. Any of them can also be the dead end
+/// [`build_plan`] hangs off the main chain.
 fn pool_op(idx: usize) -> Operator {
     match idx {
         0 => testkit::stamp(),
@@ -36,14 +38,11 @@ fn pool_op(idx: usize) -> Operator {
         3 => Operator::map("identity", Package::Base, |r| r),
         4 => testkit::grow(),
         5 => testkit::tally(),
-        _ => Operator::reduce(
+        _ => Operator::reduce_agg(
             "pick",
             Package::Base,
             |r| format!("g{}", r.get("id").and_then(Value::as_int).unwrap_or(0) % 2),
-            |_, mut rs| {
-                rs.truncate(1);
-                rs
-            },
+            Aggregate::Min { field: "id".into(), into: "id".into() },
         ),
     }
 }
@@ -141,6 +140,16 @@ proptest! {
                 "stage decisions diverged (main {:?}, branch {:?}@{}, dead end {:?}, dop {}, \
                  fusion {}, combining {}, optimized {})",
                 main, branch, branch_at, dead_end, dop, fusion, combining, optimized
+            );
+            let holds_reduce = |st: &StageDecision| {
+                plan.nodes()[st.first..st.first + st.len].iter().any(|n| {
+                    matches!(&n.op, NodeOp::Op(op) if op.kind == Kind::Reduce)
+                })
+            };
+            prop_assert!(
+                executed.iter().all(|st| st.combined_reduce == (combining && holds_reduce(st))),
+                "every Reduce combines exactly when combining is on: {:?}",
+                executed
             );
         }
     }

@@ -2,8 +2,8 @@
 //! contract behind `ExecutionConfig::combining`):
 //!
 //! 1. across randomly generated Reduce-bearing chain plans, fault seeds,
-//!    DoPs, checkpoint cadences, and every `Aggregate` variant (plus the
-//!    `Custom` escape hatch), a combining run is indistinguishable from
+//!    DoPs, checkpoint cadences, and every `Aggregate` variant, a
+//!    combining run is indistinguishable from
 //!    an uncombined run on every deterministic surface — sink `Snapshot`
 //!    bytes, every deterministic `FlowMetrics` field, bit-exact `simulated_secs`,
 //!    tracer JSONL, registry snapshot, checkpoint frame bytes, and the
@@ -24,7 +24,7 @@ use common::{
 };
 use proptest::prelude::*;
 use websift_flow::{
-    Aggregate, ExecutionConfig, Executor, FlowResilience, LogicalPlan, Operator, Package, Record,
+    Aggregate, ExecutionConfig, Executor, FlowResilience, LogicalPlan, Operator, Package,
     RunOptions, Value,
 };
 use websift_observe::Observer;
@@ -54,11 +54,8 @@ fn pipe_op(idx: usize) -> Operator {
     }
 }
 
-/// Every typed aggregate plus the `Custom` escape hatch (which the
-/// optimizer must refuse to combine) and the `CustomCombinable`
-/// opt-in (an explicit seed/fold/merge contract the optimizer *does*
-/// combine — its byte identity across combining on/off pins the merge
-/// law itself).
+/// Every typed aggregate, plus the closure-keyed text-joining reduce of
+/// `tests/common` (Concat again, with no wire form).
 fn agg_op(idx: usize) -> Operator {
     match idx {
         0 => Operator::reduce_agg(
@@ -97,45 +94,7 @@ fn agg_op(idx: usize) -> Operator {
             group_key,
             Aggregate::TopK { field: "score".into(), k: 2, into: "top".into() },
         ),
-        6 => common::group_reduce(),
-        // Count+sum pair under an explicit merge contract: state is
-        // `Value::Array([count, sum])`, merged pairwise.
-        _ => Operator::reduce_custom_combinable(
-            "pair",
-            Package::Base,
-            group_key,
-            || Value::Array(vec![Value::Int(0), Value::Int(0)]),
-            |acc, r| {
-                let (n, sum) = unpack_pair(acc);
-                let x = r.get("id").and_then(Value::as_int).unwrap_or(0);
-                Value::Array(vec![Value::Int(n + 1), Value::Int(sum + x)])
-            },
-            |l, r| {
-                let (ln, lsum) = unpack_pair(l);
-                let (rn, rsum) = unpack_pair(r);
-                Value::Array(vec![Value::Int(ln + rn), Value::Int(lsum + rsum)])
-            },
-            |key, v| {
-                let (n, sum) = unpack_pair(v);
-                let mut out = Record::new();
-                out.set("id", sum).set("text", format!("{key}:{n}"));
-                vec![out]
-            },
-        ),
-    }
-}
-
-/// Unpacks the `Value::Array([count, sum])` state of the
-/// custom-combinable pair aggregate above.
-fn unpack_pair(v: Value) -> (i64, i64) {
-    match v {
-        Value::Array(parts) => {
-            let mut it = parts.into_iter();
-            let n = it.next().and_then(|v| v.as_int()).unwrap_or(0);
-            let sum = it.next().and_then(|v| v.as_int()).unwrap_or(0);
-            (n, sum)
-        }
-        _ => (0, 0),
+        _ => common::group_reduce(),
     }
 }
 
@@ -163,7 +122,7 @@ proptest! {
     #[test]
     fn combining_is_byte_identical_to_uncombined(
         pipe in prop::collection::vec(0usize..6, 0..4),
-        agg_idx in 0usize..8,
+        agg_idx in 0usize..7,
         tail in prop::collection::vec(0usize..6, 0..3),
         seed in 0u64..1_000_000,
         rate_sel in 0usize..3,
@@ -183,7 +142,7 @@ proptest! {
         let u = run_surface(&plan, docs(n_docs), uncombined, &res);
         assert_surfaces_equal(&c, &u, &format!("fused, {ctx}"));
 
-        // With fusion off a lone combinable Reduce still takes the
+        // With fusion off a lone Reduce still takes the
         // combined path; that too must be unobservable.
         let combined_nofuse =
             ExecutionConfig { fusion: false, ..ExecutionConfig::local(dop) };
@@ -200,7 +159,7 @@ proptest! {
 
 /// The fixed-seed acceptance sweep: byte identity with injected faults
 /// at DoP {1, 4, 8} for four fault seeds over a plan whose fused stage
-/// extends through a combinable Reduce.
+/// extends through a Reduce.
 #[test]
 fn fault_seed_sweep_holds_identity_at_every_dop() {
     // stamp -> parity -> Count reduce -> grow: the chain fuses through
@@ -304,66 +263,4 @@ fn combining_shrinks_shuffle_bytes_without_touching_surfaces() {
         c.physical.shuffle_bytes,
         u.physical.shuffle_bytes
     );
-}
-
-/// The custom-combinable opt-in rides the same physical machinery as the
-/// typed aggregates: byte identity across combining on/off and fault
-/// seeds, fewer shuffle bytes with combining on, and a kill strictly
-/// inside the fused stage resumes bit-exactly through the
-/// `AggState::Custom` checkpoint codec path.
-#[test]
-fn custom_combinable_reduce_combines_and_resumes_bit_exactly() {
-    // Nodes: source(0) stamp(1) dup(2) pair-reduce(3) grow(4) sink(5).
-    let plan = reduce_plan(&[0, 1], 7, &[3]);
-
-    for seed in [7u64, 7070] {
-        for dop in [1usize, 4, 8] {
-            let res = FlowResilience::injected(seed, 0.2, 2);
-            let c = run_surface(&plan, docs(24), ExecutionConfig::local(dop), &res);
-            let u = run_surface(
-                &plan,
-                docs(24),
-                ExecutionConfig { combining: false, ..ExecutionConfig::local(dop) },
-                &res,
-            );
-            assert_surfaces_equal(&c, &u, &format!("seed {seed} dop {dop}"));
-        }
-    }
-
-    // Fewer bytes cross the shuffle with partial aggregation on.
-    let run = |combining: bool| {
-        let inputs = inputs_for(docs(30));
-        Executor::new(ExecutionConfig { combining, ..ExecutionConfig::local(4) })
-            .run(&plan, inputs, RunOptions::default())
-            .unwrap()
-    };
-    let (c, u) = (run(true), run(false));
-    assert_eq!(c.sinks, u.sinks);
-    assert!(
-        c.physical.shuffle_bytes < u.physical.shuffle_bytes,
-        "custom-combinable combined {} !< uncombined {}",
-        c.physical.shuffle_bytes,
-        u.physical.shuffle_bytes
-    );
-
-    // Kill inside the fused [stamp, dup, reduce] stage and resume.
-    let full_res =
-        FlowResilience { checkpoint_every_nodes: Some(1), ..FlowResilience::default() };
-    let exec = Executor::new(ExecutionConfig::local(4));
-    let full = exec.run(&plan, inputs_for(docs(18)), options(&full_res, None, None)).unwrap();
-    for stop in [2usize, 3] {
-        let ckpt = &full.checkpoints[stop - 1];
-        assert_eq!(ckpt.next_node, stop, "the frame a kill at {stop} leaves");
-
-        let inputs = inputs_for(docs(18));
-        let resumed = exec.run(&plan, inputs, options(&full_res, None, Some(ckpt))).unwrap();
-
-        assert_eq!(resumed.sinks, full.sinks, "stop {stop}");
-        assert_eq!(
-            resumed.deterministic_digest(),
-            full.deterministic_digest(),
-            "stop {stop}"
-        );
-        assert_eq!(metric_fields(&resumed.metrics), metric_fields(&full.metrics), "stop {stop}");
-    }
 }

@@ -98,7 +98,7 @@ proptest! {
 }
 
 /// The counted fallback: an operator without a wire form (the
-/// closure-built `Custom` reduce, index 3) pins its own stage on the
+/// closure-keyed reduce, index 3) pins the stage it ends on the
 /// local runner — visible in physical stats, invisible on every
 /// deterministic surface — while the shippable stages around it still
 /// go to the shards.
@@ -134,7 +134,7 @@ fn spec_less_stage_pins_local_and_is_counted() {
 #[test]
 fn real_worker_processes_match_in_process_execution() {
     // stamp -> dup -> parity -> tally -> grow: a fused pipeline into a
-    // combinable reduce, so combining=false also puts a parent-side
+    // reduce, so combining=false also puts a parent-side
     // grouping between two shipped stages.
     let plan = chain_plan(&[0, 1, 2, 6, 4]);
     for seed in [7u64, 4242] {

@@ -2,36 +2,36 @@
 //! plan whose terminal Reduce state is *retained* across rounds.
 //!
 //! A live session cannot afford to recompute a Reduce over the whole
-//! cumulative corpus every crawl round. For a terminal **combinable**
-//! Reduce (PR 5's typed [`Aggregate`]s) it does not have to: the reduce
-//! is split out of the plan, each round's delta pass runs only the
-//! map-side prefix over the new records, and the pre-reduce stream is
-//! folded into a retained per-key [`AggState`] map. Because a built-in
-//! aggregate's group result is exactly `seed → fold each record in
-//! encounter order → finish`, folding rounds sequentially into retained
-//! state is *byte-identical* to recomputing the reduce over the
-//! concatenated stream — the same argument that made partial
+//! cumulative corpus every crawl round. For a terminal Reduce it does
+//! not have to: the reduce is split out of the plan, each round's delta
+//! pass runs only the map-side prefix over the new records, and the
+//! pre-reduce stream is folded into a retained per-key [`AggState`] map.
+//! Because every typed aggregate's group result is exactly `seed → fold
+//! each record in encounter order → finish`, folding rounds sequentially
+//! into retained state is *byte-identical* to recomputing the reduce
+//! over the concatenated stream — the same argument that made partial
 //! aggregation invisible, applied across rounds instead of chunks.
 //!
-//! `Aggregate::Custom` reduces are opaque closures: nothing can be
-//! retained, so live mode rejects them with a typed
-//! [`LiveError::NonCombinableReduce`] (the WS012 diagnostic says so
-//! before the session starts).
+//! The one structural rule is [`LogicalPlan::feeds_only_a_sink`]: a
+//! Reduce something other than a sink reads is
+//! [`LiveError::ReduceNotTerminal`] (WS012 says so before the session
+//! starts).
 
 use std::collections::BTreeMap;
 
-use websift_flow::{
-    AggState, Kind, LogicalPlan, NodeOp, OpFunc, Operator, Record,
-};
+use websift_flow::operator::KeyFn;
+use websift_flow::{AggState, Aggregate, Kind, LogicalPlan, NodeOp, OpFunc, Record};
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 
 use crate::LiveError;
 
-/// One split-out Reduce: the sink it fed, the operator (key + aggregate),
-/// and the per-key aggregate partials retained across rounds.
+/// One split-out Reduce: the sink it fed, the operator's name, key and
+/// aggregate, and the per-key aggregate partials retained across rounds.
 struct RetainedReduce {
     sink: String,
-    op: Operator,
+    name: String,
+    key: KeyFn,
+    aggregate: Aggregate,
     retained: BTreeMap<String, AggState>,
 }
 
@@ -45,9 +45,8 @@ pub struct IncrementalFlow {
 
 impl IncrementalFlow {
     /// Compiles `plan` for delta execution. Every Reduce must directly
-    /// feed a sink (aggregates are final results, not intermediates, in
-    /// live mode); non-combinable (`Aggregate::Custom`) reduces are a
-    /// typed error.
+    /// feed a sink: aggregates are final results, not intermediates, in
+    /// live mode.
     pub fn compile(plan: &LogicalPlan) -> Result<IncrementalFlow, LiveError> {
         plan.validate().map_err(LiveError::PlanInvalid)?;
         let source = plan
@@ -69,22 +68,18 @@ impl IncrementalFlow {
             let mapped = match &node.op {
                 NodeOp::Source(name) => delta.source(name),
                 NodeOp::Op(op) if op.kind == Kind::Reduce => {
-                    let children = plan.children(node.id);
-                    let terminal = children.len() == 1
-                        && matches!(plan.nodes()[children[0]].op, NodeOp::Sink(_));
-                    if !terminal {
+                    if !plan.feeds_only_a_sink(node.id) {
                         return Err(LiveError::ReduceNotTerminal { name: op.name.clone() });
                     }
-                    if !op.combinable_reduce() {
-                        return Err(LiveError::NonCombinableReduce { name: op.name.clone() });
-                    }
-                    pending.insert(
-                        node.id,
-                        reduces.len(),
-                    );
+                    let OpFunc::Reduce { key, aggregate } = op.func() else {
+                        unreachable!("a Reduce-kind operator carries a reduce")
+                    };
+                    pending.insert(node.id, reduces.len());
                     reduces.push(RetainedReduce {
                         sink: String::new(), // filled when the sink child is reached
-                        op: op.clone(),
+                        name: op.name.clone(),
+                        key: key.clone(),
+                        aggregate: aggregate.clone(),
                         retained: BTreeMap::new(),
                     });
                     // the reduce contributes no delta-plan node: its sink
@@ -145,9 +140,7 @@ impl IncrementalFlow {
                 what: format!("no retained reduce feeds sink '{sink}'"),
             })?;
         let n = records.len();
-        let OpFunc::Reduce { key, aggregate } = reduce.op.func() else {
-            unreachable!("retained operator is always a Reduce")
-        };
+        let (key, aggregate) = (&reduce.key, &reduce.aggregate);
         for record in &records {
             let slot = reduce.retained.entry(key(record)).or_insert_with(|| aggregate.seed());
             aggregate.fold(slot, record);
@@ -166,13 +159,10 @@ impl IncrementalFlow {
             .ok_or_else(|| LiveError::StateMismatch {
                 what: format!("no retained reduce feeds sink '{sink}'"),
             })?;
-        let OpFunc::Reduce { aggregate, .. } = reduce.op.func() else {
-            unreachable!("retained operator is always a Reduce")
-        };
         Ok(reduce
             .retained
             .iter()
-            .flat_map(|(key, st)| aggregate.finish(key, st.clone()))
+            .flat_map(|(key, st)| reduce.aggregate.finish(key, st.clone()))
             .collect())
     }
 
@@ -188,7 +178,7 @@ impl IncrementalFlow {
         w.usize(self.reduces.len());
         for reduce in &self.reduces {
             w.str(&reduce.sink);
-            w.str(&reduce.op.name);
+            w.str(&reduce.name);
             // the tag of the one retained form (per-key partials): it
             // stays so watermark bytes and digests do not move
             w.u8(0);
@@ -203,7 +193,10 @@ impl IncrementalFlow {
 
     /// Restores retained state captured by [`IncrementalFlow::state_bytes`]
     /// into this (freshly compiled) flow, verifying the plan shape still
-    /// matches the watermark.
+    /// matches the watermark and that every retained state is one the
+    /// reduce's aggregate [admits](websift_flow::Aggregate::admits) — a
+    /// sealed frame is still untrusted input, and a mismatched state
+    /// would otherwise panic the first `absorb` or `finished`.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), LiveError> {
         let mut r = Reader::new(bytes);
         let n = r.usize()?;
@@ -215,11 +208,11 @@ impl IncrementalFlow {
         for reduce in &mut self.reduces {
             let sink = r.str()?;
             let op = r.str()?;
-            if sink != reduce.sink || op != reduce.op.name {
+            if sink != reduce.sink || op != reduce.name {
                 return Err(LiveError::StateMismatch {
                     what: format!(
                         "watermark reduce '{op}' -> '{sink}' does not match plan reduce '{}' -> '{}'",
-                        reduce.op.name, reduce.sink
+                        reduce.name, reduce.sink
                     ),
                 });
             }
@@ -231,7 +224,16 @@ impl IncrementalFlow {
             reduce.retained.clear();
             for _ in 0..keys {
                 let key = r.str()?;
-                reduce.retained.insert(key, AggState::decode(&mut r)?);
+                let state = AggState::decode(&mut r)?;
+                if !reduce.aggregate.admits(&state) {
+                    return Err(LiveError::StateMismatch {
+                        what: format!(
+                            "watermark retains {state:?} for key '{key}' of reduce '{op}', \
+                             which its aggregate cannot fold"
+                        ),
+                    });
+                }
+                reduce.retained.insert(key, state);
             }
         }
         if !r.is_empty() {

@@ -11,8 +11,9 @@
 //!   accepted since the previous step;
 //! - a [`IncrementalFlow`] runs the extraction plan as a **delta pass**
 //!   over just those records, folding pre-reduce streams into retained
-//!   per-key aggregate state instead of recomputing reduces (the PR-5
-//!   combinability machinery, applied across rounds);
+//!   per-key aggregate state instead of recomputing reduces (the
+//!   executor's partial-aggregation fold and merge, applied across
+//!   rounds — every Reduce is a typed, mergeable `Aggregate`);
 //! - `store:` sinks drain into the serving [`websift_serve`] store with
 //!   the live round stamped as the postings' crawl round, so queries
 //!   can filter by freshness (`since <round>`);
@@ -41,15 +42,10 @@ use websift_flow::ExecutionError;
 /// Failures of live compilation, execution, or replay.
 #[derive(Debug)]
 pub enum LiveError {
-    /// The plan has a non-combinable (`Aggregate::Custom`) reduce: live
-    /// mode cannot retain opaque closure state across rounds.
-    NonCombinableReduce { name: String },
     /// A reduce feeds another operator. Live mode retains reduce state
     /// *instead of* executing the reduce per round, so reduces must be
     /// terminal (directly feeding one sink).
     ReduceNotTerminal { name: String },
-    /// A `store:` sink names a store other than the session's.
-    MisroutedStoreSink { sink: String, expected: String },
     /// The plan failed [`websift_flow::LogicalPlan::validate`] or could
     /// not be rebuilt for delta execution.
     PlanInvalid(String),
@@ -57,7 +53,9 @@ pub enum LiveError {
     /// rebuilt state — the frame belongs to a different session, plan,
     /// or corpus.
     StateMismatch { what: String },
-    /// The per-round delta pass failed.
+    /// The per-round delta pass failed, or — when a session starts or
+    /// resumes — the executor's store routing check
+    /// ([`websift_flow::store_drains`]) refused a `store:` sink.
     Flow(ExecutionError),
     /// A frame could not be decoded.
     Codec(websift_resilience::CodecError),
@@ -66,19 +64,10 @@ pub enum LiveError {
 impl std::fmt::Display for LiveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LiveError::NonCombinableReduce { name } => write!(
-                f,
-                "reduce '{name}' uses a custom aggregate, which cannot be folded \
-                 incrementally; use a typed Aggregate or reduce_custom_combinable"
-            ),
             LiveError::ReduceNotTerminal { name } => write!(
                 f,
                 "reduce '{name}' feeds another operator; live mode requires reduces \
                  to feed a sink directly"
-            ),
-            LiveError::MisroutedStoreSink { sink, expected } => write!(
-                f,
-                "store sink '{sink}' does not route to the session store '{expected}'"
             ),
             LiveError::PlanInvalid(why) => write!(f, "plan unusable for live execution: {why}"),
             LiveError::StateMismatch { what } => write!(f, "watermark replay mismatch: {what}"),

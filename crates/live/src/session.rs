@@ -20,7 +20,8 @@ use websift_corpus::CorpusKind;
 use websift_crawler::{CrawlConfig, CrawlSession, NaiveBayes, ResilienceOptions};
 use websift_analyze::Diagnostic;
 use websift_flow::{
-    analyze_plan, AnalyzeOptions, ExecutionConfig, Executor, LogicalPlan, Record, RunOptions,
+    analyze_plan, store_drains, AnalyzeOptions, ExecutionConfig, Executor, LogicalPlan, Record,
+    RunOptions,
 };
 use websift_observe::{Labels, Observer};
 use websift_pipeline::{documents_from_pages, documents_to_records};
@@ -98,8 +99,10 @@ impl<'w> LiveSession<'w> {
     }
 
     /// Starts a fresh session: compiles `plan` for delta execution,
-    /// verifies its `store:` sinks actually name `store`, and seeds the
-    /// crawler. Nothing is fetched until [`LiveSession::advance`].
+    /// verifies with the executor's own check that every `store:` sink
+    /// parses and names `store` (so no round is crawled for a plan the
+    /// first delta pass would refuse), and seeds the crawler. Nothing is
+    /// fetched until [`LiveSession::advance`].
     #[allow(clippy::too_many_arguments)]
     pub fn start(
         web: &'w SimulatedWeb,
@@ -113,7 +116,7 @@ impl<'w> LiveSession<'w> {
         observer: Arc<Observer>,
     ) -> Result<LiveSession<'w>, LiveError> {
         let flow = IncrementalFlow::compile(plan)?;
-        check_store_routing(plan, &store)?;
+        store_drains(plan, store.name())?;
         let crawler = websift_crawler::FocusedCrawler::new(web, classifier, crawl_config)
             .with_observer(observer.clone());
         let crawl = CrawlSession::start(crawler, seeds, res_options);
@@ -167,7 +170,7 @@ impl<'w> LiveSession<'w> {
                 what: "store content digest does not match the watermark".into(),
             });
         }
-        check_store_routing(plan, &store)?;
+        store_drains(plan, store.name())?;
         Ok(LiveSession {
             crawl,
             flow,
@@ -340,20 +343,6 @@ impl<'w> LiveSession<'w> {
     }
 }
 
-/// Every `store:` sink in `plan` must name `store` — verified up front
-/// so a misrouted plan fails with a typed error before any crawling.
-fn check_store_routing(plan: &LogicalPlan, store: &ExtractionStore) -> Result<(), LiveError> {
-    for (target, dataset) in plan.store_sinks() {
-        if target != store.name() {
-            return Err(LiveError::MisroutedStoreSink {
-                sink: format!("store:{target}/{dataset}"),
-                expected: store.name().to_string(),
-            });
-        }
-    }
-    Ok(())
-}
-
 impl From<CodecError> for LiveError {
     fn from(e: CodecError) -> LiveError {
         LiveError::Codec(e)
@@ -415,7 +404,7 @@ mod tests {
     }
 
     /// A misrouted store sink shows up in both paths: WS011 statically,
-    /// `MisroutedStoreSink` from the routing check.
+    /// `UnknownStore` from the executor's routing check.
     #[test]
     fn preflight_flags_misrouted_store_sinks_as_ws011() {
         let store = ExtractionStore::new("serve", 4);
@@ -425,8 +414,8 @@ mod tests {
         let diags = LiveSession::preflight(&plan, &store);
         assert!(diags.iter().any(|d| d.code == "WS011"), "{diags:?}");
         assert!(matches!(
-            check_store_routing(&plan, &store),
-            Err(LiveError::MisroutedStoreSink { .. })
+            store_drains(&plan, store.name()),
+            Err(websift_flow::ExecutionError::UnknownStore { .. })
         ));
     }
 }

@@ -211,7 +211,7 @@ mod tests {
     use crate::query::parse_query;
     use crate::store::Posting;
     use crate::store::{Method, PostingKey};
-    use websift_flow::{Operator, Package};
+    use websift_flow::{Aggregate, Operator, Package};
 
     /// docs → extract (writes `entities` as an array) → store sink.
     fn producing_plan(maybe: bool) -> LogicalPlan {
@@ -261,12 +261,13 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].message.contains("conditionally"), "{codes:?}");
 
-        // a custom reduce demotes the inherited source fields: `id` is
-        // no longer definite downstream, so ingest provenance breaks
+        // a reduce builds fresh `key` + aggregate records: `id` is gone
+        // downstream, so ingest provenance breaks
         let mut plan = LogicalPlan::new();
         let src = plan.source("docs");
+        let count = Aggregate::Count { into: "n".into() };
         let reduce = plan
-            .add(src, Operator::reduce("collapse", Package::Base, |_| String::new(), |_, rs| rs))
+            .add(src, Operator::reduce_agg("collapse", Package::Base, |_| String::new(), count))
             .unwrap();
         let tagged = plan
             .add(

@@ -287,17 +287,7 @@ fn posting_row(key: &PostingKey, posting: &Posting) -> Record {
 /// Copies an aggregate's output field from its `finish` record into the
 /// combined stats row.
 fn copy_aggregate_field(agg: &Aggregate, finished: &Record, row: &mut Record) {
-    let into = match agg {
-        Aggregate::Count { into }
-        | Aggregate::Sum { into, .. }
-        | Aggregate::Min { into, .. }
-        | Aggregate::Max { into, .. }
-        | Aggregate::Concat { into, .. }
-        | Aggregate::TopK { into, .. } => into.as_str(),
-        // Custom closures (combinable or not) have no declared output
-        // field to copy.
-        Aggregate::Custom(_) | Aggregate::CustomCombinable(_) => return,
-    };
+    let (into, _) = agg.output_field();
     let value = finished.get(into).cloned().unwrap_or(Value::Null);
     row.set(into, value);
 }

@@ -15,14 +15,16 @@ use std::sync::Arc;
 
 use websift::corpus::{CorpusKind, Document, LexiconScale};
 use websift::crawler::{train_focus_classifier, CrawlConfig, ResilienceOptions};
-use websift::flow::{IeResources, LogicalPlan, Operator, Package, Record};
+use websift::flow::{
+    AggState, Aggregate, ExecutionError, IeResources, LogicalPlan, Operator, Package, Record,
+};
 use websift::live::{IncrementalFlow, LiveError, LiveOptions, LiveSession, Watermark};
 use websift::ner::EntityType;
 use websift::observe::Observer;
 use websift::pipeline::{
     documents_from_pages, documents_to_records, live_extraction_flow, run_over_documents_into,
 };
-use websift::resilience::CodecError;
+use websift::resilience::{CodecError, Reader, Snapshot, Writer};
 use websift::serve::{parse_query, ExtractionStore, QueryEngine};
 use websift::web::{PageId, SimulatedWeb, Url, WebGraph, WebGraphConfig};
 
@@ -278,6 +280,74 @@ fn watermark_with_an_edited_crawl_round_does_not_resume() {
     }
 }
 
+/// A watermark is untrusted input even when its checksum holds: a frame
+/// retaining a `Sum` state for the plan's Count reduce is refused at
+/// resume, before the first `absorb` or `finished` could trip over it.
+#[test]
+fn watermark_retaining_a_state_its_reduce_cannot_fold_does_not_resume() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let options = ResilienceOptions::default();
+    let mut session = start_session(&web, &plan, &options, 2);
+    let sealed = session.advance().expect("round advances").expect("round exists").watermark;
+
+    // the real retained-state header (one reduce: its sink, its name,
+    // the per-key form), then one key whose state is a Sum
+    let mut parts = sealed.parts();
+    let mut real = Reader::new(&parts.agg_state);
+    let mut forged = Writer::new();
+    forged.usize(real.usize().expect("reduce count"));
+    forged.str(&real.str().expect("sink"));
+    forged.str(&real.str().expect("reduce name"));
+    forged.u8(real.u8().expect("retained form"));
+    forged.usize(1);
+    forged.str("forged");
+    AggState::Sum(7).encode(&mut forged);
+    parts.agg_state = forged.into_bytes();
+
+    let resumed = LiveSession::resume_from(
+        &web,
+        crawl_config(),
+        &options,
+        &plan,
+        LiveOptions::default(),
+        Arc::new(Observer::new()),
+        &Watermark::seal(&parts),
+    );
+    match resumed.err() {
+        Some(LiveError::StateMismatch { what }) => assert!(what.contains("Sum(7)"), "{what}"),
+        other => panic!("a forged retained state resumed or failed untyped: {other:?}"),
+    }
+}
+
+/// A malformed `store:` sink (no dataset) is refused by `start` with the
+/// executor's own routing error — no round is crawled for a plan whose
+/// first delta pass would be refused.
+#[test]
+fn a_malformed_store_sink_is_refused_before_any_round() {
+    let web = tiny_web();
+    let mut plan = LogicalPlan::new();
+    let src = plan.source("docs");
+    plan.sink(src, &format!("store:{STORE}")).expect("static plan");
+    let started = LiveSession::start(
+        &web,
+        train_focus_classifier(60, 2.0, 4),
+        crawl_config(),
+        seeds_for(&web),
+        &ResilienceOptions::default(),
+        &plan,
+        ExtractionStore::new(STORE, 4),
+        LiveOptions::default(),
+        Arc::new(Observer::new()),
+    );
+    match started.err() {
+        Some(LiveError::Flow(ExecutionError::UnknownStore { sink, .. })) => {
+            assert_eq!(sink, format!("store:{STORE}"));
+        }
+        other => panic!("a malformed store sink started a session: {other:?}"),
+    }
+}
+
 #[test]
 fn live_store_answers_freshness_queries() {
     let web = tiny_web();
@@ -317,30 +387,11 @@ fn live_store_answers_freshness_queries() {
 }
 
 #[test]
-fn custom_reduces_are_rejected_unless_opted_in() {
-    fn tally() -> Operator {
-        Operator::reduce(
-            "tally",
-            Package::Base,
-            |r: &Record| format!("{:?}", r.get("corpus")),
-            |key, group: Vec<Record>| {
-                let mut out = Record::new();
-                out.set("key", key).set("count", group.len() as i64);
-                vec![out]
-            },
-        )
-    }
-    let mut plan = LogicalPlan::new();
-    let src = plan.source("docs");
-    let r = plan.add(src, tally()).expect("static plan");
-    plan.sink(r, "tallies").expect("static plan");
-
-    // rejected with a typed error: an opaque closure has no state to retain
-    match IncrementalFlow::compile(&plan).map(|_| ()) {
-        Err(LiveError::NonCombinableReduce { name }) => assert_eq!(name, "tally"),
-        other => panic!("expected NonCombinableReduce, got {other:?}"),
-    }
-
+fn reduces_feeding_an_operator_are_rejected() {
+    let tally = || {
+        let key = |r: &Record| format!("{:?}", r.get("corpus"));
+        Operator::reduce_agg("tally", Package::Base, key, Aggregate::Count { into: "n".into() })
+    };
     // a reduce feeding another operator (not a sink) is structurally
     // unusable in live mode
     let mut plan = LogicalPlan::new();
@@ -357,7 +408,7 @@ fn custom_reduces_are_rejected_unless_opted_in() {
 }
 
 #[test]
-fn incremental_flow_handles_combinable_reduces_exactly() {
+fn incremental_flow_folds_typed_reduces_exactly() {
     // the delta plan drops the reduce but keeps everything else
     let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
     let flow = IncrementalFlow::compile(&plan).expect("compiles");
