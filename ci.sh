@@ -99,6 +99,10 @@ echo "langid + pos kernels == references holds ok"
 PROPTEST_CASES=64 cargo test -q -p websift-ner --lib differential
 echo "dictionary automaton == brute-force search holds ok"
 
+# Crawl loop: a pool of 2, 3 or 8 fetch-and-analyse workers must crawl exactly as one does.
+PROPTEST_CASES=64 cargo test -q -p websift-crawler --lib differential
+echo "crawl: any worker pool == one worker holds ok"
+
 # Packed span arrays: `Value::Spans` must be indistinguishable from the
 # plain array of `{end, start}` objects it spells — codec bytes, size
 # model, `==`, `value_cmp` — and the paper's flows must produce the same

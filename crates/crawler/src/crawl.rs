@@ -18,13 +18,23 @@
 //! exactly one fetched round ("segment"), in named phases: `next_batch`
 //! (frontier work plus retries come due, minus what the circuit breaker
 //! holds back), the fetch, per outcome `settle` (retry / backoff /
-//! breaker accounting) and `analyse_page` (MIME → links → boilerplate →
-//! text filters → dedup → classify → expand), `observe_round`, and
+//! breaker accounting) and `analyse_page`, `observe_round`, and
 //! `cadence_checkpoint` at the segment boundary.
 //! [`FocusedCrawler::crawl_resilient`] is "inject, `while round {}`,
 //! finish" and [`CrawlSession::step_round`] calls the same `round` once,
 //! which is what makes a stepped crawl bit-identical to an uninterrupted
 //! one.
+//!
+//! A page's analysis is split in two. Its content phase — MIME and raw
+//! size, UTF-8 decode, links, boilerplate, the net-text length and
+//! language verdicts, the content digest — reads no crawl state, so the
+//! fetch worker that downloaded the page runs it at once
+//! (`FocusedCrawler::content_phase`). Everything that reads or writes
+//! crawl state — filter counters, LinkDB, dedup, classify (IE feedback may
+//! retrain the classifier page by page), expand, accept and the phase
+//! charges — is applied by `analyse_page` on the round loop, one outcome
+//! at a time in URL order, so every counter and every `f64` sum is the
+//! same whatever the number of workers.
 //!
 //! # Resilience
 //!
@@ -48,7 +58,7 @@ use crate::classifier::NaiveBayes;
 use crate::crawldb::{CrawlDb, CrawlDbConfig, FrontierEntry, UrlStatus};
 use crate::feedback::IeFeedback;
 use crate::fetcher::{FaultContext, FetchOutcome, Fetcher};
-use crate::filters::{FilterChain, FilterConfig, FilterStats};
+use crate::filters::{FilterChain, FilterConfig, FilterStats, RejectReason};
 use crate::linkdb::LinkDb;
 use crate::parser::extract_links;
 use crate::recovery::{CrawlCheckpoint, ResilienceOptions, ResilienceStats};
@@ -96,6 +106,31 @@ struct RoundTally {
     bytes: u64,
 }
 
+/// What the content phase found out about one fetched page: all the
+/// round loop needs of it, so the page body stays on the worker.
+#[derive(Debug)]
+struct PageContent {
+    raw_bytes: usize,
+    /// Outlinks and net text, or the MIME / raw-size rejection that
+    /// stopped the page before either was looked for.
+    parsed: Result<ParsedPage, RejectReason>,
+}
+
+#[derive(Debug)]
+struct ParsedPage {
+    links: Vec<Url>,
+    /// `None` when boilerplate removal failed.
+    text: Option<NetText>,
+}
+
+#[derive(Debug)]
+struct NetText {
+    net_text: String,
+    /// The length and language verdict; a passing text's FNV digest, the
+    /// dedup key.
+    verdict: Result<u64, RejectReason>,
+}
+
 /// Crawl configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CrawlConfig {
@@ -105,7 +140,9 @@ pub struct CrawlConfig {
     pub fetch_list_per_host: usize,
     /// Overall fetch list size per round.
     pub fetch_list_total: usize,
-    /// Fetcher threads.
+    /// Fetch-and-analyse workers: each downloads its hosts' pages and runs
+    /// their content phase. Also the worker count of the simulated fetch
+    /// makespan. `0` runs one worker, exactly as `1` does.
     pub threads: usize,
     /// Follow links out of irrelevant pages for up to this many consecutive
     /// irrelevant steps (paper default: 0 — "stopping immediately").
@@ -456,8 +493,9 @@ impl<'w> FocusedCrawler<'w> {
 
         // the fetcher is stateless, so building it per round costs nothing
         let faults = FaultContext::new(options.faults.as_ref(), st.rt.round, &st.rt.attempts);
-        let (outcomes, fetch_stats) =
-            Fetcher::new(self.web, self.config.threads).fetch_batch(batch, faults);
+        let filters = &st.filters;
+        let (outcomes, fetch_stats) = Fetcher::new(self.web, self.config.threads)
+            .fetch_batch(batch, faults, |resp| self.content_phase(filters, resp));
         tally.fetch_secs = fetch_stats.simulated_ms as f64 / 1000.0;
         st.report.simulated_secs += tally.fetch_secs;
         st.report.resilience.injected_transient += fetch_stats.injected_transient;
@@ -465,8 +503,8 @@ impl<'w> FocusedCrawler<'w> {
         tally.fetched_ms = (st.report.simulated_secs * 1000.0) as u64;
 
         for outcome in outcomes {
-            if let Some((entry, resp)) = self.settle(st, options, &mut tally, outcome) {
-                self.analyse_page(st, &mut tally, &entry, resp);
+            if let Some((entry, content)) = self.settle(st, options, &mut tally, outcome) {
+                self.analyse_page(st, &mut tally, &entry, content);
             }
         }
         self.observe_round(st, &tally);
@@ -545,15 +583,15 @@ impl<'w> FocusedCrawler<'w> {
         st: &mut LoopState,
         options: &ResilienceOptions,
         tally: &mut RoundTally,
-        outcome: FetchOutcome,
-    ) -> Option<(FrontierEntry, FetchResponse)> {
+        outcome: FetchOutcome<PageContent>,
+    ) -> Option<(FrontierEntry, PageContent)> {
         let FetchOutcome { entry, result } = outcome;
         let rt = &mut st.rt;
         let failure = match result {
-            Ok(resp) => {
+            Ok(content) => {
                 rt.breaker.record_success(entry.url.host());
                 rt.attempts.remove(&entry.url);
-                return Some((entry, resp));
+                return Some((entry, content));
             }
             Err(failure) => failure,
         };
@@ -576,21 +614,41 @@ impl<'w> FocusedCrawler<'w> {
         None
     }
 
-    /// Runs one fetched page through the Fig. 1 analysis chain: the
-    /// content phases of [`FocusedCrawler::extract_content`], then
-    /// classify → expand → accept.
+    /// The content phase of one fetched page: MIME and raw size, links,
+    /// boilerplate, the net-text verdicts and the content digest. Reads
+    /// nothing the crawl writes, so the fetch worker that downloaded the
+    /// page runs it; [`FocusedCrawler::analyse_page`] applies the result.
+    fn content_phase(&self, filters: &FilterChain, resp: FetchResponse) -> PageContent {
+        let parsed = filters.mime_verdict(resp.url.path(), &resp.body).map(|()| {
+            // borrows the body when it is valid UTF-8 (nearly always)
+            let body_text = String::from_utf8_lossy(&resp.body);
+            let links = extract_links(&body_text, &resp.url);
+            let text = self.boilerplate.extract(&body_text).ok().map(|net_text| NetText {
+                verdict: filters
+                    .text_verdict(&net_text)
+                    .map(|()| codec::digest(net_text.as_bytes())),
+                net_text,
+            });
+            ParsedPage { links, text }
+        });
+        PageContent { raw_bytes: resp.body.len(), parsed }
+    }
+
+    /// Applies one page's content phase on the round loop, then classify
+    /// → expand → accept. Pages are applied one at a time in the batch's
+    /// URL order, whichever worker analysed them.
     fn analyse_page(
         &mut self,
         st: &mut LoopState,
         tally: &mut RoundTally,
         entry: &FrontierEntry,
-        resp: FetchResponse,
+        content: PageContent,
     ) {
         let url = &entry.url;
         st.report.simulated_secs += ANALYSIS_COST_SECS;
         tally.analyzed += 1;
-        tally.bytes += resp.body.len() as u64;
-        let Some((links, net_text)) = self.extract_content(st, tally, url, &resp.body) else {
+        tally.bytes += content.raw_bytes as u64;
+        let Some((links, net_text)) = self.apply_content(st, tally, url, content.parsed) else {
             self.crawldb.mark(url, UrlStatus::Rejected);
             return;
         };
@@ -614,7 +672,7 @@ impl<'w> FocusedCrawler<'w> {
         let page = CrawledPage {
             gold_relevant: self.web.gold_relevant(url),
             url: url.clone(),
-            raw_bytes: resp.body.len(),
+            raw_bytes: content.raw_bytes,
             classified_relevant: relevant,
             log_odds,
             net_text,
@@ -630,39 +688,38 @@ impl<'w> FocusedCrawler<'w> {
         }
     }
 
-    /// MIME → links → boilerplate → text filters → dedup: a page's
-    /// outlinks and net text, or `None` if a phase rejected it. Charges
-    /// the page's [`ANALYSIS_COST_SECS`] to `tally`'s phases as it goes —
-    /// added in place, not returned and summed, because `f64` addition
-    /// order is part of the byte-identical trace.
-    fn extract_content(
+    /// MIME → links → boilerplate → text filters → dedup, applied: counts
+    /// the content phase's verdicts, records the links, and returns the
+    /// page's outlinks and net text, or `None` if a phase rejected it.
+    /// Charges the page's [`ANALYSIS_COST_SECS`] to `tally`'s phases as it
+    /// goes — added in place, not returned and summed, because `f64`
+    /// addition order is part of the byte-identical trace.
+    fn apply_content(
         &mut self,
         st: &mut LoopState,
         tally: &mut RoundTally,
         url: &Url,
-        body: &[u8],
+        parsed: Result<ParsedPage, RejectReason>,
     ) -> Option<(Vec<Url>, String)> {
         // attribution budget for this page: phases a page never reaches
         // are charged to the phase that stopped it
         let mut remaining = ANALYSIS_COST_SECS;
 
         // MIME-type / raw-size filtering first (Fig. 1 order).
-        if st.filters.check_mime(url.path(), body).is_err() {
+        st.filters.count_mime(parsed.as_ref().map(|_| ()).map_err(|&reason| reason));
+        let Ok(ParsedPage { links, text }) = parsed else {
             tally.filter += remaining;
             return None;
-        }
+        };
         tally.filter += FILTER_COST_SECS;
         remaining -= FILTER_COST_SECS;
 
-        // Parse links: LinkDB stores the observed structure even of
-        // pages we later reject.
-        // borrows the body when it is valid UTF-8 (nearly always)
-        let body_text = String::from_utf8_lossy(body);
-        let links = extract_links(&body_text, url);
+        // LinkDB stores the observed structure even of pages we later
+        // reject.
         self.linkdb.add_links(url, &links);
 
         // Boilerplate removal (errors count as parse failures).
-        let Ok(net_text) = self.boilerplate.extract(&body_text) else {
+        let Some(NetText { net_text, verdict }) = text else {
             tally.parse += remaining;
             st.report.failed += 1;
             tally.failed += 1;
@@ -672,13 +729,14 @@ impl<'w> FocusedCrawler<'w> {
         remaining -= PARSE_COST_SECS;
 
         // Net-text length and language filters.
-        if st.filters.check_text(&net_text).is_err() {
+        st.filters.count_text(verdict.map(|_| ()));
+        let Ok(digest) = verdict else {
             tally.filter += remaining;
             return None;
-        }
+        };
 
         // Content deduplication (trap starvation + mirror removal).
-        if !self.seen_content.insert(codec::digest(net_text.as_bytes())) {
+        if !self.seen_content.insert(digest) {
             tally.dedup += remaining;
             st.report.duplicates += 1;
             tally.duplicates += 1;
@@ -970,6 +1028,7 @@ impl<'w> CrawlSession<'w> {
 mod tests {
     use super::*;
     use crate::classifier::train_focus_classifier;
+    use crate::fetcher::TEST_POOL;
     use websift_web::{PageId, WebGraph, WebGraphConfig};
 
     fn setup() -> (SimulatedWeb, NaiveBayes) {
@@ -1352,32 +1411,46 @@ mod tests {
         );
     }
 
+    /// Runs `f` with every fetcher this thread builds spawning `pool`
+    /// workers, whatever the crawl's `threads` (which the simulated clock
+    /// keeps modelling).
+    fn with_pool<R>(pool: usize, f: impl FnOnce() -> R) -> R {
+        TEST_POOL.set(Some(pool));
+        let out = f();
+        TEST_POOL.set(None);
+        out
+    }
+
     #[test]
     fn stepped_session_matches_uninterrupted_crawl_bit_for_bit() {
         let (web, nb) = setup();
         let seeds = biomedical_seeds(&web, 20);
         let opts = ResilienceOptions::injected(0x57E9, 0.05, 2);
 
+        // four workers fetch and analyse the baseline, one the stepped run
         let mut baseline = FocusedCrawler::new(&web, nb.clone(), resilient_config());
         let (base_report, base_ckpts) = baseline.crawl_resilient(seeds.clone(), &opts);
 
-        let mut session = CrawlSession::start(
-            FocusedCrawler::new(&web, nb, resilient_config()),
-            seeds,
-            &opts,
-        );
-        let mut pages = 0;
-        while session.step_round() {
+        let (mut session, pages) = with_pool(1, || {
+            let mut session = CrawlSession::start(
+                FocusedCrawler::new(&web, nb, resilient_config()),
+                seeds,
+                &opts,
+            );
+            let mut pages = 0;
+            while session.step_round() {
+                let (rel, irr) = session.take_new_pages();
+                pages += rel.len() + irr.len();
+                // one encoder: a frame sealed on demand at a cadence round
+                // is the cadence frame `crawl_resilient` took there
+                if let Some(cadence) = base_ckpts.iter().find(|c| c.round == session.round()) {
+                    assert_eq!(cadence.as_bytes(), session.checkpoint().as_bytes());
+                }
+            }
             let (rel, irr) = session.take_new_pages();
             pages += rel.len() + irr.len();
-            // one encoder: a frame sealed on demand at a cadence round is
-            // the cadence frame `crawl_resilient` took there
-            if let Some(cadence) = base_ckpts.iter().find(|c| c.round == session.round()) {
-                assert_eq!(cadence.as_bytes(), session.checkpoint().as_bytes());
-            }
-        }
-        let (rel, irr) = session.take_new_pages();
-        pages += rel.len() + irr.len();
+            (session, pages)
+        });
 
         assert!(session.is_done());
         assert_eq!(
@@ -1447,6 +1520,122 @@ mod tests {
             straight.report().simulated_secs.to_bits(),
             resumed.report().simulated_secs.to_bits()
         );
+    }
+
+    /// Everything a crawl lets a caller observe, byte for byte.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        state_digest: u64,
+        simulated_secs: u64,
+        filters: FilterStats,
+        resilience: ResilienceStats,
+        checkpoints: Vec<Vec<u8>>,
+        registry: Vec<u8>,
+        trace: String,
+    }
+
+    fn observed_crawl(
+        web: &SimulatedWeb,
+        nb: NaiveBayes,
+        config: CrawlConfig,
+        seeds: Vec<Url>,
+        opts: &ResilienceOptions,
+    ) -> Observed {
+        let obs = Arc::new(Observer::new());
+        let mut crawler = FocusedCrawler::new(web, nb, config).with_observer(Arc::clone(&obs));
+        let (report, checkpoints) = crawler.crawl_resilient(seeds, opts);
+        Observed {
+            state_digest: crawler.state_digest(&report),
+            simulated_secs: report.simulated_secs.to_bits(),
+            filters: report.filter_stats,
+            resilience: report.resilience,
+            checkpoints: checkpoints.iter().map(|c| c.as_bytes().to_vec()).collect(),
+            registry: websift_resilience::checkpoint::encode_to_vec(&obs.registry().snapshot()),
+            trace: obs.tracer().to_jsonl(),
+        }
+    }
+
+    #[test]
+    fn zero_threads_crawl_like_one() {
+        let (web, nb) = setup();
+        let seeds = biomedical_seeds(&web, 20);
+        let opts = ResilienceOptions::injected(0x2E80, 0.05, 2);
+        let config = |threads| CrawlConfig { threads, ..resilient_config() };
+        let one = observed_crawl(&web, nb.clone(), config(1), seeds.clone(), &opts);
+        assert!(!one.checkpoints.is_empty());
+        assert_eq!(observed_crawl(&web, nb.clone(), config(0), seeds.clone(), &opts), one);
+
+        // and stepped, as a live session steps it
+        let mut session =
+            CrawlSession::start(FocusedCrawler::new(&web, nb, config(0)), seeds, &opts);
+        while session.step_round() {}
+        assert_eq!(session.state_digest(), one.state_digest);
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        fn classifier() -> NaiveBayes {
+            static NB: OnceLock<NaiveBayes> = OnceLock::new();
+            NB.get_or_init(|| train_focus_classifier(60, 1.5, 99)).clone()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            // The content phase runs on whichever worker fetched the page;
+            // the size of the pool must not show anywhere. `threads`, the
+            // simulated fetcher's worker count, is drawn as well, and a
+            // run on a `pool` of workers is compared with a run of the same
+            // crawl on one.
+            #[test]
+            fn differential(
+                web_seed in 0u64..1_000_000,
+                threads_at in 0usize..4,
+                pool_at in 0usize..4,
+                faulty in 0u8..2,
+                cadence in 1u64..4,
+            ) {
+                let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig {
+                    seed: web_seed,
+                    hosts: 16,
+                    ..WebGraphConfig::tiny()
+                }));
+                let seeds = biomedical_seeds(&web, 8);
+                let opts = if faulty == 1 {
+                    ResilienceOptions::injected(web_seed ^ 0xFA17, 0.1, cadence)
+                } else {
+                    ResilienceOptions {
+                        checkpoint_every_rounds: Some(cadence),
+                        ..ResilienceOptions::default()
+                    }
+                };
+                let config = CrawlConfig {
+                    max_pages: 30,
+                    fetch_list_total: 20,
+                    threads: [1, 2, 3, 8][threads_at],
+                    ..CrawlConfig::default()
+                };
+                let pool = [1, 2, 3, 8][pool_at];
+                let run = |pool| {
+                    with_pool(pool, || {
+                        observed_crawl(&web, classifier(), config, seeds.clone(), &opts)
+                    })
+                };
+                prop_assert_eq!(
+                    run(pool),
+                    run(1),
+                    "web seed {}, threads {}, pool {}, faults {}, cadence {}",
+                    web_seed,
+                    config.threads,
+                    pool,
+                    faulty,
+                    cadence
+                );
+            }
+        }
     }
 
     fn hostile_config() -> CrawlConfig {

@@ -10,17 +10,23 @@
 //! The paper's "3-4 documents per second" download rate emerges from this
 //! accounting plus the downstream filtering cost.
 //!
+//! A worker hands each page it downloads straight to the caller's analyse
+//! closure (see [`Fetcher::fetch_batch`]), so per-page work that needs no
+//! shared state runs on the fetch workers rather than after the join.
+//!
 //! # Failure handling
 //!
 //! Worker failures never abort the batch. Each host batch runs inside
 //! `catch_unwind`, so a panic mid-host (real or injected via a
 //! [`FaultPlan`]) surfaces as typed [`FetchFailure::WorkerPanic`]
 //! outcomes for that host's entries while the worker thread moves on to
-//! the next host. As a second line of defence, worker threads are joined
-//! individually: a thread that somehow dies outside the per-host guard
-//! has its in-flight host converted to `WorkerPanic` outcomes too, and
-//! any hosts left unclaimed in the queue are drained the same way rather
-//! than being silently dropped.
+//! the next host. The analyse closure runs inside the same guard: a panic
+//! while analysing a page becomes a retryable `WorkerPanic` for that host
+//! batch instead of unwinding the caller. As a second line of defence,
+//! worker threads are joined individually: a thread that somehow dies
+//! outside the per-host guard has its in-flight host converted to
+//! `WorkerPanic` outcomes too, and any hosts left unclaimed in the queue
+//! are drained the same way rather than being silently dropped.
 
 use crate::crawldb::FrontierEntry;
 use parking_lot::Mutex;
@@ -69,11 +75,12 @@ impl std::fmt::Display for FetchFailure {
     }
 }
 
-/// One fetch outcome.
+/// One fetch outcome: what the analyse closure made of the page, or why
+/// there is no page.
 #[derive(Debug)]
-pub struct FetchOutcome {
+pub struct FetchOutcome<T> {
     pub entry: FrontierEntry,
-    pub result: Result<FetchResponse, FetchFailure>,
+    pub result: Result<T, FetchFailure>,
 }
 
 /// Batch statistics in simulated time.
@@ -113,27 +120,52 @@ impl<'p> FaultContext<'p> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test builds only: the worker pool every [`Fetcher::new`] on this
+    /// thread spawns, whatever its `threads`. The simulated makespan still
+    /// models `threads` workers, so nothing a caller can observe may move
+    /// with the pool — which is what the crawl loop's thread-count
+    /// differential checks.
+    pub(crate) static TEST_POOL: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
+}
+
 /// The fetcher.
 pub struct Fetcher<'w> {
     web: &'w SimulatedWeb,
+    /// Workers of the simulated makespan model.
     threads: usize,
+    /// OS threads fetching (and analysing) the batch.
+    pool: usize,
 }
 
 impl<'w> Fetcher<'w> {
+    /// A fetcher with `threads` workers; `0` means one.
     pub fn new(web: &'w SimulatedWeb, threads: usize) -> Fetcher<'w> {
-        assert!(threads > 0);
-        Fetcher { web, threads }
+        let threads = threads.max(1);
+        #[cfg(test)]
+        let pool = TEST_POOL.get().unwrap_or(threads);
+        #[cfg(not(test))]
+        let pool = threads;
+        Fetcher { web, threads, pool }
     }
 
     /// Fetches a batch, respecting robots.txt (disallow rules skip the URL;
     /// crawl-delay serializes the host's simulated timeline). `faults`
     /// injects failures per its plan; [`FaultContext::default`] has no
     /// plan and injects nothing.
-    pub fn fetch_batch(
+    ///
+    /// The worker that downloads a page passes it to `analyse` at once and
+    /// the outcome carries the result (`std::convert::identity` keeps the
+    /// page). `analyse` runs on any worker in any order, so it must be a
+    /// pure function of the page; it runs under the per-host panic guard.
+    pub fn fetch_batch<T: Send>(
         &self,
         batch: Vec<FrontierEntry>,
         faults: FaultContext<'_>,
-    ) -> (Vec<FetchOutcome>, FetchStats) {
+        analyse: impl Fn(FetchResponse) -> T + Sync,
+    ) -> (Vec<FetchOutcome<T>>, FetchStats) {
         // Group by host so one host stays on one thread (politeness).
         let mut by_host: HashMap<String, Vec<FrontierEntry>> = HashMap::new();
         for entry in batch {
@@ -150,16 +182,17 @@ impl<'w> Fetcher<'w> {
         let host_times = Mutex::new(Vec::new());
         let stats = Mutex::new(FetchStats::default());
         // host each worker is currently processing, for crash recovery
-        let in_flight: Mutex<Vec<InFlightBatch>> = Mutex::new(vec![None; self.threads]);
+        let in_flight: Mutex<Vec<InFlightBatch>> = Mutex::new(vec![None; self.pool]);
 
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
+            let handles: Vec<_> = (0..self.pool)
                 .map(|tid| {
                     let queue = &queue;
                     let results = &results;
                     let stats = &stats;
                     let host_times = &host_times;
                     let in_flight = &in_flight;
+                    let analyse = &analyse;
                     let web = self.web;
                     scope.spawn(move || loop {
                         let (host, entries) = match queue.lock().pop() {
@@ -168,7 +201,7 @@ impl<'w> Fetcher<'w> {
                         };
                         in_flight.lock()[tid] = Some((host.clone(), entries.clone()));
                         let worked = catch_unwind(AssertUnwindSafe(|| {
-                            fetch_host_batch(web, &host, entries, &faults)
+                            fetch_host_batch(web, &host, entries, &faults, analyse)
                         }));
                         let stashed = in_flight.lock()[tid].take();
                         let (local_outcomes, host_time, local_stats) = match worked {
@@ -244,14 +277,16 @@ impl<'w> Fetcher<'w> {
     }
 }
 
-/// Processes one host's queue on the current worker thread. Panics (from
-/// fault injection or real bugs) unwind to the per-host `catch_unwind`.
-fn fetch_host_batch(
+/// Processes one host's queue on the current worker thread, analysing
+/// each page as it arrives. Panics (from fault injection, `analyse` or
+/// real bugs) unwind to the per-host `catch_unwind`.
+fn fetch_host_batch<T>(
     web: &SimulatedWeb,
     host: &str,
     entries: Vec<FrontierEntry>,
     faults: &FaultContext<'_>,
-) -> (Vec<FetchOutcome>, u64, FetchStats) {
+    analyse: &impl Fn(FetchResponse) -> T,
+) -> (Vec<FetchOutcome<T>>, u64, FetchStats) {
     if let Some(plan) = faults.plan {
         if plan.injects_at(FaultKind::WorkerPanic, host, faults.epoch) {
             panic!("injected fault: worker panic on host {host}");
@@ -293,17 +328,17 @@ fn fetch_host_batch(
                 local_stats.failed += 1;
             }
         }
-        local_outcomes.push(FetchOutcome { entry, result });
+        local_outcomes.push(FetchOutcome { entry, result: result.map(analyse) });
     }
     (local_outcomes, host_time, local_stats)
 }
 
 /// Typed outcomes for a host batch lost to a worker panic.
-fn panicked_host_outcomes(
+fn panicked_host_outcomes<T>(
     host: &str,
     entries: Vec<FrontierEntry>,
     message: &str,
-) -> (Vec<FetchOutcome>, u64, FetchStats) {
+) -> (Vec<FetchOutcome<T>>, u64, FetchStats) {
     let local_stats = FetchStats {
         worker_panics: 1,
         failed: entries.len() as u64,
@@ -345,6 +380,7 @@ impl FetchStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::identity;
     use websift_web::{WebGraph, WebGraphConfig};
 
     fn entries(web: &SimulatedWeb, n: usize) -> Vec<FrontierEntry> {
@@ -362,7 +398,7 @@ mod tests {
         let fetcher = Fetcher::new(&web, 4);
         let batch = entries(&web, 40);
         let n = batch.len();
-        let (outcomes, stats) = fetcher.fetch_batch(batch, FaultContext::default());
+        let (outcomes, stats) = fetcher.fetch_batch(batch, FaultContext::default(), identity);
         assert_eq!(outcomes.len() as u64 + stats.robots_skipped, n as u64);
         assert_eq!(stats.fetched + stats.failed, outcomes.len() as u64);
         assert!(stats.bytes > 0);
@@ -374,8 +410,8 @@ mod tests {
         let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
         let batch1 = entries(&web, 30);
         let batch2 = entries(&web, 30);
-        let (o1, _) = Fetcher::new(&web, 1).fetch_batch(batch1, FaultContext::default());
-        let (o8, _) = Fetcher::new(&web, 8).fetch_batch(batch2, FaultContext::default());
+        let (o1, _) = Fetcher::new(&web, 1).fetch_batch(batch1, FaultContext::default(), identity);
+        let (o8, _) = Fetcher::new(&web, 8).fetch_batch(batch2, FaultContext::default(), identity);
         let urls1: Vec<String> = o1.iter().map(|o| o.entry.url.to_string()).collect();
         let urls8: Vec<String> = o8.iter().map(|o| o.entry.url.to_string()).collect();
         assert_eq!(urls1, urls8);
@@ -397,7 +433,7 @@ mod tests {
             url: Url::new(&host, "/private/secret.html"),
             irrelevant_steps: 0,
         }];
-        let (outcomes, stats) = fetcher.fetch_batch(batch, FaultContext::default());
+        let (outcomes, stats) = fetcher.fetch_batch(batch, FaultContext::default(), identity);
         assert!(outcomes.is_empty());
         assert_eq!(stats.robots_skipped, 1);
     }
@@ -405,8 +441,11 @@ mod tests {
     #[test]
     fn more_threads_do_not_increase_makespan() {
         let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
-        let (_, s1) = Fetcher::new(&web, 1).fetch_batch(entries(&web, 60), FaultContext::default());
-        let (_, s8) = Fetcher::new(&web, 8).fetch_batch(entries(&web, 60), FaultContext::default());
+        let makespan = |threads| {
+            let fetcher = Fetcher::new(&web, threads);
+            fetcher.fetch_batch(entries(&web, 60), FaultContext::default(), identity).1
+        };
+        let (s1, s8) = (makespan(1), makespan(8));
         assert!(s8.simulated_ms <= s1.simulated_ms);
     }
 
@@ -415,11 +454,12 @@ mod tests {
         let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
         let fetcher = Fetcher::new(&web, 4);
         let batch = entries(&web, 40);
-        let n_outcomes = fetcher.fetch_batch(batch.clone(), FaultContext::default()).0.len();
+        let (clean, _) = fetcher.fetch_batch(batch.clone(), FaultContext::default(), identity);
+        let n_outcomes = clean.len();
         let plan = FaultPlan::new(11).with_rate(FaultKind::FetchTransient, 1.0);
         let attempts = HashMap::new();
         let (outcomes, stats) =
-            fetcher.fetch_batch(batch, FaultContext::new(Some(&plan), 0, &attempts));
+            fetcher.fetch_batch(batch, FaultContext::new(Some(&plan), 0, &attempts), identity);
         assert_eq!(outcomes.len(), n_outcomes);
         assert_eq!(stats.injected_transient as usize, n_outcomes);
         assert!(outcomes
@@ -437,13 +477,42 @@ mod tests {
         let attempts = HashMap::new();
         // every host batch panics; the call must still return, with every
         // non-robots-skipped entry accounted for as a typed failure
-        let (outcomes, stats) =
-            fetcher.fetch_batch(batch.clone(), FaultContext::new(Some(&plan), 0, &attempts));
+        let faults = FaultContext::new(Some(&plan), 0, &attempts);
+        let (outcomes, stats) = fetcher.fetch_batch(batch.clone(), faults, identity);
         assert!(stats.worker_panics > 0);
         assert_eq!(outcomes.len(), batch.len());
         assert!(outcomes
             .iter()
             .all(|o| matches!(o.result, Err(FetchFailure::WorkerPanic { .. }))));
+    }
+
+    #[test]
+    fn a_panicking_analysis_fails_its_host_batch_only() {
+        let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
+        // every page: the first two hundred sit on one hub host
+        let batch = entries(&web, usize::MAX);
+        let host = batch[0].url.host().to_string();
+        assert!(batch.iter().any(|e| e.url.host() != host));
+        let (outcomes, stats) = Fetcher::new(&web, 3).fetch_batch(
+            batch,
+            FaultContext::default(),
+            |resp| {
+                assert_ne!(resp.url.host(), host, "analysis bug");
+                resp.body.len()
+            },
+        );
+        assert_eq!(stats.worker_panics, 1);
+        for o in &outcomes {
+            match &o.result {
+                Err(failure @ FetchFailure::WorkerPanic { .. }) => {
+                    assert_eq!(o.entry.url.host(), host);
+                    assert!(failure.is_retryable());
+                }
+                Ok(_) | Err(FetchFailure::Http(_)) => assert_ne!(o.entry.url.host(), host),
+                other => panic!("{}: {other:?}", o.entry.url),
+            }
+        }
+        assert!(outcomes.iter().any(|o| o.result.is_ok()));
     }
 
     #[test]
@@ -453,8 +522,8 @@ mod tests {
         let attempts = HashMap::new();
         let run = |threads| {
             let fetcher = Fetcher::new(&web, threads);
-            let (outcomes, _) = fetcher
-                .fetch_batch(entries(&web, 50), FaultContext::new(Some(&plan), 3, &attempts));
+            let faults = FaultContext::new(Some(&plan), 3, &attempts);
+            let (outcomes, _) = fetcher.fetch_batch(entries(&web, 50), faults, identity);
             outcomes
                 .into_iter()
                 .map(|o| (o.entry.url.to_string(), o.result.is_ok()))

@@ -38,7 +38,7 @@ impl Default for FilterConfig {
 }
 
 /// Per-filter rejection counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     pub seen: u64,
     pub mime_rejected: u64,
@@ -120,33 +120,66 @@ impl FilterChain {
     /// Stage 1 (runs *before* boilerplate extraction, as in Fig. 1): MIME
     /// sniffing plus the raw-size bound. Counts the page as seen.
     pub fn check_mime(&mut self, path: &str, body: &[u8]) -> Result<(), RejectReason> {
-        self.stats.seen += 1;
-        let mime = sniff_mime(path, body);
-        if !mime.is_textual() {
-            self.stats.mime_rejected += 1;
-            return Err(RejectReason::Mime(mime));
-        }
-        if body.len() > self.config.max_bytes {
-            self.stats.length_rejected += 1;
-            return Err(RejectReason::TooLong);
-        }
-        Ok(())
+        let verdict = self.mime_verdict(path, body);
+        self.count_mime(verdict);
+        verdict
     }
 
     /// Stage 2 (after boilerplate extraction): net-text length and
     /// language. Only call for pages that passed [`FilterChain::check_mime`].
     pub fn check_text(&mut self, net_text: &str) -> Result<(), RejectReason> {
+        let verdict = self.text_verdict(net_text);
+        self.count_text(verdict);
+        verdict
+    }
+
+    /// Stage 1's verdict without counting it: reads nothing but the
+    /// configuration, so any thread may ask.
+    pub fn mime_verdict(&self, path: &str, body: &[u8]) -> Result<(), RejectReason> {
+        let mime = sniff_mime(path, body);
+        if !mime.is_textual() {
+            return Err(RejectReason::Mime(mime));
+        }
+        if body.len() > self.config.max_bytes {
+            return Err(RejectReason::TooLong);
+        }
+        Ok(())
+    }
+
+    /// Stage 2's verdict without counting it.
+    pub fn text_verdict(&self, net_text: &str) -> Result<(), RejectReason> {
         // stops counting at the bound instead of walking the whole text
         if net_text.chars().take(self.config.min_chars).count() < self.config.min_chars {
-            self.stats.length_rejected += 1;
             return Err(RejectReason::TooShort);
         }
         if !self.langid.is_english(net_text) {
-            self.stats.language_rejected += 1;
             return Err(RejectReason::NonEnglish);
         }
-        self.stats.passed += 1;
         Ok(())
+    }
+
+    /// Counts a stage-1 verdict: the page is seen, and rejected or not.
+    pub fn count_mime(&mut self, verdict: Result<(), RejectReason>) {
+        self.stats.seen += 1;
+        if let Err(reason) = verdict {
+            self.count_reject(reason);
+        }
+    }
+
+    /// Counts a stage-2 verdict: rejected, or passed the whole chain.
+    pub fn count_text(&mut self, verdict: Result<(), RejectReason>) {
+        match verdict {
+            Ok(()) => self.stats.passed += 1,
+            Err(reason) => self.count_reject(reason),
+        }
+    }
+
+    fn count_reject(&mut self, reason: RejectReason) {
+        match reason {
+            RejectReason::Mime(_) => self.stats.mime_rejected += 1,
+            RejectReason::TooShort | RejectReason::TooLong => self.stats.length_rejected += 1,
+            RejectReason::NonEnglish => self.stats.language_rejected += 1,
+        }
     }
 
     /// Applies the whole chain in one call (convenience for callers that

@@ -8,7 +8,8 @@
 //!   (500-per-host cap) and spider-trap guards;
 //! - [`linkdb`] — the crawled link graph (input to Table 2's PageRank);
 //! - [`fetcher`] — multi-threaded fetching with robots.txt politeness and
-//!   simulated-time accounting;
+//!   simulated-time accounting; each page is handed to the caller's
+//!   analysis on the worker that fetched it;
 //! - [`parser`] — defensive HTML tokenization, link extraction, markup
 //!   repair, markup removal;
 //! - [`boilerplate`] — Boilerpipe-style shallow-text-feature net-text
