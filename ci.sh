@@ -203,6 +203,15 @@ if grep -nE 'impl Snapshot for (FlowMetrics|OpMetrics)|fn mirror_flow_gauges|nod
 fi
 echo "flow metrics live in one place ok"
 
+# The registry is the only cost store: start-up, work and sink charges
+# are registry series that every checkpoint frame carries, so no scope
+# tree outside a frame may come back.
+if grep -rnE 'Profiler|ScopeStat|profiler\(\)' crates src tests examples; then
+  echo "cost attribution must live in the registry" >&2
+  exit 1
+fi
+echo "no profiler ok"
+
 # Every Reduce is typed: `Operator::reduce_agg` with one of the six
 # mergeable `Aggregate`s is the only way to build one, so no opaque
 # closure reduce, opt-in merge contract or "is it combinable?" question

@@ -1,5 +1,5 @@
 //! Regenerates the Fig-8 cost split (startup vs per-record operator cost)
-//! from live profiler instrumentation, and exports the observability
+//! from the executor's registry cost series, and exports the observability
 //! artifacts of the run.
 //!
 //! Modes:

@@ -49,7 +49,7 @@ const STEPS: [(&str, &str); 24] = [
     ("table2", "Table 2 (PageRank)"),
     ("tradeoff", "§5 trade-off"),
     ("fig3", "Fig 3 + runtime shares"),
-    ("profile", "cost decomposition (profiler)"),
+    ("profile", "cost decomposition (registry)"),
     ("fig4", "Fig 4"),
     ("fig5", "Fig 5"),
     ("warstory", "war story"),

@@ -18,7 +18,7 @@
 //! | [`content_exps::fig7`] | Fig. 7 (entity incidence per corpus) |
 //! | [`content_exps::table4`] | Table 4 (+ TLA filtering) |
 //! | [`content_exps::fig8`] | Fig. 8 (annotation overlap, JSD) |
-//! | [`profile_exps::cost_decomposition`] | Fig. 8 cost split (startup vs per-record, live from the profiler) |
+//! | [`profile_exps::cost_decomposition`] | Fig. 8 cost split (startup vs per-record, live from the registry; folded stacks) |
 //! | [`throughput_exps::fusion`] / [`throughput_exps::combining`] | wall-clock records/sec of the executor, fused vs unfused and combined vs uncombined |
 //! | [`ablation_exps::ablations`] | the design ablations DESIGN.md calls out, arms held to agreement |
 //! | [`shuffle_exps::shuffle_at`] | scale-out records/sec across worker-shard counts (threads and real processes), digest-gated |

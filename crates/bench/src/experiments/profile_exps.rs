@@ -1,8 +1,10 @@
-//! Profiler-driven cost decomposition: the paper's startup-vs-per-record
+//! Registry-driven cost decomposition: the paper's startup-vs-per-record
 //! cost split (the 20-minute dictionary load vs the per-character scan,
 //! §4.2 / Fig. 8's cost accounting) regenerated from **live
-//! instrumentation** — the executor's [`websift_observe::Profiler`] scope
-//! tree — instead of from the hard-coded cost-model constants.
+//! instrumentation** — the executor's `flow.op_startup_secs` and
+//! `flow.op_work_secs` registry gauges — instead of from the hard-coded
+//! cost-model constants. The registry rides in every checkpoint frame,
+//! so a resumed flow reports the same split as one that never stopped.
 
 use crate::report::ExperimentResult;
 use std::collections::BTreeMap;
@@ -10,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use websift_corpus::{CorpusKind, Generator};
 use websift_flow::{ExecutionConfig, Executor, RunOptions};
-use websift_observe::{MetricValue, Observer};
+use websift_observe::{MetricValue, Observer, RegistrySnapshot};
 use websift_pipeline::{documents_to_records, full_analysis_plan, ExperimentContext};
 
 /// Everything one observed profiling run yields: the decomposition table,
@@ -21,7 +23,7 @@ pub struct ProfileRun {
     pub summary: String,
 }
 
-/// Per-operator startup/work split harvested from profiler scopes.
+/// Per-operator startup/work split harvested from the registry.
 #[derive(Default, Clone, Copy)]
 struct OpCost {
     startup_secs: f64,
@@ -29,9 +31,9 @@ struct OpCost {
 }
 
 /// Runs the full Fig.-2 analysis flow under an [`Observer`] and derives
-/// each operator's startup-vs-per-record cost split from the profiler's
-/// `flow;op:<name>;{startup,work}` scopes. Deterministic: all figures are
-/// simulated seconds off the logical clock.
+/// each operator's startup-vs-per-record cost split from the registry's
+/// cost series. Deterministic: all figures are simulated seconds off the
+/// logical clock.
 pub fn cost_decomposition(ctx: &ExperimentContext, docs: usize) -> ProfileRun {
     let generator =
         Generator::with_lexicon(CorpusKind::Medline, 77, Arc::new(ctx.lexicon.as_ref().clone()));
@@ -45,23 +47,68 @@ pub fn cost_decomposition(ctx: &ExperimentContext, docs: usize) -> ProfileRun {
     Executor::new(ExecutionConfig::local(4))
         .run(&plan, inputs, RunOptions { observer: Some(&obs), ..RunOptions::default() })
         .expect("profile flow must run");
+    let snap = obs.registry().snapshot();
+    ProfileRun {
+        result: split_table(&snap, docs, n_records),
+        folded: folded(&snap),
+        summary: obs.summary(),
+    }
+}
 
-    // Harvest the split from the profiler scope tree, not the cost models.
-    let mut by_op: BTreeMap<String, OpCost> = BTreeMap::new();
-    for scope in obs.profiler().scopes() {
-        let [root, op, kind] = match scope.path.as_slice() {
-            [a, b, c] => [a.as_str(), b.as_str(), c.as_str()],
+/// The executor's cost charges in `snap`, in simulated seconds, keyed by
+/// flamegraph path: `flow;op:<op>;startup` and `flow;op:<op>;work` from
+/// the per-node gauges, `flow;sink:<sink>` from the sink gauges. Nodes
+/// sharing an operator name add up in node-id order, the order the
+/// executor charged them.
+fn charges(snap: &RegistrySnapshot) -> BTreeMap<Vec<String>, f64> {
+    let mut by_node: Vec<(usize, Vec<String>, f64)> = Vec::new();
+    for (name, labels, value) in &snap.entries {
+        let MetricValue::Gauge(secs) = *value else { continue };
+        let label = |key| labels.get(key).unwrap_or_default();
+        let path = match name.as_str() {
+            "flow.op_startup_secs" => vec![format!("op:{}", label("op")), "startup".into()],
+            "flow.op_work_secs" => vec![format!("op:{}", label("op")), "work".into()],
+            "flow.sink_secs" => vec![format!("sink:{}", label("sink"))],
             _ => continue,
         };
-        if root != "flow" {
-            continue;
+        // a sink has no node label: it sorts after every node
+        let node = label("node").parse().unwrap_or(usize::MAX);
+        by_node.push((node, [vec!["flow".to_string()], path].concat(), secs));
+    }
+    by_node.sort_by_key(|(node, _, _)| *node);
+    let mut out = BTreeMap::new();
+    for (_, path, secs) in by_node {
+        *out.entry(path).or_insert(0.0) += secs;
+    }
+    out
+}
+
+/// Folded-stack (flamegraph collapsed) export of [`charges`]: one
+/// `path;to;scope <microseconds>` line per path, in component-wise path
+/// order, values rounded to whole simulated microseconds and zero lines
+/// omitted.
+fn folded(snap: &RegistrySnapshot) -> String {
+    let mut out = String::new();
+    for (path, secs) in charges(snap) {
+        let usecs = (secs * 1e6).round() as u64;
+        if usecs > 0 {
+            out.push_str(&format!("{} {usecs}\n", path.join(";")));
         }
+    }
+    out
+}
+
+/// The Fig. 8 table: each operator's start-up and work seconds, from
+/// [`charges`], over a run of `docs` documents and `n_records` records.
+fn split_table(snap: &RegistrySnapshot, docs: usize, n_records: f64) -> ExperimentResult {
+    let mut by_op: BTreeMap<String, OpCost> = BTreeMap::new();
+    for (path, secs) in charges(snap) {
+        let [_, op, kind] = path.as_slice() else { continue };
         let Some(name) = op.strip_prefix("op:") else { continue };
         let entry = by_op.entry(name.to_string()).or_default();
-        match kind {
-            "startup" => entry.startup_secs += scope.self_secs,
-            "work" => entry.work_secs += scope.self_secs,
-            _ => {}
+        match kind.as_str() {
+            "startup" => entry.startup_secs += secs,
+            _ => entry.work_secs += secs,
         }
     }
 
@@ -71,7 +118,7 @@ pub fn cost_decomposition(ctx: &ExperimentContext, docs: usize) -> ProfileRun {
 
     let mut result = ExperimentResult::new(
         "Fig 8 (cost split)",
-        "Startup vs per-record cost by operator, from profiler scopes; simulated seconds",
+        "Startup vs per-record cost by operator, from registry gauges; simulated seconds",
         &["operator", "startup s", "work s", "per-record ms", "startup share"],
     );
     let mut ops: Vec<(&String, &OpCost)> = by_op.iter().collect();
@@ -97,12 +144,11 @@ pub fn cost_decomposition(ctx: &ExperimentContext, docs: usize) -> ProfileRun {
         format!("{:.0}%", total_startup / grand_total.max(f64::MIN_POSITIVE) * 100.0),
     ]);
     result.note(format!(
-        "measured live from the executor's profiler over {docs} documents — \
+        "measured live from the executor's registry over {docs} documents — \
          the gene dictionary's ≈20-minute simulated load dominates startup \
          while the ML taggers carry the highest per-record cost (the paper's \
          §4.2 split)"
     ));
-    let snap = obs.registry().snapshot();
     let op_execs: u64 = snap
         .by_name("flow.op_secs")
         .map(|(_, _, v)| match v {
@@ -113,17 +159,14 @@ pub fn cost_decomposition(ctx: &ExperimentContext, docs: usize) -> ProfileRun {
     result.note(format!(
         "registry cross-check: the flow.op_secs histograms saw {op_execs} operator executions"
     ));
-
-    ProfileRun {
-        result,
-        folded: obs.profiler().folded(),
-        summary: obs.summary(),
-    }
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use websift_flow::FlowResilience;
+    use websift_observe::Labels;
 
     #[test]
     fn decomposition_finds_startup_dominated_dictionaries() {
@@ -141,5 +184,80 @@ mod tests {
             count.parse::<u64>().expect("folded counts are integers");
         }
         assert!(run.summary.contains("== metrics =="));
+    }
+
+    /// A gauge's name, labels and value.
+    type Gauge<'a> = (&'a str, &'a [(&'a str, &'a str)], f64);
+
+    fn snapshot_of(gauges: &[Gauge<'_>]) -> RegistrySnapshot {
+        let reg = websift_observe::MetricsRegistry::default();
+        for &(name, labels, secs) in gauges {
+            reg.gauge(name, &Labels::new(labels)).set(secs);
+        }
+        reg.snapshot()
+    }
+
+    #[test]
+    fn folded_output_is_sorted_and_parseable() {
+        let (a, b, c) = (0.1, 0.2, 0.3);
+        let snap = snapshot_of(&[
+            ("flow.op_work_secs", &[("node", "2"), ("op", "z")], 0.25),
+            ("flow.op_work_secs", &[("node", "10"), ("op", "a-b")], 1.5),
+            ("flow.op_work_secs", &[("node", "11"), ("op", "a")], c),
+            ("flow.op_work_secs", &[("node", "9"), ("op", "a")], b),
+            ("flow.op_work_secs", &[("node", "1"), ("op", "a")], a),
+            ("flow.op_startup_secs", &[("node", "1"), ("op", "a")], 4.0),
+            ("flow.op_startup_secs", &[("node", "2"), ("op", "z")], 0.0), // zero → omitted
+            ("flow.sink_secs", &[("sink", "out")], 2e-6),
+            ("flow.simulated_secs", &[], 9.0), // not a cost charge
+        ]);
+        // component-wise path order: `op:a` before `op:a-b`, though
+        // "a;" sorts after "a-" as a string
+        let want = "flow;op:a;startup 4000000\n\
+                    flow;op:a;work 600000\n\
+                    flow;op:a-b;work 1500000\n\
+                    flow;op:z;work 250000\n\
+                    flow;sink:out 2\n";
+        assert_eq!(folded(&snap), want);
+        // nodes sharing an operator name add up in node-id order
+        let work = ["flow", "op:a", "work"].map(String::from).to_vec();
+        assert_eq!(charges(&snap)[&work].to_bits(), ((0.0 + a) + b + c).to_bits());
+        let table = split_table(&snap, 1, 2.0);
+        assert_eq!(table.rows[0][..3], ["a".to_string(), "4.0".into(), "0.6".into()]);
+    }
+
+    /// A flow killed mid-plan and resumed from its last frame reports the
+    /// same cost split as one that never stopped: start-up and work live
+    /// in the registry, which every frame carries.
+    #[test]
+    fn cost_attribution_survives_a_resume() {
+        let ctx = ExperimentContext::tiny(13);
+        let generator = Generator::with_lexicon(
+            CorpusKind::Medline,
+            77,
+            Arc::new(ctx.lexicon.as_ref().clone()),
+        );
+        let records = documents_to_records(&generator.documents(4));
+        let plan = full_analysis_plan(&ctx.resources);
+        let inputs = || HashMap::from([("docs".to_string(), records.clone())]);
+        let resilience = FlowResilience { checkpoint_every_nodes: Some(1), ..Default::default() };
+        let executor = Executor::new(ExecutionConfig::local(2));
+        let run = |obs, resume| {
+            let resilience = resilience.clone();
+            let opts = RunOptions { resilience, observer: Some(obs), resume, store: None };
+            executor.run(&plan, inputs(), opts).expect("flow runs")
+        };
+
+        let full = Observer::new();
+        let frames = run(&full, None).checkpoints;
+        let frame = &frames[frames.len() / 2];
+        assert!(frame.next_node > 1 && frame.next_node < plan.len(), "a mid-plan frame");
+        let resumed = Observer::new();
+        run(&resumed, Some(frame));
+
+        let (full, resumed) = (full.registry().snapshot(), resumed.registry().snapshot());
+        assert!(folded(&full).lines().count() > 20, "{}", folded(&full));
+        assert_eq!(folded(&resumed), folded(&full));
+        assert_eq!(split_table(&resumed, 4, 1.0).rows, split_table(&full, 4, 1.0).rows);
     }
 }

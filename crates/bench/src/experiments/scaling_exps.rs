@@ -7,9 +7,8 @@ use std::time::Instant;
 use websift_corpus::{CorpusKind, Generator};
 use websift_flow::cluster::{admit, ClusterSpec, SchedulingError};
 use websift_flow::{
-    ExecutionConfig, ExecutionError, Executor, IeResources, LogicalPlan, RunOptions,
+    ExecutionConfig, ExecutionError, Executor, IeResources, LogicalPlan, OpMetrics, RunOptions,
 };
-use websift_observe::Observer;
 use websift_ner::crf::{CrfConfig, CrfTagger};
 use websift_ner::EntityType;
 use websift_pipeline::{documents_to_records, paper, ExperimentContext};
@@ -434,9 +433,9 @@ pub fn warstory(ctx: &ExperimentContext) -> ExperimentResult {
 }
 
 /// §4.2: share of single-thread runtime per component (entity extraction
-/// ~70 %, POS ~12 %). Runs observed: the wall-time share comes from the
-/// per-op views (registry-derived), the simulated share from the
-/// profiler's per-operator `work` scopes.
+/// ~70 %, POS ~12 %), both shares from the per-op views: wall
+/// milliseconds, and simulated work seconds (the registry's
+/// `flow.op_work_secs`).
 pub fn runtime_shares(ctx: &ExperimentContext) -> ExperimentResult {
     let docs = Generator::with_lexicon(
         CorpusKind::Medline,
@@ -448,35 +447,15 @@ pub fn runtime_shares(ctx: &ExperimentContext) -> ExperimentResult {
     let plan = websift_pipeline::full_analysis_plan(&ctx.resources);
     let mut inputs = HashMap::new();
     inputs.insert("docs".to_string(), records);
-    let obs = Observer::new();
-    let out = Executor::new(ExecutionConfig::local(1))
-        .run(&plan, inputs, RunOptions { observer: Some(&obs), ..RunOptions::default() })
-        .unwrap();
+    let out =
+        Executor::new(ExecutionConfig::local(1)).run(&plan, inputs, RunOptions::default()).unwrap();
 
-    let wall_total: f64 = out.metrics.per_op.iter().map(|m| m.wall_ms).sum();
-    let wall_share = |pred: fn(&str) -> bool| -> f64 {
-        out.metrics
-            .per_op
-            .iter()
-            .filter(|m| pred(&m.name))
-            .map(|m| m.wall_ms)
-            .sum::<f64>()
-            / wall_total
-    };
-    // startup-excluded per-record work off the logical clock
-    let work: Vec<(String, f64)> = obs
-        .profiler()
-        .scopes()
-        .into_iter()
-        .filter(|s| {
-            matches!(s.path.as_slice(),
-                [a, b, c] if a == "flow" && b.starts_with("op:") && c == "work")
-        })
-        .map(|s| (s.path[1].clone(), s.self_secs))
-        .collect();
-    let sim_total: f64 = work.iter().map(|(_, s)| s).sum();
-    let sim_share = |pred: fn(&str) -> bool| -> f64 {
-        work.iter().filter(|(n, _)| pred(n)).map(|(_, s)| s).sum::<f64>() / sim_total
+    // the share of wall milliseconds, or of startup-excluded per-record
+    // work off the logical clock, that the operators matching `pred` took
+    let share = |of: fn(&OpMetrics) -> f64, pred: fn(&str) -> bool| -> f64 {
+        let ops = &out.metrics.per_op;
+        let total: f64 = ops.iter().map(of).sum();
+        ops.iter().filter(|m| pred(&m.name)).map(of).sum::<f64>() / total
     };
 
     let mut result = ExperimentResult::new(
@@ -495,13 +474,13 @@ pub fn runtime_shares(ctx: &ExperimentContext) -> ExperimentResult {
         };
         result.row(&[
             component.into(),
-            format!("{:.0}%", wall_share(pred) * 100.0),
-            format!("{:.0}%", sim_share(pred) * 100.0),
+            format!("{:.0}%", share(|m| m.wall_ms, pred) * 100.0),
+            format!("{:.0}%", share(|m| m.simulated_secs, pred) * 100.0),
             format!("{:.0}%", paper_share * 100.0),
         ]);
     }
     result.note("our default CRF taggers run without sentence-context features (see Fig 3b's ML+context column for the heavy configuration), so the measured wall share is lower than the paper's 70%");
-    result.note("the simulated share uses the profiler's startup-excluded work scopes, where the paper-scale CRF per-character cost dominates");
+    result.note("the simulated share uses each operator's startup-excluded work seconds, where the paper-scale CRF per-character cost dominates");
     result
 }
 

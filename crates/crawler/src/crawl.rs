@@ -76,13 +76,30 @@ use websift_web::{FetchResponse, SimulatedWeb, Url};
 const ANALYSIS_COST_SECS: f64 = 0.12;
 
 /// Fig. 1 phase decomposition of [`ANALYSIS_COST_SECS`], used only to
-/// *attribute* the per-page analysis cost to spans and profiler scopes.
+/// *attribute* the per-page analysis cost to the round's phase spans.
 /// The clock still advances by the single per-page constant, so
 /// observability cannot perturb simulated time; phases a rejected page
 /// never reached are charged to the phase that rejected it.
 const FILTER_COST_SECS: f64 = 0.02;
 const PARSE_COST_SECS: f64 = 0.03;
 const DEDUP_COST_SECS: f64 = 0.02;
+
+/// The registry series [`FocusedCrawler::observe_round`] writes: its
+/// counters, gauges and histograms. A resumed frame's `crawl.*` series
+/// are checked against them before they are restored.
+const CRAWL_SERIES: [&[&str]; 3] = [
+    &[
+        "crawl.rounds",
+        "crawl.pages_analyzed",
+        "crawl.pages_failed",
+        "crawl.duplicates",
+        "crawl.relevant",
+        "crawl.irrelevant",
+        "crawl.bytes_fetched",
+    ],
+    &["crawl.frontier_size", "crawl.harvest_rate", "crawl.simulated_secs"],
+    &["crawl.round_fetch_secs"],
+];
 
 /// What one round adds up for [`FocusedCrawler::observe_round`]: when it
 /// started and fetched on the simulated clock, the Fig. 1 phase
@@ -374,9 +391,9 @@ pub struct FocusedCrawler<'w> {
     seen_content: std::collections::HashSet<u64>,
     /// Optional IE feedback loop (§5's consolidated process).
     feedback: Option<IeFeedback>,
-    /// Observability sink: per-round spans, frontier/harvest gauges,
-    /// phase-cost profiling. A private observer by default; share one
-    /// via [`FocusedCrawler::with_observer`].
+    /// Observability sink: per-round phase spans (the Fig. 1 cost
+    /// attribution), counters and frontier/harvest gauges. A private
+    /// observer by default; share one via [`FocusedCrawler::with_observer`].
     observer: Arc<Observer>,
 }
 
@@ -769,7 +786,7 @@ impl<'w> FocusedCrawler<'w> {
 
     /// Observability: one span per round phase laid end-to-end on the
     /// simulated clock (fetch, then the Fig. 1 analysis phases in order),
-    /// per-round counters/gauges, and profiler scopes. All recorded here
+    /// and the per-round series of [`CRAWL_SERIES`]. All recorded here
     /// on the single-threaded round loop, so same-seed crawls observe
     /// byte-identically.
     fn observe_round(&self, st: &LoopState, tally: &RoundTally) {
@@ -777,15 +794,14 @@ impl<'w> FocusedCrawler<'w> {
         let round_id = st.rt.round.to_string();
         let round_label = Labels::new(&[("round", &round_id)]);
         let mut t = tally.started_secs;
-        for (phase, dur, bytes) in [
-            ("fetch", tally.fetch_secs, tally.bytes),
-            ("parse", tally.parse, 0),
-            ("filter", tally.filter, 0),
-            ("classify", tally.classify, 0),
-            ("dedup", tally.dedup, 0),
+        for (phase, dur) in [
+            ("fetch", tally.fetch_secs),
+            ("parse", tally.parse),
+            ("filter", tally.filter),
+            ("classify", tally.classify),
+            ("dedup", tally.dedup),
         ] {
             obs.tracer().span(&format!("crawl.{phase}"), t, dur, round_label.clone());
-            obs.profiler().record(&["crawl", "round", phase], dur, bytes);
             t += dur;
         }
 
@@ -921,6 +937,8 @@ impl<'w> CrawlSession<'w> {
                 sealed: rt.round,
             });
         }
+        let [counters, gauges, histograms] = CRAWL_SERIES;
+        registry.check_kinds("crawl.", counters, gauges, histograms)?;
         observer.registry().restore(&registry);
 
         Ok(CrawlSession {
@@ -1029,6 +1047,7 @@ mod tests {
     use super::*;
     use crate::classifier::train_focus_classifier;
     use crate::fetcher::TEST_POOL;
+    use websift_observe::MetricValue;
     use websift_web::{PageId, WebGraph, WebGraphConfig};
 
     fn setup() -> (SimulatedWeb, NaiveBayes) {
@@ -1332,18 +1351,13 @@ mod tests {
         assert!(reg.counter("crawl.rounds", &at).value() > 0);
 
         // phase attribution conserves the simulated clock: fetch secs
-        // plus the per-page analysis budget equals the profiler's crawl
-        // total (no idle waits occur without fault injection)
-        let crawl_total = obs
-            .profiler()
-            .scopes()
-            .iter()
-            .find(|s| s.folded_path() == "crawl")
-            .expect("missing crawl scope")
-            .total_secs;
+        // plus the per-page analysis budget, summed over the phase spans,
+        // equals the clock (no idle waits occur without fault injection)
+        assert_eq!(obs.tracer().dropped(), 0);
+        let crawl_total: f64 = events.iter().filter_map(|ev| ev.dur_secs).sum();
         assert!(
             (crawl_total - report.simulated_secs).abs() < 1e-6,
-            "profiler total {crawl_total} vs clock {}",
+            "phase spans sum to {crawl_total} vs clock {}",
             report.simulated_secs
         );
     }
@@ -1686,6 +1700,48 @@ mod tests {
         assert_eq!(
             resume_untrusted(&web, &lying, &opts).err(),
             Some(CodecError::Mismatch { what: "crawl checkpoint round", claimed: 99, sealed: 3 })
+        );
+    }
+
+    /// Re-seals `session`'s current frame with its registry snapshot
+    /// (the payload's last field) replaced by `entries`.
+    fn with_registry(
+        session: &CrawlSession<'_>,
+        entries: Vec<(String, Labels, MetricValue)>,
+    ) -> CrawlCheckpoint {
+        use websift_resilience::checkpoint::encode_to_vec;
+        let frame = session.checkpoint();
+        let payload = frame.payload().unwrap();
+        let own = encode_to_vec(&session.crawler.observer.registry().snapshot()).len();
+        let mut forged = payload[..payload.len() - own].to_vec();
+        forged.extend(encode_to_vec(&RegistrySnapshot { entries }));
+        CrawlCheckpoint::seal(frame.round, &forged)
+    }
+
+    #[test]
+    fn resume_rejects_a_crawl_series_of_another_kind() {
+        let (web, _) = setup();
+        let (session, opts) = hostile_target(&web);
+        let mut entries = session.crawler.observer.registry().snapshot().entries;
+        let rounds = entries.iter_mut().find(|(n, _, _)| n == "crawl.rounds").unwrap();
+        rounds.2 = MetricValue::Gauge(3.0);
+        // restored, it would panic the first `step_round`
+        assert_eq!(
+            resume_untrusted(&web, &with_registry(&session, entries), &opts).err(),
+            Some(CodecError::BadTag { what: "registry series kind", tag: 1 })
+        );
+    }
+
+    #[test]
+    fn resume_rejects_a_registry_key_held_twice() {
+        let (web, _) = setup();
+        let (session, opts) = hostile_target(&web);
+        let x = |value| ("x".to_string(), Labels::empty(), value);
+        let twice = vec![x(MetricValue::Counter(1)), x(MetricValue::Gauge(1.0))];
+        // restored, the second entry would panic `resume` itself
+        assert_eq!(
+            resume_untrusted(&web, &with_registry(&session, twice), &opts).err(),
+            Some(CodecError::Truncated { what: "registry keys out of order" })
         );
     }
 

@@ -87,7 +87,7 @@ pub struct AnalyzeOptions {
     /// envelopes are relative to one nominal source record.
     pub source_estimate: Option<(u64, u64)>,
     /// Per-operator `(records_ratio, bytes_ratio)` measured on a previous
-    /// run (output/input from the profiler's per-operator metrics). A
+    /// run (output/input from the executor's per-operator metrics). A
     /// calibrated operator's envelope uses the measured point ratios
     /// instead of its declared/per-kind selectivity interval.
     pub calibration: BTreeMap<String, (f64, f64)>,

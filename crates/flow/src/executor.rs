@@ -58,7 +58,7 @@ use crate::shuffle::{ChunkOut, ChunkStats, ShardConfig, ShardPool, ShardRunError
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
-use websift_observe::{Counter, Gauge, Labels, MetricValue, Observer, RegistrySnapshot};
+use websift_observe::{Counter, Gauge, Labels, Observer, RegistrySnapshot};
 use websift_resilience::{CodecError, FaultKind, Reader, Snapshot, Writer};
 
 #[cfg(test)]
@@ -682,7 +682,8 @@ impl Executor {
         reg.counter("flow.sink_records", &labels).add(input.len() as u64);
         reg.counter("flow.sink_bytes", &labels).add(written);
         let secs = run.now() - node_t0;
-        run.obs.profiler().record(&["flow", &format!("sink:{name}")], secs, written);
+        let sink_secs = reg.gauge("flow.sink_secs", &labels);
+        sink_secs.set(sink_secs.value() + secs);
         run.obs.tracer().span("flow.sink", node_t0, secs, labels);
         state.sinks.entry(name.to_string()).or_default().extend(input);
         state.outputs[node_id] = Some(Vec::new());
@@ -710,9 +711,10 @@ impl Executor {
     /// per-partition work (re-partitioned with each constituent's own
     /// `dop_eff` and cardinality, summed left-to-right per partition so
     /// the f64 accumulation order is identical), reduce shuffles,
-    /// registry counters, profiler scopes, tracer spans — and checkpoint
-    /// frames whose boundaries land inside the stage, synthesized
-    /// byte-identically from tapped intermediate streams. Stage shape
+    /// registry series (start-up and work seconds among them), tracer
+    /// spans — and checkpoint frames whose boundaries land inside the
+    /// stage, synthesized byte-identically from tapped intermediate
+    /// streams. Stage shape
     /// and runner therefore never change a deterministic number.
     fn run_stage(
         &self,
@@ -928,6 +930,8 @@ impl Executor {
         let obs = run.obs;
         for (s, sched) in st.scheds.iter().enumerate() {
             let op = st.ops[s];
+            let node_id = st.first + s;
+            let labels = row_labels(node_id, op);
             let node_t0 = run.now();
             // Simulated node losses: dead nodes drop out of the placement
             // and their share of work is rescheduled onto the survivors
@@ -970,11 +974,7 @@ impl Executor {
                 let startup_secs =
                     op.cost.startup_secs + self.config.cluster.network_secs(ship_bytes);
                 run.charge(startup_secs);
-                obs.profiler().record(
-                    &["flow", &format!("op:{}", op.name), "startup"],
-                    startup_secs,
-                    ship_bytes,
-                );
+                obs.registry().gauge("flow.op_startup_secs", &labels).set(startup_secs);
             }
             // per-partition work: max over this constituent's partitions
             // of the left-to-right sum of scaled per-record costs
@@ -992,8 +992,6 @@ impl Executor {
                 max_secs
             };
             run.charge(work);
-            obs.profiler()
-                .record(&["flow", &format!("op:{}", op.name), "work"], work, stats.bytes_in);
             // shuffle accounting for reduce
             if op.kind == Kind::Reduce {
                 let scaled = (stats.bytes_in as f64 * self.config.byte_scale) as u64;
@@ -1005,8 +1003,6 @@ impl Executor {
 
             // the registry is the only copy of the row; FlowMetrics reads
             // it through these handles when the run ends
-            let node_id = st.first + s;
-            let labels = row_labels(node_id, op);
             let row = Row::of(obs, &labels);
             row.records_in.add(stats.records_in);
             row.records_out.add(records_out);
@@ -1192,6 +1188,21 @@ const TOTALS: [&str; 7] = [
     "flow.store_write_failures",
 ];
 
+/// The counters the executor writes, labelled by node row, source or sink.
+const COUNTERS: [&str; 7] = [
+    "flow.records_in",
+    "flow.records_out",
+    "flow.bytes_in",
+    "flow.bytes_out",
+    "flow.source_records",
+    "flow.sink_records",
+    "flow.sink_bytes",
+];
+
+/// The gauges the executor writes beside [`TOTALS`]: the cost a node row
+/// or a sink was charged, in simulated seconds.
+const GAUGES: [&str; 3] = ["flow.op_work_secs", "flow.op_startup_secs", "flow.sink_secs"];
+
 /// The schedule decided for one constituent of a stage.
 struct StageSched {
     losses: Vec<usize>,
@@ -1347,8 +1358,8 @@ pub fn store_drains(plan: &LogicalPlan, store: &str) -> Result<Vec<(String, Stri
 /// Decodes the executor state a checkpoint frame captured, and restores
 /// its registry snapshot into `obs`. The bytes are untrusted: a frame
 /// whose state does not fit `plan` and a cluster of `cluster_nodes`, or
-/// whose registry holds an executor metric under another kind, is
-/// rejected before it can reach the drive loop.
+/// whose registry holds a `flow.*` series the executor does not write
+/// under that kind, is rejected before it can reach the drive loop.
 fn restore(
     plan: &LogicalPlan,
     checkpoint: &FlowCheckpoint,
@@ -1359,6 +1370,8 @@ fn restore(
     let mut r = Reader::new(payload);
     let state = ExecState::decode(&mut r).map_err(ExecutionError::BadCheckpoint)?;
     let registry = RegistrySnapshot::decode(&mut r).map_err(ExecutionError::BadCheckpoint)?;
+    let gauges = [&TOTALS[..], &GAUGES].concat();
+    let kinds = registry.check_kinds("flow.", &COUNTERS, &gauges, &["flow.op_secs"]);
     let mut lost = vec![false; cluster_nodes];
     let mut first_loss = |j: usize| j < cluster_nodes && !std::mem::replace(&mut lost[j], true);
     let fits = r.is_empty()
@@ -1366,7 +1379,7 @@ fn restore(
         && state.consumers_left.len() == plan.len()
         && state.next_node <= plan.len()
         && state.nodes_lost.iter().all(|&j| first_loss(j))
-        && registry.entries.iter().all(|(name, _, value)| has_executor_kind(name, value));
+        && kinds.is_ok();
     if !fits {
         return Err(mismatch());
     }
@@ -1377,18 +1390,6 @@ fn restore(
 /// The error for a frame whose state does not fit the plan it resumes.
 fn mismatch() -> ExecutionError {
     ExecutionError::BadCheckpoint(CodecError::Truncated { what: "checkpoint does not match plan" })
-}
-
-/// Is `value` of the kind the executor writes under `name`? A restored
-/// series of another kind would panic the first handle lookup.
-fn has_executor_kind(name: &str, value: &MetricValue) -> bool {
-    let flow = name.starts_with("flow.");
-    let gauge = name == "flow.op_work_secs" || TOTALS.contains(&name);
-    match value {
-        MetricValue::Counter(_) => !gauge && name != "flow.op_secs",
-        MetricValue::Gauge(_) => gauge || !flow,
-        MetricValue::Histogram(_) => name == "flow.op_secs" || !flow,
-    }
 }
 
 /// Counts the injected worker panics over `partitions` partitions of
@@ -1487,6 +1488,7 @@ mod tests {
     use crate::packages::testkit::metric_fields;
     use crate::record::Value;
     use std::time::Duration;
+    use websift_observe::MetricValue;
 
     fn docs(n: usize) -> Vec<Record> {
         (0..n)
@@ -2054,6 +2056,9 @@ mod tests {
             ("a node lost twice", forge(&|s| s.nodes_lost = vec![1, 1])),
             ("a per-operator gauge as a counter", as_counter("flow.op_work_secs", 1)),
             ("a total as a counter", as_counter("flow.simulated_secs", 1)),
+            ("a start-up charge as a counter", as_counter("flow.op_startup_secs", 1)),
+            ("a sink charge as a counter", as_counter("flow.sink_secs", 1)),
+            ("a flow series the executor does not write", as_counter("flow.unknown", 1)),
         ];
         let resume = |frame| {
             let opts = RunOptions { resume: Some(frame), ..RunOptions::default() };
@@ -2064,6 +2069,14 @@ mod tests {
         }
         // a counter restored at its ceiling wraps, in debug builds too
         assert!(resume(&as_counter("flow.records_in", u64::MAX)).is_ok());
+        // one key held twice, under two kinds, outside the executor's
+        // names: the snapshot decoder refuses it before restore could panic
+        let x = |value| ("x".to_string(), Labels::empty(), value);
+        let twice = seal(&|_| {}, vec![x(MetricValue::Counter(1)), x(MetricValue::Gauge(1.0))]);
+        let order = CodecError::Truncated { what: "registry keys out of order" };
+        let opts = RunOptions { resume: Some(&twice), ..RunOptions::default() };
+        let refused = exec(&plan, docs(4), ExecutionConfig::local(2), opts).unwrap_err();
+        assert_eq!(refused, ExecutionError::BadCheckpoint(order));
     }
 
     #[test]
@@ -2085,7 +2098,7 @@ mod tests {
                 .by_name("flow.records_in")
                 .filter(|(_, l, _)| l.get("op") == Some(&m.name))
                 .map(|(_, _, v)| match v {
-                    websift_observe::MetricValue::Counter(c) => *c,
+                    MetricValue::Counter(c) => *c,
                     _ => 0,
                 })
                 .sum();
@@ -2101,9 +2114,12 @@ mod tests {
         let work = obs.registry().gauge("flow.op_work_secs", &upper).value();
         assert_eq!(work.to_bits(), out.metrics.per_op[0].simulated_secs.to_bits());
 
-        // startup/work decomposition lands in the profiler
-        let folded = obs.profiler().folded();
-        assert!(folded.contains("flow;op:upper;work"), "missing work scope: {folded}");
+        // the start-up charge lands on the row of the node that paid it,
+        // the sink's write on the sink
+        let startup = obs.registry().gauge("flow.op_startup_secs", &upper).value();
+        assert!(startup > 0.0, "upper's start-up is charged to node 1");
+        let sink = Labels::new(&[("sink", "out")]);
+        assert!(obs.registry().gauge("flow.sink_secs", &sink).value() > 0.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   and byte volume, propagated through per-operator selectivity models:
 //!   per-kind defaults, an explicit [`crate::operator::Operator::with_selectivity`]
 //!   override, or ratios calibrated from a previous run's per-operator
-//!   metrics (the profiler's startup/per-record split already isolates the
+//!   metrics (the registry's startup/per-record split already isolates the
 //!   data-dependent part these ratios model).
 //!
 //! The one stage view is the executor's own:

@@ -33,6 +33,14 @@ use crate::incremental::IncrementalFlow;
 use crate::watermark::{LiveMetrics, Watermark, WatermarkParts};
 use crate::LiveError;
 
+/// The registry series [`LiveSession`] writes once per round: its
+/// counters, gauges and histograms.
+const LIVE_SERIES: [&[&str]; 3] = [
+    &["live.rounds", "live.new_documents", "live.delta_records"],
+    &["live.round", "live.retained_keys", "live.freshness_secs", "live.store_postings"],
+    &["live.round_freshness_secs"],
+];
+
 /// Knobs for a live session.
 #[derive(Debug, Clone)]
 pub struct LiveOptions {
@@ -134,7 +142,9 @@ impl<'w> LiveSession<'w> {
     /// Rebuilds a session from a sealed [`Watermark`], verifying the
     /// crawler-frontier and store digests recorded in the frame (and,
     /// inside [`CrawlSession::resume`], that `crawl_round` is the round
-    /// the crawl frame was sealed at). The
+    /// the crawl frame was sealed at and its `crawl.*` series' kinds),
+    /// and the kinds of the `live.*` series the crawl frame restored into
+    /// `observer` before any round writes them. The
     /// resumed session continues from round `watermark.rounds() + 1` and
     /// replays byte-identically to a session that was never killed.
     pub fn resume_from(
@@ -157,6 +167,10 @@ impl<'w> LiveSession<'w> {
             None,
             observer.clone(),
         )?;
+        // the crawl frame restored the shared registry, `live.*` series
+        // too: they must have the kinds the next round writes them as
+        let [counters, gauges, histograms] = LIVE_SERIES;
+        observer.registry().snapshot().check_kinds("live.", counters, gauges, histograms)?;
         if crawl.state_digest() != parts.frontier_digest {
             return Err(LiveError::StateMismatch {
                 what: "crawler frontier digest does not match the watermark".into(),

@@ -13,17 +13,16 @@
 //!   after the first lookup is a single atomic op. Registry state
 //!   snapshots through the `websift-resilience` codec, which lets
 //!   checkpoint frames carry it and resumed runs continue their counters
-//!   bit-identically.
+//!   bit-identically. It is the only aggregate: cost attribution (the
+//!   executor's per-operator start-up and work seconds) lives in it too,
+//!   so it survives a kill and resume like every other series.
 //! - [`trace`] — **structured tracing**: spans and events stamped with
 //!   *logical-clock* timestamps (simulated seconds, never wall clock), a
 //!   ring-buffered collector, and JSONL export. Because every timestamp
 //!   comes from the deterministic simulated clocks, two same-seed runs
 //!   export byte-identical event streams.
-//! - [`profile`] — a **cost profiler** attributing self/total simulated
-//!   seconds and bytes to a tree of scopes, with folded-stack
-//!   (flamegraph-format) export.
 //! - [`report`] — the end-of-run **report sink** rendering a summary
-//!   table over the registry and the hottest profiler scopes.
+//!   table over the registry and the trace volume.
 //! - [`json`] — the tiny JSON writer behind the JSONL trace export and
 //!   the bench harness's `BENCH_RESULTS.json`.
 //!
@@ -31,26 +30,25 @@
 //!
 //! Nothing in this crate reads wall clocks, random state, or iteration
 //! order of unordered containers on its output paths. All exports
-//! (registry snapshots, JSONL traces, folded stacks, report tables) are
+//! (registry snapshots, JSONL traces, report tables) are
 //! byte-deterministic functions of the recorded observations, and
 //! histogram merge is associative and count-preserving, so partitioned
 //! observation streams can be combined in any grouping.
 
 pub mod json;
-pub mod profile;
 pub mod registry;
 pub mod report;
 pub mod trace;
 
-pub use profile::{Profiler, ScopeStat};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramState, Labels, MetricValue, MetricsRegistry,
     RegistrySnapshot,
 };
 pub use trace::{TraceEvent, Tracer};
 
-/// The bundle the pipeline threads through itself: one registry, one
-/// tracer, one profiler. Cheap to share (`Arc<Observer>`), safe to use
+/// The bundle the pipeline threads through itself: one registry (every
+/// aggregate, checkpointed with the state it describes) and one tracer
+/// (the event stream). Cheap to share (`Arc<Observer>`), safe to use
 /// from worker threads, and deterministic as long as observations are
 /// recorded from deterministic points (the crawler's round loop and the
 /// flow executor's drive loop both are).
@@ -58,7 +56,6 @@ pub use trace::{TraceEvent, Tracer};
 pub struct Observer {
     registry: MetricsRegistry,
     tracer: Tracer,
-    profiler: Profiler,
 }
 
 impl Observer {
@@ -71,7 +68,6 @@ impl Observer {
         Observer {
             registry: MetricsRegistry::default(),
             tracer: Tracer::with_capacity(capacity),
-            profiler: Profiler::default(),
         }
     }
 
@@ -81,10 +77,6 @@ impl Observer {
 
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// Renders the end-of-run summary table (see [`report`]).
@@ -98,11 +90,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn observer_bundles_the_three_substrates() {
+    fn observer_bundles_registry_and_tracer() {
         let obs = Observer::new();
         obs.registry().counter("x", &Labels::empty()).add(3);
         obs.tracer().event("e", 1.0, Labels::empty());
-        obs.profiler().record(&["a", "b"], 0.5, 10);
         assert_eq!(obs.registry().counter("x", &Labels::empty()).value(), 3);
         assert_eq!(obs.tracer().len(), 1);
         assert!(obs.summary().contains('x'));

@@ -312,21 +312,24 @@ pub enum MetricValue {
     Histogram(HistogramState),
 }
 
+impl MetricValue {
+    /// The kind's discriminant in the codec.
+    fn tag(&self) -> u8 {
+        match self {
+            MetricValue::Counter(_) => 0,
+            MetricValue::Gauge(_) => 1,
+            MetricValue::Histogram(_) => 2,
+        }
+    }
+}
+
 impl Snapshot for MetricValue {
     fn encode(&self, w: &mut Writer) {
+        w.u8(self.tag());
         match self {
-            MetricValue::Counter(v) => {
-                w.u8(0);
-                w.u64(*v);
-            }
-            MetricValue::Gauge(v) => {
-                w.u8(1);
-                w.f64(*v);
-            }
-            MetricValue::Histogram(h) => {
-                w.u8(2);
-                h.encode(w);
-            }
+            MetricValue::Counter(v) => w.u64(*v),
+            MetricValue::Gauge(v) => w.f64(*v),
+            MetricValue::Histogram(h) => h.encode(w),
         }
     }
 
@@ -341,7 +344,8 @@ impl Snapshot for MetricValue {
 }
 
 /// A byte-deterministic snapshot of every registered metric, sorted by
-/// `(name, labels)`.
+/// `(name, labels)`. Decoding enforces that order strictly, so a decoded
+/// snapshot never holds one key twice.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistrySnapshot {
     pub entries: Vec<(String, Labels, MetricValue)>,
@@ -361,33 +365,33 @@ impl RegistrySnapshot {
         self.entries.iter().filter(move |(n, _, _)| n == name)
     }
 
-    /// Merges `other` into `self`, keyed by `(name, labels)`: counters
-    /// add, histograms merge bucket-wise ([`HistogramState::merge`]), and
-    /// gauges take `other`'s value (last write wins — per-shard gauges
-    /// report the same point-in-time fact, not a partition of it). Entries
-    /// only in `other` are inserted. The result stays sorted by
-    /// `(name, labels)`, so merging per-shard snapshots in shard order is
-    /// deterministic and byte-stable.
-    ///
-    /// Kind mismatches (one side's counter is the other's gauge) keep
-    /// `self`'s value: a merge must never invent a third kind.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for (name, labels, value) in &other.entries {
-            let at = self
-                .entries
-                .binary_search_by(|(n, l, _)| n.cmp(name).then_with(|| l.cmp(labels)));
-            match at {
-                Err(insert_at) => {
-                    self.entries.insert(insert_at, (name.clone(), labels.clone(), value.clone()));
-                }
-                Ok(i) => match (&mut self.entries[i].2, value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = *b,
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                    _ => {}
-                },
+    /// Checks the series one writer owns before they are restored: every
+    /// entry whose name starts with `prefix` must be one of the writer's
+    /// `counters`, `gauges` or `histograms`, of that kind. The registry
+    /// panics when a key is looked up under a kind other than the one it
+    /// was registered as, so a frame that restored a writer's series
+    /// under another kind would panic that writer's next update.
+    pub fn check_kinds(
+        &self,
+        prefix: &str,
+        counters: &[&str],
+        gauges: &[&str],
+        histograms: &[&str],
+    ) -> Result<(), CodecError> {
+        for (name, _, value) in &self.entries {
+            if !name.starts_with(prefix) {
+                continue;
+            }
+            let written_as = match value {
+                MetricValue::Counter(_) => counters,
+                MetricValue::Gauge(_) => gauges,
+                MetricValue::Histogram(_) => histograms,
+            };
+            if !written_as.contains(&name.as_str()) {
+                return Err(CodecError::BadTag { what: "registry series kind", tag: value.tag() });
             }
         }
+        Ok(())
     }
 }
 
@@ -408,6 +412,9 @@ impl Snapshot for RegistrySnapshot {
             let name = r.str()?;
             let labels = Labels::decode(r)?;
             let value = MetricValue::decode(r)?;
+            if entries.last().is_some_and(|(n, l, _)| (n, l) >= (&name, &labels)) {
+                return Err(CodecError::Truncated { what: "registry keys out of order" });
+            }
             entries.push((name, labels, value));
         }
         Ok(RegistrySnapshot { entries })
@@ -635,45 +642,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_combines_per_shard_registries() {
-        let shard0 = MetricsRegistry::default();
-        shard0.counter("records", &Labels::empty()).add(10);
-        shard0.gauge("watermark", &Labels::empty()).set(3.0);
-        shard0.histogram("latency", &Labels::empty()).record(1.0);
-        shard0.counter("only0", &Labels::empty()).add(1);
-
-        let shard1 = MetricsRegistry::default();
-        shard1.counter("records", &Labels::empty()).add(5);
-        shard1.gauge("watermark", &Labels::empty()).set(4.0);
-        shard1.histogram("latency", &Labels::empty()).record(9.0);
-        shard1.counter("only1", &Labels::empty()).add(2);
-
-        let mut merged = shard0.snapshot();
-        merged.merge(&shard1.snapshot());
-
-        assert_eq!(
-            merged.get("records", &Labels::empty()),
-            Some(&MetricValue::Counter(15)),
-            "counters add"
-        );
-        assert_eq!(
-            merged.get("watermark", &Labels::empty()),
-            Some(&MetricValue::Gauge(4.0)),
-            "gauges take the merged-in value"
-        );
-        match merged.get("latency", &Labels::empty()) {
-            Some(MetricValue::Histogram(h)) => {
-                assert_eq!((h.count, h.min, h.max), (2, 1.0, 9.0), "histograms merge")
-            }
-            other => panic!("latency is a histogram, got {other:?}"),
+    fn decode_rejects_keys_out_of_order_or_twice() {
+        let entry = |name: &str, value| (name.to_string(), Labels::empty(), value);
+        let forged = |entries| encode_to_vec(&RegistrySnapshot { entries });
+        let out_of_order =
+            forged(vec![entry("b", MetricValue::Counter(1)), entry("a", MetricValue::Counter(1))]);
+        let twice =
+            forged(vec![entry("x", MetricValue::Counter(1)), entry("x", MetricValue::Gauge(1.0))]);
+        for bytes in [out_of_order, twice] {
+            assert!(matches!(
+                decode_from_slice::<RegistrySnapshot>(&bytes),
+                Err(CodecError::Truncated { what: "registry keys out of order" })
+            ));
         }
-        assert_eq!(merged.get("only0", &Labels::empty()), Some(&MetricValue::Counter(1)));
-        assert_eq!(merged.get("only1", &Labels::empty()), Some(&MetricValue::Counter(2)));
-
-        // merging keeps the (name, labels) sort, so the merged snapshot's
-        // bytes are identical to a registry that saw both shards' updates
-        let both = MetricsRegistry::default();
-        both.restore(&merged);
-        assert_eq!(both.snapshot(), merged);
     }
 }

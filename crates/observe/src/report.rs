@@ -1,5 +1,5 @@
-//! End-of-run report sink: renders the registry and profiler into a
-//! human-readable summary table.
+//! End-of-run report sink: renders the registry and the trace volume
+//! into a human-readable summary table.
 //!
 //! The rendering is deterministic (sorted metric order, fixed float
 //! formatting), so summaries can be diffed across runs the same way the
@@ -9,9 +9,6 @@ use crate::registry::MetricValue;
 use crate::Observer;
 use std::fmt::Write as _;
 
-/// Number of hottest profiler scopes shown in the summary.
-const TOP_SCOPES: usize = 12;
-
 fn fmt_f64(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{v:.0}")
@@ -20,8 +17,7 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Renders a summary over `obs`: one row per metric, then the hottest
-/// profiler scopes by total simulated time, then trace volume.
+/// Renders a summary over `obs`: one row per metric, then trace volume.
 pub fn render_summary(obs: &Observer) -> String {
     let mut out = String::new();
     out.push_str("== metrics ==\n");
@@ -59,27 +55,6 @@ pub fn render_summary(obs: &Observer) -> String {
         }
     }
 
-    let mut scopes = obs.profiler().scopes();
-    if !scopes.is_empty() {
-        out.push_str("== hottest scopes (by total simulated secs) ==\n");
-        scopes.sort_by(|a, b| {
-            b.total_secs
-                .partial_cmp(&a.total_secs)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.path.cmp(&b.path))
-        });
-        for s in scopes.iter().take(TOP_SCOPES) {
-            let _ = writeln!(
-                out,
-                "{:<48} total={}s self={}s calls={}",
-                s.folded_path(),
-                fmt_f64(s.total_secs),
-                fmt_f64(s.self_secs),
-                s.calls,
-            );
-        }
-    }
-
     let (len, dropped) = (obs.tracer().len(), obs.tracer().dropped());
     if len > 0 || dropped > 0 {
         let _ = writeln!(out, "== trace == {len} events retained, {dropped} dropped");
@@ -92,21 +67,19 @@ mod tests {
     use crate::{Labels, Observer};
 
     #[test]
-    fn summary_covers_all_three_substrates() {
+    fn summary_covers_registry_and_tracer() {
         let obs = Observer::new();
         obs.registry().counter("pages_fetched", &Labels::empty()).add(10);
         obs.registry()
             .gauge("harvest_rate", &Labels::new(&[("round", "1")]))
             .set(0.75);
         obs.registry().histogram("latency", &Labels::empty()).record(1.5);
-        obs.profiler().record(&["crawl", "fetch"], 2.0, 0);
         obs.tracer().event("round_start", 0.0, Labels::empty());
 
         let s = obs.summary();
         assert!(s.contains("pages_fetched = 10"));
         assert!(s.contains("harvest_rate{round=1} = 0.7500"));
         assert!(s.contains("latency : count=1"));
-        assert!(s.contains("crawl;fetch"));
         assert!(s.contains("1 events retained"));
     }
 

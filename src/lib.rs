@@ -30,8 +30,8 @@
 //!   rounds feeding delta flow passes into the serving store, with
 //!   per-round watermarks and deterministic kill-and-resume replay;
 //! - [`observe`] — the observability substrate: metrics registry,
-//!   logical-clock tracing with JSONL export, cost profiler with
-//!   folded-stack (flamegraph) output;
+//!   logical-clock tracing with JSONL export, and an end-of-run summary;
+//!   cost attribution is registry series, so it survives kill-and-resume;
 //! - [`stats`] — statistics used throughout (Mann-Whitney U,
 //!   Jensen-Shannon divergence, evaluation metrics, samplers);
 //! - [`analyze`] — the static-analysis diagnostics core (structured

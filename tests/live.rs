@@ -14,13 +14,15 @@
 use std::sync::Arc;
 
 use websift::corpus::{CorpusKind, Document, LexiconScale};
-use websift::crawler::{train_focus_classifier, CrawlConfig, ResilienceOptions};
+use websift::crawler::{
+    train_focus_classifier, CrawlConfig, CrawlSession, FocusedCrawler, ResilienceOptions,
+};
 use websift::flow::{
     AggState, Aggregate, ExecutionError, IeResources, LogicalPlan, Operator, Package, Record,
 };
 use websift::live::{IncrementalFlow, LiveError, LiveOptions, LiveSession, Watermark};
 use websift::ner::EntityType;
-use websift::observe::Observer;
+use websift::observe::{Labels, Observer};
 use websift::pipeline::{
     documents_from_pages, documents_to_records, live_extraction_flow, run_over_documents_into,
 };
@@ -277,6 +279,42 @@ fn watermark_with_an_edited_crawl_round_does_not_resume() {
             assert_eq!((claimed, sealed), (99, sealed_round));
         }
         other => panic!("edited crawl_round resumed or failed untyped: {other:?}"),
+    }
+}
+
+/// A crawl frame carries the whole shared registry, `live.*` series
+/// included. One holding `live.rounds` as a gauge is refused at resume,
+/// before the next round's `live.rounds` counter update could panic.
+#[test]
+fn watermark_holding_a_live_series_of_another_kind_does_not_resume() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let options = ResilienceOptions::default();
+    let mut session = start_session(&web, &plan, &options, 2);
+    let sealed = session.advance().expect("round advances").expect("round exists").watermark;
+
+    // the same crawl stepped to the same round, on an observer whose
+    // `live.rounds` is a gauge: a frame the crawler itself sealed
+    let observer = Arc::new(Observer::new());
+    observer.registry().gauge("live.rounds", &Labels::empty()).set(1.0);
+    let crawler = FocusedCrawler::new(&web, train_focus_classifier(60, 2.0, 4), crawl_config())
+        .with_observer(observer);
+    let mut crawl = CrawlSession::start(crawler, seeds_for(&web), &options);
+    crawl.step_round();
+    let mut parts = sealed.parts();
+    parts.crawl_frame = crawl.checkpoint().as_bytes().to_vec();
+    let resumed = LiveSession::resume_from(
+        &web,
+        crawl_config(),
+        &options,
+        &plan,
+        LiveOptions::default(),
+        Arc::new(Observer::new()),
+        &Watermark::seal(&parts),
+    );
+    match resumed.err() {
+        Some(LiveError::Codec(CodecError::BadTag { what: "registry series kind", tag: 1 })) => {}
+        other => panic!("a live series of another kind resumed or failed untyped: {other:?}"),
     }
 }
 

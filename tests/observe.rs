@@ -88,7 +88,8 @@ fn same_seed_flows_observe_identically() {
     assert!(ha.count > 0, "histogram observations recorded");
     assert_eq!(encode_to_vec(&ha), encode_to_vec(&hb), "merged histograms diverged");
 
-    // the profiler's folded-stack export is part of the deterministic surface
-    assert_eq!(a.profiler().folded(), b.profiler().folded());
+    // the summary renders every registry series, the start-up and work
+    // charges behind Fig 8 included
+    assert!(a.summary().contains("flow.op_startup_secs{"));
     assert_eq!(a.summary(), b.summary());
 }
