@@ -6,6 +6,7 @@
 //! cost-model constants. The registry rides in every checkpoint frame,
 //! so a resumed flow reports the same split as one that never stopped.
 
+use crate::profile::{charges, folded};
 use crate::report::ExperimentResult;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -55,52 +56,9 @@ pub fn cost_decomposition(ctx: &ExperimentContext, docs: usize) -> ProfileRun {
     }
 }
 
-/// The executor's cost charges in `snap`, in simulated seconds, keyed by
-/// flamegraph path: `flow;op:<op>;startup` and `flow;op:<op>;work` from
-/// the per-node gauges, `flow;sink:<sink>` from the sink gauges. Nodes
-/// sharing an operator name add up in node-id order, the order the
-/// executor charged them.
-fn charges(snap: &RegistrySnapshot) -> BTreeMap<Vec<String>, f64> {
-    let mut by_node: Vec<(usize, Vec<String>, f64)> = Vec::new();
-    for (name, labels, value) in &snap.entries {
-        let MetricValue::Gauge(secs) = *value else { continue };
-        let label = |key| labels.get(key).unwrap_or_default();
-        let path = match name.as_str() {
-            "flow.op_startup_secs" => vec![format!("op:{}", label("op")), "startup".into()],
-            "flow.op_work_secs" => vec![format!("op:{}", label("op")), "work".into()],
-            "flow.sink_secs" => vec![format!("sink:{}", label("sink"))],
-            _ => continue,
-        };
-        // a sink has no node label: it sorts after every node
-        let node = label("node").parse().unwrap_or(usize::MAX);
-        by_node.push((node, [vec!["flow".to_string()], path].concat(), secs));
-    }
-    by_node.sort_by_key(|(node, _, _)| *node);
-    let mut out = BTreeMap::new();
-    for (_, path, secs) in by_node {
-        *out.entry(path).or_insert(0.0) += secs;
-    }
-    out
-}
-
-/// Folded-stack (flamegraph collapsed) export of [`charges`]: one
-/// `path;to;scope <microseconds>` line per path, in component-wise path
-/// order, values rounded to whole simulated microseconds and zero lines
-/// omitted.
-fn folded(snap: &RegistrySnapshot) -> String {
-    let mut out = String::new();
-    for (path, secs) in charges(snap) {
-        let usecs = (secs * 1e6).round() as u64;
-        if usecs > 0 {
-            out.push_str(&format!("{} {usecs}\n", path.join(";")));
-        }
-    }
-    out
-}
-
 /// The Fig. 8 table: each operator's start-up and work seconds, from
 /// [`charges`], over a run of `docs` documents and `n_records` records.
-fn split_table(snap: &RegistrySnapshot, docs: usize, n_records: f64) -> ExperimentResult {
+pub fn split_table(snap: &RegistrySnapshot, docs: usize, n_records: f64) -> ExperimentResult {
     let mut by_op: BTreeMap<String, OpCost> = BTreeMap::new();
     for (path, secs) in charges(snap) {
         let [_, op, kind] = path.as_slice() else { continue };
@@ -166,7 +124,6 @@ fn split_table(snap: &RegistrySnapshot, docs: usize, n_records: f64) -> Experime
 mod tests {
     use super::*;
     use websift_flow::FlowResilience;
-    use websift_observe::Labels;
 
     #[test]
     fn decomposition_finds_startup_dominated_dictionaries() {
@@ -184,46 +141,6 @@ mod tests {
             count.parse::<u64>().expect("folded counts are integers");
         }
         assert!(run.summary.contains("== metrics =="));
-    }
-
-    /// A gauge's name, labels and value.
-    type Gauge<'a> = (&'a str, &'a [(&'a str, &'a str)], f64);
-
-    fn snapshot_of(gauges: &[Gauge<'_>]) -> RegistrySnapshot {
-        let reg = websift_observe::MetricsRegistry::default();
-        for &(name, labels, secs) in gauges {
-            reg.gauge(name, &Labels::new(labels)).set(secs);
-        }
-        reg.snapshot()
-    }
-
-    #[test]
-    fn folded_output_is_sorted_and_parseable() {
-        let (a, b, c) = (0.1, 0.2, 0.3);
-        let snap = snapshot_of(&[
-            ("flow.op_work_secs", &[("node", "2"), ("op", "z")], 0.25),
-            ("flow.op_work_secs", &[("node", "10"), ("op", "a-b")], 1.5),
-            ("flow.op_work_secs", &[("node", "11"), ("op", "a")], c),
-            ("flow.op_work_secs", &[("node", "9"), ("op", "a")], b),
-            ("flow.op_work_secs", &[("node", "1"), ("op", "a")], a),
-            ("flow.op_startup_secs", &[("node", "1"), ("op", "a")], 4.0),
-            ("flow.op_startup_secs", &[("node", "2"), ("op", "z")], 0.0), // zero → omitted
-            ("flow.sink_secs", &[("sink", "out")], 2e-6),
-            ("flow.simulated_secs", &[], 9.0), // not a cost charge
-        ]);
-        // component-wise path order: `op:a` before `op:a-b`, though
-        // "a;" sorts after "a-" as a string
-        let want = "flow;op:a;startup 4000000\n\
-                    flow;op:a;work 600000\n\
-                    flow;op:a-b;work 1500000\n\
-                    flow;op:z;work 250000\n\
-                    flow;sink:out 2\n";
-        assert_eq!(folded(&snap), want);
-        // nodes sharing an operator name add up in node-id order
-        let work = ["flow", "op:a", "work"].map(String::from).to_vec();
-        assert_eq!(charges(&snap)[&work].to_bits(), ((0.0 + a) + b + c).to_bits());
-        let table = split_table(&snap, 1, 2.0);
-        assert_eq!(table.rows[0][..3], ["a".to_string(), "4.0".into(), "0.6".into()]);
     }
 
     /// A flow killed mid-plan and resumed from its last frame reports the

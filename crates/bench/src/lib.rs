@@ -3,6 +3,7 @@
 //! paper table/figure).
 
 pub mod experiments;
+mod profile;
 pub mod report;
 
 pub use report::{fmt_table, ExperimentResult};
