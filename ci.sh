@@ -115,6 +115,14 @@ echo "crawl: any worker pool == one worker holds ok"
 PROPTEST_CASES=64 cargo test -q -p websift-flow --lib differential
 echo "packed spans == plain arrays, scanners == their patterns holds ok"
 
+# count_by's key writer: the bytes `format!("{v:?}")` wrote, for every
+# `Value` variant, a missing field, and the strings its unescaped fast
+# path must refuse — quotes, backslashes, control chars, DEL, non-ASCII,
+# combining marks — alone, between letters and in random concatenations.
+# Cases pinned as above.
+PROPTEST_CASES=64 cargo test -q -p websift-flow --lib differential_count_by_key
+echo "count_by key writer == Debug format holds ok"
+
 # Fusion + combining throughput smoke: the fused executor must not
 # regress wall-clock records/sec against its own unfused mode, and
 # combining must never lose to uncombined — including at DoP 1, where no

@@ -248,8 +248,10 @@ pub fn shuffle_at(docs: usize, shards: &[usize]) -> ShuffleReport {
          stage(s) stayed on the local runner; start-up is a run over one document per chunk; \
          worker binary: {}",
         if digests_identical { "matches" } else { "DIVERGES FROM" },
-        match &worker_bin {
-            Some(p) => p.display().to_string(),
+        // the file name only: the directory is the checkout's, and the
+        // note is otherwise the same in every checkout
+        match worker_bin.as_deref().and_then(std::path::Path::file_name) {
+            Some(name) => name.to_string_lossy().into_owned(),
             None => "not found, process-mode cells skipped".to_string(),
         }
     ));

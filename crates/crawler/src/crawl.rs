@@ -939,7 +939,7 @@ impl<'w> CrawlSession<'w> {
         }
         let [counters, gauges, histograms] = CRAWL_SERIES;
         registry.check_kinds("crawl.", counters, gauges, histograms)?;
-        observer.registry().restore(&registry);
+        observer.registry().restore(&registry)?;
 
         Ok(CrawlSession {
             drained_relevant: report.relevant.len(),
@@ -1730,6 +1730,30 @@ mod tests {
             resume_untrusted(&web, &with_registry(&session, entries), &opts).err(),
             Some(CodecError::BadTag { what: "registry series kind", tag: 1 })
         );
+    }
+
+    /// A frame's series outside `crawl.*` are not checked against the
+    /// crawler's list, but resumed onto an observer that holds one of
+    /// them under another kind, the frame is refused instead of
+    /// panicking the resume, and the observer keeps what it held.
+    #[test]
+    fn resume_rejects_a_series_the_observer_holds_under_another_kind() {
+        let (web, _) = setup();
+        let (session, opts) = hostile_target(&web);
+        let mut entries = session.crawler.observer.registry().snapshot().entries;
+        entries.push(("x".to_string(), Labels::empty(), MetricValue::Gauge(2.5)));
+        entries.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+        let frame = with_registry(&session, entries);
+        let observer = Arc::new(Observer::new());
+        observer.registry().counter("x", &Labels::empty()).add(7);
+        let resumed =
+            CrawlSession::resume(&web, &frame, hostile_config(), &opts, None, observer.clone());
+        assert_eq!(
+            resumed.err(),
+            Some(CodecError::BadTag { what: "registry series kind", tag: 1 })
+        );
+        assert_eq!(observer.registry().counter("x", &Labels::empty()).value(), 7);
+        assert!(resume_untrusted(&web, &frame, &opts).is_ok(), "a fresh observer takes it");
     }
 
     #[test]

@@ -934,7 +934,8 @@ write $pages 'out';";
     #[test]
     fn live_mode_rejects_non_terminal_reduces() {
         let tally = || {
-            let key = |r: &Record| format!("{:?}", r.get("corpus"));
+            let key =
+                |r: &Record, k: &mut String| k.push_str(&format!("{:?}", r.get("corpus")));
             Operator::reduce_agg("tally", Package::Base, key, Aggregate::Count { into: "n".into() })
         };
         // a reduce feeding its sink directly is clean even in live mode
@@ -1037,7 +1038,7 @@ write $pages 'out';";
         let a = plan.add(src, fat("fat-a")).unwrap();
         let count = Aggregate::Count { into: "n".into() };
         let red = plan
-            .add(a, Operator::reduce_agg("split", Package::Base, |_| String::new(), count))
+            .add(a, Operator::reduce_agg("split", Package::Base, |_, _| {}, count))
             .unwrap();
         let b = plan.add(red, fat("fat-b")).unwrap();
         plan.sink(b, "out").unwrap();

@@ -1269,9 +1269,10 @@ struct StageObs {
 
 /// Merges chunk results in chunk order: pipeline stages preserve record
 /// order, so concatenation reproduces the record order an unfused run
-/// would have seen — including the per-key cost lists the reduce-work
+/// would have seen — including the per-key cost runs the reduce-work
 /// replay depends on. Chunk costs are raw; each is multiplied by
-/// `work_scale` right before it is added, as the replay does.
+/// `work_scale` right before it is added, as the replay does, and a run
+/// `(cost, n)` is that addition made `n` times.
 fn merge(
     st: &StageCtx<'_>,
     fold: Option<&Operator>,
@@ -1284,7 +1285,7 @@ fn merge(
         OpFunc::Reduce { aggregate, .. } => aggregate,
         _ => unreachable!("combined stage ends in a reduce"),
     });
-    let mut merged: BTreeMap<String, (AggState, Vec<f64>)> = BTreeMap::new();
+    let mut merged: BTreeMap<String, (AggState, Vec<(f64, u64)>)> = BTreeMap::new();
     for r in chunk_outs {
         for (total, t) in seen.stats.iter_mut().zip(r.stages) {
             total.records_in += t.records_in;
@@ -1294,14 +1295,14 @@ fn merge(
         }
         if let (Some((entries, shuffled)), Some(agg)) = (r.partial, agg) {
             physical.shuffle_bytes += shuffled;
-            for (k, state, costs) in entries {
+            for (k, state, runs) in entries {
                 match merged.entry(k) {
                     Entry::Occupied(mut e) => {
                         agg.merge(&mut e.get_mut().0, state);
-                        e.get_mut().1.extend(costs);
+                        e.get_mut().1.extend(runs);
                     }
                     Entry::Vacant(v) => {
-                        v.insert((state, costs));
+                        v.insert((state, runs));
                     }
                 }
             }
@@ -1318,9 +1319,12 @@ fn merge(
         // left-to-right f64 sum over (sorted key, record arrival) order,
         // bit-identical to the uncombined path.
         let mut work_secs = 0.0f64;
-        for (k, (state, costs)) in merged {
-            for c in costs {
-                work_secs += work_scale * c;
+        for (k, (state, runs)) in merged {
+            for (cost, n) in runs {
+                let scaled = work_scale * cost;
+                for _ in 0..n {
+                    work_secs += scaled;
+                }
             }
             seen.output.extend(agg.finish(&k, state));
         }
@@ -1383,7 +1387,7 @@ fn restore(
     if !fits {
         return Err(mismatch());
     }
-    obs.registry().restore(&registry);
+    obs.registry().restore(&registry).map_err(ExecutionError::BadCheckpoint)?;
     Ok(state)
 }
 
@@ -1659,7 +1663,7 @@ mod tests {
                 Operator::reduce_agg(
                     "count",
                     Package::Base,
-                    |r| (r.get("id").unwrap().as_int().unwrap() % 3).to_string(),
+                    |r, k| k.push_str(&(r.get("id").unwrap().as_int().unwrap() % 3).to_string()),
                     Aggregate::Count { into: "n".into() },
                 ),
             )

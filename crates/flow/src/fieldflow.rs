@@ -343,7 +343,7 @@ mod tests {
                 Operator::reduce_agg(
                     "tally",
                     Package::Base,
-                    |r: &Record| format!("{:?}", r.get("corpus")),
+                    |r: &Record, k: &mut String| k.push_str(&format!("{:?}", r.get("corpus"))),
                     Aggregate::Count { into: "count".into() },
                 ),
             )

@@ -85,8 +85,12 @@ impl CostModel {
     }
 }
 
-/// A reduce operator's grouping-key function.
-pub type KeyFn = Arc<dyn Fn(&Record) -> String + Send + Sync>;
+/// A reduce operator's grouping-key function: writes the key of a record
+/// into a buffer the caller has cleared. Callers reuse one buffer across
+/// records and allocate an owned key only for a key they have not seen,
+/// so a key function that writes without allocating keys a record
+/// without an allocation.
+pub type KeyFn = Arc<dyn Fn(&Record, &mut String) + Send + Sync>;
 
 /// A total order over [`Value`]s, used by `Min`/`Max`/`TopK` aggregates.
 /// Values of different types order by type tag (Null < Bool < Int < Float
@@ -522,12 +526,13 @@ impl Operator {
         }
     }
 
-    /// A reduce: records grouped by `key`, each group folded by a typed
-    /// aggregate — eligible for partial aggregation inside fused stages.
+    /// A reduce: records grouped by `key` (a [`KeyFn`] body), each group
+    /// folded by a typed aggregate — eligible for partial aggregation
+    /// inside fused stages.
     pub fn reduce_agg(
         name: &str,
         package: Package,
-        key: impl Fn(&Record) -> String + Send + Sync + 'static,
+        key: impl Fn(&Record, &mut String) + Send + Sync + 'static,
         aggregate: Aggregate,
     ) -> Operator {
         Operator {
@@ -636,8 +641,16 @@ impl Operator {
             OpFunc::Reduce { key, aggregate } => {
                 use std::collections::BTreeMap;
                 let mut groups: BTreeMap<String, Vec<Record>> = BTreeMap::new();
+                let mut k = String::new();
                 for r in input {
-                    groups.entry(key(&r)).or_default().push(r);
+                    k.clear();
+                    key(&r, &mut k);
+                    match groups.get_mut(k.as_str()) {
+                        Some(group) => group.push(r),
+                        None => {
+                            groups.insert(k.clone(), vec![r]);
+                        }
+                    }
                 }
                 groups
                     .into_iter()
@@ -691,7 +704,7 @@ mod tests {
         let op = Operator::reduce_agg(
             "count-by-parity",
             Package::Base,
-            |r| (r.get("id").unwrap().as_int().unwrap() % 2).to_string(),
+            |r, k| k.push_str(&(r.get("id").unwrap().as_int().unwrap() % 2).to_string()),
             Aggregate::Count { into: "count".into() },
         );
         let out = op.apply(vec![rec(1), rec(2), rec(3), rec(4), rec(5)]);
@@ -889,7 +902,7 @@ mod tests {
         let typed = Operator::reduce_agg(
             "count",
             Package::Base,
-            key,
+            move |r, k| k.push_str(&key(r)),
             Aggregate::Count { into: "count".into() },
         );
         // the same reduction spelled out by hand: group, then count

@@ -346,7 +346,7 @@ mod tests {
         let c = plan.add(b, Operator::map("m2", Package::Base, |r| r)).unwrap();
         let count = crate::operator::Aggregate::Count { into: "n".into() };
         let red =
-            plan.add(c, Operator::reduce_agg("r", Package::Base, |_| String::new(), count)).unwrap();
+            plan.add(c, Operator::reduce_agg("r", Package::Base, |_, _| {}, count)).unwrap();
         let d = plan.add(red, Operator::map("m3", Package::Base, |r| r)).unwrap();
         plan.sink(d, "out").unwrap();
         assert_eq!(fusable_chain_len(&plan, a), 3, "map-filter-map fuses");
@@ -366,7 +366,7 @@ mod tests {
             let a = plan.add(src, expensive_map()).unwrap();
             let b = plan.add(a, cheap_filter("f", "text")).unwrap();
             let count = Aggregate::Count { into: "n".into() };
-            let red = Operator::reduce_agg("r", Package::Base, |_| String::new(), count);
+            let red = Operator::reduce_agg("r", Package::Base, |_, _| {}, count);
             let red = plan.add(b, red).unwrap();
             plan.sink(if consumed { red } else { b }, "out").unwrap();
             (plan, a, red)

@@ -2,7 +2,8 @@
 
 use crate::operator::{Aggregate, CostModel, Operator, Package};
 use crate::packages::OperatorRegistry;
-use crate::record::Record;
+use crate::record::{Record, Value};
+use std::fmt::Write;
 use websift_resilience::Snapshot;
 
 /// Maximum text length admitted by `base.filter_length` (the Fig.-2 flow
@@ -59,22 +60,41 @@ pub fn identity() -> Operator {
 
 /// `base.count_by` — reduce counting records per value of `field`. Uses
 /// the typed [`Aggregate::Count`], so the executor can pre-aggregate it
-/// inside fused stages.
+/// inside fused stages. The key is the value's `Debug` form, `<missing>`
+/// when the record lacks the field (see [`write_key`]).
 pub fn count_by(field: &str) -> Operator {
     let field = field.to_string();
     let key_field = field.clone();
     let mut op = Operator::reduce_agg(
         "base.count_by",
         Package::Base,
-        move |r: &Record| {
-            r.get(&key_field)
-                .map(|v| format!("{v:?}"))
-                .unwrap_or_else(|| "<missing>".to_string())
-        },
+        move |r: &Record, k: &mut String| write_key(r.get(&key_field), k),
         Aggregate::Count { into: "count".to_string() },
     );
     op.reads = vec![field.clone()];
     op.shipped_as("base.count_by", |w| w.str(&field))
+}
+
+/// Writes `count_by`'s key for `value` into `k`: exactly the bytes of
+/// `format!("{value:?}")`, or `<missing>`. It runs once per counted
+/// record, so the common key — a string of printable ASCII without `"` or
+/// `\`, which `Debug` writes unescaped — is spelled out here without a
+/// formatter; everything else goes through `Debug`.
+fn write_key(value: Option<&Value>, k: &mut String) {
+    // lint:hot_loop(begin): count_by key writer
+    let unescaped = |b: &u8| matches!(b, b' '..=b'~') && !matches!(b, b'"' | b'\\');
+    match value {
+        Some(Value::Str(s)) if s.as_bytes().iter().all(unescaped) => {
+            k.push_str("Str(\"");
+            k.push_str(s);
+            k.push_str("\")");
+        }
+        Some(v) => {
+            let _ = write!(k, "{v:?}");
+        }
+        None => k.push_str("<missing>"),
+    }
+    // lint:hot_loop(end)
 }
 
 /// Registers the BASE operators under their default parameters.
@@ -88,7 +108,9 @@ pub fn register(reg: &mut OperatorRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Value;
+    use crate::record::{intern, Span};
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn doc(text: &str) -> Record {
         let mut r = Record::new();
@@ -132,6 +154,78 @@ mod tests {
         assert_eq!(out.len(), 2);
         let total: i64 = out.iter().map(|r| r.get("count").unwrap().as_int().unwrap()).sum();
         assert_eq!(total, 3);
-        let _ = Value::Null;
+    }
+
+    /// `write_key` against the `format!` it replaced, for one value.
+    fn assert_key_is_debug(value: Option<&Value>) {
+        let mut k = String::from("stale");
+        k.clear();
+        write_key(value, &mut k);
+        let want = value.map_or_else(|| "<missing>".to_string(), |v| format!("{v:?}"));
+        assert_eq!(k, want, "key of {value:?}");
+    }
+
+    /// Strings the fast path must take or refuse: quotes, backslashes,
+    /// control chars, DEL, non-ASCII, combining marks, the empty string.
+    const PIECES: &[&str] = &[
+        "", "a", "Z", "0", " ", "~", "'", "\"", "\\", "\0", "\t", "\n", "\r", "\x07", "\x1b",
+        "\x7f", "\u{80}", "\u{a0}", "é", "e\u{301}", "\u{301}", "\u{200d}", "\u{feff}", "ß",
+        "中", "\u{1F600}", "\u{10ffff}", "{", "}", "Str(", ")",
+    ];
+
+    /// Every `Value` variant, a missing field, and every string of one
+    /// char below U+0100 or one piece, alone and between two letters.
+    #[test]
+    fn differential_count_by_key_is_the_debug_format_of_every_value() {
+        let pairs = [(intern("k"), Value::from("v\"")), (intern("n"), Value::Int(-3))];
+        let object: crate::record::FieldMap = pairs.into_iter().collect();
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(0),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.5e300),
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Array(Vec::new()),
+            Value::Array(vec![Value::from("x"), Value::Int(1)]),
+            Value::Spans(Arc::from([Span { start: 0, end: 4 }])),
+            Value::Object(object),
+        ];
+        assert_key_is_debug(None);
+        for v in &values {
+            assert_key_is_debug(Some(v));
+        }
+        let chars = (0u32..0x100).filter_map(char::from_u32).map(String::from);
+        for s in chars.chain(PIECES.iter().map(|p| p.to_string())) {
+            assert_key_is_debug(Some(&Value::from(s.as_str())));
+            assert_key_is_debug(Some(&Value::from(format!("a{s}b"))));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn differential_count_by_key_is_the_debug_format_of_random_strings(
+            picks in prop::collection::vec(0usize..PIECES.len(), 0..12),
+        ) {
+            let s: String = picks.iter().map(|&i| PIECES[i]).collect();
+            assert_key_is_debug(Some(&Value::from(s)));
+        }
+    }
+
+    /// Through the operator: the key a record is counted under.
+    #[test]
+    fn count_by_keys_are_debug_strings() {
+        let mut quoted = doc("q");
+        quoted.set("corpus", "say \"hi\"");
+        let mut missing = doc("m");
+        missing.remove("corpus");
+        let out = count_by("corpus").apply(vec![doc("a"), quoted, missing]);
+        let keys: Vec<&str> = out.iter().filter_map(|r| r.get("key")?.as_str()).collect();
+        assert_eq!(keys, ["<missing>", r#"Str("say \"hi\"")"#, r#"Str("x")"#]);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::operator::{CostModel, Operator, Package};
 use crate::packages::{IeResources, OperatorRegistry};
-use crate::record::{span_annotation, Record, Span, Value};
+use crate::record::{span_annotation, FieldMap, Record, Span, Value};
 use std::sync::Arc;
 use websift_analyze::lattice::FieldType;
 use websift_ner::{EntityType, Mention};
@@ -409,22 +409,35 @@ fn ship_with_resources(
 
 /// FlatMap exploding a tokenized document into one record per token,
 /// carrying the lower-cased token text in `token` — the feed of a
-/// `base.count_by("token")` frequency reduce.
+/// `base.count_by("token")` frequency reduce. An ASCII token is
+/// lower-cased in one buffer reused across the document, so its `Arc<str>`
+/// is the token's only allocation besides its record's one-field map.
 pub fn explode_tokens() -> Operator {
     Operator::flat_map("core.explode_tokens", Package::Base, |r| {
         let Some(text) = r.text() else { return Vec::new() };
         let Some(tokens) = r.get("tokens").and_then(Value::spans) else { return Vec::new() };
         let mut out = Vec::with_capacity(tokens.size_hint().1.unwrap_or(0));
+        let mut lower = String::new();
+        // lint:hot_loop(begin): per-token explode loop
         for span in tokens {
             // a negative offset is a huge `usize`: out of range like any other
             let Some(token) = text.get(span.start as usize..span.end as usize) else { continue };
             if token.is_empty() {
                 continue;
             }
-            let mut rec = Record::new();
-            rec.set("token", token.to_lowercase());
+            let token: Arc<str> = if token.is_ascii() {
+                lower.clear();
+                lower.push_str(token);
+                lower.make_ascii_lowercase();
+                Arc::from(lower.as_str())
+            } else {
+                token.to_lowercase().into()
+            };
+            let mut rec = Record(FieldMap::with_capacity(1));
+            rec.set("token", token);
             out.push(rec);
         }
+        // lint:hot_loop(end)
         out
     })
     .with_reads(&["text", "tokens"])

@@ -15,8 +15,9 @@ fn int(r: &Record, field: &str) -> i64 {
 }
 
 /// The key every reduce under test groups by.
-pub fn group_key(r: &Record) -> String {
-    format!("g{}", int(r, "id") % 3)
+pub fn group_key(r: &Record, k: &mut String) {
+    use std::fmt::Write;
+    let _ = write!(k, "g{}", int(r, "id") % 3);
 }
 
 pub fn stamp() -> Operator {

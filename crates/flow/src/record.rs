@@ -578,11 +578,18 @@ static COMMON_KEYS: &[&str] = &[
 /// names, freshly allocated otherwise. The annotation operators build
 /// millions of small objects per run, and this is what keeps their key
 /// strings from being individually heap-allocated and freed.
+///
+/// Each thread keeps its own pool, so chunk threads building records side
+/// by side never bump one shared refcount per record (one `token` key per
+/// exploded token would be a cache line every worker writes). A handle
+/// may be dropped on another thread than the one that made it: it is an
+/// `Arc` like any other.
 pub fn intern(key: &str) -> Arc<str> {
-    static POOL: std::sync::OnceLock<Vec<Arc<str>>> = std::sync::OnceLock::new();
-    let pool = POOL.get_or_init(|| COMMON_KEYS.iter().map(|&k| Arc::from(k)).collect());
+    thread_local! {
+        static POOL: Vec<Arc<str>> = COMMON_KEYS.iter().map(|&k| Arc::from(k)).collect();
+    }
     match COMMON_KEYS.binary_search(&key) {
-        Ok(i) => pool[i].clone(),
+        Ok(i) => POOL.with(|pool| pool[i].clone()),
         Err(_) => Arc::from(key),
     }
 }

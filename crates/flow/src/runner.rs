@@ -61,9 +61,17 @@ pub fn group_by_key(
     physical.shuffle_bytes += wire.len() as u64;
     let mut rd = Reader::new(&wire);
     let mut groups: HashMap<String, Vec<Record>> = HashMap::new();
+    let mut k = String::new();
     for _ in 0..n {
         let r = Record::decode(&mut rd).expect("shuffled records round-trip");
-        groups.entry(key(&r)).or_default().push(r);
+        k.clear();
+        key(&r, &mut k);
+        match groups.get_mut(k.as_str()) {
+            Some(group) => group.push(r),
+            None => {
+                groups.insert(k.clone(), vec![r]);
+            }
+        }
     }
     // sorted, so hash iteration order never leaves this function
     let mut grouped: Vec<(String, Vec<Record>)> = groups.into_iter().collect();

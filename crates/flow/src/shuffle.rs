@@ -48,7 +48,7 @@
 //! results.
 
 use crate::executor::PhysicalStats;
-use crate::operator::{AggState, Kind, OpFunc, Operator};
+use crate::operator::{AggState, Aggregate, Kind, KeyFn, OpFunc, Operator};
 use crate::packages::wire::{decode_operator, encode_operator, WireError};
 use crate::record::Record;
 use crate::runner::StageRunner;
@@ -171,10 +171,16 @@ impl Snapshot for ChunkStats {
     }
 }
 
-/// Sorted `(key, partial state, per-key record costs)` triples plus the
-/// chunk's emulated shuffle bytes, for stages ending in a combined
-/// Reduce.
-pub type ChunkPartials = (Vec<(String, AggState, Vec<f64>)>, u64);
+/// Sorted `(key, partial state, cost runs)` triples plus the chunk's
+/// emulated shuffle bytes, for stages ending in a combined Reduce. A
+/// key's cost runs are the simulated costs of its records in arrival
+/// order, run-length coded: `(cost, n)` stands for `n` records in a row
+/// whose cost has exactly those bits. The merge replays a run as `n`
+/// additions, so the simulated clock sums what the records' own list
+/// would have summed; a key whose records all cost the same — every
+/// token of the token-frequency flow — is one run a chunk, 16 bytes on
+/// the wire instead of 8 a record.
+pub type ChunkPartials = (Vec<(String, AggState, Vec<(f64, u64)>)>, u64);
 
 /// Everything one chunk's pass produces — the unit merged (in chunk
 /// order) by the executor, whether the chunk ran on a local thread or a
@@ -199,10 +205,10 @@ impl Snapshot for ChunkOut {
             Some((entries, shuffled)) => {
                 w.bool(true);
                 w.usize(entries.len());
-                for (k, st, costs) in entries {
+                for (k, st, runs) in entries {
                     w.str(k);
                     st.encode(w);
-                    costs.encode(w);
+                    runs.encode(w);
                 }
                 w.u64(*shuffled);
             }
@@ -216,7 +222,8 @@ impl Snapshot for ChunkOut {
         let bytes_out = r.u64()?;
         let partial = if r.bool()? {
             let n = r.usize()?;
-            let mut entries = Vec::with_capacity(n);
+            let mut entries =
+                Vec::with_capacity(presize::<(String, AggState, Vec<(f64, u64)>)>(n, r));
             for _ in 0..n {
                 entries.push((r.str()?, AggState::decode(r)?, Snapshot::decode(r)?));
             }
@@ -228,15 +235,31 @@ impl Snapshot for ChunkOut {
     }
 }
 
-/// The per-chunk fused-stage pass both [`StageRunner`]s run — local
-/// threads and worker shards execute *the same code*, so byte-identity
-/// across placements holds by construction, not by parallel maintenance
-/// of two loops.
+/// Appends one record's cost to its key's cost runs: a cost with the bits
+/// of the last run extends it.
+fn push_cost(runs: &mut Vec<(f64, u64)>, cost: f64) {
+    match runs.last_mut() {
+        Some((last, n)) if last.to_bits() == cost.to_bits() => *n += 1,
+        _ => runs.push((cost, 1)),
+    }
+}
+
+/// The per-chunk pass both [`StageRunner`]s run — local threads and
+/// worker shards execute *the same code*, so byte-identity across
+/// placements holds by construction, not by parallel maintenance of two
+/// loops.
+///
+/// Each chain constituent but the last runs over the whole chunk in
+/// turn, its output collected for the next. When the stage folds, the
+/// last constituent's output is never collected: each input record's
+/// outputs go straight into the fold (and, at a tapped boundary, on into
+/// the tap) before the next input record is read.
 pub struct StageKernel<'a> {
-    /// Chain constituents, each run over the whole chunk in turn.
+    /// Chain constituents, in order.
     pub ops: &'a [&'a Operator],
-    /// Trailing Reduce folded after the chain, when the whole stage
-    /// survived the schedule. Reports as stage `ops.len()`.
+    /// Trailing Reduce folded as the chain produces its records, when the
+    /// whole stage survived the schedule; a stage with no chain folds its
+    /// input. Reports as stage `ops.len()`.
     pub fold: Option<&'a Operator>,
     /// Interior boundaries to tap, as in-chain stage indices.
     pub tapped: &'a [usize],
@@ -247,8 +270,11 @@ impl StageKernel<'_> {
     /// one tally per constituent and one for the fold, one tap per tapped
     /// boundary, and a partial map exactly when the stage folds, holding
     /// only states the fold's aggregate
-    /// [admits](crate::operator::Aggregate::admits). A result that passes
-    /// can neither lose records in the parent's merge nor panic it.
+    /// [admits](crate::operator::Aggregate::admits) and cost runs that
+    /// count, between them, the records the fold's tally says it folded.
+    /// A result that passes can neither lose records in the parent's
+    /// merge nor panic it, and its runs replay no record the worker did
+    /// not report.
     fn check_result(&self, out: &ChunkOut) -> Result<(), String> {
         let tallies = self.ops.len() + usize::from(self.fold.is_some());
         if out.stages.len() != tallies {
@@ -262,118 +288,221 @@ impl StageKernel<'_> {
             OpFunc::Reduce { aggregate, .. } => aggregate,
             _ => unreachable!("the folded operator is a reduce"),
         });
-        match (aggregate, &out.partial) {
-            (None, None) => Ok(()),
-            (None, Some(_)) => Err("a partial map from a stage that does not fold".to_string()),
-            (Some(_), None) => Err("no partial map from a stage that folds".to_string()),
-            (Some(agg), Some((entries, _))) => match entries.iter().find(|e| !agg.admits(&e.1)) {
-                Some((key, state, _)) => {
-                    Err(format!("partial state {state:?} for key '{key}' does not fit the fold"))
-                }
-                None => Ok(()),
-            },
+        let (agg, entries) = match (aggregate, &out.partial) {
+            (None, None) => return Ok(()),
+            (None, Some(_)) => return Err("a partial map from a stage that does not fold".into()),
+            (Some(_), None) => return Err("no partial map from a stage that folds".into()),
+            (Some(agg), Some((entries, _))) => (agg, entries),
+        };
+        if let Some((key, state, _)) = entries.iter().find(|e| !agg.admits(&e.1)) {
+            return Err(format!("partial state {state:?} for key '{key}' does not fit the fold"));
+        }
+        let folded = out.stages[tallies - 1].records_in;
+        let counted = entries
+            .iter()
+            .flat_map(|e| &e.2)
+            .try_fold(0u64, |sum, &(_, n)| if n == 0 { None } else { sum.checked_add(n) });
+        match counted {
+            Some(n) if n == folded => Ok(()),
+            _ => Err(format!("cost runs that do not count the {folded} folded records")),
         }
     }
 
     /// Runs one chunk through the whole stage. `stage_at` tracks the
-    /// stage index currently executing so a panic can be attributed.
+    /// stage index currently executing so a panic can be attributed: a
+    /// panic in the fold's key function or aggregate is the Reduce's.
     pub fn run_chunk(&self, records: Vec<Record>, stage_at: &Cell<usize>) -> ChunkOut {
-        let mut stages: Vec<ChunkStats> =
-            (0..self.ops.len()).map(|_| ChunkStats::default()).collect();
+        let n_ops = self.ops.len();
+        let mut stages: Vec<ChunkStats> = (0..n_ops).map(|_| ChunkStats::default()).collect();
         let mut taps: Vec<Vec<Record>> = vec![Vec::new(); self.tapped.len()];
+        let mut fold = self.fold.map(Fold::new);
         let mut cur = records;
         // lint:hot_loop(begin): fused-stage worker chunk loop
+        if let (Some(fold), 0) = (&mut fold, n_ops) {
+            stage_at.set(0);
+            // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
+            let t0 = Instant::now();
+            for r in std::mem::take(&mut cur) {
+                fold.push(&r);
+            }
+            fold.tally.wall_ms = ms_since(t0);
+        }
         for (s, op) in self.ops.iter().enumerate() {
             stage_at.set(s);
             // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
             let t0 = Instant::now();
+            let tap = self.tapped.iter().position(|&ts| ts == s);
             let tally = &mut stages[s];
-            let mut next = Vec::with_capacity(cur.len());
-            let charge = |tally: &mut ChunkStats, r: &Record| {
-                tally.bytes_in += r.approx_bytes();
-                tally.costs.push(op.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64)));
-            };
-            // One dispatch per chunk per stage: the closure-variant match
-            // is hoisted out of the record loop.
-            match op.func() {
-                OpFunc::Map(f) => {
-                    for r in cur {
-                        charge(tally, &r);
-                        next.push(f(r));
-                    }
-                }
-                OpFunc::FlatMap(f) => {
-                    for r in cur {
-                        charge(tally, &r);
-                        next.extend(f(r));
-                    }
-                }
-                OpFunc::Filter(f) => {
-                    for r in cur {
-                        charge(tally, &r);
-                        if f(&r) {
-                            next.push(r);
+            let input = std::mem::take(&mut cur);
+            match fold.as_mut().filter(|_| s + 1 == n_ops) {
+                // The fold takes each input record's outputs before the
+                // next is read, on its own clock and under its own index.
+                Some(fold) => {
+                    run_constituent(op, tally, input, |outs| {
+                        stage_at.set(n_ops);
+                        // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
+                        let t = Instant::now();
+                        for r in outs {
+                            fold.push(&r);
+                            if let Some(t) = tap {
+                                taps[t].push(r);
+                            }
                         }
-                    }
+                        fold.tally.wall_ms += ms_since(t);
+                        stage_at.set(s);
+                    });
+                    tally.wall_ms = ms_since(t0) - fold.tally.wall_ms;
                 }
-                OpFunc::Reduce { .. } => {
-                    unreachable!("reduce is never part of a chain")
+                None => {
+                    let mut next = Vec::with_capacity(input.len());
+                    run_constituent(op, tally, input, |outs| next.extend(outs));
+                    cur = next;
+                    if let Some(t) = tap {
+                        taps[t] = cur.clone();
+                    }
+                    tally.wall_ms = ms_since(t0);
                 }
             }
             tally.records_in = tally.costs.len() as u64;
-            tally.wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-            cur = next;
-            if let Some(t) = self.tapped.iter().position(|&ts| ts == s) {
-                taps[t] = cur.clone();
+        }
+        let partial = fold.map(|fold| {
+            stage_at.set(n_ops);
+            let (tally, partial) = fold.finish();
+            stages.push(tally);
+            partial
+        });
+        // lint:hot_loop(end)
+        let bytes_out = cur.iter().map(Record::approx_bytes).sum();
+        ChunkOut { stages, out: cur, bytes_out, partial, taps }
+    }
+}
+
+/// Milliseconds since `t0`, for the runtime-only `wall_ms` rows.
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1000.0
+}
+
+/// Runs chain constituent `op` over `input`: charges each input record to
+/// `tally` and hands `emit` what that record became — nothing, itself,
+/// its map, or a flat-map's batch — before the next one is read. One
+/// dispatch per chunk per stage: the closure-variant match is hoisted out
+/// of the record loop.
+fn run_constituent(
+    op: &Operator,
+    tally: &mut ChunkStats,
+    input: Vec<Record>,
+    mut emit: impl FnMut(&mut dyn Iterator<Item = Record>),
+) {
+    let charge = |tally: &mut ChunkStats, r: &Record| {
+        tally.bytes_in += r.approx_bytes();
+        tally.costs.push(op.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64)));
+    };
+    // lint:hot_loop(begin): chain constituent record loop
+    match op.func() {
+        OpFunc::Map(f) => {
+            for r in input {
+                charge(tally, &r);
+                emit(&mut std::iter::once(f(r)));
+            }
+        }
+        OpFunc::FlatMap(f) => {
+            for r in input {
+                charge(tally, &r);
+                emit(&mut f(r).into_iter());
+            }
+        }
+        OpFunc::Filter(f) => {
+            for r in input {
+                charge(tally, &r);
+                if f(&r) {
+                    emit(&mut std::iter::once(r));
+                }
+            }
+        }
+        OpFunc::Reduce { .. } => unreachable!("reduce is never part of a chain"),
+    }
+    // lint:hot_loop(end)
+}
+
+/// A stage's trailing Reduce folding one chunk: a partial state and cost
+/// runs per key, fed one record at a time. Keys are written into one
+/// reused buffer and the map is looked up by `&str`, so only a key the
+/// chunk has not seen yet is allocated.
+struct Fold<'a> {
+    reduce: &'a Operator,
+    key: &'a KeyFn,
+    agg: &'a Aggregate,
+    tally: ChunkStats,
+    // lint:allow(hash_iteration): drained into a sorted vec by `finish`
+    map: HashMap<String, (AggState, Vec<(f64, u64)>)>,
+    k: String,
+}
+
+impl<'a> Fold<'a> {
+    fn new(reduce: &'a Operator) -> Fold<'a> {
+        let OpFunc::Reduce { key, aggregate } = reduce.func() else {
+            unreachable!("the folded operator is a reduce")
+        };
+        Fold {
+            reduce,
+            key,
+            agg: aggregate,
+            tally: ChunkStats::default(),
+            // lint:allow(hash_iteration): drained into a sorted vec by `finish`
+            map: HashMap::new(),
+            k: String::new(),
+        }
+    }
+
+    fn push(&mut self, r: &Record) {
+        // lint:hot_loop(begin): combined Reduce fold
+        self.tally.records_in += 1;
+        self.tally.bytes_in += r.approx_bytes();
+        let cost = self.reduce.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64));
+        self.k.clear();
+        (self.key)(r, &mut self.k);
+        match self.map.get_mut(self.k.as_str()) {
+            Some((state, runs)) => {
+                self.agg.fold(state, r);
+                push_cost(runs, cost);
+            }
+            None => {
+                let mut state = self.agg.seed();
+                self.agg.fold(&mut state, r);
+                self.map.insert(self.k.clone(), (state, vec![(cost, 1)]));
             }
         }
         // lint:hot_loop(end)
-        let partial = self.fold.map(|reduce| {
-            let OpFunc::Reduce { key, aggregate: agg } = reduce.func() else {
-                unreachable!("the folded operator is a reduce")
-            };
-            stage_at.set(self.ops.len());
-            // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
-            let t0 = Instant::now();
-            let mut tally = ChunkStats::default();
-            // lint:allow(hash_iteration): drained into a sorted vec below
-            let mut map: HashMap<String, (AggState, Vec<f64>)> = HashMap::new();
-            for r in std::mem::take(&mut cur) {
-                tally.records_in += 1;
-                tally.bytes_in += r.approx_bytes();
-                let cost = reduce.cost.record_cost_secs(r.text().map(str::len).unwrap_or(64));
-                let e = map.entry(key(&r)).or_insert_with(|| (agg.seed(), Vec::new()));
-                agg.fold(&mut e.0, &r);
-                e.1.push(cost);
-            }
-            // The combiner's shuffle: only the sorted-key partial map
-            // crosses the boundary through the codec, not the record
-            // stream.
-            let mut sorted: Vec<(String, (AggState, Vec<f64>))> = map.into_iter().collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut w = Writer::new();
-            w.usize(sorted.len());
-            for (k, (st, _)) in &sorted {
-                w.str(k);
-                st.encode(&mut w);
-            }
-            let wire = w.into_bytes();
-            let mut rd = Reader::new(&wire);
-            let _n = rd.usize().expect("partial map round-trips");
-            let entries: Vec<(String, AggState, Vec<f64>)> = sorted
-                .into_iter()
-                .map(|(k, (_, costs))| {
-                    let _k = rd.str().expect("partial map round-trips");
-                    let st = AggState::decode(&mut rd).expect("partial map round-trips");
-                    (k, st, costs)
-                })
-                .collect();
-            tally.wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-            stages.push(tally);
-            (entries, wire.len() as u64)
-        });
-        let bytes_out = cur.iter().map(Record::approx_bytes).sum();
-        ChunkOut { stages, out: cur, bytes_out, partial, taps }
+    }
+
+    /// The fold's tally and the chunk's partials. The combiner's
+    /// shuffle: only the sorted-key partial map crosses the boundary
+    /// through the codec, not the record stream.
+    fn finish(self) -> (ChunkStats, ChunkPartials) {
+        // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
+        let t0 = Instant::now();
+        let mut tally = self.tally;
+        let mut sorted: Vec<_> = self.map.into_iter().collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut w = Writer::new();
+        w.usize(sorted.len());
+        for (k, (st, _)) in &sorted {
+            w.str(k);
+            st.encode(&mut w);
+        }
+        let wire = w.into_bytes();
+        let mut rd = Reader::new(&wire);
+        let _n = rd.usize().expect("partial map round-trips");
+        let entries: Vec<_> = sorted
+            .into_iter()
+            .map(|(k, (_, runs))| {
+                let _k = rd.str().expect("partial map round-trips");
+                let st = AggState::decode(&mut rd).expect("partial map round-trips");
+                (k, st, runs)
+            })
+            .collect();
+        tally.wall_ms += ms_since(t0);
+        (tally, (entries, wire.len() as u64))
     }
 }
 
@@ -1197,6 +1326,10 @@ mod tests {
             other => panic!("{named}: expected a protocol error, got {other:?}"),
         };
         rejected("Sum(7)", &|out| out.partial.as_mut().unwrap().0[0].1 = AggState::Sum(7));
+        // cost runs the parent would replay for records nobody folded
+        rejected("cost runs", &|out| out.partial.as_mut().unwrap().0[0].2[0].1 += 1);
+        rejected("cost runs", &|out| out.partial.as_mut().unwrap().0[0].2.push((0.5, 0)));
+        rejected("cost runs", &|out| out.partial.as_mut().unwrap().0[0].2[0].1 = u64::MAX);
         rejected("1 stage tallies", &|out| drop(out.stages.pop()));
         rejected("no partial map", &|out| out.partial = None);
         rejected("1 taps", &|out| out.taps.push(Vec::new()));
@@ -1204,9 +1337,10 @@ mod tests {
 
     #[test]
     fn chunk_out_roundtrips_with_partials_and_taps() {
+        let runs_a = vec![(0.5, 2), (0.25, 1), (-0.0, 4), (0.5, 1), (f64::NAN, 3)];
         let entries = vec![
-            ("a".to_string(), AggState::Count(3), vec![0.5, 0.25]),
-            ("b".to_string(), AggState::Sum(41), vec![1.0]),
+            ("a".to_string(), AggState::Count(11), runs_a.clone()),
+            ("b".to_string(), AggState::Sum(41), vec![(1.0, 1)]),
         ];
         let original = ChunkOut {
             stages: vec![ChunkStats {
@@ -1235,8 +1369,99 @@ mod tests {
         assert_eq!(shuffled, 456);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].0, "a");
-        assert_eq!(entries[0].1, AggState::Count(3));
-        assert_eq!(entries[1].2, vec![1.0]);
+        assert_eq!(entries[0].1, AggState::Count(11));
+        let bits =
+            |runs: &[(f64, u64)]| runs.iter().map(|&(c, n)| (c.to_bits(), n)).collect::<Vec<_>>();
+        assert_eq!(bits(&entries[0].2), bits(&runs_a), "every run, -0.0 and NaN bits too");
+        assert_eq!(entries[1].2, vec![(1.0, 1)]);
+    }
+
+    /// A record's cost extends its key's last run only when the bits are
+    /// the same: `-0.0` is not `0.0`, and a NaN is a run of its own bits.
+    #[test]
+    fn costs_extend_the_last_run_only_with_the_same_bits() {
+        let mut runs = Vec::new();
+        for cost in [0.5, 0.5, 0.0, -0.0, -0.0, 0.5, f64::NAN, f64::NAN] {
+            push_cost(&mut runs, cost);
+        }
+        let bits: Vec<(u64, u64)> = runs.iter().map(|&(c, n)| (c.to_bits(), n)).collect();
+        let want = [(0.5, 2), (0.0, 1), (-0.0, 2), (0.5, 1), (f64::NAN, 2)];
+        assert_eq!(bits, want.map(|(c, n): (f64, u64)| (c.to_bits(), n)));
+    }
+
+    /// The stage folds what its last constituent produces as it produces
+    /// it: the fold sees the same records, costs and keys a fold over the
+    /// collected stream would, and the tap at that boundary gets every
+    /// record after it is folded.
+    #[test]
+    fn the_streamed_fold_equals_a_fold_over_the_collected_stream() {
+        let (stamp, dup, tally) = (testkit::stamp(), testkit::dup(), testkit::tally());
+        let collected = StageKernel { ops: &[&stamp, &dup], fold: None, tapped: &[] };
+        let stream = collected.run_chunk(docs(9), &Cell::new(0)).out;
+        let streamed = StageKernel { ops: &[&stamp, &dup], fold: Some(&tally), tapped: &[1] };
+        let out = streamed.run_chunk(docs(9), &Cell::new(0));
+        let alone = StageKernel { ops: &[], fold: Some(&tally), tapped: &[] };
+        let folded = alone.run_chunk(stream.clone(), &Cell::new(0));
+
+        assert!(out.out.is_empty() && out.bytes_out == 0);
+        assert_eq!(out.taps, std::slice::from_ref(&stream));
+        assert_eq!(out.stages[1].records_in, 9, "the flat-map read every record");
+        assert_eq!(out.stages[2].records_in, stream.len() as u64);
+        assert_eq!(out.stages[2].bytes_in, folded.stages[0].bytes_in);
+        assert_eq!(out.partial, folded.partial, "same states, runs and shuffle bytes");
+        let (entries, _) = out.partial.as_ref().unwrap();
+        assert_eq!(entries.iter().map(|e| e.0.as_str()).collect::<Vec<_>>(), ["g0", "g1", "g2"]);
+        assert!(entries.iter().all(|e| e.2.len() == 1), "the tally's records all cost the same");
+    }
+
+    /// A panic in the fold's key function is the Reduce's, though the
+    /// fold runs inside its input constituent's record loop.
+    #[test]
+    fn a_panicking_key_is_attributed_to_the_reduce() {
+        let stamp = testkit::stamp();
+        let bad_key = Operator::reduce_agg(
+            "bad-key",
+            crate::operator::Package::Base,
+            |r, _| {
+                if r.get("id").and_then(crate::record::Value::as_int) == Some(3) {
+                    std::panic::resume_unwind(Box::new("key bug"));
+                }
+            },
+            crate::operator::Aggregate::Count { into: "n".into() },
+        );
+        let kernel = StageKernel { ops: &[&stamp], fold: Some(&bad_key), tapped: &[] };
+        let stage_at = Cell::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| kernel.run_chunk(docs(5), &stage_at)));
+        assert!(outcome.is_err());
+        assert_eq!(stage_at.get(), 1, "the reduce reports as stage ops.len()");
+    }
+
+    /// A RESULT claiming 2^60 partial entries: the decoder reserves only
+    /// what the remaining bytes could hold and ends in a typed error, and
+    /// the parent's conversation turns that into a protocol error.
+    #[test]
+    fn a_forged_partial_entry_count_is_a_codec_error_not_a_panic() {
+        let forge = |w: &mut Writer| {
+            Vec::<ChunkStats>::new().encode(w);
+            Vec::<Record>::new().encode(w);
+            w.u64(0);
+            w.bool(true);
+            w.usize(1 << 60);
+        };
+        let mut forged = Writer::new();
+        forge(&mut forged);
+        assert!(matches!(
+            ChunkOut::decode(&mut Reader::new(&forged.into_bytes())),
+            Err(CodecError::Truncated { .. })
+        ));
+        let mut reply = Writer::new();
+        reply.usize(0);
+        forge(&mut reply);
+        let (_, err, undone) = drive_scripted(&[(K_RESULT, reply.into_bytes())]);
+        let protocol = matches!(&err, Some(ShardRunError::Protocol { shard: 3, detail })
+            if detail.contains("RESULT"));
+        assert!(protocol, "got {err:?}");
+        assert_eq!(undone.len(), 1);
     }
 
     // -- hostile bytes into the stage-task decoder --------------------------

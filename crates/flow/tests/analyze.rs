@@ -287,7 +287,7 @@ fn ws014_follows_the_executor_through_fan_out() {
             Operator::reduce_agg(
                 "tally",
                 Package::Base,
-                |_: &Record| String::new(),
+                |_: &Record, _: &mut String| {},
                 Aggregate::Count { into: "n".into() },
             ),
         )

@@ -5,7 +5,9 @@
 #![allow(dead_code)]
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use websift_analyze::diagnostics_to_json;
+use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift_flow::{
     Aggregate, ExecutionConfig, ExecutionError, Executor, FlowCheckpoint, FlowResilience,
     LogicalPlan, Operator, Package, Record, RunOptions,
@@ -77,6 +79,20 @@ pub fn docs(n: usize) -> Vec<Record> {
             let mut r = Record::new();
             r.set("id", i as i64);
             r.set("text", format!("document {i} with a little body text"));
+            r
+        })
+        .collect()
+}
+
+/// `n` generated Medline abstracts, as the paper's flows read them.
+pub fn medline_records(n: usize) -> Vec<Record> {
+    let lexicon = Arc::new(Lexicon::generate(LexiconScale::tiny()));
+    Generator::with_lexicon(CorpusKind::Medline, 11, lexicon)
+        .documents(n)
+        .iter()
+        .map(|d| {
+            let mut r = Record::new();
+            r.set("id", d.id as i64).set("corpus", "medline").set("text", d.body.as_str());
             r
         })
         .collect()

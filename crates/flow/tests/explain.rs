@@ -41,7 +41,9 @@ fn pool_op(idx: usize) -> Operator {
         _ => Operator::reduce_agg(
             "pick",
             Package::Base,
-            |r| format!("g{}", r.get("id").and_then(Value::as_int).unwrap_or(0) % 2),
+            |r, k| {
+                k.push_str(&format!("g{}", r.get("id").and_then(Value::as_int).unwrap_or(0) % 2));
+            },
             Aggregate::Min { field: "id".into(), into: "id".into() },
         ),
     }

@@ -17,11 +17,15 @@
 mod common;
 
 use common::{
-    assert_surfaces_equal, docs, inputs_for, metric_fields, options, pool_op, run_surface,
+    assert_surfaces_equal, docs, inputs_for, medline_records, metric_fields, options, pool_op,
+    run_surface,
 };
 use proptest::prelude::*;
-use websift_flow::{ExecutionConfig, Executor, FlowResilience, LogicalPlan};
-use websift_observe::Observer;
+use websift_flow::{
+    ExecutionConfig, ExecutionError, Executor, FlowResilience, LogicalPlan, NodeOp, ShardConfig,
+};
+use websift_observe::{Labels, Observer};
+use websift_resilience::CodecError;
 
 fn chain_plan(indices: &[usize]) -> LogicalPlan {
     common::chain_plan(pool_op, indices)
@@ -156,4 +160,83 @@ fn fan_out_tee_matches_unfused() {
             }
         }
     }
+}
+
+/// The token-frequency flow with a frame due at the explode→count
+/// boundary only: the boundary whose records stream from
+/// `core.explode_tokens` straight into the `base.count_by` fold and reach
+/// the frame through a tap.
+fn token_frequency_with_a_frame_at_the_fold() -> (LogicalPlan, FlowResilience, usize) {
+    let plan = websift_pipeline::token_frequency_flow("in");
+    let explode = plan
+        .nodes()
+        .iter()
+        .position(|n| matches!(&n.op, NodeOp::Op(op) if op.name == "core.explode_tokens"))
+        .expect("the flow explodes tokens");
+    let boundary = explode + 1;
+    assert!(2 * boundary > plan.len(), "one frame, at the fold's input");
+    let res =
+        FlowResilience { checkpoint_every_nodes: Some(boundary), ..FlowResilience::default() };
+    (plan, res, boundary)
+}
+
+/// Killed at the streamed boundary and resumed from its frame, the run
+/// equals the uninterrupted one in sinks, registry and simulated clock
+/// bits; and the frame the fused, streamed pass sealed there is
+/// byte-equal to the ones unfused and uncombined runs seal, locally and
+/// on worker shards.
+#[test]
+fn token_frequency_killed_at_the_streamed_boundary_resumes_bit_exact() {
+    let (plan, res, boundary) = token_frequency_with_a_frame_at_the_fold();
+    let exec = Executor::new(ExecutionConfig::local(2));
+    let full_obs = Observer::new();
+    let opts = options(&res, Some(&full_obs), None);
+    let full = exec.run(&plan, inputs_for(medline_records(12)), opts).unwrap();
+    let frames: Vec<usize> = full.checkpoints.iter().map(|c| c.next_node).collect();
+    assert_eq!(frames, [boundary]);
+
+    let resumed_obs = Observer::new();
+    let opts = options(&res, Some(&resumed_obs), Some(&full.checkpoints[0]));
+    let resumed = exec.run(&plan, inputs_for(medline_records(12)), opts).unwrap();
+    assert_eq!(resumed.sinks, full.sinks);
+    assert!(full.sinks["token_frequencies"].len() > 100, "a real vocabulary was counted");
+    assert_eq!(resumed.metrics.simulated_secs.to_bits(), full.metrics.simulated_secs.to_bits());
+    assert_eq!(metric_fields(&resumed.metrics), metric_fields(&full.metrics));
+    assert_eq!(resumed_obs.registry().snapshot(), full_obs.registry().snapshot());
+    assert_eq!(resumed.deterministic_digest(), full.deterministic_digest());
+
+    let streamed = run_surface(&plan, medline_records(12), ExecutionConfig::local(2), &res);
+    assert_eq!(streamed.checkpoints, [(boundary, full.checkpoints[0].as_bytes().to_vec())]);
+    let shards = Some(ShardConfig::in_process(2));
+    for (what, config) in [
+        ("unfused", ExecutionConfig { fusion: false, ..ExecutionConfig::local(2) }),
+        ("uncombined", ExecutionConfig { combining: false, ..ExecutionConfig::local(2) }),
+        ("two shards", ExecutionConfig { sharding: shards, ..ExecutionConfig::local(2) }),
+    ] {
+        let other = run_surface(&plan, medline_records(12), config, &res);
+        assert_surfaces_equal(&other, &streamed, what);
+    }
+}
+
+/// A real frame carries every series of the observer it was sealed on,
+/// a writer's own or not. Resumed onto an observer that holds one of them
+/// under another kind, it is refused — restoring it would panic the
+/// observer's next update of that series — and the observer keeps what
+/// it held.
+#[test]
+fn a_frame_whose_series_another_kind_holds_is_refused() {
+    let (plan, res, _) = token_frequency_with_a_frame_at_the_fold();
+    let exec = Executor::new(ExecutionConfig::local(2));
+    let sealed_on = Observer::new();
+    sealed_on.registry().gauge("x", &Labels::empty()).set(2.5);
+    let opts = options(&res, Some(&sealed_on), None);
+    let full = exec.run(&plan, inputs_for(medline_records(4)), opts).unwrap();
+
+    let resumed_on = Observer::new();
+    resumed_on.registry().counter("x", &Labels::empty()).add(3);
+    let opts = options(&res, Some(&resumed_on), Some(&full.checkpoints[0]));
+    let refused = exec.run(&plan, inputs_for(medline_records(4)), opts).unwrap_err();
+    let clash = CodecError::BadTag { what: "registry series kind", tag: 1 };
+    assert_eq!(refused, ExecutionError::BadCheckpoint(clash));
+    assert_eq!(resumed_on.registry().counter("x", &Labels::empty()).value(), 3);
 }

@@ -32,11 +32,11 @@
 mod common;
 
 use common::{
-    assert_surfaces_equal, docs, inputs_for, metric_fields, options, pool_op, run_surface,
+    assert_surfaces_equal, docs, inputs_for, medline_records, metric_fields, options, pool_op,
+    run_surface,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
-use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
+use websift_corpus::LexiconScale;
 use websift_flow::packages::{base, dc, ie, wa};
 use websift_flow::{
     ExecutionConfig, ExecutionError, Executor, FlowResilience, IeResources, KillSpec, LogicalPlan,
@@ -441,19 +441,6 @@ fn preprocessing(plan: &mut LogicalPlan) -> usize {
         cur = plan.add(cur, op).expect("static plan");
     }
     cur
-}
-
-fn medline_records(n: usize) -> Vec<Record> {
-    let lexicon = Arc::new(Lexicon::generate(LexiconScale::tiny()));
-    Generator::with_lexicon(CorpusKind::Medline, 11, lexicon)
-        .documents(n)
-        .iter()
-        .map(|d| {
-            let mut r = Record::new();
-            r.set("id", d.id as i64).set("corpus", "medline").set("text", d.body.as_str());
-            r
-        })
-        .collect()
 }
 
 /// The real pipeline on real processes. Also the cross-process

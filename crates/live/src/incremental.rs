@@ -141,9 +141,18 @@ impl IncrementalFlow {
             })?;
         let n = records.len();
         let (key, aggregate) = (&reduce.key, &reduce.aggregate);
+        let mut k = String::new();
         for record in &records {
-            let slot = reduce.retained.entry(key(record)).or_insert_with(|| aggregate.seed());
-            aggregate.fold(slot, record);
+            k.clear();
+            key(record, &mut k);
+            match reduce.retained.get_mut(k.as_str()) {
+                Some(slot) => aggregate.fold(slot, record),
+                None => {
+                    let mut slot = aggregate.seed();
+                    aggregate.fold(&mut slot, record);
+                    reduce.retained.insert(k.clone(), slot);
+                }
+            }
         }
         Ok(n)
     }

@@ -398,7 +398,7 @@ mod tests {
                 Operator::reduce_agg(
                     "tally",
                     Package::Base,
-                    |_: &Record| "all".to_string(),
+                    |_: &Record, k: &mut String| k.push_str("all"),
                     Aggregate::Count { into: "n".into() },
                 ),
             )

@@ -503,15 +503,40 @@ impl MetricsRegistry {
     }
 
     /// Restores every metric in `snapshot`, creating missing ones —
-    /// the resume half of checkpointed registry state.
-    pub fn restore(&self, snapshot: &RegistrySnapshot) {
+    /// the resume half of checkpointed registry state. Every entry is
+    /// checked before any is written: a key this registry already holds
+    /// under another kind (whose accessor would panic) refuses the whole
+    /// snapshot and leaves the registry as it was.
+    pub fn restore(&self, snapshot: &RegistrySnapshot) -> Result<(), CodecError> {
+        let mut inner = self.inner.lock();
+        let same_kind = |metric: &Metric, value: &MetricValue| {
+            matches!(
+                (metric, value),
+                (Metric::Counter(_), MetricValue::Counter(_))
+                    | (Metric::Gauge(_), MetricValue::Gauge(_))
+                    | (Metric::Histogram(_), MetricValue::Histogram(_))
+            )
+        };
         for (name, labels, value) in &snapshot.entries {
-            match value {
-                MetricValue::Counter(v) => self.counter(name, labels).set(*v),
-                MetricValue::Gauge(v) => self.gauge(name, labels).set(*v),
-                MetricValue::Histogram(state) => self.histogram(name, labels).load(state),
+            let held = inner.get(&(name.clone(), labels.clone()));
+            if held.is_some_and(|metric| !same_kind(metric, value)) {
+                return Err(CodecError::BadTag { what: "registry series kind", tag: value.tag() });
             }
         }
+        for (name, labels, value) in &snapshot.entries {
+            let metric = inner.entry((name.clone(), labels.clone())).or_insert_with(|| match value {
+                MetricValue::Counter(_) => Metric::Counter(Counter::default()),
+                MetricValue::Gauge(_) => Metric::Gauge(Gauge::default()),
+                MetricValue::Histogram(_) => Metric::Histogram(Histogram::default()),
+            });
+            match (metric, value) {
+                (Metric::Counter(c), MetricValue::Counter(v)) => c.set(*v),
+                (Metric::Gauge(g), MetricValue::Gauge(v)) => g.set(*v),
+                (Metric::Histogram(h), MetricValue::Histogram(state)) => h.load(state),
+                _ => unreachable!("every held key's kind was checked above"),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -599,8 +624,33 @@ mod tests {
         assert_eq!(names, vec!["a{k=1}", "a{k=2}", "g{}", "h{}", "z{}"]);
 
         let restored = MetricsRegistry::default();
-        restored.restore(&snap);
+        restored.restore(&snap).unwrap();
         assert_eq!(restored.snapshot(), snap);
+    }
+
+    /// A snapshot holding a key the registry already has under another
+    /// kind is refused whole: nothing is written, and no accessor panics.
+    #[test]
+    fn restore_refuses_a_key_held_under_another_kind() {
+        let frame = MetricsRegistry::default();
+        frame.counter("a", &Labels::empty()).add(4);
+        frame.gauge("x", &Labels::empty()).set(1.5);
+        let snap = frame.snapshot();
+
+        let reg = MetricsRegistry::default();
+        reg.counter("x", &Labels::empty()).add(9);
+        let before = reg.snapshot();
+        assert_eq!(
+            reg.restore(&snap),
+            Err(CodecError::BadTag { what: "registry series kind", tag: 1 })
+        );
+        assert_eq!(reg.snapshot(), before, "a refused snapshot writes nothing");
+        assert_eq!(reg.counter("x", &Labels::empty()).value(), 9);
+
+        let same_kinds = MetricsRegistry::default();
+        same_kinds.gauge("x", &Labels::empty()).set(-1.0);
+        same_kinds.restore(&snap).unwrap();
+        assert_eq!(same_kinds.snapshot(), snap);
     }
 
     #[test]

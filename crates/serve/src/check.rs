@@ -267,7 +267,7 @@ mod tests {
         let src = plan.source("docs");
         let count = Aggregate::Count { into: "n".into() };
         let reduce = plan
-            .add(src, Operator::reduce_agg("collapse", Package::Base, |_| String::new(), count))
+            .add(src, Operator::reduce_agg("collapse", Package::Base, |_, _| {}, count))
             .unwrap();
         let tagged = plan
             .add(

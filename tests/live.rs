@@ -318,6 +318,36 @@ fn watermark_holding_a_live_series_of_another_kind_does_not_resume() {
     }
 }
 
+/// A real watermark resumed onto an observer that already holds one of
+/// its series under another kind is refused with a typed error: the
+/// restore checks every series before it writes any, and the observer
+/// keeps what it held.
+#[test]
+fn watermark_resumed_onto_an_observer_holding_its_series_as_another_kind_is_refused() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let options = ResilienceOptions::default();
+    let mut session = start_session(&web, &plan, &options, 2);
+    let sealed = session.advance().expect("round advances").expect("round exists").watermark;
+
+    let observer = Arc::new(Observer::new());
+    observer.registry().gauge("live.rounds", &Labels::empty()).set(9.0);
+    let resumed = LiveSession::resume_from(
+        &web,
+        crawl_config(),
+        &options,
+        &plan,
+        LiveOptions::default(),
+        observer.clone(),
+        &sealed,
+    );
+    match resumed.err() {
+        Some(LiveError::Codec(CodecError::BadTag { what: "registry series kind", tag: 0 })) => {}
+        other => panic!("a clashing observer resumed or failed untyped: {other:?}"),
+    }
+    assert_eq!(observer.registry().gauge("live.rounds", &Labels::empty()).value(), 9.0);
+}
+
 /// A watermark is untrusted input even when its checksum holds: a frame
 /// retaining a `Sum` state for the plan's Count reduce is refused at
 /// resume, before the first `absorb` or `finished` could trip over it.
@@ -427,7 +457,7 @@ fn live_store_answers_freshness_queries() {
 #[test]
 fn reduces_feeding_an_operator_are_rejected() {
     let tally = || {
-        let key = |r: &Record| format!("{:?}", r.get("corpus"));
+        let key = |r: &Record, k: &mut String| k.push_str(&format!("{:?}", r.get("corpus")));
         Operator::reduce_agg("tally", Package::Base, key, Aggregate::Count { into: "n".into() })
     };
     // a reduce feeding another operator (not a sink) is structurally
