@@ -85,19 +85,24 @@ echo "fusion: fused == unfused equivalence holds ok"
 # the same grams, measure the same four distances and reach the same
 # language verdict as the String-keyed one; the max-only Viterbi kernel
 # must return the same tags, errors and path-score bits as the
-# back-pointer one, alone and inside the Fig. 2 flow. Hostile and random
-# inputs; cases pinned as above.
+# back-pointer one on every decoding path this CPU runs (scalar, avx2,
+# avx512f; a path the CPU lacks is skipped and named), alone and inside
+# the Fig. 2 flow. Hostile and random inputs; cases pinned as above.
 PROPTEST_CASES=64 cargo test -q -p websift-text --lib differential
-echo "langid + pos kernels == references holds ok"
+echo "langid + pos kernels (every path this CPU runs) == references holds ok"
 
-# Dictionary kernel: the flat-table Aho-Corasick automaton must report,
+# NER kernels: the flat-table Aho-Corasick automaton must report,
 # element for element, what a brute-force search reports — every folded
 # pattern compared at every char boundary, both case modes, NUL/DEL,
 # non-ASCII patterns and chars that fold to ASCII — and DictionaryTagger
 # over the generated lexicon and corpora must tag what the same rules
-# keep of the brute-force matches. Cases pinned as above.
+# keep of the brute-force matches. The CRF, which hashes each sentence's
+# tokens once, must decode the same labels and unary-score bits as the
+# decoder on the format!-built feature extractor, and train bit-equal
+# weights — ASCII, non-ASCII (İ, ß, the Kelvin sign) and one-token
+# sentences, context features on and off. Cases pinned as above.
 PROPTEST_CASES=64 cargo test -q -p websift-ner --lib differential
-echo "dictionary automaton == brute-force search holds ok"
+echo "dictionary automaton == brute-force search, CRF == reference decoder and trainer holds ok"
 
 # Crawl loop: a pool of 2, 3 or 8 fetch-and-analyse workers must crawl exactly as one does.
 PROPTEST_CASES=64 cargo test -q -p websift-crawler --lib differential

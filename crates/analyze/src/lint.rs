@@ -34,7 +34,13 @@
 //!   `(begin): <label>` opens one, the same prefix followed by `(end)`
 //!   closes it — so the rule guards exactly the loops that were
 //!   de-allocated, not whole files: a per-record allocation reintroduced
-//!   there silently undoes the fast-path wins.
+//!   there silently undoes the fast-path wins;
+//! - **`unsafe_unjustified`** — `unsafe` only in the files on
+//!   [`UNSAFE_ALLOWLIST`], and there every occurrence carries a
+//!   `// SAFETY: <why the contract holds>` comment on its line or the
+//!   line directly above. Test code is covered too. No `lint:allow`
+//!   lifts this rule: an `unsafe` elsewhere means a new allowlist entry
+//!   with its justification.
 //!
 //! The escape hatch is an inline comment on the flagged line or the line
 //! directly above it:
@@ -74,6 +80,7 @@ pub const RULE_UNTRUSTED_UNWRAP: &str = "untrusted_unwrap";
 pub const RULE_NONDET_PARALLELISM: &str = "nondet_parallelism";
 pub const RULE_LOSSY_CAST: &str = "lossy_cast";
 pub const RULE_HOT_LOOP_ALLOC: &str = "hot_loop_alloc";
+pub const RULE_UNSAFE_UNJUSTIFIED: &str = "unsafe_unjustified";
 
 const WALL_CLOCK_PATTERNS: &[&str] = &[concat!("Instant", "::now"), concat!("System", "Time")];
 /// `use std::time::Instant as X;` — after it, `X::now()` matches no
@@ -112,6 +119,10 @@ const HOT_ALLOC_PATTERNS: &[&str] = &[
 /// closes it.
 const HOT_BEGIN: &str = concat!("lint:hot_loop", "(begin)");
 const HOT_END: &str = concat!("lint:hot_loop", "(end)");
+/// The keyword [`RULE_UNSAFE_UNJUSTIFIED`] looks for, as a whole word
+/// outside comments, and the comment that justifies it.
+const UNSAFE_KEYWORD: &str = concat!("un", "safe");
+const SAFETY_MARKER: &str = concat!("// SAFETY", ":");
 
 /// Files allowed to contain wall-clock calls, each with the justification
 /// for why real time is acceptable there. Every occurrence inside these
@@ -145,6 +156,17 @@ pub const WALL_CLOCK_ALLOWLIST: &[(&str, &str)] = &[
         "the wall-clock benchmark's single clock read; every timing in benchmark/ goes through it",
     ),
 ];
+
+/// Files allowed to contain `unsafe`, each with the justification for
+/// why safe code will not do there. Every occurrence inside them still
+/// needs its own `// SAFETY:` comment; an entry without a justification,
+/// or whose file is gone or no longer uses `unsafe`, fails the lint's own
+/// self-check ([`check_lists`]).
+pub const UNSAFE_ALLOWLIST: &[(&str, &str)] = &[(
+    "crates/text/src/pos.rs",
+    "the POS Viterbi calls its avx2/avx512f #[target_feature] builds only after \
+     is_x86_feature_detected! has found the feature on this CPU",
+)];
 
 /// Modules whose bytes end up in checkpoints, JSONL traces, or snapshots.
 /// Any hash-container mention here must justify its ordering story.
@@ -220,6 +242,23 @@ fn allowed(lines: &[&str], i: usize, rule: &str) -> Option<bool> {
     })
 }
 
+/// Does the code part of `line` (before any `//`) use `keyword` as a
+/// whole word?
+fn uses_keyword(line: &str, keyword: &str) -> bool {
+    let code = line.find("//").map_or(line, |at| &line[..at]);
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(keyword).any(|(at, _)| {
+        !code[..at].chars().next_back().is_some_and(word)
+            && !code[at + keyword.len()..].chars().next().is_some_and(word)
+    })
+}
+
+/// Does `line` carry a `// SAFETY:` comment with a non-empty reason?
+fn safety_comment(line: &str) -> bool {
+    line.find(SAFETY_MARKER)
+        .is_some_and(|at| !line[at + SAFETY_MARKER.len()..].trim().is_empty())
+}
+
 fn is_comment_only(line: &str) -> bool {
     let t = line.trim_start();
     t.starts_with("//") || t.starts_with("#!") || t.starts_with("#[")
@@ -239,6 +278,7 @@ pub fn lint_file(rel: &str, content: &str) -> Vec<LintFinding> {
     let deterministic_output = DETERMINISTIC_OUTPUT_MODULES.contains(&rel);
     let untrusted = UNTRUSTED_INPUT_FILES.contains(&file_name);
     let codec = CODEC_MODULES.contains(&rel);
+    let unsafe_listed = UNSAFE_ALLOWLIST.iter().any(|(p, _)| *p == rel);
 
     let check = |findings: &mut Vec<LintFinding>,
                      i: usize,
@@ -334,6 +374,30 @@ pub fn lint_file(rel: &str, content: &str) -> Vec<LintFinding> {
                               crates/analyze/src/lint.rs with a justification if real time is \
                               genuinely required)"
                         .to_string(),
+                });
+            }
+        }
+        // unsafe_unjustified applies everywhere too: a test's unsafe block
+        // is as undefined as any other.
+        if uses_keyword(line, UNSAFE_KEYWORD) {
+            let justified = safety_comment(line) || (i > 0 && safety_comment(lines[i - 1]));
+            if !unsafe_listed || !justified {
+                findings.push(LintFinding {
+                    rule: RULE_UNSAFE_UNJUSTIFIED,
+                    file: rel.to_string(),
+                    line: i + 1,
+                    message: if unsafe_listed {
+                        format!(
+                            "`{UNSAFE_KEYWORD}` needs a `{SAFETY_MARKER} <why the contract holds>` \
+                             comment on its line or the line above"
+                        )
+                    } else {
+                        format!(
+                            "`{UNSAFE_KEYWORD}` outside the allowlist: write it in safe code, or \
+                             add the file to UNSAFE_ALLOWLIST in crates/analyze/src/lint.rs with \
+                             a justification"
+                        )
+                    },
                 });
             }
         }
@@ -445,13 +509,15 @@ pub fn lint_workspace(root: &Path) -> Vec<LintFinding> {
 
 /// Self-check of the path lists above against the workspace at `root`:
 /// every [`WALL_CLOCK_ALLOWLIST`] entry carries a justification and names
-/// a file that still mentions a clock type, and every
+/// a file that still mentions a clock type, every [`UNSAFE_ALLOWLIST`]
+/// entry carries one and names a file that still uses `unsafe`, and every
 /// [`DETERMINISTIC_OUTPUT_MODULES`] / [`CODEC_MODULES`] entry exists. A
 /// stale entry silently exempts or scopes nothing.
 pub fn check_lists(root: &Path) -> Result<(), String> {
     check_lists_against(
         root,
         WALL_CLOCK_ALLOWLIST,
+        UNSAFE_ALLOWLIST,
         &[
             ("DETERMINISTIC_OUTPUT_MODULES", DETERMINISTIC_OUTPUT_MODULES),
             ("CODEC_MODULES", CODEC_MODULES),
@@ -462,6 +528,7 @@ pub fn check_lists(root: &Path) -> Result<(), String> {
 fn check_lists_against(
     root: &Path,
     wall_clock: &[(&str, &str)],
+    unsafe_files: &[(&str, &str)],
     modules: &[(&str, &[&str])],
 ) -> Result<(), String> {
     for (path, why) in wall_clock {
@@ -475,6 +542,17 @@ fn check_lists_against(
             return Err(format!(
                 "WALL_CLOCK_ALLOWLIST entry '{path}' never mentions a clock type; drop it"
             ));
+        }
+    }
+    for (path, why) in unsafe_files {
+        if why.trim().is_empty() {
+            return Err(format!("UNSAFE_ALLOWLIST entry '{path}' has no justification"));
+        }
+        let Ok(content) = std::fs::read_to_string(root.join(path)) else {
+            return Err(format!("UNSAFE_ALLOWLIST entry '{path}' does not exist"));
+        };
+        if !content.lines().any(|l| uses_keyword(l, UNSAFE_KEYWORD)) {
+            return Err(format!("UNSAFE_ALLOWLIST entry '{path}' never uses it; drop it"));
         }
     }
     for (list, paths) in modules {
@@ -582,17 +660,17 @@ mod tests {
         let clock = "crates/flow/src/executor.rs";
         let gone = "crates/flow/src/gone.rs";
         let modules: &[&str] = &[clock];
-        assert!(check_lists_against(&root, &[(clock, "why")], &[("M", modules)]).is_ok());
+        assert!(check_lists_against(&root, &[(clock, "why")], &[], &[("M", modules)]).is_ok());
 
-        let err = check_lists_against(&root, &[(gone, "why")], &[]).unwrap_err();
+        let err = check_lists_against(&root, &[(gone, "why")], &[], &[]).unwrap_err();
         assert!(err.contains("does not exist"), "{err}");
-        let err = check_lists_against(&root, &[("crates/analyze/src/lib.rs", "why")], &[])
+        let err = check_lists_against(&root, &[("crates/analyze/src/lib.rs", "why")], &[], &[])
             .unwrap_err();
         assert!(err.contains("never mentions a clock type"), "{err}");
-        let err = check_lists_against(&root, &[(clock, " ")], &[]).unwrap_err();
+        let err = check_lists_against(&root, &[(clock, " ")], &[], &[]).unwrap_err();
         assert!(err.contains("no justification"), "{err}");
         let missing: &[&str] = &[clock, gone];
-        let err = check_lists_against(&root, &[], &[("CODEC_MODULES", missing)]).unwrap_err();
+        let err = check_lists_against(&root, &[], &[], &[("CODEC_MODULES", missing)]).unwrap_err();
         assert_eq!(err, format!("CODEC_MODULES entry '{gone}' does not exist"));
     }
 
@@ -709,6 +787,76 @@ mod tests {
         // balanced, labeled, empty region: clean
         let ok = format!("{begin}\n{end}\n");
         assert!(lint_file("crates/flow/src/executor.rs", &ok).is_empty());
+    }
+
+    fn unsafe_block(indent: &str) -> String {
+        format!("{indent}let v = {}{} {{ f() }};\n", "un", "safe")
+    }
+
+    #[test]
+    fn unsafe_outside_the_allowlist_is_flagged_even_when_justified() {
+        let justified = format!("// SAFETY: f has no contract\n{}", unsafe_block(""));
+        let findings = lint_file("crates/flow/src/executor.rs", &justified);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].rule, RULE_UNSAFE_UNJUSTIFIED);
+        assert_eq!(findings[0].line, 2);
+        assert!(findings[0].message.contains("outside the allowlist"));
+        // no lint:allow lifts it
+        let allowed = format!("// lint:allow(unsafe_unjustified): trust me\n{}", unsafe_block(""));
+        assert_eq!(lint_file("crates/flow/src/executor.rs", &allowed).len(), 1);
+        // test code is covered too
+        let tested = format!("#[cfg(test)]\nmod tests {{\n{}}}\n", unsafe_block("    "));
+        assert_eq!(lint_file("crates/flow/src/executor.rs", &tested).len(), 1);
+    }
+
+    #[test]
+    fn unsafe_in_an_allowlisted_file_needs_a_safety_comment() {
+        let rel = UNSAFE_ALLOWLIST[0].0;
+        let bare = lint_file(rel, &unsafe_block(""));
+        assert_eq!(bare.len(), 1);
+        assert_eq!(bare[0].rule, RULE_UNSAFE_UNJUSTIFIED);
+        assert!(bare[0].message.contains("SAFETY"));
+
+        let above = format!("// SAFETY: the CPU has the feature\n{}", unsafe_block(""));
+        assert!(lint_file(rel, &above).is_empty());
+        let same_line =
+            format!("{} // SAFETY: the CPU has the feature\n", unsafe_block("").trim_end());
+        assert!(lint_file(rel, &same_line).is_empty());
+        // an empty reason is no reason, and two lines up is too far
+        let empty = format!("// SAFETY:\n{}", unsafe_block(""));
+        assert_eq!(lint_file(rel, &empty).len(), 1);
+        let far = format!("// SAFETY: the CPU has the feature\n\n{}", unsafe_block(""));
+        assert_eq!(lint_file(rel, &far).len(), 1);
+    }
+
+    #[test]
+    fn unsafe_is_matched_as_a_word_in_code_only() {
+        let word = format!("{}{}", "un", "safe");
+        for clean in [
+            format!("#![forbid({word}_code)]\n"),
+            format!("let {word}_count = 0;\n"),
+            format!("// {word} is not used here\n"),
+            format!("let x = 1; // not {word}\n"),
+        ] {
+            assert!(lint_file("crates/flow/src/executor.rs", &clean).is_empty(), "{clean}");
+        }
+        let tail = format!("let v = {word}{{ f() }};\n");
+        assert_eq!(lint_file("crates/flow/src/executor.rs", &tail).len(), 1);
+    }
+
+    #[test]
+    fn stale_unsafe_allowlist_entries_are_rejected() {
+        let root = workspace_root();
+        let (listed, _) = UNSAFE_ALLOWLIST[0];
+        assert!(check_lists_against(&root, &[], &[(listed, "why")], &[]).is_ok());
+        let err = check_lists_against(&root, &[], &[(listed, " ")], &[]).unwrap_err();
+        assert!(err.contains("no justification"), "{err}");
+        let err = check_lists_against(&root, &[], &[("crates/flow/src/gone.rs", "why")], &[])
+            .unwrap_err();
+        assert!(err.contains("does not exist"), "{err}");
+        let err = check_lists_against(&root, &[], &[("crates/analyze/src/lib.rs", "why")], &[])
+            .unwrap_err();
+        assert!(err.contains("never uses it"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! artifacts of the run.
 //!
 //! Modes:
-//! - default: decomposition table + observer summary + folded stacks;
+//! - default: decomposition table + observer summary + folded stacks,
+//!   then the wall-clock plane: facts of this host that change wall time
+//!   and nothing else (today the POS decoding kernel), kept out of every
+//!   other mode, digest and result file;
 //! - `--folded`: folded-stack (flamegraph) lines only — what the ci.sh
 //!   smoke target parses;
 //! - `--json`: the decomposition as a JSON array (machine-readable).
@@ -32,5 +35,7 @@ fn main() {
     }
     println!("{}", run.result.render());
     println!("{}", run.summary);
+    println!("== wall clock == (this host; not in --json, --folded or any digest)");
+    println!("pos.kernel = {}\n", websift_text::pos::kernel());
     println!("### folded stacks (flamegraph format)\n\n```\n{}```", run.folded);
 }

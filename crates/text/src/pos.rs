@@ -15,8 +15,8 @@
 //! A trigram Viterbi step is 14³ = 2 744 add-add-compare-select cells per
 //! token. Carrying a back-pointer through every one of them is what the
 //! time went on, so [`PosTagger::tag`] does not: the forward pass computes
-//! only maxima — `m = max over p1 of (delta[p1][t] + trans[p1,t,t2])` in a
-//! branch-free 14-wide loop the compiler vectorises, then
+//! only maxima — `m = max over p1 of (delta[p1][t] + trans[p1,t,t2])` as
+//! fourteen-lane rows of adds and selects with no branch, then
 //! `delta'[t][t2] = m + e[t2]` once per cell — and keeps every step's
 //! 14 × 14 scores. The backtrack then recovers a predecessor only for the
 //! one cell per token on the best path, by rescanning that cell's fourteen
@@ -32,6 +32,22 @@
 //! entries are finite, so no NaN or `-∞` arises once the two
 //! sentence-initial steps (which have a boundary context instead of
 //! fourteen predecessors) are peeled off.
+//!
+//! # Run-time dispatch
+//!
+//! The default x86-64 target allows SSE2 only: two `f64` lanes, seven
+//! vector ops per fourteen-lane row. So the one decoding body is compiled
+//! three times — as plain code (the fallback on every other target and on
+//! CPUs without AVX2), inside an `avx2` and inside an `avx512f`
+//! `#[target_feature]` wrapper — and every call picks the widest one the
+//! CPU has ([`kernel`] names it). The body and `best_through` are
+//! `#[inline(always)]`, so each wrapper gets its own copy built for its
+//! lane width; `best_through` takes two columns `t` per call, which gives
+//! the CPU two independent max chains to overlap. The three copies
+//! compute the same bits: `f64` add and the `x > m` select are exact IEEE
+//! operations at any width (the select is precisely `maxpd(x, m)`), and
+//! Rust never contracts an add into an FMA. The differential tests run
+//! every path the host supports against the reference.
 //!
 //! Memory is one allocation per call: 15 rows of 14 `f64` per token (the
 //! score slab plus the token's emission row, which the rescan needs) —
@@ -146,9 +162,58 @@ const MAX_SUFFIX: usize = 4;
 /// Rows of `[f64; TAG_COUNT]` the decoder keeps per token: the 14 × 14
 /// score slab, then the token's emission row.
 const LATTICE_ROWS: usize = TAG_COUNT + 1;
+/// Columns `t` of a Viterbi step that `best_through` computes together
+/// (a divisor of `TAG_COUNT`).
+const COLUMNS: usize = 2;
 
 /// Interpolation weights for trigram/bigram/unigram transition estimates.
 const LAMBDA: (f64, f64, f64) = (0.6, 0.3, 0.1);
+
+/// The decoding kernels compiled into this build, widest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    Avx512f,
+    Avx2,
+    Scalar,
+}
+
+impl Kernel {
+    const ALL: [Kernel; 3] = [Kernel::Avx512f, Kernel::Avx2, Kernel::Scalar];
+
+    fn name(self) -> &'static str {
+        match self {
+            Kernel::Avx512f => "avx512f",
+            Kernel::Avx2 => "avx2",
+            Kernel::Scalar => "scalar",
+        }
+    }
+
+    /// Can this CPU run the kernel? (std caches the answer after the
+    /// first query, so asking per sentence is one atomic load.)
+    fn supported(self) -> bool {
+        match self {
+            Kernel::Scalar => true,
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Kernel::Avx512f => std::is_x86_feature_detected!("avx512f"),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Kernel::Avx2 => std::is_x86_feature_detected!("avx2"),
+            #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+            _ => false,
+        }
+    }
+
+    /// The widest kernel this CPU runs.
+    fn detect() -> Kernel {
+        Kernel::ALL.into_iter().find(|k| k.supported()).unwrap_or(Kernel::Scalar)
+    }
+}
+
+/// The decoding kernel [`PosTagger::tag`] runs on this CPU: `"avx512f"`,
+/// `"avx2"` or `"scalar"`. Every kernel computes the same tags and score
+/// bits; only the wall time differs.
+pub fn kernel() -> &'static str {
+    Kernel::detect().name()
+}
 
 /// The trained tagger.
 #[derive(Debug, Clone)]
@@ -351,6 +416,11 @@ impl PosTagger {
     /// score. Tags and path score are bit-equal to the back-pointer
     /// formulation — see the module docs for why.
     pub fn tag(&self, tokens: &[&str]) -> Result<Vec<PosTag>, PosError> {
+        self.tag_on(Kernel::detect(), tokens)
+    }
+
+    /// [`PosTagger::tag`] on `kernel`.
+    fn tag_on(&self, kernel: Kernel, tokens: &[&str]) -> Result<Vec<PosTag>, PosError> {
         if tokens.is_empty() {
             return Err(PosError::EmptySentence);
         }
@@ -360,11 +430,52 @@ impl PosTagger {
                 limit: self.max_tokens,
             });
         }
-        Ok(self.decode(tokens).0)
+        Ok(self.decode_on(kernel, tokens).0)
     }
 
-    /// The best tag sequence of a non-empty sentence and its log score.
-    fn decode(&self, tokens: &[&str]) -> (Vec<PosTag>, f64) {
+    /// The best tag sequence of a non-empty sentence and its log score,
+    /// computed on `kernel`, or on the scalar body when this CPU cannot
+    /// run `kernel`.
+    fn decode_on(&self, kernel: Kernel, tokens: &[&str]) -> (Vec<PosTag>, f64) {
+        match kernel {
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            // SAFETY: the guard has just checked that this CPU has avx512f.
+            Kernel::Avx512f if kernel.supported() => unsafe { self.decode_avx512f(tokens) },
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            // SAFETY: the guard has just checked that this CPU has avx2.
+            Kernel::Avx2 if kernel.supported() => unsafe { self.decode_avx2(tokens) },
+            _ => self.decode_body(tokens),
+        }
+    }
+
+    // lint:hot_loop(begin): POS Viterbi wide wrappers
+    /// The decoding body built for 512-bit vectors.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have checked that this CPU has avx512f.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx512f")]
+    fn decode_avx512f(&self, tokens: &[&str]) -> (Vec<PosTag>, f64) {
+        self.decode_body(tokens)
+    }
+
+    /// The decoding body built for 256-bit vectors.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have checked that this CPU has avx2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    fn decode_avx2(&self, tokens: &[&str]) -> (Vec<PosTag>, f64) {
+        self.decode_body(tokens)
+    }
+    // lint:hot_loop(end)
+
+    /// The one decoding body every kernel compiles: forward maxima, then
+    /// the rescanning backtrack (module docs).
+    #[inline(always)]
+    fn decode_body(&self, tokens: &[&str]) -> (Vec<PosTag>, f64) {
         let n = tokens.len();
         let mut lower = String::new();
         // Token i owns rows [i * LATTICE_ROWS ..][..LATTICE_ROWS]: row p1
@@ -391,10 +502,12 @@ impl PosTagger {
             let e = self.emission(token, &mut lower);
             let (done, cur) = lattice.split_at_mut(i * LATTICE_ROWS);
             let prev = &done[(i - 1) * LATTICE_ROWS..][..TAG_COUNT];
-            for (t, next) in cur[..TAG_COUNT].iter_mut().enumerate() {
+            for (t0, next) in cur[..TAG_COUNT].chunks_exact_mut(COLUMNS).enumerate() {
                 // state (p1, t) moves to (t, t2)
-                let m = self.best_through(prev, t);
-                *next = std::array::from_fn(|t2| m[t2] + e[t2]);
+                let m = self.best_through(prev, t0 * COLUMNS);
+                for (next, m) in next.iter_mut().zip(&m) {
+                    *next = std::array::from_fn(|t2| m[t2] + e[t2]);
+                }
             }
             cur[TAG_COUNT] = e;
         }
@@ -432,20 +545,28 @@ impl PosTagger {
         (tags, best_score)
     }
 
-    /// `max over p1 of (prev[p1][t] + trans[p1, t][t2])` for every `t2`.
-    /// Written as a select (`x > m`, as the reference compared) over
-    /// fixed-width rows so it compiles to vector add/max with no branch.
-    #[inline]
-    fn best_through(&self, prev: &[[f64; TAG_COUNT]], t: usize) -> [f64; TAG_COUNT] {
-        let mut m = [f64::NEG_INFINITY; TAG_COUNT];
+    /// `max over p1 of (prev[p1][t] + trans[p1, t][t2])` for every `t2`
+    /// and each of the columns `t = t0 .. t0 + COLUMNS`. Written as a
+    /// select (`x > m`, as the reference compared) over fixed-width rows
+    /// so it compiles to vector add/max with no branch; always inlined, so
+    /// each kernel builds it at its own lane width. Each column folds its
+    /// `p1` in order, as alone; taking columns together only gives the CPU
+    /// independent max chains to overlap.
+    #[inline(always)]
+    fn best_through(&self, prev: &[[f64; TAG_COUNT]], t0: usize) -> [[f64; TAG_COUNT]; COLUMNS] {
+        // lint:hot_loop(begin): POS Viterbi add/max rows
+        let mut m = [[f64::NEG_INFINITY; TAG_COUNT]; COLUMNS];
         for (p1, scores) in prev.iter().enumerate() {
-            let d = scores[t];
-            let row = &self.trans[p1 * CONTEXTS + t];
-            for t2 in 0..TAG_COUNT {
-                let x = d + row[t2];
-                m[t2] = if x > m[t2] { x } else { m[t2] };
+            for (k, m) in m.iter_mut().enumerate() {
+                let d = scores[t0 + k];
+                let row = &self.trans[p1 * CONTEXTS + t0 + k];
+                for t2 in 0..TAG_COUNT {
+                    let x = d + row[t2];
+                    m[t2] = if x > m[t2] { x } else { m[t2] };
+                }
             }
         }
+        // lint:hot_loop(end)
         m
     }
 
@@ -807,25 +928,47 @@ mod tests {
         }
     }
 
+    /// The kernels this CPU runs. Each one it lacks is named once per
+    /// test process, as skipped.
+    fn host_kernels() -> Vec<Kernel> {
+        static SKIPPED: std::sync::Once = std::sync::Once::new();
+        SKIPPED.call_once(|| {
+            for kernel in Kernel::ALL.into_iter().filter(|k| !k.supported()) {
+                println!("pos: this CPU lacks {}; its kernel is not tested here", kernel.name());
+            }
+        });
+        Kernel::ALL.into_iter().filter(|k| k.supported()).collect()
+    }
+
+    #[test]
+    fn the_dispatched_kernel_is_the_widest_supported() {
+        let kernels = host_kernels();
+        assert_eq!(kernel(), kernels[0].name());
+        assert_eq!(kernels.last(), Some(&Kernel::Scalar));
+    }
+
     /// The max-only kernel against the back-pointer implementation it
-    /// replaced: same `Result` (tags *and* errors), same emission rows and
-    /// same best-path score, bit for bit.
+    /// replaced, on every kernel this CPU runs: same `Result` (tags *and*
+    /// errors), same emission rows and same best-path score, bit for bit.
     fn assert_agrees(tagger: &PosTagger, tokens: &[&str]) {
         let expected = reference::tag(tagger, tokens);
-        assert_eq!(
-            tagger.tag(tokens),
-            expected.clone().map(|(tags, _)| tags),
-            "tokens = {tokens:?}"
-        );
         let mut lower = String::new();
         for token in tokens {
             let (new, old) = (tagger.emission(token, &mut lower), reference::emission(tagger, token));
             assert_eq!(new.map(f64::to_bits), old.map(f64::to_bits), "token = {token:?}");
         }
-        if let Ok((tags, score)) = expected {
-            let (new_tags, new_score) = tagger.decode(tokens);
-            assert_eq!(new_tags, tags);
-            assert_eq!(new_score.to_bits(), score.to_bits(), "tokens = {tokens:?}");
+        assert_eq!(tagger.tag(tokens), expected.clone().map(|(tags, _)| tags), "tokens = {tokens:?}");
+        for kernel in host_kernels() {
+            assert_eq!(
+                tagger.tag_on(kernel, tokens),
+                expected.clone().map(|(tags, _)| tags),
+                "{kernel:?}: tokens = {tokens:?}"
+            );
+            if let Ok((tags, score)) = &expected {
+                let (new_tags, new_score) = tagger.decode_on(kernel, tokens);
+                assert_eq!(&new_tags, tags, "{kernel:?}: tokens = {tokens:?}");
+                assert_eq!(new_score.to_bits(), score.to_bits(), "{kernel:?}: tokens = {tokens:?}");
+            }
         }
     }
 
