@@ -128,6 +128,16 @@ echo "packed spans == plain arrays, scanners == their patterns holds ok"
 PROPTEST_CASES=64 cargo test -q -p websift-flow --lib differential_count_by_key
 echo "count_by key writer == Debug format holds ok"
 
+# Serving read path: the query engine (one shard range per entity, rows
+# from shared per-key values, registry handles once per query kind) must
+# answer as the `#[cfg(test)]` reference engine it replaced — rows,
+# response bytes, scanned postings, cost bits, and after the stream the
+# registry snapshot and the trace JSONL — over random stores (empty,
+# non-ASCII and shared-first-byte entities, every method, rounds 0-4, two
+# corpora) at 1, 4, 16 and 256 shards. Cases pinned as above.
+PROPTEST_CASES=64 cargo test -q -p websift-serve --lib differential
+echo "serve engine == reference engine holds ok"
+
 # Fusion + combining throughput smoke: the fused executor must not
 # regress wall-clock records/sec against its own unfused mode, and
 # combining must never lose to uncombined — including at DoP 1, where no

@@ -93,6 +93,12 @@ impl FieldMap {
         self.0.iter().map(|(_, v)| v)
     }
 
+    /// The values in key order, writable in place: the keys, and so the
+    /// order, stay as they are.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        self.0.iter_mut().map(|(_, v)| v)
+    }
+
     pub fn iter(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
         self.0.iter().map(|(k, v)| (k, v))
     }
@@ -537,10 +543,11 @@ impl Snapshot for Record {
     }
 }
 
-/// Recurring field keys across the workspace's flows, sorted for binary
-/// search. Hits in [`intern`] clone a pooled `Arc<str>` (a refcount bump);
-/// the list is an optimization only — unknown keys still work, they just
-/// pay one allocation.
+/// Recurring field keys across the workspace's flows and the serving
+/// layer's result rows, strictly ascending for binary search. Hits in
+/// [`intern`] clone a pooled `Arc<str>` (a refcount bump); the list is an
+/// optimization only — unknown keys still work, they just pay one
+/// allocation.
 static COMMON_KEYS: &[&str] = &[
     "annotations",
     "class",
@@ -548,6 +555,7 @@ static COMMON_KEYS: &[&str] = &[
     "count",
     "end",
     "entities",
+    "entity",
     "has_markup",
     "id",
     "key",
@@ -612,6 +620,20 @@ pub fn span_annotation(start: usize, end: usize, extra: &[(&str, Value)]) -> Val
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn common_keys_are_strictly_ascending() {
+        // `intern` binary-searches the list: one key out of order and the
+        // search misses it or its neighbours, which then silently stop
+        // being pooled
+        for pair in COMMON_KEYS.windows(2) {
+            assert!(pair[0] < pair[1], "{:?} must sort before {:?}", pair[0], pair[1]);
+        }
+        for (i, key) in COMMON_KEYS.iter().enumerate() {
+            assert!(Arc::ptr_eq(&intern(key), &intern(key)), "{key} is pooled");
+            assert_eq!(COMMON_KEYS.binary_search(key), Ok(i));
+        }
+    }
 
     #[test]
     fn record_roundtrip() {
