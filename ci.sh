@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate (the root workspace's default members are the facade plus
-# every crate, so the plain build/test lines cover shard_worker and every
-# crate suite at default proptest cases) plus the workspace lint wall,
+# every crate, so the plain build/test lines cover every crate suite at
+# default proptest cases) plus the workspace lint wall,
 # the pinned-case differential suites, and the smoke checks. The bench
 # crate has no [[bench]] targets: everything in it is an experiment
 # binary, and each of them is run below. Wall-clock numbers of the
@@ -74,9 +74,10 @@ PROPTEST_CASES=64 cargo test -q -p websift-flow --test partial_agg
 echo "partial_agg: combining equivalence holds ok"
 
 # Fusion equivalence: a fused run must be byte-identical to an unfused
-# one on every deterministic surface — random chains, fan-out tee plans,
-# and resumes from the frame a kill at a random boundary leaves (inside
-# fused stages too). Cases pinned as above.
+# one on every deterministic surface — random chains at unit and scaled
+# simulated models, fan-out tee plans into plain and store sinks, and
+# resumes (fused, unfused, uncombined) from the frame a kill at a random
+# boundary leaves, inside fused stages too. Cases pinned as above.
 PROPTEST_CASES=64 cargo test -q -p websift-flow --test fusion
 echo "fusion: fused == unfused equivalence holds ok"
 
@@ -112,8 +113,8 @@ echo "crawl: any worker pool == one worker holds ok"
 # plain array of `{end, start}` objects it spells — codec bytes, size
 # model, `==`, `value_cmp` — and the paper's flows must produce the same
 # sinks, metrics, checkpoint frames and digests as with `#[cfg(test)]`
-# annotators writing plain arrays: fused or not, resumed from a frame,
-# and across worker shards. The same run holds the linguistic
+# annotators writing plain arrays: fused or not, and resumed from a
+# frame. The same run holds the linguistic
 # annotators' word-list and parenthesis scanners to a brute-force search
 # by the definition of their patterns, hostile sentence spans included.
 # Cases pinned as above.
@@ -166,13 +167,6 @@ echo "exp_serve smoke: serving digests identical across shards and snapshot/resu
 cargo run -q --release -p websift-bench --bin exp_live -- --quick --check > /dev/null
 echo "exp_live smoke: incremental == recompute == resumed digests, delta pass wins ok"
 
-# Sharded-execution equivalence: N worker shards (threads or real OS
-# processes exchanging length-prefixed frames) must be byte-identical to
-# the in-process engine on every deterministic surface, including
-# kill-and-resume at mismatched shard counts. Cases pinned as above.
-PROPTEST_CASES=64 cargo test -q -p websift-flow --test shuffle
-echo "shuffle: sharded == in-process equivalence holds ok"
-
 # The workspace has no serialization library: JSON goes through
 # websift-observe's writer and every frame through the resilience codec.
 # (benchmark/ is its own workspace and is left as it is.)
@@ -205,11 +199,13 @@ if grep -rnE 'temp_dir|File::create|File::open' crates/flow/src; then
 fi
 echo "flow writes no file ok"
 
-# The simulated cluster model stays in the parent: the stage kernel, the
-# shard runner and the frame transport see raw per-record costs, never a
-# knob of the paper-scale model.
-if grep -nE 'work_scale|byte_scale|chunk_rounds|ClusterSpec' \
-  crates/flow/src/{shuffle,runner,transport}.rs; then
+# The simulated cluster model stays in the executor: the stage kernel, its
+# fold and the thread loop that runs them see raw per-record costs, never
+# a knob of the paper-scale model. grep on a missing file exits 2, which
+# the `if` would read as clean, so the file's presence is checked first.
+physical=crates/flow/src/shuffle.rs
+test -f "$physical"
+if grep -nE 'work_scale|byte_scale|chunk_rounds|ClusterSpec' "$physical"; then
   echo "the simulated model must not reach the physical layer" >&2
   exit 1
 fi
@@ -245,13 +241,6 @@ if grep -rnE 'Aggregate::Custom|CustomCombin|reduce_custom_combinable|Operator::
   exit 1
 fi
 echo "every Reduce is typed ok"
-
-# Sharded scale-out smoke on the real flows: every shard count (worker
-# threads and real worker processes) must reproduce the unsharded run's
-# deterministic digest with no stage left on the local runner (--check
-# exits non-zero on any divergence or pinned stage).
-cargo run -q --release -p websift-bench --bin exp_shuffle -- --quick --check > /dev/null
-echo "exp_shuffle smoke: digests identical across shard counts, every stage shipped ok"
 
 # The wall-clock benchmark's own gate: offline build, clippy, unit tests,
 # and a 1/20-size smoke run of every workload with its oracles.

@@ -191,10 +191,10 @@ mod tests {
         assert!(Severity::Warning > Severity::Info);
         assert!(has_errors(&[Diagnostic::error("WS002", "x")]));
         assert!(!has_errors(&[Diagnostic::warning("WS003", "x")]));
-        assert!(!has_errors(&[Diagnostic::info("WS017", "x")]));
+        assert!(!has_errors(&[Diagnostic::info("WS015", "x")]));
         let d = Diagnostic::warning("WS005", "unused").with_line(4);
         assert_eq!(d.to_string(), "warning [WS005] line 4: unused");
-        let d = Diagnostic::info("WS017", "pinned stage").with_node(2);
-        assert_eq!(d.to_string(), "info [WS017] node 2: pinned stage");
+        let d = Diagnostic::info("WS015", "redundant filter").with_node(2);
+        assert_eq!(d.to_string(), "info [WS015] node 2: redundant filter");
     }
 }

@@ -145,11 +145,7 @@ pub const WALL_CLOCK_ALLOWLIST: &[(&str, &str)] = &[
     ),
     (
         "crates/flow/src/shuffle.rs",
-        "per-chunk wall_ms mirrors the executor's runtime-only diagnostics; stripped from frames' deterministic surfaces",
-    ),
-    (
-        "crates/bench/src/experiments/shuffle_exps.rs",
-        "the shuffle harness measures real scale-out records/sec across shard counts",
+        "per-chunk wall_ms mirrors the executor's runtime-only diagnostics, excluded from checkpoints and digests",
     ),
     (
         "benchmark/src/clock.rs",
@@ -181,25 +177,19 @@ pub const DETERMINISTIC_OUTPUT_MODULES: &[&str] = &[
     "crates/serve/src/snapshot.rs",
     "crates/live/src/watermark.rs",
     "crates/live/src/incremental.rs",
-    "crates/flow/src/transport.rs",
     "crates/flow/src/shuffle.rs",
-    "crates/resilience/src/frame.rs",
 ];
 
 /// Modules that parse untrusted input (scripts, crawled pages and their
-/// net text and its tokens, shuffle frames and operator wire forms off
-/// the wire, the crawl loop with its checkpoint decoder, the IE operators
-/// reading annotations off records, store snapshots and live watermarks
-/// read back from storage): matched by file name, panics on input are
-/// forbidden.
+/// net text and its tokens, the crawl loop with its checkpoint decoder,
+/// the IE operators reading annotations off records, store snapshots and
+/// live watermarks read back from storage): matched by file name, panics
+/// on input are forbidden.
 pub const UNTRUSTED_INPUT_FILES: &[&str] = &[
     "parser.rs",
     "meteor.rs",
     "html.rs",
     "query.rs",
-    "transport.rs",
-    "frame.rs",
-    "wire.rs",
     "ngram.rs",
     "langid.rs",
     "pos.rs",

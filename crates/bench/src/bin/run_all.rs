@@ -6,9 +6,9 @@
 //! ```
 //!
 //! Besides the markdown report, every result is collected and written to
-//! `BENCH_RESULTS.json`, and the two sweeps with a payload of their own
-//! to `BENCH_THROUGHPUT.json` / `BENCH_SHUFFLE.json`, each stamped with
-//! the commit, core count and workload size it was measured at. The
+//! `BENCH_RESULTS.json`, and the throughput sweep's own payload to
+//! `BENCH_THROUGHPUT.json`, each stamped with the commit, core count and
+//! workload size it was measured at. The
 //! system's end-to-end wall-clock numbers come from `benchmark/`, not
 //! from here.
 //!
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use websift_bench::experiments::{
     ablation_exps, analyze_exps, content_exps, crawl_exps, live_exps, profile_exps,
-    recovery_exps, scaling_exps, serve_exps, shuffle_exps, throughput_exps,
+    recovery_exps, scaling_exps, serve_exps, throughput_exps,
 };
 use websift_bench::report::{results_to_json, stamp};
 use websift_bench::ExperimentResult;
@@ -40,7 +40,7 @@ const CRAWL_PAGES: usize = 40_000;
 const SWEEP_DOCS: usize = 480;
 
 /// Every step of the report, in the order it runs: `(id, progress label)`.
-const STEPS: [(&str, &str); 24] = [
+const STEPS: [(&str, &str); 23] = [
     ("throughput", "wall-clock throughput (fused vs unfused; combined vs uncombined)"),
     ("table1", "Table 1"),
     ("crawl", "crawl experiments"),
@@ -62,7 +62,6 @@ const STEPS: [(&str, &str); 24] = [
     ("recovery", "fault injection + recovery"),
     ("serve", "serving layer (response digests under admission-controlled load)"),
     ("live", "live incremental execution (delta pass vs batch recompute)"),
-    ("shuffle", "sharded shuffle scale-out (worker threads and processes, digest-gated)"),
     ("ablations", "design ablations (arms held to agreement)"),
     ("consolidated", "§5 consolidated process (IE feedback into the crawl)"),
 ];
@@ -321,21 +320,6 @@ fn main() {
     if step("live") {
         out(live_exps::live(150).result);
     }
-    if step("shuffle") {
-        let shuffle =
-            shuffle_exps::shuffle_at(shuffle_exps::SHUFFLE_DOCS, &shuffle_exps::SHUFFLE_SHARDS);
-        out(shuffle.result.clone());
-        if full {
-            let summary = format!(
-                "{} cells; digests {} across shard counts {:?}; process workers {}",
-                shuffle.points.len(),
-                if shuffle.digests_identical { "identical" } else { "DIVERGED" },
-                shuffle.shards,
-                if shuffle.worker_bin.is_some() { "measured" } else { "skipped" },
-            );
-            write_json("BENCH_SHUFFLE.json", shuffle_exps::shuffle_json(&shuffle), summary);
-        }
-    }
     if step("ablations") {
         out(ablation_exps::ablations(false));
     }
@@ -363,8 +347,7 @@ fn main() {
     if full {
         let workload = format!(
             "every experiment at its run_all size ({CRAWL_PAGES}-page crawl, {SWEEP_DOCS}-document \
-             sweeps, {}-document shuffle)",
-            shuffle_exps::SHUFFLE_DOCS
+             sweeps)"
         );
         let results = stamp(ObjectWriter::new().str("experiment", "run_all"), &workload)
             .raw("results", &results_to_json(&collected))

@@ -21,7 +21,6 @@
 //! | [`profile_exps::cost_decomposition`] | Fig. 8 cost split (startup vs per-record, live from the registry; folded stacks) |
 //! | [`throughput_exps::fusion`] / [`throughput_exps::combining`] | wall-clock records/sec of the executor, fused vs unfused and combined vs uncombined |
 //! | [`ablation_exps::ablations`] | the design ablations DESIGN.md calls out, arms held to agreement |
-//! | [`shuffle_exps::shuffle_at`] | scale-out records/sec across worker-shard counts (threads and real processes), digest-gated |
 //! | [`serve_exps::serve`] | serving-layer response digests under admission-controlled concurrent clients, across shard counts and snapshot/resume |
 //! | [`live_exps::live`] | incremental delta pass vs batch full recompute, per crawl round and DoP |
 //! | [`recovery_exps::crawl_recovery`] | crawl goodput under injected faults + checkpoint count and bytes |
@@ -37,5 +36,4 @@ pub mod profile_exps;
 pub mod recovery_exps;
 pub mod scaling_exps;
 pub mod serve_exps;
-pub mod shuffle_exps;
 pub mod throughput_exps;

@@ -260,9 +260,10 @@ pub fn fusion(docs: usize, dops: &[usize]) -> SweepReport {
 }
 
 /// Combined vs uncombined over the token-frequency pipeline. Uncombined,
-/// the final reduce's shuffle emulation codec-roundtrips every exploded
-/// token record; combined, the fused workers fold each chunk into sorted
-/// partial-aggregate maps and only those cross the shuffle. Byte-identity
+/// the final reduce groups every exploded token record in the parent and
+/// counts each one's encoding as shuffled bytes; combined, the fused
+/// workers fold each chunk into sorted partial-aggregate maps and only
+/// those count. Byte-identity
 /// of the two is held by `crates/flow/tests/partial_agg.rs`.
 pub fn combining(docs: usize, dops: &[usize]) -> SweepReport {
     let sweep = Sweep {

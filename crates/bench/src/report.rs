@@ -91,7 +91,7 @@ fn git_rev() -> String {
 }
 
 /// The provenance every JSON payload bound for a committed file
-/// (`BENCH_RESULTS.json`, `BENCH_THROUGHPUT.json`, `BENCH_SHUFFLE.json`)
+/// (`BENCH_RESULTS.json`, `BENCH_THROUGHPUT.json`)
 /// carries: which commit measured it, on how many cores, at what size.
 pub fn stamp<'a>(payload: &'a mut ObjectWriter, workload: &str) -> &'a mut ObjectWriter {
     payload

@@ -300,24 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn every_operator_of_every_paper_flow_can_ship_to_a_worker_shard() {
-        let plans = [
-            ("full", full_analysis_plan(resources())),
-            ("linguistic", linguistic_flow("docs")),
-            ("token_frequency", token_frequency_flow("docs")),
-            ("entity", entity_flow_for(resources(), EntityType::Drug, MethodSelection::Both)),
-            ("disease_ml", entity_flow_for(resources(), EntityType::Disease, MethodSelection::MlOnly)),
-            ("entity_store", entity_store_flow(resources(), EntityType::Gene, "kb")),
-            ("live", live_extraction_flow(resources(), EntityType::Gene, "kb")),
-        ];
-        for (flow, plan) in &plans {
-            for op in plan.operators() {
-                assert!(op.wire().is_some(), "{flow}: '{}' has no wire form", op.name);
-            }
-        }
-    }
-
-    #[test]
     fn full_plan_fails_admission_on_paper_cluster() {
         // the war story: memory + the OpenNLP conflict
         let plan = full_analysis_plan(resources());

@@ -24,7 +24,6 @@
 //! | WS013 | error    | field-type conflict: an operator reads a field under a declared type its producer wrote differently |
 //! | WS014 | error    | fused-stage admission: even the *peak fused stage's* footprint × co-located workers exceeds node RAM |
 //! | WS015 | warning  | redundant operator: an identically-annotated idempotent operator repeats on one path with nothing between touching its fields |
-//! | WS017 | info     | sharded run: a closure-built operator has no wire form, so the stage it is fused into stays on the local runner |
 //!
 //! (*WS002 is a warning without an admission context: a plan may run
 //! locally where the simulated class loader never materializes.)
@@ -70,11 +69,6 @@ pub struct AnalyzeOptions {
     /// When set, run the admission pre-flight (WS002 escalates to error,
     /// WS007/WS008 fire) against this cluster at this DoP.
     pub admission: Option<(ClusterSpec, usize)>,
-    /// When set, the admission pre-flight models sharded execution: each
-    /// node hosts `ceil(shards / nodes)` worker *processes*, each with a
-    /// full per-worker memory footprint, instead of DoP threads sharing
-    /// one footprint (see [`crate::cluster::admit_sharded`]).
-    pub shards: Option<usize>,
     /// When set, WS011 fires for `store:` sinks naming a store outside
     /// this set. `None` (the default) only checks that store-sink names
     /// parse, since most callers execute plans without any store bound.
@@ -101,7 +95,6 @@ impl Default for AnalyzeOptions {
                 .map(|s| s.to_string())
                 .collect(),
             admission: None,
-            shards: None,
             known_stores: None,
             live: false,
             source_estimate: None,
@@ -114,13 +107,6 @@ impl AnalyzeOptions {
     /// Enables the admission pre-flight against `cluster` at `dop`.
     pub fn with_admission(mut self, cluster: ClusterSpec, dop: usize) -> AnalyzeOptions {
         self.admission = Some((cluster, dop));
-        self
-    }
-
-    /// Makes the admission pre-flight model `shards` worker processes
-    /// per plan instead of one multi-threaded process.
-    pub fn with_shards(mut self, shards: usize) -> AnalyzeOptions {
-        self.shards = Some(shards);
         self
     }
 
@@ -176,7 +162,6 @@ pub fn analyze_plan(plan: &LogicalPlan, opts: &AnalyzeOptions) -> Vec<Diagnostic
     check_type_conflicts(plan, opts, &contributing, &mut diags);
     check_fused_admission(plan, opts, &mut diags);
     check_redundant_ops(plan, &contributing, &mut diags);
-    check_shippability(plan, opts, &mut diags);
 
     // A node already reported unreachable gets no further codes: every
     // other finding on it describes code that will never run.
@@ -394,7 +379,7 @@ fn check_unreachable(
 
 /// WS002 / WS007 / WS008: the admission pre-flight. Each diagnostic is one
 /// of [`cluster::admission_violations`], the reasons
-/// [`cluster::admit_sharded`] has to refuse the plan. Without an
+/// [`cluster::admit`] has to refuse the plan. Without an
 /// admission context only the library conflicts are checked, and WS002
 /// is a warning: a plan may run locally where the simulated class loader
 /// never materializes.
@@ -404,7 +389,7 @@ fn report_admission_violations(
     out: &mut Vec<Diagnostic>,
 ) {
     let violations = match &opts.admission {
-        Some((cluster, dop)) => cluster::admission_violations(plan, *dop, cluster, opts.shards),
+        Some((cluster, dop)) => cluster::admission_violations(plan, *dop, cluster),
         None => cluster::library_conflicts(plan),
     };
     for violation in violations {
@@ -434,10 +419,10 @@ fn report_admission_violations(
                 out.push(Diagnostic::error(
                     "WS007",
                     format!(
-                        "flow needs {:.1} GB per worker x {workers_per_node} {}/node but nodes \
-                         have {:.1} GB; reduce operator footprints, lower DoP, or split the flow",
+                        "flow needs {:.1} GB per worker x {workers_per_node} workers/node but \
+                         nodes have {:.1} GB; reduce operator footprints, lower DoP, or split the \
+                         flow",
                         gb(memory_per_worker),
-                        placement_unit(opts),
                         gb(node_ram)
                     ),
                 ))
@@ -451,52 +436,6 @@ fn report_admission_violations(
 
 fn gb(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 30) as f64
-}
-
-/// What one node co-hosts: shard processes, or worker threads.
-fn placement_unit(opts: &AnalyzeOptions) -> &'static str {
-    if opts.shards.is_some() {
-        "shards"
-    } else {
-        "workers"
-    }
-}
-
-/// WS017: under sharding, an operator without a wire form — built from
-/// an ad-hoc closure rather than a `packages::*` constructor — cannot be
-/// rebuilt inside a worker shard, so the executor keeps the whole fused
-/// stage it belongs to on the local runner (counted at run time in
-/// `PhysicalStats::stages_pinned_local`). Correct, and usually not what
-/// a sharded run was configured for. Stages are the default
-/// fusion/combining schedule's, named by their operators.
-fn check_shippability(plan: &LogicalPlan, opts: &AnalyzeOptions, out: &mut Vec<Diagnostic>) {
-    if opts.shards.is_none() {
-        return;
-    }
-    let op_at = |id: NodeId| match &plan.nodes()[id].op {
-        NodeOp::Op(op) => Some(op),
-        _ => None,
-    };
-    for stage in plan_stages(plan, true, true) {
-        let members = stage.first..stage.first + stage.len;
-        let names: Vec<&str> = members.clone().filter_map(op_at).map(|op| op.name.as_str()).collect();
-        for id in members {
-            let Some(op) = op_at(id).filter(|op| op.wire().is_none()) else { continue };
-            out.push(
-                Diagnostic::info(
-                    "WS017",
-                    format!(
-                        "operator '{}' is closure-built and has no wire form, so under sharding \
-                         its stage [{}] runs on the local runner instead of the worker shards; \
-                         build it from a packages:: constructor to ship it",
-                        op.name,
-                        names.join(" -> ")
-                    ),
-                )
-                .with_node(id),
-            );
-        }
-    }
 }
 
 /// WS011: every `store:` sink must parse as `store:<store>/<dataset>`,
@@ -653,17 +592,16 @@ fn check_fused_admission(plan: &LogicalPlan, opts: &AnalyzeOptions, out: &mut Ve
         .max()
         .unwrap_or(0);
     if let Err(SchedulingError::InsufficientMemory { node_ram, workers_per_node, .. }) =
-        cluster::fit_memory(peak, *dop, opts.shards, cluster)
+        cluster::fit_memory(peak, *dop, cluster)
     {
         out.push(Diagnostic::error(
             "WS014",
             format!(
                 "even with operator fusion and combining, the heaviest fused stage needs \
-                 {:.1} GB per worker x {workers_per_node} {}/node but nodes have {:.1} GB; \
+                 {:.1} GB per worker x {workers_per_node} workers/node but nodes have {:.1} GB; \
                  no stage-level schedule fits — reduce operator footprints, lower DoP, or \
                  split the flow",
                 gb(peak),
-                placement_unit(opts),
                 gb(node_ram)
             ),
         ));

@@ -186,40 +186,25 @@ pub struct Placement {
 /// operators (pipelined execution), so per-worker memory is the sum of
 /// operator footprints — the paper's "roughly 60 GB main memory per worker
 /// thread" arithmetic.
-pub fn admit(plan: &LogicalPlan, dop: usize, cluster: &ClusterSpec) -> Result<Placement, SchedulingError> {
-    admit_sharded(plan, dop, cluster, None)
-}
-
-/// [`admit`] for sharded execution: with `shards = Some(n)` the unit of
-/// placement is a worker *process*, not a thread — each shard co-hosts
-/// the whole operator chain, so a node running `ceil(shards / nodes)`
-/// shard processes needs that many full per-worker footprints resident
-/// at once. `None` reproduces the one-process thread model, where DoP
-/// threads share a single footprint per node slot.
 ///
 /// Rejects DoP 0 first, then returns the first of
 /// [`admission_violations`].
-pub fn admit_sharded(
-    plan: &LogicalPlan,
-    dop: usize,
-    cluster: &ClusterSpec,
-    shards: Option<usize>,
-) -> Result<Placement, SchedulingError> {
+pub fn admit(plan: &LogicalPlan, dop: usize, cluster: &ClusterSpec) -> Result<Placement, SchedulingError> {
     if dop == 0 {
         return Err(SchedulingError::ZeroDop);
     }
-    if let Some(first) = admission_violations(plan, dop, cluster, shards).into_iter().next() {
+    if let Some(first) = admission_violations(plan, dop, cluster).into_iter().next() {
         return Err(first);
     }
     let memory_per_worker = plan_memory(plan);
     Ok(Placement {
         dop,
-        workers_per_node: fit_memory(memory_per_worker, dop, shards, cluster)?,
+        workers_per_node: fit_memory(memory_per_worker, dop, cluster)?,
         memory_per_worker,
     })
 }
 
-/// Every reason [`admit_sharded`] has to refuse `plan` at `dop`, in a
+/// Every reason [`admit`] has to refuse `plan` at `dop`, in a
 /// fixed order: library conflicts by library name, then DoP over cores,
 /// then a zero-memory plan, then insufficient memory. Empty when the plan
 /// fits. The static analyzer reports all of them; the scheduler refuses
@@ -228,7 +213,6 @@ pub fn admission_violations(
     plan: &LogicalPlan,
     dop: usize,
     cluster: &ClusterSpec,
-    shards: Option<usize>,
 ) -> Vec<SchedulingError> {
     let mut violations = library_conflicts(plan);
     let cores = cluster.total_cores();
@@ -238,7 +222,7 @@ pub fn admission_violations(
     let memory_per_worker = plan_memory(plan);
     if memory_per_worker == 0 {
         violations.push(SchedulingError::ZeroMemoryPlan { operators: plan.operator_count() });
-    } else if let Err(e) = fit_memory(memory_per_worker, dop, shards, cluster) {
+    } else if let Err(e) = fit_memory(memory_per_worker, dop, cluster) {
         violations.push(e);
     }
     violations
@@ -265,17 +249,15 @@ pub fn library_conflicts(plan: &LogicalPlan) -> Vec<SchedulingError> {
         .collect()
 }
 
-/// The per-node memory envelope: `memory_per_worker` times the workers one
-/// node co-hosts — `ceil(shards / nodes)` shard processes, or
-/// `ceil(dop / nodes)` threads without shards — against the smallest
+/// The per-node memory envelope: `memory_per_worker` times the
+/// `ceil(dop / nodes)` workers one node co-hosts, against the smallest
 /// node's RAM. Returns that worker count when it fits.
 pub fn fit_memory(
     memory_per_worker: u64,
     dop: usize,
-    shards: Option<usize>,
     cluster: &ClusterSpec,
 ) -> Result<usize, SchedulingError> {
-    let workers_per_node = shards.map_or(dop, |s| s.max(1)).div_ceil(cluster.nodes.len()).max(1);
+    let workers_per_node = dop.div_ceil(cluster.nodes.len()).max(1);
     let node_ram = cluster.nodes.iter().map(|n| n.ram_bytes).min().unwrap_or(0);
     if memory_per_worker.saturating_mul(workers_per_node as u64) > node_ram {
         return Err(SchedulingError::InsufficientMemory {
@@ -351,29 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn sharding_multiplies_the_per_node_footprint() {
-        let plan = plan_with_memory(&[10]); // 10 GB/worker
-        let cluster = ClusterSpec::local(2, 24, 8);
-        // one process per node at DoP 2: 10 GB fits 24 GB
-        let p = admit(&plan, 2, &cluster).unwrap();
-        assert_eq!(p.workers_per_node, 1);
-        // same DoP, but 8 shard *processes*: 4/node x 10 GB > 24 GB
-        let err = admit_sharded(&plan, 2, &cluster, Some(8)).unwrap_err();
-        assert!(matches!(
-            err,
-            SchedulingError::InsufficientMemory { workers_per_node: 4, .. }
-        ));
-        // 4 shards spread 2/node: 20 GB still fits
-        let p = admit_sharded(&plan, 2, &cluster, Some(4)).unwrap();
-        assert_eq!(p.workers_per_node, 2);
-        // shards = None delegates to the thread model
-        assert_eq!(
-            admit_sharded(&plan, 2, &cluster, None).unwrap(),
-            admit(&plan, 2, &cluster).unwrap()
-        );
-    }
-
-    #[test]
     fn dop_capped_by_cores() {
         let plan = plan_with_memory(&[1]);
         let err = admit(&plan, 200, &ClusterSpec::paper_cluster()).unwrap_err();
@@ -426,7 +385,7 @@ mod tests {
             versions: vec![1, 2],
             operators: vec![first.to_string(), second.to_string()],
         };
-        let all = admission_violations(&plan, 200, &cluster, None);
+        let all = admission_violations(&plan, 200, &cluster);
         assert_eq!(
             all,
             vec![

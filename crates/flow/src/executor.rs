@@ -15,9 +15,9 @@
 //! The simulated clock is what reproduces the shapes of Figs. 4 and 5
 //! without the authors' 28-node cluster. Its knobs (`cluster`,
 //! `admission`, `byte_scale`, `work_scale`, `chunk_rounds`) are read only
-//! by admission, the drive loop and the replay: the stage kernel and the
-//! shard frames carry raw per-record costs. [`Executor::run`] is the one
-//! way to start a flow, fresh or resumed.
+//! by admission, the drive loop and the replay: the stage kernel carries
+//! raw per-record costs. [`Executor::run`] is the one way to start a
+//! flow, fresh or resumed.
 //!
 //! # Resilience
 //!
@@ -46,15 +46,16 @@
 //! the replay, byte-identical to unfused execution.
 
 use crate::analyze::{analyze_plan, AnalyzeOptions};
-use crate::cluster::{admit_sharded, ClusterSpec, SchedulingError};
+use crate::cluster::{admit, ClusterSpec, SchedulingError};
 use crate::logical::{parse_store_sink, LogicalPlan, NodeOp, STORE_SINK_PREFIX};
 use websift_analyze::{Diagnostic, Severity};
 use crate::operator::{AggState, Kind, OpFunc, Operator};
 use crate::optimizer::{fused_stage, StageDecision};
 use crate::record::Record;
 use crate::resilience::{FlowCheckpoint, FlowResilience};
-use crate::runner::{group_by_key, host_parallelism, LocalRunner, StageRunner};
-use crate::shuffle::{ChunkOut, ChunkStats, ShardConfig, ShardPool, ShardRunError, StageKernel};
+use crate::shuffle::{
+    group_by_key, host_parallelism, run_chunks, ChunkOut, ChunkPanic, ChunkStats, StageKernel,
+};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
@@ -119,15 +120,6 @@ pub struct ExecutionConfig {
     /// the parent: the reference path the differential suites compare
     /// against.
     pub combining: bool,
-    /// Sharded physical execution: run fused stages on N worker shards
-    /// (threads or real OS processes) over the frame protocol in
-    /// [`crate::shuffle`] instead of local threads. Physical only: chunk
-    /// boundaries, per-record costs, and merge order are identical, so
-    /// every deterministic surface is bit-identical across shard counts
-    /// and worker kinds (see the `shuffle` differential suite). A stage
-    /// containing a closure-built operator (no wire form) stays on the
-    /// local runner, counted in [`PhysicalStats::stages_pinned_local`].
-    pub sharding: Option<ShardConfig>,
 }
 
 impl ExecutionConfig {
@@ -143,7 +135,6 @@ impl ExecutionConfig {
             analyze: true,
             fusion: true,
             combining: true,
-            sharding: None,
         }
     }
 }
@@ -234,19 +225,6 @@ pub enum ExecutionError {
     /// output must never silently fall on the floor, so the whole run is
     /// rejected before any operator runs or the store sees an append.
     UnknownStore { sink: String, store: String },
-    /// A worker shard died mid-run (crash or injected kill) with
-    /// `respawn_lost` off. Carries every resilience checkpoint taken
-    /// before the loss so the caller can [`RunOptions::resume`] from the
-    /// latest frame — at any shard count, admitted again under it — and
-    /// reproduce the uninterrupted run bit for bit.
-    ShardLost {
-        shard: usize,
-        operator: String,
-        checkpoints: Vec<FlowCheckpoint>,
-    },
-    /// A shard channel desynchronized (unexpected frame kind, corrupt
-    /// payload, or a spawn failure).
-    ShardProtocol { shard: usize, detail: String },
 }
 
 impl std::fmt::Display for ExecutionError {
@@ -285,14 +263,6 @@ impl std::fmt::Display for ExecutionError {
                 f,
                 "sink '{sink}' targets store '{store}', which this run cannot reach"
             ),
-            ExecutionError::ShardLost { shard, operator, checkpoints } => write!(
-                f,
-                "worker shard {shard} lost during '{operator}'; {} checkpoint(s) survive for resume",
-                checkpoints.len()
-            ),
-            ExecutionError::ShardProtocol { shard, detail } => {
-                write!(f, "shard {shard} channel desynchronized: {detail}")
-            }
         }
     }
 }
@@ -302,29 +272,16 @@ impl std::error::Error for ExecutionError {}
 /// Physical-side observations of a run — facts about how the work was
 /// really executed (as opposed to what the simulated cluster charged).
 /// Deliberately excluded from checkpoints, metric codecs, and
-/// [`FlowOutput::deterministic_digest`]: they vary with `combining` and
-/// worker counts by design, the way `wall_ms` varies with hardware.
+/// [`FlowOutput::deterministic_digest`]: they vary with `combining` by
+/// design, the way `wall_ms` varies with hardware.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhysicalStats {
-    /// Bytes actually serialized across Reduce shuffle boundaries: every
-    /// input record for an uncombined Reduce, only the sorted-key
-    /// partial-aggregate maps for a combined one. The combined-vs-
-    /// uncombined reduction here is the combiner's bandwidth win.
+    /// Bytes a Reduce shuffle boundary ships, in the snapshot codec's
+    /// encoding: every input record for an uncombined Reduce, only the
+    /// sorted-key partial-aggregate maps for a combined one. The
+    /// combined-vs-uncombined reduction here is the combiner's bandwidth
+    /// win.
     pub shuffle_bytes: u64,
-    /// Worker shards the run actually spawned (0 for in-process runs).
-    pub shards_used: u64,
-    /// Frames carried over shard channels, both directions.
-    pub shard_frames: u64,
-    /// Frame payload bytes carried over shard channels.
-    pub shard_wire_bytes: u64,
-    /// Worker shards respawned after a loss (`respawn_lost`).
-    pub shard_respawns: u64,
-    /// Stages kept off the worker shards although sharding was
-    /// configured, because a constituent has no wire form — exactly what
-    /// WS017 announces. An uncombined Reduce is grouped in the parent
-    /// whatever its wire form and is not a pin: it counts here only when
-    /// WS017 flags it, a closure-built reduce.
-    pub stages_pinned_local: u64,
 }
 
 /// A destination for `store:`-prefixed sinks: anything that can accept a
@@ -521,14 +478,10 @@ impl Executor {
     /// The static analyzer, then the scheduler's admission check — each
     /// when configured.
     fn admit(&self, plan: &LogicalPlan) -> Result<(), ExecutionError> {
-        let shards = self.config.sharding.as_ref().map(|s| s.shards);
         if self.config.analyze {
             let mut opts = AnalyzeOptions::default();
             if self.config.admission {
                 opts = opts.with_admission(self.config.cluster.clone(), self.config.dop);
-                if let Some(n) = shards {
-                    opts = opts.with_shards(n);
-                }
             }
             let errors: Vec<Diagnostic> = analyze_plan(plan, &opts)
                 .into_iter()
@@ -539,8 +492,7 @@ impl Executor {
             }
         }
         if self.config.admission {
-            admit_sharded(plan, self.config.dop, &self.config.cluster, shards)
-                .map_err(ExecutionError::Scheduling)?;
+            admit(plan, self.config.dop, &self.config.cluster).map_err(ExecutionError::Scheduling)?;
         }
         Ok(())
     }
@@ -618,9 +570,6 @@ impl Executor {
 
         let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
         let metrics = run.metrics_view(state.nodes_lost, wall_ms);
-        if let Some(pool) = &run.pool {
-            pool.report(&mut run.physical);
-        }
         Ok(FlowOutput {
             sinks: state.sinks,
             metrics,
@@ -698,7 +647,7 @@ impl Executor {
     ///
     /// The physical dataflow and the simulated accounting are
     /// deliberately decoupled. Records move **by value** stage to stage
-    /// inside a [`StageRunner`] (no per-record clones), while each
+    /// inside the [`StageKernel`] (no per-record clones), while each
     /// stage tallies per-record simulated costs (in record order) and
     /// incremental byte counts. When the stage ends in a combined
     /// Reduce, each chunk is folded into per-key partial-aggregate
@@ -714,8 +663,8 @@ impl Executor {
     /// registry series (start-up and work seconds among them), tracer
     /// spans — and checkpoint frames whose boundaries land inside the
     /// stage, synthesized byte-identically from tapped intermediate
-    /// streams. Stage shape
-    /// and runner therefore never change a deterministic number.
+    /// streams. Stage shape and worker count therefore never change a
+    /// deterministic number.
     fn run_stage(
         &self,
         run: &mut RunCtx<'_>,
@@ -815,36 +764,12 @@ impl Executor {
         scheds
     }
 
-    /// The one place a stage's physical placement is decided, from what
-    /// the executor can observe: the sharded runner takes a stage when
-    /// sharding is configured and every operator it would ship has a
-    /// wire form; everything else runs on local threads. A closure-built
-    /// operator under sharding pins its stage locally — counted, never
-    /// silent. Chunk boundaries and merge order are the
-    /// same either way, so the choice is invisible to every
-    /// deterministic surface.
-    fn pick_runner<'r>(
-        &self,
-        pool: &'r mut Option<ShardPool>,
-        local: &'r mut LocalRunner,
-        shipped: &[&Operator],
-        physical: &mut PhysicalStats,
-    ) -> &'r mut dyn StageRunner {
-        let Some(cfg) = &self.config.sharding else { return local };
-        if shipped.iter().all(|op| op.wire().is_some()) {
-            pool.get_or_insert_with(|| ShardPool::new(cfg.clone()))
-        } else {
-            physical.stages_pinned_local += 1;
-            local
-        }
-    }
-
     /// Phase 2 — execute. A lone uncombined Reduce is grouped right
-    /// here, before a runner is picked: the parent holds its whole input
-    /// and every group it produces. Anything else is partitioned into
-    /// contiguous chunks (the boundaries the unfused first constituent
-    /// would use) and handed to the stage's runner as one fused pass,
-    /// records moved by value throughout.
+    /// here: the parent holds its whole input and every group it
+    /// produces. Anything else is partitioned into contiguous chunks (the
+    /// boundaries the unfused first constituent would use) and run on up
+    /// to `dop_eff` local threads (never more than the host has) as one
+    /// fused pass, records moved by value throughout.
     fn execute(
         &self,
         run: &mut RunCtx<'_>,
@@ -864,9 +789,6 @@ impl Executor {
             // Uncombined hash shuffle: group the full stream, then
             // aggregate the groups in key order.
             let reduce = st.ops[0];
-            if self.config.sharding.is_some() && reduce.wire().is_none() {
-                run.physical.stages_pinned_local += 1;
-            }
             // lint:allow(wall_clock): per-op wall_ms is runtime-only diagnostics
             let started = Instant::now();
             seen.stats[0].records_in = input.len() as u64;
@@ -895,13 +817,6 @@ impl Executor {
         if !rest.is_empty() {
             chunks.push(rest);
         }
-        let mut local = LocalRunner::new(dop_eff.min(host_parallelism()));
-        let runner = self.pick_runner(
-            &mut run.pool,
-            &mut local,
-            &st.ops[..physical_stages],
-            &mut run.physical,
-        );
         // Pipeline constituents run per chunk; a combined Reduce is
         // folded after them (only when every constituent survives the
         // schedule — a dead constituent means the replay errors out
@@ -913,7 +828,8 @@ impl Executor {
             fold,
             tapped: &st.tapped,
         };
-        let chunk_outs = runner.run_chunks(&kernel, chunks).map_err(|e| st.error(e, run))?;
+        let workers = dop_eff.min(host_parallelism());
+        let chunk_outs = run_chunks(workers, &kernel, chunks).map_err(|e| st.panicked(e, run))?;
         merge(st, fold, chunk_outs, self.config.work_scale, &mut run.physical, &mut seen);
         Ok(seen)
     }
@@ -1039,10 +955,6 @@ struct RunCtx<'a> {
     checkpoints: Vec<FlowCheckpoint>,
     physical: PhysicalStats,
     stages: Vec<StageDecision>,
-    /// The worker-shard pool, created by the first stage the sharded
-    /// runner takes and kept for the whole run (workers persist across
-    /// stages; kill counting is cumulative per channel).
-    pool: Option<ShardPool>,
 }
 
 impl<'a> RunCtx<'a> {
@@ -1056,7 +968,6 @@ impl<'a> RunCtx<'a> {
             checkpoints: Vec::new(),
             physical: PhysicalStats::default(),
             stages: Vec::new(),
-            pool: None,
         }
     }
 
@@ -1228,25 +1139,13 @@ impl StageCtx<'_> {
         self.scheds.iter().position(|s| s.all_nodes_dead).unwrap_or(self.ops.len())
     }
 
-    /// Maps a runner failure onto the executor's error vocabulary. A
-    /// reported panic is a deterministic UDF bug whichever runner hit
-    /// it; a lost shard carries every checkpoint taken so far so the
-    /// caller can resume.
-    fn error(&self, e: ShardRunError, run: &RunCtx<'_>) -> ExecutionError {
-        match e {
-            ShardRunError::Panicked { stage, chunk } => ExecutionError::OperatorPanicked {
-                operator: self.ops[stage.min(self.ops.len() - 1)].name.clone(),
-                partition: chunk,
-                attempts: run.res.partition_retries + 1,
-            },
-            ShardRunError::Lost { shard } => ExecutionError::ShardLost {
-                shard,
-                operator: self.ops[0].name.clone(),
-                checkpoints: run.checkpoints.clone(),
-            },
-            ShardRunError::Protocol { shard, detail } => {
-                ExecutionError::ShardProtocol { shard, detail }
-            }
+    /// A genuine UDF panic in the physical pass, as the executor
+    /// reports it: a deterministic bug that every retry would hit again.
+    fn panicked(&self, e: ChunkPanic, run: &RunCtx<'_>) -> ExecutionError {
+        ExecutionError::OperatorPanicked {
+            operator: self.ops[e.stage.min(self.ops.len() - 1)].name.clone(),
+            partition: e.chunk,
+            attempts: run.res.partition_retries + 1,
         }
     }
 }

@@ -11,9 +11,8 @@
 //!   drives the network war story;
 //! - [`operator`] — UDF operators with semantic (reads/writes) and
 //!   resource (memory/startup/cost) annotations;
-//! - [`packages`] — the BASE / IE / WA / DC operator packages, the
-//!   trained [`packages::IeResources`], and the wire table that rebuilds
-//!   any packaged operator inside a worker shard;
+//! - [`packages`] — the BASE / IE / WA / DC operator packages and the
+//!   trained [`packages::IeResources`];
 //! - [`logical`] / [`optimizer`] — plan DAGs, SOFA-style rewriting, and
 //!   [`fused_stage`], the one stage decision the executor and the static
 //!   explain prediction share;
@@ -31,15 +30,10 @@
 //!   checkpoints: every run returns its frames in [`FlowOutput::checkpoints`],
 //!   a killed run is a prefix of them, and [`Executor::run`] with
 //!   [`RunOptions::resume`] continues from any one;
-//! - [`runner`] — the [`StageRunner`] seam between the executor's stage
-//!   scheduling and where chunk work physically runs: [`LocalRunner`]'s
-//!   thread scope, or the shard pool below; an uncombined Reduce is
-//!   grouped in the parent and needs neither;
-//! - [`transport`] / [`shuffle`] — the sharded physical runtime: worker
-//!   shards (threads or real OS processes) exchanging length-prefixed
-//!   record/partial-aggregate frames over pipes and unix sockets, with
-//!   credit-window backpressure, while every deterministic surface stays
-//!   byte-identical to in-process runs.
+//! - [`shuffle`] — the physical side of a stage: the per-chunk
+//!   [`StageKernel`] with its streamed Reduce fold, the thread loop that
+//!   runs it over a stage's chunks, and the uncombined Reduce grouping,
+//!   all invisible on every deterministic surface.
 
 pub mod analyze;
 pub mod cluster;
@@ -52,14 +46,12 @@ pub mod optimizer;
 pub mod packages;
 pub mod record;
 pub mod resilience;
-pub mod runner;
 pub mod shuffle;
 #[cfg(test)]
 mod spans_differential;
-pub mod transport;
 
 pub use analyze::{analyze_plan, analyze_script, AnalyzeOptions};
-pub use cluster::{admit, admit_sharded, ClusterSpec, NodeSpec, Placement, SchedulingError};
+pub use cluster::{admit, ClusterSpec, NodeSpec, Placement, SchedulingError};
 pub use executor::{
     store_drains, ExecutionConfig, ExecutionError, Executor, FlowMetrics, FlowOutput, OpMetrics,
     PhysicalStats, RunOptions, StoreSink,
@@ -67,13 +59,9 @@ pub use executor::{
 pub use resilience::{FlowCheckpoint, FlowResilience};
 pub use logical::{parse_store_sink, LogicalPlan, NodeId, NodeOp, PlanError, STORE_SINK_PREFIX};
 pub use meteor::{compile, compile_traced, MeteorError, ScriptInfo};
-pub use operator::{
-    value_cmp, AggState, Aggregate, CostModel, Kind, OpFunc, Operator, Package, WireForm,
-};
+pub use operator::{value_cmp, AggState, Aggregate, CostModel, Kind, OpFunc, Operator, Package};
 pub use fieldflow::{explain_plan, field_flow, EdgeState, FieldFlow};
 pub use optimizer::{fused_stage, optimize, plan_stages, Rewrite, StageDecision};
 pub use packages::{IeConfig, IeResources, OperatorRegistry};
 pub use record::{span_annotation, FieldMap, Record, Span, Value};
-pub use runner::{LocalRunner, StageRunner};
-pub use shuffle::{KillSpec, ShardConfig, StageKernel, WorkerKind};
-pub use transport::{CreditWindow, FrameChannel, TransportError};
+pub use shuffle::StageKernel;

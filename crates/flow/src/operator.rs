@@ -426,17 +426,6 @@ pub enum OpFunc {
     },
 }
 
-/// What crosses a process boundary in place of an operator's closure:
-/// the name of the `packages::*` constructor that built it and that
-/// constructor's encoded arguments. A worker shard rebuilds the operator
-/// by calling the same constructor (see [`crate::packages::wire`]), so
-/// parent and worker run one definition of it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireForm {
-    pub factory: &'static str,
-    pub params: Vec<u8>,
-}
-
 /// An operator instance.
 #[derive(Clone)]
 pub struct Operator {
@@ -463,7 +452,6 @@ pub struct Operator {
     pub cost: CostModel,
     /// External library dependency `(name, major version)`.
     pub library: Option<(String, u32)>,
-    wire: Option<WireForm>,
     func: OpFunc,
 }
 
@@ -497,7 +485,6 @@ impl Operator {
             selectivity: None,
             cost: CostModel::default(),
             library: None,
-            wire: None,
             func: OpFunc::Map(Arc::new(f)),
         }
     }
@@ -598,28 +585,6 @@ impl Operator {
     pub fn with_library(mut self, name: &str, major: u32) -> Operator {
         self.library = Some((name.to_string(), major));
         self
-    }
-
-    /// Stamps the wire form: called by the `packages::*` constructor
-    /// that built the closure, naming itself and encoding its own
-    /// arguments, so [`crate::packages::wire`] can call it again in a
-    /// worker process.
-    pub(crate) fn shipped_as(
-        mut self,
-        factory: &'static str,
-        params: impl FnOnce(&mut Writer),
-    ) -> Operator {
-        let mut w = Writer::new();
-        params(&mut w);
-        self.wire = Some(WireForm { factory, params: w.into_bytes() });
-        self
-    }
-
-    /// The wire form, when a `packages::*` constructor built this
-    /// operator. Closure-built operators have none and pin their stage
-    /// to the local runner under sharding.
-    pub fn wire(&self) -> Option<&WireForm> {
-        self.wire.as_ref()
     }
 
     pub fn func(&self) -> &OpFunc {

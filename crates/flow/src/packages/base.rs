@@ -4,7 +4,6 @@ use crate::operator::{Aggregate, CostModel, Operator, Package};
 use crate::packages::OperatorRegistry;
 use crate::record::{Record, Value};
 use std::fmt::Write;
-use websift_resilience::Snapshot;
 
 /// Maximum text length admitted by `base.filter_length` (the Fig.-2 flow
 /// "first filter[s] to exclude extremely long documents", and §5 notes the
@@ -22,7 +21,6 @@ pub fn filter_length(max_chars: usize) -> Operator {
         us_per_char: 0.001,
         ..CostModel::default()
     })
-    .shipped_as("base.filter_length", |w| w.usize(max_chars))
 }
 
 /// `base.filter_min_length` — drops records with very little text.
@@ -35,7 +33,6 @@ pub fn filter_min_length(min_chars: usize) -> Operator {
         us_per_char: 0.001,
         ..CostModel::default()
     })
-    .shipped_as("base.filter_min_length", |w| w.usize(min_chars))
 }
 
 /// `base.project` — keeps only the listed fields.
@@ -50,12 +47,11 @@ pub fn project(fields: Vec<String>) -> Operator {
         }
         r
     })
-    .shipped_as("base.project", |w| fields.encode(w))
 }
 
 /// `base.identity` — passes every record through (a script placeholder).
 pub fn identity() -> Operator {
-    Operator::map("identity", Package::Base, |r| r).shipped_as("base.identity", |_| {})
+    Operator::map("identity", Package::Base, |r| r)
 }
 
 /// `base.count_by` — reduce counting records per value of `field`. Uses
@@ -71,8 +67,8 @@ pub fn count_by(field: &str) -> Operator {
         move |r: &Record, k: &mut String| write_key(r.get(&key_field), k),
         Aggregate::Count { into: "count".to_string() },
     );
-    op.reads = vec![field.clone()];
-    op.shipped_as("base.count_by", |w| w.str(&field))
+    op.reads = vec![field];
+    op
 }
 
 /// Writes `count_by`'s key for `value` into `k`: exactly the bytes of

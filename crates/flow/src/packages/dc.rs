@@ -11,7 +11,6 @@ pub fn drop_untranscodable() -> Operator {
         r.get("transcodable") != Some(&Value::Bool(false))
     })
     .with_reads(&["transcodable"])
-    .shipped_as("dc.drop_untranscodable", |_| {})
 }
 
 /// `dc.filter_empty_text` — drops records whose text is empty/whitespace.
@@ -20,7 +19,6 @@ pub fn filter_empty_text() -> Operator {
         r.text().map(|t| !t.trim().is_empty()).unwrap_or(false)
     })
     .with_reads(&["text"])
-    .shipped_as("dc.filter_empty_text", |_| {})
 }
 
 /// `dc.normalize_whitespace` — collapses runs of whitespace in the text.
@@ -56,7 +54,6 @@ pub fn normalize_whitespace() -> Operator {
     })
     .with_reads(&["text"])
     .with_writes(&["text"])
-    .shipped_as("dc.normalize_whitespace", |_| {})
 }
 
 /// `dc.dedup_entities` — merges entity annotations that cover the same
@@ -106,7 +103,6 @@ pub fn dedup_entities() -> Operator {
     })
     .with_reads(&["entities"])
     .with_writes(&["entities"])
-    .shipped_as("dc.dedup_entities", |_| {})
 }
 
 pub fn register(reg: &mut OperatorRegistry) {

@@ -78,7 +78,6 @@ pub fn annotate_sentences() -> Operator {
         us_per_char: 0.05,
         ..CostModel::default()
     })
-    .shipped_as("ie.annotate_sentences", |_| {})
 }
 
 /// `ie.annotate_tokens` (OpenNLP-1.5-class tool).
@@ -98,20 +97,16 @@ pub fn annotate_tokens() -> Operator {
         us_per_char: 0.08,
         ..CostModel::default()
     })
-    .shipped_as("ie.annotate_tokens", |_| {})
 }
 
 /// `ie.annotate_pos` — the MedPost-analogue HMM tagger, applied per
 /// sentence. Over-long sentences fail cleanly and are counted in
-/// `pos_errors` (the original tool crashed; the flow must not). Ships to
-/// worker shards when `tagger` is the built-in model (at any token
-/// budget); a custom-trained tagger keeps the stage local.
+/// `pos_errors` (the original tool crashed; the flow must not).
 pub fn annotate_pos(tagger: Arc<PosTagger>) -> Operator {
-    let builtin_budget = tagger.is_pretrained().then(|| tagger.max_tokens());
     // One shared string per tag: a tag value is a refcount bump, not a
     // formatted `String` copied into a fresh `Arc<str>`.
     let names = PosTag::all().map(|t| Arc::<str>::from(t.name()));
-    let op = Operator::map("ie.annotate_pos", Package::Ie, move |mut r| {
+    Operator::map("ie.annotate_pos", Package::Ie, move |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
         let mut errors = 0i64;
         let mut annotations: Vec<Value> = Vec::new();
@@ -144,11 +139,7 @@ pub fn annotate_pos(tagger: Arc<PosTagger>) -> Operator {
         memory_bytes: 512 << 20,
         us_per_char: 2.0,
         quadratic_ref: None,
-    });
-    match builtin_budget {
-        Some(max_tokens) => op.shipped_as("ie.annotate_pos", |w| w.usize(max_tokens)),
-        None => op,
-    }
+    })
 }
 
 /// One match of a linguistic annotator in a sentence: its byte span and,
@@ -185,7 +176,6 @@ fn linguistic_annotator(name: &'static str, writes: &'static str, scan: Scan) ->
         us_per_char: 0.3,
         ..CostModel::default()
     })
-    .shipped_as(name, |_| {})
 }
 
 /// The words of a `\b(w1|…|wn)\b` pattern, grouped by what a match of
@@ -334,7 +324,7 @@ pub fn annotate_entities_dict(resources: &IeResources, entity: EntityType) -> Op
     let tagger = resources.dict[&entity].clone();
     let cost = tagger.cost_model();
     let name = format!("ie.annotate_entities_dict_{}", entity.name());
-    let op = Operator::map(&name, Package::Ie, move |mut r| {
+    Operator::map(&name, Package::Ie, move |mut r| {
         let text = r.text_shared().unwrap_or_else(|| Arc::from(""));
         let mentions = tagger.tag(&text);
         push_mentions(&mut r, mentions);
@@ -347,8 +337,7 @@ pub fn annotate_entities_dict(resources: &IeResources, entity: EntityType) -> Op
         memory_bytes: cost.memory_bytes,
         us_per_char: cost.us_per_char,
         quadratic_ref: None,
-    });
-    ship_with_resources(op, "ie.annotate_entities_dict", resources, entity)
+    })
 }
 
 /// ML (CRF) entity annotator for one type. The disease tagger "brings its
@@ -379,7 +368,7 @@ pub fn annotate_entities_ml(resources: &IeResources, entity: EntityType) -> Oper
         us_per_char: cost.us_per_char,
         quadratic_ref: if context { Some(500.0) } else { None },
     });
-    let op = match entity {
+    match entity {
         EntityType::Disease => op
             .with_reads(&["text"])
             .with_writes(&["entities"])
@@ -388,23 +377,7 @@ pub fn annotate_entities_ml(resources: &IeResources, entity: EntityType) -> Oper
             .with_reads(&["text", "sentences"])
             .with_writes(&["entities"])
             .with_library("opennlp", 15),
-    };
-    ship_with_resources(op, "ie.annotate_entities_ml", resources, entity)
-}
-
-/// Wire form of a resource-bound annotator: the resources' recipe, then
-/// the entity class as its position in [`EntityType::all`] (which is its
-/// discriminant).
-fn ship_with_resources(
-    op: Operator,
-    factory: &'static str,
-    resources: &IeResources,
-    entity: EntityType,
-) -> Operator {
-    op.shipped_as(factory, |w| {
-        resources.recipe().encode(w);
-        w.u8(entity as u8);
-    })
+    }
 }
 
 /// FlatMap exploding a tokenized document into one record per token,
@@ -446,7 +419,6 @@ pub fn explode_tokens() -> Operator {
         us_per_char: 0.01,
         ..CostModel::default()
     })
-    .shipped_as("ie.explode_tokens", |_| {})
 }
 
 /// Registers IE operators over shared resources.

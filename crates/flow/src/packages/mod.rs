@@ -5,9 +5,7 @@
 //! web analytics (WA), and data cleansing (DC). This module provides the
 //! same organization: each package registers named operator factories into
 //! an [`OperatorRegistry`], which the Meteor front end and the pipeline
-//! builders resolve operators from. Every constructor also stamps its
-//! operator with a wire form, which [`wire`] turns back into the same
-//! constructor call inside a worker shard.
+//! builders resolve operators from.
 
 pub mod base;
 pub mod dc;
@@ -16,9 +14,8 @@ pub mod resources;
 #[doc(hidden)]
 pub mod testkit;
 pub mod wa;
-pub mod wire;
 
-pub use resources::{IeConfig, IeResources, Recipe};
+pub use resources::{IeConfig, IeResources};
 
 use crate::operator::Operator;
 use std::collections::BTreeMap;

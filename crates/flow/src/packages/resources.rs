@@ -14,7 +14,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use websift_corpus::{CorpusKind, Generator, LabeledSentence, Lexicon, LexiconScale};
-use websift_resilience::{CodecError, Reader, Writer};
 use websift_ner::crf::{CrfConfig, CrfTagger, TrainExample};
 use websift_ner::dictionary::{Dictionary, DictionaryTagger};
 use websift_ner::EntityType;
@@ -59,72 +58,18 @@ pub struct IeResources {
     pub dict: HashMap<EntityType, Arc<DictionaryTagger>>,
     pub crf: HashMap<EntityType, Arc<CrfTagger>>,
     pub config: IeConfig,
-    recipe: Recipe,
-}
-
-/// Everything [`IeResources::standard`] was built from: the lexicon is a
-/// pure function of its scale and training is seeded, so the same recipe
-/// yields the same taggers in any process. Resource-bound operators ship
-/// this instead of weights; each worker shard pays the build once — the
-/// paper's per-worker dictionary load, measured rather than simulated.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Recipe {
-    pub scale: LexiconScale,
-    pub config: IeConfig,
-}
-
-/// Largest lexicon a worker builds on a recipe's say-so (the paper's gene
-/// lexicon is 700 K) and the matching caps on CRF training effort.
-const MAX_LEXICON_TERMS: usize = 1_000_000;
-const MAX_CRF_SENTENCES: usize = 100_000;
-const MAX_CRF_EPOCHS: usize = 1_000;
-
-impl Recipe {
-    pub fn encode(&self, w: &mut Writer) {
-        let (s, c) = (&self.scale, &self.config);
-        w.usize(s.genes);
-        w.usize(s.drugs);
-        w.usize(s.diseases);
-        w.f64(c.dict_coverage);
-        w.usize(c.crf_training_sentences);
-        w.bool(c.crf_context_features);
-        w.usize(c.crf_epochs);
-        w.bool(c.paper_scale_costs);
-        w.u64(c.seed);
-    }
-
-    /// Decodes a recipe from untrusted bytes, rejecting sizes no honest
-    /// parent sends before anything is allocated or trained for them.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Recipe, CodecError> {
-        let recipe = Recipe {
-            scale: LexiconScale { genes: r.usize()?, drugs: r.usize()?, diseases: r.usize()? },
-            config: IeConfig {
-                dict_coverage: r.f64()?,
-                crf_training_sentences: r.usize()?,
-                crf_context_features: r.bool()?,
-                crf_epochs: r.usize()?,
-                paper_scale_costs: r.bool()?,
-                seed: r.u64()?,
-            },
-        };
-        let (s, c) = (recipe.scale, recipe.config);
-        let in_bounds = s.genes.max(s.drugs).max(s.diseases) <= MAX_LEXICON_TERMS
-            && c.crf_training_sentences <= MAX_CRF_SENTENCES
-            && c.crf_epochs <= MAX_CRF_EPOCHS
-            && (0.0..=1.0).contains(&c.dict_coverage);
-        if in_bounds {
-            Ok(recipe)
-        } else {
-            Err(CodecError::Oversize { what: "resource recipe", value: s.genes as u64 })
-        }
-    }
+    /// The scale of the lexicon the resources were built from: with
+    /// `config`, the key of the [`BUILT`] memo.
+    scale: LexiconScale,
 }
 
 /// The resource sets this process built most recently, oldest first.
-/// Purely a cache — a miss rebuilds the identical set — and kept to the
-/// set in use plus the one before it: a set is about 7 MB resident at
-/// the default lexicon scale and grows with it, and a process that
-/// sweeps seeds must not accumulate them.
+/// The lexicon is a pure function of its scale and training is seeded, so
+/// a set is keyed on `(scale, config)`. Purely a cache — a miss rebuilds
+/// the identical set — and kept to the set in use plus the one before
+/// it: a set is about 7 MB resident at the default lexicon scale and
+/// grows with it, and a process that sweeps seeds must not accumulate
+/// them.
 static BUILT: parking_lot::Mutex<Vec<IeResources>> = parking_lot::Mutex::new(Vec::new());
 const BUILT_CAP: usize = 2;
 
@@ -157,17 +102,18 @@ pub fn labeled_to_example(ls: &LabeledSentence, entity: EntityType) -> TrainExam
 }
 
 impl IeResources {
-    /// The standard resources over `lexicon`: built once per recipe per
-    /// process, shared afterwards — so repeated runs and in-process worker
-    /// shards never retrain what the process already holds.
+    /// The standard resources over `lexicon`: built once per lexicon
+    /// scale and config per process, shared afterwards — so repeated runs
+    /// never retrain what the process already holds.
     pub fn standard(lexicon: &Lexicon, config: IeConfig) -> IeResources {
         assert!((0.0..=1.0).contains(&config.dict_coverage));
-        let recipe = Recipe { scale: lexicon.scale(), config };
-        if let Some(hit) = IeResources::cached(recipe) {
+        let scale = lexicon.scale();
+        let hit = BUILT.lock().iter().find(|res| res.scale == scale && res.config == config).cloned();
+        if let Some(hit) = hit {
             return hit;
         }
         // Built outside the lock: a racing duplicate build is identical.
-        let built = IeResources::build(lexicon, recipe);
+        let built = IeResources::build(lexicon, config);
         let mut memo = BUILT.lock();
         if memo.len() == BUILT_CAP {
             memo.remove(0);
@@ -176,24 +122,7 @@ impl IeResources {
         built
     }
 
-    /// The resources a recipe describes — how a worker shard obtains what
-    /// its parent built.
-    pub fn for_recipe(recipe: Recipe) -> IeResources {
-        IeResources::cached(recipe).unwrap_or_else(|| {
-            IeResources::standard(&Lexicon::generate(recipe.scale), recipe.config)
-        })
-    }
-
-    fn cached(recipe: Recipe) -> Option<IeResources> {
-        BUILT.lock().iter().find(|res| res.recipe == recipe).cloned()
-    }
-
-    pub fn recipe(&self) -> Recipe {
-        self.recipe
-    }
-
-    fn build(lexicon: &Lexicon, recipe: Recipe) -> IeResources {
-        let config = recipe.config;
+    fn build(lexicon: &Lexicon, config: IeConfig) -> IeResources {
         let take = |terms: &[String]| -> Vec<String> {
             let n = (terms.len() as f64 * config.dict_coverage).ceil() as usize;
             terms.iter().take(n).cloned().collect()
@@ -251,7 +180,7 @@ impl IeResources {
             dict,
             crf,
             config,
-            recipe,
+            scale: lexicon.scale(),
         }
     }
 

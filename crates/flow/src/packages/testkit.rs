@@ -1,10 +1,9 @@
 //! The six toy operators of the differential suites (`tests/fusion`,
-//! `partial_agg`, `shuffle`, and the runner/shuffle unit tests), defined
-//! once. They live in the library, not under `tests/`, because the
-//! `shard_worker` binary must be able to rebuild them from their wire
-//! forms like any other operator. Parameters are fixed: no suite varies
-//! them. Beside them, [`metric_fields`]: the metrics surface every
-//! differential compares two runs on.
+//! `partial_agg`, and the stage-kernel unit tests), defined once. They
+//! live in the library, not under `tests/`, so the crate's own unit
+//! tests and its integration suites share one definition. Parameters are
+//! fixed: no suite varies them. Beside them, [`metric_fields`]: the
+//! metrics surface every differential compares two runs on.
 
 use crate::executor::FlowMetrics;
 use crate::operator::{Aggregate, Operator, Package};
@@ -28,7 +27,6 @@ pub fn stamp() -> Operator {
     })
     .with_reads(&["id"])
     .with_writes(&["stamp"])
-    .shipped_as("testkit.stamp", |_| {})
 }
 
 pub fn dup() -> Operator {
@@ -37,13 +35,11 @@ pub fn dup() -> Operator {
         copy.set("half", 1i64);
         vec![r, copy]
     })
-    .shipped_as("testkit.dup", |_| {})
 }
 
 pub fn parity() -> Operator {
     Operator::filter("parity", Package::Base, |r| int(r, "id") % 2 == 0)
         .with_reads(&["id"])
-        .shipped_as("testkit.parity", |_| {})
 }
 
 pub fn grow() -> Operator {
@@ -54,7 +50,6 @@ pub fn grow() -> Operator {
     })
     .with_reads(&["text"])
     .with_writes(&["text"])
-    .shipped_as("testkit.grow", |_| {})
 }
 
 /// Reads the `stamp` field — which trips a WS001 rejection whenever it
@@ -64,13 +59,11 @@ pub fn needs_stamp() -> Operator {
     Operator::map("needs-stamp", Package::Base, |r| r)
         .with_reads(&["stamp"])
         .with_writes(&["x"])
-        .shipped_as("testkit.needs_stamp", |_| {})
 }
 
 /// A Count reduce fused stages extend through.
 pub fn tally() -> Operator {
     Operator::reduce_agg("tally", Package::Base, group_key, Aggregate::Count { into: "id".into() })
-        .shipped_as("testkit.tally", |_| {})
 }
 
 /// Every deterministic [`FlowMetrics`] field, as text: the `Debug` form

@@ -20,7 +20,6 @@ pub fn detect_markup() -> Operator {
     })
     .with_reads(&["text"])
     .with_writes(&["has_markup"])
-    .shipped_as("wa.detect_markup", |_| {})
 }
 
 /// Serializes repaired tokens back to an HTML string.
@@ -71,7 +70,6 @@ pub fn repair_markup_op() -> Operator {
         us_per_char: 0.02,
         ..CostModel::default()
     })
-    .shipped_as("wa.repair_markup", |_| {})
 }
 
 /// `wa.remove_markup` — strips all tags, keeping every text node.
@@ -89,7 +87,6 @@ pub fn remove_markup() -> Operator {
         us_per_char: 0.02,
         ..CostModel::default()
     })
-    .shipped_as("wa.remove_markup", |_| {})
 }
 
 /// `wa.extract_net_text` — boilerplate-aware net-text extraction
@@ -120,7 +117,6 @@ pub fn extract_net_text() -> Operator {
         us_per_char: 0.05,
         ..CostModel::default()
     })
-    .shipped_as("wa.extract_net_text", |_| {})
 }
 
 /// `wa.extract_links` — collects outgoing links into a `links` array.
@@ -141,7 +137,6 @@ pub fn extract_links_op() -> Operator {
     })
     .with_reads(&["text", "url"])
     .with_writes(&["links"])
-    .shipped_as("wa.extract_links", |_| {})
 }
 
 pub fn register(reg: &mut OperatorRegistry) {

@@ -11,9 +11,8 @@
 //!
 //! There is no "kill" option. Every run returns the frames it sealed
 //! ([`crate::FlowOutput::checkpoints`]), and a run killed at node boundary
-//! `k` would have left exactly the prefix of them with `next_node <= k` —
-//! what [`crate::ExecutionError::ShardLost`] hands back when a worker
-//! shard dies. A run given any one as [`crate::RunOptions::resume`] continues.
+//! `k` would have left exactly the prefix of them with `next_node <= k`.
+//! A run given any one as [`crate::RunOptions::resume`] continues.
 
 use websift_resilience::codec;
 use websift_resilience::{CodecError, FaultPlan, Reader};

@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift_flow::{
     ExecutionConfig, Executor, FlowOutput, FlowResilience, IeResources, LogicalPlan, NodeOp,
-    Operator, Record, RunOptions, ShardConfig, Span, Value,
+    Operator, Record, RunOptions, Span, Value,
 };
 use websift_flow::packages::testkit::metric_fields;
 use websift_ner::EntityType;
@@ -166,14 +166,6 @@ fn assert_packed_matches_plain(name: &str, plan: &LogicalPlan) {
     let resumed = exec.run(plan, inputs(plan), opts(Some(frame))).unwrap();
     assert_eq!(surface(&resumed), surface(&want), "{name} resumed");
     assert_eq!(frames(&resumed), after, "{name} resumed");
-
-    // Two worker shards: records cross the codec at every stage boundary.
-    let sharded = ExecutionConfig { sharding: Some(ShardConfig::in_process(2)), ..ExecutionConfig::local(3) };
-    let got = run(plan, sharded);
-    let physical = got.physical;
-    assert!(physical.shards_used == 2 && physical.stages_pinned_local == 0, "{name}");
-    assert_eq!(surface(&got), surface(&want), "{name} sharded");
-    assert_eq!(frames(&got), frames(&want), "{name} sharded");
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! 1. golden-file tests — the three §4.2 failure modes (use-before-def,
 //!    OpenNLP version conflict, over-memory admission) and the field-flow
-//!    and sharding findings produce exactly the committed diagnostics
-//!    JSON, byte for byte;
+//!    findings produce exactly the committed diagnostics JSON, byte for
+//!    byte;
 //! 2. a property test — logical optimization never changes the analyzer's
 //!    *error* verdict: the set of (code, message) error pairs is identical
 //!    before and after `optimize`, across randomly generated chain plans.
@@ -105,83 +105,6 @@ fn golden_over_memory() {
     assert_eq!(
         diagnostics_to_json(&diags),
         include_str!("golden/over_memory.json").trim_end(),
-    );
-}
-
-/// The sharded variant of §4.2 failure 3: a 10 GB flow that fits a
-/// two-node 24 GB cluster at DoP 2 in the one-process model (one worker
-/// per node sharing the footprint), but not as 8 worker *processes* —
-/// 4 shards per node each need the full 10 GB resident, and 40 GB > 24 GB.
-fn sharded_memory_plan() -> LogicalPlan {
-    let mut plan = LogicalPlan::new();
-    let src = plan.source("crawl");
-    let fat = plan
-        .add(
-            src,
-            // a packaged (hence shippable) operator, so the sharded
-            // verdict below is about memory alone, not WS017
-            ie::annotate_tokens().with_cost(CostModel {
-                memory_bytes: 10u64 << 30,
-                ..CostModel::default()
-            }),
-        )
-        .expect("static plan");
-    plan.sink(fat, "out").expect("static plan");
-    plan
-}
-
-#[test]
-fn golden_sharded_over_memory() {
-    let cluster = ClusterSpec::local(2, 24, 8);
-    let plan = sharded_memory_plan();
-
-    // one multi-threaded process per node: 10 GB fits 24 GB nodes
-    let unsharded = AnalyzeOptions::default().with_admission(cluster.clone(), 2);
-    assert!(
-        analyze_plan(&plan, &unsharded).is_empty(),
-        "the unsharded plan is admissible"
-    );
-    websift_flow::admit(&plan, 2, &cluster).expect("runtime admission agrees");
-
-    // 8 shard processes across 2 nodes: 4 x 10 GB per node does not
-    let sharded = unsharded.with_shards(8);
-    let diags = analyze_plan(&plan, &sharded);
-    assert_eq!(
-        diagnostics_to_json(&diags),
-        include_str!("golden/sharded_over_memory.json").trim_end(),
-    );
-    let err = websift_flow::admit_sharded(&plan, 2, &cluster, Some(8)).unwrap_err();
-    assert!(err.to_string().contains("10.0 GB"), "{err}");
-}
-
-/// The other silent pitfall of a sharded run: an operator written as an
-/// ad-hoc closure has no wire form, so the whole fused stage it sits in
-/// stays on the local runner. Correct, counted at run time, and — with
-/// WS017 — said out loud before the run.
-#[test]
-fn golden_ws017_closure_operator_pins_its_stage() {
-    let mut plan = LogicalPlan::new();
-    let src = plan.source("crawl");
-    let sentences = plan.add(src, ie::annotate_sentences()).expect("static plan");
-    let adhoc = plan
-        .add(
-            sentences,
-            Operator::map("adhoc.score", Package::Base, |r| r)
-                .with_reads(&["sentences"])
-                .with_writes(&["score"]),
-        )
-        .expect("static plan");
-    let tokens = plan.add(adhoc, ie::annotate_tokens()).expect("static plan");
-    plan.sink(tokens, "out").expect("static plan");
-
-    assert!(
-        analyze_plan(&plan, &AnalyzeOptions::default()).iter().all(|d| d.code != "WS017"),
-        "an unsharded run ships nothing, so nothing is flagged"
-    );
-    let diags = analyze_plan(&plan, &AnalyzeOptions::default().with_shards(2));
-    assert_eq!(
-        diagnostics_to_json(&diags),
-        include_str!("golden/ws017_closure_pins_stage.json").trim_end(),
     );
 }
 

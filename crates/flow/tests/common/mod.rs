@@ -1,5 +1,5 @@
-//! Helpers shared by the differential suites (`fusion`, `partial_agg`,
-//! `shuffle`): the total-operator vocabulary, plan shapes, input
+//! Helpers shared by the differential suites (`fusion`, `partial_agg`):
+//! the total-operator vocabulary, plan shapes, input
 //! documents, and the flattened deterministic surface two runs are
 //! compared on. Each suite uses a subset.
 #![allow(dead_code)]
@@ -10,7 +10,7 @@ use websift_analyze::diagnostics_to_json;
 use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift_flow::{
     Aggregate, ExecutionConfig, ExecutionError, Executor, FlowCheckpoint, FlowResilience,
-    LogicalPlan, Operator, Package, Record, RunOptions,
+    LogicalPlan, Operator, Package, Record, RunOptions, StoreSink,
 };
 use websift_observe::{Observer, RegistrySnapshot};
 use websift_resilience::{Snapshot, Writer};
@@ -20,18 +20,15 @@ pub use websift_flow::packages::testkit::{
 };
 
 /// A grouping reduce that joins each group's texts in record order —
-/// order-sensitive, so any slip in chunk-order merging shows — built from
-/// a closure key rather than a `packages::*` constructor: the one
-/// operator here with no wire form, so under sharding it pins its stage
-/// local.
+/// order-sensitive, so any slip in chunk-order merging shows — built
+/// here rather than in the library's `testkit`.
 pub fn group_reduce() -> Operator {
     let concat = Aggregate::Concat { field: "text".into(), sep: "|".into(), into: "text".into() };
     Operator::reduce_agg("group", Package::Base, group_key, concat)
 }
 
 /// The vocabulary of total (never-panicking) operators — the library's
-/// `testkit` set, shippable to worker shards, plus the closure-built
-/// `group_reduce` at index 3: stamping map, duplicating flat-map, parity
+/// `testkit` set plus `group_reduce` at index 3: stamping map, duplicating flat-map, parity
 /// filter, closure-keyed grouping reduce, byte-growing map, the
 /// WS001-tripping `needs-stamp`, and (index 6) the packaged Count reduce.
 pub fn pool_op(idx: usize) -> Operator {
@@ -59,8 +56,8 @@ pub fn chain_plan(op: fn(usize) -> Operator, indices: &[usize]) -> LogicalPlan {
 
 /// stamp -> dup -> parity -> grow -> sink "out", with a side branch
 /// hanging off the node at `branch_at` (1-based into the chain) feeding
-/// a second sink — the fan-out shape the fused executor tees.
-pub fn fan_out_plan(op: fn(usize) -> Operator, branch_at: usize) -> LogicalPlan {
+/// a second sink, `side` — the fan-out shape the fused executor tees.
+pub fn fan_out_plan(op: fn(usize) -> Operator, branch_at: usize, side: &str) -> LogicalPlan {
     let mut plan = LogicalPlan::new();
     let mut chain = vec![plan.source("in")];
     for idx in [0usize, 1, 2, 4] {
@@ -68,8 +65,8 @@ pub fn fan_out_plan(op: fn(usize) -> Operator, branch_at: usize) -> LogicalPlan 
         chain.push(plan.add(prev, op(idx)).expect("fan-out plan"));
     }
     plan.sink(*chain.last().expect("non-empty"), "out").expect("fan-out plan");
-    let side = plan.add(chain[branch_at], op(4)).expect("fan-out plan");
-    plan.sink(side, "side").expect("fan-out plan");
+    let branch = plan.add(chain[branch_at], op(4)).expect("fan-out plan");
+    plan.sink(branch, side).expect("fan-out plan");
     plan
 }
 
@@ -102,6 +99,28 @@ pub fn inputs_for(input: Vec<Record>) -> HashMap<String, Vec<Record>> {
     HashMap::from([("in".to_string(), input)])
 }
 
+/// The store every run of [`run_surface`] drains its `store:kb/…` sinks
+/// into: each delivered record, with its dataset, encoded through the
+/// same `Snapshot` codec the serve-side stores persist.
+#[derive(Default)]
+struct RecordingStore {
+    rows: Vec<(String, Vec<u8>)>,
+}
+
+impl StoreSink for RecordingStore {
+    fn store_name(&self) -> &str {
+        "kb"
+    }
+
+    fn append(&mut self, dataset: &str, records: Vec<Record>) {
+        for r in records {
+            let mut w = Writer::new();
+            r.encode(&mut w);
+            self.rows.push((dataset.to_string(), w.into_bytes()));
+        }
+    }
+}
+
 /// Everything deterministic a run exposes, flattened to comparable
 /// bytes/strings. `Err` runs collapse to the error display plus the
 /// WS00x verdict JSON when the analyzer rejected the plan. Physical
@@ -110,6 +129,8 @@ pub fn inputs_for(input: Vec<Record>) -> HashMap<String, Vec<Record>> {
 pub struct RunSurface {
     pub error: Option<String>,
     pub sink_bytes: Option<Vec<u8>>,
+    /// What the run's `store:kb/…` sinks delivered, in delivery order.
+    pub store_rows: Vec<(String, Vec<u8>)>,
     /// Every deterministic `FlowMetrics` field ([`metric_fields`]).
     pub metrics: Option<String>,
     pub simulated_bits: Option<u64>,
@@ -136,7 +157,9 @@ pub fn run_surface(
     res: &FlowResilience,
 ) -> RunSurface {
     let obs = Observer::new();
-    let result = Executor::new(config).run(plan, inputs_for(input), options(res, Some(&obs), None));
+    let mut store = RecordingStore::default();
+    let opts = RunOptions { store: Some(&mut store), ..options(res, Some(&obs), None) };
+    let result = Executor::new(config).run(plan, inputs_for(input), opts);
     let (output, checkpoints, error) = match result {
         Ok(out) => {
             let frames = out.checkpoints.iter().map(|c| (c.next_node, c.as_bytes().to_vec()));
@@ -156,6 +179,7 @@ pub fn run_surface(
     RunSurface {
         error,
         sink_bytes: output.as_ref().map(|out| encoded(&|w| out.sinks.encode(w))),
+        store_rows: store.rows,
         metrics: output.as_ref().map(|out| metric_fields(&out.metrics)),
         simulated_bits: output.as_ref().map(|out| out.metrics.simulated_secs.to_bits()),
         digest: output.as_ref().map(|out| out.deterministic_digest()),
@@ -170,6 +194,7 @@ pub fn run_surface(
 pub fn assert_surfaces_equal(a: &RunSurface, b: &RunSurface, ctx: &str) {
     assert_eq!(a.error, b.error, "failure surface diverged: {ctx}");
     assert_eq!(a.sink_bytes, b.sink_bytes, "sink bytes diverged: {ctx}");
+    assert_eq!(a.store_rows, b.store_rows, "store rows diverged: {ctx}");
     assert_eq!(a.metrics, b.metrics, "metrics diverged: {ctx}");
     assert_eq!(a.simulated_bits, b.simulated_bits, "simulated clock diverged: {ctx}");
     assert_eq!(a.digest, b.digest, "digest diverged: {ctx}");

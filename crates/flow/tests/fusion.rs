@@ -1,18 +1,21 @@
 //! Fusion equivalence properties (the byte-identity contract behind
 //! `ExecutionConfig::fusion`):
 //!
-//! 1. across randomly generated chain plans, fault seeds, DoPs, and
-//!    checkpoint cadences, a fused run is indistinguishable from an
-//!    unfused run on every deterministic surface — sink `Snapshot`
-//!    bytes, every deterministic `FlowMetrics` field, bit-exact `simulated_secs`,
-//!    tracer JSONL, registry snapshot, and the WS00x analyzer verdict
-//!    (including plans the analyzer rejects);
+//! 1. across randomly generated chain plans, fault seeds, DoPs,
+//!    checkpoint cadences and simulated-model scales, a fused run is
+//!    indistinguishable from an unfused run on every deterministic
+//!    surface — sink `Snapshot` bytes, store rows, every deterministic
+//!    `FlowMetrics` field, bit-exact `simulated_secs`, tracer JSONL,
+//!    registry snapshot, and the WS00x analyzer verdict (including plans
+//!    the analyzer rejects);
 //! 2. the same identity holds on fan-out plans, where the fused chain
-//!    tees an interior node's stream to a side consumer;
-//! 3. killing a fused run at a random node boundary — resuming from the
-//!    last frame its uninterrupted run sealed at or before that boundary,
+//!    tees an interior node's stream to a side consumer — a plain sink or
+//!    a store;
+//! 3. killing a run at a random node boundary — resuming from the last
+//!    frame its uninterrupted run sealed at or before that boundary,
 //!    which is what a killed run leaves behind — reproduces the
-//!    uninterrupted run bit for bit, fused or not.
+//!    uninterrupted run bit for bit, fused or unfused, combined or
+//!    uncombined.
 
 mod common;
 
@@ -22,7 +25,7 @@ use common::{
 };
 use proptest::prelude::*;
 use websift_flow::{
-    ExecutionConfig, ExecutionError, Executor, FlowResilience, LogicalPlan, NodeOp, ShardConfig,
+    ExecutionConfig, ExecutionError, Executor, FlowResilience, LogicalPlan, NodeOp,
 };
 use websift_observe::{Labels, Observer};
 use websift_resilience::CodecError;
@@ -42,17 +45,22 @@ proptest! {
         dop in 1usize..6,
         n_docs in 0usize..40,
         cadence in 1usize..4,
+        scale_sel in 0usize..2,
     ) {
         let plan = chain_plan(&indices);
         let rate = [0.0, 0.15, 0.35][rate_sel];
         let res = FlowResilience::injected(seed, rate, cadence);
-        let fused = ExecutionConfig::local(dop);
-        let unfused = ExecutionConfig { fusion: false, ..ExecutionConfig::local(dop) };
+        // The stage kernel sees raw per-record costs; the executor applies
+        // the simulated model's scales, so fusion must not see them either.
+        let (work_scale, byte_scale) = [(1.0, 1.0), (3.7, 0.185)][scale_sel];
+        let fused = ExecutionConfig { work_scale, byte_scale, ..ExecutionConfig::local(dop) };
+        let unfused = ExecutionConfig { fusion: false, ..fused.clone() };
 
         let f = run_surface(&plan, docs(n_docs), fused, &res);
         let u = run_surface(&plan, docs(n_docs), unfused, &res);
 
-        assert_surfaces_equal(&f, &u, &format!("indices={indices:?} seed={seed} dop={dop}"));
+        let ctx = format!("indices={indices:?} seed={seed} dop={dop} scale={work_scale}");
+        assert_surfaces_equal(&f, &u, &ctx);
     }
 
     #[test]
@@ -61,6 +69,7 @@ proptest! {
         stop_frac in 0usize..100,
         dop in 1usize..5,
         n_docs in 1usize..30,
+        mode in 0usize..3,
     ) {
         // Fault-free so the kill point is the only perturbation; ops from
         // the panic-free part of the vocabulary (no analyzer rejection):
@@ -77,8 +86,15 @@ proptest! {
         // Kill somewhere strictly inside the plan, after at least one
         // checkpointable node.
         let stop = 1 + stop_frac % (plan.len() - 1);
+        // The killed and the resumed run: fused, unfused, or unfused and
+        // uncombined (every Reduce grouped in the parent).
+        let config = match mode {
+            0 => ExecutionConfig::local(dop),
+            1 => ExecutionConfig { fusion: false, ..ExecutionConfig::local(dop) },
+            _ => ExecutionConfig { fusion: false, combining: false, ..ExecutionConfig::local(dop) },
+        };
 
-        let exec = Executor::new(ExecutionConfig::local(dop));
+        let exec = Executor::new(config);
         let full_obs = Observer::new();
         let opts = options(&full_res, Some(&full_obs), None);
         let full = exec.run(&plan, inputs_for(docs(n_docs)), opts).unwrap();
@@ -94,7 +110,14 @@ proptest! {
         let opts = options(&full_res, Some(&resumed_obs), Some(ckpt));
         let resumed = exec.run(&plan, inputs_for(docs(n_docs)), opts).unwrap();
 
-        prop_assert_eq!(resumed.sinks, full.sinks, "sinks diverged for {:?} stop={}", indices, stop);
+        prop_assert_eq!(
+            resumed.sinks,
+            full.sinks,
+            "sinks diverged for {:?} stop={} mode={}",
+            indices,
+            stop,
+            mode
+        );
         prop_assert_eq!(
             resumed.deterministic_digest(),
             full.deterministic_digest(),
@@ -117,8 +140,7 @@ proptest! {
             stop
         );
 
-        // And the unfused and uncombined engines agree with the fused
-        // resume.
+        // And the unfused and uncombined engines agree with the resume.
         for config in [
             ExecutionConfig { fusion: false, ..ExecutionConfig::local(dop) },
             ExecutionConfig { combining: false, ..ExecutionConfig::local(dop) },
@@ -129,21 +151,22 @@ proptest! {
             prop_assert_eq!(
                 resumed.deterministic_digest(),
                 plain.deterministic_digest(),
-                "fused resume diverged from unfused/uncombined run for {:?} stop={}",
+                "resume diverged from unfused/uncombined run for {:?} stop={} mode={}",
                 indices,
-                stop
+                stop,
+                mode
             );
         }
     }
 }
 
-/// Fan-out plans: the fused chain tees an interior node to a side sink.
-/// Every branch point must agree with the unfused engine on both sinks,
-/// checkpoint frames included.
+/// Fan-out plans: the fused chain tees an interior node to a side sink,
+/// plain or a store's. Every branch point must agree with the unfused
+/// engine on both sinks, store rows and checkpoint frames included.
 #[test]
 fn fan_out_tee_matches_unfused() {
-    for branch_at in 1..=4usize {
-        let plan = common::fan_out_plan(pool_op, branch_at);
+    for (branch_at, side) in (1..=4usize).flat_map(|b| [(b, "side"), (b, "store:kb/side")]) {
+        let plan = common::fan_out_plan(pool_op, branch_at, side);
         for dop in [1usize, 4, 8] {
             for seed in [0u64, 909] {
                 let res = FlowResilience::injected(seed, 0.2, 2);
@@ -154,8 +177,10 @@ fn fan_out_tee_matches_unfused() {
                     &res,
                 );
                 assert!(unfused.error.is_none(), "fan-out plan must run: {:?}", unfused.error);
+                let stored = !unfused.store_rows.is_empty();
+                assert_eq!(stored, side != "side", "only a store sink delivers store rows");
                 let fused = run_surface(&plan, docs(24), ExecutionConfig::local(dop), &res);
-                let ctx = format!("branch_at {branch_at} dop {dop} seed {seed}");
+                let ctx = format!("branch_at {branch_at} {side} dop {dop} seed {seed}");
                 assert_surfaces_equal(&fused, &unfused, &ctx);
             }
         }
@@ -183,8 +208,9 @@ fn token_frequency_with_a_frame_at_the_fold() -> (LogicalPlan, FlowResilience, u
 /// Killed at the streamed boundary and resumed from its frame, the run
 /// equals the uninterrupted one in sinks, registry and simulated clock
 /// bits; and the frame the fused, streamed pass sealed there is
-/// byte-equal to the ones unfused and uncombined runs seal, locally and
-/// on worker shards.
+/// byte-equal to the ones unfused and uncombined runs seal — at unit
+/// scale and under a scaled simulated model, which the kernel never
+/// sees.
 #[test]
 fn token_frequency_killed_at_the_streamed_boundary_resumes_bit_exact() {
     let (plan, res, boundary) = token_frequency_with_a_frame_at_the_fold();
@@ -205,17 +231,24 @@ fn token_frequency_killed_at_the_streamed_boundary_resumes_bit_exact() {
     assert_eq!(resumed_obs.registry().snapshot(), full_obs.registry().snapshot());
     assert_eq!(resumed.deterministic_digest(), full.deterministic_digest());
 
-    let streamed = run_surface(&plan, medline_records(12), ExecutionConfig::local(2), &res);
-    assert_eq!(streamed.checkpoints, [(boundary, full.checkpoints[0].as_bytes().to_vec())]);
-    let shards = Some(ShardConfig::in_process(2));
-    for (what, config) in [
-        ("unfused", ExecutionConfig { fusion: false, ..ExecutionConfig::local(2) }),
-        ("uncombined", ExecutionConfig { combining: false, ..ExecutionConfig::local(2) }),
-        ("two shards", ExecutionConfig { sharding: shards, ..ExecutionConfig::local(2) }),
-    ] {
-        let other = run_surface(&plan, medline_records(12), config, &res);
-        assert_surfaces_equal(&other, &streamed, what);
+    let mut clocks = Vec::new();
+    for (work_scale, byte_scale) in [(1.0, 1.0), (3.7, 0.185)] {
+        let scaled = ExecutionConfig { work_scale, byte_scale, ..ExecutionConfig::local(2) };
+        let streamed = run_surface(&plan, medline_records(12), scaled.clone(), &res);
+        if work_scale == 1.0 {
+            let sealed = full.checkpoints[0].as_bytes().to_vec();
+            assert_eq!(streamed.checkpoints, [(boundary, sealed)]);
+        }
+        clocks.push(streamed.simulated_bits);
+        for (what, config) in [
+            ("unfused", ExecutionConfig { fusion: false, ..scaled.clone() }),
+            ("uncombined", ExecutionConfig { combining: false, ..scaled.clone() }),
+        ] {
+            let other = run_surface(&plan, medline_records(12), config, &res);
+            assert_surfaces_equal(&other, &streamed, &format!("{what} x{work_scale}"));
+        }
     }
+    assert_ne!(clocks[0], clocks[1], "the scale reaches the simulated clock");
 }
 
 /// A real frame carries every series of the observer it was sealed on,

@@ -46,16 +46,17 @@ const LIVE_SERIES: [&[&str]; 3] = [
 pub struct LiveOptions {
     /// Degree of parallelism for the per-round delta passes.
     pub dop: usize,
-    /// When set, each round's delta pass runs on worker shards instead of
-    /// in-process threads. Sharding never changes what a round produces —
-    /// store postings, watermarks, and metrics stay byte-identical — so
-    /// this is purely a physical-runtime choice.
-    pub sharding: Option<websift_flow::ShardConfig>,
+    /// Not a knob: its one value is `()`. It keeps
+    /// `LiveOptions { dop: DOP, ..LiveOptions::default() }` in
+    /// `benchmark/src/workloads/live_rounds.rs` free of clippy's
+    /// `needless_update`; it goes together with that `..` update.
+    #[doc(hidden)]
+    pub _reserved: (),
 }
 
 impl Default for LiveOptions {
     fn default() -> LiveOptions {
-        LiveOptions { dop: 2, sharding: None }
+        LiveOptions { dop: 2, _reserved: () }
     }
 }
 
@@ -223,9 +224,7 @@ impl<'w> LiveSession<'w> {
         let inputs =
             HashMap::from([(self.flow.source().to_string(), records)]);
         self.store.set_round(round_id);
-        let mut exec_config = ExecutionConfig::local(self.options.dop);
-        exec_config.sharding = self.options.sharding.clone();
-        let executor = Executor::new(exec_config);
+        let executor = Executor::new(ExecutionConfig::local(self.options.dop));
         let opts = RunOptions { store: Some(&mut self.store), ..RunOptions::default() };
         let mut out = executor.run(self.flow.delta_plan(), inputs, opts)?;
 

@@ -19,12 +19,7 @@
 //!   substrate ([`codec::Writer`] / [`codec::Reader`]) and the
 //!   [`checkpoint::Snapshot`] trait, used by the crawler and the flow
 //!   executor to snapshot state at segment/operator boundaries and resume
-//!   bit-identically after a kill;
-//! - [`frame`] — a streaming length-prefixed frame layer
-//!   ([`frame::read_frame`] / [`frame::write_frame`]) used by the flow
-//!   engine's worker shards to exchange records and partial aggregates
-//!   over pipes, with checksums so a cut or corrupted channel fails as a
-//!   typed error instead of resuming from garbage.
+//!   bit-identically after a kill.
 //!
 //! Everything here is deterministic by construction: fault decisions are
 //! pure functions of `(seed, kind, site, occurrence)`, backoff delays are
@@ -35,11 +30,9 @@
 pub mod checkpoint;
 pub mod codec;
 pub mod fault;
-pub mod frame;
 pub mod retry;
 
 pub use checkpoint::Snapshot;
 pub use codec::{CodecError, Reader, Writer};
-pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
 pub use fault::{FaultKind, FaultPlan};
 pub use retry::{BackoffPolicy, BreakerState, CircuitBreaker, RetryBudget};

@@ -228,9 +228,6 @@ pub struct PosTagger {
     prior: [f64; TAG_COUNT],
     /// Token budget per sentence (the crash threshold).
     max_tokens: usize,
-    /// Set on [`PosTagger::pretrained`] and its clones: the model is the
-    /// built-in one, which any process can rebuild without the weights.
-    pretrained: bool,
 }
 
 impl PosTagger {
@@ -328,7 +325,6 @@ impl PosTagger {
             suffix,
             prior,
             max_tokens: 500,
-            pretrained: false,
         }
     }
 
@@ -339,23 +335,11 @@ impl PosTagger {
         self
     }
 
-    pub fn max_tokens(&self) -> usize {
-        self.max_tokens
-    }
-
     /// A tagger trained on the embedded abstract-style corpus — the analogue
     /// of MedPost's model trained on Medline sentences. Built once.
     pub fn pretrained() -> &'static PosTagger {
         static TAGGER: OnceLock<PosTagger> = OnceLock::new();
-        TAGGER.get_or_init(|| PosTagger {
-            pretrained: true,
-            ..PosTagger::train(&builtin_training_corpus())
-        })
-    }
-
-    /// Is this the built-in model (at whatever token budget)?
-    pub fn is_pretrained(&self) -> bool {
-        self.pretrained
+        TAGGER.get_or_init(|| PosTagger::train(&builtin_training_corpus()))
     }
 
     /// Log emission scores for `word` over all tags. `lower` is scratch
