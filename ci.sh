@@ -109,6 +109,24 @@ echo "dictionary automaton == brute-force search, CRF == reference decoder and t
 PROPTEST_CASES=64 cargo test -q -p websift-crawler --lib differential
 echo "crawl: any worker pool == one worker holds ok"
 
+# Sealed frames in one pass: `codec::hash_chains`, which advances up to
+# three FNV-1a chains together over one buffer and writes each result
+# into its slot before a later chain reads it, must return and write what
+# separate FNV-1a calls patched in turn do — random buffers and range
+# sets (empty, adjacent, nested across chains, whole-buffer), slots
+# wherever the layout rules allow — and a frame written in place inside
+# another must equal sealing twice. Cases pinned as above.
+PROPTEST_CASES=64 cargo test -q -p websift-resilience --lib differential
+echo "codec: lockstep FNV-1a chains == separate fnv1a calls holds ok"
+
+# Live watermarks: every round's WSWM frame, written as one buffer with
+# the crawl checkpoint in place and hashed in one pass, must be byte-equal
+# to the three-call reference seal (checkpoint, state digest, parts
+# sealed over copied frames) — at DoP 1 and 2, under injected crawl
+# faults, and after a resume in mid-crawl.
+cargo test -q -p websift-live --lib differential
+echo "live: one-pass watermark seal == three-call reference seal holds ok"
+
 # Packed span arrays: `Value::Spans` must be indistinguishable from the
 # plain array of `{end, start}` objects it spells — codec bytes, size
 # model, `==`, `value_cmp` — and the paper's flows must produce the same

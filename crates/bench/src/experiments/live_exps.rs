@@ -187,7 +187,7 @@ fn run_session(
             cumulative_documents: total_docs,
             incremental_secs: incremental_total - prev_incremental,
             freshness_secs: round.freshness_secs,
-            store_digest: round.watermark.parts().store_digest,
+            store_digest: round.watermark.store_digest(),
         });
         prev_incremental = incremental_total;
         watermarks.push(round.watermark);

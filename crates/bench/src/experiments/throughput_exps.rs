@@ -147,7 +147,8 @@ fn median_paired_ratio(rounds: &[[f64; 2]]) -> f64 {
 }
 
 /// Runs `sweep` over `docs` generated relevant-web documents at every DoP
-/// in `dops`, alternating the two arms within each round.
+/// in `dops`: each round runs both arms, and which one runs first
+/// alternates from round to round.
 fn paired_sweep(sweep: &Sweep, docs: usize, dops: &[usize]) -> SweepReport {
     let records = throughput_corpus(docs);
     let [off, on] = sweep.modes;
@@ -187,7 +188,12 @@ fn paired_sweep(sweep: &Sweep, docs: usize, dops: &[usize]) -> SweepReport {
         for rep in 0..reps {
             let mut round = [0.0f64; 2];
             let mut digests = [0u64; 2];
-            for (i, arm) in [false, true].into_iter().enumerate() {
+            // The arm that runs first alternates from round to round, so
+            // what one run leaves for the next (allocator state, caches)
+            // does not always land on the same arm.
+            let order = if rep % 2 == 0 { [false, true] } else { [true, false] };
+            for arm in order {
+                let i = usize::from(arm);
                 let (secs, out) = run(dop, arm);
                 round[i] = secs;
                 wall_secs[i] = wall_secs[i].min(secs);

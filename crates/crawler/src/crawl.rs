@@ -61,11 +61,12 @@ use crate::fetcher::{FaultContext, FetchOutcome, Fetcher};
 use crate::filters::{FilterChain, FilterConfig, FilterStats, RejectReason};
 use crate::linkdb::LinkDb;
 use crate::parser::extract_links;
-use crate::recovery::{CrawlCheckpoint, ResilienceOptions, ResilienceStats};
+use crate::recovery::{CheckpointLayout, CrawlCheckpoint, ResilienceOptions, ResilienceStats};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use websift_observe::{Labels, Observer, RegistrySnapshot};
-use websift_resilience::codec;
+use websift_resilience::codec::{self, Chain};
 use websift_resilience::{
     BreakerState, CircuitBreaker, CodecError, FaultKind, Reader, RetryBudget, Snapshot, Writer,
 };
@@ -454,7 +455,9 @@ impl<'w> FocusedCrawler<'w> {
 
     /// Digest of the complete crawler + report state, for asserting the
     /// bit-identical kill/resume invariant without field-by-field
-    /// comparison.
+    /// comparison: the hash of the crawler and report segments of a
+    /// checkpoint payload, which is what [`CrawlSession::state_digest`]
+    /// hashes in place.
     pub fn state_digest(&self, report: &CrawlReport) -> u64 {
         let mut w = Writer::new();
         self.encode_crawler(&mut w);
@@ -474,16 +477,36 @@ impl<'w> FocusedCrawler<'w> {
         self.seen_content.encode(w);
     }
 
-    fn take_checkpoint(&self, st: &LoopState) -> CrawlCheckpoint {
-        let mut w = Writer::new();
-        self.encode_crawler(&mut w);
-        st.filters.stats().encode(&mut w);
-        st.report.encode(&mut w);
-        st.rt.encode(&mut w);
+    /// Writes the checkpoint payload — crawler, filter stats, report,
+    /// retry state, registry — and returns where its crawler and report
+    /// segments landed in `w`: the bytes the state digest hashes. Every
+    /// checkpoint frame, state digest and live watermark is written here.
+    fn write_payload(&self, st: &LoopState, w: &mut Writer) -> [Range<usize>; 2] {
+        let start = w.len();
+        self.encode_crawler(w);
+        let crawler = start..w.len();
+        st.filters.stats().encode(w);
+        let start = w.len();
+        st.report.encode(w);
+        let report = start..w.len();
+        st.rt.encode(w);
         // registry state rides in the frame so resumed crawls continue
         // their metrics bit-identically
-        self.observer.registry().snapshot().encode(&mut w);
-        CrawlCheckpoint::seal(st.rt.round, &w.into_bytes())
+        self.observer.registry().snapshot().encode(w);
+        [crawler, report]
+    }
+
+    fn write_checkpoint(&self, st: &LoopState, w: &mut Writer) -> CheckpointLayout {
+        let (frame, state) = CrawlCheckpoint::write_frame(w, |w| self.write_payload(st, w));
+        CheckpointLayout { frame, state }
+    }
+
+    fn take_checkpoint(&self, st: &LoopState) -> CrawlCheckpoint {
+        let mut w = Writer::new();
+        let layout = self.write_checkpoint(st, &mut w);
+        let mut frame = w.into_bytes();
+        codec::hash_chains(&mut frame, [layout.frame.checksum_chain()]);
+        CrawlCheckpoint::from_sealed(st.rt.round, frame)
     }
 
     /// Fills the report's derived fields, once, when the crawl is over.
@@ -1011,6 +1034,15 @@ impl<'w> CrawlSession<'w> {
         self.crawler.take_checkpoint(&self.state)
     }
 
+    /// Writes the [`CrawlSession::checkpoint`] frame in place in `w`,
+    /// checksum slot left zero, for a caller that hashes it inside a
+    /// larger frame: hashing the layout's `frame` chain makes the bytes
+    /// `checkpoint()` returns, and hashing its `state` segments gives
+    /// [`CrawlSession::state_digest`].
+    pub fn write_checkpoint(&self, w: &mut Writer) -> CheckpointLayout {
+        self.crawler.write_checkpoint(&self.state, w)
+    }
+
     /// Rounds completed so far.
     pub fn round(&self) -> u64 {
         self.state.rt.round
@@ -1033,7 +1065,11 @@ impl<'w> CrawlSession<'w> {
     /// [`FocusedCrawler::state_digest`]) — the "crawler frontier digest"
     /// a live watermark records.
     pub fn state_digest(&self) -> u64 {
-        self.crawler.state_digest(&self.state.report)
+        let mut w = Writer::new();
+        let state = self.crawler.write_payload(&self.state, &mut w);
+        let mut payload = w.into_bytes();
+        let [digest] = codec::hash_chains(&mut payload, [Chain { ranges: &state, slot: None }]);
+        digest
     }
 
     /// Drains any cadence checkpoints the loop took during stepping.
@@ -1423,6 +1459,74 @@ mod tests {
             base_report.harvest_rate().to_bits(),
             resumed_report.harvest_rate().to_bits()
         );
+    }
+
+    /// The checkpoint and state-digest encoders the in-place writer
+    /// replaced: a payload per call, sealed by hand around
+    /// `codec::digest`, and a second encode of crawler and report for the
+    /// digest.
+    mod reference {
+        use super::*;
+
+        pub fn checkpoint(session: &CrawlSession<'_>) -> Vec<u8> {
+            let (crawler, st) = (&session.crawler, &session.state);
+            let mut w = Writer::new();
+            crawler.encode_crawler(&mut w);
+            st.filters.stats().encode(&mut w);
+            st.report.encode(&mut w);
+            st.rt.encode(&mut w);
+            crawler.observer.registry().snapshot().encode(&mut w);
+            let payload = w.into_bytes();
+            let mut frame = b"WSCK".to_vec();
+            frame.extend_from_slice(&1u16.to_le_bytes());
+            frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            frame.extend_from_slice(&codec::digest(&payload).to_le_bytes());
+            frame
+        }
+
+        pub fn state_digest(session: &CrawlSession<'_>) -> u64 {
+            let mut w = Writer::new();
+            session.crawler.encode_crawler(&mut w);
+            session.state.report.encode(&mut w);
+            codec::digest(&w.into_bytes())
+        }
+    }
+
+    /// `checkpoint()` bytes and `state_digest()` bits equal the reference
+    /// encoders' at every round of a plain and a fault-injected crawl,
+    /// and the in-place layout's chains hash to the same two values.
+    #[test]
+    fn checkpoint_and_state_digest_equal_the_reference_encoders() {
+        let (web, nb) = setup();
+        for opts in [ResilienceOptions::default(), ResilienceOptions::injected(0x57E9, 0.05, 2)] {
+            let crawler = FocusedCrawler::new(&web, nb.clone(), resilient_config());
+            let mut session = CrawlSession::start(crawler, biomedical_seeds(&web, 20), &opts);
+            let mut rounds = 0;
+            loop {
+                let frame = reference::checkpoint(&session);
+                let digest = reference::state_digest(&session);
+                assert_eq!(session.checkpoint().as_bytes(), &frame[..], "round {rounds}");
+                assert_eq!(session.state_digest(), digest, "round {rounds}");
+                assert_eq!(session.crawler().state_digest(session.report()), digest);
+
+                let mut w = Writer::new();
+                w.str("prefix");
+                let layout = session.write_checkpoint(&mut w);
+                let mut buf = w.into_bytes();
+                let [_, state] = codec::hash_chains(
+                    &mut buf,
+                    [layout.frame.checksum_chain(), Chain { ranges: &layout.state, slot: None }],
+                );
+                assert_eq!(&buf[14..], &frame[..]);
+                assert_eq!(state, digest);
+                if !session.step_round() {
+                    break;
+                }
+                rounds += 1;
+            }
+            assert!(rounds >= 3, "crawl ended after {rounds} rounds");
+        }
     }
 
     /// Runs `f` with every fetcher this thread builds spawning `pool`

@@ -47,5 +47,5 @@ pub use feedback::IeFeedback;
 pub use fetcher::{FaultContext, FetchFailure, FetchOutcome, FetchStats, Fetcher};
 pub use filters::{FilterChain, FilterConfig, FilterStats, RejectReason};
 pub use linkdb::LinkDb;
-pub use recovery::{CrawlCheckpoint, ResilienceOptions, ResilienceStats};
+pub use recovery::{CheckpointLayout, CrawlCheckpoint, ResilienceOptions, ResilienceStats};
 pub use seeds::{default_engines, generate_seeds, SearchEngine, SeedList};

@@ -9,7 +9,9 @@
 //! [`crate::CrawlSession::step_round`], and the one way back from a
 //! frame is [`crate::CrawlSession::resume`].
 
-use websift_resilience::codec;
+use std::ops::Range;
+
+use websift_resilience::codec::{self, FrameSlots};
 use websift_resilience::{BackoffPolicy, CodecError, FaultPlan, Reader, Snapshot, Writer};
 
 /// Frame tag + version for crawl checkpoints.
@@ -128,13 +130,45 @@ pub struct CrawlCheckpoint {
     pub round: u64,
 }
 
+/// A crawl checkpoint frame written in place by
+/// [`crate::CrawlSession::write_checkpoint`], not yet hashed: where its
+/// payload and checksum slot lie in the writer's buffer, and the two
+/// payload segments the state digest covers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointLayout {
+    /// The `WSCK` frame's payload and checksum slot.
+    pub frame: FrameSlots,
+    /// The crawler and report segments of the payload: the bytes
+    /// [`crate::CrawlSession::state_digest`] hashes, in that order.
+    pub state: [Range<usize>; 2],
+}
+
 impl CrawlCheckpoint {
-    /// Seals a raw encoded payload (used by the crawl loop).
+    /// Seals a raw encoded payload (tests forge frames with it).
+    #[cfg(test)]
     pub(crate) fn seal(round: u64, payload: &[u8]) -> CrawlCheckpoint {
         CrawlCheckpoint {
             frame: codec::seal(CHECKPOINT_TAG, CHECKPOINT_VERSION, payload),
             round,
         }
+    }
+
+    /// Writes a `WSCK` frame around the payload `write` writes, in place
+    /// in `w`; the checksum slot stays zero until the caller hashes the
+    /// frame's [`FrameSlots::checksum_chain`].
+    pub(crate) fn write_frame<R>(
+        w: &mut Writer,
+        write: impl FnOnce(&mut Writer) -> R,
+    ) -> (FrameSlots, R) {
+        let start = codec::begin_frame(w, CHECKPOINT_TAG, CHECKPOINT_VERSION);
+        let inner = write(w);
+        (codec::end_frame(w, start), inner)
+    }
+
+    /// Adopts a frame [`CrawlCheckpoint::write_frame`] wrote into a fresh
+    /// writer, once its checksum has been hashed into place.
+    pub(crate) fn from_sealed(round: u64, frame: Vec<u8>) -> CrawlCheckpoint {
+        CrawlCheckpoint { frame, round }
     }
 
     /// Verifies the frame and returns the payload (used on resume).
@@ -158,7 +192,8 @@ impl CrawlCheckpoint {
         Ok(ckpt)
     }
 
-    /// Content digest of the payload, for cheap state comparison.
+    /// Digest of the whole sealed frame (tag, version, length, payload
+    /// and checksum), for cheap state comparison.
     pub fn digest(&self) -> u64 {
         codec::digest(&self.frame)
     }

@@ -30,7 +30,7 @@ use websift_serve::{ExtractionStore, StoreSnapshot};
 use websift_web::{SimulatedWeb, Url};
 
 use crate::incremental::IncrementalFlow;
-use crate::watermark::{LiveMetrics, Watermark, WatermarkParts};
+use crate::watermark::{CrawlSection, LiveMetrics, Sections, Watermark, WatermarkParts};
 use crate::LiveError;
 
 /// The registry series [`LiveSession`] writes once per round: its
@@ -250,7 +250,7 @@ impl<'w> LiveSession<'w> {
         // inside the watermark snapshots the metrics registry, so a
         // resumed session restores counters *including* this round.
         self.emit_round(round_id, docs.len(), absorbed, crawl_secs_before, crawl_delta_secs, out.metrics.simulated_secs);
-        let watermark = self.seal_watermark(round_id)?;
+        let watermark = self.seal_watermark(round_id);
         self.round = round_id;
 
         Ok(Some(LiveRound {
@@ -299,19 +299,21 @@ impl<'w> LiveSession<'w> {
             .record(self.metrics.freshness_secs);
     }
 
-    fn seal_watermark(&self, round_id: u32) -> Result<Watermark, LiveError> {
-        let checkpoint = self.crawl.checkpoint();
+    /// Seals the round's watermark in one buffer: the crawl checkpoint is
+    /// written in place inside it, and one pass hashes the checkpoint's
+    /// checksum, the frontier digest and the watermark's checksum.
+    fn seal_watermark(&self, round_id: u32) -> Watermark {
         let snapshot = StoreSnapshot::capture(&self.store);
-        Ok(Watermark::seal(&WatermarkParts {
+        Sections {
             rounds: round_id,
-            crawl_round: checkpoint.round,
-            frontier_digest: self.crawl.state_digest(),
-            crawl_frame: checkpoint.as_bytes().to_vec(),
-            agg_state: self.flow.state_bytes(),
-            store_frame: snapshot.as_bytes().to_vec(),
+            crawl_round: self.crawl.round(),
+            crawl: CrawlSection::Live(&self.crawl),
+            agg_state: &self.flow.state_bytes(),
+            store_frame: snapshot.as_bytes(),
             store_digest: self.store.content_digest(),
             metrics: self.metrics.clone(),
-        }))
+        }
+        .seal()
     }
 
     /// The serving store, continuously fresh as rounds complete.
@@ -414,6 +416,136 @@ mod tests {
             IncrementalFlow::compile(&bad),
             Err(LiveError::ReduceNotTerminal { .. })
         ));
+    }
+
+    /// The seal the in-place writer replaced: `checkpoint()`, the state
+    /// digest, the store snapshot and the aggregate state as separate
+    /// frames, copied into a payload encoded field by field and sealed by
+    /// hand around `codec::digest`.
+    mod reference {
+        use super::*;
+        use websift_resilience::{codec, Snapshot, Writer};
+
+        pub fn seal(session: &LiveSession<'_>) -> Vec<u8> {
+            let checkpoint = session.crawl.checkpoint();
+            let snapshot = StoreSnapshot::capture(&session.store);
+            let mut w = Writer::new();
+            w.u32(session.round);
+            w.u64(checkpoint.round);
+            w.bytes(checkpoint.as_bytes());
+            // the crawler's own encode of crawler and report, not the
+            // payload segments the session hashes in place
+            w.u64(session.crawl.crawler().state_digest(session.crawl.report()));
+            w.bytes(&session.flow.state_bytes());
+            w.bytes(snapshot.as_bytes());
+            w.u64(session.store.content_digest());
+            session.metrics.encode(&mut w);
+            let payload = w.into_bytes();
+            let mut frame = b"WSWM".to_vec();
+            frame.extend_from_slice(&1u16.to_le_bytes());
+            frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            frame.extend_from_slice(&codec::digest(&payload).to_le_bytes());
+            frame
+        }
+    }
+
+    /// Every round's watermark, sealed in one buffer and one hashing
+    /// pass, is byte-equal to the reference seal of the same session:
+    /// at DoP 1 and 2, under injected crawl faults, and after a resume in
+    /// mid-crawl.
+    mod differential {
+        use super::*;
+        use websift_corpus::LexiconScale;
+        use websift_crawler::train_focus_classifier;
+        use websift_flow::IeResources;
+        use websift_ner::EntityType;
+        use websift_pipeline::live_extraction_flow;
+        use websift_web::{PageId, WebGraph, WebGraphConfig};
+
+        const STORE: &str = "live";
+
+        fn crawl_config() -> CrawlConfig {
+            CrawlConfig { max_pages: 60, threads: 4, ..CrawlConfig::default() }
+        }
+
+        fn start<'w>(
+            web: &'w SimulatedWeb,
+            plan: &LogicalPlan,
+            res: &ResilienceOptions,
+            dop: usize,
+        ) -> LiveSession<'w> {
+            let seeds = (0..web.graph().num_pages() as u32)
+                .map(PageId)
+                .filter(|&p| web.graph().page(p).relevant)
+                .take(10)
+                .map(|p| web.graph().url_of(p))
+                .collect();
+            LiveSession::start(
+                web,
+                train_focus_classifier(60, 2.0, 4),
+                crawl_config(),
+                seeds,
+                res,
+                plan,
+                ExtractionStore::new(STORE, 4),
+                LiveOptions { dop, ..LiveOptions::default() },
+                Arc::new(Observer::new()),
+            )
+            .expect("live session starts")
+        }
+
+        /// Advances `session` to the end, checking every watermark
+        /// against the reference; returns the watermarks.
+        fn run_checked(session: &mut LiveSession<'_>, what: &str) -> Vec<Watermark> {
+            let mut marks = Vec::new();
+            while let Some(round) = session.advance().expect("round advances") {
+                let want = reference::seal(session);
+                assert_eq!(
+                    round.watermark.as_bytes(),
+                    &want[..],
+                    "{what}: watermark of round {} differs from the reference seal",
+                    round.round
+                );
+                assert_eq!(round.watermark.rounds(), round.round);
+                assert_eq!(round.watermark.store_digest(), session.store().content_digest());
+                marks.push(round.watermark);
+            }
+            marks
+        }
+
+        #[test]
+        fn differential_watermarks_equal_the_reference_seal() {
+            let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
+            let resources = IeResources::quick_for_tests(LexiconScale::tiny());
+            let plan = live_extraction_flow(&resources, EntityType::Gene, STORE);
+            let injected = ResilienceOptions::injected(0x77, 0.05, 2);
+            for (res, dop) in [
+                (ResilienceOptions::default(), 1),
+                (ResilienceOptions::default(), 2),
+                (injected.clone(), 2),
+            ] {
+                let what = format!("dop {dop}, faults {}", res.faults.is_some());
+                let marks = run_checked(&mut start(&web, &plan, &res, dop), &what);
+                assert!(marks.len() >= 3, "{what}: crawl ended after {} rounds", marks.len());
+
+                // resumed in mid-crawl from the second round's watermark
+                let resumed_from = Watermark::from_bytes(marks[1].as_bytes().to_vec())
+                    .expect("a sealed watermark reopens");
+                let mut resumed = LiveSession::resume_from(
+                    &web,
+                    crawl_config(),
+                    &res,
+                    &plan,
+                    LiveOptions { dop, ..LiveOptions::default() },
+                    Arc::new(Observer::new()),
+                    &resumed_from,
+                )
+                .expect("session resumes from its watermark");
+                let tail = run_checked(&mut resumed, &format!("{what}, resumed"));
+                assert_eq!(tail[..], marks[2..]);
+            }
+        }
     }
 
     /// A misrouted store sink shows up in both paths: WS011 statically,

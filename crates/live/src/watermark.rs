@@ -20,7 +20,9 @@
 //! watermark bytes for every subsequent round — the property the replay
 //! differential suite pins.
 
-use websift_resilience::{codec, CodecError, Reader, Snapshot, Writer};
+use websift_crawler::CrawlSession;
+use websift_resilience::codec::{self, Chain};
+use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 
 /// Frame tag for a sealed watermark.
 pub const WATERMARK_TAG: [u8; 4] = *b"WSWM";
@@ -93,26 +95,77 @@ pub struct WatermarkParts {
     pub metrics: LiveMetrics,
 }
 
-impl Snapshot for WatermarkParts {
-    fn encode(&self, w: &mut Writer) {
+/// Where a watermark's crawl frame and frontier digest come from.
+pub(crate) enum CrawlSection<'a, 'w> {
+    /// A sealed `WSCK` frame and its digest, written as they are.
+    Sealed { frame: &'a [u8], frontier_digest: u64 },
+    /// The session's checkpoint, written in place; its checksum and the
+    /// frontier digest are hashed in the watermark's one pass.
+    Live(&'a CrawlSession<'w>),
+}
+
+/// A watermark's sections, borrowed: the payload layout lives in
+/// [`Sections::seal`] and [`Sections::read`] alone.
+pub(crate) struct Sections<'a, 'w> {
+    pub rounds: u32,
+    pub crawl_round: u64,
+    pub crawl: CrawlSection<'a, 'w>,
+    pub agg_state: &'a [u8],
+    pub store_frame: &'a [u8],
+    pub store_digest: u64,
+    pub metrics: LiveMetrics,
+}
+
+impl Sections<'_, '_> {
+    /// Writes the `WSWM` frame in one buffer and hashes it in one pass:
+    /// the nested crawl frame's checksum, the frontier digest over that
+    /// frame's crawler and report segments, then the watermark checksum
+    /// over the whole payload, both slots included.
+    pub(crate) fn seal(&self) -> Watermark {
+        let mut w = Writer::new();
+        let payload = codec::begin_frame(&mut w, WATERMARK_TAG, WATERMARK_VERSION);
         w.u32(self.rounds);
         w.u64(self.crawl_round);
-        w.bytes(&self.crawl_frame);
-        w.u64(self.frontier_digest);
-        w.bytes(&self.agg_state);
-        w.bytes(&self.store_frame);
+        let crawl_frame = w.begin_bytes();
+        let (live, frontier_digest) = match self.crawl {
+            CrawlSection::Sealed { frame, frontier_digest } => {
+                w.raw(frame);
+                (None, frontier_digest)
+            }
+            CrawlSection::Live(session) => (Some(session.write_checkpoint(&mut w)), 0),
+        };
+        w.end_bytes(crawl_frame);
+        let frontier_slot = w.len();
+        w.u64(frontier_digest);
+        w.bytes(self.agg_state);
+        w.bytes(self.store_frame);
         w.u64(self.store_digest);
-        self.metrics.encode(w);
+        self.metrics.encode(&mut w);
+        let outer = codec::end_frame(&mut w, payload);
+        let mut frame = w.into_bytes();
+        match live {
+            Some(crawl) => {
+                let frontier = Chain { ranges: &crawl.state, slot: Some(frontier_slot) };
+                let chains = [crawl.frame.checksum_chain(), frontier, outer.checksum_chain()];
+                codec::hash_chains(&mut frame, chains);
+            }
+            None => {
+                codec::hash_chains(&mut frame, [outer.checksum_chain()]);
+            }
+        }
+        Watermark { frame }
     }
+}
 
-    fn decode(r: &mut Reader<'_>) -> Result<WatermarkParts, CodecError> {
-        Ok(WatermarkParts {
+impl<'a> Sections<'a, 'static> {
+    /// Reads a watermark payload, borrowing its byte sections.
+    fn read(r: &mut Reader<'a>) -> Result<Sections<'a, 'static>, CodecError> {
+        Ok(Sections {
             rounds: r.u32()?,
             crawl_round: r.u64()?,
-            crawl_frame: r.bytes()?,
-            frontier_digest: r.u64()?,
-            agg_state: r.bytes()?,
-            store_frame: r.bytes()?,
+            crawl: CrawlSection::Sealed { frame: r.slice()?, frontier_digest: r.u64()? },
+            agg_state: r.slice()?,
+            store_frame: r.slice()?,
             store_digest: r.u64()?,
             metrics: LiveMetrics::decode(r)?,
         })
@@ -128,9 +181,19 @@ pub struct Watermark {
 impl Watermark {
     /// Seals `parts` into a `WSWM` v1 frame.
     pub fn seal(parts: &WatermarkParts) -> Watermark {
-        let mut w = Writer::new();
-        parts.encode(&mut w);
-        Watermark { frame: codec::seal(WATERMARK_TAG, WATERMARK_VERSION, &w.into_bytes()) }
+        Sections {
+            rounds: parts.rounds,
+            crawl_round: parts.crawl_round,
+            crawl: CrawlSection::Sealed {
+                frame: &parts.crawl_frame,
+                frontier_digest: parts.frontier_digest,
+            },
+            agg_state: &parts.agg_state,
+            store_frame: &parts.store_frame,
+            store_digest: parts.store_digest,
+            metrics: parts.metrics.clone(),
+        }
+        .seal()
     }
 
     /// Adopts sealed frame bytes, verifying tag, version, checksum, and
@@ -139,7 +202,7 @@ impl Watermark {
     pub fn from_bytes(frame: Vec<u8>) -> Result<Watermark, CodecError> {
         let payload = codec::open(WATERMARK_TAG, WATERMARK_VERSION, &frame)?;
         let mut r = Reader::new(payload);
-        WatermarkParts::decode(&mut r)?;
+        Sections::read(&mut r)?;
         if !r.is_empty() {
             return Err(CodecError::Truncated { what: "trailing watermark bytes" });
         }
@@ -151,19 +214,46 @@ impl Watermark {
         &self.frame
     }
 
-    /// Decodes the frame contents.
-    pub fn parts(&self) -> WatermarkParts {
-        let payload = codec::open(WATERMARK_TAG, WATERMARK_VERSION, &self.frame)
-            // lint:allow(untrusted_unwrap): from_bytes opened this frame to accept it
-            .expect("verified at construction");
-        let mut r = Reader::new(payload);
+    /// The payload's sections, borrowed from the frame: no checksum pass
+    /// and no copy, since the frame was verified when it was built.
+    fn sections(&self) -> Sections<'_, 'static> {
+        let mut r = Reader::new(codec::opened_payload(&self.frame));
         // lint:allow(untrusted_unwrap): from_bytes decoded these parts in full to accept them
-        WatermarkParts::decode(&mut r).expect("verified at construction")
+        Sections::read(&mut r).expect("verified at construction")
     }
 
-    /// Completed rounds at seal time, without a full decode.
+    /// Decodes the frame contents.
+    pub fn parts(&self) -> WatermarkParts {
+        let s = self.sections();
+        let (crawl_frame, frontier_digest) = match s.crawl {
+            CrawlSection::Sealed { frame, frontier_digest } => (frame.to_vec(), frontier_digest),
+            CrawlSection::Live(session) => {
+                (session.checkpoint().as_bytes().to_vec(), session.state_digest())
+            }
+        };
+        WatermarkParts {
+            rounds: s.rounds,
+            crawl_round: s.crawl_round,
+            crawl_frame,
+            frontier_digest,
+            agg_state: s.agg_state.to_vec(),
+            store_frame: s.store_frame.to_vec(),
+            store_digest: s.store_digest,
+            metrics: s.metrics,
+        }
+    }
+
+    /// Completed rounds at seal time: the payload's leading `u32`, read
+    /// without a checksum pass or a full decode.
     pub fn rounds(&self) -> u32 {
-        self.parts().rounds
+        self.sections().rounds
+    }
+
+    /// The store's content digest at seal time, read by skipping over
+    /// the length-prefixed sections before it: no checksum pass and no
+    /// copy of any section.
+    pub fn store_digest(&self) -> u64 {
+        self.sections().store_digest
     }
 
     /// Digest over the sealed frame bytes.
@@ -217,6 +307,7 @@ mod tests {
         assert_eq!(parts.store_digest, 0xCAFE);
         assert_eq!(parts.metrics, sample_parts().metrics);
         assert_eq!(reopened.rounds(), 3);
+        assert_eq!(reopened.store_digest(), 0xCAFE);
     }
 
     #[test]
@@ -252,9 +343,8 @@ mod tests {
     }
 
     fn sample_payload() -> Vec<u8> {
-        let mut w = Writer::new();
-        sample_parts().encode(&mut w);
-        w.into_bytes()
+        let sealed = Watermark::seal(&sample_parts());
+        codec::open(WATERMARK_TAG, WATERMARK_VERSION, sealed.as_bytes()).unwrap().to_vec()
     }
 
     #[test]
@@ -286,9 +376,7 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_are_rejected() {
-        let mut w = Writer::new();
-        sample_parts().encode(&mut w);
-        let mut payload = w.into_bytes();
+        let mut payload = sample_payload();
         payload.push(0);
         let frame = codec::seal(WATERMARK_TAG, WATERMARK_VERSION, &payload);
         assert!(Watermark::from_bytes(frame).is_err());

@@ -11,9 +11,14 @@
 //! - length-prefixed strings and byte blobs;
 //! - a sealed-frame layer ([`seal`] / [`open`]) adding a magic tag, a
 //!   version byte, and an FNV-1a checksum so truncated or corrupted
-//!   checkpoint files fail loudly instead of resuming from garbage.
+//!   checkpoint files fail loudly instead of resuming from garbage;
+//! - frames written in place ([`begin_frame`] / [`end_frame`]), nested
+//!   frames included, and hashed afterwards by [`hash_chains`]: up to
+//!   three FNV-1a chains in one pass over the buffer, each result written
+//!   into its slot before any later chain reads it.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Errors surfaced when decoding a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,6 +93,26 @@ impl Writer {
     pub fn from_vec(mut buf: Vec<u8>) -> Writer {
         buf.clear();
         Writer { buf }
+    }
+
+    /// Appends bytes as they are, with no length prefix.
+    pub fn raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
+    /// Opens a length-prefixed byte string written in place: the same
+    /// bytes [`Writer::bytes`] writes, once [`Writer::end_bytes`] has been
+    /// given the returned start.
+    pub fn begin_bytes(&mut self) -> usize {
+        self.u64(0);
+        self.buf.len()
+    }
+
+    /// Closes a byte string opened at `start` by [`Writer::begin_bytes`]:
+    /// its length prefix becomes the count of bytes written since.
+    pub fn end_bytes(&mut self, start: usize) {
+        let len = (self.buf.len() - start) as u64;
+        self.buf[start - 8..start].copy_from_slice(&len.to_le_bytes());
     }
 
     pub fn u8(&mut self, v: u8) {
@@ -206,8 +231,13 @@ impl<'a> Reader<'a> {
     }
 
     pub fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+        self.slice().map(<[u8]>::to_vec)
+    }
+
+    /// A length-prefixed byte string, borrowed from the input.
+    pub fn slice(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.usize()?;
-        Ok(self.take(len, "bytes")?.to_vec())
+        self.take(len, "bytes")
     }
 
     /// True once every byte has been consumed.
@@ -229,25 +259,186 @@ pub fn presize<T>(claimed: usize, r: &Reader<'_>) -> usize {
     claimed.min(r.remaining() / std::mem::size_of::<T>().max(1))
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// FNV-1a, the one definition: advances `N` independent chains over the
+/// same bytes. Each byte is one multiply on every chain, and the chains
+/// do not wait on each other, so three cost about what one does.
+#[inline(always)]
+fn fnv1a<const N: usize>(chains: &mut [u64; N], bytes: &[u8]) {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+        for h in chains.iter_mut() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
     }
+}
+
+/// Bytes before a frame's payload: tag, version and payload length.
+const FRAME_HEAD: usize = 14;
+/// Bytes after a frame's payload: its checksum.
+const FRAME_TAIL: usize = 8;
+
+/// A frame written in place by [`begin_frame`] and [`end_frame`]: where
+/// its payload lies in the writer's buffer and where its checksum goes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameSlots {
+    pub payload: Range<usize>,
+    pub checksum: usize,
+}
+
+impl FrameSlots {
+    /// The [`hash_chains`] chain that seals this frame.
+    pub fn checksum_chain(&self) -> Chain<'_> {
+        Chain { ranges: std::slice::from_ref(&self.payload), slot: Some(self.checksum) }
+    }
+}
+
+/// Opens a frame in place: `tag | version | len`, the length to be
+/// filled by [`end_frame`]. Returns where the payload starts.
+pub fn begin_frame(w: &mut Writer, tag: [u8; 4], version: u16) -> usize {
+    w.raw(&tag);
+    w.u16(version);
+    w.begin_bytes()
+}
+
+/// Closes the frame whose payload started at `payload`: fills its length
+/// and leaves eight zero bytes for the checksum, which the frame's
+/// [`FrameSlots::checksum_chain`] writes once [`hash_chains`] runs.
+pub fn end_frame(w: &mut Writer, payload: usize) -> FrameSlots {
+    w.end_bytes(payload);
+    let slots = FrameSlots { payload: payload..w.len(), checksum: w.len() };
+    w.u64(0);
+    slots
+}
+
+/// One FNV-1a chain of [`hash_chains`]: the hash of `ranges` of the
+/// buffer, in order, as if they were one byte string. With a `slot`, the
+/// result is also written there as eight little-endian bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Chain<'a> {
+    pub ranges: &'a [Range<usize>],
+    pub slot: Option<usize>,
+}
+
+/// The most chains one [`hash_chains`] pass advances.
+const MAX_CHAINS: usize = 3;
+
+/// Hashes every chain over `buf` in one pass and returns the results in
+/// chain order. The result is what hashing the chains one after another
+/// gives, each writing its slot before the next one starts: so a chain
+/// may read the slot of an earlier chain, and reads it filled.
+///
+/// That equivalence rests on the layout, which is checked up front
+/// (a violation is a bug in the caller and panics): each chain's ranges
+/// lie in the buffer in ascending order without overlapping; its slot
+/// lies past its own last range and inside the buffer; no slot overlaps
+/// another, nor a range of its own chain or of an earlier one. The pass
+/// writes a slot as soon as its chain's last range is hashed, before any
+/// byte past that point is read.
+pub fn hash_chains<const N: usize>(buf: &mut [u8], chains: [Chain<'_>; N]) -> [u64; N] {
+    const { assert!(N <= MAX_CHAINS, "hash_chains advances at most three chains") };
+    check_layout(buf.len(), &chains);
+    let mut h = [FNV_OFFSET; N];
+    // per chain: its current range, and whether its slot was written
+    let mut next = [0usize; N];
+    let mut sealed = [false; N];
+    let mut pos = 0usize;
+    // lint:hot_loop(begin): lockstep FNV-1a pass
+    loop {
+        let mut end = usize::MAX;
+        let mut active = [0usize; MAX_CHAINS];
+        let mut k = 0;
+        for (i, chain) in chains.iter().enumerate() {
+            while chain.ranges.get(next[i]).is_some_and(|r| r.end <= pos) {
+                next[i] += 1;
+            }
+            match chain.ranges.get(next[i]) {
+                None if !sealed[i] => {
+                    sealed[i] = true;
+                    if let Some(at) = chain.slot {
+                        buf[at..at + 8].copy_from_slice(&h[i].to_le_bytes());
+                    }
+                }
+                None => {}
+                Some(r) if r.start > pos => end = end.min(r.start),
+                Some(r) => {
+                    end = end.min(r.end);
+                    active[k] = i;
+                    k += 1;
+                }
+            }
+        }
+        if end == usize::MAX {
+            break;
+        }
+        let bytes = &buf[pos..end];
+        match k {
+            0 => {}
+            1 => lanes::<1, N>(&mut h, &active, bytes),
+            2 => lanes::<2, N>(&mut h, &active, bytes),
+            _ => lanes::<3, N>(&mut h, &active, bytes),
+        }
+        pos = end;
+    }
+    // lint:hot_loop(end)
     h
+}
+
+/// Advances the `K` chains of `h` named by `active[..K]` over `bytes`.
+#[inline(always)]
+fn lanes<const K: usize, const N: usize>(h: &mut [u64; N], active: &[usize], bytes: &[u8]) {
+    let mut lanes = [0u64; K];
+    for (lane, &i) in lanes.iter_mut().zip(active) {
+        *lane = h[i];
+    }
+    fnv1a(&mut lanes, bytes);
+    for (lane, &i) in lanes.iter().zip(active) {
+        h[i] = *lane;
+    }
+}
+
+/// Panics unless `chains` keep the layout rules [`hash_chains`] states.
+fn check_layout(len: usize, chains: &[Chain<'_>]) {
+    let overlaps = |a: &Range<usize>, b: &Range<usize>| a.start < b.end && b.start < a.end;
+    for (i, chain) in chains.iter().enumerate() {
+        let mut at = 0;
+        for r in chain.ranges {
+            assert!(
+                at <= r.start && r.start <= r.end && r.end <= len,
+                "chain {i}: range {r:?} is out of order or outside the {len}-byte buffer"
+            );
+            at = r.end;
+        }
+        let Some(slot) = chain.slot else { continue };
+        let slot = slot..slot + 8;
+        assert!(
+            at <= slot.start && slot.end <= len,
+            "chain {i}: slot {slot:?} must lie past its ranges and inside the {len}-byte buffer"
+        );
+        for (j, other) in chains.iter().enumerate() {
+            assert!(
+                j > i || !other.ranges.iter().any(|r| overlaps(r, &slot)),
+                "chain {j} reads the slot of chain {i}, which is not an earlier chain"
+            );
+            assert!(
+                j == i || !other.slot.is_some_and(|s| overlaps(&(s..s + 8), &slot)),
+                "the slots of chains {i} and {j} overlap"
+            );
+        }
+    }
 }
 
 /// Wraps a payload in a verified frame: `tag | version | len | payload
 /// | fnv64(payload)`.
 pub fn seal(tag: [u8; 4], version: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 22);
-    out.extend_from_slice(&tag);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    out
+    let mut w = Writer::from_vec(Vec::with_capacity(payload.len() + FRAME_HEAD + FRAME_TAIL));
+    let start = begin_frame(&mut w, tag, version);
+    w.raw(payload);
+    let slots = end_frame(&mut w, start);
+    let mut frame = w.into_bytes();
+    hash_chains(&mut frame, [slots.checksum_chain()]);
+    frame
 }
 
 /// Verifies a [`seal`]ed frame and returns the payload slice.
@@ -264,20 +455,31 @@ pub fn open(tag: [u8; 4], version: u16, frame: &[u8]) -> Result<&[u8], CodecErro
     let len = r.usize()?;
     let payload = r.take(len, "frame payload")?;
     let stored = r.u64()?;
-    let computed = fnv1a(payload);
+    let computed = digest(payload);
     if stored != computed {
         return Err(CodecError::BadChecksum { expected: stored, found: computed });
     }
     Ok(payload)
 }
 
+/// The payload of a frame that [`open`] has already accepted, sliced
+/// without checking anything again; empty for bytes too short to be a
+/// frame.
+pub fn opened_payload(frame: &[u8]) -> &[u8] {
+    frame.get(FRAME_HEAD..frame.len().saturating_sub(FRAME_TAIL)).unwrap_or(&[])
+}
+
 /// Content digest of a byte string — used to compare checkpoint/state
 /// snapshots for the bit-identical-resume invariant.
 pub fn digest(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
+    let mut h = [FNV_OFFSET];
+    fnv1a(&mut h, bytes);
+    h[0]
 }
 
 #[cfg(test)]
+// a chain over one range is a one-element array of ranges, as meant
+#[allow(clippy::single_range_in_vec_init)]
 mod tests {
     use super::*;
 
@@ -345,5 +547,223 @@ mod tests {
             open(*b"WSCP", 1, &frame[..frame.len() - 2]),
             Err(CodecError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn fnv1a_known_answers() {
+        assert_eq!(digest(b""), 0xcbf29ce484222325);
+        assert_eq!(digest(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(digest(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn a_frame_written_in_place_is_the_sealed_frame() {
+        let payload = b"checkpoint payload";
+        let mut w = Writer::new();
+        let start = begin_frame(&mut w, *b"WSCP", 7);
+        let inner = w.begin_bytes();
+        w.raw(payload);
+        w.end_bytes(inner);
+        let slots = end_frame(&mut w, start);
+        let mut frame = w.into_bytes();
+        let [checksum] = hash_chains(&mut frame, [slots.checksum_chain()]);
+
+        let mut nested = Writer::new();
+        nested.bytes(payload);
+        let sealed = seal(*b"WSCP", 7, &nested.into_bytes());
+        assert_eq!(frame, sealed);
+        assert_eq!(checksum, digest(&sealed[slots.payload.clone()]));
+        assert_eq!(opened_payload(&sealed), open(*b"WSCP", 7, &sealed).unwrap());
+        assert!(opened_payload(&sealed[..5]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "reads the slot of chain 1")]
+    fn a_chain_may_not_read_a_later_chains_slot() {
+        let mut buf = vec![0u8; 32];
+        let whole = [0..32];
+        let chains = [Chain { ranges: &whole, slot: None }, Chain { ranges: &[], slot: Some(8) }];
+        hash_chains(&mut buf, chains);
+    }
+
+    #[test]
+    #[should_panic(expected = "must lie past its ranges")]
+    fn a_slot_may_not_precede_its_own_ranges() {
+        let mut buf = vec![0u8; 32];
+        hash_chains(&mut buf, [Chain { ranges: &[16..24], slot: Some(0) }]);
+    }
+
+    /// [`hash_chains`] against its definition: each chain hashed on its
+    /// own by [`digest`] over its ranges' bytes, one after another, each
+    /// result patched into its slot before the next chain reads.
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        struct Draw(u64);
+
+        impl Draw {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+
+            /// Uniform in `lo..=hi`.
+            fn within(&mut self, lo: usize, hi: usize) -> usize {
+                lo + (self.next() % (hi - lo + 1) as u64) as usize
+            }
+        }
+
+        struct Layout {
+            ranges: Vec<Vec<Range<usize>>>,
+            slots: Vec<Option<usize>>,
+        }
+
+        impl Layout {
+            fn chains(&self) -> Vec<Chain<'_>> {
+                self.ranges
+                    .iter()
+                    .zip(&self.slots)
+                    .map(|(ranges, &slot)| Chain { ranges, slot })
+                    .collect()
+            }
+        }
+
+        /// A layout [`hash_chains`] accepts: random, adjacent, empty and
+        /// whole-buffer ranges, nested across chains, and slots wherever
+        /// the rules leave room, often inside a later chain's ranges.
+        fn random_layout(d: &mut Draw, len: usize, n: usize) -> Layout {
+            let overlaps = |a: &Range<usize>, s: usize| a.start < s + 8 && s < a.end;
+            let mut layout = Layout { ranges: Vec::new(), slots: Vec::new() };
+            for _ in 0..n {
+                let ranges = match d.next() % 4 {
+                    // the frame shape: one range that stops short of a tail
+                    0 => {
+                        let end = len.saturating_sub(d.within(0, 8.min(len)));
+                        vec![d.within(0, end)..end]
+                    }
+                    // the whole buffer
+                    1 => vec![0..len],
+                    // no range at all
+                    2 if d.next().is_multiple_of(4) => Vec::new(),
+                    _ => {
+                        let mut cuts: Vec<usize> =
+                            (0..2 * d.within(1, 4)).map(|_| d.within(0, len)).collect();
+                        cuts.sort_unstable();
+                        // every other cut opens a range, so neighbours can
+                        // touch (adjacent) or coincide (empty)
+                        cuts.chunks(2).map(|c| c[0]..c[1]).collect()
+                    }
+                };
+                let last = ranges.last().map_or(0, |r| r.end);
+                let mut slot = None;
+                if last + 8 <= len && !d.next().is_multiple_of(5) {
+                    for _ in 0..4 {
+                        let at = d.within(last, len - 8);
+                        let clashes = layout.ranges.iter().flatten().any(|r| overlaps(r, at))
+                            || layout.slots.iter().flatten().any(|&s| s < at + 8 && at < s + 8);
+                        if !clashes {
+                            slot = Some(at);
+                            break;
+                        }
+                    }
+                }
+                layout.ranges.push(ranges);
+                layout.slots.push(slot);
+            }
+            layout
+        }
+
+        fn reference(buf: &mut [u8], layout: &Layout) -> Vec<u64> {
+            let mut out = Vec::new();
+            for (ranges, slot) in layout.ranges.iter().zip(&layout.slots) {
+                let bytes: Vec<u8> = ranges.iter().flat_map(|r| buf[r.clone()].to_vec()).collect();
+                let h = digest(&bytes);
+                if let Some(at) = *slot {
+                    buf[at..at + 8].copy_from_slice(&h.to_le_bytes());
+                }
+                out.push(h);
+            }
+            out
+        }
+
+        fn lockstep(buf: &mut [u8], layout: &Layout) -> Vec<u64> {
+            match layout.chains()[..] {
+                [a] => hash_chains(buf, [a]).to_vec(),
+                [a, b] => hash_chains(buf, [a, b]).to_vec(),
+                [a, b, c] => hash_chains(buf, [a, b, c]).to_vec(),
+                _ => unreachable!("one to three chains"),
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn differential_lockstep_chains_equal_separate_fnv1a(
+                seed in 0u64..u64::MAX,
+                len in 0usize..600,
+                n in 1usize..4,
+            ) {
+                let mut d = Draw(seed);
+                let original: Vec<u8> = (0..len).map(|_| d.next() as u8).collect();
+                for _ in 0..8 {
+                    let layout = random_layout(&mut d, len, n);
+                    let mut expected = original.clone();
+                    let want = reference(&mut expected, &layout);
+                    let mut got = original.clone();
+                    let have = lockstep(&mut got, &layout);
+                    let case = format!("ranges {:?} slots {:?}", layout.ranges, layout.slots);
+                    prop_assert_eq!(&have, &want, "{}", case);
+                    prop_assert_eq!(&got, &expected, "{}", case);
+                }
+            }
+        }
+
+        /// The watermark's shape: a frame nested in an outer frame, a
+        /// digest over two segments of the inner payload written between
+        /// them, and the outer checksum over everything, slots included.
+        #[test]
+        fn differential_nested_frames_equal_sealing_twice() {
+            let mut d = Draw(7);
+            let inner: Vec<u8> = (0..5_000).map(|_| d.next() as u8).collect();
+            let (seg_a, seg_b) = (100..1_700, 2_500..4_200);
+
+            let mut w = Writer::new();
+            let outer = begin_frame(&mut w, *b"OUTR", 1);
+            w.u32(9);
+            let bytes = w.begin_bytes();
+            let frame = begin_frame(&mut w, *b"INNR", 2);
+            let base = w.len();
+            w.raw(&inner);
+            let inner_slots = end_frame(&mut w, frame);
+            w.end_bytes(bytes);
+            let digest_at = w.len();
+            w.u64(0);
+            w.str("tail");
+            let outer_slots = end_frame(&mut w, outer);
+            let mut buf = w.into_bytes();
+            let segments =
+                [base + seg_a.start..base + seg_a.end, base + seg_b.start..base + seg_b.end];
+            let [_, state, _] = hash_chains(
+                &mut buf,
+                [
+                    inner_slots.checksum_chain(),
+                    Chain { ranges: &segments, slot: Some(digest_at) },
+                    outer_slots.checksum_chain(),
+                ],
+            );
+
+            let mut joined = inner[seg_a].to_vec();
+            joined.extend_from_slice(&inner[seg_b]);
+            assert_eq!(state, digest(&joined));
+            let mut payload = Writer::new();
+            payload.u32(9);
+            payload.bytes(&seal(*b"INNR", 2, &inner));
+            payload.u64(state);
+            payload.str("tail");
+            assert_eq!(buf, seal(*b"OUTR", 1, &payload.into_bytes()));
+        }
     }
 }

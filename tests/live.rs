@@ -114,7 +114,7 @@ fn incremental_session_matches_batch_recompute_on_every_round() {
             "store diverged from batch recompute after round {}",
             round.round
         );
-        assert_eq!(round.watermark.parts().store_digest, oracle.content_digest());
+        assert_eq!(round.watermark.store_digest(), oracle.content_digest());
     }
     assert!(rounds.len() >= 2, "crawl ended after {} rounds; need several", rounds.len());
     assert!(session.store().posting_count() > 0, "live session ingested nothing");
