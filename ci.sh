@@ -50,17 +50,16 @@ echo "exp_analyze smoke: deterministic diagnostics ok"
 
 # Field-flow explain differential: statically predicted fusion/combining
 # stage decisions must equal the executor's actual decisions on random
-# plans, and WS013–WS015 verdicts must survive optimizer rewrites.
+# plans.
 PROPTEST_CASES=64 cargo test -q -p websift-flow --test explain
 echo "explain differential: predicted stages == executed stages ok"
 
-# Analyzer goldens and verdict invariance: the committed diagnostics
-# JSON byte for byte, and optimizer rewrites never change an error
-# verdict. WS002/WS007/WS008 are the scheduler's own admission
-# violations (cluster::admission_violations), so this also pins the
-# admission decision the analyzer shares with the scheduler.
+# Analyzer goldens: the committed diagnostics JSON byte for byte.
+# WS002/WS007/WS008 are the scheduler's own admission violations
+# (cluster::admission_violations), so this also pins the admission
+# decision the analyzer shares with the scheduler.
 PROPTEST_CASES=64 cargo test -q -p websift-flow --test analyze
-echo "analyze: goldens byte-equal, error verdicts invariant under optimize ok"
+echo "analyze: goldens byte-equal ok"
 
 # Explain artifact smoke: render the fusion/combining explain twice
 # in-process and fail on byte drift or predicted-vs-executed mismatch.
@@ -167,8 +166,8 @@ echo "exp_throughput smoke: fused and combined throughput hold up ok"
 
 # Design-ablation smoke: each ablation's arms must compute the same thing
 # where they are meant to be equivalent — Aho-Corasick == naive scan,
-# filter-first == annotate-first == optimizer-rewritten sink (the binary
-# panics on disagreement).
+# filter-first == annotate-first sink (the binary panics on
+# disagreement).
 cargo run -q --release -p websift-bench --bin exp_ablations -- --quick > /dev/null
 echo "exp_ablations smoke: ablation arms agree where they must ok"
 
@@ -248,6 +247,14 @@ if grep -rnE 'Profiler|ScopeStat|profiler\(\)' crates src tests examples; then
   exit 1
 fi
 echo "no profiler ok"
+
+# The stage planner (crates/flow/src/stages.rs) is the flow's only
+# planner: no logical rewriter, whose rules no paper flow ever fired.
+if grep -rnE 'fn optimize|enum Rewrite|pull_filters_forward|reorder_adjacent_filters|mod optimizer' crates src tests examples; then
+  echo "the logical optimizer was deleted; plans run as built" >&2
+  exit 1
+fi
+echo "no logical optimizer ok"
 
 # Every Reduce is typed: `Operator::reduce_agg` with one of the six
 # mergeable `Aggregate`s is the only way to build one, so no opaque

@@ -5,8 +5,7 @@
 //!    NER — on corpus text, and on the hit-dense / hit-sparse haystacks
 //!    that bracket the automaton's start-byte prefilter (sparse text
 //!    never leaves the root state, so the scan is one byte-table sweep);
-//! 2. filter ordering (annotate-then-filter vs filter-then-annotate) and
-//!    the optimizer rewriting the former into the latter;
+//! 2. filter ordering (annotate-then-filter vs filter-then-annotate);
 //! 3. CRF context features on/off (a quality-for-speed trade: the arms
 //!    may legitimately disagree);
 //! 4. the tokenizer byte scan on corpus text vs plain ASCII words.
@@ -22,8 +21,7 @@ use crate::report::ExperimentResult;
 use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift_flow::packages::resources::labeled_to_example;
 use websift_flow::{
-    optimize, CostModel, ExecutionConfig, Executor, LogicalPlan, Operator, Package, Record,
-    RunOptions,
+    CostModel, ExecutionConfig, Executor, LogicalPlan, Operator, Package, Record, RunOptions,
 };
 use websift_ner::crf::{CrfConfig, CrfTagger};
 use websift_ner::{AhoCorasick, EntityType};
@@ -105,7 +103,7 @@ fn dict_matching(automaton: &AhoCorasick, patterns: &[String], text: &str) -> Ve
 }
 
 /// Ablation 2: where the selective filter sits relative to the expensive
-/// annotator, hand-ordered both ways and optimizer-rewritten.
+/// annotator, hand-ordered both ways.
 fn filter_order(docs: usize) -> Vec<Arm> {
     let input: Vec<Record> = (0..docs)
         .map(|i| {
@@ -142,8 +140,7 @@ fn filter_order(docs: usize) -> Vec<Arm> {
         plan.sink(last, "out").expect("static plan");
         plan
     };
-    let (annotate_first, filter_first, mut rewritten) = (build(false), build(true), build(false));
-    assert!(!optimize(&mut rewritten).is_empty(), "optimizer should pull the filter forward");
+    let (annotate_first, filter_first) = (build(false), build(true));
 
     let run = |plan: &LogicalPlan| {
         let inputs = HashMap::from([("docs".to_string(), input.clone())]);
@@ -158,7 +155,6 @@ fn filter_order(docs: usize) -> Vec<Arm> {
     vec![
         arm("annotate_then_filter", || run(&annotate_first), outcome),
         arm("filter_then_annotate", || run(&filter_first), outcome),
-        arm("optimizer_rewritten", || run(&rewritten), outcome),
     ]
 }
 
@@ -257,7 +253,7 @@ mod tests {
         // `ablations` itself panics on a disagreement; what is left to
         // check is that the regimes are what they claim.
         let result = ablations(true);
-        assert_eq!(result.rows.len(), 13);
+        assert_eq!(result.rows.len(), 12);
         let computed = |ablation: &str| {
             let row = result.rows.iter().find(|r| r[0] == ablation);
             row.unwrap_or_else(|| panic!("no row for {ablation}"))[4].as_str()

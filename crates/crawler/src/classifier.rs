@@ -101,10 +101,6 @@ impl NaiveBayes {
         self.word_counts.len()
     }
 
-    pub fn trained_documents(&self) -> u64 {
-        self.class_docs[0] + self.class_docs[1]
-    }
-
     /// Scores a document.
     pub fn predict(&self, text: &str) -> Prediction {
         let vocab = self.word_counts.len().max(1) as f64;

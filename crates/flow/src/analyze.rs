@@ -5,8 +5,7 @@
 //! flows admitted that could never fit worker memory — were discovered at
 //! runtime after hours of cluster time, yet every one is decidable from
 //! the operators' semantic annotations alone. This pass runs between
-//! `compile` and `optimize`/`execute` and turns them into pre-flight
-//! diagnostics:
+//! `compile` and execution and turns them into pre-flight diagnostics:
 //!
 //! | code  | severity | check |
 //! |-------|----------|-------|
@@ -34,29 +33,27 @@
 //! [`crate::fieldflow`]. WS014 refines WS007: WS007 is
 //! [`crate::cluster::admit`]'s conservative whole-plan sum, while WS014
 //! checks the heaviest of the stages the executor runs
-//! ([`crate::optimizer::plan_stages`]) alone — a plan it flags cannot be
+//! ([`crate::stages::plan_stages`]) alone — a plan it flags cannot be
 //! scheduled even one stage at a time, so fusion/combining cannot save
 //! it. It deliberately sums only static operator footprints
-//! (`cost.memory_bytes`): the optimizer only swaps a Filter with a Map or
-//! Filter inside one pipelineable chain, which leaves stage membership —
-//! and so the verdict — unchanged, whereas byte-envelope terms would not
-//! commute.
+//! (`cost.memory_bytes`), the quantity the scheduler admits: the verdict
+//! depends on the plan alone, never on how much data a run happens to
+//! carry, which is what the byte envelopes measure.
 //!
 //! A node the unreachable check (WS006) flags is reported *only* as
 //! WS006: downstream codes on the same node (a use-before-def inside a
 //! dead branch, say) are suppressed — the actionable fix is reconnecting
 //! or deleting the branch, not repairing code that never runs.
 //!
-//! Messages deliberately never mention node ids — the optimizer's
-//! reorderings move operators between nodes, and the verdict-invariance
-//! proptest in `tests/analyze.rs` holds analyzer *error* verdicts constant
-//! across optimization.
+//! Messages deliberately never mention node ids: they name operators and
+//! fields, which is what a script author can find (`analyze_script` adds
+//! the script line), and the structured `node` field carries the id.
 
 use crate::cluster::{self, ClusterSpec, SchedulingError};
 use crate::logical::{parse_store_sink, LogicalPlan, NodeId, NodeOp, STORE_SINK_PREFIX};
 use crate::meteor::{self, MeteorError, ScriptInfo};
-use crate::optimizer::plan_stages;
 use crate::packages::OperatorRegistry;
+use crate::stages::plan_stages;
 use std::collections::{BTreeMap, BTreeSet};
 use websift_analyze::{sort_diagnostics, Diagnostic};
 

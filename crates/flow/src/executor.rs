@@ -40,7 +40,7 @@
 //!
 //! Each operator node starts a physical stage planned by
 //! [`fused_stage`] — the same function the static
-//! [`crate::optimizer::plan_stages`] prediction calls, so `explain`
+//! [`crate::stages::plan_stages`] prediction calls, so `explain`
 //! cannot drift from what runs. Nothing at run time cuts a stage:
 //! checkpoint frames whose boundaries land inside one are synthesized by
 //! the replay, byte-identical to unfused execution.
@@ -50,12 +50,12 @@ use crate::cluster::{admit, ClusterSpec, SchedulingError};
 use crate::logical::{parse_store_sink, LogicalPlan, NodeOp, STORE_SINK_PREFIX};
 use websift_analyze::{Diagnostic, Severity};
 use crate::operator::{AggState, Kind, OpFunc, Operator};
-use crate::optimizer::{fused_stage, StageDecision};
 use crate::record::Record;
 use crate::resilience::{FlowCheckpoint, FlowResilience};
 use crate::shuffle::{
     group_by_key, host_parallelism, run_chunks, ChunkOut, ChunkPanic, ChunkStats, StageKernel,
 };
+use crate::stages::{fused_stage, StageDecision};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
@@ -77,6 +77,7 @@ const NODE_LOSS_RESCHEDULE_SECS: f64 = 5.0;
 #[derive(Debug, Clone)]
 pub struct ExecutionConfig {
     /// Degree of parallelism (number of partitions / simulated workers).
+    /// [`Executor::run`] refuses 0 with [`SchedulingError::ZeroDop`].
     pub dop: usize,
     /// The simulated cluster.
     pub cluster: ClusterSpec,
@@ -310,7 +311,7 @@ pub struct FlowOutput {
     pub physical: PhysicalStats,
     /// The fusion/combining decisions this run actually made, in
     /// execution order — ground truth for the static
-    /// [`crate::optimizer::plan_stages`] prediction. A resumed run only
+    /// [`crate::stages::plan_stages`] prediction. A resumed run only
     /// records the stages it executed itself. Physical-only, like
     /// [`PhysicalStats`]: excluded from [`Self::deterministic_digest`].
     pub stages: Vec<StageDecision>,
@@ -426,7 +427,6 @@ const SINK_REPLICATION: u64 = 3;
 
 impl Executor {
     pub fn new(config: ExecutionConfig) -> Executor {
-        assert!(config.dop > 0, "DoP must be positive");
         Executor { config }
     }
 
@@ -476,8 +476,12 @@ impl Executor {
     }
 
     /// The static analyzer, then the scheduler's admission check — each
-    /// when configured.
+    /// when configured. A DoP of zero is refused first, whatever the
+    /// configuration: no stage can run on zero workers.
     fn admit(&self, plan: &LogicalPlan) -> Result<(), ExecutionError> {
+        if self.config.dop == 0 {
+            return Err(ExecutionError::Scheduling(SchedulingError::ZeroDop));
+        }
         if self.config.analyze {
             let mut opts = AnalyzeOptions::default();
             if self.config.admission {
@@ -1627,6 +1631,24 @@ mod tests {
             err,
             ExecutionError::Scheduling(SchedulingError::InsufficientMemory { .. })
         ));
+    }
+
+    #[test]
+    fn zero_dop_is_a_scheduling_error_with_admission_on_or_off() {
+        for admission in [false, true] {
+            for analyze in [false, true] {
+                let config = ExecutionConfig {
+                    admission,
+                    analyze,
+                    ..ExecutionConfig::local(0)
+                };
+                let err = exec(&simple_plan(), docs(3), config, RunOptions::default()).unwrap_err();
+                assert!(
+                    matches!(err, ExecutionError::Scheduling(SchedulingError::ZeroDop)),
+                    "admission {admission}, analyze {analyze}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   data-dependent part these ratios model).
 //!
 //! The one stage view is the executor's own:
-//! [`crate::optimizer::plan_stages`] returns the stage decisions a fresh
+//! [`crate::stages::plan_stages`] returns the stage decisions a fresh
 //! executor run makes, by calling the function the executor calls. The
 //! [`explain_plan`] report prints them with this sweep's envelopes, the
 //! WS014 peak-memory pre-flight sums footprints over them, and the
@@ -27,7 +27,7 @@
 use crate::analyze::AnalyzeOptions;
 use crate::logical::{LogicalPlan, NodeId, NodeOp};
 use crate::operator::{Kind, OpFunc, Operator};
-use crate::optimizer::plan_stages;
+use crate::stages::plan_stages;
 use std::collections::BTreeMap;
 use websift_analyze::lattice::{
     CostEnvelope, FieldFact, FieldSchema, FieldType, Interval, Presence,

@@ -5,7 +5,8 @@
 //! data flows in a single, homogeneous, and declarative framework", i.e.
 //! Stratosphere: Meteor scripts over packaged operators, logically
 //! optimized, compiled to parallel primitives, and run on a cluster. This
-//! crate rebuilds that stack:
+//! crate rebuilds that stack; a plan runs in the order it was built, with
+//! no logical rewriter:
 //!
 //! - [`record`] — the JSON-like record model whose annotation growth
 //!   drives the network war story;
@@ -13,9 +14,8 @@
 //!   resource (memory/startup/cost) annotations;
 //! - [`packages`] — the BASE / IE / WA / DC operator packages and the
 //!   trained [`packages::IeResources`];
-//! - [`logical`] / [`optimizer`] — plan DAGs, SOFA-style rewriting, and
-//!   [`fused_stage`], the one stage decision the executor and the static
-//!   explain prediction share;
+//! - [`logical`] / [`stages`] — plan DAGs and [`fused_stage`], the one
+//!   stage decision the executor and the static explain prediction share;
 //! - [`cluster`] — the simulated 28-node cluster: memory admission,
 //!   library-conflict detection, network capacity model;
 //! - [`executor`] — real multi-threaded execution with a simulated
@@ -42,11 +42,11 @@ pub mod fieldflow;
 pub mod logical;
 pub mod meteor;
 pub mod operator;
-pub mod optimizer;
 pub mod packages;
 pub mod record;
 pub mod resilience;
 pub mod shuffle;
+pub mod stages;
 #[cfg(test)]
 mod spans_differential;
 
@@ -61,7 +61,7 @@ pub use logical::{parse_store_sink, LogicalPlan, NodeId, NodeOp, PlanError, STOR
 pub use meteor::{compile, compile_traced, MeteorError, ScriptInfo};
 pub use operator::{value_cmp, AggState, Aggregate, CostModel, Kind, OpFunc, Operator, Package};
 pub use fieldflow::{explain_plan, field_flow, EdgeState, FieldFlow};
-pub use optimizer::{fused_stage, optimize, plan_stages, Rewrite, StageDecision};
 pub use packages::{IeConfig, IeResources, OperatorRegistry};
 pub use record::{span_annotation, FieldMap, Record, Span, Value};
 pub use shuffle::StageKernel;
+pub use stages::{fused_stage, plan_stages, StageDecision};

@@ -17,9 +17,9 @@
 //! ```
 //!
 //! Scripts compile against an [`OperatorRegistry`] into a [`LogicalPlan`],
-//! which then flows through the standard analyze → optimize → execute
-//! path. [`compile_traced`] additionally returns the node→line map the
-//! static analyzer uses to anchor plan diagnostics back to script lines.
+//! which then flows through the standard analyze → execute path.
+//! [`compile_traced`] additionally returns the node→line map the static
+//! analyzer uses to anchor plan diagnostics back to script lines.
 
 use crate::logical::{LogicalPlan, NodeId};
 use crate::packages::OperatorRegistry;

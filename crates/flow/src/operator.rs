@@ -4,10 +4,12 @@
 //! Stratosphere organizes its ~60 operators into four packages (BASE, IE,
 //! WA, DC) and optimizes UDF-heavy flows using *semantic annotations* —
 //! which record fields an operator reads and writes (the SOFA optimizer the
-//! authors cite is built on exactly that idea). Each operator here carries:
+//! authors cite is built on exactly that idea). Here the same annotations
+//! drive the static analyzer. Each operator here carries:
 //!
 //! - its **package** and **kind** (map / flat-map / filter / reduce);
-//! - **reads/writes field sets** driving the reordering rules;
+//! - **reads/writes field sets**, from which the analyzer decides
+//!   use-before-def, dead writes and field flow;
 //! - a **cost model** (startup seconds, per-worker memory at paper scale,
 //!   per-character processing cost, optional quadratic blow-up) that the
 //!   simulated cluster uses for admission control and for the scale-out /
@@ -551,10 +553,9 @@ impl Operator {
     /// Declares the value types this operator expects on fields it reads.
     pub fn with_read_types(mut self, types: &[(&str, FieldType)]) -> Operator {
         self.read_types = types.iter().map(|(f, t)| (f.to_string(), *t)).collect();
-        // A typed read is a read: keeping `read_types ⊆ reads` is what lets
-        // the optimizer's disjointness rules guarantee no rewrite moves a
-        // typed reader past the writer it was checked against (the WS013
-        // verdict-invariance the analyze proptest pins).
+        // A typed read is a read: keeping `read_types ⊆ reads` makes a
+        // typed reader a use of its field for use-before-def (WS001) and
+        // keeps its producer's write from being reported dead (WS003).
         for (f, _) in &self.read_types {
             if !self.reads.contains(f) {
                 self.reads.push(f.clone());

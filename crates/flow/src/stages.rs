@@ -1,24 +1,10 @@
-//! The logical optimizer: semantic-annotation-driven plan rewriting.
+//! The stage planner: how the executor groups plan nodes into physical
+//! stages.
 //!
-//! This reproduces the SOFA-style optimization the authors built for
-//! Stratosphere ("a Meteor script is parsed into an algebraic
-//! representation, logically optimized ..."; reference [23] of the paper).
-//! Rules implemented:
-//!
-//! 1. **Filter pull-forward** — a `Filter` moves upstream past a `Map` when
-//!    the filter's read set is disjoint from the map's write set. On
-//!    UDF-heavy IE flows this is the big win: relevance and length filters
-//!    hop over expensive annotators.
-//! 2. **Cheap-filter-first** — adjacent filters are ordered by ascending
-//!    per-character cost.
-//!
-//! Both rules swap the operators of two adjacent nodes and leave the
-//! plan's topology alone. No product flow calls [`optimize`]: it is an
-//! ablation exhibit (the `optimizer_rewritten` arm of `exp_ablations`).
-//! Every rewrite is recorded so that exhibit can report what fired.
-//!
-//! The stage decisions the executor makes ([`fused_stage`],
-//! [`plan_stages`]) live here as well.
+//! [`fused_stage`] is the one function behind every stage decision: the
+//! executor calls it while it runs a plan, and [`plan_stages`] calls it to
+//! predict, without running anything, the stages a fresh run makes (the
+//! analyzer's WS014 and `explain` read that prediction).
 
 use crate::logical::{LogicalPlan, NodeId, NodeOp};
 use crate::operator::Kind;
@@ -149,106 +135,6 @@ pub fn plan_stages(plan: &LogicalPlan, fusion: bool, combining: bool) -> Vec<Sta
     stages
 }
 
-/// A record of one applied rewrite.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Rewrite {
-    FilterPulledForward { filter: String, past: String },
-    FiltersReordered { first: String, second: String },
-}
-
-/// Optimizer entry point: rewrites the plan in place, returning the applied
-/// rewrites.
-pub fn optimize(plan: &mut LogicalPlan) -> Vec<Rewrite> {
-    let mut rewrites = Vec::new();
-    loop {
-        let mut changed = false;
-        changed |= pull_filters_forward(plan, &mut rewrites);
-        changed |= reorder_adjacent_filters(plan, &mut rewrites);
-        if !changed {
-            break;
-        }
-    }
-    rewrites
-}
-
-/// Swaps the operator payloads of two nodes (keeps plan topology).
-fn swap_ops(plan: &mut LogicalPlan, a: NodeId, b: NodeId) {
-    let nodes = plan.nodes_mut();
-    // Safety of indexing: caller guarantees distinct valid ids.
-    assert_ne!(a, b);
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    let (left, right) = nodes.split_at_mut(hi);
-    std::mem::swap(&mut left[lo].op, &mut right[0].op);
-}
-
-fn op_of(plan: &LogicalPlan, id: NodeId) -> Option<&crate::operator::Operator> {
-    match &plan.nodes()[id].op {
-        NodeOp::Op(op) => Some(op),
-        _ => None,
-    }
-}
-
-/// Rule 1: move a Filter above its parent Map when field sets are disjoint
-/// and the parent has exactly one consumer (this filter).
-fn pull_filters_forward(plan: &mut LogicalPlan, rewrites: &mut Vec<Rewrite>) -> bool {
-    let mut changed = false;
-    for id in 0..plan.len() {
-        let Some(filter) = op_of(plan, id) else { continue };
-        if filter.kind != Kind::Filter {
-            continue;
-        }
-        let Some(parent_id) = plan.nodes()[id].input else { continue };
-        let Some(parent) = op_of(plan, parent_id) else { continue };
-        if parent.kind != Kind::Map {
-            continue;
-        }
-        // the parent must feed only this filter, or the swap changes what
-        // the siblings see
-        if plan.children(parent_id).len() != 1 {
-            continue;
-        }
-        let disjoint = filter
-            .reads
-            .iter()
-            .all(|f| !parent.writes.contains(f));
-        // unannotated operators (empty read/write sets) are opaque: no move
-        if disjoint && !filter.reads.is_empty() && !parent.writes.is_empty() {
-            rewrites.push(Rewrite::FilterPulledForward {
-                filter: filter.name.clone(),
-                past: parent.name.clone(),
-            });
-            swap_ops(plan, id, parent_id);
-            changed = true;
-        }
-    }
-    changed
-}
-
-/// Rule 2: among two adjacent filters, run the cheaper one first.
-fn reorder_adjacent_filters(plan: &mut LogicalPlan, rewrites: &mut Vec<Rewrite>) -> bool {
-    let mut changed = false;
-    for id in 0..plan.len() {
-        let Some(second) = op_of(plan, id) else { continue };
-        if second.kind != Kind::Filter {
-            continue;
-        }
-        let Some(parent_id) = plan.nodes()[id].input else { continue };
-        let Some(first) = op_of(plan, parent_id) else { continue };
-        if first.kind != Kind::Filter || plan.children(parent_id).len() != 1 {
-            continue;
-        }
-        if second.cost.us_per_char < first.cost.us_per_char {
-            rewrites.push(Rewrite::FiltersReordered {
-                first: second.name.clone(),
-                second: first.name.clone(),
-            });
-            swap_ops(plan, id, parent_id);
-            changed = true;
-        }
-    }
-    changed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,66 +160,6 @@ mod tests {
                 us_per_char: 0.001,
                 ..CostModel::default()
             })
-    }
-
-    fn op_names(plan: &LogicalPlan) -> Vec<String> {
-        plan.operators().map(|o| o.name.clone()).collect()
-    }
-
-    #[test]
-    fn filter_pulled_past_disjoint_map() {
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("in");
-        let m = plan.add(src, expensive_map()).unwrap();
-        let f = plan.add(m, cheap_filter("len-filter", "text")).unwrap();
-        plan.sink(f, "out").unwrap();
-        let rewrites = optimize(&mut plan);
-        assert!(matches!(rewrites[0], Rewrite::FilterPulledForward { .. }));
-        assert_eq!(op_names(&plan), vec!["len-filter", "annotate"]);
-        plan.validate().unwrap();
-    }
-
-    #[test]
-    fn filter_not_pulled_past_dependent_map() {
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("in");
-        let m = plan.add(src, expensive_map()).unwrap();
-        let f = plan.add(m, cheap_filter("pos-filter", "pos")).unwrap(); // reads what map writes
-        plan.sink(f, "out").unwrap();
-        let rewrites = optimize(&mut plan);
-        assert!(rewrites.is_empty());
-        assert_eq!(op_names(&plan), vec!["annotate", "pos-filter"]);
-    }
-
-    #[test]
-    fn filter_not_pulled_when_map_has_other_consumers() {
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("in");
-        let m = plan.add(src, expensive_map()).unwrap();
-        let f = plan.add(m, cheap_filter("len-filter", "text")).unwrap();
-        let other = plan.add(m, cheap_filter("other", "pos")).unwrap();
-        plan.sink(f, "a").unwrap();
-        plan.sink(other, "b").unwrap();
-        let rewrites = optimize(&mut plan);
-        assert!(!rewrites
-            .iter()
-            .any(|r| matches!(r, Rewrite::FilterPulledForward { .. })));
-    }
-
-    #[test]
-    fn adjacent_filters_ordered_by_cost() {
-        let mut expensive_filter = cheap_filter("expensive", "text");
-        expensive_filter.cost.us_per_char = 5.0;
-        let mut plan = LogicalPlan::new();
-        let src = plan.source("in");
-        let a = plan.add(src, expensive_filter).unwrap();
-        let b = plan.add(a, cheap_filter("cheap", "text")).unwrap();
-        plan.sink(b, "out").unwrap();
-        let rewrites = optimize(&mut plan);
-        assert!(rewrites
-            .iter()
-            .any(|r| matches!(r, Rewrite::FiltersReordered { .. })));
-        assert_eq!(op_names(&plan), vec!["cheap", "expensive"]);
     }
 
     #[test]

@@ -1,18 +1,12 @@
-//! Static-analyzer integration tests (satellite 3):
-//!
-//! 1. golden-file tests — the three §4.2 failure modes (use-before-def,
-//!    OpenNLP version conflict, over-memory admission) and the field-flow
-//!    findings produce exactly the committed diagnostics JSON, byte for
-//!    byte;
-//! 2. a property test — logical optimization never changes the analyzer's
-//!    *error* verdict: the set of (code, message) error pairs is identical
-//!    before and after `optimize`, across randomly generated chain plans.
+//! Static-analyzer integration tests: golden files — the three §4.2
+//! failure modes (use-before-def, OpenNLP version conflict, over-memory
+//! admission) and the field-flow findings produce exactly the committed
+//! diagnostics JSON, byte for byte.
 
-use proptest::prelude::*;
 use websift_analyze::{diagnostics_to_json, Severity};
 use websift_flow::packages::ie;
 use websift_flow::{
-    analyze_plan, analyze_script, optimize, plan_stages, Aggregate, AnalyzeOptions, ClusterSpec,
+    analyze_plan, analyze_script, plan_stages, Aggregate, AnalyzeOptions, ClusterSpec,
     CostModel, LogicalPlan, Operator, OperatorRegistry, Package, Record, SchedulingError,
 };
 
@@ -322,95 +316,4 @@ fn golden_clean_plan_is_silent() {
         include_str!("golden/clean_typed.json").trim_end(),
     );
     assert!(diags.is_empty(), "{diags:?}");
-}
-
-// ---------------------------------------------------------------------
-// Verdict invariance under optimization
-// ---------------------------------------------------------------------
-
-/// A pool of operators exercising both optimizer rules: cheap/expensive
-/// filters (reorder), disjoint and dependent filter/map pairs (pull
-/// forward), plus a write-nothing identity, conflicting libraries and
-/// overwrites.
-fn pool_op(idx: usize) -> Operator {
-    let filter = |name: &str, reads: &[&str], us: f64| {
-        Operator::filter(name, Package::Base, |_| true)
-            .with_reads(reads)
-            .with_cost(CostModel { us_per_char: us, ..CostModel::default() })
-    };
-    match idx {
-        0 => filter("cheap-len", &["text"], 0.001),
-        1 => filter("costly-regex", &["text"], 5.0),
-        2 => ie::annotate_sentences(),
-        3 => Operator::map("negation", Package::Ie, |r| r)
-            .with_reads(&["text", "sentences"])
-            .with_writes(&["negation"]),
-        4 => filter("has-sentences", &["sentences"], 0.01),
-        5 => Operator::map("identity", Package::Base, |r| r),
-        6 => Operator::map("disease-ml", Package::Ie, |r| r)
-            .with_reads(&["text"])
-            .with_writes(&["entities"])
-            .with_library("opennlp", 14),
-        7 => Operator::map("stage-a", Package::Ie, |r| r)
-            .with_reads(&["text"])
-            .with_writes(&["x"]),
-        8 => Operator::map("stage-b", Package::Ie, |r| r)
-            .with_reads(&["text"])
-            .with_writes(&["x"]),
-        // typed writer/reader pair: any chain placing the reader below the
-        // writer trips WS013, and that error must survive optimization
-        9 => Operator::map("typed-writer", Package::Ie, |r| r)
-            .with_reads(&["text"])
-            .with_writes(&["typed"])
-            .with_write_types(&[("typed", FieldType::Int)]),
-        _ => Operator::filter("typed-reader", Package::Base, |_| true)
-            .with_read_types(&[("typed", FieldType::Str)])
-            .with_cost(CostModel { us_per_char: 0.02, ..CostModel::default() }),
-    }
-}
-
-fn chain_plan(indices: &[usize]) -> LogicalPlan {
-    let mut plan = LogicalPlan::new();
-    let mut prev = plan.source("docs");
-    for &i in indices {
-        prev = plan.add(prev, pool_op(i)).expect("chain plan");
-    }
-    plan.sink(prev, "out").expect("chain plan");
-    plan
-}
-
-/// The analyzer's error verdict: sorted (code, message) pairs. Warnings
-/// are advisory and may legitimately shift with plan shape; errors decide
-/// whether a flow runs and must not depend on operator placement noise.
-fn error_verdict(plan: &LogicalPlan, opts: &AnalyzeOptions) -> Vec<(String, String)> {
-    let mut verdict: Vec<(String, String)> = analyze_plan(plan, opts)
-        .into_iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(|d| (d.code, d.message))
-        .collect();
-    verdict.sort();
-    verdict
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn optimizer_never_changes_error_verdict(
-        indices in prop::collection::vec(0usize..11, 1..8),
-    ) {
-        let opts = AnalyzeOptions::default()
-            .with_admission(ClusterSpec::paper_cluster(), 28);
-        let mut plan = chain_plan(&indices);
-        let before = error_verdict(&plan, &opts);
-        let rewrites = optimize(&mut plan);
-        let after = error_verdict(&plan, &opts);
-        prop_assert_eq!(
-            before,
-            after,
-            "verdict changed for chain {:?} after rewrites {:?}",
-            indices,
-            rewrites
-        );
-    }
 }

@@ -1,28 +1,22 @@
 //! The fusion/combining "explain" differential suite (tentpole
 //! acceptance):
 //!
-//! 1. the static stage prediction (`optimizer::plan_stages`, the table
-//!    the explain report prints) is **identical** to the decisions the
+//! 1. the static stage prediction (`stages::plan_stages`, the table the
+//!    explain report prints) is **identical** to the decisions the
 //!    executor actually makes (`FlowOutput::stages`) — across random
 //!    plans (chains, fan-out branches, operators with no consumer,
-//!    packaged and closure-built reduces), DoP ∈ {1, 4, 8}, all four
-//!    fusion×combining settings, and both before and after logical
-//!    optimization — and with combining on every stage holding a Reduce
-//!    combines it, with combining off none does;
-//! 2. WS013/WS014/WS015 verdicts — the field-flow diagnostics — are
-//!    invariant under optimizer rewrites, warnings included (the
-//!    WS001–WS009 suite in `tests/analyze.rs` pins errors only);
-//! 3. the explain report itself is byte-stable and agrees with the
+//!    packaged and closure-built reduces), DoP ∈ {1, 4, 8} and all four
+//!    fusion×combining settings — and with combining on every stage
+//!    holding a Reduce combines it, with combining off none does;
+//! 2. the explain report itself is byte-stable and agrees with the
 //!    executed stage list.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use websift_analyze::lattice::FieldType;
 use websift_flow::packages::testkit;
 use websift_flow::{
-    analyze_plan, explain_plan, optimize, plan_stages, Aggregate, AnalyzeOptions, ClusterSpec,
-    CostModel, ExecutionConfig, Executor, Kind, LogicalPlan, NodeOp, Operator, Package, Record,
-    RunOptions, StageDecision, Value,
+    explain_plan, plan_stages, Aggregate, AnalyzeOptions, ExecutionConfig, Executor, Kind,
+    LogicalPlan, NodeOp, Operator, Package, Record, RunOptions, StageDecision, Value,
 };
 
 /// Runnable operators covering every stage-decision shape: pipelineable
@@ -129,131 +123,46 @@ proptest! {
         let (fusion, combining) = (mode & 1 != 0, mode & 2 != 0);
         // half the cases carry a dead end
         let dead_end = (dead_at < 8).then_some((dead_at, dead_op));
-        let mut plan = build_plan(&main, &branch, branch_at, dead_end);
-        for optimized in [false, true] {
-            if optimized {
-                optimize(&mut plan);
-            }
-            let predicted = plan_stages(&plan, fusion, combining);
-            let executed = executed_stages(&plan, dop, fusion, combining);
-            prop_assert_eq!(
-                &predicted,
-                &executed,
-                "stage decisions diverged (main {:?}, branch {:?}@{}, dead end {:?}, dop {}, \
-                 fusion {}, combining {}, optimized {})",
-                main, branch, branch_at, dead_end, dop, fusion, combining, optimized
-            );
-            let holds_reduce = |st: &StageDecision| {
-                plan.nodes()[st.first..st.first + st.len].iter().any(|n| {
-                    matches!(&n.op, NodeOp::Op(op) if op.kind == Kind::Reduce)
-                })
-            };
-            prop_assert!(
-                executed.iter().all(|st| st.combined_reduce == (combining && holds_reduce(st))),
-                "every Reduce combines exactly when combining is on: {:?}",
-                executed
-            );
-        }
-    }
-}
-
-/// Analysis-only pool for the WS013–WS015 invariance property: typed
-/// writer/reader pairs (WS013), heavyweight annotators (WS014), movable
-/// filters and duplicated operators (WS015), plus a write-nothing
-/// identity.
-fn verdict_op(idx: usize) -> Operator {
-    let filter = |name: &str, reads: &[&str], us: f64| {
-        Operator::filter(name, Package::Base, |_| true)
-            .with_reads(reads)
-            .with_cost(CostModel { us_per_char: us, ..CostModel::default() })
-    };
-    match idx {
-        0 => filter("cheap-len", &["text"], 0.001),
-        1 => filter("costly-regex", &["text"], 5.0),
-        2 => Operator::map("sentences", Package::Ie, |r| r)
-            .with_reads(&["text"])
-            .with_writes(&["sentences"])
-            .with_write_types(&[("sentences", FieldType::Array)]),
-        3 => Operator::map("typed-writer", Package::Ie, |r| r)
-            .with_reads(&["text"])
-            .with_writes(&["typed"])
-            .with_write_types(&[("typed", FieldType::Int)]),
-        4 => filter("typed-reader", &[], 0.02)
-            .with_read_types(&[("typed", FieldType::Str)]),
-        5 => Operator::map("identity", Package::Base, |r| r),
-        6 => Operator::map("fat-annotator", Package::Ie, |r| r)
-            .with_reads(&["text"])
-            .with_writes(&["heavy"])
-            .with_cost(CostModel { memory_bytes: 13 << 30, ..CostModel::default() }),
-        7 => Operator::map("maybe-tagger", Package::Ie, |r| r)
-            .with_reads(&["text"])
-            .with_maybe_writes(&["negation"]),
-        _ => filter("keep-english", &["text"], 0.01),
-    }
-}
-
-fn field_flow_verdict(plan: &LogicalPlan, opts: &AnalyzeOptions) -> Vec<(String, String)> {
-    let mut verdict: Vec<(String, String)> = analyze_plan(plan, opts)
-        .into_iter()
-        .filter(|d| matches!(d.code.as_str(), "WS013" | "WS014" | "WS015"))
-        .map(|d| (d.code, d.message))
-        .collect();
-    verdict.sort();
-    verdict
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn field_flow_verdicts_invariant_under_optimize(
-        indices in prop::collection::vec(0usize..9, 1..8),
-    ) {
-        let opts = AnalyzeOptions::default()
-            .with_admission(ClusterSpec::paper_cluster(), 28);
-        let mut plan = LogicalPlan::new();
-        let mut prev = plan.source("docs");
-        for &i in &indices {
-            prev = plan.add(prev, verdict_op(i)).expect("chain");
-        }
-        plan.sink(prev, "out").expect("sink");
-        let before = field_flow_verdict(&plan, &opts);
-        let rewrites = optimize(&mut plan);
-        let after = field_flow_verdict(&plan, &opts);
+        let plan = build_plan(&main, &branch, branch_at, dead_end);
+        let predicted = plan_stages(&plan, fusion, combining);
+        let executed = executed_stages(&plan, dop, fusion, combining);
         prop_assert_eq!(
-            before,
-            after,
-            "WS013–WS015 verdict changed for chain {:?} after rewrites {:?}",
-            indices,
-            rewrites
+            &predicted,
+            &executed,
+            "stage decisions diverged (main {:?}, branch {:?}@{}, dead end {:?}, dop {}, \
+             fusion {}, combining {})",
+            main, branch, branch_at, dead_end, dop, fusion, combining
+        );
+        let holds_reduce = |st: &StageDecision| {
+            plan.nodes()[st.first..st.first + st.len].iter().any(|n| {
+                matches!(&n.op, NodeOp::Op(op) if op.kind == Kind::Reduce)
+            })
+        };
+        prop_assert!(
+            executed.iter().all(|st| st.combined_reduce == (combining && holds_reduce(st))),
+            "every Reduce combines exactly when combining is on: {:?}",
+            executed
         );
     }
 }
 
 #[test]
 fn explain_report_is_byte_stable_and_matches_execution() {
-    let mut plan = build_plan(&[0, 2, 5], &[4], 1, None);
+    let plan = build_plan(&[0, 2, 5], &[4], 1, None);
     let opts = AnalyzeOptions::default().with_source_estimate(1000, 2048);
     let one = explain_plan(&plan, &opts, true, true);
     let two = explain_plan(&plan, &opts, true, true);
     assert_eq!(one, two, "explain must render byte-identically");
 
-    // the stages the report lists are the stages the executor runs,
-    // before and after optimization
-    for optimized in [false, true] {
-        if optimized {
-            optimize(&mut plan);
-        }
-        let predicted = plan_stages(&plan, true, true);
-        let executed = executed_stages(&plan, 4, true, true);
-        assert_eq!(predicted, executed);
-        let rendered = explain_plan(&plan, &opts, true, true);
-        for stage in &predicted {
-            assert!(
-                rendered.contains(&format!("\"first\":{}", stage.first)),
-                "stage {} missing from {rendered}",
-                stage.first
-            );
-        }
+    // the stages the report lists are the stages the executor runs
+    let predicted = plan_stages(&plan, true, true);
+    let executed = executed_stages(&plan, 4, true, true);
+    assert_eq!(predicted, executed);
+    for stage in &predicted {
+        assert!(
+            one.contains(&format!("\"first\":{}", stage.first)),
+            "stage {} missing from {one}",
+            stage.first
+        );
     }
 }

@@ -463,13 +463,13 @@ mod tests {
         use websift_pipeline::live_extraction_flow;
         use websift_web::{PageId, WebGraph, WebGraphConfig};
 
-        const STORE: &str = "live";
+        pub(super) const STORE: &str = "live";
 
         fn crawl_config() -> CrawlConfig {
             CrawlConfig { max_pages: 60, threads: 4, ..CrawlConfig::default() }
         }
 
-        fn start<'w>(
+        pub(super) fn start<'w>(
             web: &'w SimulatedWeb,
             plan: &LogicalPlan,
             res: &ResilienceOptions,
@@ -546,6 +546,24 @@ mod tests {
                 assert_eq!(tail[..], marks[2..]);
             }
         }
+    }
+
+    /// A session whose DoP is zero gets a typed error from its first
+    /// round's delta pass, not a panic in mid-session.
+    #[test]
+    fn zero_dop_round_is_a_flow_error() {
+        use websift_flow::{ExecutionError, SchedulingError};
+        use websift_web::{WebGraph, WebGraphConfig};
+        let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
+        let mut plan = LogicalPlan::new();
+        let src = plan.source("docs");
+        plan.store_sink(src, differential::STORE, "entities").unwrap();
+        let mut session = differential::start(&web, &plan, &ResilienceOptions::default(), 0);
+        let err = session.advance().expect_err("no delta pass runs on zero workers");
+        assert!(
+            matches!(err, LiveError::Flow(ExecutionError::Scheduling(SchedulingError::ZeroDop))),
+            "{err:?}"
+        );
     }
 
     /// A misrouted store sink shows up in both paths: WS011 statically,

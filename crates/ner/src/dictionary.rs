@@ -167,11 +167,6 @@ impl DictionaryTagger {
         }
     }
 
-    /// Real (in-process) automaton memory, for diagnostics.
-    pub fn automaton_memory(&self) -> usize {
-        self.automaton.memory_estimate()
-    }
-
     /// Tags `text`, returning word-boundary-respecting, longest-match
     /// mentions. Overlapping shorter matches inside a longer accepted match
     /// are suppressed (leftmost-longest per position).

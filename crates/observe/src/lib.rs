@@ -63,14 +63,6 @@ impl Observer {
         Observer::default()
     }
 
-    /// An observer whose trace ring buffer holds `capacity` events.
-    pub fn with_trace_capacity(capacity: usize) -> Observer {
-        Observer {
-            registry: MetricsRegistry::default(),
-            tracer: Tracer::with_capacity(capacity),
-        }
-    }
-
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }

@@ -75,15 +75,21 @@ impl Snapshot for Posting {
     }
 }
 
-/// Encodes the store's logical content and configuration. Posting lists
-/// go out in global key order ([`ExtractionStore::iter`]), so the bytes
-/// are independent of ingest interleaving across shards.
+/// Encodes the store's configuration, then its logical content.
 fn encode_store(store: &ExtractionStore, w: &mut Writer) {
     w.str(store.name());
     w.usize(store.shard_count());
     w.u32(store.round());
     w.u64(store.ingested_records());
     w.u64(store.ignored_records());
+    encode_content(store, w);
+}
+
+/// Encodes the store's logical content: the key count, then each key and
+/// its posting list. Posting lists go out in global key order
+/// ([`ExtractionStore::iter`]), so the bytes are independent of ingest
+/// interleaving across shards.
+fn encode_content(store: &ExtractionStore, w: &mut Writer) {
     w.usize(store.key_count());
     for (key, postings) in store.iter() {
         key.encode(w);
@@ -123,11 +129,7 @@ fn decode_store(r: &mut Reader<'_>) -> Result<ExtractionStore, CodecError> {
 /// which is the invariant that lets the bench compare shard counts.
 pub(crate) fn content_digest(store: &ExtractionStore) -> u64 {
     let mut w = Writer::new();
-    w.usize(store.key_count());
-    for (key, postings) in store.iter() {
-        key.encode(&mut w);
-        postings.encode(&mut w);
-    }
+    encode_content(store, &mut w);
     codec::digest(&w.into_bytes())
 }
 
@@ -291,6 +293,29 @@ mod tests {
                 StoreSnapshot::capture(&store);
             }
         }
+    }
+
+    /// The content digest hashes exactly the `WSST` payload's tail from
+    /// the key count on: the snapshot's configuration prefix followed by
+    /// the same content bytes.
+    #[test]
+    fn content_digest_is_the_digest_of_the_payload_from_the_key_count_on() {
+        for shards in [1, 4] {
+            let store = sample_store(shards);
+            let payload = payload_of(&StoreSnapshot::capture(&store));
+            let mut w = Writer::new();
+            w.str(store.name());
+            w.usize(store.shard_count());
+            w.u32(store.round());
+            w.u64(store.ingested_records());
+            w.u64(store.ignored_records());
+            let at = w.len();
+            assert_eq!(payload[at..at + 8], (store.key_count() as u64).to_le_bytes());
+            assert_eq!(store.content_digest(), codec::digest(&payload[at..]));
+        }
+        let empty = ExtractionStore::new("empty", 2);
+        let payload = payload_of(&StoreSnapshot::capture(&empty));
+        assert_eq!(empty.content_digest(), codec::digest(&payload[payload.len() - 8..]));
     }
 
     #[test]

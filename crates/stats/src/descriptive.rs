@@ -47,11 +47,6 @@ impl Summary {
             max: sorted[count - 1],
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Quantile of an already-sorted sample with linear interpolation

@@ -430,12 +430,6 @@ impl WebGraph {
     pub fn host_by_name(&self, name: &str) -> Option<usize> {
         self.hosts.iter().position(|h| h.name == name)
     }
-
-    /// Gold relevance fraction over all content (for calibration tests).
-    pub fn relevant_fraction(&self) -> f64 {
-        let r = self.pages.iter().filter(|p| p.relevant).count();
-        r as f64 / self.pages.len().max(1) as f64
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Declarative analysis with the Meteor-like script front end: compile a
-//! script against the standard operator registry, optimize it, and execute
-//! it over generated documents — "complex information acquisition and
+//! script against the standard operator registry and execute it (the
+//! executor analyzes it first) over generated documents — "complex information acquisition and
 //! extraction from the web as an almost effortless end-to-end task".
 //!
 //! ```text
@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use websift::corpus::{CorpusKind, Generator};
-use websift::flow::{compile, optimize, ExecutionConfig, Executor, RunOptions, Value};
+use websift::flow::{compile, ExecutionConfig, Executor, RunOptions, Value};
 use websift::pipeline::{documents_to_records, ExperimentContext};
 
 const SCRIPT: &str = "
@@ -27,15 +27,13 @@ const SCRIPT: &str = "
 
 fn main() {
     let ctx = ExperimentContext::tiny(3);
-    let mut plan = compile(SCRIPT, &ctx.registry).expect("script compiles");
+    let plan = compile(SCRIPT, &ctx.registry).expect("script compiles");
     println!(
         "compiled plan: {} operators, sources {:?}, sinks {:?}",
         plan.operator_count(),
         plan.sources(),
         plan.sinks()
     );
-    let rewrites = optimize(&mut plan);
-    println!("optimizer applied {} rewrites: {rewrites:?}", rewrites.len());
 
     let docs = Generator::with_lexicon(CorpusKind::RelevantWeb, 5, ctx.lexicon.clone()).documents(6);
     let mut inputs = HashMap::new();

@@ -17,7 +17,7 @@
 //! - [`ner`] — dictionary- and CRF-based named-entity taggers for genes,
 //!   drugs, and diseases;
 //! - [`flow`] — the Stratosphere-style parallel data-flow engine with its
-//!   operator packages, optimizer, and simulated cluster;
+//!   operator packages, static analyzer, and simulated cluster;
 //! - [`pipeline`] — the consolidated analysis flows and the cross-corpus
 //!   comparison / experiment harness;
 //! - [`resilience`] — deterministic fault injection, retry/backoff with
