@@ -109,7 +109,7 @@ PROPTEST_CASES=64 cargo test -q -p websift-crawler --lib differential
 echo "crawl: any worker pool == one worker holds ok"
 
 # Sealed frames in one pass: `codec::hash_chains`, which advances up to
-# three FNV-1a chains together over one buffer and writes each result
+# five FNV-1a chains together over one buffer and writes each result
 # into its slot before a later chain reads it, must return and write what
 # separate FNV-1a calls patched in turn do — random buffers and range
 # sets (empty, adjacent, nested across chains, whole-buffer), slots
@@ -118,13 +118,15 @@ echo "crawl: any worker pool == one worker holds ok"
 PROPTEST_CASES=64 cargo test -q -p websift-resilience --lib differential
 echo "codec: lockstep FNV-1a chains == separate fnv1a calls holds ok"
 
-# Live watermarks: every round's WSWM frame, written as one buffer with
-# the crawl checkpoint in place and hashed in one pass, must be byte-equal
-# to the three-call reference seal (checkpoint, state digest, parts
-# sealed over copied frames) — at DoP 1 and 2, under injected crawl
+# Live watermarks: every round's WSWM v2 frame, written as one buffer with
+# the crawl checkpoint (page bodies from the drain cursor on) and the store
+# snapshot in place and hashed in one pass, must be byte-equal to the
+# reference seal built from separately encoded parts (that checkpoint and
+# the store frame each sealed on their own, the crawler's state digest,
+# the store's content digest) — at DoP 1 and 2, under injected crawl
 # faults, and after a resume in mid-crawl.
 cargo test -q -p websift-live --lib differential
-echo "live: one-pass watermark seal == three-call reference seal holds ok"
+echo "live: one-pass watermark seal == separately encoded reference seal holds ok"
 
 # Packed span arrays: `Value::Spans` must be indistinguishable from the
 # plain array of `{end, start}` objects it spells — codec bytes, size
@@ -179,10 +181,12 @@ echo "exp_serve smoke: serving digests identical across shards and snapshot/resu
 
 # Live incremental-execution smoke: the incremental session, a batch
 # full recompute, and a killed-and-resumed session must agree on every
-# store digest, and the delta pass must beat the recompute per new
-# document from round 2 on (--check exits non-zero otherwise).
+# store digest, the delta pass must beat the recompute per new document
+# from round 2 on, and no watermark's crawl frame may carry a page body
+# (--check exits non-zero otherwise; its stderr line prints the last
+# watermark's bytes beside the accepted net-text bytes).
 cargo run -q --release -p websift-bench --bin exp_live -- --quick --check > /dev/null
-echo "exp_live smoke: incremental == recompute == resumed digests, delta pass wins ok"
+echo "exp_live smoke: incremental == recompute == resumed digests, delta pass wins, watermarks carry no page body ok"
 
 # The workspace has no serialization library: JSON goes through
 # websift-observe's writer and every frame through the resilience codec.

@@ -6,8 +6,9 @@
 //! - `--json`  — the result as JSON instead of the markdown table;
 //! - `--check` — exit non-zero unless (a) the incremental session, (b) a
 //!   batch full recompute, and (c) a killed-and-resumed session agree on
-//!   every store digest, deterministic surfaces are DoP-invariant, and
-//!   the delta pass beats the recompute per new document from round 2 on;
+//!   every store digest, deterministic surfaces are DoP-invariant, the
+//!   delta pass beats the recompute per new document from round 2 on,
+//!   and no watermark's crawl frame carries a page body;
 //! - `--pages N` — override the crawl page budget for targeted probes.
 use websift_bench::experiments::live_exps::{live_at, LiveReport, LIVE_DOPS};
 
@@ -59,11 +60,26 @@ fn main() {
             );
             std::process::exit(1);
         }
+        if report.watermark_bodies > 0 {
+            eprintln!(
+                "exp_live --check FAILED: the watermarks' crawl frames carry {} page bodies; \
+                 every page is drained before its round is sealed, so they should carry none",
+                report.watermark_bodies
+            );
+            std::process::exit(1);
+        }
         eprintln!(
             "exp_live check ok: {} rounds x DoP {dops:?}, digests identical across \
              incremental / batch recompute / kill-and-resume (round {}), delta pass \
-             beats recompute per new document from round 2 on; {} docs / {} postings",
-            report.rounds, report.resume_round, report.total_documents, report.store_postings
+             beats recompute per new document from round 2 on; {} docs / {} postings; \
+             watermarks carry 0 page bodies: watermark_bytes_last {} beside {} accepted \
+             net-text bytes",
+            report.rounds,
+            report.resume_round,
+            report.total_documents,
+            report.store_postings,
+            report.watermark_bytes_last,
+            report.net_text_bytes
         );
     }
 }

@@ -18,13 +18,17 @@
 //! - every deterministic surface (digest, retained-state bytes, reduce
 //!   output) identical across the DoP grid;
 //! - incremental cost per new document strictly below the full
-//!   recompute's from round 2 onward.
+//!   recompute's from round 2 onward;
+//! - no watermark's crawl frame carries a page body (every page reached
+//!   the delta pass before its round was sealed).
 
 use std::sync::Arc;
 
 use crate::report::ExperimentResult;
 use websift_corpus::{CorpusKind, Document, LexiconScale};
-use websift_crawler::{train_focus_classifier, CrawlConfig, ResilienceOptions};
+use websift_crawler::{
+    train_focus_classifier, CrawlCheckpoint, CrawlConfig, CrawlSession, ResilienceOptions,
+};
 use websift_flow::IeResources;
 use websift_ner::EntityType;
 use websift_observe::Observer;
@@ -102,6 +106,14 @@ pub struct LiveReport {
     /// Incremental cost/new-doc < recompute cost/new-doc for every
     /// round >= 2 at every DoP (simulated seconds).
     pub incremental_wins: bool,
+    /// Page bodies carried by the crawl frames of every watermark of
+    /// every run: zero when each round drains its pages before the seal.
+    pub watermark_bodies: usize,
+    /// Size of the first run's last watermark.
+    pub watermark_bytes_last: usize,
+    /// Net-text bytes of every page the first run's crawl accepted: what
+    /// the last watermark would hold on top if it carried every body.
+    pub net_text_bytes: usize,
 }
 
 fn live_web() -> SimulatedWeb {
@@ -127,6 +139,9 @@ fn crawl_config(max_pages: usize) -> CrawlConfig {
 struct SessionRun {
     samples: Vec<RoundSample>,
     watermarks: Vec<Watermark>,
+    /// Page bodies the watermarks' crawl frames carry, summed.
+    watermark_bodies: usize,
+    net_text_bytes: usize,
     cumulative: Vec<Document>,
     final_digest: u64,
     state_bytes: Vec<u8>,
@@ -165,6 +180,26 @@ fn start_session<'w>(
     .expect("live bench session starts")
 }
 
+/// Page bodies `watermark`'s crawl frame carries: the crawl resumed from
+/// it keeps a page's net text only if the frame carried the body, and
+/// every accepted page has one (the text filter's minimum length).
+fn carried_bodies(web: &SimulatedWeb, max_pages: usize, watermark: &Watermark) -> usize {
+    let parts = watermark.parts();
+    let frame = CrawlCheckpoint::from_bytes(parts.crawl_round, parts.crawl_frame)
+        .expect("a watermark's crawl frame verifies");
+    let crawl = CrawlSession::resume(
+        web,
+        &frame,
+        crawl_config(max_pages),
+        &ResilienceOptions::default(),
+        None,
+        Arc::new(Observer::new()),
+    )
+    .expect("the crawl resumes from a watermark's frame");
+    let report = crawl.report();
+    report.relevant.iter().chain(&report.irrelevant).filter(|p| !p.net_text.is_empty()).count()
+}
+
 /// Runs one session to crawl exhaustion, sampling every round.
 fn run_session(
     web: &SimulatedWeb,
@@ -192,9 +227,12 @@ fn run_session(
         prev_incremental = incremental_total;
         watermarks.push(round.watermark);
     }
-    let relevant = &session.crawl().report().relevant;
-    let cumulative = documents_from_pages(relevant, CorpusKind::RelevantWeb, 0);
+    let report = session.crawl().report();
+    let cumulative = documents_from_pages(&report.relevant, CorpusKind::RelevantWeb, 0);
+    let pages = report.relevant.iter().chain(&report.irrelevant);
     SessionRun {
+        watermark_bodies: watermarks.iter().map(|w| carried_bodies(web, max_pages, w)).sum(),
+        net_text_bytes: pages.map(|p| p.net_text.len()).sum(),
         final_digest: session.store().content_digest(),
         postings: session.store().posting_count(),
         retained_keys: session.metrics().retained_keys,
@@ -384,6 +422,9 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
         resume_agrees: resume_ok,
         dop_invariant,
         incremental_wins,
+        watermark_bodies: runs.iter().map(|r| r.watermark_bodies).sum(),
+        watermark_bytes_last: base.watermarks.last().map_or(0, Watermark::size_bytes),
+        net_text_bytes: base.net_text_bytes,
     }
 }
 
@@ -400,6 +441,8 @@ mod tests {
         assert!(report.resume_agrees, "kill-and-resume diverged");
         assert!(report.dop_invariant, "deterministic surfaces vary with DoP");
         assert!(report.incremental_wins, "delta pass lost to a full recompute");
+        assert_eq!(report.watermark_bodies, 0, "a watermark carries a page body");
+        assert!(report.net_text_bytes > 0);
         assert!(report.store_postings > 0);
         // no wall-clock column: a second run renders the same bytes
         assert_eq!(report.result.render(), live_at(60, &[1, 2]).result.render());

@@ -198,6 +198,7 @@ mod tests {
         report.relevant.push(CrawledPage {
             url: Url::new("x.example", "/1"),
             net_text: "net text".into(),
+            content_digest: 0,
             raw_bytes: 100,
             classified_relevant: true,
             log_odds: 1.0,

@@ -189,8 +189,12 @@ impl Default for CrawlConfig {
 #[derive(Debug, Clone)]
 pub struct CrawledPage {
     pub url: Url,
-    /// Extracted net text (post boilerplate removal).
+    /// Extracted net text (post boilerplate removal). Empty on a page
+    /// restored from a checkpoint that did not carry its body.
     pub net_text: String,
+    /// FNV digest of `net_text` as accepted: the dedup key, and what a
+    /// checkpoint commits to in place of the body.
+    pub content_digest: u64,
     /// Raw payload size in bytes.
     pub raw_bytes: usize,
     /// Classifier verdict.
@@ -201,10 +205,14 @@ pub struct CrawledPage {
     pub gold_relevant: Option<bool>,
 }
 
+/// A page's state encoding commits to its body by `content_digest` and
+/// leaves `net_text` out: it decodes empty, and a checkpoint carries the
+/// bodies a resume needs in a section of their own (see
+/// [`FocusedCrawler::write_payload`]).
 impl Snapshot for CrawledPage {
     fn encode(&self, w: &mut Writer) {
         self.url.encode(w);
-        w.str(&self.net_text);
+        w.u64(self.content_digest);
         w.usize(self.raw_bytes);
         w.bool(self.classified_relevant);
         w.f64(self.log_odds);
@@ -214,7 +222,8 @@ impl Snapshot for CrawledPage {
     fn decode(r: &mut Reader<'_>) -> Result<CrawledPage, CodecError> {
         Ok(CrawledPage {
             url: Snapshot::decode(r)?,
-            net_text: r.str()?,
+            net_text: String::new(),
+            content_digest: r.u64()?,
             raw_bytes: r.usize()?,
             classified_relevant: r.bool()?,
             log_odds: r.f64()?,
@@ -478,10 +487,20 @@ impl<'w> FocusedCrawler<'w> {
     }
 
     /// Writes the checkpoint payload — crawler, filter stats, report,
-    /// retry state, registry — and returns where its crawler and report
-    /// segments landed in `w`: the bytes the state digest hashes. Every
-    /// checkpoint frame, state digest and live watermark is written here.
-    fn write_payload(&self, st: &LoopState, w: &mut Writer) -> [Range<usize>; 2] {
+    /// retry state, page bodies, registry — and returns where its crawler
+    /// and report segments landed in `w`: the bytes the state digest
+    /// hashes. The report commits to every page's body by its digest; the
+    /// body section carries the net text of the relevant and of the
+    /// irrelevant pages from the two indices of `bodies_from` on, each
+    /// list as its first index and then the bodies. So the state segments
+    /// do not depend on `bodies_from`. Every checkpoint frame, state
+    /// digest and live watermark is written here.
+    fn write_payload(
+        &self,
+        st: &LoopState,
+        bodies_from: [usize; 2],
+        w: &mut Writer,
+    ) -> [Range<usize>; 2] {
         let start = w.len();
         self.encode_crawler(w);
         let crawler = start..w.len();
@@ -490,20 +509,35 @@ impl<'w> FocusedCrawler<'w> {
         st.report.encode(w);
         let report = start..w.len();
         st.rt.encode(w);
+        let lists = [&st.report.relevant, &st.report.irrelevant];
+        for (pages, from) in lists.into_iter().zip(bodies_from) {
+            w.usize(from);
+            for page in &pages[from..] {
+                w.str(&page.net_text);
+            }
+        }
         // registry state rides in the frame so resumed crawls continue
         // their metrics bit-identically
         self.observer.registry().snapshot().encode(w);
         [crawler, report]
     }
 
-    fn write_checkpoint(&self, st: &LoopState, w: &mut Writer) -> CheckpointLayout {
-        let (frame, state) = CrawlCheckpoint::write_frame(w, |w| self.write_payload(st, w));
+    fn write_checkpoint(
+        &self,
+        st: &LoopState,
+        bodies_from: [usize; 2],
+        w: &mut Writer,
+    ) -> CheckpointLayout {
+        let (frame, state) =
+            CrawlCheckpoint::write_frame(w, |w| self.write_payload(st, bodies_from, w));
         CheckpointLayout { frame, state }
     }
 
+    /// A sealed checkpoint carrying every page body, so a crawl resumed
+    /// from it gets its full report back.
     fn take_checkpoint(&self, st: &LoopState) -> CrawlCheckpoint {
         let mut w = Writer::new();
-        let layout = self.write_checkpoint(st, &mut w);
+        let layout = self.write_checkpoint(st, [0, 0], &mut w);
         let mut frame = w.into_bytes();
         codec::hash_chains(&mut frame, [layout.frame.checksum_chain()]);
         CrawlCheckpoint::from_sealed(st.rt.round, frame)
@@ -688,7 +722,9 @@ impl<'w> FocusedCrawler<'w> {
         st.report.simulated_secs += ANALYSIS_COST_SECS;
         tally.analyzed += 1;
         tally.bytes += content.raw_bytes as u64;
-        let Some((links, net_text)) = self.apply_content(st, tally, url, content.parsed) else {
+        let Some((links, net_text, content_digest)) =
+            self.apply_content(st, tally, url, content.parsed)
+        else {
             self.crawldb.mark(url, UrlStatus::Rejected);
             return;
         };
@@ -716,6 +752,7 @@ impl<'w> FocusedCrawler<'w> {
             classified_relevant: relevant,
             log_odds,
             net_text,
+            content_digest,
         };
         if relevant {
             tally.relevant += 1;
@@ -730,7 +767,8 @@ impl<'w> FocusedCrawler<'w> {
 
     /// MIME → links → boilerplate → text filters → dedup, applied: counts
     /// the content phase's verdicts, records the links, and returns the
-    /// page's outlinks and net text, or `None` if a phase rejected it.
+    /// page's outlinks, net text and its digest, or `None` if a phase
+    /// rejected it.
     /// Charges the page's [`ANALYSIS_COST_SECS`] to `tally`'s phases as it
     /// goes — added in place, not returned and summed, because `f64`
     /// addition order is part of the byte-identical trace.
@@ -740,7 +778,7 @@ impl<'w> FocusedCrawler<'w> {
         tally: &mut RoundTally,
         url: &Url,
         parsed: Result<ParsedPage, RejectReason>,
-    ) -> Option<(Vec<Url>, String)> {
+    ) -> Option<(Vec<Url>, String, u64)> {
         // attribution budget for this page: phases a page never reaches
         // are charged to the phase that stopped it
         let mut remaining = ANALYSIS_COST_SECS;
@@ -786,7 +824,7 @@ impl<'w> FocusedCrawler<'w> {
         remaining -= DEDUP_COST_SECS;
         // whatever is left of the page's budget is classification
         tally.classify += remaining;
-        Some((links, net_text))
+        Some((links, net_text, digest))
     }
 
     /// Relevance verdict and log-odds for a page's net text, optionally
@@ -864,6 +902,29 @@ impl<'w> FocusedCrawler<'w> {
     }
 }
 
+/// Reads one page list's body section (see
+/// [`FocusedCrawler::write_payload`]) into `pages`, each body checked
+/// against the digest its page commits to.
+fn read_bodies(r: &mut Reader<'_>, pages: &mut [CrawledPage]) -> Result<(), CodecError> {
+    let from = r.usize()?;
+    let Some(carried) = pages.get_mut(from..) else {
+        return Err(CodecError::Oversize { what: "page body cursor", value: from as u64 });
+    };
+    for page in carried {
+        let body = r.str()?;
+        let sealed = codec::digest(body.as_bytes());
+        if sealed != page.content_digest {
+            return Err(CodecError::Mismatch {
+                what: "page body digest",
+                claimed: page.content_digest,
+                sealed,
+            });
+        }
+        page.net_text = body;
+    }
+    Ok(())
+}
+
 /// A stepping handle over a focused crawl: the same loop as
 /// [`FocusedCrawler::crawl_resilient`], advanced one round ("segment")
 /// at a time so a long-running live session can interleave crawling with
@@ -886,8 +947,9 @@ pub struct CrawlSession<'w> {
     state: LoopState,
     options: ResilienceOptions,
     done: bool,
-    drained_relevant: usize,
-    drained_irrelevant: usize,
+    /// Relevant and irrelevant pages already handed out by
+    /// [`CrawlSession::take_new_pages`]: the drain cursor.
+    drained: [usize; 2],
 }
 
 impl<'w> CrawlSession<'w> {
@@ -906,8 +968,7 @@ impl<'w> CrawlSession<'w> {
             state,
             options: options.clone(),
             done: false,
-            drained_relevant: 0,
-            drained_irrelevant: 0,
+            drained: [0, 0],
         }
     }
 
@@ -915,6 +976,14 @@ impl<'w> CrawlSession<'w> {
     /// any rounds. The frame's registry snapshot is restored into
     /// `observer`, and pages already in the checkpointed report count as
     /// drained — the downstream consumer saw them before the kill.
+    ///
+    /// A page keeps its net text only if the frame carried its body:
+    /// [`CrawlSession::checkpoint`] and cadence checkpoints carry every
+    /// body, so a batch crawl resumed from one gets its full report back;
+    /// a live watermark's frame carries only the bodies not yet drained
+    /// downstream, which after a round is none, so a session resumed from
+    /// a watermark has no bodies for its pre-kill pages (their
+    /// `net_text` is empty; their `content_digest` stays).
     ///
     /// `config` and `options` must match the original crawl's for the
     /// resumed run to reproduce it (they are deliberately not stored in
@@ -925,8 +994,9 @@ impl<'w> CrawlSession<'w> {
     /// serializable.
     ///
     /// The frame is untrusted: a bad checksum, a failed decode, trailing
-    /// bytes, or a `checkpoint.round` other than the round sealed inside
-    /// all come back as a [`CodecError`].
+    /// bytes, a carried body whose digest is not the one its page commits
+    /// to, or a `checkpoint.round` other than the round sealed inside all
+    /// come back as a [`CodecError`].
     pub fn resume(
         web: &'w SimulatedWeb,
         checkpoint: &CrawlCheckpoint,
@@ -945,8 +1015,10 @@ impl<'w> CrawlSession<'w> {
         let seen_content = Snapshot::decode(&mut r)?;
         let mut filters = FilterChain::new(config.filters);
         filters.restore_stats(FilterStats::decode(&mut r)?);
-        let report = CrawlReport::decode(&mut r)?;
+        let mut report = CrawlReport::decode(&mut r)?;
         let rt = RetryState::decode(&mut r)?;
+        read_bodies(&mut r, &mut report.relevant)?;
+        read_bodies(&mut r, &mut report.irrelevant)?;
         let registry = RegistrySnapshot::decode(&mut r)?;
         if !r.is_empty() {
             return Err(CodecError::Truncated { what: "trailing checkpoint bytes" });
@@ -965,8 +1037,7 @@ impl<'w> CrawlSession<'w> {
         observer.registry().restore(&registry)?;
 
         Ok(CrawlSession {
-            drained_relevant: report.relevant.len(),
-            drained_irrelevant: report.irrelevant.len(),
+            drained: [report.relevant.len(), report.irrelevant.len()],
             crawler: FocusedCrawler {
                 web,
                 classifier: NaiveBayes::from_parts(
@@ -1014,33 +1085,36 @@ impl<'w> CrawlSession<'w> {
     /// order. The cursor advances, so each page is returned exactly once.
     pub fn take_new_pages(&mut self) -> (&[CrawledPage], &[CrawledPage]) {
         let report = &self.state.report;
-        let from = (self.drained_relevant, self.drained_irrelevant);
-        self.drained_relevant = report.relevant.len();
-        self.drained_irrelevant = report.irrelevant.len();
-        (&report.relevant[from.0..], &report.irrelevant[from.1..])
+        let [relevant, irrelevant] = self.drained;
+        self.drained = [report.relevant.len(), report.irrelevant.len()];
+        (&report.relevant[relevant..], &report.irrelevant[irrelevant..])
     }
 
     /// Count of relevant pages already handed out via
     /// [`CrawlSession::take_new_pages`] — the id offset for converting a
     /// delta into globally numbered documents.
     pub fn drained_relevant(&self) -> usize {
-        self.drained_relevant
+        self.drained[0]
     }
 
-    /// Seals the complete crawler + loop state into the standard crawl
-    /// checkpoint frame — the very bytes a cadence checkpoint at this
-    /// round would be, so either kind can resume a session.
+    /// Seals the complete crawler + loop state, every page body included,
+    /// into the standard crawl checkpoint frame — the very bytes a
+    /// cadence checkpoint at this round would be, so either kind can
+    /// resume a session.
     pub fn checkpoint(&self) -> CrawlCheckpoint {
         self.crawler.take_checkpoint(&self.state)
     }
 
-    /// Writes the [`CrawlSession::checkpoint`] frame in place in `w`,
-    /// checksum slot left zero, for a caller that hashes it inside a
-    /// larger frame: hashing the layout's `frame` chain makes the bytes
-    /// `checkpoint()` returns, and hashing its `state` segments gives
+    /// Writes a checkpoint frame in place in `w`, checksum slot left
+    /// zero, for a caller that hashes it inside a larger frame. It is the
+    /// [`CrawlSession::checkpoint`] frame except that it carries only the
+    /// bodies of pages [`CrawlSession::take_new_pages`] has not handed out
+    /// yet: the drained ones are downstream already, and the report still
+    /// commits to them by digest. Hashing the layout's `frame` chain seals
+    /// it, and hashing its `state` segments gives
     /// [`CrawlSession::state_digest`].
     pub fn write_checkpoint(&self, w: &mut Writer) -> CheckpointLayout {
-        self.crawler.write_checkpoint(&self.state, w)
+        self.crawler.write_checkpoint(&self.state, self.drained, w)
     }
 
     /// Rounds completed so far.
@@ -1065,8 +1139,11 @@ impl<'w> CrawlSession<'w> {
     /// [`FocusedCrawler::state_digest`]) — the "crawler frontier digest"
     /// a live watermark records.
     pub fn state_digest(&self) -> u64 {
+        let report = &self.state.report;
+        // bodies are outside the state segments: write none
+        let no_bodies = [report.relevant.len(), report.irrelevant.len()];
         let mut w = Writer::new();
-        let state = self.crawler.write_payload(&self.state, &mut w);
+        let state = self.crawler.write_payload(&self.state, no_bodies, &mut w);
         let mut payload = w.into_bytes();
         let [digest] = codec::hash_chains(&mut payload, [Chain { ranges: &state, slot: None }]);
         digest
@@ -1462,23 +1539,31 @@ mod tests {
     }
 
     /// The checkpoint and state-digest encoders the in-place writer
-    /// replaced: a payload per call, sealed by hand around
+    /// replaced, on the v2 layout: a payload per call, its body section
+    /// carrying the pages from `bodies_from` on, sealed by hand around
     /// `codec::digest`, and a second encode of crawler and report for the
     /// digest.
     mod reference {
         use super::*;
 
-        pub fn checkpoint(session: &CrawlSession<'_>) -> Vec<u8> {
+        pub fn checkpoint(session: &CrawlSession<'_>, bodies_from: [usize; 2]) -> Vec<u8> {
             let (crawler, st) = (&session.crawler, &session.state);
             let mut w = Writer::new();
             crawler.encode_crawler(&mut w);
             st.filters.stats().encode(&mut w);
             st.report.encode(&mut w);
             st.rt.encode(&mut w);
+            let lists = [&st.report.relevant, &st.report.irrelevant];
+            for (pages, from) in lists.into_iter().zip(bodies_from) {
+                w.usize(from);
+                for page in &pages[from..] {
+                    w.str(&page.net_text);
+                }
+            }
             crawler.observer.registry().snapshot().encode(&mut w);
             let payload = w.into_bytes();
             let mut frame = b"WSCK".to_vec();
-            frame.extend_from_slice(&1u16.to_le_bytes());
+            frame.extend_from_slice(&2u16.to_le_bytes());
             frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             frame.extend_from_slice(&payload);
             frame.extend_from_slice(&codec::digest(&payload).to_le_bytes());
@@ -1493,9 +1578,12 @@ mod tests {
         }
     }
 
-    /// `checkpoint()` bytes and `state_digest()` bits equal the reference
-    /// encoders' at every round of a plain and a fault-injected crawl,
-    /// and the in-place layout's chains hash to the same two values.
+    /// `checkpoint()` bytes (every body) and `state_digest()` bits equal
+    /// the reference encoders' at every round of a plain and a
+    /// fault-injected crawl, and the in-place layout (bodies from the
+    /// drain cursor on, which some rounds leave behind the report's end)
+    /// seals to the reference frame with those bodies and hashes to the
+    /// same digest.
     #[test]
     fn checkpoint_and_state_digest_equal_the_reference_encoders() {
         let (web, nb) = setup();
@@ -1504,7 +1592,7 @@ mod tests {
             let mut session = CrawlSession::start(crawler, biomedical_seeds(&web, 20), &opts);
             let mut rounds = 0;
             loop {
-                let frame = reference::checkpoint(&session);
+                let frame = reference::checkpoint(&session, [0, 0]);
                 let digest = reference::state_digest(&session);
                 assert_eq!(session.checkpoint().as_bytes(), &frame[..], "round {rounds}");
                 assert_eq!(session.state_digest(), digest, "round {rounds}");
@@ -1518,12 +1606,15 @@ mod tests {
                     &mut buf,
                     [layout.frame.checksum_chain(), Chain { ranges: &layout.state, slot: None }],
                 );
-                assert_eq!(&buf[14..], &frame[..]);
+                assert_eq!(&buf[14..], &reference::checkpoint(&session, session.drained)[..]);
                 assert_eq!(state, digest);
                 if !session.step_round() {
                     break;
                 }
                 rounds += 1;
+                if rounds % 2 == 0 {
+                    session.take_new_pages();
+                }
             }
             assert!(rounds >= 3, "crawl ended after {rounds} rounds");
         }
@@ -1879,6 +1970,7 @@ mod tests {
         let (session, opts) = hostile_target(&web);
         let frame = session.checkpoint();
         let payload = frame.payload().unwrap();
+        assert!(body_at(payload, &session.report().irrelevant[0]).is_some());
         // a valid checksum over a short payload gets past the frame check,
         // so the decoder itself has to notice, at every offset
         for cut in 0..payload.len() {
@@ -1909,11 +2001,14 @@ mod tests {
             w.len()
         };
 
-        // where each `Vec`/map/set header sits, and the count it holds
+        // where each `Vec`/map/set header sits, and the count it holds;
+        // and the body cursors, which count the pages without a body
         let linkdb_at = len_of(&|w| c.crawldb.encode_snapshot(w));
         let crawler_len = len_of(&|w| c.encode_crawler(w));
         let report_at = crawler_len + len_of(&|w| st.filters.stats().encode(w));
         let attempts_at = report_at + len_of(&|w| st.report.encode(w)) + 8;
+        let bodies_at = attempts_at - 8 + len_of(&|w| st.rt.encode(w));
+        let relevant_bodies: usize = st.report.relevant.iter().map(|p| 8 + p.net_text.len()).sum();
         let headers = [
             ("crawldb status map", 16, c.crawldb.known()),
             ("linkdb urls", linkdb_at, c.linkdb.len()),
@@ -1934,6 +2029,8 @@ mod tests {
                 attempts_at + len_of(&|w| st.rt.attempts.encode(w)),
                 st.rt.retry_queue.len(),
             ),
+            ("relevant body cursor", bodies_at, 0),
+            ("irrelevant body cursor", bodies_at + 8 + relevant_bodies, 0),
         ];
         for (what, at, count) in headers {
             let field = |bytes: &[u8]| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
@@ -1979,6 +2076,106 @@ mod tests {
                 _ => matches!(err, CodecError::BadChecksum { .. }),
             };
             assert!(expected, "bit flip at {at}: {err}");
+        }
+    }
+
+    /// Where `page`'s body sits in a checkpoint payload, if it carries it.
+    fn body_at(payload: &[u8], page: &CrawledPage) -> Option<usize> {
+        let body = page.net_text.as_bytes();
+        payload.windows(body.len()).position(|window| window == body)
+    }
+
+    /// A frame's pages, as the checks below compare them.
+    fn pages_of(report: &CrawlReport) -> Vec<(String, u64, &str)> {
+        let pages = report.relevant.iter().chain(&report.irrelevant);
+        pages.map(|p| (p.url.to_string(), p.content_digest, p.net_text.as_str())).collect()
+    }
+
+    /// A checkpoint carries every body, so the crawl resumed from it has
+    /// its full report back — a cadence frame resumed to the end of the
+    /// crawl too; a frame written after the pages were drained carries
+    /// none, resumes with empty bodies and the same digests, and hands
+    /// out no page again.
+    #[test]
+    fn checkpoints_carry_every_body_and_drained_frames_none() {
+        let (web, nb) = setup();
+        let seeds = biomedical_seeds(&web, 20);
+        let opts = ResilienceOptions::injected(0xB0D1, 0.05, 2);
+        let mut baseline = FocusedCrawler::new(&web, nb.clone(), resilient_config());
+        let (base_report, _) = baseline.crawl_resilient(seeds.clone(), &opts);
+        let last = last_frame_of_killed_crawl(&web, nb.clone(), seeds.clone(), &opts, 3);
+        let resumed = resumed_to_end(&web, &last, &opts, Arc::new(Observer::new()));
+        assert!(pages_of(&base_report).iter().all(|(_, _, body)| !body.is_empty()));
+        assert_eq!(pages_of(resumed.report()), pages_of(&base_report));
+
+        let mut session =
+            CrawlSession::start(FocusedCrawler::new(&web, nb, resilient_config()), seeds, &opts);
+        while session.round() < 3 && session.step_round() {}
+        let whole = resume_untrusted(&web, &session.checkpoint(), &opts).unwrap();
+        assert_eq!(pages_of(whole.report()), pages_of(session.report()));
+
+        session.take_new_pages();
+        let mut w = Writer::new();
+        let layout = session.write_checkpoint(&mut w);
+        let mut bytes = w.into_bytes();
+        codec::hash_chains(&mut bytes, [layout.frame.checksum_chain()]);
+        let drained = CrawlCheckpoint::from_bytes(3, bytes).unwrap();
+        let payload = drained.payload().unwrap();
+        let pages = session.report().relevant.iter().chain(&session.report().irrelevant);
+        assert!(pages.clone().all(|page| body_at(payload, page).is_none()));
+        let mut bare = resume_untrusted(&web, &drained, &opts).unwrap();
+        let want: Vec<_> = pages.map(|p| (p.url.to_string(), p.content_digest, "")).collect();
+        assert_eq!(pages_of(bare.report()), want);
+        assert_eq!(bare.state_digest(), session.state_digest());
+        let (rel, irr) = bare.take_new_pages();
+        assert!(rel.is_empty() && irr.is_empty(), "resume re-delivered old pages");
+    }
+
+    #[test]
+    fn resume_refuses_a_carried_body_its_page_did_not_commit_to() {
+        let (web, _) = setup();
+        let (session, opts) = hostile_target(&web);
+        let payload = session.checkpoint().payload().unwrap().to_vec();
+        let page = &session.report().irrelevant[0];
+        let at = body_at(&payload, page).expect("the checkpoint carries the page's body");
+        // another ASCII letter: still UTF-8, another digest
+        let mut forged = payload.clone();
+        forged[at] = if forged[at] == b'a' { b'b' } else { b'a' };
+        let body = std::str::from_utf8(&forged[at..at + page.net_text.len()]).unwrap();
+        assert_eq!(
+            resume_untrusted(&web, &CrawlCheckpoint::seal(3, &forged), &opts).err(),
+            Some(CodecError::Mismatch {
+                what: "page body digest",
+                claimed: page.content_digest,
+                sealed: codec::digest(body.as_bytes()),
+            })
+        );
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused() {
+        let (web, _) = setup();
+        let (session, _) = hostile_target(&web);
+        let frame = session.checkpoint();
+        let v1 = codec::seal(*b"WSCK", 1, frame.payload().unwrap());
+        assert_eq!(
+            CrawlCheckpoint::from_bytes(3, v1).err(),
+            Some(CodecError::BadVersion { expected: 2, found: 1 })
+        );
+    }
+
+    /// Every bit of a checkpoint payload that carries bodies, flipped and
+    /// resealed: an error or a session, never a panic.
+    #[test]
+    fn flipped_payload_bits_resealed_never_panic() {
+        let (web, _) = setup();
+        let (session, opts) = hostile_target(&web);
+        let payload = session.checkpoint().payload().unwrap().to_vec();
+        assert!(body_at(&payload, &session.report().irrelevant[0]).is_some());
+        for at in 0..payload.len() {
+            let mut flipped = payload.clone();
+            flipped[at] ^= 1 << (at % 8);
+            let _ = resume_untrusted(&web, &CrawlCheckpoint::seal(3, &flipped), &opts);
         }
     }
 }

@@ -14,9 +14,11 @@ use std::ops::Range;
 use websift_resilience::codec::{self, FrameSlots};
 use websift_resilience::{BackoffPolicy, CodecError, FaultPlan, Reader, Snapshot, Writer};
 
-/// Frame tag + version for crawl checkpoints.
+/// Frame tag + version for crawl checkpoints. Version 2 commits to each
+/// page body by digest in the report and carries bodies in a section of
+/// their own; a version 1 frame is refused.
 const CHECKPOINT_TAG: [u8; 4] = *b"WSCK";
-const CHECKPOINT_VERSION: u16 = 1;
+const CHECKPOINT_VERSION: u16 = 2;
 
 /// Per-crawl resilience configuration.
 ///
@@ -122,6 +124,13 @@ impl Snapshot for ResilienceStats {
 /// A sealed crawl checkpoint: the full crawler + report + retry state at
 /// a segment (round) boundary, framed with a magic tag, version, and
 /// checksum so corrupt or truncated snapshots are rejected on load.
+///
+/// The report commits to each page's net text by its digest
+/// ([`crate::CrawledPage::content_digest`]); the bodies themselves ride in
+/// a section after the state segments, from a first page on. A checkpoint
+/// from [`crate::CrawlSession::checkpoint`] or the cadence carries every
+/// body; one written by [`crate::CrawlSession::write_checkpoint`] (a live
+/// watermark's) carries only the bodies not yet drained downstream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrawlCheckpoint {
     frame: Vec<u8>,

@@ -30,7 +30,9 @@ use websift_serve::{ExtractionStore, StoreSnapshot};
 use websift_web::{SimulatedWeb, Url};
 
 use crate::incremental::IncrementalFlow;
-use crate::watermark::{CrawlSection, LiveMetrics, Sections, Watermark, WatermarkParts};
+use crate::watermark::{
+    CrawlSection, LiveMetrics, Sections, StoreSection, Watermark, WatermarkParts,
+};
 use crate::LiveError;
 
 /// The registry series [`LiveSession`] writes once per round: its
@@ -147,7 +149,10 @@ impl<'w> LiveSession<'w> {
     /// and the kinds of the `live.*` series the crawl frame restored into
     /// `observer` before any round writes them. The
     /// resumed session continues from round `watermark.rounds() + 1` and
-    /// replays byte-identically to a session that was never killed.
+    /// replays byte-identically to a session that was never killed. The
+    /// watermark carried no page body, so the resumed crawl report's
+    /// pre-kill pages have an empty `net_text` (their content digests
+    /// stay): their records went through the delta pass before the kill.
     pub fn resume_from(
         web: &'w SimulatedWeb,
         crawl_config: CrawlConfig,
@@ -299,18 +304,18 @@ impl<'w> LiveSession<'w> {
             .record(self.metrics.freshness_secs);
     }
 
-    /// Seals the round's watermark in one buffer: the crawl checkpoint is
-    /// written in place inside it, and one pass hashes the checkpoint's
-    /// checksum, the frontier digest and the watermark's checksum.
+    /// Seals the round's watermark in one buffer: the crawl checkpoint
+    /// (bodies from the drain cursor on, so none after `advance` drained
+    /// the round) and the store snapshot are written in place inside it,
+    /// and one pass hashes both nested checksums, the frontier and content
+    /// digests, and the watermark's checksum.
     fn seal_watermark(&self, round_id: u32) -> Watermark {
-        let snapshot = StoreSnapshot::capture(&self.store);
         Sections {
             rounds: round_id,
             crawl_round: self.crawl.round(),
             crawl: CrawlSection::Live(&self.crawl),
             agg_state: &self.flow.state_bytes(),
-            store_frame: snapshot.as_bytes(),
-            store_digest: self.store.content_digest(),
+            store: StoreSection::Live(&self.store),
             metrics: self.metrics.clone(),
         }
         .seal()
@@ -418,21 +423,34 @@ mod tests {
         ));
     }
 
-    /// The seal the in-place writer replaced: `checkpoint()`, the state
-    /// digest, the store snapshot and the aggregate state as separate
-    /// frames, copied into a payload encoded field by field and sealed by
-    /// hand around `codec::digest`.
+    /// The seal the in-place writer replaced, on the v2 layout: the crawl
+    /// checkpoint with bodies from the drain cursor on, the crawler's own
+    /// state digest, the store snapshot, the store's content digest and
+    /// the aggregate state as separate encodes, copied into a payload
+    /// encoded field by field, each frame sealed by hand around
+    /// `codec::digest`.
     mod reference {
         use super::*;
         use websift_resilience::{codec, Snapshot, Writer};
 
+        fn seal_frame(tag: &[u8; 4], version: u16, payload: &[u8]) -> Vec<u8> {
+            let mut frame = tag.to_vec();
+            frame.extend_from_slice(&version.to_le_bytes());
+            frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            frame.extend_from_slice(payload);
+            frame.extend_from_slice(&codec::digest(payload).to_le_bytes());
+            frame
+        }
+
         pub fn seal(session: &LiveSession<'_>) -> Vec<u8> {
-            let checkpoint = session.crawl.checkpoint();
+            let mut w = Writer::new();
+            let layout = session.crawl.write_checkpoint(&mut w);
+            let checkpoint = seal_frame(b"WSCK", 2, &w.into_bytes()[layout.frame.payload]);
             let snapshot = StoreSnapshot::capture(&session.store);
             let mut w = Writer::new();
             w.u32(session.round);
-            w.u64(checkpoint.round);
-            w.bytes(checkpoint.as_bytes());
+            w.u64(session.crawl.round());
+            w.bytes(&checkpoint);
             // the crawler's own encode of crawler and report, not the
             // payload segments the session hashes in place
             w.u64(session.crawl.crawler().state_digest(session.crawl.report()));
@@ -440,13 +458,7 @@ mod tests {
             w.bytes(snapshot.as_bytes());
             w.u64(session.store.content_digest());
             session.metrics.encode(&mut w);
-            let payload = w.into_bytes();
-            let mut frame = b"WSWM".to_vec();
-            frame.extend_from_slice(&1u16.to_le_bytes());
-            frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            frame.extend_from_slice(&codec::digest(&payload).to_le_bytes());
-            frame
+            seal_frame(b"WSWM", 2, &w.into_bytes())
         }
     }
 

@@ -1,11 +1,16 @@
-//! Sealed per-round watermark frames (`WSWM` v1).
+//! Sealed per-round watermark frames (`WSWM` v2).
 //!
 //! After every completed round a live session seals a **watermark**: a
 //! single self-describing frame capturing everything needed to replay
 //! the session from that point deterministically —
 //!
-//! - the crawler frontier as a sealed `WSCK` crawl-checkpoint frame plus
-//!   its state digest,
+//! - the crawler frontier as a sealed `WSCK` v2 crawl-checkpoint frame
+//!   plus its state digest. The frame's report commits to every page
+//!   body by digest but carries only the bodies of pages not yet drained
+//!   downstream — after a round, none: a page's body reaches the delta
+//!   pass once and is not sealed again, so a session resumed from a
+//!   watermark has no bodies for its pre-kill pages (empty `net_text`,
+//!   digests intact),
 //! - the retained incremental aggregate state
 //!   ([`crate::IncrementalFlow::state_bytes`]),
 //! - the serving store as a sealed `WSST` snapshot frame plus its
@@ -23,11 +28,13 @@
 use websift_crawler::CrawlSession;
 use websift_resilience::codec::{self, Chain};
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
+use websift_serve::{ExtractionStore, StoreSnapshot};
 
 /// Frame tag for a sealed watermark.
 pub const WATERMARK_TAG: [u8; 4] = *b"WSWM";
-/// Current watermark format version.
-pub const WATERMARK_VERSION: u16 = 1;
+/// Current watermark format version: 2 since the nested crawl frame is
+/// `WSCK` v2, which carries undrained page bodies only.
+pub const WATERMARK_VERSION: u16 = 2;
 
 /// Cumulative session metrics, carried inside every watermark so a
 /// resumed session continues the counters rather than restarting them.
@@ -104,23 +111,38 @@ pub(crate) enum CrawlSection<'a, 'w> {
     Live(&'a CrawlSession<'w>),
 }
 
+/// Where a watermark's store frame and content digest come from.
+pub(crate) enum StoreSection<'a> {
+    /// A sealed `WSST` frame and the store's content digest, written as
+    /// they are.
+    Sealed { frame: &'a [u8], store_digest: u64 },
+    /// The session's store, its snapshot written in place; its checksum
+    /// and the content digest are hashed in the watermark's one pass.
+    Live(&'a ExtractionStore),
+}
+
 /// A watermark's sections, borrowed: the payload layout lives in
-/// [`Sections::seal`] and [`Sections::read`] alone.
+/// [`Sections::seal`] and [`SealedSections::read`] alone.
 pub(crate) struct Sections<'a, 'w> {
     pub rounds: u32,
     pub crawl_round: u64,
     pub crawl: CrawlSection<'a, 'w>,
     pub agg_state: &'a [u8],
-    pub store_frame: &'a [u8],
-    pub store_digest: u64,
+    pub store: StoreSection<'a>,
     pub metrics: LiveMetrics,
 }
+
+/// The chain of a section copied in sealed: nothing to hash in it but
+/// the watermark checksum.
+const SEALED: Chain<'static> = Chain { ranges: &[], slot: None };
 
 impl Sections<'_, '_> {
     /// Writes the `WSWM` frame in one buffer and hashes it in one pass:
     /// the nested crawl frame's checksum, the frontier digest over that
-    /// frame's crawler and report segments, then the watermark checksum
-    /// over the whole payload, both slots included.
+    /// frame's crawler and report segments, the nested store frame's
+    /// checksum, the store's content digest over that frame's content,
+    /// then the watermark checksum over the whole payload, every slot
+    /// included.
     pub(crate) fn seal(&self) -> Watermark {
         let mut w = Writer::new();
         let payload = codec::begin_frame(&mut w, WATERMARK_TAG, WATERMARK_VERSION);
@@ -138,32 +160,60 @@ impl Sections<'_, '_> {
         let frontier_slot = w.len();
         w.u64(frontier_digest);
         w.bytes(self.agg_state);
-        w.bytes(self.store_frame);
-        w.u64(self.store_digest);
+        let store_frame = w.begin_bytes();
+        let (store, store_digest) = match self.store {
+            StoreSection::Sealed { frame, store_digest } => {
+                w.raw(frame);
+                (None, store_digest)
+            }
+            StoreSection::Live(store) => (Some(StoreSnapshot::write(store, &mut w)), 0),
+        };
+        w.end_bytes(store_frame);
+        let digest_slot = w.len();
+        w.u64(store_digest);
         self.metrics.encode(&mut w);
         let outer = codec::end_frame(&mut w, payload);
         let mut frame = w.into_bytes();
-        match live {
-            Some(crawl) => {
-                let frontier = Chain { ranges: &crawl.state, slot: Some(frontier_slot) };
-                let chains = [crawl.frame.checksum_chain(), frontier, outer.checksum_chain()];
-                codec::hash_chains(&mut frame, chains);
-            }
-            None => {
-                codec::hash_chains(&mut frame, [outer.checksum_chain()]);
-            }
-        }
+        let [crawl_sum, frontier] = match &live {
+            Some(crawl) => [
+                crawl.frame.checksum_chain(),
+                Chain { ranges: &crawl.state, slot: Some(frontier_slot) },
+            ],
+            None => [SEALED; 2],
+        };
+        let [store_sum, content] = match &store {
+            Some(store) => [
+                store.frame.checksum_chain(),
+                Chain { ranges: std::slice::from_ref(&store.content), slot: Some(digest_slot) },
+            ],
+            None => [SEALED; 2],
+        };
+        let chains = [crawl_sum, frontier, store_sum, content, outer.checksum_chain()];
+        codec::hash_chains(&mut frame, chains);
         Watermark { frame }
     }
 }
 
-impl<'a> Sections<'a, 'static> {
+/// The sections of a sealed watermark, borrowed from its payload.
+struct SealedSections<'a> {
+    rounds: u32,
+    crawl_round: u64,
+    crawl_frame: &'a [u8],
+    frontier_digest: u64,
+    agg_state: &'a [u8],
+    store_frame: &'a [u8],
+    store_digest: u64,
+    metrics: LiveMetrics,
+}
+
+impl<'a> SealedSections<'a> {
     /// Reads a watermark payload, borrowing its byte sections.
-    fn read(r: &mut Reader<'a>) -> Result<Sections<'a, 'static>, CodecError> {
-        Ok(Sections {
+    fn read(r: &mut Reader<'a>) -> Result<SealedSections<'a>, CodecError> {
+        Ok(SealedSections {
             rounds: r.u32()?,
             crawl_round: r.u64()?,
-            crawl: CrawlSection::Sealed { frame: r.slice()?, frontier_digest: r.u64()? },
+            crawl_frame: r.slice()?,
+            frontier_digest: r.u64()?,
             agg_state: r.slice()?,
             store_frame: r.slice()?,
             store_digest: r.u64()?,
@@ -179,7 +229,7 @@ pub struct Watermark {
 }
 
 impl Watermark {
-    /// Seals `parts` into a `WSWM` v1 frame.
+    /// Seals `parts` into a `WSWM` v2 frame.
     pub fn seal(parts: &WatermarkParts) -> Watermark {
         Sections {
             rounds: parts.rounds,
@@ -189,8 +239,10 @@ impl Watermark {
                 frontier_digest: parts.frontier_digest,
             },
             agg_state: &parts.agg_state,
-            store_frame: &parts.store_frame,
-            store_digest: parts.store_digest,
+            store: StoreSection::Sealed {
+                frame: &parts.store_frame,
+                store_digest: parts.store_digest,
+            },
             metrics: parts.metrics.clone(),
         }
         .seal()
@@ -202,7 +254,7 @@ impl Watermark {
     pub fn from_bytes(frame: Vec<u8>) -> Result<Watermark, CodecError> {
         let payload = codec::open(WATERMARK_TAG, WATERMARK_VERSION, &frame)?;
         let mut r = Reader::new(payload);
-        Sections::read(&mut r)?;
+        SealedSections::read(&mut r)?;
         if !r.is_empty() {
             return Err(CodecError::Truncated { what: "trailing watermark bytes" });
         }
@@ -216,26 +268,20 @@ impl Watermark {
 
     /// The payload's sections, borrowed from the frame: no checksum pass
     /// and no copy, since the frame was verified when it was built.
-    fn sections(&self) -> Sections<'_, 'static> {
+    fn sections(&self) -> SealedSections<'_> {
         let mut r = Reader::new(codec::opened_payload(&self.frame));
         // lint:allow(untrusted_unwrap): from_bytes decoded these parts in full to accept them
-        Sections::read(&mut r).expect("verified at construction")
+        SealedSections::read(&mut r).expect("verified at construction")
     }
 
     /// Decodes the frame contents.
     pub fn parts(&self) -> WatermarkParts {
         let s = self.sections();
-        let (crawl_frame, frontier_digest) = match s.crawl {
-            CrawlSection::Sealed { frame, frontier_digest } => (frame.to_vec(), frontier_digest),
-            CrawlSection::Live(session) => {
-                (session.checkpoint().as_bytes().to_vec(), session.state_digest())
-            }
-        };
         WatermarkParts {
             rounds: s.rounds,
             crawl_round: s.crawl_round,
-            crawl_frame,
-            frontier_digest,
+            crawl_frame: s.crawl_frame.to_vec(),
+            frontier_digest: s.frontier_digest,
             agg_state: s.agg_state.to_vec(),
             store_frame: s.store_frame.to_vec(),
             store_digest: s.store_digest,
@@ -372,6 +418,15 @@ mod tests {
                 watermark.parts();
             }
         }
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused() {
+        let v1 = codec::seal(WATERMARK_TAG, 1, &sample_payload());
+        assert_eq!(
+            Watermark::from_bytes(v1).err(),
+            Some(CodecError::BadVersion { expected: 2, found: 1 })
+        );
     }
 
     #[test]

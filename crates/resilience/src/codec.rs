@@ -14,7 +14,7 @@
 //!   checkpoint files fail loudly instead of resuming from garbage;
 //! - frames written in place ([`begin_frame`] / [`end_frame`]), nested
 //!   frames included, and hashed afterwards by [`hash_chains`]: up to
-//!   three FNV-1a chains in one pass over the buffer, each result written
+//!   five FNV-1a chains in one pass over the buffer, each result written
 //!   into its slot before any later chain reads it.
 
 use std::fmt;
@@ -35,11 +35,11 @@ pub enum CodecError {
     BadUtf8,
     /// An enum discriminant had no mapping.
     BadTag { what: &'static str, tag: u8 },
-    /// A decoded value does not fit the platform type it targets
-    /// (e.g. a 64-bit length on a 32-bit host).
+    /// A decoded value is out of the range its target admits (e.g. a
+    /// 64-bit length on a 32-bit host, or an index past its collection).
     Oversize { what: &'static str, value: u64 },
-    /// A value the caller kept beside the frame disagrees with the one
-    /// sealed inside it.
+    /// A value the caller kept beside the frame, or a digest the frame
+    /// commits to, disagrees with what the sealed bytes hold.
     Mismatch { what: &'static str, claimed: u64, sealed: u64 },
 }
 
@@ -66,10 +66,10 @@ impl fmt::Display for CodecError {
                 write!(f, "unknown {what} discriminant {tag} in checkpoint")
             }
             CodecError::Oversize { what, value } => {
-                write!(f, "checkpoint {what} value {value} does not fit this platform")
+                write!(f, "checkpoint {what} value {value} is out of range")
             }
             CodecError::Mismatch { what, claimed, sealed } => {
-                write!(f, "{what} mismatch: caller claims {claimed}, frame holds {sealed}")
+                write!(f, "{what} mismatch: {claimed} claimed, {sealed} sealed")
             }
         }
     }
@@ -322,7 +322,7 @@ pub struct Chain<'a> {
 }
 
 /// The most chains one [`hash_chains`] pass advances.
-const MAX_CHAINS: usize = 3;
+const MAX_CHAINS: usize = 5;
 
 /// Hashes every chain over `buf` in one pass and returns the results in
 /// chain order. The result is what hashing the chains one after another
@@ -337,7 +337,7 @@ const MAX_CHAINS: usize = 3;
 /// writes a slot as soon as its chain's last range is hashed, before any
 /// byte past that point is read.
 pub fn hash_chains<const N: usize>(buf: &mut [u8], chains: [Chain<'_>; N]) -> [u64; N] {
-    const { assert!(N <= MAX_CHAINS, "hash_chains advances at most three chains") };
+    const { assert!(N <= MAX_CHAINS, "hash_chains advances at most five chains") };
     check_layout(buf.len(), &chains);
     let mut h = [FNV_OFFSET; N];
     // per chain: its current range, and whether its slot was written
@@ -377,7 +377,9 @@ pub fn hash_chains<const N: usize>(buf: &mut [u8], chains: [Chain<'_>; N]) -> [u
             0 => {}
             1 => lanes::<1, N>(&mut h, &active, bytes),
             2 => lanes::<2, N>(&mut h, &active, bytes),
-            _ => lanes::<3, N>(&mut h, &active, bytes),
+            3 => lanes::<3, N>(&mut h, &active, bytes),
+            4 => lanes::<4, N>(&mut h, &active, bytes),
+            _ => lanes::<5, N>(&mut h, &active, bytes),
         }
         pos = end;
     }
@@ -695,7 +697,9 @@ mod tests {
                 [a] => hash_chains(buf, [a]).to_vec(),
                 [a, b] => hash_chains(buf, [a, b]).to_vec(),
                 [a, b, c] => hash_chains(buf, [a, b, c]).to_vec(),
-                _ => unreachable!("one to three chains"),
+                [a, b, c, d] => hash_chains(buf, [a, b, c, d]).to_vec(),
+                [a, b, c, d, e] => hash_chains(buf, [a, b, c, d, e]).to_vec(),
+                _ => unreachable!("one to five chains"),
             }
         }
 
@@ -704,7 +708,7 @@ mod tests {
             fn differential_lockstep_chains_equal_separate_fnv1a(
                 seed in 0u64..u64::MAX,
                 len in 0usize..600,
-                n in 1usize..4,
+                n in 1usize..=MAX_CHAINS,
             ) {
                 let mut d = Draw(seed);
                 let original: Vec<u8> = (0..len).map(|_| d.next() as u8).collect();

@@ -9,9 +9,10 @@
 //! original would have: kill-and-resume mid-ingest is byte-identical to
 //! an uninterrupted run.
 
-use websift_resilience::{
-    codec, CodecError, Reader, Snapshot, Writer,
-};
+use std::ops::Range;
+
+use websift_resilience::codec::{self, FrameSlots};
+use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 
 use crate::store::{ExtractionStore, Method, Posting, PostingKey, MAX_SHARDS};
 
@@ -75,14 +76,17 @@ impl Snapshot for Posting {
     }
 }
 
-/// Encodes the store's configuration, then its logical content.
-fn encode_store(store: &ExtractionStore, w: &mut Writer) {
+/// Encodes the store's configuration, then its logical content, and
+/// returns where the content landed in `w`.
+fn encode_store(store: &ExtractionStore, w: &mut Writer) -> Range<usize> {
     w.str(store.name());
     w.usize(store.shard_count());
     w.u32(store.round());
     w.u64(store.ingested_records());
     w.u64(store.ignored_records());
+    let content = w.len();
     encode_content(store, w);
+    content..w.len()
 }
 
 /// Encodes the store's logical content: the key count, then each key and
@@ -139,14 +143,34 @@ pub struct StoreSnapshot {
     frame: Vec<u8>,
 }
 
+/// A store snapshot frame written in place by [`StoreSnapshot::write`],
+/// not yet hashed: where its payload and checksum slot lie in the
+/// writer's buffer, and the content bytes the store's
+/// [`ExtractionStore::content_digest`] hashes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotLayout {
+    pub frame: FrameSlots,
+    pub content: Range<usize>,
+}
+
 impl StoreSnapshot {
     /// Captures `store` into a sealed frame.
     pub fn capture(store: &ExtractionStore) -> StoreSnapshot {
         let mut w = Writer::new();
-        encode_store(store, &mut w);
-        StoreSnapshot {
-            frame: codec::seal(STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION, &w.into_bytes()),
-        }
+        let layout = StoreSnapshot::write(store, &mut w);
+        let mut frame = w.into_bytes();
+        codec::hash_chains(&mut frame, [layout.frame.checksum_chain()]);
+        StoreSnapshot { frame }
+    }
+
+    /// Writes the [`StoreSnapshot::capture`] frame of `store` in place in
+    /// `w`, checksum slot left zero, for a caller that hashes it inside a
+    /// larger frame: hashing the layout's `frame` chain seals it, and
+    /// hashing its `content` range gives the store's content digest.
+    pub fn write(store: &ExtractionStore, w: &mut Writer) -> SnapshotLayout {
+        let payload = codec::begin_frame(w, STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION);
+        let content = encode_store(store, w);
+        SnapshotLayout { frame: codec::end_frame(w, payload), content }
     }
 
     /// Wraps bytes read back from storage, verifying tag, version, and
@@ -316,6 +340,33 @@ mod tests {
         let empty = ExtractionStore::new("empty", 2);
         let payload = payload_of(&StoreSnapshot::capture(&empty));
         assert_eq!(empty.content_digest(), codec::digest(&payload[payload.len() - 8..]));
+    }
+
+    /// A frame written in place inside a larger buffer seals to the frame
+    /// `codec::seal` makes of the encoded store, as `capture` does, and
+    /// its content range hashes to the content digest.
+    #[test]
+    fn a_snapshot_written_in_place_is_the_sealed_encoding() {
+        for store in [sample_store(4), ExtractionStore::new("empty", 2)] {
+            let mut w = Writer::new();
+            w.str("prefix");
+            let at = w.len();
+            let layout = StoreSnapshot::write(&store, &mut w);
+            w.u64(7);
+            let mut buf = w.into_bytes();
+            let chains = [
+                layout.frame.checksum_chain(),
+                codec::Chain { ranges: std::slice::from_ref(&layout.content), slot: None },
+            ];
+            let [_, content] = codec::hash_chains(&mut buf, chains);
+            let mut payload = Writer::new();
+            encode_store(&store, &mut payload);
+            let sealed =
+                codec::seal(STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION, &payload.into_bytes());
+            assert_eq!(&buf[at..buf.len() - 8], &sealed[..]);
+            assert_eq!(StoreSnapshot::capture(&store).as_bytes(), &sealed[..]);
+            assert_eq!(content, store.content_digest());
+        }
     }
 
     #[test]

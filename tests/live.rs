@@ -9,13 +9,16 @@
 //! - retained reduce output: incremental fold ≡ batch Reduce over the
 //!   cumulative corpus, across DoP;
 //! - watermark frames, metrics, trace JSONL: kill + resume ≡
-//!   uninterrupted, including under injected crawl faults.
+//!   uninterrupted, including under injected crawl faults;
+//! - a watermark's crawl frame carries no page body: every page reached
+//!   the delta pass before the seal.
 
 use std::sync::Arc;
 
 use websift::corpus::{CorpusKind, Document, LexiconScale};
 use websift::crawler::{
-    train_focus_classifier, CrawlConfig, CrawlSession, FocusedCrawler, ResilienceOptions,
+    train_focus_classifier, CrawlCheckpoint, CrawlConfig, CrawlReport, CrawlSession,
+    FocusedCrawler, ResilienceOptions,
 };
 use websift::flow::{
     AggState, Aggregate, ExecutionError, IeResources, LogicalPlan, Operator, Package, Record,
@@ -26,7 +29,7 @@ use websift::observe::{Labels, Observer};
 use websift::pipeline::{
     documents_from_pages, documents_to_records, live_extraction_flow, run_over_documents_into,
 };
-use websift::resilience::{CodecError, Reader, Snapshot, Writer};
+use websift::resilience::{codec, CodecError, Reader, Snapshot, Writer};
 use websift::serve::{parse_query, ExtractionStore, QueryEngine};
 use websift::web::{PageId, SimulatedWeb, Url, WebGraph, WebGraphConfig};
 
@@ -252,6 +255,73 @@ fn fault_injected_sessions_replay_identically_across_seeds() {
     }
 }
 
+/// A report's pages as URL, committed digest and body.
+fn pages_of(report: &CrawlReport) -> Vec<(String, u64, String)> {
+    let pages = report.relevant.iter().chain(&report.irrelevant);
+    pages.map(|p| (p.url.to_string(), p.content_digest, p.net_text.clone())).collect()
+}
+
+/// Every watermark's crawl frame carries no page body: the crawl resumed
+/// from it holds every page the session accepted, by URL and committed
+/// digest, with an empty body, and hands out none of them again. And a
+/// session resumed from any round's watermark seals the uninterrupted
+/// session's bytes for every later round — at DoP 1 and 2, and under
+/// injected crawl faults.
+#[test]
+fn watermarks_carry_no_body_and_resume_from_any_round() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let injected = ResilienceOptions::injected(0x77, 0.05, 2);
+    for (options, dop) in
+        [(ResilienceOptions::default(), 1), (ResilienceOptions::default(), 2), (injected, 2)]
+    {
+        let what = format!("dop {dop}, faults {}", options.faults.is_some());
+        let mut straight = start_session(&web, &plan, &options, dop);
+        let mut marks: Vec<Watermark> = Vec::new();
+        while let Some(round) = straight.advance().expect("round advances") {
+            let parts = round.watermark.parts();
+            let frame = CrawlCheckpoint::from_bytes(parts.crawl_round, parts.crawl_frame)
+                .expect("the crawl frame verifies");
+            let mut crawl = CrawlSession::resume(
+                &web,
+                &frame,
+                crawl_config(),
+                &options,
+                None,
+                Arc::new(Observer::new()),
+            )
+            .expect("the crawl resumes from the watermark's frame");
+            let accepted = pages_of(straight.crawl().report());
+            assert!(accepted.iter().all(|(_, _, body)| !body.is_empty()));
+            let bare: Vec<_> =
+                accepted.into_iter().map(|(url, digest, _)| (url, digest, String::new())).collect();
+            assert_eq!(pages_of(crawl.report()), bare, "{what}: round {} carries a body", round.round);
+            let (rel, irr) = crawl.take_new_pages();
+            assert!(rel.is_empty() && irr.is_empty(), "{what}: resume re-delivered old pages");
+            marks.push(round.watermark);
+        }
+        assert!(marks.len() >= 3, "{what}: crawl ended after {} rounds", marks.len());
+
+        for (k, mark) in marks.iter().enumerate() {
+            let mut resumed = LiveSession::resume_from(
+                &web,
+                crawl_config(),
+                &options,
+                &plan,
+                LiveOptions { dop, ..LiveOptions::default() },
+                Arc::new(Observer::new()),
+                mark,
+            )
+            .expect("session resumes from its watermark");
+            let mut tail: Vec<Watermark> = Vec::new();
+            while let Some(round) = resumed.advance().expect("resumed round advances") {
+                tail.push(round.watermark);
+            }
+            assert_eq!(tail[..], marks[k + 1..], "{what}: resumed after round {}", k + 1);
+        }
+    }
+}
+
 #[test]
 fn watermark_with_an_edited_crawl_round_does_not_resume() {
     let web = tiny_web();
@@ -279,6 +349,45 @@ fn watermark_with_an_edited_crawl_round_does_not_resume() {
             assert_eq!((claimed, sealed), (99, sealed_round));
         }
         other => panic!("edited crawl_round resumed or failed untyped: {other:?}"),
+    }
+}
+
+/// A watermark whose crawl frame carries a page body that is not the one
+/// its page commits to is refused at resume with a typed error — here the
+/// frame of `checkpoint()`, which carries every body, one byte changed and
+/// resealed so every checksum holds.
+#[test]
+fn watermark_carrying_a_forged_page_body_does_not_resume() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let options = ResilienceOptions::default();
+    let mut session = start_session(&web, &plan, &options, 2);
+    let sealed = session.advance().expect("round advances").expect("round exists").watermark;
+
+    let page = &session.crawl().report().relevant[0];
+    let frame = session.crawl().checkpoint();
+    let mut payload =
+        codec::open(*b"WSCK", 2, frame.as_bytes()).expect("a sealed checkpoint opens").to_vec();
+    let body = page.net_text.as_bytes();
+    let at = payload.windows(body.len()).position(|w| w == body).expect("the frame carries it");
+    payload[at] = if payload[at] == b'a' { b'b' } else { b'a' };
+    let forged = codec::digest(&payload[at..at + body.len()]);
+    let mut parts = sealed.parts();
+    parts.crawl_frame = codec::seal(*b"WSCK", 2, &payload);
+    let resumed = LiveSession::resume_from(
+        &web,
+        crawl_config(),
+        &options,
+        &plan,
+        LiveOptions::default(),
+        Arc::new(Observer::new()),
+        &Watermark::seal(&parts),
+    );
+    match resumed.err() {
+        Some(LiveError::Codec(CodecError::Mismatch { what: "page body digest", claimed, sealed })) => {
+            assert_eq!((claimed, sealed), (page.content_digest, forged));
+        }
+        other => panic!("a forged page body resumed or failed untyped: {other:?}"),
     }
 }
 
