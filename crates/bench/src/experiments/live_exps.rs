@@ -106,8 +106,9 @@ pub struct LiveReport {
     /// Incremental cost/new-doc < recompute cost/new-doc for every
     /// round >= 2 at every DoP (simulated seconds).
     pub incremental_wins: bool,
-    /// Page bodies carried by the crawl frames of every watermark of
-    /// every run: zero when each round drains its pages before the seal.
+    /// Page bodies carried by the crawl frames of the first run's
+    /// watermarks: zero when each round drains its pages before the seal.
+    /// The crawl does not depend on the DoP, so one run stands for all.
     pub watermark_bodies: usize,
     /// Size of the first run's last watermark.
     pub watermark_bytes_last: usize,
@@ -139,8 +140,6 @@ fn crawl_config(max_pages: usize) -> CrawlConfig {
 struct SessionRun {
     samples: Vec<RoundSample>,
     watermarks: Vec<Watermark>,
-    /// Page bodies the watermarks' crawl frames carry, summed.
-    watermark_bodies: usize,
     net_text_bytes: usize,
     cumulative: Vec<Document>,
     final_digest: u64,
@@ -231,7 +230,6 @@ fn run_session(
     let cumulative = documents_from_pages(&report.relevant, CorpusKind::RelevantWeb, 0);
     let pages = report.relevant.iter().chain(&report.irrelevant);
     SessionRun {
-        watermark_bodies: watermarks.iter().map(|w| carried_bodies(web, max_pages, w)).sum(),
         net_text_bytes: pages.map(|p| p.net_text.len()).sum(),
         final_digest: session.store().content_digest(),
         postings: session.store().posting_count(),
@@ -422,7 +420,7 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
         resume_agrees: resume_ok,
         dop_invariant,
         incremental_wins,
-        watermark_bodies: runs.iter().map(|r| r.watermark_bodies).sum(),
+        watermark_bodies: base.watermarks.iter().map(|w| carried_bodies(&web, max_pages, w)).sum(),
         watermark_bytes_last: base.watermarks.last().map_or(0, Watermark::size_bytes),
         net_text_bytes: base.net_text_bytes,
     }

@@ -206,9 +206,10 @@ pub struct CrawledPage {
 }
 
 /// A page's state encoding commits to its body by `content_digest` and
-/// leaves `net_text` out: it decodes empty, and a checkpoint carries the
-/// bodies a resume needs in a section of their own (see
-/// [`FocusedCrawler::write_payload`]).
+/// leaves `net_text` out, so it does not round-trip: `decode` returns the
+/// page with an empty `net_text`. A checkpoint carries the bodies a
+/// resume needs in a section of their own ([`write_bodies`] and
+/// [`read_bodies`]).
 impl Snapshot for CrawledPage {
     fn encode(&self, w: &mut Writer) {
         self.url.encode(w);
@@ -368,14 +369,18 @@ impl Snapshot for RetryState {
 }
 
 /// Everything the crawl loop mutates besides the crawler itself: a round
-/// reads and writes all four, a checkpoint frame is the crawler plus the
-/// first three.
+/// reads and writes the first four, a checkpoint frame is the crawler plus
+/// the first three and the bodies from `bodies_from` on.
 struct LoopState {
     report: CrawlReport,
     filters: FilterChain,
     rt: RetryState,
     /// Cadence checkpoints taken so far.
     checkpoints: Vec<CrawlCheckpoint>,
+    /// Per list (relevant, irrelevant), the first page whose body this
+    /// crawl holds: 0 for a fresh crawl, the frame's body cursors for a
+    /// resumed one, whose earlier pages came back without a body.
+    bodies_from: [usize; 2],
 }
 
 impl LoopState {
@@ -385,6 +390,7 @@ impl LoopState {
             filters: FilterChain::new(config.filters),
             rt: RetryState::new(options),
             checkpoints: Vec::new(),
+            bodies_from: [0, 0],
         }
     }
 }
@@ -509,13 +515,8 @@ impl<'w> FocusedCrawler<'w> {
         st.report.encode(w);
         let report = start..w.len();
         st.rt.encode(w);
-        let lists = [&st.report.relevant, &st.report.irrelevant];
-        for (pages, from) in lists.into_iter().zip(bodies_from) {
-            w.usize(from);
-            for page in &pages[from..] {
-                w.str(&page.net_text);
-            }
-        }
+        write_bodies(w, &st.report.relevant, bodies_from[0]);
+        write_bodies(w, &st.report.irrelevant, bodies_from[1]);
         // registry state rides in the frame so resumed crawls continue
         // their metrics bit-identically
         self.observer.registry().snapshot().encode(w);
@@ -533,11 +534,11 @@ impl<'w> FocusedCrawler<'w> {
         CheckpointLayout { frame, state }
     }
 
-    /// A sealed checkpoint carrying every page body, so a crawl resumed
-    /// from it gets its full report back.
+    /// A sealed checkpoint carrying every page body the crawl holds, so a
+    /// crawl resumed from it gets the report back as it is here.
     fn take_checkpoint(&self, st: &LoopState) -> CrawlCheckpoint {
         let mut w = Writer::new();
-        let layout = self.write_checkpoint(st, [0, 0], &mut w);
+        let layout = self.write_checkpoint(st, st.bodies_from, &mut w);
         let mut frame = w.into_bytes();
         codec::hash_chains(&mut frame, [layout.frame.checksum_chain()]);
         CrawlCheckpoint::from_sealed(st.rt.round, frame)
@@ -902,10 +903,20 @@ impl<'w> FocusedCrawler<'w> {
     }
 }
 
-/// Reads one page list's body section (see
-/// [`FocusedCrawler::write_payload`]) into `pages`, each body checked
-/// against the digest its page commits to.
-fn read_bodies(r: &mut Reader<'_>, pages: &mut [CrawledPage]) -> Result<(), CodecError> {
+/// Writes one page list's body section of a checkpoint payload (see
+/// [`FocusedCrawler::write_payload`]): the cursor `from`, then the net
+/// text of every page from there on.
+fn write_bodies(w: &mut Writer, pages: &[CrawledPage], from: usize) {
+    w.usize(from);
+    for page in &pages[from..] {
+        w.str(&page.net_text);
+    }
+}
+
+/// Reads one page list's body section, as [`write_bodies`] wrote it, into
+/// `pages`, each body checked against the digest its page commits to,
+/// and returns the cursor: the pages before it keep an empty `net_text`.
+fn read_bodies(r: &mut Reader<'_>, pages: &mut [CrawledPage]) -> Result<usize, CodecError> {
     let from = r.usize()?;
     let Some(carried) = pages.get_mut(from..) else {
         return Err(CodecError::Oversize { what: "page body cursor", value: from as u64 });
@@ -922,7 +933,7 @@ fn read_bodies(r: &mut Reader<'_>, pages: &mut [CrawledPage]) -> Result<(), Code
         }
         page.net_text = body;
     }
-    Ok(())
+    Ok(from)
 }
 
 /// A stepping handle over a focused crawl: the same loop as
@@ -979,11 +990,12 @@ impl<'w> CrawlSession<'w> {
     ///
     /// A page keeps its net text only if the frame carried its body:
     /// [`CrawlSession::checkpoint`] and cadence checkpoints carry every
-    /// body, so a batch crawl resumed from one gets its full report back;
-    /// a live watermark's frame carries only the bodies not yet drained
-    /// downstream, which after a round is none, so a session resumed from
-    /// a watermark has no bodies for its pre-kill pages (their
-    /// `net_text` is empty; their `content_digest` stays).
+    /// body the session holds, so a batch crawl resumed from one gets its
+    /// full report back; a live watermark's frame carries only the bodies
+    /// not yet drained downstream, which after a round is none, so a
+    /// session resumed from a watermark has no bodies for its pre-kill
+    /// pages (their `net_text` is empty; their `content_digest` stays),
+    /// and neither do the frames it writes later.
     ///
     /// `config` and `options` must match the original crawl's for the
     /// resumed run to reproduce it (they are deliberately not stored in
@@ -1017,8 +1029,8 @@ impl<'w> CrawlSession<'w> {
         filters.restore_stats(FilterStats::decode(&mut r)?);
         let mut report = CrawlReport::decode(&mut r)?;
         let rt = RetryState::decode(&mut r)?;
-        read_bodies(&mut r, &mut report.relevant)?;
-        read_bodies(&mut r, &mut report.irrelevant)?;
+        let relevant_from = read_bodies(&mut r, &mut report.relevant)?;
+        let bodies_from = [relevant_from, read_bodies(&mut r, &mut report.irrelevant)?];
         let registry = RegistrySnapshot::decode(&mut r)?;
         if !r.is_empty() {
             return Err(CodecError::Truncated { what: "trailing checkpoint bytes" });
@@ -1054,7 +1066,7 @@ impl<'w> CrawlSession<'w> {
                 feedback,
                 observer,
             },
-            state: LoopState { report, filters, rt, checkpoints: Vec::new() },
+            state: LoopState { report, filters, rt, checkpoints: Vec::new(), bodies_from },
             options: options.clone(),
             done: false,
         })
@@ -1097,10 +1109,12 @@ impl<'w> CrawlSession<'w> {
         self.drained[0]
     }
 
-    /// Seals the complete crawler + loop state, every page body included,
-    /// into the standard crawl checkpoint frame — the very bytes a
-    /// cadence checkpoint at this round would be, so either kind can
-    /// resume a session.
+    /// Seals the complete crawler + loop state, every page body the
+    /// session holds included, into the standard crawl checkpoint frame —
+    /// the very bytes a cadence checkpoint at this round would be, so
+    /// either kind can resume a session. A session resumed from a frame
+    /// without some bodies holds none for those pages, so its frames
+    /// carry the bodies from the resumed frame's cursors on.
     pub fn checkpoint(&self) -> CrawlCheckpoint {
         self.crawler.take_checkpoint(&self.state)
     }
@@ -1114,7 +1128,9 @@ impl<'w> CrawlSession<'w> {
     /// it, and hashing its `state` segments gives
     /// [`CrawlSession::state_digest`].
     pub fn write_checkpoint(&self, w: &mut Writer) -> CheckpointLayout {
-        self.crawler.write_checkpoint(&self.state, self.drained, w)
+        let [held, drained] = [self.state.bodies_from, self.drained];
+        let from = [held[0].max(drained[0]), held[1].max(drained[1])];
+        self.crawler.write_checkpoint(&self.state, from, w)
     }
 
     /// Rounds completed so far.
@@ -1553,13 +1569,8 @@ mod tests {
             st.filters.stats().encode(&mut w);
             st.report.encode(&mut w);
             st.rt.encode(&mut w);
-            let lists = [&st.report.relevant, &st.report.irrelevant];
-            for (pages, from) in lists.into_iter().zip(bodies_from) {
-                w.usize(from);
-                for page in &pages[from..] {
-                    w.str(&page.net_text);
-                }
-            }
+            write_bodies(&mut w, &st.report.relevant, bodies_from[0]);
+            write_bodies(&mut w, &st.report.irrelevant, bodies_from[1]);
             crawler.observer.registry().snapshot().encode(&mut w);
             let payload = w.into_bytes();
             let mut frame = b"WSCK".to_vec();
@@ -2129,6 +2140,53 @@ mod tests {
         assert_eq!(bare.state_digest(), session.state_digest());
         let (rel, irr) = bare.take_new_pages();
         assert!(rel.is_empty() && irr.is_empty(), "resume re-delivered old pages");
+    }
+
+    /// A session resumed from a frame without bodies (a live watermark's
+    /// crawl frame) holds no body for its earlier pages, so its
+    /// `checkpoint()` and cadence frames carry the bodies from the resumed
+    /// frame's cursors on: both resume, to the session's own pages, and
+    /// run to the uninterrupted crawl's end state.
+    #[test]
+    fn frames_of_a_session_resumed_without_bodies_resume() {
+        let (web, nb) = setup();
+        let seeds = biomedical_seeds(&web, 20);
+        let opts = ResilienceOptions::injected(0xB0D2, 0.05, 2);
+        let start = |nb: NaiveBayes| {
+            let crawler = FocusedCrawler::new(&web, nb, resilient_config());
+            CrawlSession::start(crawler, seeds.clone(), &opts)
+        };
+        let resume = |frame: &CrawlCheckpoint| {
+            let observer = Arc::new(Observer::new());
+            CrawlSession::resume(&web, frame, resilient_config(), &opts, None, observer)
+        };
+        let mut straight = start(nb.clone());
+        while straight.step_round() {}
+
+        let mut victim = start(nb);
+        while victim.round() < 3 && victim.step_round() {}
+        victim.take_new_pages();
+        let mut w = Writer::new();
+        let layout = victim.write_checkpoint(&mut w);
+        let mut bytes = w.into_bytes();
+        codec::hash_chains(&mut bytes, [layout.frame.checksum_chain()]);
+        let mut resumed = resume(&CrawlCheckpoint::from_bytes(3, bytes).unwrap()).unwrap();
+        while resumed.round() < 6 && resumed.step_round() {}
+        let bodies: Vec<bool> =
+            pages_of(resumed.report()).iter().map(|(_, _, body)| !body.is_empty()).collect();
+        assert!(bodies.contains(&false) && bodies.contains(&true), "{bodies:?}");
+
+        let cadence = resumed.take_cadence_checkpoints().pop().expect("no cadence frame");
+        assert_eq!(cadence.round, 6);
+        let checkpoint = resumed.checkpoint();
+        assert_eq!(cadence.as_bytes(), checkpoint.as_bytes());
+        for frame in [&cadence, &checkpoint] {
+            let mut again = resume(frame).expect("a resumed session's frame resumes");
+            assert_eq!(pages_of(again.report()), pages_of(resumed.report()));
+            assert_eq!(again.state_digest(), resumed.state_digest());
+            while again.step_round() {}
+            assert_eq!(again.state_digest(), straight.state_digest());
+        }
     }
 
     #[test]

@@ -129,7 +129,8 @@ impl Snapshot for ResilienceStats {
 /// ([`crate::CrawledPage::content_digest`]); the bodies themselves ride in
 /// a section after the state segments, from a first page on. A checkpoint
 /// from [`crate::CrawlSession::checkpoint`] or the cadence carries every
-/// body; one written by [`crate::CrawlSession::write_checkpoint`] (a live
+/// body the crawl holds (all of them, unless it was resumed from a frame
+/// without some); one written by [`crate::CrawlSession::write_checkpoint`] (a live
 /// watermark's) carries only the bodies not yet drained downstream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrawlCheckpoint {

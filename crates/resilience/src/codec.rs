@@ -324,6 +324,11 @@ pub struct Chain<'a> {
 /// The most chains one [`hash_chains`] pass advances.
 const MAX_CHAINS: usize = 5;
 
+/// The most chains one FNV-1a kernel advances together over a byte; a
+/// byte under more chains than this is read once per group of them. No
+/// frame of the workspace puts a byte under more than three chains.
+const MAX_LANES: usize = 3;
+
 /// Hashes every chain over `buf` in one pass and returns the results in
 /// chain order. The result is what hashing the chains one after another
 /// gives, each writing its slot before the next one starts: so a chain
@@ -373,13 +378,12 @@ pub fn hash_chains<const N: usize>(buf: &mut [u8], chains: [Chain<'_>; N]) -> [u
             break;
         }
         let bytes = &buf[pos..end];
-        match k {
-            0 => {}
-            1 => lanes::<1, N>(&mut h, &active, bytes),
-            2 => lanes::<2, N>(&mut h, &active, bytes),
-            3 => lanes::<3, N>(&mut h, &active, bytes),
-            4 => lanes::<4, N>(&mut h, &active, bytes),
-            _ => lanes::<5, N>(&mut h, &active, bytes),
+        for group in active[..k].chunks(MAX_LANES) {
+            match group.len() {
+                1 => lanes::<1, N>(&mut h, group, bytes),
+                2 => lanes::<2, N>(&mut h, group, bytes),
+                _ => lanes::<3, N>(&mut h, group, bytes),
+            }
         }
         pos = end;
     }

@@ -322,6 +322,54 @@ fn watermarks_carry_no_body_and_resume_from_any_round() {
     }
 }
 
+/// A live session resumed from a mid-crawl watermark holds no body for
+/// its pre-kill pages; the crawl checkpoint it writes later (the bytes of
+/// a cadence frame at that round) still resumes, to the session's own
+/// report, and the resumed crawl runs to the uninterrupted crawl's end.
+#[test]
+fn checkpoints_of_a_session_resumed_from_a_watermark_resume() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let options = ResilienceOptions::injected(0x77, 0.05, 2);
+    let mut straight = start_session(&web, &plan, &options, 2);
+    let mut marks: Vec<Watermark> = Vec::new();
+    while let Some(round) = straight.advance().expect("round advances") {
+        marks.push(round.watermark);
+    }
+    assert!(marks.len() >= 4, "crawl ended after {} rounds", marks.len());
+
+    let mut resumed = LiveSession::resume_from(
+        &web,
+        crawl_config(),
+        &options,
+        &plan,
+        LiveOptions { dop: 2, ..LiveOptions::default() },
+        Arc::new(Observer::new()),
+        &marks[1],
+    )
+    .expect("session resumes from its watermark");
+    resumed.advance().expect("round advances").expect("round exists");
+    resumed.advance().expect("round advances").expect("round exists");
+    let crawl = resumed.crawl();
+    let bodies: Vec<bool> =
+        pages_of(crawl.report()).iter().map(|(_, _, body)| !body.is_empty()).collect();
+    assert!(bodies.contains(&false) && bodies.contains(&true), "{bodies:?}");
+
+    let mut again = CrawlSession::resume(
+        &web,
+        &crawl.checkpoint(),
+        crawl_config(),
+        &options,
+        None,
+        Arc::new(Observer::new()),
+    )
+    .expect("the resumed session's checkpoint resumes");
+    assert_eq!(pages_of(again.report()), pages_of(crawl.report()));
+    assert_eq!(again.state_digest(), crawl.state_digest());
+    while again.step_round() {}
+    assert_eq!(again.state_digest(), straight.crawl().state_digest());
+}
+
 #[test]
 fn watermark_with_an_edited_crawl_round_does_not_resume() {
     let web = tiny_web();
