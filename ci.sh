@@ -3,9 +3,10 @@
 # every crate, so the plain build/test lines cover every crate suite at
 # default proptest cases) plus the workspace lint wall,
 # the pinned-case differential suites, and the smoke checks. The bench
-# crate has no [[bench]] targets: everything in it is an experiment
-# binary, and each of them is run below. Wall-clock numbers of the
-# system come from benchmark/ (last line).
+# crate has no [[bench]] targets and one binary, run_all: every paper
+# table, figure and gate is one of its steps (`--only <id>`), and each
+# gated step runs below at its CI size (`--quick`) under `--check`.
+# Wall-clock numbers of the system come from benchmark/ (last line).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -15,7 +16,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Observability smoke: a small traced flow must yield parseable
 # folded-stack (flamegraph) output — "scope;path <integer usecs>" lines.
-folded="$(cargo run -q --release -p websift-bench --bin exp_profile -- --folded)"
+folded="$(cargo run -q --release -p websift-bench --bin run_all -- --only profile --quick --folded)"
 echo "$folded" | awk '
   NF != 2 { print "bad folded line: " $0; bad = 1 }
   $2 !~ /^[0-9]+$/ { print "non-integer count: " $0; bad = 1 }
@@ -23,7 +24,7 @@ echo "$folded" | awk '
     if (NR == 0) { print "folded-stack output is empty"; exit 1 }
     exit bad
   }'
-echo "exp_profile smoke: $(echo "$folded" | wc -l) folded stacks ok"
+echo "profile smoke: $(echo "$folded" | wc -l) folded stacks ok"
 
 # Determinism lint wall: wall-clock reads, hash iteration feeding
 # deterministic outputs, and unwrap() in untrusted-input parsers are all
@@ -32,21 +33,22 @@ cargo run -q --release -p websift-analyze --bin repo_lint
 
 # Static-analyzer smoke: the known-bad plans must produce diagnostics,
 # and the JSON report must be byte-identical across runs.
-analyze_a="$(cargo run -q --release -p websift-bench --bin exp_analyze -- --json)"
-analyze_b="$(cargo run -q --release -p websift-bench --bin exp_analyze -- --json)"
+analyze="cargo run -q --release -p websift-bench --bin run_all -- --only analyze,explain --json"
+analyze_a="$($analyze 2>/dev/null)"
+analyze_b="$($analyze 2>/dev/null)"
 if [ -z "$analyze_a" ]; then
-  echo "exp_analyze --json produced no output" >&2
+  echo "run_all --only analyze,explain --json produced no output" >&2
   exit 1
 fi
 if [ "$analyze_a" != "$analyze_b" ]; then
-  echo "exp_analyze --json is not byte-stable across runs" >&2
+  echo "run_all --only analyze,explain --json is not byte-stable across runs" >&2
   exit 1
 fi
 if ! echo "$analyze_a" | grep -q 'WS001'; then
-  echo "exp_analyze --json is missing expected diagnostics" >&2
+  echo "run_all --only analyze,explain --json is missing expected diagnostics" >&2
   exit 1
 fi
-echo "exp_analyze smoke: deterministic diagnostics ok"
+echo "analyze smoke: deterministic diagnostics ok"
 
 # Field-flow explain differential: statically predicted fusion/combining
 # stage decisions must equal the executor's actual decisions on random
@@ -63,8 +65,8 @@ echo "analyze: goldens byte-equal ok"
 
 # Explain artifact smoke: render the fusion/combining explain twice
 # in-process and fail on byte drift or predicted-vs-executed mismatch.
-cargo run -q --release -p websift-bench --bin exp_analyze -- --quick --check > /dev/null
-echo "exp_analyze check: explain byte-stable and matches executor decisions ok"
+cargo run -q --release -p websift-bench --bin run_all -- --only explain --check > /dev/null
+echo "explain check: explain byte-stable and matches executor decisions ok"
 
 # Partial-aggregation equivalence: the combining executor must be
 # byte-identical to the uncombined one on every deterministic surface.
@@ -163,21 +165,21 @@ echo "serve engine == reference engine holds ok"
 # combining must never lose to uncombined — including at DoP 1, where no
 # parallelism hides the fold (--check exits non-zero below a 0.95x ratio
 # on either gate).
-cargo run -q --release -p websift-bench --bin exp_throughput -- --quick --check
-echo "exp_throughput smoke: fused and combined throughput hold up ok"
+cargo run -q --release -p websift-bench --bin run_all -- --only throughput --quick --check
+echo "throughput smoke: fused and combined throughput hold up ok"
 
 # Design-ablation smoke: each ablation's arms must compute the same thing
 # where they are meant to be equivalent — Aho-Corasick == naive scan,
-# filter-first == annotate-first sink (the binary panics on
+# filter-first == annotate-first sink (the step panics on
 # disagreement).
-cargo run -q --release -p websift-bench --bin exp_ablations -- --quick > /dev/null
-echo "exp_ablations smoke: ablation arms agree where they must ok"
+cargo run -q --release -p websift-bench --bin run_all -- --only ablations --quick > /dev/null
+echo "ablations smoke: ablation arms agree where they must ok"
 
 # Serving-layer smoke: query responses must be byte-identical across
 # shard counts and across snapshot/resume (--check exits non-zero on any
 # digest mismatch), with admission-controlled concurrent clients.
-cargo run -q --release -p websift-bench --bin exp_serve -- --quick --check > /dev/null
-echo "exp_serve smoke: serving digests identical across shards and snapshot/resume ok"
+cargo run -q --release -p websift-bench --bin run_all -- --only serve --quick --check > /dev/null
+echo "serve smoke: serving digests identical across shards and snapshot/resume ok"
 
 # Live incremental-execution smoke: the incremental session, a batch
 # full recompute, and a killed-and-resumed session must agree on every
@@ -185,8 +187,8 @@ echo "exp_serve smoke: serving digests identical across shards and snapshot/resu
 # from round 2 on, and no watermark's crawl frame may carry a page body
 # (--check exits non-zero otherwise; its stderr line prints the last
 # watermark's bytes beside the accepted net-text bytes).
-cargo run -q --release -p websift-bench --bin exp_live -- --quick --check > /dev/null
-echo "exp_live smoke: incremental == recompute == resumed digests, delta pass wins, watermarks carry no page body ok"
+cargo run -q --release -p websift-bench --bin run_all -- --only live --quick --check > /dev/null
+echo "live smoke: incremental == recompute == resumed digests, delta pass wins, watermarks carry no page body ok"
 
 # The workspace has no serialization library: JSON goes through
 # websift-observe's writer and every frame through the resilience codec.
@@ -211,6 +213,17 @@ if cargo run -q --release -p websift-bench --bin run_all -- --only nosuch 2>/dev
   exit 1
 fi
 echo "run_all --only: byte-stable, unknown ids rejected ok"
+
+# One experiment binary: a paper table, figure or gate is a run_all step
+# (`--only <id>`, sized by `--quick`, gated by `--check`), not a bin of
+# its own with its own flags. ls on a missing directory would leave the
+# pipeline below clean, so run_all.rs's presence is checked first.
+test -f crates/bench/src/bin/run_all.rs
+if ls crates/bench/src/bin | grep -vxF run_all.rs; then
+  echo "crates/bench/src/bin must hold only run_all.rs: make it a run_all step" >&2
+  exit 1
+fi
+echo "one experiment binary ok"
 
 # The flow runtime keeps everything in memory or on a channel: it writes
 # no file, so it has no temp-dir, full-disk or left-over-file failures.

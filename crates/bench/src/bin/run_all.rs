@@ -12,9 +12,30 @@
 //! system's end-to-end wall-clock numbers come from `benchmark/`, not
 //! from here.
 //!
-//! `--only <id>[,<id>…]` runs just the named steps (the ids of [`STEPS`])
-//! and builds only the inputs they need. It prints their sections exactly
-//! as a full run does, without the report header, and writes no file.
+//! This is the workspace's one experiment binary. Its flags:
+//!
+//! - `--only <id>[,<id>…]` runs just the named steps (the ids of
+//!   [`STEPS`]) and builds only the inputs they need. It prints their
+//!   sections exactly as a full run does, without the report header, and
+//!   writes no file.
+//! - `--quick` runs the steps that have a CI size at it: `throughput` 96
+//!   documents at DoP {1, 8}, `profile` 6 documents of the tiny context,
+//!   `serve` 24 documents at 1 and 64 clients, `live` a 60-page crawl at
+//!   DoP {1, 2}, `ablations` its short inputs. Every other step runs at
+//!   its full size. A `--quick` run writes no file.
+//! - `--check` runs the gate of each selected step that has one
+//!   (`throughput`, `explain`, `serve`, `live`) and prints its verdict on
+//!   stderr; after the last step the process exits non-zero if any gate
+//!   failed, every failure printed. `ablations` needs no flag: it panics
+//!   when arms that must agree do not.
+//! - `--json` prints the selected results as one JSON array instead of
+//!   markdown sections.
+//! - `--folded` makes the `profile` step print only its folded stacks
+//!   (flamegraph format) in place of its section.
+//!
+//! The profile step also prints this host's POS decoding kernel on
+//! stderr: it changes wall time and nothing else, so it stays out of
+//! stdout, `--json` and every digest.
 use std::cell::OnceCell;
 use std::sync::Arc;
 
@@ -23,7 +44,7 @@ use websift_bench::experiments::{
     recovery_exps, scaling_exps, serve_exps, throughput_exps,
 };
 use websift_bench::report::{results_to_json, stamp};
-use websift_bench::ExperimentResult;
+use websift_bench::{ExperimentResult, Verdict};
 use websift_corpus::{Lexicon, LexiconScale, SearchCategory};
 use websift_crawler::feedback::IeFeedback;
 use websift_crawler::{
@@ -34,13 +55,12 @@ use websift_observe::json::ObjectWriter;
 use websift_pipeline::ExperimentContext;
 use websift_web::SimulatedWeb;
 
-/// Pages of the §4.1 crawl and documents per wall-clock sweep — the sizes
-/// `BENCH_RESULTS.json` is stamped with.
+/// Pages of the §4.1 crawl — with the documents per wall-clock sweep, the
+/// sizes `BENCH_RESULTS.json` is stamped with.
 const CRAWL_PAGES: usize = 40_000;
-const SWEEP_DOCS: usize = 480;
 
 /// Every step of the report, in the order it runs: `(id, progress label)`.
-const STEPS: [(&str, &str); 23] = [
+const STEPS: [(&str, &str); 24] = [
     ("throughput", "wall-clock throughput (fused vs unfused; combined vs uncombined)"),
     ("table1", "Table 1"),
     ("crawl", "crawl experiments"),
@@ -54,6 +74,7 @@ const STEPS: [(&str, &str); 23] = [
     ("fig5", "Fig 5"),
     ("warstory", "war story"),
     ("analyze", "static analysis pre-flight"),
+    ("explain", "fusion explain (predicted vs executed stages)"),
     ("table3", "Table 3"),
     ("fig6", "Fig 6"),
     ("fig7", "Fig 7"),
@@ -82,6 +103,54 @@ fn parse_only(list: &str) -> Result<Vec<&'static str>, String> {
                 .ok_or_else(|| format!("unknown experiment id '{id}'; valid ids: {}", valid()))
         })
         .collect()
+}
+
+/// The command line: which steps, at what size, gated or not, and in
+/// what format.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    only: Option<Vec<&'static str>>,
+    quick: bool,
+    check: bool,
+    json: bool,
+    folded: bool,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--only" => parsed.only = Some(parse_only(args.next().map_or("", String::as_str))?),
+            "--quick" => parsed.quick = true,
+            "--check" => parsed.check = true,
+            "--json" => parsed.json = true,
+            "--folded" => parsed.folded = true,
+            other => {
+                return Err(format!(
+                    "unknown argument '{other}'; flags: --only <ids>, --quick, --check, --json, \
+                     --folded"
+                ))
+            }
+        }
+    }
+    Ok(parsed)
+}
+
+/// Prints a step's `--check` verdict on stderr; true when the gate held.
+fn report_gate(id: &str, verdict: Verdict) -> bool {
+    match verdict {
+        Ok(held) => {
+            eprintln!("{id} check ok: {held}");
+            true
+        }
+        Err(failures) => {
+            for failure in failures {
+                eprintln!("{id} --check FAILED: {failure}");
+            }
+            false
+        }
+    }
 }
 
 /// Writes one of the committed bench files; a failed write is reported
@@ -157,17 +226,18 @@ fn consolidated(web: &SimulatedWeb, lexicon: &Lexicon) -> ExperimentResult {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let only = args.iter().position(|a| a == "--only").map(|i| {
-        parse_only(args.get(i + 1).map_or("", String::as_str)).unwrap_or_else(|e| {
-            eprintln!("run_all: {e}");
-            std::process::exit(2);
-        })
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("run_all: {e}");
+        std::process::exit(2);
     });
+    let only = args.only.as_ref();
     let full = only.is_none();
-    let total = only.as_ref().map_or(STEPS.len(), Vec::len);
+    // the committed files hold full-size results only
+    let write_files = full && !args.quick;
+    let total = only.map_or(STEPS.len(), Vec::len);
     let mut started = 0;
     let mut step = |id: &str| {
-        if only.as_ref().is_some_and(|ids| !ids.contains(&id)) {
+        if only.is_some_and(|ids| !ids.contains(&id)) {
             return false;
         }
         started += 1;
@@ -176,7 +246,7 @@ fn main() {
         true
     };
 
-    if full {
+    if full && !args.json {
         println!("# websift experiment report\n");
         println!("Every table and figure of the paper's evaluation, regenerated on the");
         println!("simulated substrates. Absolute numbers are at reduced scale; the");
@@ -198,9 +268,12 @@ fn main() {
 
     let mut collected: Vec<ExperimentResult> = Vec::new();
     let mut out = |r: ExperimentResult| {
-        println!("{}", r.render());
+        if !args.json {
+            println!("{}", r.render());
+        }
         collected.push(r);
     };
+    let mut gates_held = true;
 
     // Inputs shared between steps, built on first use.
     let lexicon = OnceCell::new();
@@ -229,14 +302,12 @@ fn main() {
     // The wall-clock sweeps run first, on a fresh heap: the combined
     // fold and the fused pipeline are allocation-heavy, and measuring
     // them after 18 experiment suites have churned the allocator
-    // understates the ratios the standalone `exp_throughput` binary
-    // reports from the same code. Their tables are still printed at the
-    // usual place near the end of the report.
+    // understates the ratios the same code reports when it runs alone
+    // (`--only throughput`). Their tables are still printed at the usual
+    // place near the end of the report.
     let throughput = step("throughput").then(|| {
-        (
-            throughput_exps::fusion(SWEEP_DOCS, &throughput_exps::THROUGHPUT_DOPS),
-            throughput_exps::combining(SWEEP_DOCS, &throughput_exps::THROUGHPUT_DOPS),
-        )
+        let (docs, dops) = throughput_exps::sweep_size(args.quick);
+        (throughput_exps::fusion(docs, dops), throughput_exps::combining(docs, dops))
     });
 
     if step("table1") {
@@ -271,7 +342,17 @@ fn main() {
         out(scaling_exps::runtime_shares(ctx()));
     }
     if step("profile") {
-        out(profile_exps::cost_decomposition(ctx(), 40).result);
+        let run = if args.quick {
+            profile_exps::cost_decomposition(&ExperimentContext::tiny(12), 6)
+        } else {
+            profile_exps::cost_decomposition(ctx(), 40)
+        };
+        eprintln!("pos.kernel = {} (this host; wall clock only)", websift_text::pos::kernel());
+        if args.folded {
+            print!("{}", run.folded);
+        } else {
+            out(run.result);
+        }
     }
     if step("fig4") {
         out(scaling_exps::fig4(ctx()));
@@ -284,6 +365,12 @@ fn main() {
     }
     if step("analyze") {
         out(analyze_exps::known_bad());
+    }
+    if step("explain") {
+        out(analyze_exps::explain());
+        if args.check {
+            gates_held &= report_gate("explain", analyze_exps::check_explain());
+        }
     }
 
     if step("table3") {
@@ -315,16 +402,27 @@ fn main() {
         out(recovery_exps::flow_recovery());
     }
     if step("serve") {
-        out(serve_exps::serve(96, 16, 42).result);
+        let report = serve_exps::serve(args.quick);
+        if args.check {
+            gates_held &= report_gate("serve", report.check());
+        }
+        out(report.result);
     }
     if step("live") {
-        out(live_exps::live(150).result);
+        let report = live_exps::live(args.quick);
+        if args.check {
+            gates_held &= report_gate("live", report.check());
+        }
+        out(report.result);
     }
     if step("ablations") {
-        out(ablation_exps::ablations(false));
+        out(ablation_exps::ablations(args.quick));
     }
 
     if let Some((fusion, combining)) = throughput {
+        if args.check {
+            gates_held &= report_gate("throughput", throughput_exps::check(&fusion, &combining));
+        }
         let json = throughput_exps::throughput_json(&fusion, &combining);
         let summary = format!(
             "fused {:.2}x unfused, combining {:.2}x uncombined, shuffle shrink {:.1}x at DoP {}",
@@ -335,7 +433,7 @@ fn main() {
         );
         out(fusion.result);
         out(combining.result);
-        if full {
+        if write_files {
             write_json("BENCH_THROUGHPUT.json", json, summary);
         }
     }
@@ -344,10 +442,13 @@ fn main() {
         out(consolidated(web(), lexicon()));
     }
 
-    if full {
+    if args.json {
+        println!("{}", results_to_json(&collected));
+    }
+    if write_files {
         let workload = format!(
-            "every experiment at its run_all size ({CRAWL_PAGES}-page crawl, {SWEEP_DOCS}-document \
-             sweeps)"
+            "every experiment at its run_all size ({CRAWL_PAGES}-page crawl, {}-document sweeps)",
+            throughput_exps::SWEEP_DOCS
         );
         let results = stamp(ObjectWriter::new().str("experiment", "run_all"), &workload)
             .raw("results", &results_to_json(&collected))
@@ -355,6 +456,9 @@ fn main() {
         write_json("BENCH_RESULTS.json", results, format!("{} results", collected.len()));
     }
     eprintln!("done.");
+    if !gates_held {
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
@@ -378,10 +482,34 @@ mod tests {
             "exp_table1", "exp_table2", "exp_table3", "exp_table4", "exp_fig3", "exp_fig4",
             "exp_fig5", "exp_fig6", "exp_fig7", "exp_fig8", "exp_crawl", "exp_classifier",
             "exp_boilerplate", "exp_tradeoff", "exp_consolidated", "exp_warstory",
-            "exp_recovery",
+            "exp_recovery", "exp_ablations", "exp_live", "exp_profile", "exp_serve",
+            "exp_throughput",
         ] {
             let id = bin.strip_prefix("exp_").unwrap();
             assert_eq!(parse_only(id), Ok(vec![id]), "{bin}");
+        }
+        // the diagnostics and the explain table, in the order it printed them
+        assert_eq!(parse_only("analyze,explain"), Ok(vec!["analyze", "explain"]), "exp_analyze");
+    }
+
+    #[test]
+    fn flags_parse_and_unknown_arguments_are_errors() {
+        let args = |list: &[&str]| parse_args(&list.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        assert_eq!(args(&[]), Ok(Args::default()));
+        let want = Args {
+            only: Some(vec!["live", "serve"]),
+            quick: true,
+            check: true,
+            json: true,
+            folded: true,
+        };
+        let parsed = args(&["--quick", "--only", "live,serve", "--check", "--json", "--folded"]);
+        assert_eq!(parsed, Ok(want));
+        assert!(args(&["--only"]).is_err());
+        assert!(args(&["--only", "nosuch"]).unwrap_err().contains("'nosuch'"));
+        for removed in ["--pages", "--docs", "--queries", "--dops", "--tiny"] {
+            let err = args(&[removed, "4"]).unwrap_err();
+            assert!(err.contains(&format!("'{removed}'")), "{err}");
         }
     }
 }

@@ -1,19 +1,20 @@
 //! Static-analysis experiments: the three §4.2 failure modes caught
 //! pre-flight by [`websift_flow::analyze_plan`], without spending a
-//! second of (simulated) cluster time — plus the fusion/combining
-//! explain report, which predicts the executor's physical stage
-//! decisions and cost envelopes statically and verifies the prediction
-//! differentially against an actual run.
+//! second of (simulated) cluster time (`run_all --only analyze`) — plus
+//! the fusion/combining explain report (`run_all --only explain`), which
+//! predicts the executor's physical stage decisions and cost envelopes
+//! statically and verifies the prediction differentially against an
+//! actual run.
 //!
 //! Each row is one diagnostic (or one predicted stage); the output is
 //! deterministic byte for byte, which `ci.sh` checks by running
-//! `exp_analyze --json` twice and comparing, and by the
-//! `exp_analyze --quick --check` smoke that re-renders the explain
-//! artifact in-process and fails on any drift.
+//! `run_all --only analyze,explain --json` twice and comparing, and by
+//! `run_all --only explain --check`, whose gate ([`check_explain`])
+//! re-renders the explain artifact in-process and fails on any drift.
 
 use std::collections::HashMap;
 
-use crate::report::ExperimentResult;
+use crate::report::{verdict, ExperimentResult, Verdict};
 use websift_analyze::Diagnostic;
 use websift_flow::packages::{base, dc, ie};
 use websift_flow::{
@@ -148,20 +149,20 @@ fn extraction_plan() -> LogicalPlan {
 }
 
 /// Options used for every explain rendering, so the bench table, the
-/// JSON artifact, and the `--check` smoke all agree.
+/// JSON artifact, and the `--check` gate all agree.
 fn explain_opts() -> AnalyzeOptions {
     AnalyzeOptions::default().with_source_estimate(10_000, 2_048)
 }
 
 /// The raw explain report for the representative flow — the
-/// byte-deterministic artifact `--check` renders twice and diffs.
-pub fn explain_json() -> String {
+/// byte-deterministic artifact [`check_explain`] renders twice and diffs.
+fn explain_json() -> String {
     explain_plan(&extraction_plan(), &explain_opts(), true, true)
 }
 
 /// Differential smoke: the statically predicted stage decisions must be
 /// the decisions the executor actually makes for the same plan.
-pub fn explain_matches_execution() -> bool {
+fn explain_matches_execution() -> bool {
     let plan = extraction_plan();
     let predicted = plan_stages(&plan, true, true);
     let records: Vec<Record> = (0..16)
@@ -178,6 +179,24 @@ pub fn explain_matches_execution() -> bool {
         .run(&plan, inputs, RunOptions::default())
         .map(|out| out.stages == predicted)
         .unwrap_or(false)
+}
+
+/// The `--check` gate of the explain step: the explain artifact renders
+/// to the same bytes twice, and its predicted stage decisions are the
+/// executor's.
+pub fn check_explain() -> Verdict {
+    explain_verdict(&explain_json(), &explain_json(), explain_matches_execution())
+}
+
+fn explain_verdict(first: &str, second: &str, matches_execution: bool) -> Verdict {
+    let mut failures = Vec::new();
+    if first.is_empty() || first != second {
+        failures.push("explain artifact is not byte-stable".to_string());
+    }
+    if !matches_execution {
+        failures.push("predicted stage decisions diverge from the executor".to_string());
+    }
+    verdict(failures, || "explain byte-stable and matches executor decisions".to_string())
 }
 
 /// One row per predicted stage of `plan`.
@@ -227,11 +246,26 @@ pub fn explain() -> ExperimentResult {
          the executor's actual decisions for the extraction flow at DoP 4"
     } else {
         "DIFFERENTIAL MISMATCH: the static prediction disagrees with the executor \
-         (run `exp_analyze --quick --check` for a failing exit code)"
+         (run `run_all --only explain --check` for a failing exit code)"
     });
     result.note(
         "record envelopes are absolute (seeded with 10000 source records of 2048 bytes); \
          the explain JSON artifact is byte-deterministic and diffed by ci.sh",
     );
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn explain_gate_fails_on_drift_or_a_mispredicted_stage() {
+        assert!(explain_verdict("{}", "{}", true).is_ok());
+        let drift = explain_verdict("{\"a\":1}", "{\"a\":2}", true).unwrap_err();
+        assert_eq!(drift, ["explain artifact is not byte-stable"]);
+        assert_eq!(explain_verdict("", "", true).unwrap_err().len(), 1, "empty is not stable");
+        let both = explain_verdict("{}", "{ }", false).unwrap_err();
+        assert_eq!(both.len(), 2, "every failure is reported: {both:?}");
+    }
 }

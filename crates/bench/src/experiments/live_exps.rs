@@ -1,6 +1,7 @@
 //! Live incremental-execution harness: cost-per-new-document of the
 //! per-round delta pass vs a batch full recompute, per crawl round and
-//! DoP, plus the three-way byte-identity `--check` gates on.
+//! DoP, plus the three-way byte-identity `run_all --only live --check`
+//! gates on.
 //!
 //! A [`LiveSession`] crawls a simulated web round by round, running the
 //! live extraction flow over each round's *new* pages only and folding
@@ -9,8 +10,8 @@
 //! plan on a fresh store — the batch full-recompute oracle — and
 //! records both costs in simulated seconds (the deterministic clock, so
 //! the cost ratio is machine-independent). Wall time per round is
-//! `benchmark/`'s `live_rounds` workload, not this harness's. `--check`
-//! requires:
+//! `benchmark/`'s `live_rounds` workload, not this harness's.
+//! [`LiveReport::check`] requires:
 //!
 //! - store `content_digest` after round k identical for (a) the
 //!   incremental session, (b) the batch recompute over the cumulative
@@ -24,7 +25,7 @@
 
 use std::sync::Arc;
 
-use crate::report::ExperimentResult;
+use crate::report::{verdict, ExperimentResult, Verdict};
 use websift_corpus::{CorpusKind, Document, LexiconScale};
 use websift_crawler::{
     train_focus_classifier, CrawlCheckpoint, CrawlConfig, CrawlSession, ResilienceOptions,
@@ -82,11 +83,13 @@ impl LivePoint {
 }
 
 /// Full harness outcome: the rendered table, raw points, and the
-/// verdicts `--check` gates on.
+/// verdicts [`LiveReport::check`] gates on.
 #[derive(Debug)]
 pub struct LiveReport {
     pub result: ExperimentResult,
     pub points: Vec<LivePoint>,
+    /// The DoP grid every round was measured at.
+    pub dops: Vec<usize>,
     /// Rounds the crawl ran (identical at every DoP — the crawl does
     /// not depend on flow parallelism).
     pub rounds: u32,
@@ -115,6 +118,66 @@ pub struct LiveReport {
     /// Net-text bytes of every page the first run's crawl accepted: what
     /// the last watermark would hold on top if it carried every body.
     pub net_text_bytes: usize,
+}
+
+impl LiveReport {
+    /// The `--check` gate: the incremental session, a batch full
+    /// recompute and a killed-and-resumed session agree on every store
+    /// digest, deterministic surfaces are DoP-invariant, the delta pass
+    /// beats the recompute per new document from round 2 on, and no
+    /// watermark's crawl frame carries a page body.
+    pub fn check(&self) -> Verdict {
+        let dops = &self.dops;
+        let mut failures = Vec::new();
+        if !self.digests_agree {
+            failures.push(
+                "the incremental store diverged from a batch full recompute at some round \
+                 boundary (incremental != batch digest)"
+                    .to_string(),
+            );
+        }
+        if !self.resume_agrees {
+            failures.push(format!(
+                "a session resumed from the round-{} watermark did not replay byte-identically \
+                 to the uninterrupted run",
+                self.resume_round
+            ));
+        }
+        if !self.dop_invariant {
+            failures.push(format!(
+                "store digest, retained-state bytes, or reduce output varied across the DoP \
+                 grid {dops:?}"
+            ));
+        }
+        if !self.incremental_wins {
+            failures.push(
+                "the delta pass did not beat a batch full recompute per new document from \
+                 round 2 onward (simulated seconds)"
+                    .to_string(),
+            );
+        }
+        if self.watermark_bodies > 0 {
+            failures.push(format!(
+                "the watermarks' crawl frames carry {} page bodies; every page is drained \
+                 before its round is sealed, so they should carry none",
+                self.watermark_bodies
+            ));
+        }
+        verdict(failures, || {
+            format!(
+                "{} rounds x DoP {dops:?}, digests identical across incremental / batch \
+                 recompute / kill-and-resume (round {}), delta pass beats recompute per new \
+                 document from round 2 on; {} docs / {} postings; watermarks carry 0 page \
+                 bodies: watermark_bytes_last {} beside {} accepted net-text bytes",
+                self.rounds,
+                self.resume_round,
+                self.total_documents,
+                self.store_postings,
+                self.watermark_bytes_last,
+                self.net_text_bytes
+            )
+        })
+    }
 }
 
 fn live_web() -> SimulatedWeb {
@@ -303,15 +366,19 @@ fn resume_agrees(
         && resumed.state_bytes() == straight.state_bytes
 }
 
-/// Runs the standard sweep: every DoP in [`LIVE_DOPS`] over the same
-/// crawl, plus the batch oracle per round and one resume check.
-pub fn live(max_pages: usize) -> LiveReport {
-    live_at(max_pages, &LIVE_DOPS)
+/// Runs the standard sweep — a 150-page crawl at every DoP in
+/// [`LIVE_DOPS`], plus the batch oracle per round and one resume check —
+/// or, `quick`, a 60-page crawl at DoP {1, 2}.
+pub fn live(quick: bool) -> LiveReport {
+    if quick {
+        live_at(60, &[1, 2])
+    } else {
+        live_at(150, &LIVE_DOPS)
+    }
 }
 
-/// Runs the sweep at explicit DoPs (`--quick` uses a shorter grid; at
-/// least one DoP is required, and >= 2 make the invariance check mean
-/// something).
+/// Runs the sweep at explicit DoPs (at least one DoP is required, and
+/// >= 2 make the invariance check mean something).
 pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
     assert!(!dops.is_empty(), "need at least one DoP");
     let web = live_web();
@@ -412,6 +479,7 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
     LiveReport {
         result,
         points,
+        dops: dops.to_vec(),
         rounds: base.samples.len() as u32,
         total_documents: base.cumulative.len() as u64,
         store_postings: base.postings,
@@ -429,6 +497,51 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A report on which every verdict of the gate holds.
+    fn holding_report() -> LiveReport {
+        LiveReport {
+            result: ExperimentResult::new("Live", "t", &["x"]),
+            points: Vec::new(),
+            dops: vec![1, 2],
+            rounds: 3,
+            total_documents: 13,
+            store_postings: 115,
+            resume_round: 1,
+            digests_agree: true,
+            resume_agrees: true,
+            dop_invariant: true,
+            incremental_wins: true,
+            watermark_bodies: 0,
+            watermark_bytes_last: 1,
+            net_text_bytes: 2,
+        }
+    }
+
+    #[test]
+    fn check_fails_on_every_broken_verdict() {
+        let held = holding_report().check().expect("every verdict holds");
+        assert!(held.starts_with("3 rounds x DoP [1, 2], digests identical"), "{held}");
+        let failures = |break_verdicts: fn(&mut LiveReport)| {
+            let mut report = holding_report();
+            break_verdicts(&mut report);
+            report.check().unwrap_err()
+        };
+        for (failures, message) in [
+            (failures(|r| r.digests_agree = false), "incremental != batch digest"),
+            (failures(|r| r.resume_agrees = false), "resumed from the round-1 watermark"),
+            (failures(|r| r.dop_invariant = false), "varied across the DoP grid [1, 2]"),
+            (failures(|r| r.incremental_wins = false), "did not beat a batch full recompute"),
+            (failures(|r| r.watermark_bodies = 4), "carry 4 page bodies"),
+        ] {
+            assert!(failures.len() == 1 && failures[0].contains(message), "{failures:?}");
+        }
+        let all = failures(|r| {
+            (r.digests_agree, r.resume_agrees, r.dop_invariant) = (false, false, false);
+            (r.incremental_wins, r.watermark_bodies) = (false, 4);
+        });
+        assert_eq!(all.len(), 5, "every failure is reported");
+    }
 
     #[test]
     fn live_smoke_holds_every_verdict() {

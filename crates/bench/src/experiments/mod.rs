@@ -1,5 +1,7 @@
 //! The experiment suite: one function per paper table/figure, each
-//! returning [`ExperimentResult`]s for paper-vs-measured reporting.
+//! returning [`ExperimentResult`]s for paper-vs-measured reporting, and
+//! each a step of `run_all`. A step with a CI gate has a `check` that
+//! returns a [`crate::Verdict`], and one with a CI size takes `quick`.
 //!
 //! | function | reproduces |
 //! |---|---|
@@ -26,6 +28,7 @@
 //! | [`recovery_exps::crawl_recovery`] | crawl goodput under injected faults + checkpoint count and bytes |
 //! | [`recovery_exps::flow_recovery`] | flow partition/node-loss recovery + kill-and-resume check |
 //! | [`analyze_exps::known_bad`] | §4.2 failure modes caught pre-flight by the static analyzer |
+//! | [`analyze_exps::explain`] | statically predicted fusion/combining stages, checked against the executor's |
 
 pub mod ablation_exps;
 pub mod analyze_exps;

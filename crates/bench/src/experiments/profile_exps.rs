@@ -16,12 +16,12 @@ use websift_flow::{ExecutionConfig, Executor, RunOptions};
 use websift_observe::{MetricValue, Observer, RegistrySnapshot};
 use websift_pipeline::{documents_to_records, full_analysis_plan, ExperimentContext};
 
-/// Everything one observed profiling run yields: the decomposition table,
-/// the flamegraph-format folded stacks, and the observer's summary.
+/// Everything one observed profiling run yields: the decomposition table
+/// (the observer's summary is one of its notes) and the flamegraph-format
+/// folded stacks.
 pub struct ProfileRun {
     pub result: ExperimentResult,
     pub folded: String,
-    pub summary: String,
 }
 
 /// Per-operator startup/work split harvested from the registry.
@@ -49,11 +49,24 @@ pub fn cost_decomposition(ctx: &ExperimentContext, docs: usize) -> ProfileRun {
         .run(&plan, inputs, RunOptions { observer: Some(&obs), ..RunOptions::default() })
         .expect("profile flow must run");
     let snap = obs.registry().snapshot();
-    ProfileRun {
-        result: split_table(&snap, docs, n_records),
-        folded: folded(&snap),
-        summary: obs.summary(),
+    let mut result = split_table(&snap, docs, n_records);
+    result.note(summary_note(&obs.summary(), snap.entries.len()));
+    ProfileRun { result, folded: folded(&snap) }
+}
+
+/// The observer's summary as one note: the series count, the flow-wide
+/// (unlabelled) series and the trace line. The per-operator and per-sink
+/// series are the table above and the folded stacks.
+fn summary_note(summary: &str, series: usize) -> String {
+    let mut parts = vec![format!("observer summary: {series} registry series")];
+    for line in summary.lines() {
+        if let Some(trace) = line.strip_prefix("== trace == ") {
+            parts.push(format!("trace: {trace}"));
+        } else if !line.starts_with("==") && !line.contains('{') {
+            parts.push(line.to_string());
+        }
     }
+    parts.join("; ")
 }
 
 /// The Fig. 8 table: each operator's start-up and work seconds, from
@@ -140,7 +153,9 @@ mod tests {
             assert!(!path.is_empty());
             count.parse::<u64>().expect("folded counts are integers");
         }
-        assert!(run.summary.contains("== metrics =="));
+        let summary = run.result.notes.last().expect("the observer summary note");
+        assert!(summary.starts_with("observer summary: "), "{summary}");
+        assert!(summary.contains("flow.simulated_secs = ") && summary.contains("; trace: "));
     }
 
     /// A flow killed mid-plan and resumed from its last frame reports the

@@ -23,7 +23,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::report::ExperimentResult;
+use crate::report::{verdict, ExperimentResult, Verdict};
 use websift_corpus::{CorpusKind, Generator, Lexicon, LexiconScale};
 use websift_flow::cluster::ClusterSpec;
 use websift_flow::IeResources;
@@ -70,7 +70,7 @@ pub struct ServePoint {
 }
 
 /// Full harness outcome: the rendered table, raw points, and the two
-/// byte-identity verdicts `--check` gates on.
+/// byte-identity verdicts [`ServeReport::check`] gates on.
 #[derive(Debug)]
 pub struct ServeReport {
     pub result: ExperimentResult,
@@ -84,6 +84,37 @@ pub struct ServeReport {
     /// Serial replay on a snapshot-restored store reproduced the
     /// threaded run's digest.
     pub snapshot_agrees: bool,
+}
+
+impl ServeReport {
+    /// The `--check` gate: same-seed responses are byte-identical across
+    /// shard counts and across snapshot/resume.
+    pub fn check(&self) -> Verdict {
+        let mut failures = Vec::new();
+        if !self.digests_agree {
+            failures.push(format!(
+                "responses differ across shard counts {SERVE_SHARDS:?} (the store is not \
+                 shard-count invariant)"
+            ));
+        }
+        if !self.snapshot_agrees {
+            failures.push(
+                "a serial replay on a snapshot-restored store produced different responses \
+                 (snapshot/resume is not byte-identical)"
+                    .to_string(),
+            );
+        }
+        verdict(failures, || {
+            format!(
+                "{} cells, digests identical across {SERVE_SHARDS:?} shards and across \
+                 snapshot/resume; admission capacity {}; {} keys / {} postings",
+                self.points.len(),
+                self.admission_capacity,
+                self.store_keys,
+                self.store_postings
+            )
+        })
+    }
 }
 
 /// splitmix64: the standard 64-bit finalizing mixer. Stateless, so a
@@ -242,14 +273,20 @@ fn replay_digest(
     digest
 }
 
-/// Runs the standard sweep: [`SERVE_SHARDS`] x [`SERVE_CLIENTS`].
-pub fn serve(docs: usize, queries_per_client: usize, seed: u64) -> ServeReport {
-    serve_at(docs, queries_per_client, seed, &SERVE_SHARDS, &SERVE_CLIENTS)
+/// Runs the standard sweep — 96 documents, 16 queries per client,
+/// [`SERVE_SHARDS`] x [`SERVE_CLIENTS`] — or, `quick`, 24 documents and
+/// 6 queries per client at 1 and 64 clients.
+pub fn serve(quick: bool) -> ServeReport {
+    if quick {
+        serve_at(24, 6, 42, &SERVE_SHARDS, &[1, 64])
+    } else {
+        serve_at(96, 16, 42, &SERVE_SHARDS, &SERVE_CLIENTS)
+    }
 }
 
-/// Runs the sweep at explicit shard and client counts (`--quick` uses a
-/// shorter client list; the shard list must keep >= 2 entries for the
-/// cross-shard identity check to mean anything).
+/// Runs the sweep at explicit shard and client counts (the shard list
+/// must keep >= 2 entries for the cross-shard identity check to mean
+/// anything).
 pub fn serve_at(
     docs: usize,
     queries_per_client: usize,
@@ -342,6 +379,26 @@ pub fn serve_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_fails_on_either_broken_digest_identity() {
+        let report = |digests_agree, snapshot_agrees| ServeReport {
+            result: ExperimentResult::new("Serving", "t", &["x"]),
+            points: Vec::new(),
+            admission_capacity: 64,
+            store_keys: 94,
+            store_postings: 188,
+            digests_agree,
+            snapshot_agrees,
+        };
+        let held = report(true, true).check().expect("both identities hold");
+        assert!(held.contains("admission capacity 64; 94 keys / 188 postings"), "{held}");
+        let shards = report(false, true).check().unwrap_err();
+        assert!(shards.len() == 1 && shards[0].contains("shard counts [4, 16]"), "{shards:?}");
+        let snapshot = report(true, false).check().unwrap_err();
+        assert!(snapshot.len() == 1 && snapshot[0].contains("snapshot-restored"), "{snapshot:?}");
+        assert_eq!(report(false, false).check().unwrap_err().len(), 2);
+    }
 
     #[test]
     fn serve_smoke_reports_every_cell_and_digests_hold() {

@@ -1,4 +1,5 @@
-//! The two live A/B wall-clock ratios `ci.sh` gates on: operator fusion
+//! The two live A/B wall-clock ratios `ci.sh` gates on (`run_all --only
+//! throughput --quick --check`, [`check`]): operator fusion
 //! on vs off over the Fig-4/5 linguistic pipeline, and partial
 //! aggregation (combining) on vs off over the Reduce-terminated
 //! token-frequency pipeline.
@@ -16,7 +17,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use crate::report::{stamp, ExperimentResult};
+use crate::report::{stamp, verdict, ExperimentResult, Verdict};
 use websift_corpus::{CorpusKind, Generator};
 use websift_flow::{ExecutionConfig, Executor, FlowOutput, LogicalPlan, Record, RunOptions};
 use websift_observe::json::{array, ObjectWriter};
@@ -27,6 +28,24 @@ pub const THROUGHPUT_DOPS: [usize; 4] = [1, 4, 8, 16];
 
 /// The DoP the headline ratios are quoted at.
 pub const ACCEPTANCE_DOP: usize = 8;
+
+/// Generated documents per sweep — one source record each — in a full run.
+pub const SWEEP_DOCS: usize = 480;
+
+/// Tolerance on both ratios in [`check`]: wall-clock medians on shared CI
+/// hardware jitter a few percent; a real fusion regression shows up far
+/// below this.
+const CHECK_TOLERANCE: f64 = 0.95;
+
+/// Documents per sweep and the DoPs it measures: [`SWEEP_DOCS`] at
+/// [`THROUGHPUT_DOPS`], or, `quick`, 96 documents at DoP {1, 8}.
+pub fn sweep_size(quick: bool) -> (usize, &'static [usize]) {
+    if quick {
+        (96, &[1, 8])
+    } else {
+        (SWEEP_DOCS, &THROUGHPUT_DOPS)
+    }
+}
 
 /// Timed repetitions per (mode, DoP) cell; the reported wall time is the
 /// minimum, measured interleaved across the two modes (like
@@ -70,7 +89,7 @@ pub struct SweepReport {
     pub docs: usize,
     pub cells: Vec<SweepCell>,
     /// The DoP the headline ratio is quoted at: [`ACCEPTANCE_DOP`] when
-    /// measured, else the largest DoP of a short `--quick` sweep.
+    /// measured, else the largest DoP of a shorter sweep.
     pub accept_dop: usize,
 }
 
@@ -282,6 +301,33 @@ pub fn combining(docs: usize, dops: &[usize]) -> SweepReport {
     paired_sweep(&sweep, docs, dops)
 }
 
+/// The `--check` gate: fused throughput holds up against unfused at the
+/// acceptance DoP (fusion must not regress), and combining holds up
+/// against uncombined at DoP 1 — with no parallelism to hide the fold,
+/// the partial maps still shrink the shuffle roundtrip, so combining must
+/// never lose.
+pub fn check(fusion: &SweepReport, combining: &SweepReport) -> Verdict {
+    let fused = fusion.accept_ratio();
+    let dop1 = combining.ratio_at(1).unwrap_or(combining.accept_ratio());
+    let mut failures = Vec::new();
+    if fused < CHECK_TOLERANCE {
+        failures.push(format!("fused is {fused:.2}x unfused (< {CHECK_TOLERANCE})"));
+    }
+    if dop1 < CHECK_TOLERANCE {
+        failures.push(format!(
+            "combining is {dop1:.2}x uncombined at DoP 1 (< {CHECK_TOLERANCE})"
+        ));
+    }
+    verdict(failures, || {
+        format!(
+            "fused {fused:.2}x unfused; combining {:.2}x uncombined at the acceptance DoP \
+             ({dop1:.2}x at DoP 1), shuffle shrink {:.1}x",
+            combining.accept_ratio(),
+            combining.shuffle_reduction()
+        )
+    })
+}
+
 /// Machine-readable report for `BENCH_THROUGHPUT.json`: both sweeps, the
 /// provenance stamp and the measured DoP grid — so a reader can tell
 /// whether a sweep measured parallel scaling or (on a single-core box)
@@ -320,6 +366,37 @@ pub fn throughput_json(fusion: &SweepReport, combining: &SweepReport) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sweep that measured `ratios` as `(DoP, on/off ratio)`.
+    fn sweep_with(ratios: &[(usize, f64)]) -> SweepReport {
+        let cells = ratios
+            .iter()
+            .map(|&(dop, ratio)| SweepCell { dop, wall_secs: [1.0; 2], shuffle_bytes: [2, 1], ratio })
+            .collect();
+        let accept_dop = ratios.iter().map(|&(dop, _)| dop).max().unwrap_or(1);
+        SweepReport {
+            result: ExperimentResult::new("T", "t", &["x"]),
+            modes: ["off", "on"],
+            docs: 96,
+            cells,
+            accept_dop,
+        }
+    }
+
+    #[test]
+    fn check_fails_below_the_tolerance_on_either_ratio() {
+        let good = sweep_with(&[(1, 1.2), (8, 1.0)]);
+        let held = check(&good, &good).expect("both ratios hold");
+        assert!(held.starts_with("fused 1.00x unfused; combining 1.00x"), "{held}");
+        // fused is judged at the acceptance DoP, combining at DoP 1
+        let slow_fused = sweep_with(&[(1, 1.2), (8, 0.88)]);
+        let failures = check(&slow_fused, &good).unwrap_err();
+        assert_eq!(failures, ["fused is 0.88x unfused (< 0.95)"]);
+        let slow_fold = sweep_with(&[(1, 0.9), (8, 1.5)]);
+        let failures = check(&good, &slow_fold).unwrap_err();
+        assert_eq!(failures, ["combining is 0.90x uncombined at DoP 1 (< 0.95)"]);
+        assert_eq!(check(&slow_fused, &slow_fold).unwrap_err().len(), 2);
+    }
 
     #[test]
     fn paired_sweep_smoke_covers_both_call_sites() {

@@ -1,9 +1,10 @@
-//! Shared helpers for the websift benchmark and experiment harness.
-//! The real content lives in `src/bin/*` (experiment binaries, one per
-//! paper table/figure).
+//! The websift experiment harness: one function per paper table or
+//! figure in [`experiments`], each a step of the one binary, `run_all`
+//! (`--only <id>` runs one step; `--quick` and `--check` are the CI
+//! sizes and gates).
 
 pub mod experiments;
 mod profile;
 pub mod report;
 
-pub use report::{fmt_table, ExperimentResult};
+pub use report::{fmt_table, ExperimentResult, Verdict};

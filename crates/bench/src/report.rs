@@ -1,4 +1,4 @@
-//! Result-table rendering shared by the experiment binaries.
+//! Result-table rendering and `--check` verdicts shared by the experiments.
 
 use websift_observe::json::{array, str_array, ObjectWriter};
 
@@ -100,21 +100,16 @@ pub fn stamp<'a>(payload: &'a mut ObjectWriter, workload: &str) -> &'a mut Objec
         .str("workload", workload)
 }
 
-/// True when the process was invoked with `--json` — the experiment
-/// binaries switch from markdown tables to machine-readable output.
-pub fn json_mode() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
+/// What a step's `--check` gate found: the line saying what held, or
+/// every failure message.
+pub type Verdict = Result<String, Vec<String>>;
 
-/// Prints `results` in the format selected by the command line: markdown
-/// tables by default, one consolidated JSON array under `--json`.
-pub fn emit(results: &[ExperimentResult]) {
-    if json_mode() {
-        println!("{}", results_to_json(results));
+/// The verdict of a gate that found `failures`; `held` words the pass.
+pub fn verdict(failures: Vec<String>, held: impl FnOnce() -> String) -> Verdict {
+    if failures.is_empty() {
+        Ok(held())
     } else {
-        for r in results {
-            println!("{}", r.render());
-        }
+        Err(failures)
     }
 }
 

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use websift_corpus::{CorpusKind, Document, Generator, Lexicon};
 use websift_crawler::{CrawlReport, CrawledPage};
-use websift_flow::{Record, Value};
+use websift_flow::Record;
 
 /// Document counts per corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,11 +143,6 @@ pub fn documents_to_records(docs: &[Document]) -> Vec<Record> {
         .collect()
 }
 
-/// Extracts the corpus name a record belongs to.
-pub fn record_corpus(r: &Record) -> Option<&str> {
-    r.get("corpus").and_then(Value::as_str)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +178,6 @@ mod tests {
         let c = corpora();
         let recs = documents_to_records(c.get(CorpusKind::RelevantWeb));
         assert_eq!(recs.len(), 12);
-        assert_eq!(record_corpus(&recs[0]), Some("Relevant crawl"));
         assert!(recs[0].text().unwrap().contains('<'), "web records carry HTML");
         let recs = documents_to_records(c.get(CorpusKind::Medline));
         assert!(!recs[0].text().unwrap().contains('<'));

@@ -34,12 +34,6 @@ impl CorpusKind {
         }
     }
 
-    /// Is this corpus made of web pages (and thus wrapped in HTML and run
-    /// through the web-specific pipeline stages)?
-    pub fn is_web(self) -> bool {
-        matches!(self, CorpusKind::RelevantWeb | CorpusKind::IrrelevantWeb)
-    }
-
     /// Paper-reported corpus statistics (Table 3): (size GB, documents,
     /// mean chars per document).
     pub fn paper_stats(self) -> (f64, u64, u64) {
@@ -104,8 +98,6 @@ mod tests {
 
     #[test]
     fn kind_properties() {
-        assert!(CorpusKind::RelevantWeb.is_web());
-        assert!(!CorpusKind::Medline.is_web());
         assert_eq!(CorpusKind::all().len(), 4);
         assert_eq!(CorpusKind::Pmc.paper_stats().1, 250_440);
     }

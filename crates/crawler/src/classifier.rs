@@ -97,10 +97,6 @@ impl NaiveBayes {
         nb
     }
 
-    pub fn vocabulary_size(&self) -> usize {
-        self.word_counts.len()
-    }
-
     /// Scores a document.
     pub fn predict(&self, text: &str) -> Prediction {
         let vocab = self.word_counts.len().max(1) as f64;
@@ -215,7 +211,6 @@ mod tests {
         let nb = NaiveBayes::new();
         let p = nb.predict("anything at all");
         assert!((p.log_odds).abs() < 1e-9);
-        assert_eq!(nb.vocabulary_size(), 0);
     }
 
     #[test]

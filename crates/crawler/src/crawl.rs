@@ -66,7 +66,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use websift_observe::{Labels, Observer, RegistrySnapshot};
-use websift_resilience::codec::{self, Chain};
+use websift_resilience::codec;
 use websift_resilience::{
     BreakerState, CircuitBreaker, CodecError, FaultKind, Reader, RetryBudget, Snapshot, Writer,
 };
@@ -471,8 +471,8 @@ impl<'w> FocusedCrawler<'w> {
     /// Digest of the complete crawler + report state, for asserting the
     /// bit-identical kill/resume invariant without field-by-field
     /// comparison: the hash of the crawler and report segments of a
-    /// checkpoint payload, which is what [`CrawlSession::state_digest`]
-    /// hashes in place.
+    /// checkpoint payload, which a live watermark's seal hashes in place
+    /// ([`CrawlSession::write_checkpoint`]).
     pub fn state_digest(&self, report: &CrawlReport) -> u64 {
         let mut w = Writer::new();
         self.encode_crawler(&mut w);
@@ -499,8 +499,8 @@ impl<'w> FocusedCrawler<'w> {
     /// body section carries the net text of the relevant and of the
     /// irrelevant pages from the two indices of `bodies_from` on, each
     /// list as its first index and then the bodies. So the state segments
-    /// do not depend on `bodies_from`. Every checkpoint frame, state
-    /// digest and live watermark is written here.
+    /// do not depend on `bodies_from`. Every checkpoint frame and live
+    /// watermark is written here.
     fn write_payload(
         &self,
         st: &LoopState,
@@ -1155,14 +1155,7 @@ impl<'w> CrawlSession<'w> {
     /// [`FocusedCrawler::state_digest`]) — the "crawler frontier digest"
     /// a live watermark records.
     pub fn state_digest(&self) -> u64 {
-        let report = &self.state.report;
-        // bodies are outside the state segments: write none
-        let no_bodies = [report.relevant.len(), report.irrelevant.len()];
-        let mut w = Writer::new();
-        let state = self.crawler.write_payload(&self.state, no_bodies, &mut w);
-        let mut payload = w.into_bytes();
-        let [digest] = codec::hash_chains(&mut payload, [Chain { ranges: &state, slot: None }]);
-        digest
+        self.crawler.state_digest(&self.state.report)
     }
 
     /// Drains any cadence checkpoints the loop took during stepping.
@@ -1597,6 +1590,7 @@ mod tests {
     /// same digest.
     #[test]
     fn checkpoint_and_state_digest_equal_the_reference_encoders() {
+        use websift_resilience::codec::Chain;
         let (web, nb) = setup();
         for opts in [ResilienceOptions::default(), ResilienceOptions::injected(0x57E9, 0.05, 2)] {
             let crawler = FocusedCrawler::new(&web, nb.clone(), resilient_config());

@@ -161,10 +161,6 @@ impl CrawlDb {
         self.frontier.values().map(VecDeque::len).sum()
     }
 
-    pub fn is_exhausted(&self) -> bool {
-        self.frontier_size() == 0
-    }
-
     /// URLs rejected by the trap guards.
     pub fn trap_rejected(&self) -> u64 {
         self.trap_rejected
@@ -292,7 +288,7 @@ mod tests {
         assert_eq!(db.frontier_size(), 3);
         let list = db.next_fetch_list(500, 100);
         assert_eq!(list.len(), 3);
-        assert!(db.is_exhausted());
+        assert_eq!(db.frontier_size(), 0);
     }
 
     #[test]

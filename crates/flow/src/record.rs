@@ -242,14 +242,6 @@ impl Value {
         }
     }
 
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(a) => Some(a),
@@ -669,8 +661,6 @@ mod tests {
     fn value_conversions() {
         assert_eq!(Value::from("x"), Value::Str("x".into()));
         assert_eq!(Value::from(3i64).as_int(), Some(3));
-        assert_eq!(Value::from(2.5).as_float(), Some(2.5));
-        assert_eq!(Value::Int(2).as_float(), Some(2.0));
         let arr: Value = vec![1i64, 2, 3].into();
         assert_eq!(arr.as_array().unwrap().len(), 3);
     }

@@ -59,6 +59,11 @@ pub enum LiveError {
     Flow(ExecutionError),
     /// A frame could not be decoded.
     Codec(websift_resilience::CodecError),
+    /// The crawl options ask for a cadence checkpoint every
+    /// `every_rounds` rounds. A live session seals its watermark — its
+    /// one frame — every round, and nothing would drain the cadence
+    /// frames, each of which encodes every page body the crawl holds.
+    CheckpointCadence { every_rounds: u64 },
 }
 
 impl std::fmt::Display for LiveError {
@@ -73,6 +78,11 @@ impl std::fmt::Display for LiveError {
             LiveError::StateMismatch { what } => write!(f, "watermark replay mismatch: {what}"),
             LiveError::Flow(e) => write!(f, "delta pass failed: {e}"),
             LiveError::Codec(e) => write!(f, "frame decode failed: {e}"),
+            LiveError::CheckpointCadence { every_rounds } => write!(
+                f,
+                "checkpoint_every_rounds = {every_rounds}: a live session's watermark is its \
+                 frame every round, so it takes no crawl checkpoint cadence"
+            ),
         }
     }
 }

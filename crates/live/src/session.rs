@@ -81,6 +81,15 @@ pub struct LiveRound {
     pub watermark: Watermark,
 }
 
+/// Refuses crawl options that take cadence checkpoints: the session's
+/// watermark is its frame, sealed every round.
+fn no_cadence(res_options: &ResilienceOptions) -> Result<(), LiveError> {
+    match res_options.checkpoint_every_rounds {
+        Some(every_rounds) => Err(LiveError::CheckpointCadence { every_rounds }),
+        None => Ok(()),
+    }
+}
+
 /// A long-running incremental crawl-to-query session.
 pub struct LiveSession<'w> {
     crawl: CrawlSession<'w>,
@@ -109,11 +118,12 @@ impl<'w> LiveSession<'w> {
         analyze_plan(plan, &opts)
     }
 
-    /// Starts a fresh session: compiles `plan` for delta execution,
-    /// verifies with the executor's own check that every `store:` sink
-    /// parses and names `store` (so no round is crawled for a plan the
-    /// first delta pass would refuse), and seeds the crawler. Nothing is
-    /// fetched until [`LiveSession::advance`].
+    /// Starts a fresh session: refuses a crawl checkpoint cadence
+    /// ([`LiveError::CheckpointCadence`]), compiles `plan` for delta
+    /// execution, verifies with the executor's own check that every
+    /// `store:` sink parses and names `store` (so no round is crawled for
+    /// a plan the first delta pass would refuse), and seeds the crawler.
+    /// Nothing is fetched until [`LiveSession::advance`].
     #[allow(clippy::too_many_arguments)]
     pub fn start(
         web: &'w SimulatedWeb,
@@ -126,6 +136,7 @@ impl<'w> LiveSession<'w> {
         options: LiveOptions,
         observer: Arc<Observer>,
     ) -> Result<LiveSession<'w>, LiveError> {
+        no_cadence(res_options)?;
         let flow = IncrementalFlow::compile(plan)?;
         store_drains(plan, store.name())?;
         let crawler = websift_crawler::FocusedCrawler::new(web, classifier, crawl_config)
@@ -142,7 +153,8 @@ impl<'w> LiveSession<'w> {
         })
     }
 
-    /// Rebuilds a session from a sealed [`Watermark`], verifying the
+    /// Rebuilds a session from a sealed [`Watermark`], refusing a crawl
+    /// checkpoint cadence as [`LiveSession::start`] does, and verifying the
     /// crawler-frontier and store digests recorded in the frame (and,
     /// inside [`CrawlSession::resume`], that `crawl_round` is the round
     /// the crawl frame was sealed at and its `crawl.*` series' kinds),
@@ -162,6 +174,7 @@ impl<'w> LiveSession<'w> {
         observer: Arc<Observer>,
         watermark: &Watermark,
     ) -> Result<LiveSession<'w>, LiveError> {
+        no_cadence(res_options)?;
         let parts: WatermarkParts = watermark.parts();
         let checkpoint =
             websift_crawler::CrawlCheckpoint::from_bytes(parts.crawl_round, parts.crawl_frame)?;
@@ -531,7 +544,10 @@ mod tests {
             let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
             let resources = IeResources::quick_for_tests(LexiconScale::tiny());
             let plan = live_extraction_flow(&resources, EntityType::Gene, STORE);
-            let injected = ResilienceOptions::injected(0x77, 0.05, 2);
+            let injected = ResilienceOptions {
+                checkpoint_every_rounds: None,
+                ..ResilienceOptions::injected(0x77, 0.05, 2)
+            };
             for (res, dop) in [
                 (ResilienceOptions::default(), 1),
                 (ResilienceOptions::default(), 2),

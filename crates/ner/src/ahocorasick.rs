@@ -203,11 +203,6 @@ impl AhoCorasick {
         order
     }
 
-    /// Number of non-empty patterns in the automaton.
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_char_lens.len()
-    }
-
     /// Number of automaton states — the basis of the taggers' memory model.
     pub fn state_count(&self) -> usize {
         self.fail.len()
@@ -436,13 +431,11 @@ mod tests {
     fn no_patterns_no_matches() {
         let ac = AhoCorasick::new(Vec::<String>::new(), false);
         assert!(ac.find_all("anything").is_empty());
-        assert_eq!(ac.pattern_count(), 0);
     }
 
     #[test]
     fn empty_patterns_ignored() {
         let ac = AhoCorasick::new(["", "x"], false);
-        assert_eq!(ac.pattern_count(), 1);
         let ms = ac.find_all("xx");
         assert_eq!(ms.len(), 2);
     }

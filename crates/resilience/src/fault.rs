@@ -106,11 +106,6 @@ impl FaultPlan {
         self.rates[kind.index()]
     }
 
-    /// True if any kind has a non-zero rate.
-    pub fn is_active(&self) -> bool {
-        self.rates.iter().any(|&r| r > 0.0)
-    }
-
     /// Does a fault of `kind` fire at `site`, first occurrence?
     pub fn injects(&self, kind: FaultKind, site: &str) -> bool {
         self.injects_at(kind, site, 0)
@@ -179,14 +174,12 @@ mod tests {
                 assert!(!plan.injects_at(kind, "example.org/page", occ));
             }
         }
-        assert!(!plan.is_active());
     }
 
     #[test]
     fn full_rate_always_fires() {
         let plan = FaultPlan::uniform(7, 1.0);
         assert!(plan.injects(FaultKind::NodeLoss, "node-3"));
-        assert!(plan.is_active());
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl RetryBudget {
     pub fn remaining(&self, host: &str) -> u32 {
         self.per_host.saturating_sub(self.spent(host))
     }
-
-    /// Total retries consumed across all hosts.
-    pub fn total_spent(&self) -> u64 {
-        self.spent.values().map(|&n| n as u64).sum()
-    }
 }
 
 impl Snapshot for RetryBudget {
@@ -314,7 +309,6 @@ mod tests {
         assert!(budget.try_spend("other"));
         assert_eq!(budget.spent("h"), 2);
         assert_eq!(budget.remaining("h"), 0);
-        assert_eq!(budget.total_spent(), 3);
     }
 
     #[test]

@@ -14,13 +14,11 @@
 pub mod descriptive;
 pub mod divergence;
 pub mod eval;
-pub mod histogram;
 pub mod mannwhitney;
 pub mod sampling;
 
 pub use descriptive::Summary;
 pub use divergence::{jensen_shannon, kullback_leibler};
 pub use eval::{kfold_indices, ConfusionMatrix, PrScores};
-pub use histogram::Histogram;
 pub use mannwhitney::{mann_whitney_u, MannWhitneyResult};
 pub use sampling::{Categorical, Zipf};

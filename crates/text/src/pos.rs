@@ -553,15 +553,6 @@ impl PosTagger {
         // lint:hot_loop(end)
         m
     }
-
-    /// Tags raw text: tokenizes, then tags. Convenience for callers that do
-    /// not manage token offsets themselves.
-    pub fn tag_str(&self, text: &str) -> Result<Vec<(String, PosTag)>, PosError> {
-        let tokens = crate::tokenize::token_strings(text);
-        let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-        let tags = self.tag(&refs)?;
-        Ok(tokens.into_iter().zip(tags).collect())
-    }
 }
 
 /// Builds the embedded training corpus: abstract-style sentences assembled
@@ -855,15 +846,6 @@ mod tests {
             Err(PosError::SentenceTooLong { tokens: 51, limit: 50 }) => {}
             other => panic!("expected SentenceTooLong, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn tag_str_pairs_tokens_with_tags() {
-        let tagger = PosTagger::pretrained();
-        let tagged = tagger.tag_str("The drug inhibits the receptor.").unwrap();
-        assert_eq!(tagged.len(), 6);
-        assert_eq!(tagged[1].0, "drug");
-        assert_eq!(tagged[1].1, PosTag::Noun);
     }
 
     #[test]

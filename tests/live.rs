@@ -56,6 +56,12 @@ fn resources() -> IeResources {
 
 const STORE: &str = "live";
 
+/// Injected crawl faults at `seed` without a checkpoint cadence, which a
+/// live session refuses: its watermark is its frame every round.
+fn faults(seed: u64) -> ResilienceOptions {
+    ResilienceOptions { checkpoint_every_rounds: None, ..ResilienceOptions::injected(seed, 0.05, 2) }
+}
+
 fn start_session<'w>(
     web: &'w SimulatedWeb,
     plan: &LogicalPlan,
@@ -250,7 +256,7 @@ fn killed_session_resumes_byte_identically() {
 #[test]
 fn fault_injected_sessions_replay_identically_across_seeds() {
     for seed in [0x11u64, 0x77] {
-        let options = ResilienceOptions::injected(seed, 0.05, 2);
+        let options = faults(seed);
         assert_resume_replays_identically(&options, 1);
     }
 }
@@ -271,7 +277,7 @@ fn pages_of(report: &CrawlReport) -> Vec<(String, u64, String)> {
 fn watermarks_carry_no_body_and_resume_from_any_round() {
     let web = tiny_web();
     let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
-    let injected = ResilienceOptions::injected(0x77, 0.05, 2);
+    let injected = faults(0x77);
     for (options, dop) in
         [(ResilienceOptions::default(), 1), (ResilienceOptions::default(), 2), (injected, 2)]
     {
@@ -330,7 +336,7 @@ fn watermarks_carry_no_body_and_resume_from_any_round() {
 fn checkpoints_of_a_session_resumed_from_a_watermark_resume() {
     let web = tiny_web();
     let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
-    let options = ResilienceOptions::injected(0x77, 0.05, 2);
+    let options = faults(0x77);
     let mut straight = start_session(&web, &plan, &options, 2);
     let mut marks: Vec<Watermark> = Vec::new();
     while let Some(round) = straight.advance().expect("round advances") {
@@ -368,6 +374,49 @@ fn checkpoints_of_a_session_resumed_from_a_watermark_resume() {
     assert_eq!(again.state_digest(), crawl.state_digest());
     while again.step_round() {}
     assert_eq!(again.state_digest(), straight.crawl().state_digest());
+}
+
+/// Crawl options with a checkpoint cadence are refused, at start and at
+/// resume, with a typed error: a live session's watermark is its frame
+/// every round, and nothing would drain the cadence frames.
+#[test]
+fn a_checkpoint_cadence_is_refused_at_start_and_resume() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let cadence = ResilienceOptions::injected(0x77, 0.05, 2);
+    let started = LiveSession::start(
+        &web,
+        train_focus_classifier(60, 2.0, 4),
+        crawl_config(),
+        seeds_for(&web),
+        &cadence,
+        &plan,
+        ExtractionStore::new(STORE, 4),
+        LiveOptions::default(),
+        Arc::new(Observer::new()),
+    );
+    assert!(
+        matches!(started.err(), Some(LiveError::CheckpointCadence { every_rounds: 2 })),
+        "a session with a crawl checkpoint cadence started"
+    );
+
+    let mut session = start_session(&web, &plan, &faults(0x77), 2);
+    let sealed = session.advance().expect("round advances").expect("round exists").watermark;
+    let resumed = LiveSession::resume_from(
+        &web,
+        crawl_config(),
+        &cadence,
+        &plan,
+        LiveOptions { dop: 2, ..LiveOptions::default() },
+        Arc::new(Observer::new()),
+        &sealed,
+    );
+    match resumed.err() {
+        Some(err @ LiveError::CheckpointCadence { every_rounds: 2 }) => {
+            assert!(err.to_string().contains("checkpoint_every_rounds = 2"), "{err}");
+        }
+        other => panic!("resumed with a crawl checkpoint cadence: {other:?}"),
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use websift::crawler::parser::{repair_markup, strip_markup, HtmlToken};
 use websift::ner::AhoCorasick;
-use websift::stats::{jensen_shannon, mann_whitney_u, Histogram, Summary};
+use websift::stats::{jensen_shannon, mann_whitney_u, Summary};
 use websift::text::{tokenize, SentenceSplitter};
 use websift::web::Url;
 
@@ -139,15 +139,6 @@ proptest! {
         prop_assert!(s.q3 <= s.max + 1e-9);
         prop_assert!(s.mean >= s.min - 1e-9 && s.mean <= s.max + 1e-9);
         prop_assert_eq!(s.count, data.len());
-    }
-
-    /// Histograms never lose observations.
-    #[test]
-    fn histogram_conserves_counts(data in prop::collection::vec(-50.0f64..150.0, 0..100)) {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        h.record_all(data.iter().copied());
-        prop_assert_eq!(h.total(), data.len() as u64);
-        prop_assert_eq!(h.counts().iter().sum::<u64>(), data.len() as u64);
     }
 
     /// URL parse/display round-trips and join never panics.
