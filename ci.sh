@@ -107,8 +107,13 @@ PROPTEST_CASES=64 cargo test -q -p websift-ner --lib differential
 echo "dictionary automaton == brute-force search, CRF == reference decoder and trainer holds ok"
 
 # Crawl loop: a pool of 2, 3 or 8 fetch-and-analyse workers must crawl exactly as one does.
+# The same filter runs the classifier's: `predict`, which lower-cases each
+# word into one reused buffer, must return the log-odds bits of the
+# `#[cfg(test)]` reference that allocates a String per word — every page
+# of a generated web, markup and net text, and non-ASCII words (final
+# sigma, İ, the Kelvin sign, ß), before and after self-training updates.
 PROPTEST_CASES=64 cargo test -q -p websift-crawler --lib differential
-echo "crawl: any worker pool == one worker holds ok"
+echo "crawl: any worker pool == one worker, predict == reference predict holds ok"
 
 # Sealed frames in one pass: `codec::hash_chains`, which advances up to
 # five FNV-1a chains together over one buffer and writes each result
@@ -120,13 +125,16 @@ echo "crawl: any worker pool == one worker holds ok"
 PROPTEST_CASES=64 cargo test -q -p websift-resilience --lib differential
 echo "codec: lockstep FNV-1a chains == separate fnv1a calls holds ok"
 
-# Live watermarks: every round's WSWM v2 frame, written as one buffer with
-# the crawl checkpoint (page bodies from the drain cursor on) and the store
-# snapshot in place and hashed in one pass, must be byte-equal to the
-# reference seal built from separately encoded parts (that checkpoint and
-# the store frame each sealed on their own, the crawler's state digest,
-# the store's content digest) — at DoP 1 and 2, under injected crawl
-# faults, and after a resume in mid-crawl.
+# Live watermarks: every round's WSWM v3 frame — round 1's whole, every
+# later one its round's changes and the previous frame's checksum — written
+# as one buffer with the crawl frame (changes since the previous cursor,
+# page bodies from the drain cursor on) and the round's store snapshot in
+# place and hashed in one pass, must be byte-equal to the reference seal
+# built from separately encoded v3 parts (the crawl frame and the store
+# frame each sealed on their own, the crawler's digest of its segments,
+# the store's content digest, the retained keys whose state changed) — at
+# DoP 1 and 2, under injected crawl faults, and after a resume from a
+# chain prefix in mid-crawl.
 cargo test -q -p websift-live --lib differential
 echo "live: one-pass watermark seal == separately encoded reference seal holds ok"
 
@@ -181,14 +189,16 @@ echo "ablations smoke: ablation arms agree where they must ok"
 cargo run -q --release -p websift-bench --bin run_all -- --only serve --quick --check > /dev/null
 echo "serve smoke: serving digests identical across shards and snapshot/resume ok"
 
-# Live incremental-execution smoke: the incremental session, a batch
-# full recompute, and a killed-and-resumed session must agree on every
-# store digest, the delta pass must beat the recompute per new document
-# from round 2 on, and no watermark's crawl frame may carry a page body
-# (--check exits non-zero otherwise; its stderr line prints the last
-# watermark's bytes beside the accepted net-text bytes).
+# Live incremental-execution smoke: the incremental session, a batch full
+# recompute, and sessions killed after every round and resumed from the
+# chain of watermarks up to it (DoP 1, 2 and 4, with and without injected
+# crawl faults) must agree on every store digest and later watermark, the
+# delta pass must beat the recompute per new document from round 2 on, no
+# watermark's crawl frame may carry a page body, and the bytes sealed after
+# the first watermark must grow linearly in pages (--check exits non-zero
+# otherwise; its stderr line prints the sizes).
 cargo run -q --release -p websift-bench --bin run_all -- --only live --quick --check > /dev/null
-echo "live smoke: incremental == recompute == resumed digests, delta pass wins, watermarks carry no page body ok"
+echo "live smoke: incremental == recompute == resumed from every chain prefix, delta pass wins, watermarks carry no page body, sealed bytes linear in pages ok"
 
 # The workspace has no serialization library: JSON goes through
 # websift-observe's writer and every frame through the resilience codec.

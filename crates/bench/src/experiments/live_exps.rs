@@ -15,13 +15,19 @@
 //!
 //! - store `content_digest` after round k identical for (a) the
 //!   incremental session, (b) the batch recompute over the cumulative
-//!   corpus, and (c) a session killed at a watermark and resumed;
+//!   corpus, and (c) a session killed after any round and resumed from
+//!   the chain of watermarks up to it — at every DoP of the grid, with
+//!   and without injected crawl faults, every later watermark byte-equal;
 //! - every deterministic surface (digest, retained-state bytes, reduce
 //!   output) identical across the DoP grid;
 //! - incremental cost per new document strictly below the full
 //!   recompute's from round 2 onward;
 //! - no watermark's crawl frame carries a page body (every page reached
-//!   the delta pass before its round was sealed).
+//!   the delta pass before its round was sealed);
+//! - a watermark holds what its round changed: over two crawls of
+//!   different sizes, the bytes sealed after the first (whole) watermark
+//!   per accepted page, and the largest such watermark, do not grow with
+//!   the crawl.
 
 use std::sync::Arc;
 
@@ -30,6 +36,7 @@ use websift_corpus::{CorpusKind, Document, LexiconScale};
 use websift_crawler::{
     train_focus_classifier, CrawlCheckpoint, CrawlConfig, CrawlSession, ResilienceOptions,
 };
+use websift_live::LiveError;
 use websift_flow::IeResources;
 use websift_ner::EntityType;
 use websift_observe::Observer;
@@ -95,14 +102,15 @@ pub struct LiveReport {
     pub rounds: u32,
     pub total_documents: u64,
     pub store_postings: u64,
-    /// Round the kill-and-resume check severed the session at.
-    pub resume_round: u32,
+    /// Sessions resumed from a chain prefix: after every round, at every
+    /// DoP, with and without injected crawl faults.
+    pub resumes: usize,
+    /// (a) == (c): each resume whose later watermarks, final store or
+    /// retained state differ from the uninterrupted run's, named.
+    pub resume_failures: Vec<String>,
     /// (a) == (b): incremental digest equals the batch recompute's at
     /// every round boundary, at every DoP.
     pub digests_agree: bool,
-    /// (a) == (c): the resumed session's watermarks and final store are
-    /// byte-identical to the uninterrupted run's.
-    pub resume_agrees: bool,
     /// Digest, retained-state bytes, and reduce output identical across
     /// the DoP grid.
     pub dop_invariant: bool,
@@ -118,6 +126,26 @@ pub struct LiveReport {
     /// Net-text bytes of every page the first run's crawl accepted: what
     /// the last watermark would hold on top if it carried every body.
     pub net_text_bytes: usize,
+    /// A smaller and a larger crawl of eight fetches a round: what each
+    /// sealed after its first, whole watermark.
+    pub sealed: [SealedBytes; 2],
+}
+
+/// What a session sealed after its first, whole watermark.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SealedBytes {
+    /// Pages the crawl accepted.
+    pub pages: usize,
+    /// Bytes of every watermark after the first, summed.
+    pub bytes: usize,
+    /// The largest watermark after the first.
+    pub largest: usize,
+}
+
+impl SealedBytes {
+    fn per_page(&self) -> f64 {
+        self.bytes as f64 / self.pages.max(1) as f64
+    }
 }
 
 impl LiveReport {
@@ -136,11 +164,12 @@ impl LiveReport {
                     .to_string(),
             );
         }
-        if !self.resume_agrees {
+        if let Some(first) = self.resume_failures.first() {
             failures.push(format!(
-                "a session resumed from the round-{} watermark did not replay byte-identically \
-                 to the uninterrupted run",
-                self.resume_round
+                "{} of {} sessions resumed from a chain prefix did not replay byte-identically \
+                 to the uninterrupted run, first {first}",
+                self.resume_failures.len(),
+                self.resumes
             ));
         }
         if !self.dop_invariant {
@@ -163,18 +192,44 @@ impl LiveReport {
                 self.watermark_bodies
             ));
         }
+        let [small, large] = self.sealed;
+        if large.per_page() >= 1.25 * small.per_page() {
+            failures.push(format!(
+                "sealed bytes per accepted page after the first watermark grew from {:.0} \
+                 ({} pages) to {:.0} ({} pages): the chain grows faster than the crawl",
+                small.per_page(),
+                small.pages,
+                large.per_page(),
+                large.pages
+            ));
+        }
+        if 2 * large.largest > 3 * small.largest {
+            failures.push(format!(
+                "the largest watermark after the first grew from {} bytes ({} pages) to {} \
+                 ({} pages): a round's watermark grows with the crawl",
+                small.largest, small.pages, large.largest, large.pages
+            ));
+        }
         verdict(failures, || {
             format!(
                 "{} rounds x DoP {dops:?}, digests identical across incremental / batch \
-                 recompute / kill-and-resume (round {}), delta pass beats recompute per new \
-                 document from round 2 on; {} docs / {} postings; watermarks carry 0 page \
-                 bodies: watermark_bytes_last {} beside {} accepted net-text bytes",
+                 recompute / {} sessions resumed from every round's chain prefix (with and \
+                 without injected faults), delta pass beats recompute per new document from \
+                 round 2 on; {} docs / {} postings; watermarks carry 0 page bodies: \
+                 watermark_bytes_last {} beside {} accepted net-text bytes; sealed after the \
+                 first watermark {:.0} / {:.0} bytes per page at {} / {} pages, largest {} / {}",
                 self.rounds,
-                self.resume_round,
+                self.resumes,
                 self.total_documents,
                 self.store_postings,
                 self.watermark_bytes_last,
-                self.net_text_bytes
+                self.net_text_bytes,
+                small.per_page(),
+                large.per_page(),
+                small.pages,
+                large.pages,
+                small.largest,
+                large.largest
             )
         })
     }
@@ -203,6 +258,8 @@ fn crawl_config(max_pages: usize) -> CrawlConfig {
 struct SessionRun {
     samples: Vec<RoundSample>,
     watermarks: Vec<Watermark>,
+    /// Pages the crawl accepted, relevant and irrelevant.
+    pages: usize,
     net_text_bytes: usize,
     cumulative: Vec<Document>,
     final_digest: u64,
@@ -222,18 +279,28 @@ struct RoundSample {
     store_digest: u64,
 }
 
+/// Injected crawl faults, without the checkpoint cadence a live session
+/// refuses (its watermark is its frame every round).
+fn injected_faults() -> ResilienceOptions {
+    ResilienceOptions {
+        checkpoint_every_rounds: None,
+        ..ResilienceOptions::injected(0x77, 0.05, 2)
+    }
+}
+
 fn start_session<'w>(
     web: &'w SimulatedWeb,
     plan: &websift_flow::LogicalPlan,
-    max_pages: usize,
+    config: CrawlConfig,
+    options: &ResilienceOptions,
     dop: usize,
 ) -> LiveSession<'w> {
     LiveSession::start(
         web,
         train_focus_classifier(60, 2.0, 4),
-        crawl_config(max_pages),
+        config,
         seeds_for(web),
-        &ResilienceOptions::default(),
+        options,
         plan,
         ExtractionStore::new(STORE, SHARDS),
         LiveOptions { dop, ..LiveOptions::default() },
@@ -242,34 +309,47 @@ fn start_session<'w>(
     .expect("live bench session starts")
 }
 
-/// Page bodies `watermark`'s crawl frame carries: the crawl resumed from
-/// it keeps a page's net text only if the frame carried the body, and
-/// every accepted page has one (the text filter's minimum length).
-fn carried_bodies(web: &SimulatedWeb, max_pages: usize, watermark: &Watermark) -> usize {
-    let parts = watermark.parts();
-    let frame = CrawlCheckpoint::from_bytes(parts.crawl_round, parts.crawl_frame)
-        .expect("a watermark's crawl frame verifies");
-    let crawl = CrawlSession::resume(
-        web,
-        &frame,
-        crawl_config(max_pages),
-        &ResilienceOptions::default(),
-        None,
-        Arc::new(Observer::new()),
-    )
-    .expect("the crawl resumes from a watermark's frame");
-    let report = crawl.report();
-    report.relevant.iter().chain(&report.irrelevant).filter(|p| !p.net_text.is_empty()).count()
+/// Page bodies the crawl frames of `chain` carry: the crawl rebuilt from
+/// the chain, frame by frame, keeps a page's net text only if a frame
+/// carried its body, and every accepted page has one (the text filter's
+/// minimum length); summed over the rebuilt crawl after each frame.
+fn carried_bodies(web: &SimulatedWeb, max_pages: usize, chain: &[Watermark]) -> usize {
+    let mut crawl: Option<CrawlSession<'_>> = None;
+    let mut bodies = 0;
+    for watermark in chain {
+        let parts = watermark.parts();
+        let frame = CrawlCheckpoint::from_bytes(parts.crawl_round, parts.crawl_frame)
+            .expect("a watermark's crawl frame verifies");
+        match &mut crawl {
+            None => {
+                let first = CrawlSession::resume(
+                    web,
+                    &frame,
+                    crawl_config(max_pages),
+                    &ResilienceOptions::default(),
+                    None,
+                    Arc::new(Observer::new()),
+                );
+                crawl = Some(first.expect("the crawl resumes from the chain's first frame"));
+            }
+            Some(crawl) => crawl.apply_frame(&frame).expect("the chain's next frame replays"),
+        }
+        let report = crawl.as_ref().expect("replayed").report();
+        let pages = report.relevant.iter().chain(&report.irrelevant);
+        bodies += pages.filter(|p| !p.net_text.is_empty()).count();
+    }
+    bodies
 }
 
 /// Runs one session to crawl exhaustion, sampling every round.
 fn run_session(
     web: &SimulatedWeb,
     plan: &websift_flow::LogicalPlan,
-    max_pages: usize,
+    config: CrawlConfig,
+    options: &ResilienceOptions,
     dop: usize,
 ) -> SessionRun {
-    let mut session = start_session(web, plan, max_pages, dop);
+    let mut session = start_session(web, plan, config, options, dop);
     let mut samples = Vec::new();
     let mut watermarks = Vec::new();
     let mut total_docs = 0u64;
@@ -293,6 +373,7 @@ fn run_session(
     let cumulative = documents_from_pages(&report.relevant, CorpusKind::RelevantWeb, 0);
     let pages = report.relevant.iter().chain(&report.irrelevant);
     SessionRun {
+        pages: report.relevant.len() + report.irrelevant.len(),
         net_text_bytes: pages.map(|p| p.net_text.len()).sum(),
         final_digest: session.store().content_digest(),
         postings: session.store().posting_count(),
@@ -330,51 +411,87 @@ fn recompute(
     (store.content_digest(), secs)
 }
 
-/// Kill-and-resume check at `dop`: resume a fresh session from the
-/// uninterrupted run's round-`kill_after` watermark and require every
-/// subsequent watermark frame and the final digest to be byte-identical.
-fn resume_agrees(
+/// Kill-and-resume check at `dop` under `options`: for every round k,
+/// resume a fresh session from the uninterrupted run's watermarks of
+/// rounds 1..k and require every later watermark, the final store digest
+/// and the retained state to be byte-identical. Returns each resume that
+/// was not, named.
+fn resume_failures(
     web: &SimulatedWeb,
     plan: &websift_flow::LogicalPlan,
     max_pages: usize,
     dop: usize,
+    options: &ResilienceOptions,
     straight: &SessionRun,
-    kill_after: usize,
-) -> bool {
-    let frame = straight.watermarks[kill_after - 1].as_bytes().to_vec();
-    let watermark = Watermark::from_bytes(frame).expect("watermark decodes");
-    let mut resumed = LiveSession::resume_from(
-        web,
-        crawl_config(max_pages),
-        &ResilienceOptions::default(),
-        plan,
-        LiveOptions { dop, ..LiveOptions::default() },
-        Arc::new(Observer::new()),
-        &watermark,
-    )
-    .expect("live bench session resumes");
-    let mut marks = Vec::new();
-    while let Some(round) = resumed.advance().expect("resumed round advances") {
-        marks.push(round.watermark);
-    }
-    marks.len() == straight.watermarks.len() - kill_after
-        && straight.watermarks[kill_after..]
+) -> Vec<String> {
+    let what = |k: usize, how: String| {
+        format!("DoP {dop}, faults {}, after round {k}: {how}", options.faults.is_some())
+    };
+    let mut failures = Vec::new();
+    for k in 1..=straight.watermarks.len() {
+        let chain: Vec<Watermark> = straight.watermarks[..k]
             .iter()
-            .zip(&marks)
-            .all(|(a, b)| a.as_bytes() == b.as_bytes())
-        && resumed.store().content_digest() == straight.final_digest
-        && resumed.state_bytes() == straight.state_bytes
+            .map(|w| Watermark::from_bytes(w.as_bytes().to_vec()).expect("watermark decodes"))
+            .collect();
+        let resumed = LiveSession::resume_from(
+            web,
+            crawl_config(max_pages),
+            options,
+            plan,
+            LiveOptions { dop, ..LiveOptions::default() },
+            Arc::new(Observer::new()),
+            &chain,
+        );
+        let mut resumed = match resumed {
+            Ok(resumed) => resumed,
+            Err(e) => {
+                failures.push(what(k, format!("refused: {e}")));
+                continue;
+            }
+        };
+        let mut marks = Vec::new();
+        let ended = loop {
+            match resumed.advance() {
+                Ok(Some(round)) => marks.push(round.watermark),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err::<(), LiveError>(e),
+            }
+        };
+        let replayed = ended.is_ok()
+            && marks[..] == straight.watermarks[k..]
+            && resumed.store().content_digest() == straight.final_digest
+            && resumed.state_bytes() == straight.state_bytes;
+        if !replayed {
+            failures.push(what(k, format!("{} later watermarks, {ended:?}", marks.len())));
+        }
+    }
+    failures
+}
+
+/// What a live session over a crawl of at most `max_pages` pages, eight
+/// fetches a round, sealed after its first watermark.
+fn sealed_after_the_first(
+    web: &SimulatedWeb,
+    plan: &websift_flow::LogicalPlan,
+    max_pages: usize,
+) -> SealedBytes {
+    let config = CrawlConfig { fetch_list_total: 8, ..crawl_config(max_pages) };
+    let run = run_session(web, plan, config, &ResilienceOptions::default(), 1);
+    let later = run.watermarks.iter().skip(1).map(Watermark::size_bytes);
+    SealedBytes {
+        pages: run.pages,
+        bytes: later.clone().sum(),
+        largest: later.max().unwrap_or(0),
+    }
 }
 
 /// Runs the standard sweep — a 150-page crawl at every DoP in
-/// [`LIVE_DOPS`], plus the batch oracle per round and one resume check —
-/// or, `quick`, a 60-page crawl at DoP {1, 2}.
+/// [`LIVE_DOPS`], plus the batch oracle per round, the resume from every
+/// round's chain prefix with and without injected faults, and the sealed
+/// bytes of a 20-page and a 200-page crawl — or, `quick`, the same with a
+/// 60-page crawl.
 pub fn live(quick: bool) -> LiveReport {
-    if quick {
-        live_at(60, &[1, 2])
-    } else {
-        live_at(150, &LIVE_DOPS)
-    }
+    live_at(if quick { 60 } else { 150 }, &LIVE_DOPS)
 }
 
 /// Runs the sweep at explicit DoPs (at least one DoP is required, and
@@ -385,8 +502,11 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
     let resources = IeResources::quick_for_tests(LexiconScale::tiny());
     let plan = live_extraction_flow(&resources, EntityType::Gene, STORE);
 
-    let runs: Vec<SessionRun> =
-        dops.iter().map(|&dop| run_session(&web, &plan, max_pages, dop)).collect();
+    let plain = ResilienceOptions::default();
+    let runs: Vec<SessionRun> = dops
+        .iter()
+        .map(|&dop| run_session(&web, &plan, crawl_config(max_pages), &plain, dop))
+        .collect();
     let base = &runs[0];
     assert!(base.samples.len() >= 2, "crawl ended after one round; raise max_pages");
 
@@ -446,9 +566,18 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
                 .all(|(a, b)| a.store_digest == b.store_digest)
     });
 
-    // Kill-and-resume: sever the first run mid-session and replay.
-    let kill_after = (base.samples.len() / 2).max(1);
-    let resume_ok = resume_agrees(&web, &plan, max_pages, dops[0], base, kill_after);
+    // Kill-and-resume: sever every run after every round and replay the
+    // chain; the same under injected crawl faults.
+    let faults = injected_faults();
+    let mut resumes = 0;
+    let mut resume_failed = Vec::new();
+    for (run, &dop) in runs.iter().zip(dops) {
+        let faulty = run_session(&web, &plan, crawl_config(max_pages), &faults, dop);
+        for (run, options) in [(run, &plain), (&faulty, &faults)] {
+            resumes += run.watermarks.len();
+            resume_failed.extend(resume_failures(&web, &plan, max_pages, dop, options, run));
+        }
+    }
 
     // The incremental claim: from round 2 on, the delta pass must beat a
     // full recompute per new document (round 1 is a wash by definition —
@@ -462,7 +591,8 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
     result.note(format!(
         "{} rounds, {} documents, {} postings (content digest {:016x}); {} retained \
          reduce keys; incremental digest {} the batch recompute's at every round and DoP \
-         {dops:?}; kill at round {kill_after} + resume {}; deterministic surfaces {} \
+         {dops:?}; {resumes} resumes from every round's chain prefix (faults or not) {}; \
+         deterministic surfaces {} \
          across DoPs; incremental cost/new-doc {} the full recompute's from round 2 on \
          (simulated seconds)",
         base.samples.len(),
@@ -471,7 +601,7 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
         base.final_digest,
         base.retained_keys,
         if digests_agree { "matches" } else { "MISMATCHES" },
-        if resume_ok { "replays byte-identically" } else { "DIVERGES" },
+        if resume_failed.is_empty() { "replay byte-identically" } else { "DIVERGE" },
         if dop_invariant { "agree" } else { "DISAGREE" },
         if incremental_wins { "beats" } else { "DOES NOT BEAT" },
     ));
@@ -483,14 +613,15 @@ pub fn live_at(max_pages: usize, dops: &[usize]) -> LiveReport {
         rounds: base.samples.len() as u32,
         total_documents: base.cumulative.len() as u64,
         store_postings: base.postings,
-        resume_round: kill_after as u32,
+        resumes,
+        resume_failures: resume_failed,
         digests_agree,
-        resume_agrees: resume_ok,
         dop_invariant,
         incremental_wins,
-        watermark_bodies: base.watermarks.iter().map(|w| carried_bodies(&web, max_pages, w)).sum(),
+        watermark_bodies: carried_bodies(&web, max_pages, &base.watermarks),
         watermark_bytes_last: base.watermarks.last().map_or(0, Watermark::size_bytes),
         net_text_bytes: base.net_text_bytes,
+        sealed: [20, 200].map(|pages| sealed_after_the_first(&web, &plan, pages)),
     }
 }
 
@@ -507,14 +638,18 @@ mod tests {
             rounds: 3,
             total_documents: 13,
             store_postings: 115,
-            resume_round: 1,
+            resumes: 6,
+            resume_failures: Vec::new(),
             digests_agree: true,
-            resume_agrees: true,
             dop_invariant: true,
             incremental_wins: true,
             watermark_bodies: 0,
             watermark_bytes_last: 1,
             net_text_bytes: 2,
+            sealed: [
+                SealedBytes { pages: 20, bytes: 20_000, largest: 4_000 },
+                SealedBytes { pages: 60, bytes: 66_000, largest: 5_000 },
+            ],
         }
     }
 
@@ -529,18 +664,25 @@ mod tests {
         };
         for (failures, message) in [
             (failures(|r| r.digests_agree = false), "incremental != batch digest"),
-            (failures(|r| r.resume_agrees = false), "resumed from the round-1 watermark"),
+            (
+                failures(|r| r.resume_failures = vec!["DoP 2, after round 1".into()]),
+                "1 of 6 sessions resumed from a chain prefix",
+            ),
             (failures(|r| r.dop_invariant = false), "varied across the DoP grid [1, 2]"),
             (failures(|r| r.incremental_wins = false), "did not beat a batch full recompute"),
             (failures(|r| r.watermark_bodies = 4), "carry 4 page bodies"),
+            (failures(|r| r.sealed[1].bytes = 90_000), "grew from 1000 (20 pages) to 1500"),
+            (failures(|r| r.sealed[1].largest = 6_001), "grew from 4000 bytes (20 pages)"),
         ] {
             assert!(failures.len() == 1 && failures[0].contains(message), "{failures:?}");
         }
         let all = failures(|r| {
-            (r.digests_agree, r.resume_agrees, r.dop_invariant) = (false, false, false);
+            (r.digests_agree, r.dop_invariant) = (false, false);
+            r.resume_failures = vec!["x".into()];
             (r.incremental_wins, r.watermark_bodies) = (false, 4);
+            r.sealed[1] = SealedBytes { pages: 60, bytes: 90_000, largest: 9_000 };
         });
-        assert_eq!(all.len(), 5, "every failure is reported");
+        assert_eq!(all.len(), 7, "every failure is reported");
     }
 
     #[test]
@@ -549,7 +691,9 @@ mod tests {
         assert!(report.rounds >= 2);
         assert_eq!(report.points.len(), 2 * report.rounds as usize);
         assert!(report.digests_agree, "incremental store diverged from batch recompute");
-        assert!(report.resume_agrees, "kill-and-resume diverged");
+        assert!(report.resume_failures.is_empty(), "{:?}", report.resume_failures);
+        assert!(report.resumes >= 2 * report.rounds as usize, "{} resumes", report.resumes);
+        report.check().expect("every verdict holds");
         assert!(report.dop_invariant, "deterministic surfaces vary with DoP");
         assert!(report.incremental_wins, "delta pass lost to a full recompute");
         assert_eq!(report.watermark_bodies, 0, "a watermark carries a page body");
@@ -564,7 +708,7 @@ mod tests {
         let web = live_web();
         let resources = IeResources::quick_for_tests(LexiconScale::tiny());
         let plan = live_extraction_flow(&resources, EntityType::Gene, STORE);
-        let run = run_session(&web, &plan, 60, 2);
+        let run = run_session(&web, &plan, crawl_config(60), &ResilienceOptions::default(), 2);
         let upto = run.samples.len();
         let (d1, s1) = recompute(&plan, &run.cumulative, &run.samples, upto, 2);
         let (d2, s2) = recompute(&plan, &run.cumulative, &run.samples, upto, 2);

@@ -9,22 +9,33 @@
 
 use std::collections::HashMap;
 
+use websift_resilience::codec::presize;
+use websift_resilience::{CodecError, Reader, Snapshot, Writer};
+
 /// Class labels: `true` = relevant (biomedical), `false` = irrelevant.
 #[derive(Debug, Clone, Default)]
 pub struct NaiveBayes {
-    /// word -> [irrelevant count, relevant count]
-    word_counts: HashMap<String, [u64; 2]>,
+    /// word -> its counts and the update that last changed them
+    word_counts: HashMap<String, WordCounts>,
     /// total word tokens per class
     class_tokens: [u64; 2],
     /// documents per class
     class_docs: [u64; 2],
     /// decision threshold on log-odds (higher = more precision, less recall)
     threshold: f64,
+    /// `update` calls so far: the model's cursor in a crawl frame
+    updates: u64,
 }
 
-/// The checkpointable decomposition of a [`NaiveBayes`] model: word
-/// counts, per-class token totals, per-class document totals, threshold.
-pub type ModelParts<'a> = (&'a HashMap<String, [u64; 2]>, [u64; 2], [u64; 2], f64);
+/// One word's per-class counts, stamped with the [`NaiveBayes::update`]
+/// (1-based) that last changed them, so a frame can carry the words
+/// changed since a cursor.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordCounts {
+    /// [irrelevant count, relevant count]
+    counts: [u64; 2],
+    touched: u64,
+}
 
 /// A scored prediction.
 #[derive(Debug, Clone, Copy)]
@@ -34,10 +45,27 @@ pub struct Prediction {
     pub log_odds: f64,
 }
 
+/// The words of `text` as written: alphanumeric runs of two bytes or more.
+fn raw_words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_alphanumeric()).filter(|w| w.len() >= 2)
+}
+
 fn words(text: &str) -> impl Iterator<Item = String> + '_ {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|w| w.len() >= 2)
-        .map(str::to_lowercase)
+    raw_words(text).map(str::to_lowercase)
+}
+
+
+/// `word.to_lowercase()`, written into `buf`: ASCII byte by byte, anything
+/// else through `str::to_lowercase`, which knows the final-sigma rule.
+fn lowercase_into<'b>(word: &str, buf: &'b mut String) -> &'b str {
+    buf.clear();
+    if word.is_ascii() {
+        buf.push_str(word);
+        buf.make_ascii_lowercase();
+    } else {
+        buf.push_str(&word.to_lowercase());
+    }
+    buf
 }
 
 impl NaiveBayes {
@@ -58,29 +86,62 @@ impl NaiveBayes {
         self.threshold
     }
 
-    /// Decomposes the model for checkpointing: word counts, per-class
-    /// token totals, per-class document totals, and the threshold.
-    pub fn snapshot_parts(&self) -> ModelParts<'_> {
-        (&self.word_counts, self.class_tokens, self.class_docs, self.threshold)
+    /// `update` calls so far: the cursor [`NaiveBayes::write_since`] takes.
+    pub(crate) fn updates(&self) -> u64 {
+        self.updates
     }
 
-    /// Rebuilds a model from checkpointed parts (inverse of
-    /// [`NaiveBayes::snapshot_parts`]).
-    pub fn from_parts(
-        word_counts: HashMap<String, [u64; 2]>,
-        class_tokens: [u64; 2],
-        class_docs: [u64; 2],
-        threshold: f64,
-    ) -> NaiveBayes {
-        NaiveBayes { word_counts, class_tokens, class_docs, threshold }
+    /// Writes the model as changed since `since` updates: class totals,
+    /// threshold and update count whole, then, sorted, every word an
+    /// update after `since` changed — all of them when `since` is 0, none
+    /// (and no pass over them) when no update came since.
+    pub(crate) fn write_since(&self, since: u64, w: &mut Writer) {
+        self.class_tokens.encode(w);
+        self.class_docs.encode(w);
+        w.f64(self.threshold);
+        w.u64(self.updates);
+        let mut changed: Vec<(&String, &WordCounts)> = if since == 0 {
+            self.word_counts.iter().collect()
+        } else if self.updates > since {
+            self.word_counts.iter().filter(|(_, c)| c.touched > since).collect()
+        } else {
+            Vec::new()
+        };
+        changed.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.usize(changed.len());
+        for (word, c) in changed {
+            w.str(word);
+            c.counts.encode(w);
+        }
+    }
+
+    /// Applies what [`NaiveBayes::write_since`] wrote: totals, threshold
+    /// and update count are set, and each word carried takes its counts,
+    /// stamped with that update count.
+    pub(crate) fn apply(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        self.class_tokens = Snapshot::decode(r)?;
+        self.class_docs = Snapshot::decode(r)?;
+        self.threshold = r.f64()?;
+        self.updates = r.u64()?;
+        let n = r.usize()?;
+        self.word_counts.reserve(presize::<(String, [u64; 2])>(n, r));
+        for _ in 0..n {
+            let word = r.str()?;
+            let counts = Snapshot::decode(r)?;
+            self.word_counts.insert(word, WordCounts { counts, touched: self.updates });
+        }
+        Ok(())
     }
 
     /// Incrementally adds one labeled document.
     pub fn update(&mut self, text: &str, relevant: bool) {
         let c = relevant as usize;
+        self.updates += 1;
         self.class_docs[c] += 1;
         for w in words(text) {
-            self.word_counts.entry(w).or_insert([0, 0])[c] += 1;
+            let slot = self.word_counts.entry(w).or_default();
+            slot.counts[c] += 1;
+            slot.touched = self.updates;
             self.class_tokens[c] += 1;
         }
     }
@@ -97,14 +158,45 @@ impl NaiveBayes {
         nb
     }
 
-    /// Scores a document.
+    /// Scores a document. Words are lower-cased into one reused buffer and
+    /// looked up by `&str`, and an unseen word adds a term computed once;
+    /// every term and the order they are summed in are the reference's
+    /// (`predict_reference` in the tests), so the log-odds bits are too.
     pub fn predict(&self, text: &str) -> Prediction {
         let vocab = self.word_counts.len().max(1) as f64;
         let total_docs = (self.class_docs[0] + self.class_docs[1]).max(1) as f64;
         let mut log_odds = ((self.class_docs[1] as f64 + 0.5) / total_docs).ln()
             - ((self.class_docs[0] as f64 + 0.5) / total_docs).ln();
+        let tokens = [self.class_tokens[0] as f64 + vocab, self.class_tokens[1] as f64 + vocab];
+        let term = |counts: [u64; 2]| {
+            let p_rel = (counts[1] as f64 + 1.0) / tokens[1];
+            let p_irr = (counts[0] as f64 + 1.0) / tokens[0];
+            p_rel.ln() - p_irr.ln()
+        };
+        let unseen = term([0, 0]);
+        let mut buf = String::new();
+        for word in raw_words(text) {
+            log_odds += self
+                .word_counts
+                .get(lowercase_into(word, &mut buf))
+                .map_or(unseen, |c| term(c.counts));
+        }
+        Prediction {
+            relevant: log_odds > self.threshold,
+            log_odds,
+        }
+    }
+
+    /// The scorer `predict` replaced: a `to_lowercase` `String` per word,
+    /// both logarithms for every word.
+    #[cfg(test)]
+    fn predict_reference(&self, text: &str) -> Prediction {
+        let vocab = self.word_counts.len().max(1) as f64;
+        let total_docs = (self.class_docs[0] + self.class_docs[1]).max(1) as f64;
+        let mut log_odds = ((self.class_docs[1] as f64 + 0.5) / total_docs).ln()
+            - ((self.class_docs[0] as f64 + 0.5) / total_docs).ln();
         for w in words(text) {
-            let counts = self.word_counts.get(&w).copied().unwrap_or([0, 0]);
+            let counts = self.word_counts.get(&w).map_or([0, 0], |c| c.counts);
             let p_rel = (counts[1] as f64 + 1.0) / (self.class_tokens[1] as f64 + vocab);
             let p_irr = (counts[0] as f64 + 1.0) / (self.class_tokens[0] as f64 + vocab);
             log_odds += p_rel.ln() - p_irr.ln();
@@ -237,4 +329,54 @@ mod tests {
         assert!(nb.is_relevant("gene tumor therapy for cancer"));
         assert!(!nb.is_relevant("shopping deals offer today"));
     }
+
+    /// `predict` against `predict_reference`, log-odds compared bit for
+    /// bit: every page of a generated web (markup and net text), ASCII
+    /// and non-ASCII words (final sigma, `İ`, the Kelvin sign, `ß`,
+    /// digits) alone and mixed, on the trained focus model before and
+    /// after self-training updates.
+    #[test]
+    fn differential_predict_equals_the_reference_bit_for_bit() {
+        use crate::boilerplate::BoilerplateDetector;
+        use websift_web::{PageId, SimulatedWeb, WebGraph, WebGraphConfig};
+
+        let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
+        let boilerplate = BoilerplateDetector::default();
+        let mut texts: Vec<String> = Vec::new();
+        for p in 0..web.graph().num_pages() as u32 {
+            let Ok(resp) = web.fetch(&web.graph().url_of(PageId(p))) else { continue };
+            let html = String::from_utf8_lossy(&resp.body).into_owned();
+            texts.extend(boilerplate.extract(&html).ok());
+            texts.push(html);
+        }
+        assert!(texts.len() > 50, "the generated web yielded {} texts", texts.len());
+        let hostile = [
+            "ΟΔΟΣ ΣΟΦΟΣ Σ σ ς", "İSTANBUL İi", "\u{212A}ELVIN \u{212A}", "STRAẞE Straße ß",
+            "BRCA1 p53 TP53 il-6", "Ǆungla ǅ ǆ", "ÀÉÎÕÜ àéîõü", "日本語 テキスト", "x y z", "",
+        ];
+        let mut mixed = String::new();
+        for (i, word) in hostile.iter().enumerate() {
+            mixed.push_str(word);
+            mixed.push(if i % 2 == 0 { ' ' } else { '-' });
+            texts.push(word.to_string());
+            texts.push(mixed.clone());
+        }
+
+        let mut model = train_focus_classifier(60, 2.0, 4);
+        for round in 0..2 {
+            for text in &texts {
+                let (fast, reference) = (model.predict(text), model.predict_reference(text));
+                assert_eq!(
+                    fast.log_odds.to_bits(),
+                    reference.log_odds.to_bits(),
+                    "model {round}: {text:?}"
+                );
+                assert_eq!(fast.relevant, reference.relevant);
+            }
+            for (i, text) in texts.iter().enumerate().step_by(7) {
+                model.update(text, i % 2 == 0);
+            }
+        }
+    }
 }
+

@@ -55,18 +55,18 @@
 
 use crate::boilerplate::BoilerplateDetector;
 use crate::classifier::NaiveBayes;
-use crate::crawldb::{CrawlDb, CrawlDbConfig, FrontierEntry, UrlStatus};
+use crate::crawldb::{CrawlDb, CrawlDbConfig, DbCursor, FrontierEntry, UrlStatus};
 use crate::feedback::IeFeedback;
 use crate::fetcher::{FaultContext, FetchOutcome, Fetcher};
 use crate::filters::{FilterChain, FilterConfig, FilterStats, RejectReason};
-use crate::linkdb::LinkDb;
+use crate::linkdb::{LinkCursor, LinkDb};
 use crate::parser::extract_links;
 use crate::recovery::{CheckpointLayout, CrawlCheckpoint, ResilienceOptions, ResilienceStats};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use websift_observe::{Labels, Observer, RegistrySnapshot};
-use websift_resilience::codec;
+use websift_resilience::codec::{self, presize};
 use websift_resilience::{
     BreakerState, CircuitBreaker, CodecError, FaultKind, Reader, RetryBudget, Snapshot, Writer,
 };
@@ -101,6 +101,10 @@ const CRAWL_SERIES: [&[&str]; 3] = [
     &["crawl.frontier_size", "crawl.harvest_rate", "crawl.simulated_secs"],
     &["crawl.round_fetch_secs"],
 ];
+
+/// What a frame's leading flag is, for its error: whole frames start a
+/// chain, frames of changes continue one.
+const FRAME_KIND: &str = "crawl frame kind (1 whole, 0 changes)";
 
 /// What one round adds up for [`FocusedCrawler::observe_round`]: when it
 /// started and fetched on the simulated clock, the Fig. 1 phase
@@ -257,10 +261,17 @@ pub struct CrawlReport {
     pub resilience: ResilienceStats,
 }
 
-impl Snapshot for CrawlReport {
-    fn encode(&self, w: &mut Writer) {
-        self.relevant.encode(w);
-        self.irrelevant.encode(w);
+impl CrawlReport {
+    /// Writes the report as changed since the page counts `since`: the
+    /// pages of each list from there on (as a page count and the pages),
+    /// then every counter whole. Since `[0, 0]` this is the whole report.
+    fn write_since(&self, since: [usize; 2], w: &mut Writer) {
+        for (pages, from) in [(&self.relevant, since[0]), (&self.irrelevant, since[1])] {
+            w.usize(pages.len() - from);
+            for page in &pages[from..] {
+                page.encode(w);
+            }
+        }
         self.filter_stats.encode(w);
         w.u64(self.failed);
         w.u64(self.duplicates);
@@ -272,20 +283,26 @@ impl Snapshot for CrawlReport {
         self.resilience.encode(w);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<CrawlReport, CodecError> {
-        Ok(CrawlReport {
-            relevant: Snapshot::decode(r)?,
-            irrelevant: Snapshot::decode(r)?,
-            filter_stats: Snapshot::decode(r)?,
-            failed: r.u64()?,
-            duplicates: r.u64()?,
-            simulated_secs: r.f64()?,
-            frontier_exhausted: r.bool()?,
-            trap_rejected: r.u64()?,
-            bytes_relevant: r.u64()?,
-            bytes_irrelevant: r.u64()?,
-            resilience: Snapshot::decode(r)?,
-        })
+    /// Replays what [`CrawlReport::write_since`] wrote: appends the pages
+    /// and sets the counters.
+    fn apply(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        for pages in [&mut self.relevant, &mut self.irrelevant] {
+            let n = r.usize()?;
+            pages.reserve(presize::<CrawledPage>(n, r));
+            for _ in 0..n {
+                pages.push(CrawledPage::decode(r)?);
+            }
+        }
+        self.filter_stats = Snapshot::decode(r)?;
+        self.failed = r.u64()?;
+        self.duplicates = r.u64()?;
+        self.simulated_secs = r.f64()?;
+        self.frontier_exhausted = r.bool()?;
+        self.trap_rejected = r.u64()?;
+        self.bytes_relevant = r.u64()?;
+        self.bytes_irrelevant = r.u64()?;
+        self.resilience = Snapshot::decode(r)?;
+        Ok(())
     }
 }
 
@@ -395,6 +412,21 @@ impl LoopState {
     }
 }
 
+/// Where a crawl's state stood when a frame was written: the page counts
+/// of the report's two lists and the positions of the crawler's logs
+/// (CrawlDB, LinkDB, classifier updates). A frame written since a cursor
+/// carries what changed after it; the default cursor is the empty crawl,
+/// so a frame written since it is whole. Positions never go into a frame:
+/// the bytes depend on what changed, so a crawl rebuilt from frames writes
+/// the same later frames as the crawl that wrote them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CrawlCursor {
+    pages: [usize; 2],
+    crawldb: DbCursor,
+    linkdb: LinkCursor,
+    updates: u64,
+}
+
 /// The focused crawler.
 pub struct FocusedCrawler<'w> {
     web: &'w SimulatedWeb,
@@ -403,7 +435,9 @@ pub struct FocusedCrawler<'w> {
     config: CrawlConfig,
     pub crawldb: CrawlDb,
     pub linkdb: LinkDb,
-    /// FNV hashes of accepted net texts, for content deduplication.
+    /// FNV hashes of accepted net texts, for content deduplication: the
+    /// `content_digest` of every page in the report, so a frame does not
+    /// carry it and a resume rebuilds it from the pages.
     seen_content: std::collections::HashSet<u64>,
     /// Optional IE feedback loop (§5's consolidated process).
     feedback: Option<IeFeedback>,
@@ -470,49 +504,67 @@ impl<'w> FocusedCrawler<'w> {
 
     /// Digest of the complete crawler + report state, for asserting the
     /// bit-identical kill/resume invariant without field-by-field
-    /// comparison: the hash of the crawler and report segments of a
-    /// checkpoint payload, which a live watermark's seal hashes in place
-    /// ([`CrawlSession::write_checkpoint`]).
+    /// comparison: the hash of the crawler and report segments of a frame
+    /// written since [`CrawlCursor::default`], which `checkpoint()` writes
+    /// and hashes in place.
     pub fn state_digest(&self, report: &CrawlReport) -> u64 {
+        self.state_digest_since(report, &CrawlCursor::default())
+    }
+
+    /// The hash of the crawler and report segments a frame written since
+    /// `since` holds.
+    fn state_digest_since(&self, report: &CrawlReport, since: &CrawlCursor) -> u64 {
         let mut w = Writer::new();
-        self.encode_crawler(&mut w);
-        report.encode(&mut w);
+        self.write_crawler(since, &mut w);
+        report.write_since(since.pages, &mut w);
         codec::digest(&w.into_bytes())
     }
 
-    /// The crawler's own state: the prefix `state_digest` and every frame share.
-    fn encode_crawler(&self, w: &mut Writer) {
-        self.crawldb.encode_snapshot(w);
-        self.linkdb.encode_snapshot(w);
-        let (word_counts, class_tokens, class_docs, threshold) = self.classifier.snapshot_parts();
-        word_counts.encode(w);
-        class_tokens.encode(w);
-        class_docs.encode(w);
-        w.f64(threshold);
-        self.seen_content.encode(w);
+    /// Where the crawler's logs and `report`'s page lists stand now.
+    fn cursor(&self, report: &CrawlReport) -> CrawlCursor {
+        CrawlCursor {
+            pages: [report.relevant.len(), report.irrelevant.len()],
+            crawldb: self.crawldb.cursor(),
+            linkdb: self.linkdb.cursor(),
+            updates: self.classifier.updates(),
+        }
     }
 
-    /// Writes the checkpoint payload — crawler, filter stats, report,
-    /// retry state, page bodies, registry — and returns where its crawler
-    /// and report segments landed in `w`: the bytes the state digest
-    /// hashes. The report commits to every page's body by its digest; the
+    /// The crawler's own state as changed since `since`: the segment
+    /// before the report's in every frame.
+    fn write_crawler(&self, since: &CrawlCursor, w: &mut Writer) {
+        self.crawldb.write_since(&since.crawldb, w);
+        self.linkdb.write_since(&since.linkdb, w);
+        self.classifier.write_since(since.updates, w);
+    }
+
+    /// Writes the checkpoint payload as changed since `since` — whether it
+    /// is whole (written since the default cursor), crawler, filter stats,
+    /// report, retry state, page bodies, registry — and returns where its
+    /// crawler and report segments landed in `w`: the bytes the state
+    /// digest hashes. The append-only parts (pages, URLs, links, frontier
+    /// pushes and pops, status changes, classifier words) are written
+    /// from the cursor on; the retry state, the counters and the registry
+    /// whole. The report commits to every page's body by its digest; the
     /// body section carries the net text of the relevant and of the
     /// irrelevant pages from the two indices of `bodies_from` on, each
-    /// list as its first index and then the bodies. So the state segments
-    /// do not depend on `bodies_from`. Every checkpoint frame and live
-    /// watermark is written here.
+    /// list as its first index and then the bodies, so the state segments
+    /// do not depend on `bodies_from`. Every checkpoint frame and every
+    /// live watermark's crawl frame is written here.
     fn write_payload(
         &self,
         st: &LoopState,
+        since: &CrawlCursor,
         bodies_from: [usize; 2],
         w: &mut Writer,
     ) -> [Range<usize>; 2] {
+        w.bool(*since == CrawlCursor::default());
         let start = w.len();
-        self.encode_crawler(w);
+        self.write_crawler(since, w);
         let crawler = start..w.len();
         st.filters.stats().encode(w);
         let start = w.len();
-        st.report.encode(w);
+        st.report.write_since(since.pages, w);
         let report = start..w.len();
         st.rt.encode(w);
         write_bodies(w, &st.report.relevant, bodies_from[0]);
@@ -526,22 +578,72 @@ impl<'w> FocusedCrawler<'w> {
     fn write_checkpoint(
         &self,
         st: &LoopState,
+        since: &CrawlCursor,
         bodies_from: [usize; 2],
         w: &mut Writer,
     ) -> CheckpointLayout {
         let (frame, state) =
-            CrawlCheckpoint::write_frame(w, |w| self.write_payload(st, bodies_from, w));
+            CrawlCheckpoint::write_frame(w, |w| self.write_payload(st, since, bodies_from, w));
         CheckpointLayout { frame, state }
     }
 
-    /// A sealed checkpoint carrying every page body the crawl holds, so a
-    /// crawl resumed from it gets the report back as it is here.
+    /// A sealed whole checkpoint carrying every page body the crawl holds,
+    /// so a crawl resumed from it gets the report back as it is here.
     fn take_checkpoint(&self, st: &LoopState) -> CrawlCheckpoint {
         let mut w = Writer::new();
-        let layout = self.write_checkpoint(st, st.bodies_from, &mut w);
+        let layout = self.write_checkpoint(st, &CrawlCursor::default(), st.bodies_from, &mut w);
         let mut frame = w.into_bytes();
         codec::hash_chains(&mut frame, [layout.frame.checksum_chain()]);
         CrawlCheckpoint::from_sealed(st.rt.round, frame)
+    }
+
+    /// Replays a checkpoint payload [`FocusedCrawler::write_payload`]
+    /// wrote onto this crawler and `st`: whole (`whole`) onto a fresh
+    /// crawl, or changed since the last frame applied. Checks the frame
+    /// kind, every id and body it carries, that nothing trails, and that
+    /// `round` is the round sealed inside, and only then restores the
+    /// registry into the observer. Returns the frame's body cursors.
+    fn apply_payload(
+        &mut self,
+        st: &mut LoopState,
+        payload: &[u8],
+        whole: bool,
+        round: u64,
+    ) -> Result<[usize; 2], CodecError> {
+        let mut r = Reader::new(payload);
+        let kind = r.bool()?;
+        if kind != whole {
+            return Err(CodecError::BadTag { what: FRAME_KIND, tag: kind as u8 });
+        }
+        let pages_before = [st.report.relevant.len(), st.report.irrelevant.len()];
+        self.crawldb.apply(&mut r)?;
+        self.linkdb.apply(&mut r)?;
+        self.classifier.apply(&mut r)?;
+        st.filters.restore_stats(FilterStats::decode(&mut r)?);
+        st.report.apply(&mut r)?;
+        let [relevant, irrelevant] = [&st.report.relevant, &st.report.irrelevant];
+        let new_pages = relevant[pages_before[0]..].iter().chain(&irrelevant[pages_before[1]..]);
+        self.seen_content.extend(new_pages.map(|page| page.content_digest));
+        st.rt = RetryState::decode(&mut r)?;
+        let relevant_from = read_bodies(&mut r, &mut st.report.relevant)?;
+        let bodies_from = [relevant_from, read_bodies(&mut r, &mut st.report.irrelevant)?];
+        let registry = RegistrySnapshot::decode(&mut r)?;
+        if !r.is_empty() {
+            return Err(CodecError::Truncated { what: "trailing checkpoint bytes" });
+        }
+        // `round` came from the caller (a watermark stores it beside the
+        // frame), not from under the checksum
+        if st.rt.round != round {
+            return Err(CodecError::Mismatch {
+                what: "crawl checkpoint round",
+                claimed: round,
+                sealed: st.rt.round,
+            });
+        }
+        let [counters, gauges, histograms] = CRAWL_SERIES;
+        registry.check_kinds("crawl.", counters, gauges, histograms)?;
+        self.observer.registry().restore(&registry)?;
+        Ok(bodies_from)
     }
 
     /// Fills the report's derived fields, once, when the crawl is over.
@@ -950,9 +1052,12 @@ fn read_bodies(r: &mut Reader<'_>, pages: &mut [CrawledPage]) -> Result<usize, C
 /// reaches after N rounds.
 ///
 /// Between steps the session exposes the *delta* of newly accepted pages
-/// ([`CrawlSession::take_new_pages`]) and can seal the standard crawl
-/// checkpoint frame ([`CrawlSession::checkpoint`]); [`CrawlSession::resume`]
-/// rebuilds a session from such a frame — the one way back from a frame.
+/// ([`CrawlSession::take_new_pages`]), can seal the standard whole crawl
+/// checkpoint frame ([`CrawlSession::checkpoint`]) or write a frame of
+/// what changed since a [`CrawlCursor`] ([`CrawlSession::write_frame`]);
+/// [`CrawlSession::resume`] rebuilds a session from a whole frame and
+/// [`CrawlSession::apply_frame`] replays each later one onto it — the one
+/// way back from frames.
 pub struct CrawlSession<'w> {
     crawler: FocusedCrawler<'w>,
     state: LoopState,
@@ -1017,59 +1122,40 @@ impl<'w> CrawlSession<'w> {
         feedback: Option<IeFeedback>,
         observer: Arc<Observer>,
     ) -> Result<CrawlSession<'w>, CodecError> {
-        let mut r = Reader::new(checkpoint.payload()?);
-        let crawldb = CrawlDb::decode_snapshot(&mut r)?;
-        let linkdb = LinkDb::decode_snapshot(&mut r)?;
-        let word_counts = Snapshot::decode(&mut r)?;
-        let class_tokens = <[u64; 2]>::decode(&mut r)?;
-        let class_docs = <[u64; 2]>::decode(&mut r)?;
-        let threshold = r.f64()?;
-        let seen_content = Snapshot::decode(&mut r)?;
-        let mut filters = FilterChain::new(config.filters);
-        filters.restore_stats(FilterStats::decode(&mut r)?);
-        let mut report = CrawlReport::decode(&mut r)?;
-        let rt = RetryState::decode(&mut r)?;
-        let relevant_from = read_bodies(&mut r, &mut report.relevant)?;
-        let bodies_from = [relevant_from, read_bodies(&mut r, &mut report.irrelevant)?];
-        let registry = RegistrySnapshot::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::Truncated { what: "trailing checkpoint bytes" });
-        }
-        // `checkpoint.round` came from the caller (a watermark stores it
-        // beside the frame), not from under the checksum
-        if rt.round != checkpoint.round {
-            return Err(CodecError::Mismatch {
-                what: "crawl checkpoint round",
-                claimed: checkpoint.round,
-                sealed: rt.round,
-            });
-        }
-        let [counters, gauges, histograms] = CRAWL_SERIES;
-        registry.check_kinds("crawl.", counters, gauges, histograms)?;
-        observer.registry().restore(&registry)?;
-
-        Ok(CrawlSession {
-            drained: [report.relevant.len(), report.irrelevant.len()],
-            crawler: FocusedCrawler {
-                web,
-                classifier: NaiveBayes::from_parts(
-                    word_counts,
-                    class_tokens,
-                    class_docs,
-                    threshold,
-                ),
-                boilerplate: BoilerplateDetector::default(),
-                config,
-                crawldb,
-                linkdb,
-                seen_content,
-                feedback,
-                observer,
-            },
-            state: LoopState { report, filters, rt, checkpoints: Vec::new(), bodies_from },
+        let crawler = FocusedCrawler {
+            feedback,
+            observer,
+            ..FocusedCrawler::new(web, NaiveBayes::default(), config)
+        };
+        let mut session = CrawlSession {
+            crawler,
+            state: LoopState::new(&config, options),
             options: options.clone(),
             done: false,
-        })
+            drained: [0, 0],
+        };
+        session.replay(checkpoint, true)?;
+        Ok(session)
+    }
+
+    /// Replays a frame [`CrawlSession::write_frame`] wrote since the
+    /// cursor this session stood at when the previous frame of its chain
+    /// was written: the session then stands where the frame's writer stood.
+    /// Pages count as drained, and the bodies the frame carried are the
+    /// ones the session holds from then on. A whole frame is refused (it
+    /// starts a chain: [`CrawlSession::resume`]), and so is everything
+    /// `resume` refuses. On an error the session is unusable.
+    pub fn apply_frame(&mut self, frame: &CrawlCheckpoint) -> Result<(), CodecError> {
+        self.replay(frame, false)
+    }
+
+    fn replay(&mut self, frame: &CrawlCheckpoint, whole: bool) -> Result<(), CodecError> {
+        let bodies_from =
+            self.crawler.apply_payload(&mut self.state, frame.payload()?, whole, frame.round)?;
+        let report = &self.state.report;
+        self.state.bodies_from = bodies_from;
+        self.drained = [report.relevant.len(), report.irrelevant.len()];
+        Ok(())
     }
 
     /// Advances the crawl exactly one round. Returns `false` once the
@@ -1119,18 +1205,32 @@ impl<'w> CrawlSession<'w> {
         self.crawler.take_checkpoint(&self.state)
     }
 
-    /// Writes a checkpoint frame in place in `w`, checksum slot left
-    /// zero, for a caller that hashes it inside a larger frame. It is the
-    /// [`CrawlSession::checkpoint`] frame except that it carries only the
-    /// bodies of pages [`CrawlSession::take_new_pages`] has not handed out
-    /// yet: the drained ones are downstream already, and the report still
-    /// commits to them by digest. Hashing the layout's `frame` chain seals
-    /// it, and hashing its `state` segments gives
-    /// [`CrawlSession::state_digest`].
-    pub fn write_checkpoint(&self, w: &mut Writer) -> CheckpointLayout {
+    /// Where the session's state stands now: the cursor the next
+    /// [`CrawlSession::write_frame`] of a chain writes since.
+    pub fn cursor(&self) -> CrawlCursor {
+        self.crawler.cursor(&self.state.report)
+    }
+
+    /// Writes a crawl frame of what changed since `since` in place in `w`,
+    /// checksum slot left zero, for a caller that hashes it inside a
+    /// larger frame. Since the default cursor it is the whole
+    /// [`CrawlSession::checkpoint`] frame, except that either kind carries
+    /// only the bodies of pages [`CrawlSession::take_new_pages`] has not
+    /// handed out yet: the drained ones are downstream already, and the
+    /// report still commits to them by digest. Hashing the layout's
+    /// `frame` chain seals it; hashing its `state` segments gives
+    /// [`CrawlSession::state_digest_since`] of `since`.
+    pub fn write_frame(&self, since: &CrawlCursor, w: &mut Writer) -> CheckpointLayout {
         let [held, drained] = [self.state.bodies_from, self.drained];
         let from = [held[0].max(drained[0]), held[1].max(drained[1])];
-        self.crawler.write_checkpoint(&self.state, from, w)
+        self.crawler.write_checkpoint(&self.state, since, from, w)
+    }
+
+    /// The hash of the crawler and report segments of a frame written
+    /// since `since`: [`CrawlSession::state_digest`] since the default
+    /// cursor.
+    pub fn state_digest_since(&self, since: &CrawlCursor) -> u64 {
+        self.crawler.state_digest_since(&self.state.report, since)
     }
 
     /// Rounds completed so far.
@@ -1547,47 +1647,63 @@ mod tests {
         );
     }
 
-    /// The checkpoint and state-digest encoders the in-place writer
-    /// replaced, on the v2 layout: a payload per call, its body section
-    /// carrying the pages from `bodies_from` on, sealed by hand around
+    /// The v3 checkpoint and state-digest encoders from separately encoded
+    /// parts: each section written on its own buffer since a cursor,
+    /// copied into a payload, the frame sealed by hand around
     /// `codec::digest`, and a second encode of crawler and report for the
     /// digest.
     mod reference {
         use super::*;
 
-        pub fn checkpoint(session: &CrawlSession<'_>, bodies_from: [usize; 2]) -> Vec<u8> {
+        fn crawler_and_report(session: &CrawlSession<'_>, since: &CrawlCursor) -> [Vec<u8>; 2] {
             let (crawler, st) = (&session.crawler, &session.state);
             let mut w = Writer::new();
-            crawler.encode_crawler(&mut w);
+            crawler.crawldb.write_since(&since.crawldb, &mut w);
+            crawler.linkdb.write_since(&since.linkdb, &mut w);
+            crawler.classifier.write_since(since.updates, &mut w);
+            let mut r = Writer::new();
+            st.report.write_since(since.pages, &mut r);
+            [w.into_bytes(), r.into_bytes()]
+        }
+
+        pub fn checkpoint(
+            session: &CrawlSession<'_>,
+            since: &CrawlCursor,
+            bodies_from: [usize; 2],
+        ) -> Vec<u8> {
+            let (crawler, st) = (&session.crawler, &session.state);
+            let [crawler_part, report_part] = crawler_and_report(session, since);
+            let mut w = Writer::new();
+            w.bool(*since == CrawlCursor::default());
+            w.raw(&crawler_part);
             st.filters.stats().encode(&mut w);
-            st.report.encode(&mut w);
+            w.raw(&report_part);
             st.rt.encode(&mut w);
             write_bodies(&mut w, &st.report.relevant, bodies_from[0]);
             write_bodies(&mut w, &st.report.irrelevant, bodies_from[1]);
             crawler.observer.registry().snapshot().encode(&mut w);
             let payload = w.into_bytes();
             let mut frame = b"WSCK".to_vec();
-            frame.extend_from_slice(&2u16.to_le_bytes());
+            frame.extend_from_slice(&3u16.to_le_bytes());
             frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             frame.extend_from_slice(&payload);
             frame.extend_from_slice(&codec::digest(&payload).to_le_bytes());
             frame
         }
 
-        pub fn state_digest(session: &CrawlSession<'_>) -> u64 {
-            let mut w = Writer::new();
-            session.crawler.encode_crawler(&mut w);
-            session.state.report.encode(&mut w);
-            codec::digest(&w.into_bytes())
+        pub fn state_digest(session: &CrawlSession<'_>, since: &CrawlCursor) -> u64 {
+            codec::digest(&crawler_and_report(session, since).concat())
         }
     }
 
     /// `checkpoint()` bytes (every body) and `state_digest()` bits equal
     /// the reference encoders' at every round of a plain and a
-    /// fault-injected crawl, and the in-place layout (bodies from the
-    /// drain cursor on, which some rounds leave behind the report's end)
-    /// seals to the reference frame with those bodies and hashes to the
-    /// same digest.
+    /// fault-injected crawl; each round's frame written in place since the
+    /// previous round's cursor (bodies from the drain cursor on, which
+    /// some rounds leave behind the report's end) seals to the reference
+    /// frame and hashes to the reference digest; and a session resumed
+    /// from the first whole frame and replaying every later one stands
+    /// where the crawl stands, round after round.
     #[test]
     fn checkpoint_and_state_digest_equal_the_reference_encoders() {
         use websift_resilience::codec::Chain;
@@ -1595,24 +1711,38 @@ mod tests {
         for opts in [ResilienceOptions::default(), ResilienceOptions::injected(0x57E9, 0.05, 2)] {
             let crawler = FocusedCrawler::new(&web, nb.clone(), resilient_config());
             let mut session = CrawlSession::start(crawler, biomedical_seeds(&web, 20), &opts);
+            let start = CrawlCursor::default();
+            let mut since = start;
+            let mut replica: Option<CrawlSession<'_>> = None;
             let mut rounds = 0;
             loop {
-                let frame = reference::checkpoint(&session, [0, 0]);
-                let digest = reference::state_digest(&session);
+                let frame = reference::checkpoint(&session, &start, [0, 0]);
+                let digest = reference::state_digest(&session, &start);
                 assert_eq!(session.checkpoint().as_bytes(), &frame[..], "round {rounds}");
                 assert_eq!(session.state_digest(), digest, "round {rounds}");
                 assert_eq!(session.crawler().state_digest(session.report()), digest);
 
                 let mut w = Writer::new();
                 w.str("prefix");
-                let layout = session.write_checkpoint(&mut w);
+                let layout = session.write_frame(&since, &mut w);
                 let mut buf = w.into_bytes();
                 let [_, state] = codec::hash_chains(
                     &mut buf,
                     [layout.frame.checksum_chain(), Chain { ranges: &layout.state, slot: None }],
                 );
-                assert_eq!(&buf[14..], &reference::checkpoint(&session, session.drained)[..]);
-                assert_eq!(state, digest);
+                let frame = &buf[14..];
+                assert_eq!(frame, &reference::checkpoint(&session, &since, session.drained)[..]);
+                assert_eq!(state, reference::state_digest(&session, &since));
+                assert_eq!(state, session.state_digest_since(&since));
+                let frame = CrawlCheckpoint::from_bytes(session.round(), frame.to_vec()).unwrap();
+                match &mut replica {
+                    None => replica = Some(resume_untrusted(&web, &frame, &opts).unwrap()),
+                    Some(replica) => replica.apply_frame(&frame).unwrap(),
+                }
+                let replica = replica.as_ref().unwrap();
+                assert_eq!(replica.state_digest(), digest, "replayed to round {rounds}");
+                assert_eq!(replica.cursor(), session.cursor());
+                since = session.cursor();
                 if !session.step_round() {
                     break;
                 }
@@ -2006,28 +2136,30 @@ mod tests {
             w.len()
         };
 
-        // where each `Vec`/map/set header sits, and the count it holds;
-        // and the body cursors, which count the pages without a body
-        let linkdb_at = len_of(&|w| c.crawldb.encode_snapshot(w));
-        let crawler_len = len_of(&|w| c.encode_crawler(w));
-        let report_at = crawler_len + len_of(&|w| st.filters.stats().encode(w));
-        let attempts_at = report_at + len_of(&|w| st.report.encode(w)) + 8;
+        // where each collection header sits, and the count it holds; and
+        // the body cursors, which count the pages without a body
+        let crawldb_len = len_of(&|w| c.crawldb.encode_snapshot(w));
+        let linkdb_len = len_of(&|w| c.linkdb.encode_snapshot(w));
+        let crawler_len = len_of(&|w| c.write_crawler(&CrawlCursor::default(), w));
+        let report_at = 1 + crawler_len + len_of(&|w| st.filters.stats().encode(w));
+        let report_len = len_of(&|w| st.report.write_since([0, 0], w));
+        let attempts_at = report_at + report_len + 8;
         let bodies_at = attempts_at - 8 + len_of(&|w| st.rt.encode(w));
+        let relevant_len: usize = st.report.relevant.iter().map(|p| len_of(&|w| p.encode(w))).sum();
         let relevant_bodies: usize = st.report.relevant.iter().map(|p| 8 + p.net_text.len()).sum();
+        // the word count, as the classifier writes it after its 48 bytes
+        // of totals, threshold and update count
+        let words = {
+            let mut w = Writer::new();
+            c.classifier.write_since(0, &mut w);
+            u64::from_le_bytes(w.into_bytes()[48..56].try_into().unwrap()) as usize
+        };
         let headers = [
-            ("crawldb status map", 16, c.crawldb.known()),
-            ("linkdb urls", linkdb_at, c.linkdb.len()),
-            (
-                "dedup hashes",
-                crawler_len - len_of(&|w| c.seen_content.encode(w)),
-                c.seen_content.len(),
-            ),
+            ("crawldb urls", 1 + 16, c.crawldb.known()),
+            ("linkdb urls", 1 + crawldb_len, c.linkdb.len()),
+            ("classifier words", 1 + crawldb_len + linkdb_len + 48, words),
             ("relevant pages", report_at, st.report.relevant.len()),
-            (
-                "irrelevant pages",
-                report_at + len_of(&|w| st.report.relevant.encode(w)),
-                st.report.irrelevant.len(),
-            ),
+            ("irrelevant pages", report_at + 8 + relevant_len, st.report.irrelevant.len()),
             ("retry attempts", attempts_at, st.rt.attempts.len()),
             (
                 "retry queue",
@@ -2121,7 +2253,7 @@ mod tests {
 
         session.take_new_pages();
         let mut w = Writer::new();
-        let layout = session.write_checkpoint(&mut w);
+        let layout = session.write_frame(&CrawlCursor::default(), &mut w);
         let mut bytes = w.into_bytes();
         codec::hash_chains(&mut bytes, [layout.frame.checksum_chain()]);
         let drained = CrawlCheckpoint::from_bytes(3, bytes).unwrap();
@@ -2161,7 +2293,7 @@ mod tests {
         while victim.round() < 3 && victim.step_round() {}
         victim.take_new_pages();
         let mut w = Writer::new();
-        let layout = victim.write_checkpoint(&mut w);
+        let layout = victim.write_frame(&CrawlCursor::default(), &mut w);
         let mut bytes = w.into_bytes();
         codec::hash_chains(&mut bytes, [layout.frame.checksum_chain()]);
         let mut resumed = resume(&CrawlCheckpoint::from_bytes(3, bytes).unwrap()).unwrap();
@@ -2204,16 +2336,43 @@ mod tests {
         );
     }
 
+    /// Frames of versions 1 and 2 (whole state, no frame kind) are
+    /// refused with a typed error.
     #[test]
     fn a_version_1_frame_is_refused() {
         let (web, _) = setup();
         let (session, _) = hostile_target(&web);
         let frame = session.checkpoint();
-        let v1 = codec::seal(*b"WSCK", 1, frame.payload().unwrap());
-        assert_eq!(
-            CrawlCheckpoint::from_bytes(3, v1).err(),
-            Some(CodecError::BadVersion { expected: 2, found: 1 })
-        );
+        for version in [1, 2] {
+            let old = codec::seal(*b"WSCK", version, frame.payload().unwrap());
+            assert_eq!(
+                CrawlCheckpoint::from_bytes(3, old).err(),
+                Some(CodecError::BadVersion { expected: 3, found: version })
+            );
+        }
+    }
+
+    /// A frame of changes is no chain's first frame: `resume` refuses it,
+    /// and `apply_frame` refuses a whole frame, both with a typed error.
+    #[test]
+    fn frame_kinds_are_checked_both_ways() {
+        let (web, _) = setup();
+        let (mut session, opts) = hostile_target(&web);
+        let whole = session.checkpoint();
+        let since = session.cursor();
+        session.step_round();
+        let mut w = Writer::new();
+        let layout = session.write_frame(&since, &mut w);
+        let mut bytes = w.into_bytes();
+        codec::hash_chains(&mut bytes, [layout.frame.checksum_chain()]);
+        let changes = CrawlCheckpoint::from_bytes(session.round(), bytes).unwrap();
+        let kind = |tag| Some(CodecError::BadTag { what: FRAME_KIND, tag });
+        assert_eq!(resume_untrusted(&web, &changes, &opts).err(), kind(0));
+        let mut resumed = resume_untrusted(&web, &whole, &opts).unwrap();
+        assert_eq!(resumed.apply_frame(&whole).err(), kind(1));
+        let mut resumed = resume_untrusted(&web, &whole, &opts).unwrap();
+        resumed.apply_frame(&changes).unwrap();
+        assert_eq!(resumed.state_digest(), session.state_digest());
     }
 
     /// Every bit of a checkpoint payload that carries bodies, flipped and

@@ -5,8 +5,15 @@
 //! lists was limited to 500 to prevent threads from blocking each other"),
 //! and the parser feeds newly discovered outlinks back. It also carries the
 //! spider-trap guards: per-host page caps and a URL path-depth limit.
+//!
+//! Every change is also an append to a log — URLs admitted, statuses set
+//! by [`CrawlDb::mark`], frontier entries pushed, entries popped — so
+//! [`CrawlDb::write_since`] writes what changed since a [`DbCursor`] and
+//! [`CrawlDb::apply`] replays it: a frame carries the round's changes, not
+//! the store.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use websift_resilience::codec::presize;
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 use websift_web::Url;
 
@@ -50,17 +57,42 @@ impl Default for CrawlDbConfig {
     }
 }
 
+/// A frontier entry as the store holds it: URL id and irrelevant steps.
+type Queued = (u32, u32);
+
 /// The crawl frontier + status store.
 #[derive(Debug, Default)]
 pub struct CrawlDb {
     config: CrawlDbConfigInner,
-    status: HashMap<Url, UrlStatus>,
-    frontier: HashMap<String, VecDeque<FrontierEntry>>,
-    /// Hosts in FIFO discovery order, for fair fetch-list assembly.
-    host_order: Vec<String>,
-    host_seen: HashSet<String>,
-    host_admitted: HashMap<String, usize>,
+    /// Every known URL by id, in admission order (a log).
+    urls: Vec<Url>,
+    ids: HashMap<Url, u32>,
+    /// Status by URL id.
+    status: Vec<UrlStatus>,
+    /// Ids whose status [`CrawlDb::mark`] set, in order (a log).
+    marks: Vec<u32>,
+    /// Every frontier entry ever pushed, in order (a log).
+    queued: Vec<Queued>,
+    /// The host id of every entry popped, in order (a log).
+    pops: Vec<u32>,
+    /// Host ids, given in FIFO discovery order (the order fetch lists
+    /// rotate through hosts in).
+    host_ids: HashMap<String, u32>,
+    /// Per host id: its pending entries and how many it was admitted.
+    frontier: Vec<VecDeque<Queued>>,
+    admitted: Vec<usize>,
     trap_rejected: u64,
+}
+
+/// Where a [`CrawlDb`]'s logs stood: [`CrawlDb::write_since`] writes what
+/// changed after it. The default cursor is the empty store, so writing
+/// since it writes everything.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DbCursor {
+    urls: usize,
+    marks: usize,
+    queued: usize,
+    pops: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -94,7 +126,7 @@ impl CrawlDb {
     /// Duplicates and trap-guarded URLs are dropped.
     pub fn add(&mut self, urls: impl IntoIterator<Item = FrontierEntry>) {
         for entry in urls {
-            if self.status.contains_key(&entry.url) {
+            if self.ids.contains_key(&entry.url) {
                 continue;
             }
             let depth = entry.url.path().split('/').filter(|s| !s.is_empty()).count();
@@ -102,19 +134,39 @@ impl CrawlDb {
                 self.trap_rejected += 1;
                 continue;
             }
-            let host = entry.url.host().to_string();
-            let admitted = self.host_admitted.entry(host.clone()).or_insert(0);
-            if *admitted >= self.config.max_pages_per_host {
+            let host = self.host_ids.get(entry.url.host()).copied();
+            let admitted = host.map_or(0, |h| self.admitted[h as usize]);
+            if admitted >= self.config.max_pages_per_host {
                 self.trap_rejected += 1;
                 continue;
             }
-            *admitted += 1;
-            self.status.insert(entry.url.clone(), UrlStatus::Unfetched);
-            if self.host_seen.insert(host.clone()) {
-                self.host_order.push(host.clone());
-            }
-            self.frontier.entry(host).or_default().push_back(entry);
+            let url = self.intern(entry.url, UrlStatus::Unfetched);
+            self.push(host, (url, entry.irrelevant_steps));
         }
+    }
+
+    /// Gives `url` the next id with `status`.
+    fn intern(&mut self, url: Url, status: UrlStatus) -> u32 {
+        let id = self.urls.len() as u32;
+        self.ids.insert(url.clone(), id);
+        self.urls.push(url);
+        self.status.push(status);
+        id
+    }
+
+    /// Pushes `entry` onto its URL's host queue (`host`, when known),
+    /// registering the host on its first entry, and logs it.
+    fn push(&mut self, host: Option<u32>, entry: Queued) {
+        let h = host.unwrap_or_else(|| {
+            let h = self.frontier.len() as u32;
+            self.host_ids.insert(self.urls[entry.0 as usize].host().to_string(), h);
+            self.frontier.push(VecDeque::new());
+            self.admitted.push(0);
+            h
+        }) as usize;
+        self.admitted[h] += 1;
+        self.frontier[h].push_back(entry);
+        self.queued.push(entry);
     }
 
     /// Convenience injector for seed URLs.
@@ -130,18 +182,15 @@ impl CrawlDb {
     /// discovery order.
     pub fn next_fetch_list(&mut self, per_host: usize, total: usize) -> Vec<FrontierEntry> {
         let mut list = Vec::new();
-        for host in &self.host_order {
+        for (h, queue) in self.frontier.iter_mut().enumerate() {
             if list.len() >= total {
                 break;
             }
-            if let Some(queue) = self.frontier.get_mut(host) {
-                let take = per_host.min(total - list.len());
-                for _ in 0..take {
-                    match queue.pop_front() {
-                        Some(e) => list.push(e),
-                        None => break,
-                    }
-                }
+            let take = per_host.min(total - list.len());
+            for _ in 0..take {
+                let Some((url, irrelevant_steps)) = queue.pop_front() else { break };
+                list.push(FrontierEntry { url: self.urls[url as usize].clone(), irrelevant_steps });
+                self.pops.push(h as u32);
             }
         }
         list
@@ -149,16 +198,21 @@ impl CrawlDb {
 
     /// Records the outcome of a fetched URL.
     pub fn mark(&mut self, url: &Url, status: UrlStatus) {
-        self.status.insert(url.clone(), status);
+        let id = match self.ids.get(url) {
+            Some(&id) => id,
+            None => self.intern(url.clone(), status),
+        };
+        self.status[id as usize] = status;
+        self.marks.push(id);
     }
 
     pub fn status_of(&self, url: &Url) -> Option<UrlStatus> {
-        self.status.get(url).copied()
+        self.ids.get(url).map(|&id| self.status[id as usize])
     }
 
     /// Number of URLs waiting in the frontier.
     pub fn frontier_size(&self) -> usize {
-        self.frontier.values().map(VecDeque::len).sum()
+        self.frontier.iter().map(VecDeque::len).sum()
     }
 
     /// URLs rejected by the trap guards.
@@ -168,7 +222,7 @@ impl CrawlDb {
 
     /// Total known URLs.
     pub fn known(&self) -> usize {
-        self.status.len()
+        self.urls.len()
     }
 }
 
@@ -204,36 +258,123 @@ impl Snapshot for FrontierEntry {
     }
 }
 
+/// An id read from a frame, checked against the `len` ids that exist.
+fn id_below(r: &mut Reader<'_>, len: usize, what: &'static str) -> Result<u32, CodecError> {
+    let id = r.u32()?;
+    if id as usize >= len {
+        return Err(CodecError::Oversize { what, value: u64::from(id) });
+    }
+    Ok(id)
+}
+
 impl CrawlDb {
-    /// Serializes the full store — status map, per-host frontier queues,
-    /// host rotation order, admission counters, trap-guard config and
-    /// counters — for a crawl checkpoint. Byte-deterministic: equal
-    /// states encode to equal bytes.
-    pub fn encode_snapshot(&self, w: &mut Writer) {
+    /// Where the logs stand now.
+    pub(crate) fn cursor(&self) -> DbCursor {
+        DbCursor {
+            urls: self.urls.len(),
+            marks: self.marks.len(),
+            queued: self.queued.len(),
+            pops: self.pops.len(),
+        }
+    }
+
+    /// Writes what changed since `since`: the trap-guard config, the URLs
+    /// admitted since (each with its status now), the status now of each
+    /// older URL marked since (by id, ascending), the frontier entries
+    /// pushed since, the pops since (as runs of one host), and the trap
+    /// counter. Since the default cursor this is the whole store. The
+    /// bytes depend on what changed, not on where the logs stood, so a
+    /// store rebuilt by [`CrawlDb::apply`] writes what the original does.
+    pub(crate) fn write_since(&self, since: &DbCursor, w: &mut Writer) {
         w.usize(self.config.max_pages_per_host);
         w.usize(self.config.max_path_depth);
-        self.status.encode(w);
-        self.frontier.encode(w);
-        self.host_order.encode(w);
-        self.host_seen.encode(w);
-        self.host_admitted.encode(w);
+        w.usize(self.urls.len() - since.urls);
+        for (url, status) in self.urls[since.urls..].iter().zip(&self.status[since.urls..]) {
+            url.encode(w);
+            status.encode(w);
+        }
+        let older = |id: &u32| (*id as usize) < since.urls;
+        let mut marked: Vec<u32> = self.marks[since.marks..].iter().copied().filter(older).collect();
+        marked.sort_unstable();
+        marked.dedup();
+        w.usize(marked.len());
+        for id in marked {
+            w.u32(id);
+            self.status[id as usize].encode(w);
+        }
+        let queued = &self.queued[since.queued..];
+        w.usize(queued.len());
+        for &(url, steps) in queued {
+            w.u32(url);
+            w.u32(steps);
+        }
+        let runs = self.pops[since.pops..].chunk_by(|a, b| a == b);
+        w.usize(runs.clone().count());
+        for run in runs {
+            w.u32(run[0]);
+            w.usize(run.len());
+        }
         w.u64(self.trap_rejected);
     }
 
-    /// Inverse of [`CrawlDb::encode_snapshot`].
+    /// Replays what [`CrawlDb::write_since`] wrote onto this store: URLs
+    /// admitted, statuses set, entries pushed, then popped. An entry
+    /// pushed and popped within the same span is pushed before it is
+    /// popped, which on a FIFO queue per host is the original order's
+    /// outcome. A frame is untrusted: a URL already known, an id out of
+    /// range or a pop from an empty queue is an error.
+    pub(crate) fn apply(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        self.config =
+            CrawlDbConfigInner { max_pages_per_host: r.usize()?, max_path_depth: r.usize()? };
+        let n = r.usize()?;
+        self.urls.reserve(presize::<(Url, u8)>(n, r));
+        for _ in 0..n {
+            let url = Url::decode(r)?;
+            let status = UrlStatus::decode(r)?;
+            if self.ids.contains_key(&url) {
+                return Err(CodecError::Mismatch {
+                    what: "URL admitted twice",
+                    claimed: self.urls.len() as u64,
+                    sealed: u64::from(self.ids[&url]),
+                });
+            }
+            self.intern(url, status);
+        }
+        for _ in 0..r.usize()? {
+            let id = id_below(r, self.urls.len(), "marked URL id")?;
+            self.status[id as usize] = UrlStatus::decode(r)?;
+            self.marks.push(id);
+        }
+        for _ in 0..r.usize()? {
+            let url = id_below(r, self.urls.len(), "queued URL id")?;
+            let host = self.host_ids.get(self.urls[url as usize].host()).copied();
+            self.push(host, (url, r.u32()?));
+        }
+        for _ in 0..r.usize()? {
+            let h = id_below(r, self.frontier.len(), "popped host id")?;
+            let n = r.usize()?;
+            for _ in 0..n {
+                if self.frontier[h as usize].pop_front().is_none() {
+                    return Err(CodecError::Oversize { what: "frontier pops", value: n as u64 });
+                }
+                self.pops.push(h);
+            }
+        }
+        self.trap_rejected = r.u64()?;
+        Ok(())
+    }
+
+    /// The whole store: [`CrawlDb::write_since`] the default cursor.
+    pub fn encode_snapshot(&self, w: &mut Writer) {
+        self.write_since(&DbCursor::default(), w);
+    }
+
+    /// Inverse of [`CrawlDb::encode_snapshot`]: the whole store applied
+    /// to an empty one.
     pub fn decode_snapshot(r: &mut Reader<'_>) -> Result<CrawlDb, CodecError> {
-        Ok(CrawlDb {
-            config: CrawlDbConfigInner {
-                max_pages_per_host: r.usize()?,
-                max_path_depth: r.usize()?,
-            },
-            status: Snapshot::decode(r)?,
-            frontier: Snapshot::decode(r)?,
-            host_order: Snapshot::decode(r)?,
-            host_seen: Snapshot::decode(r)?,
-            host_admitted: Snapshot::decode(r)?,
-            trap_rejected: r.u64()?,
-        })
+        let mut db = CrawlDb::default();
+        db.apply(r)?;
+        Ok(db)
     }
 }
 

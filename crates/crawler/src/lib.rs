@@ -41,7 +41,7 @@ pub mod seeds;
 
 pub use boilerplate::{evaluate_extraction, BoilerplateConfig, BoilerplateDetector};
 pub use classifier::{train_focus_classifier, NaiveBayes, Prediction};
-pub use crawl::{CrawlConfig, CrawlReport, CrawlSession, CrawledPage, FocusedCrawler};
+pub use crawl::{CrawlConfig, CrawlCursor, CrawlReport, CrawlSession, CrawledPage, FocusedCrawler};
 pub use crawldb::{CrawlDb, CrawlDbConfig, FrontierEntry, UrlStatus};
 pub use feedback::IeFeedback;
 pub use fetcher::{FaultContext, FetchFailure, FetchOutcome, FetchStats, Fetcher};

@@ -3,9 +3,12 @@
 //! Nutch's LinkDB "stores the graph structure of the crawled pages"; here
 //! it interns URLs, records directed edges, and exports adjacency plus a
 //! host grouping so the experiment harness can compute Table 2's
-//! PageRank-by-domain ranking.
+//! PageRank-by-domain ranking. The interned URLs and the pages whose links
+//! were recorded are logs, so a frame carries the links recorded since a
+//! [`LinkCursor`].
 
 use std::collections::HashMap;
+use websift_resilience::codec::presize;
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 use websift_web::Url;
 
@@ -13,8 +16,18 @@ use websift_web::Url;
 #[derive(Debug, Default)]
 pub struct LinkDb {
     ids: HashMap<Url, u32>,
+    /// Interned URLs, by id (a log).
     urls: Vec<Url>,
     edges: Vec<Vec<u32>>,
+    /// The id of every page [`LinkDb::add_links`] recorded, in order (a log).
+    sources: Vec<u32>,
+}
+
+/// Where a [`LinkDb`]'s logs stood; the default cursor is the empty graph.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LinkCursor {
+    urls: usize,
+    sources: usize,
 }
 
 impl LinkDb {
@@ -41,6 +54,7 @@ impl LinkDb {
         out.sort_unstable();
         out.dedup();
         self.edges[fid as usize] = out;
+        self.sources.push(fid);
     }
 
     pub fn len(&self) -> usize {
@@ -60,24 +74,71 @@ impl LinkDb {
         &self.edges
     }
 
-    /// Serializes the graph for a crawl checkpoint. Only the interned
-    /// URL list and adjacency are stored; the id index is rebuilt on
-    /// decode (ids are positions in the URL list).
+    /// Where the logs stand now.
+    pub(crate) fn cursor(&self) -> LinkCursor {
+        LinkCursor { urls: self.urls.len(), sources: self.sources.len() }
+    }
+
+    /// Writes what changed since `since`: the URLs interned since, then
+    /// each page whose links were recorded since, with its outlinks now.
+    /// Since the default cursor this is the whole graph.
+    pub(crate) fn write_since(&self, since: &LinkCursor, w: &mut Writer) {
+        let urls = &self.urls[since.urls..];
+        w.usize(urls.len());
+        for url in urls {
+            url.encode(w);
+        }
+        let sources = &self.sources[since.sources..];
+        w.usize(sources.len());
+        for &fid in sources {
+            w.u32(fid);
+            self.edges[fid as usize].encode(w);
+        }
+    }
+
+    /// Replays what [`LinkDb::write_since`] wrote onto this graph. A URL
+    /// already interned or an id out of range is an error.
+    pub(crate) fn apply(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        let n = r.usize()?;
+        self.urls.reserve(presize::<Url>(n, r));
+        for _ in 0..n {
+            let url = Url::decode(r)?;
+            if self.ids.contains_key(&url) {
+                return Err(CodecError::Mismatch {
+                    what: "link URL interned twice",
+                    claimed: self.urls.len() as u64,
+                    sealed: u64::from(self.ids[&url]),
+                });
+            }
+            self.intern(&url);
+        }
+        let len = self.urls.len() as u64;
+        let in_range = |id: u32| match u64::from(id) < len {
+            true => Ok(id),
+            false => Err(CodecError::Oversize { what: "link URL id", value: u64::from(id) }),
+        };
+        for _ in 0..r.usize()? {
+            let fid = in_range(r.u32()?)?;
+            let targets: Vec<u32> = Snapshot::decode(r)?;
+            for &t in &targets {
+                in_range(t)?;
+            }
+            self.edges[fid as usize] = targets;
+            self.sources.push(fid);
+        }
+        Ok(())
+    }
+
+    /// The whole graph: [`LinkDb::write_since`] the default cursor.
     pub fn encode_snapshot(&self, w: &mut Writer) {
-        self.urls.encode(w);
-        self.edges.encode(w);
+        self.write_since(&LinkCursor::default(), w);
     }
 
     /// Inverse of [`LinkDb::encode_snapshot`].
     pub fn decode_snapshot(r: &mut Reader<'_>) -> Result<LinkDb, CodecError> {
-        let urls: Vec<Url> = Snapshot::decode(r)?;
-        let edges: Vec<Vec<u32>> = Snapshot::decode(r)?;
-        let ids = urls
-            .iter()
-            .enumerate()
-            .map(|(i, u)| (u.clone(), i as u32))
-            .collect();
-        Ok(LinkDb { ids, urls, edges })
+        let mut db = LinkDb::default();
+        db.apply(r)?;
+        Ok(db)
     }
 
     /// Groups nodes by host: returns (group id per node, host names).

@@ -14,11 +14,12 @@ use std::ops::Range;
 use websift_resilience::codec::{self, FrameSlots};
 use websift_resilience::{BackoffPolicy, CodecError, FaultPlan, Reader, Snapshot, Writer};
 
-/// Frame tag + version for crawl checkpoints. Version 2 commits to each
-/// page body by digest in the report and carries bodies in a section of
-/// their own; a version 1 frame is refused.
+/// Frame tag + version for crawl checkpoints. Version 3 is the cursor
+/// layout: a frame is whole or holds what changed since a cursor, and says
+/// which; since version 2 the report commits to each page body by digest
+/// and bodies ride in a section of their own. Older frames are refused.
 const CHECKPOINT_TAG: [u8; 4] = *b"WSCK";
-const CHECKPOINT_VERSION: u16 = 2;
+const CHECKPOINT_VERSION: u16 = 3;
 
 /// Per-crawl resilience configuration.
 ///
@@ -121,8 +122,9 @@ impl Snapshot for ResilienceStats {
     }
 }
 
-/// A sealed crawl checkpoint: the full crawler + report + retry state at
-/// a segment (round) boundary, framed with a magic tag, version, and
+/// A sealed crawl checkpoint: the crawler + report + retry state at a
+/// segment (round) boundary — whole, or what changed since a
+/// [`crate::CrawlCursor`] — framed with a magic tag, version, and
 /// checksum so corrupt or truncated snapshots are rejected on load.
 ///
 /// The report commits to each page's net text by its digest
@@ -130,7 +132,7 @@ impl Snapshot for ResilienceStats {
 /// a section after the state segments, from a first page on. A checkpoint
 /// from [`crate::CrawlSession::checkpoint`] or the cadence carries every
 /// body the crawl holds (all of them, unless it was resumed from a frame
-/// without some); one written by [`crate::CrawlSession::write_checkpoint`] (a live
+/// without some); one written by [`crate::CrawlSession::write_frame`] (a live
 /// watermark's) carries only the bodies not yet drained downstream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrawlCheckpoint {
@@ -141,7 +143,7 @@ pub struct CrawlCheckpoint {
 }
 
 /// A crawl checkpoint frame written in place by
-/// [`crate::CrawlSession::write_checkpoint`], not yet hashed: where its
+/// [`crate::CrawlSession::write_frame`], not yet hashed: where its
 /// payload and checksum slot lie in the writer's buffer, and the two
 /// payload segments the state digest covers.
 #[derive(Debug, Clone, PartialEq, Eq)]

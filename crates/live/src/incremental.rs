@@ -26,13 +26,24 @@ use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 use crate::LiveError;
 
 /// One split-out Reduce: the sink it fed, the operator's name, key and
-/// aggregate, and the per-key aggregate partials retained across rounds.
+/// aggregate, the per-key aggregate partials retained across rounds, and
+/// the keys folded since the last watermark.
 struct RetainedReduce {
     sink: String,
     name: String,
     key: KeyFn,
     aggregate: Aggregate,
-    retained: BTreeMap<String, AggState>,
+    retained: BTreeMap<String, Retained>,
+    /// Keys whose state a fold changed since [`IncrementalFlow::sealed`],
+    /// each once, in the order first folded.
+    changed: Vec<String>,
+}
+
+/// A retained key's partial state and the epoch (watermark interval) of
+/// its last fold.
+struct Retained {
+    state: AggState,
+    epoch: u32,
 }
 
 /// A logical plan compiled for delta execution: terminal Reduces are
@@ -41,6 +52,9 @@ pub struct IncrementalFlow {
     delta_plan: LogicalPlan,
     source: String,
     reduces: Vec<RetainedReduce>,
+    /// Counts [`IncrementalFlow::sealed`] calls from 1; state restored from
+    /// bytes is of epoch 0.
+    epoch: u32,
 }
 
 impl IncrementalFlow {
@@ -81,6 +95,7 @@ impl IncrementalFlow {
                         key: key.clone(),
                         aggregate: aggregate.clone(),
                         retained: BTreeMap::new(),
+                        changed: Vec::new(),
                     });
                     // the reduce contributes no delta-plan node: its sink
                     // child reads the pre-reduce stream
@@ -106,7 +121,7 @@ impl IncrementalFlow {
             image.push(mapped);
         }
 
-        Ok(IncrementalFlow { delta_plan: delta, source, reduces })
+        Ok(IncrementalFlow { delta_plan: delta, source, reduces, epoch: 1 })
     }
 
     /// The executable per-round plan: the original plan with terminal
@@ -140,17 +155,24 @@ impl IncrementalFlow {
                 what: format!("no retained reduce feeds sink '{sink}'"),
             })?;
         let n = records.len();
-        let (key, aggregate) = (&reduce.key, &reduce.aggregate);
+        let (key, aggregate, epoch) = (&reduce.key, &reduce.aggregate, self.epoch);
         let mut k = String::new();
         for record in &records {
             k.clear();
             key(record, &mut k);
             match reduce.retained.get_mut(k.as_str()) {
-                Some(slot) => aggregate.fold(slot, record),
+                Some(slot) => {
+                    aggregate.fold(&mut slot.state, record);
+                    if slot.epoch != epoch {
+                        slot.epoch = epoch;
+                        reduce.changed.push(k.clone());
+                    }
+                }
                 None => {
-                    let mut slot = aggregate.seed();
-                    aggregate.fold(&mut slot, record);
-                    reduce.retained.insert(k.clone(), slot);
+                    let mut state = aggregate.seed();
+                    aggregate.fold(&mut state, record);
+                    reduce.retained.insert(k.clone(), Retained { state, epoch });
+                    reduce.changed.push(k.clone());
                 }
             }
         }
@@ -171,7 +193,7 @@ impl IncrementalFlow {
         Ok(reduce
             .retained
             .iter()
-            .flat_map(|(key, st)| reduce.aggregate.finish(key, st.clone()))
+            .flat_map(|(key, slot)| reduce.aggregate.finish(key, slot.state.clone()))
             .collect())
     }
 
@@ -181,8 +203,29 @@ impl IncrementalFlow {
     }
 
     /// Deterministic codec bytes of all retained state, keys in sorted
-    /// order — the "retained `AggState` bytes" a watermark frame records.
+    /// order — the "retained `AggState` bytes" a chain's first watermark
+    /// records.
     pub fn state_bytes(&self) -> Vec<u8> {
+        self.write_state(false)
+    }
+
+    /// [`IncrementalFlow::state_bytes`] restricted to the keys folded since
+    /// the last [`IncrementalFlow::sealed`]: what a later watermark of the
+    /// chain records, replayed by [`IncrementalFlow::apply_state`].
+    pub fn changed_state_bytes(&self) -> Vec<u8> {
+        self.write_state(true)
+    }
+
+    /// Starts a new interval for [`IncrementalFlow::changed_state_bytes`]:
+    /// the session calls it once a watermark holds the round's changes.
+    pub fn sealed(&mut self) {
+        self.epoch += 1;
+        for reduce in &mut self.reduces {
+            reduce.changed.clear();
+        }
+    }
+
+    fn write_state(&self, changed_only: bool) -> Vec<u8> {
         let mut w = Writer::new();
         w.usize(self.reduces.len());
         for reduce in &self.reduces {
@@ -191,10 +234,20 @@ impl IncrementalFlow {
             // the tag of the one retained form (per-key partials): it
             // stays so watermark bytes and digests do not move
             w.u8(0);
-            w.usize(reduce.retained.len());
-            for (key, st) in &reduce.retained {
-                w.str(key);
-                st.encode(&mut w);
+            if changed_only {
+                let mut keys: Vec<&String> = reduce.changed.iter().collect();
+                keys.sort_unstable();
+                w.usize(keys.len());
+                for key in keys {
+                    w.str(key);
+                    reduce.retained[key].state.encode(&mut w);
+                }
+            } else {
+                w.usize(reduce.retained.len());
+                for (key, slot) in &reduce.retained {
+                    w.str(key);
+                    slot.state.encode(&mut w);
+                }
             }
         }
         w.into_bytes()
@@ -207,6 +260,14 @@ impl IncrementalFlow {
     /// sealed frame is still untrusted input, and a mismatched state
     /// would otherwise panic the first `absorb` or `finished`.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), LiveError> {
+        self.apply_state(bytes, true)
+    }
+
+    /// Replays retained-state bytes: the whole state (`whole`, as
+    /// [`IncrementalFlow::restore_state`]) or the keys
+    /// [`IncrementalFlow::changed_state_bytes`] carried, each overwriting
+    /// its key's state; checked as `restore_state` checks them.
+    pub fn apply_state(&mut self, bytes: &[u8], whole: bool) -> Result<(), LiveError> {
         let mut r = Reader::new(bytes);
         let n = r.usize()?;
         if n != self.reduces.len() {
@@ -230,7 +291,9 @@ impl IncrementalFlow {
                 return Err(LiveError::Codec(CodecError::BadTag { what: "Retained", tag }));
             }
             let keys = r.usize()?;
-            reduce.retained.clear();
+            if whole {
+                reduce.retained.clear();
+            }
             for _ in 0..keys {
                 let key = r.str()?;
                 let state = AggState::decode(&mut r)?;
@@ -242,7 +305,7 @@ impl IncrementalFlow {
                         ),
                     });
                 }
-                reduce.retained.insert(key, state);
+                reduce.retained.insert(key, Retained { state, epoch: 0 });
             }
         }
         if !r.is_empty() {

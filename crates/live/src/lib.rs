@@ -19,9 +19,11 @@
 //!   can filter by freshness (`since <round>`);
 //! - after every round the session seals a [`Watermark`] — a single
 //!   deterministic frame embedding the crawler checkpoint, retained
-//!   aggregate state, and store snapshot — from which
-//!   [`LiveSession::resume_from`] replays the session byte-identically:
-//!   same store digests, same metrics, same trace timestamps.
+//!   aggregate state, and store snapshot: whole in round 1, and after that
+//!   what the round changed plus the checksum of the frame before — from
+//!   whose chain [`LiveSession::resume_from`] replays the session
+//!   byte-identically: same store digests, same metrics, same trace
+//!   timestamps.
 //!
 //! Determinism is the load-bearing property. Both crawler stepping and
 //! delta folding were built to be bit-identical to their batch
@@ -59,6 +61,11 @@ pub enum LiveError {
     Flow(ExecutionError),
     /// A frame could not be decoded.
     Codec(websift_resilience::CodecError),
+    /// The watermarks handed to [`LiveSession::resume_from`] are not one
+    /// session's chain: none, a first frame that is not whole, or a frame
+    /// (of `round`) that does not follow the one before it — missing,
+    /// repeated, reordered or forged.
+    BrokenChain { round: u32, why: &'static str },
     /// The crawl options ask for a cadence checkpoint every
     /// `every_rounds` rounds. A live session seals its watermark — its
     /// one frame — every round, and nothing would drain the cadence
@@ -78,6 +85,9 @@ impl std::fmt::Display for LiveError {
             LiveError::StateMismatch { what } => write!(f, "watermark replay mismatch: {what}"),
             LiveError::Flow(e) => write!(f, "delta pass failed: {e}"),
             LiveError::Codec(e) => write!(f, "frame decode failed: {e}"),
+            LiveError::BrokenChain { round, why } => {
+                write!(f, "watermark chain broken at round {round}: {why}")
+            }
             LiveError::CheckpointCadence { every_rounds } => write!(
                 f,
                 "checkpoint_every_rounds = {every_rounds}: a live session's watermark is its \

@@ -8,16 +8,19 @@
 //! records, drain `store:` sinks into the serving store with the round
 //! stamped as the postings' crawl round, fold pre-reduce streams into
 //! retained aggregate state, emit per-round observability, and seal a
-//! [`Watermark`]. [`LiveSession::resume_from`] inverts the watermark:
-//! crawler, retained state, and store are rebuilt from the frame and
-//! every digest is re-verified before the session accepts another
-//! round.
+//! [`Watermark`]: whole for round 1, the round's changes after that.
+//! [`LiveSession::resume_from`] inverts the chain of watermarks: crawler,
+//! retained state, and store are rebuilt from the first frame, every
+//! later frame is checked against the one before it and replayed, and
+//! the digests are re-verified before the session accepts another round.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use websift_corpus::CorpusKind;
-use websift_crawler::{CrawlConfig, CrawlSession, NaiveBayes, ResilienceOptions};
+use websift_crawler::{
+    CrawlCheckpoint, CrawlConfig, CrawlCursor, CrawlSession, NaiveBayes, ResilienceOptions,
+};
 use websift_analyze::Diagnostic;
 use websift_flow::{
     analyze_plan, store_drains, AnalyzeOptions, ExecutionConfig, Executor, LogicalPlan, Record,
@@ -30,9 +33,7 @@ use websift_serve::{ExtractionStore, StoreSnapshot};
 use websift_web::{SimulatedWeb, Url};
 
 use crate::incremental::IncrementalFlow;
-use crate::watermark::{
-    CrawlSection, LiveMetrics, Sections, StoreSection, Watermark, WatermarkParts,
-};
+use crate::watermark::{CrawlSection, LiveMetrics, Sections, StoreSection, Watermark};
 use crate::LiveError;
 
 /// The registry series [`LiveSession`] writes once per round: its
@@ -101,6 +102,12 @@ pub struct LiveSession<'w> {
     /// postings, minus one).
     round: u32,
     metrics: LiveMetrics,
+    /// The checksum of the last watermark sealed or replayed: the link of
+    /// the next one. `None` before the first, which is whole.
+    previous: Option<u64>,
+    /// Where the crawl stood at that watermark: the next one carries what
+    /// changed since.
+    crawl_since: CrawlCursor,
 }
 
 impl<'w> LiveSession<'w> {
@@ -150,21 +157,29 @@ impl<'w> LiveSession<'w> {
             options,
             round: 0,
             metrics: LiveMetrics::default(),
+            previous: None,
+            crawl_since: CrawlCursor::default(),
         })
     }
 
-    /// Rebuilds a session from a sealed [`Watermark`], refusing a crawl
-    /// checkpoint cadence as [`LiveSession::start`] does, and verifying the
-    /// crawler-frontier and store digests recorded in the frame (and,
-    /// inside [`CrawlSession::resume`], that `crawl_round` is the round
-    /// the crawl frame was sealed at and its `crawl.*` series' kinds),
-    /// and the kinds of the `live.*` series the crawl frame restored into
-    /// `observer` before any round writes them. The
-    /// resumed session continues from round `watermark.rounds() + 1` and
-    /// replays byte-identically to a session that was never killed. The
-    /// watermark carried no page body, so the resumed crawl report's
-    /// pre-kill pages have an empty `net_text` (their content digests
-    /// stay): their records went through the delta pass before the kill.
+    /// Rebuilds a session from the chain of watermarks it sealed for
+    /// rounds 1..k (any prefix of them), refusing a crawl checkpoint
+    /// cadence as [`LiveSession::start`] does. The first frame must be
+    /// whole and each later one must name the checksum of the frame before
+    /// it and the next round ([`LiveError::BrokenChain`] otherwise); the
+    /// frames are replayed in order — crawl frame, retained keys, store
+    /// postings — each crawl frame checked inside
+    /// [`CrawlSession::resume`] / [`CrawlSession::apply_frame`] (sealed
+    /// round, series kinds, carried bodies). Then, once: the kinds of the
+    /// `live.*` series the last crawl frame restored into `observer`
+    /// before any round writes them, the last frame's frontier digest
+    /// against the replayed crawl's rewrite of that frame's segments, and
+    /// the store's content digest. The resumed session continues from
+    /// round k + 1 and replays byte-identically to a session that was
+    /// never killed. No watermark carries a page body, so the resumed
+    /// crawl report's pre-kill pages have an empty `net_text` (their
+    /// content digests stay): their records went through the delta pass
+    /// before the kill.
     pub fn resume_from(
         web: &'w SimulatedWeb,
         crawl_config: CrawlConfig,
@@ -172,13 +187,22 @@ impl<'w> LiveSession<'w> {
         plan: &LogicalPlan,
         options: LiveOptions,
         observer: Arc<Observer>,
-        watermark: &Watermark,
+        chain: &[Watermark],
     ) -> Result<LiveSession<'w>, LiveError> {
         no_cadence(res_options)?;
-        let parts: WatermarkParts = watermark.parts();
+        let Some((head, tail)) = chain.split_first() else {
+            return Err(LiveError::BrokenChain { round: 0, why: "the chain has no frame" });
+        };
+        let first = head.sections();
+        if first.previous.is_some() {
+            return Err(LiveError::BrokenChain {
+                round: first.rounds,
+                why: "the chain's first frame extends an earlier frame",
+            });
+        }
         let checkpoint =
-            websift_crawler::CrawlCheckpoint::from_bytes(parts.crawl_round, parts.crawl_frame)?;
-        let crawl = CrawlSession::resume(
+            CrawlCheckpoint::from_bytes(first.crawl_round, first.crawl_frame.to_vec())?;
+        let mut crawl = CrawlSession::resume(
             web,
             &checkpoint,
             crawl_config,
@@ -186,32 +210,59 @@ impl<'w> LiveSession<'w> {
             None,
             observer.clone(),
         )?;
-        // the crawl frame restored the shared registry, `live.*` series
+        let mut flow = IncrementalFlow::compile(plan)?;
+        flow.restore_state(first.agg_state)?;
+        let mut store = StoreSnapshot::from_bytes(first.store_frame)?.restore()?;
+        let (mut last, mut since) = (head, CrawlCursor::default());
+        for frame in tail {
+            let next = frame.sections();
+            if next.previous != Some(last.checksum()) {
+                return Err(LiveError::BrokenChain {
+                    round: next.rounds,
+                    why: "the frame does not extend the frame before it in the chain",
+                });
+            }
+            if Some(next.rounds) != last.rounds().checked_add(1) {
+                return Err(LiveError::BrokenChain {
+                    round: next.rounds,
+                    why: "the frame is not of the round after the frame before it",
+                });
+            }
+            since = crawl.cursor();
+            crawl.apply_frame(&CrawlCheckpoint::from_bytes(
+                next.crawl_round,
+                next.crawl_frame.to_vec(),
+            )?)?;
+            flow.apply_state(next.agg_state, false)?;
+            StoreSnapshot::from_bytes(next.store_frame)?.restore_into(&mut store)?;
+            last = frame;
+        }
+        let sealed = last.sections();
+        // the crawl frames restored the shared registry, `live.*` series
         // too: they must have the kinds the next round writes them as
         let [counters, gauges, histograms] = LIVE_SERIES;
         observer.registry().snapshot().check_kinds("live.", counters, gauges, histograms)?;
-        if crawl.state_digest() != parts.frontier_digest {
+        if crawl.state_digest_since(&since) != sealed.frontier_digest {
             return Err(LiveError::StateMismatch {
                 what: "crawler frontier digest does not match the watermark".into(),
             });
         }
-        let mut flow = IncrementalFlow::compile(plan)?;
-        flow.restore_state(&parts.agg_state)?;
-        let store = StoreSnapshot::from_bytes(&parts.store_frame)?.restore()?;
-        if store.content_digest() != parts.store_digest {
+        if store.content_digest() != sealed.store_digest {
             return Err(LiveError::StateMismatch {
                 what: "store content digest does not match the watermark".into(),
             });
         }
         store_drains(plan, store.name())?;
         Ok(LiveSession {
+            crawl_since: crawl.cursor(),
             crawl,
             flow,
             store,
             observer,
             options,
-            round: parts.rounds,
-            metrics: parts.metrics,
+            round: sealed.rounds,
+            metrics: sealed.metrics,
+            previous: Some(last.checksum()),
         })
     }
 
@@ -268,8 +319,7 @@ impl<'w> LiveSession<'w> {
         // inside the watermark snapshots the metrics registry, so a
         // resumed session restores counters *including* this round.
         self.emit_round(round_id, docs.len(), absorbed, crawl_secs_before, crawl_delta_secs, out.metrics.simulated_secs);
-        let watermark = self.seal_watermark(round_id);
-        self.round = round_id;
+        let watermark = self.seal_round(round_id);
 
         Ok(Some(LiveRound {
             round: round_id,
@@ -317,21 +367,41 @@ impl<'w> LiveSession<'w> {
             .record(self.metrics.freshness_secs);
     }
 
-    /// Seals the round's watermark in one buffer: the crawl checkpoint
-    /// (bodies from the drain cursor on, so none after `advance` drained
-    /// the round) and the store snapshot are written in place inside it,
-    /// and one pass hashes both nested checksums, the frontier and content
-    /// digests, and the watermark's checksum.
-    fn seal_watermark(&self, round_id: u32) -> Watermark {
-        Sections {
+    /// Seals the round's watermark in one buffer: round 1's whole, every
+    /// later one the round's changes — the crawl frame since the previous
+    /// watermark's cursor (no bodies: `advance` drained the round), the
+    /// keys the round folded, the postings stamped with the round — and
+    /// the previous watermark's checksum. The crawl frame and store
+    /// snapshot are written in place, and one pass hashes both nested
+    /// checksums, the frontier digest and the watermark's checksum. The
+    /// store's content digest is of the whole store.
+    ///
+    /// The session then stands at the watermark: round `round_id` is
+    /// complete, and the next watermark links this one and carries what
+    /// changes after it.
+    fn seal_round(&mut self, round_id: u32) -> Watermark {
+        let whole = self.previous.is_none();
+        let agg_state =
+            if whole { self.flow.state_bytes() } else { self.flow.changed_state_bytes() };
+        let watermark = Sections {
             rounds: round_id,
             crawl_round: self.crawl.round(),
-            crawl: CrawlSection::Live(&self.crawl),
-            agg_state: &self.flow.state_bytes(),
-            store: StoreSection::Live(&self.store),
+            previous: self.previous,
+            crawl: CrawlSection::Live { session: &self.crawl, since: &self.crawl_since },
+            agg_state: &agg_state,
+            store: StoreSection::Live {
+                store: &self.store,
+                first_round: if whole { 0 } else { round_id },
+            },
+            store_digest: self.store.content_digest(),
             metrics: self.metrics.clone(),
         }
-        .seal()
+        .seal();
+        self.round = round_id;
+        self.previous = Some(watermark.checksum());
+        self.crawl_since = self.crawl.cursor();
+        self.flow.sealed();
+        watermark
     }
 
     /// The serving store, continuously fresh as rounds complete.
@@ -436,15 +506,18 @@ mod tests {
         ));
     }
 
-    /// The seal the in-place writer replaced, on the v2 layout: the crawl
-    /// checkpoint with bodies from the drain cursor on, the crawler's own
-    /// state digest, the store snapshot, the store's content digest and
-    /// the aggregate state as separate encodes, copied into a payload
-    /// encoded field by field, each frame sealed by hand around
-    /// `codec::digest`.
+    /// The seal from separately encoded v3 parts: the crawl frame written
+    /// since the previous watermark's cursor on a buffer of its own, the
+    /// crawler's own digest of its segments, the round's posting lists as
+    /// a store snapshot of their own, the whole store's content digest,
+    /// and the retained keys whose state changed since the previous
+    /// watermark (the live flow's one reduce counts, so every fold changes
+    /// its key) found by comparing whole-state encodes — each frame
+    /// sealed by hand around `codec::digest`.
     mod reference {
         use super::*;
-        use websift_resilience::{codec, Snapshot, Writer};
+        use std::collections::BTreeMap;
+        use websift_resilience::{codec, Reader, Snapshot, Writer};
 
         fn seal_frame(tag: &[u8; 4], version: u16, payload: &[u8]) -> Vec<u8> {
             let mut frame = tag.to_vec();
@@ -455,23 +528,82 @@ mod tests {
             frame
         }
 
-        pub fn seal(session: &LiveSession<'_>) -> Vec<u8> {
+        /// A reduce's encoded header and its keys' encoded states.
+        type Retained = (Vec<u8>, BTreeMap<String, Vec<u8>>);
+
+        /// Whole retained-state bytes split into each reduce's header and
+        /// its keys' encoded states.
+        fn keys_of(state: &[u8]) -> Vec<Retained> {
+            let mut r = Reader::new(state);
+            let reduces = r.usize().unwrap();
+            (0..reduces)
+                .map(|_| {
+                    let mut head = Writer::new();
+                    head.str(&r.str().unwrap());
+                    head.str(&r.str().unwrap());
+                    head.u8(r.u8().unwrap());
+                    let keys = (0..r.usize().unwrap())
+                        .map(|_| {
+                            let key = r.str().unwrap();
+                            let mut w = Writer::new();
+                            websift_flow::AggState::decode(&mut r).unwrap().encode(&mut w);
+                            (key, w.into_bytes())
+                        })
+                        .collect();
+                    (head.into_bytes(), keys)
+                })
+                .collect()
+        }
+
+        /// The keys of `now` not in `before` with the same state.
+        fn changed(before: &[u8], now: &[u8]) -> Vec<u8> {
+            let before = keys_of(before);
             let mut w = Writer::new();
-            let layout = session.crawl.write_checkpoint(&mut w);
-            let checkpoint = seal_frame(b"WSCK", 2, &w.into_bytes()[layout.frame.payload]);
-            let snapshot = StoreSnapshot::capture(&session.store);
+            w.usize(before.len());
+            for ((head, now), (_, before)) in keys_of(now).into_iter().zip(before) {
+                w.raw(&head);
+                let changed: Vec<_> =
+                    now.iter().filter(|(k, v)| before.get(*k) != Some(v)).collect();
+                w.usize(changed.len());
+                for (key, state) in changed {
+                    w.str(key);
+                    w.raw(state);
+                }
+            }
+            w.into_bytes()
+        }
+
+        /// The watermark `session` sealed for its last round, whose
+        /// previous watermark had `previous` as checksum and left the
+        /// crawl at `since` and the retained state at `state_before`.
+        pub fn seal(
+            session: &LiveSession<'_>,
+            previous: Option<u64>,
+            since: &CrawlCursor,
+            state_before: &[u8],
+        ) -> Vec<u8> {
+            let whole = previous.is_none();
+            let mut w = Writer::new();
+            let layout = session.crawl.write_frame(since, &mut w);
+            let checkpoint = seal_frame(b"WSCK", 3, &w.into_bytes()[layout.frame.payload]);
+            let mut w = Writer::new();
+            let first_round = if whole { 0 } else { session.round };
+            let layout = StoreSnapshot::write_from_round(&session.store, first_round, &mut w);
+            let snapshot = seal_frame(b"WSST", 1, &w.into_bytes()[layout.frame.payload]);
+            let state = session.flow.state_bytes();
             let mut w = Writer::new();
             w.u32(session.round);
             w.u64(session.crawl.round());
+            previous.encode(&mut w);
             w.bytes(&checkpoint);
             // the crawler's own encode of crawler and report, not the
             // payload segments the session hashes in place
-            w.u64(session.crawl.crawler().state_digest(session.crawl.report()));
-            w.bytes(&session.flow.state_bytes());
-            w.bytes(snapshot.as_bytes());
+            w.u64(session.crawl.state_digest_since(since));
+            w.bytes(&if whole { state } else { changed(state_before, &state) });
+            w.bytes(&snapshot);
             w.u64(session.store.content_digest());
             session.metrics.encode(&mut w);
-            seal_frame(b"WSWM", 2, &w.into_bytes())
+            seal_frame(b"WSWM", 3, &w.into_bytes())
         }
     }
 
@@ -524,8 +656,17 @@ mod tests {
         /// against the reference; returns the watermarks.
         fn run_checked(session: &mut LiveSession<'_>, what: &str) -> Vec<Watermark> {
             let mut marks = Vec::new();
-            while let Some(round) = session.advance().expect("round advances") {
-                let want = reference::seal(session);
+            loop {
+                // a chain's first watermark is whole: written since the
+                // empty crawl, not since the seeded one
+                let previous = session.previous;
+                let since = match previous {
+                    None => CrawlCursor::default(),
+                    Some(_) => session.crawl.cursor(),
+                };
+                let state_before = session.flow.state_bytes();
+                let Some(round) = session.advance().expect("round advances") else { break };
+                let want = reference::seal(session, previous, &since, &state_before);
                 assert_eq!(
                     round.watermark.as_bytes(),
                     &want[..],
@@ -533,6 +674,7 @@ mod tests {
                     round.round
                 );
                 assert_eq!(round.watermark.rounds(), round.round);
+                assert_eq!(round.watermark.previous(), previous);
                 assert_eq!(round.watermark.store_digest(), session.store().content_digest());
                 marks.push(round.watermark);
             }
@@ -557,9 +699,11 @@ mod tests {
                 let marks = run_checked(&mut start(&web, &plan, &res, dop), &what);
                 assert!(marks.len() >= 3, "{what}: crawl ended after {} rounds", marks.len());
 
-                // resumed in mid-crawl from the second round's watermark
-                let resumed_from = Watermark::from_bytes(marks[1].as_bytes().to_vec())
-                    .expect("a sealed watermark reopens");
+                // resumed in mid-crawl from the chain of the first two rounds
+                let chain: Vec<Watermark> = marks[..2]
+                    .iter()
+                    .map(|m| Watermark::from_bytes(m.as_bytes().to_vec()).expect("reopens"))
+                    .collect();
                 let mut resumed = LiveSession::resume_from(
                     &web,
                     crawl_config(),
@@ -567,13 +711,68 @@ mod tests {
                     &plan,
                     LiveOptions { dop, ..LiveOptions::default() },
                     Arc::new(Observer::new()),
-                    &resumed_from,
+                    &chain,
                 )
-                .expect("session resumes from its watermark");
+                .expect("session resumes from its watermarks");
                 let tail = run_checked(&mut resumed, &format!("{what}, resumed"));
                 assert_eq!(tail[..], marks[2..]);
             }
         }
+    }
+
+    /// A round that delivers no page and changes nothing seals a frame of
+    /// the same size however many pages the crawl has accepted: sealed
+    /// after the last round of two crawls of different sizes.
+    #[test]
+    fn an_idle_round_seals_a_frame_whose_size_the_crawl_does_not_change() {
+        use websift_corpus::LexiconScale;
+        use websift_crawler::train_focus_classifier;
+        use websift_flow::IeResources;
+        use websift_ner::EntityType;
+        use websift_pipeline::live_extraction_flow;
+        use websift_web::{PageId, WebGraph, WebGraphConfig};
+
+        let web = SimulatedWeb::new(WebGraph::generate(WebGraphConfig::tiny()));
+        let resources = IeResources::quick_for_tests(LexiconScale::tiny());
+        let plan = live_extraction_flow(&resources, EntityType::Gene, differential::STORE);
+        let seeds: Vec<Url> = (0..web.graph().num_pages() as u32)
+            .map(PageId)
+            .filter(|&p| web.graph().page(p).relevant)
+            .take(10)
+            .map(|p| web.graph().url_of(p))
+            .collect();
+        let idle = |max_pages: usize| {
+            let config = CrawlConfig {
+                max_pages,
+                threads: 4,
+                fetch_list_total: 8,
+                ..CrawlConfig::default()
+            };
+            let mut session = LiveSession::start(
+                &web,
+                train_focus_classifier(60, 2.0, 4),
+                config,
+                seeds.clone(),
+                &ResilienceOptions::default(),
+                &plan,
+                ExtractionStore::new(differential::STORE, 4),
+                LiveOptions::default(),
+                Arc::new(Observer::new()),
+            )
+            .expect("live session starts");
+            while session.advance().expect("round advances").is_some() {}
+            let report = session.crawl.report();
+            let pages = report.relevant.len() + report.irrelevant.len();
+            // the step that found the crawl over changed the crawl: seal
+            // it, then seal a round that changed nothing
+            session.seal_round(session.round + 1);
+            let frame = session.seal_round(session.round + 1);
+            (pages, frame.size_bytes())
+        };
+        let (small_pages, small) = idle(15);
+        let (large_pages, large) = idle(60);
+        assert!(large_pages >= 2 * small_pages, "{small_pages} vs {large_pages} pages");
+        assert_eq!(small, large, "idle frame after {small_pages} vs {large_pages} pages");
     }
 
     /// A session whose DoP is zero gets a typed error from its first

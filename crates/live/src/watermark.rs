@@ -1,20 +1,27 @@
-//! Sealed per-round watermark frames (`WSWM` v2).
+//! Sealed per-round watermark frames (`WSWM` v3), chained.
 //!
-//! After every completed round a live session seals a **watermark**: a
-//! single self-describing frame capturing everything needed to replay
-//! the session from that point deterministically —
+//! After every completed round a live session seals a **watermark**. The
+//! first one of a session is whole: everything needed to replay the
+//! session from that point deterministically. Every later one holds only
+//! what its round changed, and the checksum of the frame before it, so
+//! the frames of rounds 1..k are a chain that
+//! [`crate::LiveSession::resume_from`] replays. A watermark holds
 //!
-//! - the crawler frontier as a sealed `WSCK` v2 crawl-checkpoint frame
-//!   plus its state digest. The frame's report commits to every page
-//!   body by digest but carries only the bodies of pages not yet drained
-//!   downstream — after a round, none: a page's body reaches the delta
-//!   pass once and is not sealed again, so a session resumed from a
-//!   watermark has no bodies for its pre-kill pages (empty `net_text`,
-//!   digests intact),
+//! - the crawler state as a sealed `WSCK` v3 crawl frame — whole in the
+//!   first frame, what changed since the previous frame's cursor in the
+//!   others (pages, URLs, links, frontier pushes and pops, status
+//!   changes, classifier words; retry state, counters and registry
+//!   whole) — plus the digest of that frame's crawler and report
+//!   segments. The report commits to every page body by digest but the
+//!   frame carries only the bodies of pages not yet drained downstream —
+//!   after a round, none: a session resumed from watermarks has no bodies
+//!   for its pre-kill pages (empty `net_text`, digests intact),
 //! - the retained incremental aggregate state
-//!   ([`crate::IncrementalFlow::state_bytes`]),
-//! - the serving store as a sealed `WSST` snapshot frame plus its
-//!   content digest,
+//!   ([`crate::IncrementalFlow::state_bytes`]) — in a later frame only
+//!   the keys the round folded,
+//! - the serving store as a sealed `WSST` snapshot frame — in a later
+//!   frame only the posting lists stamped with the round — plus the
+//!   content digest of the whole store,
 //! - the session's cumulative [`LiveMetrics`].
 //!
 //! Frames embed the already-sealed sub-frames verbatim, so corruption
@@ -25,16 +32,17 @@
 //! watermark bytes for every subsequent round — the property the replay
 //! differential suite pins.
 
-use websift_crawler::CrawlSession;
+use websift_crawler::{CrawlCursor, CrawlSession};
 use websift_resilience::codec::{self, Chain};
 use websift_resilience::{CodecError, Reader, Snapshot, Writer};
 use websift_serve::{ExtractionStore, StoreSnapshot};
 
 /// Frame tag for a sealed watermark.
 pub const WATERMARK_TAG: [u8; 4] = *b"WSWM";
-/// Current watermark format version: 2 since the nested crawl frame is
-/// `WSCK` v2, which carries undrained page bodies only.
-pub const WATERMARK_VERSION: u16 = 2;
+/// Current watermark format version: 3 since a frame after a chain's
+/// first holds its round's changes and the checksum of the frame before
+/// it, and nests `WSCK` v3 crawl frames.
+pub const WATERMARK_VERSION: u16 = 3;
 
 /// Cumulative session metrics, carried inside every watermark so a
 /// resumed session continues the counters rather than restarting them.
@@ -88,15 +96,19 @@ pub struct WatermarkParts {
     /// The crawler's internal round counter (idle-forwarded rounds make
     /// this run ahead of `rounds`).
     pub crawl_round: u64,
-    /// Sealed `WSCK` crawl-checkpoint frame.
+    /// Sealed `WSCK` crawl frame: whole, or (after a chain's first
+    /// watermark) what changed since the previous watermark's cursor.
     pub crawl_frame: Vec<u8>,
-    /// Digest of the crawler state, verified on resume.
+    /// Digest of that frame's crawler and report segments (of a whole
+    /// frame: the crawler's state digest), verified on resume.
     pub frontier_digest: u64,
-    /// Retained incremental aggregate state bytes.
+    /// Retained incremental aggregate state bytes: every key, or the keys
+    /// the round folded.
     pub agg_state: Vec<u8>,
-    /// Sealed `WSST` store-snapshot frame.
+    /// Sealed `WSST` store-snapshot frame: every posting list, or those
+    /// stamped with the round.
     pub store_frame: Vec<u8>,
-    /// The store's content digest at seal time, verified on resume.
+    /// The whole store's content digest at seal time, verified on resume.
     pub store_digest: u64,
     /// Cumulative session metrics.
     pub metrics: LiveMetrics,
@@ -106,19 +118,20 @@ pub struct WatermarkParts {
 pub(crate) enum CrawlSection<'a, 'w> {
     /// A sealed `WSCK` frame and its digest, written as they are.
     Sealed { frame: &'a [u8], frontier_digest: u64 },
-    /// The session's checkpoint, written in place; its checksum and the
-    /// frontier digest are hashed in the watermark's one pass.
-    Live(&'a CrawlSession<'w>),
+    /// The session's state as changed since `since`, written in place;
+    /// its checksum and the frontier digest are hashed in the
+    /// watermark's one pass.
+    Live { session: &'a CrawlSession<'w>, since: &'a CrawlCursor },
 }
 
-/// Where a watermark's store frame and content digest come from.
+/// Where a watermark's store frame comes from.
 pub(crate) enum StoreSection<'a> {
-    /// A sealed `WSST` frame and the store's content digest, written as
-    /// they are.
-    Sealed { frame: &'a [u8], store_digest: u64 },
-    /// The session's store, its snapshot written in place; its checksum
-    /// and the content digest are hashed in the watermark's one pass.
-    Live(&'a ExtractionStore),
+    /// A sealed `WSST` frame, written as it is.
+    Sealed(&'a [u8]),
+    /// The session's store, its posting lists from `first_round` on
+    /// written in place; the checksum is hashed in the watermark's one
+    /// pass.
+    Live { store: &'a ExtractionStore, first_round: u32 },
 }
 
 /// A watermark's sections, borrowed: the payload layout lives in
@@ -126,9 +139,14 @@ pub(crate) enum StoreSection<'a> {
 pub(crate) struct Sections<'a, 'w> {
     pub rounds: u32,
     pub crawl_round: u64,
+    /// The checksum of the chain's previous frame; `None` for a whole
+    /// frame, which starts a chain.
+    pub previous: Option<u64>,
     pub crawl: CrawlSection<'a, 'w>,
     pub agg_state: &'a [u8],
     pub store: StoreSection<'a>,
+    /// The content digest of the whole store.
+    pub store_digest: u64,
     pub metrics: LiveMetrics,
 }
 
@@ -140,37 +158,38 @@ impl Sections<'_, '_> {
     /// Writes the `WSWM` frame in one buffer and hashes it in one pass:
     /// the nested crawl frame's checksum, the frontier digest over that
     /// frame's crawler and report segments, the nested store frame's
-    /// checksum, the store's content digest over that frame's content,
-    /// then the watermark checksum over the whole payload, every slot
-    /// included.
+    /// checksum, then the watermark checksum over the whole payload,
+    /// every slot included.
     pub(crate) fn seal(&self) -> Watermark {
         let mut w = Writer::new();
         let payload = codec::begin_frame(&mut w, WATERMARK_TAG, WATERMARK_VERSION);
         w.u32(self.rounds);
         w.u64(self.crawl_round);
+        self.previous.encode(&mut w);
         let crawl_frame = w.begin_bytes();
         let (live, frontier_digest) = match self.crawl {
             CrawlSection::Sealed { frame, frontier_digest } => {
                 w.raw(frame);
                 (None, frontier_digest)
             }
-            CrawlSection::Live(session) => (Some(session.write_checkpoint(&mut w)), 0),
+            CrawlSection::Live { session, since } => (Some(session.write_frame(since, &mut w)), 0),
         };
         w.end_bytes(crawl_frame);
         let frontier_slot = w.len();
         w.u64(frontier_digest);
         w.bytes(self.agg_state);
         let store_frame = w.begin_bytes();
-        let (store, store_digest) = match self.store {
-            StoreSection::Sealed { frame, store_digest } => {
+        let store = match self.store {
+            StoreSection::Sealed(frame) => {
                 w.raw(frame);
-                (None, store_digest)
+                None
             }
-            StoreSection::Live(store) => (Some(StoreSnapshot::write(store, &mut w)), 0),
+            StoreSection::Live { store, first_round } => {
+                Some(StoreSnapshot::write_from_round(store, first_round, &mut w))
+            }
         };
         w.end_bytes(store_frame);
-        let digest_slot = w.len();
-        w.u64(store_digest);
+        w.u64(self.store_digest);
         self.metrics.encode(&mut w);
         let outer = codec::end_frame(&mut w, payload);
         let mut frame = w.into_bytes();
@@ -181,29 +200,23 @@ impl Sections<'_, '_> {
             ],
             None => [SEALED; 2],
         };
-        let [store_sum, content] = match &store {
-            Some(store) => [
-                store.frame.checksum_chain(),
-                Chain { ranges: std::slice::from_ref(&store.content), slot: Some(digest_slot) },
-            ],
-            None => [SEALED; 2],
-        };
-        let chains = [crawl_sum, frontier, store_sum, content, outer.checksum_chain()];
-        codec::hash_chains(&mut frame, chains);
+        let store_sum = store.as_ref().map_or(SEALED, |store| store.frame.checksum_chain());
+        codec::hash_chains(&mut frame, [crawl_sum, frontier, store_sum, outer.checksum_chain()]);
         Watermark { frame }
     }
 }
 
 /// The sections of a sealed watermark, borrowed from its payload.
-struct SealedSections<'a> {
-    rounds: u32,
-    crawl_round: u64,
-    crawl_frame: &'a [u8],
-    frontier_digest: u64,
-    agg_state: &'a [u8],
-    store_frame: &'a [u8],
-    store_digest: u64,
-    metrics: LiveMetrics,
+pub(crate) struct SealedSections<'a> {
+    pub rounds: u32,
+    pub crawl_round: u64,
+    pub previous: Option<u64>,
+    pub crawl_frame: &'a [u8],
+    pub frontier_digest: u64,
+    pub agg_state: &'a [u8],
+    pub store_frame: &'a [u8],
+    pub store_digest: u64,
+    pub metrics: LiveMetrics,
 }
 
 impl<'a> SealedSections<'a> {
@@ -212,6 +225,7 @@ impl<'a> SealedSections<'a> {
         Ok(SealedSections {
             rounds: r.u32()?,
             crawl_round: r.u64()?,
+            previous: Snapshot::decode(r)?,
             crawl_frame: r.slice()?,
             frontier_digest: r.u64()?,
             agg_state: r.slice()?,
@@ -229,20 +243,20 @@ pub struct Watermark {
 }
 
 impl Watermark {
-    /// Seals `parts` into a `WSWM` v2 frame.
+    /// Seals `parts` into a whole `WSWM` v3 frame: one that starts a chain
+    /// (its crawl frame must be a whole `WSCK` frame to resume).
     pub fn seal(parts: &WatermarkParts) -> Watermark {
         Sections {
             rounds: parts.rounds,
             crawl_round: parts.crawl_round,
+            previous: None,
             crawl: CrawlSection::Sealed {
                 frame: &parts.crawl_frame,
                 frontier_digest: parts.frontier_digest,
             },
             agg_state: &parts.agg_state,
-            store: StoreSection::Sealed {
-                frame: &parts.store_frame,
-                store_digest: parts.store_digest,
-            },
+            store: StoreSection::Sealed(&parts.store_frame),
+            store_digest: parts.store_digest,
             metrics: parts.metrics.clone(),
         }
         .seal()
@@ -268,13 +282,14 @@ impl Watermark {
 
     /// The payload's sections, borrowed from the frame: no checksum pass
     /// and no copy, since the frame was verified when it was built.
-    fn sections(&self) -> SealedSections<'_> {
+    pub(crate) fn sections(&self) -> SealedSections<'_> {
         let mut r = Reader::new(codec::opened_payload(&self.frame));
         // lint:allow(untrusted_unwrap): from_bytes decoded these parts in full to accept them
         SealedSections::read(&mut r).expect("verified at construction")
     }
 
-    /// Decodes the frame contents.
+    /// Decodes the frame contents (all but the link to the previous frame:
+    /// [`Watermark::previous`]).
     pub fn parts(&self) -> WatermarkParts {
         let s = self.sections();
         WatermarkParts {
@@ -295,9 +310,23 @@ impl Watermark {
         self.sections().rounds
     }
 
-    /// The store's content digest at seal time, read by skipping over
-    /// the length-prefixed sections before it: no checksum pass and no
-    /// copy of any section.
+    /// The checksum of the frame before this one in its chain; `None` for
+    /// a whole frame, which starts a chain.
+    pub fn previous(&self) -> Option<u64> {
+        self.sections().previous
+    }
+
+    /// The frame's checksum (its last eight bytes): what the next frame
+    /// of the chain records as [`Watermark::previous`].
+    pub fn checksum(&self) -> u64 {
+        let tail = &self.frame[self.frame.len() - 8..];
+        // lint:allow(untrusted_unwrap): eight bytes, sliced just above
+        u64::from_le_bytes(tail.try_into().expect("eight bytes"))
+    }
+
+    /// The content digest of the whole store at seal time, read by
+    /// skipping over the length-prefixed sections before it: no checksum
+    /// pass and no copy of any section.
     pub fn store_digest(&self) -> u64 {
         self.sections().store_digest
     }
@@ -420,13 +449,25 @@ mod tests {
         }
     }
 
+    /// Frames of versions 1 and 2 (whole every round, no link) are refused.
     #[test]
     fn a_version_1_frame_is_refused() {
-        let v1 = codec::seal(WATERMARK_TAG, 1, &sample_payload());
-        assert_eq!(
-            Watermark::from_bytes(v1).err(),
-            Some(CodecError::BadVersion { expected: 2, found: 1 })
-        );
+        for version in [1, 2] {
+            let old = codec::seal(WATERMARK_TAG, version, &sample_payload());
+            assert_eq!(
+                Watermark::from_bytes(old).err(),
+                Some(CodecError::BadVersion { expected: 3, found: version })
+            );
+        }
+    }
+
+    /// A sealed whole frame links nothing; its checksum is its last eight
+    /// bytes, the payload's digest.
+    #[test]
+    fn a_sealed_frame_starts_a_chain() {
+        let sealed = Watermark::seal(&sample_parts());
+        assert_eq!(sealed.previous(), None);
+        assert_eq!(sealed.checksum(), codec::digest(&sample_payload()));
     }
 
     #[test]

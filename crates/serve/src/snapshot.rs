@@ -8,6 +8,11 @@
 //! store restored from a snapshot continues ingesting exactly where the
 //! original would have: kill-and-resume mid-ingest is byte-identical to
 //! an uninterrupted run.
+//!
+//! A snapshot may also hold only the posting lists stamped with a round
+//! from a first one on ([`StoreSnapshot::write_from_round`]): a live
+//! session's round writes the postings it added, and
+//! [`StoreSnapshot::restore_into`] adds them to the store rebuilt so far.
 
 use std::ops::Range;
 
@@ -76,16 +81,21 @@ impl Snapshot for Posting {
     }
 }
 
-/// Encodes the store's configuration, then its logical content, and
-/// returns where the content landed in `w`.
-fn encode_store(store: &ExtractionStore, w: &mut Writer) -> Range<usize> {
+/// Encodes the store's configuration, then its logical content from
+/// `first_round` on, and returns where the content landed in `w`.
+fn encode_store(store: &ExtractionStore, first_round: u32, w: &mut Writer) -> Range<usize> {
     w.str(store.name());
     w.usize(store.shard_count());
     w.u32(store.round());
     w.u64(store.ingested_records());
     w.u64(store.ignored_records());
     let content = w.len();
-    encode_content(store, w);
+    if first_round == 0 {
+        encode_content(store, w);
+    } else {
+        let lists: Vec<_> = store.iter().filter(|(key, _)| key.round >= first_round).collect();
+        encode_lists(lists.len(), lists.into_iter(), w);
+    }
     content..w.len()
 }
 
@@ -94,8 +104,16 @@ fn encode_store(store: &ExtractionStore, w: &mut Writer) -> Range<usize> {
 /// ([`ExtractionStore::iter`]), so the bytes are independent of ingest
 /// interleaving across shards.
 fn encode_content(store: &ExtractionStore, w: &mut Writer) {
-    w.usize(store.key_count());
-    for (key, postings) in store.iter() {
+    encode_lists(store.key_count(), store.iter(), w);
+}
+
+fn encode_lists<'s>(
+    keys: usize,
+    lists: impl Iterator<Item = (&'s PostingKey, &'s Vec<Posting>)>,
+    w: &mut Writer,
+) {
+    w.usize(keys);
+    for (key, postings) in lists {
         key.encode(w);
         postings.encode(w);
     }
@@ -143,10 +161,10 @@ pub struct StoreSnapshot {
     frame: Vec<u8>,
 }
 
-/// A store snapshot frame written in place by [`StoreSnapshot::write`],
-/// not yet hashed: where its payload and checksum slot lie in the
-/// writer's buffer, and the content bytes the store's
-/// [`ExtractionStore::content_digest`] hashes.
+/// A store snapshot frame written in place by
+/// [`StoreSnapshot::write_from_round`], not yet hashed: where its payload
+/// and checksum slot lie in the writer's buffer, and its content bytes
+/// (from round 0, the bytes [`ExtractionStore::content_digest`] hashes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotLayout {
     pub frame: FrameSlots,
@@ -157,19 +175,26 @@ impl StoreSnapshot {
     /// Captures `store` into a sealed frame.
     pub fn capture(store: &ExtractionStore) -> StoreSnapshot {
         let mut w = Writer::new();
-        let layout = StoreSnapshot::write(store, &mut w);
+        let layout = StoreSnapshot::write_from_round(store, 0, &mut w);
         let mut frame = w.into_bytes();
         codec::hash_chains(&mut frame, [layout.frame.checksum_chain()]);
         StoreSnapshot { frame }
     }
 
-    /// Writes the [`StoreSnapshot::capture`] frame of `store` in place in
-    /// `w`, checksum slot left zero, for a caller that hashes it inside a
-    /// larger frame: hashing the layout's `frame` chain seals it, and
-    /// hashing its `content` range gives the store's content digest.
-    pub fn write(store: &ExtractionStore, w: &mut Writer) -> SnapshotLayout {
+    /// Writes a snapshot frame of `store` in place in `w`, checksum slot
+    /// left zero, for a caller that hashes it inside a larger frame:
+    /// configuration and counters whole, and the posting lists stamped
+    /// with `first_round` or a later round. From round 0 that is the
+    /// [`StoreSnapshot::capture`] frame, and hashing the layout's
+    /// `content` range gives the store's content digest; hashing its
+    /// `frame` chain seals it.
+    pub fn write_from_round(
+        store: &ExtractionStore,
+        first_round: u32,
+        w: &mut Writer,
+    ) -> SnapshotLayout {
         let payload = codec::begin_frame(w, STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION);
-        let content = encode_store(store, w);
+        let content = encode_store(store, first_round, w);
         SnapshotLayout { frame: codec::end_frame(w, payload), content }
     }
 
@@ -195,6 +220,14 @@ impl StoreSnapshot {
             return Err(CodecError::Truncated { what: "trailing bytes after store" });
         }
         Ok(store)
+    }
+
+    /// Adds the posting lists of this snapshot to `store` and takes its
+    /// counters: how a frame of [`StoreSnapshot::write_from_round`] is
+    /// replayed onto the store the earlier frames rebuilt. The name and
+    /// shard count must be `store`'s, and every key must be new to it.
+    pub fn restore_into(&self, store: &mut ExtractionStore) -> Result<(), CodecError> {
+        store.add_new_keys(self.restore()?)
     }
 
     /// Digest of the full frame; equal digests mean byte-equal
@@ -351,7 +384,7 @@ mod tests {
             let mut w = Writer::new();
             w.str("prefix");
             let at = w.len();
-            let layout = StoreSnapshot::write(&store, &mut w);
+            let layout = StoreSnapshot::write_from_round(&store, 0, &mut w);
             w.u64(7);
             let mut buf = w.into_bytes();
             let chains = [
@@ -360,7 +393,7 @@ mod tests {
             ];
             let [_, content] = codec::hash_chains(&mut buf, chains);
             let mut payload = Writer::new();
-            encode_store(&store, &mut payload);
+            encode_store(&store, 0, &mut payload);
             let sealed =
                 codec::seal(STORE_SNAPSHOT_TAG, STORE_SNAPSHOT_VERSION, &payload.into_bytes());
             assert_eq!(&buf[at..buf.len() - 8], &sealed[..]);
@@ -377,5 +410,52 @@ mod tests {
             StoreSnapshot::capture(&sample_store(1)),
             StoreSnapshot::capture(&sample_store(16))
         );
+    }
+
+    /// A store rebuilt round by round from snapshots of each round's
+    /// posting lists is the store; a frame whose keys are stored already,
+    /// or of another store, is refused with a typed error.
+    #[test]
+    fn rounds_restored_into_a_store_rebuild_it() {
+        let store = sample_store(4);
+        let round = |first: u32, store: &ExtractionStore| {
+            let mut w = Writer::new();
+            let layout = StoreSnapshot::write_from_round(store, first, &mut w);
+            let mut frame = w.into_bytes();
+            codec::hash_chains(&mut frame, [layout.frame.checksum_chain()]);
+            StoreSnapshot::from_bytes(&frame).unwrap()
+        };
+        // keys of rounds 0..=2: the whole store, then rounds 1.. and 2..
+        let mut rebuilt = ExtractionStore::new("serve", 4);
+        let mut rounds: Vec<ExtractionStore> = Vec::new();
+        for first in [0, 1, 2] {
+            let mut upto = ExtractionStore::new("serve", 4);
+            for (key, postings) in store.iter().filter(|(k, _)| k.round <= first) {
+                for &posting in postings {
+                    upto.insert(key.clone(), posting);
+                }
+            }
+            rounds.push(upto);
+        }
+        round(0, &rounds[0]).restore_into(&mut rebuilt).unwrap();
+        round(1, &rounds[1]).restore_into(&mut rebuilt).unwrap();
+        round(2, &rounds[2]).restore_into(&mut rebuilt).unwrap();
+        assert_eq!(rebuilt.content_digest(), store.content_digest());
+        assert_eq!(StoreSnapshot::capture(&rebuilt), StoreSnapshot::capture(&store));
+
+        assert!(matches!(
+            round(2, &store).restore_into(&mut rebuilt),
+            Err(CodecError::Mismatch { what: "posting key stored twice (its round)", .. })
+        ));
+        let mut other = ExtractionStore::new("other", 4);
+        assert!(matches!(
+            round(0, &store).restore_into(&mut other),
+            Err(CodecError::Mismatch { what: "store name digest", .. })
+        ));
+        let mut narrow = ExtractionStore::new("serve", 2);
+        assert!(matches!(
+            round(0, &store).restore_into(&mut narrow),
+            Err(CodecError::Mismatch { what: "store shard count", claimed: 4, sealed: 2 })
+        ));
     }
 }

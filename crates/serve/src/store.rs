@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 
 use websift_flow::{Record, StoreSink, Value};
+use websift_resilience::CodecError;
 
 /// The dataset name the store ingests as entity mentions; a pipeline
 /// writes to it via `plan.store_sink(node, store_name, ENTITY_DATASET)`.
@@ -254,6 +255,41 @@ impl ExtractionStore {
     /// because [`ExtractionStore::iter`] is.
     pub fn content_digest(&self) -> u64 {
         crate::snapshot::content_digest(self)
+    }
+
+    /// Moves `other`'s posting lists into this store and takes its
+    /// counters. `other` must have this store's name and shard count, and
+    /// no key of it may be here already.
+    pub(crate) fn add_new_keys(&mut self, other: ExtractionStore) -> Result<(), CodecError> {
+        if other.name != self.name {
+            let digest = |name: &str| websift_resilience::codec::digest(name.as_bytes());
+            return Err(CodecError::Mismatch {
+                what: "store name digest",
+                claimed: digest(&other.name),
+                sealed: digest(&self.name),
+            });
+        }
+        if other.shards.len() != self.shards.len() {
+            return Err(CodecError::Mismatch {
+                what: "store shard count",
+                claimed: other.shards.len() as u64,
+                sealed: self.shards.len() as u64,
+            });
+        }
+        for (mine, theirs) in self.shards.iter_mut().zip(other.shards) {
+            for (key, postings) in theirs.postings {
+                if mine.postings.contains_key(&key) {
+                    return Err(CodecError::Mismatch {
+                        what: "posting key stored twice (its round)",
+                        claimed: u64::from(key.round),
+                        sealed: u64::from(self.round),
+                    });
+                }
+                mine.postings.insert(key, postings);
+            }
+        }
+        self.restore_counters(other.round, other.ingested_records, other.ignored_records);
+        Ok(())
     }
 
     /// Restores the non-content state a snapshot carries alongside the

@@ -8,10 +8,15 @@
 //!   recompute, across DoP;
 //! - retained reduce output: incremental fold ≡ batch Reduce over the
 //!   cumulative corpus, across DoP;
-//! - watermark frames, metrics, trace JSONL: kill + resume ≡
-//!   uninterrupted, including under injected crawl faults;
+//! - watermark frames, metrics, trace JSONL: kill + resume from the chain
+//!   of watermarks ≡ uninterrupted, including under injected crawl faults;
 //! - a watermark's crawl frame carries no page body: every page reached
-//!   the delta pass before the seal.
+//!   the delta pass before the seal;
+//! - a chain that is not one session's (cut, flipped, forged, missing,
+//!   repeated or reordered frames, an old version) is refused with a typed
+//!   error, never a panic;
+//! - a round seals what it changed: the bytes sealed over a session grow
+//!   linearly in the pages it accepted.
 
 use std::sync::Arc;
 
@@ -186,15 +191,15 @@ fn assert_resume_replays_identically(options: &ResilienceOptions, kill_after: u3
     // Same session, killed after `kill_after` rounds: only the sealed
     // watermark bytes survive the kill.
     let mut doomed = start_session(&web, &plan, options, 2);
-    let mut frame: Vec<u8> = Vec::new();
+    let mut frames: Vec<Vec<u8>> = Vec::new();
     for _ in 0..kill_after {
-        frame = doomed.advance().expect("round advances").expect("round exists").watermark
-            .as_bytes()
-            .to_vec();
+        let round = doomed.advance().expect("round advances").expect("round exists");
+        frames.push(round.watermark.as_bytes().to_vec());
     }
     drop(doomed);
 
-    let watermark = Watermark::from_bytes(frame).expect("watermark decodes");
+    let chain: Vec<Watermark> =
+        frames.into_iter().map(|f| Watermark::from_bytes(f).expect("watermark decodes")).collect();
     let resumed_obs = Arc::new(Observer::new());
     let mut resumed = LiveSession::resume_from(
         &web,
@@ -203,9 +208,9 @@ fn assert_resume_replays_identically(options: &ResilienceOptions, kill_after: u3
         &plan,
         LiveOptions { dop: 2, ..LiveOptions::default() },
         resumed_obs.clone(),
-        &watermark,
+        &chain,
     )
-    .expect("session resumes from watermark");
+    .expect("session resumes from its watermarks");
     assert_eq!(resumed.round(), kill_after);
 
     let mut resumed_marks: Vec<Watermark> = Vec::new();
@@ -267,63 +272,76 @@ fn pages_of(report: &CrawlReport) -> Vec<(String, u64, String)> {
     pages.map(|p| (p.url.to_string(), p.content_digest, p.net_text.clone())).collect()
 }
 
-/// Every watermark's crawl frame carries no page body: the crawl resumed
-/// from it holds every page the session accepted, by URL and committed
-/// digest, with an empty body, and hands out none of them again. And a
-/// session resumed from any round's watermark seals the uninterrupted
-/// session's bytes for every later round — at DoP 1 and 2, and under
-/// injected crawl faults.
+/// Every watermark's crawl frame carries no page body: the crawl rebuilt
+/// from the chain up to it holds every page the session accepted, by URL
+/// and committed digest, with an empty body, and hands out none of them
+/// again. And a session resumed from any round's chain prefix seals the
+/// uninterrupted session's bytes for every later round — at DoP 1, 2 and
+/// 4, with and without injected crawl faults.
 #[test]
 fn watermarks_carry_no_body_and_resume_from_any_round() {
     let web = tiny_web();
     let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
-    let injected = faults(0x77);
-    for (options, dop) in
-        [(ResilienceOptions::default(), 1), (ResilienceOptions::default(), 2), (injected, 2)]
-    {
-        let what = format!("dop {dop}, faults {}", options.faults.is_some());
-        let mut straight = start_session(&web, &plan, &options, dop);
-        let mut marks: Vec<Watermark> = Vec::new();
-        while let Some(round) = straight.advance().expect("round advances") {
-            let parts = round.watermark.parts();
-            let frame = CrawlCheckpoint::from_bytes(parts.crawl_round, parts.crawl_frame)
-                .expect("the crawl frame verifies");
-            let mut crawl = CrawlSession::resume(
-                &web,
-                &frame,
-                crawl_config(),
-                &options,
-                None,
-                Arc::new(Observer::new()),
-            )
-            .expect("the crawl resumes from the watermark's frame");
-            let accepted = pages_of(straight.crawl().report());
-            assert!(accepted.iter().all(|(_, _, body)| !body.is_empty()));
-            let bare: Vec<_> =
-                accepted.into_iter().map(|(url, digest, _)| (url, digest, String::new())).collect();
-            assert_eq!(pages_of(crawl.report()), bare, "{what}: round {} carries a body", round.round);
-            let (rel, irr) = crawl.take_new_pages();
-            assert!(rel.is_empty() && irr.is_empty(), "{what}: resume re-delivered old pages");
-            marks.push(round.watermark);
-        }
-        assert!(marks.len() >= 3, "{what}: crawl ended after {} rounds", marks.len());
-
-        for (k, mark) in marks.iter().enumerate() {
-            let mut resumed = LiveSession::resume_from(
-                &web,
-                crawl_config(),
-                &options,
-                &plan,
-                LiveOptions { dop, ..LiveOptions::default() },
-                Arc::new(Observer::new()),
-                mark,
-            )
-            .expect("session resumes from its watermark");
-            let mut tail: Vec<Watermark> = Vec::new();
-            while let Some(round) = resumed.advance().expect("resumed round advances") {
-                tail.push(round.watermark);
+    for options in [ResilienceOptions::default(), faults(0x77)] {
+        for dop in [1, 2, 4] {
+            let what = format!("dop {dop}, faults {}", options.faults.is_some());
+            let mut straight = start_session(&web, &plan, &options, dop);
+            let mut marks: Vec<Watermark> = Vec::new();
+            let mut crawl: Option<CrawlSession<'_>> = None;
+            while let Some(round) = straight.advance().expect("round advances") {
+                let parts = round.watermark.parts();
+                let frame = CrawlCheckpoint::from_bytes(parts.crawl_round, parts.crawl_frame)
+                    .expect("the crawl frame verifies");
+                match &mut crawl {
+                    None => {
+                        let observer = Arc::new(Observer::new());
+                        let first = CrawlSession::resume(
+                            &web,
+                            &frame,
+                            crawl_config(),
+                            &options,
+                            None,
+                            observer,
+                        );
+                        crawl = Some(first.expect("the crawl resumes from the first frame"));
+                    }
+                    Some(crawl) => crawl.apply_frame(&frame).expect("the next frame replays"),
+                }
+                let crawl = crawl.as_mut().expect("replayed");
+                let accepted = pages_of(straight.crawl().report());
+                assert!(accepted.iter().all(|(_, _, body)| !body.is_empty()));
+                let bare: Vec<_> = accepted
+                    .into_iter()
+                    .map(|(url, digest, _)| (url, digest, String::new()))
+                    .collect();
+                let round_id = round.round;
+                assert_eq!(pages_of(crawl.report()), bare, "{what}: round {round_id} carries a body");
+                assert_eq!(crawl.state_digest(), straight.crawl().state_digest());
+                let (rel, irr) = crawl.take_new_pages();
+                assert!(rel.is_empty() && irr.is_empty(), "{what}: resume re-delivered old pages");
+                marks.push(round.watermark);
             }
-            assert_eq!(tail[..], marks[k + 1..], "{what}: resumed after round {}", k + 1);
+            assert!(marks.len() >= 3, "{what}: crawl ended after {} rounds", marks.len());
+
+            for k in 1..=marks.len() {
+                let mut resumed = LiveSession::resume_from(
+                    &web,
+                    crawl_config(),
+                    &options,
+                    &plan,
+                    LiveOptions { dop, ..LiveOptions::default() },
+                    Arc::new(Observer::new()),
+                    &marks[..k],
+                )
+                .expect("session resumes from its chain");
+                let mut tail: Vec<Watermark> = Vec::new();
+                while let Some(round) = resumed.advance().expect("resumed round advances") {
+                    tail.push(round.watermark);
+                }
+                assert_eq!(tail[..], marks[k..], "{what}: resumed after round {k}");
+                assert_eq!(resumed.store().content_digest(), straight.store().content_digest());
+                assert_eq!(resumed.state_bytes(), straight.state_bytes());
+            }
         }
     }
 }
@@ -351,9 +369,9 @@ fn checkpoints_of_a_session_resumed_from_a_watermark_resume() {
         &plan,
         LiveOptions { dop: 2, ..LiveOptions::default() },
         Arc::new(Observer::new()),
-        &marks[1],
+        &marks[..2],
     )
-    .expect("session resumes from its watermark");
+    .expect("session resumes from its watermarks");
     resumed.advance().expect("round advances").expect("round exists");
     resumed.advance().expect("round advances").expect("round exists");
     let crawl = resumed.crawl();
@@ -409,7 +427,7 @@ fn a_checkpoint_cadence_is_refused_at_start_and_resume() {
         &plan,
         LiveOptions { dop: 2, ..LiveOptions::default() },
         Arc::new(Observer::new()),
-        &sealed,
+        std::slice::from_ref(&sealed),
     );
     match resumed.err() {
         Some(err @ LiveError::CheckpointCadence { every_rounds: 2 }) => {
@@ -439,7 +457,7 @@ fn watermark_with_an_edited_crawl_round_does_not_resume() {
         &plan,
         LiveOptions::default(),
         Arc::new(Observer::new()),
-        &Watermark::seal(&parts),
+        &[Watermark::seal(&parts)],
     );
     match resumed.err() {
         Some(LiveError::Codec(CodecError::Mismatch { claimed, sealed, .. })) => {
@@ -464,13 +482,13 @@ fn watermark_carrying_a_forged_page_body_does_not_resume() {
     let page = &session.crawl().report().relevant[0];
     let frame = session.crawl().checkpoint();
     let mut payload =
-        codec::open(*b"WSCK", 2, frame.as_bytes()).expect("a sealed checkpoint opens").to_vec();
+        codec::open(*b"WSCK", 3, frame.as_bytes()).expect("a sealed checkpoint opens").to_vec();
     let body = page.net_text.as_bytes();
     let at = payload.windows(body.len()).position(|w| w == body).expect("the frame carries it");
     payload[at] = if payload[at] == b'a' { b'b' } else { b'a' };
     let forged = codec::digest(&payload[at..at + body.len()]);
     let mut parts = sealed.parts();
-    parts.crawl_frame = codec::seal(*b"WSCK", 2, &payload);
+    parts.crawl_frame = codec::seal(*b"WSCK", 3, &payload);
     let resumed = LiveSession::resume_from(
         &web,
         crawl_config(),
@@ -478,7 +496,7 @@ fn watermark_carrying_a_forged_page_body_does_not_resume() {
         &plan,
         LiveOptions::default(),
         Arc::new(Observer::new()),
-        &Watermark::seal(&parts),
+        &[Watermark::seal(&parts)],
     );
     match resumed.err() {
         Some(LiveError::Codec(CodecError::Mismatch { what: "page body digest", claimed, sealed })) => {
@@ -516,7 +534,7 @@ fn watermark_holding_a_live_series_of_another_kind_does_not_resume() {
         &plan,
         LiveOptions::default(),
         Arc::new(Observer::new()),
-        &Watermark::seal(&parts),
+        &[Watermark::seal(&parts)],
     );
     match resumed.err() {
         Some(LiveError::Codec(CodecError::BadTag { what: "registry series kind", tag: 1 })) => {}
@@ -545,7 +563,7 @@ fn watermark_resumed_onto_an_observer_holding_its_series_as_another_kind_is_refu
         &plan,
         LiveOptions::default(),
         observer.clone(),
-        &sealed,
+        std::slice::from_ref(&sealed),
     );
     match resumed.err() {
         Some(LiveError::Codec(CodecError::BadTag { what: "registry series kind", tag: 0 })) => {}
@@ -586,7 +604,7 @@ fn watermark_retaining_a_state_its_reduce_cannot_fold_does_not_resume() {
         &plan,
         LiveOptions::default(),
         Arc::new(Observer::new()),
-        &Watermark::seal(&parts),
+        &[Watermark::seal(&parts)],
     );
     match resumed.err() {
         Some(LiveError::StateMismatch { what }) => assert!(what.contains("Sum(7)"), "{what}"),
@@ -722,4 +740,174 @@ fn incremental_flow_folds_typed_reduces_exactly() {
     let mut restored = IncrementalFlow::compile(&plan).expect("compiles");
     restored.restore_state(&whole.state_bytes()).expect("restores");
     assert_eq!(restored.state_bytes(), whole.state_bytes());
+}
+
+/// A crawl of eight fetches a round, so that there are many rounds.
+fn short_rounds(max_pages: usize) -> CrawlConfig {
+    CrawlConfig { max_pages, fetch_list_total: 8, ..crawl_config() }
+}
+
+/// A session's watermarks: tiny web, short rounds, no faults, DoP 2.
+fn straight_chain(web: &SimulatedWeb, plan: &LogicalPlan) -> Vec<Watermark> {
+    let mut session = LiveSession::start(
+        web,
+        train_focus_classifier(60, 2.0, 4),
+        short_rounds(60),
+        seeds_for(web),
+        &ResilienceOptions::default(),
+        plan,
+        ExtractionStore::new(STORE, 4),
+        LiveOptions::default(),
+        Arc::new(Observer::new()),
+    )
+    .expect("live session starts");
+    let mut marks = Vec::new();
+    while let Some(round) = session.advance().expect("round advances") {
+        marks.push(round.watermark);
+    }
+    assert!(marks.len() >= 4, "crawl ended after {} rounds", marks.len());
+    marks
+}
+
+fn resume_chain<'w>(
+    web: &'w SimulatedWeb,
+    plan: &LogicalPlan,
+    chain: &[Watermark],
+) -> Result<LiveSession<'w>, LiveError> {
+    LiveSession::resume_from(
+        web,
+        short_rounds(60),
+        &ResilienceOptions::default(),
+        plan,
+        LiveOptions::default(),
+        Arc::new(Observer::new()),
+        chain,
+    )
+}
+
+/// A chain that is not one session's rounds 1..k is refused with
+/// `BrokenChain` naming the first frame out of place: no frame, a chain
+/// that starts at round 2, a missing, a repeated or a reordered frame, and
+/// a frame whose previous-frame checksum is forged (and its own checksum
+/// resealed to hold). A version 2 frame is refused when it is read.
+#[test]
+fn a_chain_that_is_not_one_sessions_is_refused() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let marks = straight_chain(&web, &plan);
+    let m = |i: usize| marks[i].clone();
+    let broken = |chain: &[Watermark], at: u32| match resume_chain(&web, &plan, chain).err() {
+        Some(LiveError::BrokenChain { round, why }) => {
+            assert_eq!(round, at, "{why}");
+            assert!(LiveError::BrokenChain { round, why }.to_string().contains(why));
+        }
+        other => panic!("a broken chain resumed or failed otherwise: {other:?}"),
+    };
+    broken(&[], 0);
+    broken(&marks[1..3], 2);
+    broken(&[m(0), m(2)], 3);
+    broken(&[m(0), m(1), m(1)], 2);
+    broken(&[m(0), m(2), m(1)], 3);
+    broken(&[m(0), m(1), m(3), m(2)], 4);
+
+    // the link sits after the round (u32) and crawl round (u64): an
+    // `Option` tag, then the checksum of the frame before
+    let mut payload = codec::open(*b"WSWM", 3, marks[1].as_bytes()).expect("opens").to_vec();
+    assert_eq!(payload[12..21], [&[1][..], &marks[0].checksum().to_le_bytes()].concat()[..]);
+    payload[13] ^= 1;
+    let forged = Watermark::from_bytes(codec::seal(*b"WSWM", 3, &payload)).expect("resealed");
+    broken(&[m(0), forged], 2);
+
+    let v2 = codec::seal(*b"WSWM", 2, codec::open(*b"WSWM", 3, marks[0].as_bytes()).unwrap());
+    assert_eq!(
+        Watermark::from_bytes(v2).err(),
+        Some(CodecError::BadVersion { expected: 3, found: 2 })
+    );
+    // and the prefixes that are chains resume
+    for k in 1..=marks.len() {
+        assert!(resume_chain(&web, &plan, &marks[..k]).is_ok(), "prefix of {k} frames refused");
+    }
+}
+
+/// A chain's second frame cut at every offset, or with any bit flipped, is
+/// refused when it is read; its payload cut at every offset and resealed
+/// is refused too; its payload with a bit flipped (every eighth byte, each
+/// at another bit) and resealed resumes or fails with a typed error —
+/// never a panic.
+#[test]
+fn hostile_chain_frames_are_errors_not_panics() {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let marks = straight_chain(&web, &plan);
+    let frame = marks[1].as_bytes();
+    for cut in 0..frame.len() {
+        assert!(Watermark::from_bytes(frame[..cut].to_vec()).is_err(), "cut at {cut} read");
+    }
+    for at in 0..frame.len() {
+        let mut flipped = frame.to_vec();
+        flipped[at] ^= 1 << (at % 8);
+        assert!(Watermark::from_bytes(flipped).is_err(), "bit flip at {at} read");
+    }
+    let payload = codec::open(*b"WSWM", 3, frame).expect("opens").to_vec();
+    for cut in 0..payload.len() {
+        let resealed = codec::seal(*b"WSWM", 3, &payload[..cut]);
+        assert!(Watermark::from_bytes(resealed).is_err(), "payload cut at {cut} read");
+    }
+    let mut refused = 0;
+    for at in (0..payload.len()).step_by(8) {
+        let mut flipped = payload.clone();
+        flipped[at] ^= 1 << (at / 8 % 8);
+        let Ok(forged) = Watermark::from_bytes(codec::seal(*b"WSWM", 3, &flipped)) else {
+            refused += 1;
+            continue;
+        };
+        refused += resume_chain(&web, &plan, &[marks[0].clone(), forged]).is_err() as usize;
+    }
+    assert!(refused > 0);
+}
+
+/// The pages a crawl of at most `max_pages` pages accepted, and the bytes
+/// its session sealed after the first, whole watermark (which holds the
+/// trained classifier): summed over the later watermarks.
+fn sealed_over_a_session(max_pages: usize) -> (usize, usize) {
+    let web = tiny_web();
+    let plan = live_extraction_flow(&resources(), EntityType::Gene, STORE);
+    let mut session = LiveSession::start(
+        &web,
+        train_focus_classifier(60, 2.0, 4),
+        short_rounds(max_pages),
+        seeds_for(&web),
+        &ResilienceOptions::default(),
+        &plan,
+        ExtractionStore::new(STORE, 4),
+        LiveOptions::default(),
+        Arc::new(Observer::new()),
+    )
+    .expect("live session starts");
+    let mut sealed = 0;
+    while let Some(round) = session.advance().expect("round advances") {
+        if round.round > 1 {
+            sealed += round.watermark.size_bytes();
+        }
+    }
+    let report = session.crawl().report();
+    (report.relevant.len() + report.irrelevant.len(), sealed)
+}
+
+/// Each watermark after the first holds what its round changed, so the
+/// bytes a session seals grow linearly in the pages it accepts: per
+/// accepted page, a crawl three times as long seals about as much (a
+/// whole frame every round would seal about three times as much per page).
+#[test]
+fn sealed_bytes_grow_linearly_in_pages() {
+    let (small_pages, small) = sealed_over_a_session(20);
+    let (large_pages, large) = sealed_over_a_session(200);
+    assert!(large_pages >= 2 * small_pages, "{small_pages} vs {large_pages} pages");
+    let per_page = |bytes: usize, pages: usize| bytes as f64 / pages as f64;
+    let (small_rate, large_rate) = (per_page(small, small_pages), per_page(large, large_pages));
+    assert!(
+        large_rate < 1.25 * small_rate,
+        "sealed bytes per accepted page grew from {small_rate:.0} ({small_pages} pages) to \
+         {large_rate:.0} ({large_pages} pages)"
+    );
 }
