@@ -112,6 +112,12 @@ echo "dictionary automaton == brute-force search, CRF == reference decoder and t
 # `#[cfg(test)]` reference that allocates a String per word — every page
 # of a generated web, markup and net text, and non-ASCII words (final
 # sigma, İ, the Kelvin sign, ß), before and after self-training updates.
+# And the page parse: the borrowed token stream, the repaired stream or
+# its `Untranscodable` reason, the blocks, the links and the net text must
+# equal the `#[cfg(test)]` owned tokenizer's on every page of two generated
+# webs, at default defect rates and re-wrapped with every page severely
+# broken, and the crawler's one-pass parse must equal `extract_links` plus
+# `BoilerplateDetector::extract` called apart.
 PROPTEST_CASES=64 cargo test -q -p websift-crawler --lib differential
 echo "crawl: any worker pool == one worker, predict == reference predict holds ok"
 

@@ -60,7 +60,6 @@ use crate::feedback::IeFeedback;
 use crate::fetcher::{FaultContext, FetchOutcome, Fetcher};
 use crate::filters::{FilterChain, FilterConfig, FilterStats, RejectReason};
 use crate::linkdb::{LinkCursor, LinkDb};
-use crate::parser::extract_links;
 use crate::recovery::{CheckpointLayout, CrawlCheckpoint, ResilienceOptions, ResilienceStats};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -791,16 +790,16 @@ impl<'w> FocusedCrawler<'w> {
         None
     }
 
-    /// The content phase of one fetched page: MIME and raw size, links,
-    /// boilerplate, the net-text verdicts and the content digest. Reads
-    /// nothing the crawl writes, so the fetch worker that downloaded the
-    /// page runs it; [`FocusedCrawler::analyse_page`] applies the result.
+    /// The content phase of one fetched page: MIME and raw size, links and
+    /// boilerplate from one tokenization, the net-text verdicts and the
+    /// content digest. Reads nothing the crawl writes, so the fetch worker
+    /// that downloaded the page runs it; [`FocusedCrawler::analyse_page`] applies the result.
     fn content_phase(&self, filters: &FilterChain, resp: FetchResponse) -> PageContent {
         let parsed = filters.mime_verdict(resp.url.path(), &resp.body).map(|()| {
             // borrows the body when it is valid UTF-8 (nearly always)
             let body_text = String::from_utf8_lossy(&resp.body);
-            let links = extract_links(&body_text, &resp.url);
-            let text = self.boilerplate.extract(&body_text).ok().map(|net_text| NetText {
+            let (links, net_text) = self.boilerplate.parse_page(&body_text, &resp.url);
+            let text = net_text.ok().map(|net_text| NetText {
                 verdict: filters
                     .text_verdict(&net_text)
                     .map(|()| codec::digest(net_text.as_bytes())),

@@ -14,6 +14,7 @@
 //! hash map. The `String`-based implementation this replaced lives on in
 //! `reference` (test builds only) as the oracle of the differential tests.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Longest n-gram a packed key holds.
@@ -173,16 +174,28 @@ impl Counter {
         letters
     }
 
+    /// Forgets every gram counted, zeroing only the touched slots of the
+    /// dense table. The spill map is replaced, not cleared: one text in
+    /// another script would otherwise leave its capacity behind, and a
+    /// sparse map made every later text slower to count than a fresh one.
+    fn clear(&mut self) {
+        for &i in &self.touched {
+            self.dense[i as usize] = 0;
+        }
+        self.touched.clear();
+        self.spill = HashMap::new();
+    }
+
     /// The `top_k` most frequent grams counted, most frequent first, ties
     /// by ascending key.
-    fn top(self, top_k: usize) -> Vec<(u64, u32)> {
+    fn top(&self, top_k: usize) -> Vec<(u64, u32)> {
         let mut grams = Vec::with_capacity(self.touched.len() + self.spill.len());
         grams.extend(
             self.touched
                 .iter()
                 .map(|&i| (dense_key(i), self.dense[i as usize])),
         );
-        grams.extend(self.spill);
+        grams.extend(self.spill.iter().map(|(&key, &n)| (key, n)));
         // A total order (keys are distinct), so selecting the top and then
         // sorting it equals sorting everything and truncating.
         let order = |a: &(u64, u32), b: &(u64, u32)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
@@ -193,6 +206,12 @@ impl Counter {
         grams.sort_unstable_by(order);
         grams
     }
+}
+
+thread_local! {
+    /// One counter per thread, reused from text to text, so that a text
+    /// does not pay for allocating and zeroing a fresh 128 KiB dense table.
+    static COUNTER: RefCell<Counter> = RefCell::new(Counter::new());
 }
 
 /// An n-gram frequency profile: the `top_k` most frequent n-grams of sizes
@@ -224,7 +243,18 @@ impl NgramProfile {
             (1..=MAX_GRAM).contains(&max_n),
             "n-gram length must be 1..={MAX_GRAM}"
         );
-        let mut counter = Counter::new();
+        COUNTER.with(|counter| Self::build_with(&mut counter.borrow_mut(), text, max_n, top_k))
+    }
+
+    /// [`NgramProfile::build_counting_letters`] on `counter`, cleared first
+    /// (so an earlier text's counts never leak in, even one cut short).
+    fn build_with(
+        counter: &mut Counter,
+        text: &str,
+        max_n: usize,
+        top_k: usize,
+    ) -> (NgramProfile, usize) {
+        counter.clear();
         let letters = counter.count(text, max_n);
         let top = counter.top(top_k);
         let mut ranks: Vec<(u64, usize)> = top
@@ -505,6 +535,32 @@ mod tests {
             for max_n in 1..=3 {
                 for top_k in [0, 1, 2, 5, 17, 400] {
                     assert_same_profile(text, max_n, top_k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_reused_counter_builds_what_a_fresh_one_builds() {
+        let texts = [
+            "The Cat sat on the mat; the cat sat.",
+            "",
+            "日本語のテキスト と English mixed 中文",
+            "a",
+            "İstanbul ẞtraße ǅungla Ünïcödé ça",
+            "The Cat sat on the mat; the cat sat.",
+            &"zq".repeat(5000),
+            "x y z",
+        ];
+        for max_n in 1..=3 {
+            for top_k in [1, 17, 400] {
+                for text in texts {
+                    // this thread's counter, holding the previous text's counts
+                    let (reused, letters) = NgramProfile::build_counting_letters(text, max_n, top_k);
+                    let (fresh, fresh_letters) =
+                        NgramProfile::build_with(&mut Counter::new(), text, max_n, top_k);
+                    assert_eq!(reused.ranks, fresh.ranks, "{text:?} n={max_n} k={top_k}");
+                    assert_eq!((reused.top_k, letters), (fresh.top_k, fresh_letters));
                 }
             }
         }

@@ -2,11 +2,25 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use websift::crawler::parser::{repair_markup, strip_markup, HtmlToken};
+use websift::crawler::parser::{
+    attr_value, decode_entities, extract_links, repair_markup, strip_markup, tokenize_html,
+    HtmlToken,
+};
+use websift::crawler::BoilerplateDetector;
 use websift::ner::AhoCorasick;
 use websift::stats::{jensen_shannon, mann_whitney_u, Summary};
 use websift::text::{tokenize, SentenceSplitter};
 use websift::web::Url;
+
+/// The pieces hostile markup is made of, weighted toward delimiters by
+/// repetition.
+const HOSTILE: &[&str] = &[
+    "<", "<", "<", "</", "</", "<!--", "<!--", "-->", ">", ">", ">", "&", "&", "&amp;", "&lt;",
+    "&amp;lt;", "&#39;", "&nbsp", "\"", "'", "=", "/", " ", "\n", "<a href=", "<A HREF='", "<p>",
+    "</P>", "<div", "</div>", "<li>", "<script>", "</script>", "<STYLE>", "<!doctype", "<br/>",
+    "word", "two words", "\u{130}", "<\u{130}", "\u{130}>", "&\u{130}", "\u{212A}", "\u{1F980}",
+    "<\u{1F980}", "\u{1F980}&", "中", "#top", "javascript:", "http://y.example/z", "../up",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -76,7 +90,7 @@ proptest! {
             for t in &tokens {
                 match t {
                     HtmlToken::Open { name, .. }
-                        if !["br", "hr", "img", "input", "meta", "link"].contains(&name.as_str()) =>
+                        if !["br", "hr", "img", "input", "meta", "link"].contains(&&**name) =>
                     {
                         depth += 1
                     }
@@ -87,6 +101,35 @@ proptest! {
             }
             prop_assert_eq!(depth, 0, "unbalanced after repair");
         }
+    }
+
+    /// Hostile bytes into every HTML reader: strings built mostly from
+    /// delimiters (`<`, `</`, `<!--`, `>`, `&`, quotes), unterminated tags
+    /// and comments, and multi-byte chars (İ, the Kelvin sign, emoji) next
+    /// to them. Nothing may panic, and the crawler's one-pass parse must
+    /// equal the links and the net text read separately.
+    #[test]
+    fn hostile_markup_never_panics_and_parses_once(
+        pieces in prop::collection::vec(0usize..HOSTILE.len(), 0..80),
+    ) {
+        let html: String = pieces.iter().map(|&i| HOSTILE[i]).collect();
+        let base = Url::parse("http://x.example/dir/page.html").unwrap();
+        let tokens = tokenize_html(&html);
+        for token in &tokens {
+            if let HtmlToken::Open { attrs, .. } = token {
+                attr_value(attrs, "href");
+            }
+            if let HtmlToken::Text(text) = token {
+                decode_entities(text);
+            }
+        }
+        let _ = repair_markup(&html, 0.45);
+        strip_markup(&html);
+        let det = BoilerplateDetector::default();
+        let _ = det.segment(&html);
+        let (links, net_text) = det.parse_page(&html, &base);
+        prop_assert_eq!(&links, &extract_links(&html, &base), "{:?}", html);
+        prop_assert_eq!(&net_text, &det.extract(&html), "{:?}", html);
     }
 
     /// Stripping markup never leaves tag characters behind (for inputs
